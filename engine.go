@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/engine"
-	"repro/internal/shard"
 )
 
 // EngineConfig tunes a query-serving Engine.
@@ -69,27 +68,13 @@ const DefaultEngineCacheEntries = 256
 // Dataset's range. Before any update, answers equal the direct
 // Dataset.UTK1 and Dataset.UTK2 calls.
 //
-// An Engine is backed either by a single serving engine (NewEngine) or by a
-// horizontally sharded one (NewShardedEngine); the query and update API is
-// identical, and sharded answers are exactly the single-engine answers.
+// An Engine maintains its candidate superset either as one structure
+// (NewEngine) or horizontally partitioned (NewShardedEngine); everything
+// above it — the query and update API, caching, scheduling — is the same
+// code, and sharded answers are exactly the single-engine answers.
 type Engine struct {
 	ds *Dataset
-	e  backend
-}
-
-// backend is the serving contract shared by the single-partition engine and
-// the cross-shard merge engine.
-type backend interface {
-	Do(ctx context.Context, req engine.Request) (*engine.Result, error)
-	DoBatch(ctx context.Context, reqs []engine.Request) ([]*engine.Result, []error)
-	Insert(rec []float64) (int, error)
-	Delete(id int) error
-	ApplyBatch(ops []engine.UpdateOp) (*engine.UpdateResult, error)
-	ApplyBatchPipelined(ops []engine.UpdateOp) (*engine.UpdateResult, func(), error)
-	Stats() engine.Stats
-	MaxK() int
-	Shards() int
-	Dim() int
+	e  *engine.Engine
 }
 
 // UpdateKind discriminates UpdateOp.
@@ -214,42 +199,34 @@ type EngineStats struct {
 
 // NewEngine builds a serving engine over the dataset.
 func (ds *Dataset) NewEngine(cfg EngineConfig) (*Engine, error) {
-	entries := cfg.CacheEntries
-	switch {
-	case entries == 0:
-		entries = DefaultEngineCacheEntries
-	case entries < 0:
-		entries = 0
-	}
-	e, err := engine.New(ds.tree, ds.records, engine.Config{
-		MaxK:         cfg.MaxK,
-		ShadowDepth:  cfg.ShadowDepth,
-		CacheEntries: entries,
-		Workers:      cfg.Workers,
-		MaxQueued:    cfg.MaxQueued,
-		QueryTimeout: cfg.QueryTimeout,
-	})
+	e, err := engine.New(ds.tree, ds.records, cfg.engineConfig())
 	if err != nil {
 		return nil, err
 	}
 	return &Engine{ds: ds, e: e}, nil
 }
 
-// NewShardedEngine builds a serving engine that horizontally partitions the
-// dataset across the given number of shards (round-robin), each maintained
-// by its own child engine, and answers queries exactly by merging: every
-// shard's depth-k candidate superset is collected and the exact refinement
-// runs once over the union. Record ids, query results, and the update API
-// are identical to NewEngine — a record in the global candidate superset is
-// necessarily in its shard's superset, so the merged answers match the
-// single-engine answers exactly. Inserts and deletes route to the owning
-// shard and recompute only that shard's band.
-//
-// cfg.Workers and cfg.CacheEntries configure the merge layer (per-shard
-// result caches are disabled — the merged result is what gets cached);
-// cfg.MaxK and cfg.ShadowDepth configure each shard's maintenance. The
-// dataset must have at least one record per shard.
+// NewShardedEngine builds a serving engine whose candidate superset is
+// maintained in the given number of horizontal partitions (round-robin):
+// inserts and deletes route to the owning partition and repair only that
+// partition's band, and the exact global superset — the MaxK-skyband of the
+// union of the partition bands — is what queries filter. Record ids, query
+// results, the update API and every serving mechanism (cache, scheduling,
+// deadlines, two-stage commit) are NewEngine's: the same serving core runs
+// over either band, and a batch spanning several partitions is atomic to
+// queries. cfg means what it means for NewEngine; MaxK and ShadowDepth apply
+// to every partition. The dataset must have at least one record per shard.
 func (ds *Dataset) NewShardedEngine(shards int, cfg EngineConfig) (*Engine, error) {
+	e, err := engine.NewPartitioned(ds.records, shards, cfg.engineConfig())
+	if err != nil {
+		return nil, err
+	}
+	return &Engine{ds: ds, e: e}, nil
+}
+
+// engineConfig maps the facade configuration onto the serving core's, resolving
+// the CacheEntries default.
+func (cfg EngineConfig) engineConfig() engine.Config {
 	entries := cfg.CacheEntries
 	switch {
 	case entries == 0:
@@ -257,21 +234,14 @@ func (ds *Dataset) NewShardedEngine(shards int, cfg EngineConfig) (*Engine, erro
 	case entries < 0:
 		entries = 0
 	}
-	e, err := shard.New(ds.records, shard.Config{
-		Shards: shards,
-		Engine: engine.Config{
-			MaxK:         cfg.MaxK,
-			ShadowDepth:  cfg.ShadowDepth,
-			CacheEntries: entries,
-			Workers:      cfg.Workers,
-			MaxQueued:    cfg.MaxQueued,
-			QueryTimeout: cfg.QueryTimeout,
-		},
-	})
-	if err != nil {
-		return nil, err
+	return engine.Config{
+		MaxK:         cfg.MaxK,
+		ShadowDepth:  cfg.ShadowDepth,
+		CacheEntries: entries,
+		Workers:      cfg.Workers,
+		MaxQueued:    cfg.MaxQueued,
+		QueryTimeout: cfg.QueryTimeout,
 	}
-	return &Engine{ds: ds, e: e}, nil
 }
 
 // MaxK returns the largest top-k depth the engine serves.
@@ -400,8 +370,8 @@ func (e *Engine) ApplyBatch(ops []UpdateOp) (*UpdateResult, error) {
 // commit. When this call returns, the batch has applied and the result is
 // final, but queries observe it only once commit has run; commit must be
 // called exactly once per successful call (calling it again is a no-op).
-// Single-partition engines defer invalidation probing and the index publish
-// to commit; sharded engines apply fully up front and return a no-op commit.
+// Invalidation probing and the index publish are deferred to commit, for
+// single and sharded engines alike.
 func (e *Engine) ApplyBatchPipelined(ops []UpdateOp) (*UpdateResult, func(), error) {
 	converted := make([]engine.UpdateOp, len(ops))
 	for i, op := range ops {

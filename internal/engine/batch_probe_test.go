@@ -56,7 +56,7 @@ func TestBatchProbesMatchPerOp(t *testing.T) {
 		// the duplication is what grouping exploits, and what the
 		// equivalence check must not be confused by.
 		nShapes := 1 + rng.Intn(5)
-		var entries []CacheEntry
+		var entries []cacheEntry
 		for s := 0; s < nShapes; s++ {
 			lo := make([]float64, dim-1)
 			hi := make([]float64, dim-1)
@@ -71,15 +71,15 @@ func TestBatchProbesMatchPerOp(t *testing.T) {
 			}
 			k := 1 + rng.Intn(6)
 			for c := 0; c < 1+rng.Intn(3); c++ {
-				// Distinct variants share a ProbeGroupID (the verdict
+				// Distinct variants share a probeGroupID (the verdict
 				// depends only on region and k), so alternating them
 				// exercises the grouping across keys.
 				v := UTK1
 				if c%2 == 1 {
 					v = UTK2
 				}
-				key := Fingerprint(v, k, r, core.Options{})
-				entries = append(entries, CacheEntry{Key: key, Region: r, K: k})
+				key := fingerprint(v, k, r, core.Options{})
+				entries = append(entries, cacheEntry{Key: key, Region: r, K: k})
 			}
 		}
 
@@ -113,7 +113,7 @@ func TestBatchProbesMatchPerOp(t *testing.T) {
 }
 
 // TestProbeGroupSharing pins the grouping invariant directly: same (region,
-// k) with different variants or worker options must share a ProbeGroupID;
+// k) with different variants or worker options must share a probeGroupID;
 // different k or different region must not.
 func TestProbeGroupSharing(t *testing.T) {
 	r1, err := geom.NewBox([]float64{0.1, 0.1}, []float64{0.2, 0.2})
@@ -124,22 +124,22 @@ func TestProbeGroupSharing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := ProbeGroupID(Fingerprint(UTK1, 5, r1, core.Options{}))
+	base := probeGroupID(fingerprint(UTK1, 5, r1, core.Options{}))
 	same := []string{
-		Fingerprint(UTK2, 5, r1, core.Options{}),
-		Fingerprint(UTK1, 5, r1, core.Options{Workers: 4}),
+		fingerprint(UTK2, 5, r1, core.Options{}),
+		fingerprint(UTK1, 5, r1, core.Options{Workers: 4}),
 	}
 	for i, key := range same {
-		if ProbeGroupID(key) != base {
+		if probeGroupID(key) != base {
 			t.Errorf("key %d: same (region,k) landed in a different probe group", i)
 		}
 	}
 	diff := []string{
-		Fingerprint(UTK1, 6, r1, core.Options{}),
-		Fingerprint(UTK1, 5, r2, core.Options{}),
+		fingerprint(UTK1, 6, r1, core.Options{}),
+		fingerprint(UTK1, 5, r2, core.Options{}),
 	}
 	for i, key := range diff {
-		if ProbeGroupID(key) == base {
+		if probeGroupID(key) == base {
 			t.Errorf("key %d: different (region,k) shares a probe group", i)
 		}
 	}

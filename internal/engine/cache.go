@@ -21,14 +21,6 @@ import (
 // half-spaces maps to one key; the float bits are used exactly, so any
 // numeric perturbation of the region is a miss (never a false hit).
 func fingerprint(v Variant, k int, r *geom.Region, opts core.Options) string {
-	return Fingerprint(v, k, r, opts)
-}
-
-// Fingerprint is the canonical cache key shared by every serving layer:
-// sibling packages that cache engine Results (the cross-shard merge layer)
-// use it so one key format — and one canonicalization — covers the whole
-// serving stack.
-func Fingerprint(v Variant, k int, r *geom.Region, opts core.Options) string {
 	hs := r.Halfspaces()
 	rows := make([][]byte, 0, len(hs))
 	for _, h := range hs {
@@ -55,7 +47,7 @@ func Fingerprint(v Variant, k int, r *geom.Region, opts core.Options) string {
 	}
 	// Layout: a fpHeaderLen-byte prefix (variant, 3 bytes of k, flags, 2
 	// bytes of workers) followed by the sorted canonical region rows.
-	// ProbeGroupID relies on these offsets.
+	// probeGroupID relies on these offsets.
 	key := make([]byte, 0, 16+len(rows)*(r.Dim()+1)*8)
 	key = append(key, byte(v), byte(k), byte(k>>8), byte(k>>16))
 	key = append(key, optionFlags(opts), byte(workers), byte(workers>>8))
@@ -65,7 +57,7 @@ func Fingerprint(v Variant, k int, r *geom.Region, opts core.Options) string {
 	return string(key)
 }
 
-// Fingerprint key offsets: k occupies bytes [fpKOffset, fpKEnd), the region
+// fingerprint key offsets: k occupies bytes [fpKOffset, fpKEnd), the region
 // encoding starts at fpHeaderLen.
 const (
 	fpKOffset   = 1
@@ -73,13 +65,13 @@ const (
 	fpHeaderLen = 7
 )
 
-// ProbeGroupID projects a Fingerprint key onto the coordinates an
+// probeGroupID projects a fingerprint key onto the coordinates an
 // invalidation probe depends on — the depth k and the canonical region
 // encoding — dropping the variant, ablation flags, and worker count. An
 // update's affects verdict for a cached entry is a function of (region, k)
 // only, so entries sharing a group id live or die together under any batch
 // and can share one probe.
-func ProbeGroupID(key string) string {
+func probeGroupID(key string) string {
 	return key[fpKOffset:fpKEnd] + key[fpHeaderLen:]
 }
 
@@ -135,32 +127,29 @@ func containClass(v Variant, opts core.Options) uint32 {
 	return uint32(v)<<8 | uint32(optionFlags(opts))
 }
 
-// CacheEntry is one resident result-cache row as seen by an invalidation
+// cacheEntry is one resident result-cache row as seen by an invalidation
 // scan: the key to evict by plus the query shape to probe with.
-type CacheEntry struct {
+type cacheEntry struct {
 	Key    string
 	Region *geom.Region
 	K      int
 }
 
-// ResultCache is the typed adapter every serving layer puts between itself
-// and the shared rescache subsystem: the Engine uses one internally, and the
-// cross-shard merge layer instantiates its own so both tiers get the same
-// cost-aware eviction, containment-based reuse, canonical Fingerprint keys,
-// and probe-then-evict invalidation protocol. It is not safe for concurrent
-// use; callers serialize access under their own mutex, exactly as Engine
-// does with its internal instance.
-type ResultCache struct {
+// resultCache is the typed adapter between the Engine and the rescache
+// subsystem (cost-aware eviction, containment-based reuse, probe-then-evict
+// invalidation) under canonical fingerprint keys. It is not safe for
+// concurrent use; the Engine serializes access under its mutex.
+type resultCache struct {
 	c *rescache.Cache
 }
 
-// NewResultCache builds a cache bounded to capacity entries (capacity ≥ 1).
-func NewResultCache(capacity int) *ResultCache {
-	return &ResultCache{c: rescache.New(capacity)}
+// newResultCache builds a cache bounded to capacity entries (capacity ≥ 1).
+func newResultCache(capacity int) *resultCache {
+	return &resultCache{c: rescache.New(capacity)}
 }
 
 // Get returns the cached result for the key, refreshing its recency.
-func (c *ResultCache) Get(key string) (*Result, bool) {
+func (c *resultCache) Get(key string) (*Result, bool) {
 	v, ok := c.c.Get(key)
 	if !ok {
 		return nil, false
@@ -172,7 +161,7 @@ func (c *ResultCache) Get(key string) (*Result, bool) {
 // pointer identity against an earlier Get/FindContaining to confirm an
 // entry survived the interval (capacity eviction, invalidation, and
 // replacement all break identity).
-func (c *ResultCache) Peek(key string) (*Result, bool) {
+func (c *resultCache) Peek(key string) (*Result, bool) {
 	v, ok := c.c.Peek(key)
 	if !ok {
 		return nil, false
@@ -186,7 +175,7 @@ func (c *ResultCache) Peek(key string) (*Result, bool) {
 // class keeps being invalidated before reuse); evicted reports whether an
 // older entry was displaced to make room, and costDriven whether that choice
 // differed from the victim plain LRU would have picked.
-func (c *ResultCache) Add(key string, req Request, res *Result) (admitted, evicted, costDriven bool) {
+func (c *resultCache) Add(key string, req Request, res *Result) (admitted, evicted, costDriven bool) {
 	return c.c.Add(key, req.Region, req.K, containClass(req.Variant, req.Opts), float64(res.Cost), res)
 }
 
@@ -194,7 +183,7 @@ func (c *ResultCache) Add(key string, req Request, res *Result) (admitted, evict
 // req's region, at req's depth and under req's ablation switches — the
 // containment source a miss for req (either variant) can be derived from by
 // cell clipping. It returns the source result and its cache key.
-func (c *ResultCache) FindContaining(req Request) (*Result, string, bool) {
+func (c *resultCache) FindContaining(req Request) (*Result, string, bool) {
 	v, key, ok := c.c.FindContaining(containClass(UTK2, req.Opts), req.K, req.Region)
 	if !ok {
 		return nil, "", false
@@ -203,24 +192,19 @@ func (c *ResultCache) FindContaining(req Request) (*Result, string, bool) {
 }
 
 // Snapshot lists the resident entries for an invalidation scan.
-func (c *ResultCache) Snapshot() []CacheEntry {
+func (c *resultCache) Snapshot() []cacheEntry {
 	rows := c.c.Snapshot()
-	out := make([]CacheEntry, len(rows))
+	out := make([]cacheEntry, len(rows))
 	for i, r := range rows {
-		out[i] = CacheEntry{Key: r.Key, Region: r.Region, K: r.K}
+		out[i] = cacheEntry{Key: r.Key, Region: r.Region, K: r.K}
 	}
 	return out
 }
 
-// EvictKeys removes the listed entries (if still resident), returning the
-// number actually evicted. It does not inform the admission policy — use
-// InvalidateKeys for update-driven staleness.
-func (c *ResultCache) EvictKeys(keys []string) int { return c.c.EvictKeys(keys) }
-
 // InvalidateKeys removes the listed entries because an update made them
 // stale, charging each removal to its class's admission ledger so classes
 // the update stream keeps killing stop being cached while the churn lasts.
-func (c *ResultCache) InvalidateKeys(keys []string) int { return c.c.InvalidateKeys(keys) }
+func (c *resultCache) InvalidateKeys(keys []string) int { return c.c.InvalidateKeys(keys) }
 
 // Len is the current cache population.
-func (c *ResultCache) Len() int { return c.c.Len() }
+func (c *resultCache) Len() int { return c.c.Len() }

@@ -9,7 +9,7 @@ import (
 	"repro/internal/rescache"
 )
 
-// DeriveClipped derives the exact answer for req from src, a cached UTK2
+// deriveClipped derives the exact answer for req from src, a cached UTK2
 // result computed for a region containing req.Region, by clipping each of
 // src's cells to req.Region and dropping empty (or lower-dimensional)
 // intersections.
@@ -28,7 +28,7 @@ import (
 // when no cell survives clipping, which cannot happen for a genuinely
 // containing full-dimensional source and is treated as "fall back to a real
 // computation" by callers.
-func DeriveClipped(req Request, src *Result) *Result {
+func deriveClipped(req Request, src *Result) *Result {
 	if src == nil || src.Cells == nil {
 		return nil
 	}

@@ -1,22 +1,21 @@
 // Package dyntest is the differential test harness for the dynamic serving
-// engines: it drives randomized insert/delete/query interleavings — single
-// ops and multi-op atomic batches — through an incrementally maintained
-// backend (a single engine.Engine, or a shard.Engine merging S partitions)
-// and checks every query answer against a freshly built static single
-// engine over the same logical dataset (and, for UTK2, against the
-// brute-force top-k oracle probed at each cell's interior point).
+// engine: it drives randomized insert/delete/query interleavings — single
+// ops and multi-op atomic batches, blocking or pipelined — through an
+// incrementally maintained engine.Engine (over a single band, or a band
+// partitioned S ways) and checks every query answer against a freshly built
+// static single engine over the same logical dataset (and, for UTK2, against
+// the brute-force top-k oracle probed at each cell's interior point).
 //
 // A wrong dynamic superset silently corrupts every downstream UTK1/UTK2
 // answer — the filter is an exactness precondition, not an optimization — so
 // this cross-check, not unit assertions on the skyband itself, is the
-// primary correctness argument for the update path. For sharded backends the
-// same comparison is simultaneously the exactness proof of the cross-shard
-// merge: sharded ≡ single-engine ≡ rebuilt-static, id for id and cell for
+// primary correctness argument for the update path. For partitioned bands the
+// same comparison is simultaneously the exactness proof of the union
+// reduction: sharded ≡ single-engine ≡ rebuilt-static, id for id and cell for
 // cell.
 package dyntest
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -27,18 +26,7 @@ import (
 	"repro/internal/geom"
 	"repro/internal/oracle"
 	"repro/internal/rtree"
-	"repro/internal/shard"
 )
-
-// Backend is the serving surface the harness drives; *engine.Engine and
-// *shard.Engine both satisfy it.
-type Backend interface {
-	Do(ctx context.Context, req engine.Request) (*engine.Result, error)
-	Insert(rec []float64) (int, error)
-	Delete(id int) error
-	ApplyBatch(ops []engine.UpdateOp) (*engine.UpdateResult, error)
-	Stats() engine.Stats
-}
 
 // Config describes one randomized interleaving scenario. All randomness
 // derives from Seed, so a failing scenario replays exactly from the
@@ -56,14 +44,19 @@ type Config struct {
 	ShadowDepth int
 	// Ops is the number of interleaved events (updates and queries).
 	Ops int
-	// Shards, when above 1, routes the scenario through a shard.Engine with
-	// that many partitions instead of a single engine.Engine; every answer
-	// must still match the rebuilt static single engine exactly.
+	// Shards, when above 1, runs the scenario on an engine whose band is
+	// partitioned that many ways; every answer must still match the rebuilt
+	// static single engine exactly.
 	Shards int
 	// Batch, when true, mixes multi-op atomic ApplyBatch events (2–5 random
 	// inserts/deletes per batch, including delete-what-this-batch-inserted)
 	// into the interleaving.
 	Batch bool
+	// Pipelined, with Batch, applies those batches through
+	// ApplyBatchPipelined and asks a pool query between begin and commit:
+	// the overlapped answer must be the exact pre-batch one, and must not
+	// have been cached by the time the post-batch answer is asked for.
+	Pipelined bool
 }
 
 // Run executes the scenario, failing t on the first divergence.
@@ -76,35 +69,23 @@ func Run(t *testing.T, cfg Config) {
 	// Both backends assign sequential ids from N upward, so the harness can
 	// predict in-batch insert ids (needed to build delete-what-this-batch-
 	// inserted batches) and cross-check every assignment.
-	var dyn Backend
-	var sharded *shard.Engine
+	ecfg := engine.Config{
+		MaxK:         cfg.MaxK,
+		ShadowDepth:  cfg.ShadowDepth,
+		CacheEntries: 8, // small, so entries are both hit and invalidated
+	}
+	var dyn *engine.Engine
+	var err error
 	if cfg.Shards > 1 {
-		se, err := shard.New(recs, shard.Config{
-			Shards: cfg.Shards,
-			Engine: engine.Config{
-				MaxK:         cfg.MaxK,
-				ShadowDepth:  cfg.ShadowDepth,
-				CacheEntries: 8, // small, so entries are both hit and invalidated
-			},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		sharded, dyn = se, se
+		dyn, err = engine.NewPartitioned(recs, cfg.Shards, ecfg)
 	} else {
-		tree, err := rtree.BulkLoad(recs, rtree.DefaultFanout)
-		if err != nil {
-			t.Fatal(err)
+		var tree *rtree.Tree
+		if tree, err = rtree.BulkLoad(recs, rtree.DefaultFanout); err == nil {
+			dyn, err = engine.New(tree, recs, ecfg)
 		}
-		single, err := engine.New(tree, recs, engine.Config{
-			MaxK:         cfg.MaxK,
-			ShadowDepth:  cfg.ShadowDepth,
-			CacheEntries: 8,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		dyn = single
+	}
+	if err != nil {
+		t.Fatal(err)
 	}
 
 	mirror := map[int][]float64{}
@@ -132,7 +113,7 @@ func Run(t *testing.T, cfg Config) {
 			h.query(t, rng, dyn, mirror, cfg, op, pool[rng.Intn(len(pool))])
 		case cfg.Batch && rng.Intn(4) == 0 && len(liveIDs) > cfg.MaxK+1:
 			updates++
-			liveIDs, nextID = h.applyRandomBatch(t, rng, dyn, mirror, liveIDs, nextID, cfg, op)
+			liveIDs, nextID = h.applyRandomBatch(t, rng, dyn, mirror, liveIDs, nextID, cfg, op, pool[rng.Intn(len(pool))])
 		case rng.Intn(2) == 0 || len(mirror) <= cfg.MaxK+1:
 			updates++
 			rec := h.randomRecord(rng, cfg.Dim, mirror, liveIDs)
@@ -172,7 +153,7 @@ func Run(t *testing.T, cfg Config) {
 		if t.Failed() {
 			return
 		}
-		h.checkSuperset(t, dyn, sharded, mirror, cfg, op)
+		h.checkSuperset(t, dyn, mirror, cfg, op)
 		if t.Failed() {
 			return
 		}
@@ -193,8 +174,9 @@ func Run(t *testing.T, cfg Config) {
 // applyRandomBatch builds a 2–5 op atomic batch — random inserts, deletes of
 // live records, and occasionally a delete of an id the same batch inserts —
 // applies it, and folds the outcome into the mirror. Returns the updated
-// live-id slice and next expected id.
-func (harness) applyRandomBatch(t *testing.T, rng *rand.Rand, dyn Backend, mirror map[int][]float64, liveIDs []int, nextID int, cfg Config, op int) ([]int, int) {
+// live-id slice and next expected id. In pipelined mode qc is asked between
+// the two stages (against the still-unchanged mirror) and again after commit.
+func (harness) applyRandomBatch(t *testing.T, rng *rand.Rand, dyn *engine.Engine, mirror map[int][]float64, liveIDs []int, nextID int, cfg Config, op int, qc queryCase) ([]int, int) {
 	t.Helper()
 	n := 2 + rng.Intn(4)
 	ops := make([]engine.UpdateOp, 0, n)
@@ -238,10 +220,14 @@ func (harness) applyRandomBatch(t *testing.T, rng *rand.Rand, dyn Backend, mirro
 	if len(ops) == 0 {
 		return liveIDs, nextID
 	}
-	res, err := dyn.ApplyBatch(ops)
+	res, commit, err := dyn.ApplyBatchPipelined(ops)
 	if err != nil {
 		t.Fatalf("op %d: batch (%d ops): %v", op, len(ops), err)
 	}
+	if cfg.Pipelined {
+		h.query(t, rng, dyn, mirror, cfg, op, qc)
+	}
+	commit()
 	expect := nextID
 	for i, o := range ops {
 		id := res.IDs[i]
@@ -269,6 +255,9 @@ func (harness) applyRandomBatch(t *testing.T, rng *rand.Rand, dyn Backend, mirro
 	if res.Live != len(mirror) {
 		t.Fatalf("op %d: batch reported live %d, mirror has %d", op, res.Live, len(mirror))
 	}
+	if cfg.Pipelined {
+		h.query(t, rng, dyn, mirror, cfg, op, qc)
+	}
 	return liveIDs, expect
 }
 
@@ -291,42 +280,54 @@ func sum(rec []float64) float64 {
 // before a query happens to route through the damaged depth, which keeps the
 // harness sensitive to maintenance bugs whose query-visible window is
 // narrow (e.g. a missed shadow promotion only perturbs depth-MaxK queries).
-// For sharded backends the brute force runs per shard — each partition's
-// band is the MaxK-skyband of the records routed to it — pinning both the
-// routing tables and every child engine's maintenance.
-func (harness) checkSuperset(t *testing.T, dyn Backend, sharded *shard.Engine, mirror map[int][]float64, cfg Config, op int) {
+// For a partitioned band the brute force runs per part, over the engine's
+// exported state — each part's band is the MaxK-skyband of the records routed
+// to it, and the routing tables must place every live id on exactly one part
+// — pinning both the routing and every part's maintenance; the served global
+// band must then sit between the global brute force and the per-part total.
+func (harness) checkSuperset(t *testing.T, dyn *engine.Engine, mirror map[int][]float64, cfg Config, op int) {
 	t.Helper()
-	if sharded == nil {
-		want := bruteSkybandSize(mirror, nil, cfg.MaxK)
-		if got := dyn.Stats().SupersetSize; got != want {
-			t.Errorf("op %d: maintained superset size %d != brute-force MaxK-skyband %d", op, got, want)
+	global := bruteSkybandSize(mirror, nil, cfg.MaxK)
+	if cfg.Shards <= 1 {
+		if got := dyn.Stats().SupersetSize; got != global {
+			t.Errorf("op %d: maintained superset size %d != brute-force MaxK-skyband %d", op, got, global)
 		}
 		return
 	}
-	groups := make([]map[int]bool, sharded.Shards())
-	for i := range groups {
-		groups[i] = map[int]bool{}
-	}
-	for id := range mirror {
-		sh, ok := sharded.Owner(id)
-		if !ok {
-			t.Errorf("op %d: live id %d has no owning shard", op, id)
-			return
-		}
-		groups[sh][id] = true
-	}
+	st := dyn.ExportState().Parts
 	total := 0
-	perShard := sharded.ShardStats()
-	for sh, group := range groups {
+	placed := make(map[int]bool, len(mirror))
+	for p, part := range st.Parts {
+		group := make(map[int]bool, len(part.LiveIDs))
+		for _, lid := range part.LiveIDs {
+			g := st.LocalToGlobal[p][lid]
+			if _, live := mirror[g]; !live || placed[g] {
+				t.Errorf("op %d: part %d holds id %d, which is dead or also held elsewhere", op, p, g)
+				return
+			}
+			group[g], placed[g] = true, true
+		}
+		got := 0
+		for _, c := range part.MemberCounts {
+			if c < cfg.MaxK {
+				got++
+			}
+		}
 		want := bruteSkybandSize(mirror, group, cfg.MaxK)
 		total += want
-		if got := perShard[sh].SupersetSize; got != want {
-			t.Errorf("op %d: shard %d superset size %d != brute-force MaxK-skyband %d of its partition", op, sh, got, want)
+		if got != want {
+			t.Errorf("op %d: part %d band size %d != brute-force MaxK-skyband %d of its partition", op, p, got, want)
 			return
 		}
 	}
+	if len(placed) != len(mirror) {
+		t.Errorf("op %d: parts hold %d records, mirror has %d", op, len(placed), len(mirror))
+	}
 	if got := dyn.Stats().SupersetSize; got != total {
-		t.Errorf("op %d: aggregated superset size %d != sum of per-shard skybands %d", op, got, total)
+		t.Errorf("op %d: aggregated superset size %d != sum of per-part skybands %d", op, got, total)
+	}
+	if got := dyn.SupersetSize(); got < global || got > total {
+		t.Errorf("op %d: served global band %d outside [brute-force %d, per-part total %d]", op, got, global, total)
 	}
 }
 
@@ -421,10 +422,10 @@ func (harness) randomQueryCase(t *testing.T, rng *rand.Rand, cfg Config) queryCa
 
 // query runs one UTK query through the dynamic backend and through a freshly
 // built static single engine over the identical logical dataset, failing on
-// any divergence. For sharded backends this asserts the full federation
-// claim: merged per-shard candidates refined once ≡ one engine over the
-// union of the partitions.
-func (harness) query(t *testing.T, rng *rand.Rand, dyn Backend, mirror map[int][]float64, cfg Config, op int, qc queryCase) {
+// any divergence. For partitioned bands this asserts the full federation
+// claim: the reduced union of per-part bands refined once ≡ one engine over
+// the union of the partitions.
+func (harness) query(t *testing.T, rng *rand.Rand, dyn *engine.Engine, mirror map[int][]float64, cfg Config, op int, qc queryCase) {
 	t.Helper()
 	r, k := qc.region, qc.k
 	variant := engine.Variant(rng.Intn(2))

@@ -6,14 +6,16 @@ import (
 	"testing"
 )
 
-// TestDifferentialShardedVsSingle is the cross-shard federation proof:
-// randomized workloads routed through a shard.Engine with S=1..4 partitions,
-// every answer compared against a single engine rebuilt from scratch over the
-// same logical dataset — UTK1 id sets, UTK2 cell multisets, and a
-// brute-force oracle probe at every cell interior — with single-op updates
-// and multi-op atomic batches interleaved throughout. Every scenario's
-// parameters (including its seed) are in the subtest name, so a failure
-// replays with -run.
+// TestDifferentialShardedVsSingle is the partitioned-band federation proof:
+// randomized workloads on an engine whose band is split S=1..4 ways, every
+// answer compared against a single engine rebuilt from scratch over the same
+// logical dataset — UTK1 id sets, UTK2 cell multisets, and a brute-force
+// oracle probe at every cell interior — with single-op updates and multi-op
+// atomic batches interleaved throughout, through a small result cache, and
+// on alternating scenarios with the batches applied in two stages and a
+// query overlapping each begin→commit window. Every scenario's parameters
+// (including its seed) are in the subtest name, so a failure replays with
+// -run.
 func TestDifferentialShardedVsSingle(t *testing.T) {
 	trials, ops := 12, 26
 	if testing.Short() {
@@ -27,21 +29,23 @@ func TestDifferentialShardedVsSingle(t *testing.T) {
 			N:      50 + rng.Intn(451),
 			MaxK:   4 + rng.Intn(5),
 			Ops:    ops,
-			Shards: 1 + trial%4, // S cycles 1..4; S=1 pins the degenerate merge
+			Shards: 1 + trial%4, // S cycles 1..4; S=1 is the unpartitioned engine
 			Batch:  true,
+			// Every S meets both apply modes over a full run.
+			Pipelined: (trial+trial/4)%2 == 1,
 		}
 		if rng.Intn(3) == 0 {
 			cfg.ShadowDepth = 1 + rng.Intn(3) // shallow shadows exercise per-shard rebuilds
 		}
-		name := fmt.Sprintf("seed%d_d%d_n%d_maxk%d_shadow%d_s%d", cfg.Seed, cfg.Dim, cfg.N, cfg.MaxK, cfg.ShadowDepth, cfg.Shards)
+		name := fmt.Sprintf("seed%d_d%d_n%d_maxk%d_shadow%d_s%d_pipe%v", cfg.Seed, cfg.Dim, cfg.N, cfg.MaxK, cfg.ShadowDepth, cfg.Shards, cfg.Pipelined)
 		t.Run(name, func(t *testing.T) { Run(t, cfg) })
 	}
 }
 
 // TestDifferentialShardedDeleteHeavy skews sharded interleavings toward
-// deletions of band members with a tiny shadow depth, so per-shard shadow
-// promotion, recompute fallbacks, and cross-shard cache invalidation all
-// fire under the differential comparison.
+// deletions of band members with a tiny shadow depth, so per-part shadow
+// promotion, recompute fallbacks, and cache invalidation against the reduced
+// global band all fire under the differential comparison.
 func TestDifferentialShardedDeleteHeavy(t *testing.T) {
 	trials := 8
 	if testing.Short() {
@@ -57,8 +61,9 @@ func TestDifferentialShardedDeleteHeavy(t *testing.T) {
 			Ops:         24,
 			Shards:      2 + trial%3,
 			Batch:       true,
+			Pipelined:   trial%2 == 1,
 		}
-		name := fmt.Sprintf("seed%d_d%d_s%d", cfg.Seed, cfg.Dim, cfg.Shards)
+		name := fmt.Sprintf("seed%d_d%d_s%d_pipe%v", cfg.Seed, cfg.Dim, cfg.Shards, cfg.Pipelined)
 		t.Run(name, func(t *testing.T) { Run(t, cfg) })
 	}
 }

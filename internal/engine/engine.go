@@ -24,14 +24,14 @@
 //     that is r-dominated by at least k others throughout a cached region
 //     cannot appear in (or vanish from) any top-k set there, so that entry
 //     survives — rather than flushing the whole cache per update.
-//  3. A result cache (the shared rescache subsystem, also used by the
-//     cross-shard merge layer) keyed on a canonicalized (variant, k, region,
-//     ablation flags) fingerprint, with single-flight deduplication so
-//     concurrent identical queries compute once and share the result.
+//  3. A result cache (the rescache subsystem) keyed on a canonicalized
+//     (variant, k, region, ablation flags) fingerprint, with single-flight
+//     deduplication so concurrent identical queries compute once and share
+//     the result.
 //     Eviction is cost-aware — entries carry their measured recompute cost,
 //     so cheap UTK1 id-lists churn before expensive UTK2 partitionings —
 //     and an exact miss whose region lies inside a cached UTK2 region is
-//     answered by cell clipping (see DeriveClipped) instead of recomputing:
+//     answered by cell clipping (see deriveClipped) instead of recomputing:
 //     exact, with zero refinement work.
 //  4. A bounded executor (the shared internal/exec scheduler) with per-query
 //     deadlines; the deadline (and a superseded-epoch check) is threaded into
@@ -41,12 +41,19 @@
 //     (Request.Opts.Workers > 1) fan their refinement subtasks out on the
 //     same executor, and a configurable queue bound turns overload into
 //     ErrSaturated backpressure instead of unbounded queueing.
+//
+// The engine is the one serving core for every partitioning: it reaches its
+// band maintainer only through the band interface below, implemented by a
+// single skyband.Dynamic (New) and by shard.Band, S dynamics plus id routing
+// (NewPartitioned). Sharding changes where the MaxK-skyband comes from and
+// nothing above it.
 package engine
 
 import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math"
 	"runtime"
 	"sort"
@@ -58,6 +65,7 @@ import (
 	"repro/internal/exec"
 	"repro/internal/geom"
 	"repro/internal/rtree"
+	"repro/internal/shard"
 	"repro/internal/skyband"
 )
 
@@ -82,6 +90,21 @@ var (
 	// signal serving layers turn into 429 responses.
 	ErrSaturated = errors.New("engine: executor queue saturated")
 )
+
+// CheckRecord is the one definition of a usable record: exactly dim
+// attributes, every one finite. Dataset construction and the update path
+// both go through it.
+func CheckRecord(rec []float64, dim int) error {
+	if len(rec) != dim {
+		return fmt.Errorf("has %d attributes, want %d", len(rec), dim)
+	}
+	for j, v := range rec {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("attribute %d is not finite: %g", j, v)
+		}
+	}
+	return nil
+}
 
 // errAborted marks a flight whose leader gave up (context expiry) before the
 // computation finished; waiters react by electing a new leader.
@@ -327,6 +350,29 @@ type flight struct {
 	err  error
 }
 
+// band is everything the engine asks of its band maintainer: the MaxK-skyband
+// of a mutable record collection with engine-wide record ids. Implementations
+// need not be safe for concurrent use; the engine serializes every call under
+// updMu. (State capture is the one per-implementation step; see ExportState.)
+type band interface {
+	// NextID returns the id the next insert will be assigned; ids are
+	// sequential and never reused.
+	NextID() int
+	// Has reports whether id is live.
+	Has(id int) bool
+	// InBand reports whether a live record may be a band member (false
+	// guarantees at least MaxK dominators).
+	InBand(id int) bool
+	// Record returns a live record's coordinates (shared), or nil.
+	Record(id int) []float64
+	// ApplyOps applies a batch as one unit; see skyband.Dynamic.ApplyOps.
+	ApplyOps(ops []skyband.Op) ([]int, []skyband.Effect, error)
+	// Band returns the current MaxK-skyband as parallel id/record slices
+	// sorted by ascending id, immutable once returned.
+	Band() ([]int, [][]float64)
+	Stats() skyband.DynamicStats
+}
+
 // Engine serves UTK queries over one dataset and applies incremental
 // updates to it. It is safe for concurrent use.
 type Engine struct {
@@ -340,13 +386,13 @@ type Engine struct {
 	// dataset's candidate density on this machine. Safe for concurrent use.
 	split *core.SplitModel
 
-	// updMu serializes updates and guards dyn. Queries never take it: they
+	// updMu serializes updates and guards band. Queries never take it: they
 	// read the epoch-versioned index snapshot below. It also guards the
 	// pipeline's begin-stage bookkeeping: reservedEpoch (the epoch the most
 	// recently begun batch will have published at its commit — equal to the
 	// published epoch whenever no batch is in flight) and nextTicket.
 	updMu         sync.Mutex
-	dyn           *skyband.Dynamic
+	band          band
 	reservedEpoch uint64
 	nextTicket    uint64
 
@@ -362,7 +408,7 @@ type Engine struct {
 	idx atomic.Pointer[index]
 
 	mu            sync.Mutex
-	cache         *ResultCache
+	cache         *resultCache
 	dynStats      skyband.DynamicStats // refreshed at the end of each batch
 	updating      int                  // open invalidation-probe windows; finish skips caching while > 0
 	inflight      map[string]*flight
@@ -392,26 +438,11 @@ func New(t *rtree.Tree, records [][]float64, cfg Config) (*Engine, error) {
 	if t == nil || t.Len() == 0 {
 		return nil, core.ErrEmptyDataset
 	}
-	if cfg.MaxK <= 0 {
-		return nil, core.ErrBadK
+	cfg, err := cfg.withDefaults()
+	if err != nil {
+		return nil, err
 	}
-	if cfg.ShadowDepth < 1 {
-		cfg.ShadowDepth = cfg.MaxK
-	}
-	if cfg.Workers < 1 {
-		cfg.Workers = runtime.GOMAXPROCS(0)
-	}
-	e := &Engine{
-		cfg:      cfg,
-		dim:      t.Dim(),
-		pool:     exec.NewPool(cfg.Workers, cfg.MaxQueued),
-		split:    &core.SplitModel{},
-		inflight: make(map[string]*flight),
-	}
-	e.commitCond = sync.NewCond(&e.commitMu)
-	if cfg.CacheEntries > 0 {
-		e.cache = NewResultCache(cfg.CacheEntries)
-	}
+	pool := exec.NewPool(cfg.Workers, cfg.MaxQueued)
 	// The k-skyband at MaxK is the one region-independent superset of every
 	// r-skyband the engine can be asked for; the dynamic structure maintains
 	// it (plus its deletion-repair shadow) under updates. Seeding it with the
@@ -420,20 +451,83 @@ func New(t *rtree.Tree, records [][]float64, cfg Config) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Streaming posture: repairs run chunked under deadline pacing instead of
-	// stalling one update on a monolithic reseed, and the shadow depth tracks
-	// the churn the workload actually applies.
-	dyn.EnableIncrementalRepair(0)
-	dyn.EnableAdaptiveShadow(cfg.ShadowDepth, 8*cfg.ShadowDepth)
-	// Batch band maintenance fans its member pass over the query pool; the
-	// update lock serializes the calls, so workers only ever see read-only
-	// chunk tasks.
-	dyn.SetPool(e.pool)
-	e.dyn = dyn
-	e.dynStats = dyn.Stats()
-	ids, recs := dyn.Band()
-	e.idx.Store(bandIndex(0, ids, recs))
-	return e, nil
+	streaming(dyn, cfg.ShadowDepth, pool)
+	return newEngine(cfg, pool, dyn, t.Dim(), 0, 0), nil
+}
+
+// NewPartitioned builds an engine whose band is maintained in parts
+// horizontal partitions (record i on part i mod parts, inserts continuing the
+// round-robin; see package shard). Record ids, answers and the whole serving
+// surface are those of New over the same records; only band maintenance is
+// split. As with New, the record slices are referenced, never mutated.
+func NewPartitioned(records [][]float64, parts int, cfg Config) (*Engine, error) {
+	if len(records) == 0 {
+		return nil, core.ErrEmptyDataset
+	}
+	cfg, err := cfg.withDefaults()
+	if err != nil {
+		return nil, err
+	}
+	pool := exec.NewPool(cfg.Workers, cfg.MaxQueued)
+	b, err := shard.New(records, parts, cfg.MaxK, cfg.ShadowDepth, func(d *skyband.Dynamic) {
+		streaming(d, cfg.ShadowDepth, pool)
+	})
+	if err != nil {
+		return nil, err
+	}
+	return newEngine(cfg, pool, b, len(records[0]), 0, 0), nil
+}
+
+// withDefaults validates MaxK and fills the defaulted fields.
+func (cfg Config) withDefaults() (Config, error) {
+	if cfg.MaxK <= 0 {
+		return cfg, core.ErrBadK
+	}
+	if cfg.ShadowDepth < 1 {
+		cfg.ShadowDepth = cfg.MaxK
+	}
+	if cfg.Workers < 1 {
+		cfg.Workers = runtime.GOMAXPROCS(0)
+	}
+	return cfg, nil
+}
+
+// streaming puts a band part into the posture the engine runs every part in:
+// repairs chunked under deadline pacing instead of stalling one update on a
+// monolithic reseed, a shadow depth that tracks the churn the workload
+// applies (base is the configured depth it decays back to; a restored deeper
+// depth is kept), and batch maintenance fanning its member pass over the
+// query pool — the update lock serializes the calls, so workers only ever see
+// read-only chunk tasks.
+func streaming(d *skyband.Dynamic, base int, pool *exec.Pool) {
+	d.EnableIncrementalRepair(0)
+	d.EnableAdaptiveShadow(base, 8*base)
+	d.SetPool(pool)
+}
+
+// newEngine is the one place an Engine is assembled — fresh or restored,
+// single or partitioned — so a field added later cannot be missed on one of
+// the paths. cfg must have been through withDefaults; epoch and batches seed
+// the publish and batch counters (zero for a fresh engine).
+func newEngine(cfg Config, pool *exec.Pool, b band, dim int, epoch, batches uint64) *Engine {
+	e := &Engine{
+		cfg:           cfg,
+		dim:           dim,
+		pool:          pool,
+		split:         &core.SplitModel{},
+		band:          b,
+		reservedEpoch: epoch,
+		inflight:      make(map[string]*flight),
+		batches:       batches,
+	}
+	e.commitCond = sync.NewCond(&e.commitMu)
+	if cfg.CacheEntries > 0 {
+		e.cache = newResultCache(cfg.CacheEntries)
+	}
+	e.dynStats = b.Stats()
+	ids, recs := b.Band()
+	e.idx.Store(bandIndex(epoch, ids, recs))
+	return e
 }
 
 // bandIndex wraps a band snapshot (parallel id/record slices, treated as
@@ -454,51 +548,13 @@ func (e *Engine) Dim() int { return e.dim }
 // Epoch returns the current index version.
 func (e *Engine) Epoch() uint64 { return e.idx.Load().epoch }
 
-// Shards reports the number of data partitions behind this engine — always 1;
-// the method exists so the single-partition engine and the cross-shard merge
-// engine satisfy one serving interface.
-func (e *Engine) Shards() int { return 1 }
-
-// Candidates returns the engine's candidate list for depth k as parallel
-// id/record slices, plus the epoch it belongs to. The slices are shared with
-// the engine's immutable index snapshot and must not be mutated. This is the
-// superset-provider hook of the cross-shard merge layer: the union of
-// per-shard candidate lists at depth k contains every record of the global
-// k-skyband (a record dominated by fewer than k others globally is dominated
-// by fewer than k within its shard), so it is a valid — and exact — input to
-// the region-aware filter and refinement.
-func (e *Engine) Candidates(k int) (ids []int, recs [][]float64, epoch uint64, err error) {
-	if k <= 0 {
-		return nil, nil, 0, core.ErrBadK
+// Shards reports the number of band partitions behind this engine (1 unless
+// built with NewPartitioned).
+func (e *Engine) Shards() int {
+	if b, ok := e.band.(*shard.Band); ok {
+		return b.Parts()
 	}
-	if k > e.cfg.MaxK {
-		return nil, nil, 0, ErrKTooLarge
-	}
-	ix := e.idx.Load()
-	sub := ix.subFor(k, e.cfg.MaxK)
-	return sub.ids, sub.recs, ix.epoch, nil
-}
-
-// NextID returns the id the next inserted record will be assigned. It is a
-// planning hook for layers that route updates across engines and must know
-// assigned ids before applying a batch; with updates otherwise serialized by
-// the caller, ids are assigned sequentially from this value.
-func (e *Engine) NextID() int {
-	e.updMu.Lock()
-	defer e.updMu.Unlock()
-	return e.dyn.NextID()
-}
-
-// Record returns a copy of the live record with the given id, or false if the
-// id is not live.
-func (e *Engine) Record(id int) ([]float64, bool) {
-	e.updMu.Lock()
-	defer e.updMu.Unlock()
-	rec := e.dyn.Record(id)
-	if rec == nil {
-		return nil, false
-	}
-	return append([]float64(nil), rec...), true
+	return 1
 }
 
 // UpdateResult reports the outcome of one ApplyBatch: the per-op ids and
@@ -626,7 +682,7 @@ type pendingBatch struct {
 	res       *UpdateResult
 	fresh     *index // index to publish, or nil when the band is unchanged
 	tests     []affectsTest
-	entries   []CacheEntry // cache snapshot to probe (probe window open iff tests exist)
+	entries   []cacheEntry // cache snapshot to probe (probe window open iff tests exist)
 	window    bool         // updating was raised at begin
 	dynStats  skyband.DynamicStats
 	coalesced uint64
@@ -640,13 +696,8 @@ func (pb *pendingBatch) commit() { pb.once.Do(func() { pb.e.commitBatch(pb) }) }
 func (e *Engine) beginBatch(ops []UpdateOp) (*pendingBatch, error) {
 	for _, op := range ops {
 		if op.Kind == UpdateInsert {
-			if len(op.Record) != e.dim {
+			if CheckRecord(op.Record, e.dim) != nil {
 				return nil, ErrBadUpdate
-			}
-			for _, v := range op.Record {
-				if math.IsNaN(v) || math.IsInf(v, 0) {
-					return nil, ErrBadUpdate
-				}
 			}
 		} else if op.Kind != UpdateDelete {
 			return nil, ErrBadUpdate
@@ -668,7 +719,7 @@ func (e *Engine) beginBatch(ops []UpdateOp) (*pendingBatch, error) {
 	deleted := map[int]bool{}
 	insPos := map[int]int{} // predicted insert id -> op index
 	coalesce := make([]bool, len(ops))
-	nextID := e.dyn.NextID()
+	nextID := e.band.NextID()
 	for i, op := range ops {
 		if op.Kind == UpdateInsert {
 			inserted[nextID] = true
@@ -676,7 +727,7 @@ func (e *Engine) beginBatch(ops []UpdateOp) (*pendingBatch, error) {
 			nextID++
 			continue
 		}
-		if deleted[op.ID] || (!inserted[op.ID] && !e.dyn.Has(op.ID)) {
+		if deleted[op.ID] || (!inserted[op.ID] && !e.band.Has(op.ID)) {
 			return nil, ErrUnknownRecord
 		}
 		deleted[op.ID] = true
@@ -701,8 +752,8 @@ func (e *Engine) beginBatch(ops []UpdateOp) (*pendingBatch, error) {
 	var delProbes []pendingDelete
 	if e.cache != nil {
 		for i, op := range ops {
-			if op.Kind == UpdateDelete && !coalesce[i] && e.dyn.InBand(op.ID) {
-				delProbes = append(delProbes, pendingDelete{id: op.ID, rec: e.dyn.Record(op.ID)})
+			if op.Kind == UpdateDelete && !coalesce[i] && e.band.InBand(op.ID) {
+				delProbes = append(delProbes, pendingDelete{id: op.ID, rec: e.band.Record(op.ID)})
 			}
 		}
 	}
@@ -725,7 +776,7 @@ func (e *Engine) beginBatch(ops []UpdateOp) (*pendingBatch, error) {
 			sops[i] = skyband.Op{ID: op.ID}
 		}
 	}
-	ids, effs, err := e.dyn.ApplyOps(sops)
+	ids, effs, err := e.band.ApplyOps(sops)
 	if err != nil {
 		// Unreachable after validation; kept as a defensive error.
 		return nil, ErrUnknownRecord
@@ -742,14 +793,14 @@ func (e *Engine) beginBatch(ops []UpdateOp) (*pendingBatch, error) {
 		}
 	}
 
-	dynStats := e.dyn.Stats()
+	dynStats := e.band.Stats()
 
 	// One final-band snapshot serves every probe and the published index.
 	var snapIDs []int
 	var snapRecs [][]float64
 	var tests []affectsTest
 	if bandChanged || (e.cache != nil && (len(delProbes) > 0 || len(batchInserted) > 0)) {
-		snapIDs, snapRecs = e.dyn.Band()
+		snapIDs, snapRecs = e.band.Band()
 	}
 	if e.cache != nil {
 		// Net inserts that made the final band: probe excluding the record
@@ -852,7 +903,7 @@ func (e *Engine) commitBatch(pb *pendingBatch) {
 
 // probeGroup is one batched invalidation probe: the cache entries that share
 // a probe-relevant shape (same k, geometrically identical region — the
-// ProbeGroupID projection of their keys). Every delta's affects verdict is a
+// probeGroupID projection of their keys). Every delta's affects verdict is a
 // function of (region, k) only, so one band pass settles the whole group,
 // however many variants, ablation settings, and worker counts cache entries
 // for that shape.
@@ -866,14 +917,14 @@ type probeGroup struct {
 // resident cache entries, returning the keys whose answers the batch may
 // have changed plus the number of distinct (region, k) groups probed. Cost
 // scales with groups × deltas × band rather than entries × deltas × band.
-func runProbes(entries []CacheEntry, tests []affectsTest) (affected []string, groups int) {
+func runProbes(entries []cacheEntry, tests []affectsTest) (affected []string, groups int) {
 	if len(entries) == 0 || len(tests) == 0 {
 		return nil, 0
 	}
 	byShape := make(map[string]*probeGroup, len(entries))
 	order := make([]*probeGroup, 0, len(entries))
 	for _, ent := range entries {
-		gid := ProbeGroupID(ent.Key)
+		gid := probeGroupID(ent.Key)
 		g := byShape[gid]
 		if g == nil {
 			g = &probeGroup{region: ent.Region, k: ent.K}
@@ -993,7 +1044,7 @@ func (e *Engine) Do(ctx context.Context, req Request) (*Result, error) {
 					if src, srcKey, ok := e.cache.FindContaining(req); ok {
 						e.mu.Unlock()
 						derivedTried = true
-						if res := DeriveClipped(req, src); res != nil {
+						if res := deriveClipped(req, src); res != nil {
 							e.mu.Lock()
 							e.derived++
 							e.queries++

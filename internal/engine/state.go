@@ -2,10 +2,9 @@ package engine
 
 import (
 	"errors"
-	"runtime"
-	"sync"
 
 	"repro/internal/exec"
+	"repro/internal/shard"
 	"repro/internal/skyband"
 )
 
@@ -21,26 +20,34 @@ type State struct {
 	// update batches.
 	Epoch   uint64
 	Batches uint64
-	// Dyn is the dynamic skyband state: live records, member set with exact
-	// dominator counts, coverage, and the id allocator.
-	Dyn *skyband.DynamicState
+	// Exactly one of Dyn and Parts is set, matching the band maintainer. Dyn
+	// is the single dynamic skyband's state: live records, member set with
+	// exact dominator counts, coverage, and the id allocator. Parts is the
+	// partitioned band's: one such state per part plus the id routing.
+	Dyn   *skyband.DynamicState
+	Parts *shard.State
 }
 
 // ExportState captures the engine's dataset state. It serializes against
-// updates (holding the update mutex while the dynamic structure is walked),
-// so the returned state is a consistent post-batch snapshot; queries are not
-// blocked. Record slices in the state are shared with the engine and must
-// not be mutated.
+// updates (holding the update mutex while the band maintainer is walked, so
+// no batch can land between two parts' exports), and the returned state is a
+// consistent post-batch snapshot; queries are not blocked. Record slices in
+// the state are shared with the engine and must not be mutated.
 func (e *Engine) ExportState() *State {
 	e.updMu.Lock()
 	st := &State{
 		Dim: e.dim,
 		// The reserved epoch, not the published one: with a pipelined batch
-		// between begin and commit, the dynamic structure already holds the
+		// between begin and commit, the band maintainer already holds the
 		// post-batch state and the snapshot must carry that state's epoch.
 		// The two coincide whenever no batch is in flight.
 		Epoch: e.reservedEpoch,
-		Dyn:   e.dyn.State(),
+	}
+	switch b := e.band.(type) {
+	case *skyband.Dynamic:
+		st.Dyn = b.State()
+	case *shard.Band:
+		st.Parts = b.State()
 	}
 	e.updMu.Unlock()
 	e.mu.Lock()
@@ -51,59 +58,50 @@ func (e *Engine) ExportState() *State {
 
 // Restore rebuilds an engine from a captured state. No R-tree is needed:
 // queries run over the maintained skyband superset (snapshotted into the
-// index) and updates over the restored dynamic structure, so recovery costs
+// index) and updates over the restored band maintainer, so recovery costs
 // O(live + members) instead of a full index build plus skyband recomputation.
-// cfg.MaxK must match the depth the state was maintained at; cfg.ShadowDepth
-// is taken from the state (the retention depth is part of the dataset state,
-// not the serving configuration).
+// cfg.MaxK must match the depth the state was maintained at; the current
+// (possibly grown) shadow depth is part of the dataset state, and
+// cfg.ShadowDepth only sets the base it decays back to.
 func Restore(st *State, cfg Config) (*Engine, error) {
-	if st == nil || st.Dyn == nil {
-		return nil, errors.New("engine: nil state")
+	if st == nil || (st.Dyn == nil) == (st.Parts == nil) {
+		return nil, errors.New("engine: state must carry exactly one of a single or a partitioned band")
 	}
 	if st.Dim <= 0 {
 		return nil, errors.New("engine: invalid dimensionality in state")
 	}
-	if cfg.MaxK <= 0 {
-		cfg.MaxK = st.Dyn.K
+	k := 0
+	if st.Dyn != nil {
+		k = st.Dyn.K
+	} else if len(st.Parts.Parts) > 0 && st.Parts.Parts[0] != nil {
+		k = st.Parts.Parts[0].K
 	}
-	if cfg.MaxK != st.Dyn.K {
+	if cfg.MaxK <= 0 {
+		cfg.MaxK = k
+	}
+	if cfg.MaxK != k {
 		return nil, errors.New("engine: config MaxK does not match state band depth")
 	}
-	// The caller's ShadowDepth is the adaptive base; the state's depth is the
-	// current (possibly grown) value and becomes the effective configuration.
-	base := cfg.ShadowDepth
-	if base < 1 {
-		base = cfg.MaxK
-	}
-	cfg.ShadowDepth = st.Dyn.ShadowDepth
-	if cfg.Workers < 1 {
-		cfg.Workers = runtime.GOMAXPROCS(0)
-	}
-	dyn, err := skyband.RestoreDynamic(st.Dyn)
+	cfg, err := cfg.withDefaults()
 	if err != nil {
 		return nil, err
 	}
-	// Same streaming posture as New: chunked repair plus adaptive shadow
-	// (EnableAdaptiveShadow keeps the restored depth even when it exceeds the
-	// base-derived ceiling).
-	dyn.EnableIncrementalRepair(0)
-	dyn.EnableAdaptiveShadow(base, 8*base)
-	e := &Engine{
-		cfg:           cfg,
-		dim:           st.Dim,
-		pool:          exec.NewPool(cfg.Workers, cfg.MaxQueued),
-		inflight:      make(map[string]*flight),
-		dyn:           dyn,
-		batches:       st.Batches,
-		reservedEpoch: st.Epoch,
+	pool := exec.NewPool(cfg.Workers, cfg.MaxQueued)
+	setup := func(d *skyband.Dynamic) { streaming(d, cfg.ShadowDepth, pool) }
+	var b band
+	if st.Dyn != nil {
+		dyn, err := skyband.RestoreDynamic(st.Dyn)
+		if err != nil {
+			return nil, err
+		}
+		setup(dyn)
+		b = dyn
+	} else {
+		parts, err := shard.Restore(st.Parts, setup)
+		if err != nil {
+			return nil, err
+		}
+		b = parts
 	}
-	e.commitCond = sync.NewCond(&e.commitMu)
-	dyn.SetPool(e.pool)
-	if cfg.CacheEntries > 0 {
-		e.cache = NewResultCache(cfg.CacheEntries)
-	}
-	e.dynStats = dyn.Stats()
-	ids, recs := dyn.Band()
-	e.idx.Store(bandIndex(st.Epoch, ids, recs))
-	return e, nil
+	return newEngine(cfg, pool, b, st.Dim, st.Epoch, st.Batches), nil
 }

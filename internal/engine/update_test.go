@@ -77,17 +77,18 @@ func TestEngineInsertDeleteBasics(t *testing.T) {
 	}
 }
 
-func TestEngineUpdateValidation(t *testing.T) {
+func TestEngineUpdateValidation(t *testing.T) { overBands(t, testEngineUpdateValidation) }
+
+func testEngineUpdateValidation(t *testing.T, parts int) {
 	td := buildData(t, 100, 3, 23)
-	e, err := New(td.tree, td.recs, Config{MaxK: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
+	e := buildEngine(t, parts, td.recs, Config{MaxK: 4})
 	if _, err := e.Insert([]float64{1, 2}); !errors.Is(err, ErrBadUpdate) {
 		t.Errorf("dim mismatch: %v", err)
 	}
-	if _, err := e.Insert([]float64{1, 2, math.NaN()}); !errors.Is(err, ErrBadUpdate) {
-		t.Errorf("NaN: %v", err)
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := e.Insert([]float64{1, 2, v}); !errors.Is(err, ErrBadUpdate) {
+			t.Errorf("%g: %v", v, err)
+		}
 	}
 	if err := e.Delete(12345); !errors.Is(err, ErrUnknownRecord) {
 		t.Errorf("unknown id: %v", err)
@@ -139,7 +140,9 @@ func TestEngineUpdateValidation(t *testing.T) {
 // it. The dataset is a hand-built dominance chain so each case is provable:
 // a ≻ b ≻ c ≻ the bulk, and the probe record x sits below a, b, c on every
 // weight vector of the region but is classically dominated by only a and b.
-func TestEnginePreciseInvalidation(t *testing.T) {
+func TestEnginePreciseInvalidation(t *testing.T) { overBands(t, testEnginePreciseInvalidation) }
+
+func testEnginePreciseInvalidation(t *testing.T, parts int) {
 	recs := [][]float64{
 		{1.0, 1.0, 1.0},    // 0: a — top everywhere
 		{0.9, 0.9, 0.9},    // 1: b
@@ -148,14 +151,7 @@ func TestEnginePreciseInvalidation(t *testing.T) {
 		{0.12, 0.08, 0.1},  // 4
 		{0.08, 0.12, 0.09}, // 5
 	}
-	tree, err := rtree.BulkLoad(recs, rtree.DefaultFanout)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e, err := New(tree, recs, Config{MaxK: 4, CacheEntries: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
+	e := buildEngine(t, parts, recs, Config{MaxK: 4, CacheEntries: 16})
 	ctx := context.Background()
 	r := box(t, []float64{0.3, 0.3}, []float64{0.35, 0.35})
 
@@ -233,13 +229,15 @@ func TestEnginePreciseInvalidation(t *testing.T) {
 	}
 
 	// A record that never reaches the band triggers no probe at all: the
-	// cache (and the epoch) stay put.
+	// cache (and the epoch) stay put. (A part of a partitioned band holds too
+	// few of these eight records to keep it out of that part's band, so there
+	// the probe runs — and certifies the same outcome for the cache.)
 	stBefore := e.Stats()
 	if _, err := e.Insert([]float64{0.01, 0.01, 0.01}); err != nil {
 		t.Fatal(err)
 	}
 	stAfter := e.Stats()
-	if stAfter.Epoch != stBefore.Epoch {
+	if parts == 1 && stAfter.Epoch != stBefore.Epoch {
 		t.Error("sub-band insert advanced the epoch")
 	}
 	if stAfter.CacheEntries != stBefore.CacheEntries {
@@ -247,5 +245,27 @@ func TestEnginePreciseInvalidation(t *testing.T) {
 	}
 	if res := query(2); !res.CacheHit {
 		t.Error("k=2 entry missing after sub-band insert")
+	}
+}
+
+// TestCheckRecord is the table for the one record-validity rule shared by
+// dataset construction and the update path.
+func TestCheckRecord(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		rec  []float64
+		ok   bool
+	}{
+		{"finite", []float64{0.1, -2, 3e300}, true},
+		{"short", []float64{1, 2}, false},
+		{"long", []float64{1, 2, 3, 4}, false},
+		{"empty", nil, false},
+		{"NaN", []float64{1, math.NaN(), 3}, false},
+		{"+Inf", []float64{math.Inf(1), 2, 3}, false},
+		{"-Inf", []float64{1, 2, math.Inf(-1)}, false},
+	} {
+		if err := CheckRecord(tc.rec, 3); (err == nil) != tc.ok {
+			t.Errorf("%s: CheckRecord = %v, want ok=%v", tc.name, err, tc.ok)
+		}
 	}
 }

@@ -1,9 +1,8 @@
 // Package exec is the refinement/serving executor: one explicit work-queue
 // scheduler shared by every layer that used to roll its own goroutine
 // management — the core algorithms (parallel RSA verification, parallel JAA
-// over a decomposed query region), the single-partition serving engine, and
-// the cross-shard merge layer (query dispatch and per-child candidate
-// collection).
+// over a decomposed query region), batch band maintenance, and the serving
+// engine's query dispatch.
 //
 // The scheduler runs at most Workers tasks at a time. Work arrives on two
 // paths with different admission rules:

@@ -125,7 +125,12 @@ func (e *Entry) Durability(durable bool) DurabilityStats {
 // machinery — O(snapshot + tail) instead of a full rebuild. Each replayed
 // batch must reproduce the epoch it was logged with; a mismatch aborts the
 // open (it would mean replay diverged from the original application, which
-// the determinism of update application rules out for intact data).
+// the determinism of update application rules out for intact data). The one
+// tolerated difference: sharded directories written when every partition was
+// a child engine logged the SUM of per-partition epochs, which advances once
+// per partition a batch touched the band of; the engine's publish counter
+// advances once per batch, so replay may legitimately trail such a log (and
+// is re-seeded from it afterwards).
 func Open(st store.Store, pol SnapshotPolicy) (*Registry, error) {
 	r := NewWithStore(st, pol)
 	mf, err := st.LoadManifest()
@@ -149,19 +154,20 @@ func (r *Registry) reopen(cfg store.DatasetConfig) (*Entry, error) {
 	if err != nil {
 		return nil, err
 	}
-	eng, err := utk.RestoreEngine(&utk.EngineState{Single: snap.Engine, Sharded: snap.Shard}, utk.EngineConfig{
+	ecfg := utk.EngineConfig{
 		MaxK:         cfg.MaxK,
 		ShadowDepth:  cfg.ShadowDepth,
 		CacheEntries: cfg.CacheEntries,
 		Workers:      cfg.Workers,
 		MaxQueued:    cfg.MaxQueued,
 		QueryTimeout: cfg.QueryTimeout,
-	})
+	}
+	eng, err := utk.RestoreEngine(snap.Engine, ecfg)
 	if err != nil {
 		return nil, err
 	}
 	seq := snap.Seq
-	var batches, ops uint64
+	var batches, ops, logged uint64
 	err = r.st.Replay(cfg.Name, snap.Seq, func(b *store.Batch) error {
 		if b.Seq != seq+1 {
 			return fmt.Errorf("replay gap: batch %d after %d", b.Seq, seq)
@@ -170,16 +176,26 @@ func (r *Registry) reopen(cfg store.DatasetConfig) (*Entry, error) {
 		if err != nil {
 			return fmt.Errorf("replay batch %d: %w", b.Seq, err)
 		}
-		if res.Epoch != b.Epoch {
+		if res.Epoch != b.Epoch && !(cfg.Shards > 1 && res.Epoch < b.Epoch) {
 			return fmt.Errorf("replay batch %d: epoch %d, logged %d", b.Seq, res.Epoch, b.Epoch)
 		}
-		seq = b.Seq
+		seq, logged = b.Seq, b.Epoch
 		batches++
 		ops += uint64(len(b.Ops))
 		return nil
 	})
 	if err != nil {
 		return nil, err
+	}
+	if logged > eng.Stats().Epoch {
+		// Replay trailed a sum-of-partitions log: re-seed the publish counter
+		// from the last logged value, so the epoch clients were told never
+		// runs backwards across the upgrade.
+		st := eng.State()
+		st.Epoch = logged
+		if eng, err = utk.RestoreEngine(st, ecfg); err != nil {
+			return nil, err
+		}
 	}
 	ent := &Entry{
 		Name:   cfg.Name,
@@ -362,12 +378,9 @@ func (r *Registry) Snapshot(name string) (DurabilityStats, error) {
 // snapshotEntry exports and writes one snapshot. Caller holds ent.mu, so the
 // exported state is exactly the state at ent.seq (no update can interleave).
 func (r *Registry) snapshotEntry(ent *Entry) error {
-	est, err := ent.Engine.State()
-	if err != nil {
-		return err
-	}
+	est := ent.Engine.State()
 	now := time.Now().UnixMilli()
-	snap := &store.Snapshot{Seq: ent.seq, Epoch: est.Epoch(), UnixMilli: now, Engine: est.Single, Shard: est.Sharded}
+	snap := &store.Snapshot{Seq: ent.seq, Epoch: est.Epoch, UnixMilli: now, Engine: est}
 	if err := r.st.WriteSnapshot(ent.Name, snap); err != nil {
 		return err
 	}

@@ -194,11 +194,8 @@ func (r *Registry) Create(name string, records [][]float64, opts Options) (*Entr
 	var snap *store.Snapshot
 	now := time.Now().UnixMilli()
 	if r.st.Durable() {
-		est, err := eng.State()
-		if err != nil {
-			return nil, err
-		}
-		snap = &store.Snapshot{Seq: 0, Epoch: est.Epoch(), UnixMilli: now, Engine: est.Single, Shard: est.Sharded}
+		est := eng.State()
+		snap = &store.Snapshot{Seq: 0, Epoch: est.Epoch, UnixMilli: now, Engine: est}
 	}
 	if err := r.st.CreateDataset(datasetConfig(name, ds.Dim(), opts), snap); err != nil {
 		if errors.Is(err, store.ErrExists) {

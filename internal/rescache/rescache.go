@@ -1,7 +1,5 @@
-// Package rescache is the result-cache subsystem shared by every serving
-// layer (the single-partition engine and the cross-shard merge layer). It
-// replaces the plain LRU the layers used to duplicate with one policy engine
-// that is smarter on two axes:
+// Package rescache is the serving engine's result-cache subsystem: one
+// policy engine that is smarter than plain LRU on two axes:
 //
 //  1. Cost-aware eviction. Entries are not equal: a UTK2 partitioning takes
 //     milliseconds of refinement to recompute while a UTK1 id-list is often

@@ -20,8 +20,8 @@
 // while exactly one dataset is registered, so pre-registry clients survive.
 //
 // /update applies deletes before inserts as one atomic batch per dataset:
-// concurrent queries observe either none or all of it (per shard, for
-// sharded engines). A general convex region may replace the box:
+// concurrent queries observe either none or all of it, sharded or not. A
+// general convex region may replace the box:
 //
 //	{"k": 5, "halfspaces": [{"coef": [1, 1], "offset": 0.3}, ...]}
 package server

@@ -1,4 +1,4 @@
-package shard
+package shard_test
 
 import (
 	"context"
@@ -22,11 +22,11 @@ func benchRegion(b *testing.B) *geom.Region {
 	return r
 }
 
-// BenchmarkWarmQuery measures the cross-shard merge overhead against the
-// single-engine warm path on 10k points: caches are disabled, so every
-// iteration pays candidate collection (union of per-shard bands for S > 1),
-// the region-aware filter, and the exact refinement. shards=1single is the
-// engine.Engine baseline; shards=1..4 go through the merge layer.
+// BenchmarkWarmQuery measures what a partitioned band costs the warm query
+// path on 10k points: caches are disabled, so every iteration pays the
+// depth-k candidate derivation lookup, the region-aware filter, and the exact
+// refinement over the engine's published index. shards=1single is the
+// engine over one skyband.Dynamic; shards=1..4 run over a shard.Band.
 func BenchmarkWarmQuery(b *testing.B) {
 	const (
 		n    = 10000
@@ -61,7 +61,7 @@ func BenchmarkWarmQuery(b *testing.B) {
 	})
 	for _, S := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("shards=%d", S), func(b *testing.B) {
-			sh, err := New(recs, Config{Shards: S, Engine: engine.Config{MaxK: maxK}})
+			sh, err := engine.NewPartitioned(recs, S, engine.Config{MaxK: maxK})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -79,9 +79,13 @@ func BenchmarkWarmQuery(b *testing.B) {
 	}
 }
 
-// BenchmarkShardedUpdate measures single-shard recompute on insert: only the
-// owning shard's band repairs, so cost should track the single-engine insert
-// path regardless of S.
+// BenchmarkShardedUpdate measures updates through a partitioned band. insert
+// is a deep record: only the owning part's band is consulted, so cost should
+// track the single-engine insert path regardless of S. bandchange inserts a
+// record into the global band and deletes it again, so every iteration pays
+// the union→global-band reduction twice at the begin stage; bandchange+query
+// asks an uncached query after each of the two updates, the interleaving
+// under which the reduction used to be paid by the queries instead.
 func BenchmarkShardedUpdate(b *testing.B) {
 	const (
 		n    = 10000
@@ -91,7 +95,7 @@ func BenchmarkShardedUpdate(b *testing.B) {
 	recs := dataset.Synthetic(dataset.IND, n, d, 1)
 	for _, S := range []int{1, 4} {
 		b.Run(fmt.Sprintf("insert/shards=%d", S), func(b *testing.B) {
-			sh, err := New(recs, Config{Shards: S, Engine: engine.Config{MaxK: maxK}})
+			sh, err := engine.NewPartitioned(recs, S, engine.Config{MaxK: maxK})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -100,6 +104,50 @@ func BenchmarkShardedUpdate(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := sh.Insert(rec); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(fmt.Sprintf("bandchange/shards=%d", S), func(b *testing.B) {
+			sh, err := engine.NewPartitioned(recs, S, engine.Config{MaxK: maxK})
+			if err != nil {
+				b.Fatal(err)
+			}
+			rec := []float64{0.99, 0.99, 0.99, 0.99}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				id, err := sh.Insert(rec)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if err := sh.Delete(id); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(fmt.Sprintf("bandchange+query/shards=%d", S), func(b *testing.B) {
+			sh, err := engine.NewPartitioned(recs, S, engine.Config{MaxK: maxK})
+			if err != nil {
+				b.Fatal(err)
+			}
+			rec := []float64{0.99, 0.99, 0.99, 0.99}
+			req := engine.Request{Variant: engine.UTK1, K: 5, Region: benchRegion(b)}
+			ctx := context.Background()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				id, err := sh.Insert(rec)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := sh.Do(ctx, req); err != nil {
+					b.Fatal(err)
+				}
+				if err := sh.Delete(id); err != nil {
+					b.Fatal(err)
+				}
+				if _, err := sh.Do(ctx, req); err != nil {
 					b.Fatal(err)
 				}
 			}

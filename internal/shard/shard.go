@@ -1,1073 +1,274 @@
-// Package shard horizontally partitions one dataset across S child engines
-// and answers UTK queries exactly by merging, the architectural step that
-// lets the serving tier scale past one partition (and, later, one machine).
+// Package shard is the partitioned band maintainer: S skyband.Dynamic parts,
+// each holding a round-robin share of one dataset, behind the same small
+// interface engine.Engine drives a single skyband.Dynamic through. Sharding
+// changes only where the k-skyband comes from; everything above the band —
+// result cache, single-flight, executor, invalidation probes, two-stage
+// commit, stats — is the engine's, once.
 //
-// Exactness rests on the candidate-superset property of the paper's
-// filter-then-refine design: a record dominated by fewer than k others in
-// the whole dataset is dominated by fewer than k others within its shard
-// (its shard holds a subset of its dominators), so the global k-skyband is
-// contained in the union of the per-shard k-skybands. That union is
-// therefore a valid candidate superset for any query region — and because
-// exclusion during region-aware filtering only ever relies on k genuine
-// r-dominators, which are real records wherever they live, running the
-// existing exact filter (skyband.ScanGraph) and refinement
-// (core.RSAFromGraph / core.JAAFromGraph) over the union reproduces the
-// single-engine answer bit for bit. No per-shard refinement results are
-// combined — cross-shard merging of UTK2 partitionings would require
-// intersecting two arrangements and is not exact cell-by-cell — only
-// candidate sets are merged, and one global refinement runs.
+// Exactness: a record with fewer than k dominators in the whole dataset has
+// fewer than k within its part, so the union of the per-part k-skybands
+// contains the global one; and a union record with at least k dominators
+// anywhere has at least k inside the union (its dominators within the global
+// k-skyband are all union members). The classic k-skyband of the union
+// therefore IS the global k-skyband, and Band returns exactly what a single
+// skyband.Dynamic over all the records would.
 //
-// Each child engine maintains its shard's skyband superset incrementally
-// (per-shard caches of depth-derived candidate lists are reused as superset
-// providers via engine.Candidates), so a dynamic insert or delete routes to
-// the owning shard and recomputes only that shard's band. The merge layer
-// adds its own result cache — the same shared rescache subsystem the
-// single-partition engine uses, under the engine's canonical fingerprint
-// keys — so cost-aware eviction and containment-based reuse (cell clipping
-// via engine.DeriveClipped) apply to sharded serving for free, with the same
-// batch-aware precise invalidation protocol, run against the union band.
-//
-// Consistency: updates are serialized and atomic per shard. A query
-// concurrent with a multi-shard batch may observe a state where only a
-// prefix of the batch's per-shard sub-batches has applied (each shard's view
-// is still internally consistent, and single-shard batches — every Insert
-// and Delete — remain fully atomic). Results computed across an epoch change
-// are never cached, and single-flight sharing is keyed to the update seqlock
-// observed at election, so a query issued after ApplyBatch returns never
-// inherits a pre-batch in-flight answer (read-your-writes).
+// Record ids are global: initial record i lives on part i mod S, inserts
+// continue the round-robin, and every part numbers its own records locally.
+// A Band is not safe for concurrent use; the engine serializes access under
+// its update lock and publishes each batch to queries as one index swap, so
+// a batch spanning several parts is atomic to readers.
 package shard
 
 import (
-	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
-	"runtime"
 	"sort"
-	"sync"
-	"sync/atomic"
-	"time"
 
-	"repro/internal/core"
-	"repro/internal/engine"
-	"repro/internal/exec"
-	"repro/internal/geom"
 	"repro/internal/rtree"
 	"repro/internal/skyband"
 )
 
-// Errors returned by the sharded engine.
+// Errors returned when building a partitioned band.
 var (
-	// ErrBadShards reports a non-positive shard count.
+	// ErrBadShards reports a non-positive part count.
 	ErrBadShards = errors.New("shard: shard count must be positive")
-	// ErrTooFewRecords reports fewer initial records than shards.
+	// ErrTooFewRecords reports fewer initial records than parts.
 	ErrTooFewRecords = errors.New("shard: every shard needs at least one initial record")
 )
 
-// Config tunes a sharded engine.
-type Config struct {
-	// Shards is the number of horizontal partitions (required, positive).
-	Shards int
-	// Engine carries the per-shard maintenance parameters (MaxK,
-	// ShadowDepth) and the merge layer's serving parameters (CacheEntries,
-	// Workers, QueryTimeout). Child engines never serve queries directly, so
-	// their own result caches and worker pools are disabled; the merge layer
-	// owns both.
-	Engine engine.Config
-}
-
-// place locates a record: which shard holds it and under which local id.
+// place locates a record: which part holds it and under which local id.
 type place struct {
-	shard int
+	part  int
 	local int
 }
 
-// Engine serves UTK queries over a horizontally partitioned dataset through
-// the same request/update API as engine.Engine, with global record ids. It
-// is safe for concurrent use.
-type Engine struct {
-	cfg Config
-	dim int
+// Band maintains the global k-skyband of a horizontally partitioned dataset.
+type Band struct {
+	k     int
+	parts []*skyband.Dynamic
 
-	shards []*engine.Engine
-
-	pool *exec.Pool // merge-layer executor: query dispatch + per-child fan-out
-
-	// updMu serializes updates; it also guards nextGlobal/nextShard and the
-	// owner table's writers.
-	updMu      sync.Mutex
-	owner      map[int]place
-	nextGlobal int
-	nextShard  int
-
-	// routeMu guards localToGlobal: per shard, the global id assigned to
-	// each local id, indexed by local id. Entries are append-only — a local
-	// id's global id never changes, and mappings outlive deletions — so a
-	// query mapping a candidate snapshot from any epoch always resolves.
-	routeMu       sync.RWMutex
+	// owner locates every live global id. localToGlobal is, per part, the
+	// global id assigned to each local id (indexed by local id); entries are
+	// append-only and outlive deletions, mirroring the parts' id allocators.
+	owner         map[int]place
 	localToGlobal [][]int
+	nextGlobal    int
+	nextPart      int
 
-	// seq is the update seqlock: odd while an ApplyBatch is mutating shards
-	// or probing the cache. A query only caches its result if seq was even
-	// and unchanged across its whole computation, so answers computed over a
-	// partially applied multi-shard batch — or raced against the probe
-	// window — are served but never cached.
-	seq atomic.Uint64
-
-	// merged caches the cross-shard candidate index for the current
-	// per-shard epoch vector; queries CAS in a fresh one when any shard's
-	// epoch moves. See mergedIndex.
-	merged atomic.Pointer[mergedIndex]
-
-	mu            sync.Mutex
-	cache         *engine.ResultCache
-	inflight      map[string]*flight
-	queries       uint64
-	hits          uint64
-	misses        uint64
-	shared        uint64
-	derived       uint64
-	evicted       uint64
-	costEvicted   uint64
-	invalidations uint64
-	rejected      uint64
-	saturated     uint64
-	batches       uint64
-	admSkips      uint64
-	probeBatches  uint64
-	probesSaved   uint64
-	active        int
-}
-
-// flight is one in-progress merge computation that concurrent identical
-// queries rendezvous on instead of each re-running the filter+refinement.
-type flight struct {
-	done chan struct{}
-	res  *engine.Result
-	err  error
-}
-
-// errAborted marks a flight whose leader gave up (context expiry) before the
-// computation finished; waiters react by electing a new leader.
-var errAborted = errors.New("shard: in-flight computation aborted")
-
-// flightKey scopes a request fingerprint to the seqlock value observed at
-// flight election. The seqlock advances by two across every applied batch, so
-// a query that starts after a batch acks elects under a fresh key and cannot
-// adopt a pre-batch leader's answer (read-your-writes across ApplyBatch).
-func flightKey(seq uint64, key string) string {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], seq)
-	return string(b[:]) + key
-}
-
-// New builds a sharded engine over the records, assigning global ids 0..n-1
-// and distributing records round-robin across cfg.Shards partitions (shard
-// of initial record i is i mod S). The records are copied per shard by the
-// underlying index build; the caller's slices are not retained.
-func New(records [][]float64, cfg Config) (*Engine, error) {
-	if cfg.Shards < 1 {
-		return nil, ErrBadShards
-	}
-	if cfg.Engine.MaxK <= 0 {
-		return nil, core.ErrBadK
-	}
-	if len(records) < cfg.Shards {
-		return nil, fmt.Errorf("%w: %d records across %d shards", ErrTooFewRecords, len(records), cfg.Shards)
-	}
-	s := &Engine{
-		cfg:           cfg,
-		shards:        make([]*engine.Engine, cfg.Shards),
-		owner:         make(map[int]place, len(records)),
-		localToGlobal: make([][]int, cfg.Shards),
-		nextGlobal:    len(records),
-		nextShard:     len(records) % cfg.Shards,
-		inflight:      make(map[string]*flight),
-	}
-	parts := make([][][]float64, cfg.Shards)
-	for g, rec := range records {
-		sh := g % cfg.Shards
-		s.owner[g] = place{shard: sh, local: len(parts[sh])}
-		s.localToGlobal[sh] = append(s.localToGlobal[sh], g)
-		parts[sh] = append(parts[sh], rec)
-	}
-	childCfg := cfg.Engine
-	childCfg.CacheEntries = 0 // children never serve Do; the merge layer caches
-	childCfg.Workers = 1
-	childCfg.MaxQueued = 0 // backpressure belongs to the merge layer's executor
-	childCfg.QueryTimeout = 0
-	for sh, part := range parts {
-		tree, err := rtree.BulkLoad(part, rtree.DefaultFanout)
-		if err != nil {
-			return nil, err
-		}
-		child, err := engine.New(tree, part, childCfg)
-		if err != nil {
-			return nil, err
-		}
-		s.shards[sh] = child
-	}
-	s.dim = s.shards[0].Dim()
-	workers := cfg.Engine.Workers
-	if workers < 1 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	s.pool = exec.NewPool(workers, cfg.Engine.MaxQueued)
-	if cfg.Engine.CacheEntries > 0 {
-		s.cache = engine.NewResultCache(cfg.Engine.CacheEntries)
-	}
-	return s, nil
-}
-
-// Shards returns the number of partitions.
-func (s *Engine) Shards() int { return len(s.shards) }
-
-// MaxK returns the largest supported top-k depth.
-func (s *Engine) MaxK() int { return s.cfg.Engine.MaxK }
-
-// Epoch returns the sum of the per-shard index versions — a version counter
-// for the sharded dataset as a whole, advancing whenever any shard's
-// candidate superset changes.
-func (s *Engine) Epoch() uint64 {
-	var sum uint64
-	for _, ch := range s.shards {
-		sum += ch.Epoch()
-	}
-	return sum
-}
-
-// Owner reports which shard currently holds the live record with the given
-// global id.
-func (s *Engine) Owner(id int) (shard int, ok bool) {
-	s.updMu.Lock()
-	defer s.updMu.Unlock()
-	p, ok := s.owner[id]
-	return p.shard, ok
-}
-
-// Insert adds a record, returning its assigned global id.
-func (s *Engine) Insert(rec []float64) (int, error) {
-	res, err := s.ApplyBatch([]engine.UpdateOp{{Kind: engine.UpdateInsert, Record: rec}})
-	if err != nil {
-		return 0, err
-	}
-	return res.IDs[0], nil
-}
-
-// Delete removes the record with the given global id.
-func (s *Engine) Delete(id int) error {
-	_, err := s.ApplyBatch([]engine.UpdateOp{{Kind: engine.UpdateDelete, ID: id}})
-	return err
-}
-
-// opPlan is the routing decision for one batch op, fixed before any shard is
-// touched.
-type opPlan struct {
-	shard  int
-	global int
-}
-
-// ApplyBatch validates the whole batch up front (a malformed batch is a full
-// no-op), routes each op to its owning shard — inserts round-robin, deletes
-// by the global id's owner, including ids the same batch inserts — and
-// applies one atomic sub-batch per shard. Per-op global ids are returned
-// index-aligned with ops. See the package comment for the cross-shard
-// consistency guarantee.
-func (s *Engine) ApplyBatch(ops []engine.UpdateOp) (*engine.UpdateResult, error) {
-	for _, op := range ops {
-		if op.Kind == engine.UpdateInsert {
-			if len(op.Record) != s.dim {
-				return nil, engine.ErrBadUpdate
-			}
-			for _, v := range op.Record {
-				if math.IsNaN(v) || math.IsInf(v, 0) {
-					return nil, engine.ErrBadUpdate
-				}
-			}
-		} else if op.Kind != engine.UpdateDelete {
-			return nil, engine.ErrBadUpdate
-		}
-	}
-
-	s.updMu.Lock()
-	defer s.updMu.Unlock()
-
-	// Plan: assign global ids and shards for inserts, resolve owners for
-	// deletes. Child local ids are assigned sequentially from NextID, so the
-	// local id of every in-batch insert is known before applying — which is
-	// what lets a delete of an id inserted earlier in the same batch land in
-	// the right shard's sub-batch with the right local id.
-	nextLocal := make([]int, len(s.shards))
-	for sh, ch := range s.shards {
-		nextLocal[sh] = ch.NextID()
-	}
-	plan := make([]opPlan, len(ops))
-	subOps := make([][]engine.UpdateOp, len(s.shards))
-	inserted := map[int]place{}
-	deleted := map[int]bool{}
-	nextGlobal, nextShard := s.nextGlobal, s.nextShard
-	for i, op := range ops {
-		if op.Kind == engine.UpdateInsert {
-			sh := nextShard
-			nextShard = (nextShard + 1) % len(s.shards)
-			g := nextGlobal
-			nextGlobal++
-			inserted[g] = place{shard: sh, local: nextLocal[sh]}
-			nextLocal[sh]++
-			plan[i] = opPlan{shard: sh, global: g}
-			subOps[sh] = append(subOps[sh], engine.UpdateOp{Kind: engine.UpdateInsert, Record: op.Record})
-			continue
-		}
-		g := op.ID
-		p, ok := s.owner[g]
-		if !ok {
-			p, ok = inserted[g]
-		}
-		if !ok || deleted[g] {
-			return nil, engine.ErrUnknownRecord
-		}
-		deleted[g] = true
-		plan[i] = opPlan{shard: p.shard, global: g}
-		subOps[p.shard] = append(subOps[p.shard], engine.UpdateOp{Kind: engine.UpdateDelete, ID: p.local})
-	}
-
-	// Probe prep, before anything applies: record vectors of net deletes and
-	// per-shard starting-band membership (see invalidate).
-	var delProbes []mergeProbe
-	probing := s.cache != nil
-	if probing {
-		startBand := make([]map[int]bool, len(s.shards))
-		for i, op := range ops {
-			if op.Kind != engine.UpdateDelete {
-				continue
-			}
-			g := plan[i].global
-			if _, inBatch := inserted[g]; inBatch {
-				continue // transient: in neither boundary state
-			}
-			sh := plan[i].shard
-			if startBand[sh] == nil {
-				ids, _, _, err := s.shards[sh].Candidates(s.cfg.Engine.MaxK)
-				if err != nil {
-					return nil, err
-				}
-				startBand[sh] = make(map[int]bool, len(ids))
-				for _, lid := range ids {
-					startBand[sh][lid] = true
-				}
-			}
-			local := s.owner[g].local
-			if !startBand[sh][local] {
-				// Outside its shard's starting band means at least MaxK
-				// dominators pre-batch: the record was in no top-k set.
-				continue
-			}
-			rec, ok := s.shards[sh].Record(local)
-			if !ok {
-				return nil, engine.ErrUnknownRecord // unreachable after validation
-			}
-			delProbes = append(delProbes, mergeProbe{rec: rec, exclude: -1})
-		}
-	}
-
-	// Install insert routing BEFORE touching any shard: the instant a child
-	// publishes its new index, a concurrent query may map the fresh local
-	// ids through localToGlobal, so the table must already cover them.
-	// Entries for ids a child has not published yet are unreadable (queries
-	// only map local ids appearing in a published candidate list), so the
-	// early install is invisible until the child applies.
-	s.routeMu.Lock()
-	for i, op := range ops {
-		if op.Kind == engine.UpdateInsert {
-			g := plan[i].global
-			p := inserted[g]
-			if len(s.localToGlobal[p.shard]) != p.local {
-				s.routeMu.Unlock()
-				return nil, fmt.Errorf("shard %d: local id drift: predicted %d, have %d", p.shard, p.local, len(s.localToGlobal[p.shard]))
-			}
-			s.localToGlobal[p.shard] = append(s.localToGlobal[p.shard], g)
-			s.owner[g] = p
-		}
-	}
-	s.routeMu.Unlock()
-
-	// Apply, one atomic sub-batch per shard. The seqlock goes odd here and
-	// even again only after invalidation probes finish, so any query
-	// overlapping the window is served but never cached.
-	preEpoch := s.Epoch()
-	s.seq.Add(1)
-	defer s.seq.Add(1)
-	for sh, sub := range subOps {
-		if len(sub) == 0 {
-			continue
-		}
-		if _, err := s.shards[sh].ApplyBatch(sub); err != nil {
-			// Unreachable after validation (the op set was pre-validated and
-			// updates are serialized); surfaced rather than swallowed because
-			// earlier shards' sub-batches have already applied.
-			return nil, fmt.Errorf("shard %d: sub-batch failed after partial application: %w", sh, err)
-		}
-	}
-
-	for g := range deleted {
-		delete(s.owner, g)
-	}
-	s.nextGlobal, s.nextShard = nextGlobal, nextShard
-
-	postEpoch := s.Epoch()
-	if probing && postEpoch != preEpoch {
-		s.invalidate(inserted, deleted, delProbes)
-	}
-
-	ids := make([]int, len(ops))
-	for i := range ops {
-		ids[i] = plan[i].global
-	}
-	live, superset, shadow := 0, 0, 0
-	for _, ch := range s.shards {
-		st := ch.Stats()
-		live += st.Live
-		superset += st.SupersetSize
-		shadow += st.ShadowSize
-	}
-	s.mu.Lock()
-	s.batches++
-	s.mu.Unlock()
-	return &engine.UpdateResult{
-		IDs:          ids,
-		Epoch:        postEpoch,
-		Live:         live,
-		SupersetSize: superset,
-		ShadowSize:   shadow,
-	}, nil
-}
-
-// ApplyBatchPipelined satisfies the two-stage update interface the durable
-// registry pipelines WAL appends against. The sharded engine's invalidation
-// window is bridged by its seqlock rather than an epoch publish, so there is
-// no stage to defer: the batch applies in full here and the returned commit
-// is a no-op.
-func (s *Engine) ApplyBatchPipelined(ops []engine.UpdateOp) (*engine.UpdateResult, func(), error) {
-	res, err := s.ApplyBatch(ops)
-	if err != nil {
-		return nil, nil, err
-	}
-	return res, func() {}, nil
-}
-
-// mergeProbe is one updated record awaiting the batch's shared invalidation
-// probe against the post-batch union band — the cross-shard analogue of the
-// engine's affectsTest, under the same per-batch soundness argument: a
-// cached (region, k) entry survives iff at least k counted union-band
-// members r-dominate the record throughout the region. For a net insert the
-// counted members exclude the record itself (everything else in the union
-// band is live post-batch); for a net delete they exclude every id the batch
-// inserted (the rest were live pre-batch).
-type mergeProbe struct {
-	rec        []float64
-	exclude    int          // global id to skip, or -1
-	excludeSet map[int]bool // batch-inserted global ids to skip, or nil
-}
-
-func (p *mergeProbe) affects(r *geom.Region, k int, ids []int, recs [][]float64) bool {
-	cnt := 0
-	for i, m := range recs {
-		id := ids[i]
-		if id == p.exclude || p.excludeSet[id] {
-			continue
-		}
-		if skyband.RDominates(m, p.rec, r) {
-			cnt++
-			if cnt >= k {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// invalidate runs the batch's probes against the post-batch union band and
-// evicts the affected cache entries. The window between the entry snapshot
-// and the eviction is bridged by the seqlock (still odd here): results
-// finishing meanwhile are served but not cached, so no stale entry can slip
-// in behind the scan. As in the single-partition engine, entries are grouped
-// by their keys' (region, k) projection — the only coordinates a probe
-// verdict depends on — so each distinct shape is probed once per batch, not
-// once per resident entry.
-func (s *Engine) invalidate(inserted map[int]place, deleted map[int]bool, delProbes []mergeProbe) {
-	s.mu.Lock()
-	entries := s.cache.Snapshot()
-	s.mu.Unlock()
-
-	unionIDs, unionRecs := s.unionBand()
-	pos := make(map[int]int, len(unionIDs))
-	for i, g := range unionIDs {
-		pos[g] = i
-	}
-	insertedSet := make(map[int]bool, len(inserted))
-	for g := range inserted {
-		insertedSet[g] = true
-	}
-	var probes []mergeProbe
-	for g := range inserted {
-		if deleted[g] {
-			continue // transient
-		}
-		i, inBand := pos[g]
-		if !inBand {
-			// Outside its shard's final band means at least MaxK dominators
-			// post-batch: the newcomer joins no top-k set.
-			continue
-		}
-		probes = append(probes, mergeProbe{rec: unionRecs[i], exclude: g})
-	}
-	for _, p := range delProbes {
-		p.excludeSet = insertedSet
-		probes = append(probes, p)
-	}
-	if len(probes) == 0 || len(entries) == 0 {
-		return
-	}
-
-	type probeGroup struct {
-		region *geom.Region
-		k      int
-		keys   []string
-	}
-	byShape := make(map[string]*probeGroup, len(entries))
-	order := make([]*probeGroup, 0, len(entries))
-	for _, ent := range entries {
-		gid := engine.ProbeGroupID(ent.Key)
-		g := byShape[gid]
-		if g == nil {
-			g = &probeGroup{region: ent.Region, k: ent.K}
-			byShape[gid] = g
-			order = append(order, g)
-		}
-		g.keys = append(g.keys, ent.Key)
-	}
-	var affected []string
-	counts := make([]int, len(probes))
-	for _, g := range order {
-		if batchMergeAffects(probes, g.region, g.k, unionIDs, unionRecs, counts) {
-			affected = append(affected, g.keys...)
-		}
-	}
-
-	s.mu.Lock()
-	s.probeBatches++
-	s.probesSaved += uint64(len(entries)-len(order)) * uint64(len(probes))
-	if len(affected) > 0 {
-		// InvalidateKeys (not EvictKeys) so the admission policy learns which
-		// classes this update stream keeps killing.
-		s.invalidations += uint64(s.cache.InvalidateKeys(affected))
-	}
-	s.mu.Unlock()
-}
-
-// batchMergeAffects is the disjunction of the batch's mergeProbe verdicts
-// for one (region, k) shape, computed in a single pass over the union band:
-// per-probe r-dominator tallies advance together, with an early exit once
-// every probe has its k certifying dominators (the whole group survives).
-func batchMergeAffects(probes []mergeProbe, r *geom.Region, k int, ids []int, recs [][]float64, counts []int) bool {
-	for i := range counts {
-		counts[i] = 0
-	}
-	remaining := len(probes)
-	for i, m := range recs {
-		id := ids[i]
-		for j := range probes {
-			if counts[j] >= k {
-				continue
-			}
-			p := &probes[j]
-			if id == p.exclude || p.excludeSet[id] {
-				continue
-			}
-			if skyband.RDominates(m, p.rec, r) {
-				counts[j]++
-				if counts[j] >= k {
-					remaining--
-					if remaining == 0 {
-						return false
-					}
-				}
-			}
-		}
-	}
-	return true
-}
-
-// unionBand collects every shard's MaxK-depth candidate list mapped to
-// global ids — the merge layer's superset of the global MaxK-skyband.
-func (s *Engine) unionBand() ([]int, [][]float64) {
-	collected := s.collectCandidates(s.cfg.Engine.MaxK)
-	var ids []int
-	var recs [][]float64
-	s.routeMu.RLock()
-	defer s.routeMu.RUnlock()
-	for sh := range s.shards {
-		c := &collected[sh]
-		if c.err != nil {
-			continue // unreachable: MaxK is always a valid depth
-		}
-		for _, lid := range c.ids {
-			ids = append(ids, s.localToGlobal[sh][lid])
-		}
-		recs = append(recs, c.recs...)
-	}
-	return ids, recs
-}
-
-// mergedSub is the merged candidate list for one depth: the global
-// k-skyband, as parallel global-id/record slices, treated as immutable.
-type mergedSub struct {
-	ids  []int
-	recs [][]float64
-}
-
-// mergedIndex is one epoch-vector view of the cross-shard candidate lists.
-// Collecting and reducing the union of per-shard candidates is done once per
-// (depth, epoch vector) and shared by every subsequent warm query — the
-// merge-layer analogue of the engine's per-epoch index — so the steady-state
-// query path filters a candidate list of exactly the single-engine size
-// instead of re-unioning S shard bands per query. The reduction is exact:
-// the union of per-shard k-skybands contains the global k-skyband, and a
-// union record with at least k dominators in the full dataset also has at
-// least k dominators inside the union (its dominators within the global
-// k-skyband are all union members), so the classic k-skyband of the union
-// IS the global k-skyband.
-type mergedIndex struct {
-	epochs   []uint64
-	epochSum uint64
-	mu       sync.Mutex
-	subs     map[int]*mergedSub
-}
-
-// childEpochs snapshots every shard's current index version.
-func (s *Engine) childEpochs() []uint64 {
-	out := make([]uint64, len(s.shards))
-	for i, ch := range s.shards {
-		out[i] = ch.Epoch()
-	}
-	return out
-}
-
-// currentMerged returns a merged index whose epoch vector matched the
-// shards when observed, installing a fresh one if any shard has moved.
-func (s *Engine) currentMerged() *mergedIndex {
-	for {
-		mi := s.merged.Load()
-		if mi != nil {
-			stale := false
-			for sh, ch := range s.shards {
-				if ch.Epoch() != mi.epochs[sh] {
-					stale = true
-					break
-				}
-			}
-			if !stale {
-				return mi
-			}
-		}
-		fresh := &mergedIndex{epochs: s.childEpochs(), subs: map[int]*mergedSub{}}
-		for _, ep := range fresh.epochs {
-			fresh.epochSum += ep
-		}
-		if s.merged.CompareAndSwap(mi, fresh) {
-			return fresh
-		}
-	}
-}
-
-// childCandidates is one shard's candidate snapshot, as collected by the
-// per-child fan-out.
-type childCandidates struct {
+	// ids/recs memoize the reduced global band while no part reports a
+	// band change (stale is raised by ApplyOps).
 	ids   []int
 	recs  [][]float64
-	epoch uint64
-	err   error
+	stale bool
 }
 
-// collectCandidates gathers every child's depth-k candidate list. With more
-// than one shard the collection fans out on the executor — the per-shard
-// background workers the merge layer runs cold collections on — so S cold
-// per-shard derivations overlap instead of running back to back.
-func (s *Engine) collectCandidates(k int) []childCandidates {
-	out := make([]childCandidates, len(s.shards))
-	if len(s.shards) == 1 {
-		ids, recs, ep, err := s.shards[0].Candidates(k)
-		out[0] = childCandidates{ids: ids, recs: recs, epoch: ep, err: err}
-		return out
+// New partitions the records (global ids 0..n-1, record i on part i mod
+// parts) and builds one dynamic k-skyband per part with the given shadow
+// depth. setup, when non-nil, is applied to every part before first use (the
+// engine's repair/shadow/executor posture). The record slices are referenced,
+// never mutated.
+func New(records [][]float64, parts, k, shadowDepth int, setup func(*skyband.Dynamic)) (*Band, error) {
+	if parts < 1 {
+		return nil, ErrBadShards
 	}
-	grp := s.pool.NewGroup(nil)
-	for sh, ch := range s.shards {
-		sh, ch := sh, ch
-		grp.Go(func(context.Context) error {
-			ids, recs, ep, err := ch.Candidates(k)
-			out[sh] = childCandidates{ids: ids, recs: recs, epoch: ep, err: err}
-			return nil
-		})
+	if len(records) < parts {
+		return nil, fmt.Errorf("%w: %d records across %d shards", ErrTooFewRecords, len(records), parts)
 	}
-	_ = grp.Wait() // per-child errors are carried in the snapshots
-	return out
+	b := &Band{
+		k:             k,
+		parts:         make([]*skyband.Dynamic, parts),
+		owner:         make(map[int]place, len(records)),
+		localToGlobal: make([][]int, parts),
+		nextGlobal:    len(records),
+		nextPart:      len(records) % parts,
+		stale:         true,
+	}
+	split := make([][][]float64, parts)
+	for g, rec := range records {
+		p := g % parts
+		b.owner[g] = place{part: p, local: len(split[p])}
+		b.localToGlobal[p] = append(b.localToGlobal[p], g)
+		split[p] = append(split[p], rec)
+	}
+	for p, recs := range split {
+		tree, err := rtree.BulkLoad(recs, rtree.DefaultFanout)
+		if err != nil {
+			return nil, err
+		}
+		dyn, err := skyband.NewDynamic(recs, skyband.KSkyband(tree, k+shadowDepth), k, shadowDepth)
+		if err != nil {
+			return nil, err
+		}
+		if setup != nil {
+			setup(dyn)
+		}
+		b.parts[p] = dyn
+	}
+	return b, nil
 }
 
-// subFor returns the merged candidate list for depth k, deriving and caching
-// it on first use. It reports false when a shard's epoch drifted from the
-// index's vector mid-collection — the caller refreshes and retries.
-func (s *Engine) subFor(mi *mergedIndex, k int) (*mergedSub, bool) {
-	mi.mu.Lock()
-	defer mi.mu.Unlock()
-	if sub, ok := mi.subs[k]; ok {
-		return sub, true
-	}
-	collected := s.collectCandidates(k)
-	var gids []int
-	var grecs [][]float64
-	s.routeMu.RLock()
-	for sh := range s.shards {
-		c := &collected[sh]
-		if c.err != nil || c.epoch != mi.epochs[sh] {
-			s.routeMu.RUnlock()
-			return nil, false
-		}
-		for _, lid := range c.ids {
-			gids = append(gids, s.localToGlobal[sh][lid])
-		}
-		grecs = append(grecs, c.recs...)
-	}
-	s.routeMu.RUnlock()
-	keep := skyband.ScanKSkyband(grecs, k)
-	ids := make([]int, len(keep))
-	recs := make([][]float64, len(keep))
-	for i, idx := range keep {
-		ids[i] = gids[idx]
-		recs[i] = grecs[idx]
-	}
-	sub := &mergedSub{ids: ids, recs: recs}
-	mi.subs[k] = sub
-	return sub, true
+// Parts returns the number of partitions.
+func (b *Band) Parts() int { return len(b.parts) }
+
+// NextID returns the global id the next insert will be assigned.
+func (b *Band) NextID() int { return b.nextGlobal }
+
+// Has reports whether the global id is live.
+func (b *Band) Has(id int) bool { _, ok := b.owner[id]; return ok }
+
+// InBand reports whether the record is a member of its own part's band — a
+// superset of global band membership, which is the conservative direction
+// for the engine's delete probes.
+func (b *Band) InBand(id int) bool {
+	p, ok := b.owner[id]
+	return ok && b.parts[p.part].InBand(p.local)
 }
 
-// Do answers one request: cache lookup, then a pooled cross-shard merge —
-// resolve the merged candidate index for the current epochs, filter it with
-// the region-aware scan, and run the exact refinement once, globally.
-func (s *Engine) Do(ctx context.Context, req engine.Request) (*engine.Result, error) {
-	if err := s.validate(req); err != nil {
-		return nil, err
+// Record returns the coordinates of a live record (shared slice; do not
+// mutate), or nil when the id is not live.
+func (b *Band) Record(id int) []float64 {
+	p, ok := b.owner[id]
+	if !ok {
+		return nil
 	}
-	if s.cfg.Engine.QueryTimeout > 0 {
-		if _, ok := ctx.Deadline(); !ok {
-			var cancel context.CancelFunc
-			ctx, cancel = context.WithTimeout(ctx, s.cfg.Engine.QueryTimeout)
-			defer cancel()
-		}
-	}
-	key := engine.Fingerprint(req.Variant, req.K, req.Region, req.Opts)
+	return b.parts[p.part].Record(p.local)
+}
 
-	// Election: answer from the cache, join an identical in-flight merge, or
-	// become the leader. Flights are keyed by the seqlock value observed at
-	// election, mirroring the single-partition engine's epoch-keyed flights:
-	// a query arriving after an acked ApplyBatch (seq advanced by 2) can
-	// never join a leader elected before that batch, so sharing preserves
-	// read-your-writes. Waiters who DID arrive before the update may still
-	// inherit the leader's pre-update answer — a consistent state they could
-	// equally have observed on their own; such results are never cached.
-	var fl *flight
-	var flKey string
-	derivedTried := false
-	for fl == nil {
-		s.mu.Lock()
-		if s.cache != nil {
-			if res, ok := s.cache.Get(key); ok {
-				s.hits++
-				s.queries++
-				s.mu.Unlock()
-				hit := *res
-				hit.CacheHit = true
-				return &hit, nil
+// ApplyOps applies a batch with global ids: inserts are placed round-robin
+// and assigned sequential global ids, deletes go to the owning part —
+// including the part an earlier insert of the same batch was placed on, so
+// such a pair meets in one sub-batch and coalesces there exactly as it would
+// in a single skyband.Dynamic (the insert still consumes its global and its
+// local id). The whole batch is planned and validated before any part is
+// touched; each part then applies its sub-batch in one ApplyOps call and the
+// per-op effects are stitched back into batch order.
+func (b *Band) ApplyOps(ops []skyband.Op) ([]int, []skyband.Effect, error) {
+	type route struct{ part, pos int } // pos indexes the part's sub-batch
+	nparts := len(b.parts)
+	nextLocal := make([]int, nparts)
+	for p, dyn := range b.parts {
+		nextLocal[p] = dyn.NextID()
+	}
+	ids := make([]int, len(ops))
+	routes := make([]route, len(ops))
+	sub := make([][]skyband.Op, nparts)
+	inserted := map[int]place{}
+	deleted := map[int]bool{}
+	nextGlobal, nextPart := b.nextGlobal, b.nextPart
+	for i, op := range ops {
+		var at place
+		if op.Insert {
+			at = place{part: nextPart, local: nextLocal[nextPart]}
+			nextLocal[nextPart]++
+			nextPart = (nextPart + 1) % nparts
+			ids[i] = nextGlobal
+			inserted[nextGlobal] = at
+			nextGlobal++
+			sub[at.part] = append(sub[at.part], skyband.Op{Insert: true, Record: op.Record})
+		} else {
+			if deleted[op.ID] {
+				return nil, nil, skyband.ErrDuplicateDelete
 			}
-			// Derived-answer fast path, shared with the single-partition
-			// engine: an exact miss inside a cached UTK2 region is answered
-			// by cell clipping before any merge work. The source was
-			// resident under the mutex, so serving is at worst a consistent
-			// pre-update answer; caching is gated on the seqlock proving no
-			// update window overlapped the clipping.
-			if !derivedTried {
-				if src, _, ok := s.cache.FindContaining(req); ok {
-					seq0 := s.seq.Load()
-					s.mu.Unlock()
-					derivedTried = true
-					if res := engine.DeriveClipped(req, src); res != nil {
-						s.mu.Lock()
-						s.derived++
-						s.queries++
-						if seq0%2 == 0 && s.seq.Load() == seq0 {
-							adm, ev, costly := s.cache.Add(key, req, res)
-							if !adm {
-								s.admSkips++
-							}
-							if ev {
-								s.evicted++
-							}
-							if costly {
-								s.costEvicted++
-							}
-						}
-						s.mu.Unlock()
-						hit := *res
-						hit.CacheHit = true
-						return &hit, nil
-					}
-					continue // defensive: derivation failed, merge instead
+			var ok bool
+			if at, ok = b.owner[op.ID]; !ok {
+				if at, ok = inserted[op.ID]; !ok {
+					return nil, nil, skyband.ErrUnknownID
 				}
 			}
+			deleted[op.ID] = true
+			ids[i] = op.ID
+			sub[at.part] = append(sub[at.part], skyband.Op{ID: at.local})
 		}
-		fk := flightKey(s.seq.Load(), key)
-		if other, ok := s.inflight[fk]; ok {
-			s.mu.Unlock()
-			select {
-			case <-other.done:
-			case <-ctx.Done():
-				s.mu.Lock()
-				s.rejected++
-				s.mu.Unlock()
-				return nil, ctx.Err()
-			}
-			if errors.Is(other.err, errAborted) {
-				continue // the leader never finished; elect a new leader
-			}
-			s.mu.Lock()
-			s.shared++
-			s.queries++
-			s.mu.Unlock()
-			return other.res, other.err
-		}
-		fl = &flight{done: make(chan struct{})}
-		flKey = fk
-		s.inflight[flKey] = fl
-		s.mu.Unlock()
+		routes[i] = route{part: at.part, pos: len(sub[at.part]) - 1}
 	}
 
-	// Dispatch through the executor: saturation is rejected at the queue
-	// bound, a context dying while queued revokes the task, and a started
-	// merge observes its deadline through the Cancel hook inside compute.
-	var res *engine.Result
-	var err error
-	var seq0 uint64
-	runErr := s.pool.Run(ctx, func() {
-		s.mu.Lock()
-		s.active++
-		s.mu.Unlock()
-		seq0 = s.seq.Load()
-		res, err = s.compute(ctx, req)
-		s.mu.Lock()
-		s.active--
-		s.mu.Unlock()
-	})
-	if runErr != nil {
-		s.finish(flKey, fl, nil, errAborted)
-		s.mu.Lock()
-		if errors.Is(runErr, exec.ErrSaturated) {
-			s.saturated++
-			runErr = engine.ErrSaturated
-		} else {
-			s.rejected++
+	partEffs := make([][]skyband.Effect, nparts)
+	for p, s := range sub {
+		if len(s) == 0 {
+			continue
 		}
-		s.mu.Unlock()
-		return nil, runErr
-	}
-
-	if err != nil {
-		if errors.Is(err, core.ErrCanceled) {
-			// The leader's deadline expired mid-refinement; waiters re-elect
-			// rather than inheriting its fate.
-			s.finish(flKey, fl, nil, errAborted)
-			if cerr := ctx.Err(); cerr != nil {
-				err = cerr
-			}
-			s.mu.Lock()
-			s.rejected++
-			s.mu.Unlock()
-			return nil, err
-		}
-		s.finish(flKey, fl, nil, err)
-		return nil, err
-	}
-
-	fl.res = res
-	s.mu.Lock()
-	delete(s.inflight, flKey)
-	s.misses++
-	s.queries++
-	// Cache only results whose whole computation ran between updates: seq
-	// even and unchanged means no batch applied, probed, or published
-	// anywhere inside the window, so the result reflects the current state
-	// and cannot have missed an invalidation probe.
-	if s.cache != nil && seq0%2 == 0 && s.seq.Load() == seq0 {
-		adm, ev, costly := s.cache.Add(key, req, res)
-		if !adm {
-			s.admSkips++
-		}
-		if ev {
-			s.evicted++
-		}
-		if costly {
-			s.costEvicted++
-		}
-	}
-	s.mu.Unlock()
-	close(fl.done)
-	return res, nil
-}
-
-// finish publishes a flight outcome and wakes waiters.
-func (s *Engine) finish(key string, fl *flight, res *engine.Result, err error) {
-	fl.res, fl.err = res, err
-	s.mu.Lock()
-	delete(s.inflight, key)
-	s.mu.Unlock()
-	close(fl.done)
-}
-
-// DoBatch answers a batch of requests concurrently (bounded by the merge
-// layer's worker pool), one result or error per request, index-aligned.
-func (s *Engine) DoBatch(ctx context.Context, reqs []engine.Request) ([]*engine.Result, []error) {
-	results := make([]*engine.Result, len(reqs))
-	errs := make([]error, len(reqs))
-	var wg sync.WaitGroup
-	for i, req := range reqs {
-		wg.Add(1)
-		go func(i int, req engine.Request) {
-			defer wg.Done()
-			results[i], errs[i] = s.Do(ctx, req)
-		}(i, req)
-	}
-	wg.Wait()
-	return results, errs
-}
-
-// compute resolves the merged candidate index for the current epoch vector
-// and runs the exact refinement over it. Resolution is retried a few times
-// if updates land mid-collection (detected by per-shard epoch drift); under
-// a persistent update storm the last collected union — internally
-// consistent per shard — is used, and the seqlock keeps such a result out
-// of the cache.
-func (s *Engine) compute(ctx context.Context, req engine.Request) (*engine.Result, error) {
-	st := &core.Stats{}
-	opts := req.Opts
-	// Intra-query parallelism (Opts.Workers > 1) fans out on the merge
-	// layer's own executor, alongside query dispatch and per-child
-	// candidate collection.
-	opts.Pool = s.pool
-	done := ctx.Done()
-	opts.Cancel = func() bool {
-		select {
-		case <-done:
-			return true
-		default:
-			return false
-		}
-	}
-
-	start := time.Now()
-	var sub *mergedSub
-	var epochSum uint64
-	for attempt := 0; sub == nil && attempt < 4; attempt++ {
-		mi := s.currentMerged()
-		if got, ok := s.subFor(mi, req.K); ok {
-			sub = got
-			epochSum = mi.epochSum
-		}
-	}
-	if sub == nil {
-		// Update storm: collect the raw union without the merged cache.
-		collected := s.collectCandidates(req.K)
-		var gids []int
-		var grecs [][]float64
-		s.routeMu.RLock()
-		for sh := range s.shards {
-			c := &collected[sh]
-			if c.err != nil {
-				s.routeMu.RUnlock()
-				return nil, c.err
-			}
-			epochSum += c.epoch
-			for _, lid := range c.ids {
-				gids = append(gids, s.localToGlobal[sh][lid])
-			}
-			grecs = append(grecs, c.recs...)
-		}
-		s.routeMu.RUnlock()
-		sub = &mergedSub{ids: gids, recs: grecs}
-	}
-	g := skyband.ScanGraph(sub.recs, sub.ids, req.Region, req.K)
-	st.FilterDuration = time.Since(start)
-
-	res := &engine.Result{Epoch: epochSum}
-	switch req.Variant {
-	case engine.UTK1:
-		out, err := core.RSAFromGraph(g, req.Region, req.K, opts, st)
+		_, effs, err := b.parts[p].ApplyOps(s)
 		if err != nil {
-			return nil, err
+			// Unreachable after the plan above (every delete targets a live
+			// local id or a predicted one); surfaced because earlier parts
+			// have already applied.
+			return nil, nil, fmt.Errorf("shard %d: sub-batch failed after partial application: %w", p, err)
 		}
-		sort.Ints(out)
-		res.IDs = out
-	case engine.UTK2:
-		cells, err := core.JAAFromGraph(g, req.Region, req.K, opts, st)
-		if err != nil {
-			return nil, err
-		}
-		res.Cells = cells
-	default:
-		return nil, errors.New("shard: unknown variant")
+		partEffs[p] = effs
 	}
-	res.Stats = *st
-	res.Cost = st.FilterDuration + st.RefineDuration
-	return res, nil
+	effs := make([]skyband.Effect, len(ops))
+	for i, r := range routes {
+		effs[i] = partEffs[r.part][r.pos]
+		b.stale = b.stale || effs[i].BandChanged
+	}
+
+	for i, op := range ops {
+		if op.Insert {
+			at := inserted[ids[i]]
+			b.localToGlobal[at.part] = append(b.localToGlobal[at.part], ids[i])
+			b.owner[ids[i]] = at
+		}
+	}
+	for g := range deleted {
+		delete(b.owner, g)
+	}
+	b.nextGlobal, b.nextPart = nextGlobal, nextPart
+	return ids, effs, nil
 }
 
-func (s *Engine) validate(req engine.Request) error {
-	if req.K <= 0 {
-		return core.ErrBadK
+// Band returns the global k-skyband as parallel global-id/record slices
+// sorted by ascending id — the k-skyband of the union of the part bands (see
+// the package comment). The reduction reruns only after a part's band
+// changed; the returned slices are shared between calls and must be treated
+// as immutable.
+func (b *Band) Band() ([]int, [][]float64) {
+	if !b.stale {
+		return b.ids, b.recs
 	}
-	if req.K > s.cfg.Engine.MaxK {
-		return engine.ErrKTooLarge
+	var gids []int
+	var grecs [][]float64
+	for p, dyn := range b.parts {
+		lids, recs := dyn.Band()
+		for _, lid := range lids {
+			gids = append(gids, b.localToGlobal[p][lid])
+		}
+		grecs = append(grecs, recs...)
 	}
-	if req.Region == nil {
-		return engine.ErrNilRegion
+	keep := skyband.ScanKSkyband(grecs, b.k)
+	sort.Slice(keep, func(i, j int) bool { return gids[keep[i]] < gids[keep[j]] })
+	b.ids = make([]int, len(keep))
+	b.recs = make([][]float64, len(keep))
+	for i, idx := range keep {
+		b.ids[i] = gids[idx]
+		b.recs[i] = grecs[idx]
 	}
-	if req.Region.Dim() != s.dim-1 {
-		return core.ErrDimMismatch
-	}
-	return nil
+	b.stale = false
+	return b.ids, b.recs
 }
 
-// Stats aggregates the merge layer's serving counters with the summed
-// per-shard maintenance counters. Epoch, Live, SupersetSize, and ShadowSize
-// are sums across shards; Coverage is the weakest per-shard guarantee.
-func (s *Engine) Stats() engine.Stats {
-	agg := engine.Stats{MaxK: s.cfg.Engine.MaxK, Workers: s.pool.Workers(), Queued: s.pool.Queued()}
-	for i, ch := range s.shards {
-		st := ch.Stats()
-		agg.Epoch += st.Epoch
+// Stats sums the per-part counters. Band and Shadow are the resident per-part
+// totals (the served global band is at most Band); Coverage is the weakest
+// per-part guarantee and ShadowDepth the deepest per-part retention.
+func (b *Band) Stats() skyband.DynamicStats {
+	var agg skyband.DynamicStats
+	for p, dyn := range b.parts {
+		st := dyn.Stats()
 		agg.Live += st.Live
-		agg.SupersetSize += st.SupersetSize
-		agg.ShadowSize += st.ShadowSize
-		if i == 0 || st.Coverage < agg.Coverage {
+		agg.Band += st.Band
+		agg.Shadow += st.Shadow
+		if p == 0 || st.Coverage < agg.Coverage {
 			agg.Coverage = st.Coverage
+		}
+		if st.ShadowDepth > agg.ShadowDepth {
+			agg.ShadowDepth = st.ShadowDepth
 		}
 		agg.Inserts += st.Inserts
 		agg.Deletes += st.Deletes
 		agg.Promotions += st.Promotions
 		agg.Demotions += st.Demotions
-		agg.ShadowEvictions += st.ShadowEvictions
+		agg.Evictions += st.Evictions
 		agg.Rebuilds += st.Rebuilds
-		agg.CoalescedOps += st.CoalescedOps
-		agg.ProbeBatches += st.ProbeBatches
-		agg.ProbesSaved += st.ProbesSaved
 		agg.Exhaustions += st.Exhaustions
 		agg.Repairs += st.Repairs
 		agg.RepairSteps += st.RepairSteps
@@ -1076,41 +277,6 @@ func (s *Engine) Stats() engine.Stats {
 		agg.BandMaintenanceNS += st.BandMaintenanceNS
 		agg.BatchApplyOps += st.BatchApplyOps
 		agg.ParallelMaintenanceChunks += st.ParallelMaintenanceChunks
-		// The deepest per-shard retention: how far beyond MaxK any shard has
-		// had to grow to absorb its churn.
-		if st.ShadowDepth > agg.ShadowDepth {
-			agg.ShadowDepth = st.ShadowDepth
-		}
 	}
-	s.mu.Lock()
-	agg.Queries = s.queries
-	agg.Hits = s.hits
-	agg.Misses = s.misses
-	agg.Shared = s.shared
-	agg.DerivedHits = s.derived
-	agg.Evictions = s.evicted
-	agg.CostEvictions = s.costEvicted
-	agg.Invalidations = s.invalidations
-	agg.Rejected = s.rejected
-	agg.Saturated = s.saturated
-	agg.AdmissionSkips = s.admSkips
-	agg.ProbeBatches += s.probeBatches
-	agg.ProbesSaved += s.probesSaved
-	agg.InFlight = s.active
-	agg.UpdateBatches = s.batches
-	if s.cache != nil {
-		agg.CacheEntries = s.cache.Len()
-	}
-	s.mu.Unlock()
 	return agg
-}
-
-// ShardStats returns each child engine's own counters, index-aligned with
-// shard numbers.
-func (s *Engine) ShardStats() []engine.Stats {
-	out := make([]engine.Stats, len(s.shards))
-	for i, ch := range s.shards {
-		out[i] = ch.Stats()
-	}
-	return out
 }

@@ -1,406 +1,252 @@
 package shard
 
 import (
-	"context"
+	"errors"
 	"fmt"
-	"sort"
-	"sync"
+	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/dataset"
-	"repro/internal/engine"
-	"repro/internal/geom"
-	"repro/internal/rtree"
+	"repro/internal/skyband"
 )
 
-func buildSingle(t *testing.T, recs [][]float64, maxK int) *engine.Engine {
+func newBand(t *testing.T, recs [][]float64, parts, k int) *Band {
 	t.Helper()
-	tree, err := rtree.BulkLoad(recs, rtree.DefaultFanout)
+	b, err := New(recs, parts, k, k, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := engine.New(tree, recs, engine.Config{MaxK: maxK})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return e
+	return b
 }
 
-func testRegion(t *testing.T, dim int) *geom.Region {
-	t.Helper()
-	rd := dim - 1
-	lo := make([]float64, rd)
-	hi := make([]float64, rd)
-	for j := range lo {
-		lo[j] = 0.2 / float64(rd)
-		hi[j] = lo[j] + 0.05
-	}
-	r, err := geom.NewBox(lo, hi)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return r
-}
-
-// TestShardedMatchesSingle pins the federation exactness on deterministic
-// inputs: for S=1..4 the sharded engine's UTK1 ids and UTK2 cell multisets
-// equal the single engine's over the same records.
-func TestShardedMatchesSingle(t *testing.T) {
-	const maxK = 6
+// TestBandMatchesSingleDynamic pins the federation exactness at the seam the
+// engine sees: for S=1..4 the partitioned band assigns the same ids and
+// serves the same MaxK-skyband — ids and records, in the same order — as one
+// skyband.Dynamic over the same records, initially and after every batch of a
+// randomized update stream (near-top inserts, band-biased deletes, transient
+// insert→delete pairs).
+func TestBandMatchesSingleDynamic(t *testing.T) {
+	const k = 6
 	dims := []int{2, 3, 4}
 	if testing.Short() {
 		dims = []int{2, 3}
 	}
 	for _, d := range dims {
 		recs := dataset.Synthetic(dataset.ANTI, 300, d, 42)
-		single := buildSingle(t, recs, maxK)
-		region := testRegion(t, d)
 		for S := 1; S <= 4; S++ {
 			t.Run(fmt.Sprintf("d%d_s%d", d, S), func(t *testing.T) {
-				sh, err := New(recs, Config{Shards: S, Engine: engine.Config{MaxK: maxK}})
+				single, err := skyband.NewDynamic(recs, nil, k, k)
 				if err != nil {
 					t.Fatal(err)
 				}
-				for k := 1; k <= maxK; k += 2 {
-					req := engine.Request{Variant: engine.UTK1, K: k, Region: region}
-					want, err := single.Do(context.Background(), req)
+				b := newBand(t, recs, S, k)
+				same := func(step int) {
+					t.Helper()
+					wantIDs, wantRecs := single.Band()
+					gotIDs, gotRecs := b.Band()
+					if !reflect.DeepEqual(gotIDs, wantIDs) || !reflect.DeepEqual(gotRecs, wantRecs) {
+						t.Fatalf("step %d: partitioned band ids %v != single %v", step, gotIDs, wantIDs)
+					}
+					if b.NextID() != single.NextID() {
+						t.Fatalf("step %d: NextID %d != single %d", step, b.NextID(), single.NextID())
+					}
+				}
+				same(-1)
+				rng := rand.New(rand.NewSource(int64(100*d + S)))
+				for step := 0; step < 40; step++ {
+					var ops []skyband.Op
+					next := single.NextID()
+					for j := 0; j < 1+rng.Intn(5); j++ {
+						switch rng.Intn(4) {
+						case 0: // delete a band member
+							ids, _ := single.Band()
+							id := ids[rng.Intn(len(ids))]
+							dup := false
+							for _, op := range ops {
+								dup = dup || (!op.Insert && op.ID == id)
+							}
+							if !dup {
+								ops = append(ops, skyband.Op{ID: id})
+							}
+						case 1: // transient pair
+							rec := make([]float64, d)
+							for c := range rec {
+								rec[c] = rng.Float64()
+							}
+							ops = append(ops, skyband.Op{Insert: true, Record: rec}, skyband.Op{ID: next})
+							next++
+						default:
+							rec := make([]float64, d)
+							for c := range rec {
+								rec[c] = rng.Float64()
+								if rng.Intn(3) == 0 {
+									rec[c] = 0.8 + 0.2*rng.Float64()
+								}
+							}
+							ops = append(ops, skyband.Op{Insert: true, Record: rec})
+							next++
+						}
+					}
+					wantIDs, _, err := single.ApplyOps(ops)
 					if err != nil {
 						t.Fatal(err)
 					}
-					got, err := sh.Do(context.Background(), req)
+					gotIDs, _, err := b.ApplyOps(ops)
 					if err != nil {
 						t.Fatal(err)
 					}
-					if fmt.Sprint(got.IDs) != fmt.Sprint(want.IDs) {
-						t.Fatalf("UTK1 k=%d: sharded %v != single %v", k, got.IDs, want.IDs)
+					if !reflect.DeepEqual(gotIDs, wantIDs) {
+						t.Fatalf("step %d: assigned ids %v != single %v", step, gotIDs, wantIDs)
 					}
-
-					req.Variant = engine.UTK2
-					want, err = single.Do(context.Background(), req)
-					if err != nil {
-						t.Fatal(err)
+					same(step)
+					for _, id := range wantIDs {
+						if b.Has(id) != single.Has(id) || !reflect.DeepEqual(b.Record(id), single.Record(id)) {
+							t.Fatalf("step %d: id %d: Has/Record diverge from single", step, id)
+						}
+						if single.InBand(id) && !b.InBand(id) {
+							t.Fatalf("step %d: id %d in the global band but not in its part's", step, id)
+						}
 					}
-					got, err = sh.Do(context.Background(), req)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if fmt.Sprint(cellSets(got)) != fmt.Sprint(cellSets(want)) {
-						t.Fatalf("UTK2 k=%d: sharded cells %v != single %v", k, cellSets(got), cellSets(want))
-					}
+				}
+				if got, want := b.Stats().Live, single.Stats().Live; got != want {
+					t.Fatalf("live %d != single %d", got, want)
 				}
 			})
 		}
 	}
 }
 
-func cellSets(res *engine.Result) []string {
-	out := make([]string, len(res.Cells))
-	for i, c := range res.Cells {
-		out[i] = fmt.Sprint(c.TopK)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // TestRoutingAndUpdates exercises the id routing tables: round-robin
-// placement, sequential global ids, per-shard ownership after inserts, and
+// placement, sequential global ids, per-part ownership after inserts, and
 // owner cleanup after deletes.
 func TestRoutingAndUpdates(t *testing.T) {
 	recs := dataset.Synthetic(dataset.IND, 10, 3, 7)
-	sh, err := New(recs, Config{Shards: 3, Engine: engine.Config{MaxK: 3}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := newBand(t, recs, 3, 3)
 	for g := 0; g < 10; g++ {
-		owner, ok := sh.Owner(g)
-		if !ok || owner != g%3 {
-			t.Fatalf("initial record %d: owner %d ok=%v, want shard %d", g, owner, ok, g%3)
+		if at, ok := b.owner[g]; !ok || at.part != g%3 {
+			t.Fatalf("initial record %d: owner %+v ok=%v, want part %d", g, at, ok, g%3)
 		}
 	}
-	// 10 % 3 == 1, so the next insert lands on shard 1, then 2, then 0.
-	for i, wantShard := range []int{1, 2, 0} {
-		id, err := sh.Insert([]float64{0.5, 0.5, 0.5})
+	// 10 % 3 == 1, so the next insert lands on part 1, then 2, then 0.
+	for i, wantPart := range []int{1, 2, 0} {
+		ids, _, err := b.ApplyOps([]skyband.Op{{Insert: true, Record: []float64{0.5, 0.5, 0.5}}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if id != 10+i {
-			t.Fatalf("insert %d assigned id %d, want %d", i, id, 10+i)
+		if ids[0] != 10+i {
+			t.Fatalf("insert %d assigned id %d, want %d", i, ids[0], 10+i)
 		}
-		if owner, ok := sh.Owner(id); !ok || owner != wantShard {
-			t.Fatalf("insert %d: owner %d ok=%v, want shard %d", i, owner, ok, wantShard)
+		if at, ok := b.owner[ids[0]]; !ok || at.part != wantPart {
+			t.Fatalf("insert %d: owner %+v ok=%v, want part %d", i, at, ok, wantPart)
 		}
 	}
-	if err := sh.Delete(11); err != nil {
+	if _, _, err := b.ApplyOps([]skyband.Op{{ID: 11}}); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := sh.Owner(11); ok {
+	if b.Has(11) || b.Record(11) != nil {
 		t.Fatal("deleted id 11 still has an owner")
 	}
-	if err := sh.Delete(11); err != engine.ErrUnknownRecord {
-		t.Fatalf("double delete: got %v, want ErrUnknownRecord", err)
+	if _, _, err := b.ApplyOps([]skyband.Op{{ID: 11}}); !errors.Is(err, skyband.ErrUnknownID) {
+		t.Fatalf("double delete: got %v, want ErrUnknownID", err)
 	}
-	st := sh.Stats()
-	if st.Live != 12 {
+	if st := b.Stats(); st.Live != 12 {
 		t.Fatalf("live %d, want 12", st.Live)
+	}
+	// 4/3/3 initially, one insert each, id 11 deleted from part 2.
+	for p, dyn := range b.parts {
+		if got, want := dyn.Stats().Live, []int{5, 4, 3}[p]; got != want {
+			t.Fatalf("part %d holds %d records, want %d", p, got, want)
+		}
 	}
 }
 
 // TestBatchAtomicity checks that a batch with an invalid op is a full no-op
-// across every shard, and that delete-after-insert within one batch works.
+// across every part, and that delete-after-insert within one batch works.
 func TestBatchAtomicity(t *testing.T) {
 	recs := dataset.Synthetic(dataset.IND, 12, 3, 9)
-	sh, err := New(recs, Config{Shards: 3, Engine: engine.Config{MaxK: 3}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := sh.Stats()
+	b := newBand(t, recs, 3, 3)
+	before := b.State()
 
 	// Invalid tail op: nothing may apply.
-	_, err = sh.ApplyBatch([]engine.UpdateOp{
-		{Kind: engine.UpdateInsert, Record: []float64{0.9, 0.9, 0.9}},
-		{Kind: engine.UpdateDelete, ID: 999},
+	_, _, err := b.ApplyOps([]skyband.Op{
+		{Insert: true, Record: []float64{0.9, 0.9, 0.9}},
+		{ID: 999},
 	})
-	if err != engine.ErrUnknownRecord {
-		t.Fatalf("bad batch: got %v, want ErrUnknownRecord", err)
+	if !errors.Is(err, skyband.ErrUnknownID) {
+		t.Fatalf("bad batch: got %v, want ErrUnknownID", err)
 	}
-	after := sh.Stats()
-	if after.Live != before.Live || after.Epoch != before.Epoch {
-		t.Fatalf("bad batch changed state: live %d→%d epoch %d→%d", before.Live, after.Live, before.Epoch, after.Epoch)
+	if _, _, err := b.ApplyOps([]skyband.Op{{ID: 3}, {ID: 3}}); !errors.Is(err, skyband.ErrDuplicateDelete) {
+		t.Fatalf("duplicate delete: got %v, want ErrDuplicateDelete", err)
+	}
+	if !reflect.DeepEqual(b.State(), before) {
+		t.Fatal("rejected batches changed the band's state")
 	}
 
 	// Insert + delete of the inserted id in one batch: a transient record.
-	res, err := sh.ApplyBatch([]engine.UpdateOp{
-		{Kind: engine.UpdateInsert, Record: []float64{0.9, 0.9, 0.9}},
-		{Kind: engine.UpdateDelete, ID: 12},
+	ids, effs, err := b.ApplyOps([]skyband.Op{
+		{Insert: true, Record: []float64{0.9, 0.9, 0.9}},
+		{ID: 12},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.IDs[0] != 12 || res.IDs[1] != 12 {
-		t.Fatalf("transient batch ids %v, want [12 12]", res.IDs)
+	if ids[0] != 12 || ids[1] != 12 {
+		t.Fatalf("transient batch ids %v, want [12 12]", ids)
 	}
-	if res.Live != before.Live {
-		t.Fatalf("transient batch changed live: %d, want %d", res.Live, before.Live)
+	if effs[0].BandChanged || effs[1].BandChanged {
+		t.Fatal("a coalesced pair reported a band change")
 	}
-	if _, ok := sh.Owner(12); ok {
-		t.Fatal("transient id 12 still owned")
+	if b.Has(12) || b.Stats().Live != 12 {
+		t.Fatal("transient id 12 still live")
 	}
-	// The next insert must not reuse the transient id.
-	id, err := sh.Insert([]float64{0.4, 0.4, 0.4})
+	// The next insert must not reuse the transient id, and lands on the part
+	// after the one the transient insert consumed.
+	ids, _, err = b.ApplyOps([]skyband.Op{{Insert: true, Record: []float64{0.4, 0.4, 0.4}}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if id != 13 {
-		t.Fatalf("post-transient insert got id %d, want 13", id)
+	if ids[0] != 13 || b.owner[13].part != 1 {
+		t.Fatalf("post-transient insert got id %d on part %d, want 13 on part 1", ids[0], b.owner[13].part)
 	}
 }
 
-// TestShardedCache checks hits on repeats, precise invalidation on a
-// relevant update, and survival across an irrelevant (deep) update.
-func TestShardedCache(t *testing.T) {
-	recs := dataset.Synthetic(dataset.COR, 200, 3, 21)
-	sh, err := New(recs, Config{Shards: 2, Engine: engine.Config{MaxK: 5, CacheEntries: 16}})
-	if err != nil {
+// TestBandMemo checks the reduction reruns only after a part's band changed.
+func TestBandMemo(t *testing.T) {
+	recs := dataset.Synthetic(dataset.IND, 200, 3, 5)
+	b := newBand(t, recs, 2, 3)
+	ids0, _ := b.Band()
+	if _, _, err := b.ApplyOps([]skyband.Op{{Insert: true, Record: []float64{-1, -1, -1}}}); err != nil {
 		t.Fatal(err)
 	}
-	region := testRegion(t, 3)
-	req := engine.Request{Variant: engine.UTK1, K: 3, Region: region}
-
-	first, err := sh.Do(context.Background(), req)
-	if err != nil {
+	if ids1, _ := b.Band(); &ids1[0] != &ids0[0] {
+		t.Fatal("a deep insert re-reduced the union band")
+	}
+	if _, _, err := b.ApplyOps([]skyband.Op{{Insert: true, Record: []float64{2, 2, 2}}}); err != nil {
 		t.Fatal(err)
 	}
-	if first.CacheHit {
-		t.Fatal("first query reported a cache hit")
+	ids2, _ := b.Band()
+	if ids2[len(ids2)-1] != 201 {
+		t.Fatalf("dominating insert 201 missing from the band %v", ids2)
 	}
-	second, err := sh.Do(context.Background(), req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !second.CacheHit {
-		t.Fatal("repeat query missed the cache")
-	}
-
-	// A record dominating everything invalidates the entry...
-	id, err := sh.Insert([]float64{1.5, 1.5, 1.5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	third, err := sh.Do(context.Background(), req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if third.CacheHit {
-		t.Fatal("query after a dominating insert still hit the cache")
-	}
-	found := false
-	for _, got := range third.IDs {
-		if got == id {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("dominating record %d missing from UTK1 %v", id, third.IDs)
-	}
-	if st := sh.Stats(); st.Invalidations == 0 {
-		t.Fatalf("no invalidations recorded: %+v", st)
-	}
-
-	// ...while a dominated-by-everything record leaves it resident.
-	invBefore := sh.Stats().Invalidations
-	if _, err := sh.Insert([]float64{-1, -1, -1}); err != nil {
-		t.Fatal(err)
-	}
-	fourth, err := sh.Do(context.Background(), req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !fourth.CacheHit {
-		t.Fatal("query after an irrelevant insert missed the cache")
-	}
-	if inv := sh.Stats().Invalidations; inv != invBefore {
-		t.Fatalf("irrelevant insert invalidated entries: %d → %d", invBefore, inv)
+	if !reflect.DeepEqual(ids0, func() []int { ids, _ := newBand(t, recs, 2, 3).Band(); return ids }()) {
+		t.Fatal("a band handed out earlier was mutated")
 	}
 }
 
-// TestValidation covers the construction and request error paths.
-func TestValidation(t *testing.T) {
+// TestNewValidation covers the construction error paths.
+func TestNewValidation(t *testing.T) {
 	recs := dataset.Synthetic(dataset.IND, 5, 3, 3)
-	if _, err := New(recs, Config{Shards: 0, Engine: engine.Config{MaxK: 2}}); err != ErrBadShards {
-		t.Fatalf("shards=0: %v", err)
+	if _, err := New(recs, 0, 2, 2, nil); !errors.Is(err, ErrBadShards) {
+		t.Fatalf("parts=0: %v", err)
 	}
-	if _, err := New(recs, Config{Shards: 6, Engine: engine.Config{MaxK: 2}}); err == nil {
-		t.Fatal("more shards than records accepted")
+	if _, err := New(recs, 6, 2, 2, nil); !errors.Is(err, ErrTooFewRecords) {
+		t.Fatalf("more parts than records: %v", err)
 	}
-	if _, err := New(recs, Config{Shards: 2}); err == nil {
-		t.Fatal("missing MaxK accepted")
+	if _, err := New(recs, 2, 0, 2, nil); err == nil {
+		t.Fatal("band depth 0 accepted")
 	}
-	sh, err := New(recs, Config{Shards: 2, Engine: engine.Config{MaxK: 2}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	region := testRegion(t, 3)
-	if _, err := sh.Do(context.Background(), engine.Request{Variant: engine.UTK1, K: 5, Region: region}); err != engine.ErrKTooLarge {
-		t.Fatalf("k>maxk: %v", err)
-	}
-	if _, err := sh.Do(context.Background(), engine.Request{Variant: engine.UTK1, K: 1}); err != engine.ErrNilRegion {
-		t.Fatalf("nil region: %v", err)
-	}
-	if _, err := sh.Insert([]float64{1, 2}); err != engine.ErrBadUpdate {
-		t.Fatalf("bad dim insert: %v", err)
-	}
-}
-
-// TestConcurrentQueriesAndUpdates drives parallel queries against parallel
-// band-entering updates; meant for -race. It also regression-covers the
-// routing install order: every insert here joins its shard's band, so a
-// query racing the child's index publication maps the fresh local id
-// through localToGlobal — which must already contain it (the table is
-// installed before any shard applies; getting this backwards panics with
-// index-out-of-range under enough pressure). Answers are not checked
-// against a reference (the differential suite does that single-threaded),
-// only that every call completes and invariants hold.
-func TestConcurrentQueriesAndUpdates(t *testing.T) {
-	recs := dataset.Synthetic(dataset.IND, 400, 3, 33)
-	sh, err := New(recs, Config{Shards: 4, Engine: engine.Config{MaxK: 5, CacheEntries: 32}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	queries, updates := 60, 90
-	if testing.Short() {
-		queries, updates = 20, 30
-	}
-	region := testRegion(t, 3)
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < queries; i++ {
-				req := engine.Request{Variant: engine.UTK1, K: 1 + (i+w)%5, Region: region}
-				if _, err := sh.Do(context.Background(), req); err != nil {
-					t.Errorf("worker %d query %d: %v", w, i, err)
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < updates; i++ {
-			// High-coordinate records enter the band, publishing a new
-			// epoch whose candidate list holds a brand-new local id.
-			id, err := sh.Insert([]float64{0.95 + float64(i)*1e-4, 0.95, 0.95})
-			if err != nil {
-				t.Errorf("insert %d: %v", i, err)
-				return
-			}
-			if i%2 == 0 {
-				if err := sh.Delete(id); err != nil {
-					t.Errorf("delete %d: %v", id, err)
-					return
-				}
-			}
-		}
-	}()
-	wg.Wait()
-	st := sh.Stats()
-	if want := 400 + updates/2; st.Live != want {
-		t.Fatalf("live %d, want %d", st.Live, want)
-	}
-	if st.Queries != st.Hits+st.Misses+st.Shared+st.DerivedHits {
-		t.Fatalf("query counters do not reconcile: %+v", st)
-	}
-}
-
-// TestSingleFlight fires concurrent identical queries at a cold engine: the
-// single-flight map plus the result cache must keep redundant computations
-// below the request count (a leader computes, everyone else joins its
-// flight or hits the cache it filled).
-func TestSingleFlight(t *testing.T) {
-	recs := dataset.Synthetic(dataset.ANTI, 2000, 4, 17)
-	sh, err := New(recs, Config{Shards: 2, Engine: engine.Config{MaxK: 8, CacheEntries: 8}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := geom.NewBox([]float64{0.2, 0.2, 0.2}, []float64{0.26, 0.26, 0.26})
-	if err != nil {
-		t.Fatal(err)
-	}
-	req := engine.Request{Variant: engine.UTK2, K: 6, Region: r}
-	const N = 8
-	results := make([]*engine.Result, N)
-	var wg sync.WaitGroup
-	for i := 0; i < N; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			res, err := sh.Do(context.Background(), req)
-			if err != nil {
-				t.Errorf("query %d: %v", i, err)
-				return
-			}
-			results[i] = res
-		}(i)
-	}
-	wg.Wait()
-	for i := 1; i < N; i++ {
-		if results[i] == nil || results[0] == nil {
-			t.Fatal("missing results")
-		}
-		if fmt.Sprint(cellSets(results[i])) != fmt.Sprint(cellSets(results[0])) {
-			t.Fatalf("query %d diverged from query 0", i)
-		}
-	}
-	st := sh.Stats()
-	if st.Queries != N {
-		t.Fatalf("queries = %d, want %d", st.Queries, N)
-	}
-	if st.Misses >= N {
-		t.Fatalf("all %d identical queries computed independently: %+v", N, st)
-	}
-	if st.Hits+st.Misses+st.Shared+st.DerivedHits != N {
-		t.Fatalf("counters do not reconcile: %+v", st)
+	if _, err := Restore(&State{}, nil); err == nil {
+		t.Fatal("empty state accepted")
 	}
 }

@@ -2,133 +2,91 @@ package shard
 
 import (
 	"errors"
-	"runtime"
 
-	"repro/internal/engine"
-	"repro/internal/exec"
+	"repro/internal/skyband"
 )
 
-// State is a deep, serializable snapshot of a sharded engine's mutable
-// dataset state: the per-child engine states plus the coordinator's routing
-// tables and id allocators. The owner table is not stored — it is derivable
-// (each child state's live local ids, mapped through LocalToGlobal, locate
-// every live global record), so recovery recomputes it instead of persisting
-// a redundant copy that could drift.
+// State is a deep, serializable snapshot of a partitioned band: the per-part
+// dynamic skyband states plus the routing tables and id allocators. The owner
+// table is not stored — it is derivable (each part's live local ids, mapped
+// through LocalToGlobal, locate every live global record), so recovery
+// recomputes it instead of persisting a redundant copy that could drift.
 type State struct {
-	// Dim is the data dimensionality; NextGlobal/NextShard the coordinator's
-	// id allocator and round-robin cursor; Batches the number of applied
-	// update batches.
-	Dim        int
+	// NextGlobal is the global id allocator, NextPart the round-robin cursor.
 	NextGlobal int
-	NextShard  int
-	Batches    uint64
-	// LocalToGlobal is the per-shard append-only routing table: the global
+	NextPart   int
+	// LocalToGlobal is the per-part append-only routing table: the global
 	// id assigned to each local id, indexed by local id.
 	LocalToGlobal [][]int
-	// Children are the per-shard engine states, index-aligned with shards.
-	Children []*engine.State
+	// Parts are the per-part skyband states, index-aligned with part numbers.
+	Parts []*skyband.DynamicState
 }
 
-// ExportState captures the sharded engine's dataset state as one consistent
-// cross-shard snapshot: the coordinator's update mutex is held throughout, so
-// no batch can land between two children's exports. Queries are not blocked.
-func (s *Engine) ExportState() *State {
-	s.updMu.Lock()
+// State captures the band's full dataset state. Record slices are shared with
+// the parts and must not be mutated; everything else is fresh.
+func (b *Band) State() *State {
 	st := &State{
-		Dim:        s.dim,
-		NextGlobal: s.nextGlobal,
-		NextShard:  s.nextShard,
-		Children:   make([]*engine.State, len(s.shards)),
+		NextGlobal:    b.nextGlobal,
+		NextPart:      b.nextPart,
+		LocalToGlobal: make([][]int, len(b.parts)),
+		Parts:         make([]*skyband.DynamicState, len(b.parts)),
 	}
-	s.routeMu.RLock()
-	st.LocalToGlobal = make([][]int, len(s.localToGlobal))
-	for sh, l2g := range s.localToGlobal {
-		st.LocalToGlobal[sh] = append([]int(nil), l2g...)
+	for p, dyn := range b.parts {
+		st.LocalToGlobal[p] = append([]int(nil), b.localToGlobal[p]...)
+		st.Parts[p] = dyn.State()
 	}
-	s.routeMu.RUnlock()
-	for sh, ch := range s.shards {
-		st.Children[sh] = ch.ExportState()
-	}
-	s.updMu.Unlock()
-	s.mu.Lock()
-	st.Batches = s.batches
-	s.mu.Unlock()
 	return st
 }
 
-// Restore rebuilds a sharded engine from a captured state: every child is
-// restored through engine.Restore (no per-shard index rebuild), and the owner
-// table is recomputed from the children's live ids and the routing tables.
-// cfg.Shards must match the state's shard count (a sharded dataset recovers
-// at its original partitioning; resharding is a data migration, not a
-// recovery).
-func Restore(st *State, cfg Config) (*Engine, error) {
-	if st == nil {
-		return nil, errors.New("shard: nil state")
+// Restore rebuilds a partitioned band from a captured state without any
+// recomputation (see skyband.RestoreDynamic); the owner table is recomputed
+// from the parts' live ids and the routing tables. setup is applied to every
+// part as in New. A partitioned dataset recovers at its original
+// partitioning; resharding is a data migration, not a recovery.
+func Restore(st *State, setup func(*skyband.Dynamic)) (*Band, error) {
+	if st == nil || len(st.Parts) == 0 || len(st.LocalToGlobal) != len(st.Parts) {
+		return nil, errors.New("shard: misaligned state: parts vs routing tables")
 	}
-	if len(st.Children) == 0 || len(st.LocalToGlobal) != len(st.Children) {
-		return nil, errors.New("shard: misaligned state: children vs routing tables")
-	}
-	if cfg.Shards <= 0 {
-		cfg.Shards = len(st.Children)
-	}
-	if cfg.Shards != len(st.Children) {
-		return nil, errors.New("shard: config shard count does not match state")
-	}
-	if st.NextShard < 0 || st.NextShard >= cfg.Shards {
+	if st.NextPart < 0 || st.NextPart >= len(st.Parts) {
 		return nil, errors.New("shard: round-robin cursor out of range in state")
 	}
-	s := &Engine{
-		cfg:           cfg,
-		dim:           st.Dim,
-		shards:        make([]*engine.Engine, cfg.Shards),
+	b := &Band{
+		parts:         make([]*skyband.Dynamic, len(st.Parts)),
 		owner:         make(map[int]place),
-		localToGlobal: make([][]int, cfg.Shards),
+		localToGlobal: make([][]int, len(st.Parts)),
 		nextGlobal:    st.NextGlobal,
-		nextShard:     st.NextShard,
-		inflight:      make(map[string]*flight),
-		batches:       st.Batches,
+		nextPart:      st.NextPart,
+		stale:         true,
 	}
-	childCfg := cfg.Engine
-	childCfg.CacheEntries = 0
-	childCfg.Workers = 1
-	childCfg.MaxQueued = 0
-	childCfg.QueryTimeout = 0
-	for sh, cst := range st.Children {
-		child, err := engine.Restore(cst, childCfg)
+	for p, pst := range st.Parts {
+		dyn, err := skyband.RestoreDynamic(pst)
 		if err != nil {
 			return nil, err
 		}
-		if child.Dim() != st.Dim {
-			return nil, errors.New("shard: child dimensionality does not match state")
+		if p == 0 {
+			b.k = dyn.K()
+		} else if dyn.K() != b.k {
+			return nil, errors.New("shard: parts disagree on band depth in state")
 		}
-		l2g := append([]int(nil), st.LocalToGlobal[sh]...)
-		if len(l2g) != cst.Dyn.NextID {
-			return nil, errors.New("shard: routing table does not cover child id allocator")
+		l2g := append([]int(nil), st.LocalToGlobal[p]...)
+		if len(l2g) != pst.NextID {
+			return nil, errors.New("shard: routing table does not cover part id allocator")
 		}
-		for _, lid := range cst.Dyn.LiveIDs {
+		for _, lid := range pst.LiveIDs {
 			g := l2g[lid]
 			if g < 0 || g >= st.NextGlobal {
 				return nil, errors.New("shard: global id outside allocator range in state")
 			}
-			if _, dup := s.owner[g]; dup {
+			if _, dup := b.owner[g]; dup {
 				return nil, errors.New("shard: global id owned by two shards in state")
 			}
-			s.owner[g] = place{shard: sh, local: lid}
+			b.owner[g] = place{part: p, local: lid}
 		}
-		s.localToGlobal[sh] = l2g
-		s.shards[sh] = child
+		if setup != nil {
+			setup(dyn)
+		}
+		b.localToGlobal[p] = l2g
+		b.parts[p] = dyn
 	}
-	workers := cfg.Engine.Workers
-	if workers < 1 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	s.pool = exec.NewPool(workers, cfg.Engine.MaxQueued)
-	if cfg.Engine.CacheEntries > 0 {
-		s.cache = engine.NewResultCache(cfg.Engine.CacheEntries)
-	}
-	return s, nil
+	return b, nil
 }
-
-// Dim returns the data dimensionality.
-func (s *Engine) Dim() int { return s.dim }

@@ -276,30 +276,34 @@ func decodeEngineState(d *decoder) *engine.State {
 	return st
 }
 
-// EncodeSnapshot serializes a snapshot.
+// EncodeSnapshot serializes a snapshot. The sharded record keeps the layout
+// it had when every partition was a child engine: after the routing header
+// each part is written as an engine state whose own epoch and batch slots are
+// zero — the dataset's epoch is the snapshot's top-level Epoch.
 func EncodeSnapshot(s *Snapshot) []byte {
 	e := &encoder{buf: make([]byte, 0, 4096)}
 	e.byte(snapshotVersion)
 	e.uvarint(s.Seq)
 	e.uvarint(s.Epoch)
 	e.uvarint(uint64(s.UnixMilli))
-	if s.Engine != nil {
+	st := s.Engine
+	if st.Parts == nil {
 		e.byte(snapKindSingle)
-		encodeEngineState(e, s.Engine)
+		encodeEngineState(e, st)
 		return e.buf
 	}
 	e.byte(snapKindSharded)
-	sh := s.Shard
-	e.uvarint(uint64(sh.Dim))
+	sh := st.Parts
+	e.uvarint(uint64(st.Dim))
 	e.uvarint(uint64(sh.NextGlobal))
-	e.uvarint(uint64(sh.NextShard))
-	e.uvarint(sh.Batches)
-	e.uvarint(uint64(len(sh.Children)))
+	e.uvarint(uint64(sh.NextPart))
+	e.uvarint(st.Batches)
+	e.uvarint(uint64(len(sh.Parts)))
 	for _, l2g := range sh.LocalToGlobal {
 		e.ints(l2g)
 	}
-	for _, c := range sh.Children {
-		encodeEngineState(e, c)
+	for _, part := range sh.Parts {
+		encodeEngineState(e, &engine.State{Dim: st.Dim, Dyn: part})
 	}
 	return e.buf
 }
@@ -319,12 +323,11 @@ func DecodeSnapshot(payload []byte) (*Snapshot, error) {
 	case snapKindSingle:
 		s.Engine = decodeEngineState(d)
 	case snapKindSharded:
-		sh := &shard.State{
-			Dim:        int(d.uvarint()),
-			NextGlobal: int(d.uvarint()),
-			NextShard:  int(d.uvarint()),
-			Batches:    d.uvarint(),
-		}
+		// Per-part epoch and batch slots are ignored: snapshots written when
+		// parts were child engines carry their sum in the top-level Epoch.
+		st := &engine.State{Dim: int(d.uvarint()), Epoch: s.Epoch}
+		sh := &shard.State{NextGlobal: int(d.uvarint()), NextPart: int(d.uvarint())}
+		st.Batches = d.uvarint()
 		n := d.count()
 		if d.err != nil {
 			return nil, d.err
@@ -333,14 +336,19 @@ func DecodeSnapshot(payload []byte) (*Snapshot, error) {
 		for i := range sh.LocalToGlobal {
 			sh.LocalToGlobal[i] = d.ints()
 		}
-		sh.Children = make([]*engine.State, n)
-		for i := range sh.Children {
-			sh.Children[i] = decodeEngineState(d)
+		sh.Parts = make([]*skyband.DynamicState, n)
+		for i := range sh.Parts {
+			part := decodeEngineState(d)
 			if d.err != nil {
 				return nil, d.err
 			}
+			if part.Dim != st.Dim {
+				return nil, fmt.Errorf("%w: part %d dimensionality %d, dataset %d", ErrCorrupt, i, part.Dim, st.Dim)
+			}
+			sh.Parts[i] = part.Dyn
 		}
-		s.Shard = sh
+		st.Parts = sh
+		s.Engine = st
 	default:
 		if d.err == nil {
 			return nil, fmt.Errorf("%w: unknown snapshot kind", ErrCorrupt)

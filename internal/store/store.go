@@ -7,7 +7,7 @@
 //     natural WAL record),
 //   - periodic snapshots of the full dataset state (records plus the dynamic
 //     skyband's members, dominator counts, and shadow — everything
-//     engine.State / shard.State capture), and
+//     engine.State captures, single or partitioned), and
 //   - a manifest of the named datasets with their configurations.
 //
 // Recovery is snapshot + tail: restore the last snapshot and replay the WAL
@@ -29,7 +29,6 @@ import (
 	"time"
 
 	"repro/internal/engine"
-	"repro/internal/shard"
 )
 
 // Errors returned by Store implementations.
@@ -62,8 +61,7 @@ type Batch struct {
 }
 
 // Snapshot is one full-state checkpoint of a dataset: everything recovery
-// needs up to and including batch Seq. Exactly one of Engine or Shard is
-// set, matching how the dataset is partitioned.
+// needs up to and including batch Seq.
 type Snapshot struct {
 	// Seq is the last applied batch covered by this snapshot (0 for the
 	// initial snapshot written at dataset creation); Epoch the index version
@@ -72,7 +70,6 @@ type Snapshot struct {
 	Epoch     uint64
 	UnixMilli int64
 	Engine    *engine.State
-	Shard     *shard.State
 }
 
 // DatasetConfig is one manifest entry: a dataset's name and the

@@ -118,13 +118,14 @@ func TestSnapshotCodecRoundtrip(t *testing.T) {
 
 	sharded := &Snapshot{
 		Seq: 4, Epoch: 6, UnixMilli: 12345,
-		Shard: &shard.State{
-			Dim:           3,
-			NextGlobal:    6,
-			NextShard:     1,
-			Batches:       4,
-			LocalToGlobal: [][]int{{0, 2, 4}, {1, 3, 5}},
-			Children:      []*engine.State{testEngineState(2), testEngineState(4)},
+		Engine: &engine.State{
+			Dim: 3, Epoch: 6, Batches: 4,
+			Parts: &shard.State{
+				NextGlobal:    6,
+				NextPart:      1,
+				LocalToGlobal: [][]int{{0, 2, 4}, {1, 3, 5}},
+				Parts:         []*skyband.DynamicState{testEngineState(2).Dyn, testEngineState(4).Dyn},
+			},
 		},
 	}
 	got, err = DecodeSnapshot(EncodeSnapshot(sharded))

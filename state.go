@@ -1,52 +1,17 @@
 package utk
 
-import (
-	"errors"
+import "repro/internal/engine"
 
-	"repro/internal/engine"
-	"repro/internal/shard"
-)
-
-// EngineState is a deep snapshot of an Engine's mutable dataset state —
-// exactly one of Single or Sharded is set, matching how the engine was
-// built. It is the unit the durability layer snapshots and restores:
+// EngineState is a deep snapshot of an Engine's mutable dataset state, single
+// or sharded. It is the unit the durability layer snapshots and restores:
 // applying the same update batches to a restored engine yields answers
 // bit-identical to the original's.
-type EngineState struct {
-	Single  *engine.State
-	Sharded *shard.State
-}
-
-// Epoch returns the state's index version (for sharded states, the sum of
-// the per-shard versions, matching Engine.Stats().Epoch).
-func (st *EngineState) Epoch() uint64 {
-	switch {
-	case st == nil:
-		return 0
-	case st.Single != nil:
-		return st.Single.Epoch
-	case st.Sharded != nil:
-		var sum uint64
-		for _, c := range st.Sharded.Children {
-			sum += c.Epoch
-		}
-		return sum
-	}
-	return 0
-}
+type EngineState = engine.State
 
 // State captures the engine's dataset state as one consistent snapshot
 // (serialized against updates; queries are not blocked). Record slices in
 // the state are shared with the engine and must not be mutated.
-func (e *Engine) State() (*EngineState, error) {
-	switch b := e.e.(type) {
-	case *engine.Engine:
-		return &EngineState{Single: b.ExportState()}, nil
-	case *shard.Engine:
-		return &EngineState{Sharded: b.ExportState()}, nil
-	}
-	return nil, errors.New("utk: engine backend does not support state export")
-}
+func (e *Engine) State() *EngineState { return e.e.ExportState() }
 
 // RestoreEngine rebuilds an Engine from a captured state without the
 // originating Dataset: queries run over the snapshotted candidate superset
@@ -57,43 +22,9 @@ func (e *Engine) State() (*EngineState, error) {
 // parameters (cache, workers, backpressure, timeout); the dataset-shaped
 // parameters (MaxK, ShadowDepth, shard count) come from the state.
 func RestoreEngine(st *EngineState, cfg EngineConfig) (*Engine, error) {
-	if st == nil || (st.Single == nil) == (st.Sharded == nil) {
-		return nil, errors.New("utk: engine state must carry exactly one of a single or a sharded snapshot")
-	}
-	entries := cfg.CacheEntries
-	switch {
-	case entries == 0:
-		entries = DefaultEngineCacheEntries
-	case entries < 0:
-		entries = 0
-	}
-	if st.Single != nil {
-		b, err := engine.Restore(st.Single, engine.Config{
-			MaxK:         cfg.MaxK,
-			ShadowDepth:  cfg.ShadowDepth,
-			CacheEntries: entries,
-			Workers:      cfg.Workers,
-			MaxQueued:    cfg.MaxQueued,
-			QueryTimeout: cfg.QueryTimeout,
-		})
-		if err != nil {
-			return nil, err
-		}
-		return &Engine{e: b}, nil
-	}
-	b, err := shard.Restore(st.Sharded, shard.Config{
-		Shards: len(st.Sharded.Children),
-		Engine: engine.Config{
-			MaxK:         cfg.MaxK,
-			ShadowDepth:  cfg.ShadowDepth,
-			CacheEntries: entries,
-			Workers:      cfg.Workers,
-			MaxQueued:    cfg.MaxQueued,
-			QueryTimeout: cfg.QueryTimeout,
-		},
-	})
+	e, err := engine.Restore(st, cfg.engineConfig())
 	if err != nil {
 		return nil, err
 	}
-	return &Engine{e: b}, nil
+	return &Engine{e: e}, nil
 }

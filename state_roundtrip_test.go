@@ -52,11 +52,7 @@ func TestEngineStateRoundtrip(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			st, err := e.State()
-			if err != nil {
-				t.Fatal(err)
-			}
-			restored, err := RestoreEngine(st, cfg)
+			restored, err := RestoreEngine(e.State(), cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -104,9 +100,9 @@ func TestRestoreEngineRejectsBadState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := e.State()
-	if err != nil {
-		t.Fatal(err)
+	st := e.State()
+	if _, err := RestoreEngine(nil, EngineConfig{MaxK: 4}); err == nil {
+		t.Fatal("nil state accepted")
 	}
 	if _, err := RestoreEngine(&EngineState{}, EngineConfig{MaxK: 4}); err == nil {
 		t.Fatal("empty state accepted")
@@ -115,13 +111,13 @@ func TestRestoreEngineRejectsBadState(t *testing.T) {
 		t.Fatal("MaxK mismatch accepted")
 	}
 	// Duplicate live id must be rejected.
-	bad := *st.Single
+	bad := *st
 	badDyn := *bad.Dyn
 	badDyn.LiveIDs = append([]int(nil), badDyn.LiveIDs...)
 	if len(badDyn.LiveIDs) > 1 {
 		badDyn.LiveIDs[1] = badDyn.LiveIDs[0]
 		bad.Dyn = &badDyn
-		if _, err := RestoreEngine(&EngineState{Single: &bad}, EngineConfig{MaxK: 4}); err == nil {
+		if _, err := RestoreEngine(&bad, EngineConfig{MaxK: 4}); err == nil {
 			t.Fatal("duplicate live id accepted")
 		}
 	}

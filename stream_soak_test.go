@@ -16,8 +16,8 @@ import (
 	"testing"
 
 	"repro/internal/dataset"
-	"repro/internal/engine"
 	"repro/internal/experiments"
+	"repro/internal/skyband"
 )
 
 func TestStreamSoak(t *testing.T) {
@@ -168,39 +168,36 @@ func streamSoak(t *testing.T, shards int) {
 // soak region.
 func verifySoakBurst(t *testing.T, e *Engine, k int, regions []*Region, wantLive int) {
 	t.Helper()
-	st, err := e.State()
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := e.State()
 	var (
 		liveIDs  []int
 		liveRecs [][]float64
 		dynBand  = map[int]bool{}
 	)
-	collect := func(c *engine.State, toGlobal []int) {
+	collect := func(dyn *skyband.DynamicState, toGlobal []int) {
 		gid := func(local int) int {
 			if toGlobal == nil {
 				return local
 			}
 			return toGlobal[local]
 		}
-		for i, lid := range c.Dyn.LiveIDs {
+		for i, lid := range dyn.LiveIDs {
 			liveIDs = append(liveIDs, gid(lid))
-			liveRecs = append(liveRecs, c.Dyn.LiveRecs[i])
+			liveRecs = append(liveRecs, dyn.LiveRecs[i])
 		}
-		for i, lid := range c.Dyn.MemberIDs {
-			if c.Dyn.MemberCounts[i] < k {
+		for i, lid := range dyn.MemberIDs {
+			if dyn.MemberCounts[i] < k {
 				dynBand[gid(lid)] = true
 			}
 		}
 	}
-	sharded := st.Sharded != nil
+	sharded := st.Parts != nil
 	if sharded {
-		for sh, c := range st.Sharded.Children {
-			collect(c, st.Sharded.LocalToGlobal[sh])
+		for p, part := range st.Parts.Parts {
+			collect(part, st.Parts.LocalToGlobal[p])
 		}
 	} else {
-		collect(st.Single, nil)
+		collect(st.Dyn, nil)
 	}
 	if len(liveIDs) != wantLive {
 		t.Fatalf("engine live count %d != tracked %d", len(liveIDs), wantLive)

@@ -35,12 +35,12 @@ package utk
 import (
 	"errors"
 	"fmt"
-	"math"
 	"sort"
 	"time"
 
 	"repro/internal/baseline"
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/geom"
 	"repro/internal/hull"
 	"repro/internal/klevel"
@@ -119,13 +119,8 @@ func NewDataset(records [][]float64) (*Dataset, error) {
 	}
 	cp := make([][]float64, len(records))
 	for i, rec := range records {
-		if len(rec) != d {
-			return nil, fmt.Errorf("utk: record %d has %d attributes, want %d", i, len(rec), d)
-		}
-		for j, v := range rec {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return nil, fmt.Errorf("utk: record %d attribute %d is not finite: %g", i, j, v)
-			}
+		if err := engine.CheckRecord(rec, d); err != nil {
+			return nil, fmt.Errorf("utk: record %d %w", i, err)
 		}
 		cp[i] = append([]float64(nil), rec...)
 	}
