@@ -26,8 +26,8 @@ const (
 	allocBudgetWarmUTK2    = 500  // measured 164
 	allocBudgetDerivedUTK1 = 100  // measured 33
 	allocBudgetDerivedUTK2 = 4000 // measured ~1300 (copies every clipped cell)
-	allocBudgetColdUTK1    = 350  // measured 114
-	allocBudgetColdUTK2    = 450  // measured 139
+	allocBudgetColdUTK1    = 330  // measured 110 (the BBS interval bound's k-slot buffer no longer grows by append)
+	allocBudgetColdUTK2    = 405  // measured 135
 )
 
 // TestAllocBudgets pins allocs/op on the serving fast paths: cache hits

@@ -7,7 +7,7 @@
 //	utkstream                                  # 2s churn run at defaults
 //	utkstream -shards 3 -duration 5s           # sharded engine, longer run
 //	utkstream -compare                         # also run a read-only baseline
-//	utkstream -compare -json BENCH_stream.json # machine-readable output (CI)
+//	utkstream -compare -json out.json          # machine-readable output
 //	utkstream -preset 250k -pipelined          # 250k points, pipelined apply
 //	utkstream -preset 1m -shards 3             # million-point sharded run
 //

@@ -77,22 +77,36 @@ type Engine struct {
 	e  *engine.Engine
 }
 
-// UpdateKind discriminates UpdateOp.
-type UpdateKind int
-
-const (
-	// UpdateInsert adds Record to the engine's dataset.
-	UpdateInsert UpdateKind = iota
-	// UpdateDelete removes the record with id ID.
-	UpdateDelete
+// The update and stats types are the serving core's own (aliases, not copies:
+// a value crosses the facade, the registry and the WAL codec unconverted, and
+// a new counter is declared once, in internal/engine or internal/skyband).
+type (
+	// UpdateKind discriminates UpdateOp: UpdateInsert adds Record to the
+	// engine's dataset, UpdateDelete removes the record with id ID.
+	UpdateKind = engine.UpdateKind
+	// UpdateOp is one element of an Engine.ApplyBatch request:
+	// {Kind, Record (for UpdateInsert), ID (for UpdateDelete)}.
+	UpdateOp = engine.UpdateOp
+	// UpdateResult reports the outcome of one ApplyBatch: IDs, index-aligned
+	// with the batch ops (assigned ids for inserts, the deleted ids for
+	// deletes), plus the engine state as published by this batch — Epoch,
+	// Live, SupersetSize, ShadowSize. Under concurrent updates these numbers
+	// belong to this batch, not whichever applied last.
+	UpdateResult = engine.UpdateResult
+	// EngineStats is a point-in-time snapshot of an Engine's counters: the
+	// query, cache, executor and update-batch counters of the serving core
+	// plus, embedded, the candidate-superset maintenance counters (Live,
+	// SupersetSize, ShadowSize, Coverage, Inserts, Deletes, repairs, …) as of
+	// the last completed update batch — summed over the partitions of a
+	// sharded engine, with Coverage the weakest and ShadowDepth the deepest.
+	EngineStats = engine.Stats
 )
 
-// UpdateOp is one element of an Engine.ApplyBatch request.
-type UpdateOp struct {
-	Kind   UpdateKind
-	Record []float64 // for UpdateInsert
-	ID     int       // for UpdateDelete
-}
+// The two update kinds.
+const (
+	UpdateInsert = engine.UpdateInsert
+	UpdateDelete = engine.UpdateDelete
+)
 
 // Errors returned by the update API.
 var (
@@ -107,95 +121,6 @@ var (
 // executor queue was at its EngineConfig.MaxQueued bound — the load-shedding
 // signal the HTTP tier converts into 429 with Retry-After.
 var ErrSaturated = engine.ErrSaturated
-
-// EngineStats is a point-in-time snapshot of an Engine's counters.
-type EngineStats struct {
-	// Queries counts completed queries, however they were served.
-	Queries uint64
-	// Hits and Misses split result-cache lookups; Shared counts queries that
-	// coalesced onto another caller's identical in-flight computation.
-	// DerivedHits counts misses answered by clipping a cached
-	// containing-region UTK2 result instead of recomputing.
-	Hits        uint64
-	Misses      uint64
-	Shared      uint64
-	DerivedHits uint64
-	// Evictions counts capacity evictions; CostEvictions counts the subset
-	// where the cost-aware policy chose a different victim than plain
-	// recency would have. Invalidations counts cache entries evicted because
-	// an update could affect them. Rejected counts queries that gave up
-	// (deadline or cancellation) before obtaining a result. Saturated counts
-	// queries refused at the executor's queue bound (MaxQueued).
-	Evictions     uint64
-	CostEvictions uint64
-	Invalidations uint64
-	Rejected      uint64
-	Saturated     uint64
-	// InFlight is the number of query computations executing right now;
-	// Queued is the number of tasks waiting for an executor slot.
-	InFlight int
-	Queued   int
-	// CacheEntries is the current cache population.
-	CacheEntries int
-	// Epoch is the current index version; it advances whenever an update
-	// changes the candidate superset. Live is the current record population.
-	Epoch uint64
-	Live  int
-	// SupersetSize is the current candidate-superset size — the pool every
-	// warm query filters instead of the full dataset. ShadowSize and
-	// Coverage describe the dynamic maintenance structure behind it: the
-	// near-skyband records retained for deletion repair, and the dominance
-	// depth up to which membership is currently guaranteed.
-	SupersetSize int
-	ShadowSize   int
-	Coverage     int
-	// Inserts, Deletes, and UpdateBatches count applied updates; Promotions,
-	// Demotions, ShadowEvictions, and Rebuilds are the incremental skyband's
-	// maintenance counters (shadow→band repairs, band→shadow crossings,
-	// drops past the retention depth, and shadow-exhaustion recomputations).
-	Inserts         uint64
-	Deletes         uint64
-	UpdateBatches   uint64
-	Promotions      uint64
-	Demotions       uint64
-	ShadowEvictions uint64
-	Rebuilds        uint64
-	// Sustained-update streaming counters. CoalescedOps counts batch ops
-	// elided because an insert and its matching delete cancelled within one
-	// batch. AdmissionSkips counts result-cache admissions refused because
-	// the entry's class was being invalidated faster than it was hit.
-	// Exhaustions counts shadow exhaustions (each forces a reseed); Repairs
-	// and RepairSteps count incremental reseed passes and the chunked steps
-	// they ran. ShadowDepth is the current adaptive retention depth (deepest
-	// shard when sharded); ShadowGrows and ShadowShrinks count its moves.
-	CoalescedOps   uint64
-	AdmissionSkips uint64
-	Exhaustions    uint64
-	Repairs        uint64
-	RepairSteps    uint64
-	ShadowDepth    int
-	ShadowGrows    uint64
-	ShadowShrinks  uint64
-	// ProbeBatches counts update batches that ran a cache-invalidation probe
-	// pass; ProbesSaved counts the per-entry probe evaluations avoided by
-	// grouping resident entries by (region, k) and probing each distinct
-	// shape once per batch instead of once per entry.
-	ProbeBatches uint64
-	ProbesSaved  uint64
-	// BandMaintenanceNS is the cumulative wall time (nanoseconds) spent in
-	// batch-native candidate-superset maintenance — the blocking begin-stage
-	// cost of applying update batches. BatchApplyOps counts update ops
-	// applied through that batch path, and ParallelMaintenanceChunks the
-	// maintenance chunks fanned out across executor workers.
-	BandMaintenanceNS         uint64
-	BatchApplyOps             uint64
-	ParallelMaintenanceChunks uint64
-	// MaxK and Workers echo the effective configuration. Shards is the
-	// number of horizontal partitions behind the engine (1 for NewEngine).
-	MaxK    int
-	Workers int
-	Shards  int
-}
 
 // NewEngine builds a serving engine over the dataset.
 func (ds *Dataset) NewEngine(cfg EngineConfig) (*Engine, error) {
@@ -255,54 +180,7 @@ func (e *Engine) Dim() int { return e.e.Dim() }
 func (e *Engine) Shards() int { return e.e.Shards() }
 
 // Stats returns a snapshot of the engine's counters.
-func (e *Engine) Stats() EngineStats {
-	st := e.e.Stats()
-	return EngineStats{
-		Queries:         st.Queries,
-		Hits:            st.Hits,
-		Misses:          st.Misses,
-		Shared:          st.Shared,
-		DerivedHits:     st.DerivedHits,
-		Evictions:       st.Evictions,
-		CostEvictions:   st.CostEvictions,
-		Invalidations:   st.Invalidations,
-		Rejected:        st.Rejected,
-		Saturated:       st.Saturated,
-		InFlight:        st.InFlight,
-		Queued:          st.Queued,
-		CacheEntries:    st.CacheEntries,
-		Epoch:           st.Epoch,
-		Live:            st.Live,
-		SupersetSize:    st.SupersetSize,
-		ShadowSize:      st.ShadowSize,
-		Coverage:        st.Coverage,
-		Inserts:         st.Inserts,
-		Deletes:         st.Deletes,
-		UpdateBatches:   st.UpdateBatches,
-		Promotions:      st.Promotions,
-		Demotions:       st.Demotions,
-		ShadowEvictions: st.ShadowEvictions,
-		Rebuilds:        st.Rebuilds,
-		CoalescedOps:    st.CoalescedOps,
-		AdmissionSkips:  st.AdmissionSkips,
-		ProbeBatches:    st.ProbeBatches,
-		ProbesSaved:     st.ProbesSaved,
-		Exhaustions:     st.Exhaustions,
-		Repairs:         st.Repairs,
-		RepairSteps:     st.RepairSteps,
-		ShadowDepth:     st.ShadowDepth,
-		ShadowGrows:     st.ShadowGrows,
-		ShadowShrinks:   st.ShadowShrinks,
-
-		BandMaintenanceNS:         st.BandMaintenanceNS,
-		BatchApplyOps:             st.BatchApplyOps,
-		ParallelMaintenanceChunks: st.ParallelMaintenanceChunks,
-
-		MaxK:    st.MaxK,
-		Workers: st.Workers,
-		Shards:  e.e.Shards(),
-	}
-}
+func (e *Engine) Stats() EngineStats { return e.e.Stats() }
 
 // Insert adds a record to the engine's dataset (copied; same dimensionality
 // as the dataset, finite attributes) and returns its assigned id. The
@@ -319,49 +197,12 @@ func (e *Engine) Delete(id int) error {
 	return e.e.Delete(id)
 }
 
-// UpdateResult reports the outcome of one ApplyBatch: the per-op ids plus
-// the engine state as published by this batch — under concurrent updates,
-// these numbers belong to this batch, not whichever applied last.
-type UpdateResult struct {
-	// IDs is index-aligned with the batch ops: assigned ids for inserts,
-	// the deleted ids for deletes.
-	IDs []int
-	// Epoch is the index version current when this batch was published.
-	Epoch uint64
-	// Live, SupersetSize, and ShadowSize snapshot the dataset right after
-	// this batch applied.
-	Live         int
-	SupersetSize int
-	ShadowSize   int
-}
-
 // ApplyBatch applies a sequence of updates atomically with respect to
 // queries: every concurrent query observes either the pre-batch or the
 // post-batch dataset, never an intermediate state. A validation error
 // (ErrBadUpdate, ErrUnknownRecord) leaves the engine unchanged.
 func (e *Engine) ApplyBatch(ops []UpdateOp) (*UpdateResult, error) {
-	converted := make([]engine.UpdateOp, len(ops))
-	for i, op := range ops {
-		switch op.Kind {
-		case UpdateInsert:
-			converted[i] = engine.UpdateOp{Kind: engine.UpdateInsert, Record: op.Record}
-		case UpdateDelete:
-			converted[i] = engine.UpdateOp{Kind: engine.UpdateDelete, ID: op.ID}
-		default:
-			return nil, ErrBadUpdate
-		}
-	}
-	res, err := e.e.ApplyBatch(converted)
-	if err != nil {
-		return nil, err
-	}
-	return &UpdateResult{
-		IDs:          res.IDs,
-		Epoch:        res.Epoch,
-		Live:         res.Live,
-		SupersetSize: res.SupersetSize,
-		ShadowSize:   res.ShadowSize,
-	}, nil
+	return e.e.ApplyBatch(ops)
 }
 
 // ApplyBatchPipelined is the two-stage form of ApplyBatch for callers with
@@ -373,28 +214,7 @@ func (e *Engine) ApplyBatch(ops []UpdateOp) (*UpdateResult, error) {
 // Invalidation probing and the index publish are deferred to commit, for
 // single and sharded engines alike.
 func (e *Engine) ApplyBatchPipelined(ops []UpdateOp) (*UpdateResult, func(), error) {
-	converted := make([]engine.UpdateOp, len(ops))
-	for i, op := range ops {
-		switch op.Kind {
-		case UpdateInsert:
-			converted[i] = engine.UpdateOp{Kind: engine.UpdateInsert, Record: op.Record}
-		case UpdateDelete:
-			converted[i] = engine.UpdateOp{Kind: engine.UpdateDelete, ID: op.ID}
-		default:
-			return nil, nil, ErrBadUpdate
-		}
-	}
-	res, commit, err := e.e.ApplyBatchPipelined(converted)
-	if err != nil {
-		return nil, nil, err
-	}
-	return &UpdateResult{
-		IDs:          res.IDs,
-		Epoch:        res.Epoch,
-		Live:         res.Live,
-		SupersetSize: res.SupersetSize,
-		ShadowSize:   res.ShadowSize,
-	}, commit, nil
+	return e.e.ApplyBatchPipelined(ops)
 }
 
 // UTK1 answers a UTK1 query through the engine. The query must use the

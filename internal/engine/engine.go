@@ -184,8 +184,16 @@ type Result struct {
 	Derived bool
 }
 
-// Stats is a point-in-time snapshot of the engine's counters.
+// Stats is a point-in-time snapshot of the engine's counters. It is the one
+// declaration of the serving counters: the engine increments them in a value
+// of this type, the facade's EngineStats is an alias of it, and the HTTP
+// layer's stats table reads the fields from there.
 type Stats struct {
+	// DynamicStats is the band maintainer's view as of the last completed
+	// update batch: population and superset/shadow sizes, the applied
+	// insert/delete counts and the maintenance counters (summed over the
+	// partitions of a sharded engine; see skyband.DynamicStats.Add).
+	skyband.DynamicStats
 	// Queries counts completed queries, however they were served.
 	Queries uint64
 	// Hits and Misses split cache lookups; Shared counts queries that
@@ -200,14 +208,17 @@ type Stats struct {
 	// Evictions counts capacity evictions; CostEvictions counts the subset
 	// where the cost-aware policy picked a different victim than plain LRU
 	// would have. Invalidations counts cache entries evicted because an
-	// update could affect them. Rejected counts queries that gave up
-	// (deadline or cancellation) before obtaining a result. Saturated counts
-	// queries refused at the executor's queue bound (Config.MaxQueued).
-	Evictions     uint64
-	CostEvictions uint64
-	Invalidations uint64
-	Rejected      uint64
-	Saturated     uint64
+	// update could affect them; AdmissionSkips counts results the cache's
+	// update-rate-aware admission policy refused. Rejected counts queries
+	// that gave up (deadline or cancellation) before obtaining a result.
+	// Saturated counts queries refused at the executor's queue bound
+	// (Config.MaxQueued).
+	Evictions      uint64
+	CostEvictions  uint64
+	Invalidations  uint64
+	AdmissionSkips uint64
+	Rejected       uint64
+	Saturated      uint64
 	// InFlight is the number of query computations executing right now;
 	// Queued is the number of tasks waiting for an executor slot.
 	InFlight int
@@ -217,59 +228,20 @@ type Stats struct {
 	// Epoch is the current index version; it advances whenever an update
 	// changes the candidate superset.
 	Epoch uint64
-	// Live is the current record population (initial records minus deletes
-	// plus inserts).
-	Live int
-	// SupersetSize is the current skyband-superset size — the candidate pool
-	// every warm query filters instead of the full dataset. ShadowSize and
-	// Coverage describe the dynamic structure behind it (see
-	// skyband.DynamicStats).
-	SupersetSize int
-	ShadowSize   int
-	Coverage     int
-	// Inserts, Deletes, and UpdateBatches count applied updates; Promotions,
-	// Demotions, ShadowEvictions, and Rebuilds are the dynamic skyband's
-	// maintenance counters.
-	Inserts         uint64
-	Deletes         uint64
-	UpdateBatches   uint64
-	Promotions      uint64
-	Demotions       uint64
-	ShadowEvictions uint64
-	Rebuilds        uint64
-	// Streaming-maintenance counters. CoalescedOps counts update ops folded
-	// away inside a batch (each insert→delete pair of the same record counts
-	// both ops); AdmissionSkips counts results the cache's update-rate-aware
-	// admission policy refused. Exhaustions, Repairs, and RepairSteps are the
-	// dynamic skyband's coverage-maintenance counters (exhaustion fallbacks,
-	// completed incremental repairs, and the paced steps they ran);
-	// ShadowDepth is the current adaptive retention depth beyond MaxK, with
-	// ShadowGrows/ShadowShrinks counting its resizes.
-	CoalescedOps   uint64
-	AdmissionSkips uint64
-	Exhaustions    uint64
-	Repairs        uint64
-	RepairSteps    uint64
-	ShadowDepth    int
-	ShadowGrows    uint64
-	ShadowShrinks  uint64
-	// ProbeBatches counts update batches that ran a cache-invalidation probe
-	// pass; ProbesSaved counts the per-entry probe evaluations the batched
-	// (region, k)-grouped pass avoided relative to probing every resident
-	// entry against every classified delta individually.
-	ProbeBatches uint64
-	ProbesSaved  uint64
-	// BandMaintenanceNS is the cumulative wall time spent in batch-native
-	// band maintenance (the blocking begin-stage skyband work);
-	// BatchApplyOps counts update ops applied through that path, and
-	// ParallelMaintenanceChunks the member-pass chunks it fanned out across
-	// the executor pool.
-	BandMaintenanceNS         uint64
-	BatchApplyOps             uint64
-	ParallelMaintenanceChunks uint64
-	// MaxK and Workers echo the effective configuration.
+	// UpdateBatches counts applied update batches. ProbeBatches counts those
+	// that ran a cache-invalidation probe pass; ProbesSaved counts the
+	// per-entry probe evaluations the batched (region, k)-grouped pass
+	// avoided relative to probing every resident entry against every
+	// classified delta individually.
+	UpdateBatches uint64
+	ProbeBatches  uint64
+	ProbesSaved   uint64
+	// MaxK and Workers echo the effective configuration; Shards is the number
+	// of band partitions behind the engine (1 unless built with
+	// NewPartitioned).
 	MaxK    int
 	Workers int
+	Shards  int
 }
 
 // UpdateKind discriminates UpdateOp.
@@ -355,17 +327,11 @@ type flight struct {
 // need not be safe for concurrent use; the engine serializes every call under
 // updMu. (State capture is the one per-implementation step; see ExportState.)
 type band interface {
-	// NextID returns the id the next insert will be assigned; ids are
-	// sequential and never reused.
-	NextID() int
-	// Has reports whether id is live.
-	Has(id int) bool
-	// InBand reports whether a live record may be a band member (false
-	// guarantees at least MaxK dominators).
-	InBand(id int) bool
 	// Record returns a live record's coordinates (shared), or nil.
 	Record(id int) []float64
-	// ApplyOps applies a batch as one unit; see skyband.Dynamic.ApplyOps.
+	// ApplyOps validates and applies a batch as one unit, assigning inserts
+	// sequential never-reused ids; see skyband.Dynamic.ApplyOps. A rejected
+	// batch leaves the band untouched.
 	ApplyOps(ops []skyband.Op) ([]int, []skyband.Effect, error)
 	// Band returns the current MaxK-skyband as parallel id/record slices
 	// sorted by ascending id, immutable once returned.
@@ -407,27 +373,15 @@ type Engine struct {
 	// publish a fresh one with a bumped epoch.
 	idx atomic.Pointer[index]
 
-	mu            sync.Mutex
-	cache         *resultCache
-	dynStats      skyband.DynamicStats // refreshed at the end of each batch
-	updating      int                  // open invalidation-probe windows; finish skips caching while > 0
-	inflight      map[string]*flight
-	queries       uint64
-	hits          uint64
-	misses        uint64
-	shared        uint64
-	derived       uint64
-	evicted       uint64
-	costEvicted   uint64
-	invalidations uint64
-	rejected      uint64
-	saturated     uint64
-	batches       uint64
-	coalesced     uint64
-	admSkips      uint64
-	probeBatches  uint64
-	probesSaved   uint64
-	active        int
+	// mu guards the cache, the flights and stats. stats holds every counter,
+	// incremented in place; its DynamicStats is refreshed at the end of each
+	// batch, MaxK/Workers/Shards are fixed at construction, and Epoch, Queued
+	// and CacheEntries are filled only in the copy Stats returns.
+	mu       sync.Mutex
+	cache    *resultCache
+	stats    Stats
+	updating int // open invalidation-probe windows; finish skips caching while > 0
+	inflight map[string]*flight
 }
 
 // New builds an engine over an indexed dataset. records must be the exact
@@ -518,13 +472,21 @@ func newEngine(cfg Config, pool *exec.Pool, b band, dim int, epoch, batches uint
 		band:          b,
 		reservedEpoch: epoch,
 		inflight:      make(map[string]*flight),
-		batches:       batches,
+		stats: Stats{
+			DynamicStats:  b.Stats(),
+			UpdateBatches: batches,
+			MaxK:          cfg.MaxK,
+			Workers:       cfg.Workers,
+			Shards:        1,
+		},
+	}
+	if parts, ok := b.(*shard.Band); ok {
+		e.stats.Shards = parts.Parts()
 	}
 	e.commitCond = sync.NewCond(&e.commitMu)
 	if cfg.CacheEntries > 0 {
 		e.cache = newResultCache(cfg.CacheEntries)
 	}
-	e.dynStats = b.Stats()
 	ids, recs := b.Band()
 	e.idx.Store(bandIndex(epoch, ids, recs))
 	return e
@@ -550,12 +512,7 @@ func (e *Engine) Epoch() uint64 { return e.idx.Load().epoch }
 
 // Shards reports the number of band partitions behind this engine (1 unless
 // built with NewPartitioned).
-func (e *Engine) Shards() int {
-	if b, ok := e.band.(*shard.Band); ok {
-		return b.Parts()
-	}
-	return 1
-}
+func (e *Engine) Shards() int { return e.stats.Shards } // fixed at construction
 
 // UpdateResult reports the outcome of one ApplyBatch: the per-op ids and
 // the engine state as published by this batch (not a later concurrent one).
@@ -605,11 +562,17 @@ func (e *Engine) Delete(id int) error {
 // band minus the record itself — all live post-batch. For a delete they are
 // the final band minus every record the batch inserted — all live pre-batch
 // (a record live at both batch boundaries is live throughout; ids are never
-// reused). Updates that need no probe are proven irrelevant by band depth:
-// an insert ending outside the final band, or a delete of a record outside
-// the starting band, is classically dominated by at least MaxK records in
-// the relevant state, so it belongs to no top-k set at any depth the engine
-// serves.
+// reused). Updates that need no probe are proven irrelevant by band depth. An
+// insert ending outside the final band is classically dominated by at least
+// MaxK post-batch records, so it belongs to no top-k set at any depth the
+// engine serves. A delete probes iff the band reports the record in the band
+// when the delete applied (Effect.InBand). One outside it had at least MaxK
+// dominators at that moment; if fewer than k of them were live pre-batch, the
+// rest are inserts of this batch that outscore the record everywhere — and
+// among those, one that no other such insert r-dominates is in the final band
+// with fewer than k r-dominators there (every one of them is a pre-batch
+// record that r-dominates the deleted record too), so its insert probe evicts
+// every entry the delete could have changed.
 type affectsTest struct {
 	rec        []float64
 	exclude    int          // band id to skip (the inserted record itself), or -1
@@ -638,9 +601,9 @@ func (a *affectsTest) affects(r *geom.Region, k int) bool {
 // ApplyBatch applies a sequence of updates atomically with respect to
 // queries: every query observes either the pre-batch or the post-batch
 // candidate index, never an intermediate state. A validation error leaves
-// the engine unchanged; batches are not concurrency-transactional beyond
-// that (a failed mid-batch delete of a vanished id cannot occur, because
-// updates are serialized and ids are validated against liveness up front).
+// the engine unchanged: the band maintainer validates every delete against
+// liveness (including ids assigned by earlier inserts of the batch) before
+// it mutates anything, and updates are serialized.
 func (e *Engine) ApplyBatch(ops []UpdateOp) (*UpdateResult, error) {
 	res, commit, err := e.ApplyBatchPipelined(ops)
 	if err != nil {
@@ -677,16 +640,15 @@ func (e *Engine) ApplyBatchPipelined(ops []UpdateOp) (*UpdateResult, func(), err
 // and the epoch is reserved; the probe + invalidate + publish stage waits in
 // commit.
 type pendingBatch struct {
-	e         *Engine
-	ticket    uint64
-	res       *UpdateResult
-	fresh     *index // index to publish, or nil when the band is unchanged
-	tests     []affectsTest
-	entries   []cacheEntry // cache snapshot to probe (probe window open iff tests exist)
-	window    bool         // updating was raised at begin
-	dynStats  skyband.DynamicStats
-	coalesced uint64
-	once      sync.Once
+	e        *Engine
+	ticket   uint64
+	res      *UpdateResult
+	fresh    *index // index to publish, or nil when the band is unchanged
+	tests    []affectsTest
+	entries  []cacheEntry // cache snapshot to probe (probe window open iff tests exist)
+	window   bool         // updating was raised at begin
+	dynStats skyband.DynamicStats
+	once     sync.Once
 }
 
 func (pb *pendingBatch) commit() { pb.once.Do(func() { pb.e.commitBatch(pb) }) }
@@ -694,12 +656,17 @@ func (pb *pendingBatch) commit() { pb.once.Do(func() { pb.e.commitBatch(pb) }) }
 // beginBatch is stage one of a batch: everything that must see the dynamic
 // structure runs here, under updMu.
 func (e *Engine) beginBatch(ops []UpdateOp) (*pendingBatch, error) {
-	for _, op := range ops {
-		if op.Kind == UpdateInsert {
+	sops := make([]skyband.Op, len(ops))
+	for i, op := range ops {
+		switch op.Kind {
+		case UpdateInsert:
 			if CheckRecord(op.Record, e.dim) != nil {
 				return nil, ErrBadUpdate
 			}
-		} else if op.Kind != UpdateDelete {
+			sops[i] = skyband.Op{Insert: true, Record: op.Record}
+		case UpdateDelete:
+			sops[i] = skyband.Op{ID: op.ID}
+		default:
 			return nil, ErrBadUpdate
 		}
 	}
@@ -707,115 +674,72 @@ func (e *Engine) beginBatch(ops []UpdateOp) (*pendingBatch, error) {
 	e.updMu.Lock()
 	defer e.updMu.Unlock()
 
-	// Validate delete ids against liveness (including ids assigned by
-	// earlier inserts of this batch) before touching anything, so a bad
-	// batch is a no-op. The same pass plans churn coalescing: an insert
-	// whose (predicted) id a later op of this batch deletes is a semantic
-	// no-op pair — the record is never live outside the batch — so both ops
-	// skip band maintenance entirely. The insert still consumes its id
-	// (SkipID below) to keep id assignment identical to the uncoalesced
-	// apply.
-	inserted := map[int]bool{}
-	deleted := map[int]bool{}
-	insPos := map[int]int{} // predicted insert id -> op index
-	coalesce := make([]bool, len(ops))
-	nextID := e.band.NextID()
-	for i, op := range ops {
-		if op.Kind == UpdateInsert {
-			inserted[nextID] = true
-			insPos[nextID] = i
-			nextID++
-			continue
-		}
-		if deleted[op.ID] || (!inserted[op.ID] && !e.band.Has(op.ID)) {
-			return nil, ErrUnknownRecord
-		}
-		deleted[op.ID] = true
-		if j, ok := insPos[op.ID]; ok {
-			coalesce[j] = true
-			coalesce[i] = true
-		}
-	}
-
-	type pendingDelete struct {
-		id  int
-		rec []float64
-	}
-	// Deletes of starting-band records are the only deletes that can change a
-	// cached answer; the probe runs against the final band below. Membership
-	// is checked per id against the pre-apply state (this whole pass runs
-	// before ApplyOps, under updMu), which matches the starting-band snapshot
-	// semantics without materializing the band. Pre-delete coordinates are
-	// captured here too, since the batch path applies every op in one call.
-	// (A non-coalesced delete always targets a pre-batch id — a delete of an
-	// id this batch inserts is coalesced away — so the record is live here.)
-	var delProbes []pendingDelete
+	// Pre-delete coordinates for the delete probes, captured before the one
+	// call that applies every op (nil for an id that is not live yet — a
+	// delete of this batch's own insert, which never reports InBand).
+	var delRecs [][]float64
 	if e.cache != nil {
+		delRecs = make([][]float64, len(ops))
 		for i, op := range ops {
-			if op.Kind == UpdateDelete && !coalesce[i] && e.band.InBand(op.ID) {
-				delProbes = append(delProbes, pendingDelete{id: op.ID, rec: e.band.Record(op.ID)})
+			if op.Kind == UpdateDelete {
+				delRecs[i] = e.band.Record(op.ID)
 			}
 		}
 	}
-	coalescedOps := uint64(0)
-	for i := range ops {
-		if coalesce[i] && ops[i].Kind == UpdateInsert {
-			coalescedOps += 2 // the pair: this insert and its delete
-		}
-	}
 
-	// Batch-native apply: one ApplyOps call plans the same coalescing as the
-	// validation pass above (the two loops run the identical algorithm, so id
-	// assignment lines up), computes all dominance deltas in one pass over
-	// the band, and runs at most one end-of-batch maintenance step.
-	sops := make([]skyband.Op, len(ops))
-	for i, op := range ops {
-		if op.Kind == UpdateInsert {
-			sops[i] = skyband.Op{Insert: true, Record: op.Record}
-		} else {
-			sops[i] = skyband.Op{ID: op.ID}
-		}
-	}
+	// Batch-native apply: one ApplyOps call validates the deletes against
+	// liveness and coalesces insert→delete pairs of one record before
+	// mutating anything (so a bad batch is a no-op), computes all dominance
+	// deltas in one pass over the band, and runs at most one end-of-batch
+	// maintenance step.
 	ids, effs, err := e.band.ApplyOps(sops)
 	if err != nil {
-		// Unreachable after validation; kept as a defensive error.
-		return nil, ErrUnknownRecord
+		if errors.Is(err, skyband.ErrUnknownID) || errors.Is(err, skyband.ErrDuplicateDelete) {
+			return nil, ErrUnknownRecord
+		}
+		return nil, err
 	}
-	batchInserted := map[int]bool{}
 	bandChanged := false
-	for i, op := range ops {
-		if coalesce[i] {
-			continue
-		}
-		bandChanged = bandChanged || effs[i].BandChanged
-		if op.Kind == UpdateInsert {
-			batchInserted[ids[i]] = true
-		}
+	for _, eff := range effs {
+		bandChanged = bandChanged || eff.BandChanged
 	}
 
 	dynStats := e.band.Stats()
 
-	// One final-band snapshot serves every probe and the published index.
+	// One final-band snapshot serves every probe and the published index. It
+	// is taken only when the band changed: an update that needs a probe — an
+	// insert that made the final band, a delete from the band — always
+	// reports BandChanged (at the op itself, or at the promotion or rebuild
+	// that brought the insert in).
 	var snapIDs []int
 	var snapRecs [][]float64
 	var tests []affectsTest
-	if bandChanged || (e.cache != nil && (len(delProbes) > 0 || len(batchInserted) > 0)) {
+	if bandChanged {
 		snapIDs, snapRecs = e.band.Band()
 	}
-	if e.cache != nil {
-		// Net inserts that made the final band: probe excluding the record
-		// itself (other batch inserts are live post-batch and may count).
+	if e.cache != nil && bandChanged {
+		batchInserted := map[int]bool{}
+		for i, op := range ops {
+			if op.Kind == UpdateInsert {
+				batchInserted[ids[i]] = true
+			}
+		}
+		// Net inserts that made the final band (a coalesced insert is not
+		// live, so never in it): probe excluding the record itself (other
+		// batch inserts are live post-batch and may count).
 		if len(batchInserted) > 0 {
 			for i, id := range snapIDs {
-				if batchInserted[id] && !deleted[id] {
+				if batchInserted[id] {
 					tests = append(tests, affectsTest{rec: snapRecs[i], exclude: id, recs: snapRecs, ids: snapIDs})
 				}
 			}
 		}
-		// Net deletes from the starting band: probe excluding every
-		// batch-inserted id (those were not live pre-batch).
-		for _, p := range delProbes {
-			tests = append(tests, affectsTest{rec: p.rec, exclude: -1, excludeSet: batchInserted, recs: snapRecs, ids: snapIDs})
+		// Net deletes from the band: probe excluding every batch-inserted id
+		// (those were not live pre-batch).
+		for i, eff := range effs {
+			if ops[i].Kind == UpdateDelete && eff.InBand {
+				tests = append(tests, affectsTest{rec: delRecs[i], exclude: -1, excludeSet: batchInserted, recs: snapRecs, ids: snapIDs})
+			}
 		}
 	}
 
@@ -825,7 +749,7 @@ func (e *Engine) beginBatch(ops []UpdateOp) (*pendingBatch, error) {
 	// and the epoch reservation keeps results final at begin: the band
 	// snapshot is already the post-batch state, so the epoch this batch will
 	// publish is known even though the publish itself waits for commit.
-	pb := &pendingBatch{e: e, dynStats: dynStats, coalesced: coalescedOps, tests: tests}
+	pb := &pendingBatch{e: e, dynStats: dynStats, tests: tests}
 	if bandChanged {
 		e.reservedEpoch++
 		pb.fresh = bandIndex(e.reservedEpoch, snapIDs, snapRecs)
@@ -843,8 +767,8 @@ func (e *Engine) beginBatch(ops []UpdateOp) (*pendingBatch, error) {
 		IDs:          ids,
 		Epoch:        e.reservedEpoch,
 		Live:         dynStats.Live,
-		SupersetSize: dynStats.Band,
-		ShadowSize:   dynStats.Shadow,
+		SupersetSize: dynStats.SupersetSize,
+		ShadowSize:   dynStats.ShadowSize,
 	}
 	return pb, nil
 }
@@ -877,17 +801,16 @@ func (e *Engine) commitBatch(pb *pendingBatch) {
 		e.commitCond.Wait()
 	}
 	e.mu.Lock()
-	e.batches++
-	e.coalesced += pb.coalesced
-	e.dynStats = pb.dynStats
+	e.stats.UpdateBatches++
+	e.stats.DynamicStats = pb.dynStats
 	if groups > 0 {
-		e.probeBatches++
-		e.probesSaved += uint64(len(pb.entries)-groups) * uint64(len(pb.tests))
+		e.stats.ProbeBatches++
+		e.stats.ProbesSaved += uint64(len(pb.entries)-groups) * uint64(len(pb.tests))
 	}
 	if len(affected) > 0 {
 		// InvalidateKeys (not EvictKeys) so the admission policy learns which
 		// classes this update stream keeps killing.
-		e.invalidations += uint64(e.cache.InvalidateKeys(affected))
+		e.stats.Invalidations += uint64(e.cache.InvalidateKeys(affected))
 	}
 	if pb.fresh != nil {
 		e.idx.Store(pb.fresh)
@@ -1025,8 +948,8 @@ func (e *Engine) Do(ctx context.Context, req Request) (*Result, error) {
 			e.mu.Lock()
 			if e.cache != nil {
 				if res, ok := e.cache.Get(key); ok {
-					e.hits++
-					e.queries++
+					e.stats.Hits++
+					e.stats.Queries++
 					e.mu.Unlock()
 					hit := *res
 					hit.CacheHit = true
@@ -1046,8 +969,8 @@ func (e *Engine) Do(ctx context.Context, req Request) (*Result, error) {
 						derivedTried = true
 						if res := deriveClipped(req, src); res != nil {
 							e.mu.Lock()
-							e.derived++
-							e.queries++
+							e.stats.DerivedHits++
+							e.stats.Queries++
 							// Cache the derived entry only if no invalidation
 							// probe window is open and the source is still the
 							// resident entry (pointer identity): a surviving
@@ -1058,13 +981,13 @@ func (e *Engine) Do(ctx context.Context, req Request) (*Result, error) {
 								if cur, ok := e.cache.Peek(srcKey); ok && cur == src {
 									adm, ev, costly := e.cache.Add(key, req, res)
 									if !adm {
-										e.admSkips++
+										e.stats.AdmissionSkips++
 									}
 									if ev {
-										e.evicted++
+										e.stats.Evictions++
 									}
 									if costly {
-										e.costEvicted++
+										e.stats.CostEvictions++
 									}
 								}
 							}
@@ -1099,21 +1022,21 @@ func (e *Engine) Do(ctx context.Context, req Request) (*Result, error) {
 		var err error
 		runErr := e.pool.Run(ctx, func() {
 			e.mu.Lock()
-			e.active++
+			e.stats.InFlight++
 			e.mu.Unlock()
 			res, err = e.compute(ctx, req, ix, supersedeRetries > 0)
 			e.mu.Lock()
-			e.active--
+			e.stats.InFlight--
 			e.mu.Unlock()
 		})
 		if runErr != nil {
 			e.finish(flKey, key, fl, nil, errAborted, req)
 			e.mu.Lock()
 			if errors.Is(runErr, exec.ErrSaturated) {
-				e.saturated++
+				e.stats.Saturated++
 				runErr = ErrSaturated
 			} else {
-				e.rejected++
+				e.stats.Rejected++
 			}
 			e.mu.Unlock()
 			return nil, runErr
@@ -1134,14 +1057,14 @@ func (e *Engine) Do(ctx context.Context, req Request) (*Result, error) {
 				err = core.ErrCanceled
 			}
 			e.mu.Lock()
-			e.rejected++
+			e.stats.Rejected++
 			e.mu.Unlock()
 			return nil, err
 		}
 		e.finish(flKey, key, fl, res, err, req)
 		e.mu.Lock()
-		e.misses++
-		e.queries++
+		e.stats.Misses++
+		e.stats.Queries++
 		e.mu.Unlock()
 		return res, err
 	}
@@ -1172,50 +1095,9 @@ func (e *Engine) Stats() Stats {
 	epoch := e.idx.Load().epoch
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	ds := e.dynStats
-	st := Stats{
-		Queries:         e.queries,
-		Hits:            e.hits,
-		Misses:          e.misses,
-		Shared:          e.shared,
-		DerivedHits:     e.derived,
-		Evictions:       e.evicted,
-		CostEvictions:   e.costEvicted,
-		Invalidations:   e.invalidations,
-		Rejected:        e.rejected,
-		Saturated:       e.saturated,
-		InFlight:        e.active,
-		Queued:          e.pool.Queued(),
-		Epoch:           epoch,
-		Live:            ds.Live,
-		SupersetSize:    ds.Band,
-		ShadowSize:      ds.Shadow,
-		Coverage:        ds.Coverage,
-		Inserts:         ds.Inserts,
-		Deletes:         ds.Deletes,
-		UpdateBatches:   e.batches,
-		Promotions:      ds.Promotions,
-		Demotions:       ds.Demotions,
-		ShadowEvictions: ds.Evictions,
-		Rebuilds:        ds.Rebuilds,
-		CoalescedOps:    e.coalesced,
-		AdmissionSkips:  e.admSkips,
-		ProbeBatches:    e.probeBatches,
-		ProbesSaved:     e.probesSaved,
-		Exhaustions:     ds.Exhaustions,
-		Repairs:         ds.Repairs,
-		RepairSteps:     ds.RepairSteps,
-		ShadowDepth:     ds.ShadowDepth,
-		ShadowGrows:     ds.ShadowGrows,
-		ShadowShrinks:   ds.ShadowShrinks,
-
-		BandMaintenanceNS:         ds.BandMaintenanceNS,
-		BatchApplyOps:             ds.BatchApplyOps,
-		ParallelMaintenanceChunks: ds.ParallelMaintenanceChunks,
-
-		MaxK:    e.cfg.MaxK,
-		Workers: e.cfg.Workers,
-	}
+	st := e.stats
+	st.Epoch = epoch
+	st.Queued = e.pool.Queued()
 	if e.cache != nil {
 		st.CacheEntries = e.cache.Len()
 	}
@@ -1302,13 +1184,13 @@ func (e *Engine) finish(flKey, key string, fl *flight, res *Result, err error, r
 	if err == nil && e.cache != nil && e.updating == 0 && res.Epoch == e.idx.Load().epoch {
 		adm, ev, costly := e.cache.Add(key, req, res)
 		if !adm {
-			e.admSkips++
+			e.stats.AdmissionSkips++
 		}
 		if ev {
-			e.evicted++
+			e.stats.Evictions++
 		}
 		if costly {
-			e.costEvicted++
+			e.stats.CostEvictions++
 		}
 	}
 	e.mu.Unlock()
@@ -1322,7 +1204,7 @@ func (e *Engine) wait(ctx context.Context, fl *flight) (*Result, error) {
 	case <-fl.done:
 	case <-ctx.Done():
 		e.mu.Lock()
-		e.rejected++
+		e.stats.Rejected++
 		e.mu.Unlock()
 		return nil, ctx.Err()
 	}
@@ -1332,8 +1214,8 @@ func (e *Engine) wait(ctx context.Context, fl *flight) (*Result, error) {
 		return nil, fl.err
 	}
 	e.mu.Lock()
-	e.shared++
-	e.queries++
+	e.stats.Shared++
+	e.stats.Queries++
 	e.mu.Unlock()
 	return fl.res, fl.err
 }

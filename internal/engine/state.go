@@ -51,7 +51,7 @@ func (e *Engine) ExportState() *State {
 	}
 	e.updMu.Unlock()
 	e.mu.Lock()
-	st.Batches = e.batches
+	st.Batches = e.stats.UpdateBatches
 	e.mu.Unlock()
 	return st
 }

@@ -9,7 +9,9 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/exec"
 	"repro/internal/rtree"
+	"repro/internal/skyband"
 )
 
 func TestEngineInsertDeleteBasics(t *testing.T) {
@@ -99,38 +101,50 @@ func testEngineUpdateValidation(t *testing.T, parts int) {
 	if err := e.Delete(5); !errors.Is(err, ErrUnknownRecord) {
 		t.Errorf("double delete: %v", err)
 	}
-	// A batch with any invalid op must leave the engine untouched.
+	// The band maintainer is the only validator of delete ids (the engine no
+	// longer plans the batch itself): a rejected batch must map to the
+	// engine's error and leave everything — counters, epoch, id allocator —
+	// where it was, wherever in the batch the bad op sits.
+	ins := func(v float64) UpdateOp { return UpdateOp{Kind: UpdateInsert, Record: []float64{v, v, v}} }
+	del := func(id int) UpdateOp { return UpdateOp{Kind: UpdateDelete, ID: id} }
+	for _, tc := range []struct {
+		name string
+		ops  []UpdateOp
+		want error
+	}{
+		{"unknown id", []UpdateOp{del(99999)}, ErrUnknownRecord},
+		{"unknown id after valid ops", []UpdateOp{ins(2), del(7), del(99999)}, ErrUnknownRecord},
+		{"already deleted id", []UpdateOp{ins(2), del(5)}, ErrUnknownRecord},
+		{"duplicate delete", []UpdateOp{del(7), ins(2), del(7)}, ErrUnknownRecord},
+		{"own insert deleted twice", []UpdateOp{ins(2), del(100), del(100)}, ErrUnknownRecord},
+		{"own insert deleted before it exists", []UpdateOp{del(100), ins(2)}, ErrUnknownRecord},
+		{"bad record after valid ops", []UpdateOp{del(7), {Kind: UpdateInsert, Record: []float64{1, 2}}}, ErrBadUpdate},
+		{"unknown kind", []UpdateOp{ins(2), {Kind: UpdateKind(7)}}, ErrBadUpdate},
+	} {
+		before := e.Stats()
+		if _, err := e.ApplyBatch(tc.ops); !errors.Is(err, tc.want) {
+			t.Errorf("%s: err = %v, want %v", tc.name, err, tc.want)
+		}
+		if after := e.Stats(); after != before {
+			t.Errorf("%s: rejected batch changed the engine:\nbefore %+v\nafter  %+v", tc.name, before, after)
+		}
+	}
+	// Deleting an id inserted earlier in the same batch is legal: the pair
+	// coalesces, the id is consumed, nothing else moves.
 	before := e.Stats()
-	if _, err := e.ApplyBatch([]UpdateOp{
-		{Kind: UpdateInsert, Record: []float64{1, 1, 1}},
-		{Kind: UpdateDelete, ID: 99999},
-	}); !errors.Is(err, ErrUnknownRecord) {
-		t.Fatalf("bad batch: %v", err)
-	}
-	after := e.Stats()
-	if after.Live != before.Live || after.Inserts != before.Inserts {
-		t.Error("failed batch mutated the engine")
-	}
-	// Deleting an id inserted earlier in the same batch is legal; deleting
-	// it twice is not.
-	bres, err := e.ApplyBatch([]UpdateOp{
-		{Kind: UpdateInsert, Record: []float64{0.5, 0.5, 0.5}},
-		{Kind: UpdateDelete, ID: 100},
-	})
+	bres, err := e.ApplyBatch([]UpdateOp{ins(0.5), del(100)})
 	if err != nil {
 		t.Fatalf("insert-then-delete batch: %v", err)
 	}
 	if bres.IDs[0] != 100 || bres.IDs[1] != 100 {
 		t.Errorf("batch ids = %v, want [100 100]", bres.IDs)
 	}
-	if bres.Live != before.Live {
-		t.Errorf("batch live = %d, want %d", bres.Live, before.Live)
+	after := e.Stats()
+	if bres.Live != before.Live || bres.Epoch != before.Epoch || after.CoalescedOps != before.CoalescedOps+2 || after.Inserts != before.Inserts {
+		t.Errorf("coalesced pair: result %+v, stats %+v -> %+v", bres, before, after)
 	}
-	if _, err := e.ApplyBatch([]UpdateOp{
-		{Kind: UpdateDelete, ID: 7},
-		{Kind: UpdateDelete, ID: 7},
-	}); !errors.Is(err, ErrUnknownRecord) {
-		t.Errorf("double delete in batch: %v", err)
+	if id, err := e.Insert([]float64{0.1, 0.1, 0.1}); err != nil || id != 101 {
+		t.Errorf("insert after a coalesced pair: id %d, err %v, want 101 (the pair consumed 100)", id, err)
 	}
 }
 
@@ -267,5 +281,69 @@ func TestCheckRecord(t *testing.T) {
 		if err := CheckRecord(tc.rec, 3); (err == nil) != tc.ok {
 			t.Errorf("%s: CheckRecord = %v, want ok=%v", tc.name, err, tc.ok)
 		}
+	}
+}
+
+// countingBand counts the band snapshots the engine asks for.
+type countingBand struct {
+	*skyband.Dynamic
+	snapshots int
+}
+
+func (c *countingBand) Band() ([]int, [][]float64) {
+	c.snapshots++
+	return c.Dynamic.Band()
+}
+
+// TestBeginSnapshotsOnlyChangedBand pins the begin stage's snapshot rule: the
+// O(B log B) band materialisation runs once per batch that changed the band
+// and never for one that did not — deep churn, however large the batch and
+// with the cache on, asks for no snapshot and publishes no epoch.
+func TestBeginSnapshotsOnlyChangedBand(t *testing.T) {
+	td := buildData(t, 400, 3, 29)
+	cfg, err := Config{MaxK: 3, CacheEntries: 8, Workers: 1}.withDefaults()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dyn, err := skyband.NewDynamic(td.recs, nil, cfg.MaxK, cfg.ShadowDepth)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Deep records: outside the band and its shadow, so deleting them and
+	// inserting records below them cannot touch the band.
+	var deep []int
+	for id := range td.recs {
+		if !dyn.Tracked(id) {
+			deep = append(deep, id)
+		}
+	}
+	cb := &countingBand{Dynamic: dyn}
+	e := newEngine(cfg, exec.NewPool(cfg.Workers, cfg.MaxQueued), cb, 3, 0, 0)
+	if _, err := e.Do(context.Background(), Request{Variant: UTK1, K: 2, Region: box(t, []float64{0.3, 0.3}, []float64{0.35, 0.35})}); err != nil {
+		t.Fatal(err)
+	}
+	cb.snapshots = 0 // construction took one
+
+	var ops []UpdateOp
+	for _, id := range deep[:8] {
+		ops = append(ops, UpdateOp{Kind: UpdateDelete, ID: id}, UpdateOp{Kind: UpdateInsert, Record: []float64{1e-3, 1e-3, 1e-3}})
+	}
+	res, err := e.ApplyBatch(ops)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cb.snapshots != 0 || res.Epoch != 0 || e.Epoch() != 0 {
+		t.Fatalf("out-of-band batch: %d band snapshots, epoch %d (published %d); want none and epoch 0", cb.snapshots, res.Epoch, e.Epoch())
+	}
+	if st := e.Stats(); st.CacheEntries != 1 || st.ProbeBatches != 0 {
+		t.Fatalf("out-of-band batch touched the cache: %+v", st)
+	}
+
+	res, err = e.ApplyBatch([]UpdateOp{{Kind: UpdateInsert, Record: []float64{2, 2, 2}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cb.snapshots != 1 || res.Epoch != 1 || e.Epoch() != 1 {
+		t.Fatalf("in-band insert: %d band snapshots, epoch %d (published %d); want exactly one and epoch 1", cb.snapshots, res.Epoch, e.Epoch())
 	}
 }

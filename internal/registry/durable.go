@@ -5,7 +5,6 @@ import (
 	"time"
 
 	utk "repro"
-	"repro/internal/engine"
 	"repro/internal/store"
 )
 
@@ -172,7 +171,7 @@ func (r *Registry) reopen(cfg store.DatasetConfig) (*Entry, error) {
 		if b.Seq != seq+1 {
 			return fmt.Errorf("replay gap: batch %d after %d", b.Seq, seq)
 		}
-		res, err := eng.ApplyBatch(fromEngineOps(b.Ops))
+		res, err := eng.ApplyBatch(b.Ops)
 		if err != nil {
 			return fmt.Errorf("replay batch %d: %w", b.Seq, err)
 		}
@@ -313,7 +312,7 @@ func (r *Registry) Update(name string, ops []utk.UpdateOp) (*utk.UpdateResult, e
 		commit()
 	}()
 	seq := ent.seq + 1
-	nbytes, err := r.st.Append(name, &store.Batch{Seq: seq, Epoch: res.Epoch, Ops: toEngineOps(ops)})
+	nbytes, err := r.st.Append(name, &store.Batch{Seq: seq, Epoch: res.Epoch, Ops: ops})
 	<-committed
 	if err != nil {
 		ent.wedged = err
@@ -414,32 +413,4 @@ func datasetConfig(name string, dim int, opts Options) store.DatasetConfig {
 		MaxQueued:    opts.MaxQueued,
 		QueryTimeout: opts.QueryTimeout,
 	}
-}
-
-// toEngineOps converts public update ops to the engine representation the
-// WAL stores.
-func toEngineOps(ops []utk.UpdateOp) []engine.UpdateOp {
-	out := make([]engine.UpdateOp, len(ops))
-	for i, op := range ops {
-		if op.Kind == utk.UpdateInsert {
-			out[i] = engine.UpdateOp{Kind: engine.UpdateInsert, Record: op.Record}
-		} else {
-			out[i] = engine.UpdateOp{Kind: engine.UpdateDelete, ID: op.ID}
-		}
-	}
-	return out
-}
-
-// fromEngineOps converts logged ops back to the public representation for
-// replay through the facade.
-func fromEngineOps(ops []engine.UpdateOp) []utk.UpdateOp {
-	out := make([]utk.UpdateOp, len(ops))
-	for i, op := range ops {
-		if op.Kind == engine.UpdateInsert {
-			out[i] = utk.UpdateOp{Kind: utk.UpdateInsert, Record: op.Record}
-		} else {
-			out[i] = utk.UpdateOp{Kind: utk.UpdateDelete, ID: op.ID}
-		}
-	}
-	return out
 }

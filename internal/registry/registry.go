@@ -286,33 +286,11 @@ func (r *Registry) Sole() (*Entry, error) {
 	panic("unreachable")
 }
 
-// AggregateStats sums serving counters across every registered engine.
+// AggregateStats is the fleet view: every engine's own snapshot keyed by
+// dataset name, and the durability counters per dataset and summed. (Sums of
+// the serving counters are the reader's to take over PerDataset; the HTTP
+// layer's stats table says which ones add up.)
 type AggregateStats struct {
-	// Datasets is the number of registered engines; Shards sums their
-	// partition counts.
-	Datasets int
-	Shards   int
-	// Queries, Hits, Misses, Shared, Evictions, Invalidations, and Rejected
-	// sum the per-engine serving counters; InFlight and CacheEntries sum
-	// instantaneous state; Live, Inserts, Deletes, and UpdateBatches sum the
-	// data-plane counters.
-	Queries       uint64
-	Hits          uint64
-	Misses        uint64
-	Shared        uint64
-	DerivedHits   uint64
-	Evictions     uint64
-	CostEvictions uint64
-	Invalidations uint64
-	Rejected      uint64
-	Saturated     uint64
-	InFlight      int
-	Queued        int
-	CacheEntries  int
-	Live          int
-	Inserts       uint64
-	Deletes       uint64
-	UpdateBatches uint64
 	// Durable reports the store kind; WALAppends, WALBytes,
 	// SnapshotsWritten, and ReplayedOps sum the fleet's durability
 	// counters.
@@ -327,7 +305,7 @@ type AggregateStats struct {
 	PerDatasetDurability map[string]DurabilityStats
 }
 
-// Stats snapshots every engine and aggregates the fleet view.
+// Stats snapshots every engine and the fleet's durability counters.
 func (r *Registry) Stats() AggregateStats {
 	r.mu.RLock()
 	ents := make([]*Entry, 0, len(r.entries))
@@ -342,27 +320,7 @@ func (r *Registry) Stats() AggregateStats {
 		PerDatasetDurability: make(map[string]DurabilityStats, len(ents)),
 	}
 	for _, ent := range ents {
-		st := ent.Engine.Stats()
-		agg.Datasets++
-		agg.Shards += st.Shards
-		agg.Queries += st.Queries
-		agg.Hits += st.Hits
-		agg.Misses += st.Misses
-		agg.Shared += st.Shared
-		agg.DerivedHits += st.DerivedHits
-		agg.Evictions += st.Evictions
-		agg.CostEvictions += st.CostEvictions
-		agg.Invalidations += st.Invalidations
-		agg.Rejected += st.Rejected
-		agg.Saturated += st.Saturated
-		agg.InFlight += st.InFlight
-		agg.Queued += st.Queued
-		agg.CacheEntries += st.CacheEntries
-		agg.Live += st.Live
-		agg.Inserts += st.Inserts
-		agg.Deletes += st.Deletes
-		agg.UpdateBatches += st.UpdateBatches
-		agg.PerDataset[ent.Name] = st
+		agg.PerDataset[ent.Name] = ent.Engine.Stats()
 		ds := ent.Durability(r.st.Durable())
 		agg.WALAppends += ds.WALAppends
 		agg.WALBytes += ds.WALBytes

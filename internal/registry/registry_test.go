@@ -148,15 +148,14 @@ func TestAggregateStats(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// The sums over PerDataset are taken by the HTTP layer's stats table and
+	// pinned by server.TestStatsAggregation.
 	agg := reg.Stats()
-	if agg.Datasets != 2 || agg.Shards != 3 {
-		t.Fatalf("datasets=%d shards=%d, want 2 and 3", agg.Datasets, agg.Shards)
+	if len(agg.PerDataset) != 2 || agg.PerDataset["a"].Shards+agg.PerDataset["b"].Shards != 3 {
+		t.Fatalf("per-dataset snapshots: %+v, want 2 datasets with 3 shards", agg.PerDataset)
 	}
-	if agg.Queries != 3 {
-		t.Fatalf("aggregate queries = %d, want 3", agg.Queries)
-	}
-	if agg.Live != 160 {
-		t.Fatalf("aggregate live = %d, want 160", agg.Live)
+	if agg.PerDataset["a"].Live != 80 || agg.PerDataset["b"].Live != 80 {
+		t.Fatalf("per-dataset live: %+v, want 80 each", agg.PerDataset)
 	}
 	if agg.PerDataset["a"].Queries != 2 || agg.PerDataset["b"].Queries != 1 {
 		t.Fatalf("per-dataset queries: %+v", agg.PerDataset)

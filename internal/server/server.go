@@ -495,53 +495,90 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, map[string]any{"dataset": name, "durability": st})
 }
 
-// engineStatsPayload flattens one engine's counters.
-func engineStatsPayload(st utk.EngineStats) map[string]any {
-	return map[string]any{
-		"queries":          st.Queries,
-		"hits":             st.Hits,
-		"misses":           st.Misses,
-		"shared":           st.Shared,
-		"derived_hits":     st.DerivedHits,
-		"evictions":        st.Evictions,
-		"cost_evictions":   st.CostEvictions,
-		"invalidations":    st.Invalidations,
-		"rejected":         st.Rejected,
-		"saturated":        st.Saturated,
-		"in_flight":        st.InFlight,
-		"queued":           st.Queued,
-		"cache_entries":    st.CacheEntries,
-		"epoch":            st.Epoch,
-		"live":             st.Live,
-		"superset_size":    st.SupersetSize,
-		"shadow_size":      st.ShadowSize,
-		"coverage":         st.Coverage,
-		"inserts":          st.Inserts,
-		"deletes":          st.Deletes,
-		"update_batches":   st.UpdateBatches,
-		"promotions":       st.Promotions,
-		"demotions":        st.Demotions,
-		"shadow_evictions": st.ShadowEvictions,
-		"rebuilds":         st.Rebuilds,
-		"coalesced_ops":    st.CoalescedOps,
-		"admission_skips":  st.AdmissionSkips,
-		"probe_batches":    st.ProbeBatches,
-		"probes_saved":     st.ProbesSaved,
-		"exhaustions":      st.Exhaustions,
-		"repairs":          st.Repairs,
-		"repair_steps":     st.RepairSteps,
-		"shadow_depth":     st.ShadowDepth,
-		"shadow_grows":     st.ShadowGrows,
-		"shadow_shrinks":   st.ShadowShrinks,
+// How a stat row shows up beyond its own dataset.
+const (
+	perDataset = iota // /stats/{dataset} and a labelled /metrics series only
+	summed            // the fleet /stats also carries the sum across datasets
+	fleetWide         // summed, and /metrics exports only that unlabelled sum
+)
 
-		"band_maintenance_ns":         st.BandMaintenanceNS,
-		"batch_apply_ops":             st.BatchApplyOps,
-		"parallel_maintenance_chunks": st.ParallelMaintenanceChunks,
+// stat is one serving counter as the three monitoring endpoints present it.
+// engineStats is the only place a counter is named outside its declaration
+// and its increment: /stats/{dataset}, the fleet /stats and /metrics are
+// loops over the table, so a new counter is one row here (and a reviewed
+// diff of testdata/wire_golden.txt).
+type stat struct {
+	key   string // JSON key in /stats/{dataset}, and in the fleet /stats when summed
+	prom  string // Prometheus series name; "" keeps the counter off /metrics
+	help  string // Prometheus HELP text
+	kind  string // Prometheus TYPE: counter or gauge
+	scope int    // perDataset, summed or fleetWide
+	get   func(utk.EngineStats) uint64
+}
 
-		"max_k":   st.MaxK,
-		"workers": st.Workers,
-		"shards":  st.Shards,
+// engineStats is in /metrics exposition order.
+var engineStats = []stat{
+	{"shards", "utk_shards", "Total horizontal partitions across engines.", "gauge", fleetWide, func(st utk.EngineStats) uint64 { return uint64(st.Shards) }},
+	{"in_flight", "utk_in_flight", "Computations executing right now.", "gauge", fleetWide, func(st utk.EngineStats) uint64 { return uint64(st.InFlight) }},
+	{"queued", "utk_queued", "Tasks waiting for an executor slot right now.", "gauge", fleetWide, func(st utk.EngineStats) uint64 { return uint64(st.Queued) }},
+	{"cache_entries", "utk_cache_entries", "Resident result-cache entries.", "gauge", fleetWide, func(st utk.EngineStats) uint64 { return uint64(st.CacheEntries) }},
+	{"queries", "utk_queries_total", "Completed queries.", "counter", summed, func(st utk.EngineStats) uint64 { return st.Queries }},
+	{"hits", "utk_cache_hits_total", "Exact result-cache hits.", "counter", summed, func(st utk.EngineStats) uint64 { return st.Hits }},
+	{"derived_hits", "utk_cache_derived_hits_total", "Misses answered by containment-based cell clipping.", "counter", summed, func(st utk.EngineStats) uint64 { return st.DerivedHits }},
+	{"misses", "utk_cache_misses_total", "Result-cache misses that computed.", "counter", summed, func(st utk.EngineStats) uint64 { return st.Misses }},
+	{"shared", "utk_cache_shared_total", "Queries coalesced onto an identical in-flight computation.", "counter", summed, func(st utk.EngineStats) uint64 { return st.Shared }},
+	{"evictions", "utk_cache_evictions_total", "Capacity evictions.", "counter", summed, func(st utk.EngineStats) uint64 { return st.Evictions }},
+	{"cost_evictions", "utk_cache_cost_evictions_total", "Capacity evictions where the cost-aware policy overrode recency.", "counter", summed, func(st utk.EngineStats) uint64 { return st.CostEvictions }},
+	{"invalidations", "utk_cache_invalidations_total", "Cache entries evicted by update invalidation.", "counter", summed, func(st utk.EngineStats) uint64 { return st.Invalidations }},
+	{"rejected", "utk_rejected_total", "Queries that gave up before obtaining a result.", "counter", summed, func(st utk.EngineStats) uint64 { return st.Rejected }},
+	{"saturated", "utk_saturated_total", "Queries refused at the executor queue bound (429 backpressure).", "counter", summed, func(st utk.EngineStats) uint64 { return st.Saturated }},
+	{"epoch", "utk_epoch", "Current index version.", "gauge", perDataset, func(st utk.EngineStats) uint64 { return st.Epoch }},
+	{"live", "utk_live_records", "Live record population.", "gauge", summed, func(st utk.EngineStats) uint64 { return uint64(st.Live) }},
+	{"inserts", "utk_inserts_total", "Applied record inserts.", "counter", summed, func(st utk.EngineStats) uint64 { return st.Inserts }},
+	{"deletes", "utk_deletes_total", "Applied record deletes.", "counter", summed, func(st utk.EngineStats) uint64 { return st.Deletes }},
+	{"update_batches", "utk_update_batches_total", "Applied update batches.", "counter", summed, func(st utk.EngineStats) uint64 { return st.UpdateBatches }},
+	{"coalesced_ops", "utk_coalesced_ops_total", "Batch ops elided by same-record insert/delete coalescing.", "counter", perDataset, func(st utk.EngineStats) uint64 { return st.CoalescedOps }},
+	{"admission_skips", "utk_admission_skips_total", "Result-cache admissions refused for churning query classes.", "counter", perDataset, func(st utk.EngineStats) uint64 { return st.AdmissionSkips }},
+	{"probe_batches", "utk_probe_batches_total", "Update batches that ran a batched cache-invalidation probe pass.", "counter", perDataset, func(st utk.EngineStats) uint64 { return st.ProbeBatches }},
+	{"probes_saved", "utk_probes_saved_total", "Per-entry invalidation probes avoided by (region,k) grouping.", "counter", perDataset, func(st utk.EngineStats) uint64 { return st.ProbesSaved }},
+	{"exhaustions", "utk_exhaustions_total", "Shadow exhaustions forcing a candidate reseed.", "counter", perDataset, func(st utk.EngineStats) uint64 { return st.Exhaustions }},
+	{"repair_steps", "utk_repair_steps_total", "Chunked incremental-reseed steps executed.", "counter", perDataset, func(st utk.EngineStats) uint64 { return st.RepairSteps }},
+	{"shadow_depth", "utk_shadow_depth", "Current adaptive shadow retention depth (deepest shard).", "gauge", perDataset, func(st utk.EngineStats) uint64 { return uint64(st.ShadowDepth) }},
+	{"band_maintenance_ns", "utk_band_maintenance_ns_total", "Wall time spent in batch-native band maintenance (begin-stage blocking).", "counter", perDataset, func(st utk.EngineStats) uint64 { return st.BandMaintenanceNS }},
+	{"batch_apply_ops", "utk_batch_apply_ops_total", "Update ops applied through the batch-native maintenance path.", "counter", perDataset, func(st utk.EngineStats) uint64 { return st.BatchApplyOps }},
+	{"parallel_maintenance_chunks", "utk_parallel_maintenance_chunks_total", "Band-maintenance chunks fanned out across executor workers.", "counter", perDataset, func(st utk.EngineStats) uint64 { return st.ParallelMaintenanceChunks }},
+	{key: "superset_size", get: func(st utk.EngineStats) uint64 { return uint64(st.SupersetSize) }},
+	{key: "shadow_size", get: func(st utk.EngineStats) uint64 { return uint64(st.ShadowSize) }},
+	{key: "coverage", get: func(st utk.EngineStats) uint64 { return uint64(st.Coverage) }},
+	{key: "promotions", get: func(st utk.EngineStats) uint64 { return st.Promotions }},
+	{key: "demotions", get: func(st utk.EngineStats) uint64 { return st.Demotions }},
+	{key: "shadow_evictions", get: func(st utk.EngineStats) uint64 { return st.ShadowEvictions }},
+	{key: "rebuilds", get: func(st utk.EngineStats) uint64 { return st.Rebuilds }},
+	{key: "repairs", get: func(st utk.EngineStats) uint64 { return st.Repairs }},
+	{key: "shadow_grows", get: func(st utk.EngineStats) uint64 { return st.ShadowGrows }},
+	{key: "shadow_shrinks", get: func(st utk.EngineStats) uint64 { return st.ShadowShrinks }},
+	{key: "max_k", get: func(st utk.EngineStats) uint64 { return uint64(st.MaxK) }},
+	{key: "workers", get: func(st utk.EngineStats) uint64 { return uint64(st.Workers) }},
+}
+
+// datasetStatsPayload is the /stats/{dataset} body: every table row under its
+// key, plus the durability block.
+func datasetStatsPayload(st utk.EngineStats, d registry.DurabilityStats) map[string]any {
+	p := make(map[string]any, len(engineStats)+1)
+	for _, row := range engineStats {
+		p[row.key] = row.get(st)
 	}
+	p["durability"] = d
+	return p
+}
+
+// fleetSum adds one row across every dataset.
+func fleetSum(row stat, per map[string]utk.EngineStats) uint64 {
+	var total uint64
+	for _, st := range per {
+		total += row.get(st)
+	}
+	return total
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
@@ -549,48 +586,30 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	p := engineStatsPayload(ent.Engine.Stats())
-	p["durability"] = ent.Durability(s.reg.Durable())
-	writeJSON(w, p)
+	writeJSON(w, datasetStatsPayload(ent.Engine.Stats(), ent.Durability(s.reg.Durable())))
 }
 
 func (s *Server) handleStatsAll(w http.ResponseWriter, r *http.Request) {
 	agg := s.reg.Stats()
 	per := make(map[string]any, len(agg.PerDataset))
 	for name, st := range agg.PerDataset {
-		p := engineStatsPayload(st)
-		if d, ok := agg.PerDatasetDurability[name]; ok {
-			p["durability"] = d
-		}
-		per[name] = p
+		per[name] = datasetStatsPayload(st, agg.PerDatasetDurability[name])
 	}
-	writeJSON(w, map[string]any{
+	out := map[string]any{
 		"durable":           agg.Durable,
 		"wal_appends":       agg.WALAppends,
 		"wal_bytes":         agg.WALBytes,
 		"snapshots_written": agg.SnapshotsWritten,
 		"replayed_ops":      agg.ReplayedOps,
-		"datasets":          agg.Datasets,
-		"shards":            agg.Shards,
-		"queries":           agg.Queries,
-		"hits":              agg.Hits,
-		"misses":            agg.Misses,
-		"shared":            agg.Shared,
-		"derived_hits":      agg.DerivedHits,
-		"evictions":         agg.Evictions,
-		"cost_evictions":    agg.CostEvictions,
-		"invalidations":     agg.Invalidations,
-		"rejected":          agg.Rejected,
-		"saturated":         agg.Saturated,
-		"in_flight":         agg.InFlight,
-		"queued":            agg.Queued,
-		"cache_entries":     agg.CacheEntries,
-		"live":              agg.Live,
-		"inserts":           agg.Inserts,
-		"deletes":           agg.Deletes,
-		"update_batches":    agg.UpdateBatches,
+		"datasets":          len(agg.PerDataset),
 		"per_dataset":       per,
-	})
+	}
+	for _, row := range engineStats {
+		if row.scope != perDataset {
+			out[row.key] = fleetSum(row, agg.PerDataset)
+		}
+	}
+	writeJSON(w, out)
 }
 
 // handleMetrics renders the fleet counters in the Prometheus text
@@ -609,56 +628,28 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	gauge := func(name, help string, v any) {
 		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s gauge\n%s %v\n", name, help, name, name, v)
 	}
-	gauge("utk_datasets", "Registered serving engines.", agg.Datasets)
-	gauge("utk_shards", "Total horizontal partitions across engines.", agg.Shards)
-	gauge("utk_in_flight", "Computations executing right now.", agg.InFlight)
-	gauge("utk_queued", "Tasks waiting for an executor slot right now.", agg.Queued)
-	gauge("utk_cache_entries", "Resident result-cache entries.", agg.CacheEntries)
-
-	type series struct {
-		name, help, kind string
-		get              func(utk.EngineStats) any
+	labelled := func(name, help, kind string, get func(dataset string) any) {
+		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, kind)
+		for _, ds := range names {
+			fmt.Fprintf(&b, "%s{dataset=%q} %v\n", name, ds, get(ds))
+		}
 	}
-	perDataset := []series{
-		{"utk_queries_total", "Completed queries.", "counter", func(st utk.EngineStats) any { return st.Queries }},
-		{"utk_cache_hits_total", "Exact result-cache hits.", "counter", func(st utk.EngineStats) any { return st.Hits }},
-		{"utk_cache_derived_hits_total", "Misses answered by containment-based cell clipping.", "counter", func(st utk.EngineStats) any { return st.DerivedHits }},
-		{"utk_cache_misses_total", "Result-cache misses that computed.", "counter", func(st utk.EngineStats) any { return st.Misses }},
-		{"utk_cache_shared_total", "Queries coalesced onto an identical in-flight computation.", "counter", func(st utk.EngineStats) any { return st.Shared }},
-		{"utk_cache_evictions_total", "Capacity evictions.", "counter", func(st utk.EngineStats) any { return st.Evictions }},
-		{"utk_cache_cost_evictions_total", "Capacity evictions where the cost-aware policy overrode recency.", "counter", func(st utk.EngineStats) any { return st.CostEvictions }},
-		{"utk_cache_invalidations_total", "Cache entries evicted by update invalidation.", "counter", func(st utk.EngineStats) any { return st.Invalidations }},
-		{"utk_rejected_total", "Queries that gave up before obtaining a result.", "counter", func(st utk.EngineStats) any { return st.Rejected }},
-		{"utk_saturated_total", "Queries refused at the executor queue bound (429 backpressure).", "counter", func(st utk.EngineStats) any { return st.Saturated }},
-		{"utk_epoch", "Current index version.", "gauge", func(st utk.EngineStats) any { return st.Epoch }},
-		{"utk_live_records", "Live record population.", "gauge", func(st utk.EngineStats) any { return st.Live }},
-		{"utk_inserts_total", "Applied record inserts.", "counter", func(st utk.EngineStats) any { return st.Inserts }},
-		{"utk_deletes_total", "Applied record deletes.", "counter", func(st utk.EngineStats) any { return st.Deletes }},
-		{"utk_update_batches_total", "Applied update batches.", "counter", func(st utk.EngineStats) any { return st.UpdateBatches }},
-		{"utk_coalesced_ops_total", "Batch ops elided by same-record insert/delete coalescing.", "counter", func(st utk.EngineStats) any { return st.CoalescedOps }},
-		{"utk_admission_skips_total", "Result-cache admissions refused for churning query classes.", "counter", func(st utk.EngineStats) any { return st.AdmissionSkips }},
-		{"utk_probe_batches_total", "Update batches that ran a batched cache-invalidation probe pass.", "counter", func(st utk.EngineStats) any { return st.ProbeBatches }},
-		{"utk_probes_saved_total", "Per-entry invalidation probes avoided by (region,k) grouping.", "counter", func(st utk.EngineStats) any { return st.ProbesSaved }},
-		{"utk_exhaustions_total", "Shadow exhaustions forcing a candidate reseed.", "counter", func(st utk.EngineStats) any { return st.Exhaustions }},
-		{"utk_repair_steps_total", "Chunked incremental-reseed steps executed.", "counter", func(st utk.EngineStats) any { return st.RepairSteps }},
-		{"utk_shadow_depth", "Current adaptive shadow retention depth (deepest shard).", "gauge", func(st utk.EngineStats) any { return st.ShadowDepth }},
-		{"utk_band_maintenance_ns_total", "Wall time spent in batch-native band maintenance (begin-stage blocking).", "counter", func(st utk.EngineStats) any { return st.BandMaintenanceNS }},
-		{"utk_batch_apply_ops_total", "Update ops applied through the batch-native maintenance path.", "counter", func(st utk.EngineStats) any { return st.BatchApplyOps }},
-		{"utk_parallel_maintenance_chunks_total", "Band-maintenance chunks fanned out across executor workers.", "counter", func(st utk.EngineStats) any { return st.ParallelMaintenanceChunks }},
-	}
-	for _, sr := range perDataset {
-		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s %s\n", sr.name, sr.help, sr.name, sr.kind)
-		for _, name := range names {
-			fmt.Fprintf(&b, "%s{dataset=%q} %v\n", sr.name, name, sr.get(agg.PerDataset[name]))
+	gauge("utk_datasets", "Registered serving engines.", len(names))
+	for _, row := range engineStats {
+		switch {
+		case row.prom == "":
+		case row.scope == fleetWide:
+			gauge(row.prom, row.help, fleetSum(row, agg.PerDataset))
+		default:
+			labelled(row.prom, row.help, row.kind, func(ds string) any { return row.get(agg.PerDataset[ds]) })
 		}
 	}
 
 	gauge("utk_durable", "Whether dataset state persists across restarts (1) or is process-local (0).", boolMetric(agg.Durable))
-	type dseries struct {
+	durability := []struct {
 		name, help, kind string
 		get              func(registry.DurabilityStats) any
-	}
-	durability := []dseries{
+	}{
 		{"utk_wal_appends_total", "Update batches durably appended to the WAL.", "counter", func(d registry.DurabilityStats) any { return d.WALAppends }},
 		{"utk_wal_bytes_total", "Bytes durably appended to the WAL.", "counter", func(d registry.DurabilityStats) any { return d.WALBytes }},
 		{"utk_snapshots_written_total", "Snapshots written (creation's initial snapshot counts).", "counter", func(d registry.DurabilityStats) any { return d.SnapshotsWritten }},
@@ -673,10 +664,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		{"utk_wedge_auto_healed_total", "Wedges cleared by a successful auto-heal snapshot.", "counter", func(d registry.DurabilityStats) any { return d.WedgeAutoHealed }},
 	}
 	for _, sr := range durability {
-		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s %s\n", sr.name, sr.help, sr.name, sr.kind)
-		for _, name := range names {
-			fmt.Fprintf(&b, "%s{dataset=%q} %v\n", sr.name, name, sr.get(agg.PerDatasetDurability[name]))
-		}
+		labelled(sr.name, sr.help, sr.kind, func(ds string) any { return sr.get(agg.PerDatasetDurability[ds]) })
 	}
 	// Age is derived at scrape time; datasets that never snapshotted (pure
 	// in-memory stores) are omitted rather than reported as absurdly old.

@@ -111,20 +111,6 @@ func New(records [][]float64, parts, k, shadowDepth int, setup func(*skyband.Dyn
 // Parts returns the number of partitions.
 func (b *Band) Parts() int { return len(b.parts) }
 
-// NextID returns the global id the next insert will be assigned.
-func (b *Band) NextID() int { return b.nextGlobal }
-
-// Has reports whether the global id is live.
-func (b *Band) Has(id int) bool { _, ok := b.owner[id]; return ok }
-
-// InBand reports whether the record is a member of its own part's band — a
-// superset of global band membership, which is the conservative direction
-// for the engine's delete probes.
-func (b *Band) InBand(id int) bool {
-	p, ok := b.owner[id]
-	return ok && b.parts[p.part].InBand(p.local)
-}
-
 // Record returns the coordinates of a live record (shared slice; do not
 // mutate), or nil when the id is not live.
 func (b *Band) Record(id int) []float64 {
@@ -247,36 +233,14 @@ func (b *Band) Band() ([]int, [][]float64) {
 	return b.ids, b.recs
 }
 
-// Stats sums the per-part counters. Band and Shadow are the resident per-part
-// totals (the served global band is at most Band); Coverage is the weakest
-// per-part guarantee and ShadowDepth the deepest per-part retention.
+// Stats folds the per-part stats together (skyband.DynamicStats.Add):
+// SupersetSize and ShadowSize are the resident per-part totals (the served
+// global band is at most SupersetSize), Coverage the weakest per-part
+// guarantee and ShadowDepth the deepest per-part retention.
 func (b *Band) Stats() skyband.DynamicStats {
-	var agg skyband.DynamicStats
-	for p, dyn := range b.parts {
-		st := dyn.Stats()
-		agg.Live += st.Live
-		agg.Band += st.Band
-		agg.Shadow += st.Shadow
-		if p == 0 || st.Coverage < agg.Coverage {
-			agg.Coverage = st.Coverage
-		}
-		if st.ShadowDepth > agg.ShadowDepth {
-			agg.ShadowDepth = st.ShadowDepth
-		}
-		agg.Inserts += st.Inserts
-		agg.Deletes += st.Deletes
-		agg.Promotions += st.Promotions
-		agg.Demotions += st.Demotions
-		agg.Evictions += st.Evictions
-		agg.Rebuilds += st.Rebuilds
-		agg.Exhaustions += st.Exhaustions
-		agg.Repairs += st.Repairs
-		agg.RepairSteps += st.RepairSteps
-		agg.ShadowGrows += st.ShadowGrows
-		agg.ShadowShrinks += st.ShadowShrinks
-		agg.BandMaintenanceNS += st.BandMaintenanceNS
-		agg.BatchApplyOps += st.BatchApplyOps
-		agg.ParallelMaintenanceChunks += st.ParallelMaintenanceChunks
+	agg := b.parts[0].Stats()
+	for _, dyn := range b.parts[1:] {
+		agg.Add(dyn.Stats())
 	}
 	return agg
 }

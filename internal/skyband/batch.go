@@ -88,7 +88,7 @@ func sumSlack(dim int, s float64) float64 {
 // batch fall back to the per-op cores.
 func (d *Dynamic) ApplyOps(ops []Op) ([]int, []Effect, error) {
 	start := time.Now()
-	defer func() { d.bandMaintNS += uint64(time.Since(start)) }()
+	defer func() { d.stats.BandMaintenanceNS += uint64(time.Since(start)) }()
 	if len(ops) == 0 {
 		return nil, nil, nil
 	}
@@ -132,7 +132,8 @@ func (d *Dynamic) ApplyOps(ops []Op) ([]int, []Effect, error) {
 			napplied++
 		}
 	}
-	d.batchOps += uint64(napplied)
+	d.stats.BatchApplyOps += uint64(napplied)
+	d.stats.CoalescedOps += uint64(len(ops) - napplied)
 
 	ids := make([]int, len(ops))
 	effs := make([]Effect, len(ops))
@@ -787,7 +788,7 @@ func (d *Dynamic) batchMemberPass(deltas []batchDelta) {
 			dl.domMem = append(dl.domMem, prs[t+1])
 		}
 	}
-	d.parallelChunks += uint64(fanned)
+	d.stats.ParallelMaintenanceChunks += uint64(fanned)
 }
 
 // replayInsert is applyInsert driven by precomputed dominance lists instead
@@ -801,7 +802,7 @@ func (d *Dynamic) replayInsert(dl *batchDelta, deltas []batchDelta) (int, Effect
 	d.nextID++
 	dl.assignedID = id
 	d.live[id] = dl.rec
-	d.inserts++
+	d.stats.Inserts++
 	var eff Effect
 
 	c := 0
@@ -877,11 +878,11 @@ func (d *Dynamic) bumpDominated(mid int, eff *Effect) {
 	e.count++
 	if e.count == d.k {
 		d.band--
-		d.demotions++
+		d.stats.Demotions++
 		eff.BandChanged = true
 	}
 	if e.count >= d.capK {
-		d.evictions++
+		d.stats.ShadowEvictions++
 		d.removeAt(i)
 	}
 }
@@ -895,7 +896,7 @@ func (d *Dynamic) bumpDominated(mid int, eff *Effect) {
 func (d *Dynamic) replayDelete(dl *batchDelta, deltas []batchDelta) Effect {
 	id := dl.id
 	delete(d.live, id)
-	d.deletes++
+	d.stats.Deletes++
 	if d.repairing {
 		d.repairDels++
 	}
@@ -953,7 +954,7 @@ func (d *Dynamic) dropDominator(mid int, eff *Effect) {
 	e.count--
 	if eff != nil && e.count == d.k-1 {
 		d.band++
-		d.promotions++
+		d.stats.Promotions++
 		eff.BandChanged = true
 	}
 }

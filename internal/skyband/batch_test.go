@@ -341,11 +341,8 @@ func TestApplyOpsParallelMemberPass(t *testing.T) {
 		}
 	}
 	checkBand(t, bat, live, k, "parallel final")
-	if bat.parallelChunks == 0 {
-		t.Fatal("parallel member pass never fanned out (parallelChunks == 0)")
-	}
-	if bat.Stats().ParallelMaintenanceChunks != bat.parallelChunks {
-		t.Fatal("ParallelMaintenanceChunks not surfaced through Stats")
+	if bat.Stats().ParallelMaintenanceChunks == 0 {
+		t.Fatal("parallel member pass never fanned out (ParallelMaintenanceChunks == 0)")
 	}
 }
 
@@ -389,11 +386,11 @@ func TestApplyOpsSingleMaintenanceStep(t *testing.T) {
 			}
 			ops[i] = Op{Insert: true, Record: rec}
 		}
-		before := d.repairSteps
+		before := d.stats.RepairSteps
 		if _, _, err := d.ApplyOps(ops); err != nil {
 			t.Fatalf("batch %d: %v", b, err)
 		}
-		if steps := d.repairSteps - before; steps != 1 {
+		if steps := d.stats.RepairSteps - before; steps != 1 {
 			t.Fatalf("batch %d: %d repair steps for one batch, want exactly 1", b, steps)
 		}
 	}

@@ -2,8 +2,6 @@ package skyband
 
 import (
 	"math"
-	"slices"
-	"sort"
 
 	"repro/internal/geom"
 )
@@ -122,18 +120,17 @@ func intervalExcludedCols(c *Columns, recs [][]float64, r *geom.Region, k int) [
 	c.scoreBounds32(lo, hi, smin, smax)
 
 	// Exact θ from the candidate band around the k-th largest float32 min.
-	kth := make([]float32, n)
-	copy(kth, smin)
-	slices.Sort(kth)
-	cut := float64(kth[n-k]) - 2*slack
-	exact := make([]float64, 0, 2*k)
+	top32 := newKLargest[float32](k)
+	top32.offer(smin...)
+	kth32, _ := top32.kth() // n > k values offered
+	cut := float64(kth32) - 2*slack
+	top := newKLargest[float64](k)
 	for i := range smin {
 		if float64(smin[i]) >= cut {
-			exact = append(exact, r.MinScore(recs[i]))
+			top.offer(r.MinScore(recs[i]))
 		}
 	}
-	sort.Float64s(exact)
-	theta := exact[len(exact)-k] // k-th largest exact minimum score
+	theta, _ := top.kth() // k-th largest exact minimum score (the band holds ≥ k)
 
 	excluded := make([]bool, n)
 	for i := range excluded {

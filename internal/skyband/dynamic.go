@@ -118,23 +118,9 @@ type Dynamic struct {
 	// across executor workers; nil keeps batch maintenance sequential.
 	pool *exec.Pool
 
-	inserts       uint64
-	deletes       uint64
-	promotions    uint64
-	demotions     uint64
-	evictions     uint64
-	rebuilds      uint64
-	exhaustions   uint64
-	repairs       uint64
-	repairSteps   uint64
-	shadowGrows   uint64
-	shadowShrinks uint64
-	// Batch-path counters (see ApplyOps): wall time spent in batch band
-	// maintenance, ops applied through the batch path, and member-pass
-	// chunks fanned out in parallel.
-	bandMaintNS    uint64
-	batchOps       uint64
-	parallelChunks uint64
+	// stats holds the lifetime counters, incremented in place; the size and
+	// depth gauges in it are filled only in the copy Stats returns.
+	stats DynamicStats
 
 	// Member caches parallel to ents, maintained by addEntry/removeAt:
 	// each member's coordinate sum (its dominance-pruning key), its float32
@@ -187,12 +173,17 @@ type Effect struct {
 }
 
 // DynamicStats is a snapshot of the structure's state and lifetime counters.
+// It is the one declaration of the band counters: Dynamic increments them in
+// a value of this type, the engine's Stats embeds it, and the serving layers
+// read the fields from there.
 type DynamicStats struct {
-	// Live is the current record population; Band and Shadow split the
-	// member set at depth k.
-	Live   int
-	Band   int
-	Shadow int
+	// Live is the current record population. SupersetSize is the band — the
+	// members below depth k, the candidate pool every warm query filters
+	// instead of the full dataset — and ShadowSize the members beyond it,
+	// retained for deletion repair.
+	Live         int
+	SupersetSize int
+	ShadowSize   int
 	// Coverage is the dominator-count depth up to which membership is
 	// currently guaranteed (capK right after construction or a rebuild,
 	// eroded by at most one per band/shadow deletion in between).
@@ -205,10 +196,11 @@ type DynamicStats struct {
 	Deletes uint64
 	// Promotions counts shadow members whose count dropped below k after a
 	// delete; Demotions counts band members pushed to count ≥ k by an
-	// insert; Evictions counts members dropped past the retention depth.
-	Promotions uint64
-	Demotions  uint64
-	Evictions  uint64
+	// insert; ShadowEvictions counts members dropped past the retention
+	// depth.
+	Promotions      uint64
+	Demotions       uint64
+	ShadowEvictions uint64
 	// Rebuilds counts monolithic coverage recomputations (reseed or full
 	// rebuild); Exhaustions counts shadow-exhaustion events (each is served
 	// by draining an in-flight repair or by a rebuild); Repairs counts
@@ -223,12 +215,41 @@ type DynamicStats struct {
 	ShadowShrinks uint64
 	// BandMaintenanceNS is the cumulative wall time (nanoseconds) spent
 	// inside ApplyOps — the begin-stage band-maintenance cost of batch
-	// apply. BatchApplyOps counts the update ops applied through ApplyOps
-	// (coalesced pairs excluded), and ParallelMaintenanceChunks the
-	// member-pass chunks that were fanned out across executor workers.
+	// apply. BatchApplyOps counts the update ops applied through ApplyOps,
+	// CoalescedOps the ops it folded away instead (each insert→delete pair of
+	// one record within a batch counts both ops), and
+	// ParallelMaintenanceChunks the member-pass chunks that were fanned out
+	// across executor workers.
 	BandMaintenanceNS         uint64
 	BatchApplyOps             uint64
+	CoalescedOps              uint64
 	ParallelMaintenanceChunks uint64
+}
+
+// Add folds the stats of another partition of the same dataset into s: sizes
+// and counters sum, Coverage keeps the weakest guarantee and ShadowDepth the
+// deepest retention.
+func (s *DynamicStats) Add(o DynamicStats) {
+	s.Live += o.Live
+	s.SupersetSize += o.SupersetSize
+	s.ShadowSize += o.ShadowSize
+	s.Coverage = min(s.Coverage, o.Coverage)
+	s.ShadowDepth = max(s.ShadowDepth, o.ShadowDepth)
+	s.Inserts += o.Inserts
+	s.Deletes += o.Deletes
+	s.Promotions += o.Promotions
+	s.Demotions += o.Demotions
+	s.ShadowEvictions += o.ShadowEvictions
+	s.Rebuilds += o.Rebuilds
+	s.Exhaustions += o.Exhaustions
+	s.Repairs += o.Repairs
+	s.RepairSteps += o.RepairSteps
+	s.ShadowGrows += o.ShadowGrows
+	s.ShadowShrinks += o.ShadowShrinks
+	s.BandMaintenanceNS += o.BandMaintenanceNS
+	s.BatchApplyOps += o.BatchApplyOps
+	s.CoalescedOps += o.CoalescedOps
+	s.ParallelMaintenanceChunks += o.ParallelMaintenanceChunks
 }
 
 // NewDynamic builds the structure over the initial records (ids 0..n-1).
@@ -254,7 +275,7 @@ func NewDynamic(records [][]float64, superset []int, k, shadowDepth int) (*Dynam
 	}
 	if superset == nil {
 		d.rebuild()
-		d.rebuilds = 0
+		d.stats.Rebuilds = 0
 	} else {
 		recs := make([][]float64, len(superset))
 		for i, id := range superset {
@@ -321,7 +342,7 @@ func (d *Dynamic) applyInsert(rec []float64) (int, Effect) {
 	d.nextID++
 	cp := append([]float64(nil), rec...)
 	d.live[id] = cp
-	d.inserts++
+	d.stats.Inserts++
 	var eff Effect
 
 	// Exact dominator count of the newcomer within the member set, capped at
@@ -348,11 +369,11 @@ func (d *Dynamic) applyInsert(rec []float64) (int, Effect) {
 			e.count++
 			if e.count == d.k {
 				d.band--
-				d.demotions++
+				d.stats.Demotions++
 				eff.BandChanged = true
 			}
 			if e.count >= d.capK {
-				d.evictions++
+				d.stats.ShadowEvictions++
 				d.removeAt(i)
 				continue
 			}
@@ -392,7 +413,7 @@ func (d *Dynamic) applyDelete(id int) (rec []float64, eff Effect, ok bool) {
 		return nil, Effect{}, false
 	}
 	delete(d.live, id)
-	d.deletes++
+	d.stats.Deletes++
 	if d.repairing {
 		// Any delete may lower the true count of a record screened earlier,
 		// so it joins the debt discounted from the repair's finalize depth.
@@ -437,7 +458,7 @@ func (d *Dynamic) applyDelete(id int) (rec []float64, eff Effect, ok bool) {
 			e.count--
 			if e.count == d.k-1 {
 				d.band++
-				d.promotions++
+				d.stats.Promotions++
 				eff.BandChanged = true
 			}
 		}
@@ -468,7 +489,7 @@ func (d *Dynamic) applyDelete(id int) (rec []float64, eff Effect, ok bool) {
 // sequence (rather than of shadow/repair tuning) is what makes engine epochs
 // replay deterministically from a WAL.
 func (d *Dynamic) exhaust(eff *Effect) {
-	d.exhaustions++
+	d.stats.Exhaustions++
 	d.maybeGrowShadow()
 	preBand := d.band
 	if d.repairing && d.repairCap-d.repairDels > d.k {
@@ -668,7 +689,7 @@ func (d *Dynamic) repairStep(budget int) {
 		d.abortRepair()
 		return
 	}
-	d.repairSteps++
+	d.stats.RepairSteps++
 	for budget > 0 && d.scanPos < len(d.scanIDs) {
 		id := d.scanIDs[d.scanPos]
 		d.scanPos++
@@ -814,7 +835,7 @@ func (d *Dynamic) repairStep(budget int) {
 		d.abortRepair()
 		if depth > d.cov {
 			d.cov = depth
-			d.repairs++
+			d.stats.Repairs++
 		}
 	}
 }
@@ -906,7 +927,7 @@ func (d *Dynamic) abortRepair() {
 // repairs both rarer (more erosion headroom before the trigger) and cheaper
 // per update (pacing divides the work across the larger slack).
 func (d *Dynamic) maybeGrowShadow() {
-	total := d.inserts + d.deletes
+	total := d.stats.Inserts + d.stats.Deletes
 	if d.adaptive && total-d.lastPressure < d.growWindow() {
 		shadow := 2 * (d.capK - d.k)
 		if shadow < 1 {
@@ -917,7 +938,7 @@ func (d *Dynamic) maybeGrowShadow() {
 		}
 		if shadow > d.capK-d.k {
 			d.capK = d.k + shadow
-			d.shadowGrows++
+			d.stats.ShadowGrows++
 		}
 	}
 	d.lastPressure = total
@@ -929,7 +950,7 @@ func (d *Dynamic) maybeShrinkShadow() {
 	if !d.adaptive || d.capK-d.k <= d.baseShadow {
 		return
 	}
-	total := d.inserts + d.deletes
+	total := d.stats.Inserts + d.stats.Deletes
 	ref := d.lastPressure
 	if d.lastShrinkAt > ref {
 		ref = d.lastShrinkAt
@@ -944,7 +965,7 @@ func (d *Dynamic) maybeShrinkShadow() {
 	d.capK = d.k + shadow
 	for i := 0; i < len(d.ents); {
 		if d.ents[i].count >= d.capK {
-			d.evictions++
+			d.stats.ShadowEvictions++
 			d.removeAt(i)
 			continue
 		}
@@ -954,7 +975,7 @@ func (d *Dynamic) maybeShrinkShadow() {
 		d.cov = d.capK
 	}
 	d.lastShrinkAt = total
-	d.shadowShrinks++
+	d.stats.ShadowShrinks++
 }
 
 // growWindow is the adaptation horizon, in applied updates: exhaustions
@@ -1021,7 +1042,7 @@ func (d *Dynamic) reseed() {
 		recs[i] = d.live[id]
 	}
 	d.setMembers(recs, ids)
-	d.rebuilds++
+	d.stats.Rebuilds++
 }
 
 func coordSum(rec []float64) float64 {
@@ -1104,28 +1125,13 @@ func (d *Dynamic) NextID() int { return d.nextID }
 
 // Stats returns a snapshot of sizes and lifetime counters.
 func (d *Dynamic) Stats() DynamicStats {
-	return DynamicStats{
-		Live:          len(d.live),
-		Band:          d.band,
-		Shadow:        len(d.ents) - d.band,
-		Coverage:      d.cov,
-		ShadowDepth:   d.capK - d.k,
-		Inserts:       d.inserts,
-		Deletes:       d.deletes,
-		Promotions:    d.promotions,
-		Demotions:     d.demotions,
-		Evictions:     d.evictions,
-		Rebuilds:      d.rebuilds,
-		Exhaustions:   d.exhaustions,
-		Repairs:       d.repairs,
-		RepairSteps:   d.repairSteps,
-		ShadowGrows:   d.shadowGrows,
-		ShadowShrinks: d.shadowShrinks,
-
-		BandMaintenanceNS:         d.bandMaintNS,
-		BatchApplyOps:             d.batchOps,
-		ParallelMaintenanceChunks: d.parallelChunks,
-	}
+	st := d.stats
+	st.Live = len(d.live)
+	st.SupersetSize = d.band
+	st.ShadowSize = len(d.ents) - d.band
+	st.Coverage = d.cov
+	st.ShadowDepth = d.capK - d.k
+	return st
 }
 
 // SetPool hands the structure an executor for batch maintenance: ApplyOps
@@ -1194,7 +1200,7 @@ func (d *Dynamic) rebuild() {
 		recs[i] = d.live[id]
 	}
 	d.setMembers(recs, ids)
-	d.rebuilds++
+	d.stats.Rebuilds++
 }
 
 // setMembers computes exact member counts over a candidate pool that must

@@ -111,8 +111,8 @@ func TestDynamicMatchesBruteForce(t *testing.T) {
 		if st.Coverage < k || st.Coverage > k+shadow {
 			t.Fatalf("trial %d: coverage %d outside [%d, %d]", trial, st.Coverage, k, k+shadow)
 		}
-		if gotIDs, _ := dyn.Band(); len(gotIDs) != st.Band {
-			t.Fatalf("trial %d: Band() length %d != stats band %d", trial, len(gotIDs), st.Band)
+		if gotIDs, _ := dyn.Band(); len(gotIDs) != st.SupersetSize {
+			t.Fatalf("trial %d: Band() length %d != stats band %d", trial, len(gotIDs), st.SupersetSize)
 		}
 	}
 }
@@ -145,7 +145,7 @@ func TestDynamicSupersetConstruction(t *testing.T) {
 	if fmt.Sprint(sIDs) != fmt.Sprint(want) {
 		t.Fatalf("dynamic band %v != static KSkyband %v", sIDs, want)
 	}
-	if st := seeded.Stats(); st.Shadow == 0 {
+	if st := seeded.Stats(); st.ShadowSize == 0 {
 		t.Error("expected a non-empty shadow band on a 500-point dataset")
 	}
 }

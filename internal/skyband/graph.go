@@ -52,7 +52,7 @@ func buildGraph(t *rtree.Tree, r *geom.Region, k int, prefilter bool) *Graph {
 	dom := func(p, q []float64) bool { return RDominates(p, q, r) }
 	var ib *intervalBound
 	if prefilter {
-		ib = &intervalBound{r: r, k: k}
+		ib = &intervalBound{r: r, mins: newKLargest[float64](k)}
 	}
 	ms := bbs(t, k, key, dom, ib)
 	recs := make([][]float64, len(ms))

@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/bits"
 	"slices"
-	"sort"
 
 	"repro/internal/geom"
 )
@@ -103,9 +102,9 @@ func IntervalExcluded(recs [][]float64, r *geom.Region, k int) []bool {
 	for i, rec := range recs {
 		smin[i] = r.MinScore(rec)
 	}
-	kth := append([]float64(nil), smin...)
-	sort.Float64s(kth)
-	theta := kth[n-k] // k-th largest minimum score
+	top := newKLargest[float64](k)
+	top.offer(smin...)
+	theta, _ := top.kth() // k-th largest minimum score (n > k values offered)
 	excluded := make([]bool, n)
 	for i := range recs {
 		if smin[i]+geom.Eps < theta {

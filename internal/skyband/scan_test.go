@@ -3,9 +3,11 @@ package skyband
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
+	"repro/internal/dataset"
 	"repro/internal/geom"
 	"repro/internal/rtree"
 )
@@ -156,6 +158,88 @@ func TestScanKSkybandCoversKSkyband(t *testing.T) {
 			}
 			if cnt >= k {
 				t.Errorf("k=%d: scan kept record %d with %d dominators", k, id, cnt)
+			}
+		}
+	}
+}
+
+// kthLargestBySort is the reference kLargest replaced: copy, sort, index.
+func kthLargestBySort[T float32 | float64](vs []T, k int) (T, bool) {
+	if len(vs) < k {
+		return 0, false
+	}
+	s := append([]T(nil), vs...)
+	slices.Sort(s)
+	return s[len(s)-k], true
+}
+
+func checkKLargest[T float32 | float64](t *testing.T, vs []T, k int) {
+	t.Helper()
+	whole := newKLargest[T](k)
+	whole.offer(vs...)
+	single := newKLargest[T](k)
+	for _, v := range vs {
+		single.offer(v)
+	}
+	want, wantOK := kthLargestBySort(vs, k)
+	for name, top := range map[string]kLargest[T]{"slice": whole, "one-by-one": single} {
+		if got, ok := top.kth(); ok != wantOK || got != want {
+			t.Fatalf("%s n=%d k=%d: kth = %v,%v, sort-and-index says %v,%v", name, len(vs), k, got, ok, want, wantOK)
+		}
+	}
+}
+
+// TestKLargestMatchesSort pins the bounded-selection helper to sort-and-index
+// on random input with heavy ties, n below, at and above k, in both widths.
+func TestKLargestMatchesSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	for trial := 0; trial < 400; trial++ {
+		n, k := rng.Intn(60), 1+rng.Intn(12)
+		levels := 1 + rng.Intn(2*n+1) // few levels = many ties
+		f64 := make([]float64, n)
+		f32 := make([]float32, n)
+		for i := range f64 {
+			f64[i] = float64(rng.Intn(levels)) / 7
+			f32[i] = float32(f64[i])
+		}
+		checkKLargest(t, f64, k)
+		checkKLargest(t, f32, k)
+	}
+}
+
+// TestScanGraphWithMatchesBuildGraphANTI is the engine's warm filter against
+// the paper's BBS filter on the data that stresses the interval rule most:
+// anti-correlated records (a large skyband, many near-equal scores) filtered
+// at depths below the superset's MaxK, as a per-k sub-index does.
+func TestScanGraphWithMatchesBuildGraphANTI(t *testing.T) {
+	const maxK = 10
+	recs := dataset.Synthetic(dataset.ANTI, 3000, 4, 5)
+	tree, err := rtree.BulkLoad(recs, rtree.DefaultFanout)
+	if err != nil {
+		t.Fatal(err)
+	}
+	superIDs := KSkyband(tree, maxK)
+	sort.Ints(superIDs)
+	super := make([][]float64, len(superIDs))
+	for i, id := range superIDs {
+		super[i] = recs[id]
+	}
+	cols := NewColumns(super)
+	rng := rand.New(rand.NewSource(6))
+	for trial := 0; trial < 6; trial++ {
+		r := filterBox(t, rng, 3)
+		for _, k := range []int{1, 4, 9} {
+			want := BuildGraph(tree, r, k)
+			got := ScanGraphWith(cols, super, superIDs, r, k)
+			wantIDs := append([]int(nil), want.IDs...)
+			gotIDs := append([]int(nil), got.IDs...)
+			sort.Ints(wantIDs)
+			sort.Ints(gotIDs)
+			if fmt.Sprint(gotIDs) != fmt.Sprint(wantIDs) {
+				t.Fatalf("trial %d k=%d: nodes differ\n got %v\nwant %v", trial, k, gotIDs, wantIDs)
+			}
+			if fmt.Sprint(graphRelation(got)) != fmt.Sprint(graphRelation(want)) {
+				t.Fatalf("trial %d k=%d: edges differ", trial, k)
 			}
 		}
 	}

@@ -94,49 +94,60 @@ type member struct {
 // dominance tests. θ only grows as members accrue, so a verdict taken at any
 // point stays sound.
 type intervalBound struct {
-	r *geom.Region
-	k int
-	// mins holds the k largest member min-scores seen so far, ascending;
-	// mins[0] is θ once the buffer is full.
-	mins []float64
+	r    *geom.Region
+	mins kLargest[float64] // member min-scores; θ once full
 }
 
 // prune reports whether the point (a record, or a node's top corner) is
 // provably outside the r-skyband.
 func (ib *intervalBound) prune(p []float64) bool {
-	if len(ib.mins) < ib.k {
-		return false
-	}
-	return ib.r.MaxScore(p)+geom.Eps < ib.mins[0]
+	theta, ok := ib.mins.kth()
+	return ok && ib.r.MaxScore(p)+geom.Eps < theta
 }
 
 // accept folds an accepted member's minimum score into the bound.
-func (ib *intervalBound) accept(rec []float64) {
-	mn := ib.r.MinScore(rec)
-	if len(ib.mins) < ib.k {
-		ib.mins = append(ib.mins, mn)
-		sortFloat64sInto(ib.mins)
-		return
+func (ib *intervalBound) accept(rec []float64) { ib.mins.offer(ib.r.MinScore(rec)) }
+
+// kLargest tracks the k ≥ 1 largest values offered so far (a multiset: ties
+// each take a slot) in an ascending buffer of capacity k, so the k-th order
+// statistic of a stream costs no n-sized copy and no sort. k is a top-k depth
+// (≤ MaxK), so an insertion is a short shift and the common case — a value
+// at or below the current k-th largest — is one comparison.
+type kLargest[T float32 | float64] []T
+
+func newKLargest[T float32 | float64](k int) kLargest[T] { return make(kLargest[T], 0, k) }
+
+// kth returns the k-th largest value offered; ok is false until k values
+// have been.
+func (a kLargest[T]) kth() (v T, ok bool) {
+	if len(a) < cap(a) {
+		return 0, false
 	}
-	if mn <= ib.mins[0] {
-		return
-	}
-	ib.mins[0] = mn
-	sortFloat64sInto(ib.mins)
+	return a[0], true
 }
 
-// sortFloat64sInto restores ascending order after a single replacement or
-// append — one insertion pass, O(k).
-func sortFloat64sInto(a []float64) {
-	for i := 1; i < len(a); i++ {
-		v := a[i]
-		j := i - 1
-		for j >= 0 && a[j] > v {
-			a[j+1] = a[j]
-			j--
+// offer folds values into the tracker. The loop lives here (callers pass
+// whole slices) so the one-comparison reject path runs without a call per
+// value.
+func (a *kLargest[T]) offer(vs ...T) {
+	s := *a
+	for _, v := range vs {
+		if len(s) < cap(s) {
+			s = append(s, v)
+			i := len(s) - 1
+			for ; i > 0 && s[i-1] > v; i-- {
+				s[i] = s[i-1]
+			}
+			s[i] = v
+		} else if v > s[0] {
+			i := 1
+			for ; i < len(s) && s[i] < v; i++ {
+				s[i-1] = s[i]
+			}
+			s[i-1] = v
 		}
-		a[j+1] = v
 	}
+	*a = s
 }
 
 // bbs runs the branch-and-bound skyline paradigm with a pluggable monotone
@@ -227,7 +238,7 @@ func RSkyband(t *rtree.Tree, r *geom.Region, k int) []int {
 	pivot := r.Pivot()
 	key := func(p []float64) float64 { return geom.Score(p, pivot) }
 	dom := func(p, q []float64) bool { return RDominates(p, q, r) }
-	ms := bbs(t, k, key, dom, &intervalBound{r: r, k: k})
+	ms := bbs(t, k, key, dom, &intervalBound{r: r, mins: newKLargest[float64](k)})
 	// Exact post-pass: pairwise counts inside the BBS superset.
 	keep := make([]int, 0, len(ms))
 	for i, mi := range ms {

@@ -50,12 +50,12 @@ func (d *Dynamic) State() *DynamicState {
 		NextID:      d.nextID,
 		LiveIDs:     make([]int, 0, len(d.live)),
 		MemberIDs:   make([]int, 0, len(d.ents)),
-		Inserts:     d.inserts,
-		Deletes:     d.deletes,
-		Promotions:  d.promotions,
-		Demotions:   d.demotions,
-		Evictions:   d.evictions,
-		Rebuilds:    d.rebuilds,
+		Inserts:     d.stats.Inserts,
+		Deletes:     d.stats.Deletes,
+		Promotions:  d.stats.Promotions,
+		Demotions:   d.stats.Demotions,
+		Evictions:   d.stats.ShadowEvictions,
+		Rebuilds:    d.stats.Rebuilds,
 	}
 	for id := range d.live {
 		st.LiveIDs = append(st.LiveIDs, id)
@@ -94,18 +94,20 @@ func RestoreDynamic(st *DynamicState) (*Dynamic, error) {
 		return nil, errors.New("skyband: misaligned state slices")
 	}
 	d := &Dynamic{
-		k:          st.K,
-		capK:       st.K + st.ShadowDepth,
-		cov:        st.Coverage,
-		live:       make(map[int][]float64, len(st.LiveIDs)),
-		pos:        make(map[int]int, len(st.MemberIDs)),
-		nextID:     st.NextID,
-		inserts:    st.Inserts,
-		deletes:    st.Deletes,
-		promotions: st.Promotions,
-		demotions:  st.Demotions,
-		evictions:  st.Evictions,
-		rebuilds:   st.Rebuilds,
+		k:      st.K,
+		capK:   st.K + st.ShadowDepth,
+		cov:    st.Coverage,
+		live:   make(map[int][]float64, len(st.LiveIDs)),
+		pos:    make(map[int]int, len(st.MemberIDs)),
+		nextID: st.NextID,
+		stats: DynamicStats{
+			Inserts:         st.Inserts,
+			Deletes:         st.Deletes,
+			Promotions:      st.Promotions,
+			Demotions:       st.Demotions,
+			ShadowEvictions: st.Evictions,
+			Rebuilds:        st.Rebuilds,
+		},
 	}
 	for i, id := range st.LiveIDs {
 		if id < 0 || id >= st.NextID {

@@ -108,8 +108,8 @@ func (c *Config) fill() {
 }
 
 // Result reports one harness run. Latency percentiles are in nanoseconds in
-// the JSON encoding (time.Duration's native unit) so BENCH_stream.json is
-// unit-unambiguous.
+// the JSON encoding (time.Duration's native unit) so utkstream -json output
+// is unit-unambiguous.
 type Result struct {
 	Batches       uint64        `json:"batches"`
 	Ops           uint64        `json:"ops"`

@@ -41,9 +41,9 @@ func TestPercentilesEdgeCases(t *testing.T) {
 	}
 }
 
-// TestResultJSONFields pins the Result wire format consumed by
-// BENCH_stream.json and the CI regression diff: a deterministic-seed run must
-// produce every documented key, with latencies in nanosecond fields.
+// TestResultJSONFields pins the Result wire format utkstream -json writes: a
+// deterministic-seed run must produce every documented key, with latencies
+// in nanosecond fields.
 func TestResultJSONFields(t *testing.T) {
 	cfg := Config{
 		N: 800, Dim: 3, K: 5, Batches: 3, BatchSize: 16,

@@ -3,7 +3,7 @@ package utk_test
 // Sustained-update streaming benchmark: the internal/stream harness drives
 // concurrent ApplyBatch churn against live UTK1/UTK2 queriers and reports
 // update throughput plus query latency percentiles. cmd/utkstream runs the
-// same harness standalone (and emits BENCH_stream.json in CI). This file is
+// same harness standalone. This file is
 // an external test package because the harness imports the root package.
 
 import (
