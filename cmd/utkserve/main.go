@@ -63,7 +63,6 @@ func main() {
 		name     = flag.String("name", "default", "name of the initial dataset")
 		shards   = flag.Int("shards", 1, "horizontal partitions of the initial dataset (1 = unsharded)")
 		maxK     = flag.Int("maxk", 20, "largest top-k depth the engine serves")
-		shadow   = flag.Int("shadow", 0, "deletion-repair shadow depth beyond maxk (0 = maxk)")
 		cache    = flag.Int("cache", 0, "result-cache entries (0 = default, negative disables)")
 		workers  = flag.Int("workers", 0, "executor worker limit (0 = GOMAXPROCS)")
 		maxQd    = flag.Int("max-queued", 0, "queries allowed to wait for an executor slot before 429 (0 = unbounded, negative = no queue)")
@@ -90,7 +89,6 @@ func main() {
 	ent, recovered, err := seedDataset(reg, *name, *dataPath, *gen, *n, *d, *seed, registry.Options{
 		Shards:       *shards,
 		MaxK:         *maxK,
-		ShadowDepth:  *shadow,
 		CacheEntries: *cache,
 		Workers:      *workers,
 		MaxQueued:    *maxQd,

@@ -144,16 +144,16 @@ func report(name string, r *stream.Result) {
 	if r.Batches > 0 {
 		fmt.Printf("  updates: %d batches, %d ops, %.0f updates/s; batch p50=%s p99=%s max=%s\n",
 			r.Batches, r.Ops, r.UpdatesPerSec, r.UpdateP50, r.UpdateP99, r.UpdateMax)
-		fmt.Printf("  begin stage (blocking): p50=%s p99=%s max=%s; band_maintenance=%s over %d ops in %d chunks\n",
+		fmt.Printf("  begin stage (blocking): p50=%s p99=%s max=%s; band_maintenance=%s over %d ops\n",
 			r.BeginP50, r.BeginP99, r.BeginMax,
-			time.Duration(r.Stats.BandMaintenanceNS), r.Stats.BatchApplyOps, r.Stats.ParallelMaintenanceChunks)
+			time.Duration(r.Stats.BandMaintenanceNS), r.Stats.BatchApplyOps)
 	}
 	fmt.Printf("  queries: %d (%.0f/s); p50=%s p99=%s max=%s\n",
 		r.Queries, r.QueriesPerSec, r.QueryP50, r.QueryP99, r.QueryMax)
 	st := r.Stats
-	fmt.Printf("  engine: live=%d superset=%d shadow_depth=%d coalesced=%d admission_skips=%d repairs=%d steps=%d exhaustions=%d rebuilds=%d\n",
-		st.Live, st.SupersetSize, st.ShadowDepth, st.CoalescedOps, st.AdmissionSkips,
-		st.Repairs, st.RepairSteps, st.Exhaustions, st.Rebuilds)
+	fmt.Printf("  engine: live=%d superset=%d fence=%d coalesced=%d admission_skips=%d promotions=%d demotions=%d recover_passes=%d recovered=%d\n",
+		st.Live, st.SupersetSize, st.ShadowSize, st.CoalescedOps, st.AdmissionSkips,
+		st.Promotions, st.Demotions, st.Repairs, st.RepairSteps)
 	fmt.Printf("  cache: hits=%d misses=%d derived=%d invalidations=%d evictions=%d\n",
 		st.Hits, st.Misses, st.DerivedHits, st.Invalidations, st.Evictions)
 	fmt.Printf("  probes: batches=%d saved=%d\n", st.ProbeBatches, st.ProbesSaved)

@@ -14,11 +14,6 @@ type EngineConfig struct {
 	// The engine's candidate superset is maintained at this depth; queries
 	// with K ≤ MaxK reuse it instead of refiltering the whole dataset.
 	MaxK int
-	// ShadowDepth is how many dominance levels beyond MaxK the engine
-	// retains as a deletion-repair shadow band; values below 1 default to
-	// MaxK. Deeper shadows survive more skyline-area deletions between
-	// recompute fallbacks at the cost of a larger resident member set.
-	ShadowDepth int
 	// CacheEntries bounds the result cache (cost-aware eviction with a
 	// containment index; see EngineStats.DerivedHits/CostEvictions). Zero
 	// selects DefaultEngineCacheEntries; negative values disable caching.
@@ -96,9 +91,9 @@ type (
 	// EngineStats is a point-in-time snapshot of an Engine's counters: the
 	// query, cache, executor and update-batch counters of the serving core
 	// plus, embedded, the candidate-superset maintenance counters (Live,
-	// SupersetSize, ShadowSize, Coverage, Inserts, Deletes, repairs, …) as of
-	// the last completed update batch — summed over the partitions of a
-	// sharded engine, with Coverage the weakest and ShadowDepth the deepest.
+	// SupersetSize, ShadowSize, Inserts, Deletes, promotions, …) as of the
+	// last completed update batch — summed over the partitions of a sharded
+	// engine.
 	EngineStats = engine.Stats
 )
 
@@ -133,14 +128,14 @@ func (ds *Dataset) NewEngine(cfg EngineConfig) (*Engine, error) {
 
 // NewShardedEngine builds a serving engine whose candidate superset is
 // maintained in the given number of horizontal partitions (round-robin):
-// inserts and deletes route to the owning partition and repair only that
+// inserts and deletes route to the owning partition and maintain only that
 // partition's band, and the exact global superset — the MaxK-skyband of the
 // union of the partition bands — is what queries filter. Record ids, query
 // results, the update API and every serving mechanism (cache, scheduling,
 // deadlines, two-stage commit) are NewEngine's: the same serving core runs
 // over either band, and a batch spanning several partitions is atomic to
-// queries. cfg means what it means for NewEngine; MaxK and ShadowDepth apply
-// to every partition. The dataset must have at least one record per shard.
+// queries. cfg means what it means for NewEngine; MaxK applies to every
+// partition. The dataset must have at least one record per shard.
 func (ds *Dataset) NewShardedEngine(shards int, cfg EngineConfig) (*Engine, error) {
 	e, err := engine.NewPartitioned(ds.records, shards, cfg.engineConfig())
 	if err != nil {
@@ -161,7 +156,6 @@ func (cfg EngineConfig) engineConfig() engine.Config {
 	}
 	return engine.Config{
 		MaxK:         cfg.MaxK,
-		ShadowDepth:  cfg.ShadowDepth,
 		CacheEntries: entries,
 		Workers:      cfg.Workers,
 		MaxQueued:    cfg.MaxQueued,

@@ -167,7 +167,7 @@ func TestEffectiveWorkersStat(t *testing.T) {
 
 func TestEngineFacadeUpdates(t *testing.T) {
 	ds, r := facadeFixture(t)
-	e, err := ds.NewEngine(EngineConfig{MaxK: 8, ShadowDepth: 6})
+	e, err := ds.NewEngine(EngineConfig{MaxK: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,8 +273,8 @@ func TestEngineFacadeUpdates(t *testing.T) {
 	if st.Epoch == 0 {
 		t.Error("epoch never advanced")
 	}
-	if st.Coverage < 8 {
-		t.Errorf("coverage %d below MaxK", st.Coverage)
+	if st.SupersetSize == 0 || st.Exhaustions != 0 || st.Rebuilds != 0 {
+		t.Errorf("band counters: %+v", st.DynamicStats)
 	}
 
 	// Validation errors surface through the exported sentinels.

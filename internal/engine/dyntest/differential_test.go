@@ -27,17 +27,21 @@ func TestDifferentialDynamicVsStatic(t *testing.T) {
 			MaxK: 4 + rng.Intn(5),
 			Ops:  ops,
 		}
+		// The draw of the retired ShadowDepth knob configures nothing any
+		// more; it stays so the rng sequence — every later scenario — and the
+		// subtest names are what they were.
+		shadow := 0
 		if rng.Intn(3) == 0 {
-			cfg.ShadowDepth = 1 + rng.Intn(3) // shallow shadows exercise the rebuild fallback
+			shadow = 1 + rng.Intn(3)
 		}
-		name := fmt.Sprintf("seed%d_d%d_n%d_maxk%d_shadow%d", cfg.Seed, cfg.Dim, cfg.N, cfg.MaxK, cfg.ShadowDepth)
+		name := fmt.Sprintf("seed%d_d%d_n%d_maxk%d_shadow%d", cfg.Seed, cfg.Dim, cfg.N, cfg.MaxK, shadow)
 		t.Run(name, func(t *testing.T) { Run(t, cfg) })
 	}
 }
 
 // TestDifferentialDeleteHeavy skews the interleaving toward deletions of
-// band members — the path that exercises shadow promotion and the
-// recompute fallback — by using a tiny shadow depth.
+// band members — the path that exercises fence promotion and the re-cover
+// pass.
 func TestDifferentialDeleteHeavy(t *testing.T) {
 	trials := 6
 	if testing.Short() {
@@ -45,12 +49,11 @@ func TestDifferentialDeleteHeavy(t *testing.T) {
 	}
 	for trial := 0; trial < trials; trial++ {
 		cfg := Config{
-			Seed:        9000 + int64(trial),
-			Dim:         2 + trial%3,
-			N:           120,
-			MaxK:        5,
-			ShadowDepth: 1,
-			Ops:         24,
+			Seed: 9000 + int64(trial),
+			Dim:  2 + trial%3,
+			N:    120,
+			MaxK: 5,
+			Ops:  24,
 		}
 		name := fmt.Sprintf("seed%d_d%d", cfg.Seed, cfg.Dim)
 		t.Run(name, func(t *testing.T) { Run(t, cfg) })

@@ -40,8 +40,6 @@ type Config struct {
 	N int
 	// MaxK bounds query depth; queries draw k from [1, MaxK].
 	MaxK int
-	// ShadowDepth forwards to engine.Config (0 keeps the engine default).
-	ShadowDepth int
 	// Ops is the number of interleaved events (updates and queries).
 	Ops int
 	// Shards, when above 1, runs the scenario on an engine whose band is
@@ -71,7 +69,6 @@ func Run(t *testing.T, cfg Config) {
 	// inserted batches) and cross-check every assignment.
 	ecfg := engine.Config{
 		MaxK:         cfg.MaxK,
-		ShadowDepth:  cfg.ShadowDepth,
 		CacheEntries: 8, // small, so entries are both hit and invalidated
 	}
 	var dyn *engine.Engine
@@ -279,7 +276,7 @@ func sum(rec []float64) float64 {
 // brute-force MaxK-skyband of the mirror. Divergences here are caught long
 // before a query happens to route through the damaged depth, which keeps the
 // harness sensitive to maintenance bugs whose query-visible window is
-// narrow (e.g. a missed shadow promotion only perturbs depth-MaxK queries).
+// narrow (e.g. a missed fence promotion only perturbs depth-MaxK queries).
 // For a partitioned band the brute force runs per part, over the engine's
 // exported state — each part's band is the MaxK-skyband of the records routed
 // to it, and the routing tables must place every live id on exactly one part
@@ -444,7 +441,7 @@ func (harness) query(t *testing.T, rng *rand.Rand, dyn *engine.Engine, mirror ma
 	if err != nil {
 		t.Fatal(err)
 	}
-	static, err := engine.New(tree, recs, engine.Config{MaxK: cfg.MaxK, ShadowDepth: cfg.ShadowDepth})
+	static, err := engine.New(tree, recs, engine.Config{MaxK: cfg.MaxK})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -34,18 +34,21 @@ func TestDifferentialShardedVsSingle(t *testing.T) {
 			// Every S meets both apply modes over a full run.
 			Pipelined: (trial+trial/4)%2 == 1,
 		}
+		// The retired ShadowDepth draw, kept for a stable rng sequence and
+		// stable subtest names (see TestDifferentialDynamicVsStatic).
+		shadow := 0
 		if rng.Intn(3) == 0 {
-			cfg.ShadowDepth = 1 + rng.Intn(3) // shallow shadows exercise per-shard rebuilds
+			shadow = 1 + rng.Intn(3)
 		}
-		name := fmt.Sprintf("seed%d_d%d_n%d_maxk%d_shadow%d_s%d_pipe%v", cfg.Seed, cfg.Dim, cfg.N, cfg.MaxK, cfg.ShadowDepth, cfg.Shards, cfg.Pipelined)
+		name := fmt.Sprintf("seed%d_d%d_n%d_maxk%d_shadow%d_s%d_pipe%v", cfg.Seed, cfg.Dim, cfg.N, cfg.MaxK, shadow, cfg.Shards, cfg.Pipelined)
 		t.Run(name, func(t *testing.T) { Run(t, cfg) })
 	}
 }
 
 // TestDifferentialShardedDeleteHeavy skews sharded interleavings toward
-// deletions of band members with a tiny shadow depth, so per-part shadow
-// promotion, recompute fallbacks, and cache invalidation against the reduced
-// global band all fire under the differential comparison.
+// deletions of band members, so per-part fence promotion, re-cover passes,
+// and cache invalidation against the reduced global band all fire under the
+// differential comparison.
 func TestDifferentialShardedDeleteHeavy(t *testing.T) {
 	trials := 8
 	if testing.Short() {
@@ -53,15 +56,14 @@ func TestDifferentialShardedDeleteHeavy(t *testing.T) {
 	}
 	for trial := 0; trial < trials; trial++ {
 		cfg := Config{
-			Seed:        11000 + int64(trial),
-			Dim:         2 + trial%3,
-			N:           120,
-			MaxK:        5,
-			ShadowDepth: 1,
-			Ops:         24,
-			Shards:      2 + trial%3,
-			Batch:       true,
-			Pipelined:   trial%2 == 1,
+			Seed:      11000 + int64(trial),
+			Dim:       2 + trial%3,
+			N:         120,
+			MaxK:      5,
+			Ops:       24,
+			Shards:    2 + trial%3,
+			Batch:     true,
+			Pipelined: trial%2 == 1,
 		}
 		name := fmt.Sprintf("seed%d_d%d_s%d_pipe%v", cfg.Seed, cfg.Dim, cfg.Shards, cfg.Pipelined)
 		t.Run(name, func(t *testing.T) { Run(t, cfg) })

@@ -16,8 +16,9 @@
 //     R-tree — the filter is the dominant share of cold-query latency, and
 //     skyband-shaped candidate sets defeat MBB pruning anyway.
 //  2. Incremental updates: Insert, Delete, and ApplyBatch maintain the
-//     skyband superset through a skyband.Dynamic (shadow-band repair with a
-//     recompute fallback) instead of rebuilding the engine. Candidate lists
+//     skyband superset through a skyband.Dynamic (the exact band plus the
+//     fence — the skyline of the other records — so no update ever recomputes
+//     or repairs anything) instead of rebuilding the engine. Candidate lists
 //     are epoch-versioned: queries compute against an immutable snapshot and
 //     updates publish a fresh snapshot, so readers never observe a torn
 //     superset. Cached results are invalidated precisely — an update record
@@ -115,11 +116,6 @@ type Config struct {
 	// MaxK is the largest top-k depth the engine serves (required, positive).
 	// The maintained skyband superset is computed at this depth.
 	MaxK int
-	// ShadowDepth is how many dominance levels beyond MaxK the dynamic
-	// skyband retains as a deletion-repair shadow; values below 1 default to
-	// MaxK. Deeper shadows survive more skyline-area deletions between
-	// recompute fallbacks at the cost of a larger resident member set.
-	ShadowDepth int
 	// CacheEntries bounds the result cache; 0 disables caching.
 	CacheEntries int
 	// Workers bounds the engine's executor (an internal/exec pool): at most
@@ -190,7 +186,7 @@ type Result struct {
 // layer's stats table reads the fields from there.
 type Stats struct {
 	// DynamicStats is the band maintainer's view as of the last completed
-	// update batch: population and superset/shadow sizes, the applied
+	// update batch: population and band/fence sizes, the applied
 	// insert/delete counts and the maintenance counters (summed over the
 	// partitions of a sharded engine; see skyband.DynamicStats.Add).
 	skyband.DynamicStats
@@ -399,13 +395,12 @@ func New(t *rtree.Tree, records [][]float64, cfg Config) (*Engine, error) {
 	pool := exec.NewPool(cfg.Workers, cfg.MaxQueued)
 	// The k-skyband at MaxK is the one region-independent superset of every
 	// r-skyband the engine can be asked for; the dynamic structure maintains
-	// it (plus its deletion-repair shadow) under updates. Seeding it with the
-	// tree's branch-and-bound skyband skips a full scan of the records.
-	dyn, err := skyband.NewDynamic(records, skyband.KSkyband(t, cfg.MaxK+cfg.ShadowDepth), cfg.MaxK, cfg.ShadowDepth)
+	// it under updates. Seeding it with the tree's branch-and-bound skyband
+	// skips a full scan of the records.
+	dyn, err := skyband.NewDynamic(records, skyband.KSkyband(t, cfg.MaxK), cfg.MaxK)
 	if err != nil {
 		return nil, err
 	}
-	streaming(dyn, cfg.ShadowDepth, pool)
 	return newEngine(cfg, pool, dyn, t.Dim(), 0, 0), nil
 }
 
@@ -423,9 +418,7 @@ func NewPartitioned(records [][]float64, parts int, cfg Config) (*Engine, error)
 		return nil, err
 	}
 	pool := exec.NewPool(cfg.Workers, cfg.MaxQueued)
-	b, err := shard.New(records, parts, cfg.MaxK, cfg.ShadowDepth, func(d *skyband.Dynamic) {
-		streaming(d, cfg.ShadowDepth, pool)
-	})
+	b, err := shard.New(records, parts, cfg.MaxK)
 	if err != nil {
 		return nil, err
 	}
@@ -437,26 +430,10 @@ func (cfg Config) withDefaults() (Config, error) {
 	if cfg.MaxK <= 0 {
 		return cfg, core.ErrBadK
 	}
-	if cfg.ShadowDepth < 1 {
-		cfg.ShadowDepth = cfg.MaxK
-	}
 	if cfg.Workers < 1 {
 		cfg.Workers = runtime.GOMAXPROCS(0)
 	}
 	return cfg, nil
-}
-
-// streaming puts a band part into the posture the engine runs every part in:
-// repairs chunked under deadline pacing instead of stalling one update on a
-// monolithic reseed, a shadow depth that tracks the churn the workload
-// applies (base is the configured depth it decays back to; a restored deeper
-// depth is kept), and batch maintenance fanning its member pass over the
-// query pool — the update lock serializes the calls, so workers only ever see
-// read-only chunk tasks.
-func streaming(d *skyband.Dynamic, base int, pool *exec.Pool) {
-	d.EnableIncrementalRepair(0)
-	d.EnableAdaptiveShadow(base, 8*base)
-	d.SetPool(pool)
 }
 
 // newEngine is the one place an Engine is assembled — fresh or restored,
@@ -687,11 +664,9 @@ func (e *Engine) beginBatch(ops []UpdateOp) (*pendingBatch, error) {
 		}
 	}
 
-	// Batch-native apply: one ApplyOps call validates the deletes against
-	// liveness and coalesces insert→delete pairs of one record before
-	// mutating anything (so a bad batch is a no-op), computes all dominance
-	// deltas in one pass over the band, and runs at most one end-of-batch
-	// maintenance step.
+	// One ApplyOps call validates the deletes against liveness and coalesces
+	// insert→delete pairs of one record before mutating anything (so a bad
+	// batch is a no-op), then applies the ops in order.
 	ids, effs, err := e.band.ApplyOps(sops)
 	if err != nil {
 		if errors.Is(err, skyband.ErrUnknownID) || errors.Is(err, skyband.ErrDuplicateDelete) {
@@ -1089,8 +1064,8 @@ func (e *Engine) DoBatch(ctx context.Context, reqs []Request) ([]*Result, []erro
 
 // Stats returns a snapshot of the engine counters. The dynamic-skyband
 // counters reflect the last completed update batch — Stats never waits on an
-// in-progress update (in particular not on a shadow-exhaustion rebuild), so
-// monitoring stays responsive exactly when updates are slow.
+// in-progress update, so monitoring stays responsive exactly when updates
+// are slow.
 func (e *Engine) Stats() Stats {
 	epoch := e.idx.Load().epoch
 	e.mu.Lock()

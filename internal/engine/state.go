@@ -21,8 +21,8 @@ type State struct {
 	Epoch   uint64
 	Batches uint64
 	// Exactly one of Dyn and Parts is set, matching the band maintainer. Dyn
-	// is the single dynamic skyband's state: live records, member set with
-	// exact dominator counts, coverage, and the id allocator. Parts is the
+	// is the single dynamic skyband's state: live records, band with exact
+	// dominator counts, and the id allocator. Parts is the
 	// partitioned band's: one such state per part plus the id routing.
 	Dyn   *skyband.DynamicState
 	Parts *shard.State
@@ -58,11 +58,10 @@ func (e *Engine) ExportState() *State {
 
 // Restore rebuilds an engine from a captured state. No R-tree is needed:
 // queries run over the maintained skyband superset (snapshotted into the
-// index) and updates over the restored band maintainer, so recovery costs
-// O(live + members) instead of a full index build plus skyband recomputation.
-// cfg.MaxK must match the depth the state was maintained at; the current
-// (possibly grown) shadow depth is part of the dataset state, and
-// cfg.ShadowDepth only sets the base it decays back to.
+// index) and updates over the restored band maintainer, so recovery costs one
+// fence pass over the live records (skyband.RestoreDynamic) instead of a full
+// index build plus skyband recomputation. cfg.MaxK must match the depth the
+// state was maintained at.
 func Restore(st *State, cfg Config) (*Engine, error) {
 	if st == nil || (st.Dyn == nil) == (st.Parts == nil) {
 		return nil, errors.New("engine: state must carry exactly one of a single or a partitioned band")
@@ -86,22 +85,19 @@ func Restore(st *State, cfg Config) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	pool := exec.NewPool(cfg.Workers, cfg.MaxQueued)
-	setup := func(d *skyband.Dynamic) { streaming(d, cfg.ShadowDepth, pool) }
 	var b band
 	if st.Dyn != nil {
 		dyn, err := skyband.RestoreDynamic(st.Dyn)
 		if err != nil {
 			return nil, err
 		}
-		setup(dyn)
 		b = dyn
 	} else {
-		parts, err := shard.Restore(st.Parts, setup)
+		parts, err := shard.Restore(st.Parts)
 		if err != nil {
 			return nil, err
 		}
 		b = parts
 	}
-	return newEngine(cfg, pool, b, st.Dim, st.Epoch, st.Batches), nil
+	return newEngine(cfg, exec.NewPool(cfg.Workers, cfg.MaxQueued), b, st.Dim, st.Epoch, st.Batches), nil
 }

@@ -305,11 +305,11 @@ func TestBeginSnapshotsOnlyChangedBand(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dyn, err := skyband.NewDynamic(td.recs, nil, cfg.MaxK, cfg.ShadowDepth)
+	dyn, err := skyband.NewDynamic(td.recs, nil, cfg.MaxK)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Deep records: outside the band and its shadow, so deleting them and
+	// Deep records: outside the band and the fence, so deleting them and
 	// inserting records below them cannot touch the band.
 	var deep []int
 	for id := range td.recs {

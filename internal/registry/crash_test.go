@@ -138,7 +138,7 @@ func crashDifferential(t *testing.T, shards int) {
 		nCuts    = 8
 	)
 	recs := dataset.Synthetic(dataset.IND, n, dim, 7)
-	opts := Options{MaxK: 4, Shards: shards, ShadowDepth: 2}
+	opts := Options{MaxK: 4, Shards: shards}
 	pol := SnapshotPolicy{EveryOps: 23} // force snapshots mid-stream
 
 	dir := t.TempDir()

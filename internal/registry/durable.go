@@ -155,7 +155,6 @@ func (r *Registry) reopen(cfg store.DatasetConfig) (*Entry, error) {
 	}
 	ecfg := utk.EngineConfig{
 		MaxK:         cfg.MaxK,
-		ShadowDepth:  cfg.ShadowDepth,
 		CacheEntries: cfg.CacheEntries,
 		Workers:      cfg.Workers,
 		MaxQueued:    cfg.MaxQueued,
@@ -202,7 +201,6 @@ func (r *Registry) reopen(cfg store.DatasetConfig) (*Entry, error) {
 		Opts: Options{
 			Shards:       cfg.Shards,
 			MaxK:         cfg.MaxK,
-			ShadowDepth:  cfg.ShadowDepth,
 			CacheEntries: cfg.CacheEntries,
 			Workers:      cfg.Workers,
 			MaxQueued:    cfg.MaxQueued,
@@ -407,7 +405,6 @@ func datasetConfig(name string, dim int, opts Options) store.DatasetConfig {
 		Dim:          dim,
 		Shards:       opts.Shards,
 		MaxK:         opts.MaxK,
-		ShadowDepth:  opts.ShadowDepth,
 		CacheEntries: opts.CacheEntries,
 		Workers:      opts.Workers,
 		MaxQueued:    opts.MaxQueued,

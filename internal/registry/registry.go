@@ -36,9 +36,8 @@ type Options struct {
 	Shards int
 	// MaxK is the largest top-k depth served (required, positive).
 	MaxK int
-	// ShadowDepth, CacheEntries, Workers, MaxQueued, and QueryTimeout
-	// forward to utk.EngineConfig with its defaults.
-	ShadowDepth  int
+	// CacheEntries, Workers, MaxQueued, and QueryTimeout forward to
+	// utk.EngineConfig with its defaults.
 	CacheEntries int
 	Workers      int
 	MaxQueued    int
@@ -169,7 +168,6 @@ func (r *Registry) Create(name string, records [][]float64, opts Options) (*Entr
 	}
 	cfg := utk.EngineConfig{
 		MaxK:         opts.MaxK,
-		ShadowDepth:  opts.ShadowDepth,
 		CacheEntries: opts.CacheEntries,
 		Workers:      opts.Workers,
 		MaxQueued:    opts.MaxQueued,

@@ -13,7 +13,7 @@
 //	GET    /metrics           Prometheus text exposition of the fleet counters
 //	GET    /datasets          registered names with dimensions and options
 //	POST   /datasets/{name}   create: {"records":[[...]]} or {"gen":"IND","n":1000,"d":4,"seed":1},
-//	                          plus {"maxk":10,"shards":4,"shadow":0,"cache":256,"workers":0,"timeout_ms":5000}
+//	                          plus {"maxk":10,"shards":4,"cache":256,"workers":0,"timeout_ms":5000}
 //	DELETE /datasets/{name}   drop
 //
 // The dataset-less legacy paths (POST /utk1, /utk2, /update) keep working
@@ -541,22 +541,17 @@ var engineStats = []stat{
 	{"admission_skips", "utk_admission_skips_total", "Result-cache admissions refused for churning query classes.", "counter", perDataset, func(st utk.EngineStats) uint64 { return st.AdmissionSkips }},
 	{"probe_batches", "utk_probe_batches_total", "Update batches that ran a batched cache-invalidation probe pass.", "counter", perDataset, func(st utk.EngineStats) uint64 { return st.ProbeBatches }},
 	{"probes_saved", "utk_probes_saved_total", "Per-entry invalidation probes avoided by (region,k) grouping.", "counter", perDataset, func(st utk.EngineStats) uint64 { return st.ProbesSaved }},
-	{"exhaustions", "utk_exhaustions_total", "Shadow exhaustions forcing a candidate reseed.", "counter", perDataset, func(st utk.EngineStats) uint64 { return st.Exhaustions }},
-	{"repair_steps", "utk_repair_steps_total", "Chunked incremental-reseed steps executed.", "counter", perDataset, func(st utk.EngineStats) uint64 { return st.RepairSteps }},
-	{"shadow_depth", "utk_shadow_depth", "Current adaptive shadow retention depth (deepest shard).", "gauge", perDataset, func(st utk.EngineStats) uint64 { return uint64(st.ShadowDepth) }},
-	{"band_maintenance_ns", "utk_band_maintenance_ns_total", "Wall time spent in batch-native band maintenance (begin-stage blocking).", "counter", perDataset, func(st utk.EngineStats) uint64 { return st.BandMaintenanceNS }},
-	{"batch_apply_ops", "utk_batch_apply_ops_total", "Update ops applied through the batch-native maintenance path.", "counter", perDataset, func(st utk.EngineStats) uint64 { return st.BatchApplyOps }},
-	{"parallel_maintenance_chunks", "utk_parallel_maintenance_chunks_total", "Band-maintenance chunks fanned out across executor workers.", "counter", perDataset, func(st utk.EngineStats) uint64 { return st.ParallelMaintenanceChunks }},
+	{"exhaustions", "utk_exhaustions_total", "Shadow exhaustions (always 0 since PR 18: the band is exact without a shadow).", "counter", perDataset, func(st utk.EngineStats) uint64 { return st.Exhaustions }},
+	{"repair_steps", "utk_repair_steps_total", "Covered records re-examined by re-cover passes after their fence entry left.", "counter", perDataset, func(st utk.EngineStats) uint64 { return st.RepairSteps }},
+	{"band_maintenance_ns", "utk_band_maintenance_ns_total", "Wall time spent in band maintenance (begin-stage blocking).", "counter", perDataset, func(st utk.EngineStats) uint64 { return st.BandMaintenanceNS }},
+	{"batch_apply_ops", "utk_batch_apply_ops_total", "Update ops applied by band maintenance.", "counter", perDataset, func(st utk.EngineStats) uint64 { return st.BatchApplyOps }},
 	{key: "superset_size", get: func(st utk.EngineStats) uint64 { return uint64(st.SupersetSize) }},
 	{key: "shadow_size", get: func(st utk.EngineStats) uint64 { return uint64(st.ShadowSize) }},
-	{key: "coverage", get: func(st utk.EngineStats) uint64 { return uint64(st.Coverage) }},
 	{key: "promotions", get: func(st utk.EngineStats) uint64 { return st.Promotions }},
 	{key: "demotions", get: func(st utk.EngineStats) uint64 { return st.Demotions }},
 	{key: "shadow_evictions", get: func(st utk.EngineStats) uint64 { return st.ShadowEvictions }},
 	{key: "rebuilds", get: func(st utk.EngineStats) uint64 { return st.Rebuilds }},
 	{key: "repairs", get: func(st utk.EngineStats) uint64 { return st.Repairs }},
-	{key: "shadow_grows", get: func(st utk.EngineStats) uint64 { return st.ShadowGrows }},
-	{key: "shadow_shrinks", get: func(st utk.EngineStats) uint64 { return st.ShadowShrinks }},
 	{key: "max_k", get: func(st utk.EngineStats) uint64 { return uint64(st.MaxK) }},
 	{key: "workers", get: func(st utk.EngineStats) uint64 { return uint64(st.Workers) }},
 }
@@ -710,7 +705,6 @@ type createRequest struct {
 	Seed      int64       `json:"seed"`
 	MaxK      int         `json:"maxk"`
 	Shards    int         `json:"shards"`
-	Shadow    int         `json:"shadow"`
 	Cache     int         `json:"cache"`
 	Workers   int         `json:"workers"`
 	MaxQueued int         `json:"max_queued"`
@@ -760,7 +754,6 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	ent, err := s.reg.Create(name, records, registry.Options{
 		Shards:       req.Shards,
 		MaxK:         maxK,
-		ShadowDepth:  req.Shadow,
 		CacheEntries: req.Cache,
 		Workers:      req.Workers,
 		MaxQueued:    req.MaxQueued,

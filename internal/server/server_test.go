@@ -296,8 +296,10 @@ func TestDatasetAdmin(t *testing.T) {
 		t.Fatalf("created shape %v", body)
 	}
 
+	// "shadow" is the retired shadow-depth knob: old clients still send it,
+	// and it is ignored like any unknown field.
 	resp, body = post(t, srv.URL+"/datasets/gen2", map[string]any{
-		"gen": "ANTI", "n": 64, "d": 3, "maxk": 4, "shards": 2,
+		"gen": "ANTI", "n": 64, "d": 3, "maxk": 4, "shards": 2, "shadow": 3,
 	})
 	if resp.StatusCode != http.StatusCreated {
 		t.Fatalf("create by gen: %d", resp.StatusCode)

@@ -64,11 +64,9 @@ type Band struct {
 }
 
 // New partitions the records (global ids 0..n-1, record i on part i mod
-// parts) and builds one dynamic k-skyband per part with the given shadow
-// depth. setup, when non-nil, is applied to every part before first use (the
-// engine's repair/shadow/executor posture). The record slices are referenced,
-// never mutated.
-func New(records [][]float64, parts, k, shadowDepth int, setup func(*skyband.Dynamic)) (*Band, error) {
+// parts) and builds one dynamic k-skyband per part. The record slices are
+// referenced, never mutated.
+func New(records [][]float64, parts, k int) (*Band, error) {
 	if parts < 1 {
 		return nil, ErrBadShards
 	}
@@ -96,14 +94,9 @@ func New(records [][]float64, parts, k, shadowDepth int, setup func(*skyband.Dyn
 		if err != nil {
 			return nil, err
 		}
-		dyn, err := skyband.NewDynamic(recs, skyband.KSkyband(tree, k+shadowDepth), k, shadowDepth)
-		if err != nil {
+		if b.parts[p], err = skyband.NewDynamic(recs, skyband.KSkyband(tree, k), k); err != nil {
 			return nil, err
 		}
-		if setup != nil {
-			setup(dyn)
-		}
-		b.parts[p] = dyn
 	}
 	return b, nil
 }
@@ -235,8 +228,7 @@ func (b *Band) Band() ([]int, [][]float64) {
 
 // Stats folds the per-part stats together (skyband.DynamicStats.Add):
 // SupersetSize and ShadowSize are the resident per-part totals (the served
-// global band is at most SupersetSize), Coverage the weakest per-part
-// guarantee and ShadowDepth the deepest per-part retention.
+// global band is at most SupersetSize).
 func (b *Band) Stats() skyband.DynamicStats {
 	agg := b.parts[0].Stats()
 	for _, dyn := range b.parts[1:] {

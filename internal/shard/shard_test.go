@@ -13,7 +13,7 @@ import (
 
 func newBand(t *testing.T, recs [][]float64, parts, k int) *Band {
 	t.Helper()
-	b, err := New(recs, parts, k, k, nil)
+	b, err := New(recs, parts, k)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +36,7 @@ func TestBandMatchesSingleDynamic(t *testing.T) {
 		recs := dataset.Synthetic(dataset.ANTI, 300, d, 42)
 		for S := 1; S <= 4; S++ {
 			t.Run(fmt.Sprintf("d%d_s%d", d, S), func(t *testing.T) {
-				single, err := skyband.NewDynamic(recs, nil, k, k)
+				single, err := skyband.NewDynamic(recs, nil, k)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -240,16 +240,16 @@ func TestBandMemo(t *testing.T) {
 // TestNewValidation covers the construction error paths.
 func TestNewValidation(t *testing.T) {
 	recs := dataset.Synthetic(dataset.IND, 5, 3, 3)
-	if _, err := New(recs, 0, 2, 2, nil); !errors.Is(err, ErrBadShards) {
+	if _, err := New(recs, 0, 2); !errors.Is(err, ErrBadShards) {
 		t.Fatalf("parts=0: %v", err)
 	}
-	if _, err := New(recs, 6, 2, 2, nil); !errors.Is(err, ErrTooFewRecords) {
+	if _, err := New(recs, 6, 2); !errors.Is(err, ErrTooFewRecords) {
 		t.Fatalf("more parts than records: %v", err)
 	}
-	if _, err := New(recs, 2, 0, 2, nil); err == nil {
+	if _, err := New(recs, 2, 0); err == nil {
 		t.Fatal("band depth 0 accepted")
 	}
-	if _, err := Restore(&State{}, nil); err == nil {
+	if _, err := Restore(&State{}); err == nil {
 		t.Fatal("empty state accepted")
 	}
 }

@@ -38,12 +38,11 @@ func (b *Band) State() *State {
 	return st
 }
 
-// Restore rebuilds a partitioned band from a captured state without any
-// recomputation (see skyband.RestoreDynamic); the owner table is recomputed
-// from the parts' live ids and the routing tables. setup is applied to every
-// part as in New. A partitioned dataset recovers at its original
+// Restore rebuilds a partitioned band from a captured state, each part by
+// skyband.RestoreDynamic; the owner table is recomputed from the parts' live
+// ids and the routing tables. A partitioned dataset recovers at its original
 // partitioning; resharding is a data migration, not a recovery.
-func Restore(st *State, setup func(*skyband.Dynamic)) (*Band, error) {
+func Restore(st *State) (*Band, error) {
 	if st == nil || len(st.Parts) == 0 || len(st.LocalToGlobal) != len(st.Parts) {
 		return nil, errors.New("shard: misaligned state: parts vs routing tables")
 	}
@@ -81,9 +80,6 @@ func Restore(st *State, setup func(*skyband.Dynamic)) (*Band, error) {
 				return nil, errors.New("shard: global id owned by two shards in state")
 			}
 			b.owner[g] = place{part: p, local: lid}
-		}
-		if setup != nil {
-			setup(dyn)
 		}
 		b.localToGlobal[p] = l2g
 		b.parts[p] = dyn

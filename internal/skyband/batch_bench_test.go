@@ -2,14 +2,16 @@ package skyband
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/dataset"
 )
 
-// benchStream mirrors the streaming harness's 250k-point churn mix: batches
-// of 64 ops, roughly balanced inserts and deletes over a steady live set.
-func benchStreamOps(rng *rand.Rand, d *Dynamic, live *[]int, dim, size int) []Op {
+// benchStreamOps mirrors the streaming harness's 250k-point churn mix:
+// batches of 64 ops, roughly balanced inserts and deletes over a steady live
+// set.
+func benchStreamOps(rng *rand.Rand, live *[]int, dim, size int) []Op {
 	ops := make([]Op, 0, size)
 	for len(ops) < size {
 		if rng.Intn(2) == 0 && len(*live) > 0 {
@@ -28,77 +30,41 @@ func benchStreamOps(rng *rand.Rand, d *Dynamic, live *[]int, dim, size int) []Op
 	return ops
 }
 
-func benchDynamic(b *testing.B, n, dim, k, shadow int, repair bool) (*Dynamic, []int) {
-	b.Helper()
-	recs := dataset.Synthetic(dataset.IND, n, dim, 1)
-	d, err := NewDynamic(recs, nil, k, shadow)
+// BenchmarkApplyOpsBatch64 is the begin-stage band-maintenance cost on the
+// 250k preset's shape: one ApplyOps call per 64-op batch. The per-batch
+// percentiles are the hand-run tail probe next to the mean.
+func BenchmarkApplyOpsBatch64(b *testing.B) {
+	n := 250_000
+	if testing.Short() {
+		n = 50_000
+	}
+	d, err := NewDynamic(dataset.Synthetic(dataset.IND, n, 4, 1), nil, 10)
 	if err != nil {
 		b.Fatal(err)
-	}
-	if repair {
-		d.EnableIncrementalRepair(128)
 	}
 	live := make([]int, n)
 	for i := range live {
 		live[i] = i
 	}
-	return d, live
-}
-
-func benchApplyOps(b *testing.B, repair bool) {
-	n := 250_000
-	if testing.Short() {
-		n = 50_000
-	}
-	d, live := benchDynamic(b, n, 4, 10, 80, repair)
 	rng := rand.New(rand.NewSource(2))
+	lat := make([]uint64, 0, b.N)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ops := benchStreamOps(rng, d, &live, 4, 64)
+		ops := benchStreamOps(rng, &live, 4, 64)
+		before := d.stats.BandMaintenanceNS
 		ids, _, err := d.ApplyOps(ops)
 		if err != nil {
 			b.Fatal(err)
 		}
+		lat = append(lat, d.stats.BandMaintenanceNS-before)
 		for j, op := range ops {
 			if op.Insert {
 				live = append(live, ids[j])
 			}
 		}
 	}
+	slices.Sort(lat)
+	b.ReportMetric(float64(lat[len(lat)/2]), "p50-batch-ns")
+	b.ReportMetric(float64(lat[len(lat)*99/100]), "p99-batch-ns")
+	b.ReportMetric(float64(lat[len(lat)-1]), "max-batch-ns")
 }
-
-func benchPerOp(b *testing.B, repair bool) {
-	n := 250_000
-	if testing.Short() {
-		n = 50_000
-	}
-	d, live := benchDynamic(b, n, 4, 10, 80, repair)
-	rng := rand.New(rand.NewSource(2))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ops := benchStreamOps(rng, d, &live, 4, 64)
-		for _, op := range ops {
-			if op.Insert {
-				id, _ := d.Insert(op.Record)
-				live = append(live, id)
-				continue
-			}
-			if _, _, ok := d.Delete(op.ID); !ok {
-				b.Fatal("delete of unknown id")
-			}
-		}
-	}
-}
-
-// BenchmarkApplyOpsBatch64 is the batch-native begin-stage cost on the 250k
-// preset's shape: one ApplyOps call per 64-op batch, repair in play.
-func BenchmarkApplyOpsBatch64(b *testing.B) { benchApplyOps(b, true) }
-
-// BenchmarkPerOpBatch64 is the same mix applied through the per-op path —
-// the cost ApplyOps has to beat.
-func BenchmarkPerOpBatch64(b *testing.B) { benchPerOp(b, true) }
-
-// The NoRepair variants isolate the steady-state apply cost — the begin-stage
-// p50 — from the repair spikes that dominate the mean.
-func BenchmarkApplyOpsBatch64NoRepair(b *testing.B) { benchApplyOps(b, false) }
-func BenchmarkPerOpBatch64NoRepair(b *testing.B)    { benchPerOp(b, false) }

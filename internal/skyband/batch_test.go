@@ -2,53 +2,43 @@ package skyband
 
 import (
 	"fmt"
-	"math/rand"
-	"sort"
+	"slices"
 	"testing"
 
 	"repro/internal/dataset"
-	"repro/internal/exec"
 )
 
-// applySequentialOps is the per-op oracle for ApplyOps: the identical
-// coalescing plan followed by one Insert/Delete call per surviving op — the
-// exact loop engine.beginBatch ran before the batch-native path existed.
-func applySequentialOps(t *testing.T, d *Dynamic, ops []Op) ([]int, []Effect) {
+// applyOneAtATime is the oracle for a batch: the same ops as batches of one
+// on a twin structure, with the batch's coalescing plan (a coalesced insert
+// only consumes its id, its delete does nothing).
+func applyOneAtATime(t *testing.T, d *Dynamic, ops []Op) ([]int, []Effect) {
 	t.Helper()
-	nextID := d.NextID()
-	insPos := map[int]int{}
-	deleted := map[int]bool{}
-	coalesce := make([]bool, len(ops))
+	next := d.NextID()
+	own := map[int]int{} // predicted id -> op index of the insert
+	coalesced := make([]bool, len(ops))
 	for i, op := range ops {
 		if op.Insert {
-			insPos[nextID] = i
-			nextID++
-			continue
-		}
-		j, predicted := insPos[op.ID]
-		if deleted[op.ID] || (!predicted && !d.Has(op.ID)) {
-			t.Fatalf("oracle: invalid delete of id %d", op.ID)
-		}
-		deleted[op.ID] = true
-		if predicted {
-			coalesce[j] = true
-			coalesce[i] = true
+			own[next] = i
+			next++
+		} else if j, ok := own[op.ID]; ok {
+			coalesced[i], coalesced[j] = true, true
 		}
 	}
 	ids := make([]int, len(ops))
 	effs := make([]Effect, len(ops))
 	for i, op := range ops {
 		switch {
-		case coalesce[i] && op.Insert:
+		case coalesced[i] && op.Insert:
 			ids[i] = d.SkipID()
-		case coalesce[i]:
+		case coalesced[i]:
 			ids[i] = op.ID
 		case op.Insert:
 			ids[i], effs[i] = d.Insert(op.Record)
 		default:
+			wasBand := d.InBand(op.ID)
 			_, eff, ok := d.Delete(op.ID)
-			if !ok {
-				t.Fatalf("oracle: delete of dead id %d", op.ID)
+			if !ok || eff.InBand != wasBand {
+				t.Fatalf("oracle: delete %d ok=%v InBand=%v, was in band %v", op.ID, ok, eff.InBand, wasBand)
 			}
 			ids[i], effs[i] = op.ID, eff
 		}
@@ -56,343 +46,138 @@ func applySequentialOps(t *testing.T, d *Dynamic, ops []Op) ([]int, []Effect) {
 	return ids, effs
 }
 
-// memberCounts returns the member set as an id → exact dominator count map.
-func memberCounts(d *Dynamic) map[int]int {
-	m := make(map[int]int, len(d.ents))
-	for i := range d.ents {
-		m[d.ents[i].id] = d.ents[i].count
-	}
-	return m
-}
-
-func sortedIDs(m map[int][]float64) []int {
-	ids := make([]int, 0, len(m))
-	for id := range m {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	return ids
-}
-
-// randomBatch builds a batch of the given size: random inserts, deletes of
-// still-live ids (tracked through the caller's mirror), and occasionally a
-// delete of an id the batch itself inserts (the coalesced churn pair).
-func randomBatch(rng *rand.Rand, d *Dynamic, liveIDs *[]int, dim, size int) []Op {
-	ops := make([]Op, 0, size)
-	nextID := d.NextID()
-	var predicted []int
-	chosen := map[int]bool{}
-	for len(ops) < size {
-		roll := rng.Intn(10)
-		switch {
-		case roll == 0 && len(predicted) > 0:
-			// Churn pair: delete an id this very batch will insert.
-			id := predicted[rng.Intn(len(predicted))]
-			if chosen[id] {
-				continue
-			}
-			chosen[id] = true
-			ops = append(ops, Op{ID: id})
-		case roll < 5 && len(*liveIDs) > 0:
-			id := (*liveIDs)[rng.Intn(len(*liveIDs))]
-			if chosen[id] {
-				continue
-			}
-			chosen[id] = true
-			ops = append(ops, Op{ID: id})
-		default:
-			rec := make([]float64, dim)
-			for j := range rec {
-				rec[j] = rng.Float64()
-			}
-			ops = append(ops, Op{Insert: true, Record: rec})
-			predicted = append(predicted, nextID)
-			nextID++
-		}
-	}
-	// Update the mirror of live ids to the post-batch population.
-	next := (*liveIDs)[:0]
-	for _, id := range *liveIDs {
-		if !chosen[id] {
-			next = append(next, id)
-		}
-	}
-	for _, id := range predicted {
-		if !chosen[id] {
-			next = append(next, id)
-		}
-	}
-	*liveIDs = next
-	return ops
-}
-
-func buildTwin(t *testing.T, recs [][]float64, k, shadow int) (*Dynamic, *Dynamic) {
+// batchVersusSingles applies one batch to twin structures — one ApplyOps call
+// on c.d against one op at a time on seq — and requires them to agree on
+// everything a caller can observe: assigned ids, the band's ids and exact
+// counts, the OR of BandChanged over the batch (what advances the engine's
+// epoch) and every op's InBand (what decides its cache probes). Which op of a
+// delete run carries a re-cover pass's BandChanged may differ; nothing reads
+// that.
+func batchVersusSingles(t *testing.T, c *churn, seq *Dynamic, ops []Op, ctxt string) {
 	t.Helper()
-	a, err := NewDynamic(recs, nil, k, shadow)
+	wantIDs, wantEffs := applyOneAtATime(t, seq, ops)
+	gotIDs, gotEffs, err := c.d.ApplyOps(ops)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("%s: %v", ctxt, err)
 	}
-	b, err := NewDynamic(recs, nil, k, shadow)
-	if err != nil {
-		t.Fatal(err)
+	if !slices.Equal(gotIDs, wantIDs) {
+		t.Fatalf("%s: ids %v != %v", ctxt, gotIDs, wantIDs)
 	}
-	return a, b
+	var gotChanged, wantChanged bool
+	for i := range ops {
+		gotChanged = gotChanged || gotEffs[i].BandChanged
+		wantChanged = wantChanged || wantEffs[i].BandChanged
+		if gotEffs[i].InBand != wantEffs[i].InBand {
+			t.Fatalf("%s: op %d (%+v) InBand %v, one at a time %v", ctxt, i, ops[i], gotEffs[i].InBand, wantEffs[i].InBand)
+		}
+	}
+	if gotChanged != wantChanged {
+		t.Fatalf("%s: BandChanged %v, one at a time %v", ctxt, gotChanged, wantChanged)
+	}
+	if got, want := describe(bandCounts(c.d)), describe(bandCounts(seq)); got != want {
+		t.Fatalf("%s: band\n got %s\nwant %s", ctxt, got, want)
+	}
+	c.mirror(ops, gotIDs)
+	checkInvariants(t, c.d, ctxt)
+	checkInvariants(t, seq, ctxt+" (one at a time)")
+	checkLive(t, seq, c.live, ctxt)
 }
 
-// TestApplyOpsBitExactDifferential pins ApplyOps ≡ sequential per-op apply
-// bit for bit — assigned ids, full per-op effects, member counts, shadow
-// membership, coverage, and the live set — with repair and the adaptive
-// shadow off, across dimensions 2–5 and batch sizes 1–256 of mixed
-// insert/delete/churn ops. The band is additionally checked against the
-// O(n²) brute-force definition.
+// churnVersusSingles runs batchVersusSingles over random batches.
+func churnVersusSingles(t *testing.T, kind dataset.Kind, n, dim, k int, grid float64, seed int64, batches int, size func(*churn) int) DynamicStats {
+	t.Helper()
+	c := newChurn(t, kind, n, dim, k, grid, seed)
+	seq := newChurn(t, kind, n, dim, k, grid, seed).d
+	for b := 0; b < batches; b++ {
+		ops := c.batch(size(c))
+		batchVersusSingles(t, c, seq, ops, fmt.Sprintf("%v d=%d k=%d seed %d batch %d (%d ops)", kind, dim, k, seed, b, len(ops)))
+	}
+	return c.d.Stats()
+}
+
+// TestApplyOpsBitExactDifferential pins ApplyOps(batch) ≡ the same ops one at
+// a time across dimensions 2–5 and batch sizes 1–256 of mixed
+// insert/delete/coalesced ops.
 func TestApplyOpsBitExactDifferential(t *testing.T) {
-	trials := 20
-	batchesPer := 12
+	trials, batches := 20, 12
 	if testing.Short() {
-		trials = 6
-		batchesPer = 6
+		trials, batches = 6, 6
 	}
 	for trial := 0; trial < trials; trial++ {
-		rng := rand.New(rand.NewSource(int64(1000 + trial)))
-		dim := 2 + trial%4
-		k := 1 + rng.Intn(6)
-		shadow := rng.Intn(2 * k)
-		n := 30 + rng.Intn(100)
-		recs := dataset.Synthetic(dataset.IND, n, dim, int64(trial+1))
-		seq, bat := buildTwin(t, recs, k, shadow)
-
-		live := map[int][]float64{}
-		for id, rec := range recs {
-			live[id] = append([]float64(nil), rec...)
-		}
-		liveIDs := sortedIDs(live)
-
-		for b := 0; b < batchesPer; b++ {
-			size := []int{1, 2, 3, 5, 8, 16, 47, 64, 129, 256}[rng.Intn(10)]
-			ops := randomBatch(rng, bat, &liveIDs, dim, size)
-			ctxt := fmt.Sprintf("trial %d batch %d (size %d, d=%d, k=%d, shadow=%d)",
-				trial, b, size, dim, k, shadow)
-
-			wantIDs, wantEffs := applySequentialOps(t, seq, ops)
-			gotIDs, gotEffs, err := bat.ApplyOps(ops)
-			if err != nil {
-				t.Fatalf("%s: ApplyOps: %v", ctxt, err)
-			}
-			if fmt.Sprint(gotIDs) != fmt.Sprint(wantIDs) {
-				t.Fatalf("%s: ids %v != %v", ctxt, gotIDs, wantIDs)
-			}
-			if fmt.Sprint(gotEffs) != fmt.Sprint(wantEffs) {
-				t.Fatalf("%s: effects %v != %v", ctxt, gotEffs, wantEffs)
-			}
-			// Maintain the brute-force mirror: all inserted ids go live, then
-			// every delete — including a coalesced pair's — removes its target.
-			for i, op := range ops {
-				if op.Insert {
-					live[wantIDs[i]] = append([]float64(nil), op.Record...)
-				}
-			}
-			for _, op := range ops {
-				if !op.Insert {
-					delete(live, op.ID)
-				}
-			}
-
-			if got, want := memberCounts(bat), memberCounts(seq); fmt.Sprint(sortedCounts(got)) != fmt.Sprint(sortedCounts(want)) {
-				t.Fatalf("%s: member counts diverged\n got %v\nwant %v", ctxt, got, want)
-			}
-			if bat.cov != seq.cov {
-				t.Fatalf("%s: coverage %d != %d", ctxt, bat.cov, seq.cov)
-			}
-			if fmt.Sprint(sortedIDs(bat.live)) != fmt.Sprint(sortedIDs(seq.live)) {
-				t.Fatalf("%s: live sets diverged", ctxt)
-			}
-			checkBand(t, bat, live, k, ctxt)
-		}
+		dim, k := 2+trial%4, 1+trial%7
+		size := func(c *churn) int { return []int{1, 2, 3, 5, 8, 16, 47, 64, 129, 256}[c.rng.Intn(10)] }
+		churnVersusSingles(t, dataset.IND, 60+10*trial, dim, k, 0, int64(1000+trial), batches, size)
 	}
 }
 
-func sortedCounts(m map[int]int) [][2]int {
-	out := make([][2]int, 0, len(m))
-	for id, c := range m {
-		out = append(out, [2]int{id, c})
-	}
-	sort.Slice(out, func(a, b int) bool { return out[a][0] < out[b][0] })
-	return out
-}
-
-// TestApplyOpsObservablesDifferentialWithRepair runs the same twin scenario
-// with incremental repair and the adaptive shadow enabled. Repair pacing
-// differs between one end-of-batch maintenance step and per-op ticks, so
-// shadow membership and Rebuilt timing may legitimately diverge — but the
-// observable contract may not: assigned ids, the live set, the band (the
-// exact k-skyband in both paths), and the (BandChanged, InBand) effect bits
-// every engine decision is built on.
+// TestApplyOpsObservablesDifferentialWithRepair is the same differential
+// where re-cover passes do the work: anticorrelated data snapped to a grid
+// (wide fences, ties), delete-heavy entry-biased batches, so runs of deletes
+// open several covers before the one pass the batch gets — including deletes
+// of records that lost their cover earlier in the same run.
 func TestApplyOpsObservablesDifferentialWithRepair(t *testing.T) {
-	trials := 12
-	batchesPer := 16
+	trials, batches := 12, 16
 	if testing.Short() {
-		trials = 4
-		batchesPer = 8
+		trials, batches = 4, 8
 	}
+	var st DynamicStats
 	for trial := 0; trial < trials; trial++ {
-		rng := rand.New(rand.NewSource(int64(7000 + trial)))
-		dim := 2 + trial%4
-		k := 1 + rng.Intn(6)
-		shadow := 1 + rng.Intn(2*k)
-		n := 40 + rng.Intn(120)
-		recs := dataset.Synthetic(dataset.ANTI, n, dim, int64(trial+1))
-		seq, bat := buildTwin(t, recs, k, shadow)
-		for _, d := range []*Dynamic{seq, bat} {
-			d.EnableIncrementalRepair(8)
-			d.EnableAdaptiveShadow(shadow, 8*shadow)
-		}
+		dim, k := 2+trial%3, 1+trial%5
+		size := func(c *churn) int { return 8 + c.rng.Intn(56) }
+		st.Add(churnVersusSingles(t, dataset.ANTI, 150+20*trial, dim, k, 16, int64(7000+trial), batches, size))
+	}
+	if st.Repairs == 0 || st.RepairSteps == 0 || st.Promotions == 0 {
+		t.Fatalf("the re-cover pass was never exercised: %+v", st)
+	}
 
-		live := map[int][]float64{}
-		for id, rec := range recs {
-			live[id] = append([]float64(nil), rec...)
+	// The case random churn does not reach: a record orphaned earlier in a run
+	// of deletes has become a band entry by the time the same run deletes it.
+	// On a chain (a total order) the band is the top k, the fence the next
+	// record and everything below is covered by it; deleting top-down makes
+	// every delete but the first k hit exactly that case.
+	for k := 1; k <= 3; k++ {
+		chain := make([][]float64, 12)
+		for i := range chain {
+			chain[i] = []float64{float64(i), float64(i / 2)}
 		}
-		liveIDs := sortedIDs(live)
-
-		for b := 0; b < batchesPer; b++ {
-			size := 1 + rng.Intn(64)
-			ops := randomBatch(rng, bat, &liveIDs, dim, size)
-			ctxt := fmt.Sprintf("repair trial %d batch %d (size %d)", trial, b, size)
-
-			wantIDs, wantEffs := applySequentialOps(t, seq, ops)
-			gotIDs, gotEffs, err := bat.ApplyOps(ops)
-			if err != nil {
-				t.Fatalf("%s: ApplyOps: %v", ctxt, err)
-			}
-			if fmt.Sprint(gotIDs) != fmt.Sprint(wantIDs) {
-				t.Fatalf("%s: ids %v != %v", ctxt, gotIDs, wantIDs)
-			}
-			for i := range gotEffs {
-				if gotEffs[i].BandChanged != wantEffs[i].BandChanged ||
-					gotEffs[i].InBand != wantEffs[i].InBand {
-					t.Fatalf("%s: op %d effect (%+v) != (%+v)", ctxt, i, gotEffs[i], wantEffs[i])
-				}
-			}
-			for _, op := range ops {
-				if !op.Insert {
-					delete(live, op.ID)
-				}
-			}
-			for i, op := range ops {
-				if op.Insert && bat.Has(gotIDs[i]) {
-					live[gotIDs[i]] = append([]float64(nil), op.Record...)
-				}
-			}
-			if fmt.Sprint(sortedIDs(bat.live)) != fmt.Sprint(sortedIDs(seq.live)) {
-				t.Fatalf("%s: live sets diverged", ctxt)
-			}
-			checkBand(t, bat, live, k, ctxt)
-			checkBand(t, seq, live, k, ctxt+" (oracle)")
+		c, seq := churnOver(t, chain, k), churnOver(t, chain, k).d
+		var ops []Op
+		for id := len(chain) - 1; id >= 2; id-- {
+			ops = append(ops, Op{ID: id})
 		}
+		batchVersusSingles(t, c, seq, ops, fmt.Sprintf("chain k=%d", k))
 	}
 }
 
-// TestApplyOpsParallelMemberPass drives batches over a member set large
-// enough to fan the dominance pass across pool workers, and pins the result
-// against a sequential (pool-less) twin plus brute force. Run under -race
-// this is the data-race check on the chunked read-only pass.
-func TestApplyOpsParallelMemberPass(t *testing.T) {
-	n, dim, k, shadow := 4000, 4, 16, 16
-	if testing.Short() {
-		n = 2000
-	}
-	recs := dataset.Synthetic(dataset.ANTI, n, dim, 99)
-	seq, bat := buildTwin(t, recs, k, shadow)
-	if len(bat.ents) <= minMaintChunk {
-		t.Fatalf("scenario too small to exercise chunking: %d members", len(bat.ents))
-	}
-	pool := exec.NewPool(4, 0)
-	bat.SetPool(pool)
-
-	live := map[int][]float64{}
-	for id, rec := range recs {
-		live[id] = append([]float64(nil), rec...)
-	}
-	liveIDs := sortedIDs(live)
-
-	rng := rand.New(rand.NewSource(5))
-	for b := 0; b < 6; b++ {
-		ops := randomBatch(rng, bat, &liveIDs, dim, 64)
-		ctxt := fmt.Sprintf("parallel batch %d", b)
-		wantIDs, wantEffs := applySequentialOps(t, seq, ops)
-		gotIDs, gotEffs, err := bat.ApplyOps(ops)
-		if err != nil {
-			t.Fatalf("%s: %v", ctxt, err)
-		}
-		if fmt.Sprint(gotIDs) != fmt.Sprint(wantIDs) || fmt.Sprint(gotEffs) != fmt.Sprint(wantEffs) {
-			t.Fatalf("%s: ids/effects diverged from sequential twin", ctxt)
-		}
-		if fmt.Sprint(sortedCounts(memberCounts(bat))) != fmt.Sprint(sortedCounts(memberCounts(seq))) {
-			t.Fatalf("%s: member counts diverged", ctxt)
-		}
-		for i, op := range ops {
-			if op.Insert {
-				live[gotIDs[i]] = append([]float64(nil), op.Record...)
-			}
-		}
-		for _, op := range ops {
-			if !op.Insert {
-				delete(live, op.ID)
-			}
-		}
-	}
-	checkBand(t, bat, live, k, "parallel final")
-	if bat.Stats().ParallelMaintenanceChunks == 0 {
-		t.Fatal("parallel member pass never fanned out (ParallelMaintenanceChunks == 0)")
-	}
-}
-
-// TestApplyOpsSingleMaintenanceStep pins the deferred-maintenance contract:
-// a batch with a repair in flight advances it with at most one chunked
-// repair step — where the per-op path would have ticked once per op — and
-// the maintenance step still runs (the batch is not allowed to starve the
-// repair either).
+// TestApplyOpsSingleMaintenanceStep pins the deferred-maintenance contract on
+// the batch shape the HTTP layer sends (every delete before every insert): a
+// run of deletes — here all of entries, the deletes that open covers — costs
+// one re-cover pass, where the same deletes one at a time pay one pass per
+// opened cover. (Only a delete of a record orphaned earlier in the same run
+// with no other fence entry over it may bring the pass forward.)
 func TestApplyOpsSingleMaintenanceStep(t *testing.T) {
-	n, dim, k, shadow := 400, 3, 4, 16
-	recs := dataset.Synthetic(dataset.IND, n, dim, 11)
-	d, err := NewDynamic(recs, nil, k, shadow)
-	if err != nil {
-		t.Fatal(err)
+	c := newChurn(t, dataset.IND, 400, 3, 4, 0, 11)
+	seq := newChurn(t, dataset.IND, 400, 3, 4, 0, 11).d
+	for b := 0; b < 8; b++ {
+		var ops []Op
+		for _, i := range c.rng.Perm(len(c.d.ents))[:16] {
+			ops = append(ops, Op{ID: c.d.ents[i].id})
+		}
+		for i := 0; i < 16; i++ {
+			ops = append(ops, Op{Insert: true, Record: c.record()})
+		}
+		before := c.d.Stats().Repairs
+		if _, _, err := c.d.ApplyOps(ops); err != nil {
+			t.Fatal(err)
+		}
+		if passes := c.d.Stats().Repairs - before; passes > 1 {
+			t.Fatalf("batch %d: %d re-cover passes for one run of deletes", b, passes)
+		}
+		applyOneAtATime(t, seq, ops)
+		checkInvariants(t, c.d, fmt.Sprintf("batch %d", b))
 	}
-	d.EnableIncrementalRepair(4)
-
-	// Erode coverage with band-member deletes until a repair is in flight.
-	for i := 0; i < n && !d.repairing; i++ {
-		ids, _ := d.Band()
-		if len(ids) == 0 {
-			break
-		}
-		if _, _, ok := d.Delete(ids[0]); !ok {
-			t.Fatalf("delete of band member %d failed", ids[0])
-		}
-	}
-	if !d.repairing {
-		t.Fatal("scenario never started a repair; pin exercised nothing")
-	}
-
-	// Insert-only batches cannot erode coverage or exhaust the shadow, so
-	// every repair-step increment must come from the end-of-batch tick.
-	rng := rand.New(rand.NewSource(3))
-	for b := 0; b < 4 && d.repairing; b++ {
-		ops := make([]Op, 16)
-		for i := range ops {
-			rec := make([]float64, dim)
-			for j := range rec {
-				rec[j] = rng.Float64()
-			}
-			ops[i] = Op{Insert: true, Record: rec}
-		}
-		before := d.stats.RepairSteps
-		if _, _, err := d.ApplyOps(ops); err != nil {
-			t.Fatalf("batch %d: %v", b, err)
-		}
-		if steps := d.stats.RepairSteps - before; steps != 1 {
-			t.Fatalf("batch %d: %d repair steps for one batch, want exactly 1", b, steps)
-		}
+	if got, single := c.d.Stats().Repairs, seq.Stats().Repairs; got == 0 || got >= single {
+		t.Fatalf("%d re-cover passes batched, %d one at a time: the scenario pins nothing", got, single)
 	}
 }
 
@@ -400,11 +185,11 @@ func TestApplyOpsSingleMaintenanceStep(t *testing.T) {
 // rejected atomically, leaving the structure untouched.
 func TestApplyOpsValidation(t *testing.T) {
 	recs := dataset.Synthetic(dataset.IND, 30, 3, 7)
-	d, err := NewDynamic(recs, nil, 2, 2)
+	d, err := NewDynamic(recs, nil, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := fmt.Sprint(sortedCounts(memberCounts(d)), d.NextID(), d.Len())
+	before := fmt.Sprint(describe(bandCounts(d)), d.NextID(), d.Len())
 
 	if _, _, err := d.ApplyOps([]Op{{Insert: true, Record: []float64{1, 2, 3}}, {ID: 9999}}); err != ErrUnknownID {
 		t.Fatalf("unknown id: got %v", err)
@@ -416,9 +201,10 @@ func TestApplyOpsValidation(t *testing.T) {
 	if _, _, err := d.ApplyOps([]Op{{ID: d.NextID()}, {Insert: true, Record: []float64{1, 2, 3}}}); err != ErrUnknownID {
 		t.Fatalf("forward predicted id: got %v", err)
 	}
-	if after := fmt.Sprint(sortedCounts(memberCounts(d)), d.NextID(), d.Len()); after != before {
+	if after := fmt.Sprint(describe(bandCounts(d)), d.NextID(), d.Len()); after != before {
 		t.Fatalf("rejected batch mutated the structure:\n before %s\n after  %s", before, after)
 	}
+	checkInvariants(t, d, "after rejected batches")
 
 	// Coalesced churn pair: net no-op on the record population, ids aligned.
 	next := d.NextID()
@@ -440,5 +226,8 @@ func TestApplyOpsValidation(t *testing.T) {
 	}
 	if d.NextID() != next+1 {
 		t.Fatalf("coalesced insert did not consume its id: next %d, want %d", d.NextID(), next+1)
+	}
+	if st := d.Stats(); st.CoalescedOps != 2 || st.BatchApplyOps != 0 {
+		t.Fatalf("coalesced pair counted as %d coalesced, %d applied", st.CoalescedOps, st.BatchApplyOps)
 	}
 }

@@ -72,60 +72,6 @@ func TestBuildGraphPrefilterEquivalence(t *testing.T) {
 	}
 }
 
-// TestReseedMatchesRebuild drives a Dynamic into repeated shadow exhaustion
-// and checks that the survivor-seeded recomputation restores exactly the
-// state a from-scratch rebuild would.
-func TestReseedMatchesRebuild(t *testing.T) {
-	rng := rand.New(rand.NewSource(78))
-	data := make([][]float64, 300)
-	for i := range data {
-		rec := make([]float64, 3)
-		for j := range rec {
-			rec[j] = rng.Float64()
-		}
-		data[i] = rec
-	}
-	// Shadow depth 1 exhausts after nearly every band-area deletion, so the
-	// reseed path runs many times.
-	dyn, err := NewDynamic(data, nil, 3, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref, err := NewDynamic(data, nil, 3, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	alive := make([]int, len(data))
-	for i := range alive {
-		alive[i] = i
-	}
-	for step := 0; step < 150 && len(alive) > 10; step++ {
-		i := rng.Intn(len(alive))
-		id := alive[i]
-		alive = append(alive[:i], alive[i+1:]...)
-		if _, _, ok := dyn.Delete(id); !ok {
-			t.Fatalf("step %d: delete %d failed", step, id)
-		}
-		if _, _, ok := ref.Delete(id); !ok {
-			t.Fatalf("step %d: reference delete %d failed", step, id)
-		}
-		ref.Rebuild() // reference state: full recomputation every step
-		gotIDs, _ := dyn.Band()
-		wantIDs, _ := ref.Band()
-		if len(gotIDs) != len(wantIDs) {
-			t.Fatalf("step %d: band size %d, rebuild reference %d", step, len(gotIDs), len(wantIDs))
-		}
-		for j := range gotIDs {
-			if gotIDs[j] != wantIDs[j] {
-				t.Fatalf("step %d: band member %d: %d vs %d", step, j, gotIDs[j], wantIDs[j])
-			}
-		}
-	}
-	if dyn.Stats().Rebuilds == 0 {
-		t.Fatal("the shadow never exhausted: the reseed path was not exercised")
-	}
-}
-
 // BenchmarkFilterPrefilter mirrors the paper's Figure 10(a) filter
 // comparison on the tree-backed cold path: the r-skyband graph construction
 // with and without the interval prefilter seeding the BBS bound, next to the

@@ -3,6 +3,15 @@
 // Definition 1, the r-skyband of Definition 2 computed by a pivot-guided BBS
 // variant, and the r-dominance graph G of Section 4.1 with the
 // ancestor/descendant set algebra the refinement steps of RSA and JAA need.
+//
+// Dynamic keeps the one region-independent superset the filter needs — the
+// classic k-skyband — exact under inserts and deletes. Its entry set is the
+// band (dominator count < k, exact counts) plus the fence (the skyline of
+// the other records); every remaining record stores the id of one fence
+// entry that dominates it. All dominators of an entry are band entries, a
+// covered record dominates no entry, and the entry set is a function of the
+// live records alone, so every update is a few scans of the band or the
+// fence and, at worst, one pass over the cover column (see Dynamic).
 package skyband
 
 import (

@@ -2,21 +2,22 @@ package skyband
 
 import (
 	"errors"
-	"sort"
+	"slices"
 )
 
-// DynamicState is a deep, serializable snapshot of a Dynamic — the part of an
-// engine's mutable dataset state that cannot be recomputed cheaply (live
-// records, member set with exact dominator counts, coverage, id allocator,
-// and the lifetime maintenance counters). Restoring it with RestoreDynamic
-// yields a structure whose observable behavior under further updates is
-// identical to the original's: counts are exact, membership decisions are a
-// function of counts and coverage only, and the entry order (which the state
-// does not preserve) affects nothing observable.
+// DynamicState is a deep, serializable snapshot of a Dynamic: the live
+// records, the band with its exact dominator counts, the id allocator and the
+// lifetime maintenance counters. The fence and the cover column are not
+// stored — they are a function of the live set and the band (see Dynamic), so
+// RestoreDynamic rebuilds them, and a restored structure behaves under
+// further updates exactly as the original would.
 type DynamicState struct {
-	// K is the band depth served; ShadowDepth the retention beyond it
-	// (capK = K + ShadowDepth). Coverage is the current membership
-	// guarantee depth; NextID the id the next insert will be assigned.
+	// K is the band depth served; NextID the id the next insert will be
+	// assigned. ShadowDepth and Coverage are legacy: the retention depth
+	// beyond K and the membership guarantee depth of the shadow-banded
+	// structure this one replaced (PR 18). They keep their place in the
+	// persisted layout; State writes 0 and K, and RestoreDynamic only
+	// validates them.
 	K           int
 	ShadowDepth int
 	Coverage    int
@@ -25,12 +26,14 @@ type DynamicState struct {
 	// record slices are shared with the structure and must not be mutated.
 	LiveIDs  []int
 	LiveRecs [][]float64
-	// MemberIDs/MemberCounts are the member set (band ∪ shadow) with exact
-	// dominator counts, parallel and sorted by id. Member records live in
-	// LiveRecs.
+	// MemberIDs/MemberCounts are the band with exact dominator counts,
+	// parallel and sorted by id; member records live in LiveRecs. A legacy
+	// state also lists shadow members (count in [K, K+ShadowDepth)), which
+	// RestoreDynamic drops.
 	MemberIDs    []int
 	MemberCounts []int
-	// Lifetime maintenance counters (see DynamicStats).
+	// Lifetime maintenance counters (see DynamicStats). Rebuilds is legacy,
+	// written as 0.
 	Inserts    uint64
 	Deletes    uint64
 	Promotions uint64
@@ -44,31 +47,22 @@ type DynamicState struct {
 // fresh.
 func (d *Dynamic) State() *DynamicState {
 	st := &DynamicState{
-		K:           d.k,
-		ShadowDepth: d.capK - d.k,
-		Coverage:    d.cov,
-		NextID:      d.nextID,
-		LiveIDs:     make([]int, 0, len(d.live)),
-		MemberIDs:   make([]int, 0, len(d.ents)),
-		Inserts:     d.stats.Inserts,
-		Deletes:     d.stats.Deletes,
-		Promotions:  d.stats.Promotions,
-		Demotions:   d.stats.Demotions,
-		Evictions:   d.stats.ShadowEvictions,
-		Rebuilds:    d.stats.Rebuilds,
+		K:          d.k,
+		Coverage:   d.k,
+		NextID:     d.nextID,
+		LiveIDs:    slices.Clone(d.ids),
+		LiveRecs:   make([][]float64, len(d.ids)),
+		Inserts:    d.stats.Inserts,
+		Deletes:    d.stats.Deletes,
+		Promotions: d.stats.Promotions,
+		Demotions:  d.stats.Demotions,
+		Evictions:  d.stats.ShadowEvictions,
 	}
-	for id := range d.live {
-		st.LiveIDs = append(st.LiveIDs, id)
-	}
-	sort.Ints(st.LiveIDs)
-	st.LiveRecs = make([][]float64, len(st.LiveIDs))
+	slices.Sort(st.LiveIDs)
 	for i, id := range st.LiveIDs {
-		st.LiveRecs[i] = d.live[id]
+		st.LiveRecs[i] = d.recs[d.slot[id]]
 	}
-	for i := range d.ents {
-		st.MemberIDs = append(st.MemberIDs, d.ents[i].id)
-	}
-	sort.Ints(st.MemberIDs)
+	st.MemberIDs, _ = d.Band()
 	st.MemberCounts = make([]int, len(st.MemberIDs))
 	for i, id := range st.MemberIDs {
 		st.MemberCounts[i] = d.ents[d.pos[id]].count
@@ -76,10 +70,12 @@ func (d *Dynamic) State() *DynamicState {
 	return st
 }
 
-// RestoreDynamic rebuilds a Dynamic from a state snapshot without any
-// recomputation: member counts are trusted as exact, so recovery costs
-// O(live + members) instead of the O(live × members) dominance scan of a
-// rebuild. The state's slices are not retained; record slices are shared.
+// RestoreDynamic rebuilds a Dynamic from a state snapshot. The band's counts
+// are trusted as exact — a legacy state's guarantee (Coverage ≥ K) makes its
+// members below K exactly the band as well — so recovery costs one
+// strongest-first fence pass over the other live records instead of a
+// recomputation of the band. The state's slices are not retained; record
+// slices are shared.
 func RestoreDynamic(st *DynamicState) (*Dynamic, error) {
 	if st == nil {
 		return nil, errors.New("skyband: nil dynamic state")
@@ -93,47 +89,41 @@ func RestoreDynamic(st *DynamicState) (*Dynamic, error) {
 	if len(st.LiveIDs) != len(st.LiveRecs) || len(st.MemberIDs) != len(st.MemberCounts) {
 		return nil, errors.New("skyband: misaligned state slices")
 	}
-	d := &Dynamic{
-		k:      st.K,
-		capK:   st.K + st.ShadowDepth,
-		cov:    st.Coverage,
-		live:   make(map[int][]float64, len(st.LiveIDs)),
-		pos:    make(map[int]int, len(st.MemberIDs)),
-		nextID: st.NextID,
-		stats: DynamicStats{
-			Inserts:         st.Inserts,
-			Deletes:         st.Deletes,
-			Promotions:      st.Promotions,
-			Demotions:       st.Demotions,
-			ShadowEvictions: st.Evictions,
-			Rebuilds:        st.Rebuilds,
-		},
+	d := newDynamic(st.K, len(st.LiveIDs), len(st.MemberIDs))
+	d.nextID = st.NextID
+	d.stats = DynamicStats{
+		Inserts:         st.Inserts,
+		Deletes:         st.Deletes,
+		Promotions:      st.Promotions,
+		Demotions:       st.Demotions,
+		ShadowEvictions: st.Evictions,
 	}
 	for i, id := range st.LiveIDs {
 		if id < 0 || id >= st.NextID {
 			return nil, errors.New("skyband: live id outside allocator range in state")
 		}
-		if _, dup := d.live[id]; dup {
+		if d.Has(id) {
 			return nil, errors.New("skyband: duplicate live id in state")
 		}
-		d.live[id] = st.LiveRecs[i]
+		d.addLive(id, st.LiveRecs[i], unset)
 	}
 	for i, id := range st.MemberIDs {
-		rec, ok := d.live[id]
+		s, ok := d.slot[id]
 		if !ok {
 			return nil, errors.New("skyband: member id not live in state")
 		}
 		c := st.MemberCounts[i]
-		if c < 0 || c >= d.capK {
+		if c < 0 || c >= st.K+st.ShadowDepth {
 			return nil, errors.New("skyband: member count out of range in state")
 		}
-		if _, dup := d.pos[id]; dup {
+		if d.Tracked(id) {
 			return nil, errors.New("skyband: duplicate member id in state")
 		}
-		d.addEntry(dynEntry{id: id, rec: rec, count: c})
-		if c < d.k {
-			d.band++
+		if c < st.K {
+			d.cover[s] = isEntry
+			d.addEntry(newEntry(id, d.recs[s], c), true)
 		}
 	}
+	d.buildFence()
 	return d, nil
 }

@@ -205,6 +205,9 @@ func DecodeBatch(payload []byte) (*Batch, error) {
 	return b, nil
 }
 
+// encodeDynamic writes a band state. The layout predates PR 18 and is frozen:
+// the ShadowDepth and Coverage slots (and Rebuilds) are legacy fields of
+// skyband.DynamicState, still written and read in place.
 func encodeDynamic(e *encoder, st *skyband.DynamicState) {
 	e.uvarint(uint64(st.K))
 	e.uvarint(uint64(st.ShadowDepth))

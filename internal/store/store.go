@@ -6,8 +6,8 @@
 //     stream is already batch-atomic and epoch-stamped, so the batch is the
 //     natural WAL record),
 //   - periodic snapshots of the full dataset state (records plus the dynamic
-//     skyband's members, dominator counts, and shadow — everything
-//     engine.State captures, single or partitioned), and
+//     skyband's band and dominator counts — everything engine.State
+//     captures, single or partitioned), and
 //   - a manifest of the named datasets with their configurations.
 //
 // Recovery is snapshot + tail: restore the last snapshot and replay the WAL
@@ -73,7 +73,9 @@ type Snapshot struct {
 }
 
 // DatasetConfig is one manifest entry: a dataset's name and the
-// configuration needed to rebuild its serving engine at reopen.
+// configuration needed to rebuild its serving engine at reopen. ShadowDepth
+// is legacy (the knob left with the shadow band in PR 18): manifests written
+// before still carry it, it is decoded and ignored, and never written.
 type DatasetConfig struct {
 	Name         string        `json:"name"`
 	Dim          int           `json:"dim"`

@@ -133,8 +133,8 @@ type Result struct {
 	QueryMax time.Duration `json:"query_max_ns"`
 
 	// Stats is the engine's counter snapshot at the end of the run — the
-	// streaming counters (CoalescedOps, AdmissionSkips, Exhaustions,
-	// RepairSteps, ShadowDepth) say which maintenance paths the run
+	// streaming counters (CoalescedOps, AdmissionSkips, Promotions,
+	// Demotions, Repairs, RepairSteps) say which maintenance paths the run
 	// actually exercised.
 	Stats utk.EngineStats `json:"stats"`
 }

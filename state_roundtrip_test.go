@@ -32,7 +32,7 @@ func TestEngineStateRoundtrip(t *testing.T) {
 	for _, shards := range []int{1, 3} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			ds, r := facadeFixture(t)
-			cfg := EngineConfig{MaxK: 6, ShadowDepth: 2}
+			cfg := EngineConfig{MaxK: 6}
 			var e *Engine
 			var err error
 			if shards > 1 {
