@@ -7,10 +7,12 @@
 //
 // Classification of a cell against a new half-space is an exact LP decision
 // (minimum and maximum of the functional over the cell), with a witness-point
-// cache that answers most straddle cases without touching the solver. Cells
-// are kept only when full-dimensional (interior slack above lp.SlackEps), so
-// leaves are pairwise disjoint and cover the region up to measure-zero
-// boundaries — the same semantics the paper's partitions have.
+// cache that answers most straddle cases without touching the solver, and
+// every LP that does run starts from a point the cell already holds (its
+// interior, a witness), so none pays for a phase 1. Cells are kept only when
+// full-dimensional (interior slack above lp.SlackEps), so leaves are pairwise
+// disjoint and cover the region up to measure-zero boundaries — the same
+// semantics the paper's partitions have.
 package arrangement
 
 import (
@@ -71,23 +73,6 @@ type Arrangement struct {
 	ws       *lp.Workspace
 }
 
-// optimize routes the classification LPs through the workspace when one was
-// provided (refinement tasks pool one per worker), or the allocating
-// package-level solver otherwise.
-func (a *Arrangement) optimize(cell []geom.Halfspace, obj []float64, maximize bool) (pt []float64, val float64, ok bool) {
-	if a.ws != nil {
-		return a.ws.OptimizeLinear(a.dim, cell, obj, maximize)
-	}
-	return lp.OptimizeLinear(a.dim, cell, obj, maximize)
-}
-
-func (a *Arrangement) interiorPoint(cell []geom.Halfspace) (pt []float64, slack float64, ok bool) {
-	if a.ws != nil {
-		return a.ws.InteriorPoint(a.dim, cell)
-	}
-	return lp.InteriorPoint(a.dim, cell)
-}
-
 // ErrEmptyCell is returned when the base region has no full-dimensional
 // interior.
 var ErrEmptyCell = errors.New("arrangement: base region is empty or lower-dimensional")
@@ -96,22 +81,29 @@ var ErrEmptyCell = errors.New("arrangement: base region is empty or lower-dimens
 // by base. capacity is the exclusive upper bound on half-space ids that will
 // be inserted (covering sets are bit sets of that size). stats may be nil.
 func New(dim int, base []geom.Halfspace, capacity int, stats *Stats) (*Arrangement, error) {
-	return NewWith(dim, base, capacity, stats, nil)
+	return NewWith(dim, base, capacity, stats, nil, nil)
 }
 
-// NewWith is New with a reusable LP workspace for every interior-point and
-// classification LP the arrangement issues. The workspace must stay owned by
-// the calling task for the arrangement's lifetime; results (cell interiors,
-// witnesses) never alias it.
-func NewWith(dim int, base []geom.Halfspace, capacity int, stats *Stats, ws *lp.Workspace) (*Arrangement, error) {
+// NewWith is New with a reusable LP workspace (nil allocates per LP) for
+// every LP the arrangement issues, and the interior point the caller holds
+// for the region — the cell's Interior() when base is a cell of another
+// arrangement, the region's pivot at the root. A hint with normalized slack
+// above lp.SlackEps against every base half-space is the root cell's interior
+// as is, and no LP runs; any other point (nil included) is only where the
+// interior-point LP starts. The workspace must stay owned by the calling task
+// for the arrangement's lifetime; results (cell interiors, witnesses) never
+// alias it, and the hint is shared, not copied — it must not be modified.
+func NewWith(dim int, base []geom.Halfspace, capacity int, stats *Stats, ws *lp.Workspace, interior []float64) (*Arrangement, error) {
 	if stats == nil {
 		stats = &Stats{}
 	}
 	a := &Arrangement{dim: dim, capacity: capacity, stats: stats, ws: ws}
-	stats.LPCalls++
-	interior, _, ok := a.interiorPoint(base)
-	if !ok {
-		return nil, ErrEmptyCell
+	if interior == nil || lp.MinSlack(base, interior) <= lp.SlackEps {
+		stats.LPCalls++
+		var ok bool
+		if interior, _, ok = ws.InteriorPoint(dim, base, interior); !ok {
+			return nil, ErrEmptyCell
+		}
 	}
 	cons := make([]geom.Halfspace, len(base))
 	for i, h := range base {
@@ -192,7 +184,7 @@ func (a *Arrangement) insertIntoCell(out []*Cell, c *Cell, id int, h geom.Halfsp
 		// extreme needs the solver.
 		if !hasPos {
 			a.stats.LPCalls++
-			maxPt, mx, ok := a.optimize(c.constraints, h.A, true)
+			maxPt, mx, ok := a.ws.OptimizeLinear(a.dim, c.constraints, h.A, true, c.interior)
 			if !ok {
 				return out // defensive: infeasible cells should not exist
 			}
@@ -203,7 +195,7 @@ func (a *Arrangement) insertIntoCell(out []*Cell, c *Cell, id int, h geom.Halfsp
 		}
 		if !hasNeg {
 			a.stats.LPCalls++
-			minPt, mn, ok := a.optimize(c.constraints, h.A, false)
+			minPt, mn, ok := a.ws.OptimizeLinear(a.dim, c.constraints, h.A, false, c.interior)
 			if !ok {
 				return out
 			}
@@ -250,35 +242,39 @@ func (a *Arrangement) insertIntoCell(out []*Cell, c *Cell, id int, h geom.Halfsp
 	} else if parentSide < -lp.SlackEps {
 		outside.interior = c.interior
 	}
-	if inside.interior == nil {
-		a.stats.LPCalls++
-		if pt, _, ok := a.interiorPoint(inside.constraints); ok {
-			inside.interior = pt
-			inside.witnesses = append(inside.witnesses, pt)
-		}
-	}
-	if inside.interior == nil {
+	if inside.interior == nil && !a.solveInterior(inside, c) {
 		// The "inside" part is lower-dimensional: the cell only touches the
 		// half-space boundary and stays intact on the outside.
 		return append(out, c)
 	}
-	out = append(out, inside)
-	if outside.interior == nil {
-		a.stats.LPCalls++
-		if pt, _, ok := a.interiorPoint(outside.constraints); ok {
-			outside.interior = pt
-			outside.witnesses = append(outside.witnesses, pt)
-		}
-	}
-	if outside.interior == nil {
+	if outside.interior == nil && !a.solveInterior(outside, c) {
 		// Symmetric: the cell is effectively covered in full.
-		out = out[:len(out)-1]
 		c.count++
 		c.covering.Set(id)
 		return append(out, c)
 	}
+	out = append(out, inside)
 	out = append(out, outside)
 	return out
+}
+
+// solveInterior computes the interior point of a fresh child of parent by
+// LP, started from a witness already on the child's side when there is one
+// (feasible, so the minimum slack only has to grow from ≥ 0) and from the
+// parent's interior otherwise. It reports whether the child is
+// full-dimensional.
+func (a *Arrangement) solveInterior(child, parent *Cell) bool {
+	start := parent.interior
+	if len(child.witnesses) > 0 {
+		start = child.witnesses[0]
+	}
+	a.stats.LPCalls++
+	pt, _, ok := a.ws.InteriorPoint(a.dim, child.constraints, start)
+	if ok {
+		child.interior = pt
+		child.witnesses = append(child.witnesses, pt)
+	}
+	return ok
 }
 
 func l2norm(v []float64) float64 {

@@ -13,9 +13,10 @@ const cancelStride = 64
 
 // drillVector computes the drill vector of Section 4.3 for candidate p in
 // the cell bounded by the given half-spaces: the weight vector inside the
-// cell that maximizes S(p), found by linear programming. It returns nil when
-// the cell is empty (defensive; cells always have interior points).
-func (rf *refiner) drillVector(p int, cell []geom.Halfspace) []float64 {
+// cell that maximizes S(p), found by linear programming from the cell's
+// interior point. It returns nil when the cell is empty (defensive; cells
+// always have interior points).
+func (rf *refiner) drillVector(p int, cell []geom.Halfspace, interior []float64) []float64 {
 	rec := rf.g.Records[p]
 	d := len(rec)
 	obj := make([]float64, rf.dim)
@@ -23,7 +24,7 @@ func (rf *refiner) drillVector(p int, cell []geom.Halfspace) []float64 {
 		obj[i] = rec[i] - rec[d-1]
 	}
 	rf.st.Arrangement.LPCalls++
-	w, _, ok := rf.ws.OptimizeLinear(rf.dim, cell, obj, true)
+	w, _, ok := rf.ws.OptimizeLinear(rf.dim, cell, obj, true, interior)
 	if !ok {
 		return nil
 	}
@@ -106,9 +107,9 @@ func (rf *refiner) countAbove(p int, comp bitset.Set, w []float64, limit int) in
 // drill performs the drill optimization: a top-k probe at the drill vector.
 // It reports whether candidate p ranks within quota among the competitors in
 // comp somewhere in the cell.
-func (rf *refiner) drill(p int, cell []geom.Halfspace, quota int, comp bitset.Set) bool {
+func (rf *refiner) drill(p int, cell []geom.Halfspace, interior []float64, quota int, comp bitset.Set) bool {
 	rf.st.Drills++
-	w := rf.drillVector(p, cell)
+	w := rf.drillVector(p, cell, interior)
 	if w == nil {
 		return false
 	}

@@ -136,6 +136,7 @@ func jaaRegion(g *skyband.Graph, r *geom.Region, k int, opts Options, st *Stats)
 	defer rf.release()
 	js := &jaaState{rf: rf}
 
+	pivot := r.Pivot()
 	excluded := rf.intervalExcluded(r)
 	eligible := rf.fullSet()
 	eligible.AndNot(excluded)
@@ -143,19 +144,19 @@ func jaaRegion(g *skyband.Graph, r *geom.Region, k int, opts Options, st *Stats)
 		// Every non-excluded candidate is in every top-k set of the region:
 		// one cell, same emit shape as the recursion's exhausted-eligible
 		// branch.
-		js.emit(r.Halfspaces(), r.Pivot(), eligible, -1, rf.newSet())
+		js.emit(r.Halfspaces(), pivot, eligible, -1, rf.newSet())
 		return js.out, rf.stopped
 	}
 
 	// Initial anchor: the k-th scoring candidate at the pivot of the region
 	// (Section 5.1), with its non-excluded ancestors as the known prefix.
-	anchor := rf.selectAnchor(r.Pivot(), eligible, k)
+	anchor := rf.selectAnchor(pivot, eligible, k)
 	prefix := rf.cloneSet(g.Anc[anchor])
 	prefix.AndNot(excluded) // excluded ancestors can never count toward k
 	ignore := rf.cloneSet(prefix)
 	ignore.Or(g.Desc[anchor])
 	ignore.Or(excluded)
-	js.partition(anchor, r.Halfspaces(), k-prefix.Count(), ignore, prefix, excluded)
+	js.partition(anchor, r.Halfspaces(), pivot, k-prefix.Count(), ignore, prefix, excluded)
 	return js.out, rf.stopped
 }
 
@@ -528,7 +529,7 @@ func (js *jaaState) emit(cell []geom.Halfspace, interior []float64, prefix bitse
 //     the pseudo-code's per-call exclusions, and equally safe — a record
 //     outside every top-k set of a cell is outside every top-k set of its
 //     sub-cells) gives the recursion a strictly decreasing measure.
-func (js *jaaState) partition(p int, cell []geom.Halfspace, quota int, ignore, prefix, excluded bitset.Set) {
+func (js *jaaState) partition(p int, cell []geom.Halfspace, interior []float64, quota int, ignore, prefix, excluded bitset.Set) {
 	rf := js.rf
 	if rf.stop() {
 		// The partial partitioning is unusable; the callers discard it.
@@ -542,7 +543,7 @@ func (js *jaaState) partition(p int, cell []geom.Halfspace, quota int, ignore, p
 	comp.AndNot(ignore)
 	comp.Clear(p)
 
-	arr, err := arrangement.NewWith(rf.dim, cell, n, &rf.st.Arrangement, rf.ws)
+	arr, err := arrangement.NewWith(rf.dim, cell, n, &rf.st.Arrangement, rf.ws, interior)
 	if err != nil {
 		return // defensive: cells passed down are full-dimensional
 	}
@@ -577,7 +578,7 @@ func (js *jaaState) partition(p int, cell []geom.Halfspace, quota int, ignore, p
 			nignore := rf.cloneSet(nprefix)
 			nignore.Or(rf.g.Desc[na])
 			nignore.Or(ex)
-			js.partition(na, c.Constraints(), rf.k-nprefix.Count(), nignore, nprefix, ex)
+			js.partition(na, c.Constraints(), c.Interior(), rf.k-nprefix.Count(), nignore, nprefix, ex)
 		default:
 			cannot := rf.cannotAffect(srcs, c, comp)
 			remaining := rf.cloneSet(comp)
@@ -610,7 +611,7 @@ func (js *jaaState) partition(p int, cell []geom.Halfspace, quota int, ignore, p
 				nignore := rf.cloneSet(nprefix)
 				nignore.Or(rf.g.Desc[na])
 				nignore.Or(excluded)
-				js.partition(na, c.Constraints(), nquota, nignore, nprefix, excluded)
+				js.partition(na, c.Constraints(), c.Interior(), nquota, nignore, nprefix, excluded)
 				continue
 			}
 			// Unclassified: continue partitioning with the same anchor,
@@ -621,7 +622,7 @@ func (js *jaaState) partition(p int, cell []geom.Halfspace, quota int, ignore, p
 			nignore := rf.cloneSet(ignore)
 			nignore.Or(inserted)
 			nignore.Or(cannot)
-			js.partition(p, c.Constraints(), quota-cnt, nignore, nprefix, excluded)
+			js.partition(p, c.Constraints(), c.Interior(), quota-cnt, nignore, nprefix, excluded)
 		}
 	}
 }

@@ -94,7 +94,7 @@ func rsaSequential(g *skyband.Graph, r *geom.Region, k int, opts Options, st *St
 	defer rf.release()
 	active := fullSet(n) // candidates not yet disqualified
 	verified := bitset.New(n)
-	hs := r.Halfspaces()
+	hs, pivot := r.Halfspaces(), r.Pivot()
 	for _, p := range order {
 		if rf.stop() {
 			return verified, true
@@ -108,7 +108,7 @@ func rsaSequential(g *skyband.Graph, r *geom.Region, k int, opts Options, st *St
 		mark := rf.sc.Mark()
 		ignore := rf.cloneSet(g.Anc[p])
 		quota := k - ignore.Count()
-		if rf.verify(p, hs, quota, ignore, active) {
+		if rf.verify(p, hs, pivot, quota, ignore, active) {
 			verified.Set(p)
 			g.Anc[p].ForEach(func(a int) bool {
 				verified.Set(a)
@@ -144,7 +144,7 @@ func rsaParallel(g *skyband.Graph, r *geom.Region, k int, opts Options, st *Stat
 			rf := newRefiner(g, r, k, opts, workerStats[wi])
 			defer rf.release()
 			defer func() { stopped[wi] = rf.stopped }()
-			hs := r.Halfspaces()
+			hs, pivot := r.Halfspaces(), r.Pivot()
 			for {
 				if rf.stop() {
 					return nil
@@ -168,7 +168,7 @@ func rsaParallel(g *skyband.Graph, r *geom.Region, k int, opts Options, st *Stat
 				mu.Unlock()
 				ignore := rf.cloneSet(g.Anc[p])
 				quota := k - ignore.Count()
-				ok := rf.verify(p, hs, quota, ignore, snapshot)
+				ok := rf.verify(p, hs, pivot, quota, ignore, snapshot)
 				mu.Lock()
 				if ok {
 					verified.Set(p)
@@ -198,7 +198,7 @@ func rsaParallel(g *skyband.Graph, r *geom.Region, k int, opts Options, st *Stat
 // verify is Algorithm 2: it decides whether candidate p enters the top-k set
 // somewhere in the cell, given a rank quota and an ignore set, recursing
 // into promising partitions with Lemma-1 pruning.
-func (rf *refiner) verify(p int, cell []geom.Halfspace, quota int, ignore, active bitset.Set) bool {
+func (rf *refiner) verify(p int, cell []geom.Halfspace, interior []float64, quota int, ignore, active bitset.Set) bool {
 	if rf.stop() {
 		// The verdict is unusable; the callers unwind without consuming it.
 		return false
@@ -213,7 +213,7 @@ func (rf *refiner) verify(p int, cell []geom.Halfspace, quota int, ignore, activ
 	comp.AndNot(ignore)
 	comp.Clear(p)
 
-	if !rf.opts.DisableDrill && rf.drill(p, cell, quota, comp) {
+	if !rf.opts.DisableDrill && rf.drill(p, cell, interior, quota, comp) {
 		return true
 	}
 	if comp.Empty() {
@@ -221,7 +221,7 @@ func (rf *refiner) verify(p int, cell []geom.Halfspace, quota int, ignore, activ
 		return true
 	}
 
-	arr, err := arrangement.NewWith(rf.dim, cell, rf.g.Len(), &rf.st.Arrangement, rf.ws)
+	arr, err := arrangement.NewWith(rf.dim, cell, rf.g.Len(), &rf.st.Arrangement, rf.ws, interior)
 	if err != nil {
 		// Defensive: recursion only descends into full-dimensional cells.
 		return false
@@ -257,7 +257,7 @@ func (rf *refiner) verify(p int, cell []geom.Halfspace, quota int, ignore, activ
 		next := rf.cloneSet(ignore)
 		next.Or(inserted)
 		next.Or(cannot)
-		if rf.verify(p, c.Constraints(), quota-c.Count(), next, active) {
+		if rf.verify(p, c.Constraints(), c.Interior(), quota-c.Count(), next, active) {
 			return true
 		}
 	}

@@ -139,8 +139,8 @@ func fig9(cfg Config) error {
 // intervalBounds extracts [lo, hi] from the constraints of a 1-dimensional
 // cell.
 func intervalBounds(cs []geom.Halfspace) (float64, float64) {
-	_, lo, _ := lp.OptimizeLinear(1, cs, []float64{1}, false)
-	_, hi, _ := lp.OptimizeLinear(1, cs, []float64{1}, true)
+	_, lo, _ := lp.OptimizeLinear(1, cs, []float64{1}, false, nil)
+	_, hi, _ := lp.OptimizeLinear(1, cs, []float64{1}, true, nil)
 	return lo, hi
 }
 

@@ -600,13 +600,6 @@ func sideFromExtremes(lo, hi float64) Side {
 	return Straddle
 }
 
-// BoxExtremes returns the minimum and maximum of h.Eval over the box
-// [lo, hi] — the exported form of the corner-sign rule for callers (cell
-// clipping) that classify half-spaces against constraint-propagated bounds.
-func BoxExtremes(h Halfspace, lo, hi []float64) (mn, mx float64) {
-	return boxExtremes(h, lo, hi)
-}
-
 // boxExtremes returns the minimum and maximum of h.Eval over the box
 // [lo, hi] in O(dim) by picking the corner per coefficient sign.
 func boxExtremes(h Halfspace, lo, hi []float64) (mn, mx float64) {

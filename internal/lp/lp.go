@@ -1,13 +1,21 @@
-// Package lp implements a dense two-phase primal simplex solver for the
-// small linear programs the UTK algorithms solve constantly: feasibility and
-// interior points of arrangement cells, extremes of a linear functional over
-// a cell, drill-vector computation, and the onion-layer membership test.
+// Package lp holds the two linear-programming kernels the UTK algorithms use.
 //
-// Problems are stated over free (unrestricted-sign) variables; internally
-// each variable is split into a difference of two non-negative variables.
-// Bland's rule is used throughout, so the solver terminates on degenerate
-// problems. The scale regime is tiny dimensions (≤ ~8 variables) with up to
-// a few thousand constraints, for which a dense tableau is the right tool.
+// Cell LPs — interior points of arrangement cells, extremes of a linear
+// functional over a cell, the drill vector — run on a condensed
+// (dictionary-form) simplex that starts from a point the caller already
+// holds: m slack rows × (dim+1) columns over the shift from that point, free
+// variables unsplit, no phase 1 (cell.go, polytope.go). The scale regime is
+// tiny dimensions (≤ ~8 variables) and tens of constraints, solved hundreds
+// of times per query.
+//
+// Maximize, Minimize and MaximizeNonneg are a dense two-phase tableau simplex
+// over general LE/GE/EQ constraints, for the onion-layer membership test and
+// as the reference the cell kernel is fuzzed against. Free variables are
+// split into a difference of two non-negative ones there.
+//
+// Both terminate on degenerate problems: the tableau by Bland's rule, the cell
+// kernel by Bland's entering rule with Harris's ratio test, which hands the
+// leaving choice to Bland too once a degenerate vertex stalls the walk.
 package lp
 
 import (
@@ -83,12 +91,12 @@ const tol = 1e-9
 
 // Maximize solves max obj·x subject to cons over free variables.
 func Maximize(obj []float64, cons []Constraint) Solution {
-	return solve(nil, obj, cons, true, false)
+	return solve(obj, cons, true, false)
 }
 
 // Minimize solves min obj·x subject to cons over free variables.
 func Minimize(obj []float64, cons []Constraint) Solution {
-	return solve(nil, obj, cons, false, false)
+	return solve(obj, cons, false, false)
 }
 
 // MaximizeNonneg solves max obj·x subject to cons with every variable
@@ -97,10 +105,10 @@ func Minimize(obj []float64, cons []Constraint) Solution {
 // constraints, such as the convex-combination dominance test of the onion
 // layers, where the row count determines the tableau cost.
 func MaximizeNonneg(obj []float64, cons []Constraint) Solution {
-	return solve(nil, obj, cons, true, true)
+	return solve(obj, cons, true, true)
 }
 
-func solve(ws *Workspace, obj []float64, cons []Constraint, maximize, nonneg bool) Solution {
+func solve(obj []float64, cons []Constraint, maximize, nonneg bool) Solution {
 	nv := len(obj)
 	m := len(cons)
 	// Column layout: [u_0..u_{nv-1} | v_0..v_{nv-1} | slacks | artificials | rhs]
@@ -118,7 +126,10 @@ func solve(ws *Workspace, obj []float64, cons []Constraint, maximize, nonneg boo
 	}
 	nCols := nv + vBlock + nSlack + m // + artificials (one per row)
 	artStart := nv + vBlock + nSlack
-	t := ws.tableau(m, nCols)
+	t := &tableau{m: m, n: nCols, a: make([][]float64, m+1), basis: make([]int, m)}
+	for i := range t.a {
+		t.a[i] = make([]float64, nCols+1)
+	}
 	slackIdx := 0
 	for i, c := range cons {
 		if len(c.Coef) != nv {

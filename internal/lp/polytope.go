@@ -13,19 +13,42 @@ import (
 const SlackEps = 1e-7
 
 // InteriorPoint computes a point of ∩{A_i·w ≥ B_i} that maximizes the
-// minimum slack, normalized by each half-space's L2 norm (a Chebyshev-style
-// center). It returns the point, the achieved normalized slack, and whether
-// the intersection is full-dimensional (slack > SlackEps). Callers must
-// supply enough half-spaces to bound the region (arrangement cells always
-// include the query region's bounds).
-func InteriorPoint(dim int, hs []geom.Halfspace) (pt []float64, slack float64, ok bool) {
-	return interiorPoint(nil, dim, hs)
+// minimum slack, normalized by each half-space's L2 norm and capped at 1 (a
+// Chebyshev-style center). It returns the point, the achieved normalized
+// slack, and whether the intersection is full-dimensional (slack >
+// SlackEps). Callers must supply enough half-spaces to bound the region
+// (arrangement cells always include the query region's bounds).
+//
+// start is any point the caller holds, or nil for the origin; it need not be
+// feasible. The LP runs over (w, t) from (start, t₀) with t₀ the start's own
+// minimum normalized slack, which is feasible by construction — so a point
+// near the optimum (a parent cell's interior, a witness) saves pivots and a
+// bad one costs nothing but them.
+func InteriorPoint(dim int, hs []geom.Halfspace, start []float64) (pt []float64, slack float64, ok bool) {
+	return (*Workspace)(nil).InteriorPoint(dim, hs, start)
 }
 
-func interiorPoint(ws *Workspace, dim int, hs []geom.Halfspace) (pt []float64, slack float64, ok bool) {
-	// Variables: w_0..w_{dim-1}, t. Maximize t subject to
-	// A_i·w − ||A_i||·t ≥ B_i and t ≤ 1 (cap for safety against unbounded t).
-	cons, coefs, obj := ws.scratch(len(hs)+1, dim+1)
+// InteriorPoint is the package-level InteriorPoint using the workspace's
+// backing memory for the dictionary.
+func (ws *Workspace) InteriorPoint(dim int, hs []geom.Halfspace, start []float64) (pt []float64, slack float64, ok bool) {
+	pt, slack, ok = ws.center(dim, hs, start)
+	if !ok || slack <= SlackEps {
+		return nil, slack, false
+	}
+	return pt, slack, true
+}
+
+// center is InteriorPoint without the full-dimensionality verdict: ok is
+// false only when a trivially false half-space empties the set outright.
+func (ws *Workspace) center(dim int, hs []geom.Halfspace, start []float64) (pt []float64, slack float64, ok bool) {
+	x := make([]float64, dim+1)
+	copy(x, start)
+	// With every half-space scaled to unit norm, the rows are
+	// Â_i·y − τ + (slack_i(start) − t₀) ≥ 0 in the shifts y = w − start,
+	// τ = t − t₀, plus the cap 1 − t₀ − τ ≥ 0; maximize τ.
+	d := ws.dict(len(hs)+1, dim+1)
+	t0 := 1.0
+	m := 0
 	for _, h := range hs {
 		norm := l2(h.A)
 		if norm < geom.Eps {
@@ -34,113 +57,100 @@ func interiorPoint(ws *Workspace, dim int, hs []geom.Halfspace) (pt []float64, s
 			}
 			continue // trivially true half-space
 		}
-		coef := coefs[len(cons)*(dim+1) : (len(cons)+1)*(dim+1) : (len(cons)+1)*(dim+1)]
-		copy(coef, h.A)
-		coef[dim] = -norm
-		cons = append(cons, Constraint{Coef: coef, Rel: GE, RHS: h.B})
+		r := d.row(m)
+		for j, a := range h.A {
+			r[j] = a / norm
+		}
+		r[dim] = -1
+		r[dim+1] = h.Eval(x[:dim]) / norm
+		t0 = min(t0, r[dim+1])
+		m++
 	}
-	capT := coefs[len(cons)*(dim+1) : (len(cons)+1)*(dim+1) : (len(cons)+1)*(dim+1)]
-	capT[dim] = 1
-	cons = append(cons, Constraint{Coef: capT, Rel: LE, RHS: 1})
-	obj[dim] = 1
-	sol := solve(ws, obj, cons, true, false)
-	if sol.Status != Optimal {
+	for i := 0; i < m; i++ {
+		d.row(i)[dim+1] -= t0
+	}
+	capT := d.row(m)
+	capT[dim], capT[dim+1] = -1, 1-t0
+	d.m = m + 1
+	d.row(d.m)[dim] = 1
+	d.maximize() // τ ≤ 1 − t₀: never unbounded
+	d.addShifts(x)
+	// The slack reported is the one the point has, not the one the dictionary
+	// arrived at: a verdict built on it holds whatever rounding did on the way.
+	return x[:dim:dim], min(MinSlack(hs, x[:dim]), 1), true
+}
+
+// OptimizeLinear maximizes (or minimizes) obj·w over ∩{A_i·w ≥ B_i}; ok is
+// false when the set is empty or the objective unbounded over it.
+//
+// start is a feasible point the caller holds (a cell's interior, a witness),
+// from which the simplex runs with no phase 1. A nil start, or one that
+// violates some half-space by more than the solver tolerance (normalized),
+// is never used as given: the solver finds its own by maximizing the
+// minimum slack from it.
+func OptimizeLinear(dim int, hs []geom.Halfspace, obj []float64, maximize bool, start []float64) (pt []float64, val float64, ok bool) {
+	return (*Workspace)(nil).OptimizeLinear(dim, hs, obj, maximize, start)
+}
+
+// OptimizeLinear is the package-level OptimizeLinear using the workspace's
+// backing memory for the dictionary.
+func (ws *Workspace) OptimizeLinear(dim int, hs []geom.Halfspace, obj []float64, maximize bool, start []float64) (pt []float64, val float64, ok bool) {
+	if start == nil || MinSlack(hs, start) < -tol {
+		var slack float64
+		if start, slack, ok = ws.center(dim, hs, start); !ok || slack < -tol {
+			return nil, 0, false
+		}
+	}
+	// Rows are scaled to unit norm, so the dictionary's constants are
+	// distances and the solver tolerance means the same on every row.
+	d := ws.dict(len(hs), dim)
+	m := 0
+	for _, h := range hs {
+		norm := l2(h.A)
+		if norm < geom.Eps {
+			continue // trivially true; a trivially false one never gets a start
+		}
+		r := d.row(m)
+		for j, a := range h.A {
+			r[j] = a / norm
+		}
+		r[dim] = h.Eval(start) / norm
+		m++
+	}
+	d.m = m
+	cost := d.row(m)
+	for j, c := range obj {
+		if maximize {
+			cost[j] = c
+		} else {
+			cost[j] = -c
+		}
+	}
+	if d.maximize() != Optimal {
 		return nil, 0, false
 	}
-	slack = sol.X[dim]
-	if slack <= SlackEps {
-		return nil, slack, false
+	pt = append([]float64(nil), start...)
+	d.addShifts(pt)
+	for j, c := range obj {
+		val += c * pt[j]
 	}
-	return sol.X[:dim:dim], slack, true
+	return pt, val, true
 }
 
-// OptimizeLinear maximizes (or minimizes) obj·w over ∩{A_i·w ≥ B_i}.
-func OptimizeLinear(dim int, hs []geom.Halfspace, obj []float64, maximize bool) (pt []float64, val float64, ok bool) {
-	return optimizeLinear(nil, dim, hs, obj, maximize)
-}
-
-func optimizeLinear(ws *Workspace, dim int, hs []geom.Halfspace, obj []float64, maximize bool) (pt []float64, val float64, ok bool) {
-	var cons []Constraint
-	if ws != nil {
-		if cap(ws.cons) < len(hs) {
-			ws.cons = make([]Constraint, 0, len(hs)+len(hs)/2)
-		}
-		cons = ws.cons[:0]
-	} else {
-		cons = make([]Constraint, 0, len(hs))
-	}
+// MinSlack returns the smallest normalized slack of pt over the half-spaces:
+// how far inside ∩{A_i·w ≥ B_i} the point sits (negative: how far outside).
+// Trivially true half-spaces have no say (+Inf when nothing else has), a
+// trivially false one makes every point infinitely far outside.
+func MinSlack(hs []geom.Halfspace, pt []float64) float64 {
+	mn := math.Inf(1)
 	for _, h := range hs {
-		if l2(h.A) < geom.Eps {
-			if h.B > geom.Eps {
-				return nil, 0, false
-			}
-			continue
+		if norm := l2(h.A); norm >= geom.Eps {
+			mn = min(mn, h.Eval(pt)/norm)
+		} else if h.B > geom.Eps {
+			return math.Inf(-1)
 		}
-		cons = append(cons, Constraint{Coef: h.A, Rel: GE, RHS: h.B})
 	}
-	sol := solve(ws, obj, cons, maximize, false)
-	if sol.Status != Optimal {
-		return nil, 0, false
-	}
-	return sol.X, sol.Value, true
-}
-
-// Extremes computes the minimum and maximum of h.Eval over the cell
-// ∩{A_i·w ≥ B_i}. It reports ok=false when the cell is empty or unbounded in
-// the direction of h (which cannot happen for cells nested in a bounded
-// query region).
-func Extremes(dim int, cell []geom.Halfspace, h geom.Halfspace) (mn, mx float64, minPt, maxPt []float64, ok bool) {
-	minPt, mnVal, ok1 := OptimizeLinear(dim, cell, h.A, false)
-	if !ok1 {
-		return 0, 0, nil, nil, false
-	}
-	maxPt, mxVal, ok2 := OptimizeLinear(dim, cell, h.A, true)
-	if !ok2 {
-		return 0, 0, nil, nil, false
-	}
-	return mnVal - h.B, mxVal - h.B, minPt, maxPt, true
-}
-
-// Feasible reports whether ∩{A_i·w ≥ B_i} has any point at all (not
-// necessarily full-dimensional).
-func Feasible(dim int, hs []geom.Halfspace) ([]float64, bool) {
-	return feasible(nil, dim, hs)
-}
-
-func feasible(ws *Workspace, dim int, hs []geom.Halfspace) ([]float64, bool) {
-	var cons []Constraint
-	if ws != nil {
-		if cap(ws.cons) < len(hs) {
-			ws.cons = make([]Constraint, 0, len(hs)+len(hs)/2)
-		}
-		cons = ws.cons[:0]
-	} else {
-		cons = make([]Constraint, 0, len(hs))
-	}
-	for _, h := range hs {
-		if l2(h.A) < geom.Eps {
-			if h.B > geom.Eps {
-				return nil, false
-			}
-			continue
-		}
-		cons = append(cons, Constraint{Coef: h.A, Rel: GE, RHS: h.B})
-	}
-	var obj []float64
-	if ws != nil {
-		if cap(ws.obj) < dim {
-			ws.obj = make([]float64, dim)
-		}
-		obj = ws.obj[:dim]
-		clear(obj)
-	} else {
-		obj = make([]float64, dim)
-	}
-	sol := solve(ws, obj, cons, true, false)
-	if sol.Status != Optimal {
-		return nil, false
-	}
-	return sol.X, true
+	return mn
 }
 
 func l2(v []float64) float64 {

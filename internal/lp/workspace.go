@@ -1,113 +1,47 @@
 package lp
 
-import (
-	"sync"
+import "sync"
 
-	"repro/internal/geom"
-)
-
-// Workspace holds reusable backing memory for the simplex tableau and for
-// the constraint scratch the polytope helpers assemble per call. A single
-// UTK2 query issues thousands of small LPs; without a workspace each one
-// allocates its tableau rows from scratch, and that allocation volume — not
-// pivoting — dominates the solver's cost in warm-path profiles.
+// Workspace holds reusable backing memory for the cell-LP dictionary. A
+// single UTK2 query issues hundreds of small LPs; without a workspace each
+// one allocates its dictionary from scratch.
 //
 // A Workspace serves one goroutine at a time (no internal locking); callers
-// pool one per exec worker. Everything a solve returns (Solution.X, interior
-// points) is freshly allocated and never aliases workspace memory, so
-// results may be retained arbitrarily long after the workspace is reused.
+// pool one per exec worker. A nil *Workspace is valid and allocates per call
+// — the package-level entry points are exactly that. Everything a solve
+// returns (optimizers, interior points) is freshly allocated and never
+// aliases workspace memory, so results may be retained arbitrarily long
+// after the workspace is reused.
 type Workspace struct {
-	t     tableau
-	flat  []float64 // backing for all tableau rows, reshaped per solve
-	rows  [][]float64
-	basis []int
-	cons  []Constraint
-	coefs []float64 // backing for per-constraint coefficient vectors
-	obj   []float64
+	d    dict
+	a    []float64
+	vars []int
 }
 
-// tableau reshapes the workspace backing into a zeroed (m+1)×(nCols+1)
-// tableau. A nil receiver allocates fresh memory — the no-workspace path of
-// the package-level entry points.
-func (ws *Workspace) tableau(m, nCols int) *tableau {
-	rows, width := m+1, nCols+1
+// dict reshapes the workspace backing into a zeroed dictionary with room for
+// rows constraint rows plus the objective over nv free variables, every free
+// variable nonbasic and every slack basic. The caller fills the rows and
+// sets d.m to the number it used.
+func (ws *Workspace) dict(rows, nv int) *dict {
 	if ws == nil {
-		t := &tableau{m: m, n: nCols, a: make([][]float64, rows), basis: make([]int, m)}
-		for i := range t.a {
-			t.a[i] = make([]float64, width)
-		}
-		return t
+		ws = new(Workspace)
 	}
-	total := rows * width
-	if cap(ws.flat) < total {
-		ws.flat = make([]float64, total+total/2)
+	total := (rows + 1) * (nv + 1)
+	if cap(ws.a) < total {
+		ws.a = make([]float64, total+total/2)
 	}
-	flat := ws.flat[:total]
-	clear(flat)
-	if cap(ws.rows) < rows {
-		ws.rows = make([][]float64, rows+rows/2)
+	if cap(ws.vars) < rows+nv {
+		ws.vars = make([]int, rows+nv+(rows+nv)/2)
 	}
-	a := ws.rows[:rows]
-	for i := range a {
-		a[i] = flat[i*width : (i+1)*width : (i+1)*width]
+	ws.d = dict{nv: nv, a: ws.a[:total], basic: ws.vars[:rows], nonbasic: ws.vars[rows : rows+nv]}
+	clear(ws.d.a)
+	for i := range ws.d.basic {
+		ws.d.basic[i] = nv + i
 	}
-	if cap(ws.basis) < m {
-		ws.basis = make([]int, m+m/2)
+	for j := range ws.d.nonbasic {
+		ws.d.nonbasic[j] = j
 	}
-	ws.t = tableau{m: m, n: nCols, a: a, basis: ws.basis[:m]}
-	return &ws.t
-}
-
-// scratch returns a reusable constraint slice plus coefficient and objective
-// buffers sized for n constraint rows of the given width. The constraint
-// slice has length 0 and capacity ≥ n; coefs is zeroed. Nil receivers
-// allocate fresh memory.
-func (ws *Workspace) scratch(n, width int) (cons []Constraint, coefs, obj []float64) {
-	if ws == nil {
-		return make([]Constraint, 0, n), make([]float64, n*width), make([]float64, width)
-	}
-	if cap(ws.cons) < n {
-		ws.cons = make([]Constraint, 0, n+n/2)
-	}
-	if cap(ws.coefs) < n*width {
-		ws.coefs = make([]float64, n*width+n*width/2)
-	}
-	if cap(ws.obj) < width {
-		ws.obj = make([]float64, width)
-	}
-	coefs = ws.coefs[:n*width]
-	clear(coefs)
-	obj = ws.obj[:width]
-	clear(obj)
-	return ws.cons[:0], coefs, obj
-}
-
-// Maximize is Maximize using the workspace's backing memory.
-func (ws *Workspace) Maximize(obj []float64, cons []Constraint) Solution {
-	return solve(ws, obj, cons, true, false)
-}
-
-// Minimize is Minimize using the workspace's backing memory.
-func (ws *Workspace) Minimize(obj []float64, cons []Constraint) Solution {
-	return solve(ws, obj, cons, false, false)
-}
-
-// InteriorPoint is the package-level InteriorPoint using the workspace's
-// backing memory for the constraint assembly and the tableau.
-func (ws *Workspace) InteriorPoint(dim int, hs []geom.Halfspace) (pt []float64, slack float64, ok bool) {
-	return interiorPoint(ws, dim, hs)
-}
-
-// OptimizeLinear is the package-level OptimizeLinear using the workspace's
-// backing memory.
-func (ws *Workspace) OptimizeLinear(dim int, hs []geom.Halfspace, obj []float64, maximize bool) (pt []float64, val float64, ok bool) {
-	return optimizeLinear(ws, dim, hs, obj, maximize)
-}
-
-// Feasible is the package-level Feasible using the workspace's backing
-// memory.
-func (ws *Workspace) Feasible(dim int, hs []geom.Halfspace) ([]float64, bool) {
-	return feasible(ws, dim, hs)
+	return &ws.d
 }
 
 var wsPool = sync.Pool{New: func() interface{} { return new(Workspace) }}

@@ -511,9 +511,8 @@ func clipInterior(dim int, cons []geom.Halfspace, interior []float64, boxLo, box
 	// O(m·dim) with no propagation, no allocation, and no LP — in
 	// particular, sliver cells whose box already misses r are dropped
 	// outright.
-	blo, bhi, bounded := boxLo, boxHi, boxLo != nil
-	if bounded {
-		switch r.ClassifyBox(blo, bhi) {
+	if boxLo != nil {
+		switch r.ClassifyBox(boxLo, boxHi) {
 		case geom.Outside:
 			return nil, false
 		case geom.Inside:
@@ -530,9 +529,8 @@ func clipInterior(dim int, cons []geom.Halfspace, interior []float64, boxLo, box
 	// cell (interval propagation over its constraints, no LP) and classify.
 	// Only cells whose bound straddles r's boundary go on to the clamp fast
 	// path and, last, the LP.
-	if !bounded {
-		blo, bhi, bounded = geom.ConstraintBounds(dim, cons, 24)
-		if bounded {
+	if boxLo == nil {
+		if blo, bhi, bounded := geom.ConstraintBounds(dim, cons, 24); bounded {
 			switch r.ClassifyBox(blo, bhi) {
 			case geom.Outside:
 				return nil, false
@@ -562,39 +560,9 @@ func clipInterior(dim int, cons []geom.Halfspace, interior []float64, boxLo, box
 			return pt, true
 		}
 	}
-	// Last resort: the LP. With the bounding box added as explicit rows, any
-	// constraint strictly satisfied over the whole box is implied by it and
-	// can be dropped — the feasible set is unchanged (it equals the clipped
-	// cell exactly), the tableau is smaller. Deep recursion paths carry many
-	// such never-active constraints.
-	var lpCons []geom.Halfspace
-	if bounded {
-		lpCons = make([]geom.Halfspace, 0, len(cons)+2*dim)
-		for _, h := range cons {
-			if mn, _ := geom.BoxExtremes(h, blo, bhi); mn <= geom.Eps {
-				lpCons = append(lpCons, h)
-			}
-		}
-		for _, h := range r.Halfspaces() {
-			if mn, _ := geom.BoxExtremes(h, blo, bhi); mn <= geom.Eps {
-				lpCons = append(lpCons, h)
-			}
-		}
-		for i := 0; i < dim; i++ {
-			aLo := make([]float64, dim)
-			aLo[i] = 1
-			aHi := make([]float64, dim)
-			aHi[i] = -1
-			lpCons = append(lpCons, geom.Halfspace{A: aLo, B: blo[i]}, geom.Halfspace{A: aHi, B: -bhi[i]})
-		}
-	} else {
-		lpCons = r.ClipConstraints(cons)
-	}
-	pt, _, ok := lp.InteriorPoint(dim, lpCons)
-	if !ok {
-		return nil, false
-	}
-	return pt, true
+	// Last resort: the LP, from the cell's own interior point.
+	pt, _, ok := lp.InteriorPoint(dim, r.ClipConstraints(cons), interior)
+	return pt, ok
 }
 
 // insideAllBy reports whether pt satisfies every half-space with normalized
