@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/dataset"
-	"repro/internal/experiments"
 )
 
 // Allocation budgets for the serving hot paths, as allocs/op upper bounds.
@@ -43,7 +42,7 @@ func TestAllocBudgets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gr := experiments.RandomBoxes(3, 0.01, 1, 7)[0]
+	gr := dataset.RandomBoxes(3, 0.01, 1, 7)[0]
 	lo, hi := gr.Bounds()
 	r, err := NewBoxRegion(lo, hi)
 	if err != nil {
@@ -131,7 +130,7 @@ func TestAllocBudgets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	outerGr := experiments.RandomBoxes(3, 0.02, 1, 7)[0]
+	outerGr := dataset.RandomBoxes(3, 0.02, 1, 7)[0]
 	olo, ohi := outerGr.Bounds()
 	outer, err := NewBoxRegion(olo, ohi)
 	if err != nil {

@@ -11,7 +11,6 @@ import (
 	"math/rand"
 
 	"fmt"
-	"repro/internal/arrangement"
 	"repro/internal/klevel"
 	"sync"
 	"testing"
@@ -19,7 +18,6 @@ import (
 	"repro/internal/baseline"
 	"repro/internal/core"
 	"repro/internal/dataset"
-	"repro/internal/experiments"
 	"repro/internal/geom"
 	"repro/internal/hull"
 	"repro/internal/rtree"
@@ -61,7 +59,7 @@ func benchIND(b *testing.B, n, d int) *benchData {
 
 func benchBox(b *testing.B, dim int, sigma float64) *geom.Region {
 	b.Helper()
-	return experiments.RandomBoxes(dim, sigma, 1, 7)[0]
+	return dataset.RandomBoxes(dim, sigma, 1, 7)[0]
 }
 
 const (
@@ -394,67 +392,6 @@ func BenchmarkSubstrates(b *testing.B) {
 			hull.OnionLayers(recs, benchK)
 		}
 	})
-}
-
-// BenchmarkQuadVsBinary compares the two arrangement-indexing approaches of
-// Section 4.5 (space-partitioning quad tree vs implicit binary split tree)
-// on identical half-space workloads — the design-choice ablation DESIGN.md
-// calls out.
-func BenchmarkQuadVsBinary(b *testing.B) {
-	rng := rand.New(rand.NewSource(5))
-	const dim = 3
-	lo := []float64{0.2, 0.2, 0.2}
-	hi := []float64{0.3, 0.3, 0.3}
-	const nHS = 24
-	hs := make([]geom.Halfspace, nHS)
-	for i := range hs {
-		h := geom.Halfspace{A: make([]float64, dim)}
-		for j := range h.A {
-			h.A[j] = rng.NormFloat64()
-		}
-		for j := range h.A {
-			h.B += h.A[j] * (lo[j] + rng.Float64()*(hi[j]-lo[j]))
-		}
-		hs[i] = h
-	}
-	base := boxHalfspacesBench(lo, hi)
-	b.Run("binary", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			arr, err := arrangement.New(dim, base, nHS, nil)
-			if err != nil {
-				b.Fatal(err)
-			}
-			for id, h := range hs {
-				arr.Insert(id, h)
-			}
-			_ = arr.MinCount()
-		}
-	})
-	b.Run("quad", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			q, err := arrangement.NewQuad(lo, hi, nHS, 6, nil)
-			if err != nil {
-				b.Fatal(err)
-			}
-			for id, h := range hs {
-				q.Insert(id, h)
-			}
-			_ = q.MinCount()
-		}
-	})
-}
-
-func boxHalfspacesBench(lo, hi []float64) []geom.Halfspace {
-	out := make([]geom.Halfspace, 0, 2*len(lo))
-	for i := range lo {
-		a := make([]float64, len(lo))
-		a[i] = 1
-		out = append(out, geom.Halfspace{A: a, B: lo[i]})
-		bb := make([]float64, len(lo))
-		bb[i] = -1
-		out = append(out, geom.Halfspace{A: bb, B: -hi[i]})
-	}
-	return out
 }
 
 // BenchmarkSweep2D compares the d = 2 dual-line sweep fast path against the

@@ -57,19 +57,18 @@ const DefaultEngineCacheEntries = 256
 // The engine's dataset is mutable: Insert, Delete, and ApplyBatch maintain
 // the candidate superset incrementally (orders of magnitude cheaper than
 // rebuilding the engine) and invalidate only the cached results the change
-// can actually affect. The originating Dataset itself stays immutable —
+// can actually affect. An engine built from a Dataset leaves it immutable —
 // after the first update the engine's answers describe its own, updated
 // record collection, with inserted records assigned fresh ids above the
-// Dataset's range. Before any update, answers equal the direct
-// Dataset.UTK1 and Dataset.UTK2 calls.
+// initial range. Before any update, answers equal the direct Dataset.UTK1
+// and Dataset.UTK2 calls over the same records.
 //
 // An Engine maintains its candidate superset either as one structure
 // (NewEngine) or horizontally partitioned (NewShardedEngine); everything
 // above it — the query and update API, caching, scheduling — is the same
 // code, and sharded answers are exactly the single-engine answers.
 type Engine struct {
-	ds *Dataset
-	e  *engine.Engine
+	e *engine.Engine
 }
 
 // The update and stats types are the serving core's own (aliases, not copies:
@@ -117,31 +116,55 @@ var (
 // signal the HTTP tier converts into 429 with Retry-After.
 var ErrSaturated = engine.ErrSaturated
 
-// NewEngine builds a serving engine over the dataset.
-func (ds *Dataset) NewEngine(cfg EngineConfig) (*Engine, error) {
-	e, err := engine.New(ds.tree, ds.records, cfg.engineConfig())
+// NewEngine builds a serving engine directly over the records (copied;
+// NewDataset's rules: at least one, all of the same dimensionality d ≥ 2,
+// finite attributes), record i getting id i. Nothing is indexed, so this is
+// the constructor for callers that only serve: a Dataset additionally holds
+// the R-tree the stateless Dataset.UTK1/UTK2 and the baselines run on.
+//
+// shards above 1 maintains the candidate superset in that many horizontal
+// partitions (round-robin): inserts and deletes route to the owning partition
+// and maintain only that partition's band, and the exact global superset —
+// the MaxK-skyband of the union of the partition bands — is what queries
+// filter. Record ids, query results, the update API and every serving
+// mechanism (cache, scheduling, deadlines, two-stage commit) are the same
+// either way, and a batch spanning several partitions is atomic to queries.
+// MaxK applies to every partition; there must be at least one record per
+// shard.
+func NewEngine(records [][]float64, shards int, cfg EngineConfig) (*Engine, error) {
+	cp, err := copyRecords(records)
 	if err != nil {
 		return nil, err
 	}
-	return &Engine{ds: ds, e: e}, nil
+	return newEngine(cp, shards, cfg)
 }
 
-// NewShardedEngine builds a serving engine whose candidate superset is
-// maintained in the given number of horizontal partitions (round-robin):
-// inserts and deletes route to the owning partition and maintain only that
-// partition's band, and the exact global superset — the MaxK-skyband of the
-// union of the partition bands — is what queries filter. Record ids, query
-// results, the update API and every serving mechanism (cache, scheduling,
-// deadlines, two-stage commit) are NewEngine's: the same serving core runs
-// over either band, and a batch spanning several partitions is atomic to
-// queries. cfg means what it means for NewEngine; MaxK applies to every
-// partition. The dataset must have at least one record per shard.
+// NewEngine builds a serving engine over the dataset's records.
+func (ds *Dataset) NewEngine(cfg EngineConfig) (*Engine, error) {
+	return newEngine(ds.records, 1, cfg)
+}
+
+// NewShardedEngine builds a serving engine over the dataset's records whose
+// candidate superset is maintained in the given number of horizontal
+// partitions (see the package-level NewEngine).
 func (ds *Dataset) NewShardedEngine(shards int, cfg EngineConfig) (*Engine, error) {
-	e, err := engine.NewPartitioned(ds.records, shards, cfg.engineConfig())
+	return newEngine(ds.records, shards, cfg)
+}
+
+// newEngine builds over validated records it may keep: one band for shards
+// 1, a partitioned one otherwise (which rejects shards < 1).
+func newEngine(records [][]float64, shards int, cfg EngineConfig) (*Engine, error) {
+	var e *engine.Engine
+	var err error
+	if shards == 1 {
+		e, err = engine.New(records, cfg.engineConfig())
+	} else {
+		e, err = engine.NewPartitioned(records, shards, cfg.engineConfig())
+	}
 	if err != nil {
 		return nil, err
 	}
-	return &Engine{ds: ds, e: e}, nil
+	return &Engine{e: e}, nil
 }
 
 // engineConfig maps the facade configuration onto the serving core's, resolving

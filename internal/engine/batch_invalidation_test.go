@@ -30,11 +30,7 @@ func TestBatchAwareInvalidation(t *testing.T) {
 		{0.1, 0.1, 0.1},
 		{0.12, 0.08, 0.1},
 	}
-	tree, err := rtree.BulkLoad(recs, rtree.DefaultFanout)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e, err := New(tree, recs, Config{MaxK: 4, CacheEntries: 16})
+	e, err := New(recs, Config{MaxK: 4, CacheEntries: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,11 +139,7 @@ func TestBatchDeleteProbeCoversInsertedDominators(t *testing.T) {
 		{0.2, 0.2, 0.6},
 		{0.1, 0.1, 0.1},
 	}
-	tree, err := rtree.BulkLoad(recs, rtree.DefaultFanout)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e, err := New(tree, recs, Config{MaxK: 2, CacheEntries: 16})
+	e, err := New(recs, Config{MaxK: 2, CacheEntries: 16})
 	if err != nil {
 		t.Fatal(err)
 	}

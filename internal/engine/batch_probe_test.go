@@ -151,11 +151,11 @@ func TestProbeGroupSharing(t *testing.T) {
 // and final index contents.
 func TestPipelinedApplyEquivalence(t *testing.T) {
 	td := buildData(t, 400, 3, 3)
-	blocking, err := New(td.tree, td.recs, Config{MaxK: 5, CacheEntries: 8})
+	blocking, err := New(td.recs, Config{MaxK: 5, CacheEntries: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pipelined, err := New(td.tree, td.recs, Config{MaxK: 5, CacheEntries: 8})
+	pipelined, err := New(td.recs, Config{MaxK: 5, CacheEntries: 8})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -49,7 +49,7 @@ func cellAt(cells []core.CellResult, w []float64) []int {
 // and the derived answers are exact against direct computation.
 func TestDerivedHitServesWithoutRefinement(t *testing.T) {
 	td := buildData(t, 600, 3, 7)
-	e, err := New(td.tree, td.recs, Config{MaxK: 8, CacheEntries: 32})
+	e, err := New(td.recs, Config{MaxK: 8, CacheEntries: 32})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +169,7 @@ func TestDerivedHitServesWithoutRefinement(t *testing.T) {
 // and the engine must fall back to a normal, exact computation.
 func TestVertexOnlyRegionNeverDerives(t *testing.T) {
 	td := buildData(t, 400, 3, 29)
-	e, err := New(td.tree, td.recs, Config{MaxK: 6, CacheEntries: 16})
+	e, err := New(td.recs, Config{MaxK: 6, CacheEntries: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +211,7 @@ func TestVertexOnlyRegionNeverDerives(t *testing.T) {
 // machinery productive.
 func TestDerivedInvalidation(t *testing.T) {
 	td := buildData(t, 500, 3, 13)
-	e, err := New(td.tree, td.recs, Config{MaxK: 6, CacheEntries: 32})
+	e, err := New(td.recs, Config{MaxK: 6, CacheEntries: 32})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,7 +302,7 @@ func TestDerivedInvalidation(t *testing.T) {
 // ROADMAP scenario the cost-aware policy exists for.
 func TestCostAwareEvictionKeepsExpensivePartitioning(t *testing.T) {
 	td := buildData(t, 800, 3, 23)
-	e, err := New(td.tree, td.recs, Config{MaxK: 8, CacheEntries: 4})
+	e, err := New(td.recs, Config{MaxK: 8, CacheEntries: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

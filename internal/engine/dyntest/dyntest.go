@@ -25,7 +25,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/geom"
 	"repro/internal/oracle"
-	"repro/internal/rtree"
 )
 
 // Config describes one randomized interleaving scenario. All randomness
@@ -76,10 +75,7 @@ func Run(t *testing.T, cfg Config) {
 	if cfg.Shards > 1 {
 		dyn, err = engine.NewPartitioned(recs, cfg.Shards, ecfg)
 	} else {
-		var tree *rtree.Tree
-		if tree, err = rtree.BulkLoad(recs, rtree.DefaultFanout); err == nil {
-			dyn, err = engine.New(tree, recs, ecfg)
-		}
+		dyn, err = engine.New(recs, ecfg)
 	}
 	if err != nil {
 		t.Fatal(err)
@@ -437,11 +433,7 @@ func (harness) query(t *testing.T, rng *rand.Rand, dyn *engine.Engine, mirror ma
 	for i, id := range ids {
 		recs[i] = mirror[id]
 	}
-	tree, err := rtree.BulkLoad(recs, rtree.DefaultFanout)
-	if err != nil {
-		t.Fatal(err)
-	}
-	static, err := engine.New(tree, recs, engine.Config{MaxK: cfg.MaxK})
+	static, err := engine.New(recs, engine.Config{MaxK: cfg.MaxK})
 	if err != nil {
 		t.Fatal(err)
 	}

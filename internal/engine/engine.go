@@ -12,9 +12,10 @@
 //     skyband is the dataset's skyband, so this stays exact and never
 //     touches the full data again). Each query then filters its few
 //     thousand depth-relevant candidates with the tree-free sort-and-sweep
-//     (skyband.ScanGraph) instead of running branch-and-bound over the whole
-//     R-tree — the filter is the dominant share of cold-query latency, and
-//     skyband-shaped candidate sets defeat MBB pruning anyway.
+//     (skyband.ScanGraph) instead of the paper's branch-and-bound over an
+//     R-tree of the whole dataset — the filter is the dominant share of
+//     cold-query latency, and skyband-shaped candidate sets defeat MBB
+//     pruning anyway. The engine builds and holds no tree at all.
 //  2. Incremental updates: Insert, Delete, and ApplyBatch maintain the
 //     skyband superset through a skyband.Dynamic (the exact band plus the
 //     fence — the skyline of the other records — so no update ever recomputes
@@ -65,7 +66,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/geom"
-	"repro/internal/rtree"
 	"repro/internal/shard"
 	"repro/internal/skyband"
 )
@@ -380,12 +380,11 @@ type Engine struct {
 	inflight map[string]*flight
 }
 
-// New builds an engine over an indexed dataset. records must be the exact
-// collection the tree was built from; the engine keeps references to the
-// record slices but never mutates them, and subsequent updates to the engine
-// leave the caller's tree and records untouched.
-func New(t *rtree.Tree, records [][]float64, cfg Config) (*Engine, error) {
-	if t == nil || t.Len() == 0 {
+// New builds an engine over the records (ids 0..n-1). The engine keeps
+// references to the record slices but never mutates them, and subsequent
+// updates to the engine leave the caller's records untouched.
+func New(records [][]float64, cfg Config) (*Engine, error) {
+	if len(records) == 0 {
 		return nil, core.ErrEmptyDataset
 	}
 	cfg, err := cfg.withDefaults()
@@ -395,13 +394,12 @@ func New(t *rtree.Tree, records [][]float64, cfg Config) (*Engine, error) {
 	pool := exec.NewPool(cfg.Workers, cfg.MaxQueued)
 	// The k-skyband at MaxK is the one region-independent superset of every
 	// r-skyband the engine can be asked for; the dynamic structure maintains
-	// it under updates. Seeding it with the tree's branch-and-bound skyband
-	// skips a full scan of the records.
-	dyn, err := skyband.NewDynamic(records, skyband.KSkyband(t, cfg.MaxK), cfg.MaxK)
+	// it under updates.
+	dyn, err := skyband.NewDynamic(records, cfg.MaxK)
 	if err != nil {
 		return nil, err
 	}
-	return newEngine(cfg, pool, dyn, t.Dim(), 0, 0), nil
+	return newEngine(cfg, pool, dyn, len(records[0]), 0, 0), nil
 }
 
 // NewPartitioned builds an engine whose band is maintained in parts

@@ -45,10 +45,7 @@ func buildEngine(t testing.TB, parts int, recs [][]float64, cfg Config) *Engine 
 	if parts > 1 {
 		e, err = NewPartitioned(recs, parts, cfg)
 	} else {
-		var tree *rtree.Tree
-		if tree, err = rtree.BulkLoad(recs, rtree.DefaultFanout); err == nil {
-			e, err = New(tree, recs, cfg)
-		}
+		e, err = New(recs, cfg)
 	}
 	if err != nil {
 		t.Fatal(err)
@@ -89,7 +86,7 @@ func topKSets(cells []core.CellResult) []string {
 
 func TestEngineMatchesDirect(t *testing.T) {
 	td := buildData(t, 2000, 3, 11)
-	e, err := New(td.tree, td.recs, Config{MaxK: 12, CacheEntries: 8})
+	e, err := New(td.recs, Config{MaxK: 12, CacheEntries: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +194,7 @@ func testEngineCacheHitMiss(t *testing.T, parts int) {
 
 func TestEngineCacheEviction(t *testing.T) {
 	td := buildData(t, 400, 3, 5)
-	e, err := New(td.tree, td.recs, Config{MaxK: 6, CacheEntries: 2})
+	e, err := New(td.recs, Config{MaxK: 6, CacheEntries: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,14 +310,14 @@ func testEngineValidation(t *testing.T, parts int) {
 	if _, err := e.Do(ctx, Request{Variant: UTK1, K: 3, Region: bad}); !errors.Is(err, core.ErrDimMismatch) {
 		t.Errorf("dim mismatch: got %v, want ErrDimMismatch", err)
 	}
-	if _, err := New(td.tree, td.recs, Config{MaxK: 0}); !errors.Is(err, core.ErrBadK) {
+	if _, err := New(td.recs, Config{MaxK: 0}); !errors.Is(err, core.ErrBadK) {
 		t.Errorf("MaxK = 0: got %v, want ErrBadK", err)
 	}
 }
 
 func TestEngineContextCancellation(t *testing.T) {
 	td := buildData(t, 200, 3, 9)
-	e, err := New(td.tree, td.recs, Config{MaxK: 5, Workers: 1})
+	e, err := New(td.recs, Config{MaxK: 5, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,7 +19,7 @@ import (
 // as the engine's data-race check.
 func TestEngineConcurrentHammer(t *testing.T) {
 	td := buildData(t, 1500, 3, 17)
-	e, err := New(td.tree, td.recs, Config{MaxK: 10, CacheEntries: 4, Workers: 4})
+	e, err := New(td.recs, Config{MaxK: 10, CacheEntries: 4, Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestEngineConcurrentHammer(t *testing.T) {
 // invalid requests.
 func TestEngineBatch(t *testing.T) {
 	td := buildData(t, 800, 3, 19)
-	e, err := New(td.tree, td.recs, Config{MaxK: 8, CacheEntries: 8, Workers: 3})
+	e, err := New(td.recs, Config{MaxK: 8, CacheEntries: 8, Workers: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

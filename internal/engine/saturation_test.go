@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"repro/internal/geom"
-	"repro/internal/rtree"
 )
 
 // TestSaturationBackpressure pins the executor queue bound: with every
@@ -25,11 +24,7 @@ func TestSaturationBackpressure(t *testing.T) {
 		}
 		records[i] = rec
 	}
-	tree, err := rtree.BulkLoad(records, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e, err := New(tree, records, Config{MaxK: 5, Workers: 1, MaxQueued: -1})
+	e, err := New(records, Config{MaxK: 5, Workers: 1, MaxQueued: -1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -56,12 +56,11 @@ func (e *Engine) ExportState() *State {
 	return st
 }
 
-// Restore rebuilds an engine from a captured state. No R-tree is needed:
-// queries run over the maintained skyband superset (snapshotted into the
-// index) and updates over the restored band maintainer, so recovery costs one
-// fence pass over the live records (skyband.RestoreDynamic) instead of a full
-// index build plus skyband recomputation. cfg.MaxK must match the depth the
-// state was maintained at.
+// Restore rebuilds an engine from a captured state: queries run over the
+// saved skyband superset (snapshotted into the index) and updates over the
+// restored band maintainer, so recovery costs one fence pass over the live
+// records (skyband.RestoreDynamic) instead of New's recomputation of the
+// band. cfg.MaxK must match the depth the state was maintained at.
 func Restore(st *State, cfg Config) (*Engine, error) {
 	if st == nil || (st.Dyn == nil) == (st.Parts == nil) {
 		return nil, errors.New("engine: state must carry exactly one of a single or a partitioned band")

@@ -16,7 +16,7 @@ import (
 
 func TestEngineInsertDeleteBasics(t *testing.T) {
 	td := buildData(t, 500, 3, 21)
-	e, err := New(td.tree, td.recs, Config{MaxK: 6, CacheEntries: 8})
+	e, err := New(td.recs, Config{MaxK: 6, CacheEntries: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,7 +305,7 @@ func TestBeginSnapshotsOnlyChangedBand(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dyn, err := skyband.NewDynamic(td.recs, nil, cfg.MaxK)
+	dyn, err := skyband.NewDynamic(td.recs, cfg.MaxK)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -172,7 +172,7 @@ func fig10a(cfg Config) error {
 	idx := real("NBA", cfg.nbaN(), cfg.seed())
 	ks := cfg.fig10KSweep()
 	dim := len(idx.data[0]) - 1
-	boxes := RandomBoxes(dim, DefaultSigma, cfg.queries(), cfg.seed())
+	boxes := dataset.RandomBoxes(dim, DefaultSigma, cfg.queries(), cfg.seed())
 	header(w, "# Figure 10(a) — records reported vs k (NBA surrogate, n=%d, σ=%.1f%%, %d queries)",
 		cfg.nbaN(), DefaultSigma*100, len(boxes))
 	tb := newTable(w, "k", "k-skyband", "onion", "UTK1")
@@ -202,7 +202,7 @@ func fig10b(cfg Config) error {
 	idx := real("NBA", cfg.nbaN(), cfg.seed())
 	ks := cfg.fig10KSweep()
 	dim := len(idx.data[0]) - 1
-	boxes := RandomBoxes(dim, DefaultSigma, cfg.queries(), cfg.seed())
+	boxes := dataset.RandomBoxes(dim, DefaultSigma, cfg.queries(), cfg.seed())
 	header(w, "# Figure 10(b) — k needed by a plain top-k at the pivot to cover UTK1 (NBA surrogate, n=%d, %d queries)",
 		cfg.nbaN(), len(boxes))
 	tb := newTable(w, "k", "TK(required k')", "UTK1 size", "k(reference)")

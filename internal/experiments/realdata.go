@@ -92,7 +92,7 @@ func fig15(cfg Config, metric string) error {
 				continue
 			}
 			idx := real(s.name, s.n, cfg.seed())
-			boxes := RandomBoxes(s.d-1, DefaultSigma, cfg.queries(), cfg.seed())
+			boxes := dataset.RandomBoxes(s.d-1, DefaultSigma, cfg.queries(), cfg.seed())
 			msAvg, sets, err := runJAA(idx, boxes, k)
 			if err != nil {
 				return err
@@ -135,7 +135,7 @@ func fig16(cfg Config, metric string) error {
 				continue
 			}
 			idx := real(s.name, s.n, cfg.seed())
-			boxes := RandomBoxes(s.d-1, sg, cfg.queries(), cfg.seed())
+			boxes := dataset.RandomBoxes(s.d-1, sg, cfg.queries(), cfg.seed())
 			msAvg, sets, err := runJAA(idx, boxes, DefaultK)
 			if err != nil {
 				return err

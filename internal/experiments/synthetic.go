@@ -73,7 +73,7 @@ func fig11(cfg Config, utk2 bool) error {
 	w := cfg.out()
 	n := cfg.DefaultN()
 	idx := synthetic(dataset.IND, n, DefaultD, cfg.seed())
-	boxes := RandomBoxes(DefaultD-1, DefaultSigma, cfg.queries(), cfg.seed())
+	boxes := dataset.RandomBoxes(DefaultD-1, DefaultSigma, cfg.queries(), cfg.seed())
 	variant, ours := "UTK1", "RSA"
 	if utk2 {
 		variant, ours = "UTK2", "JAA"
@@ -179,7 +179,7 @@ func fig12(cfg Config, metric, title, unit string) error {
 		row := []string{fmt.Sprint(n)}
 		for _, kind := range kinds {
 			idx := synthetic(kind, n, DefaultD, cfg.seed())
-			boxes := RandomBoxes(DefaultD-1, DefaultSigma, cfg.queries(), cfg.seed())
+			boxes := dataset.RandomBoxes(DefaultD-1, DefaultSigma, cfg.queries(), cfg.seed())
 			vals, err := runPoint(idx, boxes, DefaultK)
 			if err != nil {
 				return err
@@ -222,7 +222,7 @@ func fig13(cfg Config, title, rsaKey, jaaKey, unit string) error {
 	tb := newTable(w, "d", "RSA"+unit, "JAA"+unit)
 	for _, d := range dSweep {
 		idx := synthetic(dataset.IND, n, d, cfg.seed())
-		boxes := RandomBoxes(d-1, DefaultSigma, cfg.queries(), cfg.seed())
+		boxes := dataset.RandomBoxes(d-1, DefaultSigma, cfg.queries(), cfg.seed())
 		vals, err := runPoint(idx, boxes, DefaultK)
 		if err != nil {
 			return err
@@ -246,7 +246,7 @@ func fig14a(cfg Config) error {
 	header(w, "# Figure 14(a) — response time vs σ (IND, n=%d, d=%d, k=%d, %d queries)", n, DefaultD, DefaultK, cfg.queries())
 	tb := newTable(w, "σ(%)", "RSA(ms)", "JAA(ms)")
 	for _, s := range sigmaSweep {
-		boxes := RandomBoxes(DefaultD-1, s, cfg.queries(), cfg.seed())
+		boxes := dataset.RandomBoxes(DefaultD-1, s, cfg.queries(), cfg.seed())
 		vals, err := runPoint(idx, boxes, DefaultK)
 		if err != nil {
 			return err
@@ -266,7 +266,7 @@ func fig14b(cfg Config) error {
 	header(w, "# Figure 14(b) — result size vs σ (IND, n=%d, d=%d, k=%d, %d queries)", n, DefaultD, DefaultK, cfg.queries())
 	tb := newTable(w, "σ(%)", "UTK1(recs)", "UTK2(sets)")
 	for _, s := range sigmaSweep {
-		boxes := RandomBoxes(DefaultD-1, s, cfg.queries(), cfg.seed())
+		boxes := dataset.RandomBoxes(DefaultD-1, s, cfg.queries(), cfg.seed())
 		vals, err := runPoint(idx, boxes, DefaultK)
 		if err != nil {
 			return err
@@ -287,7 +287,7 @@ func ablation(cfg Config) error {
 	header(w, "# Ablation — drill optimization (IND, n=%d, d=%d, σ=%.1f%%, %d queries)", n, DefaultD, DefaultSigma*100, cfg.queries())
 	tb := newTable(w, "k", "RSA(ms)", "linear-drill(ms)", "no-drill(ms)", "drill hit rate")
 	for _, k := range []int{1, 10, 50} {
-		boxes := RandomBoxes(DefaultD-1, DefaultSigma, cfg.queries(), cfg.seed())
+		boxes := dataset.RandomBoxes(DefaultD-1, DefaultSigma, cfg.queries(), cfg.seed())
 		m := newMeasurement()
 		for _, r := range boxes {
 			var st *core.Stats

@@ -70,9 +70,6 @@ func TestDurableCreateReopenDrop(t *testing.T) {
 		if err != nil {
 			t.Fatalf("recovered %s: %v", name, err)
 		}
-		if ent.Dataset != nil {
-			t.Fatalf("%s: recovered entry carries a source Dataset", name)
-		}
 		got := ent.Engine.Stats()
 		want := wantStats[name]
 		if got.Epoch != want.Epoch || got.Live != want.Live {

@@ -44,15 +44,13 @@ type Options struct {
 	QueryTimeout time.Duration
 }
 
-// Entry is one registered dataset: the serving engine, the options it was
-// built with, and — for datasets created in this process — the immutable
-// source Dataset. Entries recovered from a durable store have no Dataset
-// (Dataset is nil): the engine serves its own restored record collection.
+// Entry is one registered dataset: the serving engine and the options it was
+// built with. A created entry and one recovered from a durable store are
+// alike: the engine serves its own record collection.
 type Entry struct {
-	Name    string
-	Dataset *utk.Dataset
-	Engine  *utk.Engine
-	Opts    Options
+	Name   string
+	Engine *utk.Engine
+	Opts   Options
 
 	// mu serializes the durable update path (apply + WAL append) and
 	// snapshots for this dataset; queries never take it.
@@ -147,8 +145,8 @@ func ValidateName(name string) error {
 	return nil
 }
 
-// Create indexes the records, builds the engine described by opts, and
-// registers it under the name. The name must be free.
+// Create builds the engine described by opts over a validated copy of the
+// records and registers it under the name. The name must be free.
 func (r *Registry) Create(name string, records [][]float64, opts Options) (*Entry, error) {
 	if err := ValidateName(name); err != nil {
 		return nil, err
@@ -162,23 +160,13 @@ func (r *Registry) Create(name string, records [][]float64, opts Options) (*Entr
 	if taken {
 		return nil, fmt.Errorf("%w: %s", ErrExists, name)
 	}
-	ds, err := utk.NewDataset(records)
-	if err != nil {
-		return nil, err
-	}
-	cfg := utk.EngineConfig{
+	eng, err := utk.NewEngine(records, max(opts.Shards, 1), utk.EngineConfig{
 		MaxK:         opts.MaxK,
 		CacheEntries: opts.CacheEntries,
 		Workers:      opts.Workers,
 		MaxQueued:    opts.MaxQueued,
 		QueryTimeout: opts.QueryTimeout,
-	}
-	var eng *utk.Engine
-	if opts.Shards > 1 {
-		eng, err = ds.NewShardedEngine(opts.Shards, cfg)
-	} else {
-		eng, err = ds.NewEngine(cfg)
-	}
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -195,14 +183,14 @@ func (r *Registry) Create(name string, records [][]float64, opts Options) (*Entr
 		est := eng.State()
 		snap = &store.Snapshot{Seq: 0, Epoch: est.Epoch, UnixMilli: now, Engine: est}
 	}
-	if err := r.st.CreateDataset(datasetConfig(name, ds.Dim(), opts), snap); err != nil {
+	if err := r.st.CreateDataset(datasetConfig(name, eng.Dim(), opts), snap); err != nil {
 		if errors.Is(err, store.ErrExists) {
 			return nil, fmt.Errorf("%w: %s", ErrExists, name)
 		}
 		return nil, err
 	}
 
-	ent := &Entry{Name: name, Dataset: ds, Engine: eng, Opts: opts}
+	ent := &Entry{Name: name, Engine: eng, Opts: opts}
 	if snap != nil {
 		ent.snapshotsWritten = 1
 		ent.lastSnapEpoch = snap.Epoch

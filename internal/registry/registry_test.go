@@ -4,11 +4,15 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
+	"slices"
 	"sync"
 	"testing"
 
 	utk "repro"
 	"repro/internal/dataset"
+	"repro/internal/shard"
+	"repro/internal/store"
 )
 
 func region(t *testing.T, d int) *utk.Region {
@@ -188,4 +192,117 @@ func TestConcurrentCreateDropGet(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
+}
+
+// TestCreateRejectsBadRecords pins Create's validation: every unusable
+// record collection is refused with the error the facade has always given,
+// and a refused create registers nothing and stages nothing in the store.
+func TestCreateRejectsBadRecords(t *testing.T) {
+	good := []float64{0.5, 0.5, 0.5}
+	cases := []struct {
+		name    string
+		recs    [][]float64
+		want    string // error text; empty when is is set
+		is      error
+		shards3 bool // only the 3-shard create fails
+	}{
+		{name: "empty", recs: nil, want: "utk: empty dataset"},
+		{name: "d=1", recs: [][]float64{{1}, {2}}, want: "utk: records must have at least 2 attributes"},
+		{name: "ragged", recs: [][]float64{good, {0.1, 0.2}}, want: "utk: record 1 has 2 attributes, want 3"},
+		{name: "NaN", recs: [][]float64{good, {0.1, math.NaN(), 0.2}}, want: "utk: record 1 attribute 1 is not finite: NaN"},
+		{name: "+Inf", recs: [][]float64{{math.Inf(1), 0, 0}, good}, want: "utk: record 0 attribute 0 is not finite: +Inf"},
+		{name: "-Inf", recs: [][]float64{good, good, {0, 0, math.Inf(-1)}}, want: "utk: record 2 attribute 2 is not finite: -Inf"},
+		{name: "fewer records than shards", recs: [][]float64{good, good}, is: shard.ErrTooFewRecords, shards3: true},
+	}
+	for _, shards := range []int{1, 3} {
+		st, err := store.OpenFile(t.TempDir(), store.FileConfig{Sync: store.SyncNever})
+		if err != nil {
+			t.Fatal(err)
+		}
+		reg := NewWithStore(st, SnapshotPolicy{})
+		for _, tc := range cases {
+			if tc.shards3 && shards != 3 {
+				continue
+			}
+			_, err := reg.Create("ds", tc.recs, Options{MaxK: 2, Shards: shards})
+			switch {
+			case err == nil:
+				t.Fatalf("shards=%d %s: accepted", shards, tc.name)
+			case tc.is != nil && !errors.Is(err, tc.is):
+				t.Fatalf("shards=%d %s: error %v, want %v", shards, tc.name, err, tc.is)
+			case tc.is == nil && err.Error() != tc.want:
+				t.Fatalf("shards=%d %s: error %q, want %q", shards, tc.name, err, tc.want)
+			}
+			if reg.Len() != 0 {
+				t.Fatalf("shards=%d %s: a refused create registered %v", shards, tc.name, reg.Names())
+			}
+			if m, err := st.LoadManifest(); err != nil || len(m.Datasets) != 0 {
+				t.Fatalf("shards=%d %s: a refused create staged %+v (%v)", shards, tc.name, m, err)
+			}
+		}
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestCreateDoesNotAliasRecords: the engine serves its own copy, so a caller
+// that reuses its slices after Create changes no answer — before or after an
+// update makes the band recount against the live table.
+func TestCreateDoesNotAliasRecords(t *testing.T) {
+	ctx := context.Background()
+	q := utk.Query{K: 5, Region: region(t, 3)}
+	pristine, err := utk.NewDataset(dataset.Synthetic(dataset.IND, 200, 3, 13))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := pristine.UTK1(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, shards := range []int{1, 3} {
+		recs := dataset.Synthetic(dataset.IND, 200, 3, 13)
+		ent, err := New().Create("ds", recs, Options{MaxK: 5, Shards: shards, CacheEntries: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, rec := range recs {
+			for j := range rec {
+				rec[j] = 1 - rec[j]
+			}
+			recs[i] = nil
+		}
+		got, err := ent.Engine.UTK1(ctx, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got.Records, want.Records) {
+			t.Fatalf("shards=%d: answer %v after the caller mutated its records, want %v", shards, got.Records, want.Records)
+		}
+		// Deleting an answer record makes the band recount and promote from
+		// the live table: the oracle is the pristine data without it.
+		gone := want.Records[0]
+		if err := ent.Engine.Delete(gone); err != nil {
+			t.Fatal(err)
+		}
+		if got, err = ent.Engine.UTK1(ctx, q); err != nil {
+			t.Fatal(err)
+		}
+		rest, err := utk.NewDataset(slices.Delete(dataset.Synthetic(dataset.IND, 200, 3, 13), gone, gone+1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want2, err := rest.UTK1(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, id := range want2.Records {
+			if id >= gone {
+				want2.Records[i] = id + 1
+			}
+		}
+		if !slices.Equal(got.Records, want2.Records) {
+			t.Fatalf("shards=%d: answer %v after deleting %d, want %v", shards, got.Records, gone, want2.Records)
+		}
+	}
 }

@@ -1,9 +1,10 @@
 // Package rtree provides the in-memory R-tree the paper assumes as the
 // spatial index over the dataset ("we assume that D is organized by a
-// spatial index, such as an R-tree"). It supports STR bulk loading for the
-// benchmark datasets, incremental insertion with Guttman's quadratic split
-// for dynamic use, window search, and direct node access for the
-// branch-and-bound (BBS) traversals of the skyband package.
+// spatial index, such as an R-tree"): an immutable tree, STR bulk-loaded
+// once, with window search and direct node access for the branch-and-bound
+// (BBS) traversals of the skyband package. It indexes the stateless
+// Dataset queries and the baselines; the serving engine keeps its candidate
+// superset in skyband.Dynamic and builds no tree.
 package rtree
 
 import (
@@ -48,17 +49,6 @@ type Tree struct {
 	size   int
 }
 
-// New returns an empty R-tree for points of the given dimensionality.
-func New(dim, fanout int) (*Tree, error) {
-	if dim <= 0 {
-		return nil, errors.New("rtree: non-positive dimensionality")
-	}
-	if fanout < 4 {
-		return nil, fmt.Errorf("rtree: fanout %d too small (minimum 4)", fanout)
-	}
-	return &Tree{dim: dim, fanout: fanout, root: &Node{leaf: true}}, nil
-}
-
 // BulkLoad builds a tree over the given points using the Sort-Tile-Recursive
 // packing algorithm. Record ids are the point indices.
 func BulkLoad(points [][]float64, fanout int) (*Tree, error) {
@@ -66,9 +56,11 @@ func BulkLoad(points [][]float64, fanout int) (*Tree, error) {
 		return nil, errors.New("rtree: cannot bulk-load an empty point set")
 	}
 	dim := len(points[0])
-	t, err := New(dim, fanout)
-	if err != nil {
-		return nil, err
+	if dim == 0 {
+		return nil, errors.New("rtree: non-positive dimensionality")
+	}
+	if fanout < 4 {
+		return nil, fmt.Errorf("rtree: fanout %d too small (minimum 4)", fanout)
 	}
 	entries := make([]Entry, len(points))
 	for i, p := range points {
@@ -98,9 +90,7 @@ func BulkLoad(points [][]float64, fanout int) (*Tree, error) {
 		}
 		nodes = parents
 	}
-	t.root = nodes[0]
-	t.size = len(points)
-	return t, nil
+	return &Tree{dim: dim, fanout: fanout, root: nodes[0], size: len(points)}, nil
 }
 
 // strPack recursively tiles entries into leaf pages, sorting on successive
@@ -154,132 +144,6 @@ func (t *Tree) Height() int {
 	return h
 }
 
-// Insert adds a point with the given record id.
-func (t *Tree) Insert(p []float64, id int) error {
-	if len(p) != t.dim {
-		return fmt.Errorf("rtree: point dimension %d, want %d", len(p), t.dim)
-	}
-	e := Entry{Min: append([]float64(nil), p...), Max: append([]float64(nil), p...), RecordID: id}
-	split := t.insert(t.root, e)
-	if split != nil {
-		oldRoot := t.root
-		mn1, mx1 := nodeMBB(oldRoot)
-		mn2, mx2 := nodeMBB(split)
-		t.root = &Node{entries: []Entry{
-			{Min: mn1, Max: mx1, Child: oldRoot},
-			{Min: mn2, Max: mx2, Child: split},
-		}}
-	}
-	t.size++
-	return nil
-}
-
-// insert recursively places e under n, returning a sibling node if n split.
-func (t *Tree) insert(n *Node, e Entry) *Node {
-	if n.leaf {
-		n.entries = append(n.entries, e)
-		if len(n.entries) > t.fanout {
-			return t.splitNode(n)
-		}
-		return nil
-	}
-	best := t.chooseSubtree(n, e)
-	split := t.insert(n.entries[best].Child, e)
-	n.entries[best].Min, n.entries[best].Max = nodeMBB(n.entries[best].Child)
-	if split != nil {
-		mn, mx := nodeMBB(split)
-		n.entries = append(n.entries, Entry{Min: mn, Max: mx, Child: split})
-		if len(n.entries) > t.fanout {
-			return t.splitNode(n)
-		}
-	}
-	return nil
-}
-
-// chooseSubtree picks the child whose MBB needs the least enlargement to
-// cover e, breaking ties by smaller volume.
-func (t *Tree) chooseSubtree(n *Node, e Entry) int {
-	best := 0
-	bestEnl := math.Inf(1)
-	bestVol := math.Inf(1)
-	for i := range n.entries {
-		enl, vol := enlargement(n.entries[i].Min, n.entries[i].Max, e.Min, e.Max)
-		if enl < bestEnl || (enl == bestEnl && vol < bestVol) {
-			best, bestEnl, bestVol = i, enl, vol
-		}
-	}
-	return best
-}
-
-// splitNode applies Guttman's quadratic split, mutating n to hold one group
-// and returning a new node with the other.
-func (t *Tree) splitNode(n *Node) *Node {
-	entries := n.entries
-	// Pick the pair of seeds wasting the most volume if grouped together.
-	seed1, seed2 := 0, 1
-	worst := math.Inf(-1)
-	for i := 0; i < len(entries); i++ {
-		for j := i + 1; j < len(entries); j++ {
-			mn, mx := combineMBB(entries[i].Min, entries[i].Max, entries[j].Min, entries[j].Max)
-			waste := volume(mn, mx) - volume(entries[i].Min, entries[i].Max) - volume(entries[j].Min, entries[j].Max)
-			if waste > worst {
-				worst, seed1, seed2 = waste, i, j
-			}
-		}
-	}
-	g1 := []Entry{entries[seed1]}
-	g2 := []Entry{entries[seed2]}
-	mn1, mx1 := cloneBox(entries[seed1].Min, entries[seed1].Max)
-	mn2, mx2 := cloneBox(entries[seed2].Min, entries[seed2].Max)
-	minFill := t.fanout / 2
-	rest := make([]Entry, 0, len(entries)-2)
-	for i, e := range entries {
-		if i != seed1 && i != seed2 {
-			rest = append(rest, e)
-		}
-	}
-	for len(rest) > 0 {
-		// Force assignment when one group must take all remaining entries to
-		// reach minimum fill.
-		if len(g1)+len(rest) == minFill {
-			g1 = append(g1, rest...)
-			for _, e := range rest {
-				mn1, mx1 = combineMBB(mn1, mx1, e.Min, e.Max)
-			}
-			break
-		}
-		if len(g2)+len(rest) == minFill {
-			g2 = append(g2, rest...)
-			for _, e := range rest {
-				mn2, mx2 = combineMBB(mn2, mx2, e.Min, e.Max)
-			}
-			break
-		}
-		// Pick the entry with the greatest preference difference.
-		bestIdx, bestDiff := 0, -1.0
-		var bestD1, bestD2 float64
-		for i, e := range rest {
-			d1, _ := enlargement(mn1, mx1, e.Min, e.Max)
-			d2, _ := enlargement(mn2, mx2, e.Min, e.Max)
-			diff := math.Abs(d1 - d2)
-			if diff > bestDiff {
-				bestIdx, bestDiff, bestD1, bestD2 = i, diff, d1, d2
-			}
-		}
-		e := rest[bestIdx]
-		rest = append(rest[:bestIdx], rest[bestIdx+1:]...)
-		if bestD1 < bestD2 || (bestD1 == bestD2 && len(g1) < len(g2)) {
-			g1 = append(g1, e)
-			mn1, mx1 = combineMBB(mn1, mx1, e.Min, e.Max)
-		} else {
-			g2 = append(g2, e)
-			mn2, mx2 = combineMBB(mn2, mx2, e.Min, e.Max)
-		}
-	}
-	n.entries = g1
-	return &Node{leaf: n.leaf, entries: g2}
-}
-
 // Search returns the ids of all points inside the window [mn, mx].
 func (t *Tree) Search(mn, mx []float64) []int {
 	var out []int
@@ -306,8 +170,8 @@ func (t *Tree) Validate() error {
 	depths := map[int]bool{}
 	var walk func(n *Node, depth int) error
 	walk = func(n *Node, depth int) error {
-		if len(n.entries) == 0 && n != t.root {
-			return errors.New("rtree: empty non-root node")
+		if len(n.entries) == 0 {
+			return errors.New("rtree: empty node")
 		}
 		if len(n.entries) > t.fanout {
 			return fmt.Errorf("rtree: node exceeds fanout: %d > %d", len(n.entries), t.fanout)
@@ -355,26 +219,6 @@ func combineMBB(mn1, mx1, mn2, mx2 []float64) ([]float64, []float64) {
 		mx[i] = math.Max(mx1[i], mx2[i])
 	}
 	return mn, mx
-}
-
-func cloneBox(mn, mx []float64) ([]float64, []float64) {
-	return append([]float64(nil), mn...), append([]float64(nil), mx...)
-}
-
-func volume(mn, mx []float64) float64 {
-	v := 1.0
-	for i := range mn {
-		v *= mx[i] - mn[i]
-	}
-	return v
-}
-
-// enlargement returns how much the box [mn, mx] must grow (in volume) to
-// cover [emn, emx], and the volume of the grown box.
-func enlargement(mn, mx, emn, emx []float64) (float64, float64) {
-	gmn, gmx := combineMBB(mn, mx, emn, emx)
-	gv := volume(gmn, gmx)
-	return gv - volume(mn, mx), gv
 }
 
 func boxesOverlap(mn1, mx1, mn2, mx2 []float64) bool {

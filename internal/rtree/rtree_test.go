@@ -46,10 +46,10 @@ func TestBulkLoadErrors(t *testing.T) {
 	if _, err := BulkLoad([][]float64{{1, 2}, {1}}, 16); err == nil {
 		t.Fatal("ragged points should fail")
 	}
-	if _, err := New(0, 16); err == nil {
+	if _, err := BulkLoad([][]float64{{}}, 16); err == nil {
 		t.Fatal("zero dimension should fail")
 	}
-	if _, err := New(2, 2); err == nil {
+	if _, err := BulkLoad([][]float64{{1, 2}}, 2); err == nil {
 		t.Fatal("tiny fanout should fail")
 	}
 }
@@ -79,71 +79,6 @@ func TestSearchMatchesLinearScan(t *testing.T) {
 			if got[i] != want[i] {
 				t.Fatalf("trial %d: result mismatch", trial)
 			}
-		}
-	}
-}
-
-func TestInsertIncremental(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	tree, err := New(2, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pts := randomPoints(rng, 500, 2)
-	for i, p := range pts {
-		if err := tree.Insert(p, i); err != nil {
-			t.Fatal(err)
-		}
-		if i%100 == 99 {
-			if err := tree.Validate(); err != nil {
-				t.Fatalf("after %d inserts: %v", i+1, err)
-			}
-		}
-	}
-	if tree.Len() != 500 {
-		t.Fatalf("Len = %d", tree.Len())
-	}
-	ids := tree.Search([]float64{0, 0}, []float64{1, 1})
-	if len(ids) != 500 {
-		t.Fatalf("search after inserts returned %d", len(ids))
-	}
-	if err := tree.Insert([]float64{0.5}, 501); err == nil {
-		t.Fatal("dimension mismatch should fail")
-	}
-}
-
-func TestInsertSearchAgreement(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	tree, _ := New(3, 8)
-	pts := randomPoints(rng, 800, 3)
-	for i, p := range pts {
-		if err := tree.Insert(p, i); err != nil {
-			t.Fatal(err)
-		}
-	}
-	lo := []float64{0.2, 0.2, 0.2}
-	hi := []float64{0.7, 0.7, 0.7}
-	got := tree.Search(lo, hi)
-	sort.Ints(got)
-	var want []int
-	for i, p := range pts {
-		in := true
-		for j := range p {
-			if p[j] < lo[j] || p[j] > hi[j] {
-				in = false
-				break
-			}
-		}
-		if in {
-			want = append(want, i)
-		}
-	}
-	if len(got) != len(want) {
-		t.Fatalf("got %d, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatal("mismatch")
 		}
 	}
 }

@@ -731,21 +731,30 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 		if d <= 0 {
 			d = 3
 		}
+		var generate func() [][]float64
 		switch req.Gen {
 		case "HOTEL":
-			records = dataset.Hotel(n, req.Seed)
+			d, generate = 4, func() [][]float64 { return dataset.Hotel(n, req.Seed) }
 		case "HOUSE":
-			records = dataset.House(n, req.Seed)
+			d, generate = 6, func() [][]float64 { return dataset.House(n, req.Seed) }
 		case "NBA":
-			records = dataset.NBA(n, req.Seed)
+			d, generate = 8, func() [][]float64 { return dataset.NBA(n, req.Seed) }
 		default:
 			kind, err := dataset.ParseKind(req.Gen)
 			if err != nil {
 				http.Error(w, err.Error(), http.StatusBadRequest)
 				return
 			}
-			records = dataset.Synthetic(kind, n, d, req.Seed)
+			generate = func() [][]float64 { return dataset.Synthetic(kind, n, d, req.Seed) }
 		}
+		// A spec is a few bytes whatever it asks for, so the body limit does
+		// not bound it: hold a generated dataset to the size an uploaded one
+		// could have, before generating anything.
+		if int64(n) > s.cfg.MaxBodyBytes/8/int64(d) {
+			http.Error(w, fmt.Sprintf("gen spec asks for %d x %d attributes, more than the %d-byte request limit allows", n, d, s.cfg.MaxBodyBytes), http.StatusBadRequest)
+			return
+		}
+		records = generate()
 	}
 	maxK := req.MaxK
 	if maxK <= 0 {

@@ -403,3 +403,49 @@ func TestBodyLimit(t *testing.T) {
 		t.Fatal("oversized body accepted")
 	}
 }
+
+// TestCreateGenSpecLimit: a generator spec is a few bytes whatever it asks
+// for, so the handler holds the dataset it describes to the body limit — a
+// generated dataset may be as large as an uploaded one, no larger — and
+// rejects before generating.
+func TestCreateGenSpecLimit(t *testing.T) {
+	cases := []struct {
+		name  string
+		limit int64 // 0: the default
+		body  map[string]any
+		want  int
+		n, d  float64 // of the created dataset
+	}{
+		{"the 128 GB spec", 0, map[string]any{"gen": "IND", "n": 2000000000, "d": 8}, http.StatusBadRequest, 0, 0},
+		{"huge d", 0, map[string]any{"gen": "IND", "n": 1, "d": 1 << 40}, http.StatusBadRequest, 0, 0},
+		{"synthetic over", 4096, map[string]any{"gen": "ANTI", "n": 129, "d": 4}, http.StatusBadRequest, 0, 0},
+		{"synthetic at limit", 4096, map[string]any{"gen": "ANTI", "n": 128, "d": 4}, http.StatusCreated, 128, 4},
+		{"HOTEL over", 4096, map[string]any{"gen": "HOTEL", "n": 129}, http.StatusBadRequest, 0, 0},
+		{"HOTEL at limit", 4096, map[string]any{"gen": "HOTEL", "n": 128}, http.StatusCreated, 128, 4},
+		{"HOUSE over", 4096, map[string]any{"gen": "HOUSE", "n": 86}, http.StatusBadRequest, 0, 0},
+		{"HOUSE under", 4096, map[string]any{"gen": "HOUSE", "n": 85}, http.StatusCreated, 85, 6},
+		{"NBA over", 4096, map[string]any{"gen": "NBA", "n": 65}, http.StatusBadRequest, 0, 0},
+		{"NBA at limit", 4096, map[string]any{"gen": "NBA", "n": 64}, http.StatusCreated, 64, 8},
+		{"defaults over a small limit", 4096, map[string]any{"gen": "IND"}, http.StatusBadRequest, 0, 0},
+		{"defaults", 0, map[string]any{"gen": "IND"}, http.StatusCreated, 1000, 3},
+		{"non-positive n and d default", 0, map[string]any{"gen": "COR", "n": -5, "d": 0}, http.StatusCreated, 1000, 3},
+	}
+	for _, tc := range cases {
+		reg := registry.New()
+		srv := httptest.NewServer(New(reg, Config{AllowCreate: true, MaxBodyBytes: tc.limit}))
+		tc.body["maxk"] = 2
+		resp, body := post(t, srv.URL+"/datasets/ds", tc.body)
+		srv.Close()
+		if resp.StatusCode != tc.want {
+			t.Errorf("%s: status %d, want %d", tc.name, resp.StatusCode, tc.want)
+			continue
+		}
+		if tc.want != http.StatusCreated {
+			if reg.Len() != 0 {
+				t.Errorf("%s: a rejected spec registered %v", tc.name, reg.Names())
+			}
+		} else if body["len"] != tc.n || body["dim"] != tc.d {
+			t.Errorf("%s: created %v x %v, want %v x %v", tc.name, body["len"], body["dim"], tc.n, tc.d)
+		}
+	}
+}

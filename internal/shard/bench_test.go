@@ -8,7 +8,6 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/engine"
 	"repro/internal/geom"
-	"repro/internal/rtree"
 )
 
 // benchRegion is a narrow 3-dim preference box, matching the paper's typical
@@ -40,11 +39,7 @@ func BenchmarkWarmQuery(b *testing.B) {
 	ctx := context.Background()
 
 	b.Run("shards=1single", func(b *testing.B) {
-		tree, err := rtree.BulkLoad(recs, rtree.DefaultFanout)
-		if err != nil {
-			b.Fatal(err)
-		}
-		e, err := engine.New(tree, recs, engine.Config{MaxK: maxK})
+		e, err := engine.New(recs, engine.Config{MaxK: maxK})
 		if err != nil {
 			b.Fatal(err)
 		}

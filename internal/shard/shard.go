@@ -25,7 +25,6 @@ import (
 	"fmt"
 	"sort"
 
-	"repro/internal/rtree"
 	"repro/internal/skyband"
 )
 
@@ -90,11 +89,8 @@ func New(records [][]float64, parts, k int) (*Band, error) {
 		split[p] = append(split[p], rec)
 	}
 	for p, recs := range split {
-		tree, err := rtree.BulkLoad(recs, rtree.DefaultFanout)
-		if err != nil {
-			return nil, err
-		}
-		if b.parts[p], err = skyband.NewDynamic(recs, skyband.KSkyband(tree, k), k); err != nil {
+		var err error
+		if b.parts[p], err = skyband.NewDynamic(recs, k); err != nil {
 			return nil, err
 		}
 	}

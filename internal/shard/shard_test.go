@@ -36,7 +36,7 @@ func TestBandMatchesSingleDynamic(t *testing.T) {
 		recs := dataset.Synthetic(dataset.ANTI, 300, d, 42)
 		for S := 1; S <= 4; S++ {
 			t.Run(fmt.Sprintf("d%d_s%d", d, S), func(t *testing.T) {
-				single, err := skyband.NewDynamic(recs, nil, k)
+				single, err := skyband.NewDynamic(recs, k)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -38,7 +38,7 @@ func BenchmarkApplyOpsBatch64(b *testing.B) {
 	if testing.Short() {
 		n = 50_000
 	}
-	d, err := NewDynamic(dataset.Synthetic(dataset.IND, n, 4, 1), nil, 10)
+	d, err := NewDynamic(dataset.Synthetic(dataset.IND, n, 4, 1), 10)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -185,7 +185,7 @@ func TestApplyOpsSingleMaintenanceStep(t *testing.T) {
 // rejected atomically, leaving the structure untouched.
 func TestApplyOpsValidation(t *testing.T) {
 	recs := dataset.Synthetic(dataset.IND, 30, 3, 7)
-	d, err := NewDynamic(recs, nil, 2)
+	d, err := NewDynamic(recs, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

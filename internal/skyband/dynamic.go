@@ -192,39 +192,42 @@ func (s *DynamicStats) Add(o DynamicStats) {
 	s.CoalescedOps += o.CoalescedOps
 }
 
-// NewDynamic builds the structure over the initial records (ids 0..n-1).
-// superset, when non-nil, must contain (at least) every record index whose
-// dominator count is below k — e.g. KSkyband(tree, k) — and lets construction
-// skip its own scan over the full dataset. The records are referenced, never
-// mutated; the superset slice is not retained.
-func NewDynamic(records [][]float64, superset []int, k int) (*Dynamic, error) {
+// NewDynamic builds the structure over the initial records (ids 0..n-1) from
+// one strongest-first order. Every dominator of a record sorts before it, and
+// a record with any dominator outside the band has at least k inside it (the
+// k strongest dominators of a record have fewer than k dominators each), so
+// counting a record's band dominators up to k decides its membership, and
+// below k the count is exact; the records the sweep leaves, still strongest
+// first, are the fence pass's input. The records are referenced, never
+// mutated.
+func NewDynamic(records [][]float64, k int) (*Dynamic, error) {
 	if k <= 0 {
 		return nil, errors.New("skyband: dynamic band depth must be positive")
 	}
-	if superset == nil {
-		superset = ScanKSkyband(records, k)
-	}
-	d := newDynamic(k, len(records), len(superset))
+	d := newDynamic(k, len(records), 0)
 	d.nextID = len(records)
+	order := make([]ranked, len(records))
 	for id, rec := range records {
 		d.addLive(id, rec, unset)
+		order[id] = ranked{sum: coordSum(rec), slot: id}
 	}
-	// The band: exact counts over the candidates, strongest first, so every
-	// dominator of a candidate is seated (or rejected, with count ≥ k) before
-	// the candidate itself.
-	cands := make([]ranked, len(superset))
-	for i, id := range superset {
-		cands[i] = ranked{sum: coordSum(records[id]), slot: id}
-	}
-	slices.SortFunc(cands, d.strongestFirst)
-	for _, r := range cands {
+	slices.SortFunc(order, d.strongestFirst)
+	rest := order[:0]
+	for _, r := range order {
 		e := newEntry(r.slot, d.recs[r.slot], 0)
-		if e.count = d.bandCount(&e); e.count < k {
+		for j := 0; j < d.nb && e.count < k; j++ {
+			if d.ents[j].dominates(&e) {
+				e.count++
+			}
+		}
+		if e.count < k {
 			d.cover[r.slot] = isEntry
 			d.addEntry(e, true)
+		} else {
+			rest = append(rest, r)
 		}
 	}
-	d.buildFence()
+	d.buildFence(rest)
 	return d, nil
 }
 
@@ -240,17 +243,11 @@ func newDynamic(k, live, band int) *Dynamic {
 	}
 }
 
-// buildFence classifies every unset slot given the exact band: strongest
-// first, a record some fence entry dominates is covered by it, and any other
-// is on the skyline of the non-band records — a fence entry, bound k.
-func (d *Dynamic) buildFence() {
-	rest := make([]ranked, 0, len(d.ids)-len(d.ents))
-	for s, c := range d.cover {
-		if c == unset {
-			rest = append(rest, ranked{sum: coordSum(d.recs[s]), slot: s})
-		}
-	}
-	slices.SortFunc(rest, d.strongestFirst)
+// buildFence classifies the non-band slots, given strongest first, against
+// the exact band: a record some fence entry dominates is covered by it, and
+// any other is on the skyline of the non-band records — a fence entry, bound
+// k.
+func (d *Dynamic) buildFence(rest []ranked) {
 	for _, r := range rest {
 		e := newEntry(d.ids[r.slot], d.recs[r.slot], d.k)
 		if d.cover[r.slot] = d.findCover(&e); d.cover[r.slot] == isEntry {

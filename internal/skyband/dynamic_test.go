@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/dataset"
+	"repro/internal/geom"
 	"repro/internal/rtree"
 )
 
@@ -46,7 +47,7 @@ func newChurn(t testing.TB, kind dataset.Kind, n, dim, k int, grid float64, seed
 // own ops (it has no rng to draw any).
 func churnOver(t testing.TB, recs [][]float64, k int) *churn {
 	t.Helper()
-	d, err := NewDynamic(recs, nil, k)
+	d, err := NewDynamic(recs, k)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,32 +189,62 @@ func TestDynamicMatchesBruteForce(t *testing.T) {
 	}
 }
 
-// TestDynamicSupersetConstruction verifies that seeding construction with a
-// tree-computed skyband — exact, or a deeper superset of it — produces the
-// same structure as the scan.
+// TestDynamicSupersetConstruction checks the constructor's sweep against two
+// independent oracles — BBS over a bulk-loaded R-tree and the naive O(n²)
+// dominator count — band and exact counts, and the full invariant straight
+// after construction: on the three distributions, on grid data with exact
+// ties and duplicates, and on collections smaller than k.
 func TestDynamicSupersetConstruction(t *testing.T) {
-	recs := dataset.Synthetic(dataset.IND, 500, 3, 7)
-	tree, err := rtree.BulkLoad(recs, rtree.DefaultFanout)
-	if err != nil {
-		t.Fatal(err)
+	type input struct {
+		name string
+		recs [][]float64
 	}
-	const k = 5
-	scanned, err := NewDynamic(recs, nil, k)
-	if err != nil {
-		t.Fatal(err)
+	var inputs []input
+	for _, kind := range []dataset.Kind{dataset.IND, dataset.COR, dataset.ANTI} {
+		for dim := 2; dim <= 5; dim++ {
+			inputs = append(inputs, input{fmt.Sprintf("%v/d=%d", kind, dim), dataset.Synthetic(kind, 300, dim, int64(dim))})
+		}
 	}
-	checkInvariants(t, scanned, "scanned")
-	for _, depth := range []int{k, 2 * k} {
-		seeded, err := NewDynamic(recs, KSkyband(tree, depth), k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		checkInvariants(t, seeded, fmt.Sprintf("seeded at depth %d", depth))
-		if got, want := describe(bandCounts(seeded)), describe(bandCounts(scanned)); got != want {
-			t.Fatalf("seeded at depth %d: band %s != scanned band %s", depth, got, want)
-		}
-		if st := seeded.Stats(); st.ShadowSize == 0 {
-			t.Error("expected a non-empty fence on a 500-point dataset")
+	grid := snap(dataset.Synthetic(dataset.IND, 300, 3, 11), 8)
+	inputs = append(inputs,
+		input{"grid", append(grid, grid[:40]...)}, // ties, and 40 exact duplicates
+		input{"n=1", [][]float64{{0.5, 0.5}}},
+		input{"n=3", [][]float64{{3, 3}, {2, 2}, {1, 4}}},
+	)
+	for _, in := range inputs {
+		for _, k := range []int{1, 4, 10} {
+			ctxt := fmt.Sprintf("%s/k=%d", in.name, k)
+			d, err := NewDynamic(in.recs, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkInvariants(t, d, ctxt)
+
+			naive := map[int]int{}
+			for i, q := range in.recs {
+				c := 0
+				for _, p := range in.recs {
+					if geom.Dominates(p, q) {
+						c++
+					}
+				}
+				if c < k {
+					naive[i] = c
+				}
+			}
+			if got, want := describe(bandCounts(d)), describe(naive); got != want {
+				t.Fatalf("%s: band %s != naive %d-skyband %s", ctxt, got, k, want)
+			}
+
+			tree, err := rtree.BulkLoad(in.recs, rtree.DefaultFanout)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bbs := KSkyband(tree, k)
+			slices.Sort(bbs)
+			if got, _ := d.Band(); !slices.Equal(got, bbs) {
+				t.Fatalf("%s: band %v != BBS %d-skyband %v", ctxt, got, k, bbs)
+			}
 		}
 	}
 }
@@ -284,7 +315,7 @@ func TestReseedMatchesRebuild(t *testing.T) {
 			t.Fatal(err)
 		}
 		st := c.d.State()
-		fresh, err := NewDynamic(st.LiveRecs, nil, st.K)
+		fresh, err := NewDynamic(st.LiveRecs, st.K)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -368,7 +399,7 @@ func TestDynamicRoundedSums(t *testing.T) {
 	if coordSum(chain[0]) != coordSum(chain[3]) {
 		t.Fatal("the sums differ; the scenario pins nothing")
 	}
-	d, err := NewDynamic(chain, nil, 1)
+	d, err := NewDynamic(chain, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -382,10 +413,10 @@ func TestDynamicRoundedSums(t *testing.T) {
 
 func TestDynamicValidation(t *testing.T) {
 	recs := [][]float64{{1, 2}, {2, 1}}
-	if _, err := NewDynamic(recs, nil, 0); err == nil {
+	if _, err := NewDynamic(recs, 0); err == nil {
 		t.Error("k=0 accepted")
 	}
-	dyn, err := NewDynamic(recs, nil, 1)
+	dyn, err := NewDynamic(recs, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -401,7 +432,7 @@ func TestDynamicValidation(t *testing.T) {
 }
 
 func TestDynamicSkipID(t *testing.T) {
-	dyn, err := NewDynamic([][]float64{{1, 2}, {2, 1}}, nil, 1)
+	dyn, err := NewDynamic([][]float64{{1, 2}, {2, 1}}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

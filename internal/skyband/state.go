@@ -124,6 +124,13 @@ func RestoreDynamic(st *DynamicState) (*Dynamic, error) {
 			d.addEntry(newEntry(id, d.recs[s], c), true)
 		}
 	}
-	d.buildFence()
+	rest := make([]ranked, 0, len(d.ids)-d.nb)
+	for s, c := range d.cover {
+		if c == unset {
+			rest = append(rest, ranked{sum: coordSum(d.recs[s]), slot: s})
+		}
+	}
+	slices.SortFunc(rest, d.strongestFirst)
+	d.buildFence(rest)
 	return d, nil
 }

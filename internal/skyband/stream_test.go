@@ -68,7 +68,7 @@ func BenchmarkDynamicChurnWorstLatency(b *testing.B) {
 	var worst time.Duration
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		dyn, err := NewDynamic(recs, nil, k)
+		dyn, err := NewDynamic(recs, k)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -86,7 +86,7 @@ func BenchmarkDynamicChurnWorstLatency(b *testing.B) {
 func BenchmarkDynamicDeleteNonMember(b *testing.B) {
 	const n, d0, k = 50000, 4, 10
 	recs := dataset.Synthetic(dataset.IND, n, d0, 13)
-	dyn, err := NewDynamic(recs, nil, k)
+	dyn, err := NewDynamic(recs, k)
 	if err != nil {
 		b.Fatal(err)
 	}

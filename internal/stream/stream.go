@@ -24,7 +24,6 @@ import (
 
 	utk "repro"
 	"repro/internal/dataset"
-	"repro/internal/experiments"
 )
 
 // Config parameterizes one harness run. Zero values select the defaults
@@ -145,22 +144,12 @@ type Result struct {
 func Run(cfg Config) (*Result, error) {
 	cfg.fill()
 	data := dataset.Synthetic(dataset.IND, cfg.N, cfg.Dim, cfg.Seed)
-	ds, err := utk.NewDataset(data)
-	if err != nil {
-		return nil, err
-	}
-	ecfg := utk.EngineConfig{MaxK: cfg.K, CacheEntries: cfg.CacheEntries}
-	var e *utk.Engine
-	if cfg.Shards > 1 {
-		e, err = ds.NewShardedEngine(cfg.Shards, ecfg)
-	} else {
-		e, err = ds.NewEngine(ecfg)
-	}
+	e, err := utk.NewEngine(data, max(cfg.Shards, 1), utk.EngineConfig{MaxK: cfg.K, CacheEntries: cfg.CacheEntries})
 	if err != nil {
 		return nil, err
 	}
 
-	boxes := experiments.RandomBoxes(cfg.Dim-1, cfg.Sigma, cfg.Regions, cfg.Seed+1)
+	boxes := dataset.RandomBoxes(cfg.Dim-1, cfg.Sigma, cfg.Regions, cfg.Seed+1)
 	regions := make([]*utk.Region, len(boxes))
 	for i, b := range boxes {
 		lo, hi := b.Bounds()

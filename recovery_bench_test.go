@@ -2,8 +2,8 @@ package utk_test
 
 // BenchmarkRecovery quantifies the point of snapshots: reopening a durable
 // dataset (decode snapshot + replay the WAL tail) versus rebuilding the
-// engine cold (full R-tree bulk load + k-skyband computation + reapplying
-// the update stream) on the 50k/d=4 bench workload. It lives in an external
+// engine cold (k-skyband computation over all the records + reapplying the
+// update stream) on the 50k/d=4 bench workload. It lives in an external
 // test package because the registry/store layers import the root package.
 
 import (
@@ -74,11 +74,7 @@ func BenchmarkRecovery(b *testing.B) {
 	})
 	b.Run("rebuild", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			ds, err := utk.NewDataset(recs)
-			if err != nil {
-				b.Fatal(err)
-			}
-			e, err := ds.NewEngine(utk.EngineConfig{MaxK: maxK})
+			e, err := utk.NewEngine(recs, 1, utk.EngineConfig{MaxK: maxK})
 			if err != nil {
 				b.Fatal(err)
 			}

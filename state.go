@@ -13,14 +13,12 @@ type EngineState = engine.State
 // the state are shared with the engine and must not be mutated.
 func (e *Engine) State() *EngineState { return e.e.ExportState() }
 
-// RestoreEngine rebuilds an Engine from a captured state without the
-// originating Dataset: queries run over the snapshotted candidate superset
-// and updates over the restored maintenance structure, so recovery costs one
-// pass over the live records instead of a full index build. The restored engine has
-// no Dataset behind it — it serves and updates its own record collection, as
-// any engine does after its first update. cfg supplies the serving
-// parameters (cache, workers, backpressure, timeout); the dataset-shaped
-// parameters (MaxK, shard count) come from the state.
+// RestoreEngine rebuilds an Engine from a captured state: queries run over
+// the snapshotted candidate superset and updates over the restored
+// maintenance structure, so recovery costs one fence pass over the live
+// records instead of NewEngine's recomputation of the superset. cfg supplies
+// the serving parameters (cache, workers, backpressure, timeout); the
+// dataset-shaped parameters (MaxK, shard count) come from the state.
 func RestoreEngine(st *EngineState, cfg EngineConfig) (*Engine, error) {
 	e, err := engine.Restore(st, cfg.engineConfig())
 	if err != nil {

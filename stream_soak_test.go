@@ -16,7 +16,6 @@ import (
 	"testing"
 
 	"repro/internal/dataset"
-	"repro/internal/experiments"
 	"repro/internal/skyband"
 )
 
@@ -57,7 +56,7 @@ func streamSoak(t *testing.T, shards int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	boxes := experiments.RandomBoxes(dim-1, 0.05, 6, 9)
+	boxes := dataset.RandomBoxes(dim-1, 0.05, 6, 9)
 	regions := make([]*Region, len(boxes))
 	for i, b := range boxes {
 		lo, hi := b.Bounds()

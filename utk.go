@@ -110,6 +110,20 @@ type Dataset struct {
 // NewDataset copies and indexes the given records (at least one, all of the
 // same dimensionality d ≥ 2).
 func NewDataset(records [][]float64) (*Dataset, error) {
+	cp, err := copyRecords(records)
+	if err != nil {
+		return nil, err
+	}
+	tree, err := rtree.BulkLoad(cp, rtree.DefaultFanout)
+	if err != nil {
+		return nil, err
+	}
+	return &Dataset{records: cp, tree: tree}, nil
+}
+
+// copyRecords validates a record collection — at least one record, a shared
+// dimensionality d ≥ 2, finite attributes — and returns a deep copy.
+func copyRecords(records [][]float64) ([][]float64, error) {
 	if len(records) == 0 {
 		return nil, errors.New("utk: empty dataset")
 	}
@@ -124,11 +138,7 @@ func NewDataset(records [][]float64) (*Dataset, error) {
 		}
 		cp[i] = append([]float64(nil), rec...)
 	}
-	tree, err := rtree.BulkLoad(cp, rtree.DefaultFanout)
-	if err != nil {
-		return nil, err
-	}
-	return &Dataset{records: cp, tree: tree}, nil
+	return cp, nil
 }
 
 // Len returns the number of records.
