@@ -21,8 +21,8 @@ import (
 const (
 	allocBudgetHotUTK1     = 75   // measured 25
 	allocBudgetHotUTK2     = 100  // measured 34
-	allocBudgetWarmUTK1    = 420  // measured 140
-	allocBudgetWarmUTK2    = 500  // measured 164
+	allocBudgetWarmUTK1    = 420  // measured 140 (the streaming prefilter changed the bytes, not the count:
+	allocBudgetWarmUTK2    = 500  // measured 164  skyband's TestWarmFilterAllocsIndependentOfN pins those)
 	allocBudgetDerivedUTK1 = 100  // measured 33
 	allocBudgetDerivedUTK2 = 4000 // measured ~1300 (copies every clipped cell)
 	allocBudgetColdUTK1    = 330  // measured 110 (the BBS interval bound's k-slot buffer no longer grows by append)

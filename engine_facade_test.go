@@ -285,3 +285,55 @@ func TestEngineFacadeUpdates(t *testing.T) {
 		t.Errorf("double delete: %v", err)
 	}
 }
+
+// TestEngineAttributesBeyondFloat32 is the serving-path regression test for
+// records the warm filter's float32 layout cannot hold (any finite float64 is
+// a valid attribute): with one attribute of 1e39 the layout's bounds were NaN
+// and the engine dropped the second-best record everywhere from k = 2 up. The
+// engine must answer exactly what the stateless Dataset answers.
+func TestEngineAttributesBeyondFloat32(t *testing.T) {
+	for _, records := range [][][]float64{
+		{{1e39, 1e39}, {-5, -2}, {-2, -5}, {-6, -3}, {-3, -6}, {-7, -7}},
+		{{-1e39, 2, 1e39}, {-5, -4, -6}, {3e38, -6, -5}, {-7, 1e-3, -7}, {-8, -8, 0}},
+	} {
+		ds, err := NewDataset(records)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e, err := NewEngine(records, 1, EngineConfig{MaxK: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		lo, hi := []float64{0.2, 0.3}[:ds.Dim()-1], []float64{0.4, 0.35}[:ds.Dim()-1]
+		r, err := NewBoxRegion(lo, hi)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx := context.Background()
+		for k := 1; k <= 3; k++ {
+			q := Query{K: k, Region: r}
+			want1, err := ds.UTK1(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got1, err := e.UTK1(ctx, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fmt.Sprint(got1.Records) != fmt.Sprint(want1.Records) {
+				t.Errorf("d=%d k=%d: engine UTK1 %v != dataset %v", ds.Dim(), k, got1.Records, want1.Records)
+			}
+			want2, err := ds.UTK2(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got2, err := e.UTK2(ctx, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fmt.Sprint(uniqueTopKSets(got2.Cells)) != fmt.Sprint(uniqueTopKSets(want2.Cells)) {
+				t.Errorf("d=%d k=%d: engine UTK2 top-k sets %v != dataset %v", ds.Dim(), k, uniqueTopKSets(got2.Cells), uniqueTopKSets(want2.Cells))
+			}
+		}
+	}
+}

@@ -258,8 +258,9 @@ type UpdateOp struct {
 }
 
 // subIndex is the candidate list for one top-k depth: the classic k-skyband
-// members and their dataset ids, plus the columnar float32 layout the
-// interval prefilter's score kernel streams over. The columns are built once
+// members and their dataset ids, plus the flat float32 layout the interval
+// prefilter's score kernel streams over (nil when an attribute is beyond
+// float32 range; the filter then runs in float64). The layout is built once
 // when the sub-index is created (once per epoch per depth) and shared
 // read-only by every query against that snapshot.
 type subIndex struct {

@@ -2,7 +2,11 @@ package skyband
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"testing"
+
+	"repro/internal/geom"
 )
 
 // FuzzDynamicApplyOps decodes bytes into a band depth, a dimensionality, an
@@ -69,6 +73,79 @@ func FuzzDynamicApplyOps(f *testing.F) {
 				}
 			}
 			batchVersusSingles(t, c, seq, ops, fmt.Sprintf("k=%d dim=%d batch %d %v", k, dim, batch, ops))
+		}
+	})
+}
+
+// FuzzIntervalPrefilter decodes bytes into a box, a depth, an arrival order
+// and up to 256 records, and requires checkPrefilter — survivors ≡ the
+// complement of IntervalExcluded, and nothing the streaming pass drops was
+// needed — plus ScanGraphWith ≡ ScanGraph on ids and edge count. Coordinates
+// are sixteenths in [−8, 8) times a power of two between 2⁻¹²⁰ and 2¹³⁰, so
+// exact ties, negative values, float32 denormals, scales a slack apart and
+// values beyond float32 range (where the kernel must decline) all occur.
+//
+// Layout: dim−2 (mod 6), k−1 (mod 12), order (mod 3: as drawn, strongest-
+// first, weakest-first by minimum score), the base exponent (mod 251, −120),
+// per box side two bytes (lo as a share of 0.9/(dim−1), width−1 in 512ths),
+// a box blow-up (above 128: hi[0] += 2^(b−126), out of the weight domain and
+// for large b out of float32 range), then records until the input ends: a
+// kind byte (mod 8) — 0: exact copy of record b; 1: copy of record b with one
+// attribute moved by 1e-8 relative; else an exponent offset byte (signed,
+// clamped to the range above) and dim coordinate bytes (signed).
+func FuzzIntervalPrefilter(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		next := func() int {
+			if len(data) == 0 {
+				return 0
+			}
+			b := data[0]
+			data = data[1:]
+			return int(b)
+		}
+		dim, k, order := 2+next()%6, 1+next()%12, next()%3
+		base := next()%251 - 120
+		lo, hi := make([]float64, dim-1), make([]float64, dim-1)
+		for j := range lo {
+			lo[j] = float64(next()) / 256 * 0.9 / float64(dim-1)
+			hi[j] = lo[j] + float64(1+next())/512
+		}
+		if b := next(); b > 128 {
+			hi[0] += math.Ldexp(1, b-126)
+		}
+		r, err := geom.NewBox(lo, hi)
+		if err != nil {
+			t.Skip(err)
+		}
+		var recs [][]float64
+		for len(data) > 0 && len(recs) < 256 {
+			switch kind := next() % 8; {
+			case kind < 2 && len(recs) > 0:
+				rec := slices.Clone(recs[next()%len(recs)])
+				if kind == 1 {
+					rec[next()%dim] *= 1 + 1e-8
+				}
+				recs = append(recs, rec)
+			default:
+				exp := min(max(base+int(int8(next())), -120), 130)
+				rec := make([]float64, dim)
+				for j := range rec {
+					rec[j] = math.Ldexp(float64(int8(next())), exp-4)
+				}
+				recs = append(recs, rec)
+			}
+		}
+		ids := make([]int, len(recs))
+		for i := range ids {
+			ids[i] = 100 + i
+		}
+		recs = arrivalOrders(recs, r)[order]
+
+		kept := checkPrefilter(t, recs, r, k)
+		t.Logf("dim=%d k=%d order=%d n=%d: stream kept %d (−1: kernel declined)", dim, k, order, len(recs), kept)
+		want, got := ScanGraph(recs, ids, r, k), ScanGraphWith(NewColumns(recs), recs, ids, r, k)
+		if we, ge := len(graphRelation(want)), len(graphRelation(got)); !slices.Equal(got.IDs, want.IDs) || ge != we {
+			t.Fatalf("dim=%d k=%d: float32-layout graph has ids %v and %d edges, float64 graph %v and %d", dim, k, got.IDs, ge, want.IDs, we)
 		}
 	})
 }
