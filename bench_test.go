@@ -3,8 +3,8 @@ package utk
 // One testing.B benchmark per paper table/figure. Each benchmark times the
 // core operation of its figure at a small but representative configuration,
 // so `go test -bench=.` finishes quickly; the full sweeps that regenerate
-// the figures' tables live in cmd/utkbench (see DESIGN.md §3 for the
-// mapping). Dataset construction is cached across benchmarks.
+// the figures' tables live in cmd/utkbench (README, "Paper reproduction",
+// maps one to the other). Dataset construction is cached across benchmarks.
 
 import (
 	"context"
@@ -341,8 +341,8 @@ func BenchmarkTable1Defaults(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationDrill quantifies the drill optimization (DESIGN.md
-// ablation).
+// BenchmarkAblationDrill quantifies the drill optimization (README, "Paper
+// reproduction": ablations).
 func BenchmarkAblationDrill(b *testing.B) {
 	idx := benchIND(b, benchN, benchD)
 	r := benchBox(b, benchD-1, benchSigma)

@@ -183,7 +183,7 @@ type refiner struct {
 	// sc is the task's scratch arena: every transient bitset of the
 	// partition/verify recursion and the drill probes comes from it, and it
 	// rewinds wholesale when the task releases the refiner. ws is the pooled
-	// LP workspace the arrangement and drill LPs reuse their tableaus from.
+	// LP workspace the arrangement and drill LPs reuse their dictionaries from.
 	// Nothing that survives release (emitted cells, verdicts) may alias
 	// either — see package scratch for the ownership rules.
 	sc *scratch.Arena

@@ -1,9 +1,9 @@
 // Package dataset generates the paper's experimental workloads: the three
 // standard preference-query benchmarks (Independent, Correlated,
 // Anticorrelated — Börzsönyi et al.) and deterministic surrogates for the
-// three real datasets (HOTEL, HOUSE, NBA) that are not redistributable; see
-// DESIGN.md §4 for the substitution rationale. All generators are seeded and
-// reproducible.
+// three real datasets (HOTEL, HOUSE, NBA) that are not redistributable; the
+// README's "Paper reproduction" section gives the substitution rationale.
+// All generators are seeded and reproducible.
 package dataset
 
 import (

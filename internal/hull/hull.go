@@ -1,15 +1,18 @@
 // Package hull computes onion layers (Chang et al.'s onion technique)
 // restricted to convex-hull facets whose normal lies in the first quadrant —
-// the variant the paper's ON baseline uses as its filtering step.
+// the variant the paper's ON baseline filters with, applied to the k-skyband
+// as its implementation note ([10, 52]) prescribes (README, "Paper
+// reproduction").
 //
-// Implementation note (documented in DESIGN.md): a record lies on a hull
-// facet with non-negative normal exactly when some non-negative weight
-// vector ranks it first, so layer membership is decided by the LP
-// feasibility test "∃ w in the closed preference simplex with
-// S(p) ≥ S(q) for every other active record q". This reproduces quickhull's
-// first-quadrant output set without a d-dimensional hull implementation, and
-// per the paper's implementation note ([10, 52]) it is applied to the
-// k-skyband rather than the full dataset.
+// A record is on such a facet exactly when some weight vector of the closed
+// preference simplex ranks it first, so membership is one interior-point LP
+// on internal/lp's cell kernel: p is on the hull when the cell where
+// S(p) ≥ S(q) for every other active q has Chebyshev slack ≥ −geom.Eps. The
+// slack is a distance in the preference domain, the same at every record
+// scale; it replaces a margin of geom.Eps in raw score units, which admitted
+// records clearly inside the hull once scores were small. A competitor whose
+// S(q) − S(p) has no gradient component above geom.Eps (a copy of p, or one
+// shifted by a constant) ties with p unless it is a strict dominator.
 package hull
 
 import (
@@ -23,19 +26,26 @@ import (
 // the records run out.
 func OnionLayers(records [][]float64, k int) [][]int {
 	n := len(records)
+	if n == 0 {
+		return nil
+	}
 	active := make([]bool, n)
 	for i := range active {
 		active[i] = true
 	}
-	remaining := n
+	// The simplex's centroid starts every LP: a point inside the preference
+	// domain, so only the competitors' half-spaces can cost pivots.
+	dim := len(records[0]) - 1
+	centroid := make([]float64, dim)
+	for j := range centroid {
+		centroid[j] = 1 / float64(dim+1)
+	}
+	ws := new(lp.Workspace)
 	var layers [][]int
-	for layer := 0; layer < k && remaining > 0; layer++ {
+	for peeled := 0; len(layers) < k && peeled < n; {
 		var cur []int
 		for i := 0; i < n; i++ {
-			if !active[i] {
-				continue
-			}
-			if onFirstQuadrantHull(records, active, i) {
+			if active[i] && onFirstQuadrantHull(ws, centroid, records, active, i) {
 				cur = append(cur, i)
 			}
 		}
@@ -50,8 +60,8 @@ func OnionLayers(records [][]float64, k int) [][]int {
 		}
 		for _, i := range cur {
 			active[i] = false
-			remaining--
 		}
+		peeled += len(cur)
 		layers = append(layers, cur)
 	}
 	return layers
@@ -67,65 +77,25 @@ func Flatten(layers [][]int) []int {
 }
 
 // onFirstQuadrantHull reports whether records[i] achieves top-1 among the
-// active records for some weight vector in the closed preference simplex.
-//
-// By LP duality, "∃ w in the simplex with S(p) ≥ S(q) for every active q"
-// fails exactly when a convex combination of the active competitors strictly
-// dominates p in every coordinate. The dual formulation has only d+1
-// constraint rows (one per data dimension plus the convexity row) and one
-// column per competitor, so the tableau stays tiny even for thousands of
-// candidates — the row-heavy primal is orders of magnitude slower.
-func onFirstQuadrantHull(records [][]float64, active []bool, i int) bool {
+// active records for some weight vector in the closed preference simplex:
+// whether SimplexHalfspaces ∩ {S(p) ≥ S(q) : q active} has Chebyshev slack
+// ≥ −geom.Eps.
+func onFirstQuadrantHull(ws *lp.Workspace, centroid []float64, records [][]float64, active []bool, i int) bool {
 	p := records[i]
-	d := len(p)
-	var comp [][]float64
-	for j, rec := range records {
+	hs := geom.SimplexHalfspaces(len(centroid))
+	for j, q := range records {
 		if j == i || !active[j] {
 			continue
 		}
-		if geom.Dominates(rec, p) && strictlyGreaterEverywhere(rec, p) {
+		if strictlyGreaterEverywhere(q, p) {
 			return false // a strict dominator disqualifies p immediately
 		}
-		comp = append(comp, rec)
-	}
-	if len(comp) == 0 {
-		return true
-	}
-	// Variables: λ_1..λ_m ≥ 0 (combination weights), s⁺, s⁻ ≥ 0 encoding the
-	// free slack s = s⁺ − s⁻. Maximize s subject to
-	//   Σ_j λ_j (q_j[i] − p[i]) − s ≥ 0 for every dimension i, Σ λ = 1.
-	// p is on the hull iff the optimum s* ≤ 0 (no strictly dominating
-	// combination exists).
-	m := len(comp)
-	cons := make([]lp.Constraint, 0, d+1)
-	for dimIdx := 0; dimIdx < d; dimIdx++ {
-		coef := make([]float64, m+2)
-		for j, q := range comp {
-			coef[j] = q[dimIdx] - p[dimIdx]
+		if h := geom.DualHalfspace(p, q); !h.IsTrivial() {
+			hs = append(hs, h) // a trivial one would read a lead over Eps as an empty cell
 		}
-		coef[m] = -1  // −s⁺
-		coef[m+1] = 1 // +s⁻
-		cons = append(cons, lp.Constraint{Coef: coef, Rel: lp.GE, RHS: 0})
 	}
-	convex := make([]float64, m+2)
-	for j := 0; j < m; j++ {
-		convex[j] = 1
-	}
-	cons = append(cons, lp.Constraint{Coef: convex, Rel: lp.EQ, RHS: 1})
-	obj := make([]float64, m+2)
-	obj[m] = 1
-	obj[m+1] = -1
-	sol := lp.MaximizeNonneg(obj, cons)
-	if sol.Status == lp.Unbounded {
-		// s unbounded above means some combination dominates with arbitrary
-		// margin; p cannot win anywhere. (Cannot happen with the convexity
-		// row bounding λ, but handle defensively.)
-		return false
-	}
-	if sol.Status != lp.Optimal {
-		return true
-	}
-	return sol.Value <= geom.Eps
+	_, slack, _ := ws.InteriorPoint(len(centroid), hs, centroid)
+	return slack >= -geom.Eps
 }
 
 // strictlyGreaterEverywhere reports q > p in every coordinate.

@@ -1,10 +1,13 @@
 package hull
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
+	"time"
 
+	"repro/internal/exact"
 	"repro/internal/geom"
 	"repro/internal/oracle"
 )
@@ -156,6 +159,115 @@ func TestDuplicateRecords(t *testing.T) {
 	if total != 3 {
 		t.Fatalf("duplicates mishandled: layers %v", layers)
 	}
+}
+
+// hangRecords made the two-phase tableau's phase 1 cycle for good (Bland's
+// rule with absolute 1e-9 ratio ties on rows of magnitude 1e5–1e6); records
+// 3/6 and 2/10 are near-copies. Every record's exact max-min normalized
+// slack is at least 0.016 away from 0, so the layer is not a matter of
+// tolerance.
+var hangRecords = [][]float64{
+	{343114.5476016266, 121460.47009760718, 465216.0323757259, 41523.043973598215},
+	{437687.60762458434, 149868.60897967956, 994610.9636507492, 862453.6398861064},
+	{624933.1242572828, 952890.9320339065, 251083.07452760875, 134693.93530802772},
+	{5420.908684702261, 789804.4113405755, 167295.83628650868, 155822.27797130225},
+	{740942.8823461719, 858338.2158419619, 164886.54622460675, 163717.3745636993},
+	{560928.319869509, 834167.7743217335, 506915.05410031514, 884345.5543512668},
+	{5420.908677894474, 789804.4187637685, 167295.83717785164, 155822.27675858745},
+	{858179.3058389894, 804950.7406220298, 80170.39707670466, 219262.39259196093},
+	{369640.4360809406, 996027.9961897501, 681647.0024488182, 91678.33105228853},
+	{926970.9851535425, 706368.5685496288, 935572.1241089228, 333107.13626061},
+	{624933.1238425926, 952890.9275037404, 251083.07583488504, 134693.93565380233},
+}
+
+func TestOnionLayersTerminates(t *testing.T) {
+	done := make(chan [][]int, 1)
+	go func() { done <- OnionLayers(hangRecords, 1) }()
+	select {
+	case layers := <-done:
+		sort.Ints(layers[0])
+		if !equal(layers[0], []int{1, 2, 5, 7, 8, 9}) {
+			t.Fatalf("layer 1 = %v, want [1 2 5 7 8 9]", layers[0])
+		}
+		for i := range hangRecords {
+			if slack := exactSlack(hangRecords, i); math.Abs(slack) < 0.016 {
+				t.Fatalf("record %d: exact slack %g, the expected layer assumes |slack| ≥ 0.016", i, slack)
+			}
+		}
+	case <-time.After(20 * time.Second):
+		t.Fatal("OnionLayers did not return within 20 s")
+	}
+}
+
+// exactSlack is the exact max-min normalized slack of records[i]'s top-1
+// cell among all records (internal/exact over the half-spaces
+// onFirstQuadrantHull hands the kernel); −Inf when some record is ahead
+// everywhere by a constant.
+func exactSlack(records [][]float64, i int) float64 {
+	dim := len(records[i]) - 1
+	hs := geom.SimplexHalfspaces(dim)
+	for j, q := range records {
+		if j != i {
+			hs = append(hs, geom.DualHalfspace(records[i], q))
+		}
+	}
+	a := make([][]float64, len(hs))
+	b := make([]float64, len(hs))
+	for k, h := range hs {
+		a[k], b[k] = h.A, h.B
+	}
+	_, s, ok := exact.Center(dim, a, b)
+	if !ok {
+		return math.Inf(-1)
+	}
+	f, _ := s.Float64()
+	return f
+}
+
+// TestFirstLayerMatchesExact: layer-1 membership is the sign of the exact
+// max-min normalized slack, on general-position data and on a coarse grid
+// with ties and duplicates. Records within 1e-9 of 0 are the tolerance's to
+// decide and are skipped.
+func TestFirstLayerMatchesExact(t *testing.T) {
+	rng := rand.New(rand.NewSource(25))
+	decided, skipped := 0, 0
+	for trial := 0; trial < 60; trial++ {
+		d := 2 + rng.Intn(4)
+		n := 2 + rng.Intn(29)
+		grid := trial%2 == 1
+		data := make([][]float64, n)
+		for i := range data {
+			if grid && i > 0 && rng.Intn(4) == 0 {
+				data[i] = data[rng.Intn(i)] // an exact duplicate
+				continue
+			}
+			p := make([]float64, d)
+			for j := range p {
+				if grid {
+					p[j] = float64(rng.Intn(5))
+				} else {
+					p[j] = rng.Float64()
+				}
+			}
+			data[i] = p
+		}
+		layer1 := map[int]bool{}
+		for _, i := range OnionLayers(data, 1)[0] {
+			layer1[i] = true
+		}
+		for i := range data {
+			slack := exactSlack(data, i)
+			if math.Abs(slack) <= 1e-9 {
+				skipped++
+				continue
+			}
+			decided++
+			if layer1[i] != (slack > 0) {
+				t.Fatalf("trial %d (grid %v, d %d, n %d): record %d in layer 1 = %v, exact slack %g", trial, grid, d, n, i, layer1[i], slack)
+			}
+		}
+	}
+	t.Logf("%d records decided by the exact slack's sign, %d within 1e-9 of 0", decided, skipped)
 }
 
 func equal(a, b []int) bool {

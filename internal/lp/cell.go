@@ -24,14 +24,16 @@ func (d *dict) row(i int) []float64 {
 	return d.a[i*w : (i+1)*w : (i+1)*w]
 }
 
-// maximize runs simplex iterations from the current feasible dictionary. A
-// free variable is unsplit: while nonbasic it may enter in either direction,
-// and once basic it has no bound to hit, so it never leaves. The entering
+// maximize runs simplex iterations from the current feasible dictionary and
+// reports whether they end at an optimum (false: the objective is
+// unbounded). A free variable is unsplit: while nonbasic it may enter in
+// either direction, and once basic it has no bound to hit, so it never
+// leaves. The entering
 // variable is Bland's, the lowest-numbered improving one. Each of the nv free
 // variables enters at most once, and between two such entries Bland's rule —
 // for the leaving row too once a degenerate vertex stalls the walk — rules
 // out cycling on the slacks.
-func (d *dict) maximize() Status {
+func (d *dict) maximize() bool {
 	nv, m, w := d.nv, d.m, d.nv+1
 	cost := d.row(m)
 	stall := 0 // zero-length pivots in a row
@@ -50,7 +52,7 @@ func (d *dict) maximize() Status {
 			}
 		}
 		if enter < 0 {
-			return Optimal
+			return true
 		}
 		// Ratio test over the slack rows the move eats into, in Harris's two
 		// passes: the longest step that leaves every slack ≥ −tol bounds the
@@ -69,7 +71,7 @@ func (d *dict) maximize() Status {
 			}
 		}
 		if math.IsInf(limit, 1) {
-			return Unbounded
+			return false
 		}
 		bland := stall > nv
 		leave := -1

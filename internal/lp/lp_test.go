@@ -4,198 +4,246 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"repro/internal/geom"
 )
+
+// The classic LPs below were written for a general LE/GE/EQ solver. Each is
+// restated as half-spaces and solved twice — on the cell kernel
+// (OptimizeLinear from a nil start) and on the exact reference — and both
+// answers are held to the optimum known by hand, which tests the reference
+// too.
+
+// rel is a constraint relation; con turns coef·x rel rhs into half-spaces.
+type rel string
+
+const (
+	le rel = "<="
+	ge rel = ">="
+	eq rel = "==" // a complementary pair of half-spaces
+)
+
+func con(coef []float64, r rel, rhs float64) []geom.Halfspace {
+	h := geom.Halfspace{A: coef, B: rhs}
+	switch r {
+	case le:
+		return []geom.Halfspace{h.Negate()}
+	case ge:
+		return []geom.Halfspace{h}
+	}
+	return []geom.Halfspace{h, h.Negate()}
+}
+
+func cons(groups ...[]geom.Halfspace) []geom.Halfspace {
+	var hs []geom.Halfspace
+	for _, g := range groups {
+		hs = append(hs, g...)
+	}
+	return hs
+}
+
+// outcome is what an LP comes to: "optimal" with a value and an optimizer,
+// "empty" or "unbounded".
+type outcome struct {
+	status string
+	value  float64
+	x      []float64
+}
+
+func optimal(v float64) outcome { return outcome{status: "optimal", value: v} }
+
+var (
+	empty     = outcome{status: "empty"}
+	unbounded = outcome{status: "unbounded"}
+)
+
+// solveKernel is OptimizeLinear from a nil start; when it finds no optimum,
+// the start-finder's own verdict tells an empty set from an unbounded
+// objective.
+func solveKernel(hs []geom.Halfspace, obj []float64, maximize bool) outcome {
+	if x, v, ok := OptimizeLinear(len(obj), hs, obj, maximize, nil); ok {
+		return outcome{"optimal", v, x}
+	}
+	if _, slack, ok := new(Workspace).center(len(obj), hs, nil); !ok || slack < -tol {
+		return empty
+	}
+	return unbounded
+}
+
+func solveReference(hs []geom.Halfspace, obj []float64, maximize bool) outcome {
+	switch r := solveExact(len(obj), hs, obj, maximize); {
+	case r.slack < 0:
+		return empty
+	case !r.bounded:
+		return unbounded
+	default:
+		return outcome{"optimal", r.value, r.x}
+	}
+}
+
+// solveBoth checks the kernel (optimum within 1e-7) and the reference (within
+// 1e-12: the rounding of the inputs and of the answer only) against want.
+func solveBoth(t *testing.T, hs []geom.Halfspace, obj []float64, maximize bool, want outcome) (kernel, ref outcome) {
+	t.Helper()
+	kernel, ref = solveKernel(hs, obj, maximize), solveReference(hs, obj, maximize)
+	for _, s := range []struct {
+		name string
+		got  outcome
+		tol  float64
+	}{{"kernel", kernel, 1e-7}, {"exact", ref, 1e-12}} {
+		if s.got.status != want.status || math.Abs(s.got.value-want.value) > s.tol {
+			t.Fatalf("%s: %s %g at %v, want %s %g", s.name, s.got.status, s.got.value, s.got.x, want.status, want.value)
+		}
+	}
+	return kernel, ref
+}
 
 func TestMaximizeSimple(t *testing.T) {
 	// max x + y  s.t. x ≤ 2, y ≤ 3, x + y ≤ 4, x,y ≥ 0
-	sol := Maximize([]float64{1, 1}, []Constraint{
-		{Coef: []float64{1, 0}, Rel: LE, RHS: 2},
-		{Coef: []float64{0, 1}, Rel: LE, RHS: 3},
-		{Coef: []float64{1, 1}, Rel: LE, RHS: 4},
-		{Coef: []float64{1, 0}, Rel: GE, RHS: 0},
-		{Coef: []float64{0, 1}, Rel: GE, RHS: 0},
-	})
-	if sol.Status != Optimal {
-		t.Fatalf("status = %v", sol.Status)
-	}
-	if math.Abs(sol.Value-4) > 1e-7 {
-		t.Fatalf("value = %g, want 4", sol.Value)
-	}
+	solveBoth(t, cons(
+		con([]float64{1, 0}, le, 2),
+		con([]float64{0, 1}, le, 3),
+		con([]float64{1, 1}, le, 4),
+		con([]float64{1, 0}, ge, 0),
+		con([]float64{0, 1}, ge, 0),
+	), []float64{1, 1}, true, optimal(4))
 }
 
 func TestMinimize(t *testing.T) {
 	// min 2x + 3y  s.t. x + y ≥ 10, x ≥ 0, y ≥ 0 ⇒ x = 10, y = 0, value 20.
-	sol := Minimize([]float64{2, 3}, []Constraint{
-		{Coef: []float64{1, 1}, Rel: GE, RHS: 10},
-		{Coef: []float64{1, 0}, Rel: GE, RHS: 0},
-		{Coef: []float64{0, 1}, Rel: GE, RHS: 0},
-	})
-	if sol.Status != Optimal {
-		t.Fatalf("status = %v", sol.Status)
-	}
-	if math.Abs(sol.Value-20) > 1e-7 {
-		t.Fatalf("value = %g, want 20", sol.Value)
-	}
+	solveBoth(t, cons(
+		con([]float64{1, 1}, ge, 10),
+		con([]float64{1, 0}, ge, 0),
+		con([]float64{0, 1}, ge, 0),
+	), []float64{2, 3}, false, optimal(20))
 }
 
 func TestFreeVariables(t *testing.T) {
 	// Negative optimum requires genuinely free variables:
 	// max x  s.t. x ≤ −5.
-	sol := Maximize([]float64{1}, []Constraint{
-		{Coef: []float64{1}, Rel: LE, RHS: -5},
-	})
-	if sol.Status != Optimal {
-		t.Fatalf("status = %v", sol.Status)
-	}
-	if math.Abs(sol.Value+5) > 1e-7 {
-		t.Fatalf("value = %g, want −5", sol.Value)
-	}
+	solveBoth(t, con([]float64{1}, le, -5), []float64{1}, true, optimal(-5))
 }
 
 func TestInfeasible(t *testing.T) {
-	sol := Maximize([]float64{1}, []Constraint{
-		{Coef: []float64{1}, Rel: GE, RHS: 2},
-		{Coef: []float64{1}, Rel: LE, RHS: 1},
-	})
-	if sol.Status != Infeasible {
-		t.Fatalf("status = %v, want Infeasible", sol.Status)
-	}
+	solveBoth(t, cons(
+		con([]float64{1}, ge, 2),
+		con([]float64{1}, le, 1),
+	), []float64{1}, true, empty)
 }
 
 func TestUnbounded(t *testing.T) {
-	sol := Maximize([]float64{1}, []Constraint{
-		{Coef: []float64{1}, Rel: GE, RHS: 0},
-	})
-	if sol.Status != Unbounded {
-		t.Fatalf("status = %v, want Unbounded", sol.Status)
-	}
+	solveBoth(t, con([]float64{1}, ge, 0), []float64{1}, true, unbounded)
 }
 
 func TestEquality(t *testing.T) {
 	// max y  s.t. x + y = 1, y ≤ 0.7, x ≥ 0.
-	sol := Maximize([]float64{0, 1}, []Constraint{
-		{Coef: []float64{1, 1}, Rel: EQ, RHS: 1},
-		{Coef: []float64{0, 1}, Rel: LE, RHS: 0.7},
-		{Coef: []float64{1, 0}, Rel: GE, RHS: 0},
-	})
-	if sol.Status != Optimal {
-		t.Fatalf("status = %v", sol.Status)
-	}
-	if math.Abs(sol.Value-0.7) > 1e-7 || math.Abs(sol.X[0]-0.3) > 1e-7 {
-		t.Fatalf("sol = %+v, want y = 0.7, x = 0.3", sol)
+	kernel, ref := solveBoth(t, cons(
+		con([]float64{1, 1}, eq, 1),
+		con([]float64{0, 1}, le, 0.7),
+		con([]float64{1, 0}, ge, 0),
+	), []float64{0, 1}, true, optimal(0.7))
+	for _, x := range [][]float64{kernel.x, ref.x} {
+		if math.Abs(x[0]-0.3) > 1e-7 {
+			t.Fatalf("optimizer %v, want x = 0.3", x)
+		}
 	}
 }
 
 func TestDegenerateNoCycle(t *testing.T) {
-	// A classic degenerate LP; Bland's rule must terminate.
-	sol := Minimize([]float64{-0.75, 150, -0.02, 6}, []Constraint{
-		{Coef: []float64{0.25, -60, -0.04, 9}, Rel: LE, RHS: 0},
-		{Coef: []float64{0.5, -90, -0.02, 3}, Rel: LE, RHS: 0},
-		{Coef: []float64{0, 0, 1, 0}, Rel: LE, RHS: 1},
-		{Coef: []float64{1, 0, 0, 0}, Rel: GE, RHS: 0},
-		{Coef: []float64{0, 1, 0, 0}, Rel: GE, RHS: 0},
-		{Coef: []float64{0, 0, 1, 0}, Rel: GE, RHS: 0},
-		{Coef: []float64{0, 0, 0, 1}, Rel: GE, RHS: 0},
-	})
-	if sol.Status != Optimal {
-		t.Fatalf("status = %v", sol.Status)
-	}
-	if math.Abs(sol.Value+0.05) > 1e-6 {
-		t.Fatalf("value = %g, want −0.05", sol.Value)
-	}
+	// Beale's classic degenerate LP; Bland's rule must terminate.
+	solveBoth(t, cons(
+		con([]float64{0.25, -60, -0.04, 9}, le, 0),
+		con([]float64{0.5, -90, -0.02, 3}, le, 0),
+		con([]float64{0, 0, 1, 0}, le, 1),
+		con([]float64{1, 0, 0, 0}, ge, 0),
+		con([]float64{0, 1, 0, 0}, ge, 0),
+		con([]float64{0, 0, 1, 0}, ge, 0),
+		con([]float64{0, 0, 0, 1}, ge, 0),
+	), []float64{-0.75, 150, -0.02, 6}, false, optimal(-0.05))
 }
 
-// TestRandomFeasibility cross-checks the solver against rejection sampling:
-// for random small systems, if sampling finds a feasible point the solver
-// must not report Infeasible, and any optimum must satisfy all constraints.
+// TestRandomFeasibility cross-checks both solvers against rejection sampling:
+// for random small systems, if sampling finds a feasible point neither may
+// report an empty set, and any optimum must satisfy all constraints and be
+// no worse than the best sample.
 func TestRandomFeasibility(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 300; trial++ {
 		nv := 1 + rng.Intn(3)
 		m := 1 + rng.Intn(6)
-		cons := make([]Constraint, m)
-		for i := range cons {
-			c := Constraint{Coef: make([]float64, nv), RHS: rng.NormFloat64()}
-			for j := range c.Coef {
-				c.Coef[j] = rng.NormFloat64()
+		var hs []geom.Halfspace
+		for i := 0; i < m; i++ {
+			coef := make([]float64, nv)
+			for j := range coef {
+				coef[j] = rng.NormFloat64()
 			}
+			r := le
 			if rng.Intn(2) == 0 {
-				c.Rel = LE
-			} else {
-				c.Rel = GE
+				r = ge
 			}
-			cons[i] = c
+			hs = append(hs, con(coef, r, rng.NormFloat64())...)
 		}
-		// Bound the problem to avoid Unbounded outcomes.
+		// Bound the problem to avoid unbounded outcomes.
 		for j := 0; j < nv; j++ {
-			lo := make([]float64, nv)
-			lo[j] = 1
-			cons = append(cons, Constraint{Coef: lo, Rel: GE, RHS: -10})
-			hi := make([]float64, nv)
-			hi[j] = 1
-			cons = append(cons, Constraint{Coef: hi, Rel: LE, RHS: 10})
+			unit := make([]float64, nv)
+			unit[j] = 1
+			hs = append(hs, cons(con(unit, ge, -10), con(unit, le, 10))...)
 		}
 		obj := make([]float64, nv)
 		for j := range obj {
 			obj[j] = rng.NormFloat64()
 		}
-		sol := Maximize(obj, cons)
 		sampleFeasible := false
-		var best float64 = math.Inf(-1)
+		best := math.Inf(-1)
 		for s := 0; s < 3000; s++ {
 			x := make([]float64, nv)
 			for j := range x {
 				x[j] = rng.Float64()*20 - 10
 			}
-			okPoint := true
-			for _, c := range cons {
-				v := 0.0
-				for j := range x {
-					v += c.Coef[j] * x[j]
-				}
-				if (c.Rel == LE && v > c.RHS) || (c.Rel == GE && v < c.RHS) {
-					okPoint = false
-					break
-				}
-			}
-			if okPoint {
+			if MinSlack(hs, x) >= 0 {
 				sampleFeasible = true
-				v := 0.0
-				for j := range x {
-					v += obj[j] * x[j]
-				}
-				if v > best {
-					best = v
-				}
+				best = max(best, geom.Halfspace{A: obj}.Eval(x))
 			}
 		}
-		switch sol.Status {
-		case Infeasible:
-			if sampleFeasible {
-				t.Fatalf("trial %d: solver infeasible but sampling found a point", trial)
-			}
-		case Optimal:
-			for ci, c := range cons {
-				v := 0.0
-				for j := range sol.X {
-					v += c.Coef[j] * sol.X[j]
+		for _, s := range []struct {
+			name string
+			got  outcome
+		}{{"kernel", solveKernel(hs, obj, true)}, {"exact", solveReference(hs, obj, true)}} {
+			switch s.got.status {
+			case "empty":
+				if sampleFeasible {
+					t.Fatalf("trial %d: %s says empty but sampling found a point", trial, s.name)
 				}
-				if (c.Rel == LE && v > c.RHS+1e-6) || (c.Rel == GE && v < c.RHS-1e-6) {
-					t.Fatalf("trial %d: optimum violates constraint %d", trial, ci)
+			case "optimal":
+				if MinSlack(hs, s.got.x) < -1e-6 {
+					t.Fatalf("trial %d: %s optimum violates a constraint", trial, s.name)
 				}
+				if sampleFeasible && s.got.value < best-1e-6 {
+					t.Fatalf("trial %d: %s value %g below sampled %g", trial, s.name, s.got.value, best)
+				}
+			case "unbounded":
+				t.Fatalf("trial %d: %s: unexpected unbounded with box bounds", trial, s.name)
 			}
-			if sampleFeasible && sol.Value < best-1e-6 {
-				t.Fatalf("trial %d: solver value %g below sampled %g", trial, sol.Value, best)
-			}
-		case Unbounded:
-			t.Fatalf("trial %d: unexpected unbounded with box bounds", trial)
 		}
 	}
 }
 
+// TestMismatchedCoefLength: a half-space longer than the dimension is
+// malformed, and neither solver solves something else instead — both panic.
 func TestMismatchedCoefLength(t *testing.T) {
-	sol := Maximize([]float64{1, 1}, []Constraint{{Coef: []float64{1}, Rel: LE, RHS: 1}})
-	if sol.Status != Infeasible {
-		t.Fatalf("status = %v, want Infeasible for malformed input", sol.Status)
+	hs := []geom.Halfspace{{A: []float64{1, 1, 1}, B: 0}}
+	for name, solve := range map[string]func(){
+		"OptimizeLinear": func() { OptimizeLinear(2, hs, []float64{1, 1}, true, nil) },
+		"InteriorPoint":  func() { InteriorPoint(2, hs, nil) },
+		"exact":          func() { solveExact(2, hs, []float64{1, 1}, true) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s accepted a 3-coefficient half-space in dimension 2", name)
+				}
+			}()
+			solve()
+		}()
 	}
 }

@@ -126,7 +126,7 @@ func (ws *Workspace) OptimizeLinear(dim int, hs []geom.Halfspace, obj []float64,
 			cost[j] = -c
 		}
 	}
-	if d.maximize() != Optimal {
+	if !d.maximize() {
 		return nil, 0, false
 	}
 	pt = append([]float64(nil), start...)

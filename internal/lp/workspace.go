@@ -49,7 +49,6 @@ var wsPool = sync.Pool{New: func() interface{} { return new(Workspace) }}
 // GetWorkspace takes a workspace from the process-wide pool.
 func GetWorkspace() *Workspace { return wsPool.Get().(*Workspace) }
 
-// PutWorkspace returns a workspace to the pool. The caller must be done
-// with every Solution computed through it only in the sense of the aliasing
-// contract above (results never alias the workspace, so they stay valid).
+// PutWorkspace returns a workspace to the pool. Points computed through it
+// stay valid: results never alias workspace memory.
 func PutWorkspace(ws *Workspace) { wsPool.Put(ws) }

@@ -1,10 +1,12 @@
 package utk
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
 	"testing"
+	"time"
 
 	"repro/internal/dataset"
 )
@@ -169,6 +171,43 @@ func TestTopKAndScore(t *testing.T) {
 	}
 	if _, err := ds.TopK(full, 0); err == nil {
 		t.Fatal("k = 0 should fail")
+	}
+}
+
+// TestOnionLayersTerminatesOnLargeScores: on these records the two-phase
+// tableau's phase 1 cycled and Dataset.OnionLayers never returned; the
+// layer is internal/hull's TestOnionLayersTerminates's, checked exactly
+// there.
+func TestOnionLayersTerminatesOnLargeScores(t *testing.T) {
+	ds, err := NewDataset([][]float64{
+		{343114.5476016266, 121460.47009760718, 465216.0323757259, 41523.043973598215},
+		{437687.60762458434, 149868.60897967956, 994610.9636507492, 862453.6398861064},
+		{624933.1242572828, 952890.9320339065, 251083.07452760875, 134693.93530802772},
+		{5420.908684702261, 789804.4113405755, 167295.83628650868, 155822.27797130225},
+		{740942.8823461719, 858338.2158419619, 164886.54622460675, 163717.3745636993},
+		{560928.319869509, 834167.7743217335, 506915.05410031514, 884345.5543512668},
+		{5420.908677894474, 789804.4187637685, 167295.83717785164, 155822.27675858745},
+		{858179.3058389894, 804950.7406220298, 80170.39707670466, 219262.39259196093},
+		{369640.4360809406, 996027.9961897501, 681647.0024488182, 91678.33105228853},
+		{926970.9851535425, 706368.5685496288, 935572.1241089228, 333107.13626061},
+		{624933.1238425926, 952890.9275037404, 251083.07583488504, 134693.93565380233},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan [][]int, 1)
+	go func() {
+		layers, _ := ds.OnionLayers(1) // k = 1 is valid
+		done <- layers
+	}()
+	select {
+	case layers := <-done:
+		sort.Ints(layers[0])
+		if fmt.Sprint(layers[0]) != "[1 2 5 7 8 9]" {
+			t.Fatalf("layer 1 = %v, want [1 2 5 7 8 9]", layers[0])
+		}
+	case <-time.After(20 * time.Second):
+		t.Fatal("Dataset.OnionLayers did not return within 20 s")
 	}
 }
 
