@@ -79,7 +79,7 @@ func TestAllocBudgets(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := warm.UTK1(ctx, q); err != nil {
-		t.Fatal(err) // derive the per-depth sub-index off the measurement
+		t.Fatal(err) // fill the arena and LP pools off the measurement
 	}
 	check("warm/utk1", allocBudgetWarmUTK1, func() {
 		if _, err := warm.UTK1(ctx, q); err != nil {

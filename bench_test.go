@@ -466,7 +466,7 @@ func BenchmarkEngineWarmUTK1(b *testing.B) {
 	_, e, r := benchEngineSetup(b)
 	ctx := context.Background()
 	if _, err := e.UTK1(ctx, Query{K: benchK, Region: r}); err != nil {
-		b.Fatal(err) // warm the per-depth sub-index
+		b.Fatal(err) // fill the arena and LP pools off the clock
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -489,7 +489,7 @@ func BenchmarkEngineWarmUTK2(b *testing.B) {
 	})
 	b.Run("warm", func(b *testing.B) {
 		if _, err := e.UTK2(ctx, Query{K: benchK, Region: r}); err != nil {
-			b.Fatal(err) // warm the per-depth sub-index
+			b.Fatal(err) // fill the arena and LP pools off the clock
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {

@@ -213,7 +213,7 @@ func TestPipelinedApplyEquivalence(t *testing.T) {
 	if bIdx.epoch != pIdx.epoch {
 		t.Fatalf("final epoch divergence: %d vs %d", bIdx.epoch, pIdx.epoch)
 	}
-	if fmt.Sprint(bIdx.super.ids) != fmt.Sprint(pIdx.super.ids) {
+	if fmt.Sprint(bIdx.ids, bIdx.counts) != fmt.Sprint(pIdx.ids, pIdx.counts) {
 		t.Fatalf("final index contents diverge")
 	}
 	bs, ps := blocking.Stats(), pipelined.Stats()

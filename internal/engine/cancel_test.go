@@ -31,7 +31,7 @@ func TestEngineDeadlineBoundsRefinement(t *testing.T) {
 		t.Skipf("reference UTK2 completed in %v; too fast to observe cancellation", full)
 	}
 
-	// A different k so neither the cache nor the sub-index warm-up helps.
+	// A different k so the cache does not answer it.
 	short := Request{Variant: UTK2, K: 7, Region: r}
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()

@@ -277,7 +277,7 @@ func sum(rec []float64) float64 {
 // exported state — each part's band is the MaxK-skyband of the records routed
 // to it, and the routing tables must place every live id on exactly one part
 // — pinning both the routing and every part's maintenance; the served global
-// band must then sit between the global brute force and the per-part total.
+// band must then be the global brute force.
 func (harness) checkSuperset(t *testing.T, dyn *engine.Engine, mirror map[int][]float64, cfg Config, op int) {
 	t.Helper()
 	global := bruteSkybandSize(mirror, nil, cfg.MaxK)
@@ -319,8 +319,8 @@ func (harness) checkSuperset(t *testing.T, dyn *engine.Engine, mirror map[int][]
 	if got := dyn.Stats().SupersetSize; got != total {
 		t.Errorf("op %d: aggregated superset size %d != sum of per-part skybands %d", op, got, total)
 	}
-	if got := dyn.SupersetSize(); got < global || got > total {
-		t.Errorf("op %d: served global band %d outside [brute-force %d, per-part total %d]", op, got, global, total)
+	if got := dyn.SupersetSize(); got != global {
+		t.Errorf("op %d: served global band %d != brute-force MaxK-skyband %d", op, got, global)
 	}
 }
 

@@ -7,15 +7,16 @@
 //     dominance implies r-dominance for every region, so that skyband is a
 //     valid candidate superset for any query region and any k ≤ MaxK, and
 //     (by transitivity of r-dominance) counting dominators within the
-//     superset stays exact. The first query at each distinct k < MaxK
-//     derives that k's own candidate list from the superset (a skyband of a
-//     skyband is the dataset's skyband, so this stays exact and never
-//     touches the full data again). Each query then filters its few
-//     thousand depth-relevant candidates with the tree-free sort-and-sweep
-//     (skyband.ScanGraph) instead of the paper's branch-and-bound over an
-//     R-tree of the whole dataset — the filter is the dominant share of
-//     cold-query latency, and skyband-shaped candidate sets defeat MBB
-//     pruning anyway. The engine builds and holds no tree at all.
+//     superset stays exact. The band hands the superset over with exact
+//     dominator counts, in count-major order, so the k-skyband for every
+//     k ≤ MaxK is a prefix of it — of its ids, its records and the rows of
+//     its one float32 layout — and nothing per depth is derived or stored.
+//     Each query then filters its depth's prefix with the tree-free
+//     sort-and-sweep (skyband.ScanGraphWith) instead of the paper's
+//     branch-and-bound over an R-tree of the whole dataset — the filter is
+//     the dominant share of cold-query latency, and skyband-shaped candidate
+//     sets defeat MBB pruning anyway. The engine builds and holds no tree at
+//     all.
 //  2. Incremental updates: Insert, Delete, and ApplyBatch maintain the
 //     skyband superset through a skyband.Dynamic (the exact band plus the
 //     fence — the skyline of the other records — so no update ever recomputes
@@ -257,58 +258,26 @@ type UpdateOp struct {
 	ID     int       // for UpdateDelete
 }
 
-// subIndex is the candidate list for one top-k depth: the classic k-skyband
-// members and their dataset ids, plus the flat float32 layout the interval
-// prefilter's score kernel streams over (nil when an attribute is beyond
-// float32 range; the filter then runs in float64). The layout is built once
-// when the sub-index is created (once per epoch per depth) and shared
-// read-only by every query against that snapshot.
-type subIndex struct {
-	recs [][]float64
-	ids  []int
-	cols *skyband.Columns
-}
-
-func newSubIndex(recs [][]float64, ids []int) *subIndex {
-	return &subIndex{recs: recs, ids: ids, cols: skyband.NewColumns(recs)}
-}
-
-// index is one immutable-epoch view of the candidate lists. The superset
-// sub-index (depth MaxK) is fixed at publication and read without locking;
-// shallower depths are derived lazily into subs under mu — queries holding
-// the index pointer always see internally consistent candidate sets for
-// their epoch.
+// index is one immutable epoch of the candidate lists: the MaxK-skyband with
+// its exact counts, in the band's count-major order, and its flat float32
+// layout for the interval prefilter's score kernel (nil when an attribute is
+// beyond float32 range; the filter then runs in float64). The k-skyband is
+// the prefix of the entries with count < k — of the ids, the records and the
+// layout's rows. It is built once per publication and shared read-only by
+// every query against it.
 type index struct {
-	epoch uint64
-	super *subIndex
-	mu    sync.Mutex
-	subs  map[int]*subIndex
+	epoch  uint64
+	ids    []int
+	recs   [][]float64
+	counts []int
+	cols   *skyband.Columns
 }
 
-// subFor returns the candidate list for depth k, deriving and caching it
-// from the superset on first use. Since the k-skyband of a k'-skyband
-// (k ≤ k') is the k-skyband of the underlying dataset, the derivation never
-// revisits the full data.
-func (ix *index) subFor(k, maxK int) *subIndex {
-	if k == maxK {
-		return ix.super
-	}
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	if s, ok := ix.subs[k]; ok {
-		return s
-	}
-	base := ix.super
-	keep := skyband.ScanKSkyband(base.recs, k)
-	recs := make([][]float64, len(keep))
-	dsIDs := make([]int, len(keep))
-	for i, idx := range keep {
-		recs[i] = base.recs[idx]
-		dsIDs[i] = base.ids[idx]
-	}
-	s := newSubIndex(recs, dsIDs)
-	ix.subs[k] = s
-	return s
+// bandIndex snapshots the band (see band.Band; the slices are immutable from
+// here on) into a new index at the given epoch.
+func bandIndex(epoch uint64, b band) *index {
+	ids, recs, counts := b.Band()
+	return &index{epoch: epoch, ids: ids, recs: recs, counts: counts, cols: skyband.NewColumns(recs)}
 }
 
 // flight is one in-progress computation that concurrent identical queries
@@ -330,9 +299,10 @@ type band interface {
 	// sequential never-reused ids; see skyband.Dynamic.ApplyOps. A rejected
 	// batch leaves the band untouched.
 	ApplyOps(ops []skyband.Op) ([]int, []skyband.Effect, error)
-	// Band returns the current MaxK-skyband as parallel id/record slices
-	// sorted by ascending id, immutable once returned.
-	Band() ([]int, [][]float64)
+	// Band returns the current MaxK-skyband as parallel id/record/count
+	// slices, with exact dominator counts, sorted count-major with ties by id
+	// (so every k-skyband is a prefix), immutable once returned.
+	Band() ([]int, [][]float64, []int)
 	Stats() skyband.DynamicStats
 }
 
@@ -463,19 +433,12 @@ func newEngine(cfg Config, pool *exec.Pool, b band, dim int, epoch, batches uint
 	if cfg.CacheEntries > 0 {
 		e.cache = newResultCache(cfg.CacheEntries)
 	}
-	ids, recs := b.Band()
-	e.idx.Store(bandIndex(epoch, ids, recs))
+	e.idx.Store(bandIndex(epoch, b))
 	return e
 }
 
-// bandIndex wraps a band snapshot (parallel id/record slices, treated as
-// immutable from here on) into a new index at the given epoch.
-func bandIndex(epoch uint64, ids []int, recs [][]float64) *index {
-	return &index{epoch: epoch, super: newSubIndex(recs, ids), subs: map[int]*subIndex{}}
-}
-
 // SupersetSize returns the current size of the candidate superset.
-func (e *Engine) SupersetSize() int { return len(e.idx.Load().super.ids) }
+func (e *Engine) SupersetSize() int { return len(e.idx.Load().ids) }
 
 // MaxK returns the largest supported top-k depth.
 func (e *Engine) MaxK() int { return e.cfg.MaxK }
@@ -685,11 +648,10 @@ func (e *Engine) beginBatch(ops []UpdateOp) (*pendingBatch, error) {
 	// insert that made the final band, a delete from the band — always
 	// reports BandChanged (at the op itself, or at the promotion or rebuild
 	// that brought the insert in).
-	var snapIDs []int
-	var snapRecs [][]float64
+	var fresh *index
 	var tests []affectsTest
 	if bandChanged {
-		snapIDs, snapRecs = e.band.Band()
+		fresh = bandIndex(e.reservedEpoch+1, e.band)
 	}
 	if e.cache != nil && bandChanged {
 		batchInserted := map[int]bool{}
@@ -702,9 +664,9 @@ func (e *Engine) beginBatch(ops []UpdateOp) (*pendingBatch, error) {
 		// live, so never in it): probe excluding the record itself (other
 		// batch inserts are live post-batch and may count).
 		if len(batchInserted) > 0 {
-			for i, id := range snapIDs {
+			for i, id := range fresh.ids {
 				if batchInserted[id] {
-					tests = append(tests, affectsTest{rec: snapRecs[i], exclude: id, recs: snapRecs, ids: snapIDs})
+					tests = append(tests, affectsTest{rec: fresh.recs[i], exclude: id, recs: fresh.recs, ids: fresh.ids})
 				}
 			}
 		}
@@ -712,7 +674,7 @@ func (e *Engine) beginBatch(ops []UpdateOp) (*pendingBatch, error) {
 		// (those were not live pre-batch).
 		for i, eff := range effs {
 			if ops[i].Kind == UpdateDelete && eff.InBand {
-				tests = append(tests, affectsTest{rec: delRecs[i], exclude: -1, excludeSet: batchInserted, recs: snapRecs, ids: snapIDs})
+				tests = append(tests, affectsTest{rec: delRecs[i], exclude: -1, excludeSet: batchInserted, recs: fresh.recs, ids: fresh.ids})
 			}
 		}
 	}
@@ -723,10 +685,9 @@ func (e *Engine) beginBatch(ops []UpdateOp) (*pendingBatch, error) {
 	// and the epoch reservation keeps results final at begin: the band
 	// snapshot is already the post-batch state, so the epoch this batch will
 	// publish is known even though the publish itself waits for commit.
-	pb := &pendingBatch{e: e, dynStats: dynStats, tests: tests}
+	pb := &pendingBatch{e: e, dynStats: dynStats, tests: tests, fresh: fresh}
 	if bandChanged {
 		e.reservedEpoch++
-		pb.fresh = bandIndex(e.reservedEpoch, snapIDs, snapRecs)
 	}
 	e.nextTicket++
 	pb.ticket = e.nextTicket
@@ -1117,8 +1078,8 @@ func (e *Engine) compute(ctx context.Context, req Request, ix *index, abortOnSup
 		return abortOnSupersede && e.idx.Load() != ix
 	}
 	start := time.Now()
-	sub := ix.subFor(req.K, e.cfg.MaxK)
-	g := skyband.ScanGraphWith(sub.cols, sub.recs, sub.ids, req.Region, req.K)
+	n := sort.SearchInts(ix.counts, req.K) // the req.K-skyband is the prefix [:n]
+	g := skyband.ScanGraphWith(ix.cols.Prefix(n), ix.recs[:n], ix.ids[:n], req.Region, req.K)
 	st.FilterDuration = time.Since(start)
 	res := &Result{Epoch: ix.epoch}
 	switch req.Variant {

@@ -1,14 +1,19 @@
 package engine
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"maps"
+	"math/rand"
 	"reflect"
 	"slices"
+	"sort"
 	"sync"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/geom"
 )
 
 // TestTwoStageCommit pins the pipelined contract on every band maintainer:
@@ -153,10 +158,11 @@ func TestMultiPartBatchAtomic(t *testing.T) {
 
 // TestParallelMissSharesSplitAndColumns pins that the one compute serves
 // every way an engine can come to exist — fresh or restored, single or
-// partitioned — with the same machinery: a parallel UTK2 miss filters through
-// the index's float32 columns and consults and calibrates the engine's split
-// model, and over the same records a partitioned engine's first such miss
-// returns exactly the single engine's candidates and cells. (Restore used to
+// partitioned — with the same machinery: a parallel UTK2 miss at k < MaxK
+// filters a proper prefix of the band through the epoch's one float32 layout
+// and consults and calibrates the engine's split model, and over the same
+// records a partitioned engine's first such miss returns exactly the single
+// engine's candidates and cells. (Restore used to
 // leave the split model nil, and the sharded engine had no model or columns
 // at all.)
 func TestParallelMissSharesSplitAndColumns(t *testing.T) {
@@ -175,8 +181,8 @@ func TestParallelMissSharesSplitAndColumns(t *testing.T) {
 		for name, e := range map[string]*Engine{"fresh": fresh, "restored": restored} {
 			name = fmt.Sprintf("parts=%d/%s", parts, name)
 			ix := e.idx.Load()
-			if sub := ix.subFor(req.K, cfg.MaxK); sub.cols == nil {
-				t.Fatalf("%s: candidate list has no columnar kernel", name)
+			if n := sort.SearchInts(ix.counts, req.K); ix.cols == nil || n == 0 || n >= len(ix.ids) {
+				t.Fatalf("%s: the k=%d candidates are not a proper prefix [:%d] of the %d-record band's one layout (layout %v)", name, req.K, n, len(ix.ids), ix.cols != nil)
 			}
 			if e.split == nil || e.split.Calibrated() {
 				t.Fatalf("%s: split model %v before any query, want present and uncalibrated", name, e.split)
@@ -203,6 +209,95 @@ func TestParallelMissSharesSplitAndColumns(t *testing.T) {
 		if res.Stats.Candidates != first[0].Stats.Candidates || !reflect.DeepEqual(res.Cells, first[0].Cells) {
 			t.Fatalf("engine %d: first parallel miss (%d candidates, %d cells) differs from the single fresh engine's (%d, %d)",
 				i+1, res.Stats.Candidates, len(res.Cells), first[0].Stats.Candidates, len(first[0].Cells))
+		}
+	}
+}
+
+// TestIndexPrefixIsKSkyband pins the contract every query's filter rests on:
+// after each batch of random churn over grid data (exact ties and
+// duplicates), the published index is the naive O(n²) MaxK-skyband of the
+// live records with the naive counts, count-major with ties by id — so for
+// every k ≤ MaxK the prefix a depth-k query filters (the entries with count
+// < k) is the naive k-skyband — on a single band and on a partitioned one.
+func TestIndexPrefixIsKSkyband(t *testing.T) { overBands(t, testIndexPrefixIsKSkyband) }
+
+func testIndexPrefixIsKSkyband(t *testing.T, parts int) {
+	const maxK, dim = 6, 3
+	rng := rand.New(rand.NewSource(int64(40 + parts)))
+	grid := func() []float64 {
+		rec := make([]float64, dim)
+		for j := range rec {
+			rec[j] = float64(rng.Intn(9)) / 8
+		}
+		return rec
+	}
+	live := map[int][]float64{}
+	recs := make([][]float64, 240)
+	for i := range recs {
+		if i < 200 {
+			recs[i] = grid()
+		} else {
+			recs[i] = slices.Clone(recs[rng.Intn(200)]) // an exact duplicate
+		}
+		live[i] = recs[i]
+	}
+	e := buildEngine(t, parts, recs, Config{MaxK: maxK})
+	for step := 0; step < 60; step++ {
+		if step > 0 {
+			ix := e.idx.Load()
+			var ops []UpdateOp
+			deleted := map[int]bool{}
+			for j := 0; j < 1+rng.Intn(6); j++ {
+				switch rng.Intn(3) {
+				case 0:
+					ops = append(ops, UpdateOp{Kind: UpdateInsert, Record: grid()})
+				default: // delete, mostly from the band
+					id := ix.ids[rng.Intn(len(ix.ids))]
+					if rng.Intn(3) == 0 {
+						all := slices.Sorted(maps.Keys(live))
+						id = all[rng.Intn(len(all))]
+					}
+					if !deleted[id] {
+						deleted[id] = true
+						ops = append(ops, UpdateOp{Kind: UpdateDelete, ID: id})
+					}
+				}
+			}
+			res, err := e.ApplyBatch(ops)
+			if err != nil {
+				t.Fatalf("step %d: %v", step, err)
+			}
+			for i, op := range ops {
+				if op.Kind == UpdateInsert {
+					live[res.IDs[i]] = op.Record
+				} else {
+					delete(live, op.ID)
+				}
+			}
+		}
+
+		type counted struct{ id, count int }
+		var want []counted
+		for id, q := range live {
+			c := 0
+			for _, p := range live {
+				if geom.Dominates(p, q) {
+					c++
+				}
+			}
+			if c < maxK {
+				want = append(want, counted{id, c})
+			}
+		}
+		slices.SortFunc(want, func(a, b counted) int { return cmp.Or(cmp.Compare(a.count, b.count), cmp.Compare(a.id, b.id)) })
+		ix := e.idx.Load()
+		if len(ix.ids) != len(want) || len(ix.recs) != len(want) || len(ix.counts) != len(want) {
+			t.Fatalf("step %d: index holds %d ids, %d records and %d counts, the naive %d-skyband %d", step, len(ix.ids), len(ix.recs), len(ix.counts), maxK, len(want))
+		}
+		for i, w := range want {
+			if ix.ids[i] != w.id || ix.counts[i] != w.count || !slices.Equal(ix.recs[i], live[w.id]) {
+				t.Fatalf("step %d: index entry %d is (id %d, count %d), the naive one (id %d, count %d)", step, i, ix.ids[i], ix.counts[i], w.id, w.count)
+			}
 		}
 	}
 }

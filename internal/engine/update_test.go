@@ -290,7 +290,7 @@ type countingBand struct {
 	snapshots int
 }
 
-func (c *countingBand) Band() ([]int, [][]float64) {
+func (c *countingBand) Band() ([]int, [][]float64, []int) {
 	c.snapshots++
 	return c.Dynamic.Band()
 }

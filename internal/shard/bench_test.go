@@ -23,8 +23,8 @@ func benchRegion(b *testing.B) *geom.Region {
 
 // BenchmarkWarmQuery measures what a partitioned band costs the warm query
 // path on 10k points: caches are disabled, so every iteration pays the
-// depth-k candidate derivation lookup, the region-aware filter, and the exact
-// refinement over the engine's published index. shards=1single is the
+// region-aware filter over the depth-k prefix of the engine's published index
+// and the exact refinement. shards=1single is the
 // engine over one skyband.Dynamic; shards=1..4 run over a shard.Band.
 func BenchmarkWarmQuery(b *testing.B) {
 	const (

@@ -11,7 +11,7 @@
 // anywhere has at least k inside the union (its dominators within the global
 // k-skyband are all union members). The classic k-skyband of the union
 // therefore IS the global k-skyband, and Band returns exactly what a single
-// skyband.Dynamic over all the records would.
+// skyband.Dynamic over all the records would — counts and order included.
 //
 // Record ids are global: initial record i lives on part i mod S, inserts
 // continue the round-robin, and every part numbers its own records locally.
@@ -23,7 +23,7 @@ package shard
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/skyband"
 )
@@ -55,11 +55,12 @@ type Band struct {
 	nextGlobal    int
 	nextPart      int
 
-	// ids/recs memoize the reduced global band while no part reports a
-	// band change (stale is raised by ApplyOps).
-	ids   []int
-	recs  [][]float64
-	stale bool
+	// ids/recs/counts memoize the reduced global band while no part reports
+	// a band change (stale is raised by ApplyOps).
+	ids    []int
+	recs   [][]float64
+	counts []int
+	stale  bool
 }
 
 // New partitions the records (global ids 0..n-1, record i on part i mod
@@ -192,34 +193,37 @@ func (b *Band) ApplyOps(ops []skyband.Op) ([]int, []skyband.Effect, error) {
 	return ids, effs, nil
 }
 
-// Band returns the global k-skyband as parallel global-id/record slices
-// sorted by ascending id — the k-skyband of the union of the part bands (see
-// the package comment). The reduction reruns only after a part's band
-// changed; the returned slices are shared between calls and must be treated
-// as immutable.
-func (b *Band) Band() ([]int, [][]float64) {
+// Band returns the global k-skyband in skyband.Dynamic.Band's shape and order
+// — global ids, records and exact dominator counts, count-major with ties by
+// id — as the k-skyband of the union of the part bands (see the package
+// comment), reduced by the sweep NewDynamic builds its band with. The counts
+// are global ones: every dominator of a global-band record is in the union.
+// The reduction reruns only after a part's band changed; the returned slices
+// are shared between calls and must be treated as immutable.
+func (b *Band) Band() ([]int, [][]float64, []int) {
 	if !b.stale {
-		return b.ids, b.recs
+		return b.ids, b.recs, b.counts
 	}
-	var gids []int
-	var grecs [][]float64
+	var union []int
 	for p, dyn := range b.parts {
-		lids, recs := dyn.Band()
+		lids, _, _ := dyn.Band()
 		for _, lid := range lids {
-			gids = append(gids, b.localToGlobal[p][lid])
+			union = append(union, b.localToGlobal[p][lid])
 		}
-		grecs = append(grecs, recs...)
 	}
-	keep := skyband.ScanKSkyband(grecs, b.k)
-	sort.Slice(keep, func(i, j int) bool { return gids[keep[i]] < gids[keep[j]] })
-	b.ids = make([]int, len(keep))
-	b.recs = make([][]float64, len(keep))
-	for i, idx := range keep {
-		b.ids[i] = gids[idx]
-		b.recs[i] = grecs[idx]
+	// In ascending id order, CountBand's ties by index are ties by id.
+	slices.Sort(union)
+	recs := make([][]float64, len(union))
+	for i, g := range union {
+		recs[i] = b.Record(g)
+	}
+	idx, counts := skyband.CountBand(recs, b.k)
+	b.ids, b.recs, b.counts = make([]int, len(idx)), make([][]float64, len(idx)), counts
+	for i, j := range idx {
+		b.ids[i], b.recs[i] = union[j], recs[j]
 	}
 	b.stale = false
-	return b.ids, b.recs
+	return b.ids, b.recs, b.counts
 }
 
 // Stats folds the per-part stats together (skyband.DynamicStats.Add):

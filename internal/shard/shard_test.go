@@ -22,7 +22,8 @@ func newBand(t *testing.T, recs [][]float64, parts, k int) *Band {
 
 // TestBandMatchesSingleDynamic pins the federation exactness at the seam the
 // engine sees: for S=1..4 the partitioned band assigns the same ids and
-// serves the same MaxK-skyband — ids and records, in the same order — as one
+// serves the same MaxK-skyband — ids, records and counts, in the same
+// count-major order — as one
 // skyband.Dynamic over the same records, initially and after every batch of a
 // randomized update stream (near-top inserts, band-biased deletes, transient
 // insert→delete pairs).
@@ -43,10 +44,10 @@ func TestBandMatchesSingleDynamic(t *testing.T) {
 				b := newBand(t, recs, S, k)
 				same := func(step int) {
 					t.Helper()
-					wantIDs, wantRecs := single.Band()
-					gotIDs, gotRecs := b.Band()
-					if !reflect.DeepEqual(gotIDs, wantIDs) || !reflect.DeepEqual(gotRecs, wantRecs) {
-						t.Fatalf("step %d: partitioned band ids %v != single %v", step, gotIDs, wantIDs)
+					wantIDs, wantRecs, wantCounts := single.Band()
+					gotIDs, gotRecs, gotCounts := b.Band()
+					if !reflect.DeepEqual(gotIDs, wantIDs) || !reflect.DeepEqual(gotRecs, wantRecs) || !reflect.DeepEqual(gotCounts, wantCounts) {
+						t.Fatalf("step %d: partitioned band ids %v counts %v != single %v counts %v", step, gotIDs, gotCounts, wantIDs, wantCounts)
 					}
 					if b.nextGlobal != single.NextID() {
 						t.Fatalf("step %d: next id %d != single %d", step, b.nextGlobal, single.NextID())
@@ -60,7 +61,7 @@ func TestBandMatchesSingleDynamic(t *testing.T) {
 					for j := 0; j < 1+rng.Intn(5); j++ {
 						switch rng.Intn(4) {
 						case 0: // delete a band member
-							ids, _ := single.Band()
+							ids, _, _ := single.Band()
 							id := ids[rng.Intn(len(ids))]
 							dup := false
 							for _, op := range ops {
@@ -218,21 +219,21 @@ func TestBatchAtomicity(t *testing.T) {
 func TestBandMemo(t *testing.T) {
 	recs := dataset.Synthetic(dataset.IND, 200, 3, 5)
 	b := newBand(t, recs, 2, 3)
-	ids0, _ := b.Band()
+	ids0, _, _ := b.Band()
 	if _, _, err := b.ApplyOps([]skyband.Op{{Insert: true, Record: []float64{-1, -1, -1}}}); err != nil {
 		t.Fatal(err)
 	}
-	if ids1, _ := b.Band(); &ids1[0] != &ids0[0] {
+	if ids1, _, _ := b.Band(); &ids1[0] != &ids0[0] {
 		t.Fatal("a deep insert re-reduced the union band")
 	}
 	if _, _, err := b.ApplyOps([]skyband.Op{{Insert: true, Record: []float64{2, 2, 2}}}); err != nil {
 		t.Fatal(err)
 	}
-	ids2, _ := b.Band()
-	if ids2[len(ids2)-1] != 201 {
-		t.Fatalf("dominating insert 201 missing from the band %v", ids2)
+	ids2, _, counts2 := b.Band()
+	if ids2[0] != 201 || counts2[0] != 0 {
+		t.Fatalf("dominating insert 201 does not lead the count-major band %v (counts %v)", ids2, counts2)
 	}
-	if !reflect.DeepEqual(ids0, func() []int { ids, _ := newBand(t, recs, 2, 3).Band(); return ids }()) {
+	if !reflect.DeepEqual(ids0, func() []int { ids, _, _ := newBand(t, recs, 2, 3).Band(); return ids }()) {
 		t.Fatal("a band handed out earlier was mutated")
 	}
 }

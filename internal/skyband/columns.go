@@ -50,6 +50,17 @@ func NewColumns(recs [][]float64) *Columns {
 	return c
 }
 
+// Prefix returns a view of the layout's first n records (nil for a nil
+// layout). It shares the rows and the scale: a bound on the whole set's
+// magnitudes bounds every prefix, so the slack stays sound — only looser when
+// the rest of the set holds larger attributes.
+func (c *Columns) Prefix(n int) *Columns {
+	if c == nil || n == c.n {
+		return c
+	}
+	return &Columns{n: n, d: c.d, rows: c.rows[:n*c.d], scale: c.scale}
+}
+
 // slack returns a sound absolute bound on the error of the float32 score
 // accumulation over a box with the given coordinate magnitude bound: d+3
 // rounding steps (conversion, difference, product, running sum), each with

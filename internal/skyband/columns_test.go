@@ -68,7 +68,8 @@ func bounds32(rec, lo, hi []float64) (mn, mx float32) {
 	return mn, mx
 }
 
-// checkPrefilter holds the columnar kernel to its contract on one input and
+// checkPrefilter holds the columnar kernel to its contract on one input — cols
+// is the layout of recs, or a prefix view of a longer set's layout — and
 // returns the length of the list its streaming pass kept (−1 when the kernel
 // declines the input and the float64 path serves it). The contract: the
 // survivors are exactly the records IntervalExcluded keeps; stream's bounds
@@ -77,9 +78,8 @@ func bounds32(rec, lo, hi []float64) (mn, mx float32) {
 // band θ is taken from, and excluded by the float32 bound with slack to spare
 // — which is what makes the result exact by construction rather than by the
 // slack being loose.
-func checkPrefilter(tb testing.TB, recs [][]float64, r *geom.Region, k int) int {
+func checkPrefilter(tb testing.TB, cols *Columns, recs [][]float64, r *geom.Region, k int) int {
 	tb.Helper()
-	cols := NewColumns(recs)
 	if cols == nil || len(recs) <= k {
 		return -1
 	}
@@ -168,7 +168,7 @@ func TestColumnsIntervalDifferential(t *testing.T) {
 					for trial := 0; trial < 4; trial++ {
 						r := filterBox(t, rng, d-1)
 						for _, k := range []int{1, 5, n - 1, n} {
-							checkPrefilter(t, recs, r, k)
+							checkPrefilter(t, NewColumns(recs), recs, r, k)
 							cases++
 						}
 					}
@@ -191,7 +191,7 @@ func TestColumnsIntervalDifferential(t *testing.T) {
 			for _, r := range dataset.RandomBoxes(3, band.sigma, 4, 11) {
 				for order, ordered := range arrivalOrders(recs, r) {
 					for _, k := range []int{1, 5, 10} {
-						peak[order] = max(peak[order], checkPrefilter(t, ordered, r, k))
+						peak[order] = max(peak[order], checkPrefilter(t, NewColumns(ordered), ordered, r, k))
 					}
 				}
 			}
@@ -218,14 +218,16 @@ var servingBands = []struct {
 }
 
 // servingBand is the MaxK = 10 superset a serving engine filters over for n
-// synthetic 4-attribute records, in the engine's order (ascending id).
+// synthetic 4-attribute records, in the engine's order (count-major, ties by
+// id).
 func servingBand(tb testing.TB, kind dataset.Kind, n int) ([]int, [][]float64) {
 	tb.Helper()
 	d, err := NewDynamic(dataset.Synthetic(kind, n, 4, 1), 10)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return d.Band()
+	ids, recs, _ := d.Band()
+	return ids, recs
 }
 
 // TestScanGraphWithDifferential pins that the columnar fast path yields the
@@ -362,7 +364,7 @@ func TestColumnsDeclineBeyondFloat32(t *testing.T) {
 	if cols == nil {
 		t.Fatal("NewColumns declined attributes of 1e36, which accumulate finitely over any box in the weight domain")
 	}
-	checkPrefilter(t, large, box(0.2, 0.4), 2)
+	checkPrefilter(t, cols, large, box(0.2, 0.4), 2)
 	for _, hi := range []float64{1e30, 1e39} {
 		if _, ok := cols.survivors(large, box(0.2, hi), 2); ok {
 			t.Errorf("the float32 kernel ran over a box corner of %g", hi)

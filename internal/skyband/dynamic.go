@@ -192,43 +192,87 @@ func (s *DynamicStats) Add(o DynamicStats) {
 	s.CoalescedOps += o.CoalescedOps
 }
 
-// NewDynamic builds the structure over the initial records (ids 0..n-1) from
-// one strongest-first order. Every dominator of a record sorts before it, and
-// a record with any dominator outside the band has at least k inside it (the
-// k strongest dominators of a record have fewer than k dominators each), so
-// counting a record's band dominators up to k decides its membership, and
-// below k the count is exact; the records the sweep leaves, still strongest
-// first, are the fence pass's input. The records are referenced, never
-// mutated.
+// NewDynamic builds the structure over the initial records (ids 0..n-1): one
+// counting sweep (see sweep) yields the band with exact counts, and the
+// records it leaves, still strongest first, are the fence pass's input. The
+// records are referenced, never mutated.
 func NewDynamic(records [][]float64, k int) (*Dynamic, error) {
 	if k <= 0 {
 		return nil, errors.New("skyband: dynamic band depth must be positive")
 	}
 	d := newDynamic(k, len(records), 0)
 	d.nextID = len(records)
-	order := make([]ranked, len(records))
 	for id, rec := range records {
 		d.addLive(id, rec, unset)
-		order[id] = ranked{sum: coordSum(rec), slot: id}
 	}
-	slices.SortFunc(order, d.strongestFirst)
-	rest := order[:0]
+	band, rest := sweep(records, k)
+	for _, e := range band {
+		d.cover[e.id] = isEntry
+		d.addEntry(e, true)
+	}
+	d.buildFence(rest)
+	return d, nil
+}
+
+// sweep computes the k-skyband of recs with exact dominator counts in one
+// strongest-first order. Every dominator of a record sorts before it, and a
+// record with any dominator outside the band has at least k inside it (the k
+// strongest dominators of a record have fewer than k dominators each), so
+// counting a record's band dominators up to k decides its membership, and
+// below k the count is exact. It returns the band entries (id = index into
+// recs) in sweep order and the other records, strongest first.
+func sweep(recs [][]float64, k int) (band []entry, rest []ranked) {
+	order := make([]ranked, len(recs))
+	for i, rec := range recs {
+		order[i] = ranked{sum: coordSum(rec), slot: i}
+	}
+	slices.SortFunc(order, strongestFirst(recs))
+	rest = order[:0]
 	for _, r := range order {
-		e := newEntry(r.slot, d.recs[r.slot], 0)
-		for j := 0; j < d.nb && e.count < k; j++ {
-			if d.ents[j].dominates(&e) {
+		e := newEntry(r.slot, recs[r.slot], 0)
+		for j := 0; j < len(band) && e.count < k; j++ {
+			if band[j].dominates(&e) {
 				e.count++
 			}
 		}
 		if e.count < k {
-			d.cover[r.slot] = isEntry
-			d.addEntry(e, true)
+			band = append(band, e)
 		} else {
 			rest = append(rest, r)
 		}
 	}
-	d.buildFence(rest)
-	return d, nil
+	return band, rest
+}
+
+// CountBand returns the k-skyband of recs with exact dominator counts in
+// Band's order — count-major, ties by index — as indices into recs and their
+// counts.
+func CountBand(recs [][]float64, k int) (idx, counts []int) {
+	band, _ := sweep(recs, k)
+	return countMajor(band, k)
+}
+
+// countMajor orders band entries (every count below k) count-major, ties by
+// id, returning their ids and counts: a counting sort on the count, then each
+// count's ids sorted.
+func countMajor(band []entry, k int) (ids, counts []int) {
+	start := make([]int, k+1) // start[c]: where the entries with count c begin
+	for _, e := range band {
+		start[e.count+1]++
+	}
+	for c := 1; c <= k; c++ {
+		start[c] += start[c-1]
+	}
+	ids, counts = make([]int, len(band)), make([]int, len(band))
+	next := slices.Clone(start)
+	for _, e := range band {
+		ids[next[e.count]], counts[next[e.count]] = e.id, e.count
+		next[e.count]++
+	}
+	for c := range k {
+		slices.Sort(ids[start[c]:start[c+1]])
+	}
+	return ids, counts
 }
 
 func newDynamic(k, live, band int) *Dynamic {
@@ -256,15 +300,17 @@ func (d *Dynamic) buildFence(rest []ranked) {
 	}
 }
 
-// strongestFirst orders slots by descending coordinate sum, ties by
+// strongestFirst orders slots of recs by descending coordinate sum, ties by
 // descending lexicographic coordinates: a dominator is coordinate-wise no
 // smaller and somewhere larger, so it sorts strictly before what it
 // dominates even when rounding makes the two sums equal.
-func (d *Dynamic) strongestFirst(a, b ranked) int {
-	if c := cmp.Compare(b.sum, a.sum); c != 0 {
-		return c
+func strongestFirst(recs [][]float64) func(a, b ranked) int {
+	return func(a, b ranked) int {
+		if c := cmp.Compare(b.sum, a.sum); c != 0 {
+			return c
+		}
+		return slices.Compare(recs[b.slot], recs[a.slot])
 	}
-	return slices.Compare(d.recs[b.slot], d.recs[a.slot])
 }
 
 func coordSum(rec []float64) float64 {
@@ -497,7 +543,7 @@ func (d *Dynamic) reCover() (bandChanged bool) {
 		}
 	}
 	d.opened = 0
-	slices.SortFunc(pend, d.strongestFirst)
+	slices.SortFunc(pend, strongestFirst(d.recs))
 	var admitted []entry // fence entries this pass created
 next:
 	for _, r := range pend {
@@ -648,20 +694,17 @@ func (d *Dynamic) swapEnts(i, j int) {
 	}
 }
 
-// Band returns the current k-skyband as parallel id/record slices sorted by
-// ascending id. The returned slices are fresh; the record slices are shared
-// and must not be mutated.
-func (d *Dynamic) Band() ([]int, [][]float64) {
-	ids := make([]int, d.nb)
-	for i := range ids {
-		ids[i] = d.ents[i].id
-	}
-	slices.Sort(ids)
-	recs := make([][]float64, d.nb)
+// Band returns the current k-skyband as parallel id/record/count slices, with
+// exact dominator counts, sorted count-major with ties by id: for every j ≤ k
+// the j-skyband is the prefix of the entries with count < j. The returned
+// slices are fresh; the record slices are shared and must not be mutated.
+func (d *Dynamic) Band() ([]int, [][]float64, []int) {
+	ids, counts := countMajor(d.ents[:d.nb], d.k)
+	recs := make([][]float64, len(ids))
 	for i, id := range ids {
 		recs[i] = d.ents[d.pos[id]].rec
 	}
-	return ids, recs
+	return ids, recs, counts
 }
 
 // InBand reports whether id is currently a band member: live with fewer than

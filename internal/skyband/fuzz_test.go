@@ -80,7 +80,9 @@ func FuzzDynamicApplyOps(f *testing.F) {
 // FuzzIntervalPrefilter decodes bytes into a box, a depth, an arrival order
 // and up to 256 records, and requires checkPrefilter — survivors ≡ the
 // complement of IntervalExcluded, and nothing the streaming pass drops was
-// needed — plus ScanGraphWith ≡ ScanGraph on ids and edge count. Coordinates
+// needed — plus ScanGraphWith ≡ ScanGraph on ids and edge count, over the
+// whole record set and over a prefix read through the whole set's layout (as
+// the engine reads a k-skyband). Coordinates
 // are sixteenths in [−8, 8) times a power of two between 2⁻¹²⁰ and 2¹³⁰, so
 // exact ties, negative values, float32 denormals, scales a slack apart and
 // values beyond float32 range (where the kernel must decline) all occur.
@@ -141,11 +143,18 @@ func FuzzIntervalPrefilter(f *testing.F) {
 		}
 		recs = arrivalOrders(recs, r)[order]
 
-		kept := checkPrefilter(t, recs, r, k)
+		cols := NewColumns(recs)
+		kept := checkPrefilter(t, cols, recs, r, k)
 		t.Logf("dim=%d k=%d order=%d n=%d: stream kept %d (−1: kernel declined)", dim, k, order, len(recs), kept)
-		want, got := ScanGraph(recs, ids, r, k), ScanGraphWith(NewColumns(recs), recs, ids, r, k)
-		if we, ge := len(graphRelation(want)), len(graphRelation(got)); !slices.Equal(got.IDs, want.IDs) || ge != we {
-			t.Fatalf("dim=%d k=%d: float32-layout graph has ids %v and %d edges, float64 graph %v and %d", dim, k, got.IDs, ge, want.IDs, we)
+		// The engine filters a k-skyband through a prefix view of the whole
+		// band's layout; the cut is taken from the decoded exponent.
+		cut := (base + 120) % (len(recs) + 1)
+		checkPrefilter(t, cols.Prefix(cut), recs[:cut], r, k)
+		for _, n := range []int{len(recs), cut} {
+			want, got := ScanGraph(recs[:n], ids[:n], r, k), ScanGraphWith(cols.Prefix(n), recs[:n], ids[:n], r, k)
+			if we, ge := len(graphRelation(want)), len(graphRelation(got)); !slices.Equal(got.IDs, want.IDs) || ge != we {
+				t.Fatalf("dim=%d k=%d n=%d: float32-layout graph has ids %v and %d edges, float64 graph %v and %d", dim, k, n, got.IDs, ge, want.IDs, we)
+			}
 		}
 	})
 }

@@ -13,7 +13,8 @@ import (
 // E = { q : no live record with count ≥ k dominates q }; band counts are
 // exact and below k; fence bounds lie in [k, count]; every covered record
 // points at a live fence entry that dominates it; Band() is the brute-force
-// k-skyband; and the id↔slot and id↔position maps agree with the columns.
+// k-skyband with the brute-force counts, count-major with ties by id; and the
+// id↔slot and id↔position maps agree with the columns.
 func checkInvariants(t testing.TB, d *Dynamic, ctxt string) {
 	t.Helper()
 	n := len(d.ids)
@@ -69,13 +70,20 @@ func checkInvariants(t testing.TB, d *Dynamic, ctxt string) {
 		}
 	}
 	slices.Sort(wantBand)
-	gotBand, gotRecs := d.Band()
-	if !slices.Equal(gotBand, wantBand) {
+	gotBand, gotRecs, gotCounts := d.Band()
+	if !slices.Equal(slices.Sorted(slices.Values(gotBand)), wantBand) {
 		t.Fatalf("%s: Band() %v != brute-force %d-skyband %v", ctxt, gotBand, d.k, wantBand)
 	}
 	for i, id := range gotBand {
 		if !d.InBand(id) || !slices.Equal(gotRecs[i], d.Record(id)) {
 			t.Fatalf("%s: Band() entry %d disagrees with InBand/Record", ctxt, id)
+		}
+		if c := count[d.slot[id]]; gotCounts[i] != c {
+			t.Fatalf("%s: Band() gives id %d count %d, true count %d", ctxt, id, gotCounts[i], c)
+		}
+		if i > 0 && (gotCounts[i-1] > gotCounts[i] || gotCounts[i-1] == gotCounts[i] && gotBand[i-1] >= id) {
+			t.Fatalf("%s: Band() is not count-major with ties by id at %d: (%d, count %d) before (%d, count %d)",
+				ctxt, i, gotBand[i-1], gotCounts[i-1], id, gotCounts[i])
 		}
 	}
 	if st := d.Stats(); st.Live != n || st.SupersetSize != len(wantBand) || st.ShadowSize != len(d.ents)-len(wantBand) {

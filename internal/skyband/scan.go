@@ -63,22 +63,6 @@ func scanSkyband(recs [][]float64, k int, key func([]float64) float64, dom func(
 	return members
 }
 
-// ScanKSkyband returns the indices of the classic k-skyband members of an
-// explicit record set, computed without an R-tree. The result is a superset
-// of the exact k-skyband only in the presence of key ties (see scanSkyband);
-// for skyband derivation that superset is what callers want — it is itself a
-// valid candidate superset.
-func ScanKSkyband(recs [][]float64, k int) []int {
-	key := func(p []float64) float64 {
-		s := 0.0
-		for _, v := range p {
-			s += v
-		}
-		return s
-	}
-	return scanSkyband(recs, k, key, geom.Dominates)
-}
-
 // IntervalExcluded applies the k-th min-score interval rule over an explicit
 // record set: excluded[i] is true when record i's maximum score over r lies
 // strictly (beyond Eps) below the k-th largest minimum score over r — at

@@ -125,44 +125,6 @@ func TestScanGraphDuplicates(t *testing.T) {
 	}
 }
 
-// TestScanKSkybandCoversKSkyband checks the classic-skyband sweep used for
-// per-depth sub-index derivation: it must contain every exact skyband member
-// and nothing with k genuine dominators... the latter is what the exact
-// pairwise passes downstream rely on, so here we assert both directions via
-// brute force.
-func TestScanKSkybandCoversKSkyband(t *testing.T) {
-	recs := scanTestData(t, 500, 3, 7)
-	tree, err := rtree.BulkLoad(recs, rtree.DefaultFanout)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, k := range []int{1, 4, 10} {
-		exact := KSkyband(tree, k)
-		got := ScanKSkyband(recs, k)
-		gotSet := map[int]bool{}
-		for _, id := range got {
-			gotSet[id] = true
-		}
-		for _, id := range exact {
-			if !gotSet[id] {
-				t.Errorf("k=%d: exact skyband member %d missing from scan result", k, id)
-			}
-		}
-		// Brute-force: no scan member may have k dominators in the dataset.
-		for _, id := range got {
-			cnt := 0
-			for j := range recs {
-				if j != id && geom.Dominates(recs[j], recs[id]) {
-					cnt++
-				}
-			}
-			if cnt >= k {
-				t.Errorf("k=%d: scan kept record %d with %d dominators", k, id, cnt)
-			}
-		}
-	}
-}
-
 // kthLargestBySort is the reference kLargest replaced: copy, sort, index.
 func kthLargestBySort[T float32 | float64](vs []T, k int) (T, bool) {
 	if len(vs) < k {
@@ -210,7 +172,8 @@ func TestKLargestMatchesSort(t *testing.T) {
 // TestScanGraphWithMatchesBuildGraphANTI is the engine's warm filter against
 // the paper's BBS filter on the data that stresses the interval rule most:
 // anti-correlated records (a large skyband, many near-equal scores) filtered
-// at depths below the superset's MaxK, as a per-k sub-index does.
+// at depths below the superset's MaxK, as the engine does: through a prefix
+// view of the count-ordered superset's one layout.
 func TestScanGraphWithMatchesBuildGraphANTI(t *testing.T) {
 	const maxK = 10
 	recs := dataset.Synthetic(dataset.ANTI, 3000, 4, 5)
@@ -218,19 +181,22 @@ func TestScanGraphWithMatchesBuildGraphANTI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	superIDs := KSkyband(tree, maxK)
-	sort.Ints(superIDs)
-	super := make([][]float64, len(superIDs))
-	for i, id := range superIDs {
-		super[i] = recs[id]
+	d, err := NewDynamic(recs, maxK)
+	if err != nil {
+		t.Fatal(err)
 	}
+	superIDs, super, counts := d.Band()
 	cols := NewColumns(super)
 	rng := rand.New(rand.NewSource(6))
 	for trial := 0; trial < 6; trial++ {
 		r := filterBox(t, rng, 3)
 		for _, k := range []int{1, 4, 9} {
+			n := sort.SearchInts(counts, k) // the k-skyband is the prefix [:n]
+			if n == 0 || n == len(super) {
+				t.Fatalf("k=%d: the prefix [:%d] of a %d-record superset is not a proper one", k, n, len(super))
+			}
 			want := BuildGraph(tree, r, k)
-			got := ScanGraphWith(cols, super, superIDs, r, k)
+			got := ScanGraphWith(cols.Prefix(n), super[:n], superIDs[:n], r, k)
 			wantIDs := append([]int(nil), want.IDs...)
 			gotIDs := append([]int(nil), got.IDs...)
 			sort.Ints(wantIDs)

@@ -62,7 +62,8 @@ func (d *Dynamic) State() *DynamicState {
 	for i, id := range st.LiveIDs {
 		st.LiveRecs[i] = d.recs[d.slot[id]]
 	}
-	st.MemberIDs, _ = d.Band()
+	st.MemberIDs, _, _ = d.Band()
+	slices.Sort(st.MemberIDs) // Band's order is count-major; snapshots stay id-sorted
 	st.MemberCounts = make([]int, len(st.MemberIDs))
 	for i, id := range st.MemberIDs {
 		st.MemberCounts[i] = d.ents[d.pos[id]].count
@@ -130,7 +131,7 @@ func RestoreDynamic(st *DynamicState) (*Dynamic, error) {
 			rest = append(rest, ranked{sum: coordSum(d.recs[s]), slot: s})
 		}
 	}
-	slices.SortFunc(rest, d.strongestFirst)
+	slices.SortFunc(rest, strongestFirst(d.recs))
 	d.buildFence(rest)
 	return d, nil
 }

@@ -14,7 +14,7 @@ import (
 // expensive case for the structure.
 func churnWorst(b *testing.B, dyn *Dynamic, recs [][]float64, ops int, seed int64) time.Duration {
 	rng := rand.New(rand.NewSource(seed))
-	ids, _ := dyn.Band()
+	ids, _, _ := dyn.Band()
 	pool := append([]int(nil), ids...)
 	var worst time.Duration
 	d0 := len(recs[0])
@@ -47,7 +47,7 @@ func churnWorst(b *testing.B, dyn *Dynamic, recs [][]float64, ops int, seed int6
 			}
 		}
 		if len(pool) < 4 {
-			bandIDs, _ := dyn.Band()
+			bandIDs, _, _ := dyn.Band()
 			pool = append(pool[:0], bandIDs...)
 		}
 	}

@@ -174,17 +174,6 @@ func Run(cfg Config) (*Result, error) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(cfg.Seed + 100 + int64(id)))
 			lat := make([]time.Duration, 0, 4096)
-			// One unrecorded warm-up per querier and variant before the
-			// measured loop: the first query pays the one-time per-k
-			// candidate-list derivation (hundreds of milliseconds at large N),
-			// which is a property of engine start-up, not of steady-state
-			// serving — recorded, it dominated query_max and made baseline
-			// diffs noisy.
-			wq := utk.Query{K: cfg.K, Region: regions[id%len(regions)]}
-			_, _ = e.UTK1(context.Background(), wq)
-			if cfg.UTK2Every > 0 {
-				_, _ = e.UTK2(context.Background(), wq)
-			}
 			for n := 0; ; n++ {
 				qctx, final := ctx, false
 				if ctx.Err() != nil {
