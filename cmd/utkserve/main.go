@@ -1,9 +1,8 @@
 // Command utkserve exposes a registry of utk serving engines over HTTP JSON:
-// an amortized query-serving daemon hosting one or many datasets, each
-// single-partition or sharded.
+// an amortized query-serving daemon hosting one or many datasets.
 //
 //	utkserve -gen IND -n 100000 -d 4 -maxk 20 -addr :8080
-//	utkserve -data hotels.csv -name hotels -maxk 10 -shards 4 -cache 1024 -timeout 2s
+//	utkserve -data hotels.csv -name hotels -maxk 10 -cache 1024 -timeout 2s
 //	utkserve -gen IND -n 100000 -d 4 -data-dir /var/lib/utk -fsync always
 //
 // The flags register one initial dataset (default name "default"); further
@@ -15,9 +14,7 @@
 //	POST   /datasets/{name}   DELETE /datasets/{name} POST /snapshot/{dataset}
 //
 // Dataset-less legacy paths (POST /utk1, /utk2, /update) resolve while
-// exactly one dataset is registered. With -shards above 1 the initial
-// dataset is horizontally partitioned; queries are answered exactly by
-// merging per-shard candidate supersets into one global refinement.
+// exactly one dataset is registered.
 //
 // With -data-dir, dataset state is durable: creates persist a manifest entry
 // and an initial snapshot, every acknowledged /update batch is in the WAL
@@ -61,7 +58,6 @@ func main() {
 		d        = flag.Int("d", 4, "generated dataset dimensionality (synthetic kinds only)")
 		seed     = flag.Int64("seed", 1, "generation seed")
 		name     = flag.String("name", "default", "name of the initial dataset")
-		shards   = flag.Int("shards", 1, "horizontal partitions of the initial dataset (1 = unsharded)")
 		maxK     = flag.Int("maxk", 20, "largest top-k depth the engine serves")
 		cache    = flag.Int("cache", 0, "result-cache entries (0 = default, negative disables)")
 		workers  = flag.Int("workers", 0, "executor worker limit (0 = GOMAXPROCS)")
@@ -87,7 +83,6 @@ func main() {
 	// one by that name (the recovered state wins — re-seeding would discard
 	// acknowledged updates).
 	ent, recovered, err := seedDataset(reg, *name, *dataPath, *gen, *n, *d, *seed, registry.Options{
-		Shards:       *shards,
 		MaxK:         *maxK,
 		CacheEntries: *cache,
 		Workers:      *workers,
@@ -108,8 +103,8 @@ func main() {
 	if recovered {
 		how = "recovered"
 	}
-	log.Printf("utkserve: dataset %q (%s): %d records, %d attributes, maxk=%d, shards=%d, superset=%d, durable=%v, listening on %s",
-		ent.Name, how, ent.Len(), ent.Dim(), ent.Opts.MaxK, ent.Engine.Shards(), st.SupersetSize, reg.Durable(), *addr)
+	log.Printf("utkserve: dataset %q (%s): %d records, %d attributes, maxk=%d, superset=%d, durable=%v, listening on %s",
+		ent.Name, how, ent.Len(), ent.Dim(), ent.Opts.MaxK, st.SupersetSize, reg.Durable(), *addr)
 
 	// Graceful shutdown: SIGINT/SIGTERM stops accepting connections and
 	// drains in-flight requests for up to -grace before exiting; a second

@@ -5,11 +5,11 @@
 // engine's streaming counters.
 //
 //	utkstream                                  # 2s churn run at defaults
-//	utkstream -shards 3 -duration 5s           # sharded engine, longer run
+//	utkstream -duration 5s                     # longer run
 //	utkstream -compare                         # also run a read-only baseline
 //	utkstream -compare -json out.json          # machine-readable output
 //	utkstream -preset 250k -pipelined          # 250k points, pipelined apply
-//	utkstream -preset 1m -shards 3             # million-point sharded run
+//	utkstream -preset 1m                       # million-point run
 //
 // With -compare, the run's query p99 is reported against the same engine
 // serving the same query mix with no updates at all — the streaming design
@@ -33,7 +33,6 @@ func main() {
 		d         = flag.Int("d", 4, "data dimensionality")
 		k         = flag.Int("k", 10, "serving depth (MaxK)")
 		sigma     = flag.Float64("sigma", 0.01, "query region side length")
-		shards    = flag.Int("shards", 1, "horizontal partitions (1 = single engine)")
 		batch     = flag.Int("batch", 32, "ops per update batch")
 		pairs     = flag.Int("pairs", 4, "coalescible insert→delete pairs per batch")
 		queriers  = flag.Int("queriers", 4, "concurrent query goroutines")
@@ -89,7 +88,7 @@ func main() {
 	}
 
 	cfg := stream.Config{
-		N: *n, Dim: *d, K: *k, Sigma: *sigma, Shards: *shards,
+		N: *n, Dim: *d, K: *k, Sigma: *sigma,
 		BatchSize: *batch, ChurnPairs: *pairs,
 		Queriers: *queriers, Regions: *regions,
 		Batches: *batches, Duration: *duration, Seed: *seed,

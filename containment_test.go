@@ -139,32 +139,24 @@ func checkPair(t *testing.T, ctx context.Context, fx *containmentFixture, e *Eng
 }
 
 // TestContainmentDifferential proves clip-derived answers exact across
-// dimensionalities and backends: for d = 2–5 and single/sharded engines, a
-// nested query after a cached UTK2 must be containment-derived and equal to
-// the freshly computed answer; partially overlapping and disjoint queries
-// must not be derived (and stay exact trivially).
+// dimensionalities: for d = 2–5, on an engine built over the records and on
+// ones reopened from a legacy snapshot of two and three parts (see
+// partsEngine), a nested query after a cached UTK2 must be
+// containment-derived and equal to the freshly computed answer; partially
+// overlapping and disjoint queries must not be derived (and stay exact
+// trivially).
 func TestContainmentDifferential(t *testing.T) {
 	ctx := context.Background()
 	const k = 3
 	for d := 2; d <= 5; d++ {
 		seed := int64(100*d + 7)
 		fx := buildContainmentFixture(t, d, seed)
-		for _, backend := range []struct {
-			name   string
-			shards int
-		}{{"single", 0}, {"sharded-S2", 2}, {"sharded-S3", 3}} {
-			t.Run(fmt.Sprintf("d=%d/%s/seed=%d", d, backend.name, seed), func(t *testing.T) {
-				cfg := EngineConfig{MaxK: 6}
-				var e *Engine
-				var err error
-				if backend.shards > 1 {
-					e, err = fx.ds.NewShardedEngine(backend.shards, cfg)
-				} else {
-					e, err = fx.ds.NewEngine(cfg)
-				}
-				if err != nil {
-					t.Fatal(err)
-				}
+		for _, b := range []struct {
+			name  string
+			parts int
+		}{{"single", 1}, {"sharded-S2", 2}, {"sharded-S3", 3}} {
+			t.Run(fmt.Sprintf("d=%d/%s/seed=%d", d, b.name, seed), func(t *testing.T) {
+				e := partsEngine(t, fx.ds, b.parts, EngineConfig{MaxK: 6})
 				rng := rand.New(rand.NewSource(seed))
 
 				// Warm the cache with the outer partitioning.

@@ -62,11 +62,6 @@ const DefaultEngineCacheEntries = 256
 // record collection, with inserted records assigned fresh ids above the
 // initial range. Before any update, answers equal the direct Dataset.UTK1
 // and Dataset.UTK2 calls over the same records.
-//
-// An Engine maintains its candidate superset either as one structure
-// (NewEngine) or horizontally partitioned (NewShardedEngine); everything
-// above it — the query and update API, caching, scheduling — is the same
-// code, and sharded answers are exactly the single-engine answers.
 type Engine struct {
 	e *engine.Engine
 }
@@ -91,8 +86,7 @@ type (
 	// query, cache, executor and update-batch counters of the serving core
 	// plus, embedded, the candidate-superset maintenance counters (Live,
 	// SupersetSize, ShadowSize, Inserts, Deletes, promotions, …) as of the
-	// last completed update batch — summed over the partitions of a sharded
-	// engine.
+	// last completed update batch.
 	EngineStats = engine.Stats
 )
 
@@ -121,46 +115,22 @@ var ErrSaturated = engine.ErrSaturated
 // finite attributes), record i getting id i. Nothing is indexed, so this is
 // the constructor for callers that only serve: a Dataset additionally holds
 // the R-tree the stateless Dataset.UTK1/UTK2 and the baselines run on.
-//
-// shards above 1 maintains the candidate superset in that many horizontal
-// partitions (round-robin): inserts and deletes route to the owning partition
-// and maintain only that partition's band, and the exact global superset —
-// the MaxK-skyband of the union of the partition bands — is what queries
-// filter. Record ids, query results, the update API and every serving
-// mechanism (cache, scheduling, deadlines, two-stage commit) are the same
-// either way, and a batch spanning several partitions is atomic to queries.
-// MaxK applies to every partition; there must be at least one record per
-// shard.
-func NewEngine(records [][]float64, shards int, cfg EngineConfig) (*Engine, error) {
+func NewEngine(records [][]float64, cfg EngineConfig) (*Engine, error) {
 	cp, err := copyRecords(records)
 	if err != nil {
 		return nil, err
 	}
-	return newEngine(cp, shards, cfg)
+	return newEngine(cp, cfg)
 }
 
 // NewEngine builds a serving engine over the dataset's records.
 func (ds *Dataset) NewEngine(cfg EngineConfig) (*Engine, error) {
-	return newEngine(ds.records, 1, cfg)
+	return newEngine(ds.records, cfg)
 }
 
-// NewShardedEngine builds a serving engine over the dataset's records whose
-// candidate superset is maintained in the given number of horizontal
-// partitions (see the package-level NewEngine).
-func (ds *Dataset) NewShardedEngine(shards int, cfg EngineConfig) (*Engine, error) {
-	return newEngine(ds.records, shards, cfg)
-}
-
-// newEngine builds over validated records it may keep: one band for shards
-// 1, a partitioned one otherwise (which rejects shards < 1).
-func newEngine(records [][]float64, shards int, cfg EngineConfig) (*Engine, error) {
-	var e *engine.Engine
-	var err error
-	if shards == 1 {
-		e, err = engine.New(records, cfg.engineConfig())
-	} else {
-		e, err = engine.NewPartitioned(records, shards, cfg.engineConfig())
-	}
+// newEngine builds over validated records it may keep.
+func newEngine(records [][]float64, cfg EngineConfig) (*Engine, error) {
+	e, err := engine.New(records, cfg.engineConfig())
 	if err != nil {
 		return nil, err
 	}
@@ -191,10 +161,6 @@ func (e *Engine) MaxK() int { return e.e.MaxK() }
 
 // Dim returns the data dimensionality the engine serves.
 func (e *Engine) Dim() int { return e.e.Dim() }
-
-// Shards returns the number of horizontal partitions behind the engine
-// (1 for engines built with NewEngine).
-func (e *Engine) Shards() int { return e.e.Shards() }
 
 // Stats returns a snapshot of the engine's counters.
 func (e *Engine) Stats() EngineStats { return e.e.Stats() }
@@ -228,8 +194,7 @@ func (e *Engine) ApplyBatch(ops []UpdateOp) (*UpdateResult, error) {
 // commit. When this call returns, the batch has applied and the result is
 // final, but queries observe it only once commit has run; commit must be
 // called exactly once per successful call (calling it again is a no-op).
-// Invalidation probing and the index publish are deferred to commit, for
-// single and sharded engines alike.
+// Invalidation probing and the index publish are deferred to commit.
 func (e *Engine) ApplyBatchPipelined(ops []UpdateOp) (*UpdateResult, func(), error) {
 	return e.e.ApplyBatchPipelined(ops)
 }

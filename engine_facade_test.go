@@ -300,7 +300,7 @@ func TestEngineAttributesBeyondFloat32(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		e, err := NewEngine(records, 1, EngineConfig{MaxK: 3})
+		e, err := NewEngine(records, EngineConfig{MaxK: 3})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -59,3 +59,30 @@ func TestDifferentialDeleteHeavy(t *testing.T) {
 		t.Run(name, func(t *testing.T) { Run(t, cfg) })
 	}
 }
+
+// TestDifferentialSingleWithBatches mixes multi-op atomic batches into the
+// interleaving, covering the engine's batch-aware shared-snapshot
+// invalidation (including delete-what-this-batch-inserted transients) under
+// the same differential comparison; every other scenario applies its batches
+// in two stages, with a query overlapping each begin→commit window.
+func TestDifferentialSingleWithBatches(t *testing.T) {
+	trials, ops := 8, 26
+	if testing.Short() {
+		trials, ops = 3, 14
+	}
+	rng := rand.New(rand.NewSource(5303))
+	for trial := 0; trial < trials; trial++ {
+		cfg := Config{
+			Seed:  rng.Int63n(1 << 30),
+			Dim:   2 + rng.Intn(4),
+			N:     50 + rng.Intn(451),
+			MaxK:  4 + rng.Intn(5),
+			Ops:   ops,
+			Batch: true,
+			// Every other scenario runs the pipelined apply.
+			Pipelined: trial%2 == 1,
+		}
+		name := fmt.Sprintf("seed%d_d%d_n%d_maxk%d", cfg.Seed, cfg.Dim, cfg.N, cfg.MaxK)
+		t.Run(name, func(t *testing.T) { Run(t, cfg) })
+	}
+}

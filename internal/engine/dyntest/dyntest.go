@@ -1,18 +1,15 @@
 // Package dyntest is the differential test harness for the dynamic serving
 // engine: it drives randomized insert/delete/query interleavings — single
 // ops and multi-op atomic batches, blocking or pipelined — through an
-// incrementally maintained engine.Engine (over a single band, or a band
-// partitioned S ways) and checks every query answer against a freshly built
-// static single engine over the same logical dataset (and, for UTK2, against
-// the brute-force top-k oracle probed at each cell's interior point).
+// incrementally maintained engine.Engine and checks every query answer
+// against a freshly built static engine over the same logical dataset (and,
+// for UTK2, against the brute-force top-k oracle probed at each cell's
+// interior point).
 //
 // A wrong dynamic superset silently corrupts every downstream UTK1/UTK2
 // answer — the filter is an exactness precondition, not an optimization — so
 // this cross-check, not unit assertions on the skyband itself, is the
-// primary correctness argument for the update path. For partitioned bands the
-// same comparison is simultaneously the exactness proof of the union
-// reduction: sharded ≡ single-engine ≡ rebuilt-static, id for id and cell for
-// cell.
+// primary correctness argument for the update path.
 package dyntest
 
 import (
@@ -41,10 +38,6 @@ type Config struct {
 	MaxK int
 	// Ops is the number of interleaved events (updates and queries).
 	Ops int
-	// Shards, when above 1, runs the scenario on an engine whose band is
-	// partitioned that many ways; every answer must still match the rebuilt
-	// static single engine exactly.
-	Shards int
 	// Batch, when true, mixes multi-op atomic ApplyBatch events (2–5 random
 	// inserts/deletes per batch, including delete-what-this-batch-inserted)
 	// into the interleaving.
@@ -63,20 +56,13 @@ func Run(t *testing.T, cfg Config) {
 	kinds := []dataset.Kind{dataset.IND, dataset.COR, dataset.ANTI}
 	recs := dataset.Synthetic(kinds[rng.Intn(len(kinds))], cfg.N, cfg.Dim, cfg.Seed)
 
-	// Both backends assign sequential ids from N upward, so the harness can
+	// The engine assigns sequential ids from N upward, so the harness can
 	// predict in-batch insert ids (needed to build delete-what-this-batch-
 	// inserted batches) and cross-check every assignment.
-	ecfg := engine.Config{
+	dyn, err := engine.New(recs, engine.Config{
 		MaxK:         cfg.MaxK,
 		CacheEntries: 8, // small, so entries are both hit and invalidated
-	}
-	var dyn *engine.Engine
-	var err error
-	if cfg.Shards > 1 {
-		dyn, err = engine.NewPartitioned(recs, cfg.Shards, ecfg)
-	} else {
-		dyn, err = engine.New(recs, ecfg)
-	}
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,70 +259,19 @@ func sum(rec []float64) float64 {
 // before a query happens to route through the damaged depth, which keeps the
 // harness sensitive to maintenance bugs whose query-visible window is
 // narrow (e.g. a missed fence promotion only perturbs depth-MaxK queries).
-// For a partitioned band the brute force runs per part, over the engine's
-// exported state — each part's band is the MaxK-skyband of the records routed
-// to it, and the routing tables must place every live id on exactly one part
-// — pinning both the routing and every part's maintenance; the served global
-// band must then be the global brute force.
 func (harness) checkSuperset(t *testing.T, dyn *engine.Engine, mirror map[int][]float64, cfg Config, op int) {
 	t.Helper()
-	global := bruteSkybandSize(mirror, nil, cfg.MaxK)
-	if cfg.Shards <= 1 {
-		if got := dyn.Stats().SupersetSize; got != global {
-			t.Errorf("op %d: maintained superset size %d != brute-force MaxK-skyband %d", op, got, global)
-		}
-		return
-	}
-	st := dyn.ExportState().Parts
-	total := 0
-	placed := make(map[int]bool, len(mirror))
-	for p, part := range st.Parts {
-		group := make(map[int]bool, len(part.LiveIDs))
-		for _, lid := range part.LiveIDs {
-			g := st.LocalToGlobal[p][lid]
-			if _, live := mirror[g]; !live || placed[g] {
-				t.Errorf("op %d: part %d holds id %d, which is dead or also held elsewhere", op, p, g)
-				return
-			}
-			group[g], placed[g] = true, true
-		}
-		got := 0
-		for _, c := range part.MemberCounts {
-			if c < cfg.MaxK {
-				got++
-			}
-		}
-		want := bruteSkybandSize(mirror, group, cfg.MaxK)
-		total += want
-		if got != want {
-			t.Errorf("op %d: part %d band size %d != brute-force MaxK-skyband %d of its partition", op, p, got, want)
-			return
-		}
-	}
-	if len(placed) != len(mirror) {
-		t.Errorf("op %d: parts hold %d records, mirror has %d", op, len(placed), len(mirror))
-	}
-	if got := dyn.Stats().SupersetSize; got != total {
-		t.Errorf("op %d: aggregated superset size %d != sum of per-part skybands %d", op, got, total)
-	}
-	if got := dyn.SupersetSize(); got != global {
-		t.Errorf("op %d: served global band %d != brute-force MaxK-skyband %d", op, got, global)
+	if got, want := dyn.Stats().SupersetSize, bruteSkybandSize(mirror, cfg.MaxK); got != want {
+		t.Errorf("op %d: maintained superset size %d != brute-force MaxK-skyband %d", op, got, want)
 	}
 }
 
-// bruteSkybandSize counts mirror records dominated by fewer than k others,
-// restricted to the given id set (nil means all of the mirror).
-func bruteSkybandSize(mirror map[int][]float64, within map[int]bool, k int) int {
+// bruteSkybandSize counts mirror records dominated by fewer than k others.
+func bruteSkybandSize(mirror map[int][]float64, k int) int {
 	want := 0
 	for id, rec := range mirror {
-		if within != nil && !within[id] {
-			continue
-		}
 		cnt := 0
 		for other, orec := range mirror {
-			if within != nil && !within[other] {
-				continue
-			}
 			if other != id && geom.Dominates(orec, rec) {
 				cnt++
 				if cnt >= k {

@@ -45,11 +45,9 @@
 //     same executor, and a configurable queue bound turns overload into
 //     ErrSaturated backpressure instead of unbounded queueing.
 //
-// The engine is the one serving core for every partitioning: it reaches its
-// band maintainer only through the band interface below, implemented by a
-// single skyband.Dynamic (New) and by shard.Band, S dynamics plus id routing
-// (NewPartitioned). Sharding changes where the MaxK-skyband comes from and
-// nothing above it.
+// The band maintainer is one skyband.Dynamic over the whole dataset, touched
+// only under the update mutex; queries read the immutable index each
+// band-changing batch publishes.
 package engine
 
 import (
@@ -67,7 +65,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/geom"
-	"repro/internal/shard"
 	"repro/internal/skyband"
 )
 
@@ -188,8 +185,7 @@ type Result struct {
 type Stats struct {
 	// DynamicStats is the band maintainer's view as of the last completed
 	// update batch: population and band/fence sizes, the applied
-	// insert/delete counts and the maintenance counters (summed over the
-	// partitions of a sharded engine; see skyband.DynamicStats.Add).
+	// insert/delete counts and the maintenance counters.
 	skyband.DynamicStats
 	// Queries counts completed queries, however they were served.
 	Queries uint64
@@ -233,12 +229,9 @@ type Stats struct {
 	UpdateBatches uint64
 	ProbeBatches  uint64
 	ProbesSaved   uint64
-	// MaxK and Workers echo the effective configuration; Shards is the number
-	// of band partitions behind the engine (1 unless built with
-	// NewPartitioned).
+	// MaxK and Workers echo the effective configuration.
 	MaxK    int
 	Workers int
-	Shards  int
 }
 
 // UpdateKind discriminates UpdateOp.
@@ -273,9 +266,9 @@ type index struct {
 	cols   *skyband.Columns
 }
 
-// bandIndex snapshots the band (see band.Band; the slices are immutable from
-// here on) into a new index at the given epoch.
-func bandIndex(epoch uint64, b band) *index {
+// bandIndex snapshots the band (see skyband.Dynamic.Band; the slices are
+// immutable from here on) into a new index at the given epoch.
+func bandIndex(epoch uint64, b *skyband.Dynamic) *index {
 	ids, recs, counts := b.Band()
 	return &index{epoch: epoch, ids: ids, recs: recs, counts: counts, cols: skyband.NewColumns(recs)}
 }
@@ -286,24 +279,6 @@ type flight struct {
 	done chan struct{}
 	res  *Result
 	err  error
-}
-
-// band is everything the engine asks of its band maintainer: the MaxK-skyband
-// of a mutable record collection with engine-wide record ids. Implementations
-// need not be safe for concurrent use; the engine serializes every call under
-// updMu. (State capture is the one per-implementation step; see ExportState.)
-type band interface {
-	// Record returns a live record's coordinates (shared), or nil.
-	Record(id int) []float64
-	// ApplyOps validates and applies a batch as one unit, assigning inserts
-	// sequential never-reused ids; see skyband.Dynamic.ApplyOps. A rejected
-	// batch leaves the band untouched.
-	ApplyOps(ops []skyband.Op) ([]int, []skyband.Effect, error)
-	// Band returns the current MaxK-skyband as parallel id/record/count
-	// slices, with exact dominator counts, sorted count-major with ties by id
-	// (so every k-skyband is a prefix), immutable once returned.
-	Band() ([]int, [][]float64, []int)
-	Stats() skyband.DynamicStats
 }
 
 // Engine serves UTK queries over one dataset and applies incremental
@@ -319,13 +294,14 @@ type Engine struct {
 	// dataset's candidate density on this machine. Safe for concurrent use.
 	split *core.SplitModel
 
-	// updMu serializes updates and guards band. Queries never take it: they
+	// updMu serializes updates and guards band, the one maintainer of the
+	// MaxK-skyband (not safe for concurrent use). Queries never take it: they
 	// read the epoch-versioned index snapshot below. It also guards the
 	// pipeline's begin-stage bookkeeping: reservedEpoch (the epoch the most
 	// recently begun batch will have published at its commit — equal to the
 	// published epoch whenever no batch is in flight) and nextTicket.
 	updMu         sync.Mutex
-	band          band
+	band          *skyband.Dynamic
 	reservedEpoch uint64
 	nextTicket    uint64
 
@@ -342,7 +318,7 @@ type Engine struct {
 
 	// mu guards the cache, the flights and stats. stats holds every counter,
 	// incremented in place; its DynamicStats is refreshed at the end of each
-	// batch, MaxK/Workers/Shards are fixed at construction, and Epoch, Queued
+	// batch, MaxK/Workers are fixed at construction, and Epoch, Queued
 	// and CacheEntries are filled only in the copy Stats returns.
 	mu       sync.Mutex
 	cache    *resultCache
@@ -373,27 +349,6 @@ func New(records [][]float64, cfg Config) (*Engine, error) {
 	return newEngine(cfg, pool, dyn, len(records[0]), 0, 0), nil
 }
 
-// NewPartitioned builds an engine whose band is maintained in parts
-// horizontal partitions (record i on part i mod parts, inserts continuing the
-// round-robin; see package shard). Record ids, answers and the whole serving
-// surface are those of New over the same records; only band maintenance is
-// split. As with New, the record slices are referenced, never mutated.
-func NewPartitioned(records [][]float64, parts int, cfg Config) (*Engine, error) {
-	if len(records) == 0 {
-		return nil, core.ErrEmptyDataset
-	}
-	cfg, err := cfg.withDefaults()
-	if err != nil {
-		return nil, err
-	}
-	pool := exec.NewPool(cfg.Workers, cfg.MaxQueued)
-	b, err := shard.New(records, parts, cfg.MaxK)
-	if err != nil {
-		return nil, err
-	}
-	return newEngine(cfg, pool, b, len(records[0]), 0, 0), nil
-}
-
 // withDefaults validates MaxK and fills the defaulted fields.
 func (cfg Config) withDefaults() (Config, error) {
 	if cfg.MaxK <= 0 {
@@ -405,11 +360,11 @@ func (cfg Config) withDefaults() (Config, error) {
 	return cfg, nil
 }
 
-// newEngine is the one place an Engine is assembled — fresh or restored,
-// single or partitioned — so a field added later cannot be missed on one of
-// the paths. cfg must have been through withDefaults; epoch and batches seed
-// the publish and batch counters (zero for a fresh engine).
-func newEngine(cfg Config, pool *exec.Pool, b band, dim int, epoch, batches uint64) *Engine {
+// newEngine is the one place an Engine is assembled — fresh or restored —
+// so a field added later cannot be missed on one of the paths. cfg must have
+// been through withDefaults; epoch and batches seed the publish and batch
+// counters (zero for a fresh engine).
+func newEngine(cfg Config, pool *exec.Pool, b *skyband.Dynamic, dim int, epoch, batches uint64) *Engine {
 	e := &Engine{
 		cfg:           cfg,
 		dim:           dim,
@@ -423,11 +378,7 @@ func newEngine(cfg Config, pool *exec.Pool, b band, dim int, epoch, batches uint
 			UpdateBatches: batches,
 			MaxK:          cfg.MaxK,
 			Workers:       cfg.Workers,
-			Shards:        1,
 		},
-	}
-	if parts, ok := b.(*shard.Band); ok {
-		e.stats.Shards = parts.Parts()
 	}
 	e.commitCond = sync.NewCond(&e.commitMu)
 	if cfg.CacheEntries > 0 {
@@ -448,10 +399,6 @@ func (e *Engine) Dim() int { return e.dim }
 
 // Epoch returns the current index version.
 func (e *Engine) Epoch() uint64 { return e.idx.Load().epoch }
-
-// Shards reports the number of band partitions behind this engine (1 unless
-// built with NewPartitioned).
-func (e *Engine) Shards() int { return e.stats.Shards } // fixed at construction
 
 // UpdateResult reports the outcome of one ApplyBatch: the per-op ids and
 // the engine state as published by this batch (not a later concurrent one).

@@ -12,7 +12,6 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/geom"
 	"repro/internal/rtree"
-	"repro/internal/shard"
 )
 
 type testData struct {
@@ -30,38 +29,19 @@ func buildData(t testing.TB, n, d int, seed int64) *testData {
 	return &testData{recs: recs, tree: tree}
 }
 
-// bandParts are the band maintainers the backend-agnostic tests run over: 1
-// is the single skyband.Dynamic, anything above a band partitioned that many
-// ways. Everything above the band is the same code, so these tests must pass
-// unchanged on both.
-var bandParts = []int{1, 3}
-
-// buildEngine builds an engine over recs with its band in the given number
-// of parts.
-func buildEngine(t testing.TB, parts int, recs [][]float64, cfg Config) *Engine {
+// buildEngine builds an engine over recs or fails the test.
+func buildEngine(t testing.TB, recs [][]float64, cfg Config) *Engine {
 	t.Helper()
-	var e *Engine
-	var err error
-	if parts > 1 {
-		e, err = NewPartitioned(recs, parts, cfg)
-	} else {
-		e, err = New(recs, cfg)
-	}
+	e, err := New(recs, cfg)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if e.Shards() != parts {
-		t.Fatalf("Shards() = %d, want %d", e.Shards(), parts)
 	}
 	return e
 }
 
-// overBands runs f once per entry of bandParts.
-func overBands(t *testing.T, f func(t *testing.T, parts int)) {
-	for _, parts := range bandParts {
-		t.Run(fmt.Sprintf("parts=%d", parts), func(t *testing.T) { f(t, parts) })
-	}
-}
+// onePart runs f as the subtest "parts=1", the name these tests have kept
+// from when they also ran over a partitioned band.
+func onePart(t *testing.T, f func(*testing.T)) { t.Run("parts=1", f) }
 
 func box(t testing.TB, lo, hi []float64) *geom.Region {
 	t.Helper()
@@ -127,11 +107,11 @@ func TestEngineMatchesDirect(t *testing.T) {
 	}
 }
 
-func TestEngineCacheHitMiss(t *testing.T) { overBands(t, testEngineCacheHitMiss) }
+func TestEngineCacheHitMiss(t *testing.T) { onePart(t, testEngineCacheHitMiss) }
 
-func testEngineCacheHitMiss(t *testing.T, parts int) {
+func testEngineCacheHitMiss(t *testing.T) {
 	td := buildData(t, 800, 3, 3)
-	e := buildEngine(t, parts, td.recs, Config{MaxK: 10, CacheEntries: 8})
+	e := buildEngine(t, td.recs, Config{MaxK: 10, CacheEntries: 8})
 	ctx := context.Background()
 	r := box(t, []float64{0.2, 0.3}, []float64{0.25, 0.35})
 	base := Request{Variant: UTK1, K: 5, Region: r}
@@ -275,26 +255,11 @@ func TestFingerprintCanonicalization(t *testing.T) {
 	}
 }
 
-func TestEngineValidation(t *testing.T) {
-	overBands(t, testEngineValidation)
-	td := buildData(t, 5, 3, 7)
-	if _, err := NewPartitioned(td.recs, 0, Config{MaxK: 2}); !errors.Is(err, shard.ErrBadShards) {
-		t.Errorf("parts = 0: got %v, want ErrBadShards", err)
-	}
-	if _, err := NewPartitioned(td.recs, 6, Config{MaxK: 2}); !errors.Is(err, shard.ErrTooFewRecords) {
-		t.Errorf("more parts than records: got %v, want ErrTooFewRecords", err)
-	}
-	if _, err := NewPartitioned(td.recs, 2, Config{}); !errors.Is(err, core.ErrBadK) {
-		t.Errorf("partitioned MaxK = 0: got %v, want ErrBadK", err)
-	}
-	if _, err := NewPartitioned(nil, 2, Config{MaxK: 2}); !errors.Is(err, core.ErrEmptyDataset) {
-		t.Errorf("partitioned empty dataset: got %v, want ErrEmptyDataset", err)
-	}
-}
+func TestEngineValidation(t *testing.T) { onePart(t, testEngineValidation) }
 
-func testEngineValidation(t *testing.T, parts int) {
+func testEngineValidation(t *testing.T) {
 	td := buildData(t, 200, 3, 7)
-	e := buildEngine(t, parts, td.recs, Config{MaxK: 5})
+	e := buildEngine(t, td.recs, Config{MaxK: 5})
 	ctx := context.Background()
 	r := box(t, []float64{0.2, 0.3}, []float64{0.25, 0.35})
 	if _, err := e.Do(ctx, Request{Variant: UTK1, K: 6, Region: r}); !errors.Is(err, ErrKTooLarge) {
@@ -332,12 +297,12 @@ func TestEngineContextCancellation(t *testing.T) {
 	}
 }
 
-func TestEngineSingleFlight(t *testing.T) { overBands(t, testEngineSingleFlight) }
+func TestEngineSingleFlight(t *testing.T) { onePart(t, testEngineSingleFlight) }
 
-func testEngineSingleFlight(t *testing.T, parts int) {
+func testEngineSingleFlight(t *testing.T) {
 	td := buildData(t, 1500, 3, 13)
 	// Cache disabled: only in-flight deduplication can coalesce queries.
-	e := buildEngine(t, parts, td.recs, Config{MaxK: 8, Workers: 2})
+	e := buildEngine(t, td.recs, Config{MaxK: 8, Workers: 2})
 	r := box(t, []float64{0.2, 0.3}, []float64{0.3, 0.4})
 	req := Request{Variant: UTK1, K: 8, Region: r}
 	const callers = 8

@@ -16,17 +16,15 @@ import (
 	"repro/internal/geom"
 )
 
-// TestTwoStageCommit pins the pipelined contract on every band maintainer:
-// between ApplyBatchPipelined returning and commit running, queries over a
+// TestTwoStageCommit pins the pipelined contract: between ApplyBatchPipelined returning and commit running, queries over a
 // region the batch changes are answered from the pre-batch state — cached
 // entries still hit, fresh computations run on the old index and are not
-// cached — and after commit the post-batch answer is served. (A sharded
-// engine used to apply everything in the begin stage.)
-func TestTwoStageCommit(t *testing.T) { overBands(t, testTwoStageCommit) }
+// cached — and after commit the post-batch answer is served.
+func TestTwoStageCommit(t *testing.T) { onePart(t, testTwoStageCommit) }
 
-func testTwoStageCommit(t *testing.T, parts int) {
+func testTwoStageCommit(t *testing.T) {
 	td := buildData(t, 400, 3, 71)
-	e := buildEngine(t, parts, td.recs, Config{MaxK: 6, CacheEntries: 16})
+	e := buildEngine(t, td.recs, Config{MaxK: 6, CacheEntries: 16})
 	ctx := context.Background()
 	r := box(t, []float64{0.3, 0.3}, []float64{0.35, 0.35})
 	cached := Request{Variant: UTK1, K: 3, Region: r}
@@ -76,15 +74,14 @@ func testTwoStageCommit(t *testing.T, parts int) {
 	}
 }
 
-// TestMultiPartBatchAtomic applies batches whose three inserts land on three
-// different parts and jointly replace a region's whole top-3, then batches
-// deleting them again, against concurrent uncached queriers: every answer
-// must be the pre-batch set or one generation's complete triple, never a
-// prefix of the per-part sub-batches. Meant for -race.
+// TestMultiPartBatchAtomic applies batches whose three inserts jointly
+// replace a region's whole top-3, then batches deleting them again, against
+// concurrent uncached queriers: every answer must be the pre-batch set or one
+// generation's complete triple, never a prefix of a batch. Meant for -race.
 func TestMultiPartBatchAtomic(t *testing.T) {
 	const n, k = 300, 3
 	td := buildData(t, n, 3, 83)
-	e := buildEngine(t, 3, td.recs, Config{MaxK: 4, Workers: 4})
+	e := buildEngine(t, td.recs, Config{MaxK: 4, Workers: 4})
 	ctx := context.Background()
 	req := Request{Variant: UTK1, K: k, Region: box(t, []float64{0.3, 0.3}, []float64{0.35, 0.35})}
 	preRes, err := e.Do(ctx, req)
@@ -138,12 +135,6 @@ func TestMultiPartBatchAtomic(t *testing.T) {
 		if want := []int{n + 3*g, n + 3*g + 1, n + 3*g + 2}; !reflect.DeepEqual(ins.IDs, want) {
 			t.Fatalf("round %d assigned ids %v, want %v", g, ins.IDs, want)
 		}
-		parts := e.ExportState().Parts
-		for p, l2g := range parts.LocalToGlobal {
-			if last := l2g[len(l2g)-1]; last < n+3*g {
-				t.Fatalf("round %d: part %d received none of the three inserts", g, p)
-			}
-		}
 		if _, err := e.ApplyBatch([]UpdateOp{
 			{Kind: UpdateDelete, ID: ins.IDs[0]},
 			{Kind: UpdateDelete, ID: ins.IDs[1]},
@@ -156,60 +147,56 @@ func TestMultiPartBatchAtomic(t *testing.T) {
 	wg.Wait()
 }
 
-// TestParallelMissSharesSplitAndColumns pins that the one compute serves
-// every way an engine can come to exist — fresh or restored, single or
-// partitioned — with the same machinery: a parallel UTK2 miss at k < MaxK
-// filters a proper prefix of the band through the epoch's one float32 layout
-// and consults and calibrates the engine's split model, and over the same
-// records a partitioned engine's first such miss returns exactly the single
-// engine's candidates and cells. (Restore used to
-// leave the split model nil, and the sharded engine had no model or columns
-// at all.)
+// TestParallelMissSharesSplitAndColumns pins that the one compute serves a
+// fresh and a restored engine with the same machinery: a parallel UTK2 miss
+// at k < MaxK filters a proper prefix of the band through the epoch's one
+// float32 layout and consults and calibrates the engine's split model, and
+// the restored engine's first such miss returns exactly the fresh engine's
+// candidates and cells. (Restore used to leave the split model nil.)
 func TestParallelMissSharesSplitAndColumns(t *testing.T) {
 	td := buildData(t, 3000, 3, 91)
 	cfg := Config{MaxK: 8, Workers: 4}
 	ctx := context.Background()
 	req := Request{Variant: UTK2, K: 6, Region: box(t, []float64{0.2, 0.2}, []float64{0.4, 0.4}), Opts: core.Options{Workers: 4}}
 
+	fresh := buildEngine(t, td.recs, cfg)
+	restored, err := Restore(fresh.ExportState(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var first []*Result
-	for _, parts := range bandParts {
-		fresh := buildEngine(t, parts, td.recs, cfg)
-		restored, err := Restore(fresh.ExportState(), cfg)
+	for _, e := range []*Engine{fresh, restored} {
+		name := "fresh"
+		if e == restored {
+			name = "restored"
+		}
+		ix := e.idx.Load()
+		if n := sort.SearchInts(ix.counts, req.K); ix.cols == nil || n == 0 || n >= len(ix.ids) {
+			t.Fatalf("%s: the k=%d candidates are not a proper prefix [:%d] of the %d-record band's one layout (layout %v)", name, req.K, n, len(ix.ids), ix.cols != nil)
+		}
+		if e.split == nil || e.split.Calibrated() {
+			t.Fatalf("%s: split model %v before any query, want present and uncalibrated", name, e.split)
+		}
+		res, err := e.compute(ctx, req, ix, false)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for name, e := range map[string]*Engine{"fresh": fresh, "restored": restored} {
-			name = fmt.Sprintf("parts=%d/%s", parts, name)
-			ix := e.idx.Load()
-			if n := sort.SearchInts(ix.counts, req.K); ix.cols == nil || n == 0 || n >= len(ix.ids) {
-				t.Fatalf("%s: the k=%d candidates are not a proper prefix [:%d] of the %d-record band's one layout (layout %v)", name, req.K, n, len(ix.ids), ix.cols != nil)
-			}
-			if e.split == nil || e.split.Calibrated() {
-				t.Fatalf("%s: split model %v before any query, want present and uncalibrated", name, e.split)
-			}
-			res, err := e.compute(ctx, req, ix, false)
-			if err != nil {
+		if res.Stats.EffectiveWorkers != 4 {
+			t.Fatalf("%s: effective workers %d, want 4", name, res.Stats.EffectiveWorkers)
+		}
+		first = append(first, res)
+		for i := 0; i < 4 && !e.split.Calibrated(); i++ {
+			if _, err := e.compute(ctx, req, ix, false); err != nil {
 				t.Fatal(err)
 			}
-			if res.Stats.EffectiveWorkers != 4 {
-				t.Fatalf("%s: effective workers %d, want 4", name, res.Stats.EffectiveWorkers)
-			}
-			first = append(first, res)
-			for i := 0; i < 4 && !e.split.Calibrated(); i++ {
-				if _, err := e.compute(ctx, req, ix, false); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if !e.split.Calibrated() {
-				t.Fatalf("%s: parallel misses did not calibrate the engine's split model", name)
-			}
+		}
+		if !e.split.Calibrated() {
+			t.Fatalf("%s: parallel misses did not calibrate the engine's split model", name)
 		}
 	}
-	for i, res := range first[1:] {
-		if res.Stats.Candidates != first[0].Stats.Candidates || !reflect.DeepEqual(res.Cells, first[0].Cells) {
-			t.Fatalf("engine %d: first parallel miss (%d candidates, %d cells) differs from the single fresh engine's (%d, %d)",
-				i+1, res.Stats.Candidates, len(res.Cells), first[0].Stats.Candidates, len(first[0].Cells))
-		}
+	if res := first[1]; res.Stats.Candidates != first[0].Stats.Candidates || !reflect.DeepEqual(res.Cells, first[0].Cells) {
+		t.Fatalf("restored: first parallel miss (%d candidates, %d cells) differs from the fresh engine's (%d, %d)",
+			res.Stats.Candidates, len(res.Cells), first[0].Stats.Candidates, len(first[0].Cells))
 	}
 }
 
@@ -218,12 +205,12 @@ func TestParallelMissSharesSplitAndColumns(t *testing.T) {
 // duplicates), the published index is the naive O(n²) MaxK-skyband of the
 // live records with the naive counts, count-major with ties by id — so for
 // every k ≤ MaxK the prefix a depth-k query filters (the entries with count
-// < k) is the naive k-skyband — on a single band and on a partitioned one.
-func TestIndexPrefixIsKSkyband(t *testing.T) { overBands(t, testIndexPrefixIsKSkyband) }
+// < k) is the naive k-skyband.
+func TestIndexPrefixIsKSkyband(t *testing.T) { onePart(t, testIndexPrefixIsKSkyband) }
 
-func testIndexPrefixIsKSkyband(t *testing.T, parts int) {
+func testIndexPrefixIsKSkyband(t *testing.T) {
 	const maxK, dim = 6, 3
-	rng := rand.New(rand.NewSource(int64(40 + parts)))
+	rng := rand.New(rand.NewSource(41))
 	grid := func() []float64 {
 		rec := make([]float64, dim)
 		for j := range rec {
@@ -241,7 +228,7 @@ func testIndexPrefixIsKSkyband(t *testing.T, parts int) {
 		}
 		live[i] = recs[i]
 	}
-	e := buildEngine(t, parts, recs, Config{MaxK: maxK})
+	e := buildEngine(t, recs, Config{MaxK: maxK})
 	for step := 0; step < 60; step++ {
 		if step > 0 {
 			ix := e.idx.Load()

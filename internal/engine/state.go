@@ -4,7 +4,6 @@ import (
 	"errors"
 
 	"repro/internal/exec"
-	"repro/internal/shard"
 	"repro/internal/skyband"
 )
 
@@ -20,19 +19,16 @@ type State struct {
 	// update batches.
 	Epoch   uint64
 	Batches uint64
-	// Exactly one of Dyn and Parts is set, matching the band maintainer. Dyn
-	// is the single dynamic skyband's state: live records, band with exact
-	// dominator counts, and the id allocator. Parts is the
-	// partitioned band's: one such state per part plus the id routing.
-	Dyn   *skyband.DynamicState
-	Parts *shard.State
+	// Dyn is the band's state: live records, band with exact dominator
+	// counts, and the id allocator.
+	Dyn *skyband.DynamicState
 }
 
 // ExportState captures the engine's dataset state. It serializes against
-// updates (holding the update mutex while the band maintainer is walked, so
-// no batch can land between two parts' exports), and the returned state is a
-// consistent post-batch snapshot; queries are not blocked. Record slices in
-// the state are shared with the engine and must not be mutated.
+// updates (holding the update mutex while the band is walked), and the
+// returned state is a consistent post-batch snapshot; queries are not
+// blocked. Record slices in the state are shared with the engine and must
+// not be mutated.
 func (e *Engine) ExportState() *State {
 	e.updMu.Lock()
 	st := &State{
@@ -42,12 +38,7 @@ func (e *Engine) ExportState() *State {
 		// post-batch state and the snapshot must carry that state's epoch.
 		// The two coincide whenever no batch is in flight.
 		Epoch: e.reservedEpoch,
-	}
-	switch b := e.band.(type) {
-	case *skyband.Dynamic:
-		st.Dyn = b.State()
-	case *shard.Band:
-		st.Parts = b.State()
+		Dyn:   e.band.State(),
 	}
 	e.updMu.Unlock()
 	e.mu.Lock()
@@ -62,41 +53,25 @@ func (e *Engine) ExportState() *State {
 // records (skyband.RestoreDynamic) instead of New's recomputation of the
 // band. cfg.MaxK must match the depth the state was maintained at.
 func Restore(st *State, cfg Config) (*Engine, error) {
-	if st == nil || (st.Dyn == nil) == (st.Parts == nil) {
-		return nil, errors.New("engine: state must carry exactly one of a single or a partitioned band")
+	if st == nil || st.Dyn == nil {
+		return nil, errors.New("engine: state carries no band")
 	}
 	if st.Dim <= 0 {
 		return nil, errors.New("engine: invalid dimensionality in state")
 	}
-	k := 0
-	if st.Dyn != nil {
-		k = st.Dyn.K
-	} else if len(st.Parts.Parts) > 0 && st.Parts.Parts[0] != nil {
-		k = st.Parts.Parts[0].K
-	}
 	if cfg.MaxK <= 0 {
-		cfg.MaxK = k
+		cfg.MaxK = st.Dyn.K
 	}
-	if cfg.MaxK != k {
+	if cfg.MaxK != st.Dyn.K {
 		return nil, errors.New("engine: config MaxK does not match state band depth")
 	}
 	cfg, err := cfg.withDefaults()
 	if err != nil {
 		return nil, err
 	}
-	var b band
-	if st.Dyn != nil {
-		dyn, err := skyband.RestoreDynamic(st.Dyn)
-		if err != nil {
-			return nil, err
-		}
-		b = dyn
-	} else {
-		parts, err := shard.Restore(st.Parts)
-		if err != nil {
-			return nil, err
-		}
-		b = parts
+	dyn, err := skyband.RestoreDynamic(st.Dyn)
+	if err != nil {
+		return nil, err
 	}
-	return newEngine(cfg, exec.NewPool(cfg.Workers, cfg.MaxQueued), b, st.Dim, st.Epoch, st.Batches), nil
+	return newEngine(cfg, exec.NewPool(cfg.Workers, cfg.MaxQueued), dyn, st.Dim, st.Epoch, st.Batches), nil
 }

@@ -18,16 +18,16 @@ import (
 // result is stamped with the epoch it was computed against, and must equal
 // the reference answer recorded for that epoch — a torn superset (a query
 // observing half an update) would produce an answer matching no epoch.
-func TestEngineConcurrentUpdates(t *testing.T) { overBands(t, testEngineConcurrentUpdates) }
+func TestEngineConcurrentUpdates(t *testing.T) { onePart(t, testEngineConcurrentUpdates) }
 
-func testEngineConcurrentUpdates(t *testing.T, parts int) {
+func testEngineConcurrentUpdates(t *testing.T) {
 	const (
 		n    = 300
 		dims = 3
 		k    = 4
 	)
 	td := buildData(t, n, dims, 37)
-	e := buildEngine(t, parts, td.recs, Config{MaxK: 6, CacheEntries: 8, Workers: 4})
+	e := buildEngine(t, td.recs, Config{MaxK: 6, CacheEntries: 8, Workers: 4})
 	r := box(t, []float64{0.25, 0.25}, []float64{0.35, 0.35})
 	ctx := context.Background()
 

@@ -9,9 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/exec"
 	"repro/internal/rtree"
-	"repro/internal/skyband"
 )
 
 func TestEngineInsertDeleteBasics(t *testing.T) {
@@ -79,11 +77,11 @@ func TestEngineInsertDeleteBasics(t *testing.T) {
 	}
 }
 
-func TestEngineUpdateValidation(t *testing.T) { overBands(t, testEngineUpdateValidation) }
+func TestEngineUpdateValidation(t *testing.T) { onePart(t, testEngineUpdateValidation) }
 
-func testEngineUpdateValidation(t *testing.T, parts int) {
+func testEngineUpdateValidation(t *testing.T) {
 	td := buildData(t, 100, 3, 23)
-	e := buildEngine(t, parts, td.recs, Config{MaxK: 4})
+	e := buildEngine(t, td.recs, Config{MaxK: 4})
 	if _, err := e.Insert([]float64{1, 2}); !errors.Is(err, ErrBadUpdate) {
 		t.Errorf("dim mismatch: %v", err)
 	}
@@ -154,9 +152,9 @@ func testEngineUpdateValidation(t *testing.T, parts int) {
 // it. The dataset is a hand-built dominance chain so each case is provable:
 // a ≻ b ≻ c ≻ the bulk, and the probe record x sits below a, b, c on every
 // weight vector of the region but is classically dominated by only a and b.
-func TestEnginePreciseInvalidation(t *testing.T) { overBands(t, testEnginePreciseInvalidation) }
+func TestEnginePreciseInvalidation(t *testing.T) { onePart(t, testEnginePreciseInvalidation) }
 
-func testEnginePreciseInvalidation(t *testing.T, parts int) {
+func testEnginePreciseInvalidation(t *testing.T) {
 	recs := [][]float64{
 		{1.0, 1.0, 1.0},    // 0: a — top everywhere
 		{0.9, 0.9, 0.9},    // 1: b
@@ -165,7 +163,7 @@ func testEnginePreciseInvalidation(t *testing.T, parts int) {
 		{0.12, 0.08, 0.1},  // 4
 		{0.08, 0.12, 0.09}, // 5
 	}
-	e := buildEngine(t, parts, recs, Config{MaxK: 4, CacheEntries: 16})
+	e := buildEngine(t, recs, Config{MaxK: 4, CacheEntries: 16})
 	ctx := context.Background()
 	r := box(t, []float64{0.3, 0.3}, []float64{0.35, 0.35})
 
@@ -243,15 +241,13 @@ func testEnginePreciseInvalidation(t *testing.T, parts int) {
 	}
 
 	// A record that never reaches the band triggers no probe at all: the
-	// cache (and the epoch) stay put. (A part of a partitioned band holds too
-	// few of these eight records to keep it out of that part's band, so there
-	// the probe runs — and certifies the same outcome for the cache.)
+	// cache (and the epoch) stay put.
 	stBefore := e.Stats()
 	if _, err := e.Insert([]float64{0.01, 0.01, 0.01}); err != nil {
 		t.Fatal(err)
 	}
 	stAfter := e.Stats()
-	if parts == 1 && stAfter.Epoch != stBefore.Epoch {
+	if stAfter.Epoch != stBefore.Epoch {
 		t.Error("sub-band insert advanced the epoch")
 	}
 	if stAfter.CacheEntries != stBefore.CacheEntries {
@@ -284,66 +280,46 @@ func TestCheckRecord(t *testing.T) {
 	}
 }
 
-// countingBand counts the band snapshots the engine asks for.
-type countingBand struct {
-	*skyband.Dynamic
-	snapshots int
-}
-
-func (c *countingBand) Band() ([]int, [][]float64, []int) {
-	c.snapshots++
-	return c.Dynamic.Band()
-}
-
 // TestBeginSnapshotsOnlyChangedBand pins the begin stage's snapshot rule: the
 // O(B log B) band materialisation runs once per batch that changed the band
 // and never for one that did not — deep churn, however large the batch and
 // with the cache on, asks for no snapshot and publishes no epoch.
 func TestBeginSnapshotsOnlyChangedBand(t *testing.T) {
 	td := buildData(t, 400, 3, 29)
-	cfg, err := Config{MaxK: 3, CacheEntries: 8, Workers: 1}.withDefaults()
-	if err != nil {
-		t.Fatal(err)
-	}
-	dyn, err := skyband.NewDynamic(td.recs, cfg.MaxK)
-	if err != nil {
-		t.Fatal(err)
-	}
+	e := buildEngine(t, td.recs, Config{MaxK: 3, CacheEntries: 8, Workers: 1})
 	// Deep records: outside the band and the fence, so deleting them and
 	// inserting records below them cannot touch the band.
 	var deep []int
 	for id := range td.recs {
-		if !dyn.Tracked(id) {
+		if !e.band.Tracked(id) {
 			deep = append(deep, id)
 		}
 	}
-	cb := &countingBand{Dynamic: dyn}
-	e := newEngine(cfg, exec.NewPool(cfg.Workers, cfg.MaxQueued), cb, 3, 0, 0)
 	if _, err := e.Do(context.Background(), Request{Variant: UTK1, K: 2, Region: box(t, []float64{0.3, 0.3}, []float64{0.35, 0.35})}); err != nil {
 		t.Fatal(err)
 	}
-	cb.snapshots = 0 // construction took one
 
 	var ops []UpdateOp
 	for _, id := range deep[:8] {
 		ops = append(ops, UpdateOp{Kind: UpdateDelete, ID: id}, UpdateOp{Kind: UpdateInsert, Record: []float64{1e-3, 1e-3, 1e-3}})
 	}
-	res, err := e.ApplyBatch(ops)
+	pb, err := e.beginBatch(ops)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cb.snapshots != 0 || res.Epoch != 0 || e.Epoch() != 0 {
-		t.Fatalf("out-of-band batch: %d band snapshots, epoch %d (published %d); want none and epoch 0", cb.snapshots, res.Epoch, e.Epoch())
+	pb.commit()
+	if pb.fresh != nil || pb.res.Epoch != 0 || e.Epoch() != 0 {
+		t.Fatalf("out-of-band batch: band snapshot taken %v, epoch %d (published %d); want none and epoch 0", pb.fresh != nil, pb.res.Epoch, e.Epoch())
 	}
 	if st := e.Stats(); st.CacheEntries != 1 || st.ProbeBatches != 0 {
 		t.Fatalf("out-of-band batch touched the cache: %+v", st)
 	}
 
-	res, err = e.ApplyBatch([]UpdateOp{{Kind: UpdateInsert, Record: []float64{2, 2, 2}}})
-	if err != nil {
+	if pb, err = e.beginBatch([]UpdateOp{{Kind: UpdateInsert, Record: []float64{2, 2, 2}}}); err != nil {
 		t.Fatal(err)
 	}
-	if cb.snapshots != 1 || res.Epoch != 1 || e.Epoch() != 1 {
-		t.Fatalf("in-band insert: %d band snapshots, epoch %d (published %d); want exactly one and epoch 1", cb.snapshots, res.Epoch, e.Epoch())
+	pb.commit()
+	if pb.fresh == nil || pb.res.Epoch != 1 || e.Epoch() != 1 || e.idx.Load() != pb.fresh {
+		t.Fatalf("in-band insert: band snapshot taken %v, epoch %d (published %d); want it taken, published and epoch 1", pb.fresh != nil, pb.res.Epoch, e.Epoch())
 	}
 }

@@ -125,11 +125,11 @@ func (e *Entry) Durability(durable bool) DurabilityStats {
 // batch must reproduce the epoch it was logged with; a mismatch aborts the
 // open (it would mean replay diverged from the original application, which
 // the determinism of update application rules out for intact data). The one
-// tolerated difference: sharded directories written when every partition was
-// a child engine logged the SUM of per-partition epochs, which advances once
-// per partition a batch touched the band of; the engine's publish counter
-// advances once per batch, so replay may legitimately trail such a log (and
-// is re-seeded from it afterwards).
+// tolerated difference is a directory written by a partitioned engine (its
+// manifest carries the legacy Shards count): its log advanced the epoch
+// whenever a batch changed any partition's band, at least as often as one
+// band over the same records does, so replay through one band may trail such
+// a log (and is re-seeded from it afterwards).
 func Open(st store.Store, pol SnapshotPolicy) (*Registry, error) {
 	r := NewWithStore(st, pol)
 	mf, err := st.LoadManifest()
@@ -186,9 +186,9 @@ func (r *Registry) reopen(cfg store.DatasetConfig) (*Entry, error) {
 		return nil, err
 	}
 	if logged > eng.Stats().Epoch {
-		// Replay trailed a sum-of-partitions log: re-seed the publish counter
-		// from the last logged value, so the epoch clients were told never
-		// runs backwards across the upgrade.
+		// Replay trailed a partitioned engine's log: re-seed the publish
+		// counter from the last logged value, so the epoch clients were told
+		// never runs backwards across the upgrade.
 		st := eng.State()
 		st.Epoch = logged
 		if eng, err = utk.RestoreEngine(st, ecfg); err != nil {
@@ -199,7 +199,6 @@ func (r *Registry) reopen(cfg store.DatasetConfig) (*Entry, error) {
 		Name:   cfg.Name,
 		Engine: eng,
 		Opts: Options{
-			Shards:       cfg.Shards,
 			MaxK:         cfg.MaxK,
 			CacheEntries: cfg.CacheEntries,
 			Workers:      cfg.Workers,
@@ -403,7 +402,6 @@ func datasetConfig(name string, dim int, opts Options) store.DatasetConfig {
 	return store.DatasetConfig{
 		Name:         name,
 		Dim:          dim,
-		Shards:       opts.Shards,
 		MaxK:         opts.MaxK,
 		CacheEntries: opts.CacheEntries,
 		Workers:      opts.Workers,

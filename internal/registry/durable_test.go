@@ -34,11 +34,11 @@ func TestDurableCreateReopenDrop(t *testing.T) {
 	if _, err := reg.Create("single", recs, Options{MaxK: 4}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := reg.Create("sharded", recs, Options{MaxK: 4, Shards: 3}); err != nil {
+	if _, err := reg.Create("other", recs, Options{MaxK: 4}); err != nil {
 		t.Fatal(err)
 	}
 	var inserted int
-	for _, name := range []string{"single", "sharded"} {
+	for _, name := range []string{"single", "other"} {
 		res, err := reg.Update(name, []utk.UpdateOp{
 			{Kind: utk.UpdateInsert, Record: []float64{0.9, 0.9, 0.9}},
 			{Kind: utk.UpdateDelete, ID: 3},
@@ -49,7 +49,7 @@ func TestDurableCreateReopenDrop(t *testing.T) {
 		inserted = res.IDs[0]
 	}
 	wantStats := map[string]utk.EngineStats{}
-	for _, name := range []string{"single", "sharded"} {
+	for _, name := range []string{"single", "other"} {
 		ent, _ := reg.Get(name)
 		wantStats[name] = ent.Engine.Stats()
 		d := ent.Durability(true)
@@ -65,7 +65,7 @@ func TestDurableCreateReopenDrop(t *testing.T) {
 	}
 
 	reg2, st2 := openFileRegistry(t, dir, SnapshotPolicy{})
-	for _, name := range []string{"single", "sharded"} {
+	for _, name := range []string{"single", "other"} {
 		ent, err := reg2.Get(name)
 		if err != nil {
 			t.Fatalf("recovered %s: %v", name, err)
@@ -74,9 +74,6 @@ func TestDurableCreateReopenDrop(t *testing.T) {
 		want := wantStats[name]
 		if got.Epoch != want.Epoch || got.Live != want.Live {
 			t.Fatalf("%s: recovered epoch/live %d/%d, want %d/%d", name, got.Epoch, got.Live, want.Epoch, want.Live)
-		}
-		if got.Shards != want.Shards {
-			t.Fatalf("%s: recovered shards %d, want %d", name, got.Shards, want.Shards)
 		}
 		d := ent.Durability(true)
 		if d.ReplayedBatches != 1 || d.ReplayedOps != 2 {
@@ -87,7 +84,7 @@ func TestDurableCreateReopenDrop(t *testing.T) {
 			t.Fatalf("%s: update after recovery: %v", name, err)
 		}
 	}
-	if err := reg2.Drop("sharded"); err != nil {
+	if err := reg2.Drop("other"); err != nil {
 		t.Fatal(err)
 	}
 	st2.Close()

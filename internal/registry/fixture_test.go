@@ -19,17 +19,17 @@ import (
 // shards, a coalesced insert→delete pair, and multi-shard deletes) written by
 // the last commit at which every shard was a child engine. Its snapshot
 // stores per-child epochs and its WAL logs their sum, which runs ahead of the
-// engine's publish counter. The directory must still open, replay, and answer
-// exactly like the stateless algorithms over the live set the writer
-// recorded in expected.json — and keep doing so after further updates and a
-// second reopen, when the WAL mixes both epoch conventions.
+// one band's publish counter. The directory must still open — as one band
+// over the parts' live records — replay, and answer exactly like the
+// stateless algorithms over the live set the writer recorded in
+// expected.json, and keep doing so after further updates and a second
+// reopen, when the WAL mixes both epoch conventions.
 func TestShardedFixtureCompat(t *testing.T) {
 	var exp struct {
-		Dim, Shards int
-		MaxK        int `json:"max_k"`
-		Epoch       uint64
-		LiveIDs     []int       `json:"live_ids"`
-		Records     [][]float64 // index-aligned with LiveIDs
+		MaxK    int `json:"max_k"`
+		Epoch   uint64
+		LiveIDs []int       `json:"live_ids"`
+		Records [][]float64 // index-aligned with LiveIDs
 	}
 	raw, err := os.ReadFile(filepath.Join("testdata", "sharded_v1", "expected.json"))
 	if err != nil {
@@ -43,8 +43,8 @@ func TestShardedFixtureCompat(t *testing.T) {
 
 	check := func(ent *Entry, liveIDs []int, recs [][]float64) {
 		t.Helper()
-		if st := ent.Engine.Stats(); st.Shards != exp.Shards || st.Live != len(liveIDs) || st.MaxK != exp.MaxK {
-			t.Fatalf("recovered shards=%d live=%d maxk=%d, want %d/%d/%d", st.Shards, st.Live, st.MaxK, exp.Shards, len(liveIDs), exp.MaxK)
+		if st := ent.Engine.Stats(); st.Live != len(liveIDs) || st.MaxK != exp.MaxK {
+			t.Fatalf("recovered live=%d maxk=%d, want %d/%d", st.Live, st.MaxK, len(liveIDs), exp.MaxK)
 		}
 		static, err := utk.NewDataset(recs)
 		if err != nil {
@@ -116,8 +116,8 @@ func TestShardedFixtureCompat(t *testing.T) {
 		t.Fatalf("replayed %d batches to seq %d, want 5 to 7", d.ReplayedBatches, d.LastSeq)
 	}
 	// The writer logged sums of per-shard epochs (4 at the checkpoint, 13 at
-	// the end); replay's publish counter only reaches 8, and recovery must
-	// hand clients the epoch they were last told, not an earlier one.
+	// the end); replay's publish counter trails them, and recovery must hand
+	// clients the epoch they were last told, not an earlier one.
 	if ep := ent.Engine.Stats().Epoch; ep != exp.Epoch {
 		t.Fatalf("recovered epoch %d, want the writer's last logged %d", ep, exp.Epoch)
 	}

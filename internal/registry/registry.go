@@ -1,8 +1,8 @@
 // Package registry manages named serving engines, turning the single-dataset
-// serving stack into a multi-tenant one: each named dataset owns its engine
-// (single-partition or sharded), updates route to the owning engine, and
-// stats aggregate across the fleet. The registry is the front tier the HTTP
-// server mounts dataset path segments on.
+// serving stack into a multi-tenant one: each named dataset owns its engine,
+// updates route to the owning engine, and stats aggregate across the fleet.
+// The registry is the front tier the HTTP server mounts dataset path
+// segments on.
 package registry
 
 import (
@@ -31,9 +31,6 @@ var (
 
 // Options configures the engine built for one dataset.
 type Options struct {
-	// Shards above 1 builds a sharded engine with that many horizontal
-	// partitions; 0 or 1 builds a single-partition engine.
-	Shards int
 	// MaxK is the largest top-k depth served (required, positive).
 	MaxK int
 	// CacheEntries, Workers, MaxQueued, and QueryTimeout forward to
@@ -160,7 +157,7 @@ func (r *Registry) Create(name string, records [][]float64, opts Options) (*Entr
 	if taken {
 		return nil, fmt.Errorf("%w: %s", ErrExists, name)
 	}
-	eng, err := utk.NewEngine(records, max(opts.Shards, 1), utk.EngineConfig{
+	eng, err := utk.NewEngine(records, utk.EngineConfig{
 		MaxK:         opts.MaxK,
 		CacheEntries: opts.CacheEntries,
 		Workers:      opts.Workers,

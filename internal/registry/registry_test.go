@@ -11,7 +11,6 @@ import (
 
 	utk "repro"
 	"repro/internal/dataset"
-	"repro/internal/shard"
 	"repro/internal/store"
 )
 
@@ -39,21 +38,17 @@ func TestCreateGetDrop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ent.Engine.Shards() != 1 {
-		t.Fatalf("default engine shards = %d, want 1", ent.Engine.Shards())
+	if ent.Engine.MaxK() != 5 || ent.Len() != 100 {
+		t.Fatalf("created engine maxk=%d live=%d, want 5/100", ent.Engine.MaxK(), ent.Len())
 	}
 	if _, err := reg.Create("hotels", recs, Options{MaxK: 5}); !errors.Is(err, ErrExists) {
 		t.Fatalf("duplicate create: %v", err)
 	}
-	sharded, err := reg.Create("hotels-sharded", recs, Options{MaxK: 5, Shards: 3})
-	if err != nil {
+	if _, err := reg.Create("motels", recs, Options{MaxK: 5}); err != nil {
 		t.Fatal(err)
 	}
-	if sharded.Engine.Shards() != 3 {
-		t.Fatalf("sharded engine shards = %d, want 3", sharded.Engine.Shards())
-	}
 
-	if got := reg.Names(); fmt.Sprint(got) != "[hotels hotels-sharded]" {
+	if got := reg.Names(); fmt.Sprint(got) != "[hotels motels]" {
 		t.Fatalf("names = %v", got)
 	}
 	if _, err := reg.Get("nope"); !errors.Is(err, ErrUnknownDataset) {
@@ -62,13 +57,13 @@ func TestCreateGetDrop(t *testing.T) {
 	if _, err := reg.Sole(); err == nil {
 		t.Fatal("Sole succeeded with two datasets")
 	}
-	if err := reg.Drop("hotels-sharded"); err != nil {
+	if err := reg.Drop("motels"); err != nil {
 		t.Fatal(err)
 	}
 	if sole, err := reg.Sole(); err != nil || sole.Name != "hotels" {
 		t.Fatalf("Sole after drop: %v, %v", sole, err)
 	}
-	if err := reg.Drop("hotels-sharded"); !errors.Is(err, ErrUnknownDataset) {
+	if err := reg.Drop("motels"); !errors.Is(err, ErrUnknownDataset) {
 		t.Fatalf("double drop: %v", err)
 	}
 }
@@ -97,7 +92,7 @@ func TestUpdateRoutingIsolation(t *testing.T) {
 	if _, err := reg.Create("a", recs, Options{MaxK: 4}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := reg.Create("b", recs, Options{MaxK: 4, Shards: 2}); err != nil {
+	if _, err := reg.Create("b", recs, Options{MaxK: 4}); err != nil {
 		t.Fatal(err)
 	}
 	res, err := reg.Update("a", []utk.UpdateOp{{Kind: utk.UpdateInsert, Record: []float64{2, 2, 2}}})
@@ -142,7 +137,7 @@ func TestAggregateStats(t *testing.T) {
 	if _, err := reg.Create("a", recs, Options{MaxK: 3}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := reg.Create("b", recs, Options{MaxK: 3, Shards: 2}); err != nil {
+	if _, err := reg.Create("b", recs, Options{MaxK: 3}); err != nil {
 		t.Fatal(err)
 	}
 	q := utk.Query{K: 2, Region: region(t, 3)}
@@ -155,8 +150,8 @@ func TestAggregateStats(t *testing.T) {
 	// The sums over PerDataset are taken by the HTTP layer's stats table and
 	// pinned by server.TestStatsAggregation.
 	agg := reg.Stats()
-	if len(agg.PerDataset) != 2 || agg.PerDataset["a"].Shards+agg.PerDataset["b"].Shards != 3 {
-		t.Fatalf("per-dataset snapshots: %+v, want 2 datasets with 3 shards", agg.PerDataset)
+	if len(agg.PerDataset) != 2 {
+		t.Fatalf("per-dataset snapshots: %+v, want 2 datasets", agg.PerDataset)
 	}
 	if agg.PerDataset["a"].Live != 80 || agg.PerDataset["b"].Live != 80 {
 		t.Fatalf("per-dataset live: %+v, want 80 each", agg.PerDataset)
@@ -200,11 +195,9 @@ func TestConcurrentCreateDropGet(t *testing.T) {
 func TestCreateRejectsBadRecords(t *testing.T) {
 	good := []float64{0.5, 0.5, 0.5}
 	cases := []struct {
-		name    string
-		recs    [][]float64
-		want    string // error text; empty when is is set
-		is      error
-		shards3 bool // only the 3-shard create fails
+		name string
+		recs [][]float64
+		want string // error text
 	}{
 		{name: "empty", recs: nil, want: "utk: empty dataset"},
 		{name: "d=1", recs: [][]float64{{1}, {2}}, want: "utk: records must have at least 2 attributes"},
@@ -212,36 +205,26 @@ func TestCreateRejectsBadRecords(t *testing.T) {
 		{name: "NaN", recs: [][]float64{good, {0.1, math.NaN(), 0.2}}, want: "utk: record 1 attribute 1 is not finite: NaN"},
 		{name: "+Inf", recs: [][]float64{{math.Inf(1), 0, 0}, good}, want: "utk: record 0 attribute 0 is not finite: +Inf"},
 		{name: "-Inf", recs: [][]float64{good, good, {0, 0, math.Inf(-1)}}, want: "utk: record 2 attribute 2 is not finite: -Inf"},
-		{name: "fewer records than shards", recs: [][]float64{good, good}, is: shard.ErrTooFewRecords, shards3: true},
 	}
-	for _, shards := range []int{1, 3} {
-		st, err := store.OpenFile(t.TempDir(), store.FileConfig{Sync: store.SyncNever})
-		if err != nil {
-			t.Fatal(err)
+	st, err := store.OpenFile(t.TempDir(), store.FileConfig{Sync: store.SyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	reg := NewWithStore(st, SnapshotPolicy{})
+	for _, tc := range cases {
+		_, err := reg.Create("ds", tc.recs, Options{MaxK: 2})
+		switch {
+		case err == nil:
+			t.Fatalf("%s: accepted", tc.name)
+		case err.Error() != tc.want:
+			t.Fatalf("%s: error %q, want %q", tc.name, err, tc.want)
 		}
-		reg := NewWithStore(st, SnapshotPolicy{})
-		for _, tc := range cases {
-			if tc.shards3 && shards != 3 {
-				continue
-			}
-			_, err := reg.Create("ds", tc.recs, Options{MaxK: 2, Shards: shards})
-			switch {
-			case err == nil:
-				t.Fatalf("shards=%d %s: accepted", shards, tc.name)
-			case tc.is != nil && !errors.Is(err, tc.is):
-				t.Fatalf("shards=%d %s: error %v, want %v", shards, tc.name, err, tc.is)
-			case tc.is == nil && err.Error() != tc.want:
-				t.Fatalf("shards=%d %s: error %q, want %q", shards, tc.name, err, tc.want)
-			}
-			if reg.Len() != 0 {
-				t.Fatalf("shards=%d %s: a refused create registered %v", shards, tc.name, reg.Names())
-			}
-			if m, err := st.LoadManifest(); err != nil || len(m.Datasets) != 0 {
-				t.Fatalf("shards=%d %s: a refused create staged %+v (%v)", shards, tc.name, m, err)
-			}
+		if reg.Len() != 0 {
+			t.Fatalf("%s: a refused create registered %v", tc.name, reg.Names())
 		}
-		if err := st.Close(); err != nil {
-			t.Fatal(err)
+		if m, err := st.LoadManifest(); err != nil || len(m.Datasets) != 0 {
+			t.Fatalf("%s: a refused create staged %+v (%v)", tc.name, m, err)
 		}
 	}
 }
@@ -260,49 +243,47 @@ func TestCreateDoesNotAliasRecords(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, shards := range []int{1, 3} {
-		recs := dataset.Synthetic(dataset.IND, 200, 3, 13)
-		ent, err := New().Create("ds", recs, Options{MaxK: 5, Shards: shards, CacheEntries: -1})
-		if err != nil {
-			t.Fatal(err)
+	recs := dataset.Synthetic(dataset.IND, 200, 3, 13)
+	ent, err := New().Create("ds", recs, Options{MaxK: 5, CacheEntries: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, rec := range recs {
+		for j := range rec {
+			rec[j] = 1 - rec[j]
 		}
-		for i, rec := range recs {
-			for j := range rec {
-				rec[j] = 1 - rec[j]
-			}
-			recs[i] = nil
+		recs[i] = nil
+	}
+	got, err := ent.Engine.UTK1(ctx, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(got.Records, want.Records) {
+		t.Fatalf("answer %v after the caller mutated its records, want %v", got.Records, want.Records)
+	}
+	// Deleting an answer record makes the band recount and promote from
+	// the live table: the oracle is the pristine data without it.
+	gone := want.Records[0]
+	if err := ent.Engine.Delete(gone); err != nil {
+		t.Fatal(err)
+	}
+	if got, err = ent.Engine.UTK1(ctx, q); err != nil {
+		t.Fatal(err)
+	}
+	rest, err := utk.NewDataset(slices.Delete(dataset.Synthetic(dataset.IND, 200, 3, 13), gone, gone+1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want2, err := rest.UTK1(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, id := range want2.Records {
+		if id >= gone {
+			want2.Records[i] = id + 1
 		}
-		got, err := ent.Engine.UTK1(ctx, q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !slices.Equal(got.Records, want.Records) {
-			t.Fatalf("shards=%d: answer %v after the caller mutated its records, want %v", shards, got.Records, want.Records)
-		}
-		// Deleting an answer record makes the band recount and promote from
-		// the live table: the oracle is the pristine data without it.
-		gone := want.Records[0]
-		if err := ent.Engine.Delete(gone); err != nil {
-			t.Fatal(err)
-		}
-		if got, err = ent.Engine.UTK1(ctx, q); err != nil {
-			t.Fatal(err)
-		}
-		rest, err := utk.NewDataset(slices.Delete(dataset.Synthetic(dataset.IND, 200, 3, 13), gone, gone+1))
-		if err != nil {
-			t.Fatal(err)
-		}
-		want2, err := rest.UTK1(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, id := range want2.Records {
-			if id >= gone {
-				want2.Records[i] = id + 1
-			}
-		}
-		if !slices.Equal(got.Records, want2.Records) {
-			t.Fatalf("shards=%d: answer %v after deleting %d, want %v", shards, got.Records, gone, want2.Records)
-		}
+	}
+	if !slices.Equal(got.Records, want2.Records) {
+		t.Fatalf("answer %v after deleting %d, want %v", got.Records, gone, want2.Records)
 	}
 }

@@ -13,14 +13,14 @@
 //	GET    /metrics           Prometheus text exposition of the fleet counters
 //	GET    /datasets          registered names with dimensions and options
 //	POST   /datasets/{name}   create: {"records":[[...]]} or {"gen":"IND","n":1000,"d":4,"seed":1},
-//	                          plus {"maxk":10,"shards":4,"cache":256,"workers":0,"timeout_ms":5000}
+//	                          plus {"maxk":10,"cache":256,"workers":0,"timeout_ms":5000}
 //	DELETE /datasets/{name}   drop
 //
 // The dataset-less legacy paths (POST /utk1, /utk2, /update) keep working
 // while exactly one dataset is registered, so pre-registry clients survive.
 //
 // /update applies deletes before inserts as one atomic batch per dataset:
-// concurrent queries observe either none or all of it, sharded or not. A
+// concurrent queries observe either none or all of it. A
 // general convex region may replace the box:
 //
 //	{"k": 5, "halfspaces": [{"coef": [1, 1], "offset": 0.3}, ...]}
@@ -518,7 +518,6 @@ type stat struct {
 
 // engineStats is in /metrics exposition order.
 var engineStats = []stat{
-	{"shards", "utk_shards", "Total horizontal partitions across engines.", "gauge", fleetWide, func(st utk.EngineStats) uint64 { return uint64(st.Shards) }},
 	{"in_flight", "utk_in_flight", "Computations executing right now.", "gauge", fleetWide, func(st utk.EngineStats) uint64 { return uint64(st.InFlight) }},
 	{"queued", "utk_queued", "Tasks waiting for an executor slot right now.", "gauge", fleetWide, func(st utk.EngineStats) uint64 { return uint64(st.Queued) }},
 	{"cache_entries", "utk_cache_entries", "Resident result-cache entries.", "gauge", fleetWide, func(st utk.EngineStats) uint64 { return uint64(st.CacheEntries) }},
@@ -685,18 +684,18 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 			continue // dropped between Names and Get
 		}
 		out = append(out, map[string]any{
-			"name":   ent.Name,
-			"len":    ent.Len(),
-			"dim":    ent.Dim(),
-			"max_k":  ent.Opts.MaxK,
-			"shards": ent.Engine.Shards(),
+			"name":  ent.Name,
+			"len":   ent.Len(),
+			"dim":   ent.Dim(),
+			"max_k": ent.Opts.MaxK,
 		})
 	}
 	writeJSON(w, map[string]any{"datasets": out})
 }
 
 // createRequest is the JSON body of POST /datasets/{name}: explicit records,
-// or a generator spec.
+// or a generator spec. The retired "shadow" and "shards" keys that older
+// clients still send are ignored like any unknown field.
 type createRequest struct {
 	Records   [][]float64 `json:"records"`
 	Gen       string      `json:"gen"`
@@ -704,7 +703,6 @@ type createRequest struct {
 	D         int         `json:"d"`
 	Seed      int64       `json:"seed"`
 	MaxK      int         `json:"maxk"`
-	Shards    int         `json:"shards"`
 	Cache     int         `json:"cache"`
 	Workers   int         `json:"workers"`
 	MaxQueued int         `json:"max_queued"`
@@ -761,7 +759,6 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 		maxK = 10
 	}
 	ent, err := s.reg.Create(name, records, registry.Options{
-		Shards:       req.Shards,
 		MaxK:         maxK,
 		CacheEntries: req.Cache,
 		Workers:      req.Workers,
@@ -783,7 +780,6 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 		"len":      ent.Len(),
 		"dim":      ent.Dim(),
 		"max_k":    ent.Opts.MaxK,
-		"shards":   ent.Engine.Shards(),
 		"superset": ent.Engine.Stats().SupersetSize,
 	})
 }

@@ -22,11 +22,7 @@ func fixture(t *testing.T, names ...string) (*registry.Registry, *httptest.Serve
 	reg := registry.New()
 	for i, name := range names {
 		recs := dataset.Synthetic(dataset.IND, 150, 3, int64(10+i))
-		opts := registry.Options{MaxK: 5}
-		if i%2 == 1 {
-			opts.Shards = 2
-		}
-		if _, err := reg.Create(name, recs, opts); err != nil {
+		if _, err := reg.Create(name, recs, registry.Options{MaxK: 5}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -112,10 +108,10 @@ func TestRouting(t *testing.T) {
 }
 
 // TestQueryCorrectness cross-checks the HTTP answer against a direct
-// library call, for both an unsharded and a sharded dataset.
+// library call, on two datasets.
 func TestQueryCorrectness(t *testing.T) {
-	reg, srv := fixture(t, "plain", "parts") // parts is sharded (2)
-	for _, name := range []string{"plain", "parts"} {
+	reg, srv := fixture(t, "plain", "other")
+	for _, name := range []string{"plain", "other"} {
 		ent, err := reg.Get(name)
 		if err != nil {
 			t.Fatal(err)
@@ -233,7 +229,7 @@ func TestUpdateBatchAtomicity(t *testing.T) {
 // TestStatsAggregation exercises /stats and /stats/{dataset}: per-dataset
 // counters and fleet sums.
 func TestStatsAggregation(t *testing.T) {
-	_, srv := fixture(t, "a", "b") // b is sharded (2)
+	_, srv := fixture(t, "a", "b")
 	for _, path := range []string{"/utk1/a", "/utk1/a", "/utk1/b"} {
 		if resp, _ := post(t, srv.URL+path, queryBody); resp.StatusCode != http.StatusOK {
 			t.Fatalf("%s: %d", path, resp.StatusCode)
@@ -247,17 +243,14 @@ func TestStatsAggregation(t *testing.T) {
 	if one["queries"].(float64) != 2 {
 		t.Fatalf("dataset a queries = %v, want 2", one["queries"])
 	}
-	if one["shards"].(float64) != 1 {
-		t.Fatalf("dataset a shards = %v, want 1", one["shards"])
-	}
 
 	resp, err = http.Get(srv.URL + "/stats")
 	if err != nil {
 		t.Fatal(err)
 	}
 	agg := decode(t, resp)
-	if agg["datasets"].(float64) != 2 || agg["shards"].(float64) != 3 {
-		t.Fatalf("aggregate datasets/shards = %v/%v, want 2/3", agg["datasets"], agg["shards"])
+	if agg["datasets"].(float64) != 2 {
+		t.Fatalf("aggregate datasets = %v, want 2", agg["datasets"])
 	}
 	if agg["queries"].(float64) != 3 {
 		t.Fatalf("aggregate queries = %v, want 3", agg["queries"])
@@ -299,13 +292,13 @@ func TestDatasetAdmin(t *testing.T) {
 	// "shadow" is the retired shadow-depth knob: old clients still send it,
 	// and it is ignored like any unknown field.
 	resp, body = post(t, srv.URL+"/datasets/gen2", map[string]any{
-		"gen": "ANTI", "n": 64, "d": 3, "maxk": 4, "shards": 2, "shadow": 3,
+		"gen": "ANTI", "n": 64, "d": 3, "maxk": 4, "shadow": 3,
 	})
 	if resp.StatusCode != http.StatusCreated {
 		t.Fatalf("create by gen: %d", resp.StatusCode)
 	}
-	if body["shards"].(float64) != 2 {
-		t.Fatalf("created shards %v, want 2", body["shards"])
+	if _, ok := body["shards"]; ok {
+		t.Fatalf("create response still reports shards: %v", body)
 	}
 
 	resp, _ = post(t, srv.URL+"/datasets/gen2", map[string]any{"gen": "IND", "maxk": 2})
@@ -364,6 +357,43 @@ func TestDatasetAdmin(t *testing.T) {
 	resp, _ = post(t, locked.URL+"/datasets/more", map[string]any{"gen": "IND", "maxk": 2})
 	if resp.StatusCode == http.StatusCreated {
 		t.Fatal("create succeeded with admin disabled")
+	}
+}
+
+// TestCreateIgnoresShards pins the retired partition count: a create body
+// with "shards" (old clients still send it) builds the one-band engine, and
+// its HTTP answer equals a library engine's over the same records.
+func TestCreateIgnoresShards(t *testing.T) {
+	_, srv := fixture(t)
+	resp, body := post(t, srv.URL+"/datasets/legacy", map[string]any{
+		"gen": "IND", "n": 300, "d": 3, "seed": 5, "maxk": 5, "shards": 4,
+	})
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("create with shards: %d %v", resp.StatusCode, body)
+	}
+	eng, err := utk.NewEngine(dataset.Synthetic(dataset.IND, 300, 3, 5), utk.EngineConfig{MaxK: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	region, err := utk.NewBoxRegion([]float64{0.2, 0.2}, []float64{0.25, 0.25})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := eng.UTK1(context.Background(), utk.Query{K: 3, Region: region})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, body = post(t, srv.URL+"/utk1/legacy", queryBody)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("query: %d", resp.StatusCode)
+	}
+	var got []int
+	for _, v := range body["records"].([]any) {
+		got = append(got, int(v.(float64)))
+	}
+	sort.Ints(got)
+	if fmt.Sprint(got) != fmt.Sprint(want.Records) {
+		t.Fatalf("HTTP answer %v != library answer %v", got, want.Records)
 	}
 }
 

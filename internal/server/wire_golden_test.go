@@ -19,7 +19,7 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata/wire_golden.txt 
 // stripped. A new counter shows up here as a reviewed golden diff
 // (go test ./internal/server -run TestWireFormatGolden -update).
 func TestWireFormatGolden(t *testing.T) {
-	_, srv := fixture(t, "alpha", "beta") // beta is sharded
+	_, srv := fixture(t, "alpha", "beta")
 	var got bytes.Buffer
 	for _, path := range []string{"/stats/alpha", "/stats"} {
 		resp, err := http.Get(srv.URL + path)

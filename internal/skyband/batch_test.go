@@ -124,7 +124,10 @@ func TestApplyOpsObservablesDifferentialWithRepair(t *testing.T) {
 	for trial := 0; trial < trials; trial++ {
 		dim, k := 2+trial%3, 1+trial%5
 		size := func(c *churn) int { return 8 + c.rng.Intn(56) }
-		st.Add(churnVersusSingles(t, dataset.ANTI, 150+20*trial, dim, k, 16, int64(7000+trial), batches, size))
+		s := churnVersusSingles(t, dataset.ANTI, 150+20*trial, dim, k, 16, int64(7000+trial), batches, size)
+		st.Repairs += s.Repairs
+		st.RepairSteps += s.RepairSteps
+		st.Promotions += s.Promotions
 	}
 	if st.Repairs == 0 || st.RepairSteps == 0 || st.Promotions == 0 {
 		t.Fatalf("the re-cover pass was never exercised: %+v", st)

@@ -173,25 +173,6 @@ type DynamicStats struct {
 	CoalescedOps      uint64
 }
 
-// Add folds the stats of another partition of the same dataset into s.
-func (s *DynamicStats) Add(o DynamicStats) {
-	s.Live += o.Live
-	s.SupersetSize += o.SupersetSize
-	s.ShadowSize += o.ShadowSize
-	s.Inserts += o.Inserts
-	s.Deletes += o.Deletes
-	s.Promotions += o.Promotions
-	s.Demotions += o.Demotions
-	s.ShadowEvictions += o.ShadowEvictions
-	s.Repairs += o.Repairs
-	s.RepairSteps += o.RepairSteps
-	s.Exhaustions += o.Exhaustions
-	s.Rebuilds += o.Rebuilds
-	s.BandMaintenanceNS += o.BandMaintenanceNS
-	s.BatchApplyOps += o.BatchApplyOps
-	s.CoalescedOps += o.CoalescedOps
-}
-
 // NewDynamic builds the structure over the initial records (ids 0..n-1): one
 // counting sweep (see sweep) yields the band with exact counts, and the
 // records it leaves, still strongest first, are the fence pass's input. The

@@ -3,10 +3,11 @@ package store
 import (
 	"encoding/binary"
 	"fmt"
+	"maps"
 	"math"
+	"slices"
 
 	"repro/internal/engine"
-	"repro/internal/shard"
 	"repro/internal/skyband"
 )
 
@@ -279,39 +280,23 @@ func decodeEngineState(d *decoder) *engine.State {
 	return st
 }
 
-// EncodeSnapshot serializes a snapshot. The sharded record keeps the layout
-// it had when every partition was a child engine: after the routing header
-// each part is written as an engine state whose own epoch and batch slots are
-// zero — the dataset's epoch is the snapshot's top-level Epoch.
+// EncodeSnapshot serializes a snapshot.
 func EncodeSnapshot(s *Snapshot) []byte {
 	e := &encoder{buf: make([]byte, 0, 4096)}
 	e.byte(snapshotVersion)
 	e.uvarint(s.Seq)
 	e.uvarint(s.Epoch)
 	e.uvarint(uint64(s.UnixMilli))
-	st := s.Engine
-	if st.Parts == nil {
-		e.byte(snapKindSingle)
-		encodeEngineState(e, st)
-		return e.buf
-	}
-	e.byte(snapKindSharded)
-	sh := st.Parts
-	e.uvarint(uint64(st.Dim))
-	e.uvarint(uint64(sh.NextGlobal))
-	e.uvarint(uint64(sh.NextPart))
-	e.uvarint(st.Batches)
-	e.uvarint(uint64(len(sh.Parts)))
-	for _, l2g := range sh.LocalToGlobal {
-		e.ints(l2g)
-	}
-	for _, part := range sh.Parts {
-		encodeEngineState(e, &engine.State{Dim: st.Dim, Dyn: part})
-	}
+	e.byte(snapKindSingle)
+	encodeEngineState(e, s.Engine)
 	return e.buf
 }
 
-// DecodeSnapshot parses a snapshot payload.
+// DecodeSnapshot parses a snapshot payload. A sharded snapshot, written by a
+// partitioned engine, is read in its frozen layout — after the routing header
+// each part is an engine state whose own epoch and batch slots are ignored
+// (the dataset's epoch is the top-level one) — and converted into the one
+// band over all its parts' live records (see mergeParts).
 func DecodeSnapshot(payload []byte) (*Snapshot, error) {
 	d := &decoder{buf: payload}
 	if v := d.byte(); v != snapshotVersion && d.err == nil {
@@ -326,21 +311,19 @@ func DecodeSnapshot(payload []byte) (*Snapshot, error) {
 	case snapKindSingle:
 		s.Engine = decodeEngineState(d)
 	case snapKindSharded:
-		// Per-part epoch and batch slots are ignored: snapshots written when
-		// parts were child engines carry their sum in the top-level Epoch.
 		st := &engine.State{Dim: int(d.uvarint()), Epoch: s.Epoch}
-		sh := &shard.State{NextGlobal: int(d.uvarint()), NextPart: int(d.uvarint())}
+		nextGlobal, nextPart := int(d.uvarint()), int(d.uvarint())
 		st.Batches = d.uvarint()
 		n := d.count()
 		if d.err != nil {
 			return nil, d.err
 		}
-		sh.LocalToGlobal = make([][]int, n)
-		for i := range sh.LocalToGlobal {
-			sh.LocalToGlobal[i] = d.ints()
+		l2g := make([][]int, n)
+		for i := range l2g {
+			l2g[i] = d.ints()
 		}
-		sh.Parts = make([]*skyband.DynamicState, n)
-		for i := range sh.Parts {
+		parts := make([]*skyband.DynamicState, n)
+		for i := range parts {
 			part := decodeEngineState(d)
 			if d.err != nil {
 				return nil, d.err
@@ -348,9 +331,15 @@ func DecodeSnapshot(payload []byte) (*Snapshot, error) {
 			if part.Dim != st.Dim {
 				return nil, fmt.Errorf("%w: part %d dimensionality %d, dataset %d", ErrCorrupt, i, part.Dim, st.Dim)
 			}
-			sh.Parts[i] = part.Dyn
+			parts[i] = part.Dyn
 		}
-		st.Parts = sh
+		if nextPart < 0 || nextPart >= n {
+			return nil, fmt.Errorf("%w: round-robin cursor %d outside %d parts", ErrCorrupt, nextPart, n)
+		}
+		var err error
+		if st.Dyn, err = mergeParts(st.Dim, nextGlobal, l2g, parts); err != nil {
+			return nil, err
+		}
 		s.Engine = st
 	default:
 		if d.err == nil {
@@ -361,4 +350,66 @@ func DecodeSnapshot(payload []byte) (*Snapshot, error) {
 		return nil, err
 	}
 	return s, nil
+}
+
+// mergeParts converts a partitioned band's state into the one band over the
+// same records: every part's live local ids mapped through its routing table
+// (l2g, indexed by local id) to their global ids, sorted, with nextGlobal as
+// the id allocator and the lifetime counters summed over the parts. A part's
+// member counts are counts within that part, not global ones, so the band is
+// recomputed over the merged records. Everything is checked before it is
+// used: the bytes passed their CRC but are otherwise untrusted.
+func mergeParts(dim, nextGlobal int, l2g [][]int, parts []*skyband.DynamicState) (*skyband.DynamicState, error) {
+	if len(parts) == 0 || parts[0].K <= 0 {
+		return nil, fmt.Errorf("%w: sharded snapshot without parts or band depth", ErrCorrupt)
+	}
+	st := &skyband.DynamicState{K: parts[0].K, Coverage: parts[0].K, NextID: nextGlobal}
+	owned := make(map[int][]float64) // live global id → record
+	for p, part := range parts {
+		if part.K != st.K {
+			return nil, fmt.Errorf("%w: part %d band depth %d, part 0 %d", ErrCorrupt, p, part.K, st.K)
+		}
+		if len(l2g[p]) != part.NextID {
+			return nil, fmt.Errorf("%w: part %d routing table holds %d ids, allocator %d", ErrCorrupt, p, len(l2g[p]), part.NextID)
+		}
+		for i, lid := range part.LiveIDs {
+			if lid < 0 || lid >= len(l2g[p]) {
+				return nil, fmt.Errorf("%w: part %d live id %d outside its routing table", ErrCorrupt, p, lid)
+			}
+			g := l2g[p][lid]
+			if g < 0 || g >= nextGlobal {
+				return nil, fmt.Errorf("%w: part %d global id %d outside allocator %d", ErrCorrupt, p, g, nextGlobal)
+			}
+			if _, dup := owned[g]; dup {
+				return nil, fmt.Errorf("%w: global id %d owned twice", ErrCorrupt, g)
+			}
+			if len(part.LiveRecs[i]) != dim {
+				return nil, fmt.Errorf("%w: part %d record %d has %d attributes, dataset %d", ErrCorrupt, p, lid, len(part.LiveRecs[i]), dim)
+			}
+			owned[g] = part.LiveRecs[i]
+		}
+		st.Inserts += part.Inserts
+		st.Deletes += part.Deletes
+		st.Promotions += part.Promotions
+		st.Demotions += part.Demotions
+		st.Evictions += part.Evictions
+	}
+	st.LiveIDs = slices.Sorted(maps.Keys(owned))
+	st.LiveRecs = make([][]float64, len(st.LiveIDs))
+	for i, g := range st.LiveIDs {
+		st.LiveRecs[i] = owned[g]
+	}
+	// CountBand lists the band count-major; a state lists it by id.
+	idx, counts := skyband.CountBand(st.LiveRecs, st.K)
+	count := make([]int, len(st.LiveIDs)) // count+1 per band member, 0 elsewhere
+	for i, j := range idx {
+		count[j] = counts[i] + 1
+	}
+	for j, c := range count {
+		if c > 0 {
+			st.MemberIDs = append(st.MemberIDs, st.LiveIDs[j])
+			st.MemberCounts = append(st.MemberCounts, c-1)
+		}
+	}
+	return st, nil
 }

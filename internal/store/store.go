@@ -74,12 +74,14 @@ type Snapshot struct {
 
 // DatasetConfig is one manifest entry: a dataset's name and the
 // configuration needed to rebuild its serving engine at reopen. ShadowDepth
-// is legacy (the knob left with the shadow band in PR 18): manifests written
-// before still carry it, it is decoded and ignored, and never written.
+// and Shards are legacy knobs of the retired shadow band and partitioned
+// band: a manifest written before keeps them for its datasets, and no new
+// dataset sets them. A legacy Shards above 1 tells replay that the dataset's
+// log was written by a partitioned engine (see registry.Open).
 type DatasetConfig struct {
 	Name         string        `json:"name"`
 	Dim          int           `json:"dim"`
-	Shards       int           `json:"shards"`
+	Shards       int           `json:"shards,omitempty"`
 	MaxK         int           `json:"max_k"`
 	ShadowDepth  int           `json:"shadow_depth,omitempty"`
 	CacheEntries int           `json:"cache_entries,omitempty"`

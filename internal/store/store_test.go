@@ -5,11 +5,13 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 
+	"repro/internal/dataset"
 	"repro/internal/engine"
-	"repro/internal/shard"
 	"repro/internal/skyband"
+	"repro/internal/store/legacytest"
 )
 
 func testEngineState(epoch uint64) *engine.State {
@@ -115,25 +117,153 @@ func TestSnapshotCodecRoundtrip(t *testing.T) {
 	if !reflect.DeepEqual(single, got) {
 		t.Fatalf("single roundtrip mismatch:\n got %+v\nwant %+v", got, single)
 	}
+}
 
-	sharded := &Snapshot{
-		Seq: 4, Epoch: 6, UnixMilli: 12345,
-		Engine: &engine.State{
-			Dim: 3, Epoch: 6, Batches: 4,
-			Parts: &shard.State{
-				NextGlobal:    6,
-				NextPart:      1,
-				LocalToGlobal: [][]int{{0, 2, 4}, {1, 3, 5}},
-				Parts:         []*skyband.DynamicState{testEngineState(2).Dyn, testEngineState(4).Dyn},
-			},
-		},
-	}
-	got, err = DecodeSnapshot(EncodeSnapshot(sharded))
+// partitioned splits recs round-robin over the given number of parts, as a
+// partitioned engine placed them, with one dynamic band of depth k per part.
+func partitioned(t *testing.T, recs [][]float64, parts, k int) *legacytest.Sharded {
+	t.Helper()
+	l, err := legacytest.Partition(recs, parts, k)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(sharded, got) {
-		t.Fatalf("sharded roundtrip mismatch:\n got %+v\nwant %+v", got, sharded)
+	return l
+}
+
+// checkOneBand asserts that a converted state is the one band NewDynamic
+// builds over the same live records: members and exact counts, by id.
+func checkOneBand(t *testing.T, st *skyband.DynamicState) {
+	t.Helper()
+	if !slices.IsSorted(st.LiveIDs) || len(st.LiveIDs) != len(st.LiveRecs) {
+		t.Fatalf("live ids not sorted or misaligned: %d ids, %d records", len(st.LiveIDs), len(st.LiveRecs))
+	}
+	if n := len(st.LiveIDs); n > 0 && st.LiveIDs[n-1] >= st.NextID {
+		t.Fatalf("live id %d at or past the allocator %d", st.LiveIDs[n-1], st.NextID)
+	}
+	dyn, err := skyband.NewDynamic(st.LiveRecs, st.K)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := dyn.State() // ids are positions in LiveRecs, members sorted by them
+	for i, pos := range want.MemberIDs {
+		want.MemberIDs[i] = st.LiveIDs[pos]
+	}
+	if !slices.Equal(st.MemberIDs, want.MemberIDs) || !slices.Equal(st.MemberCounts, want.MemberCounts) {
+		t.Fatalf("converted band %v counts %v, NewDynamic over the live records %v counts %v", st.MemberIDs, st.MemberCounts, want.MemberIDs, want.MemberCounts)
+	}
+	if _, err := skyband.RestoreDynamic(st); err != nil {
+		t.Fatalf("converted state does not restore: %v", err)
+	}
+}
+
+// TestDecodeLegacySharded converts partitioned snapshots into the one band:
+// a round-robin split of three distributions, churned so parts hold deleted
+// ids, decodes to the parts' live records under their global ids, the
+// global allocator, summed counters, and the band NewDynamic builds over
+// those records.
+func TestDecodeLegacySharded(t *testing.T) {
+	for _, kind := range []dataset.Kind{dataset.IND, dataset.COR, dataset.ANTI} {
+		recs := dataset.Synthetic(kind, 300, 3, 17)
+		l := partitioned(t, recs, 3, 5)
+		// Delete every fifth record from its part (local id g/3 on part g%3).
+		var live []int
+		for g := range recs {
+			if g%5 == 0 {
+				dyn, err := skyband.RestoreDynamic(l.Parts[g%3])
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, _, ok := dyn.Delete(g / 3); !ok {
+					t.Fatalf("delete %d", g)
+				}
+				l.Parts[g%3] = dyn.State()
+				continue
+			}
+			live = append(live, g)
+		}
+		snap, err := DecodeSnapshot(l.Encode(9, 14, 5))
+		if err != nil {
+			t.Fatalf("%v: %v", kind, err)
+		}
+		st := snap.Engine
+		if snap.Seq != 9 || snap.Epoch != 14 || st.Epoch != 14 || st.Batches != 5 || st.Dim != 3 {
+			t.Fatalf("%v: header seq %d epoch %d/%d batches %d dim %d", kind, snap.Seq, snap.Epoch, st.Epoch, st.Batches, st.Dim)
+		}
+		if !slices.Equal(st.Dyn.LiveIDs, live) || st.Dyn.NextID != len(recs) || st.Dyn.K != 5 {
+			t.Fatalf("%v: live ids %v next %d k %d, want %v next %d k 5", kind, st.Dyn.LiveIDs, st.Dyn.NextID, st.Dyn.K, live, len(recs))
+		}
+		for i, g := range live {
+			if !slices.Equal(st.Dyn.LiveRecs[i], recs[g]) {
+				t.Fatalf("%v: record of id %d differs", kind, g)
+			}
+		}
+		var deletes uint64
+		for _, part := range l.Parts {
+			deletes += part.Deletes
+		}
+		if deletes != uint64(len(recs)-len(live)) || st.Dyn.Deletes != deletes {
+			t.Fatalf("%v: summed deletes %d, parts %d, want %d", kind, st.Dyn.Deletes, deletes, len(recs)-len(live))
+		}
+		checkOneBand(t, st.Dyn)
+	}
+}
+
+// TestDecodeLegacyShardedFixture decodes the partitioned engine's snapshot
+// pinned in the registry's sharded_v1 directory (bytes written by that
+// engine, never regenerated) into the one band over its live records.
+func TestDecodeLegacyShardedFixture(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("..", "registry", "testdata", "sharded_v1", "datasets", "fx", "snapshot.snap"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(raw) < len(snapMagic)+frameHeaderLen || string(raw[:len(snapMagic)]) != snapMagic {
+		t.Fatal("fixture snapshot lacks its header")
+	}
+	snap, err := DecodeSnapshot(raw[len(snapMagic)+frameHeaderLen:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := snap.Engine
+	if st.Dim != 3 || st.Dyn.K != 6 || st.Epoch != snap.Epoch || len(st.Dyn.LiveIDs) == 0 {
+		t.Fatalf("fixture decoded to dim %d k %d epoch %d/%d with %d live records", st.Dim, st.Dyn.K, st.Epoch, snap.Epoch, len(st.Dyn.LiveIDs))
+	}
+	checkOneBand(t, st.Dyn)
+}
+
+// TestDecodeLegacyShardedRejectsCorrupt hand-corrupts a valid partitioned
+// snapshot in each way its routing can be inconsistent: every one must be
+// refused as ErrCorrupt, without a panic.
+func TestDecodeLegacyShardedRejectsCorrupt(t *testing.T) {
+	recs := dataset.Synthetic(dataset.IND, 12, 3, 3)
+	for _, tc := range []struct {
+		name    string
+		corrupt func(l *legacytest.Sharded)
+	}{
+		{"short routing table", func(l *legacytest.Sharded) { l.L2G[1] = l.L2G[1][:2] }},
+		{"live id past its routing table", func(l *legacytest.Sharded) {
+			l.Parts[0].LiveIDs = slices.Clone(l.Parts[0].LiveIDs)
+			l.Parts[0].LiveIDs[3] = len(l.L2G[0])
+		}},
+		{"negative live id", func(l *legacytest.Sharded) {
+			l.Parts[0].LiveIDs = slices.Clone(l.Parts[0].LiveIDs)
+			l.Parts[0].LiveIDs[0] = -1
+		}},
+		{"global id past the allocator", func(l *legacytest.Sharded) { l.L2G[1][0] = l.NextGlobal }},
+		{"global id owned by two parts", func(l *legacytest.Sharded) { l.L2G[1][2] = l.L2G[0][2] }},
+		{"parts disagree on K", func(l *legacytest.Sharded) { l.Parts[1].K = 3 }},
+		{"no parts", func(l *legacytest.Sharded) { l.L2G, l.Parts = nil, nil }},
+		{"cursor out of range", func(l *legacytest.Sharded) { l.NextPart = len(l.Parts) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			l := partitioned(t, recs, 3, 2)
+			if _, err := DecodeSnapshot(l.Encode(1, 1, 1)); err != nil {
+				t.Fatalf("valid input refused: %v", err)
+			}
+			tc.corrupt(l)
+			if _, err := DecodeSnapshot(l.Encode(1, 1, 1)); !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("got %v, want ErrCorrupt", err)
+			}
+		})
 	}
 }
 

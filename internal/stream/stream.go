@@ -35,8 +35,6 @@ type Config struct {
 	K   int
 	// Sigma is the query-region side length (default 0.01).
 	Sigma float64
-	// Shards > 1 builds a sharded engine; otherwise a single engine.
-	Shards int
 	// BatchSize is ops per ApplyBatch (default 32), including the
 	// 2*ChurnPairs ops of the coalescible insert→delete pairs (default 4
 	// pairs). The remainder splits evenly between plain inserts and deletes,
@@ -144,7 +142,7 @@ type Result struct {
 func Run(cfg Config) (*Result, error) {
 	cfg.fill()
 	data := dataset.Synthetic(dataset.IND, cfg.N, cfg.Dim, cfg.Seed)
-	e, err := utk.NewEngine(data, max(cfg.Shards, 1), utk.EngineConfig{MaxK: cfg.K, CacheEntries: cfg.CacheEntries})
+	e, err := utk.NewEngine(data, utk.EngineConfig{MaxK: cfg.K, CacheEntries: cfg.CacheEntries})
 	if err != nil {
 		return nil, err
 	}

@@ -11,26 +11,6 @@ import (
 	"repro/internal/oracle"
 )
 
-// parallelBackends builds the serving configurations the decomposition
-// differential runs against: a single-partition engine and sharded ones.
-func parallelBackends(t *testing.T, ds *Dataset, maxK int) map[string]*Engine {
-	t.Helper()
-	out := map[string]*Engine{}
-	single, err := ds.NewEngine(EngineConfig{MaxK: maxK})
-	if err != nil {
-		t.Fatal(err)
-	}
-	out["single"] = single
-	for _, s := range []int{2, 3} {
-		e, err := ds.NewShardedEngine(s, EngineConfig{MaxK: maxK})
-		if err != nil {
-			t.Fatal(err)
-		}
-		out[fmt.Sprintf("sharded%d", s)] = e
-	}
-	return out
-}
-
 func parallelRegion(t *testing.T, rng *rand.Rand, dim int) *Region {
 	t.Helper()
 	for {
@@ -75,9 +55,17 @@ func utk2Union(res *UTK2Result) []int {
 	return out
 }
 
+// parallelBackends are the engines the decomposition differential runs
+// against: one built over the records, and ones reopened from a legacy
+// snapshot of two and three parts (see partsEngine).
+var parallelBackends = []struct {
+	name  string
+	parts int
+}{{"single", 1}, {"sharded2", 2}, {"sharded3", 3}}
+
 // TestParallelDifferential is the serving-stack decomposition differential:
-// for d = 2–5 and W = 1–8, every backend (single-partition and sharded) must
-// answer a Workers=W query exactly like the direct sequential Dataset run —
+// for d = 2–5 and W = 1–8, every backend must answer a Workers=W query
+// exactly like the direct sequential Dataset run —
 // identical UTK1 id sets, identical unique top-k sets for UTK2, and every
 // parallel cell's top-k set confirmed by the oracle at its interior point.
 func TestParallelDifferential(t *testing.T) {
@@ -106,12 +94,12 @@ func TestParallelDifferential(t *testing.T) {
 			t.Fatal(err)
 		}
 		seqSets := topKSetStrings(seq2)
-		backends := parallelBackends(t, ds, k+2)
 		ctx := context.Background()
-		for name, e := range backends {
+		for _, b := range parallelBackends {
+			e := partsEngine(t, ds, b.parts, EngineConfig{MaxK: k + 2})
 			for _, workers := range workerSweep {
-				name, e, workers := name, e, workers
-				t.Run(fmt.Sprintf("seed=%d/d=%d/k=%d/%s/W=%d", 4200+d, d, k, name, workers), func(t *testing.T) {
+				workers := workers
+				t.Run(fmt.Sprintf("seed=%d/d=%d/k=%d/%s/W=%d", 4200+d, d, k, b.name, workers), func(t *testing.T) {
 					q := Query{K: k, Region: r, Workers: workers}
 					got1, err := e.UTK1(ctx, q)
 					if err != nil {

@@ -74,7 +74,7 @@ func BenchmarkRecovery(b *testing.B) {
 	})
 	b.Run("rebuild", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			e, err := utk.NewEngine(recs, 1, utk.EngineConfig{MaxK: maxK})
+			e, err := utk.NewEngine(recs, utk.EngineConfig{MaxK: maxK})
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -2,10 +2,10 @@ package utk
 
 import "repro/internal/engine"
 
-// EngineState is a deep snapshot of an Engine's mutable dataset state, single
-// or sharded. It is the unit the durability layer snapshots and restores:
-// applying the same update batches to a restored engine yields answers
-// bit-identical to the original's.
+// EngineState is a deep snapshot of an Engine's mutable dataset state. It is
+// the unit the durability layer snapshots and restores: applying the same
+// update batches to a restored engine yields answers bit-identical to the
+// original's.
 type EngineState = engine.State
 
 // State captures the engine's dataset state as one consistent snapshot
@@ -17,8 +17,8 @@ func (e *Engine) State() *EngineState { return e.e.ExportState() }
 // the snapshotted candidate superset and updates over the restored
 // maintenance structure, so recovery costs one fence pass over the live
 // records instead of NewEngine's recomputation of the superset. cfg supplies
-// the serving parameters (cache, workers, backpressure, timeout); the
-// dataset-shaped parameters (MaxK, shard count) come from the state.
+// the serving parameters (cache, workers, backpressure, timeout); MaxK comes
+// from the state.
 func RestoreEngine(st *EngineState, cfg EngineConfig) (*Engine, error) {
 	e, err := engine.Restore(st, cfg.engineConfig())
 	if err != nil {

@@ -5,7 +5,38 @@ import (
 	"fmt"
 	"sort"
 	"testing"
+
+	"repro/internal/store"
+	"repro/internal/store/legacytest"
 )
+
+// partsEngine builds an engine over ds. With more than one part it opens the
+// records the way a data directory written by the retired partitioned
+// engine reopens: split round-robin over the parts, written in the frozen
+// sharded snapshot layout, and decoded by the store into the one band.
+func partsEngine(t *testing.T, ds *Dataset, parts int, cfg EngineConfig) *Engine {
+	t.Helper()
+	if parts <= 1 {
+		e, err := ds.NewEngine(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return e
+	}
+	l, err := legacytest.Partition(ds.records, parts, cfg.MaxK)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := store.DecodeSnapshot(l.Encode(1, 0, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := RestoreEngine(snap.Engine, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e
+}
 
 // stateAnswers canonicalizes an engine's UTK1/UTK2 answers for equality
 // checks across an export/restore cycle.
@@ -27,21 +58,16 @@ func stateAnswers(t *testing.T, e *Engine, r *Region) string {
 
 // TestEngineStateRoundtrip exports a mutated engine's state and restores it
 // into a fresh engine: answers, epoch, and live population must match, and
-// both engines must evolve identically under further updates.
+// both engines must evolve identically under further updates. shards=3 starts
+// from a legacy three-part snapshot reopened as one band.
 func TestEngineStateRoundtrip(t *testing.T) {
-	for _, shards := range []int{1, 3} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+	for _, parts := range []int{1, 3} {
+		t.Run(fmt.Sprintf("shards=%d", parts), func(t *testing.T) {
 			ds, r := facadeFixture(t)
 			cfg := EngineConfig{MaxK: 6}
-			var e *Engine
-			var err error
-			if shards > 1 {
-				e, err = ds.NewShardedEngine(shards, cfg)
-			} else {
-				e, err = ds.NewEngine(cfg)
-			}
-			if err != nil {
-				t.Fatal(err)
+			e := partsEngine(t, ds, parts, cfg)
+			if got, want := stateAnswers(t, e, r), stateAnswers(t, partsEngine(t, ds, 1, cfg), r); got != want {
+				t.Fatalf("reopened answers %s, built engine's %s", got, want)
 			}
 			ops := []UpdateOp{
 				{Kind: UpdateInsert, Record: []float64{0.95, 0.9, 0.85}},
@@ -56,9 +82,8 @@ func TestEngineStateRoundtrip(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if restored.Dim() != e.Dim() || restored.Shards() != e.Shards() || restored.MaxK() != e.MaxK() {
-				t.Fatalf("restored shape dim=%d shards=%d maxk=%d, want %d/%d/%d",
-					restored.Dim(), restored.Shards(), restored.MaxK(), e.Dim(), e.Shards(), e.MaxK())
+			if restored.Dim() != e.Dim() || restored.MaxK() != e.MaxK() {
+				t.Fatalf("restored shape dim=%d maxk=%d, want %d/%d", restored.Dim(), restored.MaxK(), e.Dim(), e.MaxK())
 			}
 			es, rs := e.Stats(), restored.Stats()
 			if es.Epoch != rs.Epoch || es.Live != rs.Live || es.SupersetSize != rs.SupersetSize {

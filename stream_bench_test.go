@@ -18,27 +18,22 @@ import (
 // amortizes away at real b.N); the headline numbers are the reported
 // updates/s and query percentile metrics.
 func BenchmarkStreamSustained(b *testing.B) {
-	for _, tc := range []struct {
-		name   string
-		shards int
-	}{{"single", 1}, {"shards=3", 3}} {
-		b.Run(tc.name, func(b *testing.B) {
-			res, err := stream.Run(stream.Config{
-				N: 20000, Dim: 4, K: 10, Shards: tc.shards,
-				BatchSize: 32, ChurnPairs: 4, Queriers: 4,
-				Batches: b.N, Seed: 11,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if res.Stats.CoalescedOps == 0 {
-				b.Fatal("churn pairs did not exercise coalescing")
-			}
-			b.ReportMetric(res.UpdatesPerSec, "updates/s")
-			b.ReportMetric(float64(res.QueryP50), "q-p50-ns")
-			b.ReportMetric(float64(res.QueryP99), "q-p99-ns")
+	b.Run("single", func(b *testing.B) {
+		res, err := stream.Run(stream.Config{
+			N: 20000, Dim: 4, K: 10,
+			BatchSize: 32, ChurnPairs: 4, Queriers: 4,
+			Batches: b.N, Seed: 11,
 		})
-	}
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.Stats.CoalescedOps == 0 {
+			b.Fatal("churn pairs did not exercise coalescing")
+		}
+		b.ReportMetric(res.UpdatesPerSec, "updates/s")
+		b.ReportMetric(float64(res.QueryP50), "q-p50-ns")
+		b.ReportMetric(float64(res.QueryP99), "q-p99-ns")
+	})
 	// Large-population variants (250k points) compare blocking against
 	// pipelined batch apply: pipelined ns/op measures only the blocking begin
 	// stage, the quantity the PR's pipelining exists to shrink.

@@ -4,9 +4,9 @@ package utk
 // insert→delete pairs) run against concurrent UTK1/UTK2 queriers, and after
 // every burst the engine's maintained band is differentially checked against
 // a static engine rebuilt from the current live records — the invariant that
-// makes incremental maintenance "exact" rather than approximate. Runs over
-// both backends (single engine and a 3-shard federation) and is part of the
-// CI -race suites.
+// makes incremental maintenance "exact" rather than approximate. Runs on an
+// engine built over the records and on one reopened from a legacy
+// three-part snapshot, and is part of the CI -race suites.
 
 import (
 	"context"
@@ -16,21 +16,22 @@ import (
 	"testing"
 
 	"repro/internal/dataset"
-	"repro/internal/skyband"
 )
 
 func TestStreamSoak(t *testing.T) {
 	for _, tc := range []struct {
-		name   string
-		shards int
+		name  string
+		parts int
 	}{{"single", 1}, {"shards=3", 3}} {
 		t.Run(tc.name, func(t *testing.T) {
-			streamSoak(t, tc.shards)
+			streamSoak(t, tc.parts)
 		})
 	}
 }
 
-func streamSoak(t *testing.T, shards int) {
+// streamSoak soaks an engine over a fresh dataset; with parts > 1 the engine
+// is reopened from a legacy snapshot of that many parts (see partsEngine).
+func streamSoak(t *testing.T, parts int) {
 	const (
 		n, dim, k      = 3000, 3, 8
 		batchSize      = 40
@@ -47,15 +48,7 @@ func streamSoak(t *testing.T, shards int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var e *Engine
-	if shards > 1 {
-		e, err = ds.NewShardedEngine(shards, EngineConfig{MaxK: k})
-	} else {
-		e, err = ds.NewEngine(EngineConfig{MaxK: k})
-	}
-	if err != nil {
-		t.Fatal(err)
-	}
+	e := partsEngine(t, ds, parts, EngineConfig{MaxK: k})
 	boxes := dataset.RandomBoxes(dim-1, 0.05, 6, 9)
 	regions := make([]*Region, len(boxes))
 	for i, b := range boxes {
@@ -161,42 +154,17 @@ func streamSoak(t *testing.T, shards int) {
 
 // verifySoakBurst rebuilds a static dataset from the engine's current live
 // records and checks (1) the maintained band against the statically computed
-// k-skyband — exact set equality for a single engine; for shards, the global
-// band must be covered by the union of per-shard bands (the merge-exactness
-// precondition) — and (2) UTK1 answers against the static Dataset on every
-// soak region.
+// k-skyband — exact set equality — and (2) UTK1 answers against the static
+// Dataset on every soak region.
 func verifySoakBurst(t *testing.T, e *Engine, k int, regions []*Region, wantLive int) {
 	t.Helper()
 	st := e.State()
-	var (
-		liveIDs  []int
-		liveRecs [][]float64
-		dynBand  = map[int]bool{}
-	)
-	collect := func(dyn *skyband.DynamicState, toGlobal []int) {
-		gid := func(local int) int {
-			if toGlobal == nil {
-				return local
-			}
-			return toGlobal[local]
+	liveIDs, liveRecs := st.Dyn.LiveIDs, st.Dyn.LiveRecs
+	dynBand := map[int]bool{}
+	for i, id := range st.Dyn.MemberIDs {
+		if st.Dyn.MemberCounts[i] < k {
+			dynBand[id] = true
 		}
-		for i, lid := range dyn.LiveIDs {
-			liveIDs = append(liveIDs, gid(lid))
-			liveRecs = append(liveRecs, dyn.LiveRecs[i])
-		}
-		for i, lid := range dyn.MemberIDs {
-			if dyn.MemberCounts[i] < k {
-				dynBand[gid(lid)] = true
-			}
-		}
-	}
-	sharded := st.Parts != nil
-	if sharded {
-		for p, part := range st.Parts.Parts {
-			collect(part, st.Parts.LocalToGlobal[p])
-		}
-	} else {
-		collect(st.Dyn, nil)
 	}
 	if len(liveIDs) != wantLive {
 		t.Fatalf("engine live count %d != tracked %d", len(liveIDs), wantLive)
@@ -219,13 +187,9 @@ func verifySoakBurst(t *testing.T, e *Engine, k int, regions []*Region, wantLive
 			t.Fatalf("static band member %d missing from maintained band", id)
 		}
 	}
-	if !sharded {
-		// Per-shard bands legitimately over-retain (local dominator counts
-		// undercount global ones); a single engine's band must match exactly.
-		for id := range dynBand {
-			if !staticBand[id] {
-				t.Fatalf("maintained band retains %d beyond the static band", id)
-			}
+	for id := range dynBand {
+		if !staticBand[id] {
+			t.Fatalf("maintained band retains %d beyond the static band", id)
 		}
 	}
 
