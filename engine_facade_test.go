@@ -287,10 +287,11 @@ func TestEngineFacadeUpdates(t *testing.T) {
 }
 
 // TestEngineAttributesBeyondFloat32 is the serving-path regression test for
-// records the warm filter's float32 layout cannot hold (any finite float64 is
-// a valid attribute): with one attribute of 1e39 the layout's bounds were NaN
-// and the engine dropped the second-best record everywhere from k = 2 up. The
-// engine must answer exactly what the stateless Dataset answers.
+// records beyond float32 range (any finite float64 is a valid attribute):
+// with one attribute of 1e39 the float32 layout the warm filter once used had
+// NaN bounds, and the engine dropped the second-best record everywhere from
+// k = 2 up. The engine must answer exactly what the stateless Dataset
+// answers.
 func TestEngineAttributesBeyondFloat32(t *testing.T) {
 	for _, records := range [][][]float64{
 		{{1e39, 1e39}, {-5, -2}, {-2, -5}, {-6, -3}, {-3, -6}, {-7, -7}},

@@ -9,14 +9,17 @@
 //     (by transitivity of r-dominance) counting dominators within the
 //     superset stays exact. The band hands the superset over with exact
 //     dominator counts, in count-major order, so the k-skyband for every
-//     k ≤ MaxK is a prefix of it — of its ids, its records and the rows of
-//     its one float32 layout — and nothing per depth is derived or stored.
-//     Each query then filters its depth's prefix with the tree-free
-//     sort-and-sweep (skyband.ScanGraphWith) instead of the paper's
-//     branch-and-bound over an R-tree of the whole dataset — the filter is
-//     the dominant share of cold-query latency, and skyband-shaped candidate
-//     sets defeat MBB pruning anyway. The engine builds and holds no tree at
-//     all.
+//     k ≤ MaxK is a prefix of it — of its ids, its records and the count
+//     levels of its one block layout — and nothing per depth is derived or
+//     stored. Each query then filters its depth's prefix
+//     (skyband.ScanGraphWith): the paper's branch-and-bound prunes a group of
+//     records by its score bound, and here the groups are the layout's
+//     blocks — kd leaves of ≤ 8 rows within each count level, split once per
+//     epoch — instead of the nodes of an R-tree over the whole dataset. The
+//     interval prefilter scores only the blocks that can reach the running
+//     k-th largest minimum score, exactly in float64, then a sort-and-sweep
+//     builds the graph over the few survivors. The engine builds and holds
+//     no R-tree.
 //  2. Incremental updates: Insert, Delete, and ApplyBatch maintain the
 //     skyband superset through a skyband.Dynamic (the exact band plus the
 //     fence — the skyline of the other records — so no update ever recomputes
@@ -251,26 +254,51 @@ type UpdateOp struct {
 	ID     int       // for UpdateDelete
 }
 
-// index is one immutable epoch of the candidate lists: the MaxK-skyband with
-// its exact counts, in the band's count-major order, and its flat float32
-// layout for the interval prefilter's score kernel (nil when an attribute is
-// beyond float32 range; the filter then runs in float64). The k-skyband is
-// the prefix of the entries with count < k — of the ids, the records and the
-// layout's rows. It is built once per publication and shared read-only by
-// every query against it.
+// index is one epoch of the candidate lists: the MaxK-skyband with its exact
+// counts, in the band's count-major order, and its block layout for the
+// interval prefilter (see skyband.Blocks). The k-skyband is the prefix of the
+// entries with count < k — of the ids, the records and the layout's count
+// levels. The lists are immutable and shared read-only by every query
+// against the epoch. The layout is published with one block per count
+// level, which costs a publication about as much as copying the rows; once
+// the epoch's filter passes have evaluated as many rows as cutting the
+// levels into kd leaves costs (Blocks.SplitCost), the query that crosses
+// that count splits them once and swaps the layout. A split of
+// update_mix's 873-row band takes ≈ 0.3–0.4 ms on a 2-core box, about half
+// of that workload's update_p50_us: paid at every publication, or by the
+// first query of every epoch, it would cost more than it saves, since most
+// of its epochs serve a few queries and go.
 type index struct {
 	epoch  uint64
 	ids    []int
 	recs   [][]float64
 	counts []int
-	cols   *skyband.Columns
+
+	blocks    atomic.Pointer[skyband.Blocks]
+	scanned   atomic.Int64 // rows the filter passes over the unsplit layout evaluated
+	splitting atomic.Bool  // set by the one query that splits
 }
 
 // bandIndex snapshots the band (see skyband.Dynamic.Band; the slices are
 // immutable from here on) into a new index at the given epoch.
 func bandIndex(epoch uint64, b *skyband.Dynamic) *index {
 	ids, recs, counts := b.Band()
-	return &index{epoch: epoch, ids: ids, recs: recs, counts: counts, cols: skyband.NewColumns(recs)}
+	ix := &index{epoch: epoch, ids: ids, recs: recs, counts: counts}
+	ix.blocks.Store(skyband.NewBlocks(recs, counts))
+	return ix
+}
+
+// filter builds the region's r-dominance graph over the k-skyband, which is
+// the prefix [:n] of the index, and splits the layout when its time has come
+// (see index).
+func (ix *index) filter(r *geom.Region, k int) *skyband.Graph {
+	n := sort.SearchInts(ix.counts, k)
+	b := ix.blocks.Load()
+	g, rows := skyband.ScanGraphWith(b, ix.recs[:n], ix.ids[:n], r, k)
+	if cost := b.SplitCost(); cost > 0 && ix.scanned.Add(int64(rows)) >= int64(cost) && ix.splitting.CompareAndSwap(false, true) {
+		ix.blocks.Store(b.Split())
+	}
+	return g
 }
 
 // flight is one in-progress computation that concurrent identical queries
@@ -1025,8 +1053,7 @@ func (e *Engine) compute(ctx context.Context, req Request, ix *index, abortOnSup
 		return abortOnSupersede && e.idx.Load() != ix
 	}
 	start := time.Now()
-	n := sort.SearchInts(ix.counts, req.K) // the req.K-skyband is the prefix [:n]
-	g := skyband.ScanGraphWith(ix.cols.Prefix(n), ix.recs[:n], ix.ids[:n], req.Region, req.K)
+	g := ix.filter(req.Region, req.K)
 	st.FilterDuration = time.Since(start)
 	res := &Result{Epoch: ix.epoch}
 	switch req.Variant {

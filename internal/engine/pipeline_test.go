@@ -150,7 +150,7 @@ func TestMultiPartBatchAtomic(t *testing.T) {
 // TestParallelMissSharesSplitAndColumns pins that the one compute serves a
 // fresh and a restored engine with the same machinery: a parallel UTK2 miss
 // at k < MaxK filters a proper prefix of the band through the epoch's one
-// float32 layout and consults and calibrates the engine's split model, and
+// block layout and consults and calibrates the engine's split model, and
 // the restored engine's first such miss returns exactly the fresh engine's
 // candidates and cells. (Restore used to leave the split model nil.)
 func TestParallelMissSharesSplitAndColumns(t *testing.T) {
@@ -171,8 +171,8 @@ func TestParallelMissSharesSplitAndColumns(t *testing.T) {
 			name = "restored"
 		}
 		ix := e.idx.Load()
-		if n := sort.SearchInts(ix.counts, req.K); ix.cols == nil || n == 0 || n >= len(ix.ids) {
-			t.Fatalf("%s: the k=%d candidates are not a proper prefix [:%d] of the %d-record band's one layout (layout %v)", name, req.K, n, len(ix.ids), ix.cols != nil)
+		if n := sort.SearchInts(ix.counts, req.K); ix.blocks.Load().SplitCost() == 0 || n == 0 || n >= len(ix.ids) {
+			t.Fatalf("%s: the k=%d candidates are not a proper prefix [:%d] of the %d-record band's one unsplit layout (split cost %d)", name, req.K, n, len(ix.ids), ix.blocks.Load().SplitCost())
 		}
 		if e.split == nil || e.split.Calibrated() {
 			t.Fatalf("%s: split model %v before any query, want present and uncalibrated", name, e.split)

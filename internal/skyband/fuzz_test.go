@@ -1,6 +1,7 @@
 package skyband
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -78,23 +79,25 @@ func FuzzDynamicApplyOps(f *testing.F) {
 }
 
 // FuzzIntervalPrefilter decodes bytes into a box, a depth, an arrival order
-// and up to 256 records, and requires checkPrefilter — survivors ≡ the
-// complement of IntervalExcluded, and nothing the streaming pass drops was
-// needed — plus ScanGraphWith ≡ ScanGraph on ids and edge count, over the
-// whole record set and over a prefix read through the whole set's layout (as
-// the engine reads a k-skyband). Coordinates
-// are sixteenths in [−8, 8) times a power of two between 2⁻¹²⁰ and 2¹³⁰, so
-// exact ties, negative values, float32 denormals, scales a slack apart and
-// values beyond float32 range (where the kernel must decline) all occur.
+// and up to 256 records on up to 8 count levels, and requires checkPrefilter
+// — survivors ≡ the complement of IntervalExcluded, every block bound sound,
+// and every skipped block below θ — plus ScanGraphWith ≡ ScanGraph on ids
+// and edge count, on both layouts (one block per level, and kd leaves of ≤ 8
+// rows) and over every level prefix, as the engine reads a k-skyband.
+// Coordinates are sixteenths in [−8, 8) times a power of two between 2⁻¹²⁰
+// and 2¹³⁰, so exact ties, negative values, denormal-scale products and
+// scales far apart all occur.
 //
 // Layout: dim−2 (mod 6), k−1 (mod 12), order (mod 3: as drawn, strongest-
-// first, weakest-first by minimum score), the base exponent (mod 251, −120),
-// per box side two bytes (lo as a share of 0.9/(dim−1), width−1 in 512ths),
-// a box blow-up (above 128: hi[0] += 2^(b−126), out of the weight domain and
-// for large b out of float32 range), then records until the input ends: a
-// kind byte (mod 8) — 0: exact copy of record b; 1: copy of record b with one
-// attribute moved by 1e-8 relative; else an exponent offset byte (signed,
-// clamped to the range above) and dim coordinate bytes (signed).
+// first, weakest-first by minimum score, within each level), the base
+// exponent (mod 251, −120), per box side two bytes (lo as a share of
+// 0.9/(dim−1), width−1 in 512ths), a negative-lo byte (bit j puts lo_j at
+// −Eps·(4 − b>>6)/4, in [−Eps, 0), as NewBox admits), a box blow-up (above
+// 128: hi[0] += 2^(b−126), out of the weight domain), then records until the
+// input ends: a level byte (mod 8), a kind byte (mod 8) — 0: exact copy of
+// record b; 1: copy of record b with one attribute moved by 1e-8 relative;
+// else an exponent offset byte (signed, clamped to the range above) and dim
+// coordinate bytes (signed).
 func FuzzIntervalPrefilter(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		next := func() int {
@@ -112,6 +115,13 @@ func FuzzIntervalPrefilter(f *testing.F) {
 			lo[j] = float64(next()) / 256 * 0.9 / float64(dim-1)
 			hi[j] = lo[j] + float64(1+next())/512
 		}
+		if b := next(); b != 0 {
+			for j := range lo {
+				if b&(1<<j) != 0 {
+					lo[j] = -geom.Eps * float64(4-b>>6) / 4
+				}
+			}
+		}
 		if b := next(); b > 128 {
 			hi[0] += math.Ldexp(1, b-126)
 		}
@@ -119,41 +129,52 @@ func FuzzIntervalPrefilter(f *testing.F) {
 		if err != nil {
 			t.Skip(err)
 		}
-		var recs [][]float64
-		for len(data) > 0 && len(recs) < 256 {
+		type leveled struct {
+			level int
+			rec   []float64
+		}
+		var drawn []leveled
+		for len(data) > 0 && len(drawn) < 256 {
+			level := next() % 8
 			switch kind := next() % 8; {
-			case kind < 2 && len(recs) > 0:
-				rec := slices.Clone(recs[next()%len(recs)])
+			case kind < 2 && len(drawn) > 0:
+				rec := slices.Clone(drawn[next()%len(drawn)].rec)
 				if kind == 1 {
 					rec[next()%dim] *= 1 + 1e-8
 				}
-				recs = append(recs, rec)
+				drawn = append(drawn, leveled{level, rec})
 			default:
 				exp := min(max(base+int(int8(next())), -120), 130)
 				rec := make([]float64, dim)
 				for j := range rec {
 					rec[j] = math.Ldexp(float64(int8(next())), exp-4)
 				}
-				recs = append(recs, rec)
+				drawn = append(drawn, leveled{level, rec})
 			}
 		}
-		ids := make([]int, len(recs))
-		for i := range ids {
-			ids[i] = 100 + i
+		slices.SortStableFunc(drawn, func(a, b leveled) int {
+			if c := cmp.Compare(a.level, b.level); c != 0 || order == 0 {
+				return c
+			}
+			if order == 2 {
+				a, b = b, a
+			}
+			return cmp.Compare(r.MinScore(b.rec), r.MinScore(a.rec))
+		})
+		recs, counts, ids := make([][]float64, len(drawn)), make([]int, len(drawn)), make([]int, len(drawn))
+		for i, lr := range drawn {
+			recs[i], counts[i], ids[i] = lr.rec, lr.level, 100+i
 		}
-		recs = arrivalOrders(recs, r)[order]
 
-		cols := NewColumns(recs)
-		kept := checkPrefilter(t, cols, recs, r, k)
-		t.Logf("dim=%d k=%d order=%d n=%d: stream kept %d (−1: kernel declined)", dim, k, order, len(recs), kept)
-		// The engine filters a k-skyband through a prefix view of the whole
-		// band's layout; the cut is taken from the decoded exponent.
-		cut := (base + 120) % (len(recs) + 1)
-		checkPrefilter(t, cols.Prefix(cut), recs[:cut], r, k)
-		for _, n := range []int{len(recs), cut} {
-			want, got := ScanGraph(recs[:n], ids[:n], r, k), ScanGraphWith(cols.Prefix(n), recs[:n], ids[:n], r, k)
-			if we, ge := len(graphRelation(want)), len(graphRelation(got)); !slices.Equal(got.IDs, want.IDs) || ge != we {
-				t.Fatalf("dim=%d k=%d n=%d: float32-layout graph has ids %v and %d edges, float64 graph %v and %d", dim, k, n, got.IDs, ge, want.IDs, we)
+		for li, b := range layouts(recs, counts) {
+			for _, n := range levelCuts(counts) {
+				rows := checkPrefilter(t, b, recs[:n], r, k)
+				t.Logf("dim=%d k=%d order=%d n=%d %s: the pass evaluated %d rows (−1: declined)", dim, k, order, n, layoutNames[li], rows)
+				want, _ := ScanGraphWith(nil, recs[:n], ids[:n], r, k)
+				got, _ := ScanGraphWith(b, recs[:n], ids[:n], r, k)
+				if we, ge := len(graphRelation(want)), len(graphRelation(got)); !slices.Equal(got.IDs, want.IDs) || ge != we {
+					t.Fatalf("dim=%d k=%d n=%d %s: block-pass graph has ids %v and %d edges, float64 graph %v and %d", dim, k, n, layoutNames[li], got.IDs, ge, want.IDs, we)
+				}
 			}
 		}
 	})

@@ -86,7 +86,7 @@ func IntervalExcluded(recs [][]float64, r *geom.Region, k int) []bool {
 	for i, rec := range recs {
 		smin[i] = r.MinScore(rec)
 	}
-	top := newKLargest[float64](k)
+	top := newKLargest(k)
 	top.offer(smin...)
 	theta, _ := top.kth() // k-th largest minimum score (n > k values offered)
 	excluded := make([]bool, n)
@@ -113,5 +113,6 @@ func IntervalExcluded(recs [][]float64, r *geom.Region, k int) []bool {
 // The resulting graph has exactly the nodes and edges BuildGraph derives
 // over an index of the same records.
 func ScanGraph(recs [][]float64, ids []int, r *geom.Region, k int) *Graph {
-	return ScanGraphWith(nil, recs, ids, r, k)
+	g, _ := ScanGraphWith(nil, recs, ids, r, k)
+	return g
 }

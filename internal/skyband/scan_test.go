@@ -126,25 +126,25 @@ func TestScanGraphDuplicates(t *testing.T) {
 }
 
 // kthLargestBySort is the reference kLargest replaced: copy, sort, index.
-func kthLargestBySort[T float32 | float64](vs []T, k int) (T, bool) {
+func kthLargestBySort(vs []float64, k int) (float64, bool) {
 	if len(vs) < k {
 		return 0, false
 	}
-	s := append([]T(nil), vs...)
+	s := append([]float64(nil), vs...)
 	slices.Sort(s)
 	return s[len(s)-k], true
 }
 
-func checkKLargest[T float32 | float64](t *testing.T, vs []T, k int) {
+func checkKLargest(t *testing.T, vs []float64, k int) {
 	t.Helper()
-	whole := newKLargest[T](k)
+	whole := newKLargest(k)
 	whole.offer(vs...)
-	single := newKLargest[T](k)
+	single := newKLargest(k)
 	for _, v := range vs {
 		single.offer(v)
 	}
 	want, wantOK := kthLargestBySort(vs, k)
-	for name, top := range map[string]kLargest[T]{"slice": whole, "one-by-one": single} {
+	for name, top := range map[string]kLargest{"slice": whole, "one-by-one": single} {
 		if got, ok := top.kth(); ok != wantOK || got != want {
 			t.Fatalf("%s n=%d k=%d: kth = %v,%v, sort-and-index says %v,%v", name, len(vs), k, got, ok, want, wantOK)
 		}
@@ -152,20 +152,17 @@ func checkKLargest[T float32 | float64](t *testing.T, vs []T, k int) {
 }
 
 // TestKLargestMatchesSort pins the bounded-selection helper to sort-and-index
-// on random input with heavy ties, n below, at and above k, in both widths.
+// on random input with heavy ties, n below, at and above k.
 func TestKLargestMatchesSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for trial := 0; trial < 400; trial++ {
 		n, k := rng.Intn(60), 1+rng.Intn(12)
 		levels := 1 + rng.Intn(2*n+1) // few levels = many ties
-		f64 := make([]float64, n)
-		f32 := make([]float32, n)
-		for i := range f64 {
-			f64[i] = float64(rng.Intn(levels)) / 7
-			f32[i] = float32(f64[i])
+		vs := make([]float64, n)
+		for i := range vs {
+			vs[i] = float64(rng.Intn(levels)) / 7
 		}
-		checkKLargest(t, f64, k)
-		checkKLargest(t, f32, k)
+		checkKLargest(t, vs, k)
 	}
 }
 
@@ -173,7 +170,7 @@ func TestKLargestMatchesSort(t *testing.T) {
 // the paper's BBS filter on the data that stresses the interval rule most:
 // anti-correlated records (a large skyband, many near-equal scores) filtered
 // at depths below the superset's MaxK, as the engine does: through a prefix
-// view of the count-ordered superset's one layout.
+// of the count-ordered superset's one layout, unsplit and split.
 func TestScanGraphWithMatchesBuildGraphANTI(t *testing.T) {
 	const maxK = 10
 	recs := dataset.Synthetic(dataset.ANTI, 3000, 4, 5)
@@ -186,7 +183,7 @@ func TestScanGraphWithMatchesBuildGraphANTI(t *testing.T) {
 		t.Fatal(err)
 	}
 	superIDs, super, counts := d.Band()
-	cols := NewColumns(super)
+	ls := layouts(super, counts)
 	rng := rand.New(rand.NewSource(6))
 	for trial := 0; trial < 6; trial++ {
 		r := filterBox(t, rng, 3)
@@ -196,16 +193,18 @@ func TestScanGraphWithMatchesBuildGraphANTI(t *testing.T) {
 				t.Fatalf("k=%d: the prefix [:%d] of a %d-record superset is not a proper one", k, n, len(super))
 			}
 			want := BuildGraph(tree, r, k)
-			got := ScanGraphWith(cols.Prefix(n), super[:n], superIDs[:n], r, k)
 			wantIDs := append([]int(nil), want.IDs...)
-			gotIDs := append([]int(nil), got.IDs...)
 			sort.Ints(wantIDs)
-			sort.Ints(gotIDs)
-			if fmt.Sprint(gotIDs) != fmt.Sprint(wantIDs) {
-				t.Fatalf("trial %d k=%d: nodes differ\n got %v\nwant %v", trial, k, gotIDs, wantIDs)
-			}
-			if fmt.Sprint(graphRelation(got)) != fmt.Sprint(graphRelation(want)) {
-				t.Fatalf("trial %d k=%d: edges differ", trial, k)
+			for li, b := range ls {
+				got, _ := ScanGraphWith(b, super[:n], superIDs[:n], r, k)
+				gotIDs := append([]int(nil), got.IDs...)
+				sort.Ints(gotIDs)
+				if fmt.Sprint(gotIDs) != fmt.Sprint(wantIDs) {
+					t.Fatalf("trial %d k=%d %s: nodes differ\n got %v\nwant %v", trial, k, layoutNames[li], gotIDs, wantIDs)
+				}
+				if fmt.Sprint(graphRelation(got)) != fmt.Sprint(graphRelation(want)) {
+					t.Fatalf("trial %d k=%d %s: edges differ", trial, k, layoutNames[li])
+				}
 			}
 		}
 	}

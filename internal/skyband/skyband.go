@@ -104,7 +104,7 @@ type member struct {
 // point stays sound.
 type intervalBound struct {
 	r    *geom.Region
-	mins kLargest[float64] // member min-scores; θ once full
+	mins kLargest // member min-scores; θ once full
 }
 
 // prune reports whether the point (a record, or a node's top corner) is
@@ -122,13 +122,13 @@ func (ib *intervalBound) accept(rec []float64) { ib.mins.offer(ib.r.MinScore(rec
 // statistic of a stream costs no n-sized copy and no sort. k is a top-k depth
 // (≤ MaxK), so an insertion is a short shift and the common case — a value
 // at or below the current k-th largest — is one comparison.
-type kLargest[T float32 | float64] []T
+type kLargest []float64
 
-func newKLargest[T float32 | float64](k int) kLargest[T] { return make(kLargest[T], 0, k) }
+func newKLargest(k int) kLargest { return make(kLargest, 0, k) }
 
 // kth returns the k-th largest value offered; ok is false until k values
 // have been.
-func (a kLargest[T]) kth() (v T, ok bool) {
+func (a kLargest) kth() (v float64, ok bool) {
 	if len(a) < cap(a) {
 		return 0, false
 	}
@@ -138,7 +138,7 @@ func (a kLargest[T]) kth() (v T, ok bool) {
 // offer folds values into the tracker. The loop lives here (callers pass
 // whole slices) so the one-comparison reject path runs without a call per
 // value.
-func (a *kLargest[T]) offer(vs ...T) {
+func (a *kLargest) offer(vs ...float64) {
 	s := *a
 	for _, v := range vs {
 		if len(s) < cap(s) {
@@ -247,7 +247,7 @@ func RSkyband(t *rtree.Tree, r *geom.Region, k int) []int {
 	pivot := r.Pivot()
 	key := func(p []float64) float64 { return geom.Score(p, pivot) }
 	dom := func(p, q []float64) bool { return RDominates(p, q, r) }
-	ms := bbs(t, k, key, dom, &intervalBound{r: r, mins: newKLargest[float64](k)})
+	ms := bbs(t, k, key, dom, &intervalBound{r: r, mins: newKLargest(k)})
 	// Exact post-pass: pairwise counts inside the BBS superset.
 	keep := make([]int, 0, len(ms))
 	for i, mi := range ms {
