@@ -2,6 +2,7 @@ package geom
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -46,6 +47,81 @@ func TestBoxVerticesAndPivot(t *testing.T) {
 	}
 	if !r.Contains(pv) {
 		t.Fatal("pivot must be inside the region")
+	}
+}
+
+// TestBoxMatchesHandBuilt checks NewBox bit for bit against a box assembled
+// the obvious way: per dimension a lower row e_i·w ≥ lo_i and an upper row
+// −e_i·w ≥ −hi_i, the 2^dim corners in bitmask order (bit i picks hi_i), and
+// the pivot as the corners' sum in that order over 2^dim.
+func TestBoxMatchesHandBuilt(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 200; trial++ {
+		dim := 1 + trial%6
+		lo, hi := make([]float64, dim), make([]float64, dim)
+		for i := range lo {
+			lo[i] = rng.Float64() / float64(2*dim)
+			hi[i] = lo[i] + 1e-6 + rng.Float64()/float64(dim)
+		}
+		if trial%7 == 0 {
+			lo[0] = math.Copysign(0, -1)
+		}
+		r := mustBox(t, lo, hi)
+
+		var wantHS []Halfspace
+		for i := 0; i < dim; i++ {
+			aLo, aHi := make([]float64, dim), make([]float64, dim)
+			aLo[i], aHi[i] = 1, -1
+			wantHS = append(wantHS, Halfspace{A: aLo, B: lo[i]}, Halfspace{A: aHi, B: -hi[i]})
+		}
+		var wantV [][]float64
+		wantP := make([]float64, dim)
+		for mask := 0; mask < 1<<dim; mask++ {
+			v := make([]float64, dim)
+			for i := range v {
+				v[i] = lo[i]
+				if mask&(1<<i) != 0 {
+					v[i] = hi[i]
+				}
+				wantP[i] += v[i]
+			}
+			wantV = append(wantV, v)
+		}
+		for i := range wantP {
+			wantP[i] /= float64(len(wantV))
+		}
+
+		sameBits := func(what string, got, want []float64) {
+			t.Helper()
+			if len(got) != len(want) {
+				t.Fatalf("trial %d %s: len %d, want %d", trial, what, len(got), len(want))
+			}
+			for i := range got {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("trial %d %s[%d] = %v, want %v (bitwise)", trial, what, i, got[i], want[i])
+				}
+			}
+		}
+		gotHS := r.Halfspaces()
+		if len(gotHS) != len(wantHS) {
+			t.Fatalf("trial %d: %d half-spaces, want %d", trial, len(gotHS), len(wantHS))
+		}
+		for i := range gotHS {
+			sameBits(fmt.Sprintf("halfspace %d A", i), gotHS[i].A, wantHS[i].A)
+			sameBits(fmt.Sprintf("halfspace %d B", i), []float64{gotHS[i].B}, []float64{wantHS[i].B})
+		}
+		gotV := r.Vertices()
+		if len(gotV) != len(wantV) {
+			t.Fatalf("trial %d: %d vertices, want %d", trial, len(gotV), len(wantV))
+		}
+		for i := range gotV {
+			sameBits(fmt.Sprintf("vertex %d", i), gotV[i], wantV[i])
+		}
+		sameBits("pivot", r.Pivot(), wantP)
+		bl, bh := r.Bounds()
+		sameBits("lo", bl, lo)
+		sameBits("hi", bh, hi)
+
 	}
 }
 

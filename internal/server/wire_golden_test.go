@@ -11,7 +11,7 @@ import (
 	"testing"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite testdata/wire_golden.txt from the running server")
+var updateGolden = flag.Bool("update", false, "rewrite the testdata golden files from the running server")
 
 // TestWireFormatGolden pins what monitoring clients parse: the exact key set
 // of /stats/{dataset} and of the fleet /stats (nested keys dotted), and every
