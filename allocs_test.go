@@ -19,14 +19,14 @@ import (
 // `go test -run TestAllocBudgets -v` (the test logs measured values) and
 // update the pin to ~3× the new measurement in the same commit, saying why.
 const (
-	allocBudgetHotUTK1     = 75   // measured 25
-	allocBudgetHotUTK2     = 100  // measured 34
-	allocBudgetWarmUTK1    = 420  // measured 140 (the streaming prefilter changed the bytes, not the count:
-	allocBudgetWarmUTK2    = 500  // measured 164  skyband's TestWarmFilterAllocsIndependentOfN pins those)
-	allocBudgetDerivedUTK1 = 100  // measured 33
-	allocBudgetDerivedUTK2 = 4000 // measured ~1300 (copies every clipped cell)
-	allocBudgetColdUTK1    = 330  // measured 110 (the BBS interval bound's k-slot buffer no longer grows by append)
-	allocBudgetColdUTK2    = 405  // measured 135
+	allocBudgetHotUTK1     = 12  // measured 4 (was 25 before the facade copy went to three arrays and the hit path stopped building a flight key)
+	allocBudgetHotUTK2     = 21  // measured 7 (was 34)
+	allocBudgetWarmUTK1    = 355 // measured 118 (the streaming prefilter changed the bytes, not the count:
+	allocBudgetWarmUTK2    = 410 // measured 136  skyband's TestWarmFilterAllocsIndependentOfN pins those)
+	allocBudgetDerivedUTK1 = 36  // measured 12 (was 33)
+	allocBudgetDerivedUTK2 = 210 // measured 69 (was ~1200: one allocation per copied cell slice)
+	allocBudgetColdUTK1    = 330 // measured 110 (the BBS interval bound's k-slot buffer no longer grows by append)
+	allocBudgetColdUTK2    = 390 // measured 129
 )
 
 // TestAllocBudgets pins allocs/op on the serving fast paths: cache hits

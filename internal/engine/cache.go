@@ -1,9 +1,11 @@
 package engine
 
 import (
+	"bytes"
 	"encoding/binary"
 	"math"
-	"sort"
+	"slices"
+	"strings"
 
 	"repro/internal/core"
 	"repro/internal/geom"
@@ -21,22 +23,30 @@ import (
 // half-spaces maps to one key; the float bits are used exactly, so any
 // numeric perturbation of the region is a miss (never a false hit).
 func fingerprint(v Variant, k int, r *geom.Region, opts core.Options) string {
-	hs := r.Halfspaces()
-	rows := make([][]byte, 0, len(hs))
-	for _, h := range hs {
-		rows = append(rows, canonicalHalfspace(h))
-	}
-	if len(rows) == 0 {
+	// Canonical rows are appended to one buffer and sorted as spans of it;
+	// both start on the stack and spill to the heap only for large regions.
+	var bufArr [512]byte
+	var spansArr [16][2]int
+	buf, spans := bufArr[:0], spansArr[:0]
+	if hs := r.HalfspacesView(); len(hs) > 0 {
+		for _, h := range hs {
+			start := len(buf)
+			buf = appendCanonicalHalfspace(buf, h)
+			spans = append(spans, [2]int{start, len(buf)})
+		}
+	} else {
 		// Vertex-only regions (no H-representation): key on the vertex set.
-		for _, vert := range r.Vertices() {
-			row := make([]byte, 0, len(vert)*8)
+		for _, vert := range r.VerticesView() {
+			start := len(buf)
 			for _, c := range vert {
-				row = appendFloat(row, c)
+				buf = appendFloat(buf, c)
 			}
-			rows = append(rows, row)
+			spans = append(spans, [2]int{start, len(buf)})
 		}
 	}
-	sort.Slice(rows, func(a, b int) bool { return string(rows[a]) < string(rows[b]) })
+	slices.SortFunc(spans, func(a, b [2]int) int {
+		return bytes.Compare(buf[a[0]:a[1]], buf[b[0]:b[1]])
+	})
 
 	workers := opts.Workers
 	if workers < 1 {
@@ -48,13 +58,13 @@ func fingerprint(v Variant, k int, r *geom.Region, opts core.Options) string {
 	// Layout: a fpHeaderLen-byte prefix (variant, 3 bytes of k, flags, 2
 	// bytes of workers) followed by the sorted canonical region rows.
 	// probeGroupID relies on these offsets.
-	key := make([]byte, 0, 16+len(rows)*(r.Dim()+1)*8)
-	key = append(key, byte(v), byte(k), byte(k>>8), byte(k>>16))
-	key = append(key, optionFlags(opts), byte(workers), byte(workers>>8))
-	for _, row := range rows {
-		key = append(key, row...)
+	var key strings.Builder
+	key.Grow(fpHeaderLen + len(buf))
+	key.Write([]byte{byte(v), byte(k), byte(k >> 8), byte(k >> 16), optionFlags(opts), byte(workers), byte(workers >> 8)})
+	for _, sp := range spans {
+		key.Write(buf[sp[0]:sp[1]])
 	}
-	return string(key)
+	return key.String()
 }
 
 // fingerprint key offsets: k occupies bytes [fpKOffset, fpKEnd), the region
@@ -88,16 +98,15 @@ func optionFlags(opts core.Options) byte {
 	return flags
 }
 
-// canonicalHalfspace encodes A·w ≥ B scaled to ‖A‖₂ = 1 (the one positive
-// scaling that preserves the half-space). Trivial constraints (A = 0) keep
-// only the sign of B, which is all that matters for them.
-func canonicalHalfspace(h geom.Halfspace) []byte {
+// appendCanonicalHalfspace appends A·w ≥ B scaled to ‖A‖₂ = 1 (the one
+// positive scaling that preserves the half-space). Trivial constraints
+// (A = 0) keep only the sign of B, which is all that matters for them.
+func appendCanonicalHalfspace(out []byte, h geom.Halfspace) []byte {
 	norm := 0.0
 	for _, a := range h.A {
 		norm += a * a
 	}
 	norm = math.Sqrt(norm)
-	out := make([]byte, 0, (len(h.A)+1)*8)
 	if norm <= geom.Eps {
 		sign := 0.0
 		if h.B > 0 {

@@ -854,7 +854,6 @@ func (e *Engine) Do(ctx context.Context, req Request) (*Result, error) {
 		var ix *index
 		for fl == nil {
 			ix = e.idx.Load()
-			flKey = flightKey(ix.epoch, key)
 			e.mu.Lock()
 			if e.cache != nil {
 				if res, ok := e.cache.Get(key); ok {
@@ -910,6 +909,7 @@ func (e *Engine) Do(ctx context.Context, req Request) (*Result, error) {
 					}
 				}
 			}
+			flKey = flightKey(ix.epoch, key)
 			if other, ok := e.inflight[flKey]; ok {
 				e.mu.Unlock()
 				res, err := e.wait(ctx, other)
@@ -928,13 +928,16 @@ func (e *Engine) Do(ctx context.Context, req Request) (*Result, error) {
 		// the context dies while it is still queued; once the computation
 		// has started, the deadline is honored from inside via the Cancel
 		// hook.
+		// The task captures per-dispatch copies, so the cache-hit path above
+		// never pays for moving ctx, req or the retry budget to the heap.
 		var res *Result
 		var err error
+		runCtx, runReq, mayRetry := ctx, req, supersedeRetries > 0
 		runErr := e.pool.Run(ctx, func() {
 			e.mu.Lock()
 			e.stats.InFlight++
 			e.mu.Unlock()
-			res, err = e.compute(ctx, req, ix, supersedeRetries > 0)
+			res, err = e.compute(runCtx, runReq, ix, mayRetry)
 			e.mu.Lock()
 			e.stats.InFlight--
 			e.mu.Unlock()

@@ -48,21 +48,39 @@ func NewBox(lo, hi []float64) (*Region, error) {
 	if sumLo >= 1-Eps {
 		return nil, fmt.Errorf("geom: box lies outside the weight simplex (Σ lo = %g ≥ 1)", sumLo)
 	}
+	// One float array backs every row, corner, both bounds and the pivot;
+	// each piece is capped at its length, so an append to one never writes
+	// into the next.
+	nv := 1 << dim
+	buf := make([]float64, (2*dim+nv+3)*dim)
 	r := &Region{
-		dim:   dim,
-		isBox: true,
-		lo:    append([]float64(nil), lo...),
-		hi:    append([]float64(nil), hi...),
+		dim:        dim,
+		isBox:      true,
+		lo:         carve(&buf, dim),
+		hi:         carve(&buf, dim),
+		halfspaces: make([]Halfspace, 0, 2*dim),
+		vertices:   make([][]float64, 0, nv),
 	}
+	copy(r.lo, lo)
+	copy(r.hi, hi)
 	for i := 0; i < dim; i++ {
-		aLo := make([]float64, dim)
-		aLo[i] = 1
-		aHi := make([]float64, dim)
-		aHi[i] = -1
+		aLo, aHi := carve(&buf, dim), carve(&buf, dim)
+		aLo[i], aHi[i] = 1, -1
 		r.halfspaces = append(r.halfspaces, Halfspace{A: aLo, B: lo[i]}, Halfspace{A: aHi, B: -hi[i]})
 	}
-	r.vertices = boxVertices(lo, hi)
-	r.computePivot()
+	// Corner mask bit i picks hi_i.
+	for mask := 0; mask < nv; mask++ {
+		v := carve(&buf, dim)
+		for i := range v {
+			if mask&(1<<i) != 0 {
+				v[i] = hi[i]
+			} else {
+				v[i] = lo[i]
+			}
+		}
+		r.vertices = append(r.vertices, v)
+	}
+	r.computePivot(carve(&buf, dim))
 	return r, nil
 }
 
@@ -106,7 +124,7 @@ func NewPolytope(dim int, halfspaces []Halfspace) (*Region, error) {
 		return nil, ErrEmptyRegion
 	}
 	r := &Region{dim: dim, halfspaces: all, vertices: verts}
-	r.computePivot()
+	r.computePivot(make([]float64, dim))
 	// Reject lower-dimensional regions: all vertices on a common hyperplane.
 	if r.volumeProxy() < Eps {
 		return nil, ErrEmptyRegion
@@ -131,7 +149,7 @@ func NewPolytopeFromVertices(vertices [][]float64) (*Region, error) {
 		vs[i] = append([]float64(nil), v...)
 	}
 	r := &Region{dim: dim, vertices: vs}
-	r.computePivot()
+	r.computePivot(make([]float64, dim))
 	return r, nil
 }
 
@@ -164,6 +182,14 @@ func (r *Region) Halfspaces() []Halfspace {
 	}
 	return out
 }
+
+// HalfspacesView returns the bounding half-spaces without copying them: the
+// caller must not modify the slice or any coefficient.
+func (r *Region) HalfspacesView() []Halfspace { return r.halfspaces }
+
+// VerticesView returns the defining vertices without copying them: the
+// caller must not modify the slice or any coordinate.
+func (r *Region) VerticesView() [][]float64 { return r.vertices }
 
 // Vertices returns the defining vertices (a copy).
 func (r *Region) Vertices() [][]float64 {
@@ -616,8 +642,8 @@ func boxExtremes(h Halfspace, lo, hi []float64) (mn, mx float64) {
 	return mn, mx
 }
 
-func (r *Region) computePivot() {
-	p := make([]float64, r.dim)
+// computePivot sets the pivot to the vertex average, summed into the zeroed p.
+func (r *Region) computePivot(p []float64) {
 	for _, v := range r.vertices {
 		for i := range p {
 			p[i] += v[i]
@@ -657,23 +683,11 @@ func (r *Region) volumeProxy() float64 {
 	return 1
 }
 
-// boxVertices enumerates the 2^dim corners of a box.
-func boxVertices(lo, hi []float64) [][]float64 {
-	dim := len(lo)
-	n := 1 << dim
-	out := make([][]float64, 0, n)
-	for mask := 0; mask < n; mask++ {
-		v := make([]float64, dim)
-		for i := 0; i < dim; i++ {
-			if mask&(1<<i) != 0 {
-				v[i] = hi[i]
-			} else {
-				v[i] = lo[i]
-			}
-		}
-		out = append(out, v)
-	}
-	return out
+// carve cuts the next n floats off the zeroed backing array *buf, capped at n.
+func carve(buf *[]float64, n int) []float64 {
+	s := (*buf)[:n:n]
+	*buf = (*buf)[n:]
+	return s
 }
 
 // EnumerateVertices computes the vertices of the polytope ∩{A_i·w ≥ B_i} by

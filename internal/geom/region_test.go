@@ -53,7 +53,9 @@ func TestBoxVerticesAndPivot(t *testing.T) {
 // TestBoxMatchesHandBuilt checks NewBox bit for bit against a box assembled
 // the obvious way: per dimension a lower row e_i·w ≥ lo_i and an upper row
 // −e_i·w ≥ −hi_i, the 2^dim corners in bitmask order (bit i picks hi_i), and
-// the pivot as the corners' sum in that order over 2^dim.
+// the pivot as the corners' sum in that order over 2^dim. It also requires
+// every row, corner and corner list to be capped at its length, so appending
+// to one can never write into the next.
 func TestBoxMatchesHandBuilt(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 200; trial++ {
@@ -121,6 +123,24 @@ func TestBoxMatchesHandBuilt(t *testing.T) {
 		bl, bh := r.Bounds()
 		sameBits("lo", bl, lo)
 		sameBits("hi", bh, hi)
+
+		capped := func(what string, n, c int) {
+			t.Helper()
+			if n != c {
+				t.Fatalf("trial %d %s: len %d but cap %d", trial, what, n, c)
+			}
+		}
+		capped("halfspaces", len(r.halfspaces), cap(r.halfspaces))
+		for i, h := range r.halfspaces {
+			capped(fmt.Sprintf("halfspace %d", i), len(h.A), cap(h.A))
+		}
+		capped("vertices", len(r.vertices), cap(r.vertices))
+		for i, v := range r.vertices {
+			capped(fmt.Sprintf("vertex %d", i), len(v), cap(v))
+		}
+		capped("lo", len(r.lo), cap(r.lo))
+		capped("hi", len(r.hi), cap(r.hi))
+		capped("pivot", len(r.pivot), cap(r.pivot))
 
 	}
 }

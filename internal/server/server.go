@@ -141,13 +141,13 @@ type reqInfo struct {
 
 type reqInfoKey struct{}
 
-// note returns the request's log annotation slot — a dummy when logging is
-// off, so handlers annotate unconditionally.
-func note(r *http.Request) *reqInfo {
+// note returns the request's log annotation slot — the caller's scratch
+// when logging is off, so handlers annotate unconditionally.
+func note(r *http.Request, scratch *reqInfo) *reqInfo {
 	if info, ok := r.Context().Value(reqInfoKey{}).(*reqInfo); ok {
 		return info
 	}
-	return &reqInfo{}
+	return scratch
 }
 
 // servedLabel classifies how a query result was obtained.
@@ -198,35 +198,22 @@ func (s *Server) resolve(w http.ResponseWriter, r *http.Request) (*registry.Entr
 	return ent, true
 }
 
-// queryRequest is the JSON body of /utk1 and /utk2.
+// queryRequest is the JSON body of /utk1 and /utk2 (decodeQuery reads it;
+// the tags document the wire names).
 type queryRequest struct {
-	K      int `json:"k"`
-	Region *struct {
-		Lo []float64 `json:"lo"`
-		Hi []float64 `json:"hi"`
-	} `json:"region"`
-	Halfspaces []struct {
-		Coef   []float64 `json:"coef"`
-		Offset float64   `json:"offset"`
-	} `json:"halfspaces"`
+	K          int             `json:"k"`
+	Region     *regionBody     `json:"region"`
+	Halfspaces []halfspaceBody `json:"halfspaces"`
 }
 
-type statsPayload struct {
-	Candidates     int     `json:"candidates"`
-	FilterMillis   float64 `json:"filter_ms"`
-	RefineMillis   float64 `json:"refine_ms"`
-	Partitions     int     `json:"partitions,omitempty"`
-	UniqueTopKSets int     `json:"unique_top_k_sets,omitempty"`
+type regionBody struct {
+	Lo []float64 `json:"lo"`
+	Hi []float64 `json:"hi"`
 }
 
-func statsPayloadFrom(st utk.Stats) statsPayload {
-	return statsPayload{
-		Candidates:     st.Candidates,
-		FilterMillis:   float64(st.FilterDuration.Microseconds()) / 1000,
-		RefineMillis:   float64(st.RefineDuration.Microseconds()) / 1000,
-		Partitions:     st.Partitions,
-		UniqueTopKSets: st.UniqueTopKSets,
-	}
+type halfspaceBody struct {
+	Coef   []float64 `json:"coef"`
+	Offset float64   `json:"offset"`
 }
 
 // buildQuery converts one decoded query body into a utk.Query.
@@ -253,7 +240,7 @@ func buildQuery(req queryRequest, ent *registry.Entry) (utk.Query, error) {
 
 func (s *Server) parseQuery(w http.ResponseWriter, r *http.Request, ent *registry.Entry) (utk.Query, bool) {
 	var req queryRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := readBody(r, func(b []byte) error { return decodeQuery(b, &req) }); err != nil {
 		http.Error(w, "bad request body: "+err.Error(), http.StatusBadRequest)
 		return utk.Query{}, false
 	}
@@ -270,7 +257,8 @@ func (s *Server) handleUTK1(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	info := note(r)
+	var scratch reqInfo
+	info := note(r, &scratch)
 	info.dataset, info.variant = ent.Name, "utk1"
 	q, ok := s.parseQuery(w, r, ent)
 	if !ok {
@@ -283,38 +271,7 @@ func (s *Server) handleUTK1(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	info.served = servedLabel(res.CacheHit, res.Derived)
-	p := utk1Payload(res)
-	p["dataset"] = ent.Name
-	writeJSON(w, p)
-}
-
-// utk1Payload and utk2Payload shape one query's answer; the batch endpoints
-// reuse them per element.
-func utk1Payload(res *utk.UTK1Result) map[string]any {
-	return map[string]any{
-		"records":   res.Records,
-		"cache_hit": res.CacheHit,
-		"derived":   res.Derived,
-		"stats":     statsPayloadFrom(res.Stats),
-	}
-}
-
-type cellPayload struct {
-	TopK     []int     `json:"top_k"`
-	Interior []float64 `json:"interior"`
-}
-
-func utk2Payload(res *utk.UTK2Result) map[string]any {
-	cells := make([]cellPayload, len(res.Cells))
-	for i, c := range res.Cells {
-		cells[i] = cellPayload{TopK: c.TopK, Interior: c.Interior}
-	}
-	return map[string]any{
-		"cells":     cells,
-		"cache_hit": res.CacheHit,
-		"derived":   res.Derived,
-		"stats":     statsPayloadFrom(res.Stats),
-	}
+	respond(w, func(e *enc) { e.utk1(res, ent.Name) })
 }
 
 func (s *Server) handleUTK2(w http.ResponseWriter, r *http.Request) {
@@ -322,7 +279,8 @@ func (s *Server) handleUTK2(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	info := note(r)
+	var scratch reqInfo
+	info := note(r, &scratch)
 	info.dataset, info.variant = ent.Name, "utk2"
 	q, ok := s.parseQuery(w, r, ent)
 	if !ok {
@@ -335,9 +293,7 @@ func (s *Server) handleUTK2(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	info.served = servedLabel(res.CacheHit, res.Derived)
-	p := utk2Payload(res)
-	p["dataset"] = ent.Name
-	writeJSON(w, p)
+	respond(w, func(e *enc) { e.utk2(res, ent.Name) })
 }
 
 // batchRequest is the JSON body of /utk1batch and /utk2batch.
@@ -350,7 +306,7 @@ type batchRequest struct {
 // and the rest still runs, mirroring the engine's index-aligned batch API.
 func (s *Server) parseBatch(w http.ResponseWriter, r *http.Request, ent *registry.Entry) (qs []utk.Query, errs []error, idx []int, n int, ok bool) {
 	var req batchRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := readBody(r, func(b []byte) error { return decodeBatch(b, &req) }); err != nil {
 		http.Error(w, "bad request body: "+err.Error(), http.StatusBadRequest)
 		return nil, nil, nil, 0, false
 	}
@@ -381,20 +337,15 @@ func (s *Server) handleUTK1Batch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	results, doErrs := ent.Engine.UTK1Batch(r.Context(), qs)
-	out := make([]map[string]any, n)
+	out := make([]*utk.UTK1Result, n)
 	for bi, i := range idx {
-		if doErrs[bi] != nil {
-			errs[i] = doErrs[bi]
-			continue
-		}
-		out[i] = utk1Payload(results[bi])
-	}
-	for i, err := range errs {
-		if err != nil {
-			out[i] = map[string]any{"error": err.Error()}
+		if errs[i] = doErrs[bi]; errs[i] == nil {
+			out[i] = results[bi]
 		}
 	}
-	writeJSON(w, map[string]any{"dataset": ent.Name, "results": out})
+	respond(w, func(e *enc) {
+		e.batch(ent.Name, errs, func(i int) { e.utk1(out[i], "") })
+	})
 }
 
 func (s *Server) handleUTK2Batch(w http.ResponseWriter, r *http.Request) {
@@ -407,20 +358,15 @@ func (s *Server) handleUTK2Batch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	results, doErrs := ent.Engine.UTK2Batch(r.Context(), qs)
-	out := make([]map[string]any, n)
+	out := make([]*utk.UTK2Result, n)
 	for bi, i := range idx {
-		if doErrs[bi] != nil {
-			errs[i] = doErrs[bi]
-			continue
-		}
-		out[i] = utk2Payload(results[bi])
-	}
-	for i, err := range errs {
-		if err != nil {
-			out[i] = map[string]any{"error": err.Error()}
+		if errs[i] = doErrs[bi]; errs[i] == nil {
+			out[i] = results[bi]
 		}
 	}
-	writeJSON(w, map[string]any{"dataset": ent.Name, "results": out})
+	respond(w, func(e *enc) {
+		e.batch(ent.Name, errs, func(i int) { e.utk2(out[i], "") })
+	})
 }
 
 // updateRequest is the JSON body of /update. Deletes apply before inserts.
@@ -435,7 +381,7 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req updateRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := readBody(r, func(b []byte) error { return decodeUpdate(b, &req) }); err != nil {
 		http.Error(w, "bad request body: "+err.Error(), http.StatusBadRequest)
 		return
 	}
@@ -464,15 +410,7 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), status)
 		return
 	}
-	writeJSON(w, map[string]any{
-		"dataset":      ent.Name,
-		"deleted":      req.Delete,
-		"inserted_ids": res.IDs[len(req.Delete):],
-		"epoch":        res.Epoch,
-		"live":         res.Live,
-		"superset":     res.SupersetSize,
-		"shadow":       res.ShadowSize,
-	})
+	respond(w, func(e *enc) { e.update(ent.Name, req.Delete, res) })
 }
 
 // handleSnapshot checkpoints one dataset immediately: the engine state is

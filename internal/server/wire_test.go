@@ -1,0 +1,349 @@
+package server
+
+import (
+	"bytes"
+	"encoding/json"
+	"errors"
+	"math"
+	"math/rand"
+	"net/http/httptest"
+	"reflect"
+	"strings"
+	"testing"
+	"time"
+
+	utk "repro"
+)
+
+// Reference encoders: the payload maps the hot handlers handed to
+// encoding/json before the hand-written writer replaced them.
+
+type refStatsPayload struct {
+	Candidates     int     `json:"candidates"`
+	FilterMillis   float64 `json:"filter_ms"`
+	RefineMillis   float64 `json:"refine_ms"`
+	Partitions     int     `json:"partitions,omitempty"`
+	UniqueTopKSets int     `json:"unique_top_k_sets,omitempty"`
+}
+
+func refStats(st utk.Stats) refStatsPayload {
+	return refStatsPayload{
+		Candidates:     st.Candidates,
+		FilterMillis:   float64(st.FilterDuration.Microseconds()) / 1000,
+		RefineMillis:   float64(st.RefineDuration.Microseconds()) / 1000,
+		Partitions:     st.Partitions,
+		UniqueTopKSets: st.UniqueTopKSets,
+	}
+}
+
+func refUTK1(res *utk.UTK1Result) map[string]any {
+	return map[string]any{
+		"records":   res.Records,
+		"cache_hit": res.CacheHit,
+		"derived":   res.Derived,
+		"stats":     refStats(res.Stats),
+	}
+}
+
+type refCellPayload struct {
+	TopK     []int     `json:"top_k"`
+	Interior []float64 `json:"interior"`
+}
+
+func refUTK2(res *utk.UTK2Result) map[string]any {
+	cells := make([]refCellPayload, len(res.Cells))
+	for i, c := range res.Cells {
+		cells[i] = refCellPayload{TopK: c.TopK, Interior: c.Interior}
+	}
+	return map[string]any{
+		"cells":     cells,
+		"cache_hit": res.CacheHit,
+		"derived":   res.Derived,
+		"stats":     refStats(res.Stats),
+	}
+}
+
+func refBatch(name string, errs []error, elem func(i int) map[string]any) map[string]any {
+	out := make([]map[string]any, len(errs))
+	for i, err := range errs {
+		if err != nil {
+			out[i] = map[string]any{"error": err.Error()}
+		} else {
+			out[i] = elem(i)
+		}
+	}
+	return map[string]any{"dataset": name, "results": out}
+}
+
+func refUpdate(name string, deleted []int, res *utk.UpdateResult) map[string]any {
+	return map[string]any{
+		"dataset":      name,
+		"deleted":      deleted,
+		"inserted_ids": res.IDs[len(deleted):],
+		"epoch":        res.Epoch,
+		"live":         res.Live,
+		"superset":     res.SupersetSize,
+		"shadow":       res.ShadowSize,
+	}
+}
+
+// wireGen draws the values the writer must get exactly right.
+type wireGen struct{ rng *rand.Rand }
+
+func (g wireGen) float() float64 {
+	switch g.rng.Intn(12) {
+	case 0:
+		return math.Copysign(0, -1)
+	case 1:
+		return 0
+	case 2: // subnormal
+		return math.SmallestNonzeroFloat64 * float64(1+g.rng.Intn(1<<20)) * float64(1-2*g.rng.Intn(2))
+	case 3: // below 1e-6: the 'e' format with a short negative exponent
+		return (1 + 9*g.rng.Float64()) * math.Pow(10, float64(-7-g.rng.Intn(4)))
+	case 4: // at and around the 1e-6 and 1e21 cutoffs
+		return []float64{1e-6, math.Nextafter(1e-6, 0), 1e21, math.Nextafter(1e21, 0), -1e21, 1e20}[g.rng.Intn(6)]
+	case 5: // at or above 1e21
+		return (1 + 9*g.rng.Float64()) * math.Pow(10, float64(21+g.rng.Intn(287)))
+	case 6:
+		return math.Ldexp(g.rng.Float64(), g.rng.Intn(2098)-1074)
+	case 7:
+		if g.rng.Intn(40) == 0 { // encoding/json refuses these outright
+			return []float64{math.NaN(), math.Inf(1), math.Inf(-1)}[g.rng.Intn(3)]
+		}
+		return float64(g.rng.Intn(1000))
+	}
+	return g.rng.NormFloat64()
+}
+
+func (g wireGen) floats() []float64 {
+	switch g.rng.Intn(6) {
+	case 0:
+		return nil
+	case 1:
+		return []float64{}
+	}
+	out := make([]float64, 1+g.rng.Intn(5))
+	for i := range out {
+		out[i] = g.float()
+	}
+	return out
+}
+
+func (g wireGen) ints() []int {
+	switch g.rng.Intn(6) {
+	case 0:
+		return nil
+	case 1:
+		return []int{}
+	}
+	out := make([]int, 1+g.rng.Intn(8))
+	for i := range out {
+		switch g.rng.Intn(4) {
+		case 0:
+			out[i] = int(g.rng.Uint64())
+		case 1:
+			out[i] = -g.rng.Intn(100)
+		default:
+			out[i] = g.rng.Intn(1 << 20)
+		}
+	}
+	return out
+}
+
+func (g wireGen) count() int {
+	switch g.rng.Intn(4) {
+	case 0:
+		return 0
+	case 1:
+		return -g.rng.Intn(5)
+	}
+	return g.rng.Intn(1 << 16)
+}
+
+func (g wireGen) stats() utk.Stats {
+	dur := func() time.Duration {
+		switch g.rng.Intn(4) {
+		case 0:
+			return 0
+		case 1:
+			return time.Duration(g.rng.Intn(1000)) // below a microsecond
+		}
+		return time.Duration(g.rng.Int63n(int64(time.Hour)))
+	}
+	return utk.Stats{
+		Candidates:     g.count(),
+		FilterDuration: dur(),
+		RefineDuration: dur(),
+		Partitions:     g.count(),
+		UniqueTopKSets: g.count(),
+	}
+}
+
+func (g wireGen) name() string {
+	if g.rng.Intn(10) == 0 {
+		return g.message() // not a valid dataset name, but still exact
+	}
+	const chars = "abcXYZ019._-"
+	b := make([]byte, 1+g.rng.Intn(12))
+	for i := range b {
+		b[i] = chars[g.rng.Intn(len(chars))]
+	}
+	return string(b)
+}
+
+func (g wireGen) message() string {
+	parts := []string{"bad region: ", "<b>", "&amp;", "\u2028", "\u2029", "\xff", "\xe2\x82", `"q"`, `\`, "\n\t\x01", "é", "k exceeds MaxK", "日本"}
+	var sb strings.Builder
+	for n := g.rng.Intn(5); n >= 0; n-- {
+		sb.WriteString(parts[g.rng.Intn(len(parts))])
+	}
+	return sb.String()
+}
+
+func (g wireGen) utk1() *utk.UTK1Result {
+	return &utk.UTK1Result{Records: g.ints(), Stats: g.stats(), CacheHit: g.rng.Intn(2) == 0, Derived: g.rng.Intn(2) == 0}
+}
+
+func (g wireGen) utk2() *utk.UTK2Result {
+	res := &utk.UTK2Result{Stats: g.stats(), CacheHit: g.rng.Intn(2) == 0, Derived: g.rng.Intn(2) == 0}
+	if g.rng.Intn(6) > 0 {
+		res.Cells = make([]utk.Cell, g.rng.Intn(5))
+		for i := range res.Cells {
+			res.Cells[i] = utk.Cell{TopK: g.ints(), Interior: g.floats()}
+		}
+	}
+	return res
+}
+
+func (g wireGen) errs(n int) []error {
+	errs := make([]error, n)
+	for i := range errs {
+		if g.rng.Intn(3) == 0 {
+			errs[i] = errors.New(g.message())
+		}
+	}
+	return errs
+}
+
+// refBody is what the old writeJSON put on the wire for v: encoding/json's
+// output, or nothing at all when it refused the value.
+func refBody(v any) []byte {
+	var buf bytes.Buffer
+	if err := json.NewEncoder(&buf).Encode(v); err != nil {
+		return nil
+	}
+	return buf.Bytes()
+}
+
+// TestWriterMatchesEncodingJSON is the writer's differential: 20k random
+// answers of every hot route, each encoded by respond and by encoding/json
+// from the old payload maps, must agree byte for byte, Content-Type included.
+func TestWriterMatchesEncodingJSON(t *testing.T) {
+	g := wireGen{rand.New(rand.NewSource(1))}
+	for trial := 0; trial < 20000; trial++ {
+		name := g.name()
+		var fill func(*enc)
+		var ref any
+		switch trial % 5 {
+		case 0:
+			res := g.utk1()
+			fill, ref = func(e *enc) { e.utk1(res, name) }, refUTK1(res)
+			ref.(map[string]any)["dataset"] = name
+		case 1:
+			res := g.utk2()
+			fill, ref = func(e *enc) { e.utk2(res, name) }, refUTK2(res)
+			ref.(map[string]any)["dataset"] = name
+		case 2:
+			errs := g.errs(1 + g.rng.Intn(4))
+			out := make([]*utk.UTK1Result, len(errs))
+			for i := range out {
+				out[i] = g.utk1()
+			}
+			fill = func(e *enc) { e.batch(name, errs, func(i int) { e.utk1(out[i], "") }) }
+			ref = refBatch(name, errs, func(i int) map[string]any { return refUTK1(out[i]) })
+		case 3:
+			errs := g.errs(1 + g.rng.Intn(4))
+			out := make([]*utk.UTK2Result, len(errs))
+			for i := range out {
+				out[i] = g.utk2()
+			}
+			fill = func(e *enc) { e.batch(name, errs, func(i int) { e.utk2(out[i], "") }) }
+			ref = refBatch(name, errs, func(i int) map[string]any { return refUTK2(out[i]) })
+		case 4:
+			deleted := g.ints()
+			res := &utk.UpdateResult{
+				IDs:          append(append([]int(nil), deleted...), g.ints()...),
+				Epoch:        g.rng.Uint64(),
+				Live:         g.count(),
+				SupersetSize: g.count(),
+				ShadowSize:   g.count(),
+			}
+			fill, ref = func(e *enc) { e.update(name, deleted, res) }, refUpdate(name, deleted, res)
+		}
+		rec := httptest.NewRecorder()
+		respond(rec, fill)
+		if ct := rec.Header().Get("Content-Type"); ct != "application/json" {
+			t.Fatalf("trial %d: Content-Type %q", trial, ct)
+		}
+		if want := refBody(ref); !bytes.Equal(rec.Body.Bytes(), want) {
+			t.Fatalf("trial %d: writer and encoding/json disagree\n got %q\nwant %q", trial, rec.Body.Bytes(), want)
+		}
+	}
+}
+
+// FuzzRequestDecode holds the hot-route decoder to json.Decoder.Decode on
+// arbitrary bytes, for all three body types: the same accept/reject verdict
+// and, on accept, reflect.DeepEqual values.
+func FuzzRequestDecode(f *testing.F) {
+	// Inside the body's object, 10 000 brackets nest 10 001 deep: one past
+	// encoding/json's limit; 9 999 sit exactly at it.
+	deep := strings.Repeat("[", 10000) + strings.Repeat("]", 10000)
+	deepOK := strings.Repeat("[", 9999) + strings.Repeat("]", 9999)
+	for _, seed := range []string{
+		// The benchmark's canonical bodies.
+		`{"k":10,"region":{"lo":[0.1,0.2,0.30000000000000004],"hi":[0.15,0.25,0.35]}}`,
+		`{"delete":[3,17,42,7,1,2,9,100000,5,6,8,10,11,12,13,14],"insert":[[0.5,0.25,0.125,1e-7],[1,2,3,4]]}`,
+		`{"queries":[{"k":3,"region":{"lo":[0.2,0.2],"hi":[0.25,0.25]}},{"k":2}]}`,
+		`{"k":2,"halfspaces":[{"coef":[1,0],"offset":0.1},{"coef":[-1,-1],"offset":-0.5}]}`,
+		// Case folding, the Kelvin sign and long s, escaped keys.
+		`{"K":3,"REGION":{"Lo":[0.1],"hI":[0.2]},"HalfSpaces":[{"COEF":[1],"Offset":2}]}`,
+		"{\"\u212a\":4,\"halfspace\u017f\":[{\"coef\":[1]}],\"queries\":[{\"\u212a\":1}],\"in\u017fert\":[[1]]}",
+		`{"\u006b":5,"\u0072egion":{"l\u006f":[1]},"\ud800":1,"\ud83d\ude00":2,"\u212A":6}`,
+		// Duplicate keys: last wins, a second region merges, arrays reuse elements.
+		`{"k":1,"k":2,"region":{"lo":[1,2,3]},"region":{"hi":[4]},"region":{"lo":[5]},"region":{"lo":[6,null,null]}}`,
+		`{"halfspaces":[{"coef":[1,2],"offset":3},{"offset":4}],"halfspaces":[{"coef":[5]}],"halfspaces":[{},{}]}`,
+		`{"queries":[{"k":1,"region":{"lo":[1]}},{"k":2}],"queries":[{"k":3}],"queries":[null,{"region":null}]}`,
+		`{"region":{"lo":[1]},"region":null}`, `{"halfspaces":[{"coef":[1]}],"halfspaces":null}`, `{"queries":[{"region":{"hi":[2]}}],"queries":[{"region":null}]}`,
+		`{"delete":[1,2,3],"delete":[4],"delete":[null,null,null,null],"insert":[[1,2],[3]],"insert":[[4]],"insert":[[null],null,[]]}`,
+		// nulls, empties, numbers at the edges of the grammar and of range.
+		`null`, `nullx`, `{"k":null,"region":null,"halfspaces":null}`, `{"delete":[],"insert":[]}`, `{}`,
+		`{"k":1e2}`, `{"k":01}`, `{"k":-0}`, `{"k":1.0}`, `{"k":+1}`, `{"k":.5}`, `{"k":1.}`, `{"k":9223372036854775807}`,
+		`{"k":9223372036854775808}`, `{"k":-9223372036854775808}`, `{"delete":[1e2]}`, `{"insert":[[1e400]]}`,
+		`{"insert":[[1e-400,-0,0.5E+3,2e-07]]}`, `{"region":{"lo":[-0.0,1E5,1e21]}}`,
+		// Trailing bytes, bad syntax, wrong types, unknown fields.
+		`{"k":3}garbage`, `{"k":3} {"k":4}`, `  {"k":3}`, ``, `   `, `{`, `{"k":3,}`, `[1]`, `"x"`, `5`, `true`,
+		`{"k":"3"}`, `{"region":[1]}`, `{"region":{"lo":{}}}`, `{"queries":{}}`, `{"insert":[1]}`,
+		`{"x":{"y":[1,{"z":"\u00e9\n"}],"w":true},"k":2}`, `{"x":"\x01"}`, `{"x":"\q"}`, "{\"x\":\"\xff\"}",
+		`{"extra":` + deep + `,"k":1}`, `{"extra":` + deepOK + `,"k":1}`,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		checkDecode(t, b, decodeQuery)
+		checkDecode(t, b, decodeBatch)
+		checkDecode(t, b, decodeUpdate)
+	})
+}
+
+func checkDecode[T any](t *testing.T, b []byte, decode func([]byte, *T) error) {
+	t.Helper()
+	var want, got T
+	wantErr := json.NewDecoder(bytes.NewReader(b)).Decode(&want)
+	gotErr := decode(b, &got)
+	if (wantErr == nil) != (gotErr == nil) {
+		t.Fatalf("%T on %q: encoding/json err %v, decoder err %v", got, b, wantErr, gotErr)
+	}
+	if wantErr == nil && !reflect.DeepEqual(want, got) {
+		t.Fatalf("%T on %q:\nencoding/json %+v\n      decoder %+v", got, b, want, got)
+	}
+}

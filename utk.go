@@ -480,19 +480,45 @@ func (ds *Dataset) UTK2(q Query) (*UTK2Result, error) {
 }
 
 // utk2ResultFromCells deep-copies core cells into the public representation.
+// The copies share three backing arrays (half-spaces, floats, ints), each
+// piece capped at its length so a caller's append never writes into the
+// next cell; an empty TopK, Interior or Coef stays nil, as a per-slice copy
+// would leave it.
 func utk2ResultFromCells(cells []core.CellResult, st Stats) *UTK2Result {
+	nh, nf, ni := 0, 0, 0
+	for _, c := range cells {
+		nh += len(c.Constraints)
+		nf += len(c.Interior)
+		for _, h := range c.Constraints {
+			nf += len(h.A)
+		}
+		ni += len(c.TopK)
+	}
+	hs, fs, is := make([]Halfspace, nh), make([]float64, nf), make([]int, ni)
 	out := &UTK2Result{Cells: make([]Cell, len(cells)), Stats: st}
 	for i, c := range cells {
-		hs := make([]Halfspace, len(c.Constraints))
+		cell := Cell{Halfspaces: hs[:len(c.Constraints):len(c.Constraints)]}
+		hs = hs[len(c.Constraints):]
 		for j, h := range c.Constraints {
-			hs[j] = Halfspace{Coef: append([]float64(nil), h.A...), Offset: h.B}
+			cell.Halfspaces[j] = Halfspace{Coef: copyInto(&fs, h.A), Offset: h.B}
 		}
-		out.Cells[i] = Cell{
-			TopK:       append([]int(nil), c.TopK...),
-			Interior:   append([]float64(nil), c.Interior...),
-			Halfspaces: hs,
-		}
+		cell.Interior = copyInto(&fs, c.Interior)
+		cell.TopK = copyInto(&is, c.TopK)
+		out.Cells[i] = cell
 	}
+	return out
+}
+
+// copyInto copies src into the front of *dst, capped at len(src), and
+// advances *dst past it; an empty src yields nil.
+func copyInto[T any](dst *[]T, src []T) []T {
+	if len(src) == 0 {
+		return nil
+	}
+	n := len(src)
+	out := (*dst)[:n:n]
+	copy(out, src)
+	*dst = (*dst)[n:]
 	return out
 }
 
