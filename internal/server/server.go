@@ -24,6 +24,26 @@
 // general convex region may replace the box:
 //
 //	{"k": 5, "halfspaces": [{"coef": [1, 1], "offset": 0.3}, ...]}
+//
+// # Wire codec
+//
+// The five hot routes (/utk1, /utk2, /utk1batch, /utk2batch, /update) do not
+// use encoding/json: reflection over the bodies and answers cost more than a
+// cache hit in the engine. Their answers are appended into a pooled buffer
+// and are byte-identical to what encoding/json wrote for the former payload
+// maps (sorted keys, null for a nil slice, encoding/json's float format,
+// HTML-escaped strings, the trailing newline); TestQueryResponseGolden and
+// a writer-vs-encoding/json differential hold them there. Their bodies are
+// read by one small decoder that accepts exactly what json.Decoder.Decode
+// accepts into the request structs and yields the same values — case-folded
+// and escaped keys, duplicate keys decoding over the earlier value, unknown
+// members skipped but validated to encoding/json's nesting limit, null,
+// the JSON number grammar, trailing bytes after the first value ignored —
+// which FuzzRequestDecode checks on arbitrary bytes; only error texts
+// differ (the status stays 400). There is no fallback to encoding/json: a
+// second decoder would be a second behaviour to keep equal, and one that
+// runs rarely runs cold. The cold routes (/stats, /datasets, /snapshot, the
+// admin routes) keep encoding/json.
 package server
 
 import (

@@ -169,13 +169,9 @@ func (d *decoder) query(q *queryRequest) error {
 }
 
 func (d *decoder) region(p **regionBody) error {
-	switch d.peek() {
-	case 'n':
+	if d.peek() == 'n' {
 		*p = nil
 		return d.literal("null")
-	case '{':
-	default:
-		return d.fail("region must be an object")
 	}
 	if *p == nil {
 		*p = new(regionBody)
@@ -213,49 +209,30 @@ func (d *decoder) halfspace(h *halfspaceBody) error {
 // is zero), the slice is cut to the elements read, [] replaces it with a new
 // empty slice and null with nil.
 func decodeArray[T any](d *decoder, s *[]T) error {
-	switch d.peek() {
-	case 'n':
+	if d.peek() == 'n' {
 		*s = nil
 		return d.literal("null")
-	case '[':
-	default:
-		return d.fail("expected an array")
 	}
-	if err := d.enter(); err != nil {
-		return err
-	}
-	d.ws()
-	if d.peek() == ']' {
-		d.pos++
-		d.depth--
-		*s = []T{}
-		return nil
-	}
-	v := *s
-	for i := 0; ; i++ {
+	v, i := *s, 0
+	err := d.list('[', ']', func() error {
 		if i == len(v) {
 			if i == cap(v) {
 				v = slices.Grow(v, max(i, 4))
 			}
 			v = v[:i+1]
 		}
-		if err := d.elem(&v[i]); err != nil {
-			return err
-		}
-		d.ws()
-		switch d.peek() {
-		case ',':
-			d.pos++
-			d.ws()
-		case ']':
-			d.pos++
-			d.depth--
-			*s = v[:i+1]
-			return nil
-		default:
-			return d.fail("expected ',' or ']' in array")
-		}
+		i++
+		return d.elem(&v[i-1])
+	})
+	if err != nil {
+		return err
 	}
+	if i == 0 {
+		*s = []T{}
+	} else {
+		*s = v[:i]
+	}
+	return nil
 }
 
 // elem decodes one array element by its type. A type switch rather than a
@@ -280,19 +257,7 @@ func (d *decoder) elem(p any) error {
 // object decodes a JSON object, handing each member's unescaped key to
 // member, which consumes the value.
 func (d *decoder) object(member func(key []byte) error) error {
-	if d.peek() != '{' {
-		return d.fail("expected an object")
-	}
-	if err := d.enter(); err != nil {
-		return err
-	}
-	d.ws()
-	if d.peek() == '}' {
-		d.pos++
-		d.depth--
-		return nil
-	}
-	for {
+	return d.list('{', '}', func() error {
 		if d.peek() != '"' {
 			return d.fail("expected a string object key")
 		}
@@ -306,7 +271,29 @@ func (d *decoder) object(member func(key []byte) error) error {
 		}
 		d.pos++
 		d.ws()
-		if err := member(key); err != nil {
+		return member(key)
+	})
+}
+
+// list consumes an array or object delimited by open and close, calling
+// item at each element or member, and holds nesting to maxDepth.
+func (d *decoder) list(open, close byte, item func() error) error {
+	if d.peek() != open {
+		return d.fail("expected " + string(open))
+	}
+	if d.depth == maxDepth {
+		return d.fail("exceeded max nesting depth")
+	}
+	d.depth++
+	d.pos++
+	d.ws()
+	if d.peek() == close {
+		d.pos++
+		d.depth--
+		return nil
+	}
+	for {
+		if err := item(); err != nil {
 			return err
 		}
 		d.ws()
@@ -314,24 +301,14 @@ func (d *decoder) object(member func(key []byte) error) error {
 		case ',':
 			d.pos++
 			d.ws()
-		case '}':
+		case close:
 			d.pos++
 			d.depth--
 			return nil
 		default:
-			return d.fail("expected ',' or '}' in object")
+			return d.fail("expected ',' or " + string(close))
 		}
 	}
-}
-
-// enter consumes an opening bracket, holding nesting to maxDepth.
-func (d *decoder) enter() error {
-	if d.depth == maxDepth {
-		return d.fail("exceeded max nesting depth")
-	}
-	d.depth++
-	d.pos++
-	return nil
 }
 
 // int decodes a number into an int: integral literals only, in range; null
@@ -343,25 +320,6 @@ func (d *decoder) int(p *int) error {
 	lit, err := d.number()
 	if err != nil {
 		return err
-	}
-	// Fast path: at most 18 digits cannot overflow.
-	digits, neg := lit, false
-	if digits[0] == '-' {
-		digits, neg = digits[1:], true
-	}
-	if len(digits) <= 18 {
-		n := 0
-		for _, c := range digits {
-			if c < '0' || c > '9' {
-				return d.fail("number " + string(lit) + " is not an integer")
-			}
-			n = n*10 + int(c-'0')
-		}
-		if neg {
-			n = -n
-		}
-		*p = n
-		return nil
 	}
 	n, err := strconv.ParseInt(bytesString(lit), 10, 64)
 	if err != nil {
@@ -440,32 +398,7 @@ func (d *decoder) skip() error {
 	case c == '{':
 		return d.object(func([]byte) error { return d.skip() })
 	case c == '[':
-		if err := d.enter(); err != nil {
-			return err
-		}
-		d.ws()
-		if d.peek() == ']' {
-			d.pos++
-			d.depth--
-			return nil
-		}
-		for {
-			if err := d.skip(); err != nil {
-				return err
-			}
-			d.ws()
-			switch d.peek() {
-			case ',':
-				d.pos++
-				d.ws()
-			case ']':
-				d.pos++
-				d.depth--
-				return nil
-			default:
-				return d.fail("expected ',' or ']' in array")
-			}
-		}
+		return d.list('[', ']', d.skip)
 	case c == '"':
 		_, _, err := d.str()
 		return err
@@ -594,28 +527,10 @@ func unhex(c byte) int {
 	return -1
 }
 
-// foldEq reports bytes.EqualFold(key, name) for a lower-case ASCII name,
-// without converting name when key is ASCII.
-func foldEq(key []byte, name string) bool {
-	if len(key) == len(name) {
-		ascii := true
-		for i, c := range key {
-			if c >= utf8.RuneSelf {
-				ascii = false
-				break
-			}
-			if c != name[i] && c+'a'-'A' != name[i] {
-				return false
-			}
-		}
-		if ascii {
-			return true
-		}
-	}
-	// Non-ASCII keys can still fold onto a name (the Kelvin sign onto k,
-	// long s onto s) at a different byte length.
-	return bytes.EqualFold(key, []byte(name))
-}
+// foldEq reports whether key matches the field name as encoding/json
+// matches since Go 1.21: by bytes.EqualFold, so the Kelvin sign matches k
+// and long s matches s.
+func foldEq(key []byte, name string) bool { return bytes.EqualFold(key, []byte(name)) }
 
 // literal consumes the keyword lit.
 func (d *decoder) literal(lit string) error {
@@ -674,7 +589,7 @@ func respond(w http.ResponseWriter, fill func(*enc)) {
 	w.Header().Set("Content-Type", "application/json")
 	if !e.bad {
 		e.b = append(e.b, '\n')
-		_, _ = w.Write(e.b)
+		_, _ = w.Write(e.b) // a failed write means the client went away
 	}
 }
 
@@ -842,7 +757,7 @@ func (e *enc) float(f float64) {
 func (e *enc) str(s string) {
 	for i := 0; i < len(s); i++ {
 		if c := s[i]; c < 0x20 || c >= utf8.RuneSelf || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
-			q, _ := json.Marshal(s)
+			q, _ := json.Marshal(s) // a string always marshals
 			e.b = append(e.b, q...)
 			return
 		}
