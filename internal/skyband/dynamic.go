@@ -1,7 +1,6 @@
 package skyband
 
 import (
-	"cmp"
 	"errors"
 	"math"
 	"slices"
@@ -89,13 +88,24 @@ type entry struct {
 // coordinate sum larger by more than −dim·Eps (each dimension tolerates Eps,
 // one must exceed it), and the float64 sums of both carry rounding error well
 // below the relative term — a candidate dominator whose sum does not exceed
-// the gate provably fails geom.Dominates.
+// the gate provably fails geom.Dominates. An overflowed sum bounds nothing:
+// its gate is −Inf, and a −Inf sum passes every gate (see passes).
 func newEntry(id int, rec []float64, count int) entry {
 	sum := coordSum(rec)
-	return entry{id: id, rec: rec, sum: sum, gate: sum - float64(len(rec))*geom.Eps - (1+math.Abs(sum))*4e-12, count: count}
+	gate := math.Inf(-1)
+	if !math.IsInf(sum, 0) {
+		gate = sum - float64(len(rec))*geom.Eps - (1+math.Abs(sum))*4e-12
+	}
+	return entry{id: id, rec: rec, sum: sum, gate: gate, count: count}
 }
 
-func (e *entry) dominates(x *entry) bool { return e.sum > x.gate && geom.Dominates(e.rec, x.rec) }
+func (e *entry) dominates(x *entry) bool {
+	return passes(e.sum, x.gate) && geom.Dominates(e.rec, x.rec)
+}
+
+// passes reports whether a candidate with coordinate sum sum may dominate a
+// probe with gate gate.
+func passes(sum, gate float64) bool { return sum > gate || math.IsInf(sum, -1) }
 
 // ranked orders live slots strongest first (see strongestFirst).
 type ranked struct {
@@ -200,7 +210,8 @@ func NewDynamic(records [][]float64, k int) (*Dynamic, error) {
 // record with any dominator outside the band has at least k inside it (the k
 // strongest dominators of a record have fewer than k dominators each), so
 // counting a record's band dominators up to k decides its membership, and
-// below k the count is exact. It returns the band entries (id = index into
+// below k the count is exact. The counting is one grid pass (see gridPass)
+// over the band admitted so far. It returns the band entries (id = index into
 // recs) in sweep order and the other records, strongest first.
 func sweep(recs [][]float64, k int) (band []entry, rest []ranked) {
 	order := make([]ranked, len(recs))
@@ -208,20 +219,14 @@ func sweep(recs [][]float64, k int) (band []entry, rest []ranked) {
 		order[i] = ranked{sum: coordSum(rec), slot: i}
 	}
 	slices.SortFunc(order, strongestFirst(recs))
-	rest = order[:0]
-	for _, r := range order {
-		e := newEntry(r.slot, recs[r.slot], 0)
-		for j := 0; j < len(band) && e.count < k; j++ {
-			if band[j].dominates(&e) {
-				e.count++
-			}
-		}
-		if e.count < k {
-			band = append(band, e)
+	rest = order[:0] // gridPass has read order[i] when it visits it
+	gridPass(recs, order, k, func(r ranked, n, _ int) {
+		if n < k {
+			band = append(band, newEntry(r.slot, recs[r.slot], n))
 		} else {
 			rest = append(rest, r)
 		}
-	}
+	})
 	return band, rest
 }
 
@@ -269,16 +274,18 @@ func newDynamic(k, live, band int) *Dynamic {
 }
 
 // buildFence classifies the non-band slots, given strongest first, against
-// the exact band: a record some fence entry dominates is covered by it, and
-// any other is on the skyline of the non-band records — a fence entry, bound
-// k.
+// the exact band: a record some fence entry dominates is covered by the first
+// one a grid pass over the fence finds, and any other is on the skyline of
+// the non-band records — a fence entry, bound k, in admission order.
 func (d *Dynamic) buildFence(rest []ranked) {
-	for _, r := range rest {
-		e := newEntry(d.ids[r.slot], d.recs[r.slot], d.k)
-		if d.cover[r.slot] = d.findCover(&e); d.cover[r.slot] == isEntry {
-			d.addEntry(e, false)
+	gridPass(d.recs, rest, 1, func(r ranked, _, first int) {
+		if first >= 0 {
+			d.cover[r.slot] = d.ids[first]
+			return
 		}
-	}
+		d.cover[r.slot] = isEntry
+		d.addEntry(newEntry(d.ids[r.slot], d.recs[r.slot], d.k), false)
+	})
 }
 
 // strongestFirst orders slots of recs by descending coordinate sum, ties by
@@ -287,8 +294,11 @@ func (d *Dynamic) buildFence(rest []ranked) {
 // dominates even when rounding makes the two sums equal.
 func strongestFirst(recs [][]float64) func(a, b ranked) int {
 	return func(a, b ranked) int {
-		if c := cmp.Compare(b.sum, a.sum); c != 0 {
-			return c
+		switch {
+		case a.sum > b.sum: // sums are never NaN: the coordinates are finite
+			return -1
+		case a.sum < b.sum:
+			return 1
 		}
 		return slices.Compare(recs[b.slot], recs[a.slot])
 	}

@@ -12,6 +12,13 @@
 // covered record dominates no entry, and the entry set is a function of the
 // live records alone, so every update is a few scans of the band or the
 // fence and, at worst, one pass over the cover column (see Dynamic).
+//
+// Construction (NewDynamic, RestoreDynamic, CountBand) is two strongest-first
+// grid passes instead of all-pairs counting: the band is counted, and the
+// fence found, against a grid of what each pass has admitted so far, and a
+// probe skips or counts whole cells by their corners (see gridPass). The grid
+// is dropped when the constructor returns; updates scan the band and the
+// fence linearly.
 package skyband
 
 import (

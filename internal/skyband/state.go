@@ -74,9 +74,9 @@ func (d *Dynamic) State() *DynamicState {
 // RestoreDynamic rebuilds a Dynamic from a state snapshot. The band's counts
 // are trusted as exact — a legacy state's guarantee (Coverage ≥ K) makes its
 // members below K exactly the band as well — so recovery costs one
-// strongest-first fence pass over the other live records instead of a
-// recomputation of the band. The state's slices are not retained; record
-// slices are shared.
+// strongest-first fence pass over the other live records (the grid pass of
+// buildFence) instead of a recomputation of the band. The state's slices are
+// not retained; record slices are shared.
 func RestoreDynamic(st *DynamicState) (*Dynamic, error) {
 	if st == nil {
 		return nil, errors.New("skyband: nil dynamic state")
@@ -103,10 +103,10 @@ func RestoreDynamic(st *DynamicState) (*Dynamic, error) {
 		if id < 0 || id >= st.NextID {
 			return nil, errors.New("skyband: live id outside allocator range in state")
 		}
-		if d.Has(id) {
-			return nil, errors.New("skyband: duplicate live id in state")
-		}
 		d.addLive(id, st.LiveRecs[i], unset)
+	}
+	if len(d.slot) != len(d.ids) { // a repeated id overwrote its slot
+		return nil, errors.New("skyband: duplicate live id in state")
 	}
 	for i, id := range st.MemberIDs {
 		s, ok := d.slot[id]

@@ -360,8 +360,8 @@ func DecodeSnapshot(payload []byte) (*Snapshot, error) {
 // recomputed over the merged records. Everything is checked before it is
 // used: the bytes passed their CRC but are otherwise untrusted.
 func mergeParts(dim, nextGlobal int, l2g [][]int, parts []*skyband.DynamicState) (*skyband.DynamicState, error) {
-	if len(parts) == 0 || parts[0].K <= 0 {
-		return nil, fmt.Errorf("%w: sharded snapshot without parts or band depth", ErrCorrupt)
+	if len(parts) == 0 || parts[0].K <= 0 || dim <= 0 {
+		return nil, fmt.Errorf("%w: sharded snapshot without parts, band depth or dimensionality", ErrCorrupt)
 	}
 	st := &skyband.DynamicState{K: parts[0].K, Coverage: parts[0].K, NextID: nextGlobal}
 	owned := make(map[int][]float64) // live global id → record
