@@ -110,9 +110,11 @@ var (
 // signal the HTTP tier converts into 429 with Retry-After.
 var ErrSaturated = engine.ErrSaturated
 
-// NewEngine builds a serving engine directly over the records (copied;
-// NewDataset's rules: at least one, all of the same dimensionality d ≥ 2,
-// finite attributes), record i getting id i. Nothing is indexed, so this is
+// NewEngine builds a serving engine directly over the records (copied into
+// one block, which stays in memory until the engine is dropped, even after
+// every initial record is deleted; NewDataset's rules: at least one, all of
+// the same dimensionality d ≥ 2, finite attributes), record i getting id i.
+// Nothing is indexed, so this is
 // the constructor for callers that only serve: a Dataset additionally holds
 // the R-tree the stateless Dataset.UTK1/UTK2 and the baselines run on.
 func NewEngine(records [][]float64, cfg EngineConfig) (*Engine, error) {

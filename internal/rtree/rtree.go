@@ -8,10 +8,11 @@
 package rtree
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
 
 // DefaultFanout is the default maximum number of entries per node. With
@@ -62,27 +63,30 @@ func BulkLoad(points [][]float64, fanout int) (*Tree, error) {
 	if fanout < 4 {
 		return nil, fmt.Errorf("rtree: fanout %d too small (minimum 4)", fanout)
 	}
-	entries := make([]Entry, len(points))
+	if len(points) > math.MaxInt32 {
+		return nil, fmt.Errorf("rtree: %d points exceed the int32 id range", len(points))
+	}
+	ids := make([]int32, len(points))
 	for i, p := range points {
 		if len(p) != dim {
 			return nil, fmt.Errorf("rtree: point %d has dimension %d, want %d", i, len(p), dim)
 		}
-		entries[i] = Entry{Min: p, Max: p, RecordID: i}
+		ids[i] = int32(i)
 	}
-	leaves := strPack(entries, dim, fanout, 0)
+	leaves := strPack(points, ids, make([]keyed, len(ids)), dim, fanout, 0)
+	entries := make([]Entry, 0, len(points)) // one block for every leaf's entries
 	nodes := make([]*Node, len(leaves))
 	for i, le := range leaves {
-		nodes[i] = &Node{leaf: true, entries: le}
+		for _, id := range le {
+			entries = append(entries, Entry{Min: points[id], Max: points[id], RecordID: int(id)})
+		}
+		nodes[i] = &Node{leaf: true, entries: entries[len(entries)-len(le) : len(entries) : len(entries)]}
 	}
 	for len(nodes) > 1 {
 		parents := make([]*Node, 0, (len(nodes)+fanout-1)/fanout)
 		for i := 0; i < len(nodes); i += fanout {
-			end := i + fanout
-			if end > len(nodes) {
-				end = len(nodes)
-			}
 			parent := &Node{}
-			for _, child := range nodes[i:end] {
+			for _, child := range nodes[i:min(i+fanout, len(nodes))] {
 				mn, mx := nodeMBB(child)
 				parent.entries = append(parent.entries, Entry{Min: mn, Max: mx, Child: child})
 			}
@@ -93,35 +97,43 @@ func BulkLoad(points [][]float64, fanout int) (*Tree, error) {
 	return &Tree{dim: dim, fanout: fanout, root: nodes[0], size: len(points)}, nil
 }
 
-// strPack recursively tiles entries into leaf pages, sorting on successive
-// dimensions.
-func strPack(entries []Entry, dim, fanout, depth int) [][]Entry {
-	if depth == dim-1 || len(entries) <= fanout {
-		sort.Slice(entries, func(i, j int) bool { return entries[i].Min[depth] < entries[j].Min[depth] })
-		out := make([][]Entry, 0, (len(entries)+fanout-1)/fanout)
-		for i := 0; i < len(entries); i += fanout {
-			end := i + fanout
-			if end > len(entries) {
-				end = len(entries)
-			}
-			out = append(out, entries[i:end:end])
-		}
-		return out
+// keyed is a point id with the coordinate strPack currently sorts on.
+type keyed struct {
+	key float64
+	id  int32
+}
+
+// strPack recursively tiles the ids into leaf pages, sorting on successive
+// dimensions: each sort runs over the extracted (coordinate, id) pairs in ks
+// (scratch parallel to ids), ties by id, so the tree is a function of the
+// points alone.
+func strPack(points [][]float64, ids []int32, ks []keyed, dim, fanout, depth int) [][]int32 {
+	for i, id := range ids {
+		ks[i] = keyed{points[id][depth], id}
 	}
-	sort.Slice(entries, func(i, j int) bool { return entries[i].Min[depth] < entries[j].Min[depth] })
-	pages := (len(entries) + fanout - 1) / fanout
-	slabs := int(math.Ceil(math.Pow(float64(pages), 1/float64(dim-depth))))
-	if slabs < 1 {
-		slabs = 1
-	}
-	per := (len(entries) + slabs - 1) / slabs
-	var out [][]Entry
-	for i := 0; i < len(entries); i += per {
-		end := i + per
-		if end > len(entries) {
-			end = len(entries)
+	slices.SortFunc(ks, func(a, b keyed) int {
+		if c := cmp.Compare(a.key, b.key); c != 0 {
+			return c
 		}
-		out = append(out, strPack(entries[i:end:end], dim, fanout, depth+1)...)
+		return cmp.Compare(a.id, b.id)
+	})
+	for i := range ids {
+		ids[i] = ks[i].id
+	}
+	leaf, per := depth == dim-1 || len(ids) <= fanout, fanout
+	if !leaf {
+		pages := (len(ids) + fanout - 1) / fanout
+		slabs := max(int(math.Ceil(math.Pow(float64(pages), 1/float64(dim-depth)))), 1)
+		per = (len(ids) + slabs - 1) / slabs
+	}
+	var out [][]int32
+	for i := 0; i < len(ids); i += per {
+		end := min(i+per, len(ids))
+		if leaf {
+			out = append(out, ids[i:end:end])
+		} else {
+			out = append(out, strPack(points, ids[i:end:end], ks[i:end:end], dim, fanout, depth+1)...)
+		}
 	}
 	return out
 }
@@ -203,20 +215,11 @@ func (t *Tree) Validate() error {
 }
 
 func nodeMBB(n *Node) ([]float64, []float64) {
-	mn := append([]float64(nil), n.entries[0].Min...)
-	mx := append([]float64(nil), n.entries[0].Max...)
+	mn, mx := slices.Clone(n.entries[0].Min), slices.Clone(n.entries[0].Max)
 	for _, e := range n.entries[1:] {
-		mn, mx = combineMBB(mn, mx, e.Min, e.Max)
-	}
-	return mn, mx
-}
-
-func combineMBB(mn1, mx1, mn2, mx2 []float64) ([]float64, []float64) {
-	mn := make([]float64, len(mn1))
-	mx := make([]float64, len(mx1))
-	for i := range mn {
-		mn[i] = math.Min(mn1[i], mn2[i])
-		mx[i] = math.Max(mx1[i], mx2[i])
+		for i := range mn {
+			mn[i], mx[i] = min(mn[i], e.Min[i]), max(mx[i], e.Max[i])
+		}
 	}
 	return mn, mx
 }

@@ -122,7 +122,10 @@ func NewDataset(records [][]float64) (*Dataset, error) {
 }
 
 // copyRecords validates a record collection — at least one record, a shared
-// dimensionality d ≥ 2, finite attributes — and returns a deep copy.
+// dimensionality d ≥ 2, finite attributes — and returns a deep copy: capped
+// sub-slices of one slab, one allocation instead of n. An engine built over
+// the copy keeps the whole slab alive until the engine is dropped, however
+// many of the initial records it has deleted.
 func copyRecords(records [][]float64) ([][]float64, error) {
 	if len(records) == 0 {
 		return nil, errors.New("utk: empty dataset")
@@ -131,12 +134,13 @@ func copyRecords(records [][]float64) ([][]float64, error) {
 	if d < 2 {
 		return nil, errors.New("utk: records must have at least 2 attributes")
 	}
-	cp := make([][]float64, len(records))
+	cp, slab := make([][]float64, len(records)), make([]float64, 0, len(records)*d)
 	for i, rec := range records {
 		if err := engine.CheckRecord(rec, d); err != nil {
 			return nil, fmt.Errorf("utk: record %d %w", i, err)
 		}
-		cp[i] = append([]float64(nil), rec...)
+		slab = append(slab, rec...)
+		cp[i] = slab[i*d : (i+1)*d : (i+1)*d]
 	}
 	return cp, nil
 }
