@@ -3,10 +3,12 @@ package utk_test
 // BenchmarkRecovery quantifies the point of snapshots: reopening a durable
 // dataset (decode snapshot + replay the WAL tail) versus rebuilding the
 // engine cold (k-skyband computation over all the records + reapplying the
-// update stream) on the 50k/d=4 bench workload. It lives in an external
-// test package because the registry/store layers import the root package.
+// update stream) on IND d=4 at 50k, 250k and 1m records. It lives in an
+// external test package because the registry/store layers import the root
+// package.
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -17,8 +19,14 @@ import (
 )
 
 func BenchmarkRecovery(b *testing.B) {
+	for _, n := range []int{50_000, 250_000, 1_000_000} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) { benchRecovery(b, n) })
+	}
+}
+
+func benchRecovery(b *testing.B, n int) {
 	const (
-		n, d = 50000, 4
+		d    = 4
 		maxK = 10
 		tail = 16 // WAL batches past the last snapshot
 	)
