@@ -530,74 +530,18 @@ func BenchmarkEngineHotUTK1(b *testing.B) {
 	}
 }
 
-// BenchmarkUTK2 measures cold UTK2 scaling with the Workers option on the
-// 50k/d=4 configuration: the full JAA pipeline (prefiltered BBS graph build
-// plus refinement), sequential versus the exact region decomposition at
-// increasing worker counts. The region uses σ = 0.05 and k = 20 (the same
-// widened workload BenchmarkParallelRSA uses) so the run is
-// refinement-bound; at the σ = 0.01 default this seed's region yields
-// candidates ≤ k — a single-cell answer with no refinement to decompose.
+// BenchmarkUTK2 measures one cold UTK2 run on the 50k/d=4 configuration:
+// the full JAA pipeline (prefiltered BBS graph build plus refinement). The
+// region uses σ = 0.05 and k = 20 so the run is refinement-bound; at the
+// σ = 0.01 default this seed's region yields candidates ≤ k — a single-cell
+// answer with no refinement at all.
 func BenchmarkUTK2(b *testing.B) {
 	idx := benchIND(b, benchN, benchD)
 	r := benchBox(b, benchD-1, 0.05)
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, _, err := core.JAA(idx.tree, r, 20, core.Options{Workers: workers}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkUTK2AdaptiveSplit compares the decomposed UTK2 run under the
-// fixed Workers·4 piece count against the cost-model-driven choice (a
-// SplitModel calibrated from a few decomposed runs first, the way a
-// long-lived engine calibrates across queries). Same refinement-bound
-// workload as BenchmarkUTK2.
-func BenchmarkUTK2AdaptiveSplit(b *testing.B) {
-	idx := benchIND(b, benchN, benchD)
-	r := benchBox(b, benchD-1, 0.05)
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d/fixed", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, _, err := core.JAA(idx.tree, r, 20, core.Options{Workers: workers}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run(fmt.Sprintf("workers=%d/adaptive", workers), func(b *testing.B) {
-			model := &core.SplitModel{}
-			// Calibration: runs at different worker counts observe pieces of
-			// different volumes, which is what identifies the cost curve.
-			for _, w := range []int{2, 4, 8} {
-				if _, _, err := core.JAA(idx.tree, r, 20, core.Options{Workers: w, Split: model}); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, _, err := core.JAA(idx.tree, r, 20, core.Options{Workers: workers, Split: model}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkParallelRSA measures the Workers option scaling.
-func BenchmarkParallelRSA(b *testing.B) {
-	idx := benchIND(b, benchN, benchD)
-	r := benchBox(b, benchD-1, 0.05) // larger region: more candidates to share
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, _, err := core.RSA(idx.tree, r, 20, core.Options{Workers: workers}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	for i := 0; i < b.N; i++ {
+		if _, _, err := core.JAA(idx.tree, r, 20, core.Options{}); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -22,10 +22,9 @@ type EngineConfig struct {
 	// refuses admission for query classes whose entries are invalidated
 	// faster than they are hit (EngineStats.AdmissionSkips).
 	CacheEntries int
-	// Workers bounds the engine's executor: at most this many tasks —
-	// queries, plus the refinement subtasks of queries that request
-	// intra-query parallelism via Query.Workers — run at a time. Values
-	// below 1 default to runtime.GOMAXPROCS(0).
+	// Workers bounds the engine's executor: at most this many queries
+	// compute at a time, each refining sequentially. Values below 1 default
+	// to runtime.GOMAXPROCS(0).
 	Workers int
 	// MaxQueued bounds how many queries may wait for an executor slot before
 	// new arrivals are rejected with ErrSaturated — the backpressure signal
@@ -202,9 +201,7 @@ func (e *Engine) ApplyBatchPipelined(ops []UpdateOp) (*UpdateResult, func(), err
 }
 
 // UTK1 answers a UTK1 query through the engine. The query must use the
-// paper's algorithms (AlgoAuto or AlgoRSA). Query.Workers > 1 requests
-// intra-query parallel refinement, fanned out on the engine's own executor
-// so one pool governs inter- and intra-query concurrency.
+// paper's algorithms (AlgoAuto or AlgoRSA).
 func (e *Engine) UTK1(ctx context.Context, q Query) (*UTK1Result, error) {
 	res, err := e.do(ctx, engine.UTK1, q)
 	if err != nil {

@@ -131,40 +131,6 @@ func TestEngineFacadeBatchAndConcurrency(t *testing.T) {
 	wg.Wait()
 }
 
-// TestEffectiveWorkersStat pins the documented Workers semantics: honored by
-// UTK1 (parallel verification) and by UTK2 (exact region decomposition).
-func TestEffectiveWorkersStat(t *testing.T) {
-	ds, r := facadeFixture(t)
-	res1, err := ds.UTK1(Query{K: 5, Region: r, Workers: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res1.Stats.EffectiveWorkers != 3 {
-		t.Errorf("UTK1 EffectiveWorkers = %d, want 3", res1.Stats.EffectiveWorkers)
-	}
-	seq, err := ds.UTK1(Query{K: 5, Region: r})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seq.Stats.EffectiveWorkers != 1 {
-		t.Errorf("sequential UTK1 EffectiveWorkers = %d, want 1", seq.Stats.EffectiveWorkers)
-	}
-	res2, err := ds.UTK2(Query{K: 5, Region: r, Workers: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res2.Stats.EffectiveWorkers != 3 {
-		t.Errorf("UTK2 EffectiveWorkers = %d, want 3 (decomposed box regions honor Workers)", res2.Stats.EffectiveWorkers)
-	}
-	seq2, err := ds.UTK2(Query{K: 5, Region: r})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seq2.Stats.EffectiveWorkers != 1 {
-		t.Errorf("sequential UTK2 EffectiveWorkers = %d, want 1", seq2.Stats.EffectiveWorkers)
-	}
-}
-
 func TestEngineFacadeUpdates(t *testing.T) {
 	ds, r := facadeFixture(t)
 	e, err := ds.NewEngine(EngineConfig{MaxK: 8})

@@ -10,8 +10,7 @@ import (
 )
 
 // TestCancelInterruptsRefinement verifies that a tripped Options.Cancel makes
-// both algorithms return ErrCanceled instead of a partial answer, for the
-// sequential and parallel RSA paths alike.
+// both algorithms return ErrCanceled instead of a partial answer.
 func TestCancelInterruptsRefinement(t *testing.T) {
 	rng := rand.New(rand.NewSource(101))
 	data := randomData(rng, 400, 3)
@@ -22,13 +21,8 @@ func TestCancelInterruptsRefinement(t *testing.T) {
 		t.Skip("degenerate instance: refinement trivially complete")
 	}
 
-	for name, opts := range map[string]Options{
-		"sequential": {Cancel: func() bool { return true }},
-		"parallel":   {Workers: 3, Cancel: func() bool { return true }},
-	} {
-		if _, err := RSAFromGraph(g, r, 5, opts, nil); !errors.Is(err, ErrCanceled) {
-			t.Errorf("RSA %s: err = %v, want ErrCanceled", name, err)
-		}
+	if _, err := RSAFromGraph(g, r, 5, Options{Cancel: func() bool { return true }}, nil); !errors.Is(err, ErrCanceled) {
+		t.Errorf("RSA: err = %v, want ErrCanceled", err)
 	}
 	if _, err := JAAFromGraph(g, r, 5, Options{Cancel: func() bool { return true }}, nil); !errors.Is(err, ErrCanceled) {
 		t.Errorf("JAA: err = %v, want ErrCanceled", err)

@@ -12,7 +12,6 @@ import (
 
 	"repro/internal/arrangement"
 	"repro/internal/bitset"
-	"repro/internal/exec"
 	"repro/internal/geom"
 	"repro/internal/lp"
 	"repro/internal/rtree"
@@ -28,51 +27,11 @@ type Options struct {
 	// LinearDrill replaces the graph-guided branch-and-bound top-k search of
 	// the drill with a linear scan over candidates (ablation).
 	LinearDrill bool
-	// Workers > 1 runs the refinement concurrently on the executor. RSA
-	// verifies candidates in parallel; the result is identical to the
-	// sequential run, because a verification verdict does not depend on
-	// which non-result candidates have been removed (true top-k members are
-	// never removed and already force every disqualification).
-	//
-	// JAA honors Workers by exact region decomposition: the query region is
-	// oversplit into several subregions per worker (longest-axis bisections
-	// of its bounding box; see jaaOversplit) for load balance, an
-	// independent JAA runs per subregion — Workers at a time — and the
-	// partial partitionings are stitched (seam-split cell fragments with
-	// identical top-k sets are coalesced back into one cell). The
-	// decomposition is exact for the same reason cell clipping is — the
-	// top-k order is constant within a cell, so JAA restricted to a
-	// subregion yields exactly the full partitioning clipped to that
-	// subregion. Cell geometry may be carved differently than a sequential
-	// run's (both are exact partitionings of the same region with the same
-	// top-k sets); given a fixed region, worker count, and piece count the
-	// output is deterministic (a calibrating Split model may change the piece
-	// count between otherwise identical runs — the answers stay exact, only
-	// the carving varies). Both algorithms record the concurrency they actually
-	// ran with in Stats.EffectiveWorkers, so callers can tell a honored
-	// request from a clamped one (e.g. an unsplittable vertex-only region).
-	//
-	// Values above MaxWorkers are clamped to it: honoring a pathological
-	// request (millions of decomposition pieces, task fan-out, per-task
-	// state) would be a resource-exhaustion hazard, not a speedup.
-	Workers int
-	// Pool, when non-nil, is the executor the refinement fans out on when
-	// Workers > 1 — serving layers pass their own scheduler so one pool
-	// governs all concurrency. When nil, a transient executor with Workers
-	// workers is used.
-	Pool *exec.Pool
-	// Split, when non-nil, replaces the fixed Workers·jaaOversplit piece
-	// count of the parallel JAA decomposition with the model's cost-driven
-	// choice, and feeds the model one observation per piece after each run.
-	// Long-lived callers (the engine) pass one model per dataset so
-	// calibration accumulates across queries; nil keeps the fixed default.
-	// Sequential runs (Workers ≤ 1) never consult the model.
-	Split *SplitModel
 	// Cancel, when non-nil, is polled at every Verify/Partition recursion
 	// step. Once it returns true the refinement abandons its remaining work
 	// and the algorithm returns ErrCanceled, so an expired or superseded
 	// query frees its worker promptly instead of running to completion. It
-	// must be cheap and safe to call from multiple goroutines.
+	// must be cheap.
 	Cancel func() bool
 }
 
@@ -91,13 +50,6 @@ type Stats struct {
 	// Partition invocations (JAA).
 	VerifyCalls    int
 	PartitionCalls int
-	// EffectiveWorkers is the concurrency the refinement actually used:
-	// max(1, Options.Workers) for RSA; for JAA, Options.Workers when the
-	// region decomposed (the oversplit pieces run that many at a time), the
-	// piece count when it split into fewer pieces than workers, and 1 when
-	// it is unsplittable. Requests above MaxWorkers report the clamped
-	// value. See Options.Workers.
-	EffectiveWorkers int
 	// Arrangement aggregates counters over every disposable arrangement.
 	Arrangement arrangement.Stats
 	// GraphBytes is the r-dominance graph footprint; PeakBytes adds the peak
@@ -108,49 +60,6 @@ type Stats struct {
 	// counts the distinct top-k sets across them.
 	Partitions     int
 	UniqueTopKSets int
-}
-
-// Merge folds one concurrent task's counters into the aggregate: additive
-// counters sum, peak cell counts take the maximum (tasks hold disjoint
-// arrangements at distinct times), and peak byte estimates sum (concurrent
-// tasks' arrangements are resident together, so the sum bounds the true
-// peak). The split durations, candidate count, and output descriptors are
-// owned by the top-level run and are not merged.
-func (st *Stats) Merge(ws *Stats) {
-	st.Drills += ws.Drills
-	st.DrillHits += ws.DrillHits
-	st.VerifyCalls += ws.VerifyCalls
-	st.PartitionCalls += ws.PartitionCalls
-	st.Arrangement.LPCalls += ws.Arrangement.LPCalls
-	st.Arrangement.CellSplits += ws.Arrangement.CellSplits
-	if ws.Arrangement.PeakCells > st.Arrangement.PeakCells {
-		st.Arrangement.PeakCells = ws.Arrangement.PeakCells
-	}
-	st.Arrangement.PeakBytes += ws.Arrangement.PeakBytes
-}
-
-// MaxWorkers caps Options.Workers: large enough never to bind on real
-// hardware, small enough that a hostile or buggy request cannot turn the
-// worker count into an allocation amplifier (UTK2 decomposes the region into
-// a multiple of it, RSA spawns one verification task and stat block per
-// worker).
-const MaxWorkers = 64
-
-// effectiveWorkers returns the clamped worker request.
-func (opts Options) effectiveWorkers() int {
-	if opts.Workers > MaxWorkers {
-		return MaxWorkers
-	}
-	return opts.Workers
-}
-
-// executor resolves the pool a parallel refinement fans out on: the caller's
-// shared scheduler when one was provided, a transient one otherwise.
-func (opts Options) executor() *exec.Pool {
-	if opts.Pool != nil {
-		return opts.Pool
-	}
-	return exec.NewPool(opts.effectiveWorkers(), 0)
 }
 
 // Errors returned on invalid queries.

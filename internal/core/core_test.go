@@ -290,6 +290,77 @@ func TestJAACellsPartition(t *testing.T) {
 	}
 }
 
+// TestJAAPolytopeRegion runs JAA over a general (non-box) polytope region:
+// every cell's top-k set must match brute force at its interior, the cells'
+// union must equal RSA's answer, and on a small instance every oracle cell
+// must be covered by a JAA cell carrying the oracle's top-k set.
+func TestJAAPolytopeRegion(t *testing.T) {
+	r, err := geom.NewPolytope(2, []geom.Halfspace{
+		{A: []float64{1, 0}, B: 0.1},
+		{A: []float64{-1, 0}, B: -0.5},
+		{A: []float64{0, 1}, B: 0.1},
+		{A: []float64{-1, -1}, B: -0.7},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(902))
+	for _, n := range []int{200, 14} {
+		data := randomData(rng, n, 3)
+		tree := buildTree(t, data)
+		const k = 4
+		cells, _, err := JAA(tree, r, k, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		union := map[int]bool{}
+		for i, c := range cells {
+			if want := topKBrute(data, c.Interior, k); !equalIDs(c.TopK, want) {
+				t.Fatalf("n=%d cell %d: top-k %v, brute force %v", n, i, c.TopK, want)
+			}
+			for _, id := range c.TopK {
+				union[id] = true
+			}
+		}
+		ids, _, err := RSA(tree, r, k, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(ids) != len(union) {
+			t.Fatalf("n=%d: UTK2 union has %d ids, UTK1 %d", n, len(union), len(ids))
+		}
+		for _, id := range ids {
+			if !union[id] {
+				t.Fatalf("n=%d: UTK1 record %d missing from the UTK2 union", n, id)
+			}
+		}
+		if n > 20 {
+			continue // the oracle arrangement is quadratic in n
+		}
+		for _, oc := range oracle.ExactCells(data, r, k) {
+			covered := false
+			for _, c := range cells {
+				inside := true
+				for _, h := range c.Constraints {
+					if h.Eval(oc.Interior) < -1e-7 {
+						inside = false
+						break
+					}
+				}
+				if inside {
+					covered = true
+					if !equalIDs(c.TopK, oc.TopK) {
+						t.Fatalf("oracle point %v: JAA set %v != oracle %v", oc.Interior, c.TopK, oc.TopK)
+					}
+				}
+			}
+			if !covered {
+				t.Fatalf("oracle interior %v not covered by any JAA cell", oc.Interior)
+			}
+		}
+	}
+}
+
 // TestRSAOptionsEquivalent verifies the ablation switches do not change
 // results.
 func TestRSAOptionsEquivalent(t *testing.T) {
@@ -308,7 +379,6 @@ func TestRSAOptionsEquivalent(t *testing.T) {
 		for _, opt := range []Options{
 			{DisableDrill: true},
 			{LinearDrill: true},
-			{Workers: 3},
 		} {
 			got, _, err := RSA(tree, r, k, opt)
 			if err != nil {

@@ -1,9 +1,7 @@
 package core
 
 import (
-	"context"
 	"sort"
-	"sync"
 	"time"
 
 	"repro/internal/arrangement"
@@ -47,10 +45,8 @@ func RSAFromGraph(g *skyband.Graph, r *geom.Region, k int, opts Options, st *Sta
 			st.PeakBytes = pb
 		}
 	}()
-	opts.Workers = opts.effectiveWorkers()
 	n := g.Len()
 	st.Candidates = n
-	st.EffectiveWorkers = 1 // trivial answers below never fan out
 	if n == 0 {
 		return nil, nil
 	}
@@ -69,27 +65,6 @@ func RSAFromGraph(g *skyband.Graph, r *geom.Region, k int, opts Options, st *Sta
 		return g.DomCount(order[a]) > g.DomCount(order[b])
 	})
 
-	var verified bitset.Set
-	var stopped bool
-	if opts.Workers > 1 {
-		st.EffectiveWorkers = opts.Workers
-		verified, stopped = rsaParallel(g, r, k, opts, st, order)
-	} else {
-		verified, stopped = rsaSequential(g, r, k, opts, st, order)
-	}
-	if stopped {
-		return nil, ErrCanceled
-	}
-	out := make([]int, 0, verified.Count())
-	verified.ForEach(func(i int) bool {
-		out = append(out, g.IDs[i])
-		return true
-	})
-	return out, nil
-}
-
-func rsaSequential(g *skyband.Graph, r *geom.Region, k int, opts Options, st *Stats, order []int) (bitset.Set, bool) {
-	n := g.Len()
 	rf := newRefiner(g, r, k, opts, st)
 	defer rf.release()
 	active := fullSet(n) // candidates not yet disqualified
@@ -97,7 +72,7 @@ func rsaSequential(g *skyband.Graph, r *geom.Region, k int, opts Options, st *St
 	hs, pivot := r.Halfspaces(), r.Pivot()
 	for _, p := range order {
 		if rf.stop() {
-			return verified, true
+			return nil, ErrCanceled
 		}
 		if verified.Has(p) || !active.Has(p) {
 			continue
@@ -119,80 +94,15 @@ func rsaSequential(g *skyband.Graph, r *geom.Region, k int, opts Options, st *St
 		}
 		rf.sc.Rewind(mark)
 	}
-	return verified, rf.stopped
-}
-
-// rsaParallel fans candidate verification out to opts.Workers tasks on the
-// executor (the caller's shared scheduler, or a transient one). Shared state
-// is limited to the verified/active sets (mutex-guarded snapshots); each
-// task owns a refiner, so half-space caches and arrangement counters never
-// contend. Verdicts are interleaving-independent (see Options.Workers), so
-// the result set equals the sequential one.
-func rsaParallel(g *skyband.Graph, r *geom.Region, k int, opts Options, st *Stats, order []int) (bitset.Set, bool) {
-	n := g.Len()
-	var mu sync.Mutex
-	active := fullSet(n)
-	verified := bitset.New(n)
-	next := 0
-	workerStats := make([]*Stats, opts.Workers)
-	stopped := make([]bool, opts.Workers)
-	grp := opts.executor().NewGroup(nil)
-	for wi := 0; wi < opts.Workers; wi++ {
-		wi := wi
-		workerStats[wi] = &Stats{}
-		grp.Go(func(context.Context) error {
-			rf := newRefiner(g, r, k, opts, workerStats[wi])
-			defer rf.release()
-			defer func() { stopped[wi] = rf.stopped }()
-			hs, pivot := r.Halfspaces(), r.Pivot()
-			for {
-				if rf.stop() {
-					return nil
-				}
-				mu.Lock()
-				var p = -1
-				for next < len(order) {
-					cand := order[next]
-					next++
-					if !verified.Has(cand) && active.Has(cand) {
-						p = cand
-						break
-					}
-				}
-				if p < 0 {
-					mu.Unlock()
-					return nil
-				}
-				mark := rf.sc.Mark()
-				snapshot := rf.cloneSet(active)
-				mu.Unlock()
-				ignore := rf.cloneSet(g.Anc[p])
-				quota := k - ignore.Count()
-				ok := rf.verify(p, hs, pivot, quota, ignore, snapshot)
-				mu.Lock()
-				if ok {
-					verified.Set(p)
-					g.Anc[p].ForEach(func(a int) bool {
-						verified.Set(a)
-						return true
-					})
-				} else {
-					active.Clear(p)
-				}
-				mu.Unlock()
-				rf.sc.Rewind(mark)
-			}
-		})
+	if rf.stopped {
+		return nil, ErrCanceled
 	}
-	_ = grp.Wait() // tasks report cancellation through stopped, not errors
-	anyStopped := false
-	for _, s := range stopped {
-		anyStopped = anyStopped || s
-	}
-	for _, ws := range workerStats {
-		st.Merge(ws)
-	}
-	return verified, anyStopped
+	out := make([]int, 0, verified.Count())
+	verified.ForEach(func(i int) bool {
+		out = append(out, g.IDs[i])
+		return true
+	})
+	return out, nil
 }
 
 // verify is Algorithm 2: it decides whether candidate p enters the top-k set

@@ -127,7 +127,7 @@ func TestProbeGroupSharing(t *testing.T) {
 	base := probeGroupID(fingerprint(UTK1, 5, r1, core.Options{}))
 	same := []string{
 		fingerprint(UTK2, 5, r1, core.Options{}),
-		fingerprint(UTK1, 5, r1, core.Options{Workers: 4}),
+		fingerprint(UTK1, 5, r1, core.Options{DisableDrill: true}),
 	}
 	for i, key := range same {
 		if probeGroupID(key) != base {

@@ -14,11 +14,7 @@ import (
 
 // fingerprint canonicalizes a query into a cache key. Two queries share a key
 // iff they ask for the same variant, the same k, the same ablation switches,
-// the same worker count, and geometrically the same region. Workers
-// participates because a decomposed UTK2 run may carve its (exact) cells
-// differently than a sequential one — keying per worker setting keeps every
-// cached answer byte-deterministic for its request shape. Region
-// canonicalization normalizes every bounding half-space to unit length and
+// and geometrically the same region. Region canonicalization normalizes every bounding half-space to unit length and
 // sorts them, so the same polytope described with rescaled or reordered
 // half-spaces maps to one key; the float bits are used exactly, so any
 // numeric perturbation of the region is a miss (never a false hit).
@@ -48,19 +44,12 @@ func fingerprint(v Variant, k int, r *geom.Region, opts core.Options) string {
 		return bytes.Compare(buf[a[0]:a[1]], buf[b[0]:b[1]])
 	})
 
-	workers := opts.Workers
-	if workers < 1 {
-		workers = 1 // 0 and 1 both mean sequential refinement
-	}
-	if workers > core.MaxWorkers {
-		workers = core.MaxWorkers // execution clamps here too, so keys match behavior
-	}
-	// Layout: a fpHeaderLen-byte prefix (variant, 3 bytes of k, flags, 2
-	// bytes of workers) followed by the sorted canonical region rows.
-	// probeGroupID relies on these offsets.
+	// Layout: a fpHeaderLen-byte prefix (variant, 3 bytes of k, flags)
+	// followed by the sorted canonical region rows. probeGroupID relies on
+	// these offsets.
 	var key strings.Builder
 	key.Grow(fpHeaderLen + len(buf))
-	key.Write([]byte{byte(v), byte(k), byte(k >> 8), byte(k >> 16), optionFlags(opts), byte(workers), byte(workers >> 8)})
+	key.Write([]byte{byte(v), byte(k), byte(k >> 8), byte(k >> 16), optionFlags(opts)})
 	for _, sp := range spans {
 		key.Write(buf[sp[0]:sp[1]])
 	}
@@ -72,12 +61,12 @@ func fingerprint(v Variant, k int, r *geom.Region, opts core.Options) string {
 const (
 	fpKOffset   = 1
 	fpKEnd      = 4
-	fpHeaderLen = 7
+	fpHeaderLen = 5
 )
 
 // probeGroupID projects a fingerprint key onto the coordinates an
 // invalidation probe depends on — the depth k and the canonical region
-// encoding — dropping the variant, ablation flags, and worker count. An
+// encoding — dropping the variant and ablation flags. An
 // update's affects verdict for a cached entry is a function of (region, k)
 // only, so entries sharing a group id live or die together under any batch
 // and can share one probe.

@@ -17,7 +17,7 @@ func TestEngineDeadlineBoundsRefinement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := box(t, []float64{0.1, 0.1, 0.1}, []float64{0.22, 0.22, 0.22})
+	r := box(t, []float64{0.1, 0.1, 0.1}, []float64{0.28, 0.28, 0.28})
 	req := Request{Variant: UTK2, K: 8, Region: r}
 
 	// Establish that the query is genuinely long-running, otherwise the

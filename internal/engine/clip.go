@@ -110,7 +110,7 @@ func deriveClipped(req Request, src *Result) *Result {
 // candidate count (the filtering the answer ultimately rests on), fresh
 // partition counters for the clipped cells, and zero refinement work.
 func derivedStats(src *Result, cells []core.CellResult) core.Stats {
-	st := core.Stats{Candidates: src.Stats.Candidates, EffectiveWorkers: 1}
+	st := core.Stats{Candidates: src.Stats.Candidates}
 	if cells != nil {
 		st.Partitions = len(cells)
 		seen := make(map[string]bool, len(cells))

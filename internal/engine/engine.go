@@ -43,9 +43,7 @@
 //     deadlines; the deadline (and a superseded-epoch check) is threaded into
 //     the refinement recursion via core.Options.Cancel, so an expired or
 //     stale query frees its worker slot promptly instead of running to
-//     completion. Queries requesting intra-query parallelism
-//     (Request.Opts.Workers > 1) fan their refinement subtasks out on the
-//     same executor, and a configurable queue bound turns overload into
+//     completion. A configurable queue bound turns overload into
 //     ErrSaturated backpressure instead of unbounded queueing.
 //
 // The band maintainer is one skyband.Dynamic over the whole dataset, touched
@@ -120,9 +118,8 @@ type Config struct {
 	// CacheEntries bounds the result cache; 0 disables caching.
 	CacheEntries int
 	// Workers bounds the engine's executor (an internal/exec pool): at most
-	// this many tasks — queries, and the refinement subtasks of queries that
-	// request intra-query parallelism via Request.Opts.Workers — execute at
-	// a time. Values below 1 default to runtime.GOMAXPROCS(0).
+	// this many queries compute at a time, each refining sequentially.
+	// Values below 1 default to runtime.GOMAXPROCS(0).
 	Workers int
 	// MaxQueued bounds how many queries may wait for an executor slot before
 	// new arrivals are rejected with ErrSaturated: 0 means unbounded (no
@@ -142,15 +139,9 @@ type Request struct {
 	Variant Variant
 	K       int
 	Region  *geom.Region
-	// Opts forwards the algorithm switches. Workers > 1 requests intra-query
-	// parallel refinement (RSA candidate verification, JAA region
-	// decomposition), fanned out on the engine's own executor so one pool
-	// governs all concurrency. Cancel is overwritten by the engine's
-	// deadline/epoch hook; the ablation flags and Workers participate in the
-	// cache fingerprint (decomposed UTK2 answers are exact but may carve
-	// cells differently than sequential ones, so each worker setting caches
-	// its own answer). Pool and Split are overwritten by the engine: all
-	// queries share its executor and its decomposition cost model.
+	// Opts forwards the algorithm switches. Cancel is overwritten by the
+	// engine's deadline/epoch hook; the ablation flags participate in the
+	// cache fingerprint.
 	Opts core.Options
 }
 
@@ -315,12 +306,7 @@ type Engine struct {
 	cfg Config
 	dim int
 
-	pool *exec.Pool // the executor: query dispatch + intra-query fan-out
-
-	// split is the engine's decomposition cost model: every parallel UTK2
-	// query calibrates it and consults it, so the piece count adapts to this
-	// dataset's candidate density on this machine. Safe for concurrent use.
-	split *core.SplitModel
+	pool *exec.Pool // the executor: query dispatch
 
 	// updMu serializes updates and guards band, the one maintainer of the
 	// MaxK-skyband (not safe for concurrent use). Queries never take it: they
@@ -397,7 +383,6 @@ func newEngine(cfg Config, pool *exec.Pool, b *skyband.Dynamic, dim int, epoch, 
 		cfg:           cfg,
 		dim:           dim,
 		pool:          pool,
-		split:         &core.SplitModel{},
 		band:          b,
 		reservedEpoch: epoch,
 		inflight:      make(map[string]*flight),
@@ -1041,11 +1026,6 @@ func (e *Engine) validate(req Request) error {
 func (e *Engine) compute(ctx context.Context, req Request, ix *index, abortOnSupersede bool) (*Result, error) {
 	st := &core.Stats{}
 	opts := req.Opts
-	// Intra-query parallelism (Opts.Workers > 1) fans out on the engine's
-	// own executor, so inter-query and intra-query concurrency share one
-	// worker budget; decomposed queries share the engine's split cost model.
-	opts.Pool = e.pool
-	opts.Split = e.split
 	done := ctx.Done()
 	opts.Cancel = func() bool {
 		select {

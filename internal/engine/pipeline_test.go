@@ -12,7 +12,6 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/geom"
 )
 
@@ -147,17 +146,16 @@ func TestMultiPartBatchAtomic(t *testing.T) {
 	wg.Wait()
 }
 
-// TestParallelMissSharesSplitAndColumns pins that the one compute serves a
-// fresh and a restored engine with the same machinery: a parallel UTK2 miss
-// at k < MaxK filters a proper prefix of the band through the epoch's one
-// block layout and consults and calibrates the engine's split model, and
-// the restored engine's first such miss returns exactly the fresh engine's
-// candidates and cells. (Restore used to leave the split model nil.)
-func TestParallelMissSharesSplitAndColumns(t *testing.T) {
+// TestMissSharesColumns pins that the one compute serves a fresh and a
+// restored engine with the same machinery: a UTK2 miss at k < MaxK filters a
+// proper prefix of the band through the epoch's one block layout, and the
+// restored engine's first such miss returns exactly the fresh engine's
+// candidates and cells.
+func TestMissSharesColumns(t *testing.T) {
 	td := buildData(t, 3000, 3, 91)
 	cfg := Config{MaxK: 8, Workers: 4}
 	ctx := context.Background()
-	req := Request{Variant: UTK2, K: 6, Region: box(t, []float64{0.2, 0.2}, []float64{0.4, 0.4}), Opts: core.Options{Workers: 4}}
+	req := Request{Variant: UTK2, K: 6, Region: box(t, []float64{0.2, 0.2}, []float64{0.4, 0.4})}
 
 	fresh := buildEngine(t, td.recs, cfg)
 	restored, err := Restore(fresh.ExportState(), cfg)
@@ -174,28 +172,14 @@ func TestParallelMissSharesSplitAndColumns(t *testing.T) {
 		if n := sort.SearchInts(ix.counts, req.K); ix.blocks.Load().SplitCost() == 0 || n == 0 || n >= len(ix.ids) {
 			t.Fatalf("%s: the k=%d candidates are not a proper prefix [:%d] of the %d-record band's one unsplit layout (split cost %d)", name, req.K, n, len(ix.ids), ix.blocks.Load().SplitCost())
 		}
-		if e.split == nil || e.split.Calibrated() {
-			t.Fatalf("%s: split model %v before any query, want present and uncalibrated", name, e.split)
-		}
 		res, err := e.compute(ctx, req, ix, false)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Stats.EffectiveWorkers != 4 {
-			t.Fatalf("%s: effective workers %d, want 4", name, res.Stats.EffectiveWorkers)
-		}
 		first = append(first, res)
-		for i := 0; i < 4 && !e.split.Calibrated(); i++ {
-			if _, err := e.compute(ctx, req, ix, false); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if !e.split.Calibrated() {
-			t.Fatalf("%s: parallel misses did not calibrate the engine's split model", name)
-		}
 	}
 	if res := first[1]; res.Stats.Candidates != first[0].Stats.Candidates || !reflect.DeepEqual(res.Cells, first[0].Cells) {
-		t.Fatalf("restored: first parallel miss (%d candidates, %d cells) differs from the fresh engine's (%d, %d)",
+		t.Fatalf("restored: first miss (%d candidates, %d cells) differs from the fresh engine's (%d, %d)",
 			res.Stats.Candidates, len(res.Cells), first[0].Stats.Candidates, len(first[0].Cells))
 	}
 }

@@ -38,12 +38,13 @@ func TestSaturationBackpressure(t *testing.T) {
 	// released — the deterministic stand-in for a long-running query.
 	release := make(chan struct{})
 	started := make(chan struct{})
-	grp := e.pool.NewGroup(nil)
-	grp.Go(func(context.Context) error {
-		close(started)
-		<-release
-		return nil
-	})
+	occupied := make(chan error, 1)
+	go func() {
+		occupied <- e.pool.Run(context.Background(), func() {
+			close(started)
+			<-release
+		})
+	}()
 	<-started
 
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
@@ -60,7 +61,7 @@ func TestSaturationBackpressure(t *testing.T) {
 	}
 
 	close(release)
-	if err := grp.Wait(); err != nil {
+	if err := <-occupied; err != nil {
 		t.Fatal(err)
 	}
 	res, err := e.Do(context.Background(), req)

@@ -3,23 +3,30 @@ package exec
 import (
 	"context"
 	"errors"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 )
 
-// occupy blocks every worker of the pool on a group task until release is
-// closed, returning once all of them are running.
-func occupy(t *testing.T, p *Pool, release chan struct{}) *Group {
+// occupy blocks every worker of the pool on a Run task until release is
+// closed, returning once all of them are running. The returned wait blocks
+// until those tasks have finished.
+func occupy(t *testing.T, p *Pool, release chan struct{}) (wait func()) {
 	t.Helper()
-	g := p.NewGroup(nil)
 	started := make(chan struct{}, p.Workers())
+	var wg sync.WaitGroup
 	for i := 0; i < p.Workers(); i++ {
-		g.Go(func(context.Context) error {
-			started <- struct{}{}
-			<-release
-			return nil
-		})
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := p.Run(context.Background(), func() {
+				started <- struct{}{}
+				<-release
+			}); err != nil {
+				t.Error(err)
+			}
+		}()
 	}
 	for i := 0; i < p.Workers(); i++ {
 		select {
@@ -28,7 +35,7 @@ func occupy(t *testing.T, p *Pool, release chan struct{}) *Group {
 			t.Fatal("workers did not start")
 		}
 	}
-	return g
+	return wg.Wait
 }
 
 func TestRunExecutes(t *testing.T) {
@@ -53,7 +60,7 @@ func TestRunExecutes(t *testing.T) {
 func TestRunSaturation(t *testing.T) {
 	p := NewPool(1, -1)
 	release := make(chan struct{})
-	g := occupy(t, p, release)
+	wait := occupy(t, p, release)
 	if err := p.Run(context.Background(), func() {}); !errors.Is(err, ErrSaturated) {
 		t.Fatalf("no-queue pool accepted work while busy: %v", err)
 	}
@@ -61,9 +68,7 @@ func TestRunSaturation(t *testing.T) {
 		t.Fatalf("Rejected = %d, want 1", st.Rejected)
 	}
 	close(release)
-	if err := g.Wait(); err != nil {
-		t.Fatal(err)
-	}
+	wait()
 	// After the worker frees up, Run succeeds again.
 	if err := p.Run(context.Background(), func() {}); err != nil {
 		t.Fatal(err)
@@ -71,7 +76,7 @@ func TestRunSaturation(t *testing.T) {
 
 	p2 := NewPool(1, 1)
 	release2 := make(chan struct{})
-	g2 := occupy(t, p2, release2)
+	wait2 := occupy(t, p2, release2)
 	queuedDone := make(chan error, 1)
 	go func() {
 		queuedDone <- p2.Run(context.Background(), func() {})
@@ -88,9 +93,7 @@ func TestRunSaturation(t *testing.T) {
 		t.Fatalf("second waiter accepted past the bound: %v", err)
 	}
 	close(release2)
-	if err := g2.Wait(); err != nil {
-		t.Fatal(err)
-	}
+	wait2()
 	if err := <-queuedDone; err != nil {
 		t.Fatalf("queued task should have run after release: %v", err)
 	}
@@ -101,7 +104,7 @@ func TestRunSaturation(t *testing.T) {
 func TestRunRevokedOnContextExpiry(t *testing.T) {
 	p := NewPool(1, 0)
 	release := make(chan struct{})
-	g := occupy(t, p, release)
+	wait := occupy(t, p, release)
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	var ran atomic.Bool
@@ -120,9 +123,7 @@ func TestRunRevokedOnContextExpiry(t *testing.T) {
 		t.Fatalf("Run returned %v, want context.Canceled", err)
 	}
 	close(release)
-	if err := g.Wait(); err != nil {
-		t.Fatal(err)
-	}
+	wait()
 	if ran.Load() {
 		t.Fatal("revoked task ran anyway")
 	}
@@ -131,128 +132,21 @@ func TestRunRevokedOnContextExpiry(t *testing.T) {
 	}
 }
 
-// TestGroupHelpFirst pins the no-deadlock property: fan-out from a task that
-// already occupies the only worker still completes, because Wait executes
-// pending subtasks inline.
-func TestGroupHelpFirst(t *testing.T) {
-	p := NewPool(1, 0)
-	var count atomic.Int32
-	err := p.Run(context.Background(), func() {
-		g := p.NewGroup(nil)
-		for i := 0; i < 8; i++ {
-			g.Go(func(context.Context) error {
-				count.Add(1)
-				return nil
-			})
-		}
-		if err := g.Wait(); err != nil {
-			t.Error(err)
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if count.Load() != 8 {
-		t.Fatalf("ran %d of 8 subtasks", count.Load())
-	}
-	if st := p.Stats(); st.Inline == 0 {
-		t.Fatalf("expected inline help on a one-worker pool: %+v", st)
-	}
-}
-
-// TestGroupStealing verifies idle workers pick pending group tasks up, so a
-// decomposition actually runs W-wide.
-func TestGroupStealing(t *testing.T) {
-	p := NewPool(4, 0)
-	g := p.NewGroup(nil)
-	var peak atomic.Int32
-	var cur atomic.Int32
-	block := make(chan struct{})
-	for i := 0; i < 4; i++ {
-		g.Go(func(context.Context) error {
-			n := cur.Add(1)
-			for {
-				old := peak.Load()
-				if n <= old || peak.CompareAndSwap(old, n) {
-					break
-				}
-			}
-			<-block
-			cur.Add(-1)
-			return nil
-		})
-	}
-	// All four must end up running concurrently: three stolen by workers,
-	// one (at least) run by Wait inline.
-	go func() {
-		deadline := time.Now().Add(5 * time.Second)
-		for peak.Load() < 4 && time.Now().Before(deadline) {
-			time.Sleep(time.Millisecond)
-		}
-		close(block)
-	}()
-	if err := g.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	if peak.Load() != 4 {
-		t.Fatalf("peak concurrency %d, want 4", peak.Load())
-	}
-	if st := p.Stats(); st.Stolen == 0 {
-		t.Fatalf("expected worker stealing: %+v", st)
-	}
-}
-
-func TestGroupErrorPropagation(t *testing.T) {
-	p := NewPool(2, 0)
-	g := p.NewGroup(nil)
-	boom := errors.New("boom")
-	g.Go(func(context.Context) error { return nil })
-	g.Go(func(context.Context) error { return boom })
-	g.Go(func(context.Context) error { return nil })
-	if err := g.Wait(); !errors.Is(err, boom) {
-		t.Fatalf("Wait returned %v, want boom", err)
-	}
-}
-
-// TestGroupContextSkips pins group-level cancellation: subtasks that have not
-// started when the context dies resolve with the context error, unrun.
-func TestGroupContextSkips(t *testing.T) {
-	p := NewPool(1, 0)
-	release := make(chan struct{})
-	busy := occupy(t, p, release)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	g := p.NewGroup(ctx)
-	var ran atomic.Bool
-	g.Go(func(context.Context) error { ran.Store(true); return nil })
-	if err := g.Wait(); !errors.Is(err, context.Canceled) {
-		t.Fatalf("Wait returned %v, want context.Canceled", err)
-	}
-	if ran.Load() {
-		t.Fatal("canceled subtask ran")
-	}
-	close(release)
-	if err := busy.Wait(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestStatsAccounting reconciles the lifetime counters: every submission is
 // eventually completed, skipped, or was rejected at admission.
 func TestStatsAccounting(t *testing.T) {
 	p := NewPool(3, 0)
-	g := p.NewGroup(nil)
-	for i := 0; i < 20; i++ {
-		g.Go(func(context.Context) error { return nil })
+	var wg sync.WaitGroup
+	for i := 0; i < 25; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := p.Run(context.Background(), func() {}); err != nil {
+				t.Error(err)
+			}
+		}()
 	}
-	if err := g.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 5; i++ {
-		if err := p.Run(context.Background(), func() {}); err != nil {
-			t.Fatal(err)
-		}
-	}
+	wg.Wait()
 	st := p.Stats()
 	if st.Submitted != 25 || st.Completed+st.Skipped != 25 {
 		t.Fatalf("counter reconciliation failed: %+v", st)

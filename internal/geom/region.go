@@ -837,3 +837,53 @@ func matrixRank(rows [][]float64, cols int) int {
 	}
 	return rank
 }
+
+// OuterBox returns a sound outer bounding box of the region: the
+// componentwise extremes of its vertices (exact for convex regions, whose
+// extreme points are vertices). Boxes return their own corners.
+func (r *Region) OuterBox() (lo, hi []float64) {
+	if r.isBox {
+		return append([]float64(nil), r.lo...), append([]float64(nil), r.hi...)
+	}
+	if len(r.vertices) == 0 {
+		return nil, nil
+	}
+	lo = append([]float64(nil), r.vertices[0]...)
+	hi = append([]float64(nil), r.vertices[0]...)
+	for _, v := range r.vertices[1:] {
+		for i, c := range v {
+			if c < lo[i] {
+				lo[i] = c
+			}
+			if c > hi[i] {
+				hi[i] = c
+			}
+		}
+	}
+	return lo, hi
+}
+
+// IntersectBoxes returns the componentwise intersection of two boxes, either
+// of which may be nil (nil acts as the whole space). The result is nil when
+// both inputs are.
+func IntersectBoxes(alo, ahi, blo, bhi []float64) (lo, hi []float64) {
+	switch {
+	case alo == nil:
+		return append([]float64(nil), blo...), append([]float64(nil), bhi...)
+	case blo == nil:
+		return append([]float64(nil), alo...), append([]float64(nil), ahi...)
+	}
+	lo = make([]float64, len(alo))
+	hi = make([]float64, len(ahi))
+	for i := range alo {
+		lo[i] = alo[i]
+		if blo[i] > lo[i] {
+			lo[i] = blo[i]
+		}
+		hi[i] = ahi[i]
+		if bhi[i] < hi[i] {
+			hi[i] = bhi[i]
+		}
+	}
+	return lo, hi
+}

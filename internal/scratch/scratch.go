@@ -6,14 +6,14 @@
 //
 // Ownership rules (also documented in the README design note):
 //
-//   - An Arena belongs to exactly one task (one jaaRegion piece, one RSA
-//     worker loop) from Get to Put. It is never shared across goroutines.
+//   - An Arena belongs to exactly one task (one RSA or JAA refinement)
+//     from Get to Put. It is never shared across goroutines.
 //   - Memory handed out by Words lives until Release; Release invalidates
 //     every slice the arena ever handed out in this cycle.
 //   - Nothing that outlives the task — emitted CellResults, cached graphs,
 //     solutions — may alias arena memory. Escaping values are deep-copied at
-//     the emit boundary; the -race differential suites exercise parallel
-//     decomposition to catch violations.
+//     the emit boundary; the -race differential suites run concurrent
+//     queries, each on its own pooled arena, to catch violations.
 package scratch
 
 import "sync"

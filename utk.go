@@ -254,20 +254,6 @@ type Query struct {
 	// LinearDrill replaces the graph-guided drill search with a linear scan
 	// (ablation).
 	LinearDrill bool
-	// Workers > 1 runs the refinement concurrently. UTK1 verifies candidates
-	// in parallel, with a result identical to the sequential run. UTK2
-	// honors Workers by exact region decomposition: the query region is
-	// oversplit into several subregions per worker (for load balance), an
-	// independent JAA runs per subregion — Workers at a time — and the
-	// partial partitionings are stitched (fragments that were split purely
-	// by a decomposition seam are coalesced back into one cell). The
-	// decomposed answer is exact — same UTK1 id set, same top-k set at
-	// every weight vector — though its cells may be carved differently than
-	// a sequential run's; for a fixed (region, Workers) pair the output is
-	// deterministic. Both query kinds report the concurrency actually used
-	// in Stats.EffectiveWorkers; requests above a generous safety cap
-	// (core.MaxWorkers, 64) are clamped.
-	Workers int
 }
 
 func (q Query) validate(ds *Dataset) error {
@@ -293,7 +279,6 @@ func (q Query) coreOptions() core.Options {
 	return core.Options{
 		DisableDrill: q.DisableDrill,
 		LinearDrill:  q.LinearDrill,
-		Workers:      q.Workers,
 	}
 }
 
@@ -314,11 +299,6 @@ type Stats struct {
 	DrillHits int
 	// LPCalls counts simplex solves in arrangement maintenance.
 	LPCalls int
-	// EffectiveWorkers is the concurrency the refinement actually used:
-	// max(1, Query.Workers) for UTK1; for UTK2, Query.Workers when the
-	// region decomposed (1 when it is unsplittable — see Query.Workers).
-	// Zero for the baseline algorithms, which have no concurrent mode.
-	EffectiveWorkers int
 }
 
 func statsFromCore(st *core.Stats) Stats {
@@ -326,16 +306,15 @@ func statsFromCore(st *core.Stats) Stats {
 		return Stats{}
 	}
 	return Stats{
-		Candidates:       st.Candidates,
-		FilterDuration:   st.FilterDuration,
-		RefineDuration:   st.RefineDuration,
-		Partitions:       st.Partitions,
-		UniqueTopKSets:   st.UniqueTopKSets,
-		PeakBytes:        st.PeakBytes,
-		Drills:           st.Drills,
-		DrillHits:        st.DrillHits,
-		LPCalls:          st.Arrangement.LPCalls,
-		EffectiveWorkers: st.EffectiveWorkers,
+		Candidates:     st.Candidates,
+		FilterDuration: st.FilterDuration,
+		RefineDuration: st.RefineDuration,
+		Partitions:     st.Partitions,
+		UniqueTopKSets: st.UniqueTopKSets,
+		PeakBytes:      st.PeakBytes,
+		Drills:         st.Drills,
+		DrillHits:      st.DrillHits,
+		LPCalls:        st.Arrangement.LPCalls,
 	}
 }
 
