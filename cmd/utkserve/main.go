@@ -13,8 +13,7 @@
 //	GET    /stats             GET  /stats/{dataset}   GET  /datasets
 //	POST   /datasets/{name}   DELETE /datasets/{name} POST /snapshot/{dataset}
 //
-// Dataset-less legacy paths (POST /utk1, /utk2, /update) resolve while
-// exactly one dataset is registered.
+// Every query and update path names its dataset; a dataset-less path is 404.
 //
 // With -data-dir, dataset state is durable: creates persist a manifest entry
 // and an initial snapshot, every acknowledged /update batch is in the WAL

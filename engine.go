@@ -14,13 +14,13 @@ type EngineConfig struct {
 	// The engine's candidate superset is maintained at this depth; queries
 	// with K ≤ MaxK reuse it instead of refiltering the whole dataset.
 	MaxK int
-	// CacheEntries bounds the result cache (cost-aware eviction with a
-	// containment index; see EngineStats.DerivedHits/CostEvictions). Zero
-	// selects DefaultEngineCacheEntries; negative values disable caching.
-	// Eviction is heap-ordered (O(log capacity) per overflow), so large
-	// capacities are safe; under sustained updates the cache additionally
-	// refuses admission for query classes whose entries are invalidated
-	// faster than they are hit (EngineStats.AdmissionSkips).
+	// CacheEntries bounds the result cache (LRU eviction with a containment
+	// index; see EngineStats.DerivedHits/Evictions). Zero selects
+	// DefaultEngineCacheEntries; negative values disable caching. Eviction
+	// is O(1) per overflow, so large capacities are safe; under sustained
+	// updates the cache additionally refuses admission for query classes
+	// whose entries are invalidated faster than they are hit
+	// (EngineStats.AdmissionSkips).
 	CacheEntries int
 	// Workers bounds the engine's executor: at most this many queries
 	// compute at a time, each refining sequentially. Values below 1 default
@@ -46,7 +46,7 @@ const DefaultEngineCacheEntries = 256
 
 // Engine serves many UTK queries over one dataset, amortizing work across
 // queries: the r-dominance filtering reuses a maintained candidate superset,
-// identical queries are answered from a cost-aware result cache — with
+// identical queries are answered from an LRU result cache — with
 // containment-based reuse deriving answers for regions nested in a cached
 // UTK2 region by cell clipping, and single-flight deduplication of
 // concurrent duplicates — and execution runs on a bounded

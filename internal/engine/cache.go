@@ -24,21 +24,10 @@ func fingerprint(v Variant, k int, r *geom.Region, opts core.Options) string {
 	var bufArr [512]byte
 	var spansArr [16][2]int
 	buf, spans := bufArr[:0], spansArr[:0]
-	if hs := r.HalfspacesView(); len(hs) > 0 {
-		for _, h := range hs {
-			start := len(buf)
-			buf = appendCanonicalHalfspace(buf, h)
-			spans = append(spans, [2]int{start, len(buf)})
-		}
-	} else {
-		// Vertex-only regions (no H-representation): key on the vertex set.
-		for _, vert := range r.VerticesView() {
-			start := len(buf)
-			for _, c := range vert {
-				buf = appendFloat(buf, c)
-			}
-			spans = append(spans, [2]int{start, len(buf)})
-		}
+	for _, h := range r.HalfspacesView() {
+		start := len(buf)
+		buf = appendCanonicalHalfspace(buf, h)
+		spans = append(spans, [2]int{start, len(buf)})
 	}
 	slices.SortFunc(spans, func(a, b [2]int) int {
 		return bytes.Compare(buf[a[0]:a[1]], buf[b[0]:b[1]])
@@ -134,7 +123,7 @@ type cacheEntry struct {
 }
 
 // resultCache is the typed adapter between the Engine and the rescache
-// subsystem (cost-aware eviction, containment-based reuse, probe-then-evict
+// subsystem (LRU eviction, containment-based reuse, probe-then-evict
 // invalidation) under canonical fingerprint keys. It is not safe for
 // concurrent use; the Engine serializes access under its mutex.
 type resultCache struct {
@@ -167,14 +156,12 @@ func (c *resultCache) Peek(key string) (*Result, bool) {
 	return v.(*Result), true
 }
 
-// Add inserts (or refreshes) the result computed for req under the key,
-// recording the result's recompute cost for the eviction policy. admitted is
-// false when the update-rate-aware admission policy refused the entry (its
-// class keeps being invalidated before reuse); evicted reports whether an
-// older entry was displaced to make room, and costDriven whether that choice
-// differed from the victim plain LRU would have picked.
-func (c *resultCache) Add(key string, req Request, res *Result) (admitted, evicted, costDriven bool) {
-	return c.c.Add(key, req.Region, req.K, containClass(req.Variant, req.Opts), float64(res.Cost), res)
+// Add inserts (or refreshes) the result computed for req under the key.
+// admitted is false when the update-rate-aware admission policy refused the
+// entry (its class keeps being invalidated before reuse); evicted reports
+// whether the least recently used entry was displaced to make room.
+func (c *resultCache) Add(key string, req Request, res *Result) (admitted, evicted bool) {
+	return c.c.Add(key, req.Region, req.K, containClass(req.Variant, req.Opts), res)
 }
 
 // FindContaining looks for a cached UTK2 result whose query region contains

@@ -23,8 +23,7 @@ import (
 //
 // The derived result carries zero refinement work in its stats (no RSA
 // verifies, no JAA partitions, no drills — only the clipping time, reported
-// as RefineDuration) and inherits the source's recompute cost and epoch, so
-// caching it preserves the cost-aware eviction semantics. It returns nil
+// as RefineDuration) and inherits the source's epoch. It returns nil
 // when no cell survives clipping, which cannot happen for a genuinely
 // containing full-dimensional source and is treated as "fall back to a real
 // computation" by callers.
@@ -32,16 +31,9 @@ func deriveClipped(req Request, src *Result) *Result {
 	if src == nil || src.Cells == nil {
 		return nil
 	}
-	// Clipping intersects by half-space; a query region without an
-	// H-representation (vertex-only) has nothing to clip against, and
-	// proceeding would keep every source cell unclipped — a wrong, superset
-	// answer. Refuse so the caller computes normally.
-	if !req.Region.HasHRep() {
-		return nil
-	}
 	start := time.Now()
 	dim := req.Region.Dim()
-	res := &Result{Epoch: src.Epoch, Cost: src.Cost, Derived: true}
+	res := &Result{Epoch: src.Epoch, Derived: true}
 	switch req.Variant {
 	case UTK1:
 		// Only the union of surviving cells' ids matters, so a cell whose

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/geom"
 	"repro/internal/rtree"
 )
 
@@ -65,9 +64,6 @@ func TestDerivedHitServesWithoutRefinement(t *testing.T) {
 	if src.Derived || src.CacheHit {
 		t.Fatal("cold UTK2 reported derived/hit")
 	}
-	if src.Cost <= 0 {
-		t.Fatal("cold result carries no recompute cost")
-	}
 
 	// UTK1 over the nested region: derived, zero refinement work.
 	got1, err := e.Do(ctx, Request{Variant: UTK1, K: k, Region: inner})
@@ -80,9 +76,6 @@ func TestDerivedHitServesWithoutRefinement(t *testing.T) {
 	if st := got1.Stats; st.VerifyCalls != 0 || st.PartitionCalls != 0 || st.Drills != 0 {
 		t.Fatalf("derived UTK1 did refinement work: verify=%d partition=%d drills=%d",
 			st.VerifyCalls, st.PartitionCalls, st.Drills)
-	}
-	if got1.Cost != src.Cost {
-		t.Errorf("derived cost %v not inherited from source %v", got1.Cost, src.Cost)
 	}
 	want1, _, err := core.RSA(td.tree, inner, k, core.Options{})
 	if err != nil {
@@ -160,47 +153,6 @@ func TestDerivedHitServesWithoutRefinement(t *testing.T) {
 	}
 	if res.Derived || res.CacheHit {
 		t.Error("partially overlapping region served from containment")
-	}
-}
-
-// TestVertexOnlyRegionNeverDerives: a query region without an
-// H-representation has nothing to clip against; derivation must refuse it
-// (proceeding would keep every source cell unclipped — a superset answer)
-// and the engine must fall back to a normal, exact computation.
-func TestVertexOnlyRegionNeverDerives(t *testing.T) {
-	td := buildData(t, 400, 3, 29)
-	e, err := New(td.recs, Config{MaxK: 6, CacheEntries: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	outer := box(t, []float64{0.1, 0.1}, []float64{0.45, 0.45})
-	const k = 3
-	if _, err := e.Do(ctx, Request{Variant: UTK2, K: k, Region: outer}); err != nil {
-		t.Fatal(err)
-	}
-	// A triangle strictly inside outer, carrying vertices only.
-	tri, err := geom.NewPolytopeFromVertices([][]float64{{0.2, 0.2}, {0.3, 0.2}, {0.2, 0.3}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := e.Do(ctx, Request{Variant: UTK1, K: k, Region: tri})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Derived || res.CacheHit {
-		t.Fatalf("vertex-only region served by containment: derived=%v hit=%v", res.Derived, res.CacheHit)
-	}
-	if st := e.Stats(); st.DerivedHits != 0 {
-		t.Fatalf("derived hits = %d for a vertex-only region", st.DerivedHits)
-	}
-	want, _, err := core.RSA(td.tree, tri, k, core.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sort.Ints(want)
-	if fmt.Sprint(res.IDs) != fmt.Sprint(want) {
-		t.Errorf("fallback answer %v != direct RSA %v", res.IDs, want)
 	}
 }
 
@@ -293,41 +245,5 @@ func TestDerivedInvalidation(t *testing.T) {
 	sort.Ints(want2)
 	if fmt.Sprint(res.IDs) != fmt.Sprint(want2) {
 		t.Errorf("derived answer after irrelevant update %v != static %v", res.IDs, want2)
-	}
-}
-
-// TestCostAwareEvictionKeepsExpensivePartitioning: a UTK2 partitioning (ms
-// recompute) must outlive a stream of cheap UTK1 entries under capacity
-// pressure, even when the UTK2 entry is the least recently used — the
-// ROADMAP scenario the cost-aware policy exists for.
-func TestCostAwareEvictionKeepsExpensivePartitioning(t *testing.T) {
-	td := buildData(t, 800, 3, 23)
-	e, err := New(td.recs, Config{MaxK: 8, CacheEntries: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	outer := box(t, []float64{0.15, 0.15}, []float64{0.45, 0.45})
-	if _, err := e.Do(ctx, Request{Variant: UTK2, K: 6, Region: outer}); err != nil {
-		t.Fatal(err)
-	}
-	// Flood the cache with cheap UTK1 entries at other depths/regions.
-	for i := 0; i < 8; i++ {
-		lo := 0.1 + float64(i)*0.02
-		r := box(t, []float64{lo, lo}, []float64{lo + 0.015, lo + 0.015})
-		if _, err := e.Do(ctx, Request{Variant: UTK1, K: 1 + i%3, Region: r}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	res, err := e.Do(ctx, Request{Variant: UTK2, K: 6, Region: outer})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.CacheHit {
-		t.Fatal("expensive UTK2 partitioning evicted by cheap UTK1 churn")
-	}
-	st := e.Stats()
-	if st.CostEvictions == 0 {
-		t.Errorf("no cost-driven evictions recorded under churn: %+v", st)
 	}
 }

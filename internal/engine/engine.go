@@ -33,12 +33,10 @@
 //  3. A result cache (the rescache subsystem) keyed on a canonicalized
 //     (variant, k, region, ablation flags) fingerprint, with single-flight
 //     deduplication so concurrent identical queries compute once and share
-//     the result.
-//     Eviction is cost-aware — entries carry their measured recompute cost,
-//     so cheap UTK1 id-lists churn before expensive UTK2 partitionings —
-//     and an exact miss whose region lies inside a cached UTK2 region is
-//     answered by cell clipping (see deriveClipped) instead of recomputing:
-//     exact, with zero refinement work.
+//     the result. Eviction is plain LRU, and an exact miss whose region lies
+//     inside a cached UTK2 region is answered by cell clipping (see
+//     deriveClipped) instead of recomputing: exact, with zero refinement
+//     work.
 //  4. A bounded executor (the shared internal/exec scheduler) with per-query
 //     deadlines; the deadline (and a superseded-epoch check) is threaded into
 //     the refinement recursion via core.Options.Cancel, so an expired or
@@ -159,11 +157,6 @@ type Result struct {
 	// report the epoch of the original computation; the entry's survival
 	// guarantees the answer is still exact for the current dataset.
 	Epoch uint64
-	// Cost is the measured recompute cost of the answer (filter plus
-	// refinement time for fresh computations; inherited from the source for
-	// clip-derived answers). The result cache's eviction policy weighs
-	// entries by it.
-	Cost time.Duration
 	// CacheHit reports whether this answer was served from the result cache.
 	CacheHit bool
 	// Derived reports whether this answer was derived from a cached
@@ -192,16 +185,13 @@ type Stats struct {
 	Misses      uint64
 	Shared      uint64
 	DerivedHits uint64
-	// Evictions counts capacity evictions; CostEvictions counts the subset
-	// where the cost-aware policy picked a different victim than plain LRU
-	// would have. Invalidations counts cache entries evicted because an
-	// update could affect them; AdmissionSkips counts results the cache's
-	// update-rate-aware admission policy refused. Rejected counts queries
-	// that gave up (deadline or cancellation) before obtaining a result.
-	// Saturated counts queries refused at the executor's queue bound
-	// (Config.MaxQueued).
+	// Evictions counts capacity evictions. Invalidations counts cache
+	// entries evicted because an update could affect them; AdmissionSkips
+	// counts results the cache's update-rate-aware admission policy
+	// refused. Rejected counts queries that gave up (deadline or
+	// cancellation) before obtaining a result. Saturated counts queries
+	// refused at the executor's queue bound (Config.MaxQueued).
 	Evictions      uint64
-	CostEvictions  uint64
 	Invalidations  uint64
 	AdmissionSkips uint64
 	Rejected       uint64
@@ -873,16 +863,7 @@ func (e *Engine) Do(ctx context.Context, req Request) (*Result, error) {
 							// the current dataset.
 							if e.updating == 0 {
 								if cur, ok := e.cache.Peek(srcKey); ok && cur == src {
-									adm, ev, costly := e.cache.Add(key, req, res)
-									if !adm {
-										e.stats.AdmissionSkips++
-									}
-									if ev {
-										e.stats.Evictions++
-									}
-									if costly {
-										e.stats.CostEvictions++
-									}
+									e.admit(key, req, res)
 								}
 							}
 							e.mu.Unlock()
@@ -1057,9 +1038,6 @@ func (e *Engine) compute(ctx context.Context, req Request, ix *index, abortOnSup
 		return nil, errors.New("engine: unknown variant")
 	}
 	res.Stats = *st
-	// The measured end-to-end compute time is the entry's recompute cost:
-	// what the cache would lose by evicting it.
-	res.Cost = st.FilterDuration + st.RefineDuration
 	return res, nil
 }
 
@@ -1074,19 +1052,22 @@ func (e *Engine) finish(flKey, key string, fl *flight, res *Result, err error, r
 	e.mu.Lock()
 	delete(e.inflight, flKey)
 	if err == nil && e.cache != nil && e.updating == 0 && res.Epoch == e.idx.Load().epoch {
-		adm, ev, costly := e.cache.Add(key, req, res)
-		if !adm {
-			e.stats.AdmissionSkips++
-		}
-		if ev {
-			e.stats.Evictions++
-		}
-		if costly {
-			e.stats.CostEvictions++
-		}
+		e.admit(key, req, res)
 	}
 	e.mu.Unlock()
 	close(fl.done)
+}
+
+// admit caches res under key and counts a refused admission or a capacity
+// eviction. The caller holds e.mu.
+func (e *Engine) admit(key string, req Request, res *Result) {
+	adm, ev := e.cache.Add(key, req, res)
+	if !adm {
+		e.stats.AdmissionSkips++
+	}
+	if ev {
+		e.stats.Evictions++
+	}
 }
 
 // wait blocks until the deduplicated computation resolves or the caller's

@@ -58,18 +58,6 @@ func TestContainsRegionPolytopes(t *testing.T) {
 	if !wide.ContainsRegion(box) || !wide.ContainsRegion(tri) {
 		t.Error("simplex polytope does not contain its subsets")
 	}
-	// Vertex-only regions cannot certify containment of anything.
-	vertsOnly, err := NewPolytopeFromVertices([][]float64{{0, 0}, {0.9, 0}, {0, 0.9}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if vertsOnly.ContainsRegion(box) {
-		t.Error("vertex-only region certified containment without an H-representation")
-	}
-	// ...but can be certified as contained (classification uses vertices).
-	if !wide.ContainsRegion(vertsOnly) {
-		t.Error("polytope does not contain the vertex-only triangle")
-	}
 }
 
 func TestClipConstraints(t *testing.T) {

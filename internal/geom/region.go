@@ -132,27 +132,6 @@ func NewPolytope(dim int, halfspaces []Halfspace) (*Region, error) {
 	return r, nil
 }
 
-// NewPolytopeFromVertices builds a convex region as the hull of the given
-// vertex set. The H-representation is derived for boxes only; general
-// vertex-only regions keep an empty half-space list and rely on vertex-based
-// classification, which is exact for convex hulls.
-func NewPolytopeFromVertices(vertices [][]float64) (*Region, error) {
-	if len(vertices) == 0 {
-		return nil, ErrEmptyRegion
-	}
-	dim := len(vertices[0])
-	vs := make([][]float64, len(vertices))
-	for i, v := range vertices {
-		if len(v) != dim {
-			return nil, fmt.Errorf("geom: vertex %d has dimension %d, want %d", i, len(v), dim)
-		}
-		vs[i] = append([]float64(nil), v...)
-	}
-	r := &Region{dim: dim, vertices: vs}
-	r.computePivot(make([]float64, dim))
-	return r, nil
-}
-
 // Dim returns the dimensionality of the preference domain the region lives
 // in (d−1 for d-dimensional data).
 func (r *Region) Dim() int { return r.dim }
@@ -168,12 +147,6 @@ func (r *Region) Bounds() (lo, hi []float64) {
 	return append([]float64(nil), r.lo...), append([]float64(nil), r.hi...)
 }
 
-// HasHRep reports whether the region carries an H-representation (bounding
-// half-spaces). Regions built from vertices alone do not; geometric
-// operations that clip or intersect by half-space (cell clipping) must
-// refuse them rather than silently clip against nothing.
-func (r *Region) HasHRep() bool { return len(r.halfspaces) > 0 }
-
 // Halfspaces returns the bounding half-spaces (a copy).
 func (r *Region) Halfspaces() []Halfspace {
 	out := make([]Halfspace, len(r.halfspaces))
@@ -186,10 +159,6 @@ func (r *Region) Halfspaces() []Halfspace {
 // HalfspacesView returns the bounding half-spaces without copying them: the
 // caller must not modify the slice or any coefficient.
 func (r *Region) HalfspacesView() []Halfspace { return r.halfspaces }
-
-// VerticesView returns the defining vertices without copying them: the
-// caller must not modify the slice or any coordinate.
-func (r *Region) VerticesView() [][]float64 { return r.vertices }
 
 // Vertices returns the defining vertices (a copy).
 func (r *Region) Vertices() [][]float64 {
@@ -218,26 +187,18 @@ func (r *Region) Contains(w []float64) bool {
 		}
 		return true
 	}
-	if len(r.halfspaces) > 0 {
-		for _, h := range r.halfspaces {
-			if !h.Contains(w) {
-				return false
-			}
+	for _, h := range r.halfspaces {
+		if !h.Contains(w) {
+			return false
 		}
-		return true
 	}
-	// Vertex-only region: fall back to an approximate test via the support
-	// function is not exact; regions built from vertices alone are only used
-	// where Classify suffices.
-	panic("geom: Contains on vertex-only region without H-representation")
+	return true
 }
 
 // ContainsRegion reports whether other ⊆ r. The test is exact for convex
 // regions (up to the global Eps tolerance): other is contained iff it lies
 // inside every bounding half-space of r, and Classify decides each of those
-// by the vertex extremes of the linear functional. A region without an
-// H-representation (built from vertices only) cannot certify containment of
-// anything and reports false.
+// by the vertex extremes of the linear functional.
 func (r *Region) ContainsRegion(other *Region) bool {
 	if other == nil || r.dim != other.dim {
 		return false
@@ -249,9 +210,6 @@ func (r *Region) ContainsRegion(other *Region) bool {
 			}
 		}
 		return true
-	}
-	if len(r.halfspaces) == 0 {
-		return false
 	}
 	for _, h := range r.halfspaces {
 		if other.Classify(h) != Inside {
@@ -300,8 +258,7 @@ func sameHalfspace(a, b Halfspace) bool {
 // InteriorBy reports whether w lies at least margin inside the region:
 // every bounding half-space is satisfied with slack ≥ margin·‖A‖ (the same
 // normalized-slack measure the LP interior-point test uses), so a ball of
-// radius margin around w stays inside. Regions without an H-representation
-// report false.
+// radius margin around w stays inside.
 func (r *Region) InteriorBy(w []float64, margin float64) bool {
 	if r.isBox {
 		for i := range w {
@@ -310,9 +267,6 @@ func (r *Region) InteriorBy(w []float64, margin float64) bool {
 			}
 		}
 		return true
-	}
-	if len(r.halfspaces) == 0 {
-		return false
 	}
 	for _, h := range r.halfspaces {
 		norm := 0.0
@@ -415,9 +369,6 @@ func maxRest(a, lo, hi []float64, skip int) (float64, bool) {
 // region, Outside when the box misses the region's interior entirely, and
 // Straddle otherwise. Exact up to the global Eps tolerance, O(m·dim).
 func (r *Region) ClassifyBox(lo, hi []float64) Side {
-	if len(r.halfspaces) == 0 {
-		return Straddle
-	}
 	inside := true
 	for _, h := range r.halfspaces {
 		mn, mx := boxExtremes(h, lo, hi)

@@ -255,20 +255,6 @@ func (r *Registry) Len() int {
 	return len(r.entries)
 }
 
-// Sole returns the single registered entry when exactly one dataset exists —
-// the resolution rule behind dataset-less legacy request paths.
-func (r *Registry) Sole() (*Entry, error) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	if len(r.entries) != 1 {
-		return nil, fmt.Errorf("%w: %d datasets registered, name one explicitly", ErrUnknownDataset, len(r.entries))
-	}
-	for _, ent := range r.entries {
-		return ent, nil
-	}
-	panic("unreachable")
-}
-
 // AggregateStats is the fleet view: every engine's own snapshot keyed by
 // dataset name, and the durability counters per dataset and summed. (Sums of
 // the serving counters are the reader's to take over PerDataset; the HTTP

@@ -54,14 +54,11 @@ func TestCreateGetDrop(t *testing.T) {
 	if _, err := reg.Get("nope"); !errors.Is(err, ErrUnknownDataset) {
 		t.Fatalf("get unknown: %v", err)
 	}
-	if _, err := reg.Sole(); err == nil {
-		t.Fatal("Sole succeeded with two datasets")
-	}
 	if err := reg.Drop("motels"); err != nil {
 		t.Fatal(err)
 	}
-	if sole, err := reg.Sole(); err != nil || sole.Name != "hotels" {
-		t.Fatalf("Sole after drop: %v, %v", sole, err)
+	if got := reg.Names(); fmt.Sprint(got) != "[hotels]" {
+		t.Fatalf("names after drop = %v", got)
 	}
 	if err := reg.Drop("motels"); !errors.Is(err, ErrUnknownDataset) {
 		t.Fatalf("double drop: %v", err)

@@ -1,16 +1,9 @@
-// Package rescache is the serving engine's result-cache subsystem: one
-// policy engine that is smarter than plain LRU on two axes:
+// Package rescache is the serving engine's result-cache subsystem, in three
+// parts:
 //
-//  1. Cost-aware eviction. Entries are not equal: a UTK2 partitioning takes
-//     milliseconds of refinement to recompute while a UTK1 id-list is often
-//     microseconds. Eviction is Greedy-Dual: each entry carries a retention
-//     priority H = L + cost, where L is a floor that inflates to the evicted
-//     victim's H on every eviction. Cheap entries age out as L passes their
-//     priority; expensive partitionings stay resident even when they are not
-//     the most recent, which plain LRU cannot express. With equal costs the
-//     policy degenerates to exactly LRU. Victims come off a min-heap, so an
-//     overflow costs O(log n) instead of the O(n) scan the first version
-//     shipped with.
+//  1. Plain LRU eviction. An overflow evicts the least recently used entry,
+//     the tail of a recency list, in O(1), so which entries are resident is
+//     a function of the request stream alone.
 //  2. A containment index. Entries are grouped by a caller-defined class
 //     (variant + algorithm flags) and top-k depth, so a cache miss can ask
 //     for a cached entry whose query region contains the missed query's
@@ -61,20 +54,15 @@ const (
 	ledgerPruneEps   = 1.0 / 1024
 )
 
-// Cache is a bounded result cache with Greedy-Dual cost-aware eviction, an
-// update-rate-aware admission policy, and a containment index over the cached
-// query regions.
+// Cache is a bounded LRU result cache with an update-rate-aware admission
+// policy and a containment index over the cached query regions.
 type Cache struct {
 	cap    int
 	tick   uint64
 	m      map[string]*entry
 	groups map[groupKey][]*entry
-	heap   []*entry // min-heap on (prio, last, key): the next victim is heap[0]
-	// Recency list, head = most recent. Only consulted to report whether an
-	// eviction was cost-driven (victim ≠ the LRU tail) — the policy itself
-	// never walks it.
+	// Recency list, head = most recent: the next victim is the tail.
 	head, tail *entry
-	infl       float64 // Greedy-Dual floor L: the last victim's priority
 	stats      map[groupKey]*classStats
 }
 
@@ -99,11 +87,8 @@ type entry struct {
 	region *geom.Region
 	k      int
 	class  uint32
-	cost   float64
-	last   uint64  // logical time of last use
-	prio   float64 // Greedy-Dual priority: floor at last touch + cost
-	hix    int     // index in the eviction heap
-	gix    int     // index in the containment group's slice
+	last   uint64 // logical time of last use
+	gix    int    // index in the containment group's slice
 	val    any
 	// neighbors in the recency list
 	prev, next *entry
@@ -123,7 +108,6 @@ func New(capacity int) *Cache {
 		cap:    capacity,
 		m:      make(map[string]*entry, capacity),
 		groups: make(map[groupKey][]*entry),
-		heap:   make([]*entry, 0, capacity),
 		stats:  make(map[groupKey]*classStats),
 	}
 }
@@ -159,13 +143,9 @@ func (c *Cache) pruneLedgers() {
 // map's boundedness under rotating-group workloads.
 func (c *Cache) Ledgers() int { return len(c.stats) }
 
-// touch marks the entry used: its recency refreshes and its priority is
-// re-anchored to the current floor, so a hot entry keeps outliving the floor
-// inflation that ages out untouched ones.
+// touch marks the entry used: it becomes the most recent.
 func (c *Cache) touch(e *entry) {
 	e.last = c.now()
-	e.prio = c.infl + e.cost
-	c.heapFix(e)
 	c.listMoveFront(e)
 }
 
@@ -210,52 +190,35 @@ func (c *Cache) classStat(gk groupKey) *classStats {
 	return st
 }
 
-// Add inserts (or refreshes) an entry. cost is the measured recompute cost
-// of the value (any positive unit; values below 1 are clamped so the floor
-// inflation always discriminates). admitted reports whether the entry is
-// resident afterwards — false means the admission policy refused it because
-// the update stream has been invalidating its class's entries before queries
-// reuse them. evicted reports whether an older entry was displaced to make
-// room, and costDriven whether that victim differed from the one plain LRU
-// would have chosen.
-func (c *Cache) Add(key string, region *geom.Region, k int, class uint32, cost float64, val any) (admitted, evicted, costDriven bool) {
-	if cost < 1 {
-		cost = 1
-	}
+// Add inserts (or refreshes) an entry. admitted reports whether the entry
+// is resident afterwards — false means the admission policy refused it
+// because the update stream has been invalidating its class's entries before
+// queries reuse them. evicted reports whether the least recently used entry
+// was displaced to make room.
+func (c *Cache) Add(key string, region *geom.Region, k int, class uint32, val any) (admitted, evicted bool) {
 	if e, ok := c.m[key]; ok {
-		e.val, e.cost = val, cost
+		e.val = val
 		c.touch(e)
-		return true, false, false
+		return true, false
 	}
 	gk := groupKey{class: class, k: k}
 	last := c.now()
 	st := c.classStat(gk)
 	if st.invs >= admissionMinInvs && st.invs > admissionRatio*(st.hits+1) {
-		return false, false, false
+		return false, false
 	}
-	e := &entry{key: key, region: region, k: k, class: class, cost: cost, val: val, last: last, prio: c.infl + cost}
+	e := &entry{key: key, region: region, k: k, class: class, val: val, last: last}
 	c.m[key] = e
 	e.gix = len(c.groups[gk])
 	c.groups[gk] = append(c.groups[gk], e)
-	c.heapPush(e)
 	c.listPushFront(e)
 	if len(c.m) <= c.cap {
-		return true, false, false
+		return true, false
 	}
-	// Overflow: evict the minimum-priority resident. The just-added entry is
-	// exempt (it is the reason for the eviction), so it steps out of the heap
-	// while the victim is chosen. The heap tie-breaks equal priorities toward
-	// the staler entry, then the smaller key, so the choice is deterministic
-	// under the logical clock — and with equal costs the minimum priority is
-	// exactly the least-recently-used entry. The floor inflates to the
-	// victim's priority, which is what ages resident-but-cold entries.
-	c.heapRemove(e)
-	victim := c.heap[0]
-	costDriven = victim != c.tail
-	c.infl = victim.prio
-	c.remove(victim)
-	c.heapPush(e)
-	return true, true, costDriven
+	// Overflow: the tail is the least recently used entry, never the one
+	// just added (capacity ≥ 1, so at least two entries are resident).
+	c.remove(c.tail)
+	return true, true
 }
 
 // FindContaining returns a cached value of the given class and depth whose
@@ -288,21 +251,6 @@ func (c *Cache) Snapshot() []Entry {
 	return out
 }
 
-// EvictKeys removes the listed entries (if still resident), returning the
-// number actually evicted. It does not touch the admission ledgers — use it
-// for removals that say nothing about the update stream (capacity trims,
-// shutdown). Update-driven invalidation goes through InvalidateKeys.
-func (c *Cache) EvictKeys(keys []string) int {
-	n := 0
-	for _, key := range keys {
-		if e, ok := c.m[key]; ok {
-			c.remove(e)
-			n++
-		}
-	}
-	return n
-}
-
 // InvalidateKeys removes the listed entries because an update made their
 // values stale, returning the number actually removed. Each removal is
 // charged to its class's admission ledger; a class whose entries keep dying
@@ -325,13 +273,10 @@ func (c *Cache) InvalidateKeys(keys []string) int {
 // Len is the current cache population.
 func (c *Cache) Len() int { return len(c.m) }
 
-// remove deletes the entry from the key map, the eviction heap, the recency
-// list, and its containment group.
+// remove deletes the entry from the key map, the recency list, and its
+// containment group.
 func (c *Cache) remove(e *entry) {
 	delete(c.m, e.key)
-	if e.hix >= 0 {
-		c.heapRemove(e)
-	}
 	c.listRemove(e)
 	gk := groupKey{class: e.class, k: e.k}
 	g := c.groups[gk]
@@ -347,82 +292,6 @@ func (c *Cache) remove(e *entry) {
 	} else {
 		c.groups[gk] = g
 	}
-}
-
-// Eviction heap: a min-heap on (prio, last, key). Equal priorities break
-// toward the staler entry — with equal costs every priority is the floor at
-// touch time plus the same constant, so the heap order is exactly recency
-// order and the policy degenerates to LRU.
-
-func (c *Cache) heapLess(a, b *entry) bool {
-	if a.prio != b.prio {
-		return a.prio < b.prio
-	}
-	if a.last != b.last {
-		return a.last < b.last
-	}
-	return a.key < b.key
-}
-
-func (c *Cache) heapSwap(i, j int) {
-	h := c.heap
-	h[i], h[j] = h[j], h[i]
-	h[i].hix = i
-	h[j].hix = j
-}
-
-func (c *Cache) heapUp(i int) {
-	for i > 0 {
-		p := (i - 1) / 2
-		if !c.heapLess(c.heap[i], c.heap[p]) {
-			return
-		}
-		c.heapSwap(i, p)
-		i = p
-	}
-}
-
-func (c *Cache) heapDown(i int) {
-	for {
-		l, r, s := 2*i+1, 2*i+2, i
-		if l < len(c.heap) && c.heapLess(c.heap[l], c.heap[s]) {
-			s = l
-		}
-		if r < len(c.heap) && c.heapLess(c.heap[r], c.heap[s]) {
-			s = r
-		}
-		if s == i {
-			return
-		}
-		c.heapSwap(i, s)
-		i = s
-	}
-}
-
-func (c *Cache) heapPush(e *entry) {
-	e.hix = len(c.heap)
-	c.heap = append(c.heap, e)
-	c.heapUp(e.hix)
-}
-
-func (c *Cache) heapRemove(e *entry) {
-	i, n := e.hix, len(c.heap)-1
-	if i != n {
-		c.heapSwap(i, n)
-	}
-	c.heap[n] = nil
-	c.heap = c.heap[:n]
-	if i != n {
-		c.heapDown(i)
-		c.heapUp(i)
-	}
-	e.hix = -1
-}
-
-// heapFix restores heap order after e's priority changed in place.
-func (c *Cache) heapFix(e *entry) {
-	c.heapDown(e.hix)
-	c.heapUp(e.hix)
 }
 
 // Recency list maintenance (head = most recent, tail = LRU).
@@ -501,12 +370,6 @@ func CellIntersects(dim int, cons []geom.Halfspace, interior []float64, boxLo, b
 // clipInterior decides whether cell ∩ r is full-dimensional and returns a
 // strictly interior point of the intersection.
 func clipInterior(dim int, cons []geom.Halfspace, interior []float64, boxLo, boxHi []float64, r *geom.Region) ([]float64, bool) {
-	if !r.HasHRep() {
-		// A vertex-only region has no half-spaces to clip against; treating
-		// the cell as surviving unclipped would be a wrong (superset)
-		// answer, so refuse every cell — callers fall back to computing.
-		return nil, false
-	}
 	// Cheapest test first: a precomputed cell box classifies most cells in
 	// O(m·dim) with no propagation, no allocation, and no LP — in
 	// particular, sliver cells whose box already misses r are dropped

@@ -23,14 +23,14 @@ func TestGetAddRefresh(t *testing.T) {
 	if _, ok := c.Get("a"); ok {
 		t.Fatal("hit on empty cache")
 	}
-	if adm, ev, _ := c.Add("a", r, 3, 1, 10, "va"); !adm || ev {
+	if adm, ev := c.Add("a", r, 3, 1, "va"); !adm || ev {
 		t.Fatalf("admitted=%v evicted=%v below capacity", adm, ev)
 	}
 	if v, ok := c.Get("a"); !ok || v != "va" {
 		t.Fatalf("get = %v, %v", v, ok)
 	}
 	// Refreshing a key replaces the value without growing the population.
-	c.Add("a", r, 3, 1, 20, "vb")
+	c.Add("a", r, 3, 1, "vb")
 	if v, _ := c.Get("a"); v != "vb" {
 		t.Fatalf("refresh kept stale value %v", v)
 	}
@@ -39,46 +39,37 @@ func TestGetAddRefresh(t *testing.T) {
 	}
 }
 
-// TestCostAwareEviction pins the policy's headline behavior: an expensive
-// entry survives overflow even when it is the least recently used, and the
-// cheap stale entry goes instead — with the cost-driven choice reported.
-func TestCostAwareEviction(t *testing.T) {
+// TestLRUEviction pins plain LRU: an overflow evicts the least recently used
+// entry, and Get, FindContaining and a refreshing Add all count as a use.
+func TestLRUEviction(t *testing.T) {
 	c := New(2)
 	r := boxRegion(t, []float64{0.1, 0.1}, []float64{0.2, 0.2})
-	c.Add("expensive-old", r, 3, 1, 1e6, "utk2")
-	c.Add("cheap-new", r, 4, 1, 10, "utk1")
-	_, ev, costDriven := c.Add("overflow", r, 5, 1, 10, "utk1")
-	if !ev {
-		t.Fatal("no eviction on overflow")
-	}
-	if !costDriven {
-		t.Fatal("eviction not reported as cost-driven although LRU would have evicted the expensive entry")
-	}
-	if _, ok := c.Get("expensive-old"); !ok {
-		t.Fatal("expensive entry was evicted")
-	}
-	if _, ok := c.Get("cheap-new"); ok {
-		t.Fatal("cheap entry survived over the expensive one")
-	}
-}
-
-// TestEqualCostsDegenerateToLRU: with uniform costs the policy must behave
-// exactly like LRU, including recency refresh on Get.
-func TestEqualCostsDegenerateToLRU(t *testing.T) {
-	c := New(2)
-	r := boxRegion(t, []float64{0.1, 0.1}, []float64{0.2, 0.2})
-	c.Add("a", r, 3, 1, 50, "va")
-	c.Add("b", r, 4, 1, 50, "vb")
+	c.Add("a", r, 3, 1, "va")
+	c.Add("b", r, 4, 1, "vb")
 	c.Get("a") // a is now more recent than b
-	_, ev, costDriven := c.Add("c", r, 5, 1, 50, "vc")
-	if !ev || costDriven {
-		t.Fatalf("evicted=%v costDriven=%v, want plain LRU eviction", ev, costDriven)
+	if _, ev := c.Add("c", r, 5, 1, "vc"); !ev {
+		t.Fatal("no eviction on overflow")
 	}
 	if _, ok := c.Get("b"); ok {
 		t.Fatal("LRU victim b survived")
 	}
 	if _, ok := c.Get("a"); !ok {
 		t.Fatal("recently used entry a evicted")
+	}
+	// Now c is the LRU entry; a containment lookup makes it the most recent.
+	c.FindContaining(1, 5, r)
+	c.Add("d", r, 6, 1, "vd")
+	if _, ok := c.Peek("a"); ok {
+		t.Fatal("LRU victim a survived")
+	}
+	// Now c is the LRU entry again; a refreshing Add makes it the most recent.
+	c.Add("c", r, 5, 1, "vc2")
+	c.Add("e", r, 7, 1, "ve")
+	if _, ok := c.Peek("d"); ok {
+		t.Fatal("LRU victim d survived")
+	}
+	if v, ok := c.Peek("c"); !ok || v != "vc2" {
+		t.Fatalf("refreshed entry c = %v, %v", v, ok)
 	}
 }
 
@@ -89,7 +80,7 @@ func TestFindContaining(t *testing.T) {
 	disjoint := boxRegion(t, []float64{0.55, 0.05}, []float64{0.65, 0.15})
 	overlapping := boxRegion(t, []float64{0.4, 0.4}, []float64{0.6, 0.6})
 
-	c.Add("outer", outer, 3, 7, 100, "src")
+	c.Add("outer", outer, 3, 7, "src")
 	if v, key, ok := c.FindContaining(7, 3, inner); !ok || v != "src" || key != "outer" {
 		t.Fatalf("nested lookup = %v, %q, %v", v, key, ok)
 	}
@@ -118,8 +109,8 @@ func TestFindContainingPrefersRecent(t *testing.T) {
 	big := boxRegion(t, []float64{0.05, 0.05}, []float64{0.6, 0.6})
 	mid := boxRegion(t, []float64{0.1, 0.1}, []float64{0.5, 0.5})
 	inner := boxRegion(t, []float64{0.2, 0.2}, []float64{0.3, 0.3})
-	c.Add("big", big, 3, 7, 100, "big")
-	c.Add("mid", mid, 3, 7, 100, "mid")
+	c.Add("big", big, 3, 7, "big")
+	c.Add("mid", mid, 3, 7, "mid")
 	if v, _, _ := c.FindContaining(7, 3, inner); v != "mid" {
 		t.Fatalf("picked %v, want the more recent mid", v)
 	}
@@ -129,15 +120,15 @@ func TestFindContainingPrefersRecent(t *testing.T) {
 	}
 }
 
-// TestEvictionMaintainsContainmentIndex: entries removed by key or by
-// capacity stop being containment sources.
+// TestEvictionMaintainsContainmentIndex: entries removed by invalidation or
+// by capacity stop being containment sources.
 func TestEvictionMaintainsContainmentIndex(t *testing.T) {
 	c := New(4)
 	outer := boxRegion(t, []float64{0.1, 0.1}, []float64{0.5, 0.5})
 	inner := boxRegion(t, []float64{0.2, 0.2}, []float64{0.3, 0.3})
-	c.Add("outer", outer, 3, 7, 100, "src")
-	if n := c.EvictKeys([]string{"outer", "ghost"}); n != 1 {
-		t.Fatalf("evicted %d, want 1", n)
+	c.Add("outer", outer, 3, 7, "src")
+	if n := c.InvalidateKeys([]string{"outer", "ghost"}); n != 1 {
+		t.Fatalf("invalidated %d, want 1", n)
 	}
 	if _, _, ok := c.FindContaining(7, 3, inner); ok {
 		t.Fatal("evicted entry still reachable via containment")
@@ -148,8 +139,8 @@ func TestEvictionMaintainsContainmentIndex(t *testing.T) {
 
 	// Capacity eviction path.
 	small := New(1)
-	small.Add("outer", outer, 3, 7, 1, "src")
-	small.Add("other", inner, 9, 1, 1e6, "x")
+	small.Add("outer", outer, 3, 7, "src")
+	small.Add("other", inner, 9, 1, "x")
 	if _, _, ok := small.FindContaining(7, 3, inner); ok {
 		t.Fatal("capacity-evicted entry still reachable via containment")
 	}
@@ -159,8 +150,8 @@ func TestSnapshotAndPeek(t *testing.T) {
 	c := New(4)
 	r1 := boxRegion(t, []float64{0.1, 0.1}, []float64{0.2, 0.2})
 	r2 := boxRegion(t, []float64{0.3, 0.3}, []float64{0.4, 0.4})
-	c.Add("a", r1, 3, 1, 10, "va")
-	c.Add("b", r2, 5, 1, 10, "vb")
+	c.Add("a", r1, 3, 1, "va")
+	c.Add("b", r2, 5, 1, "vb")
 	rows := c.Snapshot()
 	if len(rows) != 2 {
 		t.Fatalf("snapshot has %d rows", len(rows))
@@ -173,35 +164,19 @@ func TestSnapshotAndPeek(t *testing.T) {
 		t.Fatalf("snapshot rows wrong: %v", seen)
 	}
 	// Peek does not refresh recency: after peeking "a" many times, adding
-	// an overflow entry still evicts "a" as the stalest (equal costs).
+	// an overflow entry still evicts "a" as the stalest.
 	small := New(2)
-	small.Add("a", r1, 3, 1, 10, "va")
-	small.Add("b", r2, 5, 1, 10, "vb")
+	small.Add("a", r1, 3, 1, "va")
+	small.Add("b", r2, 5, 1, "vb")
 	for i := 0; i < 10; i++ {
 		if _, ok := small.Peek("a"); !ok {
 			t.Fatal("peek missed resident entry")
 		}
 	}
-	small.Add("c", r2, 6, 1, 10, "vc")
+	small.Add("c", r2, 6, 1, "vc")
 	if _, ok := small.Peek("a"); ok {
 		t.Fatal("peek refreshed recency: stale entry survived")
 	}
-}
-
-// TestFloorInflationAgesExpensive: Greedy-Dual must not pin an expensive
-// entry forever — each eviction inflates the floor, so an untouched
-// expensive entry is eventually the cheapest resident and goes too.
-func TestFloorInflationAgesExpensive(t *testing.T) {
-	c := New(2)
-	r := boxRegion(t, []float64{0.1, 0.1}, []float64{0.2, 0.2})
-	c.Add("gold", r, 3, 1, 1000, "v")
-	for i := 0; i < 60; i++ {
-		c.Add(fmt.Sprintf("c%d", i), r, 3, 1, 100, "v")
-		if _, ok := c.Peek("gold"); !ok {
-			return
-		}
-	}
-	t.Fatal("expensive untouched entry survived 60 cheap evictions")
 }
 
 // TestAdmissionUnderChurn pins the update-rate-aware admission policy: a
@@ -213,7 +188,7 @@ func TestAdmissionUnderChurn(t *testing.T) {
 	r := boxRegion(t, []float64{0.1, 0.1}, []float64{0.2, 0.2})
 	skipped := -1
 	for i := 0; i < 12; i++ {
-		adm, _, _ := c.Add("k", r, 3, 1, 10, i)
+		adm, _ := c.Add("k", r, 3, 1, i)
 		if !adm {
 			skipped = i
 			break
@@ -226,14 +201,14 @@ func TestAdmissionUnderChurn(t *testing.T) {
 		t.Fatal("admission never refused under pure admit→invalidate churn")
 	}
 	// A different class is untouched by class 1's ledger.
-	if adm, _, _ := c.Add("other", r, 3, 2, 10, "v"); !adm {
+	if adm, _ := c.Add("other", r, 3, 2, "v"); !adm {
 		t.Fatal("unrelated class refused admission")
 	}
 	// Hits defend a class: the same churn with reuse between admission and
 	// invalidation keeps the class admissible throughout.
 	hot := New(8)
 	for i := 0; i < 40; i++ {
-		adm, _, _ := hot.Add("k", r, 3, 1, 10, i)
+		adm, _ := hot.Add("k", r, 3, 1, i)
 		if !adm {
 			t.Fatalf("cycle %d: class with hits refused admission", i)
 		}
@@ -247,17 +222,17 @@ func TestAdmissionUnderChurn(t *testing.T) {
 	// Recovery: once the churn stops, the invalidation ledger decays and the
 	// class becomes admissible again. Ticks advance one per cache operation.
 	for i := 0; i < 6000; i++ {
-		c.Add(fmt.Sprintf("w%d", i), r, 3, 2, 10, "v")
+		c.Add(fmt.Sprintf("w%d", i), r, 3, 10, "v")
 	}
-	if adm, _, _ := c.Add("k2", r, 3, 1, 10, "v"); !adm {
+	if adm, _ := c.Add("k2", r, 3, 1, "v"); !adm {
 		t.Fatal("admission did not recover after the churn decayed")
 	}
 }
 
-// TestEvictionPicksMinPriority cross-checks the heap-based victim selection
-// against a brute-force minimum over the residents, and verifies the heap,
-// recency-list, and index invariants after every operation of a randomized
-// add/get/invalidate mix.
+// TestEvictionPicksMinPriority cross-checks LRU victim selection against a
+// brute-force minimum of the residents' last-use time, and verifies that the
+// recency list, the key map and the containment groups agree after every
+// operation of a randomized add/get/find/invalidate mix.
 func TestEvictionPicksMinPriority(t *testing.T) {
 	c := New(16)
 	rng := rand.New(rand.NewSource(42))
@@ -265,38 +240,45 @@ func TestEvictionPicksMinPriority(t *testing.T) {
 	resident := []string{}
 	verify := func(step int) {
 		t.Helper()
-		if len(c.heap) != len(c.m) {
-			t.Fatalf("step %d: heap %d vs map %d", step, len(c.heap), len(c.m))
-		}
 		n := 0
 		for e := c.head; e != nil; e = e.next {
+			if c.m[e.key] != e {
+				t.Fatalf("step %d: listed entry %q not in the map", step, e.key)
+			}
+			if e.next != nil && e.next.last >= e.last {
+				t.Fatalf("step %d: recency list out of order at %q", step, e.key)
+			}
 			n++
 		}
 		if n != len(c.m) {
 			t.Fatalf("step %d: recency list %d vs map %d", step, n, len(c.m))
 		}
-		for i, e := range c.heap {
-			if e.hix != i {
-				t.Fatalf("step %d: entry %q heap index %d at slot %d", step, e.key, e.hix, i)
+		grouped := 0
+		for gk, g := range c.groups {
+			for i, e := range g {
+				if e.gix != i || c.m[e.key] != e || (groupKey{e.class, e.k}) != gk {
+					t.Fatalf("step %d: group %v slot %d holds a stale entry", step, gk, i)
+				}
 			}
-			if i > 0 && c.heapLess(e, c.heap[(i-1)/2]) {
-				t.Fatalf("step %d: heap order violated at slot %d", step, i)
-			}
+			grouped += len(g)
+		}
+		if grouped != len(c.m) {
+			t.Fatalf("step %d: groups hold %d entries vs map %d", step, grouped, len(c.m))
 		}
 	}
 	for step := 0; step < 3000; step++ {
-		switch op := rng.Intn(4); {
+		switch op := rng.Intn(5); {
 		case op <= 1: // add a fresh key
 			var want *entry
 			if c.Len() == c.cap {
-				for _, e := range c.heap {
-					if want == nil || c.heapLess(e, want) {
+				for _, e := range c.m {
+					if want == nil || e.last < want.last {
 						want = e
 					}
 				}
 			}
 			key := fmt.Sprintf("k%d", step)
-			adm, ev, _ := c.Add(key, r, 3, uint32(rng.Intn(3)), float64(1+rng.Intn(100)), step)
+			adm, ev := c.Add(key, r, 1+rng.Intn(2), uint32(rng.Intn(3)), step)
 			if adm {
 				resident = append(resident, key)
 			}
@@ -305,22 +287,22 @@ func TestEvictionPicksMinPriority(t *testing.T) {
 					t.Fatalf("step %d: eviction reported below capacity", step)
 				}
 				if _, ok := c.Peek(want.key); ok {
-					t.Fatalf("step %d: expected min-priority victim %q still resident", step, want.key)
+					t.Fatalf("step %d: least recently used %q still resident", step, want.key)
 				}
 			}
 		case op == 2 && len(resident) > 0:
 			c.Get(resident[rng.Intn(len(resident))])
-		case op == 3 && len(resident) > 0:
+		case op == 3:
+			c.FindContaining(uint32(rng.Intn(3)), 1+rng.Intn(2), r)
+		case op == 4 && len(resident) > 0:
 			c.InvalidateKeys([]string{resident[rng.Intn(len(resident))]})
 		}
 		verify(step)
 	}
 }
 
-// BenchmarkCacheAddOverflow pins the satellite fix: every Add at capacity
-// evicts via the heap in O(log n), where the first version scanned all
-// resident entries. Compare per-op times across the capacity sub-benchmarks —
-// they must stay in the same league, not scale with capacity.
+// BenchmarkCacheAddOverflow: every Add at capacity evicts the recency
+// list's tail in O(1), so per-op times must not scale with capacity.
 func BenchmarkCacheAddOverflow(b *testing.B) {
 	r, err := geom.NewBox([]float64{0.1, 0.1}, []float64{0.2, 0.2})
 	if err != nil {
@@ -330,11 +312,11 @@ func BenchmarkCacheAddOverflow(b *testing.B) {
 		b.Run(fmt.Sprintf("cap%d", capacity), func(b *testing.B) {
 			c := New(capacity)
 			for i := 0; i < capacity; i++ {
-				c.Add(fmt.Sprintf("seed%d", i), r, 3, 1, float64(1+i%97), i)
+				c.Add(fmt.Sprintf("seed%d", i), r, 3, 1, i)
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				c.Add(fmt.Sprintf("k%d", i), r, 3, 1, float64(1+i%97), i)
+				c.Add(fmt.Sprintf("k%d", i), r, 3, 1, i)
 			}
 		})
 	}
@@ -402,7 +384,7 @@ func TestLedgerPruning(t *testing.T) {
 	for i := 0; i < groups; i++ {
 		// A fresh k per iteration: without pruning this leaks one ledger
 		// per group (the PR 7 defect).
-		c.Add(fmt.Sprintf("g%d", i), r, i+1, 1, 10, "v")
+		c.Add(fmt.Sprintf("g%d", i), r, i+1, 10, "v")
 		c.InvalidateKeys([]string{fmt.Sprintf("g%d", i)})
 	}
 	if n := c.Ledgers(); n >= groups/2 {
@@ -412,7 +394,7 @@ func TestLedgerPruning(t *testing.T) {
 	// decay below the prune epsilon and for sweeps to run; only the recently
 	// active ledgers may remain.
 	for i := 0; i < 4*ledgerSweepEvery; i++ {
-		c.Add("steady", r, 1, 2, 10, "v")
+		c.Add("steady", r, 1, 2, "v")
 	}
 	if n := c.Ledgers(); n > 8 {
 		t.Fatalf("ledger map did not collapse after churn stopped: %d ledgers", n)
@@ -420,7 +402,7 @@ func TestLedgerPruning(t *testing.T) {
 	// Pruning must not change admission behavior: a pruned class's next
 	// admission decision equals a fresh class's (admitted — refusal needs a
 	// decayed invalidation count far above the prune epsilon).
-	if adm, _, _ := c.Add("back", r, 7, 1, 10, "v"); !adm {
+	if adm, _ := c.Add("back", r, 7, 1, "v"); !adm {
 		t.Fatal("pruned class refused admission")
 	}
 }

@@ -16,9 +16,6 @@
 //	                          plus {"maxk":10,"cache":256,"workers":0,"timeout_ms":5000}
 //	DELETE /datasets/{name}   drop
 //
-// The dataset-less legacy paths (POST /utk1, /utk2, /update) keep working
-// while exactly one dataset is registered, so pre-registry clients survive.
-//
 // /update applies deletes before inserts as one atomic batch per dataset:
 // concurrent queries observe either none or all of it. A
 // general convex region may replace the box:
@@ -95,15 +92,10 @@ func New(reg *registry.Registry, cfg Config) http.Handler {
 	}
 	s := &Server{reg: reg, cfg: cfg}
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /utk1", s.handleUTK1)
 	mux.HandleFunc("POST /utk1/{dataset}", s.handleUTK1)
-	mux.HandleFunc("POST /utk2", s.handleUTK2)
 	mux.HandleFunc("POST /utk2/{dataset}", s.handleUTK2)
-	mux.HandleFunc("POST /utk1batch", s.handleUTK1Batch)
 	mux.HandleFunc("POST /utk1batch/{dataset}", s.handleUTK1Batch)
-	mux.HandleFunc("POST /utk2batch", s.handleUTK2Batch)
 	mux.HandleFunc("POST /utk2batch/{dataset}", s.handleUTK2Batch)
-	mux.HandleFunc("POST /update", s.handleUpdate)
 	mux.HandleFunc("POST /update/{dataset}", s.handleUpdate)
 	mux.HandleFunc("POST /snapshot/{dataset}", s.handleSnapshot)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
@@ -200,17 +192,9 @@ func (w *statusWriter) WriteHeader(code int) {
 	w.ResponseWriter.WriteHeader(code)
 }
 
-// resolve maps the request's dataset path segment — or its absence, via the
-// single-dataset legacy rule — to a registry entry.
+// resolve maps the request's dataset path segment to a registry entry.
 func (s *Server) resolve(w http.ResponseWriter, r *http.Request) (*registry.Entry, bool) {
-	name := r.PathValue("dataset")
-	var ent *registry.Entry
-	var err error
-	if name == "" {
-		ent, err = s.reg.Sole()
-	} else {
-		ent, err = s.reg.Get(name)
-	}
+	ent, err := s.reg.Get(r.PathValue("dataset"))
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusNotFound)
 		return nil, false
@@ -485,7 +469,6 @@ var engineStats = []stat{
 	{"misses", "utk_cache_misses_total", "Result-cache misses that computed.", "counter", summed, func(st utk.EngineStats) uint64 { return st.Misses }},
 	{"shared", "utk_cache_shared_total", "Queries coalesced onto an identical in-flight computation.", "counter", summed, func(st utk.EngineStats) uint64 { return st.Shared }},
 	{"evictions", "utk_cache_evictions_total", "Capacity evictions.", "counter", summed, func(st utk.EngineStats) uint64 { return st.Evictions }},
-	{"cost_evictions", "utk_cache_cost_evictions_total", "Capacity evictions where the cost-aware policy overrode recency.", "counter", summed, func(st utk.EngineStats) uint64 { return st.CostEvictions }},
 	{"invalidations", "utk_cache_invalidations_total", "Cache entries evicted by update invalidation.", "counter", summed, func(st utk.EngineStats) uint64 { return st.Invalidations }},
 	{"rejected", "utk_rejected_total", "Queries that gave up before obtaining a result.", "counter", summed, func(st utk.EngineStats) uint64 { return st.Rejected }},
 	{"saturated", "utk_saturated_total", "Queries refused at the executor queue bound (429 backpressure).", "counter", summed, func(st utk.EngineStats) uint64 { return st.Saturated }},

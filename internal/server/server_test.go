@@ -62,8 +62,7 @@ var queryBody = map[string]any{
 }
 
 // TestRouting covers the dataset path segment: named datasets resolve,
-// unknown ones 404, the legacy dataset-less path works with exactly one
-// dataset and 404s with two.
+// unknown ones and dataset-less paths 404.
 func TestRouting(t *testing.T) {
 	_, srv := fixture(t, "alpha")
 
@@ -83,17 +82,12 @@ func TestRouting(t *testing.T) {
 		t.Fatalf("unknown dataset: %d, want 404", resp.StatusCode)
 	}
 
-	// Legacy path resolves the sole dataset.
-	resp, body = post(t, srv.URL+"/utk1", queryBody)
-	if resp.StatusCode != http.StatusOK || body["dataset"] != "alpha" {
-		t.Fatalf("legacy single-dataset query: %d %v", resp.StatusCode, body["dataset"])
-	}
-
-	// With a second dataset the legacy path becomes ambiguous.
-	_, srv2 := fixture(t, "a", "b")
-	resp, _ = post(t, srv2.URL+"/utk1", queryBody)
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("ambiguous legacy query: %d, want 404", resp.StatusCode)
+	// A dataset-less path names no dataset: 404, even with one registered.
+	for _, path := range []string{"/utk1", "/utk2", "/utk1batch", "/utk2batch", "/update"} {
+		resp, _ = post(t, srv.URL+path, queryBody)
+		if resp.StatusCode != http.StatusNotFound {
+			t.Fatalf("POST %s: %d, want 404", path, resp.StatusCode)
+		}
 	}
 
 	// Wrong method on a query path.
