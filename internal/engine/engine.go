@@ -693,8 +693,8 @@ func (e *Engine) commitBatch(pb *pendingBatch) {
 		e.stats.ProbesSaved += uint64(len(pb.entries)-groups) * uint64(len(pb.tests))
 	}
 	if len(affected) > 0 {
-		// InvalidateKeys (not EvictKeys) so the admission policy learns which
-		// classes this update stream keeps killing.
+		// InvalidateKeys charges the admission ledger, so the policy learns
+		// which classes this update stream keeps killing.
 		e.stats.Invalidations += uint64(e.cache.InvalidateKeys(affected))
 	}
 	if pb.fresh != nil {

@@ -222,7 +222,7 @@ func TestAdmissionUnderChurn(t *testing.T) {
 	// Recovery: once the churn stops, the invalidation ledger decays and the
 	// class becomes admissible again. Ticks advance one per cache operation.
 	for i := 0; i < 6000; i++ {
-		c.Add(fmt.Sprintf("w%d", i), r, 3, 10, "v")
+		c.Add(fmt.Sprintf("w%d", i), r, 3, 2, "v")
 	}
 	if adm, _ := c.Add("k2", r, 3, 1, "v"); !adm {
 		t.Fatal("admission did not recover after the churn decayed")
@@ -384,7 +384,7 @@ func TestLedgerPruning(t *testing.T) {
 	for i := 0; i < groups; i++ {
 		// A fresh k per iteration: without pruning this leaks one ledger
 		// per group (the PR 7 defect).
-		c.Add(fmt.Sprintf("g%d", i), r, i+1, 10, "v")
+		c.Add(fmt.Sprintf("g%d", i), r, i+1, 1, "v")
 		c.InvalidateKeys([]string{fmt.Sprintf("g%d", i)})
 	}
 	if n := c.Ledgers(); n >= groups/2 {
