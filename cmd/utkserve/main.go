@@ -155,7 +155,8 @@ func withPprof(h http.Handler, enabled bool) http.Handler {
 
 // openRegistry builds the registry over the store the flags select: a
 // durable file store rooted at dataDir (recovering every dataset its
-// manifest lists), or the in-memory store when dataDir is empty.
+// manifest lists), or an in-memory registry without one when dataDir is
+// empty.
 func openRegistry(dataDir, fsync string, snapOps int) (*registry.Registry, error) {
 	if dataDir == "" {
 		return registry.New(), nil

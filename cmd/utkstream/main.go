@@ -8,7 +8,7 @@
 //	utkstream -duration 5s                     # longer run
 //	utkstream -compare                         # also run a read-only baseline
 //	utkstream -compare -json out.json          # machine-readable output
-//	utkstream -preset 250k -pipelined          # 250k points, pipelined apply
+//	utkstream -preset 250k                     # 250k-point run
 //	utkstream -preset 1m                       # million-point run
 //
 // With -compare, the run's query p99 is reported against the same engine
@@ -29,23 +29,22 @@ import (
 
 func main() {
 	var (
-		n         = flag.Int("n", 20000, "dataset cardinality")
-		d         = flag.Int("d", 4, "data dimensionality")
-		k         = flag.Int("k", 10, "serving depth (MaxK)")
-		sigma     = flag.Float64("sigma", 0.01, "query region side length")
-		batch     = flag.Int("batch", 32, "ops per update batch")
-		pairs     = flag.Int("pairs", 4, "coalescible insert→delete pairs per batch")
-		queriers  = flag.Int("queriers", 4, "concurrent query goroutines")
-		regions   = flag.Int("regions", 16, "distinct query boxes cycled by queriers")
-		cache     = flag.Int("cache", 0, "result-cache entries (0 = engine default)")
-		duration  = flag.Duration("duration", 2*time.Second, "run length")
-		batches   = flag.Int("batches", 0, "stop after this many batches instead of -duration")
-		seed      = flag.Int64("seed", 1, "workload seed")
-		compare   = flag.Bool("compare", false, "also run a read-only baseline and report the p99 ratio")
-		jsonOut   = flag.String("json", "", "write results as JSON to this file")
-		pipelined = flag.Bool("pipelined", false, "apply batches through the pipelined begin/commit path")
-		preset    = flag.String("preset", "", "workload preset: 250k or 1m; explicit flags still override")
-		cpuprof   = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
+		n        = flag.Int("n", 20000, "dataset cardinality")
+		d        = flag.Int("d", 4, "data dimensionality")
+		k        = flag.Int("k", 10, "serving depth (MaxK)")
+		sigma    = flag.Float64("sigma", 0.01, "query region side length")
+		batch    = flag.Int("batch", 32, "ops per update batch")
+		pairs    = flag.Int("pairs", 4, "coalescible insert→delete pairs per batch")
+		queriers = flag.Int("queriers", 4, "concurrent query goroutines")
+		regions  = flag.Int("regions", 16, "distinct query boxes cycled by queriers")
+		cache    = flag.Int("cache", 0, "result-cache entries (0 = engine default)")
+		duration = flag.Duration("duration", 2*time.Second, "run length")
+		batches  = flag.Int("batches", 0, "stop after this many batches instead of -duration")
+		seed     = flag.Int64("seed", 1, "workload seed")
+		compare  = flag.Bool("compare", false, "also run a read-only baseline and report the p99 ratio")
+		jsonOut  = flag.String("json", "", "write results as JSON to this file")
+		preset   = flag.String("preset", "", "workload preset: 250k or 1m; explicit flags still override")
+		cpuprof  = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	)
 	flag.Parse()
 
@@ -92,7 +91,7 @@ func main() {
 		BatchSize: *batch, ChurnPairs: *pairs,
 		Queriers: *queriers, Regions: *regions,
 		Batches: *batches, Duration: *duration, Seed: *seed,
-		Pipelined: *pipelined, CacheEntries: *cache,
+		CacheEntries: *cache,
 	}
 	churn, err := stream.Run(cfg)
 	if err != nil {
@@ -143,7 +142,7 @@ func report(name string, r *stream.Result) {
 	if r.Batches > 0 {
 		fmt.Printf("  updates: %d batches, %d ops, %.0f updates/s; batch p50=%s p99=%s max=%s\n",
 			r.Batches, r.Ops, r.UpdatesPerSec, r.UpdateP50, r.UpdateP99, r.UpdateMax)
-		fmt.Printf("  begin stage (blocking): p50=%s p99=%s max=%s; band_maintenance=%s over %d ops\n",
+		fmt.Printf("  begin stage: p50=%s p99=%s max=%s; band_maintenance=%s over %d ops\n",
 			r.BeginP50, r.BeginP99, r.BeginMax,
 			time.Duration(r.Stats.BandMaintenanceNS), r.Stats.BatchApplyOps)
 	}

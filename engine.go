@@ -193,9 +193,11 @@ func (e *Engine) ApplyBatch(ops []UpdateOp) (*UpdateResult, error) {
 // their own per-batch work to overlap against cache invalidation — the
 // durable registry runs its WAL append concurrently with the returned
 // commit. When this call returns, the batch has applied and the result is
-// final, but queries observe it only once commit has run; commit must be
-// called exactly once per successful call (calling it again is a no-op).
-// Invalidation probing and the index publish are deferred to commit.
+// final, but queries observe it only once commit has run. Invalidation
+// probing and the index publish are deferred to commit. One batch is in
+// flight at a time: the next update (and State) waits until commit returns,
+// so commit must be called exactly once per successful call (calling it
+// again is a no-op).
 func (e *Engine) ApplyBatchPipelined(ops []UpdateOp) (*UpdateResult, func(), error) {
 	return e.e.ApplyBatchPipelined(ops)
 }

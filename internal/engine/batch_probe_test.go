@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -146,9 +147,9 @@ func TestProbeGroupSharing(t *testing.T) {
 }
 
 // TestPipelinedApplyEquivalence drives identical randomized workloads through
-// ApplyBatch and through ApplyBatchPipelined (with commits deliberately
-// deferred and then issued in order) and requires identical results, epochs,
-// and final index contents.
+// ApplyBatch and through ApplyBatchPipelined (each batch committed before the
+// next begins, with a query asked in between) and requires identical
+// results, epochs, and final index contents.
 func TestPipelinedApplyEquivalence(t *testing.T) {
 	td := buildData(t, 400, 3, 3)
 	blocking, err := New(td.recs, Config{MaxK: 5, CacheEntries: 8})
@@ -162,7 +163,7 @@ func TestPipelinedApplyEquivalence(t *testing.T) {
 
 	rng := rand.New(rand.NewSource(9))
 	nextID := 400
-	var commits []func()
+	req := Request{Variant: UTK1, K: 3, Region: box(t, []float64{0.2, 0.2}, []float64{0.5, 0.5})}
 	for batch := 0; batch < 20; batch++ {
 		var ops []UpdateOp
 		for i := 0; i < 8; i++ {
@@ -184,7 +185,10 @@ func TestPipelinedApplyEquivalence(t *testing.T) {
 		if berr != nil {
 			continue
 		}
-		commits = append(commits, commit)
+		if _, err := pipelined.Do(context.Background(), req); err != nil {
+			t.Fatalf("batch %d: query between begin and commit: %v", batch, err)
+		}
+		commit()
 		if br.Epoch != pr.Epoch || br.Live != pr.Live || br.SupersetSize != pr.SupersetSize {
 			t.Fatalf("batch %d: result divergence: blocking %+v, pipelined %+v", batch, br, pr)
 		}
@@ -197,16 +201,6 @@ func TestPipelinedApplyEquivalence(t *testing.T) {
 				nextID = id + 1
 			}
 		}
-		// Commit every few batches so several begin windows overlap.
-		if len(commits) >= 3 {
-			for _, c := range commits {
-				c()
-			}
-			commits = commits[:0]
-		}
-	}
-	for _, c := range commits {
-		c()
 	}
 
 	bIdx, pIdx := blocking.idx.Load(), pipelined.idx.Load()

@@ -299,22 +299,11 @@ type Engine struct {
 	pool *exec.Pool // the executor: query dispatch
 
 	// updMu serializes updates and guards band, the one maintainer of the
-	// MaxK-skyband (not safe for concurrent use). Queries never take it: they
-	// read the epoch-versioned index snapshot below. It also guards the
-	// pipeline's begin-stage bookkeeping: reservedEpoch (the epoch the most
-	// recently begun batch will have published at its commit — equal to the
-	// published epoch whenever no batch is in flight) and nextTicket.
-	updMu         sync.Mutex
-	band          *skyband.Dynamic
-	reservedEpoch uint64
-	nextTicket    uint64
-
-	// commitMu orders batch commits: a commit waits here until every earlier
-	// ticket has published, so epochs become visible monotonically and a
-	// batch's invalidation always lands before any later batch's epoch.
-	commitMu      sync.Mutex
-	commitCond    *sync.Cond
-	lastCommitted uint64
+	// MaxK-skyband (not safe for concurrent use). A batch holds it from begin
+	// to the end of its commit, so one batch at a time is in flight. Queries
+	// never take it: they read the epoch-versioned index snapshot below.
+	updMu sync.Mutex
+	band  *skyband.Dynamic
 
 	// idx is the current index snapshot; updates that change the superset
 	// publish a fresh one with a bumped epoch.
@@ -370,12 +359,11 @@ func (cfg Config) withDefaults() (Config, error) {
 // counters (zero for a fresh engine).
 func newEngine(cfg Config, pool *exec.Pool, b *skyband.Dynamic, dim int, epoch, batches uint64) *Engine {
 	e := &Engine{
-		cfg:           cfg,
-		dim:           dim,
-		pool:          pool,
-		band:          b,
-		reservedEpoch: epoch,
-		inflight:      make(map[string]*flight),
+		cfg:      cfg,
+		dim:      dim,
+		pool:     pool,
+		band:     b,
+		inflight: make(map[string]*flight),
 		stats: Stats{
 			DynamicStats:  b.Stats(),
 			UpdateBatches: batches,
@@ -383,7 +371,6 @@ func newEngine(cfg Config, pool *exec.Pool, b *skyband.Dynamic, dim int, epoch, 
 			Workers:       cfg.Workers,
 		},
 	}
-	e.commitCond = sync.NewCond(&e.commitMu)
 	if cfg.CacheEntries > 0 {
 		e.cache = newResultCache(cfg.CacheEntries)
 	}
@@ -505,18 +492,18 @@ func (e *Engine) ApplyBatch(ops []UpdateOp) (*UpdateResult, error) {
 // ApplyBatchPipelined is the two-stage form of ApplyBatch for callers that
 // have their own per-batch work to overlap with cache invalidation — the
 // durable registry runs its WAL append concurrently with stage two. Stage
-// one (this call) validates, maintains the band, and reserves the batch's
-// epoch under the update mutex; stage two (the returned commit) runs the
-// invalidation probes, evicts affected cache entries, and publishes the
-// index, all off the update mutex. The returned UpdateResult is final when
-// this call returns, but queries observe the batch only once commit has
-// published it.
+// one (this call) validates and maintains the band; stage two (the returned
+// commit) runs the invalidation probes, evicts affected cache entries, and
+// publishes the index. The returned UpdateResult is final when this call
+// returns, but queries observe the batch only once commit has published it.
 //
-// commit must be called exactly once per successful begin (it is idempotent,
-// so extra calls are harmless, but a batch whose commit never runs blocks
-// every later batch's commit: commits apply in begin order). Until commit
-// returns, the probe window keeps any result computed meanwhile out of the
-// cache, so a torn or pre-batch answer can be served but never resold.
+// One batch is in flight at a time: the update mutex is held from this call
+// until commit returns, so the next begin waits for this commit (the
+// registry serializes a dataset's updates anyway). commit must therefore be
+// called exactly once per successful begin; it is idempotent, so extra calls
+// are harmless. Until commit returns, the probe window keeps any result
+// computed meanwhile out of the cache, so a pre-batch answer can be served
+// but never resold.
 func (e *Engine) ApplyBatchPipelined(ops []UpdateOp) (*UpdateResult, func(), error) {
 	pb, err := e.beginBatch(ops)
 	if err != nil {
@@ -526,11 +513,10 @@ func (e *Engine) ApplyBatchPipelined(ops []UpdateOp) (*UpdateResult, func(), err
 }
 
 // pendingBatch is a begun-but-uncommitted batch: band maintenance has run
-// and the epoch is reserved; the probe + invalidate + publish stage waits in
-// commit.
+// and the update mutex is held; the probe + invalidate + publish stage waits
+// in commit.
 type pendingBatch struct {
 	e        *Engine
-	ticket   uint64
 	res      *UpdateResult
 	fresh    *index // index to publish, or nil when the band is unchanged
 	tests    []affectsTest
@@ -543,7 +529,8 @@ type pendingBatch struct {
 func (pb *pendingBatch) commit() { pb.once.Do(func() { pb.e.commitBatch(pb) }) }
 
 // beginBatch is stage one of a batch: everything that must see the dynamic
-// structure runs here, under updMu.
+// structure runs here. It takes updMu and, on success, leaves it held for
+// commitBatch to release.
 func (e *Engine) beginBatch(ops []UpdateOp) (*pendingBatch, error) {
 	sops := make([]skyband.Op, len(ops))
 	for i, op := range ops {
@@ -561,7 +548,6 @@ func (e *Engine) beginBatch(ops []UpdateOp) (*pendingBatch, error) {
 	}
 
 	e.updMu.Lock()
-	defer e.updMu.Unlock()
 
 	// Pre-delete coordinates for the delete probes, captured before the one
 	// call that applies every op (nil for an id that is not live yet — a
@@ -581,6 +567,7 @@ func (e *Engine) beginBatch(ops []UpdateOp) (*pendingBatch, error) {
 	// batch is a no-op), then applies the ops in order.
 	ids, effs, err := e.band.ApplyOps(sops)
 	if err != nil {
+		e.updMu.Unlock()
 		if errors.Is(err, skyband.ErrUnknownID) || errors.Is(err, skyband.ErrDuplicateDelete) {
 			return nil, ErrUnknownRecord
 		}
@@ -600,8 +587,10 @@ func (e *Engine) beginBatch(ops []UpdateOp) (*pendingBatch, error) {
 	// that brought the insert in).
 	var fresh *index
 	var tests []affectsTest
+	epoch := e.idx.Load().epoch
 	if bandChanged {
-		fresh = bandIndex(e.reservedEpoch+1, e.band)
+		epoch++
+		fresh = bandIndex(epoch, e.band)
 	}
 	if e.cache != nil && bandChanged {
 		batchInserted := map[int]bool{}
@@ -629,18 +618,10 @@ func (e *Engine) beginBatch(ops []UpdateOp) (*pendingBatch, error) {
 		}
 	}
 
-	// Stage-one handoff. The cache-entry snapshot and `updating` raise still
-	// happen here, before updMu is released, so a computation finishing
-	// between begin and commit cannot add an entry the probe pass misses —
-	// and the epoch reservation keeps results final at begin: the band
-	// snapshot is already the post-batch state, so the epoch this batch will
-	// publish is known even though the publish itself waits for commit.
+	// Stage-one handoff. The cache-entry snapshot and `updating` raise happen
+	// here, so a computation finishing between begin and commit cannot add an
+	// entry the probe pass misses.
 	pb := &pendingBatch{e: e, dynStats: dynStats, tests: tests, fresh: fresh}
-	if bandChanged {
-		e.reservedEpoch++
-	}
-	e.nextTicket++
-	pb.ticket = e.nextTicket
 	if len(tests) > 0 {
 		e.mu.Lock()
 		pb.entries = e.cache.Snapshot()
@@ -650,7 +631,7 @@ func (e *Engine) beginBatch(ops []UpdateOp) (*pendingBatch, error) {
 	}
 	pb.res = &UpdateResult{
 		IDs:          ids,
-		Epoch:        e.reservedEpoch,
+		Epoch:        epoch,
 		Live:         dynStats.Live,
 		SupersetSize: dynStats.SupersetSize,
 		ShadowSize:   dynStats.ShadowSize,
@@ -658,33 +639,26 @@ func (e *Engine) beginBatch(ops []UpdateOp) (*pendingBatch, error) {
 	return pb, nil
 }
 
-// commitBatch is stage two: probe, invalidate, publish. The r-dominance
-// probes (cache regions × deltas × band) run outside every engine lock so
-// concurrent queries — cache hits especially — never queue behind them, and
-// so a pipelined caller's own stage-two work (the registry's WAL append)
-// overlaps them. Ordering makes the window invisible:
+// commitBatch is stage two: probe, invalidate, publish, and release updMu.
+// The r-dominance probes (cache regions × deltas × band) run outside the
+// query-side lock so concurrent queries — cache hits especially — never
+// queue behind them, and so a pipelined caller's own stage-two work (the
+// registry's WAL append) overlaps them. Ordering makes the window invisible:
 //
 //  1. Begin snapshotted the resident entries and raised `updating`, so a
 //     computation finishing mid-window cannot add an entry the snapshot
 //     missed.
-//  2. Probe outside the locks. Hits served meanwhile come from pre-update
-//     entries while the epoch is still the old one — the batch has not been
+//  2. Probe outside mu. Hits served meanwhile come from pre-update entries
+//     while the epoch is still the old one — the batch has not been
 //     published, so those answers are simply "before the update".
 //  3. Under mu, evict the affected keys and only then publish the new epoch:
 //     no query can observe the new epoch while a stale entry is still
 //     hittable, and entries cached after publication pass finish's
 //     current-epoch check, i.e. reflect this batch.
-//
-// The commit turnstile runs step 3 in begin (ticket) order, so when batches
-// overlap, epochs still publish monotonically and every batch's eviction
-// lands before any later epoch becomes visible.
 func (e *Engine) commitBatch(pb *pendingBatch) {
+	defer e.updMu.Unlock()
 	affected, groups := runProbes(pb.entries, pb.tests)
 
-	e.commitMu.Lock()
-	for e.lastCommitted != pb.ticket-1 {
-		e.commitCond.Wait()
-	}
 	e.mu.Lock()
 	e.stats.UpdateBatches++
 	e.stats.DynamicStats = pb.dynStats
@@ -704,17 +678,13 @@ func (e *Engine) commitBatch(pb *pendingBatch) {
 		e.updating--
 	}
 	e.mu.Unlock()
-	e.lastCommitted = pb.ticket
-	e.commitCond.Broadcast()
-	e.commitMu.Unlock()
 }
 
 // probeGroup is one batched invalidation probe: the cache entries that share
 // a probe-relevant shape (same k, geometrically identical region — the
 // probeGroupID projection of their keys). Every delta's affects verdict is a
 // function of (region, k) only, so one band pass settles the whole group,
-// however many variants, ablation settings, and worker counts cache entries
-// for that shape.
+// however many variants and ablation settings cache entries for that shape.
 type probeGroup struct {
 	region *geom.Region
 	k      int

@@ -11,6 +11,7 @@ import (
 	"sort"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/geom"
 )
@@ -40,7 +41,7 @@ func testTwoStageCommit(t *testing.T) {
 	}
 	id := res.IDs[0]
 	if res.Epoch != epoch0+1 || e.Epoch() != epoch0 {
-		t.Fatalf("begin stage: reserved epoch %d, published %d, want %d reserved and %d still published", res.Epoch, e.Epoch(), epoch0+1, epoch0)
+		t.Fatalf("begin stage: result epoch %d, published %d, want %d in the result and %d still published", res.Epoch, e.Epoch(), epoch0+1, epoch0)
 	}
 
 	mid, err := e.Do(ctx, cached)
@@ -70,6 +71,59 @@ func testTwoStageCommit(t *testing.T) {
 		if post.CacheHit || !slices.Contains(post.IDs, id) {
 			t.Fatalf("after commit k=%d: hit=%v ids %v, want a fresh answer containing %d", req.K, post.CacheHit, post.IDs, id)
 		}
+	}
+}
+
+// TestOneBatchInFlight pins that an engine has one batch open at a time: a
+// second begin waits until the first batch has committed, and each batch's
+// result carries the epoch it publishes, which Epoch and ExportState then
+// report.
+func TestOneBatchInFlight(t *testing.T) {
+	td := buildData(t, 300, 3, 17)
+	e := buildEngine(t, td.recs, Config{MaxK: 4, CacheEntries: 16})
+	epoch0 := e.Epoch()
+	resA, commitA, err := e.ApplyBatchPipelined([]UpdateOp{{Kind: UpdateInsert, Record: []float64{2, 2, 2}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	type begun struct {
+		res    *UpdateResult
+		commit func()
+		err    error
+	}
+	bDone := make(chan begun, 1)
+	go func() {
+		res, commit, err := e.ApplyBatchPipelined([]UpdateOp{{Kind: UpdateInsert, Record: []float64{3, 3, 3}}})
+		bDone <- begun{res, commit, err}
+	}()
+	// B staying blocked has no event to wait on: give it a bounded window
+	// in which to (wrongly) return.
+	select {
+	case <-bDone:
+		t.Fatal("batch B began while batch A was still uncommitted")
+	case <-time.After(100 * time.Millisecond):
+	}
+
+	commitA()
+	var b begun
+	select {
+	case b = <-bDone:
+	case <-time.After(10 * time.Second):
+		t.Fatal("batch B did not begin after batch A committed")
+	}
+	if b.err != nil {
+		t.Fatal(b.err)
+	}
+	if resA.Epoch != epoch0+1 || e.Epoch() != resA.Epoch {
+		t.Fatalf("after A's commit: A's result epoch %d, published %d, want both %d", resA.Epoch, e.Epoch(), epoch0+1)
+	}
+	b.commit()
+	if b.res.Epoch != resA.Epoch+1 || e.Epoch() != b.res.Epoch {
+		t.Fatalf("after B's commit: B's result epoch %d, published %d, want both %d", b.res.Epoch, e.Epoch(), resA.Epoch+1)
+	}
+	if st := e.ExportState(); st.Epoch != b.res.Epoch {
+		t.Fatalf("exported epoch %d, want B's %d", st.Epoch, b.res.Epoch)
 	}
 }
 

@@ -25,21 +25,14 @@ type State struct {
 }
 
 // ExportState captures the engine's dataset state. It serializes against
-// updates (holding the update mutex while the band is walked), and the
-// returned state is a consistent post-batch snapshot; queries are not
-// blocked. Record slices in the state are shared with the engine and must
-// not be mutated.
+// updates (holding the update mutex while the band is walked), so it waits
+// for a batch in flight to commit and the returned state is a consistent
+// post-batch snapshot carrying the published epoch; queries are not blocked.
+// Record slices in the state are shared with the engine and must not be
+// mutated.
 func (e *Engine) ExportState() *State {
 	e.updMu.Lock()
-	st := &State{
-		Dim: e.dim,
-		// The reserved epoch, not the published one: with a pipelined batch
-		// between begin and commit, the band maintainer already holds the
-		// post-batch state and the snapshot must carry that state's epoch.
-		// The two coincide whenever no batch is in flight.
-		Epoch: e.reservedEpoch,
-		Dyn:   e.band.State(),
-	}
+	st := &State{Dim: e.dim, Epoch: e.Epoch(), Dyn: e.band.State()}
 	e.updMu.Unlock()
 	e.mu.Lock()
 	st.Batches = e.stats.UpdateBatches

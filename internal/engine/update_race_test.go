@@ -185,9 +185,9 @@ func testEngineConcurrentUpdates(t *testing.T) {
 	for _, o := range obs {
 		want, ok := expected[o.epoch]
 		if !ok {
-			// A query served from a pipelined batch's reserved-but-unpublished
-			// snapshot can carry an epoch the updater never published (the
-			// batch superseded); rare and benign.
+			// None is expected: queries read published indexes only, and
+			// the updater records every epoch it publishes. One without a
+			// reference is counted, not checked.
 			skipped++
 			continue
 		}

@@ -153,14 +153,14 @@ func (r *Registry) reopen(cfg store.DatasetConfig) (*Entry, error) {
 	if err != nil {
 		return nil, err
 	}
-	ecfg := utk.EngineConfig{
+	opts := Options{
 		MaxK:         cfg.MaxK,
 		CacheEntries: cfg.CacheEntries,
 		Workers:      cfg.Workers,
 		MaxQueued:    cfg.MaxQueued,
 		QueryTimeout: cfg.QueryTimeout,
 	}
-	eng, err := utk.RestoreEngine(snap.Engine, ecfg)
+	eng, err := utk.RestoreEngine(snap.Engine, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -191,22 +191,11 @@ func (r *Registry) reopen(cfg store.DatasetConfig) (*Entry, error) {
 		// never runs backwards across the upgrade.
 		st := eng.State()
 		st.Epoch = logged
-		if eng, err = utk.RestoreEngine(st, ecfg); err != nil {
+		if eng, err = utk.RestoreEngine(st, opts); err != nil {
 			return nil, err
 		}
 	}
-	ent := &Entry{
-		Name:   cfg.Name,
-		Engine: eng,
-		Opts: Options{
-			MaxK:         cfg.MaxK,
-			CacheEntries: cfg.CacheEntries,
-			Workers:      cfg.Workers,
-			MaxQueued:    cfg.MaxQueued,
-			QueryTimeout: cfg.QueryTimeout,
-		},
-		seq: seq,
-	}
+	ent := &Entry{Name: cfg.Name, Engine: eng, Opts: opts, seq: seq}
 	ent.lastSeq = seq
 	ent.replayedBatches = batches
 	ent.replayedOps = ops
@@ -232,19 +221,24 @@ func (r *Registry) reopen(cfg store.DatasetConfig) (*Entry, error) {
 	return ent, nil
 }
 
-// Update routes a batch to the named dataset's engine and durably logs it
-// before acknowledging: apply, then append to the WAL under the entry's
-// update mutex. An acknowledged update therefore survives any crash; an
-// update whose append fails is NOT acknowledged — the entry wedges (further
-// updates rejected) until a successful snapshot re-bases the log on the
-// engine's state, because the engine is ahead of the WAL and appending later
-// batches would persist a stream with a hole.
+// Update routes a batch to the named dataset's engine. Without a store it
+// applies the batch and returns. With one it durably logs the batch before
+// acknowledging: apply, then append to the WAL under the entry's update
+// mutex. An acknowledged update therefore survives any crash; an update
+// whose append fails is NOT acknowledged — the entry wedges (further updates
+// rejected) until a successful snapshot re-bases the log on the engine's
+// state, because the engine is ahead of the WAL and appending later batches
+// would persist a stream with a hole.
 func (r *Registry) Update(name string, ops []utk.UpdateOp) (*utk.UpdateResult, error) {
 	ent, err := r.Get(name)
 	if err != nil {
 		return nil, err
 	}
+	if r.st == nil {
+		return ent.Engine.ApplyBatch(ops)
+	}
 	ent.mu.Lock()
+	defer ent.mu.Unlock()
 	if ent.wedged != nil {
 		// Bounded auto-heal: attempt the re-basing snapshot here, behind the
 		// backoff gate, so a transiently failing disk clears the wedge on a
@@ -258,7 +252,7 @@ func (r *Registry) Update(name string, ops []utk.UpdateOp) (*utk.UpdateResult, e
 			ent.wedgeRearmAt = time.Time{}
 		}
 		healed := false
-		if r.st.Durable() && ent.wedgeRetries < healMaxRetries && !time.Now().Before(ent.wedgeNextTry) {
+		if ent.wedgeRetries < healMaxRetries && !time.Now().Before(ent.wedgeNextTry) {
 			ent.dmu.Lock()
 			ent.wedgeRetryCount++
 			ent.dmu.Unlock()
@@ -285,9 +279,7 @@ func (r *Registry) Update(name string, ops []utk.UpdateOp) (*utk.UpdateResult, e
 			}
 		}
 		if !healed {
-			err := fmt.Errorf("registry: %s rejects updates until a snapshot succeeds (unlogged batch: %w)", name, ent.wedged)
-			ent.mu.Unlock()
-			return nil, err
+			return nil, fmt.Errorf("registry: %s rejects updates until a snapshot succeeds (unlogged batch: %w)", name, ent.wedged)
 		}
 	}
 	// Pipelined apply: stage one runs band maintenance and fixes the batch's
@@ -300,7 +292,6 @@ func (r *Registry) Update(name string, ops []utk.UpdateOp) (*utk.UpdateResult, e
 	// and the durability contract.
 	res, commit, err := ent.Engine.ApplyBatchPipelined(ops)
 	if err != nil {
-		ent.mu.Unlock()
 		return nil, err
 	}
 	committed := make(chan struct{})
@@ -319,7 +310,6 @@ func (r *Registry) Update(name string, ops []utk.UpdateOp) (*utk.UpdateResult, e
 		ent.dmu.Lock()
 		ent.wedgedFlag = true
 		ent.dmu.Unlock()
-		ent.mu.Unlock()
 		return nil, fmt.Errorf("registry: %s: update applied but not durably logged: %w", name, err)
 	}
 	ent.seq = seq
@@ -329,7 +319,7 @@ func (r *Registry) Update(name string, ops []utk.UpdateOp) (*utk.UpdateResult, e
 	ent.walBytes += uint64(nbytes)
 	ent.opsSinceSnap += len(ops)
 	ent.bytesSinceSnap += nbytes
-	due := r.st.Durable() && r.pol.due(ent.opsSinceSnap, ent.bytesSinceSnap)
+	due := r.pol.due(ent.opsSinceSnap, ent.bytesSinceSnap)
 	ent.dmu.Unlock()
 	if due {
 		// Auto-snapshot failures don't fail the update (it is already
@@ -343,7 +333,6 @@ func (r *Registry) Update(name string, ops []utk.UpdateOp) (*utk.UpdateResult, e
 			ent.dmu.Unlock()
 		}
 	}
-	ent.mu.Unlock()
 	return res, nil
 }
 
@@ -356,7 +345,7 @@ func (r *Registry) Snapshot(name string) (DurabilityStats, error) {
 	if err != nil {
 		return DurabilityStats{}, err
 	}
-	if !r.st.Durable() {
+	if r.st == nil {
 		return DurabilityStats{}, ErrNotDurable
 	}
 	ent.mu.Lock()

@@ -362,7 +362,7 @@ func TestManualSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := mem.Snapshot("ds"); !errors.Is(err, ErrNotDurable) {
-		t.Fatalf("snapshot over mem store: %v", err)
+		t.Fatalf("snapshot over in-memory registry: %v", err)
 	}
 	if _, err := mem.Snapshot("nope"); !errors.Is(err, ErrUnknownDataset) {
 		t.Fatalf("snapshot of unknown dataset: %v", err)

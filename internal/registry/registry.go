@@ -24,22 +24,14 @@ var (
 	ErrExists = errors.New("registry: dataset already exists")
 	// ErrBadName reports an unusable dataset name.
 	ErrBadName = errors.New("registry: bad dataset name")
-	// ErrNotDurable reports a snapshot request against a registry whose
-	// store does not persist (the in-memory default).
+	// ErrNotDurable reports a snapshot request against a registry without
+	// a store (the in-memory default).
 	ErrNotDurable = errors.New("registry: store is not durable")
 )
 
-// Options configures the engine built for one dataset.
-type Options struct {
-	// MaxK is the largest top-k depth served (required, positive).
-	MaxK int
-	// CacheEntries, Workers, MaxQueued, and QueryTimeout forward to
-	// utk.EngineConfig with its defaults.
-	CacheEntries int
-	Workers      int
-	MaxQueued    int
-	QueryTimeout time.Duration
-}
+// Options configures the engine built for one dataset: the facade's engine
+// configuration, with its defaults.
+type Options = utk.EngineConfig
 
 // Entry is one registered dataset: the serving engine and the options it was
 // built with. A created entry and one recovered from a durable store are
@@ -49,8 +41,9 @@ type Entry struct {
 	Engine *utk.Engine
 	Opts   Options
 
-	// mu serializes the durable update path (apply + WAL append) and
-	// snapshots for this dataset; queries never take it.
+	// mu serializes a durable dataset's update path (apply + WAL append)
+	// and its snapshots; queries, and updates without a store, never take
+	// it.
 	mu sync.Mutex
 	// seq is the sequence number of the last batch durably logged; wedged
 	// is non-nil after an append failure left the engine ahead of the log
@@ -97,32 +90,33 @@ func (e *Entry) Dim() int { return e.Engine.Dim() }
 // Len returns the entry's current live record count.
 func (e *Entry) Len() int { return e.Engine.Stats().Live }
 
-// Registry is a concurrent map of named serving engines over a pluggable
+// Registry is a concurrent map of named serving engines over an optional
 // durability store. The zero value is not usable; construct with New,
 // NewWithStore, or Open.
 type Registry struct {
-	st  store.Store
+	st  store.Store // nil for an in-memory registry
 	pol SnapshotPolicy
 
 	mu      sync.RWMutex
 	entries map[string]*Entry
 }
 
-// New builds an empty registry over an in-memory store: exactly the
-// pre-durability behavior.
+// New builds an empty in-memory registry: no store, no log, nothing
+// survives the process.
 func New() *Registry {
-	return NewWithStore(store.NewMem(), SnapshotPolicy{})
+	return NewWithStore(nil, SnapshotPolicy{})
 }
 
-// NewWithStore builds an empty registry over the given store. Datasets
-// created here are persisted through it; to also recover the datasets a
-// durable store already holds, use Open instead.
+// NewWithStore builds an empty registry over the given store (nil means
+// in-memory). Datasets created here are persisted through it; to also
+// recover the datasets a store already holds, use Open instead.
 func NewWithStore(st store.Store, pol SnapshotPolicy) *Registry {
 	return &Registry{st: st, pol: pol.withDefaults(), entries: make(map[string]*Entry)}
 }
 
-// Durable reports whether the registry's store survives process exit.
-func (r *Registry) Durable() bool { return r.st.Durable() }
+// Durable reports whether the registry has a store, i.e. whether its
+// datasets survive process exit.
+func (r *Registry) Durable() bool { return r.st != nil }
 
 // ValidateName reports whether a dataset name is usable: non-empty, at most
 // 128 bytes, and built from letters, digits, '.', '_', and '-' only (names
@@ -157,13 +151,7 @@ func (r *Registry) Create(name string, records [][]float64, opts Options) (*Entr
 	if taken {
 		return nil, fmt.Errorf("%w: %s", ErrExists, name)
 	}
-	eng, err := utk.NewEngine(records, utk.EngineConfig{
-		MaxK:         opts.MaxK,
-		CacheEntries: opts.CacheEntries,
-		Workers:      opts.Workers,
-		MaxQueued:    opts.MaxQueued,
-		QueryTimeout: opts.QueryTimeout,
-	})
+	eng, err := utk.NewEngine(records, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -171,24 +159,20 @@ func (r *Registry) Create(name string, records [][]float64, opts Options) (*Entr
 	// Persist before claiming: the store's manifest commit is the one
 	// authority on existence, so a create racing a crash (or another
 	// creator) can never leave a dataset the manifest and the registry
-	// disagree about. For durable stores the staged artifact includes an
-	// initial snapshot, making the dataset recoverable from the instant it
-	// exists.
-	var snap *store.Snapshot
-	now := time.Now().UnixMilli()
-	if r.st.Durable() {
-		est := eng.State()
-		snap = &store.Snapshot{Seq: 0, Epoch: est.Epoch, UnixMilli: now, Engine: est}
-	}
-	if err := r.st.CreateDataset(datasetConfig(name, eng.Dim(), opts), snap); err != nil {
-		if errors.Is(err, store.ErrExists) {
-			return nil, fmt.Errorf("%w: %s", ErrExists, name)
-		}
-		return nil, err
-	}
-
+	// disagree about. The staged artifact includes an initial snapshot,
+	// making the dataset recoverable from the instant it exists. Without a
+	// store, the claim below is the only authority.
 	ent := &Entry{Name: name, Engine: eng, Opts: opts}
-	if snap != nil {
+	if r.st != nil {
+		est := eng.State()
+		now := time.Now().UnixMilli()
+		snap := &store.Snapshot{Seq: 0, Epoch: est.Epoch, UnixMilli: now, Engine: est}
+		if err := r.st.CreateDataset(datasetConfig(name, eng.Dim(), opts), snap); err != nil {
+			if errors.Is(err, store.ErrExists) {
+				return nil, fmt.Errorf("%w: %s", ErrExists, name)
+			}
+			return nil, err
+		}
 		ent.snapshotsWritten = 1
 		ent.lastSnapEpoch = snap.Epoch
 		ent.lastSnapUnixMilli = now
@@ -196,9 +180,13 @@ func (r *Registry) Create(name string, records [][]float64, opts Options) (*Entr
 	r.mu.Lock()
 	if _, taken := r.entries[name]; taken {
 		r.mu.Unlock()
-		// Defensive: the store accepted the create, so no other creator can
-		// have committed this name; undo the staging all the same.
-		r.st.DropDataset(name)
+		// Without a store, this is how a losing concurrent creator learns it
+		// lost. With one it is defensive: the store accepted the create, so
+		// no other creator can have committed this name; undo the staging
+		// all the same.
+		if r.st != nil {
+			r.st.DropDataset(name)
+		}
 		return nil, fmt.Errorf("%w: %s", ErrExists, name)
 	}
 	r.entries[name] = ent
@@ -230,6 +218,9 @@ func (r *Registry) Drop(name string) error {
 	}
 	delete(r.entries, name)
 	r.mu.Unlock()
+	if r.st == nil {
+		return nil
+	}
 	if err := r.st.DropDataset(name); err != nil && !errors.Is(err, store.ErrUnknownDataset) {
 		return err
 	}
@@ -284,13 +275,13 @@ func (r *Registry) Stats() AggregateStats {
 	r.mu.RUnlock()
 
 	agg := AggregateStats{
-		Durable:              r.st.Durable(),
+		Durable:              r.Durable(),
 		PerDataset:           make(map[string]utk.EngineStats, len(ents)),
 		PerDatasetDurability: make(map[string]DurabilityStats, len(ents)),
 	}
 	for _, ent := range ents {
 		agg.PerDataset[ent.Name] = ent.Engine.Stats()
-		ds := ent.Durability(r.st.Durable())
+		ds := ent.Durability(r.Durable())
 		agg.WALAppends += ds.WALAppends
 		agg.WALBytes += ds.WALBytes
 		agg.SnapshotsWritten += ds.SnapshotsWritten

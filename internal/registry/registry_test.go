@@ -158,6 +158,40 @@ func TestAggregateStats(t *testing.T) {
 	}
 }
 
+// TestInMemoryUpdatesLogNothing pins that a registry without a store counts
+// no WAL traffic: its updates apply (and move the epoch) but log nothing, so
+// its durability counters read zero and it reports itself not durable.
+func TestInMemoryUpdatesLogNothing(t *testing.T) {
+	reg := New()
+	recs := dataset.Synthetic(dataset.IND, 60, 3, 4)
+	ent, err := reg.Create("ds", recs, Options{MaxK: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 5
+	for i := 0; i < n; i++ {
+		res, err := reg.Update("ds", []utk.UpdateOp{{Kind: utk.UpdateInsert, Record: []float64{2 + float64(i), 2, 2}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Epoch != uint64(i+1) {
+			t.Fatalf("update %d: epoch %d, want %d", i, res.Epoch, i+1)
+		}
+	}
+	if got := ent.Len(); got != len(recs)+n {
+		t.Fatalf("live = %d, want %d", got, len(recs)+n)
+	}
+	if reg.Durable() {
+		t.Fatal("in-memory registry reports durable")
+	}
+	if d := ent.Durability(false); d.WALAppends != 0 || d.WALBytes != 0 || d.LastSeq != 0 {
+		t.Fatalf("in-memory durability after %d updates: wal_appends %d, wal_bytes %d, last_seq %d; want all 0", n, d.WALAppends, d.WALBytes, d.LastSeq)
+	}
+	if agg := reg.Stats(); agg.Durable || agg.WALAppends != 0 || agg.WALBytes != 0 {
+		t.Fatalf("in-memory fleet stats: %+v", agg)
+	}
+}
+
 // TestConcurrentCreateDropGet hammers the registry from multiple goroutines;
 // meant for -race.
 func TestConcurrentCreateDropGet(t *testing.T) {

@@ -601,8 +601,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	for _, sr := range durability {
 		labelled(sr.name, sr.help, sr.kind, func(ds string) any { return sr.get(agg.PerDatasetDurability[ds]) })
 	}
-	// Age is derived at scrape time; datasets that never snapshotted (pure
-	// in-memory stores) are omitted rather than reported as absurdly old.
+	// Age is derived at scrape time; datasets that never snapshotted (an
+	// in-memory registry's) are omitted rather than reported as absurdly old.
 	fmt.Fprintf(&b, "# HELP utk_last_snapshot_age_seconds Seconds since the last snapshot was written.\n# TYPE utk_last_snapshot_age_seconds gauge\n")
 	nowMilli := time.Now().UnixMilli()
 	for _, name := range names {

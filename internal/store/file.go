@@ -137,9 +137,6 @@ func OpenFile(dir string, cfg FileConfig) (*File, error) {
 	return f, nil
 }
 
-// Durable reports true.
-func (f *File) Durable() bool { return true }
-
 // LoadManifest returns the committed datasets.
 func (f *File) LoadManifest() (*Manifest, error) {
 	f.mu.Lock()

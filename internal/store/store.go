@@ -7,7 +7,7 @@
 //     natural WAL record),
 //   - periodic snapshots of the full dataset state (records plus the dynamic
 //     skyband's band and dominator counts — everything engine.State
-//     captures, single or partitioned), and
+//     captures), and
 //   - a manifest of the named datasets with their configurations.
 //
 // Recovery is snapshot + tail: restore the last snapshot and replay the WAL
@@ -18,9 +18,9 @@
 // alone) — so a recovered engine answers bit-identically to one that never
 // crashed.
 //
-// Two implementations ship: Mem (process-local, today's behavior, the
-// default) and File (segmented append-only WAL with CRC-framed records,
-// atomic snapshot rename, configurable fsync policy).
+// One implementation ships: File (segmented append-only WAL with CRC-framed
+// records, atomic snapshot rename, configurable fsync policy). A registry
+// without a store is in-memory: it logs nothing and recovers nothing.
 package store
 
 import (
@@ -100,18 +100,14 @@ type Manifest struct {
 // serialized by the registry and need only be safe against concurrent calls
 // for other datasets.
 type Store interface {
-	// Durable reports whether the store survives process exit. Callers skip
-	// snapshot scheduling (and state export) for non-durable stores.
-	Durable() bool
-
 	// LoadManifest returns the datasets the store holds. A fresh store
 	// returns an empty manifest.
 	LoadManifest() (*Manifest, error)
 
-	// CreateDataset registers a dataset with its initial snapshot, becoming
-	// visible in the manifest only when both are durably staged — a crash at
-	// any point leaves either no trace or a fully recoverable dataset, never
-	// a phantom. snap may be nil for non-durable stores.
+	// CreateDataset registers a dataset with its initial snapshot (required),
+	// becoming visible in the manifest only when both are durably staged — a
+	// crash at any point leaves either no trace or a fully recoverable
+	// dataset, never a phantom.
 	CreateDataset(cfg DatasetConfig, snap *Snapshot) error
 
 	// DropDataset removes a dataset. The manifest entry goes first (the

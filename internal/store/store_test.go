@@ -277,9 +277,6 @@ func TestFileCreateAppendReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !st.Durable() {
-		t.Fatal("file store reports not durable")
-	}
 	if err := st.CreateDataset(testConfig("ds"), nil); err == nil {
 		t.Fatal("create without initial snapshot accepted")
 	}
@@ -702,45 +699,7 @@ func TestFileSnapshotCorruptionDetected(t *testing.T) {
 	}
 }
 
-func TestMemStore(t *testing.T) {
-	m := NewMem()
-	if m.Durable() {
-		t.Fatal("mem store reports durable")
-	}
-	if err := m.CreateDataset(testConfig("ds"), nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.CreateDataset(testConfig("ds"), nil); !errors.Is(err, ErrExists) {
-		t.Fatalf("duplicate create: %v", err)
-	}
-	if _, err := m.LoadSnapshot("ds"); !errors.Is(err, ErrNoSnapshot) {
-		t.Fatalf("snapshot of fresh mem dataset: %v", err)
-	}
-	if _, err := m.Append("ds", testBatch(2)); !errors.Is(err, ErrSeqGap) {
-		t.Fatalf("gap append: %v", err)
-	}
-	if _, err := m.Append("ds", testBatch(1)); err != nil {
-		t.Fatal(err)
-	}
-	if last, _ := m.LastSeq("ds"); last != 1 {
-		t.Fatalf("LastSeq = %d, want 1", last)
-	}
-	if err := m.WriteSnapshot("ds", testSnapshot(1, 2)); err != nil {
-		t.Fatal(err)
-	}
-	snap, err := m.LoadSnapshot("ds")
-	if err != nil || snap.Seq != 1 {
-		t.Fatalf("snapshot: %+v, %v", snap, err)
-	}
-	if got := collect(t, m, "ds", 0); len(got) != 0 {
-		t.Fatalf("mem replay returned %d batches", len(got))
-	}
-	if err := m.DropDataset("ds"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.LastSeq("ds"); !errors.Is(err, ErrUnknownDataset) {
-		t.Fatalf("LastSeq after drop: %v", err)
-	}
+func TestParseSyncPolicy(t *testing.T) {
 	sp, err := ParseSyncPolicy("never")
 	if err != nil || sp != SyncNever {
 		t.Fatalf("ParseSyncPolicy(never) = %v, %v", sp, err)

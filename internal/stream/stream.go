@@ -54,12 +54,6 @@ type Config struct {
 	Batches  int
 	Duration time.Duration
 	ReadOnly bool
-	// Pipelined applies batches through ApplyBatchPipelined: the updater
-	// blocks only on the begin stage (validation + band maintenance) while a
-	// background committer runs probe classification and cache invalidation.
-	// Update latency percentiles then measure the blocking portion of batch
-	// apply — the quantity pipelining exists to shrink.
-	Pipelined bool
 	// CacheEntries passes through to the engine config (0 = engine default).
 	CacheEntries int
 	Seed         int64
@@ -118,10 +112,8 @@ type Result struct {
 	UpdateP50 time.Duration `json:"update_p50_ns"`
 	UpdateP99 time.Duration `json:"update_p99_ns"`
 	UpdateMax time.Duration `json:"update_max_ns"`
-	// Begin percentiles isolate the blocking begin stage of batch apply
-	// (validation + band maintenance) in both modes: non-pipelined runs
-	// report it alongside the full-apply Update percentiles, pipelined runs
-	// block on nothing else so UpdateP50 == BeginP50 there.
+	// Begin percentiles isolate the begin stage of batch apply (validation
+	// + band maintenance) within the full-apply Update percentiles.
 	BeginP50 time.Duration `json:"begin_p50_ns"`
 	BeginP99 time.Duration `json:"begin_p99_ns"`
 	BeginMax time.Duration `json:"begin_max_ns"`
@@ -271,34 +263,6 @@ func drive(ctx context.Context, e *utk.Engine, cfg Config, res *Result) error {
 		return rec
 	}
 
-	// In pipelined mode a single committer goroutine drains commit closures
-	// in submission order; its channel capacity bounds how far probe work may
-	// trail band maintenance. Commits are ticket-ordered inside the engine, so
-	// draining them sequentially adds no ordering constraints of its own.
-	var (
-		commitc chan func()
-		cwg     sync.WaitGroup
-	)
-	if cfg.Pipelined {
-		commitc = make(chan func(), 64)
-		cwg.Add(1)
-		go func() {
-			defer cwg.Done()
-			for c := range commitc {
-				c()
-			}
-		}()
-	}
-	drained := false
-	drain := func() {
-		if commitc != nil && !drained {
-			drained = true
-			close(commitc)
-			cwg.Wait()
-		}
-	}
-	defer drain()
-
 	ulat := make([]time.Duration, 0, 4096)
 	blat := make([]time.Duration, 0, 4096)
 	deadline := time.Now().Add(cfg.Duration)
@@ -335,23 +299,17 @@ func drive(ctx context.Context, e *utk.Engine, cfg Config, res *Result) error {
 			predicted++
 		}
 
-		// Both modes apply through the two-stage path so the begin stage —
-		// the blocking band-maintenance cost — is measured separately from
-		// the full apply; the non-pipelined mode simply commits inline.
+		// Apply through the two-stage path, committing inline, so the begin
+		// stage — the band-maintenance cost — is measured separately from
+		// the full apply.
 		t0 := time.Now()
 		ur, commit, err := e.ApplyBatchPipelined(ops)
 		if err != nil {
 			return fmt.Errorf("stream: batch %d failed: %w", batches, err)
 		}
-		begin := time.Since(t0)
-		blat = append(blat, begin)
-		if cfg.Pipelined {
-			ulat = append(ulat, begin)
-			commitc <- commit
-		} else {
-			commit()
-			ulat = append(ulat, time.Since(t0))
-		}
+		blat = append(blat, time.Since(t0))
+		commit()
+		ulat = append(ulat, time.Since(t0))
 		for i := insStart; i < insStart+nIns; i++ {
 			live = append(live, ur.IDs[i])
 		}
@@ -364,9 +322,6 @@ func drive(ctx context.Context, e *utk.Engine, cfg Config, res *Result) error {
 		res.Ops += uint64(len(ops))
 	}
 
-	// Stats (and the index epoch) reflect committed batches only; finish all
-	// outstanding commits before the differential check.
-	drain()
 	if got := e.Stats().Live; got != len(live) {
 		return fmt.Errorf("stream: engine live count %d != tracked %d", got, len(live))
 	}

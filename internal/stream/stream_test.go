@@ -88,37 +88,3 @@ func TestResultJSONFields(t *testing.T) {
 		}
 	}
 }
-
-// TestPipelinedMatchesBlocking runs the same bounded workload through the
-// blocking and pipelined apply paths and checks they agree on everything the
-// harness can observe deterministically: op counts and the engine's final
-// live population (the harness's own differential enforces the latter
-// internally too).
-func TestPipelinedMatchesBlocking(t *testing.T) {
-	base := Config{
-		N: 1200, Dim: 3, K: 5, Batches: 8, BatchSize: 24, ChurnPairs: 3,
-		Queriers: 2, Regions: 4, Seed: 7,
-	}
-	blocking, err := Run(base)
-	if err != nil {
-		t.Fatalf("blocking run: %v", err)
-	}
-	piped := base
-	piped.Pipelined = true
-	pipelined, err := Run(piped)
-	if err != nil {
-		t.Fatalf("pipelined run: %v", err)
-	}
-	if blocking.Ops != pipelined.Ops || blocking.Batches != pipelined.Batches {
-		t.Fatalf("op counts diverge: blocking %d/%d, pipelined %d/%d",
-			blocking.Batches, blocking.Ops, pipelined.Batches, pipelined.Ops)
-	}
-	if blocking.Stats.Live != pipelined.Stats.Live {
-		t.Fatalf("live population diverges: blocking %d, pipelined %d",
-			blocking.Stats.Live, pipelined.Stats.Live)
-	}
-	if blocking.Stats.Epoch != pipelined.Stats.Epoch {
-		t.Fatalf("epoch diverges: blocking %d, pipelined %d",
-			blocking.Stats.Epoch, pipelined.Stats.Epoch)
-	}
-}

@@ -9,8 +9,10 @@ import "repro/internal/engine"
 type EngineState = engine.State
 
 // State captures the engine's dataset state as one consistent snapshot
-// (serialized against updates; queries are not blocked). Record slices in
-// the state are shared with the engine and must not be mutated.
+// (serialized against updates: it waits for a batch begun with
+// ApplyBatchPipelined to commit, and carries the published epoch; queries
+// are not blocked). Record slices in the state are shared with the engine
+// and must not be mutated.
 func (e *Engine) State() *EngineState { return e.e.ExportState() }
 
 // RestoreEngine rebuilds an Engine from a captured state: queries run over

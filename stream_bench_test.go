@@ -34,32 +34,26 @@ func BenchmarkStreamSustained(b *testing.B) {
 		b.ReportMetric(float64(res.QueryP50), "q-p50-ns")
 		b.ReportMetric(float64(res.QueryP99), "q-p99-ns")
 	})
-	// Large-population variants (250k points) compare blocking against
-	// pipelined batch apply: pipelined ns/op measures only the blocking begin
-	// stage, the quantity the PR's pipelining exists to shrink.
-	for _, tc := range []struct {
-		name      string
-		pipelined bool
-	}{{"n=250k/blocking", false}, {"n=250k/pipelined", true}} {
-		b.Run(tc.name, func(b *testing.B) {
-			res, err := stream.Run(stream.Config{
-				N: 250_000, Dim: 4, K: 10,
-				BatchSize: 64, ChurnPairs: 4, Queriers: 4,
-				Batches: b.N, Seed: 11, Pipelined: tc.pipelined,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if res.Stats.CoalescedOps == 0 {
-				b.Fatal("churn pairs did not exercise coalescing")
-			}
-			b.ReportMetric(res.UpdatesPerSec, "updates/s")
-			b.ReportMetric(float64(res.UpdateP50), "u-p50-ns")
-			b.ReportMetric(float64(res.UpdateP99), "u-p99-ns")
-			b.ReportMetric(float64(res.QueryP50), "q-p50-ns")
-			b.ReportMetric(float64(res.QueryP99), "q-p99-ns")
+	// The large-population variant (250k points) also reports update
+	// latency percentiles.
+	b.Run("n=250k", func(b *testing.B) {
+		res, err := stream.Run(stream.Config{
+			N: 250_000, Dim: 4, K: 10,
+			BatchSize: 64, ChurnPairs: 4, Queriers: 4,
+			Batches: b.N, Seed: 11,
 		})
-	}
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.Stats.CoalescedOps == 0 {
+			b.Fatal("churn pairs did not exercise coalescing")
+		}
+		b.ReportMetric(res.UpdatesPerSec, "updates/s")
+		b.ReportMetric(float64(res.UpdateP50), "u-p50-ns")
+		b.ReportMetric(float64(res.UpdateP99), "u-p99-ns")
+		b.ReportMetric(float64(res.QueryP50), "q-p50-ns")
+		b.ReportMetric(float64(res.QueryP99), "q-p99-ns")
+	})
 }
 
 // TestStreamHarness pins the harness's own accounting: batch counts,
