@@ -25,21 +25,10 @@ func main() {
 	)
 	flag.Parse()
 
-	var data [][]float64
-	switch *kind {
-	case "HOTEL":
-		data = dataset.Hotel(*n, *seed)
-	case "HOUSE":
-		data = dataset.House(*n, *seed)
-	case "NBA":
-		data = dataset.NBA(*n, *seed)
-	default:
-		k, err := dataset.ParseKind(*kind)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "datagen:", err)
-			os.Exit(1)
-		}
-		data = dataset.Synthetic(k, *n, *d, *seed)
+	data, err := dataset.Generate(*kind, *n, *d, *seed)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "datagen:", err)
+		os.Exit(1)
 	}
 
 	w := bufio.NewWriter(os.Stdout)

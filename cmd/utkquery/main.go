@@ -11,7 +11,6 @@
 package main
 
 import (
-	"bufio"
 	"flag"
 	"fmt"
 	"os"
@@ -38,7 +37,7 @@ func main() {
 	)
 	flag.Parse()
 
-	records, err := loadRecords(*dataPath, *gen, *n, *d, *seed)
+	records, err := dataset.Load(*dataPath, *gen, *n, *d, *seed)
 	if err != nil {
 		fail(err)
 	}
@@ -97,55 +96,6 @@ func main() {
 	default:
 		fail(fmt.Errorf("unknown mode %q", *mode))
 	}
-}
-
-func loadRecords(path, gen string, n, d int, seed int64) ([][]float64, error) {
-	if path != "" {
-		return readCSV(path)
-	}
-	switch gen {
-	case "HOTEL":
-		return dataset.Hotel(n, seed), nil
-	case "HOUSE":
-		return dataset.House(n, seed), nil
-	case "NBA":
-		return dataset.NBA(n, seed), nil
-	case "":
-		return nil, fmt.Errorf("provide -data or -gen")
-	default:
-		kind, err := dataset.ParseKind(gen)
-		if err != nil {
-			return nil, err
-		}
-		return dataset.Synthetic(kind, n, d, seed), nil
-	}
-}
-
-func readCSV(path string) ([][]float64, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	var out [][]float64
-	sc := bufio.NewScanner(f)
-	for line := 1; sc.Scan(); line++ {
-		text := strings.TrimSpace(sc.Text())
-		if text == "" || strings.HasPrefix(text, "#") {
-			continue
-		}
-		fields := strings.Split(text, ",")
-		rec := make([]float64, len(fields))
-		for i, fld := range fields {
-			v, err := strconv.ParseFloat(strings.TrimSpace(fld), 64)
-			if err != nil {
-				return nil, fmt.Errorf("%s:%d: %v", path, line, err)
-			}
-			rec[i] = v
-		}
-		out = append(out, rec)
-	}
-	return out, sc.Err()
 }
 
 func parseRegion(s string, dim int) (*utk.Region, error) {

@@ -27,7 +27,6 @@
 package main
 
 import (
-	"bufio"
 	"context"
 	"errors"
 	"flag"
@@ -37,8 +36,6 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
-	"strconv"
-	"strings"
 	"syscall"
 	"time"
 
@@ -192,61 +189,12 @@ func seedDataset(reg *registry.Registry, name, dataPath, gen string, n, d int, s
 	if ent, err := reg.Get(name); err == nil {
 		return ent, true, nil
 	}
-	records, err := loadRecords(dataPath, gen, n, d, seed)
+	records, err := dataset.Load(dataPath, gen, n, d, seed)
 	if err != nil {
 		return nil, false, err
 	}
 	ent, err := reg.Create(name, records, opts)
 	return ent, false, err
-}
-
-func loadRecords(path, gen string, n, d int, seed int64) ([][]float64, error) {
-	if path != "" {
-		return readCSV(path)
-	}
-	switch gen {
-	case "HOTEL":
-		return dataset.Hotel(n, seed), nil
-	case "HOUSE":
-		return dataset.House(n, seed), nil
-	case "NBA":
-		return dataset.NBA(n, seed), nil
-	case "":
-		return nil, fmt.Errorf("provide -data or -gen")
-	default:
-		kind, err := dataset.ParseKind(gen)
-		if err != nil {
-			return nil, err
-		}
-		return dataset.Synthetic(kind, n, d, seed), nil
-	}
-}
-
-func readCSV(path string) ([][]float64, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	var out [][]float64
-	sc := bufio.NewScanner(f)
-	for line := 1; sc.Scan(); line++ {
-		text := strings.TrimSpace(sc.Text())
-		if text == "" || strings.HasPrefix(text, "#") {
-			continue
-		}
-		fields := strings.Split(text, ",")
-		rec := make([]float64, len(fields))
-		for i, fld := range fields {
-			v, err := strconv.ParseFloat(strings.TrimSpace(fld), 64)
-			if err != nil {
-				return nil, fmt.Errorf("%s:%d: %v", path, line, err)
-			}
-			rec[i] = v
-		}
-		out = append(out, rec)
-	}
-	return out, sc.Err()
 }
 
 func fail(err error) {

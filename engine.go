@@ -51,7 +51,9 @@ const DefaultEngineCacheEntries = 256
 // UTK2 region by cell clipping, and single-flight deduplication of
 // concurrent duplicates — and execution runs on a bounded
 // worker pool with per-query deadlines threaded into the refinement
-// recursion. It is safe for concurrent use.
+// recursion. Each UTK1 or UTK2 call answers one query; it is safe for
+// concurrent use, so a caller with many queries issues concurrent calls,
+// which share the worker pool.
 //
 // The engine's dataset is mutable: Insert, Delete, and ApplyBatch maintain
 // the candidate superset incrementally (orders of magnitude cheaper than
@@ -228,56 +230,6 @@ func (e *Engine) UTK2(ctx context.Context, q Query) (*UTK2Result, error) {
 	out.CacheHit = res.CacheHit
 	out.Derived = res.Derived
 	return out, nil
-}
-
-// UTK1Batch answers many UTK1 queries concurrently (bounded by the engine's
-// worker pool), returning one result or error per query, index-aligned.
-func (e *Engine) UTK1Batch(ctx context.Context, qs []Query) ([]*UTK1Result, []error) {
-	results := make([]*UTK1Result, len(qs))
-	errs := e.batch(ctx, engine.UTK1, qs, func(i int, res *engine.Result) {
-		results[i] = &UTK1Result{
-			Records:  append([]int(nil), res.IDs...),
-			Stats:    statsFromCore(&res.Stats),
-			CacheHit: res.CacheHit,
-			Derived:  res.Derived,
-		}
-	})
-	return results, errs
-}
-
-// UTK2Batch answers many UTK2 queries concurrently, like UTK1Batch.
-func (e *Engine) UTK2Batch(ctx context.Context, qs []Query) ([]*UTK2Result, []error) {
-	results := make([]*UTK2Result, len(qs))
-	errs := e.batch(ctx, engine.UTK2, qs, func(i int, res *engine.Result) {
-		results[i] = utk2ResultFromCells(res.Cells, statsFromCore(&res.Stats))
-		results[i].CacheHit = res.CacheHit
-		results[i].Derived = res.Derived
-	})
-	return results, errs
-}
-
-func (e *Engine) batch(ctx context.Context, v engine.Variant, qs []Query, emit func(int, *engine.Result)) []error {
-	reqs := make([]engine.Request, 0, len(qs))
-	idx := make([]int, 0, len(qs)) // batch position -> original position
-	errs := make([]error, len(qs))
-	for i, q := range qs {
-		req, err := e.request(v, q)
-		if err != nil {
-			errs[i] = err
-			continue
-		}
-		reqs = append(reqs, req)
-		idx = append(idx, i)
-	}
-	results, doErrs := e.e.DoBatch(ctx, reqs)
-	for bi, i := range idx {
-		if doErrs[bi] != nil {
-			errs[i] = doErrs[bi]
-			continue
-		}
-		emit(i, results[bi])
-	}
-	return errs
 }
 
 func (e *Engine) do(ctx context.Context, v engine.Variant, q Query) (*engine.Result, error) {

@@ -99,21 +99,30 @@ func TestEngineFacadeBatchAndConcurrency(t *testing.T) {
 		{K: 4, Region: r},
 		{K: 2, Region: r}, // duplicate
 	}
-	results, errs := e.UTK1Batch(ctx, qs)
+	results := make([]*UTK1Result, len(qs))
+	errs := make([]error, len(qs))
+	var wg sync.WaitGroup
+	for i, q := range qs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			results[i], errs[i] = e.UTK1(ctx, q)
+		}()
+	}
+	wg.Wait()
 	for i, err := range errs {
 		if err != nil {
-			t.Fatalf("batch[%d]: %v", i, err)
+			t.Fatalf("query %d: %v", i, err)
 		}
 	}
 	if fmt.Sprint(results[0].Records) != fmt.Sprint(results[2].Records) {
-		t.Fatal("duplicate batch queries disagreed")
+		t.Fatal("duplicate concurrent queries disagreed")
 	}
 
 	want, err := ds.UTK1(Query{K: 6, Region: r})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
 		go func() {

@@ -103,32 +103,6 @@ func (s Set) IntersectionCount(t Set) int {
 	return c
 }
 
-// DifferenceCount returns |s \ t| without allocating.
-func (s Set) DifferenceCount(t Set) int {
-	c := 0
-	for i, w := range s.words {
-		m := w
-		if i < len(t.words) {
-			m &^= t.words[i]
-		}
-		c += bits.OnesCount64(m)
-	}
-	return c
-}
-
-// Intersects reports whether s ∩ t is non-empty.
-func (s Set) Intersects(t Set) bool {
-	for i, w := range s.words {
-		if i >= len(t.words) {
-			break
-		}
-		if w&t.words[i] != 0 {
-			return true
-		}
-	}
-	return false
-}
-
 // Empty reports whether no index is marked.
 func (s Set) Empty() bool {
 	for _, w := range s.words {

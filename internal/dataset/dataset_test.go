@@ -2,6 +2,10 @@ package dataset
 
 import (
 	"math"
+	"os"
+	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -155,5 +159,51 @@ func TestNBA2017(t *testing.T) {
 	// the case study requires.
 	if players[0].Name != "Russell Westbrook" {
 		t.Fatal("expected Westbrook first for the case study")
+	}
+}
+
+// TestGenerateWidth: Width names the width Generate produces, for every
+// name, and both reject an unknown one.
+func TestGenerateWidth(t *testing.T) {
+	for _, name := range []string{"IND", "COR", "ANTI", "HOTEL", "HOUSE", "NBA"} {
+		w, err := Width(name, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs, err := Generate(name, 7, 5, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(recs) != 7 || len(recs[0]) != w {
+			t.Errorf("%s: %d records of width %d, Width says %d", name, len(recs), len(recs[0]), w)
+		}
+	}
+	if _, err := Width("ind", 3); err == nil {
+		t.Error("Width accepted an unknown name")
+	}
+	if _, err := Generate("ind", 3, 3, 1); err == nil {
+		t.Error("Generate accepted an unknown name")
+	}
+}
+
+// TestReadCSV reads back what the datagen format writes, skipping blank and
+// comment lines, and names the line of a bad field.
+func TestReadCSV(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "d.csv")
+	if err := os.WriteFile(path, []byte("# header\n0.5,1e-7, 3\n\n2,4,0.125\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	got, err := ReadCSV(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := [][]float64{{0.5, 1e-7, 3}, {2, 4, 0.125}}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("ReadCSV = %v, want %v", got, want)
+	}
+	if err := os.WriteFile(path, []byte("1,2\n1,x\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadCSV(path); err == nil || !strings.Contains(err.Error(), ":2:") {
+		t.Fatalf("bad field: err %v, want one naming line 2", err)
 	}
 }

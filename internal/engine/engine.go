@@ -919,23 +919,6 @@ func (e *Engine) Do(ctx context.Context, req Request) (*Result, error) {
 	}
 }
 
-// DoBatch answers a batch of requests concurrently (bounded by the worker
-// pool), returning one result or error per request, index-aligned.
-func (e *Engine) DoBatch(ctx context.Context, reqs []Request) ([]*Result, []error) {
-	results := make([]*Result, len(reqs))
-	errs := make([]error, len(reqs))
-	var wg sync.WaitGroup
-	for i, req := range reqs {
-		wg.Add(1)
-		go func(i int, req Request) {
-			defer wg.Done()
-			results[i], errs[i] = e.Do(ctx, req)
-		}(i, req)
-	}
-	wg.Wait()
-	return results, errs
-}
-
 // Stats returns a snapshot of the engine counters. The dynamic-skyband
 // counters reflect the last completed update batch — Stats never waits on an
 // in-progress update, so monitoring stays responsive exactly when updates

@@ -99,8 +99,9 @@ func TestEngineConcurrentHammer(t *testing.T) {
 	}
 }
 
-// TestEngineBatch exercises the batched submission path, mixing valid and
-// invalid requests.
+// TestEngineBatch sends a mix of valid and invalid requests through
+// concurrent Do calls, one goroutine per request: the oversized k errors on
+// its own, duplicates agree, and UTK2 returns cells.
 func TestEngineBatch(t *testing.T) {
 	td := buildData(t, 800, 3, 19)
 	e, err := New(td.recs, Config{MaxK: 8, CacheEntries: 8, Workers: 3})
@@ -114,17 +115,27 @@ func TestEngineBatch(t *testing.T) {
 		{Variant: UTK1, K: 99, Region: r}, // exceeds MaxK
 		{Variant: UTK1, K: 3, Region: r},  // duplicate of the first
 	}
-	results, errs := e.DoBatch(context.Background(), reqs)
+	results := make([]*Result, len(reqs))
+	errs := make([]error, len(reqs))
+	var wg sync.WaitGroup
+	for i, req := range reqs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			results[i], errs[i] = e.Do(context.Background(), req)
+		}()
+	}
+	wg.Wait()
 	if errs[0] != nil || errs[1] != nil || errs[3] != nil {
-		t.Fatalf("unexpected batch errors: %v", errs)
+		t.Fatalf("unexpected errors: %v", errs)
 	}
 	if errs[2] == nil {
-		t.Fatal("oversized k in batch did not error")
+		t.Fatal("oversized k did not error")
 	}
 	if fmt.Sprint(results[0].IDs) != fmt.Sprint(results[3].IDs) {
-		t.Fatal("duplicate batch entries disagreed")
+		t.Fatal("duplicate requests disagreed")
 	}
 	if len(results[1].Cells) == 0 {
-		t.Fatal("batched UTK2 returned no cells")
+		t.Fatal("UTK2 returned no cells")
 	}
 }

@@ -184,15 +184,11 @@ func synthetic(kind dataset.Kind, n, d int, seed int64) *indexed {
 // real returns an indexed surrogate real dataset ("HOTEL", "HOUSE", "NBA").
 func real(name string, n int, seed int64) *indexed {
 	return cached(dataKey{name, n, 0, seed}, func() [][]float64 {
-		switch name {
-		case "HOTEL":
-			return dataset.Hotel(n, seed)
-		case "HOUSE":
-			return dataset.House(n, seed)
-		case "NBA":
-			return dataset.NBA(n, seed)
+		data, err := dataset.Generate(name, n, 0, seed)
+		if err != nil {
+			panic("experiments: " + err.Error())
 		}
-		panic("experiments: unknown real dataset " + name)
+		return data
 	})
 }
 

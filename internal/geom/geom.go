@@ -42,19 +42,6 @@ func ScoreFull(p, w []float64) float64 {
 	return s
 }
 
-// FullWeights expands a reduced weight vector to its d-dimensional form by
-// appending the implicit last weight 1 − Σ w_i.
-func FullWeights(w []float64) []float64 {
-	full := make([]float64, len(w)+1)
-	sum := 0.0
-	for i, wi := range w {
-		full[i] = wi
-		sum += wi
-	}
-	full[len(w)] = 1 - sum
-	return full
-}
-
 // ReduceWeights drops the last coordinate of a full weight vector, returning
 // the reduced form used by the preference domain. The caller is responsible
 // for the vector summing to one.

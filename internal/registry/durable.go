@@ -97,26 +97,10 @@ type DurabilityStats struct {
 // Durability snapshots the entry's durability counters.
 func (e *Entry) Durability(durable bool) DurabilityStats {
 	e.dmu.Lock()
-	defer e.dmu.Unlock()
-	return DurabilityStats{
-		Durable:               durable,
-		LastSeq:               e.lastSeq,
-		Wedged:                e.wedgedFlag,
-		WALAppends:            e.walAppends,
-		WALBytes:              e.walBytes,
-		SnapshotsWritten:      e.snapshotsWritten,
-		SnapshotErrors:        e.snapshotErrors,
-		WedgeRetries:          e.wedgeRetryCount,
-		WedgeAutoHealed:       e.wedgeAutoHealed,
-		ReplayedBatches:       e.replayedBatches,
-		ReplayedOps:           e.replayedOps,
-		RecoveryMillis:        e.recoveryMillis,
-		LastSnapshotSeq:       e.lastSnapSeq,
-		LastSnapshotEpoch:     e.lastSnapEpoch,
-		LastSnapshotUnixMilli: e.lastSnapUnixMilli,
-		OpsSinceSnapshot:      e.opsSinceSnap,
-		BytesSinceSnapshot:    e.bytesSinceSnap,
-	}
+	d := e.dur
+	e.dmu.Unlock()
+	d.Durable = durable
+	return d
 }
 
 // Open recovers every dataset a durable store's manifest lists: restore the
@@ -195,14 +179,15 @@ func (r *Registry) reopen(cfg store.DatasetConfig) (*Entry, error) {
 			return nil, err
 		}
 	}
-	ent := &Entry{Name: cfg.Name, Engine: eng, Opts: opts, seq: seq}
-	ent.lastSeq = seq
-	ent.replayedBatches = batches
-	ent.replayedOps = ops
-	ent.recoveryMillis = time.Since(start).Milliseconds()
-	ent.lastSnapSeq = snap.Seq
-	ent.lastSnapEpoch = snap.Epoch
-	ent.lastSnapUnixMilli = snap.UnixMilli
+	ent := &Entry{Name: cfg.Name, Engine: eng, Opts: opts, dur: DurabilityStats{
+		LastSeq:               seq,
+		ReplayedBatches:       batches,
+		ReplayedOps:           ops,
+		RecoveryMillis:        time.Since(start).Milliseconds(),
+		LastSnapshotSeq:       snap.Seq,
+		LastSnapshotEpoch:     snap.Epoch,
+		LastSnapshotUnixMilli: snap.UnixMilli,
+	}}
 	// Under SyncNever a crash can lose WAL frames behind the (fsynced)
 	// snapshot, leaving the log's append cursor before the recovered state.
 	// Re-base by snapshotting now, so the next update's sequence lines up.
@@ -254,7 +239,7 @@ func (r *Registry) Update(name string, ops []utk.UpdateOp) (*utk.UpdateResult, e
 		healed := false
 		if ent.wedgeRetries < healMaxRetries && !time.Now().Before(ent.wedgeNextTry) {
 			ent.dmu.Lock()
-			ent.wedgeRetryCount++
+			ent.dur.WedgeRetries++
 			ent.dmu.Unlock()
 			if serr := r.snapshotEntry(ent); serr != nil {
 				ent.wedgeRetries++
@@ -269,12 +254,12 @@ func (r *Registry) Update(name string, ops []utk.UpdateOp) (*utk.UpdateResult, e
 					ent.wedgeRearmAt = time.Now().Add(healRearmAfter)
 				}
 				ent.dmu.Lock()
-				ent.snapshotErrors++
+				ent.dur.SnapshotErrors++
 				ent.dmu.Unlock()
 			} else {
 				healed = true
 				ent.dmu.Lock()
-				ent.wedgeAutoHealed++
+				ent.dur.WedgeAutoHealed++
 				ent.dmu.Unlock()
 			}
 		}
@@ -299,7 +284,7 @@ func (r *Registry) Update(name string, ops []utk.UpdateOp) (*utk.UpdateResult, e
 		defer close(committed)
 		commit()
 	}()
-	seq := ent.seq + 1
+	seq := ent.dur.LastSeq + 1
 	nbytes, err := r.st.Append(name, &store.Batch{Seq: seq, Epoch: res.Epoch, Ops: ops})
 	<-committed
 	if err != nil {
@@ -308,18 +293,17 @@ func (r *Registry) Update(name string, ops []utk.UpdateOp) (*utk.UpdateResult, e
 		ent.wedgeBackoff = healInitialBackoff
 		ent.wedgeNextTry = time.Now().Add(healInitialBackoff)
 		ent.dmu.Lock()
-		ent.wedgedFlag = true
+		ent.dur.Wedged = true
 		ent.dmu.Unlock()
 		return nil, fmt.Errorf("registry: %s: update applied but not durably logged: %w", name, err)
 	}
-	ent.seq = seq
 	ent.dmu.Lock()
-	ent.lastSeq = seq
-	ent.walAppends++
-	ent.walBytes += uint64(nbytes)
-	ent.opsSinceSnap += len(ops)
-	ent.bytesSinceSnap += nbytes
-	due := r.pol.due(ent.opsSinceSnap, ent.bytesSinceSnap)
+	ent.dur.LastSeq = seq
+	ent.dur.WALAppends++
+	ent.dur.WALBytes += uint64(nbytes)
+	ent.dur.OpsSinceSnapshot += len(ops)
+	ent.dur.BytesSinceSnapshot += nbytes
+	due := r.pol.due(ent.dur.OpsSinceSnapshot, ent.dur.BytesSinceSnapshot)
 	ent.dmu.Unlock()
 	if due {
 		// Auto-snapshot failures don't fail the update (it is already
@@ -327,9 +311,9 @@ func (r *Registry) Update(name string, ops []utk.UpdateOp) (*utk.UpdateResult, e
 		// threshold crossing.
 		if serr := r.snapshotEntry(ent); serr != nil {
 			ent.dmu.Lock()
-			ent.snapshotErrors++
-			ent.opsSinceSnap = 0 // re-arm the threshold rather than retrying every batch
-			ent.bytesSinceSnap = 0
+			ent.dur.SnapshotErrors++
+			ent.dur.OpsSinceSnapshot = 0 // re-arm the threshold rather than retrying every batch
+			ent.dur.BytesSinceSnapshot = 0
 			ent.dmu.Unlock()
 		}
 	}
@@ -353,7 +337,7 @@ func (r *Registry) Snapshot(name string) (DurabilityStats, error) {
 	ent.mu.Unlock()
 	if err != nil {
 		ent.dmu.Lock()
-		ent.snapshotErrors++
+		ent.dur.SnapshotErrors++
 		ent.dmu.Unlock()
 		return DurabilityStats{}, err
 	}
@@ -361,11 +345,12 @@ func (r *Registry) Snapshot(name string) (DurabilityStats, error) {
 }
 
 // snapshotEntry exports and writes one snapshot. Caller holds ent.mu, so the
-// exported state is exactly the state at ent.seq (no update can interleave).
+// exported state is exactly the state at ent.dur.LastSeq (no update can
+// interleave).
 func (r *Registry) snapshotEntry(ent *Entry) error {
 	est := ent.Engine.State()
 	now := time.Now().UnixMilli()
-	snap := &store.Snapshot{Seq: ent.seq, Epoch: est.Epoch, UnixMilli: now, Engine: est}
+	snap := &store.Snapshot{Seq: ent.dur.LastSeq, Epoch: est.Epoch, UnixMilli: now, Engine: est}
 	if err := r.st.WriteSnapshot(ent.Name, snap); err != nil {
 		return err
 	}
@@ -375,13 +360,13 @@ func (r *Registry) snapshotEntry(ent *Entry) error {
 	ent.wedgeNextTry = time.Time{}
 	ent.wedgeRearmAt = time.Time{}
 	ent.dmu.Lock()
-	ent.wedgedFlag = false
-	ent.snapshotsWritten++
-	ent.opsSinceSnap = 0
-	ent.bytesSinceSnap = 0
-	ent.lastSnapSeq = snap.Seq
-	ent.lastSnapEpoch = snap.Epoch
-	ent.lastSnapUnixMilli = now
+	ent.dur.Wedged = false
+	ent.dur.SnapshotsWritten++
+	ent.dur.OpsSinceSnapshot = 0
+	ent.dur.BytesSinceSnapshot = 0
+	ent.dur.LastSnapshotSeq = snap.Seq
+	ent.dur.LastSnapshotEpoch = snap.Epoch
+	ent.dur.LastSnapshotUnixMilli = now
 	ent.dmu.Unlock()
 	return nil
 }

@@ -45,10 +45,9 @@ type Entry struct {
 	// and its snapshots; queries, and updates without a store, never take
 	// it.
 	mu sync.Mutex
-	// seq is the sequence number of the last batch durably logged; wedged
-	// is non-nil after an append failure left the engine ahead of the log
-	// (updates are rejected until a successful snapshot re-bases it).
-	seq    uint64
+	// wedged is non-nil after an append failure left the engine ahead of
+	// the log (updates are rejected until a successful snapshot re-bases
+	// it).
 	wedged error
 	// Auto-heal state for a wedged entry (guarded by mu, like wedged): the
 	// update path retries the re-basing snapshot itself with exponential
@@ -63,25 +62,12 @@ type Entry struct {
 	wedgeNextTry time.Time
 	wedgeRearmAt time.Time
 
-	// dmu guards the durability counters below, so stats reads never queue
-	// behind an in-progress apply or snapshot.
-	dmu               sync.Mutex
-	wedgedFlag        bool
-	lastSeq           uint64
-	walAppends        uint64
-	walBytes          uint64
-	snapshotsWritten  uint64
-	snapshotErrors    uint64
-	wedgeRetryCount   uint64
-	wedgeAutoHealed   uint64
-	replayedBatches   uint64
-	replayedOps       uint64
-	recoveryMillis    int64
-	lastSnapSeq       uint64
-	lastSnapEpoch     uint64
-	lastSnapUnixMilli int64
-	opsSinceSnap      int
-	bytesSinceSnap    int64
+	// dmu guards dur, the durability counters Durability returns, so stats
+	// reads never queue behind an in-progress apply or snapshot. dur.LastSeq
+	// is also the update path's sequence cursor: it changes only under mu
+	// and dmu both, so a holder of mu reads it without dmu.
+	dmu sync.Mutex
+	dur DurabilityStats
 }
 
 // Dim returns the data dimensionality the entry's engine serves.
@@ -173,9 +159,9 @@ func (r *Registry) Create(name string, records [][]float64, opts Options) (*Entr
 			}
 			return nil, err
 		}
-		ent.snapshotsWritten = 1
-		ent.lastSnapEpoch = snap.Epoch
-		ent.lastSnapUnixMilli = now
+		ent.dur.SnapshotsWritten = 1
+		ent.dur.LastSnapshotEpoch = snap.Epoch
+		ent.dur.LastSnapshotUnixMilli = now
 	}
 	r.mu.Lock()
 	if _, taken := r.entries[name]; taken {

@@ -17,8 +17,7 @@ var timingField = regexp.MustCompile(`"(filter_ms|refine_ms)":[-0-9.eE+]+`)
 
 // TestQueryResponseGolden pins the exact bodies (status, Content-Type and
 // every byte, timings masked) of the hot routes on the fixture: /utk1 miss,
-// hit and derived answers, box and polytope /utk2, /utk1batch with a
-// malformed and an engine-rejected element, /utk2batch, and /update with and
+// hit and derived answers, box and polytope /utk2, and /update with and
 // without deletes. Any drift in key order, float formatting, null-vs-empty
 // slices or the trailing newline shows up as a golden diff
 // (go test ./internal/server -run TestQueryResponseGolden -update).
@@ -31,8 +30,6 @@ func TestQueryResponseGolden(t *testing.T) {
 		{"/utk2/alpha", `{"k":3,` + box + `}`},
 		{"/utk1/alpha", `{"k":3,"region":{"lo":[0.21,0.21],"hi":[0.24,0.24]}}`},
 		{"/utk2/alpha", `{"k":2,"halfspaces":[{"coef":[1,0],"offset":0.1},{"coef":[-1,0],"offset":-0.3},{"coef":[0,1],"offset":0.1},{"coef":[-1,-1],"offset":-0.5}]}`},
-		{"/utk1batch/alpha", `{"queries":[{"k":2,` + box + `},{"k":2},{"k":99,` + box + `},{"k":1,` + box + `}]}`},
-		{"/utk2batch/alpha", `{"queries":[{"k":2,` + box + `},{"k":1,"region":{"lo":[0.1,0.3],"hi":[0.2,0.4]}}]}`},
 		{"/update/alpha", `{"delete":[3,17],"insert":[[0.5,0.5,0.5],[0.99,0.98,0.97]]}`},
 		{"/update/alpha", `{"delete":[],"insert":[[0.1,0.2,0.3]]}`},
 		{"/update/alpha", `{"insert":[[0.2,0.2,0.2]]}`},

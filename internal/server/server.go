@@ -4,8 +4,6 @@
 //
 //	POST   /utk1/{dataset}    UTK1 query        {"k":10,"region":{"lo":[...],"hi":[...]}}
 //	POST   /utk2/{dataset}    UTK2 query        same body; returns the partitioning
-//	POST   /utk1batch/{dataset}  many UTK1 queries  {"queries":[{...},...]}; per-query results/errors
-//	POST   /utk2batch/{dataset}  many UTK2 queries  same shape, partitionings per query
 //	POST   /update/{dataset}  atomic batch      {"delete":[3,17],"insert":[[...],...]}
 //	POST   /snapshot/{dataset}  checkpoint now (durable stores only; 409 otherwise)
 //	GET    /stats             fleet aggregate + per-dataset engine counters
@@ -24,23 +22,23 @@
 //
 // # Wire codec
 //
-// The five hot routes (/utk1, /utk2, /utk1batch, /utk2batch, /update) do not
-// use encoding/json: reflection over the bodies and answers cost more than a
-// cache hit in the engine. Their answers are appended into a pooled buffer
-// and are byte-identical to what encoding/json wrote for the former payload
-// maps (sorted keys, null for a nil slice, encoding/json's float format,
-// HTML-escaped strings, the trailing newline); TestQueryResponseGolden and
-// a writer-vs-encoding/json differential hold them there. Their bodies are
-// read by one small decoder that accepts exactly what json.Decoder.Decode
-// accepts into the request structs and yields the same values — case-folded
-// and escaped keys, duplicate keys decoding over the earlier value, unknown
-// members skipped but validated to encoding/json's nesting limit, null,
-// the JSON number grammar, trailing bytes after the first value ignored —
-// which FuzzRequestDecode checks on arbitrary bytes; only error texts
-// differ (the status stays 400). There is no fallback to encoding/json: a
-// second decoder would be a second behaviour to keep equal, and one that
-// runs rarely runs cold. The cold routes (/stats, /datasets, /snapshot, the
-// admin routes) keep encoding/json.
+// The three hot routes (/utk1, /utk2, /update) do not use encoding/json:
+// reflection over the bodies and answers cost more than a cache hit in the
+// engine. Their answers are appended into a pooled buffer and are
+// byte-identical to what encoding/json wrote for the former payload maps
+// (sorted keys, null for a nil slice, encoding/json's float format,
+// HTML-escaped strings, the trailing newline); TestQueryResponseGolden and a
+// writer-vs-encoding/json differential hold them there. Their bodies are read
+// by one small decoder that accepts exactly what json.Decoder.Decode accepts
+// into the request structs and yields the same values — case-folded and
+// escaped keys, duplicate keys decoding over the earlier value, unknown
+// members skipped but validated to encoding/json's nesting limit, null, the
+// JSON number grammar, trailing bytes after the first value ignored — which
+// FuzzRequestDecode checks on arbitrary bytes; only error texts differ (the
+// status stays 400, or 413 for a body over the limit). There is no fallback
+// to encoding/json: a second decoder would be a second behaviour to keep
+// equal, and one that runs rarely runs cold. The cold routes (/stats,
+// /datasets, /snapshot, the admin routes) keep encoding/json.
 package server
 
 import (
@@ -94,8 +92,6 @@ func New(reg *registry.Registry, cfg Config) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /utk1/{dataset}", s.handleUTK1)
 	mux.HandleFunc("POST /utk2/{dataset}", s.handleUTK2)
-	mux.HandleFunc("POST /utk1batch/{dataset}", s.handleUTK1Batch)
-	mux.HandleFunc("POST /utk2batch/{dataset}", s.handleUTK2Batch)
 	mux.HandleFunc("POST /update/{dataset}", s.handleUpdate)
 	mux.HandleFunc("POST /snapshot/{dataset}", s.handleSnapshot)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
@@ -220,8 +216,23 @@ type halfspaceBody struct {
 	Offset float64   `json:"offset"`
 }
 
-// buildQuery converts one decoded query body into a utk.Query.
-func buildQuery(req queryRequest, ent *registry.Entry) (utk.Query, error) {
+// bodyError rejects a request whose body did not decode: 413 when it ran
+// past the MaxBodyBytes limit, 400 when it is malformed.
+func bodyError(w http.ResponseWriter, err error) {
+	status := http.StatusBadRequest
+	if errors.As(err, new(*http.MaxBytesError)) {
+		status = http.StatusRequestEntityTooLarge
+	}
+	http.Error(w, "bad request body: "+err.Error(), status)
+}
+
+// parseQuery decodes a /utk1 or /utk2 body into a utk.Query.
+func (s *Server) parseQuery(w http.ResponseWriter, r *http.Request, ent *registry.Entry) (utk.Query, bool) {
+	var req queryRequest
+	if err := readBody(r, func(b []byte) error { return decodeQuery(b, &req) }); err != nil {
+		bodyError(w, err)
+		return utk.Query{}, false
+	}
 	var region *utk.Region
 	var err error
 	switch {
@@ -237,23 +248,10 @@ func buildQuery(req queryRequest, ent *registry.Entry) (utk.Query, error) {
 		err = fmt.Errorf("provide region {lo, hi} or halfspaces")
 	}
 	if err != nil {
-		return utk.Query{}, fmt.Errorf("bad region: %w", err)
-	}
-	return utk.Query{K: req.K, Region: region}, nil
-}
-
-func (s *Server) parseQuery(w http.ResponseWriter, r *http.Request, ent *registry.Entry) (utk.Query, bool) {
-	var req queryRequest
-	if err := readBody(r, func(b []byte) error { return decodeQuery(b, &req) }); err != nil {
-		http.Error(w, "bad request body: "+err.Error(), http.StatusBadRequest)
+		http.Error(w, "bad region: "+err.Error(), http.StatusBadRequest)
 		return utk.Query{}, false
 	}
-	q, err := buildQuery(req, ent)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return utk.Query{}, false
-	}
-	return q, true
+	return utk.Query{K: req.K, Region: region}, true
 }
 
 func (s *Server) handleUTK1(w http.ResponseWriter, r *http.Request) {
@@ -300,79 +298,6 @@ func (s *Server) handleUTK2(w http.ResponseWriter, r *http.Request) {
 	respond(w, func(e *enc) { e.utk2(res, ent.Name) })
 }
 
-// batchRequest is the JSON body of /utk1batch and /utk2batch.
-type batchRequest struct {
-	Queries []queryRequest `json:"queries"`
-}
-
-// parseBatch decodes a batch body and builds the per-element queries.
-// Malformed elements do not fail the batch: they yield a per-element error
-// and the rest still runs, mirroring the engine's index-aligned batch API.
-func (s *Server) parseBatch(w http.ResponseWriter, r *http.Request, ent *registry.Entry) (qs []utk.Query, errs []error, idx []int, n int, ok bool) {
-	var req batchRequest
-	if err := readBody(r, func(b []byte) error { return decodeBatch(b, &req) }); err != nil {
-		http.Error(w, "bad request body: "+err.Error(), http.StatusBadRequest)
-		return nil, nil, nil, 0, false
-	}
-	if len(req.Queries) == 0 {
-		http.Error(w, "provide a non-empty queries array", http.StatusBadRequest)
-		return nil, nil, nil, 0, false
-	}
-	errs = make([]error, len(req.Queries))
-	for i, qr := range req.Queries {
-		q, err := buildQuery(qr, ent)
-		if err != nil {
-			errs[i] = err
-			continue
-		}
-		qs = append(qs, q)
-		idx = append(idx, i)
-	}
-	return qs, errs, idx, len(req.Queries), true
-}
-
-func (s *Server) handleUTK1Batch(w http.ResponseWriter, r *http.Request) {
-	ent, ok := s.resolve(w, r)
-	if !ok {
-		return
-	}
-	qs, errs, idx, n, ok := s.parseBatch(w, r, ent)
-	if !ok {
-		return
-	}
-	results, doErrs := ent.Engine.UTK1Batch(r.Context(), qs)
-	out := make([]*utk.UTK1Result, n)
-	for bi, i := range idx {
-		if errs[i] = doErrs[bi]; errs[i] == nil {
-			out[i] = results[bi]
-		}
-	}
-	respond(w, func(e *enc) {
-		e.batch(ent.Name, errs, func(i int) { e.utk1(out[i], "") })
-	})
-}
-
-func (s *Server) handleUTK2Batch(w http.ResponseWriter, r *http.Request) {
-	ent, ok := s.resolve(w, r)
-	if !ok {
-		return
-	}
-	qs, errs, idx, n, ok := s.parseBatch(w, r, ent)
-	if !ok {
-		return
-	}
-	results, doErrs := ent.Engine.UTK2Batch(r.Context(), qs)
-	out := make([]*utk.UTK2Result, n)
-	for bi, i := range idx {
-		if errs[i] = doErrs[bi]; errs[i] == nil {
-			out[i] = results[bi]
-		}
-	}
-	respond(w, func(e *enc) {
-		e.batch(ent.Name, errs, func(i int) { e.utk2(out[i], "") })
-	})
-}
-
 // updateRequest is the JSON body of /update. Deletes apply before inserts.
 type updateRequest struct {
 	Delete []int       `json:"delete"`
@@ -386,7 +311,7 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	}
 	var req updateRequest
 	if err := readBody(r, func(b []byte) error { return decodeUpdate(b, &req) }); err != nil {
-		http.Error(w, "bad request body: "+err.Error(), http.StatusBadRequest)
+		bodyError(w, err)
 		return
 	}
 	if len(req.Delete)+len(req.Insert) == 0 {
@@ -654,7 +579,7 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("dataset")
 	var req createRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, "bad request body: "+err.Error(), http.StatusBadRequest)
+		bodyError(w, err)
 		return
 	}
 	records := req.Records
@@ -670,30 +595,19 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 		if d <= 0 {
 			d = 3
 		}
-		var generate func() [][]float64
-		switch req.Gen {
-		case "HOTEL":
-			d, generate = 4, func() [][]float64 { return dataset.Hotel(n, req.Seed) }
-		case "HOUSE":
-			d, generate = 6, func() [][]float64 { return dataset.House(n, req.Seed) }
-		case "NBA":
-			d, generate = 8, func() [][]float64 { return dataset.NBA(n, req.Seed) }
-		default:
-			kind, err := dataset.ParseKind(req.Gen)
-			if err != nil {
-				http.Error(w, err.Error(), http.StatusBadRequest)
-				return
-			}
-			generate = func() [][]float64 { return dataset.Synthetic(kind, n, d, req.Seed) }
+		width, err := dataset.Width(req.Gen, d)
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
 		}
 		// A spec is a few bytes whatever it asks for, so the body limit does
 		// not bound it: hold a generated dataset to the size an uploaded one
 		// could have, before generating anything.
-		if int64(n) > s.cfg.MaxBodyBytes/8/int64(d) {
-			http.Error(w, fmt.Sprintf("gen spec asks for %d x %d attributes, more than the %d-byte request limit allows", n, d, s.cfg.MaxBodyBytes), http.StatusBadRequest)
+		if int64(n) > s.cfg.MaxBodyBytes/8/int64(width) {
+			http.Error(w, fmt.Sprintf("gen spec asks for %d x %d attributes, more than the %d-byte request limit allows", n, width, s.cfg.MaxBodyBytes), http.StatusBadRequest)
 			return
 		}
-		records = generate()
+		records, _ = dataset.Generate(req.Gen, n, d, req.Seed) // Width accepted the name
 	}
 	maxK := req.MaxK
 	if maxK <= 0 {

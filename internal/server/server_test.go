@@ -62,7 +62,7 @@ var queryBody = map[string]any{
 }
 
 // TestRouting covers the dataset path segment: named datasets resolve,
-// unknown ones and dataset-less paths 404.
+// unknown ones, dataset-less paths and the retired batch routes 404.
 func TestRouting(t *testing.T) {
 	_, srv := fixture(t, "alpha")
 
@@ -83,7 +83,8 @@ func TestRouting(t *testing.T) {
 	}
 
 	// A dataset-less path names no dataset: 404, even with one registered.
-	for _, path := range []string{"/utk1", "/utk2", "/utk1batch", "/utk2batch", "/update"} {
+	// There are no batch routes: one query per request.
+	for _, path := range []string{"/utk1", "/utk2", "/update", "/utk1batch/alpha", "/utk2batch/alpha"} {
 		resp, _ = post(t, srv.URL+path, queryBody)
 		if resp.StatusCode != http.StatusNotFound {
 			t.Fatalf("POST %s: %d, want 404", path, resp.StatusCode)
@@ -411,20 +412,30 @@ func TestUTK2Endpoint(t *testing.T) {
 	}
 }
 
-// TestBodyLimit checks the request size limiter.
+// TestBodyLimit checks the request size limiter: a body over the limit is
+// refused with 413 on every route that reads one, so a client can tell it
+// from malformed JSON (400, TestBadInputs).
 func TestBodyLimit(t *testing.T) {
 	reg := registry.New()
 	recs := dataset.Synthetic(dataset.IND, 40, 3, 2)
 	if _, err := reg.Create("only", recs, registry.Options{MaxK: 3}); err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(New(reg, Config{MaxBodyBytes: 256}))
+	srv := httptest.NewServer(New(reg, Config{MaxBodyBytes: 256, AllowCreate: true}))
 	defer srv.Close()
-	big := map[string]any{"k": 2, "region": map[string]any{
-		"lo": make([]float64, 200), "hi": make([]float64, 200)}}
-	resp, _ := post(t, srv.URL+"/utk1/only", big)
-	if resp.StatusCode == http.StatusOK {
-		t.Fatal("oversized body accepted")
+	for _, tc := range []struct {
+		path string
+		body any
+	}{
+		{"/utk1/only", map[string]any{"k": 2, "region": map[string]any{
+			"lo": make([]float64, 200), "hi": make([]float64, 200)}}},
+		{"/update/only", map[string]any{"insert": make([][]float64, 100)}},
+		{"/datasets/more", map[string]any{"records": make([][]float64, 100)}},
+	} {
+		resp, _ := post(t, srv.URL+tc.path, tc.body)
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Errorf("oversized body on %s: %d, want 413", tc.path, resp.StatusCode)
+		}
 	}
 }
 

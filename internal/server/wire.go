@@ -24,8 +24,8 @@ import (
 // encoding/json byte for byte and value for value.
 
 // encPool recycles encoders, buffer and all; readBody borrows one for the
-// request body too. maxPooledBuf caps what goes back, so one huge batch
-// answer or body does not stay resident.
+// request body too. maxPooledBuf caps what goes back, so one huge answer
+// or body does not stay resident.
 var encPool = sync.Pool{New: func() any { return &enc{b: make([]byte, 0, 4096)} }}
 
 const maxPooledBuf = 64 << 10
@@ -77,7 +77,7 @@ func readBody(r *http.Request, decode func([]byte) error) error {
 // arrays deeper is rejected even inside an unknown field.
 const maxDepth = 10000
 
-// decoder is a JSON decoder for exactly the three hot request types. It
+// decoder is a JSON decoder for exactly the two hot request types. It
 // accepts what json.Decoder.Decode accepts into them and yields the same
 // values: insignificant whitespace; members in any order; keys matched by
 // bytes.EqualFold after unescaping; unknown members skipped but validated;
@@ -118,17 +118,14 @@ func decodeQuery(b []byte, q *queryRequest) error {
 	if obj, err := d.begin(); !obj {
 		return err
 	}
-	return d.query(q)
-}
-
-func decodeBatch(b []byte, req *batchRequest) error {
-	d := decoder{b: b}
-	if obj, err := d.begin(); !obj {
-		return err
-	}
 	return d.object(func(key []byte) error {
-		if foldEq(key, "queries") {
-			return decodeArray(&d, &req.Queries)
+		switch {
+		case foldEq(key, "k"):
+			return d.int(&q.K)
+		case foldEq(key, "region"):
+			return d.region(&q.Region)
+		case foldEq(key, "halfspaces"):
+			return decodeArray(&d, &q.Halfspaces)
 		}
 		return d.skip()
 	})
@@ -145,24 +142,6 @@ func decodeUpdate(b []byte, req *updateRequest) error {
 			return decodeArray(&d, &req.Delete)
 		case foldEq(key, "insert"):
 			return decodeArray(&d, &req.Insert)
-		}
-		return d.skip()
-	})
-}
-
-// query decodes one queryRequest object; null leaves it as it is.
-func (d *decoder) query(q *queryRequest) error {
-	if d.peek() == 'n' {
-		return d.literal("null")
-	}
-	return d.object(func(key []byte) error {
-		switch {
-		case foldEq(key, "k"):
-			return d.int(&q.K)
-		case foldEq(key, "region"):
-			return d.region(&q.Region)
-		case foldEq(key, "halfspaces"):
-			return decodeArray(d, &q.Halfspaces)
 		}
 		return d.skip()
 	})
@@ -248,8 +227,6 @@ func (d *decoder) elem(p any) error {
 		return decodeArray(d, p)
 	case *halfspaceBody:
 		return d.halfspace(p)
-	case *queryRequest:
-		return d.query(p)
 	}
 	panic(fmt.Sprintf("server: no JSON decoder for %T", p))
 }
@@ -593,12 +570,12 @@ func respond(w http.ResponseWriter, fill func(*enc)) {
 	}
 }
 
-// utk1 appends one UTK1 answer; name, when not empty, is the dataset key
-// (a batch element carries none).
+// utk1 appends one UTK1 answer for the named dataset.
 func (e *enc) utk1(res *utk.UTK1Result, name string) {
 	e.b = append(e.b, `{"cache_hit":`...)
 	e.b = strconv.AppendBool(e.b, res.CacheHit)
-	e.dataset(name)
+	e.b = append(e.b, `,"dataset":`...)
+	e.str(name)
 	e.b = append(e.b, `,"derived":`...)
 	e.b = strconv.AppendBool(e.b, res.Derived)
 	e.b = append(e.b, `,"records":`...)
@@ -607,8 +584,8 @@ func (e *enc) utk1(res *utk.UTK1Result, name string) {
 	e.b = append(e.b, '}')
 }
 
-// utk2 appends one UTK2 answer: per cell only its top-k set and interior
-// point reach the wire.
+// utk2 appends one UTK2 answer for the named dataset: per cell only its
+// top-k set and interior point reach the wire.
 func (e *enc) utk2(res *utk.UTK2Result, name string) {
 	e.b = append(e.b, `{"cache_hit":`...)
 	e.b = strconv.AppendBool(e.b, res.CacheHit)
@@ -624,7 +601,8 @@ func (e *enc) utk2(res *utk.UTK2Result, name string) {
 		e.b = append(e.b, '}')
 	}
 	e.b = append(e.b, ']')
-	e.dataset(name)
+	e.b = append(e.b, `,"dataset":`...)
+	e.str(name)
 	e.b = append(e.b, `,"derived":`...)
 	e.b = strconv.AppendBool(e.b, res.Derived)
 	e.stats(res.Stats)
@@ -649,34 +627,6 @@ func (e *enc) update(name string, deleted []int, res *utk.UpdateResult) {
 	e.b = append(e.b, `,"superset":`...)
 	e.b = strconv.AppendInt(e.b, int64(res.SupersetSize), 10)
 	e.b = append(e.b, '}')
-}
-
-// batch appends {"dataset":name,"results":[...]}: element i is
-// {"error":...} when errs[i] is set, else what elem(i) appends.
-func (e *enc) batch(name string, errs []error, elem func(i int)) {
-	e.b = append(e.b, `{"dataset":`...)
-	e.str(name)
-	e.b = append(e.b, `,"results":[`...)
-	for i, err := range errs {
-		if i > 0 {
-			e.b = append(e.b, ',')
-		}
-		if err != nil {
-			e.b = append(e.b, `{"error":`...)
-			e.str(err.Error())
-			e.b = append(e.b, '}')
-		} else {
-			elem(i)
-		}
-	}
-	e.b = append(e.b, "]}"...)
-}
-
-func (e *enc) dataset(name string) {
-	if name != "" {
-		e.b = append(e.b, `,"dataset":`...)
-		e.str(name)
-	}
 }
 
 // stats appends the ,"stats":{...} member in statsPayload's field order.

@@ -189,12 +189,6 @@ func (g *Graph) Len() int { return len(g.Records) }
 // that r-dominate it.
 func (g *Graph) DomCount(i int) int { return g.Anc[i].Count() }
 
-// DomCountIgnoring returns the r-dominance count of node i restricted to the
-// nodes marked in the active set.
-func (g *Graph) DomCountIgnoring(i int, active bitset.Set) int {
-	return g.Anc[i].IntersectionCount(active)
-}
-
 // Bytes estimates the memory footprint of the graph (records, bit sets,
 // adjacency) for the space-accounting experiment of Figure 13(b).
 func (g *Graph) Bytes() int {

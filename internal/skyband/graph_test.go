@@ -117,33 +117,6 @@ func TestGraphTransitiveReduction(t *testing.T) {
 	}
 }
 
-func TestGraphDomCountIgnoring(t *testing.T) {
-	rng := rand.New(rand.NewSource(33))
-	data := randomData(rng, 150, 3)
-	tree, _ := rtree.BulkLoad(data, 16)
-	r := mustBox(t, []float64{0.1, 0.2}, []float64{0.3, 0.4})
-	g := BuildGraph(tree, r, 4)
-	if g.Len() == 0 {
-		t.Skip("degenerate instance")
-	}
-	active := bitset.New(g.Len())
-	for i := 0; i < g.Len(); i += 2 {
-		active.Set(i)
-	}
-	for i := 0; i < g.Len(); i++ {
-		want := 0
-		g.Anc[i].ForEach(func(p int) bool {
-			if active.Has(p) {
-				want++
-			}
-			return true
-		})
-		if got := g.DomCountIgnoring(i, active); got != want {
-			t.Fatalf("DomCountIgnoring(%d) = %d, want %d", i, got, want)
-		}
-	}
-}
-
 func TestGraphBytesPositive(t *testing.T) {
 	rng := rand.New(rand.NewSource(34))
 	data := randomData(rng, 100, 3)
