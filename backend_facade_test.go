@@ -166,7 +166,7 @@ func TestBackendDifferential(t *testing.T) {
 }
 
 // TestParallelDifferential is the backend differential under concurrent
-// load: each backend gets a cold engine whose executor runs W queries at a
+// load: each backend gets a cold engine that computes W queries at a
 // time, and W clients ask it the same UTK1 and UTK2 questions at once. Every
 // client must get the dataset run's answer whether it computed the miss,
 // waited on an identical in-flight query or hit the cache.

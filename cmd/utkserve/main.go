@@ -54,10 +54,10 @@ func main() {
 		d        = flag.Int("d", 4, "generated dataset dimensionality (synthetic kinds only)")
 		seed     = flag.Int64("seed", 1, "generation seed")
 		name     = flag.String("name", "default", "name of the initial dataset")
-		maxK     = flag.Int("maxk", 20, "largest top-k depth the engine serves")
+		maxK     = flag.Int("maxk", 20, "largest top-k depth the engine serves (at most 2^24-1)")
 		cache    = flag.Int("cache", 0, "result-cache entries (0 = default, negative disables)")
-		workers  = flag.Int("workers", 0, "executor worker limit (0 = GOMAXPROCS)")
-		maxQd    = flag.Int("max-queued", 0, "queries allowed to wait for an executor slot before 429 (0 = unbounded, negative = no queue)")
+		workers  = flag.Int("workers", 0, "queries computing at once (0 = GOMAXPROCS)")
+		maxQd    = flag.Int("max-queued", 0, "queries allowed to wait for a slot before 429 (0 = unbounded, negative = no queue)")
 		timeout  = flag.Duration("timeout", 5*time.Second, "per-query deadline (0 = none)")
 		noAdmin  = flag.Bool("no-admin", false, "disable dataset create/drop over HTTP")
 		maxBody  = flag.Int64("max-body", 0, "request body size limit in bytes (0 = default)")

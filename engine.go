@@ -10,9 +10,10 @@ import (
 
 // EngineConfig tunes a query-serving Engine.
 type EngineConfig struct {
-	// MaxK is the largest top-k depth the engine serves (required, positive).
-	// The engine's candidate superset is maintained at this depth; queries
-	// with K ≤ MaxK reuse it instead of refiltering the whole dataset.
+	// MaxK is the largest top-k depth the engine serves (required, positive,
+	// at most 2²⁴−1). The engine's candidate superset is maintained at this
+	// depth; queries with K ≤ MaxK reuse it instead of refiltering the whole
+	// dataset.
 	MaxK int
 	// CacheEntries bounds the result cache (LRU eviction with a containment
 	// index; see EngineStats.DerivedHits/Evictions). Zero selects
@@ -22,21 +23,21 @@ type EngineConfig struct {
 	// whose entries are invalidated faster than they are hit
 	// (EngineStats.AdmissionSkips).
 	CacheEntries int
-	// Workers bounds the engine's executor: at most this many queries
-	// compute at a time, each refining sequentially. Values below 1 default
-	// to runtime.GOMAXPROCS(0).
+	// Workers is the number of query slots: at most this many cache misses
+	// compute at a time, each on its caller's goroutine and refining
+	// sequentially. Values below 1 default to runtime.GOMAXPROCS(0).
 	Workers int
-	// MaxQueued bounds how many queries may wait for an executor slot before
-	// new arrivals are rejected with ErrSaturated — the backpressure signal
+	// MaxQueued bounds how many queries may wait for a slot before new
+	// arrivals are rejected with ErrSaturated — the backpressure signal
 	// serving tiers map to 429 responses. 0 means unbounded (no
 	// backpressure); negative means no queue at all (reject whenever every
-	// worker is busy); positive is the bound itself.
+	// slot is taken); positive is the bound itself.
 	MaxQueued int
 	// QueryTimeout, when positive, is the deadline applied to queries whose
 	// context carries none. It covers queueing, waiting on a deduplicated
 	// identical query, and — through the cancellation hook threaded into
 	// the refinement recursion — the computation itself: an expired query
-	// aborts mid-refinement and frees its worker slot promptly.
+	// aborts mid-refinement and frees its slot promptly.
 	QueryTimeout time.Duration
 }
 
@@ -49,11 +50,11 @@ const DefaultEngineCacheEntries = 256
 // identical queries are answered from an LRU result cache — with
 // containment-based reuse deriving answers for regions nested in a cached
 // UTK2 region by cell clipping, and single-flight deduplication of
-// concurrent duplicates — and execution runs on a bounded
-// worker pool with per-query deadlines threaded into the refinement
-// recursion. Each UTK1 or UTK2 call answers one query; it is safe for
-// concurrent use, so a caller with many queries issues concurrent calls,
-// which share the worker pool.
+// concurrent duplicates — and a miss computes on the calling goroutine once
+// it holds one of EngineConfig.Workers slots, with per-query deadlines
+// threaded into the refinement recursion. Each UTK1 or UTK2 call answers one
+// query; it is safe for concurrent use, so a caller with many queries issues
+// concurrent calls, which share the slots.
 //
 // The engine's dataset is mutable: Insert, Delete, and ApplyBatch maintain
 // the candidate superset incrementally (orders of magnitude cheaper than
@@ -84,7 +85,7 @@ type (
 	// belong to this batch, not whichever applied last.
 	UpdateResult = engine.UpdateResult
 	// EngineStats is a point-in-time snapshot of an Engine's counters: the
-	// query, cache, executor and update-batch counters of the serving core
+	// query, cache, slot and update-batch counters of the serving core
 	// plus, embedded, the candidate-superset maintenance counters (Live,
 	// SupersetSize, ShadowSize, Inserts, Deletes, promotions, …) as of the
 	// last completed update batch.
@@ -106,8 +107,8 @@ var (
 	ErrBadUpdate = engine.ErrBadUpdate
 )
 
-// ErrSaturated reports that a query was refused because the engine's
-// executor queue was at its EngineConfig.MaxQueued bound — the load-shedding
+// ErrSaturated reports that a query was refused because the engine's slot
+// queue was at its EngineConfig.MaxQueued bound — the load-shedding
 // signal the HTTP tier converts into 429 with Retry-After.
 var ErrSaturated = engine.ErrSaturated
 

@@ -29,9 +29,8 @@ type Options struct {
 	LinearDrill bool
 	// Cancel, when non-nil, is polled at every Verify/Partition recursion
 	// step. Once it returns true the refinement abandons its remaining work
-	// and the algorithm returns ErrCanceled, so an expired or superseded
-	// query frees its worker promptly instead of running to completion. It
-	// must be cheap.
+	// and the algorithm returns ErrCanceled, so an expired query frees its
+	// slot promptly instead of running to completion. It must be cheap.
 	Cancel func() bool
 }
 

@@ -39,7 +39,7 @@ func (rf *refiner) drillVector(p int, cell []geom.Halfspace, interior []float64)
 //
 // Options.Cancel is polled every cancelStride nodes: on very deep single
 // cells the drill's top-k probe is the long pole of a recursion step, so a
-// deadline or a superseded epoch must be able to interrupt it from inside.
+// deadline must be able to interrupt it from inside.
 // A tripped poll reports limit — "quota reached" — which makes the drill
 // fail cheaply; the latched verdict then unwinds the refinement through the
 // next stop() check with ErrCanceled, so the fabricated count is never

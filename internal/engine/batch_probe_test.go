@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/geom"
+	"repro/internal/rescache"
 )
 
 // randomBandTests builds a randomized band snapshot plus a set of affectsTest
@@ -57,7 +58,7 @@ func TestBatchProbesMatchPerOp(t *testing.T) {
 		// the duplication is what grouping exploits, and what the
 		// equivalence check must not be confused by.
 		nShapes := 1 + rng.Intn(5)
-		var entries []cacheEntry
+		var entries []rescache.Entry
 		for s := 0; s < nShapes; s++ {
 			lo := make([]float64, dim-1)
 			hi := make([]float64, dim-1)
@@ -80,7 +81,7 @@ func TestBatchProbesMatchPerOp(t *testing.T) {
 					v = UTK2
 				}
 				key := fingerprint(v, k, r, core.Options{})
-				entries = append(entries, cacheEntry{Key: key, Region: r, K: k})
+				entries = append(entries, rescache.Entry{Key: key, Region: r, K: k})
 			}
 		}
 

@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/geom"
-	"repro/internal/rescache"
 )
 
 // fingerprint canonicalizes a query into a cache key. Two queries share a key
@@ -46,11 +45,13 @@ func fingerprint(v Variant, k int, r *geom.Region, opts core.Options) string {
 }
 
 // fingerprint key offsets: k occupies bytes [fpKOffset, fpKEnd), the region
-// encoding starts at fpHeaderLen.
+// encoding starts at fpHeaderLen. Three bytes hold every k up to maxK, the
+// largest Config.MaxK an engine accepts, so no two depths share a key.
 const (
 	fpKOffset   = 1
 	fpKEnd      = 4
 	fpHeaderLen = 5
+	maxK        = 1<<24 - 1
 )
 
 // probeGroupID projects a fingerprint key onto the coordinates an
@@ -113,83 +114,3 @@ func appendFloat(b []byte, v float64) []byte {
 func containClass(v Variant, opts core.Options) uint32 {
 	return uint32(v)<<8 | uint32(optionFlags(opts))
 }
-
-// cacheEntry is one resident result-cache row as seen by an invalidation
-// scan: the key to evict by plus the query shape to probe with.
-type cacheEntry struct {
-	Key    string
-	Region *geom.Region
-	K      int
-}
-
-// resultCache is the typed adapter between the Engine and the rescache
-// subsystem (LRU eviction, containment-based reuse, probe-then-evict
-// invalidation) under canonical fingerprint keys. It is not safe for
-// concurrent use; the Engine serializes access under its mutex.
-type resultCache struct {
-	c *rescache.Cache
-}
-
-// newResultCache builds a cache bounded to capacity entries (capacity ≥ 1).
-func newResultCache(capacity int) *resultCache {
-	return &resultCache{c: rescache.New(capacity)}
-}
-
-// Get returns the cached result for the key, refreshing its recency.
-func (c *resultCache) Get(key string) (*Result, bool) {
-	v, ok := c.c.Get(key)
-	if !ok {
-		return nil, false
-	}
-	return v.(*Result), true
-}
-
-// Peek returns the cached result without refreshing recency; callers use
-// pointer identity against an earlier Get/FindContaining to confirm an
-// entry survived the interval (capacity eviction, invalidation, and
-// replacement all break identity).
-func (c *resultCache) Peek(key string) (*Result, bool) {
-	v, ok := c.c.Peek(key)
-	if !ok {
-		return nil, false
-	}
-	return v.(*Result), true
-}
-
-// Add inserts (or refreshes) the result computed for req under the key.
-// admitted is false when the update-rate-aware admission policy refused the
-// entry (its class keeps being invalidated before reuse); evicted reports
-// whether the least recently used entry was displaced to make room.
-func (c *resultCache) Add(key string, req Request, res *Result) (admitted, evicted bool) {
-	return c.c.Add(key, req.Region, req.K, containClass(req.Variant, req.Opts), res)
-}
-
-// FindContaining looks for a cached UTK2 result whose query region contains
-// req's region, at req's depth and under req's ablation switches — the
-// containment source a miss for req (either variant) can be derived from by
-// cell clipping. It returns the source result and its cache key.
-func (c *resultCache) FindContaining(req Request) (*Result, string, bool) {
-	v, key, ok := c.c.FindContaining(containClass(UTK2, req.Opts), req.K, req.Region)
-	if !ok {
-		return nil, "", false
-	}
-	return v.(*Result), key, true
-}
-
-// Snapshot lists the resident entries for an invalidation scan.
-func (c *resultCache) Snapshot() []cacheEntry {
-	rows := c.c.Snapshot()
-	out := make([]cacheEntry, len(rows))
-	for i, r := range rows {
-		out[i] = cacheEntry{Key: r.Key, Region: r.Region, K: r.K}
-	}
-	return out
-}
-
-// InvalidateKeys removes the listed entries because an update made them
-// stale, charging each removal to its class's admission ledger so classes
-// the update stream keeps killing stop being cached while the churn lasts.
-func (c *resultCache) InvalidateKeys(keys []string) int { return c.c.InvalidateKeys(keys) }
-
-// Len is the current cache population.
-func (c *resultCache) Len() int { return c.c.Len() }

@@ -37,12 +37,13 @@
 //     inside a cached UTK2 region is answered by cell clipping (see
 //     deriveClipped) instead of recomputing: exact, with zero refinement
 //     work.
-//  4. A bounded executor (the shared internal/exec scheduler) with per-query
-//     deadlines; the deadline (and a superseded-epoch check) is threaded into
-//     the refinement recursion via core.Options.Cancel, so an expired or
-//     stale query frees its worker slot promptly instead of running to
-//     completion. A configurable queue bound turns overload into
-//     ErrSaturated backpressure instead of unbounded queueing.
+//  4. A slot gate with per-query deadlines: a miss computes on its caller's
+//     goroutine once it holds one of Config.Workers slots, and waits for one
+//     in a FIFO queue otherwise. The deadline is threaded into the refinement
+//     recursion via core.Options.Cancel, so an expired query frees its slot
+//     promptly instead of running to completion. A configurable queue bound
+//     turns overload into ErrSaturated backpressure instead of unbounded
+//     queueing.
 //
 // The band maintainer is one skyband.Dynamic over the whole dataset, touched
 // only under the update mutex; queries read the immutable index each
@@ -56,14 +57,15 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/exec"
 	"repro/internal/geom"
+	"repro/internal/rescache"
 	"repro/internal/skyband"
 )
 
@@ -83,10 +85,10 @@ var (
 	ErrNilRegion     = errors.New("engine: query requires a region")
 	ErrUnknownRecord = errors.New("engine: record id is not live")
 	ErrBadUpdate     = errors.New("engine: invalid update operation")
-	// ErrSaturated reports that the executor's queue was at its configured
-	// bound (Config.MaxQueued) when the query arrived — the backpressure
-	// signal serving layers turn into 429 responses.
-	ErrSaturated = errors.New("engine: executor queue saturated")
+	// ErrSaturated reports that the slot queue was at its configured bound
+	// (Config.MaxQueued) when the query arrived — the backpressure signal
+	// serving layers turn into 429 responses.
+	ErrSaturated = errors.New("engine: query slot queue saturated")
 )
 
 // CheckRecord is the one definition of a usable record: exactly dim
@@ -104,28 +106,30 @@ func CheckRecord(rec []float64, dim int) error {
 	return nil
 }
 
-// errAborted marks a flight whose leader gave up (context expiry) before the
-// computation finished; waiters react by electing a new leader.
+// errAborted marks a flight whose leader gave up (saturation or context
+// expiry) before the computation finished; waiters react by electing a new
+// leader.
 var errAborted = errors.New("engine: in-flight computation aborted")
 
 // Config tunes an Engine.
 type Config struct {
-	// MaxK is the largest top-k depth the engine serves (required, positive).
-	// The maintained skyband superset is computed at this depth.
+	// MaxK is the largest top-k depth the engine serves (required, positive,
+	// at most 2²⁴−1). The maintained skyband superset is computed at this
+	// depth.
 	MaxK int
 	// CacheEntries bounds the result cache; 0 disables caching.
 	CacheEntries int
-	// Workers bounds the engine's executor (an internal/exec pool): at most
-	// this many queries compute at a time, each refining sequentially.
-	// Values below 1 default to runtime.GOMAXPROCS(0).
+	// Workers is the number of slots: at most this many queries compute at a
+	// time, each on its caller's goroutine and refining sequentially. Values
+	// below 1 default to runtime.GOMAXPROCS(0).
 	Workers int
-	// MaxQueued bounds how many queries may wait for an executor slot before
-	// new arrivals are rejected with ErrSaturated: 0 means unbounded (no
+	// MaxQueued bounds how many queries may wait for a slot before new
+	// arrivals are rejected with ErrSaturated: 0 means unbounded (no
 	// backpressure), negative means no queue at all (reject whenever every
-	// worker is busy), positive is the bound itself.
+	// slot is taken), positive is the bound itself.
 	MaxQueued int
 	// QueryTimeout, when positive, is the deadline applied to queries whose
-	// context carries none. The deadline covers queueing for a worker slot,
+	// context carries none. The deadline covers queueing for a slot,
 	// waiting on a deduplicated in-flight computation, and — through the
 	// cancellation hook threaded into the refinement recursion — the
 	// computation itself.
@@ -138,7 +142,7 @@ type Request struct {
 	K       int
 	Region  *geom.Region
 	// Opts forwards the algorithm switches. Cancel is overwritten by the
-	// engine's deadline/epoch hook; the ablation flags participate in the
+	// engine's deadline hook; the ablation flags participate in the
 	// cache fingerprint.
 	Opts core.Options
 }
@@ -190,14 +194,14 @@ type Stats struct {
 	// counts results the cache's update-rate-aware admission policy
 	// refused. Rejected counts queries that gave up (deadline or
 	// cancellation) before obtaining a result. Saturated counts queries
-	// refused at the executor's queue bound (Config.MaxQueued).
+	// refused at the slot queue's bound (Config.MaxQueued).
 	Evictions      uint64
 	Invalidations  uint64
 	AdmissionSkips uint64
 	Rejected       uint64
 	Saturated      uint64
-	// InFlight is the number of query computations executing right now;
-	// Queued is the number of tasks waiting for an executor slot.
+	// InFlight is the number of slots taken (queries computing right now);
+	// Queued is the number of queries waiting for a slot.
 	InFlight int
 	Queued   int
 	// CacheEntries is the current cache population.
@@ -296,8 +300,6 @@ type Engine struct {
 	cfg Config
 	dim int
 
-	pool *exec.Pool // the executor: query dispatch
-
 	// updMu serializes updates and guards band, the one maintainer of the
 	// MaxK-skyband (not safe for concurrent use). A batch holds it from begin
 	// to the end of its commit, so one batch at a time is in flight. Queries
@@ -309,15 +311,18 @@ type Engine struct {
 	// publish a fresh one with a bumped epoch.
 	idx atomic.Pointer[index]
 
-	// mu guards the cache, the flights and stats. stats holds every counter,
-	// incremented in place; its DynamicStats is refreshed at the end of each
-	// batch, MaxK/Workers are fixed at construction, and Epoch, Queued
-	// and CacheEntries are filled only in the copy Stats returns.
+	// mu guards the cache, the flights, the slot gate and stats. stats holds
+	// every counter, incremented in place; its DynamicStats is refreshed at
+	// the end of each batch, MaxK/Workers are fixed at construction, and
+	// Epoch, Queued and CacheEntries are filled only in the copy Stats
+	// returns. The gate is stats.InFlight (slots taken) plus waiting, the
+	// FIFO of queued leaders (see acquire).
 	mu       sync.Mutex
-	cache    *resultCache
+	cache    *rescache.Cache[*Result]
 	stats    Stats
 	updating int // open invalidation-probe windows; finish skips caching while > 0
 	inflight map[string]*flight
+	waiting  []chan struct{}
 }
 
 // New builds an engine over the records (ids 0..n-1). The engine keeps
@@ -331,7 +336,6 @@ func New(records [][]float64, cfg Config) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	pool := exec.NewPool(cfg.Workers, cfg.MaxQueued)
 	// The k-skyband at MaxK is the one region-independent superset of every
 	// r-skyband the engine can be asked for; the dynamic structure maintains
 	// it under updates.
@@ -339,12 +343,12 @@ func New(records [][]float64, cfg Config) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newEngine(cfg, pool, dyn, len(records[0]), 0, 0), nil
+	return newEngine(cfg, dyn, len(records[0]), 0, 0), nil
 }
 
 // withDefaults validates MaxK and fills the defaulted fields.
 func (cfg Config) withDefaults() (Config, error) {
-	if cfg.MaxK <= 0 {
+	if cfg.MaxK <= 0 || cfg.MaxK > maxK {
 		return cfg, core.ErrBadK
 	}
 	if cfg.Workers < 1 {
@@ -357,11 +361,10 @@ func (cfg Config) withDefaults() (Config, error) {
 // so a field added later cannot be missed on one of the paths. cfg must have
 // been through withDefaults; epoch and batches seed the publish and batch
 // counters (zero for a fresh engine).
-func newEngine(cfg Config, pool *exec.Pool, b *skyband.Dynamic, dim int, epoch, batches uint64) *Engine {
+func newEngine(cfg Config, b *skyband.Dynamic, dim int, epoch, batches uint64) *Engine {
 	e := &Engine{
 		cfg:      cfg,
 		dim:      dim,
-		pool:     pool,
 		band:     b,
 		inflight: make(map[string]*flight),
 		stats: Stats{
@@ -372,7 +375,7 @@ func newEngine(cfg Config, pool *exec.Pool, b *skyband.Dynamic, dim int, epoch, 
 		},
 	}
 	if cfg.CacheEntries > 0 {
-		e.cache = newResultCache(cfg.CacheEntries)
+		e.cache = rescache.New[*Result](cfg.CacheEntries)
 	}
 	e.idx.Store(bandIndex(epoch, b))
 	return e
@@ -520,8 +523,8 @@ type pendingBatch struct {
 	res      *UpdateResult
 	fresh    *index // index to publish, or nil when the band is unchanged
 	tests    []affectsTest
-	entries  []cacheEntry // cache snapshot to probe (probe window open iff tests exist)
-	window   bool         // updating was raised at begin
+	entries  []rescache.Entry // cache snapshot to probe (probe window open iff tests exist)
+	window   bool             // updating was raised at begin
 	dynStats skyband.DynamicStats
 	once     sync.Once
 }
@@ -695,7 +698,7 @@ type probeGroup struct {
 // resident cache entries, returning the keys whose answers the batch may
 // have changed plus the number of distinct (region, k) groups probed. Cost
 // scales with groups × deltas × band rather than entries × deltas × band.
-func runProbes(entries []cacheEntry, tests []affectsTest) (affected []string, groups int) {
+func runProbes(entries []rescache.Entry, tests []affectsTest) (affected []string, groups int) {
 	if len(entries) == 0 || len(tests) == 0 {
 		return nil, 0
 	}
@@ -761,7 +764,8 @@ func batchAffects(tests []affectsTest, r *geom.Region, k int, counts []int) bool
 }
 
 // Do answers one request, consulting the cache, deduplicating against
-// identical in-flight queries, and otherwise computing on a pooled worker.
+// identical in-flight queries, and otherwise computing on the caller's
+// goroutine once the slot gate admits it.
 func (e *Engine) Do(ctx context.Context, req Request) (*Result, error) {
 	if err := e.validate(req); err != nil {
 		return nil, err
@@ -775,12 +779,6 @@ func (e *Engine) Do(ctx context.Context, req Request) (*Result, error) {
 	}
 	key := fingerprint(req.Variant, req.K, req.Region, req.Opts)
 
-	// A leader whose snapshot is superseded mid-refinement abandons its
-	// flight and re-enters the election below, so identical queries at the
-	// fresh epoch coalesce onto one new computation. The retry budget
-	// guards the no-deadline case against update storms: once exhausted,
-	// the refinement runs to completion on whatever snapshot it has.
-	supersedeRetries := 3
 	derivedTried := false
 	for {
 		// Election: answer from the cache, join an identical in-flight
@@ -788,135 +786,131 @@ func (e *Engine) Do(ctx context.Context, req Request) (*Result, error) {
 		// are scoped to an epoch so late arrivals never coalesce onto a
 		// computation over a superseded candidate index; the cache key is
 		// epoch-free because precise invalidation keeps surviving entries
-		// exact across epochs.
-		// One idx load serves both the flight key and the computation, so a
-		// flight is always keyed to the epoch its leader actually computes
-		// against — an update landing in between makes the supersede hook
-		// fire on the first poll and the leader re-elect, rather than
-		// computing the new epoch's answer outside its single-flight group.
-		var fl *flight
-		var flKey string
-		var ix *index
-		for fl == nil {
-			ix = e.idx.Load()
-			e.mu.Lock()
-			if e.cache != nil {
-				if res, ok := e.cache.Get(key); ok {
-					e.stats.Hits++
-					e.stats.Queries++
-					e.mu.Unlock()
-					hit := *res
-					hit.CacheHit = true
-					return &hit, nil
-				}
-				// Derived-answer fast path, before pool dispatch: an exact
-				// miss whose region sits inside a cached UTK2 region is
-				// answered by cell clipping — no worker slot, no flight, no
-				// RSA/JAA work. The source was resident under the mutex, so
-				// the answer is at worst a consistent pre-update state (the
-				// same guarantee exact hits and flight waiters get); caching
-				// it is gated below on the source surviving the clipping
-				// window untouched.
-				if !derivedTried {
-					if src, srcKey, ok := e.cache.FindContaining(req); ok {
-						e.mu.Unlock()
-						derivedTried = true
-						if res := deriveClipped(req, src); res != nil {
-							e.mu.Lock()
-							e.stats.DerivedHits++
-							e.stats.Queries++
-							// Cache the derived entry only if no invalidation
-							// probe window is open and the source is still the
-							// resident entry (pointer identity): a surviving
-							// source's probe certificate covers every region
-							// it contains, so the derived answer is exact for
-							// the current dataset.
-							if e.updating == 0 {
-								if cur, ok := e.cache.Peek(srcKey); ok && cur == src {
-									e.admit(key, req, res)
-								}
-							}
-							e.mu.Unlock()
-							hit := *res
-							hit.CacheHit = true
-							return &hit, nil
-						}
-						continue // defensive: derivation failed, compute instead
-					}
-				}
-			}
-			flKey = flightKey(ix.epoch, key)
-			if other, ok := e.inflight[flKey]; ok {
+		// exact across epochs. One idx load serves both the flight key and
+		// the computation, so a flight is always keyed to the epoch its
+		// leader computes against.
+		ix := e.idx.Load()
+		e.mu.Lock()
+		if e.cache != nil {
+			if res, ok := e.cache.Get(key); ok {
+				e.stats.Hits++
+				e.stats.Queries++
 				e.mu.Unlock()
-				res, err := e.wait(ctx, other)
-				if errors.Is(err, errAborted) {
-					continue // the leader never finished; elect a new leader
+				hit := *res
+				hit.CacheHit = true
+				return &hit, nil
+			}
+			// Derived-answer fast path, before the gate: an exact miss whose
+			// region sits inside a cached UTK2 region is answered by cell
+			// clipping — no slot, no flight, no RSA/JAA work. The source was
+			// resident under the mutex, so the answer is at worst a
+			// consistent pre-update state (the same guarantee exact hits and
+			// flight waiters get); caching it is gated below on the source
+			// surviving the clipping window untouched.
+			if !derivedTried {
+				if src, srcKey, ok := e.cache.FindContaining(containClass(UTK2, req.Opts), req.K, req.Region); ok {
+					e.mu.Unlock()
+					derivedTried = true
+					if res := deriveClipped(req, src); res != nil {
+						e.mu.Lock()
+						e.stats.DerivedHits++
+						e.stats.Queries++
+						// Cache the derived entry only if no invalidation
+						// probe window is open and the source is still the
+						// resident entry (pointer identity): a surviving
+						// source's probe certificate covers every region it
+						// contains, so the derived answer is exact for the
+						// current dataset.
+						if e.updating == 0 {
+							if cur, ok := e.cache.Peek(srcKey); ok && cur == src {
+								e.admit(key, req, res)
+							}
+						}
+						e.mu.Unlock()
+						hit := *res
+						hit.CacheHit = true
+						return &hit, nil
+					}
+					continue // defensive: derivation failed, compute instead
 				}
-				return res, err
 			}
-			fl = &flight{done: make(chan struct{})}
-			e.inflight[flKey] = fl
-			e.mu.Unlock()
 		}
-
-		// Dispatch through the executor. Run rejects immediately at the
-		// queue bound (saturation → backpressure) and revokes the task if
-		// the context dies while it is still queued; once the computation
-		// has started, the deadline is honored from inside via the Cancel
-		// hook.
-		// The task captures per-dispatch copies, so the cache-hit path above
-		// never pays for moving ctx, req or the retry budget to the heap.
-		var res *Result
-		var err error
-		runCtx, runReq, mayRetry := ctx, req, supersedeRetries > 0
-		runErr := e.pool.Run(ctx, func() {
-			e.mu.Lock()
-			e.stats.InFlight++
+		flKey := flightKey(ix.epoch, key)
+		if other, ok := e.inflight[flKey]; ok {
 			e.mu.Unlock()
-			res, err = e.compute(runCtx, runReq, ix, mayRetry)
-			e.mu.Lock()
-			e.stats.InFlight--
-			e.mu.Unlock()
-		})
-		if runErr != nil {
-			e.finish(flKey, key, fl, nil, errAborted, req)
-			e.mu.Lock()
-			if errors.Is(runErr, exec.ErrSaturated) {
-				e.stats.Saturated++
-				runErr = ErrSaturated
-			} else {
-				e.stats.Rejected++
+			res, err := e.wait(ctx, other)
+			if errors.Is(err, errAborted) {
+				continue // the leader never finished; elect a new leader
 			}
-			e.mu.Unlock()
-			return nil, runErr
+			return res, err
 		}
-
-		if errors.Is(err, core.ErrCanceled) {
-			// Either way the waiters re-elect rather than inheriting this
-			// leader's fate.
-			e.finish(flKey, key, fl, nil, errAborted, req)
-			if ctx.Err() == nil && e.idx.Load() != ix {
-				supersedeRetries--
-				continue // superseded: re-elect at the fresh epoch
-			}
-			err = ctx.Err()
-			if err == nil {
-				// Defensive: a cancel verdict with a live context and a
-				// current snapshot should not happen.
-				err = core.ErrCanceled
-			}
-			e.mu.Lock()
-			e.stats.Rejected++
+		fl := &flight{done: make(chan struct{})}
+		e.inflight[flKey] = fl
+		if err := e.acquire(ctx); err != nil {
+			delete(e.inflight, flKey)
 			e.mu.Unlock()
+			fl.err = errAborted
+			close(fl.done)
 			return nil, err
 		}
-		e.finish(flKey, key, fl, res, err, req)
-		e.mu.Lock()
-		e.stats.Misses++
-		e.stats.Queries++
 		e.mu.Unlock()
+
+		// A leader whose snapshot is superseded mid-refinement still finishes:
+		// its answer is exact for the epoch it loaded, and finish keeps it out
+		// of the cache. Only the caller's context cuts the computation short.
+		res, err := e.compute(ctx, req, ix)
+		if errors.Is(err, core.ErrCanceled) {
+			// The waiters re-elect rather than inheriting this leader's fate.
+			e.finish(flKey, key, fl, nil, errAborted, req)
+			return nil, ctx.Err()
+		}
+		e.finish(flKey, key, fl, res, err, req)
 		return res, err
 	}
+}
+
+// acquire takes one of the Config.Workers slots for a flight's leader. The
+// caller holds e.mu, and holds it again when acquire returns; a queued
+// leader drops it while it waits. Slots pass in FIFO order: release hands a
+// freed slot straight to the oldest waiter. A leader is refused with
+// ErrSaturated at the queue bound (Config.MaxQueued) and gives up with
+// ctx.Err() if its context ends while it is queued; both are counted. A slot
+// handed over just as the context ended is kept, and compute's Cancel hook
+// stops the computation at its first poll.
+func (e *Engine) acquire(ctx context.Context) error {
+	if e.stats.InFlight < e.cfg.Workers {
+		e.stats.InFlight++
+		return nil
+	}
+	if q := e.cfg.MaxQueued; q != 0 && len(e.waiting) >= max(q, 0) {
+		e.stats.Saturated++
+		return ErrSaturated
+	}
+	ready := make(chan struct{})
+	e.waiting = append(e.waiting, ready)
+	e.mu.Unlock()
+	select {
+	case <-ready:
+	case <-ctx.Done():
+	}
+	e.mu.Lock()
+	if i := slices.Index(e.waiting, ready); i >= 0 {
+		e.waiting = slices.Delete(e.waiting, i, i+1)
+		e.stats.Rejected++
+		return ctx.Err()
+	}
+	return nil // handed over, possibly just as the context ended
+}
+
+// release frees the caller's slot, handing it to the oldest waiter if there
+// is one (InFlight then stays as it is). The caller holds e.mu.
+func (e *Engine) release() {
+	if len(e.waiting) == 0 {
+		e.stats.InFlight--
+		return
+	}
+	close(e.waiting[0])
+	e.waiting = slices.Delete(e.waiting, 0, 1)
 }
 
 // Stats returns a snapshot of the engine counters. The dynamic-skyband
@@ -929,7 +923,7 @@ func (e *Engine) Stats() Stats {
 	defer e.mu.Unlock()
 	st := e.stats
 	st.Epoch = epoch
-	st.Queued = e.pool.Queued()
+	st.Queued = len(e.waiting)
 	if e.cache != nil {
 		st.CacheEntries = e.cache.Len()
 	}
@@ -954,20 +948,21 @@ func (e *Engine) validate(req Request) error {
 
 // compute is the warm query path: rebuild only the region-specific
 // r-dominance graph, filtering over the maintained superset snapshot instead
-// of the whole dataset, then refine. When abortOnSupersede is set, the
-// refinement is additionally canceled as soon as the snapshot is superseded
-// by an update (Do then retries on the fresh one).
-func (e *Engine) compute(ctx context.Context, req Request, ix *index, abortOnSupersede bool) (*Result, error) {
+// of the whole dataset, then refine. The refinement polls ctx and stops with
+// core.ErrCanceled once it ends.
+func (e *Engine) compute(ctx context.Context, req Request, ix *index) (*Result, error) {
 	st := &core.Stats{}
 	opts := req.Opts
-	done := ctx.Done()
-	opts.Cancel = func() bool {
-		select {
-		case <-done:
-			return true
-		default:
+	opts.Cancel = nil
+	if done := ctx.Done(); done != nil {
+		opts.Cancel = func() bool {
+			select {
+			case <-done:
+				return true
+			default:
+				return false
+			}
 		}
-		return abortOnSupersede && e.idx.Load() != ix
 	}
 	start := time.Now()
 	g := ix.filter(req.Region, req.K)
@@ -994,16 +989,23 @@ func (e *Engine) compute(ctx context.Context, req Request, ix *index, abortOnSup
 	return res, nil
 }
 
-// finish publishes the flight outcome, caches fresh successes, and wakes
-// waiters. Results computed against a superseded snapshot are served to
-// their waiters (they observed a consistent pre-update state) but never
-// cached, and nothing is cached while an update's invalidation probes are
-// between their cache snapshot and their eviction — either way the scan
-// would not see the entry.
+// finish publishes a leader's outcome, counts it, caches fresh successes,
+// releases the leader's slot and wakes waiters. Results computed against a
+// superseded snapshot are served to their waiters (they observed a
+// consistent pre-update state) but never cached, and nothing is cached while
+// an update's invalidation probes are between their cache snapshot and their
+// eviction — either way the scan would not see the entry.
 func (e *Engine) finish(flKey, key string, fl *flight, res *Result, err error, req Request) {
 	fl.res, fl.err = res, err
 	e.mu.Lock()
 	delete(e.inflight, flKey)
+	e.release()
+	if err == errAborted {
+		e.stats.Rejected++
+	} else {
+		e.stats.Misses++
+		e.stats.Queries++
+	}
 	if err == nil && e.cache != nil && e.updating == 0 && res.Epoch == e.idx.Load().epoch {
 		e.admit(key, req, res)
 	}
@@ -1014,7 +1016,7 @@ func (e *Engine) finish(flKey, key string, fl *flight, res *Result, err error, r
 // admit caches res under key and counts a refused admission or a capacity
 // eviction. The caller holds e.mu.
 func (e *Engine) admit(key string, req Request, res *Result) {
-	adm, ev := e.cache.Add(key, req, res)
+	adm, ev := e.cache.Add(key, req.Region, req.K, containClass(req.Variant, req.Opts), res)
 	if !adm {
 		e.stats.AdmissionSkips++
 	}

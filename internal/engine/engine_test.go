@@ -381,3 +381,29 @@ func testEngineSingleFlight(t *testing.T) {
 		t.Errorf("in-flight gauge = %d after drain", st.InFlight)
 	}
 }
+
+// TestMaxKBound pins the largest MaxK an engine accepts: the cache key holds
+// k in three bytes, so a larger MaxK would let a query at k + 2²⁴ hit the
+// entry cached for k. New refuses MaxK above maxK, and at maxK the deepest
+// query is answered on its own (every record), not from k = 3's entry.
+func TestMaxKBound(t *testing.T) {
+	td := buildData(t, 200, 3, 9)
+	for _, mk := range []int{maxK + 1, 1<<24 + 10} {
+		if _, err := New(td.recs, Config{MaxK: mk, CacheEntries: 16}); !errors.Is(err, core.ErrBadK) {
+			t.Fatalf("MaxK = %d: got %v, want ErrBadK", mk, err)
+		}
+	}
+	e := buildEngine(t, td.recs, Config{MaxK: maxK, CacheEntries: 16})
+	r := box(t, []float64{0.2, 0.3}, []float64{0.25, 0.35})
+	shallow, err := e.Do(context.Background(), Request{Variant: UTK1, K: 3, Region: r})
+	if err != nil {
+		t.Fatal(err)
+	}
+	deep, err := e.Do(context.Background(), Request{Variant: UTK1, K: maxK, Region: r})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if deep.CacheHit || len(deep.IDs) != len(td.recs) || len(shallow.IDs) >= len(td.recs) {
+		t.Fatalf("k = 3 answered %d ids; k = %d answered %d ids (cache hit %v), want all %d", len(shallow.IDs), maxK, len(deep.IDs), deep.CacheHit, len(td.recs))
+	}
+}

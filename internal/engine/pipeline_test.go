@@ -226,7 +226,7 @@ func TestMissSharesColumns(t *testing.T) {
 		if n := sort.SearchInts(ix.counts, req.K); ix.blocks.Load().SplitCost() == 0 || n == 0 || n >= len(ix.ids) {
 			t.Fatalf("%s: the k=%d candidates are not a proper prefix [:%d] of the %d-record band's one unsplit layout (split cost %d)", name, req.K, n, len(ix.ids), ix.blocks.Load().SplitCost())
 		}
-		res, err := e.compute(ctx, req, ix, false)
+		res, err := e.compute(ctx, req, ix)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -10,10 +10,10 @@ import (
 	"repro/internal/geom"
 )
 
-// TestSaturationBackpressure pins the executor queue bound: with every
-// worker occupied and no queue allowed, a query is refused with ErrSaturated
+// TestSaturationBackpressure pins the slot queue's bound: with every slot
+// taken and no queue allowed, a query is refused with ErrSaturated
 // immediately (not after the deadline), the refusal is counted, and the
-// engine serves normally again once the executor frees up.
+// engine serves normally again once the slot frees up.
 func TestSaturationBackpressure(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	records := make([][]float64, 200)
@@ -34,18 +34,9 @@ func TestSaturationBackpressure(t *testing.T) {
 	}
 	req := Request{Variant: UTK1, K: 3, Region: region}
 
-	// Occupy the engine's only executor slot with a task that blocks until
-	// released — the deterministic stand-in for a long-running query.
-	release := make(chan struct{})
-	started := make(chan struct{})
-	occupied := make(chan error, 1)
-	go func() {
-		occupied <- e.pool.Run(context.Background(), func() {
-			close(started)
-			<-release
-		})
-	}()
-	<-started
+	// Occupy the engine's only slot — the deterministic stand-in for a
+	// long-running query.
+	occupy(t, e)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
@@ -60,10 +51,7 @@ func TestSaturationBackpressure(t *testing.T) {
 		t.Fatalf("Saturated = %d, Rejected = %d; want 1, 0", st.Saturated, st.Rejected)
 	}
 
-	close(release)
-	if err := <-occupied; err != nil {
-		t.Fatal(err)
-	}
+	vacate(e)
 	res, err := e.Do(context.Background(), req)
 	if err != nil {
 		t.Fatalf("post-saturation query failed: %v", err)

@@ -51,7 +51,7 @@ func TestIndexSplitsOnce(t *testing.T) {
 		t.Helper()
 		var out []*Result
 		for _, req := range reqs {
-			res, err := e.compute(ctx, req, ix, false)
+			res, err := e.compute(ctx, req, ix)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -65,7 +65,7 @@ func TestIndexSplitsOnce(t *testing.T) {
 	}
 	for ix.blocks.Load() == unsplit {
 		prev := ix.scanned.Load()
-		if _, err := e.compute(ctx, Request{Variant: UTK1, K: 1 + rng.Intn(8), Region: randomBox(t, rng)}, ix, false); err != nil {
+		if _, err := e.compute(ctx, Request{Variant: UTK1, K: 1 + rng.Intn(8), Region: randomBox(t, rng)}, ix); err != nil {
 			t.Fatal(err)
 		}
 		now := ix.scanned.Load()
@@ -115,7 +115,7 @@ func TestIndexSplitsOnce(t *testing.T) {
 					return
 				}
 				req := Request{Variant: UTK1, K: 1 + q%8, Region: boxes[q%len(boxes)]}
-				if _, err := e.compute(ctx, req, ix2, false); err != nil {
+				if _, err := e.compute(ctx, req, ix2); err != nil {
 					t.Error(err)
 					return
 				}

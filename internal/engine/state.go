@@ -3,7 +3,6 @@ package engine
 import (
 	"errors"
 
-	"repro/internal/exec"
 	"repro/internal/skyband"
 )
 
@@ -66,5 +65,5 @@ func Restore(st *State, cfg Config) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newEngine(cfg, exec.NewPool(cfg.Workers, cfg.MaxQueued), dyn, st.Dim, st.Epoch, st.Batches), nil
+	return newEngine(cfg, dyn, st.Dim, st.Epoch, st.Batches), nil
 }

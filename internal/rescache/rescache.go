@@ -54,15 +54,15 @@ const (
 	ledgerPruneEps   = 1.0 / 1024
 )
 
-// Cache is a bounded LRU result cache with an update-rate-aware admission
-// policy and a containment index over the cached query regions.
-type Cache struct {
+// Cache is a bounded LRU cache of V values with an update-rate-aware
+// admission policy and a containment index over the cached query regions.
+type Cache[V any] struct {
 	cap    int
 	tick   uint64
-	m      map[string]*entry
-	groups map[groupKey][]*entry
+	m      map[string]*entry[V]
+	groups map[groupKey][]*entry[V]
 	// Recency list, head = most recent: the next victim is the tail.
-	head, tail *entry
+	head, tail *entry[V]
 	stats      map[groupKey]*classStats
 }
 
@@ -82,16 +82,16 @@ type classStats struct {
 	last uint64
 }
 
-type entry struct {
+type entry[V any] struct {
 	key    string
 	region *geom.Region
 	k      int
 	class  uint32
 	last   uint64 // logical time of last use
 	gix    int    // index in the containment group's slice
-	val    any
+	val    V
 	// neighbors in the recency list
-	prev, next *entry
+	prev, next *entry[V]
 }
 
 // Entry is one resident row as seen by an invalidation scan: the key to
@@ -103,17 +103,17 @@ type Entry struct {
 }
 
 // New builds a cache bounded to capacity entries (capacity ≥ 1).
-func New(capacity int) *Cache {
-	return &Cache{
+func New[V any](capacity int) *Cache[V] {
+	return &Cache[V]{
 		cap:    capacity,
-		m:      make(map[string]*entry, capacity),
-		groups: make(map[groupKey][]*entry),
+		m:      make(map[string]*entry[V], capacity),
+		groups: make(map[groupKey][]*entry[V]),
 		stats:  make(map[groupKey]*classStats),
 	}
 }
 
 // now advances the logical clock, amortizing the ledger sweep over it.
-func (c *Cache) now() uint64 {
+func (c *Cache[V]) now() uint64 {
 	c.tick++
 	if c.tick%ledgerSweepEvery == 0 {
 		c.pruneLedgers()
@@ -124,7 +124,7 @@ func (c *Cache) now() uint64 {
 // pruneLedgers decays every admission ledger to the current tick and deletes
 // the ones indistinguishable from a fresh ledger (see ledgerPruneEps). Cost
 // is O(ledgers) once per ledgerSweepEvery ticks.
-func (c *Cache) pruneLedgers() {
+func (c *Cache[V]) pruneLedgers() {
 	for gk, st := range c.stats {
 		if dt := c.tick - st.last; dt > 0 {
 			f := math.Exp2(-float64(dt) / invHalfLife)
@@ -141,19 +141,20 @@ func (c *Cache) pruneLedgers() {
 // Ledgers reports the admission-ledger population (distinct (class, k)
 // groups currently tracked) — an observability hook for tests pinning the
 // map's boundedness under rotating-group workloads.
-func (c *Cache) Ledgers() int { return len(c.stats) }
+func (c *Cache[V]) Ledgers() int { return len(c.stats) }
 
 // touch marks the entry used: it becomes the most recent.
-func (c *Cache) touch(e *entry) {
+func (c *Cache[V]) touch(e *entry[V]) {
 	e.last = c.now()
 	c.listMoveFront(e)
 }
 
 // Get returns the value cached under the key, refreshing its recency.
-func (c *Cache) Get(key string) (any, bool) {
+func (c *Cache[V]) Get(key string) (V, bool) {
 	e, ok := c.m[key]
 	if !ok {
-		return nil, false
+		var zero V
+		return zero, false
 	}
 	c.touch(e)
 	c.classStat(groupKey{class: e.class, k: e.k}).hits++
@@ -163,10 +164,11 @@ func (c *Cache) Get(key string) (any, bool) {
 // Peek returns the value cached under the key without touching its recency.
 // Callers use it to re-verify that a value observed earlier is still the
 // resident one (pointer identity) before acting on derived state.
-func (c *Cache) Peek(key string) (any, bool) {
+func (c *Cache[V]) Peek(key string) (V, bool) {
 	e, ok := c.m[key]
 	if !ok {
-		return nil, false
+		var zero V
+		return zero, false
 	}
 	return e.val, true
 }
@@ -174,7 +176,7 @@ func (c *Cache) Peek(key string) (any, bool) {
 // classStat returns the admission ledger for the group, decayed to the
 // current tick. Counts halve every invHalfLife ticks, applied lazily here so
 // the hit path never pays for idle classes.
-func (c *Cache) classStat(gk groupKey) *classStats {
+func (c *Cache[V]) classStat(gk groupKey) *classStats {
 	st := c.stats[gk]
 	if st == nil {
 		st = &classStats{last: c.tick}
@@ -195,7 +197,7 @@ func (c *Cache) classStat(gk groupKey) *classStats {
 // because the update stream has been invalidating its class's entries before
 // queries reuse them. evicted reports whether the least recently used entry
 // was displaced to make room.
-func (c *Cache) Add(key string, region *geom.Region, k int, class uint32, val any) (admitted, evicted bool) {
+func (c *Cache[V]) Add(key string, region *geom.Region, k int, class uint32, val V) (admitted, evicted bool) {
 	if e, ok := c.m[key]; ok {
 		e.val = val
 		c.touch(e)
@@ -207,7 +209,7 @@ func (c *Cache) Add(key string, region *geom.Region, k int, class uint32, val an
 	if st.invs >= admissionMinInvs && st.invs > admissionRatio*(st.hits+1) {
 		return false, false
 	}
-	e := &entry{key: key, region: region, k: k, class: class, val: val, last: last}
+	e := &entry[V]{key: key, region: region, k: k, class: class, val: val, last: last}
 	c.m[key] = e
 	e.gix = len(c.groups[gk])
 	c.groups[gk] = append(c.groups[gk], e)
@@ -226,15 +228,15 @@ func (c *Cache) Add(key string, region *geom.Region, k int, class uint32, val an
 // false when no resident region contains r. A successful lookup counts as a
 // use of the source entry (its recency is refreshed) and returns the source's
 // key so the caller can later re-verify residency with Peek.
-func (c *Cache) FindContaining(class uint32, k int, r *geom.Region) (val any, key string, ok bool) {
-	var best *entry
+func (c *Cache[V]) FindContaining(class uint32, k int, r *geom.Region) (val V, key string, ok bool) {
+	var best *entry[V]
 	for _, e := range c.groups[groupKey{class: class, k: k}] {
 		if (best == nil || e.last > best.last) && e.region.ContainsRegion(r) {
 			best = e
 		}
 	}
 	if best == nil {
-		return nil, "", false
+		return val, "", false
 	}
 	c.touch(best)
 	c.classStat(groupKey{class: best.class, k: best.k}).hits++
@@ -243,7 +245,7 @@ func (c *Cache) FindContaining(class uint32, k int, r *geom.Region) (val any, ke
 
 // Snapshot lists the resident entries' keys and query shapes for an
 // invalidation scan.
-func (c *Cache) Snapshot() []Entry {
+func (c *Cache[V]) Snapshot() []Entry {
 	out := make([]Entry, 0, len(c.m))
 	for _, e := range c.m {
 		out = append(out, Entry{Key: e.key, Region: e.region, K: e.k})
@@ -255,7 +257,7 @@ func (c *Cache) Snapshot() []Entry {
 // values stale, returning the number actually removed. Each removal is
 // charged to its class's admission ledger; a class whose entries keep dying
 // here loses admission eligibility until the churn decays away.
-func (c *Cache) InvalidateKeys(keys []string) int {
+func (c *Cache[V]) InvalidateKeys(keys []string) int {
 	n := 0
 	for _, key := range keys {
 		e, ok := c.m[key]
@@ -271,11 +273,11 @@ func (c *Cache) InvalidateKeys(keys []string) int {
 }
 
 // Len is the current cache population.
-func (c *Cache) Len() int { return len(c.m) }
+func (c *Cache[V]) Len() int { return len(c.m) }
 
 // remove deletes the entry from the key map, the recency list, and its
 // containment group.
-func (c *Cache) remove(e *entry) {
+func (c *Cache[V]) remove(e *entry[V]) {
 	delete(c.m, e.key)
 	c.listRemove(e)
 	gk := groupKey{class: e.class, k: e.k}
@@ -296,7 +298,7 @@ func (c *Cache) remove(e *entry) {
 
 // Recency list maintenance (head = most recent, tail = LRU).
 
-func (c *Cache) listPushFront(e *entry) {
+func (c *Cache[V]) listPushFront(e *entry[V]) {
 	e.prev, e.next = nil, c.head
 	if c.head != nil {
 		c.head.prev = e
@@ -306,7 +308,7 @@ func (c *Cache) listPushFront(e *entry) {
 	c.head = e
 }
 
-func (c *Cache) listRemove(e *entry) {
+func (c *Cache[V]) listRemove(e *entry[V]) {
 	if e.prev != nil {
 		e.prev.next = e.next
 	} else if c.head == e {
@@ -320,7 +322,7 @@ func (c *Cache) listRemove(e *entry) {
 	e.prev, e.next = nil, nil
 }
 
-func (c *Cache) listMoveFront(e *entry) {
+func (c *Cache[V]) listMoveFront(e *entry[V]) {
 	if c.head == e {
 		return
 	}

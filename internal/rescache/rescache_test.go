@@ -18,7 +18,7 @@ func boxRegion(t testing.TB, lo, hi []float64) *geom.Region {
 }
 
 func TestGetAddRefresh(t *testing.T) {
-	c := New(4)
+	c := New[any](4)
 	r := boxRegion(t, []float64{0.1, 0.1}, []float64{0.2, 0.2})
 	if _, ok := c.Get("a"); ok {
 		t.Fatal("hit on empty cache")
@@ -42,7 +42,7 @@ func TestGetAddRefresh(t *testing.T) {
 // TestLRUEviction pins plain LRU: an overflow evicts the least recently used
 // entry, and Get, FindContaining and a refreshing Add all count as a use.
 func TestLRUEviction(t *testing.T) {
-	c := New(2)
+	c := New[any](2)
 	r := boxRegion(t, []float64{0.1, 0.1}, []float64{0.2, 0.2})
 	c.Add("a", r, 3, 1, "va")
 	c.Add("b", r, 4, 1, "vb")
@@ -74,7 +74,7 @@ func TestLRUEviction(t *testing.T) {
 }
 
 func TestFindContaining(t *testing.T) {
-	c := New(8)
+	c := New[any](8)
 	outer := boxRegion(t, []float64{0.1, 0.1}, []float64{0.5, 0.5})
 	inner := boxRegion(t, []float64{0.2, 0.2}, []float64{0.3, 0.3})
 	disjoint := boxRegion(t, []float64{0.55, 0.05}, []float64{0.65, 0.15})
@@ -105,7 +105,7 @@ func TestFindContaining(t *testing.T) {
 // TestFindContainingPrefersRecent: among several valid sources the most
 // recently used wins, and a successful lookup refreshes the source.
 func TestFindContainingPrefersRecent(t *testing.T) {
-	c := New(8)
+	c := New[any](8)
 	big := boxRegion(t, []float64{0.05, 0.05}, []float64{0.6, 0.6})
 	mid := boxRegion(t, []float64{0.1, 0.1}, []float64{0.5, 0.5})
 	inner := boxRegion(t, []float64{0.2, 0.2}, []float64{0.3, 0.3})
@@ -123,7 +123,7 @@ func TestFindContainingPrefersRecent(t *testing.T) {
 // TestEvictionMaintainsContainmentIndex: entries removed by invalidation or
 // by capacity stop being containment sources.
 func TestEvictionMaintainsContainmentIndex(t *testing.T) {
-	c := New(4)
+	c := New[any](4)
 	outer := boxRegion(t, []float64{0.1, 0.1}, []float64{0.5, 0.5})
 	inner := boxRegion(t, []float64{0.2, 0.2}, []float64{0.3, 0.3})
 	c.Add("outer", outer, 3, 7, "src")
@@ -138,7 +138,7 @@ func TestEvictionMaintainsContainmentIndex(t *testing.T) {
 	}
 
 	// Capacity eviction path.
-	small := New(1)
+	small := New[any](1)
 	small.Add("outer", outer, 3, 7, "src")
 	small.Add("other", inner, 9, 1, "x")
 	if _, _, ok := small.FindContaining(7, 3, inner); ok {
@@ -147,7 +147,7 @@ func TestEvictionMaintainsContainmentIndex(t *testing.T) {
 }
 
 func TestSnapshotAndPeek(t *testing.T) {
-	c := New(4)
+	c := New[any](4)
 	r1 := boxRegion(t, []float64{0.1, 0.1}, []float64{0.2, 0.2})
 	r2 := boxRegion(t, []float64{0.3, 0.3}, []float64{0.4, 0.4})
 	c.Add("a", r1, 3, 1, "va")
@@ -165,7 +165,7 @@ func TestSnapshotAndPeek(t *testing.T) {
 	}
 	// Peek does not refresh recency: after peeking "a" many times, adding
 	// an overflow entry still evicts "a" as the stalest.
-	small := New(2)
+	small := New[any](2)
 	small.Add("a", r1, 3, 1, "va")
 	small.Add("b", r2, 5, 1, "vb")
 	for i := 0; i < 10; i++ {
@@ -184,7 +184,7 @@ func TestSnapshotAndPeek(t *testing.T) {
 // refused admission; hits defend a class; other classes are unaffected; and
 // the refusal decays away once the churn stops.
 func TestAdmissionUnderChurn(t *testing.T) {
-	c := New(8)
+	c := New[any](8)
 	r := boxRegion(t, []float64{0.1, 0.1}, []float64{0.2, 0.2})
 	skipped := -1
 	for i := 0; i < 12; i++ {
@@ -206,7 +206,7 @@ func TestAdmissionUnderChurn(t *testing.T) {
 	}
 	// Hits defend a class: the same churn with reuse between admission and
 	// invalidation keeps the class admissible throughout.
-	hot := New(8)
+	hot := New[any](8)
 	for i := 0; i < 40; i++ {
 		adm, _ := hot.Add("k", r, 3, 1, i)
 		if !adm {
@@ -234,7 +234,7 @@ func TestAdmissionUnderChurn(t *testing.T) {
 // recency list, the key map and the containment groups agree after every
 // operation of a randomized add/get/find/invalidate mix.
 func TestEvictionPicksMinPriority(t *testing.T) {
-	c := New(16)
+	c := New[any](16)
 	rng := rand.New(rand.NewSource(42))
 	r := boxRegion(t, []float64{0.1, 0.1}, []float64{0.2, 0.2})
 	resident := []string{}
@@ -269,7 +269,7 @@ func TestEvictionPicksMinPriority(t *testing.T) {
 	for step := 0; step < 3000; step++ {
 		switch op := rng.Intn(5); {
 		case op <= 1: // add a fresh key
-			var want *entry
+			var want *entry[any]
 			if c.Len() == c.cap {
 				for _, e := range c.m {
 					if want == nil || e.last < want.last {
@@ -310,7 +310,7 @@ func BenchmarkCacheAddOverflow(b *testing.B) {
 	}
 	for _, capacity := range []int{1024, 16384} {
 		b.Run(fmt.Sprintf("cap%d", capacity), func(b *testing.B) {
-			c := New(capacity)
+			c := New[any](capacity)
 			for i := 0; i < capacity; i++ {
 				c.Add(fmt.Sprintf("seed%d", i), r, 3, 1, i)
 			}
@@ -378,7 +378,7 @@ func TestClipCell(t *testing.T) {
 // whose decayed counts drop below the prune epsilon are deleted by the
 // periodic sweep, so the population tracks only the recently active groups.
 func TestLedgerPruning(t *testing.T) {
-	c := New(8)
+	c := New[any](8)
 	r := boxRegion(t, []float64{0.1, 0.1}, []float64{0.2, 0.2})
 	const groups = 20000
 	for i := 0; i < groups; i++ {

@@ -38,7 +38,7 @@ func TestQueryErrorSaturationMapping(t *testing.T) {
 	}
 }
 
-// TestStatsExposeSaturation checks that the executor counters reach both the
+// TestStatsExposeSaturation checks that the slot-gate counters reach both the
 // JSON stats payloads and the Prometheus exposition.
 func TestStatsExposeSaturation(t *testing.T) {
 	reg := registry.New()

@@ -237,6 +237,12 @@ func (s *Server) parseQuery(w http.ResponseWriter, r *http.Request, ent *registr
 	var err error
 	switch {
 	case req.Region != nil:
+		// A box has 2^width corners, so its width is checked before it is
+		// built: a wide hostile body must not size that buffer.
+		if want := ent.Dim() - 1; len(req.Region.Lo) != want || len(req.Region.Hi) != want {
+			err = fmt.Errorf("box corners have %d and %d entries, want %d", len(req.Region.Lo), len(req.Region.Hi), want)
+			break
+		}
 		region, err = utk.NewBoxRegion(req.Region.Lo, req.Region.Hi)
 	case len(req.Halfspaces) > 0:
 		hs := make([]utk.Halfspace, len(req.Halfspaces))
@@ -649,14 +655,14 @@ func (s *Server) handleDrop(w http.ResponseWriter, r *http.Request) {
 }
 
 // RetryAfterSeconds is the backoff hint sent with 429 responses when the
-// engine's executor queue is saturated.
+// engine's slot queue is saturated.
 const RetryAfterSeconds = 1
 
 func queryError(w http.ResponseWriter, err error) {
 	status := http.StatusBadRequest
 	switch {
 	case errors.Is(err, utk.ErrSaturated):
-		// Executor backpressure: ask the client to back off briefly rather
+		// Slot-queue backpressure: ask the client to back off briefly rather
 		// than letting the queue grow without bound.
 		w.Header().Set("Retry-After", strconv.Itoa(RetryAfterSeconds))
 		status = http.StatusTooManyRequests

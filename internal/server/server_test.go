@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"sort"
 	"testing"
 
@@ -147,6 +148,8 @@ func TestBadInputs(t *testing.T) {
 		{"k too large", map[string]any{"k": 99, "region": map[string]any{"lo": []float64{0.2, 0.2}, "hi": []float64{0.25, 0.25}}}, http.StatusBadRequest},
 		{"region dim mismatch", map[string]any{"k": 2, "region": map[string]any{"lo": []float64{0.2}, "hi": []float64{0.25}}}, http.StatusBadRequest},
 		{"inverted box", map[string]any{"k": 2, "region": map[string]any{"lo": []float64{0.3, 0.3}, "hi": []float64{0.2, 0.2}}}, http.StatusBadRequest},
+		// Building a 40-wide box would size a buffer of 2⁴⁰ corners.
+		{"box wider than the data", map[string]any{"k": 2, "region": map[string]any{"lo": make([]float64, 40), "hi": slices.Repeat([]float64{0.01}, 40)}}, http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		for _, path := range []string{"/utk1/alpha", "/utk2/alpha"} {
@@ -307,6 +310,10 @@ func TestDatasetAdmin(t *testing.T) {
 	resp, _ = post(t, srv.URL+"/datasets/empty", map[string]any{"maxk": 2})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("no records/gen: %d, want 400", resp.StatusCode)
+	}
+	resp, _ = post(t, srv.URL+"/datasets/deep", map[string]any{"gen": "IND", "n": 50, "maxk": 1 << 24})
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("maxk past the cache key's 2^24-1: %d, want 400", resp.StatusCode)
 	}
 
 	resp, err := http.Get(srv.URL + "/datasets")
