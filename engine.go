@@ -3,47 +3,21 @@ package utk
 import (
 	"context"
 	"errors"
-	"time"
 
 	"repro/internal/engine"
 )
 
-// EngineConfig tunes a query-serving Engine.
-type EngineConfig struct {
-	// MaxK is the largest top-k depth the engine serves (required, positive,
-	// at most 2²⁴−1). The engine's candidate superset is maintained at this
-	// depth; queries with K ≤ MaxK reuse it instead of refiltering the whole
-	// dataset.
-	MaxK int
-	// CacheEntries bounds the result cache (LRU eviction with a containment
-	// index; see EngineStats.DerivedHits/Evictions). Zero selects
-	// DefaultEngineCacheEntries; negative values disable caching. Eviction
-	// is O(1) per overflow, so large capacities are safe; under sustained
-	// updates the cache additionally refuses admission for query classes
-	// whose entries are invalidated faster than they are hit
-	// (EngineStats.AdmissionSkips).
-	CacheEntries int
-	// Workers is the number of query slots: at most this many cache misses
-	// compute at a time, each on its caller's goroutine and refining
-	// sequentially. Values below 1 default to runtime.GOMAXPROCS(0).
-	Workers int
-	// MaxQueued bounds how many queries may wait for a slot before new
-	// arrivals are rejected with ErrSaturated — the backpressure signal
-	// serving tiers map to 429 responses. 0 means unbounded (no
-	// backpressure); negative means no queue at all (reject whenever every
-	// slot is taken); positive is the bound itself.
-	MaxQueued int
-	// QueryTimeout, when positive, is the deadline applied to queries whose
-	// context carries none. It covers queueing, waiting on a deduplicated
-	// identical query, and — through the cancellation hook threaded into
-	// the refinement recursion — the computation itself: an expired query
-	// aborts mid-refinement and frees its slot promptly.
-	QueryTimeout time.Duration
-}
+// EngineConfig tunes a query-serving Engine: the serving core's own
+// configuration (an alias, declared once in internal/engine). MaxK is
+// required; CacheEntries 0 selects DefaultEngineCacheEntries and a negative
+// value disables caching; Workers below 1 default to GOMAXPROCS; MaxQueued 0
+// is an unbounded slot queue, negative none at all; a positive QueryTimeout
+// is the deadline of queries whose context carries none.
+type EngineConfig = engine.Config
 
 // DefaultEngineCacheEntries is the result-cache capacity used when
 // EngineConfig.CacheEntries is zero.
-const DefaultEngineCacheEntries = 256
+const DefaultEngineCacheEntries = engine.DefaultCacheEntries
 
 // Engine serves many UTK queries over one dataset, amortizing work across
 // queries: the r-dominance filtering reuses a maintained candidate superset,
@@ -115,49 +89,21 @@ var ErrSaturated = engine.ErrSaturated
 // NewEngine builds a serving engine directly over the records (copied into
 // one block, which stays in memory until the engine is dropped, even after
 // every initial record is deleted; NewDataset's rules: at least one, all of
-// the same dimensionality d ≥ 2, finite attributes), record i getting id i.
-// Nothing is indexed, so this is
-// the constructor for callers that only serve: a Dataset additionally holds
-// the R-tree the stateless Dataset.UTK1/UTK2 and the baselines run on.
+// the same dimensionality 2 ≤ d ≤ 12, finite attributes), record i getting
+// id i. Nothing is indexed, so this is the constructor for callers that only
+// serve: a Dataset additionally holds the R-tree the stateless
+// Dataset.UTK1/UTK2 and the baselines run on.
 func NewEngine(records [][]float64, cfg EngineConfig) (*Engine, error) {
-	cp, err := copyRecords(records)
-	if err != nil {
-		return nil, err
-	}
-	return newEngine(cp, cfg)
-}
-
-// NewEngine builds a serving engine over the dataset's records.
-func (ds *Dataset) NewEngine(cfg EngineConfig) (*Engine, error) {
-	return newEngine(ds.records, cfg)
-}
-
-// newEngine builds over validated records it may keep.
-func newEngine(records [][]float64, cfg EngineConfig) (*Engine, error) {
-	e, err := engine.New(records, cfg.engineConfig())
+	e, err := engine.New(records, cfg)
 	if err != nil {
 		return nil, err
 	}
 	return &Engine{e: e}, nil
 }
 
-// engineConfig maps the facade configuration onto the serving core's, resolving
-// the CacheEntries default.
-func (cfg EngineConfig) engineConfig() engine.Config {
-	entries := cfg.CacheEntries
-	switch {
-	case entries == 0:
-		entries = DefaultEngineCacheEntries
-	case entries < 0:
-		entries = 0
-	}
-	return engine.Config{
-		MaxK:         cfg.MaxK,
-		CacheEntries: entries,
-		Workers:      cfg.Workers,
-		MaxQueued:    cfg.MaxQueued,
-		QueryTimeout: cfg.QueryTimeout,
-	}
+// NewEngine builds a serving engine over (a copy of) the dataset's records.
+func (ds *Dataset) NewEngine(cfg EngineConfig) (*Engine, error) {
+	return NewEngine(ds.records, cfg)
 }
 
 // MaxK returns the largest top-k depth the engine serves.

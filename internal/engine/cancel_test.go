@@ -13,7 +13,7 @@ import (
 // partitioning to completion.
 func TestEngineDeadlineBoundsRefinement(t *testing.T) {
 	td := buildData(t, 3000, 4, 31)
-	e, err := New(td.recs, Config{MaxK: 8, Workers: 1})
+	e, err := New(td.recs, Config{MaxK: 8, CacheEntries: -1, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

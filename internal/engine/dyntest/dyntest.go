@@ -368,7 +368,7 @@ func (harness) query(t *testing.T, rng *rand.Rand, dyn *engine.Engine, mirror ma
 	for i, id := range ids {
 		recs[i] = mirror[id]
 	}
-	static, err := engine.New(recs, engine.Config{MaxK: cfg.MaxK})
+	static, err := engine.New(recs, engine.Config{MaxK: cfg.MaxK, CacheEntries: -1})
 	if err != nil {
 		t.Fatal(err)
 	}

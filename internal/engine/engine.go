@@ -48,6 +48,13 @@
 // The band maintainer is one skyband.Dynamic over the whole dataset, touched
 // only under the update mutex; queries read the immutable index each
 // band-changing batch publishes.
+//
+// The package is the one layer the serving tiers call: the registry builds,
+// restores and updates Engines, and the HTTP server sends each query to Do
+// and encodes the Result as it lies. Config owns the configuration's
+// defaults and its JSON keys (a durable store's manifest embeds it), and
+// CopyRecords and CheckRecord own the rules for a usable dataset and record;
+// the root package's EngineConfig is an alias of Config.
 package engine
 
 import (
@@ -111,29 +118,77 @@ func CheckRecord(rec []float64, dim int) error {
 // leader.
 var errAborted = errors.New("engine: in-flight computation aborted")
 
-// Config tunes an Engine.
+// Config is the one declaration of an engine's configuration: the
+// library's EngineConfig and the registry's Options are aliases of it, and a
+// durable store's manifest entry embeds it, so its JSON keys are the
+// manifest's.
 type Config struct {
 	// MaxK is the largest top-k depth the engine serves (required, positive,
 	// at most 2²⁴−1). The maintained skyband superset is computed at this
-	// depth.
-	MaxK int
-	// CacheEntries bounds the result cache; 0 disables caching.
-	CacheEntries int
+	// depth; queries with K ≤ MaxK reuse it instead of refiltering the whole
+	// dataset.
+	MaxK int `json:"max_k"`
+	// CacheEntries bounds the result cache (LRU eviction with a containment
+	// index; see Stats.DerivedHits/Evictions). Zero selects
+	// DefaultCacheEntries; negative values disable caching. Under sustained
+	// updates the cache additionally refuses admission for query classes
+	// whose entries are invalidated faster than they are hit
+	// (Stats.AdmissionSkips).
+	CacheEntries int `json:"cache_entries,omitempty"`
 	// Workers is the number of slots: at most this many queries compute at a
 	// time, each on its caller's goroutine and refining sequentially. Values
 	// below 1 default to runtime.GOMAXPROCS(0).
-	Workers int
+	Workers int `json:"workers,omitempty"`
 	// MaxQueued bounds how many queries may wait for a slot before new
-	// arrivals are rejected with ErrSaturated: 0 means unbounded (no
+	// arrivals are rejected with ErrSaturated — the backpressure signal
+	// serving tiers map to 429 responses: 0 means unbounded (no
 	// backpressure), negative means no queue at all (reject whenever every
 	// slot is taken), positive is the bound itself.
-	MaxQueued int
+	MaxQueued int `json:"max_queued,omitempty"`
 	// QueryTimeout, when positive, is the deadline applied to queries whose
 	// context carries none. The deadline covers queueing for a slot,
 	// waiting on a deduplicated in-flight computation, and — through the
 	// cancellation hook threaded into the refinement recursion — the
 	// computation itself.
-	QueryTimeout time.Duration
+	QueryTimeout time.Duration `json:"query_timeout_ns,omitempty"`
+}
+
+// DefaultCacheEntries is the result-cache capacity used when
+// Config.CacheEntries is zero.
+const DefaultCacheEntries = 256
+
+// maxDim is the largest data dimensionality an engine serves. A box query
+// region has 2^(d−1) corners, built before anything else looks at it; the
+// paper's experiments stop at d = 7 and the largest real dataset here (NBA)
+// has d = 8.
+const maxDim = 12
+
+// CopyRecords is the one definition of a usable dataset: at least one
+// record, one shared dimensionality 2 ≤ d ≤ 12, and every record usable by
+// CheckRecord. It returns a deep copy as capped sub-slices of one slab — one
+// allocation instead of n. An engine built over the copy keeps the whole slab
+// alive until the engine is dropped, however many of the initial records it
+// has deleted.
+func CopyRecords(records [][]float64) ([][]float64, error) {
+	if len(records) == 0 {
+		return nil, errors.New("utk: empty dataset")
+	}
+	d := len(records[0])
+	if d < 2 {
+		return nil, errors.New("utk: records must have at least 2 attributes")
+	}
+	if d > maxDim {
+		return nil, fmt.Errorf("utk: records have %d attributes, at most %d are served", d, maxDim)
+	}
+	cp, slab := make([][]float64, len(records)), make([]float64, 0, len(records)*d)
+	for i, rec := range records {
+		if err := CheckRecord(rec, d); err != nil {
+			return nil, fmt.Errorf("utk: record %d %w", i, err)
+		}
+		slab = append(slab, rec...)
+		cp[i] = slab[i*d : (i+1)*d : (i+1)*d]
+	}
+	return cp, nil
 }
 
 // Request is one UTK query addressed to an Engine.
@@ -325,14 +380,14 @@ type Engine struct {
 	waiting  []chan struct{}
 }
 
-// New builds an engine over the records (ids 0..n-1). The engine keeps
-// references to the record slices but never mutates them, and subsequent
-// updates to the engine leave the caller's records untouched.
+// New builds an engine over a copy of the records (CopyRecords' rules),
+// record i getting id i.
 func New(records [][]float64, cfg Config) (*Engine, error) {
-	if len(records) == 0 {
-		return nil, core.ErrEmptyDataset
+	records, err := CopyRecords(records)
+	if err != nil {
+		return nil, err
 	}
-	cfg, err := cfg.withDefaults()
+	cfg, err = cfg.withDefaults()
 	if err != nil {
 		return nil, err
 	}
@@ -346,13 +401,21 @@ func New(records [][]float64, cfg Config) (*Engine, error) {
 	return newEngine(cfg, dyn, len(records[0]), 0, 0), nil
 }
 
-// withDefaults validates MaxK and fills the defaulted fields.
+// withDefaults validates MaxK and resolves the defaulted fields: Workers,
+// and CacheEntries (0 becomes DefaultCacheEntries, a negative value 0 — no
+// cache).
 func (cfg Config) withDefaults() (Config, error) {
 	if cfg.MaxK <= 0 || cfg.MaxK > maxK {
 		return cfg, core.ErrBadK
 	}
 	if cfg.Workers < 1 {
 		cfg.Workers = runtime.GOMAXPROCS(0)
+	}
+	switch {
+	case cfg.CacheEntries == 0:
+		cfg.CacheEntries = DefaultCacheEntries
+	case cfg.CacheEntries < 0:
+		cfg.CacheEntries = 0
 	}
 	return cfg, nil
 }
@@ -855,10 +918,20 @@ func (e *Engine) Do(ctx context.Context, req Request) (*Result, error) {
 		}
 		e.mu.Unlock()
 
+		// A computation that panics finishes its flight as aborted on the way
+		// out: the slot is released, waiters re-elect, the query counts as
+		// Rejected, and the panic goes on up to the caller (net/http logs it).
+		computed := false
+		defer func() {
+			if !computed {
+				e.finish(flKey, key, fl, nil, errAborted, req)
+			}
+		}()
 		// A leader whose snapshot is superseded mid-refinement still finishes:
 		// its answer is exact for the epoch it loaded, and finish keeps it out
 		// of the cache. Only the caller's context cuts the computation short.
 		res, err := e.compute(ctx, req, ix)
+		computed = true
 		if errors.Is(err, core.ErrCanceled) {
 			// The waiters re-elect rather than inheriting this leader's fate.
 			e.finish(flKey, key, fl, nil, errAborted, req)

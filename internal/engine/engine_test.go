@@ -303,7 +303,7 @@ func TestEngineValidation(t *testing.T) { onePart(t, testEngineValidation) }
 
 func testEngineValidation(t *testing.T) {
 	td := buildData(t, 200, 3, 7)
-	e := buildEngine(t, td.recs, Config{MaxK: 5})
+	e := buildEngine(t, td.recs, Config{MaxK: 5, CacheEntries: -1})
 	ctx := context.Background()
 	r := box(t, []float64{0.2, 0.3}, []float64{0.25, 0.35})
 	if _, err := e.Do(ctx, Request{Variant: UTK1, K: 6, Region: r}); !errors.Is(err, ErrKTooLarge) {
@@ -326,7 +326,7 @@ func testEngineValidation(t *testing.T) {
 
 func TestEngineContextCancellation(t *testing.T) {
 	td := buildData(t, 200, 3, 9)
-	e, err := New(td.recs, Config{MaxK: 5, Workers: 1})
+	e, err := New(td.recs, Config{MaxK: 5, CacheEntries: -1, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,7 +346,7 @@ func TestEngineSingleFlight(t *testing.T) { onePart(t, testEngineSingleFlight) }
 func testEngineSingleFlight(t *testing.T) {
 	td := buildData(t, 1500, 3, 13)
 	// Cache disabled: only in-flight deduplication can coalesce queries.
-	e := buildEngine(t, td.recs, Config{MaxK: 8, Workers: 2})
+	e := buildEngine(t, td.recs, Config{MaxK: 8, CacheEntries: -1, Workers: 2})
 	r := box(t, []float64{0.2, 0.3}, []float64{0.3, 0.4})
 	req := Request{Variant: UTK1, K: 8, Region: r}
 	const callers = 8

@@ -7,6 +7,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/skyband"
 )
 
 // occupy takes one slot through the gate, as a leader would, and fails the
@@ -70,7 +72,7 @@ func checkDrained(t *testing.T, e *Engine) {
 // passes from one holder to the next.
 func TestGateFIFOHandoff(t *testing.T) {
 	td := buildData(t, 200, 3, 5)
-	e := buildEngine(t, td.recs, Config{MaxK: 5, Workers: 1})
+	e := buildEngine(t, td.recs, Config{MaxK: 5, CacheEntries: -1, Workers: 1})
 	occupy(t, e)
 	const waiters = 4
 	granted := make([]<-chan error, waiters)
@@ -106,7 +108,7 @@ func TestGateMaxQueued(t *testing.T) {
 	req := Request{Variant: UTK1, K: 3, Region: box(t, []float64{0.2, 0.2}, []float64{0.4, 0.4})}
 	for _, tc := range []struct{ maxQueued, queued int }{{-1, 0}, {2, 2}, {0, 3}} {
 		t.Run(fmt.Sprintf("MaxQueued=%d", tc.maxQueued), func(t *testing.T) {
-			e := buildEngine(t, td.recs, Config{MaxK: 5, Workers: 1, MaxQueued: tc.maxQueued})
+			e := buildEngine(t, td.recs, Config{MaxK: 5, CacheEntries: -1, Workers: 1, MaxQueued: tc.maxQueued})
 			occupy(t, e)
 			var granted []<-chan error
 			for i := 0; i < tc.queued; i++ {
@@ -157,7 +159,7 @@ func TestGateMaxQueued(t *testing.T) {
 // served once a slot frees up.
 func TestGateRevokedOnContextExpiry(t *testing.T) {
 	td := buildData(t, 200, 3, 5)
-	e := buildEngine(t, td.recs, Config{MaxK: 5, Workers: 1})
+	e := buildEngine(t, td.recs, Config{MaxK: 5, CacheEntries: -1, Workers: 1})
 	req := Request{Variant: UTK1, K: 3, Region: box(t, []float64{0.2, 0.2}, []float64{0.4, 0.4})}
 	occupy(t, e)
 	ctx, cancel := context.WithCancel(context.Background())
@@ -199,7 +201,7 @@ func TestGateRevokedOnContextExpiry(t *testing.T) {
 // of concurrent misses through two slots leaves both free.
 func TestGateHandoffNotLeaked(t *testing.T) {
 	td := buildData(t, 300, 3, 5)
-	e := buildEngine(t, td.recs, Config{MaxK: 5, Workers: 1})
+	e := buildEngine(t, td.recs, Config{MaxK: 5, CacheEntries: -1, Workers: 1})
 	for i := 0; i < 50; i++ {
 		occupy(t, e)
 		ctx, cancel := context.WithCancel(context.Background())
@@ -220,7 +222,7 @@ func TestGateHandoffNotLeaked(t *testing.T) {
 		checkDrained(t, e)
 	}
 
-	e = buildEngine(t, td.recs, Config{MaxK: 5, Workers: 2})
+	e = buildEngine(t, td.recs, Config{MaxK: 5, CacheEntries: -1, Workers: 2})
 	const queries = 25
 	var wg sync.WaitGroup
 	for i := 0; i < queries; i++ {
@@ -239,4 +241,45 @@ func TestGateHandoffNotLeaked(t *testing.T) {
 		t.Fatalf("Queries = %d, Misses = %d; want %d, %d", st.Queries, st.Misses, queries, queries)
 	}
 	checkDrained(t, e)
+}
+
+// TestLeaderPanicReleasesSlot: a leader whose computation panics finishes its
+// flight as aborted on the way out. Its slot, the queue and the flight are
+// free again, the query counts as Rejected, and the panic reaches the caller.
+// An identical query then leads a flight of its own, and panics at once,
+// instead of waiting on the dead one until its deadline.
+func TestLeaderPanicReleasesSlot(t *testing.T) {
+	td := buildData(t, 200, 3, 1)
+	e := buildEngine(t, td.recs, Config{MaxK: 5, CacheEntries: -1, Workers: 1})
+	// Rows shorter than d make the filter index out of range.
+	ix := &index{epoch: e.Epoch(), ids: []int{0}, recs: [][]float64{{0.5}}, counts: []int{0}}
+	ix.blocks.Store(skyband.NewBlocks(ix.recs, ix.counts))
+	e.idx.Store(ix)
+	req := Request{Variant: UTK1, K: 1, Region: box(t, []float64{0.2, 0.2}, []float64{0.25, 0.25})}
+	for i := 1; i <= 2; i++ {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		start := time.Now()
+		var err error
+		p := func() (p any) {
+			defer func() { p = recover() }()
+			_, err = e.Do(ctx, req)
+			return nil
+		}()
+		cancel()
+		if p == nil {
+			t.Fatalf("query %d: no panic after %v (err %v)", i, time.Since(start), err)
+		}
+		if took := time.Since(start); took > time.Second {
+			t.Fatalf("query %d panicked after %v, want at once", i, took)
+		}
+		t.Logf("query %d panicked: %v", i, p)
+		st := e.Stats()
+		e.mu.Lock()
+		flights := len(e.inflight)
+		e.mu.Unlock()
+		if st.InFlight != 0 || st.Queued != 0 || flights != 0 || st.Rejected != uint64(i) {
+			t.Fatalf("after panic %d (%v): InFlight %d, Queued %d, flights %d, Rejected %d; want 0, 0, 0, %d",
+				i, p, st.InFlight, st.Queued, flights, st.Rejected, i)
+		}
+	}
 }

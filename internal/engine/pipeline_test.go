@@ -134,7 +134,7 @@ func TestOneBatchInFlight(t *testing.T) {
 func TestMultiPartBatchAtomic(t *testing.T) {
 	const n, k = 300, 3
 	td := buildData(t, n, 3, 83)
-	e := buildEngine(t, td.recs, Config{MaxK: 4, Workers: 4})
+	e := buildEngine(t, td.recs, Config{MaxK: 4, CacheEntries: -1, Workers: 4})
 	ctx := context.Background()
 	req := Request{Variant: UTK1, K: k, Region: box(t, []float64{0.3, 0.3}, []float64{0.35, 0.35})}
 	preRes, err := e.Do(ctx, req)
@@ -207,7 +207,7 @@ func TestMultiPartBatchAtomic(t *testing.T) {
 // candidates and cells.
 func TestMissSharesColumns(t *testing.T) {
 	td := buildData(t, 3000, 3, 91)
-	cfg := Config{MaxK: 8, Workers: 4}
+	cfg := Config{MaxK: 8, CacheEntries: -1, Workers: 4}
 	ctx := context.Background()
 	req := Request{Variant: UTK2, K: 6, Region: box(t, []float64{0.2, 0.2}, []float64{0.4, 0.4})}
 
@@ -266,7 +266,7 @@ func testIndexPrefixIsKSkyband(t *testing.T) {
 		}
 		live[i] = recs[i]
 	}
-	e := buildEngine(t, recs, Config{MaxK: maxK})
+	e := buildEngine(t, recs, Config{MaxK: maxK, CacheEntries: -1})
 	for step := 0; step < 60; step++ {
 		if step > 0 {
 			ix := e.idx.Load()

@@ -24,7 +24,7 @@ func TestSaturationBackpressure(t *testing.T) {
 		}
 		records[i] = rec
 	}
-	e, err := New(records, Config{MaxK: 5, Workers: 1, MaxQueued: -1})
+	e, err := New(records, Config{MaxK: 5, CacheEntries: -1, Workers: 1, MaxQueued: -1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,7 +26,7 @@ func randomBox(t testing.TB, rng *rand.Rand) *geom.Region {
 // layout with its index.
 func TestIndexSplitsOnce(t *testing.T) {
 	td := buildData(t, 4000, 4, 7)
-	cfg := Config{MaxK: 8}
+	cfg := Config{MaxK: 8, CacheEntries: -1}
 	ctx := context.Background()
 	e := buildEngine(t, td.recs, cfg)
 	restored, err := Restore(e.ExportState(), cfg)

@@ -81,7 +81,7 @@ func TestEngineUpdateValidation(t *testing.T) { onePart(t, testEngineUpdateValid
 
 func testEngineUpdateValidation(t *testing.T) {
 	td := buildData(t, 100, 3, 23)
-	e := buildEngine(t, td.recs, Config{MaxK: 4})
+	e := buildEngine(t, td.recs, Config{MaxK: 4, CacheEntries: -1})
 	if _, err := e.Insert([]float64{1, 2}); !errors.Is(err, ErrBadUpdate) {
 		t.Errorf("dim mismatch: %v", err)
 	}

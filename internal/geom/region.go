@@ -1,6 +1,7 @@
 package geom
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -84,12 +85,22 @@ func NewBox(lo, hi []float64) (*Region, error) {
 	return r, nil
 }
 
+// maxVertexSubsets bounds the dim-subsets of rows NewPolytope's vertex
+// enumeration may solve. Their number C(m, dim) grows like m^dim: 200 rows
+// at dim 3 took ≈ 0.5 s on a 2-core box, ×8 per doubling. Within the budget
+// dim 3 takes ≈ 16 ms at its 59 distinct rows and dim 7 ≈ 46 ms at 18 (the
+// simplex's 8 and 10 more). At dim 1 the budget admits 32 768 rows, and the
+// vertex check, quadratic in the rows, takes up to ≈ 2.2 s when the rows are
+// ordered so that each candidate passes most of them.
+const maxVertexSubsets = 1 << 15
+
 // NewPolytope builds a general convex region from bounding half-spaces. The
 // vertices are enumerated exactly (intersections of dim-subsets of the
 // bounding hyperplanes, kept when feasible); the construction is intended
-// for the low-dimensional regions the paper targets. The half-spaces of the
-// preference-domain simplex are added implicitly so the region is always
-// bounded.
+// for the low-dimensional regions the paper targets, and it refuses a region
+// whose distinct rows have more than maxVertexSubsets dim-subsets. The
+// half-spaces of the preference-domain simplex are added implicitly so the
+// region is always bounded.
 func NewPolytope(dim int, halfspaces []Halfspace) (*Region, error) {
 	if dim <= 0 {
 		return nil, errors.New("geom: non-positive dimension")
@@ -99,24 +110,29 @@ func NewPolytope(dim int, halfspaces []Halfspace) (*Region, error) {
 		if len(h.A) != dim {
 			return nil, fmt.Errorf("geom: half-space dimension %d does not match region dimension %d", len(h.A), dim)
 		}
-		all = append(all, h.Clone())
+		all = append(all, h)
 	}
 	all = append(all, SimplexHalfspaces(dim)...)
-	// Exact duplicates change nothing geometrically and would otherwise
-	// accumulate when regions are built from other regions' half-space lists
-	// (recursive splitting re-adds the simplex rows each level).
+	// Exact duplicates change nothing geometrically (a caller's rows may
+	// repeat the simplex's). They are found by hashing each row's bits (−0 as
+	// +0), so a long list costs one pass, and the budget is checked as rows
+	// are kept.
 	dedup := all[:0]
+	seen := make(map[string]bool, len(all))
+	key := make([]byte, 0, 8*(dim+1))
 	for _, h := range all {
-		seen := false
-		for _, have := range dedup {
-			if sameHalfspace(have, h) {
-				seen = true
-				break
-			}
+		key = binary.LittleEndian.AppendUint64(key[:0], math.Float64bits(h.B+0))
+		for _, a := range h.A {
+			key = binary.LittleEndian.AppendUint64(key, math.Float64bits(a+0))
 		}
-		if !seen {
-			dedup = append(dedup, h)
+		if seen[string(key)] {
+			continue
 		}
+		if subsets(len(dedup)+1, dim) > maxVertexSubsets {
+			return nil, fmt.Errorf("geom: too many half-spaces: %d distinct rows in dimension %d make more than %d vertex subsets", len(dedup)+1, dim, maxVertexSubsets)
+		}
+		seen[string(key)] = true
+		dedup = append(dedup, h.Clone())
 	}
 	all = dedup
 	verts := EnumerateVertices(dim, all)
@@ -130,6 +146,16 @@ func NewPolytope(dim int, halfspaces []Halfspace) (*Region, error) {
 		return nil, ErrEmptyRegion
 	}
 	return r, nil
+}
+
+// subsets returns C(m, k), or a value above maxVertexSubsets once it passes
+// that budget.
+func subsets(m, k int) int {
+	c := 1
+	for i := 1; i <= k && c <= maxVertexSubsets; i++ {
+		c = c * (m - k + i) / i
+	}
+	return c
 }
 
 // Dim returns the dimensionality of the preference domain the region lives

@@ -5,7 +5,9 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
+	"time"
 )
 
 func mustBox(t *testing.T, lo, hi []float64) *Region {
@@ -266,6 +268,49 @@ func TestNewPolytopeLowerDimensional(t *testing.T) {
 	}
 	if _, err := NewPolytope(2, hs); !errors.Is(err, ErrEmptyRegion) {
 		t.Fatalf("want ErrEmptyRegion for a segment, got %v", err)
+	}
+}
+
+// tangentHalfspaces returns m random half-spaces tangent to the ball of
+// radius r around c, all of them holding the ball.
+func tangentHalfspaces(rng *rand.Rand, c []float64, r float64, m int) []Halfspace {
+	hs := make([]Halfspace, m)
+	for i := range hs {
+		u := make([]float64, len(c))
+		n := 0.0
+		for j := range u {
+			u[j] = rng.NormFloat64()
+			n += u[j] * u[j]
+		}
+		b := -r
+		for j := range u {
+			u[j] = -u[j] / math.Sqrt(n)
+			b += u[j] * c[j]
+		}
+		hs[i] = Halfspace{A: u, B: b}
+	}
+	return hs
+}
+
+// TestNewPolytopeWorkBound: vertex enumeration solves every dim-subset of the
+// distinct rows, so a region with more than maxVertexSubsets of them is
+// refused before any is solved. Duplicates do not count.
+func TestNewPolytopeWorkBound(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	c := []float64{0.2, 0.2, 0.2}
+	many := tangentHalfspaces(rng, c, 0.05, 200)
+	start := time.Now()
+	if _, err := NewPolytope(3, many); err == nil || errors.Is(err, ErrEmptyRegion) {
+		t.Fatalf("200 half-spaces at dim 3: got %v after %v, want a refusal", err, time.Since(start))
+	}
+	// 55 rows and the simplex's 4 make C(59, 3) = 32 509 subsets, within the
+	// budget, however often each row is repeated.
+	fit := tangentHalfspaces(rng, c, 0.05, 55)
+	if _, err := NewPolytope(3, slices.Concat(fit, fit, fit)); err != nil {
+		t.Fatalf("55 distinct half-spaces at dim 3: %v", err)
+	}
+	if _, err := NewPolytope(3, tangentHalfspaces(rng, c, 0.05, 56)); err == nil {
+		t.Fatal("56 distinct half-spaces at dim 3 (C(60, 3) = 34 220 subsets): accepted")
 	}
 }
 

@@ -1,7 +1,6 @@
 package registry
 
 import (
-	"context"
 	"fmt"
 	"io/fs"
 	"math/rand"
@@ -11,8 +10,9 @@ import (
 	"strings"
 	"testing"
 
-	utk "repro"
 	"repro/internal/dataset"
+	"repro/internal/engine"
+	"repro/internal/geom"
 	"repro/internal/store"
 )
 
@@ -20,28 +20,28 @@ import (
 // id space: inserts draw fresh ids sequentially (matching the engine's
 // assignment), deletes pick a live id. The stream is engine-independent, so
 // the same prefix can be replayed into any number of reference engines.
-func genBatches(rng *rand.Rand, n, dim, startID, batches int) [][]utk.UpdateOp {
+func genBatches(rng *rand.Rand, n, dim, startID, batches int) [][]engine.UpdateOp {
 	live := make([]int, n)
 	for i := range live {
 		live[i] = i
 	}
 	nextID := startID
-	out := make([][]utk.UpdateOp, batches)
+	out := make([][]engine.UpdateOp, batches)
 	for bi := range out {
 		nops := 1 + rng.Intn(4)
-		ops := make([]utk.UpdateOp, 0, nops)
+		ops := make([]engine.UpdateOp, 0, nops)
 		for len(ops) < nops {
 			if rng.Intn(3) > 0 || len(live) < 10 {
 				rec := make([]float64, dim)
 				for j := range rec {
 					rec[j] = rng.Float64()
 				}
-				ops = append(ops, utk.UpdateOp{Kind: utk.UpdateInsert, Record: rec})
+				ops = append(ops, engine.UpdateOp{Kind: engine.UpdateInsert, Record: rec})
 				live = append(live, nextID)
 				nextID++
 			} else {
 				vi := rng.Intn(len(live))
-				ops = append(ops, utk.UpdateOp{Kind: utk.UpdateDelete, ID: live[vi]})
+				ops = append(ops, engine.UpdateOp{Kind: engine.UpdateDelete, ID: live[vi]})
 				live[vi] = live[len(live)-1]
 				live = live[:len(live)-1]
 			}
@@ -78,7 +78,7 @@ func copyTree(t *testing.T, src, dst string) {
 
 // answers probes an engine with a fixed set of queries, canonicalizing UTK1
 // id sets and the multiset of UTK2 top-k sets.
-func answers(t *testing.T, eng *utk.Engine, dim int) string {
+func answers(t *testing.T, eng *engine.Engine, dim int) string {
 	t.Helper()
 	var sb strings.Builder
 	for qi, lo0 := range []float64{0.05, 0.2, 0.4} {
@@ -89,27 +89,16 @@ func answers(t *testing.T, eng *utk.Engine, dim int) string {
 			lo[j] = lo0 / float64(rd)
 			hi[j] = lo[j] + 0.08
 		}
-		region, err := utk.NewBoxRegion(lo, hi)
+		region, err := geom.NewBox(lo, hi)
 		if err != nil {
 			t.Fatal(err)
 		}
-		q := utk.Query{K: 3, Region: region}
-		r1, err := eng.UTK1(context.Background(), q)
-		if err != nil {
-			t.Fatalf("query %d: UTK1: %v", qi, err)
-		}
-		ids := append([]int(nil), r1.Records...)
-		sort.Ints(ids)
+		ids := ask(t, eng, engine.UTK1, 3, region).IDs
 		fmt.Fprintf(&sb, "q%d utk1=%v\n", qi, ids)
-		r2, err := eng.UTK2(context.Background(), q)
-		if err != nil {
-			t.Fatalf("query %d: UTK2: %v", qi, err)
-		}
+		r2 := ask(t, eng, engine.UTK2, 3, region)
 		cells := make([]string, len(r2.Cells))
 		for i, c := range r2.Cells {
-			topk := append([]int(nil), c.TopK...)
-			sort.Ints(topk)
-			cells[i] = fmt.Sprint(topk)
+			cells[i] = fmt.Sprint(c.TopK)
 		}
 		sort.Strings(cells)
 		fmt.Fprintf(&sb, "q%d utk2=%v\n", qi, cells)
@@ -156,7 +145,7 @@ func crashDifferential(t *testing.T) {
 	}
 
 	// reference builds a never-crashed engine holding the first m batches.
-	reference := func(m uint64) *utk.Engine {
+	reference := func(m uint64) *engine.Engine {
 		ref := New()
 		if _, err := ref.Create("ref", recs, opts); err != nil {
 			t.Fatal(err)

@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"time"
 
-	utk "repro"
+	"repro/internal/engine"
 	"repro/internal/store"
 )
 
@@ -137,14 +137,7 @@ func (r *Registry) reopen(cfg store.DatasetConfig) (*Entry, error) {
 	if err != nil {
 		return nil, err
 	}
-	opts := Options{
-		MaxK:         cfg.MaxK,
-		CacheEntries: cfg.CacheEntries,
-		Workers:      cfg.Workers,
-		MaxQueued:    cfg.MaxQueued,
-		QueryTimeout: cfg.QueryTimeout,
-	}
-	eng, err := utk.RestoreEngine(snap.Engine, opts)
+	eng, err := engine.Restore(snap.Engine, cfg.Config)
 	if err != nil {
 		return nil, err
 	}
@@ -173,13 +166,13 @@ func (r *Registry) reopen(cfg store.DatasetConfig) (*Entry, error) {
 		// Replay trailed a partitioned engine's log: re-seed the publish
 		// counter from the last logged value, so the epoch clients were told
 		// never runs backwards across the upgrade.
-		st := eng.State()
+		st := eng.ExportState()
 		st.Epoch = logged
-		if eng, err = utk.RestoreEngine(st, opts); err != nil {
+		if eng, err = engine.Restore(st, cfg.Config); err != nil {
 			return nil, err
 		}
 	}
-	ent := &Entry{Name: cfg.Name, Engine: eng, Opts: opts, dur: DurabilityStats{
+	ent := &Entry{Name: cfg.Name, Engine: eng, Opts: cfg.Config, dur: DurabilityStats{
 		LastSeq:               seq,
 		ReplayedBatches:       batches,
 		ReplayedOps:           ops,
@@ -214,7 +207,7 @@ func (r *Registry) reopen(cfg store.DatasetConfig) (*Entry, error) {
 // rejected) until a successful snapshot re-bases the log on the engine's
 // state, because the engine is ahead of the WAL and appending later batches
 // would persist a stream with a hole.
-func (r *Registry) Update(name string, ops []utk.UpdateOp) (*utk.UpdateResult, error) {
+func (r *Registry) Update(name string, ops []engine.UpdateOp) (*engine.UpdateResult, error) {
 	ent, err := r.Get(name)
 	if err != nil {
 		return nil, err
@@ -348,7 +341,7 @@ func (r *Registry) Snapshot(name string) (DurabilityStats, error) {
 // exported state is exactly the state at ent.dur.LastSeq (no update can
 // interleave).
 func (r *Registry) snapshotEntry(ent *Entry) error {
-	est := ent.Engine.State()
+	est := ent.Engine.ExportState()
 	now := time.Now().UnixMilli()
 	snap := &store.Snapshot{Seq: ent.dur.LastSeq, Epoch: est.Epoch, UnixMilli: now, Engine: est}
 	if err := r.st.WriteSnapshot(ent.Name, snap); err != nil {
@@ -369,17 +362,4 @@ func (r *Registry) snapshotEntry(ent *Entry) error {
 	ent.dur.LastSnapshotUnixMilli = now
 	ent.dmu.Unlock()
 	return nil
-}
-
-// datasetConfig maps registry options onto a manifest entry.
-func datasetConfig(name string, dim int, opts Options) store.DatasetConfig {
-	return store.DatasetConfig{
-		Name:         name,
-		Dim:          dim,
-		MaxK:         opts.MaxK,
-		CacheEntries: opts.CacheEntries,
-		Workers:      opts.Workers,
-		MaxQueued:    opts.MaxQueued,
-		QueryTimeout: opts.QueryTimeout,
-	}
 }

@@ -1,7 +1,6 @@
 package registry
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -10,6 +9,8 @@ import (
 	"testing"
 
 	utk "repro"
+	"repro/internal/engine"
+	"repro/internal/geom"
 	"repro/internal/store"
 )
 
@@ -60,26 +61,25 @@ func TestShardedFixtureCompat(t *testing.T) {
 		}
 		for _, k := range []int{1, 3, exp.MaxK} {
 			for _, lo := range []float64{0.05, 0.2, 0.4} {
-				region, err := utk.NewBoxRegion([]float64{lo, lo}, []float64{lo + 0.08, lo + 0.08})
+				boxLo, boxHi := []float64{lo, lo}, []float64{lo + 0.08, lo + 0.08}
+				region, err := geom.NewBox(boxLo, boxHi)
 				if err != nil {
 					t.Fatal(err)
 				}
-				q := utk.Query{K: k, Region: region}
-				got1, err := ent.Engine.UTK1(context.Background(), q)
+				lib, err := utk.NewBoxRegion(boxLo, boxHi)
 				if err != nil {
 					t.Fatal(err)
 				}
+				q := utk.Query{K: k, Region: lib}
+				got1 := ask(t, ent.Engine, engine.UTK1, k, region)
 				want1, err := static.UTK1(q)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if got, want := fmt.Sprint(got1.Records), fmt.Sprint(global(want1.Records)); got != want {
+				if got, want := fmt.Sprint(got1.IDs), fmt.Sprint(global(want1.Records)); got != want {
 					t.Fatalf("k=%d lo=%g: UTK1 %s, stateless %s", k, lo, got, want)
 				}
-				got2, err := ent.Engine.UTK2(context.Background(), q)
-				if err != nil {
-					t.Fatal(err)
-				}
+				got2 := ask(t, ent.Engine, engine.UTK2, k, region)
 				want2, err := static.UTK2(q)
 				if err != nil {
 					t.Fatal(err)

@@ -12,7 +12,7 @@ import (
 	"sync"
 	"time"
 
-	utk "repro"
+	"repro/internal/engine"
 	"repro/internal/store"
 )
 
@@ -29,16 +29,16 @@ var (
 	ErrNotDurable = errors.New("registry: store is not durable")
 )
 
-// Options configures the engine built for one dataset: the facade's engine
+// Options configures the engine built for one dataset: the engine's own
 // configuration, with its defaults.
-type Options = utk.EngineConfig
+type Options = engine.Config
 
 // Entry is one registered dataset: the serving engine and the options it was
 // built with. A created entry and one recovered from a durable store are
 // alike: the engine serves its own record collection.
 type Entry struct {
 	Name   string
-	Engine *utk.Engine
+	Engine *engine.Engine
 	Opts   Options
 
 	// mu serializes a durable dataset's update path (apply + WAL append)
@@ -123,7 +123,8 @@ func ValidateName(name string) error {
 }
 
 // Create builds the engine described by opts over a validated copy of the
-// records and registers it under the name. The name must be free.
+// records (engine.CopyRecords' rules) and registers it under the name. The
+// name must be free.
 func (r *Registry) Create(name string, records [][]float64, opts Options) (*Entry, error) {
 	if err := ValidateName(name); err != nil {
 		return nil, err
@@ -137,7 +138,7 @@ func (r *Registry) Create(name string, records [][]float64, opts Options) (*Entr
 	if taken {
 		return nil, fmt.Errorf("%w: %s", ErrExists, name)
 	}
-	eng, err := utk.NewEngine(records, opts)
+	eng, err := engine.New(records, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -150,10 +151,10 @@ func (r *Registry) Create(name string, records [][]float64, opts Options) (*Entr
 	// store, the claim below is the only authority.
 	ent := &Entry{Name: name, Engine: eng, Opts: opts}
 	if r.st != nil {
-		est := eng.State()
+		est := eng.ExportState()
 		now := time.Now().UnixMilli()
 		snap := &store.Snapshot{Seq: 0, Epoch: est.Epoch, UnixMilli: now, Engine: est}
-		if err := r.st.CreateDataset(datasetConfig(name, eng.Dim(), opts), snap); err != nil {
+		if err := r.st.CreateDataset(store.DatasetConfig{Name: name, Dim: eng.Dim(), Config: opts}, snap); err != nil {
 			if errors.Is(err, store.ErrExists) {
 				return nil, fmt.Errorf("%w: %s", ErrExists, name)
 			}
@@ -247,7 +248,7 @@ type AggregateStats struct {
 	ReplayedOps      uint64
 	// PerDataset holds each engine's own snapshot, keyed by name;
 	// PerDatasetDurability the per-dataset durability counters.
-	PerDataset           map[string]utk.EngineStats
+	PerDataset           map[string]engine.Stats
 	PerDatasetDurability map[string]DurabilityStats
 }
 
@@ -262,7 +263,7 @@ func (r *Registry) Stats() AggregateStats {
 
 	agg := AggregateStats{
 		Durable:              r.Durable(),
-		PerDataset:           make(map[string]utk.EngineStats, len(ents)),
+		PerDataset:           make(map[string]engine.Stats, len(ents)),
 		PerDatasetDurability: make(map[string]DurabilityStats, len(ents)),
 	}
 	for _, ent := range ents {

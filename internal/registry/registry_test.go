@@ -11,23 +11,40 @@ import (
 
 	utk "repro"
 	"repro/internal/dataset"
+	"repro/internal/engine"
+	"repro/internal/geom"
 	"repro/internal/store"
 )
 
-func region(t *testing.T, d int) *utk.Region {
-	t.Helper()
+// box is the query box the tests ask in a d-attribute dataset.
+func box(d int) (lo, hi []float64) {
 	rd := d - 1
-	lo := make([]float64, rd)
-	hi := make([]float64, rd)
+	lo = make([]float64, rd)
+	hi = make([]float64, rd)
 	for j := range lo {
 		lo[j] = 0.2 / float64(rd)
 		hi[j] = lo[j] + 0.05
 	}
-	r, err := utk.NewBoxRegion(lo, hi)
+	return lo, hi
+}
+
+func region(t *testing.T, d int) *geom.Region {
+	t.Helper()
+	r, err := geom.NewBox(box(d))
 	if err != nil {
 		t.Fatal(err)
 	}
 	return r
+}
+
+// ask sends one query to an entry's engine, as the HTTP server does.
+func ask(t *testing.T, eng *engine.Engine, v engine.Variant, k int, r *geom.Region) *engine.Result {
+	t.Helper()
+	res, err := eng.Do(context.Background(), engine.Request{Variant: v, K: k, Region: r})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
 }
 
 func TestCreateGetDrop(t *testing.T) {
@@ -101,30 +118,15 @@ func TestUpdateRoutingIsolation(t *testing.T) {
 		t.Fatalf("update unknown: %v", err)
 	}
 
-	q := utk.Query{K: 2, Region: region(t, 3)}
 	entA, _ := reg.Get("a")
 	entB, _ := reg.Get("b")
-	resA, err := entA.Engine.UTK1(context.Background(), q)
-	if err != nil {
-		t.Fatal(err)
+	resA := ask(t, entA.Engine, engine.UTK1, 2, region(t, 3))
+	resB := ask(t, entB.Engine, engine.UTK1, 2, region(t, 3))
+	if !slices.Contains(resA.IDs, id) {
+		t.Fatalf("dominating insert %d missing from dataset a's answer %v", id, resA.IDs)
 	}
-	resB, err := entB.Engine.UTK1(context.Background(), q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	inA := false
-	for _, got := range resA.Records {
-		if got == id {
-			inA = true
-		}
-	}
-	if !inA {
-		t.Fatalf("dominating insert %d missing from dataset a's answer %v", id, resA.Records)
-	}
-	for _, got := range resB.Records {
-		if got == id {
-			t.Fatalf("insert to dataset a leaked into dataset b's answer %v", resB.Records)
-		}
+	if slices.Contains(resB.IDs, id) {
+		t.Fatalf("insert to dataset a leaked into dataset b's answer %v", resB.IDs)
 	}
 }
 
@@ -137,12 +139,9 @@ func TestAggregateStats(t *testing.T) {
 	if _, err := reg.Create("b", recs, Options{MaxK: 3}); err != nil {
 		t.Fatal(err)
 	}
-	q := utk.Query{K: 2, Region: region(t, 3)}
 	for _, name := range []string{"a", "a", "b"} {
 		ent, _ := reg.Get(name)
-		if _, err := ent.Engine.UTK1(context.Background(), q); err != nil {
-			t.Fatal(err)
-		}
+		ask(t, ent.Engine, engine.UTK1, 2, region(t, 3))
 	}
 	// The sums over PerDataset are taken by the HTTP layer's stats table and
 	// pinned by server.TestStatsAggregation.
@@ -232,6 +231,7 @@ func TestCreateRejectsBadRecords(t *testing.T) {
 	}{
 		{name: "empty", recs: nil, want: "utk: empty dataset"},
 		{name: "d=1", recs: [][]float64{{1}, {2}}, want: "utk: records must have at least 2 attributes"},
+		{name: "d=13", recs: [][]float64{make([]float64, 13)}, want: "utk: records have 13 attributes, at most 12 are served"},
 		{name: "ragged", recs: [][]float64{good, {0.1, 0.2}}, want: "utk: record 1 has 2 attributes, want 3"},
 		{name: "NaN", recs: [][]float64{good, {0.1, math.NaN(), 0.2}}, want: "utk: record 1 attribute 1 is not finite: NaN"},
 		{name: "+Inf", recs: [][]float64{{math.Inf(1), 0, 0}, good}, want: "utk: record 0 attribute 0 is not finite: +Inf"},
@@ -264,8 +264,11 @@ func TestCreateRejectsBadRecords(t *testing.T) {
 // that reuses its slices after Create changes no answer — before or after an
 // update makes the band recount against the live table.
 func TestCreateDoesNotAliasRecords(t *testing.T) {
-	ctx := context.Background()
-	q := utk.Query{K: 5, Region: region(t, 3)}
+	lib, err := utk.NewBoxRegion(box(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := utk.Query{K: 5, Region: lib}
 	pristine, err := utk.NewDataset(dataset.Synthetic(dataset.IND, 200, 3, 13))
 	if err != nil {
 		t.Fatal(err)
@@ -285,12 +288,8 @@ func TestCreateDoesNotAliasRecords(t *testing.T) {
 		}
 		recs[i] = nil
 	}
-	got, err := ent.Engine.UTK1(ctx, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !slices.Equal(got.Records, want.Records) {
-		t.Fatalf("answer %v after the caller mutated its records, want %v", got.Records, want.Records)
+	if got := ask(t, ent.Engine, engine.UTK1, 5, region(t, 3)).IDs; !slices.Equal(got, want.Records) {
+		t.Fatalf("answer %v after the caller mutated its records, want %v", got, want.Records)
 	}
 	// Deleting an answer record makes the band recount and promote from
 	// the live table: the oracle is the pristine data without it.
@@ -298,9 +297,7 @@ func TestCreateDoesNotAliasRecords(t *testing.T) {
 	if err := ent.Engine.Delete(gone); err != nil {
 		t.Fatal(err)
 	}
-	if got, err = ent.Engine.UTK1(ctx, q); err != nil {
-		t.Fatal(err)
-	}
+	got := ask(t, ent.Engine, engine.UTK1, 5, region(t, 3)).IDs
 	rest, err := utk.NewDataset(slices.Delete(dataset.Synthetic(dataset.IND, 200, 3, 13), gone, gone+1))
 	if err != nil {
 		t.Fatal(err)
@@ -314,7 +311,7 @@ func TestCreateDoesNotAliasRecords(t *testing.T) {
 			want2.Records[i] = id + 1
 		}
 	}
-	if !slices.Equal(got.Records, want2.Records) {
-		t.Fatalf("answer %v after deleting %d, want %v", got.Records, gone, want2.Records)
+	if !slices.Equal(got, want2.Records) {
+		t.Fatalf("answer %v after deleting %d, want %v", got, gone, want2.Records)
 	}
 }

@@ -53,8 +53,9 @@ import (
 	"strconv"
 	"time"
 
-	utk "repro"
 	"repro/internal/dataset"
+	"repro/internal/engine"
+	"repro/internal/geom"
 	"repro/internal/registry"
 )
 
@@ -90,8 +91,8 @@ func New(reg *registry.Registry, cfg Config) http.Handler {
 	}
 	s := &Server{reg: reg, cfg: cfg}
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /utk1/{dataset}", s.handleUTK1)
-	mux.HandleFunc("POST /utk2/{dataset}", s.handleUTK2)
+	mux.HandleFunc("POST /utk1/{dataset}", s.handleQuery(engine.UTK1))
+	mux.HandleFunc("POST /utk2/{dataset}", s.handleQuery(engine.UTK2))
 	mux.HandleFunc("POST /update/{dataset}", s.handleUpdate)
 	mux.HandleFunc("POST /snapshot/{dataset}", s.handleSnapshot)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
@@ -226,14 +227,14 @@ func bodyError(w http.ResponseWriter, err error) {
 	http.Error(w, "bad request body: "+err.Error(), status)
 }
 
-// parseQuery decodes a /utk1 or /utk2 body into a utk.Query.
-func (s *Server) parseQuery(w http.ResponseWriter, r *http.Request, ent *registry.Entry) (utk.Query, bool) {
+// parseQuery decodes a /utk1 or /utk2 body into an engine request.
+func (s *Server) parseQuery(w http.ResponseWriter, r *http.Request, ent *registry.Entry, v engine.Variant) (engine.Request, bool) {
 	var req queryRequest
 	if err := readBody(r, func(b []byte) error { return decodeQuery(b, &req) }); err != nil {
 		bodyError(w, err)
-		return utk.Query{}, false
+		return engine.Request{}, false
 	}
-	var region *utk.Region
+	var region *geom.Region
 	var err error
 	switch {
 	case req.Region != nil:
@@ -243,65 +244,51 @@ func (s *Server) parseQuery(w http.ResponseWriter, r *http.Request, ent *registr
 			err = fmt.Errorf("box corners have %d and %d entries, want %d", len(req.Region.Lo), len(req.Region.Hi), want)
 			break
 		}
-		region, err = utk.NewBoxRegion(req.Region.Lo, req.Region.Hi)
+		region, err = geom.NewBox(req.Region.Lo, req.Region.Hi)
 	case len(req.Halfspaces) > 0:
-		hs := make([]utk.Halfspace, len(req.Halfspaces))
+		hs := make([]geom.Halfspace, len(req.Halfspaces))
 		for i, h := range req.Halfspaces {
-			hs[i] = utk.Halfspace{Coef: h.Coef, Offset: h.Offset}
+			hs[i] = geom.Halfspace{A: h.Coef, B: h.Offset}
 		}
-		region, err = utk.NewPolytopeRegion(ent.Dim()-1, hs)
+		region, err = geom.NewPolytope(ent.Dim()-1, hs)
 	default:
 		err = fmt.Errorf("provide region {lo, hi} or halfspaces")
 	}
 	if err != nil {
 		http.Error(w, "bad region: "+err.Error(), http.StatusBadRequest)
-		return utk.Query{}, false
+		return engine.Request{}, false
 	}
-	return utk.Query{K: req.K, Region: region}, true
+	return engine.Request{Variant: v, K: req.K, Region: region}, true
 }
 
-func (s *Server) handleUTK1(w http.ResponseWriter, r *http.Request) {
-	ent, ok := s.resolve(w, r)
-	if !ok {
-		return
+// handleQuery serves /utk1 or /utk2: one engine request, its Result encoded
+// as the engine returned it.
+func (s *Server) handleQuery(v engine.Variant) http.HandlerFunc {
+	variant := "utk1"
+	if v == engine.UTK2 {
+		variant = "utk2"
 	}
-	var scratch reqInfo
-	info := note(r, &scratch)
-	info.dataset, info.variant = ent.Name, "utk1"
-	q, ok := s.parseQuery(w, r, ent)
-	if !ok {
-		return
+	return func(w http.ResponseWriter, r *http.Request) {
+		ent, ok := s.resolve(w, r)
+		if !ok {
+			return
+		}
+		var scratch reqInfo
+		info := note(r, &scratch)
+		info.dataset, info.variant = ent.Name, variant
+		req, ok := s.parseQuery(w, r, ent, v)
+		if !ok {
+			return
+		}
+		info.k = req.K
+		res, err := ent.Engine.Do(r.Context(), req)
+		if err != nil {
+			queryError(w, err)
+			return
+		}
+		info.served = servedLabel(res.CacheHit, res.Derived)
+		respond(w, func(e *enc) { e.result(res, v, ent.Name) })
 	}
-	info.k = q.K
-	res, err := ent.Engine.UTK1(r.Context(), q)
-	if err != nil {
-		queryError(w, err)
-		return
-	}
-	info.served = servedLabel(res.CacheHit, res.Derived)
-	respond(w, func(e *enc) { e.utk1(res, ent.Name) })
-}
-
-func (s *Server) handleUTK2(w http.ResponseWriter, r *http.Request) {
-	ent, ok := s.resolve(w, r)
-	if !ok {
-		return
-	}
-	var scratch reqInfo
-	info := note(r, &scratch)
-	info.dataset, info.variant = ent.Name, "utk2"
-	q, ok := s.parseQuery(w, r, ent)
-	if !ok {
-		return
-	}
-	info.k = q.K
-	res, err := ent.Engine.UTK2(r.Context(), q)
-	if err != nil {
-		queryError(w, err)
-		return
-	}
-	info.served = servedLabel(res.CacheHit, res.Derived)
-	respond(w, func(e *enc) { e.utk2(res, ent.Name) })
 }
 
 // updateRequest is the JSON body of /update. Deletes apply before inserts.
@@ -324,12 +311,12 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "provide delete ids and/or insert records", http.StatusBadRequest)
 		return
 	}
-	ops := make([]utk.UpdateOp, 0, len(req.Delete)+len(req.Insert))
+	ops := make([]engine.UpdateOp, 0, len(req.Delete)+len(req.Insert))
 	for _, id := range req.Delete {
-		ops = append(ops, utk.UpdateOp{Kind: utk.UpdateDelete, ID: id})
+		ops = append(ops, engine.UpdateOp{Kind: engine.UpdateDelete, ID: id})
 	}
 	for _, rec := range req.Insert {
-		ops = append(ops, utk.UpdateOp{Kind: utk.UpdateInsert, Record: rec})
+		ops = append(ops, engine.UpdateOp{Kind: engine.UpdateInsert, Record: rec})
 	}
 	// Route through the registry so the batch is durably logged before the
 	// acknowledgement below: a 200 from /update survives a crash.
@@ -337,7 +324,7 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		status := http.StatusBadRequest
 		switch {
-		case errors.Is(err, utk.ErrUnknownRecord):
+		case errors.Is(err, engine.ErrUnknownRecord):
 			status = http.StatusNotFound
 		case errors.Is(err, registry.ErrUnknownDataset):
 			status = http.StatusNotFound
@@ -386,50 +373,50 @@ type stat struct {
 	help  string // Prometheus HELP text
 	kind  string // Prometheus TYPE: counter or gauge
 	scope int    // perDataset, summed or fleetWide
-	get   func(utk.EngineStats) uint64
+	get   func(engine.Stats) uint64
 }
 
 // engineStats is in /metrics exposition order.
 var engineStats = []stat{
-	{"in_flight", "utk_in_flight", "Computations executing right now.", "gauge", fleetWide, func(st utk.EngineStats) uint64 { return uint64(st.InFlight) }},
-	{"queued", "utk_queued", "Tasks waiting for an executor slot right now.", "gauge", fleetWide, func(st utk.EngineStats) uint64 { return uint64(st.Queued) }},
-	{"cache_entries", "utk_cache_entries", "Resident result-cache entries.", "gauge", fleetWide, func(st utk.EngineStats) uint64 { return uint64(st.CacheEntries) }},
-	{"queries", "utk_queries_total", "Completed queries.", "counter", summed, func(st utk.EngineStats) uint64 { return st.Queries }},
-	{"hits", "utk_cache_hits_total", "Exact result-cache hits.", "counter", summed, func(st utk.EngineStats) uint64 { return st.Hits }},
-	{"derived_hits", "utk_cache_derived_hits_total", "Misses answered by containment-based cell clipping.", "counter", summed, func(st utk.EngineStats) uint64 { return st.DerivedHits }},
-	{"misses", "utk_cache_misses_total", "Result-cache misses that computed.", "counter", summed, func(st utk.EngineStats) uint64 { return st.Misses }},
-	{"shared", "utk_cache_shared_total", "Queries coalesced onto an identical in-flight computation.", "counter", summed, func(st utk.EngineStats) uint64 { return st.Shared }},
-	{"evictions", "utk_cache_evictions_total", "Capacity evictions.", "counter", summed, func(st utk.EngineStats) uint64 { return st.Evictions }},
-	{"invalidations", "utk_cache_invalidations_total", "Cache entries evicted by update invalidation.", "counter", summed, func(st utk.EngineStats) uint64 { return st.Invalidations }},
-	{"rejected", "utk_rejected_total", "Queries that gave up before obtaining a result.", "counter", summed, func(st utk.EngineStats) uint64 { return st.Rejected }},
-	{"saturated", "utk_saturated_total", "Queries refused at the executor queue bound (429 backpressure).", "counter", summed, func(st utk.EngineStats) uint64 { return st.Saturated }},
-	{"epoch", "utk_epoch", "Current index version.", "gauge", perDataset, func(st utk.EngineStats) uint64 { return st.Epoch }},
-	{"live", "utk_live_records", "Live record population.", "gauge", summed, func(st utk.EngineStats) uint64 { return uint64(st.Live) }},
-	{"inserts", "utk_inserts_total", "Applied record inserts.", "counter", summed, func(st utk.EngineStats) uint64 { return st.Inserts }},
-	{"deletes", "utk_deletes_total", "Applied record deletes.", "counter", summed, func(st utk.EngineStats) uint64 { return st.Deletes }},
-	{"update_batches", "utk_update_batches_total", "Applied update batches.", "counter", summed, func(st utk.EngineStats) uint64 { return st.UpdateBatches }},
-	{"coalesced_ops", "utk_coalesced_ops_total", "Batch ops elided by same-record insert/delete coalescing.", "counter", perDataset, func(st utk.EngineStats) uint64 { return st.CoalescedOps }},
-	{"admission_skips", "utk_admission_skips_total", "Result-cache admissions refused for churning query classes.", "counter", perDataset, func(st utk.EngineStats) uint64 { return st.AdmissionSkips }},
-	{"probe_batches", "utk_probe_batches_total", "Update batches that ran a batched cache-invalidation probe pass.", "counter", perDataset, func(st utk.EngineStats) uint64 { return st.ProbeBatches }},
-	{"probes_saved", "utk_probes_saved_total", "Per-entry invalidation probes avoided by (region,k) grouping.", "counter", perDataset, func(st utk.EngineStats) uint64 { return st.ProbesSaved }},
-	{"exhaustions", "utk_exhaustions_total", "Shadow exhaustions (always 0 since PR 18: the band is exact without a shadow).", "counter", perDataset, func(st utk.EngineStats) uint64 { return st.Exhaustions }},
-	{"repair_steps", "utk_repair_steps_total", "Covered records re-examined by re-cover passes after their fence entry left.", "counter", perDataset, func(st utk.EngineStats) uint64 { return st.RepairSteps }},
-	{"band_maintenance_ns", "utk_band_maintenance_ns_total", "Wall time spent in band maintenance (begin-stage blocking).", "counter", perDataset, func(st utk.EngineStats) uint64 { return st.BandMaintenanceNS }},
-	{"batch_apply_ops", "utk_batch_apply_ops_total", "Update ops applied by band maintenance.", "counter", perDataset, func(st utk.EngineStats) uint64 { return st.BatchApplyOps }},
-	{key: "superset_size", get: func(st utk.EngineStats) uint64 { return uint64(st.SupersetSize) }},
-	{key: "shadow_size", get: func(st utk.EngineStats) uint64 { return uint64(st.ShadowSize) }},
-	{key: "promotions", get: func(st utk.EngineStats) uint64 { return st.Promotions }},
-	{key: "demotions", get: func(st utk.EngineStats) uint64 { return st.Demotions }},
-	{key: "shadow_evictions", get: func(st utk.EngineStats) uint64 { return st.ShadowEvictions }},
-	{key: "rebuilds", get: func(st utk.EngineStats) uint64 { return st.Rebuilds }},
-	{key: "repairs", get: func(st utk.EngineStats) uint64 { return st.Repairs }},
-	{key: "max_k", get: func(st utk.EngineStats) uint64 { return uint64(st.MaxK) }},
-	{key: "workers", get: func(st utk.EngineStats) uint64 { return uint64(st.Workers) }},
+	{"in_flight", "utk_in_flight", "Computations executing right now.", "gauge", fleetWide, func(st engine.Stats) uint64 { return uint64(st.InFlight) }},
+	{"queued", "utk_queued", "Queries waiting for a slot right now.", "gauge", fleetWide, func(st engine.Stats) uint64 { return uint64(st.Queued) }},
+	{"cache_entries", "utk_cache_entries", "Resident result-cache entries.", "gauge", fleetWide, func(st engine.Stats) uint64 { return uint64(st.CacheEntries) }},
+	{"queries", "utk_queries_total", "Completed queries.", "counter", summed, func(st engine.Stats) uint64 { return st.Queries }},
+	{"hits", "utk_cache_hits_total", "Exact result-cache hits.", "counter", summed, func(st engine.Stats) uint64 { return st.Hits }},
+	{"derived_hits", "utk_cache_derived_hits_total", "Misses answered by containment-based cell clipping.", "counter", summed, func(st engine.Stats) uint64 { return st.DerivedHits }},
+	{"misses", "utk_cache_misses_total", "Result-cache misses that computed.", "counter", summed, func(st engine.Stats) uint64 { return st.Misses }},
+	{"shared", "utk_cache_shared_total", "Queries coalesced onto an identical in-flight computation.", "counter", summed, func(st engine.Stats) uint64 { return st.Shared }},
+	{"evictions", "utk_cache_evictions_total", "Capacity evictions.", "counter", summed, func(st engine.Stats) uint64 { return st.Evictions }},
+	{"invalidations", "utk_cache_invalidations_total", "Cache entries evicted by update invalidation.", "counter", summed, func(st engine.Stats) uint64 { return st.Invalidations }},
+	{"rejected", "utk_rejected_total", "Queries that gave up before obtaining a result.", "counter", summed, func(st engine.Stats) uint64 { return st.Rejected }},
+	{"saturated", "utk_saturated_total", "Queries refused at the slot queue bound (429 backpressure).", "counter", summed, func(st engine.Stats) uint64 { return st.Saturated }},
+	{"epoch", "utk_epoch", "Current index version.", "gauge", perDataset, func(st engine.Stats) uint64 { return st.Epoch }},
+	{"live", "utk_live_records", "Live record population.", "gauge", summed, func(st engine.Stats) uint64 { return uint64(st.Live) }},
+	{"inserts", "utk_inserts_total", "Applied record inserts.", "counter", summed, func(st engine.Stats) uint64 { return st.Inserts }},
+	{"deletes", "utk_deletes_total", "Applied record deletes.", "counter", summed, func(st engine.Stats) uint64 { return st.Deletes }},
+	{"update_batches", "utk_update_batches_total", "Applied update batches.", "counter", summed, func(st engine.Stats) uint64 { return st.UpdateBatches }},
+	{"coalesced_ops", "utk_coalesced_ops_total", "Batch ops elided by same-record insert/delete coalescing.", "counter", perDataset, func(st engine.Stats) uint64 { return st.CoalescedOps }},
+	{"admission_skips", "utk_admission_skips_total", "Result-cache admissions refused for churning query classes.", "counter", perDataset, func(st engine.Stats) uint64 { return st.AdmissionSkips }},
+	{"probe_batches", "utk_probe_batches_total", "Update batches that ran a batched cache-invalidation probe pass.", "counter", perDataset, func(st engine.Stats) uint64 { return st.ProbeBatches }},
+	{"probes_saved", "utk_probes_saved_total", "Per-entry invalidation probes avoided by (region,k) grouping.", "counter", perDataset, func(st engine.Stats) uint64 { return st.ProbesSaved }},
+	{"exhaustions", "utk_exhaustions_total", "Shadow exhaustions (always 0: the band is exact without a shadow).", "counter", perDataset, func(st engine.Stats) uint64 { return st.Exhaustions }},
+	{"repair_steps", "utk_repair_steps_total", "Covered records re-examined by re-cover passes after their fence entry left.", "counter", perDataset, func(st engine.Stats) uint64 { return st.RepairSteps }},
+	{"band_maintenance_ns", "utk_band_maintenance_ns_total", "Wall time spent in band maintenance (begin-stage blocking).", "counter", perDataset, func(st engine.Stats) uint64 { return st.BandMaintenanceNS }},
+	{"batch_apply_ops", "utk_batch_apply_ops_total", "Update ops applied by band maintenance.", "counter", perDataset, func(st engine.Stats) uint64 { return st.BatchApplyOps }},
+	{key: "superset_size", get: func(st engine.Stats) uint64 { return uint64(st.SupersetSize) }},
+	{key: "shadow_size", get: func(st engine.Stats) uint64 { return uint64(st.ShadowSize) }},
+	{key: "promotions", get: func(st engine.Stats) uint64 { return st.Promotions }},
+	{key: "demotions", get: func(st engine.Stats) uint64 { return st.Demotions }},
+	{key: "shadow_evictions", get: func(st engine.Stats) uint64 { return st.ShadowEvictions }},
+	{key: "rebuilds", get: func(st engine.Stats) uint64 { return st.Rebuilds }},
+	{key: "repairs", get: func(st engine.Stats) uint64 { return st.Repairs }},
+	{key: "max_k", get: func(st engine.Stats) uint64 { return uint64(st.MaxK) }},
+	{key: "workers", get: func(st engine.Stats) uint64 { return uint64(st.Workers) }},
 }
 
 // datasetStatsPayload is the /stats/{dataset} body: every table row under its
 // key, plus the durability block.
-func datasetStatsPayload(st utk.EngineStats, d registry.DurabilityStats) map[string]any {
+func datasetStatsPayload(st engine.Stats, d registry.DurabilityStats) map[string]any {
 	p := make(map[string]any, len(engineStats)+1)
 	for _, row := range engineStats {
 		p[row.key] = row.get(st)
@@ -439,7 +426,7 @@ func datasetStatsPayload(st utk.EngineStats, d registry.DurabilityStats) map[str
 }
 
 // fleetSum adds one row across every dataset.
-func fleetSum(row stat, per map[string]utk.EngineStats) uint64 {
+func fleetSum(row stat, per map[string]engine.Stats) uint64 {
 	var total uint64
 	for _, st := range per {
 		total += row.get(st)
@@ -661,7 +648,7 @@ const RetryAfterSeconds = 1
 func queryError(w http.ResponseWriter, err error) {
 	status := http.StatusBadRequest
 	switch {
-	case errors.Is(err, utk.ErrSaturated):
+	case errors.Is(err, engine.ErrSaturated):
 		// Slot-queue backpressure: ask the client to back off briefly rather
 		// than letting the queue grow without bound.
 		w.Header().Set("Retry-After", strconv.Itoa(RetryAfterSeconds))

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"slices"
@@ -103,12 +104,12 @@ func TestRouting(t *testing.T) {
 	}
 }
 
-// TestQueryCorrectness cross-checks the HTTP answer against a direct
-// library call, on two datasets.
+// TestQueryCorrectness cross-checks the HTTP answer against a library
+// engine over the same records, on two datasets.
 func TestQueryCorrectness(t *testing.T) {
-	reg, srv := fixture(t, "plain", "other")
-	for _, name := range []string{"plain", "other"} {
-		ent, err := reg.Get(name)
+	_, srv := fixture(t, "plain", "other")
+	for i, name := range []string{"plain", "other"} {
+		eng, err := utk.NewEngine(dataset.Synthetic(dataset.IND, 150, 3, int64(10+i)), utk.EngineConfig{MaxK: 5})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -116,7 +117,7 @@ func TestQueryCorrectness(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := ent.Engine.UTK1(context.Background(), utk.Query{K: 3, Region: region})
+		want, err := eng.UTK1(context.Background(), utk.Query{K: 3, Region: region})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -150,6 +151,8 @@ func TestBadInputs(t *testing.T) {
 		{"inverted box", map[string]any{"k": 2, "region": map[string]any{"lo": []float64{0.3, 0.3}, "hi": []float64{0.2, 0.2}}}, http.StatusBadRequest},
 		// Building a 40-wide box would size a buffer of 2⁴⁰ corners.
 		{"box wider than the data", map[string]any{"k": 2, "region": map[string]any{"lo": make([]float64, 40), "hi": slices.Repeat([]float64{0.01}, 40)}}, http.StatusBadRequest},
+		// Enumerating the vertices of 800 lines would solve C(803, 2) pairs.
+		{"too many half-spaces", map[string]any{"k": 2, "halfspaces": tangentLines(800)}, http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		for _, path := range []string{"/utk1/alpha", "/utk2/alpha"} {
@@ -169,6 +172,18 @@ func TestBadInputs(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("bad JSON: %d, want 400", resp.StatusCode)
 	}
+}
+
+// tangentLines returns m half-space bodies tangent to a small circle inside
+// the 2-dimensional preference domain: together a valid region.
+func tangentLines(m int) []map[string]any {
+	out := make([]map[string]any, m)
+	for i := range out {
+		a := 2 * math.Pi * float64(i) / float64(m)
+		coef := []float64{-math.Cos(a), -math.Sin(a)}
+		out[i] = map[string]any{"coef": coef, "offset": 0.2*(coef[0]+coef[1]) - 0.02}
+	}
+	return out
 }
 
 // TestUpdateBatchAtomicity checks that a mixed /update batch with an
@@ -314,6 +329,11 @@ func TestDatasetAdmin(t *testing.T) {
 	resp, _ = post(t, srv.URL+"/datasets/deep", map[string]any{"gen": "IND", "n": 50, "maxk": 1 << 24})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("maxk past the cache key's 2^24-1: %d, want 400", resp.StatusCode)
+	}
+	// Every box query on a 40-attribute dataset would build 2³⁹ corners.
+	resp, body = post(t, srv.URL+"/datasets/wide", map[string]any{"gen": "IND", "n": 200, "d": 40})
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("d = 40: %d %v, want 400", resp.StatusCode, body)
 	}
 
 	resp, err := http.Get(srv.URL + "/datasets")

@@ -15,7 +15,8 @@ import (
 	"unicode/utf8"
 	"unsafe"
 
-	utk "repro"
+	"repro/internal/core"
+	"repro/internal/engine"
 )
 
 // The hot routes' wire codec: request bodies decode and answers encode
@@ -570,48 +571,51 @@ func respond(w http.ResponseWriter, fill func(*enc)) {
 	}
 }
 
-// utk1 appends one UTK1 answer for the named dataset.
-func (e *enc) utk1(res *utk.UTK1Result, name string) {
+// result appends one /utk1 or /utk2 answer for the named dataset, reading
+// the engine's Result where it lies: the UTK1 ids, or per UTK2 cell only its
+// top-k set and interior point. An empty id list or point is written as
+// null, so the bytes do not depend on whether the engine left it nil or
+// empty.
+func (e *enc) result(res *engine.Result, v engine.Variant, name string) {
 	e.b = append(e.b, `{"cache_hit":`...)
 	e.b = strconv.AppendBool(e.b, res.CacheHit)
+	if v == engine.UTK2 {
+		e.b = append(e.b, `,"cells":[`...)
+		for i := range res.Cells {
+			if i > 0 {
+				e.b = append(e.b, ',')
+			}
+			e.b = append(e.b, `{"top_k":`...)
+			e.ints(orNil(res.Cells[i].TopK))
+			e.b = append(e.b, `,"interior":`...)
+			e.floats(orNil(res.Cells[i].Interior))
+			e.b = append(e.b, '}')
+		}
+		e.b = append(e.b, ']')
+	}
 	e.b = append(e.b, `,"dataset":`...)
 	e.str(name)
 	e.b = append(e.b, `,"derived":`...)
 	e.b = strconv.AppendBool(e.b, res.Derived)
-	e.b = append(e.b, `,"records":`...)
-	e.ints(res.Records)
-	e.stats(res.Stats)
+	if v == engine.UTK1 {
+		e.b = append(e.b, `,"records":`...)
+		e.ints(orNil(res.IDs))
+	}
+	e.stats(&res.Stats)
 	e.b = append(e.b, '}')
 }
 
-// utk2 appends one UTK2 answer for the named dataset: per cell only its
-// top-k set and interior point reach the wire.
-func (e *enc) utk2(res *utk.UTK2Result, name string) {
-	e.b = append(e.b, `{"cache_hit":`...)
-	e.b = strconv.AppendBool(e.b, res.CacheHit)
-	e.b = append(e.b, `,"cells":[`...)
-	for i := range res.Cells {
-		if i > 0 {
-			e.b = append(e.b, ',')
-		}
-		e.b = append(e.b, `{"top_k":`...)
-		e.ints(res.Cells[i].TopK)
-		e.b = append(e.b, `,"interior":`...)
-		e.floats(res.Cells[i].Interior)
-		e.b = append(e.b, '}')
+// orNil maps an empty slice to nil, which the writer writes as null.
+func orNil[T any](v []T) []T {
+	if len(v) == 0 {
+		return nil
 	}
-	e.b = append(e.b, ']')
-	e.b = append(e.b, `,"dataset":`...)
-	e.str(name)
-	e.b = append(e.b, `,"derived":`...)
-	e.b = strconv.AppendBool(e.b, res.Derived)
-	e.stats(res.Stats)
-	e.b = append(e.b, '}')
+	return v
 }
 
 // update appends an /update answer; inserted_ids are the batch's ids after
 // its deletes.
-func (e *enc) update(name string, deleted []int, res *utk.UpdateResult) {
+func (e *enc) update(name string, deleted []int, res *engine.UpdateResult) {
 	e.b = append(e.b, `{"dataset":`...)
 	e.str(name)
 	e.b = append(e.b, `,"deleted":`...)
@@ -630,7 +634,7 @@ func (e *enc) update(name string, deleted []int, res *utk.UpdateResult) {
 }
 
 // stats appends the ,"stats":{...} member in statsPayload's field order.
-func (e *enc) stats(st utk.Stats) {
+func (e *enc) stats(st *core.Stats) {
 	e.b = append(e.b, `,"stats":{"candidates":`...)
 	e.b = strconv.AppendInt(e.b, int64(st.Candidates), 10)
 	e.b = append(e.b, `,"filter_ms":`...)

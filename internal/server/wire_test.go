@@ -11,7 +11,9 @@ import (
 	"testing"
 	"time"
 
-	utk "repro"
+	"repro/internal/core"
+	"repro/internal/engine"
+	"repro/internal/geom"
 )
 
 // Reference encoders: the payload maps the hot handlers handed to
@@ -25,7 +27,7 @@ type refStatsPayload struct {
 	UniqueTopKSets int     `json:"unique_top_k_sets,omitempty"`
 }
 
-func refStats(st utk.Stats) refStatsPayload {
+func refStats(st *core.Stats) refStatsPayload {
 	return refStatsPayload{
 		Candidates:     st.Candidates,
 		FilterMillis:   float64(st.FilterDuration.Microseconds()) / 1000,
@@ -35,12 +37,15 @@ func refStats(st utk.Stats) refStatsPayload {
 	}
 }
 
-func refUTK1(res *utk.UTK1Result) map[string]any {
+// refUTK1 and refUTK2 build the payloads from copies made the way the root
+// package's UTK1Result and UTK2Result copy an engine.Result, which turn every
+// empty id list and point into nil: the wire keeps writing those as null.
+func refUTK1(res *engine.Result) map[string]any {
 	return map[string]any{
-		"records":   res.Records,
+		"records":   append([]int(nil), res.IDs...),
 		"cache_hit": res.CacheHit,
 		"derived":   res.Derived,
-		"stats":     refStats(res.Stats),
+		"stats":     refStats(&res.Stats),
 	}
 }
 
@@ -49,20 +54,20 @@ type refCellPayload struct {
 	Interior []float64 `json:"interior"`
 }
 
-func refUTK2(res *utk.UTK2Result) map[string]any {
+func refUTK2(res *engine.Result) map[string]any {
 	cells := make([]refCellPayload, len(res.Cells))
 	for i, c := range res.Cells {
-		cells[i] = refCellPayload{TopK: c.TopK, Interior: c.Interior}
+		cells[i] = refCellPayload{TopK: append([]int(nil), c.TopK...), Interior: append([]float64(nil), c.Interior...)}
 	}
 	return map[string]any{
 		"cells":     cells,
 		"cache_hit": res.CacheHit,
 		"derived":   res.Derived,
-		"stats":     refStats(res.Stats),
+		"stats":     refStats(&res.Stats),
 	}
 }
 
-func refUpdate(name string, deleted []int, res *utk.UpdateResult) map[string]any {
+func refUpdate(name string, deleted []int, res *engine.UpdateResult) map[string]any {
 	return map[string]any{
 		"dataset":      name,
 		"deleted":      deleted,
@@ -147,7 +152,7 @@ func (g wireGen) count() int {
 	return g.rng.Intn(1 << 16)
 }
 
-func (g wireGen) stats() utk.Stats {
+func (g wireGen) stats() core.Stats {
 	dur := func() time.Duration {
 		switch g.rng.Intn(4) {
 		case 0:
@@ -157,7 +162,7 @@ func (g wireGen) stats() utk.Stats {
 		}
 		return time.Duration(g.rng.Int63n(int64(time.Hour)))
 	}
-	return utk.Stats{
+	return core.Stats{
 		Candidates:     g.count(),
 		FilterDuration: dur(),
 		RefineDuration: dur(),
@@ -187,16 +192,21 @@ func (g wireGen) message() string {
 	return sb.String()
 }
 
-func (g wireGen) utk1() *utk.UTK1Result {
-	return &utk.UTK1Result{Records: g.ints(), Stats: g.stats(), CacheHit: g.rng.Intn(2) == 0, Derived: g.rng.Intn(2) == 0}
+func (g wireGen) utk1() *engine.Result {
+	return &engine.Result{IDs: g.ints(), Stats: g.stats(), CacheHit: g.rng.Intn(2) == 0, Derived: g.rng.Intn(2) == 0}
 }
 
-func (g wireGen) utk2() *utk.UTK2Result {
-	res := &utk.UTK2Result{Stats: g.stats(), CacheHit: g.rng.Intn(2) == 0, Derived: g.rng.Intn(2) == 0}
+// utk2 draws cells with bounding half-spaces too, which must not reach the
+// wire.
+func (g wireGen) utk2() *engine.Result {
+	res := &engine.Result{Stats: g.stats(), CacheHit: g.rng.Intn(2) == 0, Derived: g.rng.Intn(2) == 0}
 	if g.rng.Intn(6) > 0 {
-		res.Cells = make([]utk.Cell, g.rng.Intn(5))
+		res.Cells = make([]core.CellResult, g.rng.Intn(5))
 		for i := range res.Cells {
-			res.Cells[i] = utk.Cell{TopK: g.ints(), Interior: g.floats()}
+			res.Cells[i] = core.CellResult{TopK: g.ints(), Interior: g.floats()}
+			for j := g.rng.Intn(3); j > 0; j-- {
+				res.Cells[i].Constraints = append(res.Cells[i].Constraints, geom.Halfspace{A: g.floats(), B: g.float()})
+			}
 		}
 	}
 	return res
@@ -224,15 +234,15 @@ func TestWriterMatchesEncodingJSON(t *testing.T) {
 		switch trial % 3 {
 		case 0:
 			res := g.utk1()
-			fill, ref = func(e *enc) { e.utk1(res, name) }, refUTK1(res)
+			fill, ref = func(e *enc) { e.result(res, engine.UTK1, name) }, refUTK1(res)
 			ref.(map[string]any)["dataset"] = name
 		case 1:
 			res := g.utk2()
-			fill, ref = func(e *enc) { e.utk2(res, name) }, refUTK2(res)
+			fill, ref = func(e *enc) { e.result(res, engine.UTK2, name) }, refUTK2(res)
 			ref.(map[string]any)["dataset"] = name
 		case 2:
 			deleted := g.ints()
-			res := &utk.UpdateResult{
+			res := &engine.UpdateResult{
 				IDs:          append(append([]int(nil), deleted...), g.ints()...),
 				Epoch:        g.rng.Uint64(),
 				Live:         g.count(),

@@ -26,7 +26,6 @@ package store
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"repro/internal/engine"
 )
@@ -72,22 +71,19 @@ type Snapshot struct {
 	Engine    *engine.State
 }
 
-// DatasetConfig is one manifest entry: a dataset's name and the
-// configuration needed to rebuild its serving engine at reopen. ShadowDepth
-// and Shards are legacy knobs of the retired shadow band and partitioned
-// band: a manifest written before keeps them for its datasets, and no new
-// dataset sets them. A legacy Shards above 1 tells replay that the dataset's
-// log was written by a partitioned engine (see registry.Open).
+// DatasetConfig is one manifest entry: a dataset's name, its
+// dimensionality and the engine configuration needed to rebuild its serving
+// engine at reopen (embedded, so the manifest's keys are engine.Config's).
+// ShadowDepth and Shards are legacy knobs of the retired shadow band and
+// partitioned band: a manifest written before keeps them for its datasets,
+// and no new dataset sets them. A legacy Shards above 1 tells replay that the
+// dataset's log was written by a partitioned engine (see registry.Open).
 type DatasetConfig struct {
-	Name         string        `json:"name"`
-	Dim          int           `json:"dim"`
-	Shards       int           `json:"shards,omitempty"`
-	MaxK         int           `json:"max_k"`
-	ShadowDepth  int           `json:"shadow_depth,omitempty"`
-	CacheEntries int           `json:"cache_entries,omitempty"`
-	Workers      int           `json:"workers,omitempty"`
-	MaxQueued    int           `json:"max_queued,omitempty"`
-	QueryTimeout time.Duration `json:"query_timeout_ns,omitempty"`
+	Name   string `json:"name"`
+	Dim    int    `json:"dim"`
+	Shards int    `json:"shards,omitempty"`
+	engine.Config
+	ShadowDepth int `json:"shadow_depth,omitempty"`
 }
 
 // Manifest lists the datasets the store holds.

@@ -268,7 +268,7 @@ func TestDecodeLegacyShardedRejectsCorrupt(t *testing.T) {
 }
 
 func testConfig(name string) DatasetConfig {
-	return DatasetConfig{Name: name, Dim: 3, MaxK: 4}
+	return DatasetConfig{Name: name, Dim: 3, Config: engine.Config{MaxK: 4}}
 }
 
 func TestFileCreateAppendReplay(t *testing.T) {

@@ -22,7 +22,7 @@ func (e *Engine) State() *EngineState { return e.e.ExportState() }
 // the serving parameters (cache, workers, backpressure, timeout); MaxK comes
 // from the state.
 func RestoreEngine(st *EngineState, cfg EngineConfig) (*Engine, error) {
-	e, err := engine.Restore(st, cfg.engineConfig())
+	e, err := engine.Restore(st, cfg)
 	if err != nil {
 		return nil, err
 	}

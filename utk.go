@@ -108,9 +108,9 @@ type Dataset struct {
 }
 
 // NewDataset copies and indexes the given records (at least one, all of the
-// same dimensionality d ≥ 2).
+// same dimensionality 2 ≤ d ≤ 12, finite attributes).
 func NewDataset(records [][]float64) (*Dataset, error) {
-	cp, err := copyRecords(records)
+	cp, err := engine.CopyRecords(records)
 	if err != nil {
 		return nil, err
 	}
@@ -119,30 +119,6 @@ func NewDataset(records [][]float64) (*Dataset, error) {
 		return nil, err
 	}
 	return &Dataset{records: cp, tree: tree}, nil
-}
-
-// copyRecords validates a record collection — at least one record, a shared
-// dimensionality d ≥ 2, finite attributes — and returns a deep copy: capped
-// sub-slices of one slab, one allocation instead of n. An engine built over
-// the copy keeps the whole slab alive until the engine is dropped, however
-// many of the initial records it has deleted.
-func copyRecords(records [][]float64) ([][]float64, error) {
-	if len(records) == 0 {
-		return nil, errors.New("utk: empty dataset")
-	}
-	d := len(records[0])
-	if d < 2 {
-		return nil, errors.New("utk: records must have at least 2 attributes")
-	}
-	cp, slab := make([][]float64, len(records)), make([]float64, 0, len(records)*d)
-	for i, rec := range records {
-		if err := engine.CheckRecord(rec, d); err != nil {
-			return nil, fmt.Errorf("utk: record %d %w", i, err)
-		}
-		slab = append(slab, rec...)
-		cp[i] = slab[i*d : (i+1)*d : (i+1)*d]
-	}
-	return cp, nil
 }
 
 // Len returns the number of records.
