@@ -154,5 +154,5 @@ func report(name string, r *stream.Result) {
 		st.Promotions, st.Demotions, st.Repairs, st.RepairSteps)
 	fmt.Printf("  cache: hits=%d misses=%d derived=%d invalidations=%d evictions=%d\n",
 		st.Hits, st.Misses, st.DerivedHits, st.Invalidations, st.Evictions)
-	fmt.Printf("  probes: batches=%d saved=%d\n", st.ProbeBatches, st.ProbesSaved)
+	fmt.Printf("  probes: batches=%d\n", st.ProbeBatches)
 }

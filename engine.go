@@ -152,7 +152,8 @@ func (e *Engine) ApplyBatchPipelined(ops []UpdateOp) (*UpdateResult, func(), err
 }
 
 // UTK1 answers a UTK1 query through the engine. The query must use the
-// paper's algorithms (AlgoAuto or AlgoRSA).
+// paper's algorithms (AlgoAuto or AlgoRSA) without the drill ablations
+// (DisableDrill, LinearDrill), which only a Dataset runs.
 func (e *Engine) UTK1(ctx context.Context, q Query) (*UTK1Result, error) {
 	res, err := e.do(ctx, engine.UTK1, q)
 	if err != nil {
@@ -191,6 +192,9 @@ func (e *Engine) request(v engine.Variant, q Query) (engine.Request, error) {
 	if q.Algorithm != AlgoAuto && q.Algorithm != AlgoRSA {
 		return engine.Request{}, errors.New("utk: the engine serves the paper's RSA/JAA algorithms only")
 	}
+	if q.DisableDrill || q.LinearDrill {
+		return engine.Request{}, errors.New("utk: the engine serves no drill ablation; run it on a Dataset")
+	}
 	if err := q.validateDim(e.e.Dim()); err != nil {
 		return engine.Request{}, err
 	}
@@ -198,6 +202,5 @@ func (e *Engine) request(v engine.Variant, q Query) (engine.Request, error) {
 		Variant: v,
 		K:       q.K,
 		Region:  q.Region.r,
-		Opts:    q.coreOptions(),
 	}, nil
 }

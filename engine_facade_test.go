@@ -87,6 +87,35 @@ func TestEngineFacadeMatchesDataset(t *testing.T) {
 	}
 }
 
+// TestEngineRefusesDrillAblations: the drill ablations belong to the
+// Dataset's reproduction runs; the serving engine refuses them, as it refuses
+// the baselines, instead of answering with the paper's drill.
+func TestEngineRefusesDrillAblations(t *testing.T) {
+	ds, r := facadeFixture(t)
+	e, err := ds.NewEngine(EngineConfig{MaxK: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	for _, q := range []Query{
+		{K: 5, Region: r, DisableDrill: true},
+		{K: 5, Region: r, LinearDrill: true},
+	} {
+		if _, err := e.UTK1(ctx, q); err == nil {
+			t.Errorf("engine UTK1 accepted %+v", q)
+		}
+		if _, err := e.UTK2(ctx, q); err == nil {
+			t.Errorf("engine UTK2 accepted %+v", q)
+		}
+		if _, err := ds.UTK1(q); err != nil {
+			t.Errorf("dataset UTK1 %+v: %v", q, err)
+		}
+	}
+	if st := e.Stats(); st.Queries != 0 || st.CacheEntries != 0 {
+		t.Errorf("refused queries reached the engine: %+v", st)
+	}
+}
+
 func TestEngineFacadeBatchAndConcurrency(t *testing.T) {
 	ds, r := facadeFixture(t)
 	e, err := ds.NewEngine(EngineConfig{MaxK: 8, Workers: 4})

@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/geom"
 	"repro/internal/rescache"
 )
@@ -45,8 +44,8 @@ func randomBandTests(rng *rand.Rand, dim, band, nTests int) []affectsTest {
 
 // TestBatchProbesMatchPerOp is the equivalence proof behind batched
 // invalidation: for randomized batches and randomized cached regions, the
-// grouped multi-delta pass (runProbes) must invalidate exactly the keys the
-// per-op, per-entry probe loop would.
+// multi-delta pass (runProbes) must invalidate exactly the keys the per-op,
+// per-entry probe loop would.
 func TestBatchProbesMatchPerOp(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	const dim = 3
@@ -54,9 +53,9 @@ func TestBatchProbesMatchPerOp(t *testing.T) {
 		band := 8 + rng.Intn(40)
 		tests := randomBandTests(rng, dim, band, 1+rng.Intn(6))
 
-		// A few distinct (region, k) shapes, each held by several entries —
-		// the duplication is what grouping exploits, and what the
-		// equivalence check must not be confused by.
+		// A few distinct (region, k) shapes, each held by up to three
+		// entries of alternating variants: entries of one shape must share
+		// their verdict.
 		nShapes := 1 + rng.Intn(5)
 		var entries []rescache.Entry
 		for s := 0; s < nShapes; s++ {
@@ -73,14 +72,11 @@ func TestBatchProbesMatchPerOp(t *testing.T) {
 			}
 			k := 1 + rng.Intn(6)
 			for c := 0; c < 1+rng.Intn(3); c++ {
-				// Distinct variants share a probeGroupID (the verdict
-				// depends only on region and k), so alternating them
-				// exercises the grouping across keys.
 				v := UTK1
 				if c%2 == 1 {
 					v = UTK2
 				}
-				key := fingerprint(v, k, r, core.Options{})
+				key := fingerprint(v, k, r)
 				entries = append(entries, rescache.Entry{Key: key, Region: r, K: k})
 			}
 		}
@@ -94,7 +90,7 @@ func TestBatchProbesMatchPerOp(t *testing.T) {
 				}
 			}
 		}
-		affected, groups := runProbes(entries, tests)
+		affected := runProbes(entries, tests)
 		got := map[string]bool{}
 		for _, key := range affected {
 			got[key] = true
@@ -107,42 +103,6 @@ func TestBatchProbesMatchPerOp(t *testing.T) {
 			if !got[key] {
 				t.Fatalf("trial %d: per-op invalidates %q, batched does not", trial, key)
 			}
-		}
-		if groups > nShapes {
-			t.Fatalf("trial %d: %d probe groups for %d shapes", trial, groups, nShapes)
-		}
-	}
-}
-
-// TestProbeGroupSharing pins the grouping invariant directly: same (region,
-// k) with different variants or worker options must share a probeGroupID;
-// different k or different region must not.
-func TestProbeGroupSharing(t *testing.T) {
-	r1, err := geom.NewBox([]float64{0.1, 0.1}, []float64{0.2, 0.2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := geom.NewBox([]float64{0.3, 0.3}, []float64{0.4, 0.4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := probeGroupID(fingerprint(UTK1, 5, r1, core.Options{}))
-	same := []string{
-		fingerprint(UTK2, 5, r1, core.Options{}),
-		fingerprint(UTK1, 5, r1, core.Options{DisableDrill: true}),
-	}
-	for i, key := range same {
-		if probeGroupID(key) != base {
-			t.Errorf("key %d: same (region,k) landed in a different probe group", i)
-		}
-	}
-	diff := []string{
-		fingerprint(UTK1, 6, r1, core.Options{}),
-		fingerprint(UTK1, 5, r2, core.Options{}),
-	}
-	for i, key := range diff {
-		if probeGroupID(key) == base {
-			t.Errorf("key %d: different (region,k) shares a probe group", i)
 		}
 	}
 }

@@ -31,12 +31,11 @@
 //     cannot appear in (or vanish from) any top-k set there, so that entry
 //     survives — rather than flushing the whole cache per update.
 //  3. A result cache (the rescache subsystem) keyed on a canonicalized
-//     (variant, k, region, ablation flags) fingerprint, with single-flight
-//     deduplication so concurrent identical queries compute once and share
-//     the result. Eviction is plain LRU, and an exact miss whose region lies
-//     inside a cached UTK2 region is answered by cell clipping (see
-//     deriveClipped) instead of recomputing: exact, with zero refinement
-//     work.
+//     (variant, k, region) fingerprint, with single-flight deduplication so
+//     concurrent identical queries compute once and share the result.
+//     Eviction is plain LRU, and an exact miss whose region lies inside a
+//     cached UTK2 region is answered by cell clipping (see deriveClipped)
+//     instead of recomputing: exact, with zero refinement work.
 //  4. A slot gate with per-query deadlines: a miss computes on its caller's
 //     goroutine once it holds one of Config.Workers slots, and waits for one
 //     in a FIFO queue otherwise. The deadline is threaded into the refinement
@@ -196,10 +195,6 @@ type Request struct {
 	Variant Variant
 	K       int
 	Region  *geom.Region
-	// Opts forwards the algorithm switches. Cancel is overwritten by the
-	// engine's deadline hook; the ablation flags participate in the
-	// cache fingerprint.
-	Opts core.Options
 }
 
 // Result is the answer to a Request. Results may be shared between callers
@@ -265,13 +260,9 @@ type Stats struct {
 	// changes the candidate superset.
 	Epoch uint64
 	// UpdateBatches counts applied update batches. ProbeBatches counts those
-	// that ran a cache-invalidation probe pass; ProbesSaved counts the
-	// per-entry probe evaluations the batched (region, k)-grouped pass
-	// avoided relative to probing every resident entry against every
-	// classified delta individually.
+	// that ran a cache-invalidation probe pass.
 	UpdateBatches uint64
 	ProbeBatches  uint64
-	ProbesSaved   uint64
 	// MaxK and Workers echo the effective configuration.
 	MaxK    int
 	Workers int
@@ -723,14 +714,13 @@ func (e *Engine) beginBatch(ops []UpdateOp) (*pendingBatch, error) {
 //     current-epoch check, i.e. reflect this batch.
 func (e *Engine) commitBatch(pb *pendingBatch) {
 	defer e.updMu.Unlock()
-	affected, groups := runProbes(pb.entries, pb.tests)
+	affected := runProbes(pb.entries, pb.tests)
 
 	e.mu.Lock()
 	e.stats.UpdateBatches++
 	e.stats.DynamicStats = pb.dynStats
-	if groups > 0 {
+	if len(pb.entries) > 0 {
 		e.stats.ProbeBatches++
-		e.stats.ProbesSaved += uint64(len(pb.entries)-groups) * uint64(len(pb.tests))
 	}
 	if len(affected) > 0 {
 		// InvalidateKeys charges the admission ledger, so the policy learns
@@ -746,44 +736,18 @@ func (e *Engine) commitBatch(pb *pendingBatch) {
 	e.mu.Unlock()
 }
 
-// probeGroup is one batched invalidation probe: the cache entries that share
-// a probe-relevant shape (same k, geometrically identical region — the
-// probeGroupID projection of their keys). Every delta's affects verdict is a
-// function of (region, k) only, so one band pass settles the whole group,
-// however many variants and ablation settings cache entries for that shape.
-type probeGroup struct {
-	region *geom.Region
-	k      int
-	keys   []string
-}
-
 // runProbes evaluates a batch's classified deltas against the snapshot of
-// resident cache entries, returning the keys whose answers the batch may
-// have changed plus the number of distinct (region, k) groups probed. Cost
-// scales with groups × deltas × band rather than entries × deltas × band.
-func runProbes(entries []rescache.Entry, tests []affectsTest) (affected []string, groups int) {
-	if len(entries) == 0 || len(tests) == 0 {
-		return nil, 0
-	}
-	byShape := make(map[string]*probeGroup, len(entries))
-	order := make([]*probeGroup, 0, len(entries))
-	for _, ent := range entries {
-		gid := probeGroupID(ent.Key)
-		g := byShape[gid]
-		if g == nil {
-			g = &probeGroup{region: ent.Region, k: ent.K}
-			byShape[gid] = g
-			order = append(order, g)
-		}
-		g.keys = append(g.keys, ent.Key)
-	}
+// resident cache entries (begin takes it only when there are deltas) and
+// returns the keys whose answers the batch may have changed: one band pass
+// per entry settles every delta at once (see batchAffects).
+func runProbes(entries []rescache.Entry, tests []affectsTest) (affected []string) {
 	counts := make([]int, len(tests))
-	for _, g := range order {
-		if batchAffects(tests, g.region, g.k, counts) {
-			affected = append(affected, g.keys...)
+	for _, ent := range entries {
+		if batchAffects(tests, ent.Region, ent.K, counts) {
+			affected = append(affected, ent.Key)
 		}
 	}
-	return affected, len(order)
+	return affected
 }
 
 // batchAffects reports whether any of the batch's deltas can change a cached
@@ -840,7 +804,7 @@ func (e *Engine) Do(ctx context.Context, req Request) (*Result, error) {
 			defer cancel()
 		}
 	}
-	key := fingerprint(req.Variant, req.K, req.Region, req.Opts)
+	key := fingerprint(req.Variant, req.K, req.Region)
 
 	derivedTried := false
 	for {
@@ -871,7 +835,7 @@ func (e *Engine) Do(ctx context.Context, req Request) (*Result, error) {
 			// flight waiters get); caching it is gated below on the source
 			// surviving the clipping window untouched.
 			if !derivedTried {
-				if src, srcKey, ok := e.cache.FindContaining(containClass(UTK2, req.Opts), req.K, req.Region); ok {
+				if src, srcKey, ok := e.cache.FindContaining(uint32(UTK2), req.K, req.Region); ok {
 					e.mu.Unlock()
 					derivedTried = true
 					if res := deriveClipped(req, src); res != nil {
@@ -1025,8 +989,7 @@ func (e *Engine) validate(req Request) error {
 // core.ErrCanceled once it ends.
 func (e *Engine) compute(ctx context.Context, req Request, ix *index) (*Result, error) {
 	st := &core.Stats{}
-	opts := req.Opts
-	opts.Cancel = nil
+	var opts core.Options
 	if done := ctx.Done(); done != nil {
 		opts.Cancel = func() bool {
 			select {
@@ -1089,7 +1052,7 @@ func (e *Engine) finish(flKey, key string, fl *flight, res *Result, err error, r
 // admit caches res under key and counts a refused admission or a capacity
 // eviction. The caller holds e.mu.
 func (e *Engine) admit(key string, req Request, res *Result) {
-	adm, ev := e.cache.Add(key, req.Region, req.K, containClass(req.Variant, req.Opts), res)
+	adm, ev := e.cache.Add(key, req.Region, req.K, uint32(req.Variant), res)
 	if !adm {
 		e.stats.AdmissionSkips++
 	}

@@ -147,7 +147,6 @@ func testEngineCacheHitMiss(t *testing.T) {
 	}{
 		{"perturbed region", Request{Variant: UTK1, K: 5, Region: perturbed}},
 		{"different k", Request{Variant: UTK1, K: 6, Region: r}},
-		{"ablation flag", Request{Variant: UTK1, K: 5, Region: r, Opts: core.Options{DisableDrill: true}}},
 		{"other variant", Request{Variant: UTK2, K: 5, Region: r}},
 	} {
 		res, err := e.Do(ctx, tc.req)
@@ -160,14 +159,14 @@ func testEngineCacheHitMiss(t *testing.T) {
 	}
 
 	st := e.Stats()
-	if st.Hits != 1 || st.Misses != 5 {
-		t.Errorf("stats = %+v, want 1 hit / 5 misses", st)
+	if st.Hits != 1 || st.Misses != 4 {
+		t.Errorf("stats = %+v, want 1 hit / 4 misses", st)
 	}
 	if st.Queries != st.Hits+st.Misses+st.Shared+st.DerivedHits {
 		t.Errorf("queries %d != hits+misses+shared+derived %d", st.Queries, st.Hits+st.Misses+st.Shared+st.DerivedHits)
 	}
-	if st.CacheEntries != 5 {
-		t.Errorf("cache entries = %d, want 5", st.CacheEntries)
+	if st.CacheEntries != 4 {
+		t.Errorf("cache entries = %d, want 4", st.CacheEntries)
 	}
 	if st.SupersetSize == 0 || st.SupersetSize > len(td.recs) {
 		t.Errorf("implausible superset size %d", st.SupersetSize)
@@ -198,8 +197,8 @@ func TestEngineCacheEviction(t *testing.T) {
 		t.Errorf("freshly added entry missed the cache (err=%v)", err)
 	}
 	e.mu.Lock()
-	_, k1 := e.cache.Peek(fingerprint(UTK1, 1, r, core.Options{}))
-	_, k2 := e.cache.Peek(fingerprint(UTK1, 2, r, core.Options{}))
+	_, k1 := e.cache.Peek(fingerprint(UTK1, 1, r))
+	_, k2 := e.cache.Peek(fingerprint(UTK1, 2, r))
 	e.mu.Unlock()
 	if k1 || !k2 {
 		t.Errorf("k=1 resident=%v, k=2 resident=%v; want k=1 evicted and k=2 kept", k1, k2)
@@ -278,15 +277,15 @@ func TestFingerprintCanonicalization(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f1 := fingerprint(UTK1, 5, r1, core.Options{})
-	f2 := fingerprint(UTK1, 5, r2, core.Options{})
+	f1 := fingerprint(UTK1, 5, r1)
+	f2 := fingerprint(UTK1, 5, r2)
 	if f1 != f2 {
 		t.Error("equivalent regions produced different fingerprints")
 	}
-	if fingerprint(UTK2, 5, r1, core.Options{}) == f1 {
+	if fingerprint(UTK2, 5, r1) == f1 {
 		t.Error("variant not part of the fingerprint")
 	}
-	if fingerprint(UTK1, 6, r1, core.Options{}) == f1 {
+	if fingerprint(UTK1, 6, r1) == f1 {
 		t.Error("k not part of the fingerprint")
 	}
 	hs[0].B = 0.21
@@ -294,7 +293,7 @@ func TestFingerprintCanonicalization(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fingerprint(UTK1, 5, r3, core.Options{}) == f1 {
+	if fingerprint(UTK1, 5, r3) == f1 {
 		t.Error("perturbed region shares the fingerprint")
 	}
 }

@@ -4,23 +4,25 @@ import (
 	"encoding/hex"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/geom"
 )
 
 // fingerprintPins are cache keys of fixed queries, in hex. A key is persisted
-// nowhere, but its bytes are the cache's identity and probeGroupID's layout:
-// a rewrite of fingerprint must reproduce them exactly. When the header
-// dropped its two worker-count bytes, each pin became the previous pin with
-// exactly bytes [5, 7) removed; every other byte is unchanged. When regions
-// without half-spaces (and their vertex-set keys) were deleted, the
-// vertices/utk2 pin went with them; the remaining pins stayed byte-identical.
+// nowhere, but its bytes are the cache's identity: a rewrite of fingerprint
+// must reproduce them exactly. When the header dropped its two worker-count
+// bytes, each pin became the previous pin with exactly bytes [5, 7) removed;
+// every other byte is unchanged. When regions without half-spaces (and their
+// vertex-set keys) were deleted, the vertices/utk2 pin went with them; the
+// remaining pins stayed byte-identical. When the header dropped its
+// ablation-flags byte, each pin became the previous pin with exactly byte 4
+// removed (0x03 in box3/utk2, whose query set both drill ablations; 0x00 in
+// the others); every other byte is unchanged.
 var fingerprintPins = []struct {
 	name, hex string
 }{
-	{"box/utk1", "00050000000000000000000000000000000000f03f9a9999999999c93f0000000000000000000000000000f0bf9a9999999999d9bf000000000000f03f00000000000000009a9999999999b93f000000000000f0bf0000000000000000333333333333d3bf"},
-	{"box3/utk2", "017011010300000000000000000000000000000000000000000000f03f9a9999999999c93f00000000000000000000000000000000000000000000f0bf6f2e59709a99c9bf0000000000000000000000000000f03f00000000000000009a9999999999a93f0000000000000000000000000000f0bf0000000000000000333333333333d3bf000000000000f03f000000000000000000000000000000000000000000000000000000000000f0bf00000000000000000000000000000000000000000000c0bf"},
-	{"polytope/utk1", "000c0000000000000000000000000000000000f03f00000000000000000000000000000000000000000000f0bf999999999999d9bf000000000000f03f00000000000000000000000000000000000000000000f0bf0000000000000000333333333333e3bfcc3b7f669ea0e6bfcc3b7f669ea0e6bfcc3b7f669ea0e6bfd9edbfc5259fec3fd9edbfc5259fdc3fe8c10cdd492cc13f"},
+	{"box/utk1", "000500000000000000000000000000000000f03f9a9999999999c93f0000000000000000000000000000f0bf9a9999999999d9bf000000000000f03f00000000000000009a9999999999b93f000000000000f0bf0000000000000000333333333333d3bf"},
+	{"box3/utk2", "0170110100000000000000000000000000000000000000000000f03f9a9999999999c93f00000000000000000000000000000000000000000000f0bf6f2e59709a99c9bf0000000000000000000000000000f03f00000000000000009a9999999999a93f0000000000000000000000000000f0bf0000000000000000333333333333d3bf000000000000f03f000000000000000000000000000000000000000000000000000000000000f0bf00000000000000000000000000000000000000000000c0bf"},
+	{"polytope/utk1", "000c00000000000000000000000000000000f03f00000000000000000000000000000000000000000000f0bf999999999999d9bf000000000000f03f00000000000000000000000000000000000000000000f0bf0000000000000000333333333333e3bfcc3b7f669ea0e6bfcc3b7f669ea0e6bfcc3b7f669ea0e6bfd9edbfc5259fec3fd9edbfc5259fdc3fe8c10cdd492cc13f"},
 }
 
 func TestFingerprintPinned(t *testing.T) {
@@ -41,9 +43,9 @@ func TestFingerprintPinned(t *testing.T) {
 		t.Fatal(err)
 	}
 	keys := map[string]string{
-		"box/utk1":      fingerprint(UTK1, 5, box, core.Options{}),
-		"box3/utk2":     fingerprint(UTK2, 70000, box3, core.Options{DisableDrill: true, LinearDrill: true}),
-		"polytope/utk1": fingerprint(UTK1, 12, poly, core.Options{}),
+		"box/utk1":      fingerprint(UTK1, 5, box),
+		"box3/utk2":     fingerprint(UTK2, 70000, box3),
+		"polytope/utk1": fingerprint(UTK1, 12, poly),
 	}
 	for _, pin := range fingerprintPins {
 		if got := hex.EncodeToString([]byte(keys[pin.name])); got != pin.hex {

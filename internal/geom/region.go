@@ -89,16 +89,24 @@ func NewBox(lo, hi []float64) (*Region, error) {
 // enumeration may solve. Their number C(m, dim) grows like m^dim: 200 rows
 // at dim 3 took ≈ 0.5 s on a 2-core box, ×8 per doubling. Within the budget
 // dim 3 takes ≈ 16 ms at its 59 distinct rows and dim 7 ≈ 46 ms at 18 (the
-// simplex's 8 and 10 more). At dim 1 the budget admits 32 768 rows, and the
-// vertex check, quadratic in the rows, takes up to ≈ 2.2 s when the rows are
-// ordered so that each candidate passes most of them.
-const maxVertexSubsets = 1 << 15
+// simplex's 8 and 10 more).
+//
+// maxVertexChecks bounds the feasibility checks, C(m, dim)·m: each solved
+// subset is checked against every row. At dim 1 the subset budget alone
+// admitted 32 768 rows, and the quadratic check took ≈ 2.2 s when every
+// candidate passed most rows; this budget stops dim 1 at 1 414 rows and dim
+// 2 at 159, and leaves dim 3 at its 59 (C(59, 3)·59 = 1 918 031).
+const (
+	maxVertexSubsets = 1 << 15
+	maxVertexChecks  = 2_000_000
+)
 
 // NewPolytope builds a general convex region from bounding half-spaces. The
 // vertices are enumerated exactly (intersections of dim-subsets of the
 // bounding hyperplanes, kept when feasible); the construction is intended
 // for the low-dimensional regions the paper targets, and it refuses a region
-// whose distinct rows have more than maxVertexSubsets dim-subsets. The
+// whose distinct rows have more than maxVertexSubsets dim-subsets or take
+// more than maxVertexChecks feasibility checks. The
 // half-spaces of the preference-domain simplex are added implicitly so the
 // region is always bounded.
 func NewPolytope(dim int, halfspaces []Halfspace) (*Region, error) {
@@ -115,8 +123,8 @@ func NewPolytope(dim int, halfspaces []Halfspace) (*Region, error) {
 	all = append(all, SimplexHalfspaces(dim)...)
 	// Exact duplicates change nothing geometrically (a caller's rows may
 	// repeat the simplex's). They are found by hashing each row's bits (−0 as
-	// +0), so a long list costs one pass, and the budget is checked as rows
-	// are kept.
+	// +0), so a long list costs one pass, and the budgets are checked as
+	// rows are kept.
 	dedup := all[:0]
 	seen := make(map[string]bool, len(all))
 	key := make([]byte, 0, 8*(dim+1))
@@ -128,8 +136,9 @@ func NewPolytope(dim int, halfspaces []Halfspace) (*Region, error) {
 		if seen[string(key)] {
 			continue
 		}
-		if subsets(len(dedup)+1, dim) > maxVertexSubsets {
-			return nil, fmt.Errorf("geom: too many half-spaces: %d distinct rows in dimension %d make more than %d vertex subsets", len(dedup)+1, dim, maxVertexSubsets)
+		m := len(dedup) + 1
+		if c := subsets(m, dim); c > maxVertexSubsets || c*m > maxVertexChecks {
+			return nil, fmt.Errorf("geom: too many half-spaces: %d distinct rows in dimension %d make more than %d vertex subsets or %d vertex checks", m, dim, maxVertexSubsets, maxVertexChecks)
 		}
 		seen[string(key)] = true
 		dedup = append(dedup, h.Clone())
@@ -491,46 +500,12 @@ func (r *Region) DominatesOver(p, q []float64) bool {
 	return mn >= -Eps
 }
 
-// ScoreRange returns the minimum and maximum score of record p over the
-// region. Both extremes of the linear functional are attained at vertices;
-// boxes use the O(dim) per-coordinate sign rule instead.
-func (r *Region) ScoreRange(p []float64) (mn, mx float64) {
-	d := len(p)
-	pd := p[d-1]
-	if r.isBox {
-		mn, mx = pd, pd
-		for i := 0; i < d-1; i++ {
-			a := p[i] - pd
-			if a >= 0 {
-				mn += a * r.lo[i]
-				mx += a * r.hi[i]
-			} else {
-				mn += a * r.hi[i]
-				mx += a * r.lo[i]
-			}
-		}
-		return mn, mx
-	}
-	mn, mx = math.Inf(1), math.Inf(-1)
-	for _, v := range r.vertices {
-		s := pd
-		for i := 0; i < d-1; i++ {
-			s += (p[i] - pd) * v[i]
-		}
-		if s < mn {
-			mn = s
-		}
-		if s > mx {
-			mx = s
-		}
-	}
-	return mn, mx
-}
-
-// MinScore returns only the minimum score of record p over the region. It
-// follows the exact accumulation order of ScoreRange so the value matches
-// bit for bit, while skipping the half of the work ScoreRange spends on the
-// other extreme — the skyband filter's accept test needs only this side.
+// MinScore returns the minimum score of record p over the region — the
+// skyband filter's accept test. Both extremes of the linear functional are
+// attained at vertices; boxes use the O(dim) per-coordinate sign rule
+// instead. MinScore and MaxScore share one accumulation order: pd first,
+// then (p[i] − pd)·w[i] for i = 0 … dim−1, w[i] being the box bound the sign
+// rule picks or the vertex's coordinate.
 func (r *Region) MinScore(p []float64) float64 {
 	d := len(p)
 	pd := p[d-1]
@@ -560,8 +535,7 @@ func (r *Region) MinScore(p []float64) float64 {
 }
 
 // MaxScore is the upper-extreme counterpart of MinScore, used by the prune
-// test of the skyband filter. Same bit-identical accumulation order as
-// ScoreRange.
+// test of the skyband filter, in the accumulation order the two share.
 func (r *Region) MaxScore(p []float64) float64 {
 	d := len(p)
 	pd := p[d-1]

@@ -314,6 +314,39 @@ func TestNewPolytopeWorkBound(t *testing.T) {
 	}
 }
 
+// TestNewPolytopeCheckBound: each solved dim-subset is checked against every
+// distinct row, so at dim 1 the checks grow like m² while the subsets stay
+// few. Rows tangent to one interval at distinct scales are distinct to the
+// dedup yet pass every check, the slowest body there is; past
+// maxVertexChecks they are refused before any vertex is solved.
+func TestNewPolytopeCheckBound(t *testing.T) {
+	tangent := func(m int) []Halfspace {
+		hs := make([]Halfspace, m)
+		for i := range hs {
+			s := 1 + float64(i)/float64(m)
+			if i%2 == 0 {
+				hs[i] = Halfspace{A: []float64{s}, B: s * 0.15} // w ≥ 0.15
+			} else {
+				hs[i] = Halfspace{A: []float64{-s}, B: -s * 0.25} // w ≤ 0.25
+			}
+		}
+		return hs
+	}
+	start := time.Now()
+	_, err := NewPolytope(1, tangent(1500))
+	if took := time.Since(start); err == nil || errors.Is(err, ErrEmptyRegion) || took > 100*time.Millisecond {
+		t.Fatalf("1 500 distinct half-spaces at dim 1: got %v after %v, want a refusal within 100 ms", err, took)
+	}
+	// 1 412 rows and the simplex's 2 make 1 414² = 1 999 396 checks; one
+	// more row makes 2 002 225.
+	if _, err := NewPolytope(1, tangent(1412)); err != nil {
+		t.Fatalf("1 412 distinct half-spaces at dim 1: %v", err)
+	}
+	if _, err := NewPolytope(1, tangent(1413)); err == nil {
+		t.Fatal("1 413 distinct half-spaces at dim 1: accepted")
+	}
+}
+
 func TestEnumerateVerticesSquare(t *testing.T) {
 	hs := []Halfspace{
 		{A: []float64{1, 0}, B: 0.1},

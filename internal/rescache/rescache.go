@@ -5,9 +5,9 @@
 //     the tail of a recency list, in O(1), so which entries are resident is
 //     a function of the request stream alone.
 //  2. A containment index. Entries are grouped by a caller-defined class
-//     (variant + algorithm flags) and top-k depth, so a cache miss can ask
-//     for a cached entry whose query region contains the missed query's
-//     region. The caller then derives the answer geometrically (cell
+//     (the engine's is the query variant) and top-k depth, so a cache miss
+//     can ask for a cached entry whose query region contains the missed
+//     query's region. The caller then derives the answer geometrically (cell
 //     clipping, see ClipCell) instead of recomputing it.
 //  3. Update-rate-aware admission. Each class tracks an exponentially
 //     decayed count of update-driven invalidations versus admissions; when
@@ -67,7 +67,7 @@ type Cache[V any] struct {
 }
 
 // groupKey buckets entries for containment lookups: only entries of the same
-// class (variant + flags) at the same top-k depth can answer for each other.
+// class (the variant) at the same top-k depth can answer for each other.
 type groupKey struct {
 	class uint32
 	k     int

@@ -398,8 +398,6 @@ var engineStats = []stat{
 	{"coalesced_ops", "utk_coalesced_ops_total", "Batch ops elided by same-record insert/delete coalescing.", "counter", perDataset, func(st engine.Stats) uint64 { return st.CoalescedOps }},
 	{"admission_skips", "utk_admission_skips_total", "Result-cache admissions refused for churning query classes.", "counter", perDataset, func(st engine.Stats) uint64 { return st.AdmissionSkips }},
 	{"probe_batches", "utk_probe_batches_total", "Update batches that ran a batched cache-invalidation probe pass.", "counter", perDataset, func(st engine.Stats) uint64 { return st.ProbeBatches }},
-	{"probes_saved", "utk_probes_saved_total", "Per-entry invalidation probes avoided by (region,k) grouping.", "counter", perDataset, func(st engine.Stats) uint64 { return st.ProbesSaved }},
-	{"exhaustions", "utk_exhaustions_total", "Shadow exhaustions (always 0: the band is exact without a shadow).", "counter", perDataset, func(st engine.Stats) uint64 { return st.Exhaustions }},
 	{"repair_steps", "utk_repair_steps_total", "Covered records re-examined by re-cover passes after their fence entry left.", "counter", perDataset, func(st engine.Stats) uint64 { return st.RepairSteps }},
 	{"band_maintenance_ns", "utk_band_maintenance_ns_total", "Wall time spent in band maintenance (begin-stage blocking).", "counter", perDataset, func(st engine.Stats) uint64 { return st.BandMaintenanceNS }},
 	{"batch_apply_ops", "utk_batch_apply_ops_total", "Update ops applied by band maintenance.", "counter", perDataset, func(st engine.Stats) uint64 { return st.BatchApplyOps }},
@@ -408,7 +406,6 @@ var engineStats = []stat{
 	{key: "promotions", get: func(st engine.Stats) uint64 { return st.Promotions }},
 	{key: "demotions", get: func(st engine.Stats) uint64 { return st.Demotions }},
 	{key: "shadow_evictions", get: func(st engine.Stats) uint64 { return st.ShadowEvictions }},
-	{key: "rebuilds", get: func(st engine.Stats) uint64 { return st.Rebuilds }},
 	{key: "repairs", get: func(st engine.Stats) uint64 { return st.Repairs }},
 	{key: "max_k", get: func(st engine.Stats) uint64 { return uint64(st.MaxK) }},
 	{key: "workers", get: func(st engine.Stats) uint64 { return uint64(st.Workers) }},

@@ -17,10 +17,10 @@ import (
 // over a box visits only the blocks whose score bound can still reach the
 // running k-th largest minimum score (see survivors): the paper's
 // prune-a-group-by-its-bound, without an R-tree. Visited rows are scored
-// exactly, in ScoreRange's accumulation order, so the surviving set is
-// bit-identical to the complement of IntervalExcluded's. A layout is
-// immutable once built and is shared read-only by every query against its
-// index epoch.
+// exactly, in the accumulation order MinScore and MaxScore share, so the
+// surviving set is bit-identical to the complement of IntervalExcluded's. A
+// layout is immutable once built and is shared read-only by every query
+// against its index epoch.
 //
 // The blocks are kept in preorder: a block is one leaf of rows, or the union
 // of the blocks up to its next, so a sweep skips a whole subtree with one
@@ -294,13 +294,13 @@ func (b *Blocks) survivors(r *geom.Region, k, n int, skipped *[]int32) (surv []i
 		if int(bl.next) != i+1 {
 			continue
 		}
-		// A leaf: score its rows exactly, the minimum and maximum in
-		// ScoreRange's accumulation order (the last attribute, then
-		// dimensions 0…d−2). Of the two corner products it takes the
-		// smaller and the larger rather than branching on the sign of the
-		// difference, which is random per row: with lo < hi and no NaN
-		// that is ScoreRange's choice, up to the sign of a zero, which no
-		// comparison sees.
+		// A leaf: score its rows exactly, the minimum and maximum in the
+		// accumulation order MinScore and MaxScore share (the last
+		// attribute, then dimensions 0…d−2). Of the two corner products it
+		// takes the smaller and the larger rather than branching on the
+		// sign of the difference, which is random per row: with lo < hi
+		// and no NaN that is MinScore's and MaxScore's choice, up to the
+		// sign of a zero, which no comparison sees.
 		rows += int(bl.to - bl.from)
 		for ri := int(bl.from); ri < int(bl.to); ri++ {
 			row := b.rows[ri*d:][:d]

@@ -79,9 +79,9 @@ func IntervalExcluded(recs [][]float64, r *geom.Region, k int) []bool {
 	// θ needs only the minimum bound of every record; the maximum bound is
 	// needed only for records whose minimum already sits below θ (for the
 	// rest, smax ≥ smin ≥ θ settles the verdict without computing it).
-	// MinScore/MaxScore accumulate bit-identically to ScoreRange, so the
-	// excluded set matches the fused two-bound scan exactly while skipping
-	// the MaxScore pass for the ≥ k records at or above the threshold.
+	// MinScore and MaxScore share one accumulation order, so the excluded
+	// set matches a fused two-bound scan exactly while skipping the
+	// MaxScore pass for the ≥ k records at or above the threshold.
 	smin := make([]float64, n)
 	for i, rec := range recs {
 		smin[i] = r.MinScore(rec)

@@ -82,7 +82,7 @@ func TestResultJSONFields(t *testing.T) {
 	if !ok {
 		t.Fatalf("stats is %T, want object", m["stats"])
 	}
-	for _, key := range []string{"ProbeBatches", "ProbesSaved", "CoalescedOps", "Live"} {
+	for _, key := range []string{"ProbeBatches", "CoalescedOps", "Live"} {
 		if _, ok := stats[key]; !ok {
 			t.Errorf("stats JSON missing key %q", key)
 		}

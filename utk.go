@@ -225,10 +225,11 @@ type Query struct {
 	Region *Region
 	// Algorithm optionally selects a baseline instead of RSA/JAA.
 	Algorithm Algorithm
-	// DisableDrill turns off the drill optimization (ablation).
+	// DisableDrill turns off the drill optimization (ablation). Only a
+	// Dataset runs it; an Engine refuses the query.
 	DisableDrill bool
 	// LinearDrill replaces the graph-guided drill search with a linear scan
-	// (ablation).
+	// (ablation). Only a Dataset runs it; an Engine refuses the query.
 	LinearDrill bool
 }
 
