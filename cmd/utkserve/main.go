@@ -65,7 +65,7 @@ func main() {
 		logReqs  = flag.Bool("log-requests", false, "emit one structured log line per request (method, dataset, variant, k, duration, served, status)")
 		dataDir  = flag.String("data-dir", "", "directory for durable dataset state (WAL + snapshots); empty = in-memory only")
 		fsync    = flag.String("fsync", "always", "WAL fsync policy with -data-dir: always (fsync per batch) or never (leave flushing to the OS)")
-		snapOps  = flag.Int("snapshot-every", 0, "snapshot a dataset after this many logged update ops (0 = default 4096, negative disables)")
+		snapOps  = flag.Int("snapshot-every", 0, "snapshot a dataset after this many logged update ops (0 = default 4096, negative disables automatic snapshots); each snapshot restarts the WAL, which takes up to about 140 B per op")
 		pprofOn  = flag.Bool("pprof", false, "expose the net/http/pprof profiling endpoints under /debug/pprof/ (off by default; do not enable on untrusted networks)")
 	)
 	flag.Parse()

@@ -125,7 +125,7 @@ func crashDifferential(t *testing.T) {
 	pol := SnapshotPolicy{EveryOps: 23} // force snapshots mid-stream
 
 	dir := t.TempDir()
-	st, err := store.OpenFile(dir, store.FileConfig{Sync: store.SyncNever, SegmentBytes: 512})
+	st, err := store.OpenFile(dir, store.FileConfig{Sync: store.SyncNever})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +182,7 @@ func crashDifferential(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		cst, err := store.OpenFile(cutDir, store.FileConfig{Sync: store.SyncNever, SegmentBytes: 512})
+		cst, err := store.OpenFile(cutDir, store.FileConfig{Sync: store.SyncNever})
 		if err != nil {
 			t.Fatalf("cut %d: open store: %v", cut, err)
 		}

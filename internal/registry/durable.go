@@ -9,23 +9,17 @@ import (
 )
 
 // SnapshotPolicy schedules automatic snapshots per dataset: a snapshot is
-// taken after a durable update once either threshold is crossed. Snapshots
-// bound recovery cost (replay starts at the last snapshot) and let the store
-// prune the WAL behind them.
+// taken after a durable update once the ops threshold is crossed. Snapshots
+// bound recovery cost (replay starts at the last snapshot) and restart the
+// store's WAL, so the log holds at most about EveryOps ops.
 type SnapshotPolicy struct {
 	// EveryOps snapshots after this many logged update ops (zero selects
-	// DefaultSnapshotEveryOps; negative disables the ops threshold).
+	// DefaultSnapshotEveryOps; negative disables automatic snapshots).
 	EveryOps int
-	// EveryBytes snapshots after this many logged WAL bytes (zero selects
-	// DefaultSnapshotEveryBytes; negative disables the bytes threshold).
-	EveryBytes int64
 }
 
-// Default snapshot thresholds.
-const (
-	DefaultSnapshotEveryOps   = 4096
-	DefaultSnapshotEveryBytes = 64 << 20
-)
+// DefaultSnapshotEveryOps is the ops threshold of SnapshotPolicy{}.
+const DefaultSnapshotEveryOps = 4096
 
 // Wedge auto-heal schedule: after an append failure wedges an entry, the
 // update path itself retries the re-basing snapshot with exponential backoff
@@ -47,16 +41,7 @@ func (p SnapshotPolicy) withDefaults() SnapshotPolicy {
 	if p.EveryOps == 0 {
 		p.EveryOps = DefaultSnapshotEveryOps
 	}
-	if p.EveryBytes == 0 {
-		p.EveryBytes = DefaultSnapshotEveryBytes
-	}
 	return p
-}
-
-// due reports whether the accumulated ops/bytes since the last snapshot
-// cross a threshold.
-func (p SnapshotPolicy) due(ops int, bytes int64) bool {
-	return (p.EveryOps > 0 && ops >= p.EveryOps) || (p.EveryBytes > 0 && bytes >= p.EveryBytes)
 }
 
 // DurabilityStats is the per-dataset durability snapshot surfaced through
@@ -176,6 +161,7 @@ func (r *Registry) reopen(cfg store.DatasetConfig) (*Entry, error) {
 		LastSeq:               seq,
 		ReplayedBatches:       batches,
 		ReplayedOps:           ops,
+		OpsSinceSnapshot:      int(ops), // the replayed tail counts toward EveryOps
 		RecoveryMillis:        time.Since(start).Milliseconds(),
 		LastSnapshotSeq:       snap.Seq,
 		LastSnapshotEpoch:     snap.Epoch,
@@ -206,11 +192,15 @@ func (r *Registry) reopen(cfg store.DatasetConfig) (*Entry, error) {
 // whose append fails is NOT acknowledged — the entry wedges (further updates
 // rejected) until a successful snapshot re-bases the log on the engine's
 // state, because the engine is ahead of the WAL and appending later batches
-// would persist a stream with a hole.
+// would persist a stream with a hole. An empty batch is refused
+// (engine.ErrBadUpdate), so every logged batch carries at least one op.
 func (r *Registry) Update(name string, ops []engine.UpdateOp) (*engine.UpdateResult, error) {
 	ent, err := r.Get(name)
 	if err != nil {
 		return nil, err
+	}
+	if len(ops) == 0 {
+		return nil, fmt.Errorf("%w: empty batch", engine.ErrBadUpdate)
 	}
 	if r.st == nil {
 		return ent.Engine.ApplyBatch(ops)
@@ -296,7 +286,7 @@ func (r *Registry) Update(name string, ops []engine.UpdateOp) (*engine.UpdateRes
 	ent.dur.WALBytes += uint64(nbytes)
 	ent.dur.OpsSinceSnapshot += len(ops)
 	ent.dur.BytesSinceSnapshot += nbytes
-	due := r.pol.due(ent.dur.OpsSinceSnapshot, ent.dur.BytesSinceSnapshot)
+	due := r.pol.EveryOps > 0 && ent.dur.OpsSinceSnapshot >= r.pol.EveryOps
 	ent.dmu.Unlock()
 	if due {
 		// Auto-snapshot failures don't fail the update (it is already
@@ -314,7 +304,7 @@ func (r *Registry) Update(name string, ops []engine.UpdateOp) (*engine.UpdateRes
 }
 
 // Snapshot checkpoints the named dataset now: exports the engine state,
-// writes it atomically, and lets the store prune the WAL behind it. It also
+// writes it atomically, and lets the store restart the WAL after it. It also
 // clears a wedged entry — the snapshot persists the engine state the failed
 // append left unlogged, re-basing the log.
 func (r *Registry) Snapshot(name string) (DurabilityStats, error) {

@@ -129,6 +129,9 @@ func TestAutoSnapshotPolicy(t *testing.T) {
 	if d2.ReplayedBatches >= 5 {
 		t.Fatalf("replayed %d batches, want < 5 (snapshot bounds the tail)", d2.ReplayedBatches)
 	}
+	if d2.ReplayedOps == 0 || d2.OpsSinceSnapshot != int(d2.ReplayedOps) {
+		t.Fatalf("a restart must keep counting the replayed tail toward EveryOps: %+v", d2)
+	}
 	if got := ent2.Engine.Stats().Live; got != 72 {
 		t.Fatalf("recovered live = %d, want 72", got)
 	}
@@ -399,5 +402,32 @@ func TestManualSnapshot(t *testing.T) {
 	}
 	if got := ent.Engine.Stats().Live; got != 44 {
 		t.Fatalf("recovered live = %d, want 44", got)
+	}
+}
+
+// TestDurableRefusesEmptyBatch pins that an update with no ops is refused
+// with ErrBadUpdate, in memory and on a file store, and neither reaches the
+// log nor moves the engine: every logged batch carries at least one op.
+func TestDurableRefusesEmptyBatch(t *testing.T) {
+	recs := dataset.Synthetic(dataset.IND, 40, 3, 2)
+	durable, st := openFileRegistry(t, t.TempDir(), SnapshotPolicy{})
+	defer st.Close()
+	for _, reg := range []*Registry{New(), durable} {
+		ent, err := reg.Create("ds", recs, Options{MaxK: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := ent.Engine.Stats()
+		for _, ops := range [][]utk.UpdateOp{nil, {}} {
+			if _, err := reg.Update("ds", ops); !errors.Is(err, utk.ErrBadUpdate) {
+				t.Fatalf("durable=%v: empty batch %#v: %v, want ErrBadUpdate", reg.Durable(), ops, err)
+			}
+		}
+		if after := ent.Engine.Stats(); after.UpdateBatches != before.UpdateBatches || after.Epoch != before.Epoch {
+			t.Fatalf("durable=%v: empty batches moved the engine: %+v -> %+v", reg.Durable(), before, after)
+		}
+		if d := ent.Durability(reg.Durable()); d.LastSeq != 0 || d.WALAppends != 0 || d.Wedged {
+			t.Fatalf("durable=%v: empty batches reached the log: %+v", reg.Durable(), d)
+		}
 	}
 }

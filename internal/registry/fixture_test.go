@@ -104,7 +104,7 @@ func TestShardedFixtureCompat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg, err := Open(st, SnapshotPolicy{EveryOps: -1, EveryBytes: -1})
+	reg, err := Open(st, SnapshotPolicy{EveryOps: -1})
 	if err != nil {
 		t.Fatalf("open the parent-written directory: %v", err)
 	}
@@ -149,7 +149,7 @@ func TestShardedFixtureCompat(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	reg, err = Open(st, SnapshotPolicy{EveryOps: -1, EveryBytes: -1})
+	reg, err = Open(st, SnapshotPolicy{EveryOps: -1})
 	if err != nil {
 		t.Fatalf("second reopen: %v", err)
 	}

@@ -336,7 +336,7 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleSnapshot checkpoints one dataset immediately: the engine state is
-// exported and written atomically, the WAL behind it pruned. 409 when the
+// exported and written atomically, and the WAL restarts after it. 409 when the
 // registry's store is in-memory (nothing to checkpoint to).
 func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("dataset")

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -9,6 +10,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -21,15 +23,21 @@ import (
 //
 //	manifest.json                      — named datasets + configs (atomic rewrite)
 //	datasets/<name>/snapshot.snap      — latest full-state checkpoint (atomic rename)
-//	datasets/<name>/wal-<firstseq>.log — WAL segments, append-only
+//	datasets/<name>/wal-<firstseq>.log — the WAL since the snapshot, append-only
 //
-// Every WAL segment starts with an 8-byte magic header and holds CRC-framed
-// records: [len u32][crc32 u32][payload], one applied batch per frame. The
-// segment's first sequence number is its filename; frames are contiguous, so
-// any prefix of segments+frames is a valid replay input. A crash can only
-// tear the final frame (appends are sequential); open detects the first
-// invalid frame, truncates the segment there, and drops later segments —
-// torn batches disappear atomically, half-applied states cannot exist.
+// The WAL segment starts with an 8-byte magic header and holds CRC-framed
+// records: [len u32][crc32 u32][payload], one applied batch per frame; the
+// snapshot file holds one such frame after its own magic. The segment's first
+// sequence number is its filename, and frames are contiguous. Every snapshot
+// with nothing logged past it starts a fresh segment at its Seq+1 and removes
+// the others, so the log is the batches since the last snapshot. Two
+// segments exist only after a crash mid-rotation (the old one and the fresh
+// one) or in a directory an older build rolled by size; open chains them by
+// sequence number. A crash can only tear the final frame (appends are
+// sequential, and a failed append cuts its own frame back off); open detects
+// the first invalid frame, truncates the segment there, and drops later
+// segments — torn batches disappear atomically, half-applied states cannot
+// exist.
 //
 // Snapshots and the manifest are replaced via write-to-temp + rename (+
 // directory fsync), so readers observe either the old or the new complete
@@ -42,12 +50,7 @@ const (
 	walMagic  = "UTKWAL1\n"
 	snapMagic = "UTKSNP1\n"
 
-	frameHeaderLen = 8       // len u32 + crc u32
-	maxFrameLen    = 1 << 28 // sanity cap on a single frame
-
-	// DefaultSegmentBytes is the WAL segment roll threshold when
-	// FileConfig.SegmentBytes is zero.
-	DefaultSegmentBytes = 8 << 20
+	frameHeaderLen = 8 // len u32 + crc u32
 )
 
 // FileConfig tunes a file-backed store.
@@ -55,13 +58,10 @@ type FileConfig struct {
 	// Sync selects when WAL appends reach stable storage (SyncAlways is the
 	// zero value: fsync before acknowledging).
 	Sync SyncPolicy
-	// SegmentBytes rolls the WAL to a fresh segment once the active one
-	// exceeds this size; zero selects DefaultSegmentBytes.
-	SegmentBytes int64
 }
 
-// File is the durable Store: segmented WAL + atomic snapshots + manifest,
-// all under one directory.
+// File is the durable Store: WAL + atomic snapshots + manifest, all under
+// one directory.
 type File struct {
 	dir string
 	cfg FileConfig
@@ -81,7 +81,6 @@ type fileDataset struct {
 	wLen int64
 	last uint64 // last durably framed batch seq
 	sync SyncPolicy
-	roll int64
 }
 
 type walSegment struct {
@@ -94,9 +93,6 @@ type walSegment struct {
 // commit, or between a manifest removal and the directory sweep — are
 // deleted here.
 func OpenFile(dir string, cfg FileConfig) (*File, error) {
-	if cfg.SegmentBytes <= 0 {
-		cfg.SegmentBytes = DefaultSegmentBytes
-	}
 	if err := os.MkdirAll(filepath.Join(dir, "datasets"), 0o755); err != nil {
 		return nil, err
 	}
@@ -260,8 +256,7 @@ func (f *File) dataset(name string) (*fileDataset, error) {
 	return ds, nil
 }
 
-// Append frames and durably logs one batch, rolling the segment at the
-// configured size. Returns the bytes written.
+// Append frames and durably logs one batch. Returns the bytes written.
 func (f *File) Append(name string, b *Batch) (int64, error) {
 	ds, err := f.dataset(name)
 	if err != nil {
@@ -280,50 +275,31 @@ func (f *File) Append(name string, b *Batch) (int64, error) {
 		}
 	}
 	payload := EncodeBatch(b, dim)
-	frame := make([]byte, frameHeaderLen+len(payload))
-	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(frame[4:8], crc32.ChecksumIEEE(payload))
-	copy(frame[frameHeaderLen:], payload)
-
-	if ds.wLen+int64(len(frame)) > ds.roll && ds.wLen > int64(len(walMagic)) {
-		if err := ds.rollSegment(b.Seq); err != nil {
-			return 0, err
-		}
+	frame := appendFrame(make([]byte, 0, frameHeaderLen+len(payload)), payload)
+	_, err = ds.w.Write(frame)
+	if err == nil && ds.sync == SyncAlways {
+		err = ds.w.Sync()
 	}
-	if _, err := ds.w.Write(frame); err != nil {
+	if err != nil {
+		// Cut the unacknowledged frame back off: left in place, it would be
+		// replayed in place of the next batch logged under its seq.
+		if ds.w.Truncate(ds.wLen) == nil {
+			ds.w.Sync()
+		}
 		return 0, err
-	}
-	if ds.sync == SyncAlways {
-		if err := ds.w.Sync(); err != nil {
-			return 0, err
-		}
 	}
 	ds.wLen += int64(len(frame))
 	ds.last = b.Seq
 	return int64(len(frame)), nil
 }
 
-// rollSegment closes the active segment and starts a fresh one whose first
-// sequence number is nextSeq. Caller holds ds.mu.
-func (ds *fileDataset) rollSegment(nextSeq uint64) error {
-	w, err := createSegment(ds.dir, nextSeq)
-	if err != nil {
-		return err
-	}
-	if err := syncDir(ds.dir); err != nil {
-		w.Close()
-		return err
-	}
-	ds.w.Close()
-	ds.w = w
-	ds.wLen = int64(len(walMagic))
-	ds.segs = append(ds.segs, walSegment{firstSeq: nextSeq, path: w.Name()})
-	return nil
-}
-
-// WriteSnapshot atomically replaces the snapshot, then prunes WAL segments
-// it fully covers (a segment is covered when the next segment starts at or
-// before snap.Seq+1) and rotates the active segment if even it is covered.
+// WriteSnapshot atomically replaces the snapshot. When nothing is logged past
+// it, the log restarts: a fresh segment starting at snap.Seq+1 becomes the
+// active one and every other segment is removed. That is also the re-basing
+// move when the snapshot is AHEAD of the log (ds.last < snap.Seq — a wedged
+// entry checkpointing unlogged state, or a SyncNever crash that lost
+// flushed-but-not-synced frames behind an fsynced snapshot): the append
+// cursor advances with it. A snapshot behind the log leaves the log as it is.
 func (f *File) WriteSnapshot(name string, snap *Snapshot) error {
 	ds, err := f.dataset(name)
 	if err != nil {
@@ -334,36 +310,28 @@ func (f *File) WriteSnapshot(name string, snap *Snapshot) error {
 	if err := writeSnapshotFile(ds.dir, snap); err != nil {
 		return err
 	}
-	// Prune: every segment whose successor starts within the snapshot.
-	keepFrom := 0
-	for keepFrom+1 < len(ds.segs) && ds.segs[keepFrom+1].firstSeq <= snap.Seq+1 {
-		os.Remove(ds.segs[keepFrom].path)
-		keepFrom++
+	if ds.last > snap.Seq {
+		return nil
 	}
-	ds.segs = append(ds.segs[:0], ds.segs[keepFrom:]...)
-	// Rotate the active segment when the snapshot covers everything in it:
-	// replay then starts from an empty log. This is also the re-basing move
-	// when the snapshot is AHEAD of the log (ds.last < snap.Seq — a wedged
-	// entry checkpointing unlogged state, or a SyncNever crash that lost
-	// flushed-but-not-synced frames behind an fsynced snapshot): the fresh
-	// segment starts at snap.Seq+1, so the append cursor advances with it.
-	if len(ds.segs) == 1 && ds.last <= snap.Seq && ds.segs[0].firstSeq <= snap.Seq {
-		old := ds.segs[0]
-		w, err := createSegment(ds.dir, snap.Seq+1)
-		if err != nil {
-			return err
-		}
-		if err := syncDir(ds.dir); err != nil {
-			w.Close()
-			return err
-		}
-		ds.w.Close()
-		ds.w = w
-		ds.wLen = int64(len(walMagic))
-		ds.segs[0] = walSegment{firstSeq: snap.Seq + 1, path: w.Name()}
-		ds.last = snap.Seq
-		os.Remove(old.path)
+	// The fresh segment may reuse the active one's name: createSegment
+	// truncates it, and whatever it held lies past ds.last, unacknowledged.
+	w, err := createSegment(ds.dir, snap.Seq+1)
+	if err != nil {
+		return err
 	}
+	ds.w.Close()
+	ds.w, ds.wLen, ds.last = w, int64(len(walMagic)), snap.Seq
+	fresh := walSegment{firstSeq: snap.Seq + 1, path: w.Name()}
+	old := slices.DeleteFunc(ds.segs, func(seg walSegment) bool { return seg.path == fresh.path })
+	ds.segs = append(old, fresh)
+	// Remove the old segments only once the fresh one's name is durable.
+	if err := syncDir(ds.dir); err != nil {
+		return err
+	}
+	for _, seg := range old {
+		os.Remove(seg.path)
+	}
+	ds.segs = []walSegment{fresh}
 	return nil
 }
 
@@ -383,14 +351,11 @@ func (f *File) LoadSnapshot(name string) (*Snapshot, error) {
 	if err != nil {
 		return nil, err
 	}
-	if len(raw) < len(snapMagic)+frameHeaderLen || string(raw[:len(snapMagic)]) != snapMagic {
+	if !bytes.HasPrefix(raw, []byte(snapMagic)) {
 		return nil, fmt.Errorf("%w: snapshot header", ErrCorrupt)
 	}
-	body := raw[len(snapMagic):]
-	n := binary.LittleEndian.Uint32(body[0:4])
-	crc := binary.LittleEndian.Uint32(body[4:8])
-	payload := body[frameHeaderLen:]
-	if uint32(len(payload)) != n || crc32.ChecksumIEEE(payload) != crc {
+	payload, rest, ok := readFrame(raw[len(snapMagic):])
+	if !ok || len(rest) != 0 {
 		return nil, fmt.Errorf("%w: snapshot frame", ErrCorrupt)
 	}
 	return DecodeSnapshot(payload)
@@ -407,50 +372,20 @@ func (f *File) Replay(name string, afterSeq uint64, fn func(*Batch) error) error
 	last := ds.last
 	ds.mu.Unlock()
 	for _, seg := range segs {
-		if err := replaySegment(seg, afterSeq, last, fn); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// replaySegment decodes one segment's frames, invoking fn for seq >
-// afterSeq. Frames past `last` (none in practice: appends are serialized
-// with replay by the registry) are ignored.
-func replaySegment(seg walSegment, afterSeq, last uint64, fn func(*Batch) error) error {
-	raw, err := os.ReadFile(seg.path)
-	if err != nil {
-		return err
-	}
-	if len(raw) < len(walMagic) || string(raw[:len(walMagic)]) != walMagic {
-		return fmt.Errorf("%w: wal header in %s", ErrCorrupt, seg.path)
-	}
-	body := raw[len(walMagic):]
-	want := seg.firstSeq
-	for len(body) >= frameHeaderLen {
-		n := binary.LittleEndian.Uint32(body[0:4])
-		crc := binary.LittleEndian.Uint32(body[4:8])
-		if int64(n) > maxFrameLen || len(body) < frameHeaderLen+int(n) {
-			return fmt.Errorf("%w: torn frame survived open in %s", ErrCorrupt, seg.path)
-		}
-		payload := body[frameHeaderLen : frameHeaderLen+int(n)]
-		if crc32.ChecksumIEEE(payload) != crc {
-			return fmt.Errorf("%w: frame crc in %s", ErrCorrupt, seg.path)
-		}
-		b, err := DecodeBatch(payload)
+		_, _, torn, err := scanSegment(seg.path, seg.firstSeq, func(b *Batch) error {
+			// Frames past last (none in practice: appends are serialized
+			// with replay by the registry) are ignored.
+			if b.Seq > afterSeq && b.Seq <= last {
+				return fn(b)
+			}
+			return nil
+		})
 		if err != nil {
 			return err
 		}
-		if b.Seq != want {
-			return fmt.Errorf("%w: frame seq %d, want %d in %s", ErrCorrupt, b.Seq, want, seg.path)
+		if torn {
+			return fmt.Errorf("%w: torn frame survived open in %s", ErrCorrupt, seg.path)
 		}
-		want++
-		if b.Seq > afterSeq && b.Seq <= last {
-			if err := fn(b); err != nil {
-				return err
-			}
-		}
-		body = body[frameHeaderLen+int(n):]
 	}
 	return nil
 }
@@ -508,7 +443,7 @@ func openDatasetWAL(dir string, cfg FileConfig) (*fileDataset, error) {
 	if len(segs) == 0 {
 		return nil, fmt.Errorf("%w: no wal segments in %s", ErrCorrupt, dir)
 	}
-	ds := &fileDataset{dir: dir, sync: cfg.Sync, roll: cfg.SegmentBytes}
+	ds := &fileDataset{dir: dir, sync: cfg.Sync}
 	want := segs[0].firstSeq
 	cut := -1 // first segment index made invalid by a torn tail
 	for i, seg := range segs {
@@ -519,21 +454,27 @@ func openDatasetWAL(dir string, cfg FileConfig) (*fileDataset, error) {
 			cut = i
 			break
 		}
-		validLen, nextSeq, err := scanSegment(seg, want)
+		valid, next, torn, err := scanSegment(seg.path, want, nil)
 		if err != nil {
 			return nil, err
 		}
-		if validLen >= 0 {
+		want = next
+		if torn {
 			// Torn tail inside this segment: truncate it here and drop
-			// every later segment.
-			if err := os.Truncate(seg.path, validLen); err != nil {
+			// every later segment. A segment created during a crash may
+			// have a torn header; it holds no acknowledged frames, so it is
+			// reset to an empty segment.
+			if valid == 0 {
+				err = os.WriteFile(seg.path, []byte(walMagic), 0o644)
+			} else {
+				err = os.Truncate(seg.path, valid)
+			}
+			if err != nil {
 				return nil, err
 			}
-			want = nextSeq
 			cut = i + 1
 			break
 		}
-		want = nextSeq
 	}
 	if cut >= 0 {
 		for _, seg := range segs[cut:] {
@@ -564,47 +505,64 @@ func openDatasetWAL(dir string, cfg FileConfig) (*fileDataset, error) {
 }
 
 // scanSegment walks a segment's frames verifying framing, CRC, and sequence
-// contiguity starting at wantSeq. It returns validLen >= 0 (the byte offset
-// of the first invalid frame — the truncation point) when it finds a torn
-// tail, or validLen = -1 when the whole segment is clean. nextSeq is the
-// sequence number following the last valid frame.
-func scanSegment(seg walSegment, wantSeq uint64) (validLen int64, nextSeq uint64, err error) {
-	raw, rerr := os.ReadFile(seg.path)
-	if rerr != nil {
-		return 0, 0, rerr
+// contiguity starting at seq, handing each valid batch to visit (when not
+// nil) and stopping at its first error. valid is the byte length of the
+// segment's valid prefix (0 when even the header is torn), next the sequence
+// number after its last valid frame, and torn whether bytes follow the valid
+// prefix: a torn tail, to be truncated at valid.
+func scanSegment(path string, seq uint64, visit func(*Batch) error) (valid int64, next uint64, torn bool, err error) {
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		return 0, 0, false, err
 	}
-	if len(raw) < len(walMagic) || string(raw[:len(walMagic)]) != walMagic {
-		// A segment created during a crash may have a torn header; it holds
-		// no acknowledged frames, so reset it to an empty segment.
-		if werr := os.WriteFile(seg.path, []byte(walMagic), 0o644); werr != nil {
-			return 0, 0, werr
-		}
-		return int64(len(walMagic)), wantSeq, nil
+	if !bytes.HasPrefix(raw, []byte(walMagic)) {
+		return 0, seq, true, nil
 	}
-	off := int64(len(walMagic))
 	body := raw[len(walMagic):]
 	for len(body) > 0 {
-		if len(body) < frameHeaderLen {
-			return off, wantSeq, nil
-		}
-		n := binary.LittleEndian.Uint32(body[0:4])
-		crc := binary.LittleEndian.Uint32(body[4:8])
-		if int64(n) > maxFrameLen || len(body) < frameHeaderLen+int(n) {
-			return off, wantSeq, nil
-		}
-		payload := body[frameHeaderLen : frameHeaderLen+int(n)]
-		if crc32.ChecksumIEEE(payload) != crc {
-			return off, wantSeq, nil
+		payload, rest, ok := readFrame(body)
+		if !ok {
+			break
 		}
 		b, derr := DecodeBatch(payload)
-		if derr != nil || b.Seq != wantSeq {
-			return off, wantSeq, nil
+		if derr != nil || b.Seq != seq {
+			break
 		}
-		wantSeq++
-		off += frameHeaderLen + int64(n)
-		body = body[frameHeaderLen+int(n):]
+		if visit != nil {
+			if err := visit(b); err != nil {
+				return 0, 0, false, err
+			}
+		}
+		seq++
+		body = rest
 	}
-	return -1, wantSeq, nil
+	return int64(len(raw) - len(body)), seq, len(body) > 0, nil
+}
+
+// appendFrame appends payload to buf as one [len u32][crc32 u32][payload]
+// frame: a WAL record, or the body of the snapshot file.
+func appendFrame(buf, payload []byte) []byte {
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(payload)))
+	buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(payload))
+	return append(buf, payload...)
+}
+
+// readFrame splits the frame at the start of buf into its payload and the
+// bytes after it; ok is false unless buf starts with a whole frame whose CRC
+// matches.
+func readFrame(buf []byte) (payload, rest []byte, ok bool) {
+	if len(buf) < frameHeaderLen {
+		return nil, nil, false
+	}
+	n := binary.LittleEndian.Uint32(buf[0:4])
+	if uint64(n) > uint64(len(buf)-frameHeaderLen) {
+		return nil, nil, false
+	}
+	payload, rest = buf[frameHeaderLen:frameHeaderLen+int(n)], buf[frameHeaderLen+int(n):]
+	if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(buf[4:8]) {
+		return nil, nil, false
+	}
+	return payload, rest, true
 }
 
 // createSegment creates an empty WAL segment whose first frame will carry
@@ -629,13 +587,8 @@ func createSegment(dir string, firstSeq uint64) (*os.File, error) {
 // writeSnapshotFile atomically replaces dir/snapshot.snap.
 func writeSnapshotFile(dir string, snap *Snapshot) error {
 	payload := EncodeSnapshot(snap)
-	buf := make([]byte, 0, len(snapMagic)+frameHeaderLen+len(payload))
-	buf = append(buf, snapMagic...)
-	var hdr [frameHeaderLen]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(payload))
-	buf = append(buf, hdr[:]...)
-	buf = append(buf, payload...)
+	buf := append(make([]byte, 0, len(snapMagic)+frameHeaderLen+len(payload)), snapMagic...)
+	buf = appendFrame(buf, payload)
 	return atomicWrite(filepath.Join(dir, "snapshot.snap"), buf)
 }
 

@@ -18,9 +18,10 @@
 // alone) — so a recovered engine answers bit-identically to one that never
 // crashed.
 //
-// One implementation ships: File (segmented append-only WAL with CRC-framed
-// records, atomic snapshot rename, configurable fsync policy). A registry
-// without a store is in-memory: it logs nothing and recovers nothing.
+// One implementation ships: File (an append-only WAL of CRC-framed records
+// that every snapshot restarts, so it holds the batches since the last one;
+// atomic snapshot rename; configurable fsync policy). A registry without a
+// store is in-memory: it logs nothing and recovers nothing.
 package store
 
 import (
@@ -116,8 +117,10 @@ type Store interface {
 	// and Records are not retained.
 	Append(name string, b *Batch) (int64, error)
 
-	// WriteSnapshot atomically replaces the dataset's snapshot and prunes
-	// WAL segments the snapshot fully covers.
+	// WriteSnapshot atomically replaces the dataset's snapshot. When nothing
+	// is logged past snap.Seq the log restarts empty after it, and LastSeq
+	// becomes snap.Seq (even if the log was behind); a snapshot behind the
+	// log leaves the log as it is.
 	WriteSnapshot(name string, snap *Snapshot) error
 
 	// LoadSnapshot returns the dataset's latest snapshot.

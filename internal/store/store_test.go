@@ -2,6 +2,7 @@ package store
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -493,80 +494,207 @@ func TestFileCRCCorruption(t *testing.T) {
 	}
 }
 
-// TestFileSegmentRollPrune forces tiny segments, checks multi-segment replay
-// and recovery, and verifies snapshots prune covered segments.
-func TestFileSegmentRollPrune(t *testing.T) {
+// writeSegment writes a WAL segment by hand, as a build that rolled the log
+// by size left it: the header, then one frame per batch in order.
+func writeSegment(t *testing.T, dir string, firstSeq uint64, batches ...*Batch) {
+	t.Helper()
+	w, err := createSegment(dir, firstSeq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	for _, b := range batches {
+		if _, err := w.Write(appendFrame(nil, EncodeBatch(b, 3))); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// checkReplay requires replay after afterSeq to return exactly testBatch(afterSeq+1 … last).
+func checkReplay(t *testing.T, st Store, afterSeq, last uint64) {
+	t.Helper()
+	got := collect(t, st, "ds", afterSeq)
+	if len(got) != int(last-afterSeq) {
+		t.Fatalf("replay after %d: %d batches, want %d", afterSeq, len(got), last-afterSeq)
+	}
+	for i, b := range got {
+		if !batchEq(b, testBatch(afterSeq+uint64(i)+1)) {
+			t.Fatalf("replay after %d: batch %d mismatch", afterSeq, b.Seq)
+		}
+	}
+}
+
+// TestFileLegacySegmentLayout reopens the multi-segment layouts the current
+// store no longer writes but must still read: a log an older build rolled by
+// size into three segments, and the old-plus-fresh pair a crash in the middle
+// of a snapshot's rotation leaves. Replay chains the segments exactly, a
+// snapshot behind the log keeps them all, and a snapshot at the head leaves
+// exactly one segment that appends continue in.
+func TestFileLegacySegmentLayout(t *testing.T) {
+	t.Run("rolled", func(t *testing.T) {
+		dir := t.TempDir()
+		st, err := OpenFile(dir, FileConfig{Sync: SyncNever})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := st.CreateDataset(testConfig("ds"), testSnapshot(0, 0)); err != nil {
+			t.Fatal(err)
+		}
+		st.Close()
+		dsDir := filepath.Join(dir, "datasets", "ds")
+		writeSegment(t, dsDir, 1, testBatch(1), testBatch(2), testBatch(3))
+		writeSegment(t, dsDir, 4, testBatch(4), testBatch(5), testBatch(6))
+		writeSegment(t, dsDir, 7, testBatch(7), testBatch(8), testBatch(9))
+
+		st, err = OpenFile(dir, FileConfig{Sync: SyncNever})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if last, _ := st.LastSeq("ds"); last != 9 {
+			t.Fatalf("LastSeq over three segments = %d, want 9", last)
+		}
+		checkReplay(t, st, 0, 9)
+		checkReplay(t, st, 5, 9)
+
+		// A snapshot behind the log keeps every segment.
+		if err := st.WriteSnapshot("ds", testSnapshot(5, 10)); err != nil {
+			t.Fatal(err)
+		}
+		if segs := walSegmentPaths(t, dir, "ds"); len(segs) != 3 {
+			t.Fatalf("segments after a snapshot behind the log: %v, want three", segs)
+		}
+		if _, err := st.Append("ds", testBatch(10)); err != nil {
+			t.Fatal(err)
+		}
+		checkReplay(t, st, 5, 10)
+
+		// A snapshot at the head leaves one fresh segment; appends continue.
+		if err := st.WriteSnapshot("ds", testSnapshot(10, 20)); err != nil {
+			t.Fatal(err)
+		}
+		segs := walSegmentPaths(t, dir, "ds")
+		if len(segs) != 1 || filepath.Base(segs[0]) != fmt.Sprintf("wal-%020d.log", 11) {
+			t.Fatalf("segments after a snapshot at the head: %v, want wal-…11.log alone", segs)
+		}
+		checkReplay(t, st, 10, 10)
+		if _, err := st.Append("ds", testBatch(11)); err != nil {
+			t.Fatal(err)
+		}
+		st.Close()
+
+		st, err = OpenFile(dir, FileConfig{Sync: SyncNever})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer st.Close()
+		if last, _ := st.LastSeq("ds"); last != 11 {
+			t.Fatalf("LastSeq after restart + append + reopen = %d, want 11", last)
+		}
+		checkReplay(t, st, 10, 11)
+	})
+
+	t.Run("crash-mid-rotation", func(t *testing.T) {
+		// The snapshot at 4 was written and its fresh segment created, but
+		// the old segment was not removed yet.
+		dir := t.TempDir()
+		st, err := OpenFile(dir, FileConfig{Sync: SyncNever})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := st.CreateDataset(testConfig("ds"), testSnapshot(4, 8)); err != nil {
+			t.Fatal(err)
+		}
+		st.Close()
+		writeSegment(t, filepath.Join(dir, "datasets", "ds"), 1, testBatch(1), testBatch(2), testBatch(3), testBatch(4))
+
+		st, err = OpenFile(dir, FileConfig{Sync: SyncNever})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if last, _ := st.LastSeq("ds"); last != 4 {
+			t.Fatalf("LastSeq over old + fresh segment = %d, want 4", last)
+		}
+		checkReplay(t, st, 0, 4)
+		checkReplay(t, st, 4, 4)
+		if _, err := st.Append("ds", testBatch(5)); err != nil {
+			t.Fatal(err)
+		}
+		checkReplay(t, st, 0, 5)
+		if segs := walSegmentPaths(t, dir, "ds"); len(segs) != 2 {
+			t.Fatalf("segments before the next snapshot: %v, want two", segs)
+		}
+		if err := st.WriteSnapshot("ds", testSnapshot(5, 10)); err != nil {
+			t.Fatal(err)
+		}
+		if segs := walSegmentPaths(t, dir, "ds"); len(segs) != 1 {
+			t.Fatalf("segments after a snapshot at the head: %v, want one", segs)
+		}
+		if _, err := st.Append("ds", testBatch(6)); err != nil {
+			t.Fatal(err)
+		}
+		st.Close()
+
+		st, err = OpenFile(dir, FileConfig{Sync: SyncNever})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer st.Close()
+		if last, _ := st.LastSeq("ds"); last != 6 {
+			t.Fatalf("LastSeq after reopen = %d, want 6", last)
+		}
+		checkReplay(t, st, 5, 6)
+	})
+}
+
+// TestFileFailedAppendNotReplayed pins the heal path after an append whose
+// frame reached the segment but was never acknowledged (its Sync failed, so
+// LastSeq did not move). The heal snapshot at LastSeq restarts the log, so
+// the frame cannot be replayed in place of the next acknowledged batch,
+// which is logged under the same seq.
+func TestFileFailedAppendNotReplayed(t *testing.T) {
 	dir := t.TempDir()
-	st, err := OpenFile(dir, FileConfig{Sync: SyncNever, SegmentBytes: 64})
+	st, err := OpenFile(dir, FileConfig{Sync: SyncNever})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := st.CreateDataset(testConfig("ds"), testSnapshot(0, 0)); err != nil {
 		t.Fatal(err)
 	}
-	const n = 10
-	for seq := uint64(1); seq <= n; seq++ {
-		if _, err := st.Append("ds", testBatch(seq)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if segs := walSegmentPaths(t, dir, "ds"); len(segs) < 3 {
-		t.Fatalf("tiny segments produced only %d files: %v", len(segs), segs)
-	}
-	if got := collect(t, st, "ds", 0); len(got) != n {
-		t.Fatalf("multi-segment replay: %d batches, want %d", len(got), n)
-	}
-	st.Close()
-
-	// Reopen across segments.
-	st2, err := OpenFile(dir, FileConfig{Sync: SyncNever, SegmentBytes: 64})
+	ds, err := st.dataset("ds")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if last, _ := st2.LastSeq("ds"); last != n {
-		t.Fatalf("LastSeq after reopen = %d, want %d", last, n)
-	}
-
-	// Snapshot at seq 5 prunes the fully covered segments but keeps the tail.
-	if err := st2.WriteSnapshot("ds", testSnapshot(5, 10)); err != nil {
+	if _, err := ds.w.Write(appendFrame(nil, EncodeBatch(testBatch(1), 3))); err != nil {
 		t.Fatal(err)
 	}
-	got := collect(t, st2, "ds", 5)
-	if len(got) != n-5 {
-		t.Fatalf("replay after mid snapshot: %d batches, want %d", len(got), n-5)
+	if last, _ := st.LastSeq("ds"); last != 0 {
+		t.Fatalf("LastSeq after an unacknowledged frame = %d, want 0", last)
 	}
-	for i, b := range got {
-		if !batchEq(b, testBatch(uint64(i)+6)) {
-			t.Fatalf("replay after mid snapshot: batch %d mismatch", b.Seq)
-		}
-	}
-
-	// Snapshot at the head rotates to one empty segment; appends continue.
-	if err := st2.WriteSnapshot("ds", testSnapshot(n, 2*n)); err != nil {
+	if err := st.WriteSnapshot("ds", testSnapshot(0, 0)); err != nil {
 		t.Fatal(err)
 	}
 	if segs := walSegmentPaths(t, dir, "ds"); len(segs) != 1 {
-		t.Fatalf("segments after covering snapshot: %v, want one", segs)
+		t.Fatalf("segments after the heal snapshot: %v, want one", segs)
 	}
-	if got := collect(t, st2, "ds", n); len(got) != 0 {
-		t.Fatalf("replay after covering snapshot: %d batches, want 0", len(got))
+	acked := testBatch(1)
+	acked.Epoch = 99
+	if _, err := st.Append("ds", acked); err != nil {
+		t.Fatal(err)
 	}
-	if _, err := st2.Append("ds", testBatch(n+1)); err != nil {
-		t.Fatalf("append after covering snapshot: %v", err)
-	}
-	st2.Close()
+	st.Close()
 
-	st3, err := OpenFile(dir, FileConfig{Sync: SyncNever, SegmentBytes: 64})
+	st, err = OpenFile(dir, FileConfig{Sync: SyncNever})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer st3.Close()
-	if last, _ := st3.LastSeq("ds"); last != n+1 {
-		t.Fatalf("LastSeq after rotate+append+reopen = %d, want %d", last, n+1)
-	}
-	snap, err := st3.LoadSnapshot("ds")
-	if err != nil || snap.Seq != n {
-		t.Fatalf("snapshot after rotate: %+v, %v", snap, err)
+	defer st.Close()
+	got := collect(t, st, "ds", 0)
+	if len(got) != 1 || !batchEq(got[0], acked) {
+		epochs := make([]uint64, len(got))
+		for i, b := range got {
+			epochs[i] = b.Epoch
+		}
+		t.Fatalf("replay returned epochs %v, want only the acknowledged batch (epoch 99)", epochs)
 	}
 }
 

@@ -33,7 +33,7 @@ func benchRecovery(b *testing.B, n int) {
 	recs := dataset.Synthetic(dataset.IND, n, d, 1)
 	opts := registry.Options{MaxK: maxK}
 	// Disable auto-snapshots so the tail stays exactly `tail` batches long.
-	pol := registry.SnapshotPolicy{EveryOps: -1, EveryBytes: -1}
+	pol := registry.SnapshotPolicy{EveryOps: -1}
 
 	dir := b.TempDir()
 	st, err := store.OpenFile(dir, store.FileConfig{Sync: store.SyncNever})
