@@ -142,7 +142,7 @@ func report(name string, r *stream.Result) {
 	if r.Batches > 0 {
 		fmt.Printf("  updates: %d batches, %d ops, %.0f updates/s; batch p50=%s p99=%s max=%s\n",
 			r.Batches, r.Ops, r.UpdatesPerSec, r.UpdateP50, r.UpdateP99, r.UpdateMax)
-		fmt.Printf("  begin stage: p50=%s p99=%s max=%s; band_maintenance=%s over %d ops\n",
+		fmt.Printf("  band maintenance per batch: p50=%s p99=%s max=%s; total=%s over %d ops\n",
 			r.BeginP50, r.BeginP99, r.BeginMax,
 			time.Duration(r.Stats.BandMaintenanceNS), r.Stats.BatchApplyOps)
 	}

@@ -139,14 +139,16 @@ func (e *Engine) ApplyBatch(ops []UpdateOp) (*UpdateResult, error) {
 }
 
 // ApplyBatchPipelined is the two-stage form of ApplyBatch for callers with
-// their own per-batch work to overlap against cache invalidation — the
-// durable registry runs its WAL append concurrently with the returned
-// commit. When this call returns, the batch has applied and the result is
-// final, but queries observe it only once commit has run. Invalidation
-// probing and the index publish are deferred to commit. One batch is in
-// flight at a time: the next update (and State) waits until commit returns,
-// so commit must be called exactly once per successful call (calling it
-// again is a no-op).
+// their own per-batch work to overlap against applying it — the durable
+// registry runs its WAL append concurrently with the returned commit. This
+// call validates the batch: when it returns, the result's IDs are final and
+// nothing else has happened (Epoch still reports the epoch the batch applies
+// on). Band maintenance, invalidation probing and the index publish run in
+// commit, which then fills in the result's Epoch, Live, SupersetSize and
+// ShadowSize; queries observe the batch only once commit has run. One batch
+// is in flight at a time: the next update (and State) waits until commit
+// returns, so commit must be called exactly once per successful call
+// (calling it again is a no-op).
 func (e *Engine) ApplyBatchPipelined(ops []UpdateOp) (*UpdateResult, func(), error) {
 	return e.e.ApplyBatchPipelined(ops)
 }

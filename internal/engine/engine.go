@@ -448,7 +448,9 @@ func (e *Engine) Dim() int { return e.dim }
 func (e *Engine) Epoch() uint64 { return e.idx.Load().epoch }
 
 // UpdateResult reports the outcome of one ApplyBatch: the per-op ids and
-// the engine state as published by this batch (not a later concurrent one).
+// the engine state as published by this batch (not a later one). Under
+// ApplyBatchPipelined the IDs are final at begin and the other fields are
+// filled in by commit.
 type UpdateResult struct {
 	// IDs is index-aligned with the batch ops: assigned ids for inserts,
 	// the deleted ids for deletes.
@@ -547,18 +549,21 @@ func (e *Engine) ApplyBatch(ops []UpdateOp) (*UpdateResult, error) {
 }
 
 // ApplyBatchPipelined is the two-stage form of ApplyBatch for callers that
-// have their own per-batch work to overlap with cache invalidation — the
-// durable registry runs its WAL append concurrently with stage two. Stage
-// one (this call) validates and maintains the band; stage two (the returned
-// commit) runs the invalidation probes, evicts affected cache entries, and
-// publishes the index. The returned UpdateResult is final when this call
-// returns, but queries observe the batch only once commit has published it.
+// have their own per-batch work to overlap with applying it — the durable
+// registry runs its WAL append concurrently with stage two. Stage one (this
+// call) validates the batch and fixes its ids; stage two (the returned
+// commit) maintains the band, runs the invalidation probes, evicts affected
+// cache entries, and publishes the index. When this call returns, the
+// result's IDs are final and nothing has changed: Epoch still reports the
+// pre-batch epoch, which is the one the batch applies on. Everything else in
+// the result (Epoch, Live, SupersetSize, ShadowSize) is filled in by commit,
+// after the publish, and queries observe the batch only from then on.
 //
 // One batch is in flight at a time: the update mutex is held from this call
 // until commit returns, so the next begin waits for this commit (the
 // registry serializes a dataset's updates anyway). commit must therefore be
 // called exactly once per successful begin; it is idempotent, so extra calls
-// are harmless. Until commit returns, the probe window keeps any result
+// are harmless. While commit probes, the probe window keeps any result
 // computed meanwhile out of the cache, so a pre-batch answer can be served
 // but never resold.
 func (e *Engine) ApplyBatchPipelined(ops []UpdateOp) (*UpdateResult, func(), error) {
@@ -569,25 +574,25 @@ func (e *Engine) ApplyBatchPipelined(ops []UpdateOp) (*UpdateResult, func(), err
 	return pb.res, pb.commit, nil
 }
 
-// pendingBatch is a begun-but-uncommitted batch: band maintenance has run
-// and the update mutex is held; the probe + invalidate + publish stage waits
-// in commit.
+// pendingBatch is a begun-but-uncommitted batch: it has validated, its ids
+// are fixed in res, and the update mutex is held; band maintenance, the
+// probes and the publish wait in commit, which records the index it
+// published in fresh (nil when the band did not change).
 type pendingBatch struct {
-	e        *Engine
-	res      *UpdateResult
-	fresh    *index // index to publish, or nil when the band is unchanged
-	tests    []affectsTest
-	entries  []rescache.Entry // cache snapshot to probe (probe window open iff tests exist)
-	window   bool             // updating was raised at begin
-	dynStats skyband.DynamicStats
-	once     sync.Once
+	e     *Engine
+	ops   []UpdateOp
+	plan  *skyband.Plan
+	res   *UpdateResult
+	fresh *index
+	once  sync.Once
 }
 
 func (pb *pendingBatch) commit() { pb.once.Do(func() { pb.e.commitBatch(pb) }) }
 
-// beginBatch is stage one of a batch: everything that must see the dynamic
-// structure runs here. It takes updMu and, on success, leaves it held for
-// commitBatch to release.
+// beginBatch is stage one of a batch: the record checks, then, under updMu,
+// the band's plan (delete liveness, duplicate deletes, coalescing), which
+// fixes the ids without mutating anything — a batch that fails it leaves the
+// engine unchanged. On success updMu stays held for commitBatch to release.
 func (e *Engine) beginBatch(ops []UpdateOp) (*pendingBatch, error) {
 	sops := make([]skyband.Op, len(ops))
 	for i, op := range ops {
@@ -605,10 +610,40 @@ func (e *Engine) beginBatch(ops []UpdateOp) (*pendingBatch, error) {
 	}
 
 	e.updMu.Lock()
+	plan, err := e.band.Plan(sops)
+	if err != nil {
+		e.updMu.Unlock()
+		if errors.Is(err, skyband.ErrUnknownID) || errors.Is(err, skyband.ErrDuplicateDelete) {
+			return nil, ErrUnknownRecord
+		}
+		return nil, err
+	}
+	return &pendingBatch{e: e, ops: ops, plan: plan, res: &UpdateResult{IDs: plan.IDs()}}, nil
+}
 
-	// Pre-delete coordinates for the delete probes, captured before the one
-	// call that applies every op (nil for an id that is not live yet — a
-	// delete of this batch's own insert, which never reports InBand).
+// commitBatch is stage two: apply the plan to the band, probe, invalidate,
+// publish, fill in the result, and release updMu. The r-dominance probes
+// (cache regions × deltas × band) run outside the query-side lock so
+// concurrent queries — cache hits especially — never queue behind them.
+// Ordering makes the window invisible:
+//
+//  1. Under mu, snapshot the resident entries and raise `updating`, so a
+//     computation finishing mid-window cannot add an entry the snapshot
+//     missed.
+//  2. Probe outside mu. Hits served meanwhile come from pre-update entries
+//     while the epoch is still the old one — the batch has not been
+//     published, so those answers are simply "before the update".
+//  3. Under mu, evict the affected keys and only then publish the new epoch:
+//     no query can observe the new epoch while a stale entry is still
+//     hittable, and entries cached after publication pass finish's
+//     current-epoch check, i.e. reflect this batch.
+func (e *Engine) commitBatch(pb *pendingBatch) {
+	defer e.updMu.Unlock()
+	ops := pb.ops
+
+	// Pre-delete coordinates for the delete probes, captured before the plan
+	// applies (nil for an id that is not live yet — a delete of this batch's
+	// own insert, which never reports InBand).
 	var delRecs [][]float64
 	if e.cache != nil {
 		delRecs = make([][]float64, len(ops))
@@ -618,38 +653,26 @@ func (e *Engine) beginBatch(ops []UpdateOp) (*pendingBatch, error) {
 			}
 		}
 	}
-
-	// One ApplyOps call validates the deletes against liveness and coalesces
-	// insert→delete pairs of one record before mutating anything (so a bad
-	// batch is a no-op), then applies the ops in order.
-	ids, effs, err := e.band.ApplyOps(sops)
-	if err != nil {
-		e.updMu.Unlock()
-		if errors.Is(err, skyband.ErrUnknownID) || errors.Is(err, skyband.ErrDuplicateDelete) {
-			return nil, ErrUnknownRecord
-		}
-		return nil, err
-	}
+	effs := e.band.Apply(pb.plan)
 	bandChanged := false
 	for _, eff := range effs {
 		bandChanged = bandChanged || eff.BandChanged
 	}
-
 	dynStats := e.band.Stats()
 
 	// One final-band snapshot serves every probe and the published index. It
 	// is taken only when the band changed: an update that needs a probe — an
 	// insert that made the final band, a delete from the band — always
-	// reports BandChanged (at the op itself, or at the promotion or rebuild
-	// that brought the insert in).
-	var fresh *index
+	// reports BandChanged (at the op itself, or at the promotion that brought
+	// the insert in).
 	var tests []affectsTest
 	epoch := e.idx.Load().epoch
 	if bandChanged {
 		epoch++
-		fresh = bandIndex(epoch, e.band)
+		pb.fresh = bandIndex(epoch, e.band)
 	}
 	if e.cache != nil && bandChanged {
+		fresh, ids := pb.fresh, pb.res.IDs
 		batchInserted := map[int]bool{}
 		for i, op := range ops {
 			if op.Kind == UpdateInsert {
@@ -675,51 +698,19 @@ func (e *Engine) beginBatch(ops []UpdateOp) (*pendingBatch, error) {
 		}
 	}
 
-	// Stage-one handoff. The cache-entry snapshot and `updating` raise happen
-	// here, so a computation finishing between begin and commit cannot add an
-	// entry the probe pass misses.
-	pb := &pendingBatch{e: e, dynStats: dynStats, tests: tests, fresh: fresh}
+	var entries []rescache.Entry
 	if len(tests) > 0 {
 		e.mu.Lock()
-		pb.entries = e.cache.Snapshot()
+		entries = e.cache.Snapshot()
 		e.updating++
-		pb.window = true
 		e.mu.Unlock()
 	}
-	pb.res = &UpdateResult{
-		IDs:          ids,
-		Epoch:        epoch,
-		Live:         dynStats.Live,
-		SupersetSize: dynStats.SupersetSize,
-		ShadowSize:   dynStats.ShadowSize,
-	}
-	return pb, nil
-}
-
-// commitBatch is stage two: probe, invalidate, publish, and release updMu.
-// The r-dominance probes (cache regions × deltas × band) run outside the
-// query-side lock so concurrent queries — cache hits especially — never
-// queue behind them, and so a pipelined caller's own stage-two work (the
-// registry's WAL append) overlaps them. Ordering makes the window invisible:
-//
-//  1. Begin snapshotted the resident entries and raised `updating`, so a
-//     computation finishing mid-window cannot add an entry the snapshot
-//     missed.
-//  2. Probe outside mu. Hits served meanwhile come from pre-update entries
-//     while the epoch is still the old one — the batch has not been
-//     published, so those answers are simply "before the update".
-//  3. Under mu, evict the affected keys and only then publish the new epoch:
-//     no query can observe the new epoch while a stale entry is still
-//     hittable, and entries cached after publication pass finish's
-//     current-epoch check, i.e. reflect this batch.
-func (e *Engine) commitBatch(pb *pendingBatch) {
-	defer e.updMu.Unlock()
-	affected := runProbes(pb.entries, pb.tests)
+	affected := runProbes(entries, tests)
 
 	e.mu.Lock()
 	e.stats.UpdateBatches++
-	e.stats.DynamicStats = pb.dynStats
-	if len(pb.entries) > 0 {
+	e.stats.DynamicStats = dynStats
+	if len(entries) > 0 {
 		e.stats.ProbeBatches++
 	}
 	if len(affected) > 0 {
@@ -730,10 +721,15 @@ func (e *Engine) commitBatch(pb *pendingBatch) {
 	if pb.fresh != nil {
 		e.idx.Store(pb.fresh)
 	}
-	if pb.window {
+	if len(tests) > 0 {
 		e.updating--
 	}
 	e.mu.Unlock()
+
+	pb.res.Epoch = epoch
+	pb.res.Live = dynStats.Live
+	pb.res.SupersetSize = dynStats.SupersetSize
+	pb.res.ShadowSize = dynStats.ShadowSize
 }
 
 // runProbes evaluates a batch's classified deltas against the snapshot of

@@ -16,10 +16,13 @@ import (
 	"repro/internal/geom"
 )
 
-// TestTwoStageCommit pins the pipelined contract: between ApplyBatchPipelined returning and commit running, queries over a
-// region the batch changes are answered from the pre-batch state — cached
-// entries still hit, fresh computations run on the old index and are not
-// cached — and after commit the post-batch answer is served.
+// TestTwoStageCommit pins the pipelined contract: when ApplyBatchPipelined
+// returns, the batch's ids are final and nothing else has happened — the
+// band has not applied it and the published epoch is unchanged; between
+// begin and commit, queries over a region the batch changes are answered
+// from the pre-batch state — cached entries still hit, fresh computations
+// run on the old index and are not cached — and after commit the result
+// carries the epoch commit published and the post-batch answer is served.
 func TestTwoStageCommit(t *testing.T) { onePart(t, testTwoStageCommit) }
 
 func testTwoStageCommit(t *testing.T) {
@@ -40,8 +43,9 @@ func testTwoStageCommit(t *testing.T) {
 		t.Fatal(err)
 	}
 	id := res.IDs[0]
-	if res.Epoch != epoch0+1 || e.Epoch() != epoch0 {
-		t.Fatalf("begin stage: result epoch %d, published %d, want %d in the result and %d still published", res.Epoch, e.Epoch(), epoch0+1, epoch0)
+	if !slices.Equal(res.IDs, []int{len(td.recs)}) || e.Epoch() != epoch0 || e.band.Has(id) || e.band.Len() != len(td.recs) {
+		t.Fatalf("begin stage: ids %v, published epoch %d, band holds the insert %v and %d records; want ids [%d], epoch %d, the band untouched at %d",
+			res.IDs, e.Epoch(), e.band.Has(id), e.band.Len(), len(td.recs), epoch0, len(td.recs))
 	}
 
 	mid, err := e.Do(ctx, cached)
@@ -60,8 +64,8 @@ func testTwoStageCommit(t *testing.T) {
 	}
 
 	commit()
-	if e.Epoch() != res.Epoch {
-		t.Fatalf("after commit: epoch %d, want %d", e.Epoch(), res.Epoch)
+	if res.Epoch != epoch0+1 || e.Epoch() != res.Epoch || res.Live != len(td.recs)+1 {
+		t.Fatalf("after commit: result epoch %d, published %d, live %d; want both epochs %d and %d live", res.Epoch, e.Epoch(), res.Live, epoch0+1, len(td.recs)+1)
 	}
 	for _, req := range []Request{cached, fresh} {
 		post, err := e.Do(ctx, req)

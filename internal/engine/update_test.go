@@ -280,10 +280,11 @@ func TestCheckRecord(t *testing.T) {
 	}
 }
 
-// TestBeginSnapshotsOnlyChangedBand pins the begin stage's snapshot rule: the
-// O(B log B) band materialisation runs once per batch that changed the band
+// TestBeginSnapshotsOnlyChangedBand pins the snapshot rule: the O(B log B)
+// band materialisation runs in commit, once per batch that changed the band,
 // and never for one that did not — deep churn, however large the batch and
-// with the cache on, asks for no snapshot and publishes no epoch.
+// with the cache on, asks for no snapshot and publishes no epoch. The begin
+// stage takes none either way.
 func TestBeginSnapshotsOnlyChangedBand(t *testing.T) {
 	td := buildData(t, 400, 3, 29)
 	e := buildEngine(t, td.recs, Config{MaxK: 3, CacheEntries: 8, Workers: 1})
@@ -307,6 +308,9 @@ func TestBeginSnapshotsOnlyChangedBand(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if pb.fresh != nil {
+		t.Fatal("out-of-band batch: begin took a band snapshot")
+	}
 	pb.commit()
 	if pb.fresh != nil || pb.res.Epoch != 0 || e.Epoch() != 0 {
 		t.Fatalf("out-of-band batch: band snapshot taken %v, epoch %d (published %d); want none and epoch 0", pb.fresh != nil, pb.res.Epoch, e.Epoch())
@@ -317,6 +321,9 @@ func TestBeginSnapshotsOnlyChangedBand(t *testing.T) {
 
 	if pb, err = e.beginBatch([]UpdateOp{{Kind: UpdateInsert, Record: []float64{2, 2, 2}}}); err != nil {
 		t.Fatal(err)
+	}
+	if pb.fresh != nil || e.Epoch() != 0 {
+		t.Fatalf("in-band insert: begin took a band snapshot (%v) or published (epoch %d)", pb.fresh != nil, e.Epoch())
 	}
 	pb.commit()
 	if pb.fresh == nil || pb.res.Epoch != 1 || e.Epoch() != 1 || e.idx.Load() != pb.fresh {

@@ -91,14 +91,17 @@ func (e *Entry) Durability(durable bool) DurabilityStats {
 // Open recovers every dataset a durable store's manifest lists: restore the
 // last snapshot, then replay the WAL tail through the ordinary ApplyBatch
 // machinery — O(snapshot + tail) instead of a full rebuild. Each replayed
-// batch must reproduce the epoch it was logged with; a mismatch aborts the
-// open (it would mean replay diverged from the original application, which
-// the determinism of update application rules out for intact data). The one
+// batch must agree with the epoch it was logged with: a v2 frame's batch
+// must find the engine at the epoch it logged before it applies, a v1
+// frame's must reproduce the logged epoch after. A mismatch aborts the open
+// (it would mean replay diverged from the original application, which the
+// determinism of update application rules out for intact data). The one
 // tolerated difference is a directory written by a partitioned engine (its
-// manifest carries the legacy Shards count): its log advanced the epoch
-// whenever a batch changed any partition's band, at least as often as one
-// band over the same records does, so replay through one band may trail such
-// a log (and is re-seeded from it afterwards).
+// manifest carries the legacy Shards count): its v1 frames advanced the
+// epoch whenever a batch changed any partition's band, at least as often as
+// one band over the same records does, so replay through one band may trail
+// such a log, and is re-seeded from it before the first v2 frame and at the
+// end.
 func Open(st store.Store, pol SnapshotPolicy) (*Registry, error) {
 	r := NewWithStore(st, pol)
 	mf, err := st.LoadManifest()
@@ -128,40 +131,59 @@ func (r *Registry) reopen(cfg store.DatasetConfig) (*Entry, error) {
 	}
 	seq := snap.Seq
 	var batches, ops, logged uint64
-	err = r.st.Replay(cfg.Name, snap.Seq, func(b *store.Batch) error {
+	var nbytes int64
+	// reseed sets the publish counter of an engine whose replay trailed a
+	// partitioned engine's v1 frames to the last logged value, so the epoch
+	// clients were told never runs backwards across the upgrade.
+	reseed := func() (err error) {
+		if logged > eng.Epoch() {
+			st := eng.ExportState()
+			st.Epoch = logged
+			eng, err = engine.Restore(st, cfg.Config)
+		}
+		return err
+	}
+	err = r.st.Replay(cfg.Name, snap.Seq, func(b *store.Batch, size int64) error {
 		if b.Seq != seq+1 {
 			return fmt.Errorf("replay gap: batch %d after %d", b.Seq, seq)
+		}
+		if b.Version != store.BatchV1 {
+			if err := reseed(); err != nil {
+				return err
+			}
+			if ep := eng.Epoch(); ep != b.Epoch {
+				return fmt.Errorf("replay batch %d: engine at epoch %d, logged %d", b.Seq, ep, b.Epoch)
+			}
 		}
 		res, err := eng.ApplyBatch(b.Ops)
 		if err != nil {
 			return fmt.Errorf("replay batch %d: %w", b.Seq, err)
 		}
-		if res.Epoch != b.Epoch && !(cfg.Shards > 1 && res.Epoch < b.Epoch) {
-			return fmt.Errorf("replay batch %d: epoch %d, logged %d", b.Seq, res.Epoch, b.Epoch)
+		logged = res.Epoch
+		if b.Version == store.BatchV1 {
+			if res.Epoch != b.Epoch && !(cfg.Shards > 1 && res.Epoch < b.Epoch) {
+				return fmt.Errorf("replay batch %d: epoch %d, logged %d", b.Seq, res.Epoch, b.Epoch)
+			}
+			logged = b.Epoch
 		}
-		seq, logged = b.Seq, b.Epoch
+		seq = b.Seq
 		batches++
 		ops += uint64(len(b.Ops))
+		nbytes += size
 		return nil
 	})
+	if err == nil {
+		err = reseed()
+	}
 	if err != nil {
 		return nil, err
-	}
-	if logged > eng.Stats().Epoch {
-		// Replay trailed a partitioned engine's log: re-seed the publish
-		// counter from the last logged value, so the epoch clients were told
-		// never runs backwards across the upgrade.
-		st := eng.ExportState()
-		st.Epoch = logged
-		if eng, err = engine.Restore(st, cfg.Config); err != nil {
-			return nil, err
-		}
 	}
 	ent := &Entry{Name: cfg.Name, Engine: eng, Opts: cfg.Config, dur: DurabilityStats{
 		LastSeq:               seq,
 		ReplayedBatches:       batches,
 		ReplayedOps:           ops,
 		OpsSinceSnapshot:      int(ops), // the replayed tail counts toward EveryOps
+		BytesSinceSnapshot:    nbytes,
 		RecoveryMillis:        time.Since(start).Milliseconds(),
 		LastSnapshotSeq:       snap.Seq,
 		LastSnapshotEpoch:     snap.Epoch,
@@ -187,8 +209,8 @@ func (r *Registry) reopen(cfg store.DatasetConfig) (*Entry, error) {
 
 // Update routes a batch to the named dataset's engine. Without a store it
 // applies the batch and returns. With one it durably logs the batch before
-// acknowledging: apply, then append to the WAL under the entry's update
-// mutex. An acknowledged update therefore survives any crash; an update
+// acknowledging: validate, then apply and append to the WAL side by side,
+// under the entry's update mutex. An acknowledged update therefore survives any crash; an update
 // whose append fails is NOT acknowledged — the entry wedges (further updates
 // rejected) until a successful snapshot re-bases the log on the engine's
 // state, because the engine is ahead of the WAL and appending later batches
@@ -250,26 +272,33 @@ func (r *Registry) Update(name string, ops []engine.UpdateOp) (*engine.UpdateRes
 			return nil, fmt.Errorf("registry: %s rejects updates until a snapshot succeeds (unlogged batch: %w)", name, ent.wedged)
 		}
 	}
-	// Pipelined apply: stage one runs band maintenance and fixes the batch's
-	// result (ids, epoch) under the engine's update mutex; the WAL append —
-	// fsync included — then overlaps the engine's commit stage (invalidation
-	// probes + index publish) instead of serializing behind it. The logged
-	// epoch is the one commit publishes, so sequential replay through
-	// ApplyBatch reproduces it exactly. Both stages finish before the update
-	// is acknowledged (or its failure reported), preserving read-your-writes
-	// and the durability contract.
+	// Pipelined apply: stage one validates the batch and fixes its ids under
+	// the engine's update mutex without changing the engine, so a batch that
+	// fails validation is refused before anything is logged. Then the WAL
+	// append — fsync included — runs on a helper goroutine while this one
+	// runs stage two: band maintenance, the invalidation probes and the
+	// index publish. Neither needs the other's result: the frame logs the
+	// epoch the batch applies on, the one published between the stages
+	// (nothing can publish while the batch holds the update mutex), and
+	// replay checks it before applying the batch. The CPU-bound stage stays
+	// on the caller: spawned, it would wait for a P behind the goroutine
+	// blocked in the fsync. Both finish before the update is acknowledged (or
+	// its failure reported), preserving read-your-writes and the durability
+	// contract.
 	res, commit, err := ent.Engine.ApplyBatchPipelined(ops)
 	if err != nil {
 		return nil, err
 	}
-	committed := make(chan struct{})
-	go func() {
-		defer close(committed)
-		commit()
-	}()
 	seq := ent.dur.LastSeq + 1
-	nbytes, err := r.st.Append(name, &store.Batch{Seq: seq, Epoch: res.Epoch, Ops: ops})
-	<-committed
+	batch := &store.Batch{Seq: seq, Epoch: ent.Engine.Epoch(), Ops: ops}
+	var nbytes int64
+	appended := make(chan struct{})
+	go func() {
+		defer close(appended)
+		nbytes, err = r.st.Append(name, batch)
+	}()
+	commit()
+	<-appended
 	if err != nil {
 		ent.wedged = err
 		ent.wedgeRetries = 0
@@ -286,17 +315,17 @@ func (r *Registry) Update(name string, ops []engine.UpdateOp) (*engine.UpdateRes
 	ent.dur.WALBytes += uint64(nbytes)
 	ent.dur.OpsSinceSnapshot += len(ops)
 	ent.dur.BytesSinceSnapshot += nbytes
-	due := r.pol.EveryOps > 0 && ent.dur.OpsSinceSnapshot >= r.pol.EveryOps
+	since := ent.dur.OpsSinceSnapshot
 	ent.dmu.Unlock()
-	if due {
+	if r.pol.EveryOps > 0 && since >= max(r.pol.EveryOps, ent.snapRetryAt) {
 		// Auto-snapshot failures don't fail the update (it is already
-		// durable in the WAL); they are counted and retried at the next
-		// threshold crossing.
+		// durable in the WAL); they are counted and retried EveryOps ops
+		// later rather than at every batch. The counters keep describing the
+		// log, which still holds every batch since the last good snapshot.
 		if serr := r.snapshotEntry(ent); serr != nil {
+			ent.snapRetryAt = since + r.pol.EveryOps
 			ent.dmu.Lock()
 			ent.dur.SnapshotErrors++
-			ent.dur.OpsSinceSnapshot = 0 // re-arm the threshold rather than retrying every batch
-			ent.dur.BytesSinceSnapshot = 0
 			ent.dmu.Unlock()
 		}
 	}
@@ -338,6 +367,7 @@ func (r *Registry) snapshotEntry(ent *Entry) error {
 		return err
 	}
 	ent.wedged = nil
+	ent.snapRetryAt = 0
 	ent.wedgeRetries = 0
 	ent.wedgeBackoff = 0
 	ent.wedgeNextTry = time.Time{}

@@ -2,11 +2,15 @@ package registry
 
 import (
 	"errors"
+	"os"
+	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 
 	utk "repro"
 	"repro/internal/dataset"
+	"repro/internal/engine"
 	"repro/internal/store"
 )
 
@@ -429,5 +433,224 @@ func TestDurableRefusesEmptyBatch(t *testing.T) {
 		if d := ent.Durability(reg.Durable()); d.LastSeq != 0 || d.WALAppends != 0 || d.Wedged {
 			t.Fatalf("durable=%v: empty batches reached the log: %+v", reg.Durable(), d)
 		}
+	}
+}
+
+// TestAutoSnapshotFailureKeepsCounters pins the retry of a failed automatic
+// snapshot: the WAL tail counters keep describing the log, which still holds
+// every batch since the last good snapshot, and the next attempt comes
+// EveryOps ops after the failed one, not at every batch.
+func TestAutoSnapshotFailureKeepsCounters(t *testing.T) {
+	const every = 4
+	base, err := store.OpenFile(t.TempDir(), store.FileConfig{Sync: store.SyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer base.Close()
+	fs := &flakyStore{Store: base}
+	reg := NewWithStore(fs, SnapshotPolicy{EveryOps: every})
+	ent, err := reg.Create("ds", dataset.Synthetic(dataset.IND, 50, 3, 6), Options{MaxK: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs.failSnapshots = 1 << 30
+	var bytes int64
+	for op := 1; op <= 3*every; op++ {
+		if op == 2*every+1 {
+			fs.failSnapshots = 0 // the third attempt, at 3·every ops, succeeds
+		}
+		if _, err := reg.Update("ds", []utk.UpdateOp{{Kind: utk.UpdateInsert, Record: []float64{0.5, 0.5, 0.5}}}); err != nil {
+			t.Fatal(err)
+		}
+		d := ent.Durability(true)
+		bytes = int64(d.WALBytes)
+		if op == 3*every {
+			if d.SnapshotsWritten != 2 || d.OpsSinceSnapshot != 0 || d.BytesSinceSnapshot != 0 || d.SnapshotErrors != 2 {
+				t.Fatalf("after the successful attempt: %+v", d)
+			}
+			break
+		}
+		if want := uint64(op / every); d.SnapshotErrors != want || d.SnapshotsWritten != 1 {
+			t.Fatalf("op %d: %d failed and %d written snapshots, want %d failed attempts (one every %d ops) and 1 written", op, d.SnapshotErrors, d.SnapshotsWritten, want, every)
+		}
+		if d.OpsSinceSnapshot != op || d.BytesSinceSnapshot != bytes {
+			t.Fatalf("op %d: the tail counters read %d ops, %d bytes; the log holds %d ops, %d bytes", op, d.OpsSinceSnapshot, d.BytesSinceSnapshot, op, bytes)
+		}
+	}
+}
+
+// TestRecoveryCountsWALBytes pins that recovery counts the replayed frames'
+// bytes as the WAL tail, as the process that wrote them did.
+func TestRecoveryCountsWALBytes(t *testing.T) {
+	dir := t.TempDir()
+	reg, st := openFileRegistry(t, dir, SnapshotPolicy{})
+	if _, err := reg.Create("ds", dataset.Synthetic(dataset.IND, 50, 3, 8), Options{MaxK: 3}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := reg.Snapshot("ds"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := reg.Update("ds", []utk.UpdateOp{{Kind: utk.UpdateInsert, Record: []float64{0.9, 0.9, 0.9}}, {Kind: utk.UpdateDelete, ID: 1}}); err != nil {
+		t.Fatal(err)
+	}
+	ent, _ := reg.Get("ds")
+	before := ent.Durability(true)
+	st.Close()
+
+	reg, st = openFileRegistry(t, dir, SnapshotPolicy{})
+	defer st.Close()
+	ent, _ = reg.Get("ds")
+	after := ent.Durability(true)
+	if before.BytesSinceSnapshot <= 0 || after.BytesSinceSnapshot != before.BytesSinceSnapshot || after.OpsSinceSnapshot != before.OpsSinceSnapshot {
+		t.Fatalf("tail before close %d ops, %d bytes; after recovery %d ops, %d bytes", before.OpsSinceSnapshot, before.BytesSinceSnapshot, after.OpsSinceSnapshot, after.BytesSinceSnapshot)
+	}
+}
+
+// TestDurableFailedValidationLogsNothing pins that a batch the engine refuses
+// at validation leaves the engine unchanged and writes no WAL frame: the
+// log's bytes and LastSeq stay put, and the next good batch takes the next
+// sequence number and the ids the refused batch would have taken.
+func TestDurableFailedValidationLogsNothing(t *testing.T) {
+	dir := t.TempDir()
+	reg, st := openFileRegistry(t, dir, SnapshotPolicy{})
+	defer st.Close()
+	ent, err := reg.Create("ds", dataset.Synthetic(dataset.IND, 50, 3, 10), Options{MaxK: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	top := []float64{2, 2, 2}
+	if _, err := reg.Update("ds", []utk.UpdateOp{{Kind: utk.UpdateInsert, Record: top}}); err != nil {
+		t.Fatal(err)
+	}
+	walBytes := func() int64 {
+		t.Helper()
+		paths, err := filepath.Glob(filepath.Join(dir, "datasets", "ds", "wal-*.log"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var n int64
+		for _, p := range paths {
+			fi, err := os.Stat(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			n += fi.Size()
+		}
+		return n
+	}
+	state, stats, bytes := ent.Engine.ExportState(), ent.Engine.Stats(), walBytes()
+	dur := ent.Durability(true)
+	for name, ops := range map[string][]utk.UpdateOp{
+		"unknown id":       {{Kind: utk.UpdateInsert, Record: top}, {Kind: utk.UpdateDelete, ID: 999}},
+		"duplicate delete": {{Kind: utk.UpdateDelete, ID: 2}, {Kind: utk.UpdateDelete, ID: 2}},
+		"bad record":       {{Kind: utk.UpdateDelete, ID: 2}, {Kind: utk.UpdateInsert, Record: []float64{1, 1}}},
+	} {
+		if _, err := reg.Update("ds", ops); err == nil {
+			t.Fatalf("%s: batch accepted", name)
+		}
+		if got := ent.Engine.ExportState(); !reflect.DeepEqual(got, state) || ent.Engine.Stats().Inserts != stats.Inserts || ent.Engine.Stats().UpdateBatches != stats.UpdateBatches {
+			t.Fatalf("%s: the refused batch changed the engine", name)
+		}
+		last, err := st.LastSeq("ds")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := ent.Durability(true); last != dur.LastSeq || walBytes() != bytes || d.LastSeq != dur.LastSeq || d.WALAppends != dur.WALAppends || d.Wedged {
+			t.Fatalf("%s: the refused batch reached the log: LastSeq %d, %d WAL bytes, %+v; before %d, %d bytes", name, last, walBytes(), d, dur.LastSeq, bytes)
+		}
+	}
+	res, err := reg.Update("ds", []utk.UpdateOp{{Kind: utk.UpdateInsert, Record: top}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := ent.Durability(true); res.IDs[0] != state.Dyn.NextID || d.LastSeq != dur.LastSeq+1 {
+		t.Fatalf("next good batch: id %d at seq %d, want id %d at seq %d", res.IDs[0], d.LastSeq, state.Dyn.NextID, dur.LastSeq+1)
+	}
+}
+
+// logOneFrame creates a durable dataset in a fresh directory and logs one
+// band-changing batch by hand as a frame of the given version whose epoch
+// pick chooses from the epoch the batch applies on and the one after it.
+// It returns the directory and both epochs.
+func logOneFrame(t *testing.T, version int, pick func(base, post uint64) uint64) (dir string, base, post uint64) {
+	t.Helper()
+	dir = t.TempDir()
+	reg, st := openFileRegistry(t, dir, SnapshotPolicy{})
+	defer st.Close()
+	opts := Options{MaxK: 3}
+	ent, err := reg.Create("ds", dataset.Synthetic(dataset.IND, 50, 3, 12), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ops := []utk.UpdateOp{{Kind: utk.UpdateInsert, Record: []float64{2, 2, 2}}, {Kind: utk.UpdateDelete, ID: 3}}
+	twin, err := engine.Restore(ent.Engine.ExportState(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := twin.ApplyBatch(ops)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, post = ent.Engine.Epoch(), res.Epoch
+	if post == base {
+		t.Fatal("the batch did not change the band")
+	}
+	if _, err := st.Append("ds", &store.Batch{Version: version, Seq: 1, Epoch: pick(base, post), Ops: ops}); err != nil {
+		t.Fatal(err)
+	}
+	return dir, base, post
+}
+
+func reopenOne(t *testing.T, dir string) (*Entry, error) {
+	t.Helper()
+	st, err := store.OpenFile(dir, store.FileConfig{Sync: store.SyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { st.Close() })
+	reg, err := Open(st, SnapshotPolicy{})
+	if err != nil {
+		return nil, err
+	}
+	return reg.Get("ds")
+}
+
+// TestReplayV1FramePostApplyCheck pins that a v1 frame, written before
+// frames logged the epoch a batch applies on, still replays under its
+// post-apply check: logged with the epoch after the batch it replays, and
+// a v1 frame logged with the epoch before it (a planted fault) is refused.
+func TestReplayV1FramePostApplyCheck(t *testing.T) {
+	dir, _, post := logOneFrame(t, store.BatchV1, func(_, post uint64) uint64 { return post })
+	ent, err := reopenOne(t, dir)
+	if err != nil {
+		t.Fatalf("reopen over a v1 frame: %v", err)
+	}
+	if d := ent.Durability(true); ent.Engine.Epoch() != post || d.ReplayedBatches != 1 {
+		t.Fatalf("replayed %d batches to epoch %d, want 1 to %d", d.ReplayedBatches, ent.Engine.Epoch(), post)
+	}
+
+	dir, _, _ = logOneFrame(t, store.BatchV1, func(base, _ uint64) uint64 { return base })
+	if _, err := reopenOne(t, dir); err == nil {
+		t.Fatal("a v1 frame logged with its base epoch replayed")
+	}
+}
+
+// TestReplayRefusesV2EpochMismatch pins the v2 check: a frame logged with
+// the epoch its batch applies on replays, and one whose logged epoch
+// disagrees with the engine's before the batch (a planted fault: the epoch
+// after it) is refused.
+func TestReplayRefusesV2EpochMismatch(t *testing.T) {
+	dir, _, post := logOneFrame(t, store.BatchV2, func(base, _ uint64) uint64 { return base })
+	ent, err := reopenOne(t, dir)
+	if err != nil {
+		t.Fatalf("reopen over a v2 frame: %v", err)
+	}
+	if ent.Engine.Epoch() != post {
+		t.Fatalf("replayed to epoch %d, want %d", ent.Engine.Epoch(), post)
+	}
+
+	dir, _, _ = logOneFrame(t, store.BatchV2, func(_, post uint64) uint64 { return post })
+	if _, err := reopenOne(t, dir); err == nil {
+		t.Fatal("a v2 frame logged with the post-batch epoch replayed")
 	}
 }

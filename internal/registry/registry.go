@@ -61,6 +61,10 @@ type Entry struct {
 	wedgeBackoff time.Duration
 	wedgeNextTry time.Time
 	wedgeRearmAt time.Time
+	// snapRetryAt, after an automatic snapshot failed, is the
+	// OpsSinceSnapshot count at which the next one is tried (guarded by mu;
+	// 0 once a snapshot succeeds, when EveryOps alone decides).
+	snapRetryAt int
 
 	// dmu guards dur, the durability counters Durability returns, so stats
 	// reads never queue behind an in-progress apply or snapshot. dur.LastSeq

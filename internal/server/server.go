@@ -399,7 +399,7 @@ var engineStats = []stat{
 	{"admission_skips", "utk_admission_skips_total", "Result-cache admissions refused for churning query classes.", "counter", perDataset, func(st engine.Stats) uint64 { return st.AdmissionSkips }},
 	{"probe_batches", "utk_probe_batches_total", "Update batches that ran a batched cache-invalidation probe pass.", "counter", perDataset, func(st engine.Stats) uint64 { return st.ProbeBatches }},
 	{"repair_steps", "utk_repair_steps_total", "Covered records re-examined by re-cover passes after their fence entry left.", "counter", perDataset, func(st engine.Stats) uint64 { return st.RepairSteps }},
-	{"band_maintenance_ns", "utk_band_maintenance_ns_total", "Wall time spent in band maintenance (begin-stage blocking).", "counter", perDataset, func(st engine.Stats) uint64 { return st.BandMaintenanceNS }},
+	{"band_maintenance_ns", "utk_band_maintenance_ns_total", "Wall time spent in band maintenance (held under the update mutex).", "counter", perDataset, func(st engine.Stats) uint64 { return st.BandMaintenanceNS }},
 	{"batch_apply_ops", "utk_batch_apply_ops_total", "Update ops applied by band maintenance.", "counter", perDataset, func(st engine.Stats) uint64 { return st.BatchApplyOps }},
 	{key: "superset_size", get: func(st engine.Stats) uint64 { return uint64(st.SupersetSize) }},
 	{key: "shadow_size", get: func(st engine.Stats) uint64 { return uint64(st.ShadowSize) }},

@@ -30,7 +30,7 @@ func benchStreamOps(rng *rand.Rand, live *[]int, dim, size int) []Op {
 	return ops
 }
 
-// BenchmarkApplyOpsBatch64 is the begin-stage band-maintenance cost on the
+// BenchmarkApplyOpsBatch64 is the commit-stage band-maintenance cost on the
 // 250k preset's shape: one ApplyOps call per 64-op batch. The per-batch
 // percentiles are the hand-run tail probe next to the mean.
 func BenchmarkApplyOpsBatch64(b *testing.B) {

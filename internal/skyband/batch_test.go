@@ -234,3 +234,60 @@ func TestApplyOpsValidation(t *testing.T) {
 		t.Fatalf("coalesced pair counted as %d coalesced, %d applied", st.CoalescedOps, st.BatchApplyOps)
 	}
 }
+
+// TestPlanThenApply pins the split of ApplyOps: Plan fixes the ids (the ones
+// ApplyOps assigns on a twin) and mutates nothing, Apply of that plan
+// assigns exactly those ids, and a plan made before another mutation is
+// refused.
+func TestPlanThenApply(t *testing.T) {
+	recs := dataset.Synthetic(dataset.IND, 300, 3, 7)
+	d, err := NewDynamic(recs, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	twin, err := NewDynamic(recs, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	next := d.NextID()
+	ops := []Op{
+		{Insert: true, Record: []float64{2, 2, 2}},
+		{ID: 5},
+		{Insert: true, Record: []float64{0.4, 0.4, 0.4}},
+		{ID: next + 1}, // coalesces with the second insert
+		{Insert: true, Record: []float64{1.5, 1.6, 1.7}},
+	}
+	before := fmt.Sprint(describe(bandCounts(d)), d.NextID(), d.Len(), d.Stats().BatchApplyOps)
+	p, err := d.Plan(ops)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after := fmt.Sprint(describe(bandCounts(d)), d.NextID(), d.Len(), d.Stats().BatchApplyOps); after != before {
+		t.Fatalf("Plan mutated the structure:\n before %s\n after  %s", before, after)
+	}
+	wantIDs, wantEffs, err := twin.ApplyOps(ops)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []int{next, 5, next + 1, next + 1, next + 2}; !slices.Equal(p.IDs(), want) || !slices.Equal(wantIDs, want) {
+		t.Fatalf("planned ids %v, ApplyOps ids %v, want %v", p.IDs(), wantIDs, want)
+	}
+	if effs := d.Apply(p); !slices.Equal(effs, wantEffs) || d.NextID() != twin.NextID() || !d.Has(next+2) || d.Has(next+1) {
+		t.Fatalf("Apply: effects %v, next id %d; ApplyOps on the twin: %v, %d", effs, d.NextID(), wantEffs, twin.NextID())
+	}
+	checkInvariants(t, d, "after Apply")
+
+	stale, err := d.Plan([]Op{{Insert: true, Record: []float64{0.1, 0.2, 0.3}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := d.ApplyOps([]Op{{ID: 7}}); err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Apply of a plan made before another mutation did not panic")
+		}
+	}()
+	d.Apply(stale)
+}

@@ -65,6 +65,9 @@ type Dynamic struct {
 	// says a pass is due, and lets the pass reject most slots on one shift.
 	opened uint64
 
+	// gen counts applied plans; a plan records it (see Plan).
+	gen uint64
+
 	stats DynamicStats
 }
 
@@ -175,9 +178,9 @@ type DynamicStats struct {
 	Exhaustions uint64
 	Rebuilds    uint64
 	// BandMaintenanceNS is the cumulative wall time (nanoseconds) spent
-	// inside ApplyOps. BatchApplyOps counts the ops it applied, CoalescedOps
-	// the ops it folded away instead (each insert→delete pair of one record
-	// within a batch counts both ops).
+	// inside Plan and Apply. BatchApplyOps counts the ops Apply applied,
+	// CoalescedOps the ops it folded away instead (each insert→delete pair
+	// of one record within a batch counts both ops).
 	BandMaintenanceNS uint64
 	BatchApplyOps     uint64
 	CoalescedOps      uint64
@@ -312,72 +315,105 @@ func coordSum(rec []float64) float64 {
 	return s
 }
 
+// Plan is a batch that passed validation: the ids its ops are assigned
+// (deletes echo their target id) and which of them coalesce. It is made by
+// Plan and consumed by Apply, and holds only against the state it was made
+// on: no other mutation may come between the two.
+type Plan struct {
+	ops      []Op
+	ids      []int
+	coalesce []bool
+	napplied int
+	gen      uint64 // the structure's applied-plan count at planning
+}
+
+// IDs returns the ids the batch's ops are assigned, positionally aligned
+// with the ops. They are final once the plan exists; Apply assigns exactly
+// these.
+func (p *Plan) IDs() []int { return p.ids }
+
 // ApplyOps applies a batch of updates in order and returns the assigned ids
 // (deletes echo their target id) and per-op effects, positionally aligned
-// with ops. The batch is planned first — an insert whose predicted id a later
-// delete of the same batch targets is coalesced away with that delete (the
-// id is still consumed, keeping assignment aligned) — and nothing is mutated
-// until the whole batch validates. It is the only mutation path: Insert and
+// with ops: Plan, then Apply. It is the only mutation path: Insert and
 // Delete are batches of one.
 func (d *Dynamic) ApplyOps(ops []Op) ([]int, []Effect, error) {
+	p, err := d.Plan(ops)
+	if err != nil {
+		return nil, nil, err
+	}
+	return p.ids, d.Apply(p), nil
+}
+
+// Plan validates a batch without mutating anything and fixes its ids: every
+// delete must target a live id or the predicted id of an earlier insert of
+// the same batch, and no id may be deleted twice. An insert whose predicted
+// id a later delete of the batch targets is coalesced away with that delete
+// (the id is still consumed, keeping assignment aligned).
+func (d *Dynamic) Plan(ops []Op) (*Plan, error) {
 	start := time.Now()
 	defer func() { d.stats.BandMaintenanceNS += uint64(time.Since(start)) }()
-	if len(ops) == 0 {
-		return nil, nil, nil
-	}
-
-	// Plan: validate and coalesce without mutating anything.
+	p := &Plan{ops: ops, ids: make([]int, len(ops)), coalesce: make([]bool, len(ops)), napplied: len(ops), gen: d.gen}
 	nextID := d.nextID
 	var insPos map[int]int   // predicted id -> op index of the insert
 	var deleted map[int]bool // delete targets seen so far
-	coalesce := make([]bool, len(ops))
-	napplied := len(ops)
 	for i, op := range ops {
 		if op.Insert {
 			if insPos == nil {
 				insPos = make(map[int]int, len(ops))
 			}
 			insPos[nextID] = i
+			p.ids[i] = nextID
 			nextID++
 			continue
 		}
 		if deleted[op.ID] {
-			return nil, nil, ErrDuplicateDelete
+			return nil, ErrDuplicateDelete
 		}
 		j, predicted := insPos[op.ID]
 		if !predicted && !d.Has(op.ID) {
-			return nil, nil, ErrUnknownID
+			return nil, ErrUnknownID
 		}
 		if deleted == nil {
 			deleted = make(map[int]bool, len(ops))
 		}
 		deleted[op.ID] = true
+		p.ids[i] = op.ID
 		if predicted {
-			coalesce[j], coalesce[i] = true, true
-			napplied -= 2
+			p.coalesce[j], p.coalesce[i] = true, true
+			p.napplied -= 2
 		}
 	}
-	d.stats.BatchApplyOps += uint64(napplied)
-	d.stats.CoalescedOps += uint64(len(ops) - napplied)
+	return p, nil
+}
 
-	ids := make([]int, len(ops))
-	effs := make([]Effect, len(ops))
+// Apply applies a plan made on the structure's current state (it panics on
+// a plan made before another mutation) and returns the per-op effects,
+// positionally aligned with the plan's ops.
+func (d *Dynamic) Apply(p *Plan) []Effect {
+	if p.gen != d.gen {
+		panic("skyband: Apply of a stale plan")
+	}
+	start := time.Now()
+	defer func() { d.stats.BandMaintenanceNS += uint64(time.Since(start)) }()
+	d.gen++
+	d.stats.BatchApplyOps += uint64(p.napplied)
+	d.stats.CoalescedOps += uint64(len(p.ops) - p.napplied)
+
+	effs := make([]Effect, len(p.ops))
 	// A run of deletes is re-covered once, before the next insert applies or
 	// at batch end; what the pass finds is reported on the run's last delete.
 	var lastDel *Effect
-	for i, op := range ops {
+	for i, op := range p.ops {
 		switch {
-		case coalesce[i] && op.Insert:
-			ids[i] = d.SkipID()
-		case coalesce[i]:
-			ids[i] = op.ID
+		case p.coalesce[i] && op.Insert:
+			d.SkipID()
+		case p.coalesce[i]: // its insert never went live
 		case op.Insert:
 			if d.reCover() {
 				lastDel.BandChanged = true
 			}
-			ids[i], effs[i] = d.insert(op.Record)
+			effs[i] = d.insert(op.Record)
 		default:
-			ids[i] = op.ID
 			d.delete(op.ID, &effs[i])
 			lastDel = &effs[i]
 		}
@@ -385,7 +421,7 @@ func (d *Dynamic) ApplyOps(ops []Op) ([]int, []Effect, error) {
 	if d.reCover() {
 		lastDel.BandChanged = true
 	}
-	return ids, effs, nil
+	return effs
 }
 
 // Insert adds a record (the slice is copied) and returns its assigned id.
@@ -414,13 +450,13 @@ func (d *Dynamic) SkipID() int {
 }
 
 // insert applies one insert. Requires no cover opened (reCover has run).
-func (d *Dynamic) insert(rec []float64) (int, Effect) {
+func (d *Dynamic) insert(rec []float64) Effect {
 	d.stats.Inserts++
 	e := newEntry(d.SkipID(), append([]float64(nil), rec...), 0)
 	f := d.findCover(&e)
 	d.addLive(e.id, e.rec, f)
 	if f != isEntry {
-		return e.id, Effect{}
+		return Effect{}
 	}
 	// No fence entry dominates the record, hence no covered record does
 	// either (its cover would): the band holds every dominator and the count
@@ -428,7 +464,7 @@ func (d *Dynamic) insert(rec []float64) (int, Effect) {
 	if e.count = d.bandCount(&e); e.count >= d.k {
 		d.addEntry(e, false)
 		d.absorb(e.id)
-		return e.id, Effect{}
+		return Effect{}
 	}
 
 	// A band insert is one more dominator for every entry it dominates; such
@@ -457,7 +493,7 @@ func (d *Dynamic) insert(rec []float64) (int, Effect) {
 	}
 	d.addEntry(e, true)
 	d.absorb(demoted...)
-	return e.id, Effect{BandChanged: true, InBand: true}
+	return Effect{BandChanged: true, InBand: true}
 }
 
 // delete applies one delete of a live id.

@@ -18,7 +18,6 @@ import (
 // defends against structural nonsense (truncated payloads, absurd counts).
 
 const (
-	batchVersion    = 1
 	snapshotVersion = 1
 
 	snapKindSingle  = 1
@@ -155,7 +154,11 @@ func (d *decoder) done() error {
 // (stored once per batch rather than per insert).
 func EncodeBatch(b *Batch, dim int) []byte {
 	e := &encoder{buf: make([]byte, 0, 16+len(b.Ops)*(1+8*dim))}
-	e.byte(batchVersion)
+	v := b.Version
+	if v == 0 {
+		v = BatchV2
+	}
+	e.byte(byte(v))
 	e.uvarint(b.Seq)
 	e.uvarint(b.Epoch)
 	e.uvarint(uint64(dim))
@@ -175,10 +178,11 @@ func EncodeBatch(b *Batch, dim int) []byte {
 // DecodeBatch parses a WAL batch payload.
 func DecodeBatch(payload []byte) (*Batch, error) {
 	d := &decoder{buf: payload}
-	if v := d.byte(); v != batchVersion && d.err == nil {
+	v := d.byte()
+	if v != BatchV1 && v != BatchV2 && d.err == nil {
 		return nil, fmt.Errorf("%w: unknown batch version %d", ErrCorrupt, v)
 	}
-	b := &Batch{Seq: d.uvarint(), Epoch: d.uvarint()}
+	b := &Batch{Version: int(v), Seq: d.uvarint(), Epoch: d.uvarint()}
 	dim := d.count()
 	n := d.count()
 	if d.err != nil {

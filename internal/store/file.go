@@ -362,7 +362,7 @@ func (f *File) LoadSnapshot(name string) (*Snapshot, error) {
 }
 
 // Replay streams the logged batches after afterSeq, in order.
-func (f *File) Replay(name string, afterSeq uint64, fn func(*Batch) error) error {
+func (f *File) Replay(name string, afterSeq uint64, fn func(b *Batch, size int64) error) error {
 	ds, err := f.dataset(name)
 	if err != nil {
 		return err
@@ -372,11 +372,11 @@ func (f *File) Replay(name string, afterSeq uint64, fn func(*Batch) error) error
 	last := ds.last
 	ds.mu.Unlock()
 	for _, seg := range segs {
-		_, _, torn, err := scanSegment(seg.path, seg.firstSeq, func(b *Batch) error {
+		_, _, torn, err := scanSegment(seg.path, seg.firstSeq, func(b *Batch, size int64) error {
 			// Frames past last (none in practice: appends are serialized
 			// with replay by the registry) are ignored.
 			if b.Seq > afterSeq && b.Seq <= last {
-				return fn(b)
+				return fn(b, size)
 			}
 			return nil
 		})
@@ -505,12 +505,13 @@ func openDatasetWAL(dir string, cfg FileConfig) (*fileDataset, error) {
 }
 
 // scanSegment walks a segment's frames verifying framing, CRC, and sequence
-// contiguity starting at seq, handing each valid batch to visit (when not
-// nil) and stopping at its first error. valid is the byte length of the
-// segment's valid prefix (0 when even the header is torn), next the sequence
-// number after its last valid frame, and torn whether bytes follow the valid
-// prefix: a torn tail, to be truncated at valid.
-func scanSegment(path string, seq uint64, visit func(*Batch) error) (valid int64, next uint64, torn bool, err error) {
+// contiguity starting at seq, handing each valid batch and its frame's byte
+// length to visit (when not nil) and stopping at its first error. valid is
+// the byte length of the segment's valid prefix (0 when even the header is
+// torn), next the sequence number after its last valid frame, and torn
+// whether bytes follow the valid prefix: a torn tail, to be truncated at
+// valid.
+func scanSegment(path string, seq uint64, visit func(b *Batch, size int64) error) (valid int64, next uint64, torn bool, err error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		return 0, 0, false, err
@@ -529,7 +530,7 @@ func scanSegment(path string, seq uint64, visit func(*Batch) error) (valid int64
 			break
 		}
 		if visit != nil {
-			if err := visit(b); err != nil {
+			if err := visit(b, int64(len(body)-len(rest))); err != nil {
 				return 0, 0, false, err
 			}
 		}

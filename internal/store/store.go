@@ -49,16 +49,27 @@ var (
 	ErrCorrupt = errors.New("store: corrupt data")
 )
 
-// Batch is one WAL record: an update batch that was applied to the engine,
-// in application order. Seq numbers start at 1 and are contiguous per
-// dataset; Epoch is the engine's index version right after the batch applied
-// and doubles as a replay integrity check (a replayed batch must reproduce
-// it exactly).
+// Batch is one WAL record: an update batch the engine applies, in
+// application order. Seq numbers start at 1 and are contiguous per
+// dataset. Epoch doubles as a replay integrity check, and Version says which
+// epoch it is: a v1 frame logs the engine's index version right after the
+// batch applied (a replayed batch must reproduce it), a v2 frame the version
+// the batch applied on (the engine must be at it before the batch replays).
+// A v2 frame can be written while the engine applies the batch, before the
+// batch's own epoch is known. Append writes Version as given, zero as
+// BatchV2; a decoded batch carries the version of its frame.
 type Batch struct {
-	Seq   uint64
-	Epoch uint64
-	Ops   []engine.UpdateOp
+	Version int
+	Seq     uint64
+	Epoch   uint64
+	Ops     []engine.UpdateOp
 }
+
+// Batch frame versions (see Batch).
+const (
+	BatchV1 = 1 // Epoch is the epoch after the batch
+	BatchV2 = 2 // Epoch is the epoch the batch applies on
+)
 
 // Snapshot is one full-state checkpoint of a dataset: everything recovery
 // needs up to and including batch Seq.
@@ -127,9 +138,10 @@ type Store interface {
 	LoadSnapshot(name string) (*Snapshot, error)
 
 	// Replay invokes fn, in order, for every logged batch with Seq >
-	// afterSeq. A torn trailing batch (crash mid-append) is dropped
+	// afterSeq, with the bytes its frame takes in the log (what Append
+	// returned for it). A torn trailing batch (crash mid-append) is dropped
 	// atomically on open and never surfaces here. Replay stops on fn error.
-	Replay(name string, afterSeq uint64, fn func(*Batch) error) error
+	Replay(name string, afterSeq uint64, fn func(b *Batch, size int64) error) error
 
 	// LastSeq returns the sequence number of the last durably logged batch
 	// (the snapshot's Seq when no batch has been appended past it).

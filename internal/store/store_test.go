@@ -68,7 +68,7 @@ func batchEq(a, b *Batch) bool {
 func collect(t *testing.T, st Store, name string, afterSeq uint64) []*Batch {
 	t.Helper()
 	var out []*Batch
-	if err := st.Replay(name, afterSeq, func(b *Batch) error {
+	if err := st.Replay(name, afterSeq, func(b *Batch, _ int64) error {
 		out = append(out, b)
 		return nil
 	}); err != nil {
@@ -93,6 +93,50 @@ func TestBatchCodecRoundtrip(t *testing.T) {
 	got, err := DecodeBatch(EncodeBatch(b, 0))
 	if err != nil || !batchEq(b, got) {
 		t.Fatalf("empty batch roundtrip: %+v, %v", got, err)
+	}
+}
+
+// TestFileBatchVersions pins both frame versions through a file store: a
+// batch appended as v1 or v2 (the default) replays with its version, its
+// epoch and ops, and the byte length Append reported for its frame; a v3
+// frame is refused.
+func TestFileBatchVersions(t *testing.T) {
+	dir := t.TempDir()
+	st, err := OpenFile(dir, FileConfig{Sync: SyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if err := st.CreateDataset(testConfig("ds"), testSnapshot(0, 0)); err != nil {
+		t.Fatal(err)
+	}
+	var want []*Batch
+	var sizes []int64
+	for seq, v := range []int{BatchV1, 0, BatchV2, BatchV1} {
+		b := testBatch(uint64(seq + 1))
+		b.Version = v
+		n, err := st.Append("ds", b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v == 0 {
+			b.Version = BatchV2
+		}
+		want, sizes = append(want, b), append(sizes, n)
+	}
+	i := 0
+	if err := st.Replay("ds", 0, func(b *Batch, size int64) error {
+		if i >= len(want) || b.Version != want[i].Version || !batchEq(b, want[i]) || size != sizes[i] {
+			return fmt.Errorf("replayed batch %d: version %d, %d bytes, %+v; want version %d, %d bytes", i, b.Version, size, b, want[i].Version, sizes[i])
+		}
+		i++
+		return nil
+	}); err != nil || i != len(want) {
+		t.Fatalf("replayed %d of %d batches: %v", i, len(want), err)
+	}
+	bad := EncodeBatch(&Batch{Version: 3, Seq: 1}, 3)
+	if _, err := DecodeBatch(bad); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("a v3 frame decoded: %v", err)
 	}
 }
 

@@ -112,8 +112,10 @@ type Result struct {
 	UpdateP50 time.Duration `json:"update_p50_ns"`
 	UpdateP99 time.Duration `json:"update_p99_ns"`
 	UpdateMax time.Duration `json:"update_max_ns"`
-	// Begin percentiles isolate the begin stage of batch apply (validation
-	// + band maintenance) within the full-apply Update percentiles.
+	// Begin percentiles isolate band maintenance (validation + applying the
+	// batch to the band, read off the engine's BandMaintenanceNS) within the
+	// full-apply Update percentiles. The JSON keys keep the name of the
+	// begin stage that once held exactly that work.
 	BeginP50 time.Duration `json:"begin_p50_ns"`
 	BeginP99 time.Duration `json:"begin_p99_ns"`
 	BeginMax time.Duration `json:"begin_max_ns"`
@@ -299,17 +301,16 @@ func drive(ctx context.Context, e *utk.Engine, cfg Config, res *Result) error {
 			predicted++
 		}
 
-		// Apply through the two-stage path, committing inline, so the begin
-		// stage — the band-maintenance cost — is measured separately from
-		// the full apply.
+		// Band maintenance is timed by the band itself: the delta of its
+		// cumulative counter across the batch (this is the only updater).
+		maint := e.Stats().BandMaintenanceNS
 		t0 := time.Now()
-		ur, commit, err := e.ApplyBatchPipelined(ops)
+		ur, err := e.ApplyBatch(ops)
 		if err != nil {
 			return fmt.Errorf("stream: batch %d failed: %w", batches, err)
 		}
-		blat = append(blat, time.Since(t0))
-		commit()
 		ulat = append(ulat, time.Since(t0))
+		blat = append(blat, time.Duration(e.Stats().BandMaintenanceNS-maint))
 		for i := insStart; i < insStart+nIns; i++ {
 			live = append(live, ur.IDs[i])
 		}

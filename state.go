@@ -10,8 +10,9 @@ type EngineState = engine.State
 
 // State captures the engine's dataset state as one consistent snapshot
 // (serialized against updates: it waits for a batch begun with
-// ApplyBatchPipelined to commit, and carries the published epoch; queries
-// are not blocked). Record slices in the state are shared with the engine
+// ApplyBatchPipelined to commit — a begun batch has only validated, and its
+// band maintenance runs in commit — and carries the epoch commit published;
+// queries are not blocked). Record slices in the state are shared with the engine
 // and must not be mutated.
 func (e *Engine) State() *EngineState { return e.e.ExportState() }
 
