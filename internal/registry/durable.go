@@ -101,7 +101,8 @@ func (e *Entry) Durability(durable bool) DurabilityStats {
 // epoch whenever a batch changed any partition's band, at least as often as
 // one band over the same records does, so replay through one band may trail
 // such a log, and is re-seeded from it before the first v2 frame and at the
-// end.
+// end. Replay also opens each dataset's log for the updates that follow;
+// no snapshot is written at open.
 func Open(st store.Store, pol SnapshotPolicy) (*Registry, error) {
 	r := NewWithStore(st, pol)
 	mf, err := st.LoadManifest()
@@ -118,7 +119,10 @@ func Open(st store.Store, pol SnapshotPolicy) (*Registry, error) {
 	return r, nil
 }
 
-// reopen recovers one dataset from its snapshot plus WAL tail.
+// reopen recovers one dataset from its snapshot plus WAL tail. The replay
+// also opens the dataset's log for appending at seq+1: a log that ended
+// before the snapshot (frames lost under SyncNever behind the fsynced
+// snapshot) is re-based after it by the store, with no snapshot rewritten.
 func (r *Registry) reopen(cfg store.DatasetConfig) (*Entry, error) {
 	start := time.Now()
 	snap, err := r.st.LoadSnapshot(cfg.Name)
@@ -189,21 +193,6 @@ func (r *Registry) reopen(cfg store.DatasetConfig) (*Entry, error) {
 		LastSnapshotEpoch:     snap.Epoch,
 		LastSnapshotUnixMilli: snap.UnixMilli,
 	}}
-	// Under SyncNever a crash can lose WAL frames behind the (fsynced)
-	// snapshot, leaving the log's append cursor before the recovered state.
-	// Re-base by snapshotting now, so the next update's sequence lines up.
-	walSeq, err := r.st.LastSeq(cfg.Name)
-	if err != nil {
-		return nil, err
-	}
-	if walSeq < seq {
-		ent.mu.Lock()
-		err = r.snapshotEntry(ent)
-		ent.mu.Unlock()
-		if err != nil {
-			return nil, fmt.Errorf("re-base log behind snapshot: %w", err)
-		}
-	}
 	return ent, nil
 }
 
@@ -229,6 +218,9 @@ func (r *Registry) Update(name string, ops []engine.UpdateOp) (*engine.UpdateRes
 	}
 	ent.mu.Lock()
 	defer ent.mu.Unlock()
+	if ent.dropped {
+		return nil, fmt.Errorf("%w: %s", ErrUnknownDataset, name)
+	}
 	if ent.wedged != nil {
 		// Bounded auto-heal: attempt the re-basing snapshot here, behind the
 		// backoff gate, so a transiently failing disk clears the wedge on a
@@ -345,9 +337,11 @@ func (r *Registry) Snapshot(name string) (DurabilityStats, error) {
 		return DurabilityStats{}, ErrNotDurable
 	}
 	ent.mu.Lock()
-	err = r.snapshotEntry(ent)
-	ent.mu.Unlock()
-	if err != nil {
+	defer ent.mu.Unlock()
+	if ent.dropped {
+		return DurabilityStats{}, fmt.Errorf("%w: %s", ErrUnknownDataset, name)
+	}
+	if err := r.snapshotEntry(ent); err != nil {
 		ent.dmu.Lock()
 		ent.dur.SnapshotErrors++
 		ent.dmu.Unlock()

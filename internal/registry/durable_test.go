@@ -508,8 +508,9 @@ func TestRecoveryCountsWALBytes(t *testing.T) {
 
 // TestDurableFailedValidationLogsNothing pins that a batch the engine refuses
 // at validation leaves the engine unchanged and writes no WAL frame: the
-// log's bytes and LastSeq stay put, and the next good batch takes the next
-// sequence number and the ids the refused batch would have taken.
+// log's bytes and the entry's LastSeq stay put, and the next good batch
+// takes the next sequence number and the ids the refused batch would have
+// taken.
 func TestDurableFailedValidationLogsNothing(t *testing.T) {
 	dir := t.TempDir()
 	reg, st := openFileRegistry(t, dir, SnapshotPolicy{})
@@ -551,12 +552,8 @@ func TestDurableFailedValidationLogsNothing(t *testing.T) {
 		if got := ent.Engine.ExportState(); !reflect.DeepEqual(got, state) || ent.Engine.Stats().Inserts != stats.Inserts || ent.Engine.Stats().UpdateBatches != stats.UpdateBatches {
 			t.Fatalf("%s: the refused batch changed the engine", name)
 		}
-		last, err := st.LastSeq("ds")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if d := ent.Durability(true); last != dur.LastSeq || walBytes() != bytes || d.LastSeq != dur.LastSeq || d.WALAppends != dur.WALAppends || d.Wedged {
-			t.Fatalf("%s: the refused batch reached the log: LastSeq %d, %d WAL bytes, %+v; before %d, %d bytes", name, last, walBytes(), d, dur.LastSeq, bytes)
+		if d := ent.Durability(true); walBytes() != bytes || d.LastSeq != dur.LastSeq || d.WALAppends != dur.WALAppends || d.Wedged {
+			t.Fatalf("%s: the refused batch reached the log: %d WAL bytes, %+v; before LastSeq %d, %d bytes", name, walBytes(), d, dur.LastSeq, bytes)
 		}
 	}
 	res, err := reg.Update("ds", []utk.UpdateOp{{Kind: utk.UpdateInsert, Record: top}})
@@ -652,5 +649,143 @@ func TestReplayRefusesV2EpochMismatch(t *testing.T) {
 	dir, _, _ = logOneFrame(t, store.BatchV2, func(_, post uint64) uint64 { return post })
 	if _, err := reopenOne(t, dir); err == nil {
 		t.Fatal("a v2 frame logged with the post-batch epoch replayed")
+	}
+}
+
+// TestDurableRecoverLogBehindSnapshot recovers the directory a SyncNever
+// crash can leave: the snapshot at 3 is durable, but the log lost the frames
+// of batches 2 and 3 and the crash came before the snapshot restarted it.
+// Recovery re-bases the log after the snapshot without writing another, so
+// the next update is logged at 4 and survives a further reopen.
+func TestDurableRecoverLogBehindSnapshot(t *testing.T) {
+	dir := t.TempDir()
+	reg, st := openFileRegistry(t, dir, SnapshotPolicy{})
+	if _, err := reg.Create("ds", dataset.Synthetic(dataset.IND, 50, 3, 13), Options{MaxK: 3}); err != nil {
+		t.Fatal(err)
+	}
+	seg1 := filepath.Join(dir, "datasets", "ds", "wal-00000000000000000001.log")
+	var oneFrame []byte
+	for i := range 3 {
+		if _, err := reg.Update("ds", []utk.UpdateOp{{Kind: utk.UpdateInsert, Record: []float64{0.9, 0.1 * float64(i), 0.5}}}); err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			var err error
+			if oneFrame, err = os.ReadFile(seg1); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if _, err := reg.Snapshot("ds"); err != nil {
+		t.Fatal(err)
+	}
+	ent, _ := reg.Get("ds")
+	live := ent.Len()
+	st.Close()
+	paths, err := filepath.Glob(filepath.Join(dir, "datasets", "ds", "wal-*.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range paths {
+		if err := os.Remove(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := os.WriteFile(seg1, oneFrame, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	reg, st = openFileRegistry(t, dir, SnapshotPolicy{})
+	ent, err = reg.Get("ds")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := ent.Durability(true); d.LastSeq != 3 || d.ReplayedBatches != 0 || d.SnapshotsWritten != 0 || ent.Len() != live {
+		t.Fatalf("recovered %d live records at %+v; want %d at seq 3, nothing replayed, no snapshot written", ent.Len(), d, live)
+	}
+	if _, err := reg.Update("ds", []utk.UpdateOp{{Kind: utk.UpdateInsert, Record: []float64{0.95, 0.95, 0.95}}}); err != nil {
+		t.Fatalf("update after the re-base: %v", err)
+	}
+	if d := ent.Durability(true); d.LastSeq != 4 || d.WALAppends != 1 {
+		t.Fatalf("update after the re-base logged at %+v, want seq 4", d)
+	}
+	st.Close()
+
+	reg, st = openFileRegistry(t, dir, SnapshotPolicy{})
+	defer st.Close()
+	ent, err = reg.Get("ds")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := ent.Durability(true); d.LastSeq != 4 || d.ReplayedBatches != 1 || ent.Len() != live+1 {
+		t.Fatalf("second reopen: %d live records at %+v; want %d after replaying batch 4", ent.Len(), d, live+1)
+	}
+}
+
+// holdStore holds every Append until release is closed, announcing each on
+// entered first.
+type holdStore struct {
+	store.Store
+	entered, release chan struct{}
+}
+
+func (h *holdStore) Append(name string, b *store.Batch) (int64, error) {
+	h.entered <- struct{}{}
+	<-h.release
+	return h.Store.Append(name, b)
+}
+
+// TestDurableDropWaitsForInFlightUpdate pins that a drop cannot overtake a
+// durable update whose append is still pending: were the dataset dropped and
+// re-created under the same name in between, the stale batch would land in
+// the new dataset's log and replay into it at the next open.
+func TestDurableDropWaitsForInFlightUpdate(t *testing.T) {
+	dir := t.TempDir()
+	base, err := store.OpenFile(dir, store.FileConfig{Sync: store.SyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs := &holdStore{Store: base, entered: make(chan struct{}, 1), release: make(chan struct{})}
+	reg := NewWithStore(hs, SnapshotPolicy{})
+	if _, err := reg.Create("ds", dataset.Synthetic(dataset.IND, 40, 3, 14), Options{MaxK: 3}); err != nil {
+		t.Fatal(err)
+	}
+	fresh := dataset.Synthetic(dataset.IND, 30, 3, 15)
+	updated := make(chan error, 1)
+	go func() {
+		_, err := reg.Update("ds", []utk.UpdateOp{{Kind: utk.UpdateInsert, Record: []float64{0.9, 0.9, 0.9}}})
+		updated <- err
+	}()
+	<-hs.entered
+	var recreateErr error
+	recreated := make(chan struct{})
+	go func() {
+		defer close(recreated)
+		if recreateErr = reg.Drop("ds"); recreateErr == nil {
+			_, recreateErr = reg.Create("ds", fresh, Options{MaxK: 3})
+		}
+	}()
+	select {
+	case <-recreated:
+	case <-time.After(200 * time.Millisecond):
+	}
+	close(hs.release)
+	if err := <-updated; err != nil {
+		t.Fatalf("in-flight update: %v", err)
+	}
+	<-recreated
+	if recreateErr != nil {
+		t.Fatalf("drop + create: %v", recreateErr)
+	}
+	base.Close()
+
+	reg, st := openFileRegistry(t, dir, SnapshotPolicy{})
+	defer st.Close()
+	ent, err := reg.Get("ds")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := ent.Durability(true); ent.Len() != len(fresh) || d.ReplayedBatches != 0 {
+		t.Fatalf("re-created dataset holds %d records after replaying %d batches, want its own %d and none", ent.Len(), d.ReplayedBatches, len(fresh))
 	}
 }

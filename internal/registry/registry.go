@@ -41,10 +41,14 @@ type Entry struct {
 	Engine *engine.Engine
 	Opts   Options
 
-	// mu serializes a durable dataset's update path (apply + WAL append)
-	// and its snapshots; queries, and updates without a store, never take
-	// it.
+	// mu serializes a durable dataset's update path (apply + WAL append),
+	// its snapshots and its drop; queries, and updates without a store,
+	// never take it.
 	mu sync.Mutex
+	// dropped is set (under mu) once Drop removed the dataset: an update or
+	// snapshot that looked the entry up before then must not reach the
+	// store, where the name may already belong to a new dataset.
+	dropped bool
 	// wedged is non-nil after an append failure left the engine ahead of
 	// the log (updates are rejected until a successful snapshot re-bases
 	// it).
@@ -199,11 +203,13 @@ func (r *Registry) Get(name string) (*Entry, error) {
 // Drop unregisters the named engine and removes its persisted state. The
 // store's manifest entry goes before the data files, so a crash mid-drop
 // leaves an orphan directory (swept at the next open), never a phantom
-// dataset. In-flight queries against the engine complete; it is garbage once
-// they do.
+// dataset. A durable update or snapshot in flight finishes first; one that
+// looked the entry up earlier and comes after fails with ErrUnknownDataset.
+// In-flight queries against the engine complete; it is garbage once they do.
 func (r *Registry) Drop(name string) error {
 	r.mu.Lock()
-	if _, ok := r.entries[name]; !ok {
+	ent, ok := r.entries[name]
+	if !ok {
 		r.mu.Unlock()
 		return fmt.Errorf("%w: %s", ErrUnknownDataset, name)
 	}
@@ -212,6 +218,9 @@ func (r *Registry) Drop(name string) error {
 	if r.st == nil {
 		return nil
 	}
+	ent.mu.Lock()
+	defer ent.mu.Unlock()
+	ent.dropped = true
 	if err := r.st.DropDataset(name); err != nil && !errors.Is(err, store.ErrUnknownDataset) {
 		return err
 	}

@@ -116,8 +116,8 @@ type ranked struct {
 	slot int
 }
 
-// Op is one update of a batch handed to ApplyOps: an insert carrying its
-// record, or a delete carrying the target id.
+// Op is one update of a batch handed to Plan (or ApplyOps): an insert
+// carrying its record, or a delete carrying the target id.
 type Op struct {
 	Insert bool
 	Record []float64 // insert payload (copied)
@@ -334,8 +334,9 @@ func (p *Plan) IDs() []int { return p.ids }
 
 // ApplyOps applies a batch of updates in order and returns the assigned ids
 // (deletes echo their target id) and per-op effects, positionally aligned
-// with ops: Plan, then Apply. It is the only mutation path: Insert and
-// Delete are batches of one.
+// with ops: Plan, then Apply at once. Every mutation is a Plan and an Apply:
+// the engine calls the two itself, with the index publish between them, and
+// Insert and Delete are ApplyOps batches of one.
 func (d *Dynamic) ApplyOps(ops []Op) ([]int, []Effect, error) {
 	p, err := d.Plan(ops)
 	if err != nil {

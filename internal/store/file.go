@@ -10,10 +10,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"slices"
 	"sort"
-	"strconv"
-	"strings"
 	"sync"
 
 	"repro/internal/engine"
@@ -32,12 +29,19 @@ import (
 // with nothing logged past it starts a fresh segment at its Seq+1 and removes
 // the others, so the log is the batches since the last snapshot. Two
 // segments exist only after a crash mid-rotation (the old one and the fresh
-// one) or in a directory an older build rolled by size; open chains them by
-// sequence number. A crash can only tear the final frame (appends are
-// sequential, and a failed append cuts its own frame back off); open detects
-// the first invalid frame, truncates the segment there, and drops later
-// segments — torn batches disappear atomically, half-applied states cannot
-// exist.
+// one), after a removal that failed, or in a directory an older build rolled
+// by size.
+//
+// Replay is the open: one walk over the frames after the snapshot's Seq. The
+// chain starts at the newest segment whose first seq is at most Seq+1 (older
+// ones lie wholly behind the snapshot and are removed) and follows the
+// segments by sequence number. A crash can only tear the final frame
+// (appends are sequential, and a failed append cuts its own frame back off);
+// the walk stops at the first invalid frame, truncates the segment there,
+// and drops later segments — torn batches disappear atomically, half-applied
+// states cannot exist. A log that ends before the snapshot (frames lost
+// under SyncNever behind an fsynced snapshot) restarts after it, as a
+// snapshot at the head does.
 //
 // Snapshots and the manifest are replaced via write-to-temp + rename (+
 // directory fsync), so readers observe either the old or the new complete
@@ -52,6 +56,8 @@ const (
 
 	frameHeaderLen = 8 // len u32 + crc u32
 )
+
+var errClosed = errors.New("store: closed")
 
 // FileConfig tunes a file-backed store.
 type FileConfig struct {
@@ -76,16 +82,10 @@ type File struct {
 type fileDataset struct {
 	mu   sync.Mutex
 	dir  string
-	segs []walSegment // sorted by firstSeq; the last one is active
-	w    *os.File     // active segment, opened for append
+	w    *os.File // active segment, opened for append
 	wLen int64
 	last uint64 // last durably framed batch seq
 	sync SyncPolicy
-}
-
-type walSegment struct {
-	firstSeq uint64
-	path     string
 }
 
 // OpenFile opens (or initializes) a file-backed store rooted at dir. Orphan
@@ -167,7 +167,8 @@ func (f *File) writeManifest() error {
 // CreateDataset stages the dataset directory, initial snapshot, and first
 // WAL segment, then commits by rewriting the manifest. The manifest rename
 // is the commit point: a crash before it leaves an orphan directory (swept
-// at open), a crash after it leaves a fully recoverable dataset.
+// at open), a crash after it leaves a fully recoverable dataset. The created
+// dataset is open: its log is the empty segment just staged.
 func (f *File) CreateDataset(cfg DatasetConfig, snap *Snapshot) error {
 	if snap == nil {
 		return errors.New("store: file datasets require an initial snapshot")
@@ -175,7 +176,7 @@ func (f *File) CreateDataset(cfg DatasetConfig, snap *Snapshot) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if f.closed {
-		return errors.New("store: closed")
+		return errClosed
 	}
 	if _, ok := f.manifest[cfg.Name]; ok {
 		return fmt.Errorf("%w: %s", ErrExists, cfg.Name)
@@ -192,18 +193,21 @@ func (f *File) CreateDataset(cfg DatasetConfig, snap *Snapshot) error {
 	if err := writeSnapshotFile(dir, snap); err != nil {
 		return err
 	}
-	if _, err := createSegment(dir, snap.Seq+1); err != nil {
-		return err
-	}
-	if err := syncDir(dir); err != nil {
+	w, err := createSegment(dir, snap.Seq+1)
+	if err != nil {
 		return err
 	}
 	f.manifest[cfg.Name] = cfg
-	if err := f.writeManifest(); err != nil {
+	if err = syncDir(dir); err == nil {
+		err = f.writeManifest()
+	}
+	if err != nil {
 		delete(f.manifest, cfg.Name)
+		w.Close()
 		os.RemoveAll(dir)
 		return err
 	}
+	f.open[cfg.Name] = &fileDataset{dir: dir, w: w, wLen: int64(len(walMagic)), last: snap.Seq, sync: f.cfg.Sync}
 	return nil
 }
 
@@ -221,12 +225,7 @@ func (f *File) DropDataset(name string) error {
 		return err
 	}
 	if ds, ok := f.open[name]; ok {
-		ds.mu.Lock()
-		if ds.w != nil {
-			ds.w.Close()
-			ds.w = nil
-		}
-		ds.mu.Unlock()
+		ds.close()
 		delete(f.open, name)
 	}
 	// Dropped from the manifest, the directory is already an orphan: a
@@ -234,26 +233,22 @@ func (f *File) DropDataset(name string) error {
 	return os.RemoveAll(f.datasetDir(name))
 }
 
-// dataset returns the open WAL state for a dataset, scanning (and repairing
-// the tail of) its segments on first use.
+// dataset returns a dataset's open log, locked. A dataset is open from its
+// CreateDataset or its Replay on, until it is dropped or the store closed;
+// one the manifest lists but this process has not replayed is not, and
+// nothing is appended to it.
 func (f *File) dataset(name string) (*fileDataset, error) {
 	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.closed {
-		return nil, errors.New("store: closed")
+	ds := f.open[name]
+	f.mu.Unlock()
+	if ds != nil {
+		ds.mu.Lock()
+		if ds.w != nil {
+			return ds, nil
+		}
+		ds.mu.Unlock()
 	}
-	if ds, ok := f.open[name]; ok {
-		return ds, nil
-	}
-	if _, ok := f.manifest[name]; !ok {
-		return nil, fmt.Errorf("%w: %s", ErrUnknownDataset, name)
-	}
-	ds, err := openDatasetWAL(f.datasetDir(name), f.cfg)
-	if err != nil {
-		return nil, err
-	}
-	f.open[name] = ds
-	return ds, nil
+	return nil, fmt.Errorf("store: dataset %s is not open (create or replay it)", name)
 }
 
 // Append frames and durably logs one batch. Returns the bytes written.
@@ -262,7 +257,6 @@ func (f *File) Append(name string, b *Batch) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	ds.mu.Lock()
 	defer ds.mu.Unlock()
 	if b.Seq != ds.last+1 {
 		return 0, fmt.Errorf("%w: got %d, want %d", ErrSeqGap, b.Seq, ds.last+1)
@@ -294,18 +288,15 @@ func (f *File) Append(name string, b *Batch) (int64, error) {
 }
 
 // WriteSnapshot atomically replaces the snapshot. When nothing is logged past
-// it, the log restarts: a fresh segment starting at snap.Seq+1 becomes the
-// active one and every other segment is removed. That is also the re-basing
+// it, the log restarts after it (see restart). That is also the re-basing
 // move when the snapshot is AHEAD of the log (ds.last < snap.Seq — a wedged
-// entry checkpointing unlogged state, or a SyncNever crash that lost
-// flushed-but-not-synced frames behind an fsynced snapshot): the append
-// cursor advances with it. A snapshot behind the log leaves the log as it is.
+// entry checkpointing unlogged state): the append cursor advances with it. A
+// snapshot behind the log leaves the log as it is.
 func (f *File) WriteSnapshot(name string, snap *Snapshot) error {
 	ds, err := f.dataset(name)
 	if err != nil {
 		return err
 	}
-	ds.mu.Lock()
 	defer ds.mu.Unlock()
 	if err := writeSnapshotFile(ds.dir, snap); err != nil {
 		return err
@@ -313,26 +304,46 @@ func (f *File) WriteSnapshot(name string, snap *Snapshot) error {
 	if ds.last > snap.Seq {
 		return nil
 	}
-	// The fresh segment may reuse the active one's name: createSegment
-	// truncates it, and whatever it held lies past ds.last, unacknowledged.
-	w, err := createSegment(ds.dir, snap.Seq+1)
+	return ds.restart(snap.Seq)
+}
+
+// restart starts the log afresh after seq: an empty segment wal-<seq+1>
+// becomes the active one, and once its name is durable every other segment
+// is removed. A segment whose removal fails is older than the fresh one, so
+// the next Replay, after seq or later, starts its chain past it. The fresh
+// segment may reuse the active one's name: createSegment truncates it, and
+// whatever it held lies past ds.last, unacknowledged.
+func (ds *fileDataset) restart(seq uint64) error {
+	w, err := createSegment(ds.dir, seq+1)
 	if err != nil {
 		return err
 	}
-	ds.w.Close()
-	ds.w, ds.wLen, ds.last = w, int64(len(walMagic)), snap.Seq
-	fresh := walSegment{firstSeq: snap.Seq + 1, path: w.Name()}
-	old := slices.DeleteFunc(ds.segs, func(seg walSegment) bool { return seg.path == fresh.path })
-	ds.segs = append(old, fresh)
-	// Remove the old segments only once the fresh one's name is durable.
+	if ds.w != nil {
+		ds.w.Close()
+	}
+	ds.w, ds.wLen, ds.last = w, int64(len(walMagic)), seq
 	if err := syncDir(ds.dir); err != nil {
 		return err
 	}
-	for _, seg := range old {
-		os.Remove(seg.path)
+	paths, _ := filepath.Glob(filepath.Join(ds.dir, "wal-*.log"))
+	for _, path := range paths {
+		if path != w.Name() {
+			os.Remove(path)
+		}
 	}
-	ds.segs = []walSegment{fresh}
 	return nil
+}
+
+// close closes the active segment; later calls on the handle fail.
+func (ds *fileDataset) close() error {
+	ds.mu.Lock()
+	defer ds.mu.Unlock()
+	if ds.w == nil {
+		return nil
+	}
+	err := ds.w.Close()
+	ds.w = nil
+	return err
 }
 
 // LoadSnapshot reads and verifies the dataset's snapshot.
@@ -361,44 +372,38 @@ func (f *File) LoadSnapshot(name string) (*Snapshot, error) {
 	return DecodeSnapshot(payload)
 }
 
-// Replay streams the logged batches after afterSeq, in order.
+// Replay opens the dataset's log in one walk over it (see the file layout
+// comment), handing fn each batch past afterSeq, and leaves it open for
+// appending. A handle already open is closed first: the walk re-reads the
+// disk. The walk runs without the store's lock, as fn is the caller's code;
+// the caller serializes the dataset's calls, so none runs meanwhile.
 func (f *File) Replay(name string, afterSeq uint64, fn func(b *Batch, size int64) error) error {
-	ds, err := f.dataset(name)
+	f.mu.Lock()
+	_, known := f.manifest[name]
+	if ds, ok := f.open[name]; ok {
+		ds.close()
+		delete(f.open, name)
+	}
+	closed := f.closed
+	f.mu.Unlock()
+	if closed {
+		return errClosed
+	}
+	if !known {
+		return fmt.Errorf("%w: %s", ErrUnknownDataset, name)
+	}
+	ds, err := replayWAL(f.datasetDir(name), f.cfg.Sync, afterSeq, fn)
 	if err != nil {
 		return err
 	}
-	ds.mu.Lock()
-	segs := append([]walSegment(nil), ds.segs...)
-	last := ds.last
-	ds.mu.Unlock()
-	for _, seg := range segs {
-		_, _, torn, err := scanSegment(seg.path, seg.firstSeq, func(b *Batch, size int64) error {
-			// Frames past last (none in practice: appends are serialized
-			// with replay by the registry) are ignored.
-			if b.Seq > afterSeq && b.Seq <= last {
-				return fn(b, size)
-			}
-			return nil
-		})
-		if err != nil {
-			return err
-		}
-		if torn {
-			return fmt.Errorf("%w: torn frame survived open in %s", ErrCorrupt, seg.path)
-		}
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.closed {
+		ds.close()
+		return errClosed
 	}
+	f.open[name] = ds
 	return nil
-}
-
-// LastSeq returns the last durably framed sequence number.
-func (f *File) LastSeq(name string) (uint64, error) {
-	ds, err := f.dataset(name)
-	if err != nil {
-		return 0, err
-	}
-	ds.mu.Lock()
-	defer ds.mu.Unlock()
-	return ds.last, nil
 }
 
 // Close closes every open WAL handle.
@@ -408,110 +413,92 @@ func (f *File) Close() error {
 	f.closed = true
 	var first error
 	for name, ds := range f.open {
-		ds.mu.Lock()
-		if ds.w != nil {
-			if err := ds.w.Close(); err != nil && first == nil {
-				first = err
-			}
-			ds.w = nil
+		if err := ds.close(); err != nil && first == nil {
+			first = err
 		}
-		ds.mu.Unlock()
 		delete(f.open, name)
 	}
 	return first
 }
 
-// openDatasetWAL scans a dataset's segments, truncating the torn tail (the
-// suffix starting at the first invalid frame) and dropping any segments
-// after it, then opens the last segment for appending.
-func openDatasetWAL(dir string, cfg FileConfig) (*fileDataset, error) {
-	names, err := filepath.Glob(filepath.Join(dir, "wal-*.log"))
+// replayWAL walks a dataset's log once, handing fn each batch past afterSeq,
+// and returns it opened for appending after its last valid frame: the chain
+// of segments from the newest one that can hold batch afterSeq+1 (the oldest
+// when none can, and fn sees the gap), with the segments before the chain
+// removed, the torn tail truncated, the segments past it dropped, and a log
+// that ends before afterSeq restarted after it.
+func replayWAL(dir string, sync SyncPolicy, afterSeq uint64, fn func(b *Batch, size int64) error) (*fileDataset, error) {
+	// Glob sorts, and the zero-padded names sort by first seq.
+	paths, err := filepath.Glob(filepath.Join(dir, "wal-*.log"))
 	if err != nil {
 		return nil, err
 	}
-	sort.Strings(names)
-	var segs []walSegment
-	for _, path := range names {
-		base := filepath.Base(path)
-		numeric := strings.TrimSuffix(strings.TrimPrefix(base, "wal-"), ".log")
-		firstSeq, err := strconv.ParseUint(numeric, 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("%w: segment name %s", ErrCorrupt, base)
-		}
-		segs = append(segs, walSegment{firstSeq: firstSeq, path: path})
-	}
-	if len(segs) == 0 {
+	if len(paths) == 0 {
 		return nil, fmt.Errorf("%w: no wal segments in %s", ErrCorrupt, dir)
 	}
-	ds := &fileDataset{dir: dir, sync: cfg.Sync}
-	want := segs[0].firstSeq
-	cut := -1 // first segment index made invalid by a torn tail
-	for i, seg := range segs {
-		if seg.firstSeq != want {
-			// A gap between segments: everything from here on is
-			// unreachable by contiguous replay (e.g. segments after a
-			// truncated predecessor). Drop it.
-			cut = i
-			break
+	firsts := make([]uint64, len(paths))
+	for i, path := range paths {
+		if _, err := fmt.Sscanf(filepath.Base(path), "wal-%d.log", &firsts[i]); err != nil {
+			return nil, fmt.Errorf("%w: segment name %s", ErrCorrupt, filepath.Base(path))
 		}
-		valid, next, torn, err := scanSegment(seg.path, want, nil)
+	}
+	start := max(sort.Search(len(firsts), func(i int) bool { return firsts[i] > afterSeq+1 })-1, 0)
+	for _, path := range paths[:start] {
+		// Wholly behind afterSeq; a failed removal is retried next open.
+		os.Remove(path)
+	}
+	// end is one past the last segment chained, wLen the length of its
+	// valid prefix (the header alone once a torn header is reset).
+	next, end, wLen := firsts[start], start, int64(0)
+	for end < len(paths) && firsts[end] == next {
+		valid, n, torn, err := scanSegment(paths[end], next, afterSeq, fn)
 		if err != nil {
 			return nil, err
 		}
-		want = next
+		next, end, wLen = n, end+1, max(valid, int64(len(walMagic)))
 		if torn {
-			// Torn tail inside this segment: truncate it here and drop
-			// every later segment. A segment created during a crash may
-			// have a torn header; it holds no acknowledged frames, so it is
-			// reset to an empty segment.
+			// A segment created during a crash may have a torn header; it
+			// holds no acknowledged frames, so it is reset to an empty one.
 			if valid == 0 {
-				err = os.WriteFile(seg.path, []byte(walMagic), 0o644)
+				err = os.WriteFile(paths[end-1], []byte(walMagic), 0o644)
 			} else {
-				err = os.Truncate(seg.path, valid)
+				err = os.Truncate(paths[end-1], valid)
 			}
 			if err != nil {
 				return nil, err
 			}
-			cut = i + 1
 			break
 		}
 	}
-	if cut >= 0 {
-		for _, seg := range segs[cut:] {
-			if err := os.Remove(seg.path); err != nil {
-				return nil, err
-			}
+	// Past a torn tail or a seq gap, no segment is reachable.
+	for _, path := range paths[end:] {
+		if err := os.Remove(path); err != nil {
+			return nil, err
 		}
-		if cut == 0 {
-			return nil, fmt.Errorf("%w: first wal segment unreachable in %s", ErrCorrupt, dir)
-		}
-		segs = segs[:cut]
 	}
-	ds.segs = segs
-	ds.last = want - 1
-	active := segs[len(segs)-1]
-	w, err := os.OpenFile(active.path, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
+	ds := &fileDataset{dir: dir, last: next - 1, sync: sync}
+	if ds.last < afterSeq {
+		if err := ds.restart(afterSeq); err != nil {
+			ds.close()
+			return nil, err
+		}
+		return ds, nil
+	}
+	if ds.w, err = os.OpenFile(paths[end-1], os.O_WRONLY|os.O_APPEND, 0o644); err != nil {
 		return nil, err
 	}
-	st, err := w.Stat()
-	if err != nil {
-		w.Close()
-		return nil, err
-	}
-	ds.w = w
-	ds.wLen = st.Size()
+	ds.wLen = wLen
 	return ds, nil
 }
 
 // scanSegment walks a segment's frames verifying framing, CRC, and sequence
-// contiguity starting at seq, handing each valid batch and its frame's byte
-// length to visit (when not nil) and stopping at its first error. valid is
+// contiguity starting at seq, handing each valid batch past afterSeq and its
+// frame's byte length to visit and stopping at its first error. valid is
 // the byte length of the segment's valid prefix (0 when even the header is
 // torn), next the sequence number after its last valid frame, and torn
 // whether bytes follow the valid prefix: a torn tail, to be truncated at
 // valid.
-func scanSegment(path string, seq uint64, visit func(b *Batch, size int64) error) (valid int64, next uint64, torn bool, err error) {
+func scanSegment(path string, seq, afterSeq uint64, visit func(b *Batch, size int64) error) (valid int64, next uint64, torn bool, err error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		return 0, 0, false, err
@@ -529,7 +516,7 @@ func scanSegment(path string, seq uint64, visit func(b *Batch, size int64) error
 		if derr != nil || b.Seq != seq {
 			break
 		}
-		if visit != nil {
+		if b.Seq > afterSeq {
 			if err := visit(b, int64(len(body)-len(rest))); err != nil {
 				return 0, 0, false, err
 			}
@@ -570,7 +557,7 @@ func readFrame(buf []byte) (payload, rest []byte, ok bool) {
 // firstSeq, returning it opened for append with the header durably written.
 func createSegment(dir string, firstSeq uint64) (*os.File, error) {
 	path := filepath.Join(dir, fmt.Sprintf("wal-%020d.log", firstSeq))
-	w, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	w, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, err
 	}

@@ -12,7 +12,9 @@
 //
 // Recovery is snapshot + tail: restore the last snapshot and replay the WAL
 // batches after its sequence number through the ordinary ApplyBatch
-// machinery. Replay is exact — update application is deterministic (ids are
+// machinery. Replay is also how a recovered dataset's log opens: one walk
+// hands over the tail, repairs a torn end, and leaves the log ready for the
+// next append — re-based after the snapshot when it ended before it. Replay is exact — update application is deterministic (ids are
 // assigned sequentially, skyband maintenance decides membership by exact
 // dominator counts, and epoch advancement is a function of state and ops
 // alone) — so a recovered engine answers bit-identically to one that never
@@ -124,28 +126,31 @@ type Store interface {
 	DropDataset(name string) error
 
 	// Append durably logs one applied batch and returns the bytes written.
-	// b.Seq must be exactly lastSeq+1 (ErrSeqGap otherwise). The batch's Ops
-	// and Records are not retained.
+	// b.Seq must be exactly one past the last logged batch (ErrSeqGap
+	// otherwise). The batch's Ops and Records are not retained. The dataset
+	// must be open in this process: created by it, or replayed since the
+	// store was opened.
 	Append(name string, b *Batch) (int64, error)
 
-	// WriteSnapshot atomically replaces the dataset's snapshot. When nothing
-	// is logged past snap.Seq the log restarts empty after it, and LastSeq
-	// becomes snap.Seq (even if the log was behind); a snapshot behind the
-	// log leaves the log as it is.
+	// WriteSnapshot atomically replaces the dataset's snapshot, which must be
+	// open like Append's. When nothing is logged past snap.Seq the log
+	// restarts empty after it, and the next append is snap.Seq+1 (even if
+	// the log was behind); a snapshot behind the log leaves the log as it is.
 	WriteSnapshot(name string, snap *Snapshot) error
 
 	// LoadSnapshot returns the dataset's latest snapshot.
 	LoadSnapshot(name string) (*Snapshot, error)
 
-	// Replay invokes fn, in order, for every logged batch with Seq >
-	// afterSeq, with the bytes its frame takes in the log (what Append
-	// returned for it). A torn trailing batch (crash mid-append) is dropped
-	// atomically on open and never surfaces here. Replay stops on fn error.
+	// Replay opens the dataset's log, closing any handle already open, and
+	// invokes fn, in order, for every logged batch with Seq > afterSeq, with
+	// the bytes its frame takes in the log (what Append returned for it).
+	// afterSeq is the Seq of the dataset's snapshot: a torn trailing batch
+	// (crash mid-append) is dropped atomically and never surfaces, log
+	// behind afterSeq may be discarded, and a log that ends before afterSeq
+	// restarts after it, so the next append is afterSeq+1 or one past the
+	// last batch fn saw. Replay stops on fn error and leaves the dataset
+	// unopened.
 	Replay(name string, afterSeq uint64, fn func(b *Batch, size int64) error) error
-
-	// LastSeq returns the sequence number of the last durably logged batch
-	// (the snapshot's Seq when no batch has been appended past it).
-	LastSeq(name string) (uint64, error)
 
 	// Close releases resources. The store must not be used afterwards.
 	Close() error

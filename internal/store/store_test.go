@@ -65,6 +65,18 @@ func batchEq(a, b *Batch) bool {
 	return true
 }
 
+// lastSeq reads an open dataset's append cursor: the last durably framed
+// batch.
+func lastSeq(t *testing.T, st *File, name string) uint64 {
+	t.Helper()
+	ds, err := st.dataset(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ds.mu.Unlock()
+	return ds.last
+}
+
 func collect(t *testing.T, st Store, name string, afterSeq uint64) []*Batch {
 	t.Helper()
 	var out []*Batch
@@ -345,7 +357,7 @@ func TestFileCreateAppendReplay(t *testing.T) {
 	if _, err := st.Append("ds", testBatch(n+5)); !errors.Is(err, ErrSeqGap) {
 		t.Fatalf("gap append: %v", err)
 	}
-	if last, _ := st.LastSeq("ds"); last != n {
+	if last := lastSeq(t, st, "ds"); last != n {
 		t.Fatalf("LastSeq = %d, want %d", last, n)
 	}
 	for _, after := range []uint64{0, 4, n} {
@@ -463,16 +475,12 @@ func TestFileTornTail(t *testing.T) {
 		if err != nil {
 			t.Fatalf("cut %d: open: %v", cut, err)
 		}
-		last, err := cur.LastSeq("ds")
-		if err != nil {
-			t.Fatalf("cut %d: LastSeq: %v", cut, err)
-		}
-		if last != want {
-			t.Fatalf("cut %d: recovered LastSeq = %d, want %d", cut, last, want)
-		}
 		got := collect(t, cur, "ds", 0)
 		if len(got) != int(want) {
 			t.Fatalf("cut %d: replayed %d batches, want %d", cut, len(got), want)
+		}
+		if last := lastSeq(t, cur, "ds"); last != want {
+			t.Fatalf("cut %d: recovered LastSeq = %d, want %d", cut, last, want)
 		}
 		for i, b := range got {
 			if !batchEq(b, testBatch(uint64(i)+1)) {
@@ -529,12 +537,12 @@ func TestFileCRCCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st2.Close()
-	if last, _ := st2.LastSeq("ds"); last != 2 {
-		t.Fatalf("LastSeq after corruption = %d, want 2", last)
-	}
 	got := collect(t, st2, "ds", 0)
 	if len(got) != 2 || !batchEq(got[0], testBatch(1)) || !batchEq(got[1], testBatch(2)) {
 		t.Fatalf("replay after corruption: %d batches", len(got))
+	}
+	if last := lastSeq(t, st2, "ds"); last != 2 {
+		t.Fatalf("LastSeq after corruption = %d, want 2", last)
 	}
 }
 
@@ -594,11 +602,10 @@ func TestFileLegacySegmentLayout(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if last, _ := st.LastSeq("ds"); last != 9 {
+		checkReplay(t, st, 0, 9)
+		if last := lastSeq(t, st, "ds"); last != 9 {
 			t.Fatalf("LastSeq over three segments = %d, want 9", last)
 		}
-		checkReplay(t, st, 0, 9)
-		checkReplay(t, st, 5, 9)
 
 		// A snapshot behind the log keeps every segment.
 		if err := st.WriteSnapshot("ds", testSnapshot(5, 10)); err != nil {
@@ -610,7 +617,12 @@ func TestFileLegacySegmentLayout(t *testing.T) {
 		if _, err := st.Append("ds", testBatch(10)); err != nil {
 			t.Fatal(err)
 		}
+		// Replay after the snapshot chains from the segment holding batch 6
+		// and removes the one wholly behind it.
 		checkReplay(t, st, 5, 10)
+		if segs := walSegmentPaths(t, dir, "ds"); len(segs) != 2 || filepath.Base(segs[0]) != fmt.Sprintf("wal-%020d.log", 4) {
+			t.Fatalf("segments after replay past the snapshot: %v, want wal-…4.log and wal-…7.log", segs)
+		}
 
 		// A snapshot at the head leaves one fresh segment; appends continue.
 		if err := st.WriteSnapshot("ds", testSnapshot(10, 20)); err != nil {
@@ -631,10 +643,10 @@ func TestFileLegacySegmentLayout(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer st.Close()
-		if last, _ := st.LastSeq("ds"); last != 11 {
+		checkReplay(t, st, 10, 11)
+		if last := lastSeq(t, st, "ds"); last != 11 {
 			t.Fatalf("LastSeq after restart + append + reopen = %d, want 11", last)
 		}
-		checkReplay(t, st, 10, 11)
 	})
 
 	t.Run("crash-mid-rotation", func(t *testing.T) {
@@ -655,17 +667,22 @@ func TestFileLegacySegmentLayout(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if last, _ := st.LastSeq("ds"); last != 4 {
+		checkReplay(t, st, 0, 4)
+		if last := lastSeq(t, st, "ds"); last != 4 {
 			t.Fatalf("LastSeq over old + fresh segment = %d, want 4", last)
 		}
-		checkReplay(t, st, 0, 4)
-		checkReplay(t, st, 4, 4)
 		if _, err := st.Append("ds", testBatch(5)); err != nil {
 			t.Fatal(err)
 		}
 		checkReplay(t, st, 0, 5)
 		if segs := walSegmentPaths(t, dir, "ds"); len(segs) != 2 {
 			t.Fatalf("segments before the next snapshot: %v, want two", segs)
+		}
+		// Replay after the snapshot at 4 starts at the fresh segment and
+		// removes the old one, which ends at 4.
+		checkReplay(t, st, 4, 5)
+		if segs := walSegmentPaths(t, dir, "ds"); len(segs) != 1 {
+			t.Fatalf("segments after replay past the snapshot: %v, want one", segs)
 		}
 		if err := st.WriteSnapshot("ds", testSnapshot(5, 10)); err != nil {
 			t.Fatal(err)
@@ -683,10 +700,10 @@ func TestFileLegacySegmentLayout(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer st.Close()
-		if last, _ := st.LastSeq("ds"); last != 6 {
+		checkReplay(t, st, 5, 6)
+		if last := lastSeq(t, st, "ds"); last != 6 {
 			t.Fatalf("LastSeq after reopen = %d, want 6", last)
 		}
-		checkReplay(t, st, 5, 6)
 	})
 }
 
@@ -708,10 +725,12 @@ func TestFileFailedAppendNotReplayed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ds.w.Write(appendFrame(nil, EncodeBatch(testBatch(1), 3))); err != nil {
+	_, err = ds.w.Write(appendFrame(nil, EncodeBatch(testBatch(1), 3)))
+	ds.mu.Unlock()
+	if err != nil {
 		t.Fatal(err)
 	}
-	if last, _ := st.LastSeq("ds"); last != 0 {
+	if last := lastSeq(t, st, "ds"); last != 0 {
 		t.Fatalf("LastSeq after an unacknowledged frame = %d, want 0", last)
 	}
 	if err := st.WriteSnapshot("ds", testSnapshot(0, 0)); err != nil {
@@ -742,6 +761,50 @@ func TestFileFailedAppendNotReplayed(t *testing.T) {
 	}
 }
 
+// TestFileAppendAfterCutFrame pins where an append lands after a failed one
+// cut its frame back off: right after the last acknowledged frame, in the
+// segment CreateDataset staged and in the one a snapshot restarted the log
+// in. A handle that writes at its own offset instead of the end would leave
+// a hole there, and replay would stop at it.
+func TestFileAppendAfterCutFrame(t *testing.T) {
+	dir := t.TempDir()
+	st, err := OpenFile(dir, FileConfig{Sync: SyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if err := st.CreateDataset(testConfig("ds"), testSnapshot(0, 0)); err != nil {
+		t.Fatal(err)
+	}
+	cutFrame := func(seq uint64) {
+		t.Helper()
+		ds, err := st.dataset("ds")
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = ds.w.Write(appendFrame(nil, EncodeBatch(testBatch(seq), 3)))
+		if err == nil {
+			err = ds.w.Truncate(ds.wLen) // what Append does when its write or fsync fails
+		}
+		ds.mu.Unlock()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	cutFrame(1)
+	if _, err := st.Append("ds", testBatch(1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.WriteSnapshot("ds", testSnapshot(1, 2)); err != nil {
+		t.Fatal(err)
+	}
+	cutFrame(2)
+	if _, err := st.Append("ds", testBatch(2)); err != nil {
+		t.Fatal(err)
+	}
+	checkReplay(t, st, 1, 2)
+}
+
 // TestFileSnapshotAheadOfWAL covers the SyncNever crash mode where fsynced
 // snapshot state survives but trailing WAL frames behind it do not: a
 // snapshot written past the log's tail re-bases the append cursor.
@@ -763,7 +826,7 @@ func TestFileSnapshotAheadOfWAL(t *testing.T) {
 	if err := st.WriteSnapshot("ds", testSnapshot(7, 14)); err != nil {
 		t.Fatal(err)
 	}
-	if last, _ := st.LastSeq("ds"); last != 7 {
+	if last := lastSeq(t, st, "ds"); last != 7 {
 		t.Fatalf("LastSeq after ahead snapshot = %d, want 7", last)
 	}
 	if _, err := st.Append("ds", testBatch(8)); err != nil {
@@ -776,13 +839,137 @@ func TestFileSnapshotAheadOfWAL(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st2.Close()
-	if last, _ := st2.LastSeq("ds"); last != 8 {
-		t.Fatalf("LastSeq after reopen = %d, want 8", last)
-	}
 	got := collect(t, st2, "ds", 7)
 	if len(got) != 1 || !batchEq(got[0], testBatch(8)) {
 		t.Fatalf("replay after re-base: %d batches", len(got))
 	}
+	if last := lastSeq(t, st2, "ds"); last != 8 {
+		t.Fatalf("LastSeq after reopen = %d, want 8", last)
+	}
+}
+
+// TestFileReplayOpensDataset pins the open contract: a dataset the manifest
+// lists is not open in a fresh process until Replay opens it, so Append and
+// WriteSnapshot refuse it; Replay reads the disk each time, so a second one
+// returns the same batches, and appends continue after them.
+func TestFileReplayOpensDataset(t *testing.T) {
+	dir := t.TempDir()
+	st, err := OpenFile(dir, FileConfig{Sync: SyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.CreateDataset(testConfig("ds"), testSnapshot(0, 0)); err != nil {
+		t.Fatal(err)
+	}
+	for seq := uint64(1); seq <= 3; seq++ {
+		if _, err := st.Append("ds", testBatch(seq)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st.Close()
+
+	st, err = OpenFile(dir, FileConfig{Sync: SyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if _, err := st.Append("ds", testBatch(4)); err == nil {
+		t.Fatal("append to a dataset not replayed in this process accepted")
+	}
+	if err := st.WriteSnapshot("ds", testSnapshot(3, 6)); err == nil {
+		t.Fatal("snapshot of a dataset not replayed in this process accepted")
+	}
+	if err := st.Replay("nope", 0, func(*Batch, int64) error { return nil }); !errors.Is(err, ErrUnknownDataset) {
+		t.Fatalf("replay of an unknown dataset: %v", err)
+	}
+	checkReplay(t, st, 0, 3)
+	checkReplay(t, st, 0, 3)
+	if _, err := st.Append("ds", testBatch(4)); err != nil {
+		t.Fatalf("append after replay: %v", err)
+	}
+	checkReplay(t, st, 0, 4)
+}
+
+// TestFileReplayRebasesLogBehindSnapshot covers the SyncNever crash that
+// loses WAL frames behind an fsynced snapshot: the log ends at 3, the
+// snapshot is at 7. Replay after 7 hands over nothing and restarts the log
+// after the snapshot, so the next append is 8 and survives a reopen.
+func TestFileReplayRebasesLogBehindSnapshot(t *testing.T) {
+	dir := t.TempDir()
+	st, err := OpenFile(dir, FileConfig{Sync: SyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.CreateDataset(testConfig("ds"), testSnapshot(0, 0)); err != nil {
+		t.Fatal(err)
+	}
+	for seq := uint64(1); seq <= 3; seq++ {
+		if _, err := st.Append("ds", testBatch(seq)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st.Close()
+	dsDir := filepath.Join(dir, "datasets", "ds")
+	if err := writeSnapshotFile(dsDir, testSnapshot(7, 14)); err != nil {
+		t.Fatal(err)
+	}
+
+	st, err = OpenFile(dir, FileConfig{Sync: SyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkReplay(t, st, 7, 7)
+	if last := lastSeq(t, st, "ds"); last != 7 {
+		t.Fatalf("LastSeq after replay past the log's end = %d, want 7", last)
+	}
+	if segs := walSegmentPaths(t, dir, "ds"); len(segs) != 1 || filepath.Base(segs[0]) != fmt.Sprintf("wal-%020d.log", 8) {
+		t.Fatalf("segments after the re-base: %v, want wal-…8.log alone", segs)
+	}
+	if _, err := st.Append("ds", testBatch(8)); err != nil {
+		t.Fatalf("append after the re-base: %v", err)
+	}
+	st.Close()
+
+	st, err = OpenFile(dir, FileConfig{Sync: SyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	checkReplay(t, st, 7, 8)
+}
+
+// TestFileReplaySkipsSegmentBehindSnapshot reopens the directory a re-base
+// leaves when it cannot remove the old segment: the snapshot is at 7, wal-1
+// holds batches 1–3 and wal-8 the acknowledged batches 8 and 9. Replay after
+// 7 starts its chain at wal-8 and returns both batches; chaining from wal-1
+// would stop at the seq gap and drop them.
+func TestFileReplaySkipsSegmentBehindSnapshot(t *testing.T) {
+	dir := t.TempDir()
+	st, err := OpenFile(dir, FileConfig{Sync: SyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.CreateDataset(testConfig("ds"), testSnapshot(7, 14)); err != nil {
+		t.Fatal(err)
+	}
+	st.Close()
+	dsDir := filepath.Join(dir, "datasets", "ds")
+	writeSegment(t, dsDir, 1, testBatch(1), testBatch(2), testBatch(3))
+	writeSegment(t, dsDir, 8, testBatch(8), testBatch(9))
+
+	st, err = OpenFile(dir, FileConfig{Sync: SyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	checkReplay(t, st, 7, 9)
+	if segs := walSegmentPaths(t, dir, "ds"); len(segs) != 1 || filepath.Base(segs[0]) != fmt.Sprintf("wal-%020d.log", 8) {
+		t.Fatalf("segments after replay: %v, want wal-…8.log alone", segs)
+	}
+	if _, err := st.Append("ds", testBatch(10)); err != nil {
+		t.Fatal(err)
+	}
+	checkReplay(t, st, 7, 10)
 }
 
 // TestFileManifestAtomicity exercises the create/drop commit points: an
@@ -841,7 +1028,7 @@ func TestFileManifestAtomicity(t *testing.T) {
 	if err := st2.CreateDataset(testConfig("keep"), testSnapshot(0, 0)); err != nil {
 		t.Fatalf("recreate after drop: %v", err)
 	}
-	if last, _ := st2.LastSeq("keep"); last != 0 {
+	if last := lastSeq(t, st2, "keep"); last != 0 {
 		t.Fatalf("recreated dataset LastSeq = %d, want 0", last)
 	}
 	st2.Close()
