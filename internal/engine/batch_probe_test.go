@@ -3,17 +3,37 @@ package engine
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
 	"repro/internal/geom"
 	"repro/internal/rescache"
+	"repro/internal/skyband"
 )
 
+// affects is the per-delta probe batchAffects fuses: whether fewer than k
+// counted band members r-dominate the delta's record throughout r.
+func (a *affectsTest) affects(r *geom.Region, k int) bool {
+	cnt := 0
+	for i, m := range a.recs {
+		if a.skips(a.ids[i]) {
+			continue
+		}
+		if skyband.RDominates(m, a.rec, r) {
+			cnt++
+			if cnt >= k {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 // randomBandTests builds a randomized band snapshot plus a set of affectsTest
-// probes sharing it, mirroring how beginBatch constructs them: every test
+// probes sharing it, mirroring how commitBatch constructs them: every test
 // references one snapshot, inserts exclude their own band id, deletes exclude
-// the batch's transient inserts.
+// the batch's inserts — the band ids from its first new id on.
 func randomBandTests(rng *rand.Rand, dim, band, nTests int) []affectsTest {
 	recs := make([][]float64, band)
 	ids := make([]int, band)
@@ -31,12 +51,12 @@ func randomBandTests(rng *rand.Rand, dim, band, nTests int) []affectsTest {
 		for j := range rec {
 			rec[j] = rng.Float64()
 		}
-		tests[i] = affectsTest{rec: rec, exclude: -1, recs: recs, ids: ids}
+		tests[i] = affectsTest{rec: rec, exclude: -1, below: math.MaxInt, recs: recs, ids: ids}
 		switch rng.Intn(3) {
 		case 0: // insert probe: skips its own band id
 			tests[i].exclude = rng.Intn(band)
-		case 1: // delete probe: skips the batch's transient inserts
-			tests[i].excludeSet = map[int]bool{rng.Intn(band): true, rng.Intn(band): true}
+		case 1: // delete probe: skips the batch's inserts
+			tests[i].below = band - rng.Intn(band/4+1)
 		}
 	}
 	return tests

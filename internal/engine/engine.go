@@ -295,10 +295,10 @@ type UpdateOp struct {
 // the epoch's filter passes have evaluated as many rows as cutting the
 // levels into kd leaves costs (Blocks.SplitCost), the query that crosses
 // that count splits them once and swaps the layout. A split of
-// update_mix's 873-row band takes ≈ 0.3–0.4 ms on a 2-core box, about half
-// of that workload's update_p50_us: paid at every publication, or by the
-// first query of every epoch, it would cost more than it saves, since most
-// of its epochs serve a few queries and go.
+// update_mix's 873-row band takes ≈ 0.3–0.4 ms on a 2-core box, more than
+// that workload's whole update_p50_us (≈ 280 µs): paid at every
+// publication, or by the first query of every epoch, it would cost more
+// than it saves, since most of its epochs serve a few queries and go.
 type index struct {
 	epoch  uint64
 	ids    []int
@@ -496,42 +496,31 @@ func (e *Engine) Delete(id int) error {
 // pin it below every top-k. For an insert the counted members are the final
 // band minus the record itself — all live post-batch. For a delete they are
 // the final band minus every record the batch inserted — all live pre-batch
-// (a record live at both batch boundaries is live throughout; ids are never
-// reused). Updates that need no probe are proven irrelevant by band depth. An
-// insert ending outside the final band is classically dominated by at least
-// MaxK post-batch records, so it belongs to no top-k set at any depth the
-// engine serves. A delete probes iff the band reports the record in the band
-// when the delete applied (Effect.InBand). One outside it had at least MaxK
-// dominators at that moment; if fewer than k of them were live pre-batch, the
+// (a record live at both batch boundaries is live throughout). Ids are
+// assigned in sequence and never reused, so the batch's inserts are exactly
+// the ids from its first new id on. Updates that need no probe are proven
+// irrelevant by band depth. An insert ending outside the final band is
+// classically dominated by at least MaxK post-batch records, so it belongs to
+// no top-k set at any depth the engine serves. A delete probes iff the band
+// reports the record in the band when the delete applied (Effect.InBand).
+// One outside it had at least MaxK dominators at that moment; if fewer than k of them were live pre-batch, the
 // rest are inserts of this batch that outscore the record everywhere — and
 // among those, one that no other such insert r-dominates is in the final band
 // with fewer than k r-dominators there (every one of them is a pre-batch
 // record that r-dominates the deleted record too), so its insert probe evicts
 // every entry the delete could have changed.
 type affectsTest struct {
-	rec        []float64
-	exclude    int          // band id to skip (the inserted record itself), or -1
-	excludeSet map[int]bool // batch-inserted ids to skip (delete probes), or nil
-	recs       [][]float64
-	ids        []int
+	rec     []float64
+	exclude int // band id to skip (the inserted record itself), or -1
+	// below skips every band id from it on: the batch's first new id for a
+	// delete probe, math.MaxInt for an insert probe.
+	below int
+	recs  [][]float64
+	ids   []int
 }
 
-func (a *affectsTest) affects(r *geom.Region, k int) bool {
-	cnt := 0
-	for i, m := range a.recs {
-		id := a.ids[i]
-		if id == a.exclude || a.excludeSet[id] {
-			continue
-		}
-		if skyband.RDominates(m, a.rec, r) {
-			cnt++
-			if cnt >= k {
-				return false
-			}
-		}
-	}
-	return true
-}
+// skips reports whether the band member id does not count for the probe.
+func (a *affectsTest) skips(id int) bool { return id == a.exclude || id >= a.below }
 
 // ApplyBatch applies a sequence of updates atomically with respect to
 // queries: every query observes either the pre-batch or the post-batch
@@ -577,14 +566,17 @@ func (e *Engine) ApplyBatchPipelined(ops []UpdateOp) (*UpdateResult, func(), err
 // pendingBatch is a begun-but-uncommitted batch: it has validated, its ids
 // are fixed in res, and the update mutex is held; band maintenance, the
 // probes and the publish wait in commit, which records the index it
-// published in fresh (nil when the band did not change).
+// published in fresh (nil when the band did not change). firstNew is the id
+// the batch's first insert is assigned: every id from there on is one of its
+// inserts.
 type pendingBatch struct {
-	e     *Engine
-	ops   []UpdateOp
-	plan  *skyband.Plan
-	res   *UpdateResult
-	fresh *index
-	once  sync.Once
+	e        *Engine
+	ops      []UpdateOp
+	plan     *skyband.Plan
+	firstNew int
+	res      *UpdateResult
+	fresh    *index
+	once     sync.Once
 }
 
 func (pb *pendingBatch) commit() { pb.once.Do(func() { pb.e.commitBatch(pb) }) }
@@ -610,6 +602,7 @@ func (e *Engine) beginBatch(ops []UpdateOp) (*pendingBatch, error) {
 	}
 
 	e.updMu.Lock()
+	firstNew := e.band.NextID()
 	plan, err := e.band.Plan(sops)
 	if err != nil {
 		e.updMu.Unlock()
@@ -618,7 +611,7 @@ func (e *Engine) beginBatch(ops []UpdateOp) (*pendingBatch, error) {
 		}
 		return nil, err
 	}
-	return &pendingBatch{e: e, ops: ops, plan: plan, res: &UpdateResult{IDs: plan.IDs()}}, nil
+	return &pendingBatch{e: e, ops: ops, plan: plan, firstNew: firstNew, res: &UpdateResult{IDs: plan.IDs()}}, nil
 }
 
 // commitBatch is stage two: apply the plan to the band, probe, invalidate,
@@ -672,28 +665,20 @@ func (e *Engine) commitBatch(pb *pendingBatch) {
 		pb.fresh = bandIndex(epoch, e.band)
 	}
 	if e.cache != nil && bandChanged {
-		fresh, ids := pb.fresh, pb.res.IDs
-		batchInserted := map[int]bool{}
-		for i, op := range ops {
-			if op.Kind == UpdateInsert {
-				batchInserted[ids[i]] = true
-			}
-		}
+		fresh := pb.fresh
 		// Net inserts that made the final band (a coalesced insert is not
 		// live, so never in it): probe excluding the record itself (other
 		// batch inserts are live post-batch and may count).
-		if len(batchInserted) > 0 {
-			for i, id := range fresh.ids {
-				if batchInserted[id] {
-					tests = append(tests, affectsTest{rec: fresh.recs[i], exclude: id, recs: fresh.recs, ids: fresh.ids})
-				}
+		for i, id := range fresh.ids {
+			if id >= pb.firstNew {
+				tests = append(tests, affectsTest{rec: fresh.recs[i], exclude: id, below: math.MaxInt, recs: fresh.recs, ids: fresh.ids})
 			}
 		}
 		// Net deletes from the band: probe excluding every batch-inserted id
 		// (those were not live pre-batch).
 		for i, eff := range effs {
 			if ops[i].Kind == UpdateDelete && eff.InBand {
-				tests = append(tests, affectsTest{rec: delRecs[i], exclude: -1, excludeSet: batchInserted, recs: fresh.recs, ids: fresh.ids})
+				tests = append(tests, affectsTest{rec: delRecs[i], exclude: -1, below: pb.firstNew, recs: fresh.recs, ids: fresh.ids})
 			}
 		}
 	}
@@ -769,7 +754,7 @@ func batchAffects(tests []affectsTest, r *geom.Region, k int, counts []int) bool
 				continue
 			}
 			t := &tests[j]
-			if id == t.exclude || t.excludeSet[id] {
+			if t.skips(id) {
 				continue
 			}
 			if skyband.RDominates(m, t.rec, r) {

@@ -154,10 +154,11 @@ func TestApplyOpsObservablesDifferentialWithRepair(t *testing.T) {
 
 // TestApplyOpsSingleMaintenanceStep pins the deferred-maintenance contract on
 // the batch shape the HTTP layer sends (every delete before every insert): a
-// run of deletes — here all of entries, the deletes that open covers — costs
-// one re-cover pass, where the same deletes one at a time pay one pass per
-// opened cover. (Only a delete of a record orphaned earlier in the same run
-// with no other fence entry over it may bring the pass forward.)
+// run of deletes — here all of entries, the deletes that orphan covered
+// records — costs one re-cover pass, where the same deletes one at a time pay
+// one pass per fence entry that leaves with dependants. (Only a delete of a
+// record orphaned earlier in the same run with no other fence entry over it
+// may bring the pass forward.)
 func TestApplyOpsSingleMaintenanceStep(t *testing.T) {
 	c := newChurn(t, dataset.IND, 400, 3, 4, 0, 11)
 	seq := newChurn(t, dataset.IND, 400, 3, 4, 0, 11).d

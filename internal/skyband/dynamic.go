@@ -37,9 +37,10 @@ import (
 //
 // The only records a delete can promote are fence entries (their bound is
 // decremented with the band's counts, and recounted when it falls below k)
-// and the covered records whose cover just left the fence; the latter are
-// re-covered once per run of deletes (see reCover), whose worst case is one
-// pass over the cover column. No update recomputes or repairs anything.
+// and the covered records whose cover just left the fence; the latter wait
+// on the orphan list and are re-covered once per run of deletes (see
+// reCover), at the cost of their own fence searches. No update recomputes or
+// repairs anything, and none walks the whole live table.
 //
 // Dynamic is not safe for concurrent use; callers serialize access.
 type Dynamic struct {
@@ -48,11 +49,16 @@ type Dynamic struct {
 
 	// The live table: one dense slot per live record, parallel columns. A
 	// slot's cover is the id of a fence entry dominating the record, or
-	// isEntry when the record is an entry itself.
-	slot  map[int]int // id -> slot
-	ids   []int
-	recs  [][]float64
-	cover []int
+	// isEntry when the record is an entry itself. The link column threads
+	// the slots into circular lists: an entry's own slot heads the list of
+	// the slots it covers (only a fence entry covers any), and the slots
+	// whose cover left the fence wait on the orphan list, headed by orphans.
+	slot   map[int]int // id -> slot
+	ids    []int
+	recs   [][]float64
+	cover  []int
+	link   []links
+	orphan links
 
 	// The entries: band in ents[:nb], fence in ents[nb:]; pos maps an entry's
 	// id to its index. The fence is kept most-recently-useful first.
@@ -60,16 +66,22 @@ type Dynamic struct {
 	nb   int
 	pos  map[int]int
 
-	// opened has bit id&63 set for every fence entry that left the fence
-	// (deleted, or promoted into the band) since the last re-cover pass: it
-	// says a pass is due, and lets the pass reject most slots on one shift.
-	opened uint64
+	// levels[c] is the band entries with count c, sorted by id: Band's
+	// count-major order, kept up to date by relevel.
+	levels [][]member
 
 	// gen counts applied plans; a plan records it (see Plan).
 	gen uint64
 
 	stats DynamicStats
 }
+
+// links are a list node's neighbours, as slots or orphans.
+type links struct{ next, prev int32 }
+
+// orphans stands for the orphan list's head wherever the link column holds a
+// slot.
+const orphans int32 = -1
 
 // isEntry marks an entry in the cover column; unset a slot the constructor
 // has not classified yet.
@@ -197,7 +209,7 @@ func NewDynamic(records [][]float64, k int) (*Dynamic, error) {
 	d := newDynamic(k, len(records), 0)
 	d.nextID = len(records)
 	for id, rec := range records {
-		d.addLive(id, rec, unset)
+		d.addLive(id, rec)
 	}
 	band, rest := sweep(records, k)
 	for _, e := range band {
@@ -266,13 +278,16 @@ func countMajor(band []entry, k int) (ids, counts []int) {
 
 func newDynamic(k, live, band int) *Dynamic {
 	return &Dynamic{
-		k:     k,
-		slot:  make(map[int]int, live),
-		ids:   make([]int, 0, live),
-		recs:  make([][]float64, 0, live),
-		cover: make([]int, 0, live),
-		ents:  make([]entry, 0, 2*band),
-		pos:   make(map[int]int, 2*band),
+		k:      k,
+		slot:   make(map[int]int, live),
+		ids:    make([]int, 0, live),
+		recs:   make([][]float64, 0, live),
+		cover:  make([]int, 0, live),
+		link:   make([]links, 0, live),
+		orphan: links{orphans, orphans},
+		ents:   make([]entry, 0, 2*band),
+		pos:    make(map[int]int, 2*band),
+		levels: make([][]member, k),
 	}
 }
 
@@ -283,7 +298,7 @@ func newDynamic(k, live, band int) *Dynamic {
 func (d *Dynamic) buildFence(rest []ranked) {
 	gridPass(d.recs, rest, 1, func(r ranked, _, first int) {
 		if first >= 0 {
-			d.cover[r.slot] = d.ids[first]
+			d.coverBy(r.slot, first)
 			return
 		}
 		d.cover[r.slot] = isEntry
@@ -450,15 +465,19 @@ func (d *Dynamic) SkipID() int {
 	return id
 }
 
-// insert applies one insert. Requires no cover opened (reCover has run).
+// insert applies one insert. Requires an empty orphan list (reCover has
+// run).
 func (d *Dynamic) insert(rec []float64) Effect {
 	d.stats.Inserts++
 	e := newEntry(d.SkipID(), append([]float64(nil), rec...), 0)
 	f := d.findCover(&e)
-	d.addLive(e.id, e.rec, f)
+	d.addLive(e.id, e.rec)
+	s := len(d.ids) - 1
 	if f != isEntry {
+		d.coverBy(s, d.slot[f])
 		return Effect{}
 	}
+	d.cover[s] = isEntry
 	// No fence entry dominates the record, hence no covered record does
 	// either (its cover would): the band holds every dominator and the count
 	// is exact.
@@ -481,7 +500,7 @@ func (d *Dynamic) insert(rec []float64) Effect {
 	for j := 0; j < d.nb; {
 		x := &d.ents[j]
 		if x.count >= e.count && e.dominates(x) {
-			x.count++
+			d.relevel(x, x.count+1)
 			if x.count == d.k {
 				d.stats.Demotions++
 				demoted = append(demoted, x.id)
@@ -500,7 +519,7 @@ func (d *Dynamic) insert(rec []float64) Effect {
 // delete applies one delete of a live id.
 func (d *Dynamic) delete(id int, eff *Effect) {
 	s := d.slot[id]
-	if c := d.cover[s]; c >= 0 && d.opened != 0 && !d.isFence(c) {
+	if c := d.cover[s]; c >= 0 && d.orphan.next != orphans && !d.isFence(c) {
 		// The target lost its cover earlier in this run of deletes. Unless
 		// another fence entry covers it, it may by now be an entry, and only
 		// the pass can tell: run it first so InBand is exact.
@@ -509,68 +528,71 @@ func (d *Dynamic) delete(id int, eff *Effect) {
 		}
 	}
 	d.stats.Deletes++
-	covered := d.cover[s] >= 0
-	d.dropLive(s)
-	if covered {
+	if d.cover[s] >= 0 {
+		d.dropLive(s)
 		return // Fact 2: nothing else moves
 	}
 	p := d.pos[id]
 	e, fence := d.ents[p], p >= d.nb
+	d.splice(int32(s), orphans) // a band entry's list is empty
+	d.dropLive(s)
 	d.removeEntry(p)
 	if fence {
-		// A fence entry dominates no entry; only its dependants notice.
-		d.open(id)
-		return
+		return // a fence entry dominates no entry; only its dependants notice
 	}
 	eff.InBand, eff.BandChanged = true, true
 	// One dominator fewer for every entry e dominated; each has a count above
-	// e's own. A fence bound falling below k is recounted against the band
-	// (Fact 1) and, if the record truly has fewer than k dominators now, it
-	// joins the band.
+	// e's own. A fence bound that would fall below k is recounted against the
+	// band (Fact 1) and, if the record truly has fewer than k dominators now,
+	// it joins the band and its dependants are orphaned.
 	for j := range d.ents {
 		x := &d.ents[j]
-		if x.count > e.count && e.dominates(x) {
+		switch {
+		case x.count <= e.count || !e.dominates(x):
+		case j < d.nb:
+			d.relevel(x, x.count-1)
+		case x.count > d.k:
 			x.count--
-			if j >= d.nb && x.count < d.k {
-				if x.count = d.bandCount(x); x.count < d.k {
-					d.stats.Promotions++
-					d.open(x.id)
-					d.swapEnts(j, d.nb) // a visited fence entry moves to j
-					d.nb++
-				}
+		default:
+			c := d.bandCount(x)
+			if c >= d.k {
+				x.count = c
+				continue
 			}
+			d.stats.Promotions++
+			d.splice(int32(d.slot[x.id]), orphans)
+			d.relevel(x, c)
+			d.swapEnts(j, d.nb) // a visited fence entry moves to j
+			d.nb++
 		}
 	}
 }
 
-// open records that a fence entry left the fence: the covered records
-// pointing at it need another cover (see reCover).
-func (d *Dynamic) open(id int) { d.opened |= 1 << (uint(id) & 63) }
-
-// reCover is the re-cover pass, run once per run of deletes: every covered
-// record whose cover left the fence searches the fence for another; the
-// survivors, strongest first, are each covered by a fence entry admitted
-// earlier in the pass or — every dominator of theirs then being in the band —
-// counted exactly and admitted to the band or the fence. It reports whether
-// a record joined the band. Deferring the pass across a run of deletes is
-// sound because such a record dominates no entry until it is admitted.
+// reCover is the re-cover pass, run once per run of deletes: every slot on
+// the orphan list searches the fence for another cover; the survivors,
+// strongest first, are each covered by a fence entry admitted earlier in the
+// pass or — every dominator of theirs then being in the band — counted
+// exactly and admitted to the band or the fence. It reports whether a record
+// joined the band. Deferring the pass across a run of deletes is sound
+// because such a record dominates no entry until it is admitted.
 func (d *Dynamic) reCover() (bandChanged bool) {
-	if d.opened == 0 {
+	if d.orphan.next == orphans {
 		return false
 	}
 	d.stats.Repairs++
 	var pend []ranked
-	for s, c := range d.cover {
-		if c < 0 || d.opened>>(uint(c)&63)&1 == 0 || d.isFence(c) {
-			continue
-		}
+	for s := d.orphan.next; s != orphans; {
+		next := d.link[s].next
 		d.stats.RepairSteps++
 		e := newEntry(d.ids[s], d.recs[s], 0)
-		if d.cover[s] = d.findCover(&e); d.cover[s] == isEntry {
-			pend = append(pend, ranked{sum: e.sum, slot: s})
+		if f := d.findCover(&e); f != isEntry {
+			d.coverBy(int(s), d.slot[f])
+		} else {
+			pend = append(pend, ranked{sum: e.sum, slot: int(s)})
 		}
+		s = next
 	}
-	d.opened = 0
+	d.orphan = links{orphans, orphans}
 	slices.SortFunc(pend, strongestFirst(d.recs))
 	var admitted []entry // fence entries this pass created
 next:
@@ -578,10 +600,11 @@ next:
 		e := newEntry(d.ids[r.slot], d.recs[r.slot], 0)
 		for i := range admitted {
 			if admitted[i].dominates(&e) {
-				d.cover[r.slot] = admitted[i].id
+				d.coverBy(r.slot, d.slot[admitted[i].id])
 				continue next
 			}
 		}
+		d.cover[r.slot], d.link[r.slot] = isEntry, links{int32(r.slot), int32(r.slot)}
 		if e.count = d.bandCount(&e); e.count < d.k {
 			d.stats.Promotions++
 			bandChanged = true
@@ -622,37 +645,25 @@ func (d *Dynamic) bandCount(q *entry) int {
 
 // absorb is run for the records that just joined the fence: the fence
 // entries one of them dominates are no longer on the skyline of the non-band
-// records, so each becomes covered by it, and their dependants are re-pointed
-// with one pass over the cover column.
+// records, so each becomes covered by it, and so do their dependants, whose
+// lists join its own.
 func (d *Dynamic) absorb(joined ...int) {
-	var heir map[int]int // absorbed fence id -> the joined id covering it
-	var mask uint64
 	for _, id := range joined {
-		g := d.ents[d.pos[id]]
+		g, gs := d.ents[d.pos[id]], d.slot[id]
 		for j := d.nb; j < len(d.ents); {
 			x := &d.ents[j]
-			if x.id != id && g.dominates(x) {
-				d.stats.ShadowEvictions++
-				if heir == nil {
-					heir = map[int]int{}
-				}
-				heir[x.id] = id
-				mask |= 1 << (uint(x.id) & 63)
-				d.cover[d.slot[x.id]] = id
-				d.removeEntry(j)
-				continue // the last fence entry now sits at j
+			if x.id == id || !g.dominates(x) {
+				j++
+				continue
 			}
-			j++
-		}
-	}
-	if heir == nil {
-		return
-	}
-	for s, c := range d.cover {
-		if c >= 0 && mask>>(uint(c)&63)&1 != 0 {
-			if id, ok := heir[c]; ok {
+			d.stats.ShadowEvictions++
+			xs := int32(d.slot[x.id])
+			for s := d.link[xs].next; s != xs; s = d.link[s].next {
 				d.cover[s] = id
 			}
+			d.splice(xs, int32(gs))
+			d.coverBy(int(xs), gs)
+			d.removeEntry(j) // the last fence entry now sits at j
 		}
 	}
 }
@@ -662,23 +673,91 @@ func (d *Dynamic) isFence(id int) bool {
 	return ok && p >= d.nb
 }
 
-func (d *Dynamic) addLive(id int, rec []float64, cover int) {
+// addLive appends a slot for the record, unclassified (cover unset, an empty
+// list of its own).
+func (d *Dynamic) addLive(id int, rec []float64) {
+	s := int32(len(d.ids))
 	d.slot[id] = len(d.ids)
 	d.ids = append(d.ids, id)
 	d.recs = append(d.recs, rec)
-	d.cover = append(d.cover, cover)
+	d.cover = append(d.cover, unset)
+	d.link = append(d.link, links{s, s})
 }
 
-// dropLive frees slot s by moving the last slot into it.
+// coverBy points slot s at the fence entry in slot f and puts it on that
+// entry's list.
+func (d *Dynamic) coverBy(s, f int) {
+	d.cover[s] = d.ids[f]
+	d.push(int32(f), int32(s))
+}
+
+// dropLive frees slot s — a covered record, or an entry whose list is empty —
+// by moving the last slot into it.
 func (d *Dynamic) dropLive(s int) {
+	if d.cover[s] >= 0 {
+		d.unlink(int32(s))
+	}
 	last := len(d.ids) - 1
 	delete(d.slot, d.ids[s])
 	if s != last {
 		d.ids[s], d.recs[s], d.cover[s] = d.ids[last], d.recs[last], d.cover[last]
 		d.slot[d.ids[s]] = s
+		d.relink(int32(last), int32(s))
 	}
 	d.recs[last] = nil
-	d.ids, d.recs, d.cover = d.ids[:last], d.recs[:last], d.cover[:last]
+	d.ids, d.recs, d.cover, d.link = d.ids[:last], d.recs[:last], d.cover[:last], d.link[:last]
+}
+
+// node returns the links of x: a slot's, or the orphan list head's.
+func (d *Dynamic) node(x int32) *links {
+	if x == orphans {
+		return &d.orphan
+	}
+	return &d.link[x]
+}
+
+// push puts slot s at the front of the list headed by h.
+func (d *Dynamic) push(h, s int32) {
+	hd := d.node(h)
+	d.link[s] = links{hd.next, h}
+	d.node(hd.next).prev = s
+	hd.next = s
+}
+
+// unlink takes slot s off its list.
+func (d *Dynamic) unlink(s int32) {
+	l := d.link[s]
+	d.node(l.prev).next = l.next
+	d.node(l.next).prev = l.prev
+}
+
+// splice moves the whole list headed by from to the front of the list headed
+// by to, leaving from's empty.
+func (d *Dynamic) splice(from, to int32) {
+	f := d.node(from)
+	if f.next == from {
+		return
+	}
+	first, last := f.next, f.prev
+	*f = links{from, from}
+	t := d.node(to)
+	d.link[last].next = t.next
+	d.node(t.next).prev = last
+	d.link[first].prev = to
+	t.next = first
+}
+
+// relink moves the list node in slot from to slot to, and its neighbours'
+// links with it.
+func (d *Dynamic) relink(from, to int32) {
+	l := d.link[from]
+	if l.next == from { // a head with an empty list
+		d.link[to] = links{to, to}
+		return
+	}
+	d.link[to] = l
+	d.node(l.next).prev = to
+	d.node(l.prev).next = to
 }
 
 // addEntry appends e to the fence or, with band set, to the band (the fence
@@ -688,6 +767,8 @@ func (d *Dynamic) addEntry(e entry, band bool) {
 	d.ents = append(d.ents, e)
 	d.pos[e.id] = p
 	if band {
+		d.ents[p].count = d.k // outside the band until relevel admits it
+		d.relevel(&d.ents[p], e.count)
 		d.swapEnts(p, d.nb)
 		d.nb++
 	}
@@ -697,6 +778,7 @@ func (d *Dynamic) addEntry(e entry, band bool) {
 func (d *Dynamic) removeEntry(p int) {
 	delete(d.pos, d.ents[p].id)
 	if p < d.nb {
+		d.relevel(&d.ents[p], d.k)
 		d.nb--
 		d.moveEnt(d.nb, p)
 		p = d.nb
@@ -705,6 +787,22 @@ func (d *Dynamic) removeEntry(p int) {
 	d.moveEnt(last, p)
 	d.ents[last] = entry{}
 	d.ents = d.ents[:last]
+}
+
+// relevel sets x's count to c and moves x between the count levels: a count
+// of k or more is outside the band. Every change of a band entry's count and
+// every band admission or departure goes through here, so the levels are
+// always the band.
+func (d *Dynamic) relevel(x *entry, c int) {
+	byID := func(m member, id int) int { return m.id - id }
+	if from := x.count; from < d.k {
+		i, _ := slices.BinarySearchFunc(d.levels[from], x.id, byID)
+		d.levels[from] = slices.Delete(d.levels[from], i, i+1)
+	}
+	if x.count = c; c < d.k {
+		i, _ := slices.BinarySearchFunc(d.levels[c], x.id, byID)
+		d.levels[c] = slices.Insert(d.levels[c], i, member{rec: x.rec, id: x.id})
+	}
 }
 
 // moveEnt overwrites the (vacated) index to with the entry at from.
@@ -723,14 +821,16 @@ func (d *Dynamic) swapEnts(i, j int) {
 }
 
 // Band returns the current k-skyband as parallel id/record/count slices, with
-// exact dominator counts, sorted count-major with ties by id: for every j ≤ k
-// the j-skyband is the prefix of the entries with count < j. The returned
-// slices are fresh; the record slices are shared and must not be mutated.
+// exact dominator counts, sorted count-major with ties by id — the count
+// levels laid end to end: for every j ≤ k the j-skyband is the prefix of the
+// entries with count < j. The returned slices are fresh; the record slices
+// are shared and must not be mutated.
 func (d *Dynamic) Band() ([]int, [][]float64, []int) {
-	ids, counts := countMajor(d.ents[:d.nb], d.k)
-	recs := make([][]float64, len(ids))
-	for i, id := range ids {
-		recs[i] = d.ents[d.pos[id]].rec
+	ids, recs, counts := make([]int, 0, d.nb), make([][]float64, 0, d.nb), make([]int, 0, d.nb)
+	for c, level := range d.levels {
+		for _, m := range level {
+			ids, recs, counts = append(ids, m.id), append(recs, m.rec), append(counts, c)
+		}
 	}
 	return ids, recs, counts
 }

@@ -13,18 +13,17 @@ import (
 // E = { q : no live record with count ≥ k dominates q }; band counts are
 // exact and below k; fence bounds lie in [k, count]; every covered record
 // points at a live fence entry that dominates it; Band() is the brute-force
-// k-skyband with the brute-force counts, count-major with ties by id; and the
-// id↔slot and id↔position maps agree with the columns.
+// k-skyband with the brute-force counts, count-major with ties by id, and
+// the count levels are that same sequence; the id↔slot and id↔position maps
+// agree with the columns; and the lists are sound (see checkLists).
 func checkInvariants(t testing.TB, d *Dynamic, ctxt string) {
 	t.Helper()
 	n := len(d.ids)
-	if len(d.recs) != n || len(d.cover) != n || len(d.slot) != n || len(d.pos) != len(d.ents) {
-		t.Fatalf("%s: table sizes disagree: ids %d recs %d cover %d slot %d; ents %d pos %d",
-			ctxt, n, len(d.recs), len(d.cover), len(d.slot), len(d.ents), len(d.pos))
+	if len(d.recs) != n || len(d.cover) != n || len(d.link) != n || len(d.slot) != n || len(d.pos) != len(d.ents) {
+		t.Fatalf("%s: table sizes disagree: ids %d recs %d cover %d link %d slot %d; ents %d pos %d",
+			ctxt, n, len(d.recs), len(d.cover), len(d.link), len(d.slot), len(d.ents), len(d.pos))
 	}
-	if d.opened != 0 {
-		t.Fatalf("%s: covers left opened after the batch (mask %x)", ctxt, d.opened)
-	}
+	checkLists(t, d, ctxt)
 	count := make([]int, n)
 	for s := range d.ids {
 		if d.slot[d.ids[s]] != s {
@@ -86,8 +85,53 @@ func checkInvariants(t testing.TB, d *Dynamic, ctxt string) {
 				ctxt, i, gotBand[i-1], gotCounts[i-1], id, gotCounts[i])
 		}
 	}
+	var levelIDs, levelCounts []int
+	for c, level := range d.levels {
+		for _, m := range level {
+			if !d.InBand(m.id) || d.ents[d.pos[m.id]].count != c || !slices.Equal(m.rec, d.Record(m.id)) {
+				t.Fatalf("%s: level %d lists id %d, which is not a band entry of count %d with that record", ctxt, c, m.id, c)
+			}
+			levelIDs, levelCounts = append(levelIDs, m.id), append(levelCounts, c)
+		}
+	}
+	if len(d.levels) != d.k || !slices.Equal(levelIDs, gotBand) || !slices.Equal(levelCounts, gotCounts) {
+		t.Fatalf("%s: the %d count levels %v %v are not the band %v %v", ctxt, len(d.levels), levelIDs, levelCounts, gotBand, gotCounts)
+	}
 	if st := d.Stats(); st.Live != n || st.SupersetSize != len(wantBand) || st.ShadowSize != len(d.ents)-len(wantBand) {
 		t.Fatalf("%s: stats sizes %+v disagree with %d live, %d band, %d entries", ctxt, st, n, len(wantBand), len(d.ents))
+	}
+}
+
+// checkLists asserts that the link column threads every covered slot onto its
+// cover's list exactly once, that every entry's slot heads a list (empty for
+// a band entry), that each link's reverse link points back, and that the
+// orphan list is empty — as it is between batches.
+func checkLists(t testing.TB, d *Dynamic, ctxt string) {
+	t.Helper()
+	if d.orphan != (links{orphans, orphans}) {
+		t.Fatalf("%s: orphan list not empty after the batch: %+v", ctxt, d.orphan)
+	}
+	seen := make([]bool, len(d.ids))
+	for _, e := range d.ents {
+		h := int32(d.slot[e.id])
+		for prev, s := h, d.link[h].next; ; prev, s = s, d.link[s].next {
+			if s < 0 || int(s) >= len(d.ids) || d.link[s].prev != prev {
+				t.Fatalf("%s: list of entry %d: link %d -> %d has no matching reverse link", ctxt, e.id, prev, s)
+			}
+			if s == h {
+				break
+			}
+			if !d.isFence(e.id) || d.cover[s] != e.id || seen[s] {
+				t.Fatalf("%s: list of entry %d (fence %v) holds slot %d (id %d, cover %d, listed before %v)",
+					ctxt, e.id, d.isFence(e.id), s, d.ids[s], d.cover[s], seen[s])
+			}
+			seen[s] = true
+		}
+	}
+	for s, c := range d.cover {
+		if c >= 0 && !seen[s] {
+			t.Fatalf("%s: covered slot %d (id %d, cover %d) is on no list", ctxt, s, d.ids[s], c)
+		}
 	}
 }
 

@@ -11,7 +11,8 @@
 // entry that dominates it. All dominators of an entry are band entries, a
 // covered record dominates no entry, and the entry set is a function of the
 // live records alone, so every update is a few scans of the band or the
-// fence and, at worst, one pass over the cover column (see Dynamic).
+// fence, plus a fence search for each record a departing fence entry leaves
+// uncovered (see Dynamic).
 //
 // Construction (NewDynamic, RestoreDynamic, CountBand) is two strongest-first
 // grid passes instead of all-pairs counting: the band is counted, and the
@@ -95,7 +96,8 @@ func (h *bbsHeap) pop() bbsItem {
 	return top
 }
 
-// member is an accepted skyband record during BBS.
+// member is an accepted skyband record during BBS, or a band entry in one of
+// Dynamic's count levels.
 type member struct {
 	rec []float64
 	id  int

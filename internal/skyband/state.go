@@ -103,7 +103,7 @@ func RestoreDynamic(st *DynamicState) (*Dynamic, error) {
 		if id < 0 || id >= st.NextID {
 			return nil, errors.New("skyband: live id outside allocator range in state")
 		}
-		d.addLive(id, st.LiveRecs[i], unset)
+		d.addLive(id, st.LiveRecs[i])
 	}
 	if len(d.slot) != len(d.ids) { // a repeated id overwrote its slot
 		return nil, errors.New("skyband: duplicate live id in state")
