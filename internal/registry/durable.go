@@ -90,19 +90,14 @@ func (e *Entry) Durability(durable bool) DurabilityStats {
 
 // Open recovers every dataset a durable store's manifest lists: restore the
 // last snapshot, then replay the WAL tail through the ordinary ApplyBatch
-// machinery — O(snapshot + tail) instead of a full rebuild. Each replayed
-// batch must agree with the epoch it was logged with: a v2 frame's batch
-// must find the engine at the epoch it logged before it applies, a v1
-// frame's must reproduce the logged epoch after. A mismatch aborts the open
-// (it would mean replay diverged from the original application, which the
-// determinism of update application rules out for intact data). The one
-// tolerated difference is a directory written by a partitioned engine (its
-// manifest carries the legacy Shards count): its v1 frames advanced the
-// epoch whenever a batch changed any partition's band, at least as often as
-// one band over the same records does, so replay through one band may trail
-// such a log, and is re-seeded from it before the first v2 frame and at the
-// end. Replay also opens each dataset's log for the updates that follow;
-// no snapshot is written at open.
+// machinery — O(snapshot + tail) instead of a full rebuild. The store checks
+// each replayed batch against the epoch its frame logged and refuses a log
+// that disagrees (it would mean replay diverged from the original
+// application, which the determinism of update application rules out for
+// intact data); the epoch it returns may run ahead of the replayed engine's
+// (a log older formats wrote, see store.Store.Replay), and the engine is then
+// restored at it once. Replay also opens each dataset's log for the updates
+// that follow; no snapshot is written at open.
 func Open(st store.Store, pol SnapshotPolicy) (*Registry, error) {
 	r := NewWithStore(st, pol)
 	mf, err := st.LoadManifest()
@@ -133,57 +128,28 @@ func (r *Registry) reopen(cfg store.DatasetConfig) (*Entry, error) {
 	if err != nil {
 		return nil, err
 	}
-	seq := snap.Seq
-	var batches, ops, logged uint64
+	var batches, ops uint64
 	var nbytes int64
-	// reseed sets the publish counter of an engine whose replay trailed a
-	// partitioned engine's v1 frames to the last logged value, so the epoch
-	// clients were told never runs backwards across the upgrade.
-	reseed := func() (err error) {
-		if logged > eng.Epoch() {
-			st := eng.ExportState()
-			st.Epoch = logged
-			eng, err = engine.Restore(st, cfg.Config)
-		}
-		return err
-	}
-	err = r.st.Replay(cfg.Name, snap.Seq, func(b *store.Batch, size int64) error {
-		if b.Seq != seq+1 {
-			return fmt.Errorf("replay gap: batch %d after %d", b.Seq, seq)
-		}
-		if b.Version != store.BatchV1 {
-			if err := reseed(); err != nil {
-				return err
-			}
-			if ep := eng.Epoch(); ep != b.Epoch {
-				return fmt.Errorf("replay batch %d: engine at epoch %d, logged %d", b.Seq, ep, b.Epoch)
-			}
-		}
+	epoch, err := r.st.Replay(cfg.Name, snap.Seq, eng.Epoch(), func(b *store.Batch, size int64) (uint64, error) {
 		res, err := eng.ApplyBatch(b.Ops)
 		if err != nil {
-			return fmt.Errorf("replay batch %d: %w", b.Seq, err)
+			return 0, fmt.Errorf("replay batch %d: %w", b.Seq, err)
 		}
-		logged = res.Epoch
-		if b.Version == store.BatchV1 {
-			if res.Epoch != b.Epoch && !(cfg.Shards > 1 && res.Epoch < b.Epoch) {
-				return fmt.Errorf("replay batch %d: epoch %d, logged %d", b.Seq, res.Epoch, b.Epoch)
-			}
-			logged = b.Epoch
-		}
-		seq = b.Seq
 		batches++
 		ops += uint64(len(b.Ops))
 		nbytes += size
-		return nil
+		return res.Epoch, nil
 	})
-	if err == nil {
-		err = reseed()
+	if err == nil && epoch > eng.Epoch() {
+		st := eng.ExportState()
+		st.Epoch = epoch
+		eng, err = engine.Restore(st, cfg.Config)
 	}
 	if err != nil {
 		return nil, err
 	}
 	ent := &Entry{Name: cfg.Name, Engine: eng, Opts: cfg.Config, dur: DurabilityStats{
-		LastSeq:               seq,
+		LastSeq:               snap.Seq + batches, // the store replays a contiguous tail
 		ReplayedBatches:       batches,
 		ReplayedOps:           ops,
 		OpsSinceSnapshot:      int(ops), // the replayed tail counts toward EveryOps

@@ -346,55 +346,6 @@ func TestReseedMatchesRebuild(t *testing.T) {
 	checkLive(t, c.d, c.live, "final")
 }
 
-// TestRestoreLegacyState reopens a state written by the shadow-banded
-// structure this one replaced: shadow depth and eroded coverage set, the
-// member list carrying shadow members (count ≥ K) next to the band. It must
-// come back with the brute-force band and a fence rebuilt from it.
-func TestRestoreLegacyState(t *testing.T) {
-	const k, shadow = 3, 4
-	c := newChurn(t, dataset.IND, 200, 3, k+shadow, 0, 5) // a twin at depth k+shadow knows the legacy member counts
-	st := c.d.State()
-	legacy := &DynamicState{
-		K: k, ShadowDepth: shadow, Coverage: k + 1, NextID: st.NextID,
-		LiveIDs: st.LiveIDs, LiveRecs: st.LiveRecs,
-		MemberIDs: st.MemberIDs, MemberCounts: st.MemberCounts,
-		Inserts: 7, Deletes: 5, Promotions: 3, Demotions: 2, Evictions: 1, Rebuilds: 9,
-	}
-	if !slices.ContainsFunc(legacy.MemberCounts, func(c int) bool { return c >= k }) {
-		t.Fatal("legacy state carries no shadow member; the test exercises nothing")
-	}
-	d, err := RestoreDynamic(legacy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkInvariants(t, d, "restored legacy state")
-	if got := d.Stats(); got.Inserts != 7 || got.Deletes != 5 || got.Promotions != 3 || got.Demotions != 2 || got.ShadowEvictions != 1 || got.Rebuilds != 0 {
-		t.Fatalf("restored counters %+v", got)
-	}
-	if out := d.State(); out.ShadowDepth != 0 || out.Coverage != k || slices.ContainsFunc(out.MemberCounts, func(c int) bool { return c >= k }) {
-		t.Fatalf("re-exported state keeps legacy values: shadow %d coverage %d counts %v", out.ShadowDepth, out.Coverage, out.MemberCounts)
-	}
-	id, _ := d.Insert([]float64{2, 2, 2})
-	if _, _, ok := d.Delete(id); !ok {
-		t.Fatal("restored structure refused an update")
-	}
-	checkInvariants(t, d, "restored legacy state after updates")
-
-	for name, bad := range map[string]func(*DynamicState){
-		"coverage below K":       func(s *DynamicState) { s.Coverage = k - 1 },
-		"coverage above K+depth": func(s *DynamicState) { s.Coverage = k + shadow + 1 },
-		"count beyond retention": func(s *DynamicState) { s.MemberCounts[0] = k + shadow },
-		"member not live":        func(s *DynamicState) { s.MemberIDs[0] = s.NextID + 1 },
-	} {
-		s := *legacy
-		s.MemberIDs, s.MemberCounts = slices.Clone(s.MemberIDs), slices.Clone(s.MemberCounts)
-		bad(&s)
-		if _, err := RestoreDynamic(&s); err == nil {
-			t.Errorf("%s: accepted", name)
-		}
-	}
-}
-
 // TestDynamicRoundedSums pins the strongest-first order where the coordinate
 // sum cannot carry it: at magnitude 1e17 these four records — a chain, listed
 // weakest first — all round to the same sum, so construction and the re-cover
@@ -433,6 +384,11 @@ func TestDynamicValidation(t *testing.T) {
 	}
 	if dyn.Len() != 3 || !dyn.Has(2) || dyn.Has(99) {
 		t.Error("liveness bookkeeping wrong after insert")
+	}
+	st := dyn.State()
+	st.MemberCounts[0] = st.K
+	if _, err := RestoreDynamic(st); err == nil {
+		t.Error("a state with a member count at K restored")
 	}
 }
 

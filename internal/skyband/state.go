@@ -10,36 +10,28 @@ import (
 // lifetime maintenance counters. The fence and the cover column are not
 // stored — they are a function of the live set and the band (see Dynamic), so
 // RestoreDynamic rebuilds them, and a restored structure behaves under
-// further updates exactly as the original would.
+// further updates exactly as the original would. This is the only shape:
+// internal/store converts a state persisted by an older structure into it
+// when it decodes the state.
 type DynamicState struct {
 	// K is the band depth served; NextID the id the next insert will be
-	// assigned. ShadowDepth and Coverage are legacy: the retention depth
-	// beyond K and the membership guarantee depth of the shadow-banded
-	// structure this one replaced (PR 18). They keep their place in the
-	// persisted layout; State writes 0 and K, and RestoreDynamic only
-	// validates them.
-	K           int
-	ShadowDepth int
-	Coverage    int
-	NextID      int
+	// assigned.
+	K      int
+	NextID int
 	// LiveIDs/LiveRecs are the live records (parallel, sorted by id). The
 	// record slices are shared with the structure and must not be mutated.
 	LiveIDs  []int
 	LiveRecs [][]float64
-	// MemberIDs/MemberCounts are the band with exact dominator counts,
-	// parallel and sorted by id; member records live in LiveRecs. A legacy
-	// state also lists shadow members (count in [K, K+ShadowDepth)), which
-	// RestoreDynamic drops.
+	// MemberIDs/MemberCounts are the band with exact dominator counts, each
+	// below K, parallel and sorted by id; member records live in LiveRecs.
 	MemberIDs    []int
 	MemberCounts []int
-	// Lifetime maintenance counters (see DynamicStats). Rebuilds is legacy,
-	// written as 0.
+	// Lifetime maintenance counters (see DynamicStats).
 	Inserts    uint64
 	Deletes    uint64
 	Promotions uint64
 	Demotions  uint64
 	Evictions  uint64
-	Rebuilds   uint64
 }
 
 // State captures the structure's full dataset state. The returned record
@@ -48,7 +40,6 @@ type DynamicState struct {
 func (d *Dynamic) State() *DynamicState {
 	st := &DynamicState{
 		K:          d.k,
-		Coverage:   d.k,
 		NextID:     d.nextID,
 		LiveIDs:    slices.Clone(d.ids),
 		LiveRecs:   make([][]float64, len(d.ids)),
@@ -72,20 +63,16 @@ func (d *Dynamic) State() *DynamicState {
 }
 
 // RestoreDynamic rebuilds a Dynamic from a state snapshot. The band's counts
-// are trusted as exact — a legacy state's guarantee (Coverage ≥ K) makes its
-// members below K exactly the band as well — so recovery costs one
-// strongest-first fence pass over the other live records (the grid pass of
-// buildFence) instead of a recomputation of the band. The state's slices are
-// not retained; record slices are shared.
+// are trusted as exact, so recovery costs one strongest-first fence pass over
+// the other live records (the grid pass of buildFence) instead of a
+// recomputation of the band. The state's slices are not retained; record
+// slices are shared.
 func RestoreDynamic(st *DynamicState) (*Dynamic, error) {
 	if st == nil {
 		return nil, errors.New("skyband: nil dynamic state")
 	}
-	if st.K <= 0 || st.ShadowDepth < 0 {
-		return nil, errors.New("skyband: invalid band/shadow depth in state")
-	}
-	if st.Coverage < st.K || st.Coverage > st.K+st.ShadowDepth {
-		return nil, errors.New("skyband: coverage out of range in state")
+	if st.K <= 0 {
+		return nil, errors.New("skyband: invalid band depth in state")
 	}
 	if len(st.LiveIDs) != len(st.LiveRecs) || len(st.MemberIDs) != len(st.MemberCounts) {
 		return nil, errors.New("skyband: misaligned state slices")
@@ -114,16 +101,14 @@ func RestoreDynamic(st *DynamicState) (*Dynamic, error) {
 			return nil, errors.New("skyband: member id not live in state")
 		}
 		c := st.MemberCounts[i]
-		if c < 0 || c >= st.K+st.ShadowDepth {
+		if c < 0 || c >= st.K {
 			return nil, errors.New("skyband: member count out of range in state")
 		}
 		if d.Tracked(id) {
 			return nil, errors.New("skyband: duplicate member id in state")
 		}
-		if c < st.K {
-			d.cover[s] = isEntry
-			d.addEntry(newEntry(id, d.recs[s], c), true)
-		}
+		d.cover[s] = isEntry
+		d.addEntry(newEntry(id, d.recs[s], c), true)
 	}
 	rest := make([]ranked, 0, len(d.ids)-d.nb)
 	for s, c := range d.cover {

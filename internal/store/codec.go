@@ -15,7 +15,8 @@ import (
 // little-endian, and self-delimiting: uvarints for counts/ids/counters,
 // raw IEEE-754 bits for coordinates. Integrity is enforced one level up by
 // the CRC frame around each encoded payload, so the codec itself only
-// defends against structural nonsense (truncated payloads, absurd counts).
+// defends against structural nonsense: truncated payloads, and counts larger
+// than the bytes left could hold, refused before they size an allocation.
 
 const (
 	snapshotVersion = 1
@@ -26,10 +27,9 @@ const (
 	opKindInsert = 1
 	opKindDelete = 2
 
-	// maxSliceLen bounds every decoded count: a frame passed its CRC, but a
-	// hostile or foreign file could still carry huge counts; cap them well
-	// above anything real before allocating.
-	maxSliceLen = 1 << 28
+	// maxDim caps a decoded dimensionality, which sizes nothing until
+	// records follow it.
+	maxDim = 1 << 28
 )
 
 type encoder struct{ buf []byte }
@@ -75,13 +75,16 @@ func (d *decoder) uvarint() uint64 {
 	return v
 }
 
-func (d *decoder) count() int {
-	v := d.uvarint()
-	if v > maxSliceLen {
-		d.fail("implausible count")
-		return 0
+// count reads a count no larger than most. A frame passed its CRC, but a
+// hostile or foreign file could still carry absurd counts: a count of
+// encoded items is bounded by the bytes left (most = bytes left / the
+// fewest bytes an item takes) before it sizes an allocation.
+func (d *decoder) count(most int) int {
+	if v := d.uvarint(); v <= uint64(most) {
+		return int(v)
 	}
-	return int(v)
+	d.fail("implausible count")
+	return 0
 }
 
 func (d *decoder) byte() byte {
@@ -126,7 +129,7 @@ func (d *decoder) floats(n int) []float64 {
 }
 
 func (d *decoder) ints() []int {
-	n := d.count()
+	n := d.count(len(d.buf)) // a uvarint takes at least a byte
 	if d.err != nil || n == 0 {
 		return nil
 	}
@@ -183,8 +186,9 @@ func DecodeBatch(payload []byte) (*Batch, error) {
 		return nil, fmt.Errorf("%w: unknown batch version %d", ErrCorrupt, v)
 	}
 	b := &Batch{Version: int(v), Seq: d.uvarint(), Epoch: d.uvarint()}
-	dim := d.count()
-	n := d.count()
+	dim := d.count(maxDim)
+	// An op is a kind byte and a delete's id or an insert's dim coordinates.
+	n := d.count(len(d.buf) / min(2, 1+8*dim))
 	if d.err != nil {
 		return nil, d.err
 	}
@@ -210,13 +214,13 @@ func DecodeBatch(payload []byte) (*Batch, error) {
 	return b, nil
 }
 
-// encodeDynamic writes a band state. The layout predates PR 18 and is frozen:
-// the ShadowDepth and Coverage slots (and Rebuilds) are legacy fields of
-// skyband.DynamicState, still written and read in place.
+// encodeDynamic writes a band state. The layout is frozen: it keeps three
+// slots of the retired shadow band (see fromShadowBand) — its retention
+// depth, its coverage and its rebuild counter — written as 0, K and 0.
 func encodeDynamic(e *encoder, st *skyband.DynamicState) {
 	e.uvarint(uint64(st.K))
-	e.uvarint(uint64(st.ShadowDepth))
-	e.uvarint(uint64(st.Coverage))
+	e.uvarint(0)
+	e.uvarint(uint64(st.K))
 	e.uvarint(uint64(st.NextID))
 	e.ints(st.LiveIDs)
 	dim := 0
@@ -234,27 +238,21 @@ func encodeDynamic(e *encoder, st *skyband.DynamicState) {
 	e.uvarint(st.Promotions)
 	e.uvarint(st.Demotions)
 	e.uvarint(st.Evictions)
-	e.uvarint(st.Rebuilds)
+	e.uvarint(0)
 }
 
+// decodeDynamic reads a band state and brings it to today's shape (see
+// fromShadowBand).
 func decodeDynamic(d *decoder) *skyband.DynamicState {
-	st := &skyband.DynamicState{
-		K:           int(d.uvarint()),
-		ShadowDepth: int(d.uvarint()),
-		Coverage:    int(d.uvarint()),
-		NextID:      int(d.uvarint()),
-		LiveIDs:     d.ints(),
-	}
-	dim := d.count()
-	if d.err != nil {
-		return st
-	}
+	st := &skyband.DynamicState{K: int(d.uvarint())}
+	shadow, coverage := int(d.uvarint()), int(d.uvarint())
+	st.NextID, st.LiveIDs = int(d.uvarint()), d.ints()
+	// After a failed read every read is a no-op: the loop, bounded by the
+	// bytes the ids took, needs no early exit.
+	dim := d.count(maxDim)
 	st.LiveRecs = make([][]float64, len(st.LiveIDs))
 	for i := range st.LiveRecs {
 		st.LiveRecs[i] = d.floats(dim)
-		if d.err != nil {
-			return st
-		}
 	}
 	st.MemberIDs = d.ints()
 	st.MemberCounts = d.ints()
@@ -263,8 +261,34 @@ func decodeDynamic(d *decoder) *skyband.DynamicState {
 	st.Promotions = d.uvarint()
 	st.Demotions = d.uvarint()
 	st.Evictions = d.uvarint()
-	st.Rebuilds = d.uvarint()
+	d.uvarint() // the shadow band's rebuild counter
+	if d.err == nil {
+		d.err = fromShadowBand(st, shadow, coverage)
+	}
 	return st
+}
+
+// fromShadowBand brings a band state to today's shape. The shadow-banded
+// structure that first wrote the layout also listed shadow members, with
+// counts in [K, K+shadow), and kept exact membership up to its coverage,
+// K ≤ coverage ≤ K+shadow; today's writer leaves shadow 0 and coverage K.
+// Shadow members are dropped once they pass the checks their writer's
+// restore made: live (LiveIDs are sorted) and within the retention depth.
+func fromShadowBand(st *skyband.DynamicState, shadow, coverage int) error {
+	if shadow < 0 || coverage < st.K || coverage-st.K > shadow || len(st.MemberIDs) != len(st.MemberCounts) {
+		return fmt.Errorf("%w: band depth %d, shadow %d, coverage %d, %d members with %d counts", ErrCorrupt, st.K, shadow, coverage, len(st.MemberIDs), len(st.MemberCounts))
+	}
+	n := 0
+	for i, id := range st.MemberIDs {
+		if c := st.MemberCounts[i]; c < st.K {
+			st.MemberIDs[n], st.MemberCounts[n] = id, c
+			n++
+		} else if _, live := slices.BinarySearch(st.LiveIDs, id); !live || c-st.K >= shadow {
+			return fmt.Errorf("%w: shadow member %d with count %d is not live or past retention", ErrCorrupt, id, c)
+		}
+	}
+	st.MemberIDs, st.MemberCounts = st.MemberIDs[:n], st.MemberCounts[:n]
+	return nil
 }
 
 func encodeEngineState(e *encoder, st *engine.State) {
@@ -296,11 +320,14 @@ func EncodeSnapshot(s *Snapshot) []byte {
 	return e.buf
 }
 
-// DecodeSnapshot parses a snapshot payload. A sharded snapshot, written by a
-// partitioned engine, is read in its frozen layout — after the routing header
-// each part is an engine state whose own epoch and batch slots are ignored
-// (the dataset's epoch is the top-level one) — and converted into the one
-// band over all its parts' live records (see mergeParts).
+// DecodeSnapshot parses a snapshot payload into today's engine state, whatever
+// wrote it. A band state written by the shadow-banded structure loses its
+// shadow members (see fromShadowBand). A sharded
+// snapshot, written by a partitioned engine, is read in its frozen layout —
+// after the routing header each part is an engine state whose own epoch and
+// batch slots are ignored (the dataset's epoch is the top-level one) — and
+// converted into the one band over all its parts' live records (see
+// mergeParts).
 func DecodeSnapshot(payload []byte) (*Snapshot, error) {
 	d := &decoder{buf: payload}
 	if v := d.byte(); v != snapshotVersion && d.err == nil {
@@ -318,7 +345,7 @@ func DecodeSnapshot(payload []byte) (*Snapshot, error) {
 		st := &engine.State{Dim: int(d.uvarint()), Epoch: s.Epoch}
 		nextGlobal, nextPart := int(d.uvarint()), int(d.uvarint())
 		st.Batches = d.uvarint()
-		n := d.count()
+		n := d.count(len(d.buf)) // each part's routing table takes a byte at least
 		if d.err != nil {
 			return nil, d.err
 		}
@@ -367,7 +394,7 @@ func mergeParts(dim, nextGlobal int, l2g [][]int, parts []*skyband.DynamicState)
 	if len(parts) == 0 || parts[0].K <= 0 || dim <= 0 {
 		return nil, fmt.Errorf("%w: sharded snapshot without parts, band depth or dimensionality", ErrCorrupt)
 	}
-	st := &skyband.DynamicState{K: parts[0].K, Coverage: parts[0].K, NextID: nextGlobal}
+	st := &skyband.DynamicState{K: parts[0].K, NextID: nextGlobal}
 	owned := make(map[int][]float64) // live global id → record
 	for p, part := range parts {
 		if part.K != st.K {

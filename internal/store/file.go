@@ -373,13 +373,14 @@ func (f *File) LoadSnapshot(name string) (*Snapshot, error) {
 }
 
 // Replay opens the dataset's log in one walk over it (see the file layout
-// comment), handing fn each batch past afterSeq, and leaves it open for
-// appending. A handle already open is closed first: the walk re-reads the
-// disk. The walk runs without the store's lock, as fn is the caller's code;
-// the caller serializes the dataset's calls, so none runs meanwhile.
-func (f *File) Replay(name string, afterSeq uint64, fn func(b *Batch, size int64) error) error {
+// comment), handing apply each batch past afterSeq under the epoch rule of
+// Store.Replay, and leaves it open for appending. A handle already open is
+// closed first: the walk re-reads the disk. The walk runs without the
+// store's lock, as apply is the caller's code; the caller serializes the
+// dataset's calls, so none runs meanwhile.
+func (f *File) Replay(name string, afterSeq, epoch uint64, apply func(b *Batch, size int64) (uint64, error)) (uint64, error) {
 	f.mu.Lock()
-	_, known := f.manifest[name]
+	cfg, known := f.manifest[name]
 	if ds, ok := f.open[name]; ok {
 		ds.close()
 		delete(f.open, name)
@@ -387,23 +388,48 @@ func (f *File) Replay(name string, afterSeq uint64, fn func(b *Batch, size int64
 	closed := f.closed
 	f.mu.Unlock()
 	if closed {
-		return errClosed
+		return 0, errClosed
 	}
 	if !known {
-		return fmt.Errorf("%w: %s", ErrUnknownDataset, name)
+		return 0, fmt.Errorf("%w: %s", ErrUnknownDataset, name)
 	}
-	ds, err := replayWAL(f.datasetDir(name), f.cfg.Sync, afterSeq, fn)
+	// The epoch rule (see Store.Replay): eng is the engine's epoch, lead what
+	// the served epoch runs ahead of it, taken up at a v2 frame from the
+	// epoch logged before it.
+	seq, eng, lead, logged := afterSeq, epoch, uint64(0), epoch
+	ds, err := replayWAL(f.datasetDir(name), f.cfg.Sync, afterSeq, func(b *Batch, size int64) error {
+		if b.Seq != seq+1 {
+			return fmt.Errorf("%w: replay gap: batch %d after %d", ErrCorrupt, b.Seq, seq)
+		}
+		if b.Version != BatchV1 {
+			if lead = logged - eng; logged != b.Epoch {
+				return fmt.Errorf("%w: replay batch %d: engine at epoch %d, logged %d", ErrCorrupt, b.Seq, logged, b.Epoch)
+			}
+		}
+		after, err := apply(b, size)
+		if err != nil {
+			return err
+		}
+		seq, eng, logged = b.Seq, after, after+lead
+		if b.Version == BatchV1 {
+			if logged != b.Epoch && !(cfg.Shards > 1 && logged < b.Epoch) {
+				return fmt.Errorf("%w: replay batch %d: epoch %d, logged %d", ErrCorrupt, b.Seq, logged, b.Epoch)
+			}
+			logged = b.Epoch
+		}
+		return nil
+	})
 	if err != nil {
-		return err
+		return 0, err
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if f.closed {
 		ds.close()
-		return errClosed
+		return 0, errClosed
 	}
 	f.open[name] = ds
-	return nil
+	return logged, nil
 }
 
 // Close closes every open WAL handle.

@@ -1,7 +1,8 @@
-// Package legacytest writes the snapshot a partitioned engine left on disk
-// before the engine became one band, so tests can check that such data
-// reopens as that one band. It writes the frozen layout byte by byte with its
-// own encoder rather than the store's, so the format stays pinned.
+// Package legacytest writes snapshots in layouts only older engines wrote —
+// a partitioned engine's, and a single engine's whose band state carries the
+// retired shadow band — so tests can check that such data reopens as today's
+// one band. It writes the frozen layouts byte by byte with its own encoder
+// rather than the store's, so the format stays pinned.
 package legacytest
 
 import (
@@ -17,6 +18,16 @@ type Sharded struct {
 	Dim, NextGlobal, NextPart int
 	L2G                       [][]int
 	Parts                     []*skyband.DynamicState
+}
+
+// Shadow is a single engine's snapshot written by the shadow-banded
+// structure: its member lists may also hold shadow members, with counts in
+// [K, K+ShadowDepth), and its band was exact up to Coverage.
+type Shadow struct {
+	Dim                   int
+	State                 *skyband.DynamicState
+	ShadowDepth, Coverage int
+	Rebuilds              uint64
 }
 
 // Partition splits recs round-robin over the given number of parts, as a
@@ -39,50 +50,60 @@ func Partition(recs [][]float64, parts, k int) (*Sharded, error) {
 }
 
 // Encode writes the snapshot payload (the bytes inside its CRC frame) in the
-// frozen sharded layout: version 1, the header, kind 2, the routing header,
-// then each part as an engine state whose own epoch and batch slots are zero.
+// frozen sharded layout: the header with kind 2, the routing header, then
+// each part as an engine state whose own epoch and batch slots are zero and
+// whose shadow band slots are 0, K and 0.
 func (s *Sharded) Encode(seq, epoch, batches uint64) []byte {
-	var b []byte
-	u := func(v uint64) { b = binary.AppendUvarint(b, v) }
-	ints := func(vs []int) {
-		u(uint64(len(vs)))
-		for _, v := range vs {
-			u(uint64(v))
-		}
-	}
-	b = append(b, 1)
-	u(seq)
-	u(epoch)
-	u(1700000000000)
-	b = append(b, 2)
-	for _, v := range []int{s.Dim, s.NextGlobal, s.NextPart} {
-		u(uint64(v))
-	}
-	u(batches)
-	u(uint64(len(s.Parts)))
+	b := u(header(seq, epoch, 2), uint64(s.Dim), uint64(s.NextGlobal), uint64(s.NextPart), batches, uint64(len(s.Parts)))
 	for _, ids := range s.L2G {
-		ints(ids)
+		b = ints(b, ids)
 	}
 	for _, p := range s.Parts {
-		for _, v := range []int{s.Dim, 0, 0, p.K, p.ShadowDepth, p.Coverage, p.NextID} {
-			u(uint64(v))
+		b = engineState(b, s.Dim, 0, 0, p, 0, p.K, 0)
+	}
+	return b
+}
+
+// Encode writes the snapshot payload in the single-engine layout: the header
+// with kind 1, then the engine state.
+func (s *Shadow) Encode(seq, epoch, batches uint64) []byte {
+	return engineState(header(seq, epoch, 1), s.Dim, epoch, batches, s.State, s.ShadowDepth, s.Coverage, s.Rebuilds)
+}
+
+// header starts a payload: snapshot version 1, the header, the kind.
+func header(seq, epoch uint64, kind byte) []byte {
+	return append(u([]byte{1}, seq, epoch, 1700000000000), kind)
+}
+
+// engineState appends an engine state — dimensionality, epoch, batches —
+// and its band state with the shadow band's slots.
+func engineState(b []byte, dim int, epoch, batches uint64, p *skyband.DynamicState, shadow, coverage int, rebuilds uint64) []byte {
+	b = u(b, uint64(dim), epoch, batches, uint64(p.K), uint64(shadow), uint64(coverage), uint64(p.NextID))
+	b = ints(b, p.LiveIDs)
+	if len(p.LiveRecs) == 0 {
+		dim = 0 // a band without live records wrote dimensionality 0
+	}
+	b = u(b, uint64(dim))
+	for _, rec := range p.LiveRecs {
+		for _, f := range rec {
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(f))
 		}
-		ints(p.LiveIDs)
-		if len(p.LiveRecs) == 0 {
-			u(0) // a part without live records wrote dimensionality 0
-		} else {
-			u(uint64(s.Dim))
-		}
-		for _, rec := range p.LiveRecs {
-			for _, f := range rec {
-				b = binary.LittleEndian.AppendUint64(b, math.Float64bits(f))
-			}
-		}
-		ints(p.MemberIDs)
-		ints(p.MemberCounts)
-		for _, v := range []uint64{p.Inserts, p.Deletes, p.Promotions, p.Demotions, p.Evictions, p.Rebuilds} {
-			u(v)
-		}
+	}
+	b = ints(ints(b, p.MemberIDs), p.MemberCounts)
+	return u(b, p.Inserts, p.Deletes, p.Promotions, p.Demotions, p.Evictions, rebuilds)
+}
+
+func u(b []byte, vs ...uint64) []byte {
+	for _, v := range vs {
+		b = binary.AppendUvarint(b, v)
+	}
+	return b
+}
+
+func ints(b []byte, vs []int) []byte {
+	b = u(b, uint64(len(vs)))
+	for _, v := range vs {
+		b = u(b, uint64(v))
 	}
 	return b
 }

@@ -14,11 +14,17 @@
 // batches after its sequence number through the ordinary ApplyBatch
 // machinery. Replay is also how a recovered dataset's log opens: one walk
 // hands over the tail, repairs a torn end, and leaves the log ready for the
-// next append — re-based after the snapshot when it ended before it. Replay is exact — update application is deterministic (ids are
-// assigned sequentially, skyband maintenance decides membership by exact
-// dominator counts, and epoch advancement is a function of state and ops
-// alone) — so a recovered engine answers bit-identically to one that never
-// crashed.
+// next append — re-based after the snapshot when it ended before it. Replay
+// is exact — update application is deterministic (ids are assigned
+// sequentially, skyband maintenance decides membership by exact dominator
+// counts, and epoch advancement is a function of state and ops alone) — so a
+// recovered engine answers bit-identically to one that never crashed.
+//
+// This package is the only one that knows an older format. DecodeSnapshot
+// hands out an engine.State in today's shape whatever wrote the bytes (the
+// shadow-banded structure, a partitioned engine), and Replay applies the
+// epoch rule of every frame version itself, so its caller applies batches
+// and restores at the epoch Replay returns, nothing more.
 //
 // One implementation ships: File (an append-only WAL of CRC-framed records
 // that every snapshot restarts, so it holds the batches since the last one;
@@ -53,13 +59,12 @@ var (
 
 // Batch is one WAL record: an update batch the engine applies, in
 // application order. Seq numbers start at 1 and are contiguous per
-// dataset. Epoch doubles as a replay integrity check, and Version says which
-// epoch it is: a v1 frame logs the engine's index version right after the
-// batch applied (a replayed batch must reproduce it), a v2 frame the version
-// the batch applied on (the engine must be at it before the batch replays).
-// A v2 frame can be written while the engine applies the batch, before the
-// batch's own epoch is known. Append writes Version as given, zero as
-// BatchV2; a decoded batch carries the version of its frame.
+// dataset. Epoch is a replay integrity check, and Version says which epoch it
+// is: a v2 frame logs the version of the engine's index the batch applies on,
+// so it can be written while the engine applies the batch; a v1 frame, the
+// older format, logged the version right after the batch applied. Append
+// writes Version as given, zero as BatchV2; a decoded batch carries the
+// version of its frame. Replay checks both (see Store.Replay).
 type Batch struct {
 	Version int
 	Seq     uint64
@@ -88,16 +93,14 @@ type Snapshot struct {
 // DatasetConfig is one manifest entry: a dataset's name, its
 // dimensionality and the engine configuration needed to rebuild its serving
 // engine at reopen (embedded, so the manifest's keys are engine.Config's).
-// ShadowDepth and Shards are legacy knobs of the retired shadow band and
-// partitioned band: a manifest written before keeps them for its datasets,
-// and no new dataset sets them. A legacy Shards above 1 tells replay that the
-// dataset's log was written by a partitioned engine (see registry.Open).
+// Shards is the store's own legacy field: a dataset a partitioned engine
+// wrote keeps its count, which tells Replay that the log's v1 frames may run
+// ahead of one band's epochs; no new dataset sets it.
 type DatasetConfig struct {
 	Name   string `json:"name"`
 	Dim    int    `json:"dim"`
 	Shards int    `json:"shards,omitempty"`
 	engine.Config
-	ShadowDepth int `json:"shadow_depth,omitempty"`
 }
 
 // Manifest lists the datasets the store holds.
@@ -142,15 +145,25 @@ type Store interface {
 	LoadSnapshot(name string) (*Snapshot, error)
 
 	// Replay opens the dataset's log, closing any handle already open, and
-	// invokes fn, in order, for every logged batch with Seq > afterSeq, with
-	// the bytes its frame takes in the log (what Append returned for it).
-	// afterSeq is the Seq of the dataset's snapshot: a torn trailing batch
-	// (crash mid-append) is dropped atomically and never surfaces, log
-	// behind afterSeq may be discarded, and a log that ends before afterSeq
-	// restarts after it, so the next append is afterSeq+1 or one past the
-	// last batch fn saw. Replay stops on fn error and leaves the dataset
-	// unopened.
-	Replay(name string, afterSeq uint64, fn func(b *Batch, size int64) error) error
+	// hands apply, in order, every logged batch with Seq > afterSeq, with
+	// the bytes its frame takes in the log (what Append returned for it);
+	// apply applies it and returns the epoch the engine reached. afterSeq
+	// and epoch are the Seq and the engine epoch of the dataset's snapshot:
+	// a torn trailing batch (crash mid-append) is dropped atomically and
+	// never surfaces, log behind afterSeq may be discarded, and a log that
+	// ends before afterSeq restarts after it, so the next append is
+	// afterSeq+1 or one past the last batch apply saw.
+	//
+	// Replay checks each batch against the log: the first has Seq
+	// afterSeq+1; a v2 frame's epoch is the engine's before its batch, a v1
+	// frame's the engine's after it. A partitioned engine's log (a manifest
+	// Shards above 1) may log a v1 epoch ahead of the engine's, since such
+	// an engine advanced its epoch at least as often as one band does; the
+	// lead carries over to the frames after it. Replay returns the epoch
+	// recovery must serve at — the engine's plus that lead, so an epoch a
+	// client was told never runs backwards. It stops on an apply error or a
+	// failed check (ErrCorrupt) and leaves the dataset unopened.
+	Replay(name string, afterSeq, epoch uint64, apply func(b *Batch, size int64) (uint64, error)) (uint64, error)
 
 	// Close releases resources. The store must not be used afterwards.
 	Close() error

@@ -21,13 +21,11 @@ func testEngineState(epoch uint64) *engine.State {
 		Epoch:   epoch,
 		Batches: epoch,
 		Dyn: &skyband.DynamicState{
-			K:           2,
-			ShadowDepth: 1,
-			Coverage:    2,
-			NextID:      3,
-			LiveIDs:     []int{0, 1, 2},
-			LiveRecs:    [][]float64{{0.1, 0.2, 0.3}, {0.4, 0.5, 0.6}, {0.7, 0.8, 0.9}},
-			MemberIDs:   []int{0, 2},
+			K:         2,
+			NextID:    3,
+			LiveIDs:   []int{0, 1, 2},
+			LiveRecs:  [][]float64{{0.1, 0.2, 0.3}, {0.4, 0.5, 0.6}, {0.7, 0.8, 0.9}},
+			MemberIDs: []int{0, 2},
 			MemberCounts: []int{
 				0, 1,
 			},
@@ -77,12 +75,15 @@ func lastSeq(t *testing.T, st *File, name string) uint64 {
 	return ds.last
 }
 
+// collect replays the batches after afterSeq. testBatch logs epoch 2·seq,
+// so the stand-in engine starts at the epoch batch afterSeq+1 applies on and
+// moves two epochs per batch.
 func collect(t *testing.T, st Store, name string, afterSeq uint64) []*Batch {
 	t.Helper()
 	var out []*Batch
-	if err := st.Replay(name, afterSeq, func(b *Batch, _ int64) error {
+	if _, err := st.Replay(name, afterSeq, 2*(afterSeq+1), func(b *Batch, _ int64) (uint64, error) {
 		out = append(out, b)
-		return nil
+		return b.Epoch + 2, nil
 	}); err != nil {
 		t.Fatalf("replay after %d: %v", afterSeq, err)
 	}
@@ -111,7 +112,8 @@ func TestBatchCodecRoundtrip(t *testing.T) {
 // TestFileBatchVersions pins both frame versions through a file store: a
 // batch appended as v1 or v2 (the default) replays with its version, its
 // epoch and ops, and the byte length Append reported for its frame; a v3
-// frame is refused.
+// frame is refused. The stand-in engine moves two epochs per batch, which a
+// v1 frame logs after its batch and a v2 frame before it.
 func TestFileBatchVersions(t *testing.T) {
 	dir := t.TempDir()
 	st, err := OpenFile(dir, FileConfig{Sync: SyncNever})
@@ -127,6 +129,9 @@ func TestFileBatchVersions(t *testing.T) {
 	for seq, v := range []int{BatchV1, 0, BatchV2, BatchV1} {
 		b := testBatch(uint64(seq + 1))
 		b.Version = v
+		if v != BatchV1 {
+			b.Epoch -= 2
+		}
 		n, err := st.Append("ds", b)
 		if err != nil {
 			t.Fatal(err)
@@ -137,12 +142,12 @@ func TestFileBatchVersions(t *testing.T) {
 		want, sizes = append(want, b), append(sizes, n)
 	}
 	i := 0
-	if err := st.Replay("ds", 0, func(b *Batch, size int64) error {
+	if _, err := st.Replay("ds", 0, 0, func(b *Batch, size int64) (uint64, error) {
 		if i >= len(want) || b.Version != want[i].Version || !batchEq(b, want[i]) || size != sizes[i] {
-			return fmt.Errorf("replayed batch %d: version %d, %d bytes, %+v; want version %d, %d bytes", i, b.Version, size, b, want[i].Version, sizes[i])
+			return 0, fmt.Errorf("replayed batch %d: version %d, %d bytes, %+v; want version %d, %d bytes", i, b.Version, size, b, want[i].Version, sizes[i])
 		}
 		i++
-		return nil
+		return 2 * b.Seq, nil
 	}); err != nil || i != len(want) {
 		t.Fatalf("replayed %d of %d batches: %v", i, len(want), err)
 	}
@@ -319,6 +324,69 @@ func TestDecodeLegacyShardedRejectsCorrupt(t *testing.T) {
 			tc.corrupt(l)
 			if _, err := DecodeSnapshot(l.Encode(1, 1, 1)); !errors.Is(err, ErrCorrupt) {
 				t.Fatalf("got %v, want ErrCorrupt", err)
+			}
+		})
+	}
+}
+
+// TestReplayEpochRule pins the epoch rule Replay applies, one log shape a
+// row, each with its epochs right and one epoch off by one. Every frame is a
+// batch that moves the stand-in engine's epoch by step and logs the epoch
+// logged: a v2 frame the engine's before the batch, a v1 frame the one after
+// it, which a partitioned engine's log (shards 3) may run ahead of. served is
+// the epoch recovery serves at, 0 for a log Replay refuses.
+func TestReplayEpochRule(t *testing.T) {
+	type frame struct {
+		version      int
+		logged, step uint64
+	}
+	v1 := func(logged, step uint64) frame { return frame{BatchV1, logged, step} }
+	v2 := func(logged, step uint64) frame { return frame{BatchV2, logged, step} }
+	for _, tc := range []struct {
+		name          string
+		shards        int
+		start, served uint64
+		frames        []frame
+	}{
+		{"v2 only", 0, 5, 7, []frame{v2(5, 1), v2(6, 0), v2(6, 1)}},
+		{"v2 only, one ahead", 0, 5, 0, []frame{v2(5, 1), v2(7, 0)}},
+		{"v1 only", 0, 5, 7, []frame{v1(6, 1), v1(6, 0), v1(7, 1)}},
+		{"v1 only, one ahead", 0, 5, 0, []frame{v1(6, 1), v1(8, 1)}},
+		{"v1 then v2", 0, 5, 7, []frame{v1(6, 1), v2(6, 1), v2(7, 0)}},
+		{"v1 then v2, one ahead", 0, 5, 0, []frame{v1(6, 1), v2(7, 1)}},
+		{"partitioned v1", 3, 4, 9, []frame{v1(6, 1), v1(7, 0), v1(9, 1)}},
+		{"partitioned v1, one behind", 3, 4, 0, []frame{v1(6, 1), v1(5, 1)}},
+		{"partitioned v1 then v2", 3, 4, 9, []frame{v1(6, 1), v1(8, 1), v2(8, 1), v2(9, 0)}},
+		{"partitioned v1 then v2, one ahead", 3, 4, 0, []frame{v1(6, 1), v1(8, 1), v2(9, 1)}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			st, err := OpenFile(t.TempDir(), FileConfig{Sync: SyncNever})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer st.Close()
+			cfg := testConfig("ds")
+			cfg.Shards = tc.shards
+			if err := st.CreateDataset(cfg, testSnapshot(0, tc.start)); err != nil {
+				t.Fatal(err)
+			}
+			for i, f := range tc.frames {
+				b := testBatch(uint64(i + 1))
+				b.Version, b.Epoch = f.version, f.logged
+				if _, err := st.Append("ds", b); err != nil {
+					t.Fatal(err)
+				}
+			}
+			epoch := tc.start
+			served, err := st.Replay("ds", 0, tc.start, func(b *Batch, _ int64) (uint64, error) {
+				epoch += tc.frames[b.Seq-1].step
+				return epoch, nil
+			})
+			switch {
+			case tc.served == 0 && !errors.Is(err, ErrCorrupt):
+				t.Fatalf("replayed to epoch %d (%v), want the log refused", served, err)
+			case tc.served != 0 && (err != nil || served != tc.served):
+				t.Fatalf("replayed to epoch %d (%v), want %d", served, err, tc.served)
 			}
 		})
 	}
@@ -751,13 +819,19 @@ func TestFileFailedAppendNotReplayed(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	got := collect(t, st, "ds", 0)
-	if len(got) != 1 || !batchEq(got[0], acked) {
+	// The stand-in engine is at the acknowledged batch's epoch: replaying the
+	// orphan (epoch 2) in its place fails the epoch check.
+	var got []*Batch
+	_, err = st.Replay("ds", 0, acked.Epoch, func(b *Batch, _ int64) (uint64, error) {
+		got = append(got, b)
+		return b.Epoch, nil
+	})
+	if err != nil || len(got) != 1 || !batchEq(got[0], acked) {
 		epochs := make([]uint64, len(got))
 		for i, b := range got {
 			epochs[i] = b.Epoch
 		}
-		t.Fatalf("replay returned epochs %v, want only the acknowledged batch (epoch 99)", epochs)
+		t.Fatalf("replay returned epochs %v (%v), want only the acknowledged batch (epoch 99)", epochs, err)
 	}
 }
 
@@ -879,7 +953,7 @@ func TestFileReplayOpensDataset(t *testing.T) {
 	if err := st.WriteSnapshot("ds", testSnapshot(3, 6)); err == nil {
 		t.Fatal("snapshot of a dataset not replayed in this process accepted")
 	}
-	if err := st.Replay("nope", 0, func(*Batch, int64) error { return nil }); !errors.Is(err, ErrUnknownDataset) {
+	if _, err := st.Replay("nope", 0, 0, func(*Batch, int64) (uint64, error) { return 0, nil }); !errors.Is(err, ErrUnknownDataset) {
 		t.Fatalf("replay of an unknown dataset: %v", err)
 	}
 	checkReplay(t, st, 0, 3)
