@@ -438,6 +438,14 @@ func newEngine(cfg Config, b *skyband.Dynamic, dim int, epoch, batches uint64) *
 // SupersetSize returns the current size of the candidate superset.
 func (e *Engine) SupersetSize() int { return len(e.idx.Load().ids) }
 
+// Band returns the published band: its ids and their exact dominator
+// counts, count-major with ties by id. The slices are the index's; do not
+// mutate them.
+func (e *Engine) Band() (ids, counts []int) {
+	ix := e.idx.Load()
+	return ix.ids, ix.counts
+}
+
 // MaxK returns the largest supported top-k depth.
 func (e *Engine) MaxK() int { return e.cfg.MaxK }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"sort"
@@ -385,6 +386,35 @@ func testEngineSingleFlight(t *testing.T) {
 // k in three bytes, so a larger MaxK would let a query at k + 2²⁴ hit the
 // entry cached for k. New refuses MaxK above maxK, and at maxK the deepest
 // query is answered on its own (every record), not from k = 3's entry.
+// TestRestoreChecksRecords holds a restored state's records to the rule New
+// holds records to: a state whose records have fewer attributes than its
+// dimensionality, or a NaN coordinate, is refused, where a restore that
+// took them would panic or misanswer on the first query.
+func TestRestoreChecksRecords(t *testing.T) {
+	td := buildData(t, 60, 3, 4)
+	cfg := Config{MaxK: 4, CacheEntries: -1}
+	good := buildEngine(t, td.recs, cfg).ExportState()
+	if _, err := Restore(good, cfg); err != nil {
+		t.Fatalf("a valid state refused: %v", err)
+	}
+	for name, bad := range map[string]func(st *State){
+		"dimension mismatch": func(st *State) {
+			for i, rec := range st.Dyn.LiveRecs {
+				st.Dyn.LiveRecs[i] = rec[:2]
+			}
+		},
+		"NaN coordinate": func(st *State) { st.Dyn.LiveRecs[7] = []float64{0.5, math.NaN(), 0.5} },
+	} {
+		st := buildEngine(t, td.recs, cfg).ExportState()
+		bad(st)
+		e, err := Restore(st, cfg)
+		if err == nil {
+			_, qerr := e.Do(context.Background(), Request{Variant: UTK1, K: 3, Region: box(t, []float64{0.2, 0.3}, []float64{0.25, 0.35})})
+			t.Errorf("%s: restored (first query: %v)", name, qerr)
+		}
+	}
+}
+
 func TestMaxKBound(t *testing.T) {
 	td := buildData(t, 200, 3, 9)
 	for _, mk := range []int{maxK + 1, 1<<24 + 10} {

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"errors"
+	"fmt"
 
 	"repro/internal/skyband"
 )
@@ -18,15 +19,16 @@ type State struct {
 	// update batches.
 	Epoch   uint64
 	Batches uint64
-	// Dyn is the band's state: live records, band with exact dominator
-	// counts, and the id allocator.
+	// Dyn is the band's state: the live records, the id allocator and the
+	// band's counters; the band itself is rebuilt from the records.
 	Dyn *skyband.DynamicState
 }
 
 // ExportState captures the engine's dataset state. It serializes against
-// updates (holding the update mutex while the band is walked), so it waits
-// for a batch in flight to commit and the returned state is a consistent
-// post-batch snapshot carrying the published epoch; queries are not blocked.
+// updates (holding the update mutex while the live records are ranked), so
+// it waits for a batch in flight to commit and the returned state is a
+// consistent post-batch snapshot carrying the published epoch; queries are
+// not blocked.
 // Record slices in the state are shared with the engine and must not be
 // mutated.
 func (e *Engine) ExportState() *State {
@@ -39,11 +41,12 @@ func (e *Engine) ExportState() *State {
 	return st
 }
 
-// Restore rebuilds an engine from a captured state: queries run over the
-// saved skyband superset (snapshotted into the index) and updates over the
-// restored band maintainer, so recovery costs one fence pass over the live
-// records (skyband.RestoreDynamic) instead of New's recomputation of the
-// band. cfg.MaxK must match the depth the state was maintained at.
+// Restore builds an engine from a captured state as New builds one from
+// records: every live record must pass CheckRecord at the state's
+// dimensionality, and the band and fence are built from the live records
+// (skyband.RestoreDynamic), which the state lists strongest first so the
+// build needs no sort; no band is read from the state. cfg.MaxK must match
+// the depth the state was maintained at.
 func Restore(st *State, cfg Config) (*Engine, error) {
 	if st == nil || st.Dyn == nil {
 		return nil, errors.New("engine: state carries no band")
@@ -60,6 +63,11 @@ func Restore(st *State, cfg Config) (*Engine, error) {
 	cfg, err := cfg.withDefaults()
 	if err != nil {
 		return nil, err
+	}
+	for i, rec := range st.Dyn.LiveRecs {
+		if err := CheckRecord(rec, st.Dim); err != nil {
+			return nil, fmt.Errorf("engine: state record %d %w", i, err)
+		}
 	}
 	dyn, err := skyband.RestoreDynamic(st.Dyn)
 	if err != nil {

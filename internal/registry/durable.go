@@ -22,19 +22,16 @@ type SnapshotPolicy struct {
 const DefaultSnapshotEveryOps = 4096
 
 // Wedge auto-heal schedule: after an append failure wedges an entry, the
-// update path itself retries the re-basing snapshot with exponential backoff
-// — a transient disk error clears without an operator, while a persistent
-// one stops being retried after healMaxRetries attempts. Exhausting the
-// budget is not permanent: after a calm interval (healRearmAfter) the budget
-// re-arms and a new backoff cycle begins, so a disk that recovers minutes
-// later still heals on the next update. A manual Snapshot clears the wedge
-// (and every retry clock) at any time; the wedge never silently unwedges
-// without a durable snapshot succeeding.
+// update path itself retries the re-basing snapshot behind a backoff that
+// starts at healInitialBackoff and doubles up to healMaxBackoff — a
+// transient disk error clears without an operator, a persistent one costs
+// at most one attempt per healMaxBackoff, and a disk that recovers at any
+// later time heals on the next update past the backoff. A manual Snapshot
+// clears the wedge at once; the wedge never silently unwedges without a
+// durable snapshot succeeding.
 const (
 	healInitialBackoff = 100 * time.Millisecond
 	healMaxBackoff     = 5 * time.Second
-	healMaxRetries     = 8
-	healRearmAfter     = 30 * time.Second
 )
 
 func (p SnapshotPolicy) withDefaults() SnapshotPolicy {
@@ -187,48 +184,8 @@ func (r *Registry) Update(name string, ops []engine.UpdateOp) (*engine.UpdateRes
 	if ent.dropped {
 		return nil, fmt.Errorf("%w: %s", ErrUnknownDataset, name)
 	}
-	if ent.wedged != nil {
-		// Bounded auto-heal: attempt the re-basing snapshot here, behind the
-		// backoff gate, so a transiently failing disk clears the wedge on a
-		// later update instead of rejecting forever until a manual snapshot.
-		// An exhausted retry budget re-arms after the calm interval stamped
-		// when the last budgeted attempt failed.
-		if ent.wedgeRetries >= healMaxRetries && !ent.wedgeRearmAt.IsZero() && !time.Now().Before(ent.wedgeRearmAt) {
-			ent.wedgeRetries = 0
-			ent.wedgeBackoff = healInitialBackoff
-			ent.wedgeNextTry = time.Time{}
-			ent.wedgeRearmAt = time.Time{}
-		}
-		healed := false
-		if ent.wedgeRetries < healMaxRetries && !time.Now().Before(ent.wedgeNextTry) {
-			ent.dmu.Lock()
-			ent.dur.WedgeRetries++
-			ent.dmu.Unlock()
-			if serr := r.snapshotEntry(ent); serr != nil {
-				ent.wedgeRetries++
-				ent.wedgeBackoff *= 2
-				if ent.wedgeBackoff > healMaxBackoff {
-					ent.wedgeBackoff = healMaxBackoff
-				}
-				ent.wedgeNextTry = time.Now().Add(ent.wedgeBackoff)
-				if ent.wedgeRetries >= healMaxRetries {
-					// Budget exhausted: stamp the calm interval after which a
-					// fresh backoff cycle may begin.
-					ent.wedgeRearmAt = time.Now().Add(healRearmAfter)
-				}
-				ent.dmu.Lock()
-				ent.dur.SnapshotErrors++
-				ent.dmu.Unlock()
-			} else {
-				healed = true
-				ent.dmu.Lock()
-				ent.dur.WedgeAutoHealed++
-				ent.dmu.Unlock()
-			}
-		}
-		if !healed {
-			return nil, fmt.Errorf("registry: %s rejects updates until a snapshot succeeds (unlogged batch: %w)", name, ent.wedged)
-		}
+	if ent.wedged != nil && !r.heal(ent) {
+		return nil, fmt.Errorf("registry: %s rejects updates until a snapshot succeeds (unlogged batch: %w)", name, ent.wedged)
 	}
 	// Pipelined apply: stage one validates the batch and fixes its ids under
 	// the engine's update mutex without changing the engine, so a batch that
@@ -259,7 +216,6 @@ func (r *Registry) Update(name string, ops []engine.UpdateOp) (*engine.UpdateRes
 	<-appended
 	if err != nil {
 		ent.wedged = err
-		ent.wedgeRetries = 0
 		ent.wedgeBackoff = healInitialBackoff
 		ent.wedgeNextTry = time.Now().Add(healInitialBackoff)
 		ent.dmu.Lock()
@@ -288,6 +244,31 @@ func (r *Registry) Update(name string, ops []engine.UpdateOp) (*engine.UpdateRes
 		}
 	}
 	return res, nil
+}
+
+// heal attempts the re-basing snapshot of a wedged entry once its backoff
+// has passed, so a failing disk clears the wedge on a later update instead
+// of rejecting until a manual snapshot, and reports whether the wedge
+// cleared. A failed attempt doubles the backoff, up to healMaxBackoff.
+// Caller holds ent.mu.
+func (r *Registry) heal(ent *Entry) bool {
+	if time.Now().Before(ent.wedgeNextTry) {
+		return false
+	}
+	err := r.snapshotEntry(ent)
+	if err != nil {
+		ent.wedgeBackoff = min(2*ent.wedgeBackoff, healMaxBackoff)
+		ent.wedgeNextTry = time.Now().Add(ent.wedgeBackoff)
+	}
+	ent.dmu.Lock()
+	ent.dur.WedgeRetries++
+	if err != nil {
+		ent.dur.SnapshotErrors++
+	} else {
+		ent.dur.WedgeAutoHealed++
+	}
+	ent.dmu.Unlock()
+	return err == nil
 }
 
 // Snapshot checkpoints the named dataset now: exports the engine state,
@@ -328,10 +309,8 @@ func (r *Registry) snapshotEntry(ent *Entry) error {
 	}
 	ent.wedged = nil
 	ent.snapRetryAt = 0
-	ent.wedgeRetries = 0
 	ent.wedgeBackoff = 0
 	ent.wedgeNextTry = time.Time{}
-	ent.wedgeRearmAt = time.Time{}
 	ent.dmu.Lock()
 	ent.dur.Wedged = false
 	ent.dur.SnapshotsWritten++

@@ -175,12 +175,13 @@ func armHeal(ent *Entry) {
 	ent.mu.Unlock()
 }
 
-// TestWedgeAutoHeal pins the bounded self-healing of a wedged entry: a
-// transient append failure wedges the dataset, the update path retries the
-// re-basing snapshot behind a backoff gate, a transient snapshot failure
-// keeps the wedge (counted), a later attempt heals it without a manual
-// snapshot, and a persistent failure stops being retried after the attempt
-// budget — manual Snapshot remains the only way out then.
+// TestWedgeAutoHeal pins the self-healing of a wedged entry: a transient
+// append failure wedges the dataset, the update path retries the re-basing
+// snapshot behind a backoff gate, a transient snapshot failure keeps the
+// wedge (counted), a later attempt heals it without a manual snapshot; a
+// persistent failure is retried behind a doubling backoff capped at
+// healMaxBackoff, a store that recovers after it still heals on the next
+// update, and a manual Snapshot clears a wedge at once.
 func TestWedgeAutoHeal(t *testing.T) {
 	dir := t.TempDir()
 	base, err := store.OpenFile(dir, store.FileConfig{Sync: store.SyncNever})
@@ -244,121 +245,58 @@ func TestWedgeAutoHeal(t *testing.T) {
 		t.Fatalf("healed update not logged: %+v", d)
 	}
 
-	// Persistent failure: the attempt budget bounds retries; once spent, no
-	// more snapshots are attempted from the update path.
+	// Persistent failure: every attempt the gate lets through fails and
+	// doubles the backoff until it reaches the cap, where it stays — at most
+	// one attempt per healMaxBackoff, however long the failure lasts. Inside
+	// the window no attempt is made.
 	fs.failAppends = 1
 	fs.failSnapshots = 1 << 30
 	if _, err := reg.Update("ds", ins); !errors.Is(err, errInjected) {
 		t.Fatalf("update with failing append: %v", err)
 	}
-	for i := 0; i < healMaxRetries+3; i++ {
+	const attempts = 12 // 100 ms doubles past the 5 s cap in 6
+	for i := 0; i < attempts; i++ {
 		armHeal(ent)
 		if _, err := reg.Update("ds", ins); err == nil {
 			t.Fatalf("attempt %d: update accepted while snapshots keep failing", i)
 		}
+		ent.mu.Lock()
+		backoff, wait := ent.wedgeBackoff, time.Until(ent.wedgeNextTry)
+		ent.mu.Unlock()
+		if want := min(healInitialBackoff<<(i+1), healMaxBackoff); backoff != want || wait > backoff {
+			t.Fatalf("attempt %d: backoff %v, next try in %v; want %v", i, backoff, wait, want)
+		}
+		if _, err := reg.Update("ds", ins); err == nil {
+			t.Fatalf("attempt %d: update accepted inside the backoff window", i)
+		}
 	}
 	d = ent.Durability(true)
-	if !d.Wedged {
-		t.Fatal("persistently failing entry unwedged itself")
-	}
-	if got := d.WedgeRetries - 2; got != healMaxRetries {
-		t.Fatalf("heal attempts after budget = %d, want %d", got, healMaxRetries)
+	if !d.Wedged || d.WedgeRetries-2 != attempts || d.WedgeAutoHealed != 1 {
+		t.Fatalf("after %d failing attempts: %+v", attempts, d)
 	}
 
-	// Manual snapshot remains the operator path out.
+	// The store recovers: once the capped backoff has passed, the next
+	// update heals the wedge on its own — no manual snapshot.
 	fs.failSnapshots = 0
+	armHeal(ent)
+	if _, err := reg.Update("ds", ins); err != nil {
+		t.Fatalf("update after the store recovered: %v", err)
+	}
+	d = ent.Durability(true)
+	if d.Wedged || d.WedgeAutoHealed != 2 || d.WedgeRetries-2 != attempts+1 {
+		t.Fatalf("after the recovered store healed: %+v", d)
+	}
+
+	// A manual snapshot clears a wedge at once, inside the backoff window.
+	fs.failAppends = 1
+	if _, err := reg.Update("ds", ins); !errors.Is(err, errInjected) {
+		t.Fatalf("update with failing append: %v", err)
+	}
 	if _, err := reg.Snapshot("ds"); err != nil {
 		t.Fatalf("manual snapshot: %v", err)
 	}
 	if _, err := reg.Update("ds", ins); err != nil {
 		t.Fatalf("update after manual snapshot: %v", err)
-	}
-}
-
-// rearmHeal backdates the calm-interval deadline stamped when the heal
-// budget was exhausted, so the next Update re-arms immediately (the real
-// interval is wall-clock).
-func rearmHeal(t *testing.T, ent *Entry) {
-	t.Helper()
-	ent.mu.Lock()
-	if ent.wedgeRearmAt.IsZero() {
-		ent.mu.Unlock()
-		t.Fatal("no calm-interval deadline stamped; budget not exhausted?")
-	}
-	ent.wedgeRearmAt = time.Now().Add(-time.Second)
-	ent.mu.Unlock()
-}
-
-// TestWedgeRearmAfterCalm pins that an exhausted auto-heal budget is not
-// permanent: once the calm interval stamped at exhaustion passes, the budget
-// re-arms and a recovered store lets the update path heal the wedge on its
-// own — no manual snapshot required.
-func TestWedgeRearmAfterCalm(t *testing.T) {
-	dir := t.TempDir()
-	base, err := store.OpenFile(dir, store.FileConfig{Sync: store.SyncNever})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer base.Close()
-	fs := &flakyStore{Store: base}
-	reg := NewWithStore(fs, SnapshotPolicy{})
-	recs := dataset.Synthetic(dataset.IND, 50, 3, 4)
-	if _, err := reg.Create("ds", recs, Options{MaxK: 3}); err != nil {
-		t.Fatal(err)
-	}
-	ins := []utk.UpdateOp{{Kind: utk.UpdateInsert, Record: []float64{0.5, 0.5, 0.5}}}
-	ent, _ := reg.Get("ds")
-
-	// Wedge the entry and exhaust the heal budget against a persistently
-	// failing store.
-	fs.failAppends = 1
-	fs.failSnapshots = 1 << 30
-	if _, err := reg.Update("ds", ins); !errors.Is(err, errInjected) {
-		t.Fatalf("update with failing append: %v", err)
-	}
-	for i := 0; i < healMaxRetries; i++ {
-		armHeal(ent)
-		if _, err := reg.Update("ds", ins); err == nil {
-			t.Fatalf("attempt %d: update accepted while snapshots keep failing", i)
-		}
-	}
-	d := ent.Durability(true)
-	if !d.Wedged || d.WedgeRetries != uint64(healMaxRetries) {
-		t.Fatalf("after exhausting the budget: %+v", d)
-	}
-
-	// The store recovers, but inside the calm interval the exhausted budget
-	// still rejects updates without attempting a snapshot.
-	fs.failSnapshots = 0
-	armHeal(ent)
-	if _, err := reg.Update("ds", ins); err == nil {
-		t.Fatal("update accepted before the calm interval elapsed")
-	}
-	if d := ent.Durability(true); d.WedgeRetries != uint64(healMaxRetries) {
-		t.Fatalf("snapshot attempted with the budget exhausted: %+v", d)
-	}
-
-	// Past the calm interval the budget re-arms: the same update call
-	// attempts the re-basing snapshot, succeeds, and is applied.
-	rearmHeal(t, ent)
-	res, err := reg.Update("ds", ins)
-	if err != nil {
-		t.Fatalf("update after calm-interval re-arm: %v", err)
-	}
-	if len(res.IDs) != 1 {
-		t.Fatalf("healed update result: %+v", res)
-	}
-	d = ent.Durability(true)
-	if d.Wedged || d.WedgeAutoHealed != 1 {
-		t.Fatalf("after re-armed heal: %+v", d)
-	}
-	if d.WedgeRetries != uint64(healMaxRetries)+1 {
-		t.Fatalf("re-armed attempt not counted: %+v", d)
-	}
-
-	// The healed entry keeps accepting updates.
-	if _, err := reg.Update("ds", ins); err != nil {
-		t.Fatalf("update after heal: %v", err)
 	}
 }
 

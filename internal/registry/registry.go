@@ -54,17 +54,11 @@ type Entry struct {
 	// it).
 	wedged error
 	// Auto-heal state for a wedged entry (guarded by mu, like wedged): the
-	// update path retries the re-basing snapshot itself with exponential
-	// backoff, up to healMaxRetries attempts, so a transient disk error
-	// clears without an operator. wedgeNextTry gates the next attempt;
-	// wedgeRetries counts failed attempts since the wedge. When the budget
-	// is exhausted, wedgeRearmAt is the calm-interval deadline after which
-	// the budget re-arms (a disk that recovers minutes later still heals
-	// without a manual snapshot).
-	wedgeRetries int
+	// update path retries the re-basing snapshot itself once wedgeNextTry
+	// has passed, and a failed attempt doubles wedgeBackoff, up to
+	// healMaxBackoff, before the next.
 	wedgeBackoff time.Duration
 	wedgeNextTry time.Time
-	wedgeRearmAt time.Time
 	// snapRetryAt, after an automatic snapshot failed, is the
 	// OpsSinceSnapshot count at which the next one is tried (guarded by mu;
 	// 0 once a snapshot succeeds, when EveryOps alone decides).

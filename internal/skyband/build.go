@@ -167,7 +167,9 @@ func gridPass(recs [][]float64, order []ranked, limit int, visit func(r ranked, 
 	if len(order) == 0 {
 		return
 	}
-	g := &grid{dim: len(recs[order[0].slot]), m: [3]int{1, 1, 1}, at: make([]int32, 1), diag: newKLargest(max(limit, 1))}
+	// At most len(order) rows are admitted, so a diag past that many never
+	// fills, as one of limit would not: a deep limit sizes nothing.
+	g := &grid{dim: len(recs[order[0].slot]), m: [3]int{1, 1, 1}, at: make([]int32, 1), diag: newKLargest(min(limit, len(order)+1))}
 	sized := rowsPerCell
 	for _, r := range order {
 		e := newEntry(r.slot, recs[r.slot], 0)

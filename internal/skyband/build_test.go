@@ -3,6 +3,7 @@ package skyband
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"runtime"
 	"slices"
 	"testing"
@@ -160,8 +161,90 @@ func TestBandSumOverflow(t *testing.T) {
 	}
 }
 
+// TestBuildFromState pins restore as a rebuild: State lists the live
+// records strongest first with ties by id, and a structure restored from
+// it, from the same state shuffled, or — up to ids — built by NewDynamic
+// over its records is the one the build makes: the same entries in the
+// same order, the same cover column, the same state again. The churned
+// records are snapped to a 1/16 grid, so equal records occur and only the
+// ids order them.
+func TestBuildFromState(t *testing.T) {
+	c := newChurn(t, dataset.ANTI, 400, 3, 4, 16, 31)
+	for range 8 {
+		ops := c.batch(40)
+		ids, _, err := c.d.ApplyOps(ops)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.mirror(ops, ids)
+	}
+	st := c.d.State()
+	by := strongestFirst(st.LiveRecs, st.LiveIDs)
+	for i := 1; i < len(st.LiveIDs); i++ {
+		a, b := ranked{coordSum(st.LiveRecs[i-1]), i - 1}, ranked{coordSum(st.LiveRecs[i]), i}
+		if by(a, b) >= 0 {
+			t.Fatalf("State lists id %d before id %d, not strongest first with ties by id", st.LiveIDs[i-1], st.LiveIDs[i])
+		}
+	}
+	restored, err := RestoreDynamic(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkInvariants(t, restored, "restored")
+	perm := rand.New(rand.NewSource(5)).Perm(len(st.LiveIDs))
+	shuffled := *st
+	shuffled.LiveIDs, shuffled.LiveRecs = make([]int, len(perm)), make([][]float64, len(perm))
+	for i, j := range perm {
+		shuffled.LiveIDs[i], shuffled.LiveRecs[i] = st.LiveIDs[j], st.LiveRecs[j]
+	}
+	again, err := RestoreDynamic(&shuffled)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if structure(again) != structure(restored) {
+		t.Fatal("restoring a shuffled state orders the entries or covers differently")
+	}
+	for name, d := range map[string]*Dynamic{"restored": restored, "shuffled": again} {
+		if got := d.State(); !slices.Equal(got.LiveIDs, st.LiveIDs) || !slices.EqualFunc(got.LiveRecs, st.LiveRecs, slices.Equal) || got.NextID != st.NextID || got.Inserts != st.Inserts {
+			t.Fatalf("%s: State does not give the state back", name)
+		}
+	}
+	fresh, err := NewDynamic(st.LiveRecs, st.K)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// NewDynamic numbers the records by position in st, which is their rank.
+	for i, e := range fresh.ents {
+		if r := restored.ents[i]; r.id != st.LiveIDs[e.id] || r.count != e.count {
+			t.Fatalf("entry %d: NewDynamic has id %d count %d, the restore id %d count %d", i, st.LiveIDs[e.id], e.count, r.id, r.count)
+		}
+	}
+}
+
+// TestBuildAllocatesByBand pins construction to the records, not the band
+// depth: two records at K = 2²⁰ allocate no count level, diag buffer or
+// offset table of K entries.
+func TestBuildAllocatesByBand(t *testing.T) {
+	recs := [][]float64{{1, 2}, {2, 1}}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	d, err := NewDynamic(recs, 1<<20)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Fatalf("NewDynamic over 2 records at K = 2^20 allocated %d bytes", got)
+	}
+	checkInvariants(t, d, "construction")
+	if len(d.levels) != 1 {
+		t.Fatalf("%d count levels for a band of counts 0", len(d.levels))
+	}
+}
+
 // BenchmarkBuild times NewDynamic at the serving depth on the benchmark's
-// ANTI and IND set sizes.
+// ANTI and IND set sizes, and RestoreDynamic over the state it exports,
+// whose records come strongest first and need no sort.
 func BenchmarkBuild(b *testing.B) {
 	for _, c := range []struct {
 		kind dataset.Kind
@@ -171,6 +254,18 @@ func BenchmarkBuild(b *testing.B) {
 		b.Run(fmt.Sprintf("%v-%d", c.kind, c.n), func(b *testing.B) {
 			for range b.N {
 				if _, err := NewDynamic(recs, 10); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		d, err := NewDynamic(recs, 10)
+		if err != nil {
+			b.Fatal(err)
+		}
+		st := d.State()
+		b.Run(fmt.Sprintf("%v-%d/restore", c.kind, c.n), func(b *testing.B) {
+			for range b.N {
+				if _, err := RestoreDynamic(st); err != nil {
 					b.Fatal(err)
 				}
 			}

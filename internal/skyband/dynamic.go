@@ -1,6 +1,7 @@
 package skyband
 
 import (
+	"cmp"
 	"errors"
 	"math"
 	"slices"
@@ -67,7 +68,8 @@ type Dynamic struct {
 	pos  map[int]int
 
 	// levels[c] is the band entries with count c, sorted by id: Band's
-	// count-major order, kept up to date by relevel.
+	// count-major order, kept up to date by relevel. There are as many
+	// levels as the largest count present needs, fewer than k.
 	levels [][]member
 
 	// gen counts applied plans; a plan records it (see Plan).
@@ -198,85 +200,51 @@ type DynamicStats struct {
 	CoalescedOps      uint64
 }
 
-// NewDynamic builds the structure over the initial records (ids 0..n-1): one
-// counting sweep (see sweep) yields the band with exact counts, and the
-// records it leaves, still strongest first, are the fence pass's input. The
-// records are referenced, never mutated.
+// NewDynamic builds the structure over the initial records (ids 0..n-1) as
+// RestoreDynamic builds it over a state's. The records are referenced, never
+// mutated.
 func NewDynamic(records [][]float64, k int) (*Dynamic, error) {
-	if k <= 0 {
-		return nil, errors.New("skyband: dynamic band depth must be positive")
+	ids := make([]int, len(records))
+	for i := range ids {
+		ids[i] = i
 	}
-	d := newDynamic(k, len(records), 0)
-	d.nextID = len(records)
-	for id, rec := range records {
-		d.addLive(id, rec)
-	}
-	band, rest := sweep(records, k)
-	for _, e := range band {
-		d.cover[e.id] = isEntry
-		d.addEntry(e, true)
-	}
-	d.buildFence(rest)
-	return d, nil
+	return RestoreDynamic(&DynamicState{K: k, NextID: len(records), LiveIDs: ids, LiveRecs: records})
 }
 
-// sweep computes the k-skyband of recs with exact dominator counts in one
-// strongest-first order. Every dominator of a record sorts before it, and a
-// record with any dominator outside the band has at least k inside it (the k
-// strongest dominators of a record have fewer than k dominators each), so
-// counting a record's band dominators up to k decides its membership, and
-// below k the count is exact. The counting is one grid pass (see gridPass)
-// over the band admitted so far. It returns the band entries (id = index into
-// recs) in sweep order and the other records, strongest first.
-func sweep(recs [][]float64, k int) (band []entry, rest []ranked) {
-	order := make([]ranked, len(recs))
-	for i, rec := range recs {
-		order[i] = ranked{sum: coordSum(rec), slot: i}
-	}
-	slices.SortFunc(order, strongestFirst(recs))
+// sweep is the band pass: given the live slots strongest first, it admits
+// the k-skyband to the band with exact dominator counts and returns the
+// other slots, still strongest first. Every dominator of a record sorts
+// before it, and a record with any dominator outside the band has at least k
+// inside it (the k strongest dominators of a record have fewer than k
+// dominators each), so counting a record's band dominators up to k decides
+// its membership, and below k the count is exact. The counting is one grid
+// pass (see gridPass) over the band admitted so far.
+func (d *Dynamic) sweep(order []ranked) (rest []ranked) {
 	rest = order[:0] // gridPass has read order[i] when it visits it
-	gridPass(recs, order, k, func(r ranked, n, _ int) {
-		if n < k {
-			band = append(band, newEntry(r.slot, recs[r.slot], n))
+	gridPass(d.recs, order, d.k, func(r ranked, n, _ int) {
+		if n < d.k {
+			d.cover[r.slot] = isEntry
+			d.addEntry(newEntry(d.ids[r.slot], d.recs[r.slot], n), true)
 		} else {
 			rest = append(rest, r)
 		}
 	})
-	return band, rest
+	return rest
 }
 
 // CountBand returns the k-skyband of recs with exact dominator counts in
 // Band's order — count-major, ties by index — as indices into recs and their
 // counts.
 func CountBand(recs [][]float64, k int) (idx, counts []int) {
-	band, _ := sweep(recs, k)
-	return countMajor(band, k)
+	d, err := NewDynamic(recs, k)
+	if err != nil {
+		return nil, nil
+	}
+	idx, _, counts = d.Band()
+	return idx, counts
 }
 
-// countMajor orders band entries (every count below k) count-major, ties by
-// id, returning their ids and counts: a counting sort on the count, then each
-// count's ids sorted.
-func countMajor(band []entry, k int) (ids, counts []int) {
-	start := make([]int, k+1) // start[c]: where the entries with count c begin
-	for _, e := range band {
-		start[e.count+1]++
-	}
-	for c := 1; c <= k; c++ {
-		start[c] += start[c-1]
-	}
-	ids, counts = make([]int, len(band)), make([]int, len(band))
-	next := slices.Clone(start)
-	for _, e := range band {
-		ids[next[e.count]], counts[next[e.count]] = e.id, e.count
-		next[e.count]++
-	}
-	for c := range k {
-		slices.Sort(ids[start[c]:start[c+1]])
-	}
-	return ids, counts
-}
-
-func newDynamic(k, live, band int) *Dynamic {
+func newDynamic(k, live int) *Dynamic {
 	return &Dynamic{
 		k:      k,
 		slot:   make(map[int]int, live),
@@ -285,9 +253,7 @@ func newDynamic(k, live, band int) *Dynamic {
 		cover:  make([]int, 0, live),
 		link:   make([]links, 0, live),
 		orphan: links{orphans, orphans},
-		ents:   make([]entry, 0, 2*band),
-		pos:    make(map[int]int, 2*band),
-		levels: make([][]member, k),
+		pos:    make(map[int]int),
 	}
 }
 
@@ -309,8 +275,9 @@ func (d *Dynamic) buildFence(rest []ranked) {
 // strongestFirst orders slots of recs by descending coordinate sum, ties by
 // descending lexicographic coordinates: a dominator is coordinate-wise no
 // smaller and somewhere larger, so it sorts strictly before what it
-// dominates even when rounding makes the two sums equal.
-func strongestFirst(recs [][]float64) func(a, b ranked) int {
+// dominates even when rounding makes the two sums equal. Equal records go
+// by ascending ids[slot], so the order is total.
+func strongestFirst(recs [][]float64, ids []int) func(a, b ranked) int {
 	return func(a, b ranked) int {
 		switch {
 		case a.sum > b.sum: // sums are never NaN: the coordinates are finite
@@ -318,7 +285,10 @@ func strongestFirst(recs [][]float64) func(a, b ranked) int {
 		case a.sum < b.sum:
 			return 1
 		}
-		return slices.Compare(recs[b.slot], recs[a.slot])
+		if c := slices.Compare(recs[b.slot], recs[a.slot]); c != 0 {
+			return c
+		}
+		return cmp.Compare(ids[a.slot], ids[b.slot])
 	}
 }
 
@@ -593,7 +563,7 @@ func (d *Dynamic) reCover() (bandChanged bool) {
 		s = next
 	}
 	d.orphan = links{orphans, orphans}
-	slices.SortFunc(pend, strongestFirst(d.recs))
+	slices.SortFunc(pend, strongestFirst(d.recs, d.ids))
 	var admitted []entry // fence entries this pass created
 next:
 	for _, r := range pend {
@@ -798,8 +768,14 @@ func (d *Dynamic) relevel(x *entry, c int) {
 	if from := x.count; from < d.k {
 		i, _ := slices.BinarySearchFunc(d.levels[from], x.id, byID)
 		d.levels[from] = slices.Delete(d.levels[from], i, i+1)
+		for n := len(d.levels); n > 0 && len(d.levels[n-1]) == 0; n-- {
+			d.levels = d.levels[:n-1] // an emptied top level keeps its capacity for a regrowth
+		}
 	}
 	if x.count = c; c < d.k {
+		if c >= len(d.levels) {
+			d.levels = slices.Grow(d.levels, c+1-len(d.levels))[:c+1]
+		}
 		i, _ := slices.BinarySearchFunc(d.levels[c], x.id, byID)
 		d.levels[c] = slices.Insert(d.levels[c], i, member{rec: x.rec, id: x.id})
 	}

@@ -288,8 +288,8 @@ func TestDynamicShadowExhaustion(t *testing.T) {
 }
 
 // TestReseedMatchesRebuild pins order independence where it is load-bearing:
-// a structure restored from State() — the band kept, the fence and covers
-// re-seeded from it — and one built from scratch over the same live records
+// a structure restored from State() — band, fence and covers rebuilt from
+// the live records — and one built from scratch over the same live records
 // hold the same entries as the structure that got there by churn, and all
 // three stay in step under further updates.
 func TestReseedMatchesRebuild(t *testing.T) {
@@ -385,10 +385,17 @@ func TestDynamicValidation(t *testing.T) {
 	if dyn.Len() != 3 || !dyn.Has(2) || dyn.Has(99) {
 		t.Error("liveness bookkeeping wrong after insert")
 	}
-	st := dyn.State()
-	st.MemberCounts[0] = st.K
-	if _, err := RestoreDynamic(st); err == nil {
-		t.Error("a state with a member count at K restored")
+	for name, bad := range map[string]func(st *DynamicState){
+		"band depth of 0":            func(st *DynamicState) { st.K = 0 },
+		"repeated live id":           func(st *DynamicState) { st.LiveIDs[1] = st.LiveIDs[0] },
+		"live id past the allocator": func(st *DynamicState) { st.LiveIDs[0] = st.NextID },
+		"record missing":             func(st *DynamicState) { st.LiveRecs = st.LiveRecs[1:] },
+	} {
+		st := dyn.State()
+		bad(st)
+		if _, err := RestoreDynamic(st); err == nil {
+			t.Errorf("a state with a %s restored", name)
+		}
 	}
 }
 

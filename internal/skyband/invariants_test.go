@@ -14,7 +14,8 @@ import (
 // exact and below k; fence bounds lie in [k, count]; every covered record
 // points at a live fence entry that dominates it; Band() is the brute-force
 // k-skyband with the brute-force counts, count-major with ties by id, and
-// the count levels are that same sequence; the id↔slot and id↔position maps
+// the count levels are that same sequence, ending at the largest count
+// present; the id↔slot and id↔position maps
 // agree with the columns; and the lists are sound (see checkLists).
 func checkInvariants(t testing.TB, d *Dynamic, ctxt string) {
 	t.Helper()
@@ -94,7 +95,10 @@ func checkInvariants(t testing.TB, d *Dynamic, ctxt string) {
 			levelIDs, levelCounts = append(levelIDs, m.id), append(levelCounts, c)
 		}
 	}
-	if len(d.levels) != d.k || !slices.Equal(levelIDs, gotBand) || !slices.Equal(levelCounts, gotCounts) {
+	if top := len(d.levels) - 1; top >= 0 && len(d.levels[top]) == 0 {
+		t.Fatalf("%s: %d count levels, the top one empty: levels must stop at the largest count present", ctxt, len(d.levels))
+	}
+	if !slices.Equal(levelIDs, gotBand) || !slices.Equal(levelCounts, gotCounts) {
 		t.Fatalf("%s: the %d count levels %v %v are not the band %v %v", ctxt, len(d.levels), levelIDs, levelCounts, gotBand, gotCounts)
 	}
 	if st := d.Stats(); st.Live != n || st.SupersetSize != len(wantBand) || st.ShadowSize != len(d.ents)-len(wantBand) {

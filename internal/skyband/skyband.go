@@ -14,12 +14,15 @@
 // fence, plus a fence search for each record a departing fence entry leaves
 // uncovered (see Dynamic).
 //
-// Construction (NewDynamic, RestoreDynamic, CountBand) is two strongest-first
-// grid passes instead of all-pairs counting: the band is counted, and the
-// fence found, against a grid of what each pass has admitted so far, and a
-// probe skips or counts whole cells by their corners (see gridPass). The grid
-// is dropped when the constructor returns; updates scan the band and the
-// fence linearly.
+// Construction has one path: RestoreDynamic builds the structure from live
+// records alone (NewDynamic numbers its records and calls it; CountBand
+// reads the band NewDynamic builds), and no band or count is ever read back from a state. It is
+// two strongest-first grid passes instead of all-pairs counting: the band is
+// counted, and the fence found, against a grid of what each pass has
+// admitted so far, and a probe skips or counts whole cells by their corners
+// (see gridPass). State lists the records in that order, so a restore skips
+// the sort. The grid is dropped when the constructor returns; updates scan
+// the band and the fence linearly.
 package skyband
 
 import (

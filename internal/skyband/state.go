@@ -6,26 +6,23 @@ import (
 )
 
 // DynamicState is a deep, serializable snapshot of a Dynamic: the live
-// records, the band with its exact dominator counts, the id allocator and the
-// lifetime maintenance counters. The fence and the cover column are not
-// stored — they are a function of the live set and the band (see Dynamic), so
-// RestoreDynamic rebuilds them, and a restored structure behaves under
-// further updates exactly as the original would. This is the only shape:
-// internal/store converts a state persisted by an older structure into it
-// when it decodes the state.
+// records, the id allocator and the lifetime maintenance counters. The band,
+// the fence and the cover column are not stored — they are a function of the
+// live records (see Dynamic), so RestoreDynamic builds them as NewDynamic
+// does, and a restored structure behaves under further updates exactly as
+// the original would. This is the only shape: internal/store converts a
+// state persisted by an older structure into it when it decodes the state.
 type DynamicState struct {
 	// K is the band depth served; NextID the id the next insert will be
 	// assigned.
 	K      int
 	NextID int
-	// LiveIDs/LiveRecs are the live records (parallel, sorted by id). The
-	// record slices are shared with the structure and must not be mutated.
+	// LiveIDs/LiveRecs are the live records, parallel. State lists them in
+	// the band pass's order — strongest first, ties by id — so restoring
+	// them needs no sort; RestoreDynamic takes any order. The record slices
+	// are shared with the structure and must not be mutated.
 	LiveIDs  []int
 	LiveRecs [][]float64
-	// MemberIDs/MemberCounts are the band with exact dominator counts, each
-	// below K, parallel and sorted by id; member records live in LiveRecs.
-	MemberIDs    []int
-	MemberCounts []int
 	// Lifetime maintenance counters (see DynamicStats).
 	Inserts    uint64
 	Deletes    uint64
@@ -41,7 +38,7 @@ func (d *Dynamic) State() *DynamicState {
 	st := &DynamicState{
 		K:          d.k,
 		NextID:     d.nextID,
-		LiveIDs:    slices.Clone(d.ids),
+		LiveIDs:    make([]int, len(d.ids)),
 		LiveRecs:   make([][]float64, len(d.ids)),
 		Inserts:    d.stats.Inserts,
 		Deletes:    d.stats.Deletes,
@@ -49,35 +46,30 @@ func (d *Dynamic) State() *DynamicState {
 		Demotions:  d.stats.Demotions,
 		Evictions:  d.stats.ShadowEvictions,
 	}
-	slices.Sort(st.LiveIDs)
-	for i, id := range st.LiveIDs {
-		st.LiveRecs[i] = d.recs[d.slot[id]]
-	}
-	st.MemberIDs, _, _ = d.Band()
-	slices.Sort(st.MemberIDs) // Band's order is count-major; snapshots stay id-sorted
-	st.MemberCounts = make([]int, len(st.MemberIDs))
-	for i, id := range st.MemberIDs {
-		st.MemberCounts[i] = d.ents[d.pos[id]].count
+	for i, r := range rank(d.recs, d.ids) {
+		st.LiveIDs[i], st.LiveRecs[i] = d.ids[r.slot], d.recs[r.slot]
 	}
 	return st
 }
 
-// RestoreDynamic rebuilds a Dynamic from a state snapshot. The band's counts
-// are trusted as exact, so recovery costs one strongest-first fence pass over
-// the other live records (the grid pass of buildFence) instead of a
-// recomputation of the band. The state's slices are not retained; record
+// RestoreDynamic builds a Dynamic over a state's live records; it is the one
+// constructor (NewDynamic numbers its records and calls it, CountBand reads
+// the band of what NewDynamic builds). The live records take their slots
+// strongest first — sorted only when the state does not list them so
+// already — and then the band pass (see sweep) and the fence pass (see
+// buildFence) classify them. The state's slices are not retained; record
 // slices are shared.
 func RestoreDynamic(st *DynamicState) (*Dynamic, error) {
 	if st == nil {
 		return nil, errors.New("skyband: nil dynamic state")
 	}
 	if st.K <= 0 {
-		return nil, errors.New("skyband: invalid band depth in state")
+		return nil, errors.New("skyband: band depth must be positive")
 	}
-	if len(st.LiveIDs) != len(st.LiveRecs) || len(st.MemberIDs) != len(st.MemberCounts) {
+	if len(st.LiveIDs) != len(st.LiveRecs) {
 		return nil, errors.New("skyband: misaligned state slices")
 	}
-	d := newDynamic(st.K, len(st.LiveIDs), len(st.MemberIDs))
+	d := newDynamic(st.K, len(st.LiveIDs))
 	d.nextID = st.NextID
 	d.stats = DynamicStats{
 		Inserts:         st.Inserts,
@@ -86,37 +78,31 @@ func RestoreDynamic(st *DynamicState) (*Dynamic, error) {
 		Demotions:       st.Demotions,
 		ShadowEvictions: st.Evictions,
 	}
-	for i, id := range st.LiveIDs {
+	order := rank(st.LiveRecs, st.LiveIDs)
+	for s, r := range order {
+		id := st.LiveIDs[r.slot]
 		if id < 0 || id >= st.NextID {
 			return nil, errors.New("skyband: live id outside allocator range in state")
 		}
-		d.addLive(id, st.LiveRecs[i])
+		d.addLive(id, st.LiveRecs[r.slot])
+		order[s].slot = s
 	}
 	if len(d.slot) != len(d.ids) { // a repeated id overwrote its slot
 		return nil, errors.New("skyband: duplicate live id in state")
 	}
-	for i, id := range st.MemberIDs {
-		s, ok := d.slot[id]
-		if !ok {
-			return nil, errors.New("skyband: member id not live in state")
-		}
-		c := st.MemberCounts[i]
-		if c < 0 || c >= st.K {
-			return nil, errors.New("skyband: member count out of range in state")
-		}
-		if d.Tracked(id) {
-			return nil, errors.New("skyband: duplicate member id in state")
-		}
-		d.cover[s] = isEntry
-		d.addEntry(newEntry(id, d.recs[s], c), true)
-	}
-	rest := make([]ranked, 0, len(d.ids)-d.nb)
-	for s, c := range d.cover {
-		if c == unset {
-			rest = append(rest, ranked{sum: coordSum(d.recs[s]), slot: s})
-		}
-	}
-	slices.SortFunc(rest, strongestFirst(d.recs))
-	d.buildFence(rest)
+	d.buildFence(d.sweep(order))
 	return d, nil
+}
+
+// rank returns the slots of recs strongest first, ties by ids. One pass
+// checks the slots' own order; only a failed check sorts.
+func rank(recs [][]float64, ids []int) []ranked {
+	order := make([]ranked, len(recs))
+	for s, rec := range recs {
+		order[s] = ranked{sum: coordSum(rec), slot: s}
+	}
+	if by := strongestFirst(recs, ids); !slices.IsSortedFunc(order, by) {
+		slices.SortFunc(order, by)
+	}
+	return order
 }

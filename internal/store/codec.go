@@ -3,9 +3,7 @@ package store
 import (
 	"encoding/binary"
 	"fmt"
-	"maps"
 	"math"
-	"slices"
 
 	"repro/internal/engine"
 	"repro/internal/skyband"
@@ -19,10 +17,10 @@ import (
 // than the bytes left could hold, refused before they size an allocation.
 
 const (
-	snapshotVersion = 1
-
-	snapKindSingle  = 1
-	snapKindSharded = 2
+	// Snapshot payload versions: v2 is written (see EncodeSnapshot); v1,
+	// which older builds wrote, is read (see decodeV1).
+	snapshotV1 = 1
+	snapshotV2 = 2
 
 	opKindInsert = 1
 	opKindDelete = 2
@@ -100,17 +98,19 @@ func (d *decoder) byte() byte {
 	return b
 }
 
-func (d *decoder) float() float64 {
-	if d.err != nil {
-		return 0
+// records reads n records of dim coordinates each into one slab. n·dim is
+// bounded by the bytes left (by division, so the product cannot overflow)
+// before it sizes the slab.
+func (d *decoder) records(n, dim int) [][]float64 {
+	if dim > 0 && n > len(d.buf)/8/dim {
+		d.fail("truncated records")
+		return nil
 	}
-	if len(d.buf) < 8 {
-		d.fail("truncated float")
-		return 0
+	slab, recs := d.floats(n*dim), make([][]float64, n)
+	for i := range recs {
+		recs[i] = slab[i*dim : (i+1)*dim : (i+1)*dim]
 	}
-	v := math.Float64frombits(binary.LittleEndian.Uint64(d.buf))
-	d.buf = d.buf[8:]
-	return v
+	return recs
 }
 
 func (d *decoder) floats(n int) []float64 {
@@ -123,8 +123,9 @@ func (d *decoder) floats(n int) []float64 {
 	}
 	out := make([]float64, n)
 	for i := range out {
-		out[i] = d.float()
+		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(d.buf[8*i:]))
 	}
+	d.buf = d.buf[8*n:]
 	return out
 }
 
@@ -214,123 +215,58 @@ func DecodeBatch(payload []byte) (*Batch, error) {
 	return b, nil
 }
 
-// encodeDynamic writes a band state. The layout is frozen: it keeps three
-// slots of the retired shadow band (see fromShadowBand) — its retention
-// depth, its coverage and its rebuild counter — written as 0, K and 0.
-func encodeDynamic(e *encoder, st *skyband.DynamicState) {
-	e.uvarint(uint64(st.K))
-	e.uvarint(0)
-	e.uvarint(uint64(st.K))
-	e.uvarint(uint64(st.NextID))
-	e.ints(st.LiveIDs)
-	dim := 0
-	if len(st.LiveRecs) > 0 {
-		dim = len(st.LiveRecs[0])
-	}
-	e.uvarint(uint64(dim))
-	for _, rec := range st.LiveRecs {
-		e.floats(rec)
-	}
-	e.ints(st.MemberIDs)
-	e.ints(st.MemberCounts)
-	e.uvarint(st.Inserts)
-	e.uvarint(st.Deletes)
-	e.uvarint(st.Promotions)
-	e.uvarint(st.Demotions)
-	e.uvarint(st.Evictions)
-	e.uvarint(0)
-}
-
-// decodeDynamic reads a band state and brings it to today's shape (see
-// fromShadowBand).
-func decodeDynamic(d *decoder) *skyband.DynamicState {
-	st := &skyband.DynamicState{K: int(d.uvarint())}
-	shadow, coverage := int(d.uvarint()), int(d.uvarint())
-	st.NextID, st.LiveIDs = int(d.uvarint()), d.ints()
-	// After a failed read every read is a no-op: the loop, bounded by the
-	// bytes the ids took, needs no early exit.
-	dim := d.count(maxDim)
-	st.LiveRecs = make([][]float64, len(st.LiveIDs))
-	for i := range st.LiveRecs {
-		st.LiveRecs[i] = d.floats(dim)
-	}
-	st.MemberIDs = d.ints()
-	st.MemberCounts = d.ints()
-	st.Inserts = d.uvarint()
-	st.Deletes = d.uvarint()
-	st.Promotions = d.uvarint()
-	st.Demotions = d.uvarint()
-	st.Evictions = d.uvarint()
-	d.uvarint() // the shadow band's rebuild counter
-	if d.err == nil {
-		d.err = fromShadowBand(st, shadow, coverage)
-	}
-	return st
-}
-
-// fromShadowBand brings a band state to today's shape. The shadow-banded
-// structure that first wrote the layout also listed shadow members, with
-// counts in [K, K+shadow), and kept exact membership up to its coverage,
-// K ≤ coverage ≤ K+shadow; today's writer leaves shadow 0 and coverage K.
-// Shadow members are dropped once they pass the checks their writer's
-// restore made: live (LiveIDs are sorted) and within the retention depth.
-func fromShadowBand(st *skyband.DynamicState, shadow, coverage int) error {
-	if shadow < 0 || coverage < st.K || coverage-st.K > shadow || len(st.MemberIDs) != len(st.MemberCounts) {
-		return fmt.Errorf("%w: band depth %d, shadow %d, coverage %d, %d members with %d counts", ErrCorrupt, st.K, shadow, coverage, len(st.MemberIDs), len(st.MemberCounts))
-	}
-	n := 0
-	for i, id := range st.MemberIDs {
-		if c := st.MemberCounts[i]; c < st.K {
-			st.MemberIDs[n], st.MemberCounts[n] = id, c
-			n++
-		} else if _, live := slices.BinarySearch(st.LiveIDs, id); !live || c-st.K >= shadow {
-			return fmt.Errorf("%w: shadow member %d with count %d is not live or past retention", ErrCorrupt, id, c)
-		}
-	}
-	st.MemberIDs, st.MemberCounts = st.MemberIDs[:n], st.MemberCounts[:n]
-	return nil
-}
-
+// encodeEngineState writes an engine state in the v2 layout: the
+// dimensionality, epoch and batch count, then the band state — its depth,
+// its id allocator, the live ids in the state's order, their records (dim
+// coordinates each) and the five lifetime counters. No band is written: a
+// restore builds it from the records.
 func encodeEngineState(e *encoder, st *engine.State) {
+	dyn := st.Dyn
 	e.uvarint(uint64(st.Dim))
 	e.uvarint(st.Epoch)
 	e.uvarint(st.Batches)
-	encodeDynamic(e, st.Dyn)
+	e.uvarint(uint64(dyn.K))
+	e.uvarint(uint64(dyn.NextID))
+	e.ints(dyn.LiveIDs)
+	for _, rec := range dyn.LiveRecs {
+		e.floats(rec)
+	}
+	for _, c := range []uint64{dyn.Inserts, dyn.Deletes, dyn.Promotions, dyn.Demotions, dyn.Evictions} {
+		e.uvarint(c)
+	}
 }
 
 func decodeEngineState(d *decoder) *engine.State {
-	st := &engine.State{
-		Dim:     int(d.uvarint()),
-		Epoch:   d.uvarint(),
-		Batches: d.uvarint(),
-	}
-	st.Dyn = decodeDynamic(d)
+	st := &engine.State{Dim: d.count(maxDim), Epoch: d.uvarint(), Batches: d.uvarint()}
+	dyn := &skyband.DynamicState{K: int(d.uvarint()), NextID: int(d.uvarint())}
+	dyn.LiveIDs = d.ints()
+	dyn.LiveRecs = d.records(len(dyn.LiveIDs), st.Dim)
+	dyn.Inserts, dyn.Deletes, dyn.Promotions = d.uvarint(), d.uvarint(), d.uvarint()
+	dyn.Demotions, dyn.Evictions = d.uvarint(), d.uvarint()
+	st.Dyn = dyn
 	return st
 }
 
-// EncodeSnapshot serializes a snapshot.
+// EncodeSnapshot serializes a snapshot as a v2 payload: the version byte,
+// the header and the engine state (see encodeEngineState).
 func EncodeSnapshot(s *Snapshot) []byte {
-	e := &encoder{buf: make([]byte, 0, 4096)}
-	e.byte(snapshotVersion)
+	n := len(s.Engine.Dyn.LiveIDs)
+	e := &encoder{buf: make([]byte, 0, 64+n*(binary.MaxVarintLen64+8*s.Engine.Dim))}
+	e.byte(snapshotV2)
 	e.uvarint(s.Seq)
 	e.uvarint(s.Epoch)
 	e.uvarint(uint64(s.UnixMilli))
-	e.byte(snapKindSingle)
 	encodeEngineState(e, s.Engine)
 	return e.buf
 }
 
-// DecodeSnapshot parses a snapshot payload into today's engine state, whatever
-// wrote it. A band state written by the shadow-banded structure loses its
-// shadow members (see fromShadowBand). A sharded
-// snapshot, written by a partitioned engine, is read in its frozen layout —
-// after the routing header each part is an engine state whose own epoch and
-// batch slots are ignored (the dataset's epoch is the top-level one) — and
-// converted into the one band over all its parts' live records (see
-// mergeParts).
+// DecodeSnapshot parses a snapshot payload into today's engine state,
+// whatever wrote it: a v2 payload as it lies, a v1 payload (a single
+// engine's or a partitioned engine's) through decodeV1.
 func DecodeSnapshot(payload []byte) (*Snapshot, error) {
 	d := &decoder{buf: payload}
-	if v := d.byte(); v != snapshotVersion && d.err == nil {
+	v := d.byte()
+	if v != snapshotV1 && v != snapshotV2 && d.err == nil {
 		return nil, fmt.Errorf("%w: unknown snapshot version %d", ErrCorrupt, v)
 	}
 	s := &Snapshot{
@@ -338,109 +274,13 @@ func DecodeSnapshot(payload []byte) (*Snapshot, error) {
 		Epoch:     d.uvarint(),
 		UnixMilli: int64(d.uvarint()),
 	}
-	switch d.byte() {
-	case snapKindSingle:
+	if v == snapshotV2 {
 		s.Engine = decodeEngineState(d)
-	case snapKindSharded:
-		st := &engine.State{Dim: int(d.uvarint()), Epoch: s.Epoch}
-		nextGlobal, nextPart := int(d.uvarint()), int(d.uvarint())
-		st.Batches = d.uvarint()
-		n := d.count(len(d.buf)) // each part's routing table takes a byte at least
-		if d.err != nil {
-			return nil, d.err
-		}
-		l2g := make([][]int, n)
-		for i := range l2g {
-			l2g[i] = d.ints()
-		}
-		parts := make([]*skyband.DynamicState, n)
-		for i := range parts {
-			part := decodeEngineState(d)
-			if d.err != nil {
-				return nil, d.err
-			}
-			if part.Dim != st.Dim {
-				return nil, fmt.Errorf("%w: part %d dimensionality %d, dataset %d", ErrCorrupt, i, part.Dim, st.Dim)
-			}
-			parts[i] = part.Dyn
-		}
-		if nextPart < 0 || nextPart >= n {
-			return nil, fmt.Errorf("%w: round-robin cursor %d outside %d parts", ErrCorrupt, nextPart, n)
-		}
-		var err error
-		if st.Dyn, err = mergeParts(st.Dim, nextGlobal, l2g, parts); err != nil {
-			return nil, err
-		}
-		s.Engine = st
-	default:
-		if d.err == nil {
-			return nil, fmt.Errorf("%w: unknown snapshot kind", ErrCorrupt)
-		}
+	} else {
+		s.Engine = decodeV1(d, s.Epoch)
 	}
 	if err := d.done(); err != nil {
 		return nil, err
 	}
 	return s, nil
-}
-
-// mergeParts converts a partitioned band's state into the one band over the
-// same records: every part's live local ids mapped through its routing table
-// (l2g, indexed by local id) to their global ids, sorted, with nextGlobal as
-// the id allocator and the lifetime counters summed over the parts. A part's
-// member counts are counts within that part, not global ones, so the band is
-// recomputed over the merged records. Everything is checked before it is
-// used: the bytes passed their CRC but are otherwise untrusted.
-func mergeParts(dim, nextGlobal int, l2g [][]int, parts []*skyband.DynamicState) (*skyband.DynamicState, error) {
-	if len(parts) == 0 || parts[0].K <= 0 || dim <= 0 {
-		return nil, fmt.Errorf("%w: sharded snapshot without parts, band depth or dimensionality", ErrCorrupt)
-	}
-	st := &skyband.DynamicState{K: parts[0].K, NextID: nextGlobal}
-	owned := make(map[int][]float64) // live global id → record
-	for p, part := range parts {
-		if part.K != st.K {
-			return nil, fmt.Errorf("%w: part %d band depth %d, part 0 %d", ErrCorrupt, p, part.K, st.K)
-		}
-		if len(l2g[p]) != part.NextID {
-			return nil, fmt.Errorf("%w: part %d routing table holds %d ids, allocator %d", ErrCorrupt, p, len(l2g[p]), part.NextID)
-		}
-		for i, lid := range part.LiveIDs {
-			if lid < 0 || lid >= len(l2g[p]) {
-				return nil, fmt.Errorf("%w: part %d live id %d outside its routing table", ErrCorrupt, p, lid)
-			}
-			g := l2g[p][lid]
-			if g < 0 || g >= nextGlobal {
-				return nil, fmt.Errorf("%w: part %d global id %d outside allocator %d", ErrCorrupt, p, g, nextGlobal)
-			}
-			if _, dup := owned[g]; dup {
-				return nil, fmt.Errorf("%w: global id %d owned twice", ErrCorrupt, g)
-			}
-			if len(part.LiveRecs[i]) != dim {
-				return nil, fmt.Errorf("%w: part %d record %d has %d attributes, dataset %d", ErrCorrupt, p, lid, len(part.LiveRecs[i]), dim)
-			}
-			owned[g] = part.LiveRecs[i]
-		}
-		st.Inserts += part.Inserts
-		st.Deletes += part.Deletes
-		st.Promotions += part.Promotions
-		st.Demotions += part.Demotions
-		st.Evictions += part.Evictions
-	}
-	st.LiveIDs = slices.Sorted(maps.Keys(owned))
-	st.LiveRecs = make([][]float64, len(st.LiveIDs))
-	for i, g := range st.LiveIDs {
-		st.LiveRecs[i] = owned[g]
-	}
-	// CountBand lists the band count-major; a state lists it by id.
-	idx, counts := skyband.CountBand(st.LiveRecs, st.K)
-	count := make([]int, len(st.LiveIDs)) // count+1 per band member, 0 elsewhere
-	for i, j := range idx {
-		count[j] = counts[i] + 1
-	}
-	for j, c := range count {
-		if c > 0 {
-			st.MemberIDs = append(st.MemberIDs, st.LiveIDs[j])
-			st.MemberCounts = append(st.MemberCounts, c-1)
-		}
-	}
-	return st, nil
 }

@@ -21,22 +21,34 @@ import (
 func checkCountBand(t *testing.T, d *skyband.Dynamic, when string) {
 	t.Helper()
 	st := d.State()
-	idx, counts := skyband.CountBand(st.LiveRecs, st.K)
-	want := make([]int, len(idx))
-	for i, j := range idx {
-		want[i] = st.LiveIDs[j]
-	}
+	want, counts := countBand(st.LiveIDs, st.LiveRecs, st.K)
 	if ids, _, got := d.Band(); !slices.Equal(ids, want) || !slices.Equal(got, counts) {
 		t.Fatalf("%s: band %v counts %v, CountBand over the live records %v counts %v", when, ids, got, want, counts)
 	}
 }
 
+// countBand is skyband.CountBand over live records listed with their ids,
+// in Band's order: count-major, ties by id.
+func countBand(ids []int, recs [][]float64, k int) (band, counts []int) {
+	idx, counts := skyband.CountBand(recs, k)
+	band = make([]int, len(idx))
+	for i, j := range idx {
+		band[i] = ids[j]
+	}
+	for lo, hi := 0, 0; lo < len(band); lo = hi {
+		for hi = lo; hi < len(band) && counts[hi] == counts[lo]; hi++ {
+		}
+		slices.Sort(band[lo:hi])
+	}
+	return band, counts
+}
+
 // TestDecodeLegacyShadowState decodes a single engine's snapshot written by
 // the shadow-banded structure that the one band replaced: shadow depth set,
 // coverage eroded to K+1, and the member list carrying shadow members (count
-// ≥ K) next to the band. It must come back as today's state — the exact band
-// and the counters it logged — restore with a fence rebuilt from it, and
-// take updates; a state breaking one of its writer's invariants is refused.
+// ≥ K) next to the band. It must come back as today's state — the live
+// records and the counters it logged — restore to the exact band, and take
+// updates; a state breaking one of its writer's invariants is refused.
 func TestDecodeLegacyShadowState(t *testing.T) {
 	const k, shadow = 3, 4
 	// A twin at depth k+shadow knows the legacy member counts.
@@ -44,13 +56,15 @@ func TestDecodeLegacyShadowState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := twin.State()
+	st := legacytest.FromState(twin.State())
 	legacy := func() *legacytest.Shadow {
-		return &legacytest.Shadow{Dim: 3, ShadowDepth: shadow, Coverage: k + 1, Rebuilds: 9, State: &skyband.DynamicState{
-			K: k, NextID: st.NextID,
-			LiveIDs: st.LiveIDs, LiveRecs: st.LiveRecs,
+		return &legacytest.Shadow{Dim: 3, ShadowDepth: shadow, Coverage: k + 1, Rebuilds: 9, State: &legacytest.Band{
+			DynamicState: skyband.DynamicState{
+				K: k, NextID: st.NextID,
+				LiveIDs: st.LiveIDs, LiveRecs: st.LiveRecs,
+				Inserts: 7, Deletes: 5, Promotions: 3, Demotions: 2, Evictions: 1,
+			},
 			MemberIDs: slices.Clone(st.MemberIDs), MemberCounts: slices.Clone(st.MemberCounts),
-			Inserts: 7, Deletes: 5, Promotions: 3, Demotions: 2, Evictions: 1,
 		}}
 	}
 	if !slices.ContainsFunc(st.MemberCounts, func(c int) bool { return c >= k }) {
@@ -62,9 +76,6 @@ func TestDecodeLegacyShadowState(t *testing.T) {
 		if err != nil {
 			return nil, err
 		}
-		if slices.ContainsFunc(snap.Engine.Dyn.MemberCounts, func(c int) bool { return c >= k }) {
-			t.Fatalf("decoded state keeps shadow members: counts %v", snap.Engine.Dyn.MemberCounts)
-		}
 		return skyband.RestoreDynamic(snap.Engine.Dyn)
 	}
 	d, err := restore(legacy())
@@ -75,15 +86,15 @@ func TestDecodeLegacyShadowState(t *testing.T) {
 	if got := d.Stats(); got.Inserts != 7 || got.Deletes != 5 || got.Promotions != 3 || got.Demotions != 2 || got.ShadowEvictions != 1 || got.Rebuilds != 0 {
 		t.Fatalf("restored counters %+v", got)
 	}
-	if out := d.State(); slices.ContainsFunc(out.MemberCounts, func(c int) bool { return c >= k }) {
-		t.Fatalf("re-exported state keeps shadow counts %v", out.MemberCounts)
-	}
 	id, _ := d.Insert([]float64{2, 2, 2})
 	if _, _, ok := d.Delete(id); !ok {
 		t.Fatal("restored structure refused an update")
 	}
 	checkCountBand(t, d, "restored legacy state after updates")
 
+	band := func(l *legacytest.Shadow) int {
+		return slices.IndexFunc(l.State.MemberCounts, func(c int) bool { return c < k })
+	}
 	for name, bad := range map[string]func(*legacytest.Shadow){
 		"coverage below K":       func(l *legacytest.Shadow) { l.Coverage = k - 1 },
 		"coverage above K+depth": func(l *legacytest.Shadow) { l.Coverage = k + shadow + 1 },
@@ -92,12 +103,80 @@ func TestDecodeLegacyShadowState(t *testing.T) {
 		"shadow member not live": func(l *legacytest.Shadow) {
 			l.State.MemberIDs[slices.IndexFunc(l.State.MemberCounts, func(c int) bool { return c >= k })] = l.State.NextID + 1
 		},
+		"negative count":           func(l *legacytest.Shadow) { l.State.MemberCounts[band(l)] = -1 },
+		"band member listed twice": func(l *legacytest.Shadow) { l.State.MemberIDs[band(l)+1] = l.State.MemberIDs[band(l)] },
+		"members without counts":   func(l *legacytest.Shadow) { l.State.MemberCounts = l.State.MemberCounts[1:] },
 	} {
 		l := legacy()
 		bad(l)
-		if _, err := restore(l); err == nil {
-			t.Errorf("%s: accepted", name)
+		if _, err := DecodeSnapshot(l.Encode(4, 9, 2)); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: %v, want ErrCorrupt", name, err)
 		}
+	}
+}
+
+// TestDecodeV1IgnoresStoredCounts opens a CRC-valid v1 snapshot whose band
+// lists a member with a wrong count — 1 where the member has no dominator —
+// through a file store. The count is never read into the band: the restored
+// engine serves the ids and counts CountBand gives over the live records.
+func TestDecodeV1IgnoresStoredCounts(t *testing.T) {
+	const k = 4
+	recs := dataset.Synthetic(dataset.ANTI, 300, 3, 12)
+	dyn, err := skyband.NewDynamic(recs, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := legacytest.FromState(dyn.State())
+	i := slices.Index(b.MemberCounts, 0)
+	if i < 0 || slices.Index(b.MemberCounts[i+1:], 0) < 0 {
+		t.Fatal("the band holds under two undominated members; the test exercises nothing")
+	}
+	b.MemberCounts[i] = 1
+	payload := (&legacytest.Shadow{Dim: 3, State: b, Coverage: k}).Encode(0, 0, 0)
+
+	dir := t.TempDir()
+	st, err := OpenFile(dir, FileConfig{Sync: SyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if err := st.CreateDataset(DatasetConfig{Name: "ds", Dim: 3, Config: engine.Config{MaxK: k}}, &Snapshot{Engine: &engine.State{Dim: 3, Dyn: dyn.State()}}); err != nil {
+		t.Fatal(err)
+	}
+	raw := appendFrame([]byte(snapMagic), payload)
+	if err := os.WriteFile(filepath.Join(dir, "datasets", "ds", "snapshot.snap"), raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := st.LoadSnapshot("ds")
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := engine.Restore(snap.Engine, engine.Config{MaxK: k, CacheEntries: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, counts := countBand(snap.Engine.Dyn.LiveIDs, snap.Engine.Dyn.LiveRecs, k)
+	if ids, got := e.Band(); !slices.Equal(ids, want) || !slices.Equal(got, counts) {
+		t.Fatalf("served band %v counts %v, CountBand over the live records %v counts %v", ids, got, want, counts)
+	}
+}
+
+// TestDecodeSnapshotAllocs pins decoding to a constant number of
+// allocations whatever the record count: a v2 snapshot of 10 000 records
+// decodes its ids into one slice and its records into one slab.
+func TestDecodeSnapshotAllocs(t *testing.T) {
+	dyn, err := skyband.NewDynamic(dataset.Synthetic(dataset.IND, 10_000, 4, 3), 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := EncodeSnapshot(&Snapshot{Seq: 2, Epoch: 3, Engine: &engine.State{Dim: 4, Epoch: 3, Batches: 2, Dyn: dyn.State()}})
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, err := DecodeSnapshot(payload); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 6 {
+		t.Fatalf("decoding a 10 000-record snapshot took %v allocations, want at most 6", allocs)
 	}
 }
 
@@ -116,11 +195,16 @@ func TestDecodeBoundsAllocation(t *testing.T) {
 	}{
 		// v2, seq 1, epoch 0, dim 3, then 2²⁸ ops.
 		{"batch ops", append([]byte{BatchV2, 1, 0, 3}, huge...), batch},
-		// A single engine at dim 3, K 2, shadow 0, coverage 2, allocator 0,
-		// then 2²⁸ live ids.
-		{"snapshot live ids", append([]byte{snapshotVersion, 0, 0, 0, snapKindSingle, 3, 0, 0, 2, 0, 2, 0}, huge...), snapshot},
+		// A v2 engine at dim 3, K 2, allocator 0, then 2²⁸ live ids.
+		{"snapshot live ids", append([]byte{snapshotV2, 0, 0, 0, 3, 0, 0, 2, 0}, huge...), snapshot},
+		// A v2 engine at dim 2²⁰ with two live ids, whose records would take
+		// 2²⁴ bytes.
+		{"snapshot records", append(append([]byte{snapshotV2, 0, 0, 0}, binary.AppendUvarint(nil, 1<<20)...), 0, 0, 2, 3, 2, 0, 1), snapshot},
+		// A v1 single engine at dim 3, K 2, shadow 0, coverage 2, allocator
+		// 0, then 2²⁸ live ids.
+		{"v1 snapshot live ids", append([]byte{snapshotV1, 0, 0, 0, snapKindSingle, 3, 0, 0, 2, 0, 2, 0}, huge...), snapshot},
 		// A partitioned engine at dim 3, then 2²⁸ parts.
-		{"sharded parts", append([]byte{snapshotVersion, 0, 0, 0, snapKindSharded, 3, 0, 0, 0}, huge...), snapshot},
+		{"sharded parts", append([]byte{snapshotV1, 0, 0, 0, snapKindSharded, 3, 0, 0, 0}, huge...), snapshot},
 	} {
 		var err error
 		checkAlloc(t, len(tc.payload), func() { err = tc.decode(tc.payload) })
@@ -221,6 +305,7 @@ func FuzzDecodeSnapshot(f *testing.F) {
 	}
 	f.Add(EncodeSnapshot(&Snapshot{Seq: 3, Epoch: 5, Engine: &engine.State{Dim: 3, Epoch: 5, Batches: 3, Dyn: dyn.State()}}))
 	f.Add(EncodeSnapshot(testSnapshot(7, 11)))
+	f.Add((&legacytest.Shadow{Dim: 3, State: legacytest.FromState(dyn.State()), Coverage: 4}).Encode(3, 5, 3))
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		var s *Snapshot
 		var err error

@@ -8,16 +8,52 @@ package legacytest
 import (
 	"encoding/binary"
 	"math"
+	"slices"
 
 	"repro/internal/skyband"
 )
+
+// Band is a band state as v1 writers wrote it: the state, its live records
+// by ascending id, and the band's members by id with their dominator counts
+// (a shadow-banded writer also listed shadow members, counts K and up).
+type Band struct {
+	skyband.DynamicState
+	MemberIDs, MemberCounts []int
+}
+
+// FromState lists a state as a v1 writer did: its live records by id, and
+// its band — the records with fewer than K dominators — by id, each with
+// its exact count.
+func FromState(st *skyband.DynamicState) *Band {
+	b := &Band{DynamicState: *st}
+	byID := make([]int, len(st.LiveIDs))
+	for i := range byID {
+		byID[i] = i
+	}
+	slices.SortFunc(byID, func(i, j int) int { return st.LiveIDs[i] - st.LiveIDs[j] })
+	b.LiveIDs, b.LiveRecs = make([]int, len(byID)), make([][]float64, len(byID))
+	for i, j := range byID {
+		b.LiveIDs[i], b.LiveRecs[i] = st.LiveIDs[j], st.LiveRecs[j]
+	}
+	idx, counts := skyband.CountBand(b.LiveRecs, b.K)
+	count := make([]int, len(b.LiveIDs)) // count+1 per band member, 0 elsewhere
+	for i, j := range idx {
+		count[j] = counts[i] + 1
+	}
+	for j, c := range count {
+		if c > 0 {
+			b.MemberIDs, b.MemberCounts = append(b.MemberIDs, b.LiveIDs[j]), append(b.MemberCounts, c-1)
+		}
+	}
+	return b
+}
 
 // Sharded is a partitioned engine's snapshot: the routing header and one
 // band state per part, whose local id i is global id L2G[p][i].
 type Sharded struct {
 	Dim, NextGlobal, NextPart int
 	L2G                       [][]int
-	Parts                     []*skyband.DynamicState
+	Parts                     []*Band
 }
 
 // Shadow is a single engine's snapshot written by the shadow-banded
@@ -25,7 +61,7 @@ type Sharded struct {
 // [K, K+ShadowDepth), and its band was exact up to Coverage.
 type Shadow struct {
 	Dim                   int
-	State                 *skyband.DynamicState
+	State                 *Band
 	ShadowDepth, Coverage int
 	Rebuilds              uint64
 }
@@ -44,7 +80,7 @@ func Partition(recs [][]float64, parts, k int) (*Sharded, error) {
 		if err != nil {
 			return nil, err
 		}
-		s.Parts = append(s.Parts, dyn.State())
+		s.Parts = append(s.Parts, FromState(dyn.State()))
 	}
 	return s, nil
 }
@@ -77,7 +113,7 @@ func header(seq, epoch uint64, kind byte) []byte {
 
 // engineState appends an engine state — dimensionality, epoch, batches —
 // and its band state with the shadow band's slots.
-func engineState(b []byte, dim int, epoch, batches uint64, p *skyband.DynamicState, shadow, coverage int, rebuilds uint64) []byte {
+func engineState(b []byte, dim int, epoch, batches uint64, p *Band, shadow, coverage int, rebuilds uint64) []byte {
 	b = u(b, uint64(dim), epoch, batches, uint64(p.K), uint64(shadow), uint64(coverage), uint64(p.NextID))
 	b = ints(b, p.LiveIDs)
 	if len(p.LiveRecs) == 0 {

@@ -5,9 +5,10 @@
 //   - a write-ahead log of applied update batches (the engine's UpdateOp
 //     stream is already batch-atomic and epoch-stamped, so the batch is the
 //     natural WAL record),
-//   - periodic snapshots of the full dataset state (records plus the dynamic
-//     skyband's band and dominator counts — everything engine.State
-//     captures), and
+//   - periodic snapshots of the full dataset state (the live records, in the
+//     band pass's order, with the id allocator, epoch and counters —
+//     everything engine.State captures; no band, which a restore builds
+//     from the records), and
 //   - a manifest of the named datasets with their configurations.
 //
 // Recovery is snapshot + tail: restore the last snapshot and replay the WAL
@@ -21,8 +22,9 @@
 // recovered engine answers bit-identically to one that never crashed.
 //
 // This package is the only one that knows an older format. DecodeSnapshot
-// hands out an engine.State in today's shape whatever wrote the bytes (the
-// shadow-banded structure, a partitioned engine), and Replay applies the
+// hands out an engine.State in today's shape whatever wrote the bytes (a v1
+// snapshot with its band, the shadow-banded structure, a partitioned
+// engine), and Replay applies the
 // epoch rule of every frame version itself, so its caller applies batches
 // and restores at the epoch Replay returns, nothing more.
 //

@@ -21,15 +21,11 @@ func testEngineState(epoch uint64) *engine.State {
 		Epoch:   epoch,
 		Batches: epoch,
 		Dyn: &skyband.DynamicState{
-			K:         2,
-			NextID:    3,
-			LiveIDs:   []int{0, 1, 2},
-			LiveRecs:  [][]float64{{0.1, 0.2, 0.3}, {0.4, 0.5, 0.6}, {0.7, 0.8, 0.9}},
-			MemberIDs: []int{0, 2},
-			MemberCounts: []int{
-				0, 1,
-			},
-			Inserts: 3,
+			K:        2,
+			NextID:   3,
+			LiveIDs:  []int{2, 1, 0},
+			LiveRecs: [][]float64{{0.7, 0.8, 0.9}, {0.4, 0.5, 0.6}, {0.1, 0.2, 0.3}},
+			Inserts:  3,
 		},
 	}
 }
@@ -192,8 +188,9 @@ func partitioned(t *testing.T, recs [][]float64, parts, k int) *legacytest.Shard
 	return l
 }
 
-// checkOneBand asserts that a converted state is the one band NewDynamic
-// builds over the same live records: members and exact counts, by id.
+// checkOneBand asserts that a converted state is a live set the one band
+// restores over: ids sorted, aligned with the records and below the
+// allocator, and a restore whose band is CountBand's over the records.
 func checkOneBand(t *testing.T, st *skyband.DynamicState) {
 	t.Helper()
 	if !slices.IsSorted(st.LiveIDs) || len(st.LiveIDs) != len(st.LiveRecs) {
@@ -202,27 +199,18 @@ func checkOneBand(t *testing.T, st *skyband.DynamicState) {
 	if n := len(st.LiveIDs); n > 0 && st.LiveIDs[n-1] >= st.NextID {
 		t.Fatalf("live id %d at or past the allocator %d", st.LiveIDs[n-1], st.NextID)
 	}
-	dyn, err := skyband.NewDynamic(st.LiveRecs, st.K)
+	d, err := skyband.RestoreDynamic(st)
 	if err != nil {
-		t.Fatal(err)
-	}
-	want := dyn.State() // ids are positions in LiveRecs, members sorted by them
-	for i, pos := range want.MemberIDs {
-		want.MemberIDs[i] = st.LiveIDs[pos]
-	}
-	if !slices.Equal(st.MemberIDs, want.MemberIDs) || !slices.Equal(st.MemberCounts, want.MemberCounts) {
-		t.Fatalf("converted band %v counts %v, NewDynamic over the live records %v counts %v", st.MemberIDs, st.MemberCounts, want.MemberIDs, want.MemberCounts)
-	}
-	if _, err := skyband.RestoreDynamic(st); err != nil {
 		t.Fatalf("converted state does not restore: %v", err)
 	}
+	checkCountBand(t, d, "converted state")
 }
 
 // TestDecodeLegacySharded converts partitioned snapshots into the one band:
 // a round-robin split of three distributions, churned so parts hold deleted
 // ids, decodes to the parts' live records under their global ids, the
-// global allocator, summed counters, and the band NewDynamic builds over
-// those records.
+// global allocator and summed counters, a state that restores to the band
+// CountBand gives over those records.
 func TestDecodeLegacySharded(t *testing.T) {
 	for _, kind := range []dataset.Kind{dataset.IND, dataset.COR, dataset.ANTI} {
 		recs := dataset.Synthetic(kind, 300, 3, 17)
@@ -231,14 +219,14 @@ func TestDecodeLegacySharded(t *testing.T) {
 		var live []int
 		for g := range recs {
 			if g%5 == 0 {
-				dyn, err := skyband.RestoreDynamic(l.Parts[g%3])
+				dyn, err := skyband.RestoreDynamic(&l.Parts[g%3].DynamicState)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if _, _, ok := dyn.Delete(g / 3); !ok {
 					t.Fatalf("delete %d", g)
 				}
-				l.Parts[g%3] = dyn.State()
+				l.Parts[g%3] = legacytest.FromState(dyn.State())
 				continue
 			}
 			live = append(live, g)

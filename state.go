@@ -2,10 +2,11 @@ package utk
 
 import "repro/internal/engine"
 
-// EngineState is a deep snapshot of an Engine's mutable dataset state. It is
-// the unit the durability layer snapshots and restores: applying the same
-// update batches to a restored engine yields answers bit-identical to the
-// original's.
+// EngineState is a deep snapshot of an Engine's mutable dataset state: the
+// live records (strongest first), the id allocator, epoch and counters, and
+// no band. It is the unit the durability layer snapshots and restores:
+// applying the same update batches to a restored engine yields answers
+// bit-identical to the original's.
 type EngineState = engine.State
 
 // State captures the engine's dataset state as one consistent snapshot
@@ -16,11 +17,11 @@ type EngineState = engine.State
 // and must not be mutated.
 func (e *Engine) State() *EngineState { return e.e.ExportState() }
 
-// RestoreEngine rebuilds an Engine from a captured state: queries run over
-// the snapshotted candidate superset and updates over the restored
-// maintenance structure, so recovery costs one fence pass over the live
-// records instead of NewEngine's recomputation of the superset. cfg supplies
-// the serving parameters (cache, workers, backpressure, timeout); MaxK comes
+// RestoreEngine builds an Engine from a captured state as NewEngine builds
+// one from records: the records are checked as NewEngine checks them, and
+// the candidate superset and its maintenance structure are built from them,
+// minus the sort (the state lists them strongest first). cfg supplies the
+// serving parameters (cache, workers, backpressure, timeout); MaxK comes
 // from the state.
 func RestoreEngine(st *EngineState, cfg EngineConfig) (*Engine, error) {
 	e, err := engine.Restore(st, cfg)

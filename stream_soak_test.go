@@ -161,8 +161,9 @@ func verifySoakBurst(t *testing.T, e *Engine, k int, regions []*Region, wantLive
 	st := e.State()
 	liveIDs, liveRecs := st.Dyn.LiveIDs, st.Dyn.LiveRecs
 	dynBand := map[int]bool{}
-	for i, id := range st.Dyn.MemberIDs {
-		if st.Dyn.MemberCounts[i] < k {
+	ids, counts := e.e.Band()
+	for i, id := range ids {
+		if counts[i] < k {
 			dynBand[id] = true
 		}
 	}
