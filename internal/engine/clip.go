@@ -33,7 +33,7 @@ func deriveClipped(req Request, src *Result) *Result {
 	}
 	start := time.Now()
 	dim := req.Region.Dim()
-	res := &Result{Epoch: src.Epoch, Derived: true}
+	res := &Result{Epoch: src.Epoch, Derived: true, Memo: new(Memo)}
 	switch req.Variant {
 	case UTK1:
 		// Only the union of surviving cells' ids matters, so a cell whose

@@ -49,8 +49,9 @@
 // band-changing batch publishes.
 //
 // The package is the one layer the serving tiers call: the registry builds,
-// restores and updates Engines, and the HTTP server sends each query to Do
-// and encodes the Result as it lies. Config owns the configuration's
+// restores and updates Engines, and the HTTP server sends each query to Do —
+// a box as its corners, so a hit builds no region — and encodes the Result,
+// a hit's from the entry's Memo once it holds the bytes. Config owns the configuration's
 // defaults and its JSON keys (a durable store's manifest embeds it), and
 // CopyRecords and CheckRecord own the rules for a usable dataset and record;
 // the root package's EngineConfig is an alias of Config.
@@ -95,6 +96,10 @@ var (
 	// (Config.MaxQueued) when the query arrived — the backpressure signal
 	// serving layers turn into 429 responses.
 	ErrSaturated = errors.New("engine: query slot queue saturated")
+	// ErrBadRegion prefixes the reason a request's box corners were refused
+	// (geom.CheckBox's). Its text is the HTTP layer's prefix for a refused
+	// region, so the two read alike.
+	ErrBadRegion = errors.New("bad region")
 )
 
 // CheckRecord is the one definition of a usable record: exactly dim
@@ -148,7 +153,7 @@ type Config struct {
 	// context carries none. The deadline covers queueing for a slot,
 	// waiting on a deduplicated in-flight computation, and — through the
 	// cancellation hook threaded into the refinement recursion — the
-	// computation itself.
+	// computation itself. A hit or a derived answer never arms it.
 	QueryTimeout time.Duration `json:"query_timeout_ns,omitempty"`
 }
 
@@ -194,11 +199,17 @@ func CopyRecords(records [][]float64) ([][]float64, error) {
 type Request struct {
 	Variant Variant
 	K       int
-	Region  *geom.Region
+	// Region is the query region. A box may come as its corners Lo and Hi
+	// instead, with Region nil: Do checks them as geom.NewBox would, keys the
+	// cache from them, and builds the region only when the cache cannot
+	// answer, so a hit never builds one.
+	Region *geom.Region
+	Lo, Hi []float64
 }
 
 // Result is the answer to a Request. Results may be shared between callers
-// through the cache and must be treated as immutable.
+// through the cache and must be treated as immutable, apart from Memo's
+// contents.
 type Result struct {
 	// IDs is the UTK1 answer (sorted dataset ids); nil for UTK2.
 	IDs []int
@@ -217,7 +228,29 @@ type Result struct {
 	// containing-region UTK2 result by cell clipping rather than computed by
 	// RSA/JAA (or copied from an entry that was).
 	Derived bool
+	// Memo is a slot for a transport's encoding of the answer. The engine
+	// allocates it with the Result, before the Result is shared through the
+	// cache or a flight, and never reads it; every hit on an entry copies the
+	// same pointer, so the memo lives and dies with its entry. A derived
+	// answer comes back without one: it is its entry's first answer, not a
+	// hit on it.
+	Memo *Memo
 }
+
+// Memo holds one encoding of a Result, stored once and read by any number
+// of goroutines.
+type Memo struct{ b atomic.Pointer[[]byte] }
+
+// Load returns the stored encoding, or nil before the first Store.
+func (m *Memo) Load() []byte {
+	if p := m.b.Load(); p != nil {
+		return *p
+	}
+	return nil
+}
+
+// Store publishes b as the encoding. The caller must not write b again.
+func (m *Memo) Store(b []byte) { m.b.Store(&b) }
 
 // Stats is a point-in-time snapshot of the engine's counters. It is the one
 // declaration of the serving counters: the engine increments them in a value
@@ -781,21 +814,17 @@ func batchAffects(tests []affectsTest, r *geom.Region, k int, counts []int) bool
 
 // Do answers one request, consulting the cache, deduplicating against
 // identical in-flight queries, and otherwise computing on the caller's
-// goroutine once the slot gate admits it.
+// goroutine once the slot gate admits it. A hit costs the checks, the key
+// and one lookup: the region of a request given as corners is built on its
+// first miss, and Config.QueryTimeout's deadline is armed only once the
+// cache cannot answer.
 func (e *Engine) Do(ctx context.Context, req Request) (*Result, error) {
 	if err := e.validate(req); err != nil {
 		return nil, err
 	}
-	if e.cfg.QueryTimeout > 0 {
-		if _, ok := ctx.Deadline(); !ok {
-			var cancel context.CancelFunc
-			ctx, cancel = context.WithTimeout(ctx, e.cfg.QueryTimeout)
-			defer cancel()
-		}
-	}
-	key := fingerprint(req.Variant, req.K, req.Region)
+	key := requestKey(&req)
 
-	derivedTried := false
+	derivedTried, armed := false, false
 	for {
 		// Election: answer from the cache, join an identical in-flight
 		// computation, or become the leader for the current epoch. Flights
@@ -816,39 +845,61 @@ func (e *Engine) Do(ctx context.Context, req Request) (*Result, error) {
 				hit.CacheHit = true
 				return &hit, nil
 			}
-			// Derived-answer fast path, before the gate: an exact miss whose
-			// region sits inside a cached UTK2 region is answered by cell
-			// clipping — no slot, no flight, no RSA/JAA work. The source was
-			// resident under the mutex, so the answer is at worst a
-			// consistent pre-update state (the same guarantee exact hits and
-			// flight waiters get); caching it is gated below on the source
-			// surviving the clipping window untouched.
-			if !derivedTried {
-				if src, srcKey, ok := e.cache.FindContaining(uint32(UTK2), req.K, req.Region); ok {
-					e.mu.Unlock()
-					derivedTried = true
-					if res := deriveClipped(req, src); res != nil {
-						e.mu.Lock()
-						e.stats.DerivedHits++
-						e.stats.Queries++
-						// Cache the derived entry only if no invalidation
-						// probe window is open and the source is still the
-						// resident entry (pointer identity): a surviving
-						// source's probe certificate covers every region it
-						// contains, so the derived answer is exact for the
-						// current dataset.
-						if e.updating == 0 {
-							if cur, ok := e.cache.Peek(srcKey); ok && cur == src {
-								e.admit(key, req, res)
-							}
+		}
+		if req.Region == nil {
+			// The corners passed validate, so the build cannot fail; it runs
+			// outside the lock, and the election starts over.
+			e.mu.Unlock()
+			r, err := geom.NewBox(req.Lo, req.Hi)
+			if err != nil {
+				return nil, fmt.Errorf("%w: %w", ErrBadRegion, err)
+			}
+			req.Region = r
+			continue
+		}
+		// Derived-answer fast path, before the gate: an exact miss whose
+		// region sits inside a cached UTK2 region is answered by cell
+		// clipping — no slot, no flight, no RSA/JAA work. The source was
+		// resident under the mutex, so the answer is at worst a consistent
+		// pre-update state (the same guarantee exact hits and flight waiters
+		// get); caching it is gated below on the source surviving the
+		// clipping window untouched.
+		if e.cache != nil && !derivedTried {
+			if src, srcKey, ok := e.cache.FindContaining(uint32(UTK2), req.K, req.Region); ok {
+				e.mu.Unlock()
+				derivedTried = true
+				if res := deriveClipped(req, src); res != nil {
+					e.mu.Lock()
+					e.stats.DerivedHits++
+					e.stats.Queries++
+					// Cache the derived entry only if no invalidation probe
+					// window is open and the source is still the resident
+					// entry (pointer identity): a surviving source's probe
+					// certificate covers every region it contains, so the
+					// derived answer is exact for the current dataset.
+					if e.updating == 0 {
+						if cur, ok := e.cache.Peek(srcKey); ok && cur == src {
+							e.admit(key, req, res)
 						}
-						e.mu.Unlock()
-						hit := *res
-						hit.CacheHit = true
-						return &hit, nil
 					}
-					continue // defensive: derivation failed, compute instead
+					e.mu.Unlock()
+					// This answer is the derived entry's first, not a hit on
+					// it, so it carries no memo to fill.
+					hit := *res
+					hit.CacheHit, hit.Memo = true, nil
+					return &hit, nil
 				}
+				continue // defensive: derivation failed, compute instead
+			}
+		}
+		// The cache cannot answer: the deadline is armed once per call, and
+		// covers a waiter, a queued leader and the computation alike.
+		if !armed {
+			armed = true
+			if _, ok := ctx.Deadline(); !ok && e.cfg.QueryTimeout > 0 {
+				var cancel context.CancelFunc
+				ctx, cancel = context.WithTimeout(ctx, e.cfg.QueryTimeout)
+				defer cancel()
 			}
 		}
 		flKey := flightKey(ix.epoch, key)
@@ -874,10 +925,13 @@ func (e *Engine) Do(ctx context.Context, req Request) (*Result, error) {
 		// A computation that panics finishes its flight as aborted on the way
 		// out: the slot is released, waiters re-elect, the query counts as
 		// Rejected, and the panic goes on up to the caller (net/http logs it).
-		computed := false
+		// The closure takes the request as built (req itself is assigned in
+		// the loop, and a closure that shared it would move it to the heap
+		// for every call, hits included).
+		computed, built := false, req
 		defer func() {
 			if !computed {
-				e.finish(flKey, key, fl, nil, errAborted, req)
+				e.finish(flKey, key, fl, nil, errAborted, built)
 			}
 		}()
 		// A leader whose snapshot is superseded mid-refinement still finishes:
@@ -956,17 +1010,29 @@ func (e *Engine) Stats() Stats {
 	return st
 }
 
+// validate checks a request before its key is made. A box's corners are
+// checked before k, the order the HTTP layer always checked a box body in.
 func (e *Engine) validate(req Request) error {
+	corners := req.Region == nil && (req.Lo != nil || req.Hi != nil)
+	if corners {
+		if len(req.Lo) != e.dim-1 || len(req.Hi) != e.dim-1 {
+			return core.ErrDimMismatch
+		}
+		if err := geom.CheckBox(req.Lo, req.Hi); err != nil {
+			return fmt.Errorf("%w: %w", ErrBadRegion, err)
+		}
+	}
 	if req.K <= 0 {
 		return core.ErrBadK
 	}
 	if req.K > e.cfg.MaxK {
 		return ErrKTooLarge
 	}
-	if req.Region == nil {
+	switch {
+	case corners:
+	case req.Region == nil:
 		return ErrNilRegion
-	}
-	if req.Region.Dim() != e.dim-1 {
+	case req.Region.Dim() != e.dim-1:
 		return core.ErrDimMismatch
 	}
 	return nil
@@ -992,7 +1058,7 @@ func (e *Engine) compute(ctx context.Context, req Request, ix *index) (*Result, 
 	start := time.Now()
 	g := ix.filter(req.Region, req.K)
 	st.FilterDuration = time.Since(start)
-	res := &Result{Epoch: ix.epoch}
+	res := &Result{Epoch: ix.epoch, Memo: new(Memo)}
 	switch req.Variant {
 	case UTK1:
 		ids, err := core.RSAFromGraph(g, req.Region, req.K, opts, st)

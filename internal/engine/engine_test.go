@@ -324,6 +324,82 @@ func testEngineValidation(t *testing.T) {
 	}
 }
 
+// TestCornerRequests: a box given as its corners is checked before k as the
+// HTTP layer always checked it, shares one cache entry with the same box
+// given as a Region, is built only on a miss (a derived answer still finds
+// its containing entry), and counts as a Region request does. A hit shares
+// its entry's memo; a derived answer, the first of its entry, has none.
+func TestCornerRequests(t *testing.T) {
+	td := buildData(t, 800, 3, 3)
+	e := buildEngine(t, td.recs, Config{MaxK: 10, CacheEntries: 8})
+	ctx := context.Background()
+	lo, hi := []float64{0.2, 0.3}, []float64{0.25, 0.35}
+	corners := Request{Variant: UTK1, K: 5, Lo: lo, Hi: hi}
+
+	for _, tc := range []struct {
+		name   string
+		req    Request
+		want   error
+		reason error // geom's reason under ErrBadRegion
+	}{
+		{"wrong width", Request{Variant: UTK1, K: 5, Lo: []float64{0.2}, Hi: hi}, core.ErrDimMismatch, nil},
+		{"side shorter than Eps", Request{Variant: UTK1, K: 5, Lo: lo, Hi: []float64{0.25, 0.3}}, ErrBadRegion, geom.ErrEmptyRegion},
+		{"bad box before k", Request{Variant: UTK1, K: 0, Lo: lo, Hi: []float64{0.25, 0.3}}, ErrBadRegion, geom.ErrEmptyRegion},
+		{"k = 0", Request{Variant: UTK1, K: 0, Lo: lo, Hi: hi}, core.ErrBadK, nil},
+		{"k > MaxK", Request{Variant: UTK1, K: 11, Lo: lo, Hi: hi}, ErrKTooLarge, nil},
+	} {
+		_, err := e.Do(ctx, tc.req)
+		if !errors.Is(err, tc.want) || (tc.reason != nil && !errors.Is(err, tc.reason)) {
+			t.Errorf("%s: got %v, want %v", tc.name, err, tc.want)
+		}
+	}
+	if _, err := e.Do(ctx, Request{Variant: UTK1, K: 5, Lo: []float64{-0.1, 0.3}, Hi: hi}); err == nil ||
+		err.Error() != "bad region: geom: box extends below zero in dimension 0" {
+		t.Errorf("lo < -Eps: got %v", err)
+	}
+
+	first, err := e.Do(ctx, corners)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first.CacheHit || first.Memo == nil {
+		t.Fatalf("first corner query: hit=%v memo=%v, want a computed answer with a memo", first.CacheHit, first.Memo)
+	}
+	for _, req := range []Request{{Variant: UTK1, K: 5, Region: box(t, lo, hi)}, corners} {
+		res, err := e.Do(ctx, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.CacheHit || res.Memo != first.Memo || !slices.Equal(res.IDs, first.IDs) {
+			t.Fatalf("repeat (region given: %v) did not hit the corners' entry with its memo", req.Region != nil)
+		}
+	}
+	direct := buildEngine(t, td.recs, Config{MaxK: 10, CacheEntries: -1})
+	want, err := direct.Do(ctx, Request{Variant: UTK1, K: 5, Region: box(t, lo, hi)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(first.IDs, want.IDs) {
+		t.Fatalf("corner answer %v, region answer %v", first.IDs, want.IDs)
+	}
+
+	// A nested box as corners misses exactly, then derives from the UTK2 entry.
+	if _, err := e.Do(ctx, Request{Variant: UTK2, K: 5, Lo: lo, Hi: hi}); err != nil {
+		t.Fatal(err)
+	}
+	nested, err := e.Do(ctx, Request{Variant: UTK1, K: 5, Lo: []float64{0.21, 0.31}, Hi: []float64{0.24, 0.34}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !nested.Derived || nested.Memo != nil {
+		t.Fatalf("nested corners: derived=%v memo=%v, want a derived answer without a memo", nested.Derived, nested.Memo)
+	}
+	st := e.Stats()
+	if st.Hits != 2 || st.Misses != 2 || st.DerivedHits != 1 || st.Queries != 5 {
+		t.Errorf("hits %d misses %d derived %d queries %d, want 2, 2, 1, 5", st.Hits, st.Misses, st.DerivedHits, st.Queries)
+	}
+}
+
 func TestEngineContextCancellation(t *testing.T) {
 	td := buildData(t, 200, 3, 9)
 	e, err := New(td.recs, Config{MaxK: 5, CacheEntries: -1, Workers: 1})

@@ -2,6 +2,8 @@ package engine
 
 import (
 	"encoding/hex"
+	"math"
+	"math/rand"
 	"testing"
 
 	"repro/internal/geom"
@@ -50,6 +52,60 @@ func TestFingerprintPinned(t *testing.T) {
 	for _, pin := range fingerprintPins {
 		if got := hex.EncodeToString([]byte(keys[pin.name])); got != pin.hex {
 			t.Errorf("%s: fingerprint\n got %s\nwant %s", pin.name, got, pin.hex)
+		}
+	}
+}
+
+// TestBoxKey checks that the corner key is the generic key: for random
+// boxes at dim 1–11 (edges included: lo = 0, lo = −0, lo = −Eps, sides of
+// exactly Eps), boxKey equals fingerprint of geom.NewBox and halfspaceKey
+// over the box's rows, also shuffled and rescaled. The scales are powers of
+// two, the scalings whose normalization is exact; any other scale may move a
+// bit, which is a miss by design (see fingerprint).
+func TestBoxKey(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	edge := []float64{0, math.Copysign(0, -1), -geom.Eps}
+	for dim := 1; dim <= 11; dim++ {
+		for trial := 0; trial < 40; trial++ {
+			lo, hi := make([]float64, dim), make([]float64, dim)
+			for i := range lo {
+				switch rng.Intn(4) {
+				case 0:
+					lo[i] = edge[rng.Intn(len(edge))]
+				default:
+					lo[i] = rng.Float64() * 0.5 / float64(dim)
+				}
+				if trial%2 == 0 && lo[i] <= 0 {
+					hi[i] = lo[i] + geom.Eps // exact: lo is 0 or −Eps
+				} else {
+					hi[i] = lo[i] + geom.Eps + rng.Float64()*0.2
+				}
+			}
+			r, err := geom.NewBox(lo, hi)
+			if err != nil {
+				t.Fatalf("dim %d: box %v–%v refused: %v", dim, lo, hi, err)
+			}
+			k := 1 + rng.Intn(maxK)
+			v := Variant(rng.Intn(2))
+			want := boxKey(v, k, lo, hi)
+			rows := r.Halfspaces()
+			if got := halfspaceKey(v, k, rows); got != want {
+				t.Fatalf("dim %d: generic key of the box's rows differs from its corner key", dim)
+			}
+			if got := fingerprint(v, k, r); got != want {
+				t.Fatalf("dim %d: fingerprint of the box differs from its corner key", dim)
+			}
+			rng.Shuffle(len(rows), func(i, j int) { rows[i], rows[j] = rows[j], rows[i] })
+			for i := range rows {
+				s := math.Ldexp(1, rng.Intn(41)-20)
+				for j := range rows[i].A {
+					rows[i].A[j] *= s
+				}
+				rows[i].B *= s
+			}
+			if got := halfspaceKey(v, k, rows); got != want {
+				t.Fatalf("dim %d: generic key of the shuffled, rescaled rows differs from the corner key", dim)
+			}
 		}
 	}
 }

@@ -25,30 +25,42 @@ type Region struct {
 // interior.
 var ErrEmptyRegion = errors.New("geom: region is empty or lower-dimensional")
 
-// NewBox builds an axis-parallel hyper-rectangle [lo, hi] in the reduced
-// preference domain. It validates that the box is full-dimensional and lies
-// inside the domain (all weights non-negative, sum at most one).
-func NewBox(lo, hi []float64) (*Region, error) {
+// CheckBox reports whether [lo, hi] is a box NewBox accepts: corners of one
+// positive length, every side at least Eps long, every lo at least −Eps, and
+// Σ lo below 1 − Eps. It allocates nothing on success, so a caller can check
+// a box before deciding whether to build it.
+func CheckBox(lo, hi []float64) error {
 	if len(lo) != len(hi) {
-		return nil, fmt.Errorf("geom: box corner dimensions differ: %d vs %d", len(lo), len(hi))
+		return fmt.Errorf("geom: box corner dimensions differ: %d vs %d", len(lo), len(hi))
 	}
-	dim := len(lo)
-	if dim == 0 {
-		return nil, errors.New("geom: zero-dimensional box")
+	if len(lo) == 0 {
+		return errors.New("geom: zero-dimensional box")
 	}
 	sumLo := 0.0
 	for i := range lo {
 		if hi[i]-lo[i] < Eps {
-			return nil, fmt.Errorf("geom: box side %d is empty: [%g, %g]: %w", i, lo[i], hi[i], ErrEmptyRegion)
+			return fmt.Errorf("geom: box side %d is empty: [%g, %g]: %w", i, lo[i], hi[i], ErrEmptyRegion)
 		}
 		if lo[i] < -Eps {
-			return nil, fmt.Errorf("geom: box extends below zero in dimension %d", i)
+			return fmt.Errorf("geom: box extends below zero in dimension %d", i)
 		}
 		sumLo += lo[i]
 	}
 	if sumLo >= 1-Eps {
-		return nil, fmt.Errorf("geom: box lies outside the weight simplex (Σ lo = %g ≥ 1)", sumLo)
+		return fmt.Errorf("geom: box lies outside the weight simplex (Σ lo = %g ≥ 1)", sumLo)
 	}
+	return nil
+}
+
+// NewBox builds an axis-parallel hyper-rectangle [lo, hi] in the reduced
+// preference domain. It validates with CheckBox that the box is
+// full-dimensional and lies inside the domain (all weights non-negative, sum
+// at most one).
+func NewBox(lo, hi []float64) (*Region, error) {
+	if err := CheckBox(lo, hi); err != nil {
+		return nil, err
+	}
+	dim := len(lo)
 	// One float array backs every row, corner, both bounds and the pivot;
 	// each piece is capped at its length, so an append to one never writes
 	// into the next.
@@ -181,6 +193,10 @@ func (r *Region) Bounds() (lo, hi []float64) {
 	}
 	return append([]float64(nil), r.lo...), append([]float64(nil), r.hi...)
 }
+
+// BoundsView returns the box corners without copying them, or nil if the
+// region is not a box: the caller must not modify them.
+func (r *Region) BoundsView() (lo, hi []float64) { return r.lo, r.hi }
 
 // Halfspaces returns the bounding half-spaces (a copy).
 func (r *Region) Halfspaces() []Halfspace {

@@ -12,13 +12,13 @@ import (
 )
 
 // Allocation budgets for a cache-hit query through the whole handler
-// (routing, body decode, engine hit, response encode), as allocs/op upper
+// (routing, body decode, engine hit, the memo's copy), as allocs/op upper
 // bounds at ~3× the measured value, the rule of the engine's
 // TestAllocBudgets. The reflective codec this replaced cost many times
 // more; a budget breach most likely means reflection crept back in.
 const (
-	allocBudgetHandlerUTK1 = 70 // measured 20 (23 through the root package's answer copy, 95 with encoding/json as well)
-	allocBudgetHandlerUTK2 = 80 // measured 20 (26, 116)
+	allocBudgetHandlerUTK1 = 48 // measured 16 (20 while a hit built its region and encoded its answer; 23 through the root package's answer copy, 95 with encoding/json as well)
+	allocBudgetHandlerUTK2 = 48 // measured 16 (20, 26, 116)
 )
 
 func TestHandlerAllocBudgets(t *testing.T) {

@@ -17,9 +17,10 @@ var timingField = regexp.MustCompile(`"(filter_ms|refine_ms)":[-0-9.eE+]+`)
 
 // TestQueryResponseGolden pins the exact bodies (status, Content-Type and
 // every byte, timings masked) of the hot routes on the fixture: /utk1 miss,
-// hit and derived answers, box and polytope /utk2, and /update with and
-// without deletes. Any drift in key order, float formatting, null-vs-empty
-// slices or the trailing newline shows up as a golden diff
+// hit and derived answers, box and polytope /utk2, /update with and without
+// deletes, and hits served from an entry's memo. Any drift in key order,
+// float formatting, null-vs-empty slices or the trailing newline shows up as
+// a golden diff
 // (go test ./internal/server -run TestQueryResponseGolden -update).
 func TestQueryResponseGolden(t *testing.T) {
 	_, srv := fixture(t, "alpha")
@@ -36,6 +37,15 @@ func TestQueryResponseGolden(t *testing.T) {
 		{"/update/alpha", `{"delete":[5]}`},
 		{"/utk1/alpha", `{"k":3,` + box + `}`},
 		{"/utk2/alpha", `{"k":1,"region":{"lo":[0.0000001,0.3],"hi":[0.05,0.35]}}`},
+		// The box's entries after the updates: a UTK1 hit that encodes its
+		// answer and fills the entry's memo, then one copied from the memo;
+		// the UTK2 entry, which the updates invalidated, is recomputed and
+		// then hit the same two ways.
+		{"/utk1/alpha", `{"k":3,` + box + `}`},
+		{"/utk1/alpha", `{"k":3,` + box + `}`},
+		{"/utk2/alpha", `{"k":3,` + box + `}`},
+		{"/utk2/alpha", `{"k":3,` + box + `}`},
+		{"/utk2/alpha", `{"k":3,` + box + `}`},
 	}
 	var got bytes.Buffer
 	for _, rq := range requests {

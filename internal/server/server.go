@@ -238,13 +238,13 @@ func (s *Server) parseQuery(w http.ResponseWriter, r *http.Request, ent *registr
 	var err error
 	switch {
 	case req.Region != nil:
-		// A box has 2^width corners, so its width is checked before it is
-		// built: a wide hostile body must not size that buffer.
+		// The engine checks the corners and builds the region only on a
+		// miss; its refusal reads "bad region: …" as this one does.
 		if want := ent.Dim() - 1; len(req.Region.Lo) != want || len(req.Region.Hi) != want {
 			err = fmt.Errorf("box corners have %d and %d entries, want %d", len(req.Region.Lo), len(req.Region.Hi), want)
 			break
 		}
-		region, err = geom.NewBox(req.Region.Lo, req.Region.Hi)
+		return engine.Request{Variant: v, K: req.K, Lo: req.Region.Lo, Hi: req.Region.Hi}, true
 	case len(req.Halfspaces) > 0:
 		hs := make([]geom.Halfspace, len(req.Halfspaces))
 		for i, h := range req.Halfspaces {
@@ -262,7 +262,8 @@ func (s *Server) parseQuery(w http.ResponseWriter, r *http.Request, ent *registr
 }
 
 // handleQuery serves /utk1 or /utk2: one engine request, its Result encoded
-// as the engine returned it.
+// as the engine returned it (a hit's bytes copied from its entry's memo once
+// filled; see enc.result).
 func (s *Server) handleQuery(v engine.Variant) http.HandlerFunc {
 	variant := "utk1"
 	if v == engine.UTK2 {

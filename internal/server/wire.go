@@ -571,14 +571,36 @@ func respond(w http.ResponseWriter, fill func(*enc)) {
 	}
 }
 
-// result appends one /utk1 or /utk2 answer for the named dataset, reading
-// the engine's Result where it lies: the UTK1 ids, or per UTK2 cell only its
-// top-k set and interior point. An empty id list or point is written as
-// null, so the bytes do not depend on whether the engine left it nil or
-// empty.
+// result appends one /utk1 or /utk2 answer for the named dataset. Everything
+// after the cache_hit value depends only on the cached entry (an engine
+// serves one dataset, and a key one variant), so a hit copies those bytes
+// from the entry's memo; the first hit encodes them and fills the memo,
+// unless the encoder refused a non-finite value. Computed and shared answers
+// (not hits) and derived ones (no memo) encode and fill nothing, so an entry
+// never hit costs no bytes.
 func (e *enc) result(res *engine.Result, v engine.Variant, name string) {
 	e.b = append(e.b, `{"cache_hit":`...)
 	e.b = strconv.AppendBool(e.b, res.CacheHit)
+	if !res.CacheHit || res.Memo == nil {
+		e.answer(res, v, name)
+		return
+	}
+	if b := res.Memo.Load(); b != nil {
+		e.b = append(e.b, b...)
+		return
+	}
+	start := len(e.b)
+	e.answer(res, v, name)
+	if !e.bad {
+		res.Memo.Store(slices.Clone(e.b[start:]))
+	}
+}
+
+// answer appends the members after cache_hit, reading the engine's Result
+// where it lies: the UTK1 ids, or per UTK2 cell only its top-k set and
+// interior point. An empty id list or point is written as null, so the bytes
+// do not depend on whether the engine left it nil or empty.
+func (e *enc) answer(res *engine.Result, v engine.Variant, name string) {
 	if v == engine.UTK2 {
 		e.b = append(e.b, `,"cells":[`...)
 		for i := range res.Cells {
