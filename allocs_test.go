@@ -21,8 +21,8 @@ import (
 const (
 	allocBudgetHotUTK1     = 12  // measured 4 (was 25 before the facade copy went to three arrays and the hit path stopped building a flight key)
 	allocBudgetHotUTK2     = 21  // measured 7 (was 34)
-	allocBudgetWarmUTK1    = 355 // measured 112, one of them the Result's memo (the streaming prefilter changed the bytes, not the count:
-	allocBudgetWarmUTK2    = 410 // measured 130  skyband's TestWarmFilterAllocsIndependentOfN pins those)
+	allocBudgetWarmUTK1    = 355 // measured 107, one of them the Result's memo (112 while a miss built a flight key and a flight; the streaming prefilter changed the bytes, not the count:
+	allocBudgetWarmUTK2    = 410 // measured 125 (was 130)  skyband's TestWarmFilterAllocsIndependentOfN pins those)
 	allocBudgetDerivedUTK1 = 36  // measured 13, one of them the Result's memo (was 33)
 	allocBudgetDerivedUTK2 = 210 // measured 70 (was ~1200: one allocation per copied cell slice)
 	allocBudgetColdUTK1    = 330 // measured 110 (the BBS interval bound's k-slot buffer no longer grows by append)

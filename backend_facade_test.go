@@ -168,8 +168,8 @@ func TestBackendDifferential(t *testing.T) {
 // TestParallelDifferential is the backend differential under concurrent
 // load: each backend gets a cold engine that computes W queries at a
 // time, and W clients ask it the same UTK1 and UTK2 questions at once. Every
-// client must get the dataset run's answer whether it computed the miss,
-// waited on an identical in-flight query or hit the cache.
+// client must get the dataset run's answer whether it computed the miss or
+// hit the cache, at once or after waiting for a slot.
 func TestParallelDifferential(t *testing.T) {
 	workerSweep := []int{1, 2, 4, 8}
 	if testing.Short() {

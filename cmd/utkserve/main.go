@@ -21,6 +21,9 @@
 // restart recovers every dataset from its last snapshot plus the WAL tail —
 // including across kill -9. Datasets recovered from the directory win over
 // the -gen/-data flags, which only seed the initial dataset the first time.
+// A recovered dataset also keeps the engine configuration it was created
+// with (the manifest's): -maxk, -cache, -workers, -max-queued and -timeout
+// apply only to a dataset this run creates.
 //
 // CSV input is one record per line, numeric fields only; higher values are
 // better in every column.

@@ -177,7 +177,7 @@ func TestContainmentDifferential(t *testing.T) {
 					t.Errorf("disjoint pair: %d derived answers, want 0", got)
 				}
 				st := e.Stats()
-				if st.Queries != st.Hits+st.Misses+st.Shared+st.DerivedHits {
+				if st.Queries != st.Hits+st.Misses+st.DerivedHits {
 					t.Errorf("counters do not reconcile: %+v", st)
 				}
 			})

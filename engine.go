@@ -23,12 +23,13 @@ const DefaultEngineCacheEntries = engine.DefaultCacheEntries
 // queries: the r-dominance filtering reuses a maintained candidate superset,
 // identical queries are answered from an LRU result cache — with
 // containment-based reuse deriving answers for regions nested in a cached
-// UTK2 region by cell clipping, and single-flight deduplication of
-// concurrent duplicates — and a miss computes on the calling goroutine once
-// it holds one of EngineConfig.Workers slots, with per-query deadlines
-// threaded into the refinement recursion. Each UTK1 or UTK2 call answers one
-// query; it is safe for concurrent use, so a caller with many queries issues
-// concurrent calls, which share the slots.
+// UTK2 region by cell clipping — and a miss computes on the calling
+// goroutine once it holds one of EngineConfig.Workers slots and has looked
+// in the cache again (so concurrent duplicates compute at most Workers
+// times), with per-query deadlines threaded into the refinement recursion.
+// Each UTK1 or UTK2 call answers one query; it is safe for concurrent use,
+// so a caller with many queries issues concurrent calls, which share the
+// slots.
 //
 // The engine's dataset is mutable: Insert, Delete, and ApplyBatch maintain
 // the candidate superset incrementally (orders of magnitude cheaper than

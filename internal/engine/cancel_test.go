@@ -50,8 +50,7 @@ func TestEngineDeadlineBoundsRefinement(t *testing.T) {
 		t.Error("expired query not counted as rejected")
 	}
 
-	// The engine still serves after a cancellation: the worker slot was
-	// released and the aborted flight left no residue.
+	// The engine still serves after a cancellation: the slot was released.
 	res, err := e.Do(context.Background(), Request{Variant: UTK1, K: 3, Region: r})
 	if err != nil {
 		t.Fatal(err)

@@ -128,7 +128,7 @@ func TestDerivedHitServesWithoutRefinement(t *testing.T) {
 	if st.DerivedHits != 2 {
 		t.Errorf("derived hits = %d, want 2", st.DerivedHits)
 	}
-	if st.Queries != st.Hits+st.Misses+st.Shared+st.DerivedHits {
+	if st.Queries != st.Hits+st.Misses+st.DerivedHits {
 		t.Errorf("counters do not reconcile: %+v", st)
 	}
 

@@ -142,7 +142,7 @@ func Run(t *testing.T, cfg Config) {
 	}
 
 	st := dyn.Stats()
-	if st.Queries != st.Hits+st.Misses+st.Shared+st.DerivedHits {
+	if st.Queries != st.Hits+st.Misses+st.DerivedHits {
 		t.Errorf("stats do not reconcile: %+v", st)
 	}
 	if st.Live != len(mirror) {

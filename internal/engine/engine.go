@@ -31,11 +31,13 @@
 //     cannot appear in (or vanish from) any top-k set there, so that entry
 //     survives — rather than flushing the whole cache per update.
 //  3. A result cache (the rescache subsystem) keyed on a canonicalized
-//     (variant, k, region) fingerprint, with single-flight deduplication so
-//     concurrent identical queries compute once and share the result.
-//     Eviction is plain LRU, and an exact miss whose region lies inside a
-//     cached UTK2 region is answered by cell clipping (see deriveClipped)
-//     instead of recomputing: exact, with zero refinement work.
+//     (variant, k, region) fingerprint. It is where identical queries meet:
+//     a miss looks again once it holds a slot, so a herd of identical misses
+//     computes at most Config.Workers times and the rest hit the entry the
+//     first computation admitted. Eviction is plain LRU, and an exact miss
+//     whose region lies inside a cached UTK2 region is answered by cell
+//     clipping (see deriveClipped) instead of recomputing: exact, with zero
+//     refinement work.
 //  4. A slot gate with per-query deadlines: a miss computes on its caller's
 //     goroutine once it holds one of Config.Workers slots, and waits for one
 //     in a FIFO queue otherwise. The deadline is threaded into the refinement
@@ -59,7 +61,6 @@ package engine
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -117,11 +118,6 @@ func CheckRecord(rec []float64, dim int) error {
 	return nil
 }
 
-// errAborted marks a flight whose leader gave up (saturation or context
-// expiry) before the computation finished; waiters react by electing a new
-// leader.
-var errAborted = errors.New("engine: in-flight computation aborted")
-
 // Config is the one declaration of an engine's configuration: the
 // library's EngineConfig and the registry's Options are aliases of it, and a
 // durable store's manifest entry embeds it, so its JSON keys are the
@@ -150,10 +146,9 @@ type Config struct {
 	// slot is taken), positive is the bound itself.
 	MaxQueued int `json:"max_queued,omitempty"`
 	// QueryTimeout, when positive, is the deadline applied to queries whose
-	// context carries none. The deadline covers queueing for a slot,
-	// waiting on a deduplicated in-flight computation, and — through the
-	// cancellation hook threaded into the refinement recursion — the
-	// computation itself. A hit or a derived answer never arms it.
+	// context carries none. The deadline covers queueing for a slot and —
+	// through the cancellation hook threaded into the refinement recursion —
+	// the computation itself. A hit or a derived answer never arms it.
 	QueryTimeout time.Duration `json:"query_timeout_ns,omitempty"`
 }
 
@@ -230,8 +225,8 @@ type Result struct {
 	Derived bool
 	// Memo is a slot for a transport's encoding of the answer. The engine
 	// allocates it with the Result, before the Result is shared through the
-	// cache or a flight, and never reads it; every hit on an entry copies the
-	// same pointer, so the memo lives and dies with its entry. A derived
+	// cache, and never reads it; every hit on an entry copies the same
+	// pointer, so the memo lives and dies with its entry. A derived
 	// answer comes back without one: it is its entry's first answer, not a
 	// hit on it.
 	Memo *Memo
@@ -263,14 +258,12 @@ type Stats struct {
 	skyband.DynamicStats
 	// Queries counts completed queries, however they were served.
 	Queries uint64
-	// Hits and Misses split cache lookups; Shared counts queries that
-	// coalesced onto another caller's in-flight computation. DerivedHits
-	// counts misses answered by clipping a cached containing-region UTK2
-	// result instead of recomputing (Queries = Hits + Misses + Shared +
-	// DerivedHits).
+	// Hits counts answers served from the cache; Misses counts computed
+	// answers. DerivedHits counts misses answered by clipping a cached
+	// containing-region UTK2 result instead of recomputing (Queries = Hits +
+	// Misses + DerivedHits).
 	Hits        uint64
 	Misses      uint64
-	Shared      uint64
 	DerivedHits uint64
 	// Evictions counts capacity evictions. Invalidations counts cache
 	// entries evicted because an update could affect them; AdmissionSkips
@@ -365,14 +358,6 @@ func (ix *index) filter(r *geom.Region, k int) *skyband.Graph {
 	return g
 }
 
-// flight is one in-progress computation that concurrent identical queries
-// rendezvous on.
-type flight struct {
-	done chan struct{}
-	res  *Result
-	err  error
-}
-
 // Engine serves UTK queries over one dataset and applies incremental
 // updates to it. It is safe for concurrent use.
 type Engine struct {
@@ -390,17 +375,16 @@ type Engine struct {
 	// publish a fresh one with a bumped epoch.
 	idx atomic.Pointer[index]
 
-	// mu guards the cache, the flights, the slot gate and stats. stats holds
-	// every counter, incremented in place; its DynamicStats is refreshed at
-	// the end of each batch, MaxK/Workers are fixed at construction, and
-	// Epoch, Queued and CacheEntries are filled only in the copy Stats
-	// returns. The gate is stats.InFlight (slots taken) plus waiting, the
-	// FIFO of queued leaders (see acquire).
+	// mu guards the cache, the slot gate and stats. stats holds every
+	// counter, incremented in place; its DynamicStats is refreshed at the end
+	// of each batch, MaxK/Workers are fixed at construction, and Epoch,
+	// Queued and CacheEntries are filled only in the copy Stats returns. The
+	// gate is stats.InFlight (slots taken) plus waiting, the FIFO of queued
+	// misses (see acquire).
 	mu       sync.Mutex
 	cache    *rescache.Cache[*Result]
 	stats    Stats
 	updating int // open invalidation-probe windows; finish skips caching while > 0
-	inflight map[string]*flight
 	waiting  []chan struct{}
 }
 
@@ -450,10 +434,9 @@ func (cfg Config) withDefaults() (Config, error) {
 // counters (zero for a fresh engine).
 func newEngine(cfg Config, b *skyband.Dynamic, dim int, epoch, batches uint64) *Engine {
 	e := &Engine{
-		cfg:      cfg,
-		dim:      dim,
-		band:     b,
-		inflight: make(map[string]*flight),
+		cfg:  cfg,
+		dim:  dim,
+		band: b,
 		stats: Stats{
 			DynamicStats:  b.Stats(),
 			UpdateBatches: batches,
@@ -812,149 +795,147 @@ func batchAffects(tests []affectsTest, r *geom.Region, k int, counts []int) bool
 	return true
 }
 
-// Do answers one request, consulting the cache, deduplicating against
-// identical in-flight queries, and otherwise computing on the caller's
-// goroutine once the slot gate admits it. A hit costs the checks, the key
-// and one lookup: the region of a request given as corners is built on its
-// first miss, and Config.QueryTimeout's deadline is armed only once the
-// cache cannot answer.
+// Do answers one request: from the cache, by clipping a cached containing
+// UTK2 answer, or by computing on the caller's goroutine once the slot gate
+// admits it. A hit costs the checks, the key and one lookup: the region of a
+// request given as corners is built only after a miss, and
+// Config.QueryTimeout's deadline is armed only once neither the cache nor a
+// derivation can answer.
 func (e *Engine) Do(ctx context.Context, req Request) (*Result, error) {
 	if err := e.validate(req); err != nil {
 		return nil, err
 	}
 	key := requestKey(&req)
-
-	derivedTried, armed := false, false
-	for {
-		// Election: answer from the cache, join an identical in-flight
-		// computation, or become the leader for the current epoch. Flights
-		// are scoped to an epoch so late arrivals never coalesce onto a
-		// computation over a superseded candidate index; the cache key is
-		// epoch-free because precise invalidation keeps surviving entries
-		// exact across epochs. One idx load serves both the flight key and
-		// the computation, so a flight is always keyed to the epoch its
-		// leader computes against.
-		ix := e.idx.Load()
-		e.mu.Lock()
-		if e.cache != nil {
-			if res, ok := e.cache.Get(key); ok {
-				e.stats.Hits++
-				e.stats.Queries++
-				e.mu.Unlock()
-				hit := *res
-				hit.CacheHit = true
-				return &hit, nil
-			}
-		}
-		if req.Region == nil {
-			// The corners passed validate, so the build cannot fail; it runs
-			// outside the lock, and the election starts over.
-			e.mu.Unlock()
-			r, err := geom.NewBox(req.Lo, req.Hi)
-			if err != nil {
-				return nil, fmt.Errorf("%w: %w", ErrBadRegion, err)
-			}
-			req.Region = r
-			continue
-		}
-		// Derived-answer fast path, before the gate: an exact miss whose
-		// region sits inside a cached UTK2 region is answered by cell
-		// clipping — no slot, no flight, no RSA/JAA work. The source was
-		// resident under the mutex, so the answer is at worst a consistent
-		// pre-update state (the same guarantee exact hits and flight waiters
-		// get); caching it is gated below on the source surviving the
-		// clipping window untouched.
-		if e.cache != nil && !derivedTried {
-			if src, srcKey, ok := e.cache.FindContaining(uint32(UTK2), req.K, req.Region); ok {
-				e.mu.Unlock()
-				derivedTried = true
-				if res := deriveClipped(req, src); res != nil {
-					e.mu.Lock()
-					e.stats.DerivedHits++
-					e.stats.Queries++
-					// Cache the derived entry only if no invalidation probe
-					// window is open and the source is still the resident
-					// entry (pointer identity): a surviving source's probe
-					// certificate covers every region it contains, so the
-					// derived answer is exact for the current dataset.
-					if e.updating == 0 {
-						if cur, ok := e.cache.Peek(srcKey); ok && cur == src {
-							e.admit(key, req, res)
-						}
-					}
-					e.mu.Unlock()
-					// This answer is the derived entry's first, not a hit on
-					// it, so it carries no memo to fill.
-					hit := *res
-					hit.CacheHit, hit.Memo = true, nil
-					return &hit, nil
-				}
-				continue // defensive: derivation failed, compute instead
-			}
-		}
-		// The cache cannot answer: the deadline is armed once per call, and
-		// covers a waiter, a queued leader and the computation alike.
-		if !armed {
-			armed = true
-			if _, ok := ctx.Deadline(); !ok && e.cfg.QueryTimeout > 0 {
-				var cancel context.CancelFunc
-				ctx, cancel = context.WithTimeout(ctx, e.cfg.QueryTimeout)
-				defer cancel()
-			}
-		}
-		flKey := flightKey(ix.epoch, key)
-		if other, ok := e.inflight[flKey]; ok {
-			e.mu.Unlock()
-			res, err := e.wait(ctx, other)
-			if errors.Is(err, errAborted) {
-				continue // the leader never finished; elect a new leader
-			}
-			return res, err
-		}
-		fl := &flight{done: make(chan struct{})}
-		e.inflight[flKey] = fl
-		if err := e.acquire(ctx); err != nil {
-			delete(e.inflight, flKey)
-			e.mu.Unlock()
-			fl.err = errAborted
-			close(fl.done)
-			return nil, err
-		}
-		e.mu.Unlock()
-
-		// A computation that panics finishes its flight as aborted on the way
-		// out: the slot is released, waiters re-elect, the query counts as
-		// Rejected, and the panic goes on up to the caller (net/http logs it).
-		// The closure takes the request as built (req itself is assigned in
-		// the loop, and a closure that shared it would move it to the heap
-		// for every call, hits included).
-		computed, built := false, req
-		defer func() {
-			if !computed {
-				e.finish(flKey, key, fl, nil, errAborted, built)
-			}
-		}()
-		// A leader whose snapshot is superseded mid-refinement still finishes:
-		// its answer is exact for the epoch it loaded, and finish keeps it out
-		// of the cache. Only the caller's context cuts the computation short.
-		res, err := e.compute(ctx, req, ix)
-		computed = true
-		if errors.Is(err, core.ErrCanceled) {
-			// The waiters re-elect rather than inheriting this leader's fate.
-			e.finish(flKey, key, fl, nil, errAborted, req)
-			return nil, ctx.Err()
-		}
-		e.finish(flKey, key, fl, res, err, req)
-		return res, err
+	e.mu.Lock()
+	res, ok := e.lookup(key)
+	e.mu.Unlock()
+	if ok {
+		return hitOf(res), nil
 	}
+	if req.Region == nil {
+		// The corners passed validate, so the build cannot fail.
+		r, err := geom.NewBox(req.Lo, req.Hi)
+		if err != nil {
+			return nil, fmt.Errorf("%w: %w", ErrBadRegion, err)
+		}
+		req.Region = r
+	}
+	if res := e.derive(key, req); res != nil {
+		return res, nil
+	}
+	// The deadline covers the wait for a slot and the computation alike.
+	if _, ok := ctx.Deadline(); !ok && e.cfg.QueryTimeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, e.cfg.QueryTimeout)
+		defer cancel()
+	}
+	e.mu.Lock()
+	if err := e.acquire(ctx); err != nil {
+		e.mu.Unlock()
+		return nil, err
+	}
+	// Look again with the slot held: an identical query that held a slot
+	// before this one may have admitted its answer since the first lookup,
+	// so a herd of identical misses computes at most Workers times. The
+	// index is loaded under the same hold, so the answer computed below is
+	// for the epoch the lookup saw.
+	if res, ok := e.lookup(key); ok {
+		e.release()
+		e.mu.Unlock()
+		return hitOf(res), nil
+	}
+	ix := e.idx.Load()
+	e.mu.Unlock()
+
+	// A computation that panics releases its slot on the way out and counts
+	// as Rejected; the panic goes on up to the caller (net/http logs it).
+	computed := false
+	defer func() {
+		if !computed {
+			e.finish(key, req, nil, true)
+		}
+	}()
+	// A computation whose snapshot is superseded mid-refinement still
+	// finishes: its answer is exact for the epoch it loaded, and finish keeps
+	// it out of the cache. Only the caller's context cuts it short.
+	res, err := e.compute(ctx, req, ix)
+	computed = true
+	canceled := errors.Is(err, core.ErrCanceled)
+	e.finish(key, req, res, canceled)
+	if canceled {
+		return nil, ctx.Err()
+	}
+	return res, err
 }
 
-// acquire takes one of the Config.Workers slots for a flight's leader. The
-// caller holds e.mu, and holds it again when acquire returns; a queued
-// leader drops it while it waits. Slots pass in FIFO order: release hands a
-// freed slot straight to the oldest waiter. A leader is refused with
-// ErrSaturated at the queue bound (Config.MaxQueued) and gives up with
-// ctx.Err() if its context ends while it is queued; both are counted. A slot
+// lookup returns the entry cached under key and counts the hit. The caller
+// holds e.mu.
+func (e *Engine) lookup(key string) (*Result, bool) {
+	if e.cache == nil {
+		return nil, false
+	}
+	res, ok := e.cache.Get(key)
+	if ok {
+		e.stats.Hits++
+		e.stats.Queries++
+	}
+	return res, ok
+}
+
+// hitOf is the answer a hit on the cached res returns: a copy marked as a
+// hit, sharing res's memo.
+func hitOf(res *Result) *Result {
+	hit := *res
+	hit.CacheHit = true
+	return &hit
+}
+
+// derive answers an exact miss whose region sits inside a cached UTK2 region
+// by cell clipping — no slot, no RSA/JAA work — and returns nil when no
+// cached region contains it. The source was resident under the mutex, so the
+// answer is at worst a consistent pre-update state (the guarantee an exact
+// hit gets); caching it is gated on the source surviving the clipping window
+// untouched.
+func (e *Engine) derive(key string, req Request) *Result {
+	if e.cache == nil {
+		return nil
+	}
+	e.mu.Lock()
+	src, srcKey, ok := e.cache.FindContaining(uint32(UTK2), req.K, req.Region)
+	e.mu.Unlock()
+	if !ok {
+		return nil
+	}
+	res := deriveClipped(req, src)
+	if res == nil {
+		return nil // defensive: derivation failed, compute instead
+	}
+	e.mu.Lock()
+	e.stats.DerivedHits++
+	e.stats.Queries++
+	// Cache the derived entry only if no invalidation probe window is open
+	// and the source is still the resident entry (pointer identity): a
+	// surviving source's probe certificate covers every region it contains,
+	// so the derived answer is exact for the current dataset.
+	if e.updating == 0 {
+		if cur, ok := e.cache.Peek(srcKey); ok && cur == src {
+			e.admit(key, req, res)
+		}
+	}
+	e.mu.Unlock()
+	// This answer is the derived entry's first, not a hit on it, so it
+	// carries no memo to fill.
+	hit := *res
+	hit.CacheHit, hit.Memo = true, nil
+	return &hit
+}
+
+// acquire takes one of the Config.Workers slots for a miss. The caller holds
+// e.mu, and holds it again when acquire returns; a queued query drops it
+// while it waits. Slots pass in FIFO order: release hands a freed slot
+// straight to the oldest waiter. A query is refused with ErrSaturated at the
+// queue bound (Config.MaxQueued) and gives up with ctx.Err() if its context
+// ends while it is queued; both are counted. A slot
 // handed over just as the context ended is kept, and compute's Cancel hook
 // stops the computation at its first poll.
 func (e *Engine) acquire(ctx context.Context) error {
@@ -1080,28 +1061,25 @@ func (e *Engine) compute(ctx context.Context, req Request, ix *index) (*Result, 
 	return res, nil
 }
 
-// finish publishes a leader's outcome, counts it, caches fresh successes,
-// releases the leader's slot and wakes waiters. Results computed against a
-// superseded snapshot are served to their waiters (they observed a
-// consistent pre-update state) but never cached, and nothing is cached while
-// an update's invalidation probes are between their cache snapshot and their
+// finish releases a computation's slot and counts it: as a miss when it
+// produced an outcome, as Rejected when it was canceled or panicked. A fresh
+// success is cached, unless it was computed against a superseded snapshot
+// (it is still served: it observed a consistent pre-update state) or an
+// update's invalidation probes are between their cache snapshot and their
 // eviction — either way the scan would not see the entry.
-func (e *Engine) finish(flKey, key string, fl *flight, res *Result, err error, req Request) {
-	fl.res, fl.err = res, err
+func (e *Engine) finish(key string, req Request, res *Result, rejected bool) {
 	e.mu.Lock()
-	delete(e.inflight, flKey)
 	e.release()
-	if err == errAborted {
+	if rejected {
 		e.stats.Rejected++
 	} else {
 		e.stats.Misses++
 		e.stats.Queries++
 	}
-	if err == nil && e.cache != nil && e.updating == 0 && res.Epoch == e.idx.Load().epoch {
+	if res != nil && e.cache != nil && e.updating == 0 && res.Epoch == e.idx.Load().epoch {
 		e.admit(key, req, res)
 	}
 	e.mu.Unlock()
-	close(fl.done)
 }
 
 // admit caches res under key and counts a refused admission or a capacity
@@ -1114,34 +1092,4 @@ func (e *Engine) admit(key string, req Request, res *Result) {
 	if ev {
 		e.stats.Evictions++
 	}
-}
-
-// wait blocks until the deduplicated computation resolves or the caller's
-// context expires.
-func (e *Engine) wait(ctx context.Context, fl *flight) (*Result, error) {
-	select {
-	case <-fl.done:
-	case <-ctx.Done():
-		e.mu.Lock()
-		e.stats.Rejected++
-		e.mu.Unlock()
-		return nil, ctx.Err()
-	}
-	if errors.Is(fl.err, errAborted) {
-		// Not an outcome: the caller re-elects a leader and will be counted
-		// by whatever path finally serves it.
-		return nil, fl.err
-	}
-	e.mu.Lock()
-	e.stats.Shared++
-	e.stats.Queries++
-	e.mu.Unlock()
-	return fl.res, fl.err
-}
-
-// flightKey scopes a cache fingerprint to an index epoch.
-func flightKey(epoch uint64, key string) string {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], epoch)
-	return string(b[:]) + key
 }

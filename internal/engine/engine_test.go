@@ -163,8 +163,8 @@ func testEngineCacheHitMiss(t *testing.T) {
 	if st.Hits != 1 || st.Misses != 4 {
 		t.Errorf("stats = %+v, want 1 hit / 4 misses", st)
 	}
-	if st.Queries != st.Hits+st.Misses+st.Shared+st.DerivedHits {
-		t.Errorf("queries %d != hits+misses+shared+derived %d", st.Queries, st.Hits+st.Misses+st.Shared+st.DerivedHits)
+	if st.Queries != st.Hits+st.Misses+st.DerivedHits {
+		t.Errorf("queries %d != hits+misses+derived %d", st.Queries, st.Hits+st.Misses+st.DerivedHits)
 	}
 	if st.CacheEntries != 4 {
 		t.Errorf("cache entries = %d, want 4", st.CacheEntries)
@@ -417,44 +417,56 @@ func TestEngineContextCancellation(t *testing.T) {
 	}
 }
 
+// TestEngineSingleFlight pins where identical misses meet: the cache. A herd
+// of identical misses queued behind every taken slot computes at most
+// Workers times: a query looks in the cache again once it holds a slot, so
+// the rest of the herd hits the entry the first computation admitted.
 func TestEngineSingleFlight(t *testing.T) { onePart(t, testEngineSingleFlight) }
 
 func testEngineSingleFlight(t *testing.T) {
 	td := buildData(t, 1500, 3, 13)
-	// Cache disabled: only in-flight deduplication can coalesce queries.
-	e := buildEngine(t, td.recs, Config{MaxK: 8, CacheEntries: -1, Workers: 2})
 	r := box(t, []float64{0.2, 0.3}, []float64{0.3, 0.4})
 	req := Request{Variant: UTK1, K: 8, Region: r}
 	const callers = 8
-	results := make([]*Result, callers)
-	var wg sync.WaitGroup
-	for i := 0; i < callers; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			res, err := e.Do(context.Background(), req)
-			if err != nil {
-				t.Error(err)
-				return
+	for _, workers := range []int{1, 2} {
+		t.Run(fmt.Sprintf("Workers=%d", workers), func(t *testing.T) {
+			e := buildEngine(t, td.recs, Config{MaxK: 8, CacheEntries: 16, Workers: workers})
+			for i := 0; i < workers; i++ {
+				occupy(t, e)
 			}
-			results[i] = res
-		}(i)
-	}
-	wg.Wait()
-	for i := 1; i < callers; i++ {
-		if fmt.Sprint(results[i].IDs) != fmt.Sprint(results[0].IDs) {
-			t.Fatal("concurrent identical queries disagreed")
-		}
-	}
-	st := e.Stats()
-	if st.Queries != callers {
-		t.Errorf("queries = %d, want %d", st.Queries, callers)
-	}
-	if st.Misses+st.Shared != callers || st.Hits != 0 {
-		t.Errorf("misses %d + shared %d != %d (hits %d)", st.Misses, st.Shared, callers, st.Hits)
-	}
-	if st.InFlight != 0 {
-		t.Errorf("in-flight gauge = %d after drain", st.InFlight)
+			results := make([]*Result, callers)
+			var wg sync.WaitGroup
+			for i := 0; i < callers; i++ {
+				wg.Add(1)
+				go func(i int) {
+					defer wg.Done()
+					res, err := e.Do(context.Background(), req)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					results[i] = res
+				}(i)
+			}
+			waitQueued(t, e, callers)
+			for i := 0; i < workers; i++ {
+				vacate(e)
+			}
+			wg.Wait()
+			for i := 1; i < callers; i++ {
+				if results[i] == nil || fmt.Sprint(results[i].IDs) != fmt.Sprint(results[0].IDs) {
+					t.Fatal("concurrent identical queries disagreed")
+				}
+			}
+			st := e.Stats()
+			if st.Queries != callers || st.Hits+st.Misses != callers || st.Misses < 1 || st.Misses > uint64(workers) {
+				t.Errorf("queries %d, misses %d, hits %d; want %d queries, 1..%d misses, the rest hits", st.Queries, st.Misses, st.Hits, callers, workers)
+			}
+			if workers == 1 && (st.Misses != 1 || st.Hits != callers-1) {
+				t.Errorf("misses %d, hits %d; want 1, %d", st.Misses, st.Hits, callers-1)
+			}
+			checkDrained(t, e)
+		})
 	}
 }
 

@@ -11,7 +11,7 @@ import (
 	"repro/internal/skyband"
 )
 
-// occupy takes one slot through the gate, as a leader would, and fails the
+// occupy takes one slot through the gate, as a miss would, and fails the
 // test if it has to wait for it.
 func occupy(t *testing.T, e *Engine) {
 	t.Helper()
@@ -34,7 +34,7 @@ func vacate(e *Engine) {
 
 // queueAcquire starts a goroutine that waits for a slot under ctx and sends
 // acquire's verdict on the returned channel, and returns once the engine
-// reports want queued leaders.
+// reports want queued queries.
 func queueAcquire(t *testing.T, e *Engine, ctx context.Context, want int) <-chan error {
 	t.Helper()
 	got := make(chan error, 1)
@@ -48,7 +48,7 @@ func queueAcquire(t *testing.T, e *Engine, ctx context.Context, want int) <-chan
 	return got
 }
 
-// waitQueued polls until want leaders wait for a slot.
+// waitQueued polls until want queries wait for a slot.
 func waitQueued(t *testing.T, e *Engine, want int) {
 	t.Helper()
 	for deadline := time.Now().Add(5 * time.Second); e.Stats().Queued != want; {
@@ -68,7 +68,7 @@ func checkDrained(t *testing.T, e *Engine) {
 }
 
 // TestGateFIFOHandoff pins the hand-off order: a freed slot goes straight to
-// the oldest queued leader, and the slot count stays at the bound while it
+// the oldest queued query, and the slot count stays at the bound while it
 // passes from one holder to the next.
 func TestGateFIFOHandoff(t *testing.T) {
 	td := buildData(t, 200, 3, 5)
@@ -100,9 +100,9 @@ func TestGateFIFOHandoff(t *testing.T) {
 }
 
 // TestGateMaxQueued pins the queue bound with every slot taken: a negative
-// MaxQueued refuses at once, a positive one after that many leaders wait,
+// MaxQueued refuses at once, a positive one after that many queries wait,
 // and zero never refuses. A refusal is ErrSaturated, immediate and counted,
-// and the queued leaders still get their slots in turn.
+// and the queued queries still get their slots in turn.
 func TestGateMaxQueued(t *testing.T) {
 	td := buildData(t, 200, 3, 5)
 	req := Request{Variant: UTK1, K: 3, Region: box(t, []float64{0.2, 0.2}, []float64{0.4, 0.4})}
@@ -141,7 +141,7 @@ func TestGateMaxQueued(t *testing.T) {
 			vacate(e)
 			for i, g := range granted {
 				if err := <-g; err != nil {
-					t.Fatalf("queued leader %d: %v", i, err)
+					t.Fatalf("queued query %d: %v", i, err)
 				}
 				vacate(e)
 			}
@@ -153,41 +153,39 @@ func TestGateMaxQueued(t *testing.T) {
 	}
 }
 
-// TestGateRevokedOnContextExpiry pins revocation: a leader whose context ends
+// TestGateRevokedOnContextExpiry pins revocation: a query whose context ends
 // while it is queued leaves the queue without computing and is counted as
-// rejected, and a query that had joined its flight elects itself and is
-// served once a slot frees up.
+// rejected. An identical second caller queues on its own, behind it, keeps
+// its place when the first is revoked, and is served once a slot frees up.
 func TestGateRevokedOnContextExpiry(t *testing.T) {
 	td := buildData(t, 200, 3, 5)
 	e := buildEngine(t, td.recs, Config{MaxK: 5, CacheEntries: -1, Workers: 1})
 	req := Request{Variant: UTK1, K: 3, Region: box(t, []float64{0.2, 0.2}, []float64{0.4, 0.4})}
 	occupy(t, e)
 	ctx, cancel := context.WithCancel(context.Background())
-	leader := make(chan error, 1)
+	first := make(chan error, 1)
 	go func() {
 		_, err := e.Do(ctx, req)
-		leader <- err
+		first <- err
 	}()
 	waitQueued(t, e, 1)
-	joined := make(chan error, 1)
+	second := make(chan error, 1)
 	go func() {
 		_, err := e.Do(context.Background(), req)
-		joined <- err
+		second <- err
 	}()
-	// The second caller finds the flight registered and waits on it; give it
-	// a moment to get there before the leader is revoked.
-	time.Sleep(20 * time.Millisecond)
+	waitQueued(t, e, 2)
 	cancel()
-	if err := <-leader; !errors.Is(err, context.Canceled) {
-		t.Fatalf("revoked leader returned %v, want context.Canceled", err)
+	if err := <-first; !errors.Is(err, context.Canceled) {
+		t.Fatalf("revoked query returned %v, want context.Canceled", err)
 	}
-	waitQueued(t, e, 1) // the joined caller now leads and waits for the slot
+	waitQueued(t, e, 1) // the second caller still waits for the slot
 	if st := e.Stats(); st.Rejected != 1 || st.InFlight != 1 || st.Misses != 0 {
 		t.Fatalf("after revocation: Rejected = %d, InFlight = %d, Misses = %d; want 1, 1, 0", st.Rejected, st.InFlight, st.Misses)
 	}
 	vacate(e)
-	if err := <-joined; err != nil {
-		t.Fatalf("re-elected query: %v", err)
+	if err := <-second; err != nil {
+		t.Fatalf("second query: %v", err)
 	}
 	if st := e.Stats(); st.Queries != 1 || st.Misses != 1 {
 		t.Fatalf("Queries = %d, Misses = %d; want 1, 1", st.Queries, st.Misses)
@@ -196,8 +194,8 @@ func TestGateRevokedOnContextExpiry(t *testing.T) {
 }
 
 // TestGateHandoffNotLeaked pins the slot count on the two paths where a slot
-// changes hands: a slot handed to a queued leader just as its context ends
-// is kept and released by that leader (it is not also revoked), and a burst
+// changes hands: a slot handed to a queued query just as its context ends
+// is kept and released by that query (it is not also revoked), and a burst
 // of concurrent misses through two slots leaves both free.
 func TestGateHandoffNotLeaked(t *testing.T) {
 	td := buildData(t, 300, 3, 5)
@@ -243,11 +241,11 @@ func TestGateHandoffNotLeaked(t *testing.T) {
 	checkDrained(t, e)
 }
 
-// TestLeaderPanicReleasesSlot: a leader whose computation panics finishes its
-// flight as aborted on the way out. Its slot, the queue and the flight are
-// free again, the query counts as Rejected, and the panic reaches the caller.
-// An identical query then leads a flight of its own, and panics at once,
-// instead of waiting on the dead one until its deadline.
+// TestLeaderPanicReleasesSlot: a query whose computation panics releases its
+// slot on the way out. The slot and the queue are free again, the query
+// counts as Rejected, and the panic reaches the caller. An identical query
+// then takes the slot and panics at once, instead of waiting until its
+// deadline.
 func TestLeaderPanicReleasesSlot(t *testing.T) {
 	td := buildData(t, 200, 3, 1)
 	e := buildEngine(t, td.recs, Config{MaxK: 5, CacheEntries: -1, Workers: 1})
@@ -273,13 +271,9 @@ func TestLeaderPanicReleasesSlot(t *testing.T) {
 			t.Fatalf("query %d panicked after %v, want at once", i, took)
 		}
 		t.Logf("query %d panicked: %v", i, p)
-		st := e.Stats()
-		e.mu.Lock()
-		flights := len(e.inflight)
-		e.mu.Unlock()
-		if st.InFlight != 0 || st.Queued != 0 || flights != 0 || st.Rejected != uint64(i) {
-			t.Fatalf("after panic %d (%v): InFlight %d, Queued %d, flights %d, Rejected %d; want 0, 0, 0, %d",
-				i, p, st.InFlight, st.Queued, flights, st.Rejected, i)
+		if st := e.Stats(); st.InFlight != 0 || st.Queued != 0 || st.Rejected != uint64(i) {
+			t.Fatalf("after panic %d (%v): InFlight %d, Queued %d, Rejected %d; want 0, 0, %d",
+				i, p, st.InFlight, st.Queued, st.Rejected, i)
 		}
 	}
 }

@@ -88,8 +88,8 @@ func TestEngineConcurrentHammer(t *testing.T) {
 	if st.Queries != goroutines*iters {
 		t.Errorf("queries = %d, want %d", st.Queries, goroutines*iters)
 	}
-	if st.Hits+st.Misses+st.Shared+st.DerivedHits != st.Queries {
-		t.Errorf("hits %d + misses %d + shared %d + derived %d != queries %d", st.Hits, st.Misses, st.Shared, st.DerivedHits, st.Queries)
+	if st.Hits+st.Misses+st.DerivedHits != st.Queries {
+		t.Errorf("hits %d + misses %d + derived %d != queries %d", st.Hits, st.Misses, st.DerivedHits, st.Queries)
 	}
 	if st.InFlight != 0 {
 		t.Errorf("in-flight gauge = %d after drain", st.InFlight)

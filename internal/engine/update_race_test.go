@@ -203,9 +203,9 @@ func testEngineConcurrentUpdates(t *testing.T) {
 
 	// Counter reconciliation after the dust settles.
 	stats := e.Stats()
-	if stats.Queries != stats.Hits+stats.Misses+stats.Shared+stats.DerivedHits {
-		t.Errorf("queries %d != hits %d + misses %d + shared %d + derived %d",
-			stats.Queries, stats.Hits, stats.Misses, stats.Shared, stats.DerivedHits)
+	if stats.Queries != stats.Hits+stats.Misses+stats.DerivedHits {
+		t.Errorf("queries %d != hits %d + misses %d + derived %d",
+			stats.Queries, stats.Hits, stats.Misses, stats.DerivedHits)
 	}
 	if stats.Inserts+stats.Deletes != uint64(updates) {
 		t.Errorf("inserts %d + deletes %d != %d applied updates", stats.Inserts, stats.Deletes, updates)

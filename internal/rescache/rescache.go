@@ -102,11 +102,13 @@ type Entry struct {
 	K      int
 }
 
-// New builds a cache bounded to capacity entries (capacity ≥ 1).
+// New builds a cache bounded to capacity entries (capacity ≥ 1). The key map
+// grows with use: presized to a large capacity, it would cost tens of bytes
+// per slot before a single entry exists.
 func New[V any](capacity int) *Cache[V] {
 	return &Cache[V]{
 		cap:    capacity,
-		m:      make(map[string]*entry[V], capacity),
+		m:      make(map[string]*entry[V]),
 		groups: make(map[groupKey][]*entry[V]),
 		stats:  make(map[groupKey]*classStats),
 	}

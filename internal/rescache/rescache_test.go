@@ -3,6 +3,7 @@ package rescache
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/geom"
@@ -15,6 +16,21 @@ func boxRegion(t testing.TB, lo, hi []float64) *geom.Region {
 		t.Fatal(err)
 	}
 	return r
+}
+
+// TestNewAllocatesLazily pins that capacity is only the eviction bound: an
+// empty cache with a million slots allocates next to nothing, where a key
+// map presized to the capacity costs about 50 MiB (and a capacity in the
+// billions, taken from a dataset-create body, would exhaust memory).
+func TestNewAllocatesLazily(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	c := New[int](1 << 20)
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Fatalf("New(1<<20) allocated %d bytes, want under 1 MiB", got)
+	}
+	runtime.KeepAlive(c)
 }
 
 func TestGetAddRefresh(t *testing.T) {

@@ -386,7 +386,6 @@ var engineStats = []stat{
 	{"hits", "utk_cache_hits_total", "Exact result-cache hits.", "counter", summed, func(st engine.Stats) uint64 { return st.Hits }},
 	{"derived_hits", "utk_cache_derived_hits_total", "Misses answered by containment-based cell clipping.", "counter", summed, func(st engine.Stats) uint64 { return st.DerivedHits }},
 	{"misses", "utk_cache_misses_total", "Result-cache misses that computed.", "counter", summed, func(st engine.Stats) uint64 { return st.Misses }},
-	{"shared", "utk_cache_shared_total", "Queries coalesced onto an identical in-flight computation.", "counter", summed, func(st engine.Stats) uint64 { return st.Shared }},
 	{"evictions", "utk_cache_evictions_total", "Capacity evictions.", "counter", summed, func(st engine.Stats) uint64 { return st.Evictions }},
 	{"invalidations", "utk_cache_invalidations_total", "Cache entries evicted by update invalidation.", "counter", summed, func(st engine.Stats) uint64 { return st.Invalidations }},
 	{"rejected", "utk_rejected_total", "Queries that gave up before obtaining a result.", "counter", summed, func(st engine.Stats) uint64 { return st.Rejected }},

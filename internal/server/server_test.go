@@ -345,6 +345,12 @@ func TestDatasetAdmin(t *testing.T) {
 		t.Fatalf("%d datasets listed, want 3", got)
 	}
 
+	// The cache size bounds evictions; it reserves nothing up front.
+	resp, body = post(t, srv.URL+"/datasets/bigcache", map[string]any{"gen": "IND", "n": 10, "maxk": 2, "cache": 2000000000})
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("cache = 2e9: %d %v, want 201", resp.StatusCode, body)
+	}
+
 	// The created dataset serves queries.
 	resp, _ = post(t, srv.URL+"/utk1/gen2", queryBody)
 	if resp.StatusCode != http.StatusOK {
