@@ -185,7 +185,7 @@ func (r *Registry) Update(name string, ops []engine.UpdateOp) (*engine.UpdateRes
 		return nil, fmt.Errorf("%w: %s", ErrUnknownDataset, name)
 	}
 	if ent.wedged != nil && !r.heal(ent) {
-		return nil, fmt.Errorf("registry: %s rejects updates until a snapshot succeeds (unlogged batch: %w)", name, ent.wedged)
+		return nil, fmt.Errorf("%w: %s (unlogged batch: %w)", ErrWedged, name, ent.wedged)
 	}
 	// Pipelined apply: stage one validates the batch and fixes its ids under
 	// the engine's update mutex without changing the engine, so a batch that
@@ -221,7 +221,7 @@ func (r *Registry) Update(name string, ops []engine.UpdateOp) (*engine.UpdateRes
 		ent.dmu.Lock()
 		ent.dur.Wedged = true
 		ent.dmu.Unlock()
-		return nil, fmt.Errorf("registry: %s: update applied but not durably logged: %w", name, err)
+		return nil, fmt.Errorf("%w: %s: %w", ErrNotLogged, name, err)
 	}
 	ent.dmu.Lock()
 	ent.dur.LastSeq = seq

@@ -27,6 +27,12 @@ var (
 	// ErrNotDurable reports a snapshot request against a registry without
 	// a store (the in-memory default).
 	ErrNotDurable = errors.New("registry: store is not durable")
+	// ErrNotLogged reports an update the engine applied but the store failed
+	// to log: it is live in memory, and the dataset is wedged.
+	ErrNotLogged = errors.New("registry: update applied but not durably logged")
+	// ErrWedged reports an update refused because an earlier one was not
+	// logged; a successful snapshot clears it.
+	ErrWedged = errors.New("registry: dataset rejects updates until a snapshot succeeds")
 )
 
 // Options configures the engine built for one dataset: the engine's own

@@ -1,10 +1,12 @@
 package server
 
 import (
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/dataset"
@@ -169,5 +171,71 @@ func TestUpdateAcknowledgementIsDurable(t *testing.T) {
 	}
 	if got := ent.Engine.Stats().Live; got != wantLive {
 		t.Fatalf("recovered live = %d, want %d", got, wantLive)
+	}
+}
+
+// brokenStore fails every append and snapshot while broken is set, like a
+// full disk.
+type brokenStore struct {
+	store.Store
+	broken atomic.Bool
+}
+
+var errDiskFull = errors.New("disk full")
+
+func (s *brokenStore) Append(name string, b *store.Batch) (int64, error) {
+	if s.broken.Load() {
+		return 0, errDiskFull
+	}
+	return s.Store.Append(name, b)
+}
+
+func (s *brokenStore) WriteSnapshot(name string, snap *store.Snapshot) error {
+	if s.broken.Load() {
+		return errDiskFull
+	}
+	return s.Store.WriteSnapshot(name, snap)
+}
+
+// TestUpdateStoreFailureStatus: a store failure is the server's fault, not the
+// client's. The update whose append failed is live in memory, so it answers
+// 500 (a blind retry would apply it twice); the wedged dataset then answers
+// 503 with Retry-After, and 200 again once a snapshot has re-based the log on
+// a store that works.
+func TestUpdateStoreFailureStatus(t *testing.T) {
+	base, err := store.OpenFile(t.TempDir(), store.FileConfig{Sync: store.SyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { base.Close() })
+	st := &brokenStore{Store: base}
+	reg, err := registry.Open(st, registry.SnapshotPolicy{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := reg.Create("ds", dataset.Synthetic(dataset.IND, 120, 3, 4), registry.Options{MaxK: 5}); err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(New(reg, Config{}))
+	t.Cleanup(srv.Close)
+	update := func() *http.Response {
+		resp, _ := post(t, srv.URL+"/update/ds", map[string]any{"insert": [][]float64{{0.5, 0.5, 0.5}}})
+		return resp
+	}
+
+	st.broken.Store(true)
+	if resp := update(); resp.StatusCode != http.StatusInternalServerError {
+		t.Fatalf("update whose append failed: %d, want 500", resp.StatusCode)
+	}
+	resp := update()
+	if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") == "" {
+		t.Fatalf("update on the wedged dataset: %d, Retry-After %q; want 503 with Retry-After", resp.StatusCode, resp.Header.Get("Retry-After"))
+	}
+	st.broken.Store(false)
+	if resp, _ := post(t, srv.URL+"/snapshot/ds", nil); resp.StatusCode != http.StatusOK {
+		t.Fatalf("healing snapshot: %d", resp.StatusCode)
+	}
+	if resp := update(); resp.StatusCode != http.StatusOK {
+		t.Fatalf("update after the snapshot: %d, want 200", resp.StatusCode)
 	}
 }

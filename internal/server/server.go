@@ -22,23 +22,24 @@
 //
 // # Wire codec
 //
-// The three hot routes (/utk1, /utk2, /update) do not use encoding/json:
-// reflection over the bodies and answers cost more than a cache hit in the
-// engine. Their answers are appended into a pooled buffer and are
+// The three hot routes (/utk1, /utk2, /update) keep encoding/json off their
+// common path: reflection over the bodies and answers cost more than a cache
+// hit in the engine. Their answers are appended into a pooled buffer and are
 // byte-identical to what encoding/json wrote for the former payload maps
 // (sorted keys, null for a nil slice, encoding/json's float format,
 // HTML-escaped strings, the trailing newline); TestQueryResponseGolden and a
 // writer-vs-encoding/json differential hold them there. Their bodies are read
-// by one small decoder that accepts exactly what json.Decoder.Decode accepts
-// into the request structs and yields the same values — case-folded and
-// escaped keys, duplicate keys decoding over the earlier value, unknown
-// members skipped but validated to encoding/json's nesting limit, null, the
-// JSON number grammar, trailing bytes after the first value ignored — which
-// FuzzRequestDecode checks on arbitrary bytes; only error texts differ (the
-// status stays 400, or 413 for a body over the limit). There is no fallback
-// to encoding/json: a second decoder would be a second behaviour to keep
-// equal, and one that runs rarely runs cold. The cold routes (/stats,
-// /datasets, /snapshot, the admin routes) keep encoding/json.
+// by a strict scanner for the three documented shapes: a box query, a
+// halfspaces query and an update, each member spelled exactly and given at
+// most once, numbers of the JSON grammar, whitespace between tokens, bytes
+// after the closing brace ignored. Every other body (escaped or case-folded
+// keys, repeated or unknown members, null, a number out of range) is decoded
+// by json.Decoder.Decode itself, into a fresh value. The scanner yields
+// Decode's value wherever it accepts, which FuzzRequestDecode checks on
+// arbitrary bytes, so the two paths differ only in speed, and a refused
+// body's error text is encoding/json's (the status stays 400, or 413 for a
+// body over the limit). The cold routes (/stats, /datasets, /snapshot, the
+// admin routes) keep encoding/json.
 package server
 
 import (
@@ -325,10 +326,14 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		status := http.StatusBadRequest
 		switch {
-		case errors.Is(err, engine.ErrUnknownRecord):
+		case errors.Is(err, engine.ErrUnknownRecord), errors.Is(err, registry.ErrUnknownDataset):
 			status = http.StatusNotFound
-		case errors.Is(err, registry.ErrUnknownDataset):
-			status = http.StatusNotFound
+		case errors.Is(err, registry.ErrNotLogged):
+			// The batch is live in memory: a blind retry would apply it twice.
+			status = http.StatusInternalServerError
+		case errors.Is(err, registry.ErrWedged):
+			w.Header().Set("Retry-After", strconv.Itoa(RetryAfterSeconds))
+			status = http.StatusServiceUnavailable
 		}
 		http.Error(w, err.Error(), status)
 		return
@@ -639,7 +644,8 @@ func (s *Server) handleDrop(w http.ResponseWriter, r *http.Request) {
 }
 
 // RetryAfterSeconds is the backoff hint sent with 429 responses when the
-// engine's slot queue is saturated.
+// engine's slot queue is saturated, and with 503 responses to an update on a
+// dataset wedged by a failed WAL append.
 const RetryAfterSeconds = 1
 
 func queryError(w http.ResponseWriter, err error) {

@@ -485,7 +485,7 @@ func TestCreateGenSpecLimit(t *testing.T) {
 		n, d  float64 // of the created dataset
 	}{
 		{"the 128 GB spec", 0, map[string]any{"gen": "IND", "n": 2000000000, "d": 8}, http.StatusBadRequest, 0, 0},
-		{"huge d", 0, map[string]any{"gen": "IND", "n": 1, "d": 1 << 40}, http.StatusBadRequest, 0, 0},
+		{"huge d", 0, map[string]any{"gen": "IND", "n": 1, "d": int64(1) << 40}, http.StatusBadRequest, 0, 0},
 		{"synthetic over", 4096, map[string]any{"gen": "ANTI", "n": 129, "d": 4}, http.StatusBadRequest, 0, 0},
 		{"synthetic at limit", 4096, map[string]any{"gen": "ANTI", "n": 128, "d": 4}, http.StatusCreated, 128, 4},
 		{"HOTEL over", 4096, map[string]any{"gen": "HOTEL", "n": 129}, http.StatusBadRequest, 0, 0},

@@ -3,26 +3,25 @@ package server
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
-	"fmt"
 	"io"
 	"math"
 	"net/http"
 	"slices"
 	"strconv"
 	"sync"
-	"unicode/utf16"
 	"unicode/utf8"
-	"unsafe"
 
 	"repro/internal/core"
 	"repro/internal/engine"
 )
 
-// The hot routes' wire codec: request bodies decode and answers encode
-// without encoding/json's reflection. The struct tags on the request types
-// still document the wire format, and the tests hold both directions to
-// encoding/json byte for byte and value for value.
+// The hot routes' wire codec. Answers encode without encoding/json's
+// reflection. Request bodies of the three documented shapes (a box or
+// halfspace query, an update) are read by a strict scanner; every other body
+// is decoded by encoding/json, the reference the scanner is held to. The
+// struct tags on the request types still document the wire format, and the
+// tests hold both directions to encoding/json byte for byte and value for
+// value.
 
 // encPool recycles encoders, buffer and all; readBody borrows one for the
 // request body too. maxPooledBuf caps what goes back, so one huge answer
@@ -74,476 +73,247 @@ func readBody(r *http.Request, decode func([]byte) error) error {
 	return nil
 }
 
-// maxDepth is encoding/json's nesting limit: a body nesting objects and
-// arrays deeper is rejected even inside an unknown field.
-const maxDepth = 10000
-
-// decoder is a JSON decoder for exactly the two hot request types. It
-// accepts what json.Decoder.Decode accepts into them and yields the same
-// values: insignificant whitespace; members in any order; keys matched by
-// bytes.EqualFold after unescaping; unknown members skipped but validated;
-// a repeated key decoding again over the value already there (a second
-// "region" merges into the first, an array overwrites elements in place and
-// a shorter one leaves the rest in the backing array for a later longer one
-// to see, as reflect's SetLen does); null leaving numbers and structs alone
-// and setting slices and pointers to nil; [] making an empty non-nil slice;
-// the JSON number grammar checked before strconv; and every byte after the
-// first value ignored. There is deliberately no fallback to encoding/json:
-// a second decoder on the hot path is a second behaviour to keep equal.
-type decoder struct {
-	b      []byte
-	pos    int
-	depth  int
-	keyBuf []byte
-}
-
-// begin skips to the body's first value and reports whether it is an
-// object to decode; a top-level null is accepted as nothing to decode, since
-// encoding/json leaves a struct alone for it.
-func (d *decoder) begin() (bool, error) {
-	d.ws()
-	switch d.peek() {
-	case '{':
-		return true, nil
-	case 'n':
-		return false, d.literal("null")
-	}
-	if d.pos == len(d.b) {
-		return false, errors.New("empty body")
-	}
-	return false, d.fail("request body must be a JSON object")
-}
-
+// decodeQuery reads a /utk1 or /utk2 body into the zero q, and decodeUpdate
+// an /update body into the zero req: the scanner reads the documented
+// shapes, and every body it refuses is encoding/json's to decode.
 func decodeQuery(b []byte, q *queryRequest) error {
-	d := decoder{b: b}
-	if obj, err := d.begin(); !obj {
-		return err
+	if scanQuery(b, q) {
+		return nil
 	}
-	return d.object(func(key []byte) error {
-		switch {
-		case foldEq(key, "k"):
-			return d.int(&q.K)
-		case foldEq(key, "region"):
-			return d.region(&q.Region)
-		case foldEq(key, "halfspaces"):
-			return decodeArray(&d, &q.Halfspaces)
-		}
-		return d.skip()
-	})
+	return decodeJSON(b, q)
 }
 
 func decodeUpdate(b []byte, req *updateRequest) error {
-	d := decoder{b: b}
-	if obj, err := d.begin(); !obj {
-		return err
-	}
-	return d.object(func(key []byte) error {
-		switch {
-		case foldEq(key, "delete"):
-			return decodeArray(&d, &req.Delete)
-		case foldEq(key, "insert"):
-			return decodeArray(&d, &req.Insert)
-		}
-		return d.skip()
-	})
-}
-
-func (d *decoder) region(p **regionBody) error {
-	if d.peek() == 'n' {
-		*p = nil
-		return d.literal("null")
-	}
-	if *p == nil {
-		*p = new(regionBody)
-	}
-	r := *p
-	return d.object(func(key []byte) error {
-		switch {
-		case foldEq(key, "lo"):
-			return decodeArray(d, &r.Lo)
-		case foldEq(key, "hi"):
-			return decodeArray(d, &r.Hi)
-		}
-		return d.skip()
-	})
-}
-
-func (d *decoder) halfspace(h *halfspaceBody) error {
-	if d.peek() == 'n' {
-		return d.literal("null")
-	}
-	return d.object(func(key []byte) error {
-		switch {
-		case foldEq(key, "coef"):
-			return decodeArray(d, &h.Coef)
-		case foldEq(key, "offset"):
-			return d.float(&h.Offset)
-		}
-		return d.skip()
-	})
-}
-
-// decodeArray decodes a JSON array into *s in place, the way encoding/json
-// does: element i decodes over whatever the backing array holds at i (the
-// slice grows only at its capacity, keeping every element, and a grown tail
-// is zero), the slice is cut to the elements read, [] replaces it with a new
-// empty slice and null with nil.
-func decodeArray[T any](d *decoder, s *[]T) error {
-	if d.peek() == 'n' {
-		*s = nil
-		return d.literal("null")
-	}
-	v, i := *s, 0
-	err := d.list('[', ']', func() error {
-		if i == len(v) {
-			if i == cap(v) {
-				v = slices.Grow(v, max(i, 4))
-			}
-			v = v[:i+1]
-		}
-		i++
-		return d.elem(&v[i-1])
-	})
-	if err != nil {
-		return err
-	}
-	if i == 0 {
-		*s = []T{}
-	} else {
-		*s = v[:i]
-	}
-	return nil
-}
-
-// elem decodes one array element by its type. A type switch rather than a
-// function argument keeps every call static, so the decoder stays on the
-// caller's stack.
-func (d *decoder) elem(p any) error {
-	switch p := p.(type) {
-	case *float64:
-		return d.float(p)
-	case *int:
-		return d.int(p)
-	case *[]float64:
-		return decodeArray(d, p)
-	case *halfspaceBody:
-		return d.halfspace(p)
-	}
-	panic(fmt.Sprintf("server: no JSON decoder for %T", p))
-}
-
-// object decodes a JSON object, handing each member's unescaped key to
-// member, which consumes the value.
-func (d *decoder) object(member func(key []byte) error) error {
-	return d.list('{', '}', func() error {
-		if d.peek() != '"' {
-			return d.fail("expected a string object key")
-		}
-		key, err := d.key()
-		if err != nil {
-			return err
-		}
-		d.ws()
-		if d.peek() != ':' {
-			return d.fail("expected ':' after object key")
-		}
-		d.pos++
-		d.ws()
-		return member(key)
-	})
-}
-
-// list consumes an array or object delimited by open and close, calling
-// item at each element or member, and holds nesting to maxDepth.
-func (d *decoder) list(open, close byte, item func() error) error {
-	if d.peek() != open {
-		return d.fail("expected " + string(open))
-	}
-	if d.depth == maxDepth {
-		return d.fail("exceeded max nesting depth")
-	}
-	d.depth++
-	d.pos++
-	d.ws()
-	if d.peek() == close {
-		d.pos++
-		d.depth--
+	if scanUpdate(b, req) {
 		return nil
 	}
-	for {
-		if err := item(); err != nil {
-			return err
-		}
-		d.ws()
-		switch d.peek() {
-		case ',':
-			d.pos++
-			d.ws()
-		case close:
-			d.pos++
-			d.depth--
-			return nil
-		default:
-			return d.fail("expected ',' or " + string(close))
-		}
-	}
+	return decodeJSON(b, req)
 }
 
-// int decodes a number into an int: integral literals only, in range; null
-// leaves it as it is.
-func (d *decoder) int(p *int) error {
-	if d.peek() == 'n' {
-		return d.literal("null")
-	}
-	lit, err := d.number()
-	if err != nil {
+func scanQuery(b []byte, q *queryRequest) bool {
+	s := scanner{b: b}
+	return s.object(queryMembers, func(i int) bool {
+		switch i {
+		case 0:
+			return s.int(&q.K)
+		case 1:
+			r := new(regionBody)
+			q.Region = r
+			return s.object(regionMembers, func(i int) bool {
+				if i == 0 {
+					return s.floats(&r.Lo)
+				}
+				return s.floats(&r.Hi)
+			})
+		}
+		return array(&s, &q.Halfspaces, s.halfspace)
+	})
+}
+
+func scanUpdate(b []byte, req *updateRequest) bool {
+	s := scanner{b: b}
+	return s.object(updateMembers, func(i int) bool {
+		if i == 0 {
+			return array(&s, &req.Delete, s.int)
+		}
+		return array(&s, &req.Insert, s.floats)
+	})
+}
+
+// decodeJSON decodes a body the scanner refused with json.Decoder.Decode.
+// It decodes into a fresh value, so p does not escape on the scanned path,
+// and a body that decodes keeps nothing the scanner half-filled.
+func decodeJSON[T any](b []byte, p *T) error {
+	var v T
+	if err := json.NewDecoder(bytes.NewReader(b)).Decode(&v); err != nil {
 		return err
 	}
-	n, err := strconv.ParseInt(bytesString(lit), 10, 64)
-	if err != nil {
-		return d.fail("number " + string(lit) + " is not an int")
-	}
-	*p = int(n)
+	*p = v
 	return nil
 }
 
-// float decodes a number into a float64 (out of range is an error); null
-// leaves it as it is.
-func (d *decoder) float(p *float64) error {
-	if d.peek() == 'n' {
-		return d.literal("null")
-	}
-	lit, err := d.number()
-	if err != nil {
-		return err
-	}
-	f, err := strconv.ParseFloat(bytesString(lit), 64)
-	if err != nil {
-		return d.fail("number " + string(lit) + " is not a float64")
-	}
-	*p = f
-	return nil
+// Member names in the order the scanner's member functions number them.
+var (
+	queryMembers     = []string{"k", "region", "halfspaces"}
+	regionMembers    = []string{"lo", "hi"}
+	halfspaceMembers = []string{"coef", "offset"}
+	updateMembers    = []string{"delete", "insert"}
+)
+
+// scanner reads exactly the documented request shapes, and yields what
+// json.Decoder.Decode yields for them: JSON whitespace between tokens; one
+// object of named members, each at most once and spelled exactly; number
+// arrays, halfspace objects and a region object as values; numbers of the
+// JSON grammar that strconv parses into float64 or int; [] as an empty
+// non-nil slice; every byte after the closing brace ignored. It refuses the
+// rest (escapes, other spellings, repeated members, null, strings, unknown
+// members, a number out of range) by reporting false.
+type scanner struct {
+	b   []byte
+	pos int
 }
 
-// bytesString views b as a string for a strconv call that does not keep it.
-func bytesString(b []byte) string { return unsafe.String(unsafe.SliceData(b), len(b)) }
-
-// number consumes a literal of the JSON number grammar
-// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)? and returns its bytes.
-func (d *decoder) number() ([]byte, error) {
-	start := d.pos
-	if d.peek() == '-' {
-		d.pos++
-	}
-	switch c := d.peek(); {
-	case c == '0':
-		d.pos++
-	case c >= '1' && c <= '9':
-		d.digits()
-	default:
-		return nil, d.fail("expected a number")
-	}
-	if d.peek() == '.' {
-		d.pos++
-		if !d.digits() {
-			return nil, d.fail("expected a digit after the decimal point")
+// object scans an object whose members are named from names, each at most
+// once, handing member the name's index to scan the value.
+func (s *scanner) object(names []string, member func(int) bool) bool {
+	var seen uint
+	return s.list('{', '}', func() bool {
+		i := s.key(names)
+		if i < 0 || seen&(1<<i) != 0 || !s.eat(':') {
+			return false
 		}
-	}
-	if c := d.peek(); c == 'e' || c == 'E' {
-		d.pos++
-		if c := d.peek(); c == '+' || c == '-' {
-			d.pos++
-		}
-		if !d.digits() {
-			return nil, d.fail("expected a digit in the exponent")
-		}
-	}
-	return d.b[start:d.pos], nil
+		seen |= 1 << i
+		return member(i)
+	})
 }
 
-// digits consumes a run of decimal digits and reports whether there was one.
-func (d *decoder) digits() bool {
-	start := d.pos
-	for d.pos < len(d.b) && d.b[d.pos] >= '0' && d.b[d.pos] <= '9' {
-		d.pos++
-	}
-	return d.pos > start
+// array scans an array into *p, element by element: [] makes an empty
+// slice, not nil, as encoding/json does.
+func array[T any](s *scanner, p *[]T, elem func(*T) bool) bool {
+	v := make([]T, 0, 4)
+	ok := s.list('[', ']', func() bool {
+		var zero T
+		v = append(v, zero)
+		return elem(&v[len(v)-1])
+	})
+	*p = v
+	return ok
 }
 
-// skip consumes and validates one value of any type.
-func (d *decoder) skip() error {
-	switch c := d.peek(); {
-	case c == '{':
-		return d.object(func([]byte) error { return d.skip() })
-	case c == '[':
-		return d.list('[', ']', d.skip)
-	case c == '"':
-		_, _, err := d.str()
-		return err
-	case c == 't':
-		return d.literal("true")
-	case c == 'f':
-		return d.literal("false")
-	case c == 'n':
-		return d.literal("null")
-	case c == '-' || c >= '0' && c <= '9':
-		_, err := d.number()
-		return err
+// list scans an array or object from open to close, calling item at each
+// element or member.
+func (s *scanner) list(open, close byte, item func() bool) bool {
+	if !s.eat(open) {
+		return false
 	}
-	return d.fail("expected a JSON value")
-}
-
-// str consumes a string literal and returns its raw contents and whether
-// they hold an escape. Control bytes are invalid; any other byte, valid
-// UTF-8 or not, is accepted as encoding/json's scanner does.
-func (d *decoder) str() (raw []byte, escaped bool, err error) {
-	d.pos++ // opening quote
-	start := d.pos
-	for d.pos < len(d.b) {
-		switch c := d.b[d.pos]; {
-		case c == '"':
-			raw = d.b[start:d.pos]
-			d.pos++
-			return raw, escaped, nil
-		case c == '\\':
-			escaped = true
-			d.pos++
-			switch d.peek() {
-			case '"', '\\', '/', 'b', 'f', 'n', 'r', 't':
-				d.pos++
-			case 'u':
-				d.pos++
-				for i := 0; i < 4; i++ {
-					if unhex(d.peek()) < 0 {
-						return nil, false, d.fail("invalid \\u escape")
-					}
-					d.pos++
-				}
-			default:
-				return nil, false, d.fail("invalid escape in string")
-			}
-		case c < 0x20:
-			return nil, false, d.fail("control character in string")
-		default:
-			d.pos++
+	if s.eat(close) {
+		return true
+	}
+	for item() {
+		if s.eat(close) {
+			return true
+		}
+		if !s.eat(',') {
+			return false
 		}
 	}
-	return nil, false, d.fail("unterminated string")
+	return false
 }
 
-// key consumes an object key and returns it unescaped (invalid UTF-8 and
-// lone surrogates matter only in that they match no field name).
-func (d *decoder) key() ([]byte, error) {
-	raw, escaped, err := d.str()
-	if err != nil || !escaped {
-		return raw, err
-	}
-	out := d.keyBuf[:0]
-	for i := 0; i < len(raw); {
-		c := raw[i]
-		if c != '\\' {
-			out = append(out, c)
-			i++
-			continue
+func (s *scanner) halfspace(h *halfspaceBody) bool {
+	return s.object(halfspaceMembers, func(i int) bool {
+		if i == 0 {
+			return s.floats(&h.Coef)
 		}
-		switch raw[i+1] {
-		case 'b':
-			out = append(out, '\b')
-		case 'f':
-			out = append(out, '\f')
-		case 'n':
-			out = append(out, '\n')
-		case 'r':
-			out = append(out, '\r')
-		case 't':
-			out = append(out, '\t')
-		case 'u':
-			r := getu4(raw[i:])
-			i += 6
-			if utf16.IsSurrogate(r) {
-				if r2 := getu4(raw[i:]); r2 >= 0 {
-					if dec := utf16.DecodeRune(r, r2); dec != utf8.RuneError {
-						out = utf8.AppendRune(out, dec)
-						i += 6
-						continue
-					}
-				}
-				r = utf8.RuneError
-			}
-			out = utf8.AppendRune(out, r)
-			continue
-		default: // '"', '\\', '/'
-			out = append(out, raw[i+1])
-		}
-		i += 2
-	}
-	d.keyBuf = out
-	return out, nil
+		return s.float(&h.Offset)
+	})
 }
 
-// getu4 decodes a \uXXXX escape at the start of s, or returns -1.
-func getu4(s []byte) rune {
-	if len(s) < 6 || s[0] != '\\' || s[1] != 'u' {
+func (s *scanner) floats(p *[]float64) bool { return array(s, p, s.float) }
+
+// key scans a member name and returns its index in names, or -1. Names are
+// matched byte for byte, so an escaped or case-folded spelling is refused.
+func (s *scanner) key(names []string) int {
+	if !s.eat('"') {
 		return -1
 	}
-	var r rune
-	for _, c := range s[2:6] {
-		r = r<<4 | rune(unhex(c))
+	n := bytes.IndexByte(s.b[s.pos:], '"')
+	if n < 0 {
+		return -1
 	}
-	return r
-}
-
-func unhex(c byte) int {
-	switch {
-	case c >= '0' && c <= '9':
-		return int(c - '0')
-	case c >= 'a' && c <= 'f':
-		return int(c - 'a' + 10)
-	case c >= 'A' && c <= 'F':
-		return int(c - 'A' + 10)
+	key := s.b[s.pos : s.pos+n]
+	s.pos += n + 1
+	for i, name := range names {
+		if string(key) == name {
+			return i
+		}
 	}
 	return -1
 }
 
-// foldEq reports whether key matches the field name as encoding/json
-// matches since Go 1.21: by bytes.EqualFold, so the Kelvin sign matches k
-// and long s matches s.
-func foldEq(key []byte, name string) bool { return bytes.EqualFold(key, []byte(name)) }
-
-// literal consumes the keyword lit.
-func (d *decoder) literal(lit string) error {
-	if len(d.b)-d.pos < len(lit) || string(d.b[d.pos:d.pos+len(lit)]) != lit {
-		return d.fail("invalid literal, expected " + lit)
-	}
-	d.pos += len(lit)
-	return nil
+// int parses a number as encoding/json does into an int: strconv.ParseInt at
+// the int's own size, so a value that does not fit is refused, not wrapped.
+func (s *scanner) int(p *int) bool {
+	n, err := strconv.ParseInt(string(s.number()), 10, strconv.IntSize)
+	*p = int(n)
+	return err == nil
 }
 
-// peek returns the next byte, or 0 at the end of the body (0 is never valid
-// where peek's result is tested).
-func (d *decoder) peek() byte {
-	if d.pos < len(d.b) {
-		return d.b[d.pos]
+func (s *scanner) float(p *float64) bool {
+	f, err := strconv.ParseFloat(string(s.number()), 64)
+	*p = f
+	return err == nil
+}
+
+// number consumes a literal of the JSON number grammar
+// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)? and returns its bytes, or
+// nil (which strconv refuses) when the grammar is broken.
+func (s *scanner) number() []byte {
+	s.ws()
+	start := s.pos
+	if s.peek() == '-' {
+		s.pos++
+	}
+	if s.peek() == '0' {
+		s.pos++
+	} else if !s.digits() {
+		return nil
+	}
+	if s.peek() == '.' {
+		s.pos++
+		if !s.digits() {
+			return nil
+		}
+	}
+	if c := s.peek(); c == 'e' || c == 'E' {
+		s.pos++
+		if c := s.peek(); c == '+' || c == '-' {
+			s.pos++
+		}
+		if !s.digits() {
+			return nil
+		}
+	}
+	return s.b[start:s.pos]
+}
+
+// digits consumes a run of decimal digits and reports whether there was one.
+func (s *scanner) digits() bool {
+	start := s.pos
+	for s.pos < len(s.b) && s.b[s.pos] >= '0' && s.b[s.pos] <= '9' {
+		s.pos++
+	}
+	return s.pos > start
+}
+
+// eat skips whitespace and consumes c if it comes next.
+func (s *scanner) eat(c byte) bool {
+	s.ws()
+	if s.peek() != c {
+		return false
+	}
+	s.pos++
+	return true
+}
+
+// peek returns the next byte, or 0 at the end of the body (0 is never a
+// byte the scanner looks for).
+func (s *scanner) peek() byte {
+	if s.pos < len(s.b) {
+		return s.b[s.pos]
 	}
 	return 0
 }
 
-func (d *decoder) ws() {
-	for d.pos < len(d.b) {
-		switch d.b[d.pos] {
+func (s *scanner) ws() {
+	for s.pos < len(s.b) {
+		switch s.b[s.pos] {
 		case ' ', '\t', '\n', '\r':
-			d.pos++
+			s.pos++
 		default:
 			return
 		}
 	}
-}
-
-func (d *decoder) fail(msg string) error {
-	if d.pos >= len(d.b) {
-		return errors.New(msg + ": unexpected end of JSON input")
-	}
-	return fmt.Errorf("%s at offset %d", msg, d.pos)
 }
 
 // ---- Encoding ----

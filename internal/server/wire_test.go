@@ -290,9 +290,12 @@ func FuzzRequestDecode(f *testing.F) {
 		`null`, `nullx`, `{"k":null,"region":null,"halfspaces":null}`, `{"delete":[],"insert":[]}`, `{}`,
 		`{"k":1e2}`, `{"k":01}`, `{"k":-0}`, `{"k":1.0}`, `{"k":+1}`, `{"k":.5}`, `{"k":1.}`, `{"k":9223372036854775807}`,
 		`{"k":9223372036854775808}`, `{"k":-9223372036854775808}`, `{"delete":[1e2]}`, `{"insert":[[1e400]]}`,
+		// Past a 32-bit int: refused there, not wrapped to record 1 and k = 5.
+		`{"delete":[4294967297]}`, `{"k":4294967301}`,
 		`{"insert":[[1e-400,-0,0.5E+3,2e-07]]}`, `{"region":{"lo":[-0.0,1E5,1e21]}}`,
 		// Trailing bytes, bad syntax, wrong types, unknown fields.
 		`{"k":3}garbage`, `{"k":3} {"k":4}`, `  {"k":3}`, ``, `   `, `{`, `{"k":3,}`, `[1]`, `"x"`, `5`, `true`,
+		"\x00{\"k\":3}", "{\"delete\":[1]\x00}",
 		`{"k":"3"}`, `{"region":[1]}`, `{"region":{"lo":{}}}`, `{"queries":{}}`, `{"insert":[1]}`,
 		`{"x":{"y":[1,{"z":"\u00e9\n"}],"w":true},"k":2}`, `{"x":"\x01"}`, `{"x":"\q"}`, "{\"x\":\"\xff\"}",
 		`{"extra":` + deep + `,"k":1}`, `{"extra":` + deepOK + `,"k":1}`,
@@ -315,5 +318,56 @@ func checkDecode[T any](t *testing.T, b []byte, decode func([]byte, *T) error) {
 	}
 	if wantErr == nil && !reflect.DeepEqual(want, got) {
 		t.Fatalf("%T on %q:\nencoding/json %+v\n      decoder %+v", got, b, want, got)
+	}
+}
+
+// TestScannerShapes holds the documented bodies to the scanner, not to the
+// encoding/json fallback, which would decode them too but several times
+// slower and with 20 allocations in place of 3 for a box: the benchmark's
+// exact box and update layouts, a halfspaces body and pretty-printed copies
+// are scanned to encoding/json's values, and the spellings outside the
+// documented shapes are refused. Whether a refused
+// body then decodes as encoding/json decodes it is FuzzRequestDecode's part.
+func TestScannerShapes(t *testing.T) {
+	scan := func(b []byte) (any, any, bool) {
+		if bytes.Contains(b, []byte(`"delete"`)) || bytes.Contains(b, []byte(`"insert"`)) {
+			var got, want updateRequest
+			ok := scanUpdate(b, &got)
+			_ = json.Unmarshal(b, &want)
+			return got, want, ok
+		}
+		var got, want queryRequest
+		ok := scanQuery(b, &got)
+		_ = json.Unmarshal(b, &want)
+		return got, want, ok
+	}
+	for _, body := range []string{
+		`{"k":10,"region":{"lo":[0.1,0.2,0.30000000000000004],"hi":[0.15,0.25,0.35]}}`,
+		`{"delete":[3,17,42,100000],"insert":[[0.5,0.25,0.125,1e-07],[1,2,3,4]]}`,
+		`{"k":2,"halfspaces":[{"coef":[1,0],"offset":0.1},{"coef":[-1,-1],"offset":-0.5}]}`,
+		`{"delete":[],"insert":[[]]}`,
+	} {
+		var pretty bytes.Buffer
+		if err := json.Indent(&pretty, []byte(body), "", "\t"); err != nil {
+			t.Fatal(err)
+		}
+		for _, b := range [][]byte{[]byte(body), append(pretty.Bytes(), "\r\n"...)} {
+			got, want, ok := scan(b)
+			if !ok {
+				t.Errorf("scanner refused %q", b)
+			} else if !reflect.DeepEqual(got, want) {
+				t.Errorf("%q: scanned %+v, encoding/json %+v", b, got, want)
+			}
+		}
+	}
+	for _, body := range []string{
+		`{"\u006b":5}`, `{"K":3}`, `{"k":1,"k":1}`, `{"k":null}`, `null`, `{"k":1,"x":2}`,
+		`{"k":01}`, `{"k":1e2}`, `{"k":"3"}`, `{"k":3,"region":{"lo":[1e400],"hi":[1]}}`,
+		"{\"k\":3,\x00\"halfspaces\":[]}", `{"delete":[1],"delete":[2]}`, `{"insert":[null]}`,
+		`{"delete":[1],"insert":[[1]],"extra":{}}`,
+	} {
+		if _, _, ok := scan([]byte(body)); ok {
+			t.Errorf("scanner accepted %q", body)
+		}
 	}
 }
