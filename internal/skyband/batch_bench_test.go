@@ -68,3 +68,45 @@ func BenchmarkApplyOpsBatch64(b *testing.B) {
 	b.ReportMetric(float64(lat[len(lat)*99/100]), "p99-batch-ns")
 	b.ReportMetric(float64(lat[len(lat)-1]), "max-batch-ns")
 }
+
+// BenchmarkApplyOpsUpdateMix is the commit-stage band-maintenance cost of the
+// bench's update_mix batch: over IND n = 10k, d = 4, K = 10, each batch
+// deletes 16 uniformly chosen live records and inserts 16 uniform ones.
+func BenchmarkApplyOpsUpdateMix(b *testing.B) {
+	const n, half = 10_000, 16
+	d, err := NewDynamic(dataset.Synthetic(dataset.IND, n, 4, 20180801), 10)
+	if err != nil {
+		b.Fatal(err)
+	}
+	live := make([]int, n)
+	for i := range live {
+		live[i] = i
+	}
+	rng := rand.New(rand.NewSource(2))
+	lat := make([]uint64, 0, b.N)
+	ops := make([]Op, 2*half)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j := range half {
+			x := rng.Intn(len(live))
+			ops[j] = Op{ID: live[x]}
+			live[x] = live[len(live)-1]
+			live = live[:len(live)-1]
+			rec := make([]float64, 4)
+			for t := range rec {
+				rec[t] = rng.Float64()
+			}
+			ops[half+j] = Op{Insert: true, Record: rec}
+		}
+		before := d.stats.BandMaintenanceNS
+		ids, _, err := d.ApplyOps(ops)
+		if err != nil {
+			b.Fatal(err)
+		}
+		lat = append(lat, d.stats.BandMaintenanceNS-before)
+		live = append(live, ids[half:]...)
+	}
+	slices.Sort(lat)
+	b.ReportMetric(float64(lat[len(lat)/2]), "p50-batch-ns")
+	b.ReportMetric(float64(lat[len(lat)*95/100]), "p95-batch-ns")
+}

@@ -22,9 +22,8 @@ type buildInput struct {
 // buildInputs returns the three distributions at several dimensionalities,
 // large enough that the grid is resized several times on the way, and the
 // shapes that stress the cell map: ties and duplicates on a 2⁻⁸ grid, a
-// constant coordinate, negative coordinates, and two ±1.7e308 outliers that
-// squeeze every other record into one cell of the first two axes, whose
-// spans overflow unless halved.
+// constant coordinate (an axis with no cuts), negative coordinates, and two
+// ±1.7e308 outliers at the ends of the first two axes.
 func buildInputs(n int) []buildInput {
 	var ins []buildInput
 	for _, kind := range []dataset.Kind{dataset.IND, dataset.ANTI, dataset.COR} {

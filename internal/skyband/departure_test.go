@@ -87,7 +87,7 @@ func TestFenceDepartureRepairsOnlyOrphans(t *testing.T) {
 
 // departureBase builds an IND d=4, k=10 structure of n records plus the
 // pillars plantedFence records need.
-func departureBase(b *testing.B, n int) *Dynamic {
+func departureBase(b testing.TB, n int) *Dynamic {
 	d, err := NewDynamic(append(dataset.Synthetic(dataset.IND, n, 4, 1), pillars(10)...), 10)
 	if err != nil {
 		b.Fatal(err)

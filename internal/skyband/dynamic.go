@@ -22,14 +22,15 @@ import (
 //
 // which splits into the band (count < k — the exact k-skyband, with exact
 // counts) and the fence (the skyline of the non-band records, each holding a
-// bound b with k ≤ b ≤ count: k at construction, exact from its first recount
-// on). Every other live record is covered: it stores the id of one fence
+// bound b with k ≤ b ≤ count: k when the entry joins the fence or is
+// recounted, and moved by one with each band dominator inserted or deleted
+// since). Every other live record is covered: it stores the id of one fence
 // entry that dominates it. Three facts, all consequences of the transitivity
 // and strictness of dominance (a dominator of q has strictly fewer dominators
 // than q), make maintenance local:
 //
 //  1. Every dominator of an entry is a band entry, so any count the
-//     structure ever needs is a scan of the band alone.
+//     structure ever needs is a search of the band alone.
 //  2. A covered record has count > k and dominates no entry, so inserting or
 //     deleting one touches nothing but its own slot.
 //  3. E is a function of the live set, not of the update order, so the test
@@ -41,7 +42,13 @@ import (
 // and the covered records whose cover just left the fence; the latter wait
 // on the orphan list and are re-covered once per run of deletes (see
 // reCover), at the cost of their own fence searches. No update recomputes or
-// repairs anything, and none walks the whole live table.
+// repairs anything.
+//
+// The band's entries and the fence's each sit in a grid (see grid), the two
+// the constructor's passes build, kept for the structure's whole life. Every
+// search an update makes is a visit of one of them: the dominators of a
+// record, counted up to a limit, or the entries a record dominates. No
+// update walks the band, the fence or the live table.
 //
 // Dynamic is not safe for concurrent use; callers serialize access.
 type Dynamic struct {
@@ -62,14 +69,15 @@ type Dynamic struct {
 	orphan links
 
 	// The entries: band in ents[:nb], fence in ents[nb:]; pos maps an entry's
-	// id to its index. The fence is kept most-recently-useful first.
-	ents []entry
-	nb   int
-	pos  map[int]int
+	// id to its index. band and fence index the two by id.
+	ents        []entry
+	nb          int
+	pos         map[int]int
+	band, fence *grid
 
 	// levels[c] is the band entries with count c, sorted by id: Band's
-	// count-major order, kept up to date by relevel. There are as many
-	// levels as the largest count present needs, fewer than k.
+	// count-major order, kept up to date by relevel and shift. There are as
+	// many levels as the largest count present needs, fewer than k.
 	levels [][]member
 
 	// gen counts applied plans; a plan records it (see Plan).
@@ -114,10 +122,6 @@ func newEntry(id int, rec []float64, count int) entry {
 		gate = sum - float64(len(rec))*geom.Eps - (1+math.Abs(sum))*4e-12
 	}
 	return entry{id: id, rec: rec, sum: sum, gate: gate, count: count}
-}
-
-func (e *entry) dominates(x *entry) bool {
-	return passes(e.sum, x.gate) && geom.Dominates(e.rec, x.rec)
 }
 
 // passes reports whether a candidate with coordinate sum sum may dominate a
@@ -218,13 +222,13 @@ func NewDynamic(records [][]float64, k int) (*Dynamic, error) {
 // inside it (the k strongest dominators of a record have fewer than k
 // dominators each), so counting a record's band dominators up to k decides
 // its membership, and below k the count is exact. The counting is one grid
-// pass (see gridPass) over the band admitted so far.
+// pass (see gridPass) over the band admitted so far, through the band's grid.
 func (d *Dynamic) sweep(order []ranked) (rest []ranked) {
 	rest = order[:0] // gridPass has read order[i] when it visits it
-	gridPass(d.recs, order, d.k, func(r ranked, n, _ int) {
+	gridPass(d.band, d.recs, order, func(r ranked, n, _ int) {
 		if n < d.k {
 			d.cover[r.slot] = isEntry
-			d.addEntry(newEntry(d.ids[r.slot], d.recs[r.slot], n), true)
+			d.enlist(newEntry(d.ids[r.slot], d.recs[r.slot], n), true)
 		} else {
 			rest = append(rest, r)
 		}
@@ -244,9 +248,11 @@ func CountBand(recs [][]float64, k int) (idx, counts []int) {
 	return idx, counts
 }
 
-func newDynamic(k, live int) *Dynamic {
+func newDynamic(k, dim, live int) *Dynamic {
 	return &Dynamic{
 		k:      k,
+		band:   newGrid(dim, k),
+		fence:  newGrid(dim, 1),
 		slot:   make(map[int]int, live),
 		ids:    make([]int, 0, live),
 		recs:   make([][]float64, 0, live),
@@ -260,16 +266,20 @@ func newDynamic(k, live int) *Dynamic {
 // buildFence classifies the non-band slots, given strongest first, against
 // the exact band: a record some fence entry dominates is covered by the first
 // one a grid pass over the fence finds, and any other is on the skyline of
-// the non-band records — a fence entry, bound k, in admission order.
+// the non-band records — a fence entry, bound k, in admission order. Both
+// passes' grids hold slots; this one ends by relabelling them to ids, which
+// stay put when a slot moves.
 func (d *Dynamic) buildFence(rest []ranked) {
-	gridPass(d.recs, rest, 1, func(r ranked, _, first int) {
+	gridPass(d.fence, d.recs, rest, func(r ranked, _, first int) {
 		if first >= 0 {
 			d.coverBy(r.slot, first)
 			return
 		}
 		d.cover[r.slot] = isEntry
-		d.addEntry(newEntry(d.ids[r.slot], d.recs[r.slot], d.k), false)
+		d.enlist(newEntry(d.ids[r.slot], d.recs[r.slot], d.k), false)
 	})
+	d.band.relabel(d.ids)
+	d.fence.relabel(d.ids)
 }
 
 // strongestFirst orders slots of recs by descending coordinate sum, ties by
@@ -450,36 +460,27 @@ func (d *Dynamic) insert(rec []float64) Effect {
 	d.cover[s] = isEntry
 	// No fence entry dominates the record, hence no covered record does
 	// either (its cover would): the band holds every dominator and the count
-	// is exact.
+	// is exact below k.
 	if e.count = d.bandCount(&e); e.count >= d.k {
 		d.addEntry(e, false)
 		d.absorb(e.id)
 		return Effect{}
 	}
 
-	// A band insert is one more dominator for every entry it dominates; such
-	// an entry inherits all of the record's dominators, so entries with a
-	// smaller count are skipped untested. The fence goes first: a band entry
-	// reaching k moves there, and must not be bumped twice.
-	for j := d.nb; j < len(d.ents); j++ {
-		if x := &d.ents[j]; e.dominates(x) {
-			x.count++
-		}
+	// A band insert is one more dominator for every entry it dominates: a
+	// band entry reaching k moves to the fence.
+	bumped := d.band.under(&e, nil)
+	d.shift(bumped, 1)
+	for _, id := range d.fence.under(&e, nil) {
+		d.ents[d.pos[id]].count++
 	}
 	var demoted []int
-	for j := 0; j < d.nb; {
-		x := &d.ents[j]
-		if x.count >= e.count && e.dominates(x) {
-			d.relevel(x, x.count+1)
-			if x.count == d.k {
-				d.stats.Demotions++
-				demoted = append(demoted, x.id)
-				d.swapEnts(j, d.nb-1)
-				d.nb--
-				continue // an unvisited band entry now sits at j
-			}
+	for _, id := range bumped {
+		if p := d.pos[id]; d.ents[p].count == d.k {
+			d.stats.Demotions++
+			demoted = append(demoted, id)
+			d.move(p, false)
 		}
-		j++
 	}
 	d.addEntry(e, true)
 	d.absorb(demoted...)
@@ -511,40 +512,36 @@ func (d *Dynamic) delete(id int, eff *Effect) {
 		return // a fence entry dominates no entry; only its dependants notice
 	}
 	eff.InBand, eff.BandChanged = true, true
-	// One dominator fewer for every entry e dominated; each has a count above
-	// e's own. A fence bound that would fall below k is recounted against the
-	// band (Fact 1) and, if the record truly has fewer than k dominators now,
-	// it joins the band and its dependants are orphaned.
-	for j := range d.ents {
-		x := &d.ents[j]
-		switch {
-		case x.count <= e.count || !e.dominates(x):
-		case j < d.nb:
-			d.relevel(x, x.count-1)
-		case x.count > d.k:
+	// One dominator fewer for every entry e dominated. A fence bound that
+	// would fall below k is recounted against the band (Fact 1) and, if the
+	// record truly has fewer than k dominators now, it joins the band and its
+	// dependants are orphaned.
+	d.shift(d.band.under(&e, nil), -1)
+	for _, id := range d.fence.under(&e, nil) {
+		p := d.pos[id]
+		x := &d.ents[p]
+		if x.count > d.k {
 			x.count--
-		default:
-			c := d.bandCount(x)
-			if c >= d.k {
-				x.count = c
-				continue
-			}
-			d.stats.Promotions++
-			d.splice(int32(d.slot[x.id]), orphans)
-			d.relevel(x, c)
-			d.swapEnts(j, d.nb) // a visited fence entry moves to j
-			d.nb++
+			continue
 		}
+		c := d.bandCount(x)
+		if c >= d.k {
+			continue // the bound stays k
+		}
+		d.stats.Promotions++
+		d.splice(int32(d.slot[id]), orphans)
+		d.relevel(x, c)
+		d.move(p, true)
 	}
 }
 
 // reCover is the re-cover pass, run once per run of deletes: every slot on
 // the orphan list searches the fence for another cover; the survivors,
-// strongest first, are each covered by a fence entry admitted earlier in the
-// pass or — every dominator of theirs then being in the band — counted
-// exactly and admitted to the band or the fence. It reports whether a record
-// joined the band. Deferring the pass across a run of deletes is sound
-// because such a record dominates no entry until it is admitted.
+// strongest first, search it again — a fence entry admitted earlier in the
+// pass may cover them now — or, every dominator of theirs then being in the
+// band, are counted and admitted to the band or the fence. It reports whether
+// a record joined the band. Deferring the pass across a run of deletes is
+// sound because such a record dominates no entry until it is admitted.
 func (d *Dynamic) reCover() (bandChanged bool) {
 	if d.orphan.next == orphans {
 		return false
@@ -564,15 +561,11 @@ func (d *Dynamic) reCover() (bandChanged bool) {
 	}
 	d.orphan = links{orphans, orphans}
 	slices.SortFunc(pend, strongestFirst(d.recs, d.ids))
-	var admitted []entry // fence entries this pass created
-next:
 	for _, r := range pend {
 		e := newEntry(d.ids[r.slot], d.recs[r.slot], 0)
-		for i := range admitted {
-			if admitted[i].dominates(&e) {
-				d.coverBy(r.slot, d.slot[admitted[i].id])
-				continue next
-			}
+		if f := d.findCover(&e); f != isEntry {
+			d.coverBy(r.slot, d.slot[f])
+			continue
 		}
 		d.cover[r.slot], d.link[r.slot] = isEntry, links{int32(r.slot), int32(r.slot)}
 		if e.count = d.bandCount(&e); e.count < d.k {
@@ -581,36 +574,24 @@ next:
 			d.addEntry(e, true)
 		} else {
 			d.addEntry(e, false)
-			admitted = append(admitted, e)
 		}
 	}
 	return bandChanged
 }
 
-// findCover returns the cover-column value for q: the id of a fence entry
-// dominating it, or isEntry when there is none. A hit moves halfway to the
-// front, so the entries that cover the most records are tried first.
+// findCover returns the cover-column value for q: the id of the first fence
+// entry dominating it that the fence's grid finds, or isEntry when there is
+// none.
 func (d *Dynamic) findCover(q *entry) int {
-	for j := d.nb; j < len(d.ents); j++ {
-		if d.ents[j].dominates(q) {
-			id := d.ents[j].id
-			d.swapEnts(j, d.nb+(j-d.nb)/2)
-			return id
-		}
-	}
-	return isEntry
+	_, first := d.fence.dominators(q, 1)
+	return first
 }
 
-// bandCount is the number of band entries dominating q — by Fact 1 the exact
-// dominator count of any entry or entry-to-be.
+// bandCount is the number of band entries dominating q, counted up to k —
+// by Fact 1 the dominator count of any entry or entry-to-be, exact below k.
 func (d *Dynamic) bandCount(q *entry) int {
-	c := 0
-	for j := 0; j < d.nb; j++ {
-		if d.ents[j].dominates(q) {
-			c++
-		}
-	}
-	return c
+	n, _ := d.band.dominators(q, d.k)
+	return n
 }
 
 // absorb is run for the records that just joined the fence: the fence
@@ -620,20 +601,15 @@ func (d *Dynamic) bandCount(q *entry) int {
 func (d *Dynamic) absorb(joined ...int) {
 	for _, id := range joined {
 		g, gs := d.ents[d.pos[id]], d.slot[id]
-		for j := d.nb; j < len(d.ents); {
-			x := &d.ents[j]
-			if x.id == id || !g.dominates(x) {
-				j++
-				continue
-			}
+		for _, x := range d.fence.under(&g, nil) {
 			d.stats.ShadowEvictions++
-			xs := int32(d.slot[x.id])
+			xs := int32(d.slot[x])
 			for s := d.link[xs].next; s != xs; s = d.link[s].next {
 				d.cover[s] = id
 			}
 			d.splice(xs, int32(gs))
 			d.coverBy(int(xs), gs)
-			d.removeEntry(j) // the last fence entry now sits at j
+			d.removeEntry(d.pos[x])
 		}
 	}
 }
@@ -730,9 +706,21 @@ func (d *Dynamic) relink(from, to int32) {
 	d.node(l.prev).next = to
 }
 
-// addEntry appends e to the fence or, with band set, to the band (the fence
-// entry at the boundary makes room by moving to the end).
+// addEntry appends e to the fence or, with band set, to the band, and to
+// that partition's grid.
 func (d *Dynamic) addEntry(e entry, band bool) {
+	if band {
+		d.band.add(&e)
+	} else {
+		d.fence.add(&e)
+	}
+	d.enlist(e, band)
+}
+
+// enlist appends e to the fence or, with band set, to the band (the fence
+// entry at the boundary makes room by moving to the end), leaving the grids
+// to the caller.
+func (d *Dynamic) enlist(e entry, band bool) {
 	p := len(d.ents)
 	d.ents = append(d.ents, e)
 	d.pos[e.id] = p
@@ -744,10 +732,14 @@ func (d *Dynamic) addEntry(e entry, band bool) {
 	}
 }
 
-// removeEntry drops the entry at p, keeping both partitions dense.
+// removeEntry drops the entry at p from its grid and its partition, keeping
+// both partitions dense.
 func (d *Dynamic) removeEntry(p int) {
 	delete(d.pos, d.ents[p].id)
-	if p < d.nb {
+	if p >= d.nb {
+		d.fence.remove(&d.ents[p])
+	} else {
+		d.band.remove(&d.ents[p])
 		d.relevel(&d.ents[p], d.k)
 		d.nb--
 		d.moveEnt(d.nb, p)
@@ -779,6 +771,80 @@ func (d *Dynamic) relevel(x *entry, c int) {
 		i, _ := slices.BinarySearchFunc(d.levels[c], x.id, byID)
 		d.levels[c] = slices.Insert(d.levels[c], i, member{rec: x.rec, id: x.id})
 	}
+}
+
+// shift changes the count of every band entry in ids by delta (±1), moving
+// each between the count levels as relevel would, but with one merge per
+// level touched: an update that moves much of the band, such as an insert
+// dominating it, costs the band's size, not that size times a level's. An
+// entry reaching k leaves the levels; the caller moves it to the fence.
+func (d *Dynamic) shift(ids []int, delta int) {
+	out := make([][]int, len(d.levels)) // the leavers' ids, by the level they leave
+	for _, id := range ids {
+		x := &d.ents[d.pos[id]]
+		out[x.count] = append(out[x.count], id)
+		x.count += delta
+	}
+	left := make([][]member, len(out))
+	for c, o := range out {
+		if len(o) == 0 {
+			continue
+		}
+		slices.Sort(o)
+		stay, i := d.levels[c][:0], 0
+		for _, m := range d.levels[c] {
+			if i < len(o) && o[i] == m.id {
+				left[c] = append(left[c], m)
+				i++
+			} else {
+				stay = append(stay, m)
+			}
+		}
+		clear(d.levels[c][len(stay):])
+		d.levels[c] = stay
+	}
+	for c, l := range left {
+		if to := c + delta; len(l) > 0 && to < d.k {
+			if to >= len(d.levels) {
+				d.levels = append(d.levels, nil)
+			}
+			d.levels[to] = mergeByID(d.levels[to], l)
+		}
+	}
+	for n := len(d.levels); n > 0 && len(d.levels[n-1]) == 0; n-- {
+		d.levels = d.levels[:n-1] // an emptied top level keeps its capacity for a regrowth
+	}
+}
+
+// mergeByID merges b, sorted by id, into a, sorted by id, from the back.
+func mergeByID(a, b []member) []member {
+	i, j := len(a)-1, len(b)-1
+	a = slices.Grow(a, len(b))[:len(a)+len(b)]
+	for w := len(a) - 1; j >= 0; w-- {
+		if i >= 0 && a[i].id > b[j].id {
+			a[w], i = a[i], i-1
+		} else {
+			a[w], j = b[j], j-1
+		}
+	}
+	return a
+}
+
+// move carries the entry at p across the boundary between the band and the
+// fence — into the band with toBand set — and between their grids. Its count
+// is the caller's to set.
+func (d *Dynamic) move(p int, toBand bool) {
+	if toBand {
+		d.fence.remove(&d.ents[p])
+		d.band.add(&d.ents[p])
+		d.swapEnts(p, d.nb)
+		d.nb++
+		return
+	}
+	d.band.remove(&d.ents[p])
+	d.fence.add(&d.ents[p])
+	d.nb--
+	d.swapEnts(p, d.nb)
 }
 
 // moveEnt overwrites the (vacated) index to with the entry at from.

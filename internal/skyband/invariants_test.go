@@ -25,6 +25,8 @@ func checkInvariants(t testing.TB, d *Dynamic, ctxt string) {
 			ctxt, n, len(d.recs), len(d.cover), len(d.link), len(d.slot), len(d.ents), len(d.pos))
 	}
 	checkLists(t, d, ctxt)
+	checkGrid(t, d, d.band, true, ctxt+"/band grid")
+	checkGrid(t, d, d.fence, false, ctxt+"/fence grid")
 	count := make([]int, n)
 	for s := range d.ids {
 		if d.slot[d.ids[s]] != s {
@@ -136,6 +138,63 @@ func checkLists(t testing.TB, d *Dynamic, ctxt string) {
 		if c >= 0 && !seen[s] {
 			t.Fatalf("%s: covered slot %d (id %d, cover %d) is on no list", ctxt, s, d.ids[s], c)
 		}
+	}
+}
+
+// checkGrid asserts that g, the band's grid (band set) or the fence's,
+// holds every entry of its partition exactly once and no other id, each row
+// mirroring its entry's record, sum and gate and sitting in the cell its
+// record maps to; that every cell's corners bound its rows (loose corners
+// allowed); that the row count is the grid's; and that a diagonal bound not
+// marked stale is the largest row minima, best a row with the largest.
+func checkGrid(t testing.TB, d *Dynamic, g *grid, band bool, ctxt string) {
+	t.Helper()
+	seen := make(map[int]bool)
+	least := make(map[int]float64)
+	var mins []float64
+	for ci, c := range g.cells {
+		dim := g.dim
+		if len(c.data) != 2*dim+len(c.ids)*(dim+2) {
+			t.Fatalf("%s: cell %d holds %d ids in %d numbers", ctxt, ci, len(c.ids), len(c.data))
+		}
+		for j, id := range c.ids {
+			sum, gate, rec := c.row(j, dim)
+			p, ok := d.pos[id]
+			if !ok || (p < d.nb) != band || seen[id] {
+				t.Fatalf("%s: row id %d is not an entry of this partition (entry %v, band %v), or sits in the grid twice (%v)", ctxt, id, ok, p < d.nb, seen[id])
+			}
+			seen[id] = true
+			if e := d.ents[p]; !slices.Equal(rec, e.rec) || sum != e.sum || gate != e.gate {
+				t.Fatalf("%s: row of id %d holds %v (sum %v, gate %v), its entry %v (sum %v, gate %v)", ctxt, id, rec, sum, gate, e.rec, e.sum, e.gate)
+			}
+			if at := *g.position(rec); int(at) != ci+1 {
+				t.Fatalf("%s: row of id %d sits in cell %d, its record maps to %d", ctxt, id, ci+1, at)
+			}
+			for a, v := range rec {
+				if v < c.data[a] || v > c.data[dim+a] {
+					t.Fatalf("%s: cell %d's corners %v do not bound row %v of id %d", ctxt, ci, c.data[:2*dim], rec, id)
+				}
+			}
+			least[id] = slices.Min(rec)
+			mins = append(mins, least[id])
+		}
+	}
+	want := len(d.ents) - d.nb
+	if band {
+		want = d.nb
+	}
+	if len(seen) != want || g.rows != want {
+		t.Fatalf("%s: %d rows (the grid counts %d) for %d entries", ctxt, len(seen), g.rows, want)
+	}
+	if g.stale || len(mins) == 0 {
+		return
+	}
+	slices.Sort(mins)
+	if len(g.diag) != min(cap(g.diag), len(mins)) || !slices.Equal(g.diag, mins[len(mins)-len(g.diag):]) {
+		t.Fatalf("%s: diagonal bound %v (room for %d), row minima %v", ctxt, g.diag, cap(g.diag), mins)
+	}
+	if m, ok := least[g.best]; !ok || m != mins[len(mins)-1] {
+		t.Fatalf("%s: best row %d has minimum %v (present %v), the largest is %v", ctxt, g.best, m, ok, mins[len(mins)-1])
 	}
 }
 

@@ -10,19 +10,20 @@
 // the other records); every remaining record stores the id of one fence
 // entry that dominates it. All dominators of an entry are band entries, a
 // covered record dominates no entry, and the entry set is a function of the
-// live records alone, so every update is a few scans of the band or the
+// live records alone, so every update is a few searches of the band or the
 // fence, plus a fence search for each record a departing fence entry leaves
 // uncovered (see Dynamic).
 //
 // Construction has one path: RestoreDynamic builds the structure from live
 // records alone (NewDynamic numbers its records and calls it; CountBand
-// reads the band NewDynamic builds), and no band or count is ever read back from a state. It is
-// two strongest-first grid passes instead of all-pairs counting: the band is
-// counted, and the fence found, against a grid of what each pass has
-// admitted so far, and a probe skips or counts whole cells by their corners
-// (see gridPass). State lists the records in that order, so a restore skips
-// the sort. The grid is dropped when the constructor returns; updates scan
-// the band and the fence linearly.
+// reads the band NewDynamic builds), and no band or count is ever read back
+// from a state. It is two strongest-first grid passes instead of all-pairs
+// counting: the band is counted, and the fence found, against a grid of what
+// each pass has admitted so far, and a probe skips or counts whole cells by
+// their corners (see gridPass). State lists the records in that order, so a
+// restore skips the sort. The structure keeps the two grids for its whole
+// life, and every search an update makes is a visit of one of them (see
+// grid).
 package skyband
 
 import (

@@ -69,7 +69,11 @@ func RestoreDynamic(st *DynamicState) (*Dynamic, error) {
 	if len(st.LiveIDs) != len(st.LiveRecs) {
 		return nil, errors.New("skyband: misaligned state slices")
 	}
-	d := newDynamic(st.K, len(st.LiveIDs))
+	dim := 0
+	if len(st.LiveRecs) > 0 {
+		dim = len(st.LiveRecs[0])
+	}
+	d := newDynamic(st.K, dim, len(st.LiveIDs))
 	d.nextID = st.NextID
 	d.stats = DynamicStats{
 		Inserts:         st.Inserts,
