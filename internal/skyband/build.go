@@ -11,15 +11,16 @@ import (
 // over their first min(d, 3) coordinates, cut on each axis at the quantiles
 // of the rows' coordinates, so a few outlying rows leave the others spread
 // over the cells as evenly as the axes allow. A cell keeps the min then the
-// max corner of its rows over all d coordinates and the rows themselves
-// (see cell): a search for the
-// rows dominating x skips a cell on its max corner and counts it whole on its
-// min corner (see dominators), and a search for the rows x dominates does the
-// reverse (see under). The constructor's two passes each build one (see
-// gridPass), and Dynamic keeps both for its whole life: every search an
-// update makes is one of these two visits, and none walks the band, the fence
-// or the live table. The grid is a function of the sequence of adds and
-// removes it was given, so what a search finds first is too.
+// max corner of its rows over all d coordinates and the rows themselves (see
+// cell): a search for the rows dominating x skips a cell on its max corner
+// and counts it whole on its min corner (see dominators), and a search for
+// the rows x dominates does the reverse (see under). The constructor's two
+// passes each build one (see gridPass), and Dynamic keeps both for its whole
+// life: every search an update makes is one of these two visits. Only the
+// grid's own upkeep walks all its rows: resize, when the rows double or
+// halve, and redraw, after a row among the largest row minima leaves. The
+// grid is a function of the sequence of adds and removes it was given, so
+// what a search finds first is too.
 type grid struct {
 	dim   int
 	depth int          // the diagonal shortcut's: see dominators
@@ -60,10 +61,9 @@ func (c *cell) row(j, d int) (sum, gate float64, rec []float64) {
 const rowsPerCell = 8
 
 // newGrid returns an empty grid whose diagonal shortcut serves searches
-// counting to depth. dim may be 0 when it is not known yet: the first row
-// fixes it.
-func newGrid(dim, depth int) *grid {
-	return &grid{dim: dim, depth: depth, m: [3]int{1, 1, 1}, at: make([]int32, 1), sized: rowsPerCell, diag: newKLargest(1)}
+// counting to depth. Its first row fixes its dimension.
+func newGrid(depth int) *grid {
+	return &grid{depth: depth, m: [3]int{1, 1, 1}, at: make([]int32, 1), sized: rowsPerCell, diag: newKLargest(1)}
 }
 
 // add indexes row e (id, record, sum and gate) and re-buckets once the rows
@@ -122,7 +122,8 @@ func (c *cell) widen(rec []float64) {
 func (g *grid) resize() {
 	old, n, d := g.cells, g.rows, g.dim
 	axes := min(d, 3)
-	per := int(math.Pow(float64(max(n/rowsPerCell, 1)), 1/float64(axes)))
+	// The nudge keeps an exact power exact: math.Pow(64, 1/3.) is 3.999….
+	per := int(math.Pow(float64(max(n/rowsPerCell, 1)), 1/float64(axes)) + 1e-9)
 	vals := make([]float64, 0, n)
 	for a := range 3 {
 		g.m[a], g.cuts[a] = 1, nil
@@ -203,7 +204,8 @@ func (g *grid) offer(id int, rec []float64) {
 	g.diag.offer(least)
 }
 
-// redraw rebuilds a stale diag and best from every row.
+// redraw rebuilds a stale diag and best from every row. The next full-depth
+// search runs it once a row among the largest row minima has left.
 func (g *grid) redraw() {
 	g.diag, g.stale = g.diag[:0], false
 	for i := range g.cells {

@@ -48,7 +48,10 @@ import (
 // the constructor's passes build, kept for the structure's whole life. Every
 // search an update makes is a visit of one of them: the dominators of a
 // record, counted up to a limit, or the entries a record dominates. No
-// update walks the band, the fence or the live table.
+// update walks the band, the fence or the live table, apart from a grid's
+// own upkeep: re-bucketing when its rows double or halve, and redrawing its
+// diagonal bound after a row among the largest row minima leaves (see
+// grid.resize and grid.redraw).
 //
 // Dynamic is not safe for concurrent use; callers serialize access.
 type Dynamic struct {
@@ -248,11 +251,11 @@ func CountBand(recs [][]float64, k int) (idx, counts []int) {
 	return idx, counts
 }
 
-func newDynamic(k, dim, live int) *Dynamic {
+func newDynamic(k, live int) *Dynamic {
 	return &Dynamic{
 		k:      k,
-		band:   newGrid(dim, k),
-		fence:  newGrid(dim, 1),
+		band:   newGrid(k),
+		fence:  newGrid(1),
 		slot:   make(map[int]int, live),
 		ids:    make([]int, 0, live),
 		recs:   make([][]float64, 0, live),

@@ -69,11 +69,7 @@ func RestoreDynamic(st *DynamicState) (*Dynamic, error) {
 	if len(st.LiveIDs) != len(st.LiveRecs) {
 		return nil, errors.New("skyband: misaligned state slices")
 	}
-	dim := 0
-	if len(st.LiveRecs) > 0 {
-		dim = len(st.LiveRecs[0])
-	}
-	d := newDynamic(st.K, dim, len(st.LiveIDs))
+	d := newDynamic(st.K, len(st.LiveIDs))
 	d.nextID = st.NextID
 	d.stats = DynamicStats{
 		Inserts:         st.Inserts,
