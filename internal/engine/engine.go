@@ -451,9 +451,6 @@ func newEngine(cfg Config, b *skyband.Dynamic, dim int, epoch, batches uint64) *
 	return e
 }
 
-// SupersetSize returns the current size of the candidate superset.
-func (e *Engine) SupersetSize() int { return len(e.idx.Load().ids) }
-
 // Band returns the published band: its ids and their exact dominator
 // counts, count-major with ties by id. The slices are the index's; do not
 // mutate them.

@@ -164,8 +164,9 @@ func TestApplyOpsSingleMaintenanceStep(t *testing.T) {
 	seq := newChurn(t, dataset.IND, 400, 3, 4, 0, 11).d
 	for b := 0; b < 8; b++ {
 		var ops []Op
-		for _, i := range c.rng.Perm(len(c.d.ents))[:16] {
-			ops = append(ops, Op{ID: c.d.ents[i].id})
+		ents := entryIDs(c.d)
+		for _, i := range c.rng.Perm(len(ents))[:16] {
+			ops = append(ops, Op{ID: ents[i]})
 		}
 		for i := 0; i < 16; i++ {
 			ops = append(ops, Op{Insert: true, Record: c.record()})

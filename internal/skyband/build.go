@@ -7,20 +7,21 @@ import (
 	"repro/internal/geom"
 )
 
-// grid indexes a set of rows — the band's entries or the fence's — by a grid
-// over their first min(d, 3) coordinates, cut on each axis at the quantiles
-// of the rows' coordinates, so a few outlying rows leave the others spread
-// over the cells as evenly as the axes allow. A cell keeps the min then the
-// max corner of its rows over all d coordinates and the rows themselves (see
-// cell): a search for the rows dominating x skips a cell on its max corner
-// and counts it whole on its min corner (see dominators), and a search for
-// the rows x dominates does the reverse (see under). The constructor's two
-// passes each build one (see gridPass), and Dynamic keeps both for its whole
-// life: every search an update makes is one of these two visits. Only the
-// grid's own upkeep walks all its rows: resize, when the rows double or
-// halve, and redraw, after a row among the largest row minima leaves. The
-// grid is a function of the sequence of adds and removes it was given, so
-// what a search finds first is too.
+// grid indexes a set of rows — the band's entries or the fence's, each its
+// id, coordinate sum and record — by a grid over their first min(d, 3)
+// coordinates, cut on each axis at the quantiles of the rows' coordinates, so
+// a few outlying rows leave the others spread over the cells as evenly as the
+// axes allow. A cell keeps the min then the max corner of its rows over all
+// d coordinates and the rows themselves (see cell): a search for the rows
+// dominating x skips a cell on its max corner and counts it whole on its min
+// corner (see dominators), and a search for the rows x dominates does the
+// reverse (see under). The constructor's two passes each build one (see
+// gridPass), and Dynamic keeps both for its whole life: which one holds an
+// entry is its partition, and every search an update makes is one of these
+// two visits. Only the grid's own upkeep walks all its rows: resize, when the
+// rows double or halve, and redraw, after a row among the largest row minima
+// leaves. The grid is a function of the sequence of adds and removes it was
+// given, so what a search finds first is too.
 type grid struct {
 	dim   int
 	depth int          // the diagonal shortcut's: see dominators
@@ -41,19 +42,19 @@ type grid struct {
 
 // cell holds, in one slab a visit reads front to back, its corners — the
 // min then the max over all d coordinates, tight over its rows — and then
-// each row as its sum, its gate (see newEntry) and its d coordinates; ids
-// holds the rows' ids alongside. Rows keep insertion order, except that a
-// removal moves the last row into the gap. An emptied cell keeps its grid
+// each row as its sum and its d coordinates (a row's gate is gateOf its
+// sum); ids holds the rows' ids alongside. Rows keep insertion order, except
+// that a removal moves the last row into the gap. An emptied cell keeps its grid
 // position and holds nothing until a row lands there again.
 type cell struct {
 	data []float64
 	ids  []int
 }
 
-// row returns the j-th row of c in a grid of dimension d: sum, gate, record.
-func (c *cell) row(j, d int) (sum, gate float64, rec []float64) {
-	r := c.data[2*d+j*(d+2):]
-	return r[0], r[1], r[2 : 2+d]
+// row returns the j-th row of c in a grid of dimension d: sum, record.
+func (c *cell) row(j, d int) (sum float64, rec []float64) {
+	r := c.data[2*d+j*(d+1):]
+	return r[0], r[1 : 1+d]
 }
 
 // rowsPerCell is the average number of rows per grid position that resize
@@ -66,38 +67,39 @@ func newGrid(depth int) *grid {
 	return &grid{depth: depth, m: [3]int{1, 1, 1}, at: make([]int32, 1), sized: rowsPerCell, diag: newKLargest(1)}
 }
 
-// add indexes row e (id, record, sum and gate) and re-buckets once the rows
-// have doubled since the last resize.
+// add indexes row e (id, record and sum) and re-buckets once the rows have
+// doubled since the last resize.
 func (g *grid) add(e *entry) {
-	g.put(e.id, e.rec, e.sum, e.gate)
+	g.put(e.id, e.rec, e.sum)
 	if g.rows >= 2*g.sized {
 		g.resize()
 	}
 }
 
-// remove drops row e, which the grid must hold, re-tightens its cell's
-// corners and re-buckets once the rows have halved since the last resize.
-func (g *grid) remove(e *entry) {
+// remove drops the row of id, whose record is rec and which the grid must
+// hold, re-tightens its cell's corners and re-buckets once the rows have
+// halved since the last resize.
+func (g *grid) remove(id int, rec []float64) {
 	d := g.dim
-	c := &g.cells[*g.position(e.rec)-1]
-	j, last := slices.Index(c.ids, e.id), len(c.ids)-1
+	c := &g.cells[*g.position(rec)-1]
+	j, last := slices.Index(c.ids, id), len(c.ids)-1
 	rows := c.data[2*d:]
-	copy(rows[j*(d+2):(j+1)*(d+2)], rows[last*(d+2):])
+	copy(rows[j*(d+1):(j+1)*(d+1)], rows[last*(d+1):])
 	c.ids[j], c.ids = c.ids[last], c.ids[:last]
-	c.data = c.data[:2*d+last*(d+2)]
+	c.data = c.data[:2*d+last*(d+1)]
 	if last > 0 {
-		_, _, rec := c.row(0, d)
-		copy(c.data, rec)
-		copy(c.data[d:], rec)
+		_, first := c.row(0, d)
+		copy(c.data, first)
+		copy(c.data[d:], first)
 		for r := 1; r < last; r++ {
-			_, _, rec := c.row(r, d)
+			_, rec := c.row(r, d)
 			c.widen(rec)
 		}
 	}
 	g.rows--
 	// Every row minimum is in a diag that is not full, and one at or above
 	// the threshold of a full diag may be.
-	if least := slices.Min(e.rec); len(g.diag) < cap(g.diag) || least >= g.diag[0] {
+	if least := slices.Min(rec); len(g.diag) < cap(g.diag) || least >= g.diag[0] {
 		g.stale = true
 	}
 	if g.sized > rowsPerCell && 2*g.rows <= g.sized {
@@ -132,7 +134,7 @@ func (g *grid) resize() {
 		}
 		vals = vals[:0]
 		for i := range old {
-			for j := 2*d + 2 + a; j < len(old[i].data); j += d + 2 {
+			for j := 2*d + 1 + a; j < len(old[i].data); j += d + 1 {
 				vals = append(vals, old[i].data[j])
 			}
 		}
@@ -148,8 +150,8 @@ func (g *grid) resize() {
 	g.diag, g.stale = newKLargest(min(g.depth, n+1)), false
 	for _, c := range old {
 		for j, id := range c.ids {
-			sum, gate, rec := c.row(j, d)
-			g.put(id, rec, sum, gate)
+			sum, rec := c.row(j, d)
+			g.put(id, rec, sum)
 		}
 	}
 }
@@ -175,7 +177,7 @@ func (g *grid) position(rec []float64) *int32 {
 	return &g.at[(g.axis(0, rec[0])*g.m[1]+g.axis(1, rec[1%d]))*g.m[2]+g.axis(2, rec[2%d])]
 }
 
-func (g *grid) put(id int, rec []float64, sum, gate float64) {
+func (g *grid) put(id int, rec []float64, sum float64) {
 	if g.dim == 0 {
 		g.dim = len(rec)
 	}
@@ -189,7 +191,7 @@ func (g *grid) put(id int, rec []float64, sum, gate float64) {
 		c.data = append(append(c.data[:0], rec...), rec...)
 	}
 	c.widen(rec)
-	c.data = append(append(c.data, sum, gate), rec...)
+	c.data = append(append(c.data, sum), rec...)
 	c.ids = append(c.ids, id)
 	g.rows++
 	g.offer(id, rec)
@@ -211,7 +213,7 @@ func (g *grid) redraw() {
 	for i := range g.cells {
 		c := &g.cells[i]
 		for j, id := range c.ids {
-			_, _, rec := c.row(j, g.dim)
+			_, rec := c.row(j, g.dim)
 			g.offer(id, rec)
 		}
 	}
@@ -274,7 +276,7 @@ func (g *grid) dominators(x *entry, limit int) (n, first int) {
 					continue
 				}
 				for j, id := range c.ids {
-					if sum, _, rec := c.row(j, d); passes(sum, x.gate) && geom.Dominates(rec, x.rec) {
+					if sum, rec := c.row(j, d); passes(sum, x.gate) && geom.Dominates(rec, x.rec) {
 						if first < 0 {
 							first = id
 						}
@@ -292,7 +294,7 @@ func (g *grid) dominators(x *entry, limit int) (n, first int) {
 // under appends to dst the ids of the rows x dominates and returns it. It
 // visits the grid positions that can hold such a row — on every axis, those
 // at or below the one of x + Eps, widened by a relative term that outweighs
-// the rounding of both sides (see newEntry) — skips a cell whose min corner x
+// the rounding of both sides (see gateOf) — skips a cell whose min corner x
 // does not reach, and takes a cell whose max corner x dominates whole.
 func (g *grid) under(x *entry, dst []int) []int {
 	if g.rows == 0 {
@@ -317,7 +319,7 @@ func (g *grid) under(x *entry, dst []int) []int {
 					continue
 				}
 				for j, id := range c.ids {
-					if _, gate, rec := c.row(j, d); passes(x.sum, gate) && geom.Dominates(x.rec, rec) {
+					if sum, rec := c.row(j, d); passes(x.sum, gateOf(sum, d)) && geom.Dominates(x.rec, rec) {
 						dst = append(dst, id)
 					}
 				}
@@ -346,7 +348,7 @@ func reaches(hi, x []float64) bool {
 // sees is a function of recs and order alone.
 func gridPass(g *grid, recs [][]float64, order []ranked, visit func(r ranked, n, first int)) {
 	for _, r := range order {
-		e := newEntry(r.slot, recs[r.slot], 0)
+		e := newEntry(r.slot, recs[r.slot])
 		n, first := g.dominators(&e, g.depth)
 		if n < g.depth {
 			g.add(&e)

@@ -51,20 +51,16 @@ func buildInputs(n int) []buildInput {
 }
 
 // structure is what a build leaves behind that a rebuild must reproduce:
-// the entry order and the cover column.
+// the id, cover and count columns.
 func structure(d *Dynamic) string {
-	ids := make([]int, len(d.ents))
-	for i, e := range d.ents {
-		ids[i] = e.id
-	}
-	return fmt.Sprint(d.nb, ids, d.cover)
+	return fmt.Sprint(d.ids, d.cover, d.count)
 }
 
 // TestBuildMatchesBruteForce checks the grid-pass construction against the
 // O(n²) definition: CountBand's ids and counts are naiveKSkyband's with the
 // brute-force counts, NewDynamic passes checkInvariants (band exact, the
 // fence the skyline of the other records, every cover a dominator of its
-// record), and the built structure — entry order and cover column included —
+// record), and the built structure — its id, cover and count columns —
 // is the same on a second build and at any GOMAXPROCS.
 func TestBuildMatchesBruteForce(t *testing.T) {
 	for _, in := range buildInputs(1200) {
@@ -201,7 +197,7 @@ func TestBuildFromState(t *testing.T) {
 		t.Fatal(err)
 	}
 	if structure(again) != structure(restored) {
-		t.Fatal("restoring a shuffled state orders the entries or covers differently")
+		t.Fatal("restoring a shuffled state classifies the slots differently")
 	}
 	for name, d := range map[string]*Dynamic{"restored": restored, "shuffled": again} {
 		if got := d.State(); !slices.Equal(got.LiveIDs, st.LiveIDs) || !slices.EqualFunc(got.LiveRecs, st.LiveRecs, slices.Equal) || got.NextID != st.NextID || got.Inserts != st.Inserts {
@@ -212,10 +208,16 @@ func TestBuildFromState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// NewDynamic numbers the records by position in st, which is their rank.
-	for i, e := range fresh.ents {
-		if r := restored.ents[i]; r.id != st.LiveIDs[e.id] || r.count != e.count {
-			t.Fatalf("entry %d: NewDynamic has id %d count %d, the restore id %d count %d", i, st.LiveIDs[e.id], e.count, r.id, r.count)
+	// NewDynamic numbers the records by position in st, which is their rank,
+	// and both take their slots in that order.
+	for s, i := range fresh.ids {
+		cover := fresh.cover[s]
+		if cover != isEntry {
+			cover = st.LiveIDs[cover]
+		}
+		if restored.ids[s] != st.LiveIDs[i] || restored.cover[s] != cover || restored.count[s] != fresh.count[s] {
+			t.Fatalf("slot %d: NewDynamic has id %d cover %d count %d, the restore id %d cover %d count %d",
+				s, st.LiveIDs[i], cover, fresh.count[s], restored.ids[s], restored.cover[s], restored.count[s])
 		}
 	}
 }
@@ -238,6 +240,31 @@ func TestBuildAllocatesByBand(t *testing.T) {
 	checkInvariants(t, d, "construction")
 	if len(d.levels) != 1 {
 		t.Fatalf("%d count levels for a band of counts 0", len(d.levels))
+	}
+}
+
+// TestDynamicLiveHeap bounds what the built structure holds beyond the
+// records it references — the live table, the count levels and the two grids
+// — on ANTI-25k at d = 4 and K = 10: at most 3.2 MB of live heap.
+func TestDynamicLiveHeap(t *testing.T) {
+	recs := dataset.Synthetic(dataset.ANTI, 25000, 4, 20180801)
+	live := func() int64 {
+		runtime.GC()
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return int64(m.HeapAlloc)
+	}
+	before := live()
+	d, err := NewDynamic(recs, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	held := live() - before
+	runtime.KeepAlive(d)
+	t.Logf("NewDynamic holds %.2f MB (band %d, fence %d)", float64(held)/1e6, d.band.rows, d.fence.rows)
+	if held > 3.2e6 {
+		t.Fatalf("NewDynamic over ANTI-25k holds %.2f MB of live heap, more than 3.2 MB", float64(held)/1e6)
 	}
 }
 

@@ -44,14 +44,16 @@ import (
 // reCover), at the cost of their own fence searches. No update recomputes or
 // repairs anything.
 //
+// An entry is a live slot whose cover column says so, and its count column
+// holds its count or bound; there is no entry list beside the live table.
 // The band's entries and the fence's each sit in a grid (see grid), the two
-// the constructor's passes build, kept for the structure's whole life. Every
-// search an update makes is a visit of one of them: the dominators of a
-// record, counted up to a limit, or the entries a record dominates. No
-// update walks the band, the fence or the live table, apart from a grid's
-// own upkeep: re-bucketing when its rows double or halve, and redrawing its
-// diagonal bound after a row among the largest row minima leaves (see
-// grid.resize and grid.redraw).
+// the constructor's passes build, kept for the structure's whole life: which
+// of them holds an entry is its partition. Every search an update makes is a
+// visit of one of them: the dominators of a record, counted up to a limit, or
+// the entries a record dominates. No update walks the band, the fence or the
+// live table, apart from a grid's own upkeep: re-bucketing when its rows
+// double or halve, and redrawing its diagonal bound after a row among the
+// largest row minima leaves (see grid.resize and grid.redraw).
 //
 // Dynamic is not safe for concurrent use; callers serialize access.
 type Dynamic struct {
@@ -60,7 +62,9 @@ type Dynamic struct {
 
 	// The live table: one dense slot per live record, parallel columns. A
 	// slot's cover is the id of a fence entry dominating the record, or
-	// isEntry when the record is an entry itself. The link column threads
+	// isEntry when the record is an entry itself. An entry's count is its
+	// exact dominator count below k and its fence bound at k or more; a
+	// covered slot's is at least k and never read. The link column threads
 	// the slots into circular lists: an entry's own slot heads the list of
 	// the slots it covers (only a fence entry covers any), and the slots
 	// whose cover left the fence wait on the orphan list, headed by orphans.
@@ -68,14 +72,11 @@ type Dynamic struct {
 	ids    []int
 	recs   [][]float64
 	cover  []int
+	count  []int32
 	link   []links
 	orphan links
 
-	// The entries: band in ents[:nb], fence in ents[nb:]; pos maps an entry's
-	// id to its index. band and fence index the two by id.
-	ents        []entry
-	nb          int
-	pos         map[int]int
+	// band and fence hold the entries of the two partitions by id.
 	band, fence *grid
 
 	// levels[c] is the band entries with count c, sorted by id: Band's
@@ -103,28 +104,33 @@ const (
 	unset   = -2
 )
 
+// entry is a record prepared for dominance tests: a probe of a grid search,
+// or the row a grid stores.
 type entry struct {
-	id    int
-	rec   []float64
-	sum   float64 // coordinate sum of rec, and
-	gate  float64 // the sum a dominator of rec must exceed (see newEntry)
-	count int     // band: exact dominator count; fence: bound in [k, count]
+	id   int
+	rec  []float64
+	sum  float64 // coordinate sum of rec, and
+	gate float64 // the sum a dominator of rec must exceed (see gateOf)
 }
 
 // newEntry prepares a record for dominance tests, as a probe or to be stored.
-// The gate is sum-based pruning made sound: a record dominating another has a
+func newEntry(id int, rec []float64) entry {
+	sum := coordSum(rec)
+	return entry{id: id, rec: rec, sum: sum, gate: gateOf(sum, len(rec))}
+}
+
+// gateOf is sum-based pruning made sound: a record dominating another has a
 // coordinate sum larger by more than −dim·Eps (each dimension tolerates Eps,
 // one must exceed it), and the float64 sums of both carry rounding error well
 // below the relative term — a candidate dominator whose sum does not exceed
-// the gate provably fails geom.Dominates. An overflowed sum bounds nothing:
-// its gate is −Inf, and a −Inf sum passes every gate (see passes).
-func newEntry(id int, rec []float64, count int) entry {
-	sum := coordSum(rec)
-	gate := math.Inf(-1)
-	if !math.IsInf(sum, 0) {
-		gate = sum - float64(len(rec))*geom.Eps - (1+math.Abs(sum))*4e-12
+// the gate of the other's sum provably fails geom.Dominates. An overflowed
+// sum bounds nothing: its gate is −Inf, and a −Inf sum passes every gate (see
+// passes).
+func gateOf(sum float64, dim int) float64 {
+	if math.IsInf(sum, 0) {
+		return math.Inf(-1)
 	}
-	return entry{id: id, rec: rec, sum: sum, gate: gate, count: count}
+	return sum - float64(dim)*geom.Eps - (1+math.Abs(sum))*4e-12
 }
 
 // passes reports whether a candidate with coordinate sum sum may dominate a
@@ -231,7 +237,7 @@ func (d *Dynamic) sweep(order []ranked) (rest []ranked) {
 	gridPass(d.band, d.recs, order, func(r ranked, n, _ int) {
 		if n < d.k {
 			d.cover[r.slot] = isEntry
-			d.enlist(newEntry(d.ids[r.slot], d.recs[r.slot], n), true)
+			d.relevel(r.slot, n)
 		} else {
 			rest = append(rest, r)
 		}
@@ -260,16 +266,16 @@ func newDynamic(k, live int) *Dynamic {
 		ids:    make([]int, 0, live),
 		recs:   make([][]float64, 0, live),
 		cover:  make([]int, 0, live),
+		count:  make([]int32, 0, live),
 		link:   make([]links, 0, live),
 		orphan: links{orphans, orphans},
-		pos:    make(map[int]int),
 	}
 }
 
 // buildFence classifies the non-band slots, given strongest first, against
 // the exact band: a record some fence entry dominates is covered by the first
 // one a grid pass over the fence finds, and any other is on the skyline of
-// the non-band records — a fence entry, bound k, in admission order. Both
+// the non-band records — a fence entry, bound k (see addLive). Both
 // passes' grids hold slots; this one ends by relabelling them to ids, which
 // stay put when a slot moves.
 func (d *Dynamic) buildFence(rest []ranked) {
@@ -279,7 +285,6 @@ func (d *Dynamic) buildFence(rest []ranked) {
 			return
 		}
 		d.cover[r.slot] = isEntry
-		d.enlist(newEntry(d.ids[r.slot], d.recs[r.slot], d.k), false)
 	})
 	d.band.relabel(d.ids)
 	d.fence.relabel(d.ids)
@@ -452,7 +457,7 @@ func (d *Dynamic) SkipID() int {
 // run).
 func (d *Dynamic) insert(rec []float64) Effect {
 	d.stats.Inserts++
-	e := newEntry(d.SkipID(), append([]float64(nil), rec...), 0)
+	e := newEntry(d.SkipID(), append([]float64(nil), rec...))
 	f := d.findCover(&e)
 	d.addLive(e.id, e.rec)
 	s := len(d.ids) - 1
@@ -460,12 +465,12 @@ func (d *Dynamic) insert(rec []float64) Effect {
 		d.coverBy(s, d.slot[f])
 		return Effect{}
 	}
-	d.cover[s] = isEntry
 	// No fence entry dominates the record, hence no covered record does
 	// either (its cover would): the band holds every dominator and the count
 	// is exact below k.
-	if e.count = d.bandCount(&e); e.count >= d.k {
-		d.addEntry(e, false)
+	c := d.bandCount(&e)
+	if c >= d.k {
+		d.admit(s, &e, c)
 		d.absorb(e.id)
 		return Effect{}
 	}
@@ -475,17 +480,17 @@ func (d *Dynamic) insert(rec []float64) Effect {
 	bumped := d.band.under(&e, nil)
 	d.shift(bumped, 1)
 	for _, id := range d.fence.under(&e, nil) {
-		d.ents[d.pos[id]].count++
+		d.count[d.slot[id]]++
 	}
 	var demoted []int
 	for _, id := range bumped {
-		if p := d.pos[id]; d.ents[p].count == d.k {
+		if bs := d.slot[id]; d.count[bs] == int32(d.k) {
 			d.stats.Demotions++
 			demoted = append(demoted, id)
-			d.move(p, false)
+			d.move(bs, false)
 		}
 	}
-	d.addEntry(e, true)
+	d.admit(s, &e, c)
 	d.absorb(demoted...)
 	return Effect{BandChanged: true, InBand: true}
 }
@@ -493,11 +498,12 @@ func (d *Dynamic) insert(rec []float64) Effect {
 // delete applies one delete of a live id.
 func (d *Dynamic) delete(id int, eff *Effect) {
 	s := d.slot[id]
+	e := newEntry(id, d.recs[s])
 	if c := d.cover[s]; c >= 0 && d.orphan.next != orphans && !d.isFence(c) {
 		// The target lost its cover earlier in this run of deletes. Unless
 		// another fence entry covers it, it may by now be an entry, and only
 		// the pass can tell: run it first so InBand is exact.
-		if e := newEntry(id, d.recs[s], 0); d.findCover(&e) == isEntry {
+		if d.findCover(&e) == isEntry {
 			eff.BandChanged = d.reCover()
 		}
 	}
@@ -506,14 +512,15 @@ func (d *Dynamic) delete(id int, eff *Effect) {
 		d.dropLive(s)
 		return // Fact 2: nothing else moves
 	}
-	p := d.pos[id]
-	e, fence := d.ents[p], p >= d.nb
 	d.splice(int32(s), orphans) // a band entry's list is empty
-	d.dropLive(s)
-	d.removeEntry(p)
-	if fence {
+	if d.count[s] >= int32(d.k) {
+		d.fence.remove(id, e.rec)
+		d.dropLive(s)
 		return // a fence entry dominates no entry; only its dependants notice
 	}
+	d.band.remove(id, e.rec)
+	d.relevel(s, d.k)
+	d.dropLive(s)
 	eff.InBand, eff.BandChanged = true, true
 	// One dominator fewer for every entry e dominated. A fence bound that
 	// would fall below k is recounted against the band (Fact 1) and, if the
@@ -521,20 +528,18 @@ func (d *Dynamic) delete(id int, eff *Effect) {
 	// dependants are orphaned.
 	d.shift(d.band.under(&e, nil), -1)
 	for _, id := range d.fence.under(&e, nil) {
-		p := d.pos[id]
-		x := &d.ents[p]
-		if x.count > d.k {
-			x.count--
+		xs := d.slot[id]
+		if d.count[xs] > int32(d.k) {
+			d.count[xs]--
 			continue
 		}
-		c := d.bandCount(x)
-		if c >= d.k {
-			continue // the bound stays k
+		x := newEntry(id, d.recs[xs])
+		if c := d.bandCount(&x); c < d.k { // else the bound stays k
+			d.stats.Promotions++
+			d.splice(int32(xs), orphans)
+			d.relevel(xs, c)
+			d.move(xs, true)
 		}
-		d.stats.Promotions++
-		d.splice(int32(d.slot[id]), orphans)
-		d.relevel(x, c)
-		d.move(p, true)
 	}
 }
 
@@ -554,7 +559,7 @@ func (d *Dynamic) reCover() (bandChanged bool) {
 	for s := d.orphan.next; s != orphans; {
 		next := d.link[s].next
 		d.stats.RepairSteps++
-		e := newEntry(d.ids[s], d.recs[s], 0)
+		e := newEntry(d.ids[s], d.recs[s])
 		if f := d.findCover(&e); f != isEntry {
 			d.coverBy(int(s), d.slot[f])
 		} else {
@@ -565,19 +570,18 @@ func (d *Dynamic) reCover() (bandChanged bool) {
 	d.orphan = links{orphans, orphans}
 	slices.SortFunc(pend, strongestFirst(d.recs, d.ids))
 	for _, r := range pend {
-		e := newEntry(d.ids[r.slot], d.recs[r.slot], 0)
+		e := newEntry(d.ids[r.slot], d.recs[r.slot])
 		if f := d.findCover(&e); f != isEntry {
 			d.coverBy(r.slot, d.slot[f])
 			continue
 		}
-		d.cover[r.slot], d.link[r.slot] = isEntry, links{int32(r.slot), int32(r.slot)}
-		if e.count = d.bandCount(&e); e.count < d.k {
+		d.link[r.slot] = links{int32(r.slot), int32(r.slot)}
+		c := d.bandCount(&e)
+		if c < d.k {
 			d.stats.Promotions++
 			bandChanged = true
-			d.addEntry(e, true)
-		} else {
-			d.addEntry(e, false)
 		}
+		d.admit(r.slot, &e, c)
 	}
 	return bandChanged
 }
@@ -603,7 +607,8 @@ func (d *Dynamic) bandCount(q *entry) int {
 // lists join its own.
 func (d *Dynamic) absorb(joined ...int) {
 	for _, id := range joined {
-		g, gs := d.ents[d.pos[id]], d.slot[id]
+		gs := d.slot[id]
+		g := newEntry(id, d.recs[gs])
 		for _, x := range d.fence.under(&g, nil) {
 			d.stats.ShadowEvictions++
 			xs := int32(d.slot[x])
@@ -612,24 +617,37 @@ func (d *Dynamic) absorb(joined ...int) {
 			}
 			d.splice(xs, int32(gs))
 			d.coverBy(int(xs), gs)
-			d.removeEntry(d.pos[x])
+			d.fence.remove(x, d.recs[xs])
 		}
 	}
 }
 
-func (d *Dynamic) isFence(id int) bool {
-	p, ok := d.pos[id]
-	return ok && p >= d.nb
+// admit makes slot s, probed by e, an entry whose band dominators counted up
+// to k are c: a band entry below k, a fence entry of bound k otherwise.
+func (d *Dynamic) admit(s int, e *entry, c int) {
+	d.cover[s] = isEntry
+	if c < d.k {
+		d.band.add(e)
+	} else {
+		d.fence.add(e)
+	}
+	d.relevel(s, c) // a slot covered before holds a stale count of k or more
 }
 
-// addLive appends a slot for the record, unclassified (cover unset, an empty
-// list of its own).
+func (d *Dynamic) isFence(id int) bool {
+	s, ok := d.slot[id]
+	return ok && d.cover[s] == isEntry && d.count[s] >= int32(d.k)
+}
+
+// addLive appends a slot for the record, unclassified (cover unset, count k,
+// an empty list of its own).
 func (d *Dynamic) addLive(id int, rec []float64) {
 	s := int32(len(d.ids))
 	d.slot[id] = len(d.ids)
 	d.ids = append(d.ids, id)
 	d.recs = append(d.recs, rec)
 	d.cover = append(d.cover, unset)
+	d.count = append(d.count, int32(d.k))
 	d.link = append(d.link, links{s, s})
 }
 
@@ -649,12 +667,12 @@ func (d *Dynamic) dropLive(s int) {
 	last := len(d.ids) - 1
 	delete(d.slot, d.ids[s])
 	if s != last {
-		d.ids[s], d.recs[s], d.cover[s] = d.ids[last], d.recs[last], d.cover[last]
+		d.ids[s], d.recs[s], d.cover[s], d.count[s] = d.ids[last], d.recs[last], d.cover[last], d.count[last]
 		d.slot[d.ids[s]] = s
 		d.relink(int32(last), int32(s))
 	}
 	d.recs[last] = nil
-	d.ids, d.recs, d.cover, d.link = d.ids[:last], d.recs[:last], d.cover[:last], d.link[:last]
+	d.ids, d.recs, d.cover, d.count, d.link = d.ids[:last], d.recs[:last], d.cover[:last], d.count[:last], d.link[:last]
 }
 
 // node returns the links of x: a slot's, or the orphan list head's.
@@ -709,70 +727,26 @@ func (d *Dynamic) relink(from, to int32) {
 	d.node(l.prev).next = to
 }
 
-// addEntry appends e to the fence or, with band set, to the band, and to
-// that partition's grid.
-func (d *Dynamic) addEntry(e entry, band bool) {
-	if band {
-		d.band.add(&e)
-	} else {
-		d.fence.add(&e)
-	}
-	d.enlist(e, band)
-}
-
-// enlist appends e to the fence or, with band set, to the band (the fence
-// entry at the boundary makes room by moving to the end), leaving the grids
-// to the caller.
-func (d *Dynamic) enlist(e entry, band bool) {
-	p := len(d.ents)
-	d.ents = append(d.ents, e)
-	d.pos[e.id] = p
-	if band {
-		d.ents[p].count = d.k // outside the band until relevel admits it
-		d.relevel(&d.ents[p], e.count)
-		d.swapEnts(p, d.nb)
-		d.nb++
-	}
-}
-
-// removeEntry drops the entry at p from its grid and its partition, keeping
-// both partitions dense.
-func (d *Dynamic) removeEntry(p int) {
-	delete(d.pos, d.ents[p].id)
-	if p >= d.nb {
-		d.fence.remove(&d.ents[p])
-	} else {
-		d.band.remove(&d.ents[p])
-		d.relevel(&d.ents[p], d.k)
-		d.nb--
-		d.moveEnt(d.nb, p)
-		p = d.nb
-	}
-	last := len(d.ents) - 1
-	d.moveEnt(last, p)
-	d.ents[last] = entry{}
-	d.ents = d.ents[:last]
-}
-
-// relevel sets x's count to c and moves x between the count levels: a count
-// of k or more is outside the band. Every change of a band entry's count and
-// every band admission or departure goes through here, so the levels are
-// always the band.
-func (d *Dynamic) relevel(x *entry, c int) {
+// relevel sets slot s's count to c and moves its record between the count
+// levels: a count of k or more is outside the band. Every change of a band
+// entry's count but shift's, and every band admission or departure, goes
+// through here, so the levels are always the band.
+func (d *Dynamic) relevel(s, c int) {
+	id := d.ids[s]
 	byID := func(m member, id int) int { return m.id - id }
-	if from := x.count; from < d.k {
-		i, _ := slices.BinarySearchFunc(d.levels[from], x.id, byID)
+	if from := d.count[s]; from < int32(d.k) {
+		i, _ := slices.BinarySearchFunc(d.levels[from], id, byID)
 		d.levels[from] = slices.Delete(d.levels[from], i, i+1)
 		for n := len(d.levels); n > 0 && len(d.levels[n-1]) == 0; n-- {
 			d.levels = d.levels[:n-1] // an emptied top level keeps its capacity for a regrowth
 		}
 	}
-	if x.count = c; c < d.k {
+	if d.count[s] = int32(c); c < d.k {
 		if c >= len(d.levels) {
 			d.levels = slices.Grow(d.levels, c+1-len(d.levels))[:c+1]
 		}
-		i, _ := slices.BinarySearchFunc(d.levels[c], x.id, byID)
-		d.levels[c] = slices.Insert(d.levels[c], i, member{rec: x.rec, id: x.id})
+		i, _ := slices.BinarySearchFunc(d.levels[c], id, byID)
+		d.levels[c] = slices.Insert(d.levels[c], i, member{rec: d.recs[s], id: id})
 	}
 }
 
@@ -784,9 +758,9 @@ func (d *Dynamic) relevel(x *entry, c int) {
 func (d *Dynamic) shift(ids []int, delta int) {
 	out := make([][]int, len(d.levels)) // the leavers' ids, by the level they leave
 	for _, id := range ids {
-		x := &d.ents[d.pos[id]]
-		out[x.count] = append(out[x.count], id)
-		x.count += delta
+		s := d.slot[id]
+		out[d.count[s]] = append(out[d.count[s]], id)
+		d.count[s] += int32(delta)
 	}
 	left := make([][]member, len(out))
 	for c, o := range out {
@@ -833,36 +807,16 @@ func mergeByID(a, b []member) []member {
 	return a
 }
 
-// move carries the entry at p across the boundary between the band and the
-// fence — into the band with toBand set — and between their grids. Its count
-// is the caller's to set.
-func (d *Dynamic) move(p int, toBand bool) {
+// move carries the entry in slot s from the fence's grid to the band's, or
+// with toBand unset the other way. Its count is the caller's to set.
+func (d *Dynamic) move(s int, toBand bool) {
+	e := newEntry(d.ids[s], d.recs[s])
+	from, to := d.band, d.fence
 	if toBand {
-		d.fence.remove(&d.ents[p])
-		d.band.add(&d.ents[p])
-		d.swapEnts(p, d.nb)
-		d.nb++
-		return
+		from, to = to, from
 	}
-	d.band.remove(&d.ents[p])
-	d.fence.add(&d.ents[p])
-	d.nb--
-	d.swapEnts(p, d.nb)
-}
-
-// moveEnt overwrites the (vacated) index to with the entry at from.
-func (d *Dynamic) moveEnt(from, to int) {
-	if from != to {
-		d.ents[to] = d.ents[from]
-		d.pos[d.ents[to].id] = to
-	}
-}
-
-func (d *Dynamic) swapEnts(i, j int) {
-	if i != j {
-		d.ents[i], d.ents[j] = d.ents[j], d.ents[i]
-		d.pos[d.ents[i].id], d.pos[d.ents[j].id] = i, j
-	}
+	from.remove(e.id, e.rec)
+	to.add(&e)
 }
 
 // Band returns the current k-skyband as parallel id/record/count slices, with
@@ -871,7 +825,7 @@ func (d *Dynamic) swapEnts(i, j int) {
 // entries with count < j. The returned slices are fresh; the record slices
 // are shared and must not be mutated.
 func (d *Dynamic) Band() ([]int, [][]float64, []int) {
-	ids, recs, counts := make([]int, 0, d.nb), make([][]float64, 0, d.nb), make([]int, 0, d.nb)
+	ids, recs, counts := make([]int, 0, d.band.rows), make([][]float64, 0, d.band.rows), make([]int, 0, d.band.rows)
 	for c, level := range d.levels {
 		for _, m := range level {
 			ids, recs, counts = append(ids, m.id), append(recs, m.rec), append(counts, c)
@@ -884,8 +838,8 @@ func (d *Dynamic) Band() ([]int, [][]float64, []int) {
 // k dominators. It is the per-id equivalent of membership in Band()'s id
 // slice, without materializing the snapshot.
 func (d *Dynamic) InBand(id int) bool {
-	p, ok := d.pos[id]
-	return ok && p < d.nb
+	s, ok := d.slot[id]
+	return ok && d.cover[s] == isEntry && d.count[s] < int32(d.k)
 }
 
 // Len returns the number of live records.
@@ -895,7 +849,7 @@ func (d *Dynamic) Len() int { return len(d.ids) }
 func (d *Dynamic) Has(id int) bool { _, ok := d.slot[id]; return ok }
 
 // Tracked reports whether id is currently an entry (band ∪ fence).
-func (d *Dynamic) Tracked(id int) bool { _, ok := d.pos[id]; return ok }
+func (d *Dynamic) Tracked(id int) bool { s, ok := d.slot[id]; return ok && d.cover[s] == isEntry }
 
 // Record returns the coordinates of a live record (shared slice; do not
 // mutate), or nil when the id is not live.
@@ -916,7 +870,7 @@ func (d *Dynamic) NextID() int { return d.nextID }
 func (d *Dynamic) Stats() DynamicStats {
 	st := d.stats
 	st.Live = len(d.ids)
-	st.SupersetSize = d.nb
-	st.ShadowSize = len(d.ents) - d.nb
+	st.SupersetSize = d.band.rows
+	st.ShadowSize = d.fence.rows
 	return st
 }

@@ -75,9 +75,10 @@ func (c *churn) record() []float64 {
 // fence — the deletes that do work), otherwise any live record. ok is false
 // when nothing is left to delete.
 func (c *churn) victim(taken map[int]bool) (id int, ok bool) {
+	ents := entryIDs(c.d)
 	for try := 0; try < 64 && len(taken) < len(c.d.ids); try++ {
-		if len(c.d.ents) > 0 && c.rng.Intn(2) == 0 {
-			id = c.d.ents[c.rng.Intn(len(c.d.ents))].id
+		if len(ents) > 0 && c.rng.Intn(2) == 0 {
+			id = ents[c.rng.Intn(len(ents))]
 		} else {
 			id = c.d.ids[c.rng.Intn(len(c.d.ids))]
 		}
@@ -268,9 +269,9 @@ func TestDynamicShadowExhaustion(t *testing.T) {
 		checkInvariants(t, c.d, fmt.Sprintf("peel %d", i))
 	}
 	for layer := 0; c.d.Len() > 0; layer++ {
-		ops := make([]Op, len(c.d.ents))
-		for i, e := range c.d.ents {
-			ops[i] = Op{ID: e.id}
+		var ops []Op
+		for _, id := range entryIDs(c.d) {
+			ops = append(ops, Op{ID: id})
 		}
 		if _, _, err := c.d.ApplyOps(ops); err != nil {
 			t.Fatal(err)

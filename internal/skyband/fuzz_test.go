@@ -53,7 +53,7 @@ func FuzzDynamicApplyOps(f *testing.F) {
 		for batch := 0; batch < 32 && len(data) > 0; batch++ {
 			var ops []Op
 			var own []int
-			taken := map[int]bool{}
+			taken, ents := map[int]bool{}, entryIDs(c.d)
 			pick := func(n int, id func(int) int) {
 				if b := next(); n > 0 && !taken[id(b%n)] {
 					taken[id(b%n)] = true
@@ -65,7 +65,7 @@ func FuzzDynamicApplyOps(f *testing.F) {
 				case 2:
 					pick(len(c.d.ids), func(i int) int { return c.d.ids[i] })
 				case 3:
-					pick(len(c.d.ents), func(i int) int { return c.d.ents[i].id })
+					pick(len(ents), func(i int) int { return ents[i] })
 				case 4:
 					pick(len(own), func(i int) int { return own[i] })
 				default:

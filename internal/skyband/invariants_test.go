@@ -11,18 +11,19 @@ import (
 // checkInvariants asserts the structure's closed-form invariant against a
 // brute-force O(n²) recount over its own live table: the entry set is exactly
 // E = { q : no live record with count ≥ k dominates q }; band counts are
-// exact and below k; fence bounds lie in [k, count]; every covered record
-// points at a live fence entry that dominates it; Band() is the brute-force
-// k-skyband with the brute-force counts, count-major with ties by id, and
-// the count levels are that same sequence, ending at the largest count
-// present; the id↔slot and id↔position maps
-// agree with the columns; and the lists are sound (see checkLists).
+// exact and below k in the count column; fence bounds lie in [k, count]; a
+// covered record's count column is at least k and it points at a live fence
+// entry that dominates it; Band() is the brute-force k-skyband with the
+// brute-force counts, count-major with ties by id, and the count levels are
+// that same sequence, ending at the largest count present; the id↔slot map
+// agrees with the columns; each grid holds its partition (see checkGrid);
+// and the lists are sound (see checkLists).
 func checkInvariants(t testing.TB, d *Dynamic, ctxt string) {
 	t.Helper()
 	n := len(d.ids)
-	if len(d.recs) != n || len(d.cover) != n || len(d.link) != n || len(d.slot) != n || len(d.pos) != len(d.ents) {
-		t.Fatalf("%s: table sizes disagree: ids %d recs %d cover %d link %d slot %d; ents %d pos %d",
-			ctxt, n, len(d.recs), len(d.cover), len(d.link), len(d.slot), len(d.ents), len(d.pos))
+	if len(d.recs) != n || len(d.cover) != n || len(d.count) != n || len(d.link) != n || len(d.slot) != n {
+		t.Fatalf("%s: table sizes disagree: ids %d recs %d cover %d count %d link %d slot %d",
+			ctxt, n, len(d.recs), len(d.cover), len(d.count), len(d.link), len(d.slot))
 	}
 	checkLists(t, d, ctxt)
 	checkGrid(t, d, d.band, true, ctxt+"/band grid")
@@ -39,6 +40,7 @@ func checkInvariants(t testing.TB, d *Dynamic, ctxt string) {
 		}
 	}
 	var wantBand []int
+	entries := 0
 	for s := range d.ids {
 		inE := true
 		for o := range d.ids {
@@ -47,29 +49,26 @@ func checkInvariants(t testing.TB, d *Dynamic, ctxt string) {
 				break
 			}
 		}
-		id, c := d.ids[s], d.cover[s]
-		p, isEnt := d.pos[id]
-		if isEnt != inE || isEnt != (c == isEntry) {
-			t.Fatalf("%s: id %d (count %d): in E %v, in entry set %v, cover %d", ctxt, id, count[s], inE, isEnt, c)
+		id, c, b := d.ids[s], d.cover[s], int(d.count[s])
+		if isEnt := c == isEntry; isEnt != inE {
+			t.Fatalf("%s: id %d (count %d): in E %v, cover %d", ctxt, id, count[s], inE, c)
 		}
 		switch {
-		case !isEnt:
-			fp, ok := d.pos[c]
-			if !ok || fp < d.nb || !geom.Dominates(d.ents[fp].rec, d.recs[s]) {
-				t.Fatalf("%s: covered id %d points at %d, which is not a fence entry dominating it", ctxt, id, c)
+		case c != isEntry:
+			fs, ok := d.slot[c]
+			if !ok || !d.isFence(c) || !geom.Dominates(d.recs[fs], d.recs[s]) || b < d.k {
+				t.Fatalf("%s: covered id %d (count column %d) points at %d, which is not a fence entry dominating it", ctxt, id, b, c)
 			}
-		case d.ents[p].id != id || !slices.Equal(d.ents[p].rec, d.recs[s]) || d.ents[p].sum != coordSum(d.recs[s]) || d.ents[p].gate != newEntry(id, d.recs[s], 0).gate:
-			t.Fatalf("%s: entry at %d does not mirror live id %d", ctxt, p, id)
-		case p < d.nb:
-			if d.ents[p].count != count[s] || count[s] >= d.k {
-				t.Fatalf("%s: band id %d holds count %d, true count %d (k=%d)", ctxt, id, d.ents[p].count, count[s], d.k)
+			continue
+		case b < d.k:
+			if b != count[s] {
+				t.Fatalf("%s: band id %d holds count %d, true count %d (k=%d)", ctxt, id, b, count[s], d.k)
 			}
 			wantBand = append(wantBand, id)
-		default:
-			if b := d.ents[p].count; b < d.k || b > count[s] {
-				t.Fatalf("%s: fence id %d holds bound %d outside [%d, %d]", ctxt, id, b, d.k, count[s])
-			}
+		case b > count[s]:
+			t.Fatalf("%s: fence id %d holds bound %d outside [%d, %d]", ctxt, id, b, d.k, count[s])
 		}
+		entries++
 	}
 	slices.Sort(wantBand)
 	gotBand, gotRecs, gotCounts := d.Band()
@@ -91,7 +90,7 @@ func checkInvariants(t testing.TB, d *Dynamic, ctxt string) {
 	var levelIDs, levelCounts []int
 	for c, level := range d.levels {
 		for _, m := range level {
-			if !d.InBand(m.id) || d.ents[d.pos[m.id]].count != c || !slices.Equal(m.rec, d.Record(m.id)) {
+			if !d.InBand(m.id) || int(d.count[d.slot[m.id]]) != c || !slices.Equal(m.rec, d.Record(m.id)) {
 				t.Fatalf("%s: level %d lists id %d, which is not a band entry of count %d with that record", ctxt, c, m.id, c)
 			}
 			levelIDs, levelCounts = append(levelIDs, m.id), append(levelCounts, c)
@@ -103,8 +102,8 @@ func checkInvariants(t testing.TB, d *Dynamic, ctxt string) {
 	if !slices.Equal(levelIDs, gotBand) || !slices.Equal(levelCounts, gotCounts) {
 		t.Fatalf("%s: the %d count levels %v %v are not the band %v %v", ctxt, len(d.levels), levelIDs, levelCounts, gotBand, gotCounts)
 	}
-	if st := d.Stats(); st.Live != n || st.SupersetSize != len(wantBand) || st.ShadowSize != len(d.ents)-len(wantBand) {
-		t.Fatalf("%s: stats sizes %+v disagree with %d live, %d band, %d entries", ctxt, st, n, len(wantBand), len(d.ents))
+	if st := d.Stats(); st.Live != n || st.SupersetSize != len(wantBand) || st.ShadowSize != entries-len(wantBand) {
+		t.Fatalf("%s: stats sizes %+v disagree with %d live, %d band, %d entries", ctxt, st, n, len(wantBand), entries)
 	}
 }
 
@@ -118,18 +117,18 @@ func checkLists(t testing.TB, d *Dynamic, ctxt string) {
 		t.Fatalf("%s: orphan list not empty after the batch: %+v", ctxt, d.orphan)
 	}
 	seen := make([]bool, len(d.ids))
-	for _, e := range d.ents {
-		h := int32(d.slot[e.id])
+	for _, id := range entryIDs(d) {
+		h := int32(d.slot[id])
 		for prev, s := h, d.link[h].next; ; prev, s = s, d.link[s].next {
 			if s < 0 || int(s) >= len(d.ids) || d.link[s].prev != prev {
-				t.Fatalf("%s: list of entry %d: link %d -> %d has no matching reverse link", ctxt, e.id, prev, s)
+				t.Fatalf("%s: list of entry %d: link %d -> %d has no matching reverse link", ctxt, id, prev, s)
 			}
 			if s == h {
 				break
 			}
-			if !d.isFence(e.id) || d.cover[s] != e.id || seen[s] {
+			if !d.isFence(id) || d.cover[s] != id || seen[s] {
 				t.Fatalf("%s: list of entry %d (fence %v) holds slot %d (id %d, cover %d, listed before %v)",
-					ctxt, e.id, d.isFence(e.id), s, d.ids[s], d.cover[s], seen[s])
+					ctxt, id, d.isFence(id), s, d.ids[s], d.cover[s], seen[s])
 			}
 			seen[s] = true
 		}
@@ -142,11 +141,12 @@ func checkLists(t testing.TB, d *Dynamic, ctxt string) {
 }
 
 // checkGrid asserts that g, the band's grid (band set) or the fence's,
-// holds every entry of its partition exactly once and no other id, each row
-// mirroring its entry's record, sum and gate and sitting in the cell its
-// record maps to; that every cell's corners bound its rows (loose corners
-// allowed); that the row count is the grid's; and that a diagonal bound not
-// marked stale is the largest row minima, best a row with the largest.
+// holds every entry of its partition — by the count column — exactly once
+// and no other id, each row holding its entry's record and sum and sitting
+// in the cell its record maps to; that every cell's corners bound its rows
+// (loose corners allowed); that the row count is the grid's; and that a
+// diagonal bound not marked stale is the largest row minima, best a row with
+// the largest.
 func checkGrid(t testing.TB, d *Dynamic, g *grid, band bool, ctxt string) {
 	t.Helper()
 	seen := make(map[int]bool)
@@ -154,18 +154,17 @@ func checkGrid(t testing.TB, d *Dynamic, g *grid, band bool, ctxt string) {
 	var mins []float64
 	for ci, c := range g.cells {
 		dim := g.dim
-		if len(c.data) != 2*dim+len(c.ids)*(dim+2) {
+		if len(c.data) != 2*dim+len(c.ids)*(dim+1) {
 			t.Fatalf("%s: cell %d holds %d ids in %d numbers", ctxt, ci, len(c.ids), len(c.data))
 		}
 		for j, id := range c.ids {
-			sum, gate, rec := c.row(j, dim)
-			p, ok := d.pos[id]
-			if !ok || (p < d.nb) != band || seen[id] {
-				t.Fatalf("%s: row id %d is not an entry of this partition (entry %v, band %v), or sits in the grid twice (%v)", ctxt, id, ok, p < d.nb, seen[id])
+			sum, rec := c.row(j, dim)
+			if !d.Tracked(id) || d.InBand(id) != band || seen[id] {
+				t.Fatalf("%s: row id %d is not an entry of this partition (entry %v, band %v), or sits in the grid twice (%v)", ctxt, id, d.Tracked(id), d.InBand(id), seen[id])
 			}
 			seen[id] = true
-			if e := d.ents[p]; !slices.Equal(rec, e.rec) || sum != e.sum || gate != e.gate {
-				t.Fatalf("%s: row of id %d holds %v (sum %v, gate %v), its entry %v (sum %v, gate %v)", ctxt, id, rec, sum, gate, e.rec, e.sum, e.gate)
+			if e := d.Record(id); !slices.Equal(rec, e) || sum != coordSum(e) {
+				t.Fatalf("%s: row of id %d holds %v (sum %v), its record %v (sum %v)", ctxt, id, rec, sum, e, coordSum(e))
 			}
 			if at := *g.position(rec); int(at) != ci+1 {
 				t.Fatalf("%s: row of id %d sits in cell %d, its record maps to %d", ctxt, id, ci+1, at)
@@ -179,9 +178,11 @@ func checkGrid(t testing.TB, d *Dynamic, g *grid, band bool, ctxt string) {
 			mins = append(mins, least[id])
 		}
 	}
-	want := len(d.ents) - d.nb
-	if band {
-		want = d.nb
+	want := 0
+	for _, id := range entryIDs(d) {
+		if d.InBand(id) == band {
+			want++
+		}
 	}
 	if len(seen) != want || g.rows != want {
 		t.Fatalf("%s: %d rows (the grid counts %d) for %d entries", ctxt, len(seen), g.rows, want)
@@ -213,11 +214,24 @@ func checkLive(t testing.TB, d *Dynamic, live map[int][]float64, ctxt string) {
 
 // bandCounts returns the band as id → exact dominator count.
 func bandCounts(d *Dynamic) map[int]int {
-	m := make(map[int]int, d.nb)
-	for _, e := range d.ents[:d.nb] {
-		m[e.id] = e.count
+	m := make(map[int]int)
+	for _, id := range entryIDs(d) {
+		if c := int(d.count[d.slot[id]]); c < d.k {
+			m[id] = c
+		}
 	}
 	return m
+}
+
+// entryIDs returns the ids of the entries, band and fence, in slot order.
+func entryIDs(d *Dynamic) []int {
+	var ids []int
+	for s, c := range d.cover {
+		if c == isEntry {
+			ids = append(ids, d.ids[s])
+		}
+	}
+	return ids
 }
 
 func describe(m map[int]int) string {

@@ -63,8 +63,8 @@ func RestoreDynamic(st *DynamicState) (*Dynamic, error) {
 	if st == nil {
 		return nil, errors.New("skyband: nil dynamic state")
 	}
-	if st.K <= 0 {
-		return nil, errors.New("skyband: band depth must be positive")
+	if st.K <= 0 || st.K > 1<<31-1 { // the count column is int32
+		return nil, errors.New("skyband: band depth must be in [1, 2^31)")
 	}
 	if len(st.LiveIDs) != len(st.LiveRecs) {
 		return nil, errors.New("skyband: misaligned state slices")
